@@ -1,0 +1,242 @@
+//! Golden digests of the DCT codec: the encoder's container bytes and every
+//! decoded plane, pinned as FNV-1a-64 values.
+//!
+//! The on-disk format, the encoder's output and the decoder's pixels are a
+//! contract — stores written by one build are read by the next, and the
+//! encoder's in-loop reconstruction must equal the decoder's. Any change to
+//! the codec kernels (transform, deblocking filter, bit reader, block
+//! reconstruction) must leave every digest below untouched; a digest that
+//! moves means stored tiles would decode to different pixels.
+
+use tasm_codec::{encode_video, EncoderConfig, RateControl, TileLayout, TileVideo};
+use tasm_video::{Frame, Plane, Rect, VecFrameSource};
+
+const W: u32 = 64;
+const H: u32 = 64;
+const FRAMES: u32 = 12;
+const GOP: u32 = 6;
+
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn hash3(x: u32, y: u32, t: u32) -> u32 {
+    let mut v = x
+        .wrapping_mul(0x9e37_79b1)
+        .wrapping_add(y.wrapping_mul(0x85eb_ca6b))
+        .wrapping_add(t.wrapping_mul(0xc2b2_ae35));
+    v ^= v >> 15;
+    v = v.wrapping_mul(0x2c1b_3c6d);
+    v ^ (v >> 13)
+}
+
+/// A clip that exercises every block mode: a static textured background
+/// (SKIP), a textured object moving 3 px right and 1 px down per frame
+/// (INTER with nonzero vectors and residuals), and a square of fresh noise
+/// every frame (INTRA fallback inside P-frames).
+fn clip() -> VecFrameSource {
+    let frames = (0..FRAMES)
+        .map(|t| {
+            let mut f = Frame::black(W, H);
+            for y in 0..H {
+                for x in 0..W {
+                    let base = (x * 5 + y * 3) % 160 + 40 + hash3(x, y, 0) % 7;
+                    f.set_sample(Plane::Y, x, y, base as u8);
+                }
+            }
+            for y in 0..H / 2 {
+                for x in 0..W / 2 {
+                    f.set_sample(Plane::U, x, y, (96 + (x + 2 * y) % 64) as u8);
+                    f.set_sample(Plane::V, x, y, (160 - (2 * x + y) % 64) as u8);
+                }
+            }
+            // The moving object (its chroma moves with it).
+            let (ox, oy) = (4 + 3 * t, 8 + t);
+            f.fill_rect(Rect::new(ox & !1, oy & !1, 16, 16), 0, 90, 170);
+            for y in 0..16 {
+                for x in 0..16 {
+                    let v = 215 - ((x ^ y) & 31) - hash3(x, y, 1) % 5;
+                    f.set_sample(Plane::Y, ox + x, oy + y, v as u8);
+                }
+            }
+            // Fresh noise each frame.
+            for y in 40..56 {
+                for x in 8..24 {
+                    f.set_sample(Plane::Y, x, y, (hash3(x, y, t + 2) % 256) as u8);
+                }
+            }
+            f
+        })
+        .collect();
+    VecFrameSource::new(frames)
+}
+
+fn digest_frames(mut h: u64, frames: &[Frame]) -> u64 {
+    for f in frames {
+        for p in Plane::ALL {
+            h = fnv1a(h, f.plane(p));
+        }
+    }
+    h
+}
+
+/// Encodes the clip and returns (digest of all tiles' container bytes,
+/// digest of every decoded plane of every tile), checking on the way that a
+/// ranged decode with warm-up and a mid-GOP resume reproduce the full
+/// decode's frames.
+fn run(cfg: EncoderConfig, layout: &TileLayout) -> (u64, u64) {
+    let (tiles, _) = encode_video(&clip(), layout, &cfg, false).unwrap();
+    let mut bytes_digest = FNV_SEED;
+    let mut pixel_digest = FNV_SEED;
+    for tile in &tiles {
+        let bytes = tile.to_bytes();
+        bytes_digest = fnv1a(bytes_digest, &bytes);
+        let tile = TileVideo::from_bytes(&bytes).unwrap();
+        let (all, stats) = tile.decode_all().unwrap();
+        assert_eq!(all.len(), FRAMES as usize);
+        assert_eq!(stats.frames_decoded, FRAMES as u64);
+        pixel_digest = digest_frames(pixel_digest, &all);
+
+        // Warm-up frames are decoded, charged and discarded.
+        let (ranged, stats) = tile.decode_range(GOP + 3..FRAMES).unwrap();
+        assert_eq!(stats.frames_decoded, (FRAMES - GOP) as u64);
+        assert_eq!(&all[(GOP + 3) as usize..], &ranged[..]);
+
+        // Mid-GOP resume from the previous reconstruction.
+        let from = GOP + 2;
+        let (resumed, stats) = tile
+            .decode_resume(from, FRAMES, Some(&all[from as usize - 1]))
+            .unwrap();
+        assert_eq!(stats.frames_decoded, (FRAMES - from) as u64);
+        assert_eq!(&all[from as usize..], &resumed[..]);
+    }
+    (bytes_digest, pixel_digest)
+}
+
+fn cfg(qp: u8, deblock: bool) -> EncoderConfig {
+    EncoderConfig {
+        gop_len: GOP,
+        qp,
+        deblock,
+        ..Default::default()
+    }
+}
+
+/// Every pinned configuration: qp 4 / 28 / 40, deblocking on and off,
+/// untiled and 2x2, constant QP and target rate.
+fn cases() -> Vec<(&'static str, EncoderConfig, TileLayout)> {
+    let untiled = || TileLayout::untiled(W, H);
+    let tiled = || TileLayout::uniform(W, H, 2, 2).unwrap();
+    let rate = |millibits_per_sample| EncoderConfig {
+        rate: RateControl::TargetRate {
+            millibits_per_sample,
+        },
+        ..cfg(24, true)
+    };
+    vec![
+        ("untiled/qp4/no-deblock", cfg(4, false), untiled()),
+        ("untiled/qp4/deblock", cfg(4, true), untiled()),
+        ("untiled/qp28/no-deblock", cfg(28, false), untiled()),
+        ("untiled/qp28/deblock", cfg(28, true), untiled()),
+        ("untiled/qp40/no-deblock", cfg(40, false), untiled()),
+        ("untiled/qp40/deblock", cfg(40, true), untiled()),
+        ("2x2/qp4/deblock", cfg(4, true), tiled()),
+        ("2x2/qp28/deblock", cfg(28, true), tiled()),
+        ("2x2/qp40/no-deblock", cfg(40, false), tiled()),
+        ("untiled/rate-0.15bpp", rate(150), untiled()),
+        ("2x2/rate-0.6bpp", rate(600), tiled()),
+    ]
+}
+
+/// (case, container-bytes digest, decoded-planes digest), computed on the
+/// scalar reference codec before any fast path existed.
+const GOLDEN: &[(&str, u64, u64)] = &[
+    (
+        "untiled/qp4/no-deblock",
+        0xb0f1da304342493e,
+        0xdde317f103b4888f,
+    ),
+    (
+        "untiled/qp4/deblock",
+        0xf0cc2c681963499a,
+        0xb6ed9465bda25034,
+    ),
+    (
+        "untiled/qp28/no-deblock",
+        0x5d422ed405d9d9af,
+        0x1a6b0f6f4ebce0e3,
+    ),
+    (
+        "untiled/qp28/deblock",
+        0x443a28de04a7cd95,
+        0x30fed70f9cb2a5bf,
+    ),
+    (
+        "untiled/qp40/no-deblock",
+        0x8c90f91efcae69cf,
+        0xaa3fd10d18abff99,
+    ),
+    (
+        "untiled/qp40/deblock",
+        0x12c261f27c95bb90,
+        0x5ebad71bf94cdee7,
+    ),
+    ("2x2/qp4/deblock", 0x2d91950289a96166, 0xa18ce7775aa9347e),
+    ("2x2/qp28/deblock", 0x6e74f40c6450ddc7, 0x5fa6ce8f390e2428),
+    (
+        "2x2/qp40/no-deblock",
+        0xec26a877a3590141,
+        0xeec2db10f1c17f5f,
+    ),
+    (
+        "untiled/rate-0.15bpp",
+        0x8104e490bae170ee,
+        0x902763148530384d,
+    ),
+    ("2x2/rate-0.6bpp", 0x2348b9aaf5436d47, 0x5a8c2faf5d9a690f),
+];
+
+#[test]
+fn container_bytes_and_decoded_planes_are_pinned() {
+    let got: Vec<(&str, u64, u64)> = cases()
+        .into_iter()
+        .map(|(name, cfg, layout)| {
+            let (bytes, pixels) = run(cfg, &layout);
+            (name, bytes, pixels)
+        })
+        .collect();
+    if got != GOLDEN {
+        let table: String = got
+            .iter()
+            .map(|(n, b, p)| format!("    (\"{n}\", {b:#018x}, {p:#018x}),\n"))
+            .collect();
+        panic!("codec digests moved; this build produces:\n{table}");
+    }
+}
+
+/// `TileDecoder::with_reference` — the streaming form of a mid-GOP resume —
+/// continues bit-exactly from a reconstruction handed in by value.
+#[test]
+fn golden_with_reference_resume() {
+    use tasm_codec::TileDecoder;
+    let c = cfg(28, true);
+    let (tiles, _) = encode_video(&clip(), &TileLayout::untiled(W, H), &c, false).unwrap();
+    let tile = &tiles[0];
+    let (all, _) = tile.decode_all().unwrap();
+    let from = 3usize;
+    let mut dec = TileDecoder::with_reference(W, H, c.qp, c.deblock, all[from - 1].clone());
+    let resumed: Vec<Frame> = tile.frames[from..GOP as usize]
+        .iter()
+        .map(|ef| dec.decode_next_qp(&ef.data, ef.is_key, ef.qp).unwrap())
+        .collect();
+    assert_eq!(&all[from..GOP as usize], &resumed[..]);
+    let digest = digest_frames(FNV_SEED, &resumed);
+    assert_eq!(
+        digest, 0x057c5beec8550a52,
+        "resumed planes digest moved: got {digest:#018x}"
+    );
+}
