@@ -2,8 +2,11 @@
 //! throughput, tiled vs untiled, and homomorphic stitching overhead.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use tasm_codec::bitstream::{BitReader, BitWriter};
+use tasm_codec::deblock::deblock_frame;
+use tasm_codec::quant::qstep;
 use tasm_codec::{encode_video, EncoderConfig, StitchedVideo, TileLayout};
-use tasm_data::{SceneSpec, SyntheticVideo};
+use tasm_data::{Dataset, SceneSpec, SyntheticVideo};
 use tasm_video::{FrameSource, VecFrameSource};
 
 fn scene(frames: u32) -> VecFrameSource {
@@ -14,6 +17,89 @@ fn scene(frames: u32) -> VecFrameSource {
         ..SceneSpec::test_scene()
     });
     VecFrameSource::new((0..frames).map(|i| v.frame(i)).collect())
+}
+
+/// The perf ledger's geometry — one 640×352, GOP-30 VisualRoad second, the
+/// clip its `cold_select` workload decodes — rather than the 320×192 test
+/// scene: whole-GOP decode untiled and 2×2, and the two kernels under it.
+fn ledger_geometry_benches(c: &mut Criterion) {
+    let (w, h, frames) = (640u32, 352u32, 30u32);
+    let video = Dataset::VisualRoad2K.build(1, 11);
+    let src = VecFrameSource::new((0..frames).map(|i| video.frame(i)).collect());
+    let cfg = EncoderConfig::default();
+    let untiled = encode_video(&src, &TileLayout::untiled(w, h), &cfg, false)
+        .unwrap()
+        .0;
+    let tiled = encode_video(&src, &TileLayout::uniform(w, h, 2, 2).unwrap(), &cfg, false)
+        .unwrap()
+        .0;
+    let samples = u64::from(w * h) * 3 / 2;
+
+    let mut g = c.benchmark_group("decode");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(u64::from(frames) * samples));
+    for (name, tiles) in [
+        ("640x352_gop30_untiled", &untiled),
+        ("640x352_gop30_2x2", &tiled),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                tiles
+                    .iter()
+                    .map(|t| t.decode_all().unwrap().0.len())
+                    .sum::<usize>()
+            })
+        });
+    }
+    g.finish();
+
+    let decoded = untiled[0].decode_range(29..30).unwrap().0.remove(0);
+    let mut g = c.benchmark_group("deblock");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(samples));
+    g.bench_function("640x352", |b| {
+        b.iter_batched(
+            || decoded.clone(),
+            |mut f| {
+                deblock_frame(&mut f, qstep(cfg.qp));
+                f
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+
+    // Runs, levels and counts as a coded block has them — mostly tiny
+    // values, a few large ones — in an order no branch predictor can learn.
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let codes: Vec<u32> = (0..4096)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let r = (state >> 32) as u32;
+            match r % 16 {
+                0 => 37 + (r >> 8) % 200,
+                1 | 2 => 3 + (r >> 8) % 5,
+                _ => (r >> 8) % 3,
+            }
+        })
+        .collect();
+    let mut w = BitWriter::new();
+    for &v in &codes {
+        w.put_ue(v);
+    }
+    let stream = w.finish();
+    let mut g = c.benchmark_group("bitreader");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(codes.len() as u64));
+    g.bench_function("ue", |b| {
+        b.iter(|| {
+            let mut r = BitReader::new(&stream);
+            (0..codes.len()).fold(0u32, |acc, _| acc.wrapping_add(r.get_ue().unwrap()))
+        })
+    });
+    g.finish();
 }
 
 fn encode_benches(c: &mut Criterion) {
@@ -109,5 +195,11 @@ fn stitch_benches(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, encode_benches, decode_benches, stitch_benches);
+criterion_group!(
+    benches,
+    ledger_geometry_benches,
+    encode_benches,
+    decode_benches,
+    stitch_benches
+);
 criterion_main!(benches);

@@ -168,9 +168,10 @@ fn remote_benches(c: &mut Criterion) {
             let server = start_server(warm_tasm(&dir, &video), connections, engine);
             let addr = server.local_addr();
             let gen = loadgen(requests, connections);
-            g.bench_function(format!("loadgen_{}_c{connections}", engine_tag(engine)), |b| {
-                b.iter(|| gen.run(addr).expect("loadgen run"))
-            });
+            g.bench_function(
+                format!("loadgen_{}_c{connections}", engine_tag(engine)),
+                |b| b.iter(|| gen.run(addr).expect("loadgen run")),
+            );
             server.shutdown();
         }
     }

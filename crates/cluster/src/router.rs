@@ -968,8 +968,7 @@ fn route_worker(
                 query,
                 trace_id,
             } => {
-                let frames =
-                    route_query_frames(shared, &mut shards, id, &video, &query, trace_id);
+                let frames = route_query_frames(shared, &mut shards, id, &video, &query, trace_id);
                 // The router-wide in-flight slot frees when the route
                 // finishes, session alive or not.
                 shared.inflight.fetch_sub(1, Ordering::AcqRel);

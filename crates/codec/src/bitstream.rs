@@ -107,49 +107,88 @@ impl BitWriter {
 }
 
 /// Reads bits MSB-first from a byte slice.
+///
+/// The reader keeps the next bits of the stream left-aligned in a 64-bit
+/// window that it refills eight bytes at a time, so an exp-Golomb code is a
+/// `leading_zeros` and a shift instead of a loop over its bits. A code the
+/// window does not hold whole — a very long one, or one cut off by the end
+/// of the stream — goes through the bit-at-a-time loop, which alone decides
+/// [`BitstreamError::UnexpectedEof`] and [`BitstreamError::CodeTooLong`].
 #[derive(Debug)]
 pub struct BitReader<'a> {
     data: &'a [u8],
-    /// Next bit position from the start of `data`.
-    pos: usize,
+    /// The next `avail` unread bits, left-aligned; the bits below are zero.
+    window: u64,
+    /// Number of unread bits in `window`.
+    avail: u32,
+    /// Index of the first byte not yet loaded into `window`.
+    next: usize,
 }
+
+/// The window is topped up whenever it holds fewer bits than this, so away
+/// from the end of the stream any code of up to 32 bits is whole in it.
+const REFILL_BELOW: u32 = 32;
 
 impl<'a> BitReader<'a> {
     /// Creates a reader over `data`.
     pub fn new(data: &'a [u8]) -> Self {
-        BitReader { data, pos: 0 }
+        BitReader {
+            data,
+            window: 0,
+            avail: 0,
+            next: 0,
+        }
     }
 
     /// Remaining unread bits.
     pub fn remaining_bits(&self) -> usize {
-        self.data.len() * 8 - self.pos
+        (self.data.len() - self.next) * 8 + self.avail as usize
+    }
+
+    /// Loads as many whole bytes as fit below the unread bits: at least 57
+    /// bits are then available, or everything the stream has left.
+    #[inline]
+    fn refill(&mut self) {
+        debug_assert!(self.avail <= 56);
+        if let Some(chunk) = self.data.get(self.next..self.next + 8) {
+            let bytes = (64 - self.avail) / 8;
+            let chunk = u64::from_be_bytes(chunk.try_into().expect("eight bytes"));
+            let fresh = chunk & (u64::MAX << (64 - 8 * bytes));
+            self.window |= fresh >> self.avail;
+            self.avail += 8 * bytes;
+            self.next += bytes as usize;
+        } else {
+            while self.avail <= 56 && self.next < self.data.len() {
+                self.window |= (self.data[self.next] as u64) << (56 - self.avail);
+                self.avail += 8;
+                self.next += 1;
+            }
+        }
+    }
+
+    /// Drops the top `n` bits of the window (`n` ≤ `avail`, `n` < 64).
+    #[inline]
+    fn consume(&mut self, n: u32) {
+        self.window <<= n;
+        self.avail -= n;
     }
 
     /// Reads `n` bits (≤ 32), MSB first.
     #[inline]
     pub fn get_bits(&mut self, n: u32) -> Result<u32, BitstreamError> {
         debug_assert!(n <= 32);
-        if n as usize > self.remaining_bits() {
-            return Err(BitstreamError::UnexpectedEof);
+        if n == 0 {
+            return Ok(0);
         }
-        let mut out = 0u32;
-        let mut remaining = n;
-        while remaining > 0 {
-            let byte = self.data[self.pos / 8];
-            let bit_off = (self.pos % 8) as u32;
-            let avail = 8 - bit_off;
-            let take = avail.min(remaining);
-            let shifted = (byte as u32) >> (avail - take);
-            let mask = if take == 32 {
-                u32::MAX
-            } else {
-                (1u32 << take) - 1
-            };
-            out = (out << take) | (shifted & mask);
-            self.pos += take as usize;
-            remaining -= take;
+        if self.avail < n {
+            self.refill();
+            if self.avail < n {
+                return Err(BitstreamError::UnexpectedEof);
+            }
         }
-        Ok(out)
+        let bits = (self.window >> (64 - n)) as u32;
+        self.consume(n);
+        Ok(bits)
     }
 
     /// Reads a single flag bit.
@@ -158,9 +197,57 @@ impl<'a> BitReader<'a> {
         Ok(self.get_bits(1)? == 1)
     }
 
+    /// Consumes up to `max` consecutive one bits and returns how many it
+    /// took. Each is a complete `ue(0)` code, so a run of SKIP blocks costs
+    /// one count-leading-ones per window rather than one
+    /// [`BitReader::get_ue`] each.
+    #[inline]
+    pub(crate) fn take_ones(&mut self, max: usize) -> usize {
+        let mut taken = 0;
+        while taken < max {
+            if self.avail == 0 {
+                self.refill();
+                if self.avail == 0 {
+                    break;
+                }
+            }
+            // The bits below the unread ones are zero, so the count never
+            // runs past them.
+            let ones = (!self.window).leading_zeros();
+            let take = (ones as usize).min(max - taken) as u32;
+            let run_goes_on = take == self.avail;
+            // A full window of ones is 64 bits, one more than a shift takes.
+            self.window = self.window.checked_shl(take).unwrap_or(0);
+            self.avail -= take;
+            taken += take as usize;
+            if !run_goes_on {
+                break;
+            }
+        }
+        taken
+    }
+
     /// Reads an unsigned exp-Golomb code.
     #[inline]
     pub fn get_ue(&mut self) -> Result<u32, BitstreamError> {
+        if self.avail < REFILL_BELOW {
+            self.refill();
+        }
+        // `zeros` zero bits, a one, then `zeros` more: if all of that is in
+        // the window, its top `2 * zeros + 1` bits are the code `v + 1`.
+        let zeros = self.window.leading_zeros();
+        let len = 2 * zeros + 1;
+        if len <= self.avail {
+            let code = (self.window >> (64 - len)) as u32;
+            self.consume(len);
+            return Ok(code - 1);
+        }
+        self.get_ue_bitwise()
+    }
+
+    /// [`BitReader::get_ue`] one bit at a time: for codes longer than the
+    /// window had bits, and whatever the end of the stream cuts short.
+    fn get_ue_bitwise(&mut self) -> Result<u32, BitstreamError> {
         let mut zeros = 0u32;
         loop {
             if self.remaining_bits() == 0 {

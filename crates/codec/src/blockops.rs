@@ -27,20 +27,57 @@ pub fn load_block(plane: &[u8], stride: usize, x: usize, y: usize) -> [i32; BLOC
     out
 }
 
-/// Stores an 8×8 block, clamping each value to the 8-bit sample range.
+/// Reconstructs an 8×8 block under a flat (DC) prediction: writes
+/// `pred + residual`, clamped to the 8-bit sample range, straight into the
+/// plane rows. Encoder and decoder share it, so their reconstructions agree
+/// by construction. The sum wraps rather than overflows: only a corrupt
+/// stream can push a residual that far, and it is clamped regardless.
 #[inline]
-pub fn store_block(
+pub fn reconstruct_flat(
     plane: &mut [u8],
     stride: usize,
     x: usize,
     y: usize,
-    values: &[i32; BLOCK_AREA],
+    pred: i32,
+    residual: &[i32; BLOCK_AREA],
 ) {
-    for row in 0..BLOCK {
-        let base = (y + row) * stride + x;
-        for col in 0..BLOCK {
-            plane[base + col] = values[row * BLOCK + col].clamp(0, 255) as u8;
+    for (row, res) in residual.chunks_exact(BLOCK).enumerate() {
+        let dst = &mut plane[(y + row) * stride + x..][..BLOCK];
+        for (d, &r) in dst.iter_mut().zip(res) {
+            *d = pred.wrapping_add(r).clamp(0, 255) as u8;
         }
+    }
+}
+
+/// Reconstructs an 8×8 block under motion-compensated prediction: the block
+/// at `(sx, sy)` of `src` plus `residual`, clamped, written at `(x, y)`.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn reconstruct_inter(
+    plane: &mut [u8],
+    stride: usize,
+    x: usize,
+    y: usize,
+    src: &[u8],
+    sx: usize,
+    sy: usize,
+    residual: &[i32; BLOCK_AREA],
+) {
+    for (row, res) in residual.chunks_exact(BLOCK).enumerate() {
+        let dst = &mut plane[(y + row) * stride + x..][..BLOCK];
+        let pred = &src[(sy + row) * stride + sx..][..BLOCK];
+        for ((d, &p), &r) in dst.iter_mut().zip(pred).zip(res) {
+            *d = (p as i32).wrapping_add(r).clamp(0, 255) as u8;
+        }
+    }
+}
+
+/// Fills an 8×8 block with one sample value (a flat prediction with no
+/// coded residual).
+#[inline]
+pub fn fill_block(plane: &mut [u8], stride: usize, x: usize, y: usize, value: u8) {
+    for row in 0..BLOCK {
+        plane[(y + row) * stride + x..][..BLOCK].fill(value);
     }
 }
 
@@ -134,32 +171,49 @@ mod tests {
     }
 
     #[test]
-    fn load_store_roundtrip() {
+    fn load_reconstruct_roundtrip() {
         let mut plane = vec![0u8; 16 * 16];
         for (i, p) in plane.iter_mut().enumerate() {
             *p = (i % 251) as u8;
         }
         let block = load_block(&plane, 16, 8, 8);
         let mut out = vec![0u8; 16 * 16];
-        store_block(&mut out, 16, 8, 8, &block);
+        reconstruct_flat(&mut out, 16, 8, 8, 0, &block);
         for row in 8..16 {
             for col in 8..16 {
                 assert_eq!(out[row * 16 + col], plane[row * 16 + col]);
             }
         }
+        // The same residual over a motion-compensated prediction of zeros.
+        let zeros = vec![0u8; 16 * 16];
+        let mut inter = vec![0u8; 16 * 16];
+        reconstruct_inter(&mut inter, 16, 8, 8, &zeros, 3, 5, &block);
+        assert_eq!(inter, out);
     }
 
     #[test]
-    fn store_clamps_to_u8() {
+    fn reconstruct_clamps_to_u8() {
         let mut plane = vec![0u8; 64];
         let mut vals = [0i32; BLOCK_AREA];
-        vals[0] = -50;
-        vals[1] = 300;
-        vals[2] = 128;
-        store_block(&mut plane, 8, 0, 0, &vals);
-        assert_eq!(plane[0], 0);
-        assert_eq!(plane[1], 255);
-        assert_eq!(plane[2], 128);
+        vals[0] = -150;
+        vals[1] = 200;
+        vals[2] = 28;
+        vals[3] = i32::MAX; // wraps negative, then clamps: no overflow panic
+        reconstruct_flat(&mut plane, 8, 0, 0, 100, &vals);
+        assert_eq!(&plane[..5], &[0, 255, 128, 0, 100]);
+        let src = vec![100u8; 64];
+        reconstruct_inter(&mut plane, 8, 0, 0, &src, 0, 0, &vals);
+        assert_eq!(&plane[..5], &[0, 255, 128, 0, 100]);
+    }
+
+    #[test]
+    fn fill_block_touches_only_its_block() {
+        let mut plane = vec![7u8; 16 * 16];
+        fill_block(&mut plane, 16, 8, 0, 200);
+        assert_eq!(plane.iter().filter(|&&v| v == 200).count(), 64);
+        assert_eq!(plane[8], 200);
+        assert_eq!(plane[7], 7);
+        assert_eq!(plane[8 * 16 + 8], 7);
     }
 
     #[test]

@@ -432,35 +432,23 @@ impl TileVideo {
         end: u32,
         reference: Option<&Frame>,
     ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
-        let t0 = Instant::now();
-        let mut dec = match reference {
-            Some(r) => TileDecoder::with_reference(
-                self.width,
-                self.height,
-                self.qp,
-                self.deblock,
-                r.clone(),
-            ),
-            None => TileDecoder::new(self.width, self.height, self.qp, self.deblock),
-        };
-        let mut out = Vec::with_capacity((end - keep_from) as usize);
-        let mut stats = DecodeStats::new();
-        let samples_per_frame =
-            self.width as u64 * self.height as u64 + (self.width as u64 * self.height as u64) / 2;
-        for i in start..end {
-            let ef = &self.frames[i as usize];
-            let frame = dec.decode_next_qp(&ef.data, ef.is_key, ef.qp)?;
-            stats.frames_decoded += 1;
-            stats.samples_decoded += samples_per_frame;
-            stats.tile_chunks_decoded += 1;
-            stats.bytes_read += ef.data.len() as u64;
-            stats.blocks_decoded += dec.blocks_per_frame();
-            if i >= keep_from {
-                out.push(frame);
-            }
+        if let Some(r) = reference {
+            assert_eq!(r.width(), self.width, "reference width mismatch");
+            assert_eq!(r.height(), self.height, "reference height mismatch");
         }
-        stats.decode_time = t0.elapsed();
-        Ok((out, stats))
+        let dec = TileDecoder::new(self.width, self.height, self.qp, self.deblock);
+        let blocks_per_frame = dec.blocks_per_frame();
+        let decode_one = |ef: &EncodedFrame, prev: Option<&Frame>, recycle: Option<Frame>| {
+            Ok(dec.decode_against(&ef.data, ef.is_key, ef.qp, prev, recycle)?)
+        };
+        self.decode_chained(
+            start,
+            keep_from,
+            end,
+            reference,
+            blocks_per_frame,
+            decode_one,
+        )
     }
 
     /// The lossless `Pred` path: identical GOP semantics (keyframes decode
@@ -473,39 +461,73 @@ impl TileVideo {
         end: u32,
         reference: Option<&Frame>,
     ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
-        let t0 = Instant::now();
-        let mut prev: Option<Frame> = reference.cloned();
-        let mut out = Vec::with_capacity((end - keep_from) as usize);
-        let mut stats = DecodeStats::new();
-        let luma = self.width as u64 * self.height as u64;
-        let samples_per_frame = luma + luma / 2;
         // Same block accounting as the DCT decoder, for a comparable cost
         // model signal.
         let blocks_per_frame = {
             let blocks = (self.width as u64 / 8) * (self.height as u64 / 8);
             blocks + blocks / 2
         };
-        for i in start..end {
-            let ef = &self.frames[i as usize];
-            let frame = if ef.is_key {
-                pred::decode_frame(&ef.data, self.width, self.height, None)
-            } else {
-                pred::decode_frame(&ef.data, self.width, self.height, prev.as_ref())
-            }
-            .map_err(|e| match e {
+        let decode_one = |ef: &EncodedFrame, prev: Option<&Frame>, _recycle: Option<Frame>| {
+            let prev = if ef.is_key { None } else { prev };
+            pred::decode_frame(&ef.data, self.width, self.height, prev).map_err(|e| match e {
                 pred::PredError::MissingReference => {
                     ContainerError::Decode(DecodeError::MissingReference)
                 }
                 other => ContainerError::Decode(DecodeError::Lossless(other.to_string())),
-            })?;
+            })
+        };
+        self.decode_chained(
+            start,
+            keep_from,
+            end,
+            reference,
+            blocks_per_frame,
+            decode_one,
+        )
+    }
+
+    /// The GOP decode loop both codecs share: decodes frames `start..end`
+    /// in order, keeps `keep_from..end`, and accounts for every frame
+    /// decoded. `decode_one` gets the frame's chunk, the reconstruction of
+    /// the frame before it, and possibly a spent frame to recycle.
+    ///
+    /// No frame is copied to chain the references: the previous
+    /// reconstruction is borrowed from where it already lives — the output
+    /// vector, the caller's `reference`, or, while warm-up frames are being
+    /// decoded and discarded, one of two buffers that take turns.
+    fn decode_chained(
+        &self,
+        start: u32,
+        keep_from: u32,
+        end: u32,
+        reference: Option<&Frame>,
+        blocks_per_frame: u64,
+        decode_one: impl Fn(
+            &EncodedFrame,
+            Option<&Frame>,
+            Option<Frame>,
+        ) -> Result<Frame, ContainerError>,
+    ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
+        let t0 = Instant::now();
+        let mut out: Vec<Frame> = Vec::with_capacity((end - keep_from) as usize);
+        // The latest discarded reconstruction, and the one before it.
+        let (mut warm, mut spare): (Option<Frame>, Option<Frame>) = (None, None);
+        let mut stats = DecodeStats::new();
+        let luma = self.width as u64 * self.height as u64;
+        let samples_per_frame = luma + luma / 2;
+        for i in start..end {
+            let ef = &self.frames[i as usize];
+            let prev = out.last().or(warm.as_ref()).or(reference);
+            let frame = decode_one(ef, prev, spare.take())?;
             stats.frames_decoded += 1;
             stats.samples_decoded += samples_per_frame;
             stats.tile_chunks_decoded += 1;
             stats.bytes_read += ef.data.len() as u64;
             stats.blocks_decoded += blocks_per_frame;
-            prev = Some(frame.clone());
             if i >= keep_from {
                 out.push(frame);
+            } else {
+                spare = warm.replace(frame);
             }
         }
         stats.decode_time = t0.elapsed();

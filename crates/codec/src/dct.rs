@@ -68,27 +68,91 @@ pub fn forward(block: &[i32; BLOCK_AREA]) -> [i32; BLOCK_AREA] {
 
 /// Inverse 8×8 DCT, reconstructing the residual block.
 pub fn inverse(coef: &[i32; BLOCK_AREA]) -> [i32; BLOCK_AREA] {
-    let mut tmp = [0i64; BLOCK_AREA];
-    // Inverse over columns: tmp = C^T * coef
-    for c in 0..BLOCK {
-        for n in 0..BLOCK {
-            let mut acc = 0i64;
-            for k in 0..BLOCK {
-                acc += coef[k * BLOCK + c] as i64 * BASIS[k][n] as i64;
+    let (mut rows, mut cols) = (0u8, 0u8);
+    for (i, &c) in coef.iter().enumerate() {
+        if c != 0 {
+            rows |= 1 << (i / BLOCK);
+            cols |= 1 << (i % BLOCK);
+        }
+    }
+    inverse_sparse(coef, rows, cols)
+}
+
+/// Indices of the set bits of `mask`, ascending.
+#[inline]
+fn set_bits(mut mask: u8) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// One 8-point inverse pass: `Σ_k x[k]·C[k][n]` for `n` in `0..8`, over the
+/// `k` in `occupied` only, plus `bias`. Basis rows with even index are
+/// symmetric (`C[k][7-n] = C[k][n]`) and rows with odd index antisymmetric,
+/// so the two kinds are summed separately for `n` in `0..4`; their sum is
+/// output `n` and their difference output `7 - n`, which halves the
+/// multiplies.
+#[inline]
+fn inverse_pass(x: impl Fn(usize) -> i64, occupied: u8, bias: i64) -> [i64; BLOCK] {
+    let (mut even, mut odd) = ([bias; BLOCK / 2], [0i64; BLOCK / 2]);
+    // (Two loops rather than one that picks its accumulator per `k`: the
+    // accumulators then stay in registers.)
+    let accumulate = |half: &mut [i64; BLOCK / 2], ks: u8| {
+        for k in set_bits(ks) {
+            let v = x(k);
+            for (acc, &c) in half.iter_mut().zip(&BASIS[k]) {
+                *acc += v * c as i64;
             }
-            tmp[n * BLOCK + c] = acc;
+        }
+    };
+    accumulate(&mut even, occupied & 0b0101_0101);
+    accumulate(&mut odd, occupied & 0b1010_1010);
+    let mut out = [0i64; BLOCK];
+    for n in 0..BLOCK / 2 {
+        out[n] = even[n] + odd[n];
+        out[BLOCK - 1 - n] = even[n] - odd[n];
+    }
+    out
+}
+
+/// [`inverse`] for a caller that knows where the block's nonzero
+/// coefficients are: bit `k` of `rows` (`cols`) must be set if row (column)
+/// `k` holds any. Quantized blocks carry a handful of low-frequency
+/// coefficients, and the transform is a sum of products with no
+/// intermediate rounding, so leaving out the zero terms (and regrouping the
+/// rest) changes nothing but the time: a DC-only block is one multiply, and
+/// otherwise each pass runs over the occupied rows and columns only.
+pub(crate) fn inverse_sparse(coef: &[i32; BLOCK_AREA], rows: u8, cols: u8) -> [i32; BLOCK_AREA] {
+    debug_assert!(
+        coef.iter()
+            .enumerate()
+            .all(|(i, &c)| c == 0 || (rows >> (i / BLOCK)) & (cols >> (i % BLOCK)) & 1 == 1),
+        "nonzero coefficient outside the row/column masks"
+    );
+    let round = 1i64 << (2 * SCALE_BITS - 1);
+    if rows <= 1 && cols <= 1 {
+        // Only the DC term: every sample is the same value.
+        let dc = coef[0] as i64 * (BASIS[0][0] as i64 * BASIS[0][0] as i64);
+        return [((dc + round) >> (2 * SCALE_BITS)) as i32; BLOCK_AREA];
+    }
+    // Inverse over columns: tmp = C^T * coef, for the occupied columns.
+    let mut tmp = [0i64; BLOCK_AREA];
+    for c in set_bits(cols) {
+        let column = inverse_pass(|k| coef[k * BLOCK + c] as i64, rows, 0);
+        for (n, v) in column.into_iter().enumerate() {
+            tmp[n * BLOCK + c] = v;
         }
     }
     // Inverse over rows with rounding and the remaining 1/4-ish normalization.
     let mut out = [0i32; BLOCK_AREA];
-    let round = 1i64 << (2 * SCALE_BITS - 1);
-    for r in 0..BLOCK {
-        for n in 0..BLOCK {
-            let mut acc = 0i64;
-            for k in 0..BLOCK {
-                acc += tmp[r * BLOCK + k] * BASIS[k][n] as i64;
-            }
-            out[r * BLOCK + n] = ((acc + round) >> (2 * SCALE_BITS)) as i32;
+    for (tmp_row, out_row) in tmp.chunks_exact(BLOCK).zip(out.chunks_exact_mut(BLOCK)) {
+        let row = inverse_pass(|k| tmp_row[k], cols, round);
+        for (o, v) in out_row.iter_mut().zip(row) {
+            *o = (v >> (2 * SCALE_BITS)) as i32;
         }
     }
     out

@@ -1,10 +1,13 @@
 //! The tile decoder, mirroring [`crate::encoder`] bit-exactly.
 
 use crate::bitstream::{BitReader, BitstreamError};
-use crate::blockops::{copy_block, dc_predict, store_block, ZIGZAG};
-use crate::dct::{inverse, BLOCK, BLOCK_AREA};
+use crate::blockops::{
+    copy_block, dc_predict, fill_block, reconstruct_flat, reconstruct_inter, ZIGZAG,
+};
+use crate::dct::{inverse_sparse, BLOCK, BLOCK_AREA};
 use crate::deblock::deblock_frame;
-use crate::quant::{dequantize_block, qstep};
+use crate::grid::TILE_ALIGN;
+use crate::quant::{dequantize, qstep};
 use tasm_video::{Frame, Plane};
 
 /// Errors surfaced while decoding a tile bitstream.
@@ -100,19 +103,78 @@ impl TileDecoder {
         is_key: bool,
         qp: u8,
     ) -> Result<Frame, DecodeError> {
-        if !is_key && self.recon_prev.is_none() {
-            return Err(DecodeError::MissingReference);
+        let recon = self.decode_against(data, is_key, qp, self.recon_prev.as_ref(), None)?;
+        // The caller owns the frame it gets and the decoder keeps its
+        // reference, so this streaming form pays one copy per frame; span
+        // decodes borrow the reference instead (`decode_against`).
+        self.recon_prev = Some(recon.clone());
+        Ok(recon)
+    }
+
+    /// Decodes one frame chunk against an explicit reference, leaving the
+    /// decoder's own state alone: `prev` is the reconstruction of the frame
+    /// before (required for a P-frame), wherever the caller keeps it.
+    /// `recycle` may hand back a frame of the tile's size that is no longer
+    /// needed; its allocation becomes the result's.
+    ///
+    /// A P-frame starts as one copy of its reference, so SKIP blocks — most
+    /// of a typical P-frame — cost no pixel work at all.
+    pub(crate) fn decode_against(
+        &self,
+        data: &[u8],
+        is_key: bool,
+        qp: u8,
+        prev: Option<&Frame>,
+        recycle: Option<Frame>,
+    ) -> Result<Frame, DecodeError> {
+        // A P-frame reads its reference; a keyframe ignores any it is given.
+        let prev = match (is_key, prev) {
+            (true, _) => None,
+            (false, Some(prev)) => {
+                assert_eq!(
+                    (prev.width(), prev.height()),
+                    (self.width, self.height),
+                    "reference dimensions mismatch"
+                );
+                Some(prev)
+            }
+            (false, None) => return Err(DecodeError::MissingReference),
+        };
+        // Blocks are 8×8 in every plane and chroma is subsampled 2×2, so the
+        // block loops below cover a plane exactly only for 16-aligned tiles
+        // (the only kind an encoder produces).
+        if !self.width.is_multiple_of(TILE_ALIGN) || !self.height.is_multiple_of(TILE_ALIGN) {
+            return Err(DecodeError::InvalidSyntax(
+                "tile dimensions are not 16-aligned",
+            ));
         }
+        let recycle = recycle.filter(|f| (f.width(), f.height()) == (self.width, self.height));
+        let mut recon = match (prev, recycle) {
+            // A keyframe writes every block, so stale samples in a recycled
+            // frame never show.
+            (None, recycle) => recycle.unwrap_or_else(|| Frame::black(self.width, self.height)),
+            (Some(prev), None) => prev.clone(),
+            (Some(prev), Some(mut frame)) => {
+                for plane in Plane::ALL {
+                    frame.plane_mut(plane).copy_from_slice(prev.plane(plane));
+                }
+                frame
+            }
+        };
         let mut r = BitReader::new(data);
         let qs = qstep(qp);
-        let mut recon = Frame::black(self.width, self.height);
         for plane in Plane::ALL {
-            self.decode_plane(&mut r, plane, &mut recon, is_key, qs)?;
+            let pw = recon.plane_width(plane) as usize;
+            let ph = recon.plane_height(plane) as usize;
+            let samples = recon.plane_mut(plane);
+            match prev {
+                None => decode_key_plane(&mut r, samples, pw, ph, qs)?,
+                Some(prev) => decode_inter_plane(&mut r, samples, prev.plane(plane), pw, ph, qs)?,
+            }
         }
         if self.deblock {
             deblock_frame(&mut recon, qs);
         }
-        self.recon_prev = Some(recon.clone());
         Ok(recon)
     }
 
@@ -123,111 +185,109 @@ impl TileDecoder {
         // Chroma planes are quarter size, so together they add half.
         luma + luma / 2
     }
-
-    fn decode_plane(
-        &mut self,
-        r: &mut BitReader<'_>,
-        plane: Plane,
-        recon: &mut Frame,
-        is_key: bool,
-        qs: i32,
-    ) -> Result<(), DecodeError> {
-        let pw = recon.plane_width(plane) as usize;
-        let ph = recon.plane_height(plane) as usize;
-        // Split borrows: the previous frame is immutable, current is mutable.
-        let prev_frame = self.recon_prev.take();
-        let prev_plane = prev_frame.as_ref().map(|f| f.plane(plane));
-        let stride = pw;
-        let result = (|| {
-            let recon_plane = recon.plane_mut(plane);
-            let mut y = 0;
-            while y < ph {
-                let mut x = 0;
-                while x < pw {
-                    decode_block(r, recon_plane, prev_plane, stride, x, y, pw, ph, qs, is_key)?;
-                    x += BLOCK;
-                }
-                y += BLOCK;
-            }
-            Ok(())
-        })();
-        self.recon_prev = prev_frame;
-        result
-    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn decode_block(
+/// Decodes one plane of a keyframe: every block is intra, no mode symbol.
+fn decode_key_plane(
     r: &mut BitReader<'_>,
     recon: &mut [u8],
-    prev: Option<&[u8]>,
-    stride: usize,
-    x: usize,
-    y: usize,
     pw: usize,
     ph: usize,
     qs: i32,
-    is_key: bool,
 ) -> Result<(), DecodeError> {
-    if is_key {
-        let pred = dc_predict(recon, stride, x, y);
-        let vals = read_residual(r, qs, |_| pred)?;
-        store_block(recon, stride, x, y, &vals);
-        return Ok(());
+    for y in (0..ph).step_by(BLOCK) {
+        for x in (0..pw).step_by(BLOCK) {
+            decode_intra_block(r, recon, pw, x, y, qs)?;
+        }
     }
-    let prev = prev.ok_or(DecodeError::MissingReference)?;
-    match r.get_ue()? {
-        0 => {
-            // SKIP: copy co-located block.
-            copy_block(recon, stride, x, y, prev, stride, x, y);
-            Ok(())
-        }
-        1 => {
-            // INTER: motion vector + optional residual.
-            let mvx = r.get_se()?;
-            let mvy = r.get_se()?;
-            let rx = x as i32 + mvx;
-            let ry = y as i32 + mvy;
-            if rx < 0 || ry < 0 || rx + BLOCK as i32 > pw as i32 || ry + BLOCK as i32 > ph as i32 {
-                return Err(DecodeError::InvalidSyntax("motion vector outside tile"));
-            }
-            let (rx, ry) = (rx as usize, ry as usize);
-            let vals = read_residual(r, qs, |i| {
-                prev[(ry + i / BLOCK) * stride + rx + i % BLOCK] as i32
-            })?;
-            store_block(recon, stride, x, y, &vals);
-            Ok(())
-        }
-        2 => {
-            // INTRA fallback inside a P-frame.
-            let pred = dc_predict(recon, stride, x, y);
-            let vals = read_residual(r, qs, |_| pred)?;
-            store_block(recon, stride, x, y, &vals);
-            Ok(())
-        }
-        _ => Err(DecodeError::InvalidSyntax("unknown block mode")),
-    }
+    Ok(())
 }
 
-/// Reads a coded-block flag plus coefficients, dequantizes, inverse
-/// transforms, and returns prediction + residual per sample.
-fn read_residual(
+/// Decodes one plane of a P-frame. `recon` arrives holding the reference's
+/// samples, which is already the outcome of every SKIP block; a run of them
+/// is a run of one bits (`ue(0)` each) and is consumed in one step.
+fn decode_inter_plane(
     r: &mut BitReader<'_>,
+    recon: &mut [u8],
+    prev: &[u8],
+    pw: usize,
+    ph: usize,
     qs: i32,
-    pred_at: impl Fn(usize) -> i32,
-) -> Result<[i32; BLOCK_AREA], DecodeError> {
-    let mut out = [0i32; BLOCK_AREA];
-    if !r.get_bit()? {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = pred_at(i);
+) -> Result<(), DecodeError> {
+    let blocks_x = pw / BLOCK;
+    let blocks = blocks_x * (ph / BLOCK);
+    let mut b = 0;
+    while b < blocks {
+        b += r.take_ones(blocks - b);
+        if b == blocks {
+            break;
         }
-        return Ok(out);
+        let x = b % blocks_x * BLOCK;
+        let y = b / blocks_x * BLOCK;
+        match r.get_ue()? {
+            // SKIP: `take_ones` leaves none behind, but the symbol is legal.
+            0 => {}
+            // INTER: motion vector + optional residual.
+            1 => {
+                let mvx = r.get_se()?;
+                let mvy = r.get_se()?;
+                // In i64: a corrupt vector near the i32 limits must fail
+                // the range check, not wrap into range.
+                let rx = x as i64 + mvx as i64;
+                let ry = y as i64 + mvy as i64;
+                if rx < 0
+                    || ry < 0
+                    || rx + BLOCK as i64 > pw as i64
+                    || ry + BLOCK as i64 > ph as i64
+                {
+                    return Err(DecodeError::InvalidSyntax("motion vector outside tile"));
+                }
+                let (rx, ry) = (rx as usize, ry as usize);
+                match read_residual(r, qs)? {
+                    Some(res) => reconstruct_inter(recon, pw, x, y, prev, rx, ry, &res),
+                    None => copy_block(recon, pw, x, y, prev, pw, rx, ry),
+                }
+            }
+            // INTRA fallback inside a P-frame.
+            2 => decode_intra_block(r, recon, pw, x, y, qs)?,
+            _ => return Err(DecodeError::InvalidSyntax("unknown block mode")),
+        }
+        b += 1;
+    }
+    Ok(())
+}
+
+/// Decodes one DC-predicted block: prediction from the reconstructed
+/// neighbours inside the tile, plus the residual if one is coded.
+fn decode_intra_block(
+    r: &mut BitReader<'_>,
+    recon: &mut [u8],
+    stride: usize,
+    x: usize,
+    y: usize,
+    qs: i32,
+) -> Result<(), DecodeError> {
+    let pred = dc_predict(recon, stride, x, y);
+    match read_residual(r, qs)? {
+        Some(res) => reconstruct_flat(recon, stride, x, y, pred, &res),
+        None => fill_block(recon, stride, x, y, pred as u8),
+    }
+    Ok(())
+}
+
+/// Reads a coded-block flag and, if set, the block's coefficients —
+/// dequantized as they are parsed — and inverse transforms them. `None`
+/// means no residual is coded.
+fn read_residual(r: &mut BitReader<'_>, qs: i32) -> Result<Option<[i32; BLOCK_AREA]>, DecodeError> {
+    if !r.get_bit()? {
+        return Ok(None);
     }
     let nnz = r.get_ue()? as usize + 1;
     if nnz > BLOCK_AREA {
         return Err(DecodeError::InvalidSyntax("too many coefficients"));
     }
     let mut coefs = [0i32; BLOCK_AREA];
+    let (mut rows, mut cols) = (0u8, 0u8);
     let mut pos = 0usize;
     for _ in 0..nnz {
         let run = r.get_ue()? as usize;
@@ -241,15 +301,13 @@ fn read_residual(
         if level == 0 {
             return Err(DecodeError::InvalidSyntax("zero level coded as nonzero"));
         }
-        coefs[ZIGZAG[pos]] = level;
+        let at = ZIGZAG[pos];
+        coefs[at] = dequantize(level, qs);
+        rows |= 1 << (at / BLOCK);
+        cols |= 1 << (at % BLOCK);
         pos += 1;
     }
-    dequantize_block(&mut coefs, qs);
-    let res = inverse(&coefs);
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = pred_at(i) + res[i];
-    }
-    Ok(out)
+    Ok(Some(inverse_sparse(&coefs, rows, cols)))
 }
 
 #[cfg(test)]

@@ -13,7 +13,10 @@
 //! durations) expensive in storage — the trade-off of Figure 9.
 
 use crate::bitstream::BitWriter;
-use crate::blockops::{dc_predict, load_block, sad, store_block, ZIGZAG};
+use crate::blockops::{
+    copy_block, dc_predict, fill_block, load_block, reconstruct_flat, reconstruct_inter, sad,
+    ZIGZAG,
+};
 use crate::dct::{forward, inverse, BLOCK, BLOCK_AREA};
 use crate::deblock::deblock_frame;
 use crate::quant::{dequantize_block, qstep, quantize_block};
@@ -224,6 +227,13 @@ impl TileEncoder {
         self.frame_idx
     }
 
+    /// The in-loop reconstruction of the last frame encoded — what the
+    /// decoder must reproduce sample for sample.
+    #[cfg(test)]
+    pub(crate) fn reconstruction(&self) -> Option<&Frame> {
+        self.recon_prev.as_ref()
+    }
+
     /// Encodes the tile region of the next source frame.
     ///
     /// # Panics
@@ -236,8 +246,16 @@ impl TileEncoder {
             src.height(),
             self.rect
         );
-        let is_key = self.frame_idx.is_multiple_of(self.cfg.gop_len) || self.recon_prev.is_none();
-        let mut recon = Frame::black(self.rect.w, self.rect.h);
+        // A P-frame's reconstruction starts as a copy of its reference, as
+        // in the decoder: SKIP blocks are then already in place.
+        let reference = match &self.recon_prev {
+            Some(prev) if !self.frame_idx.is_multiple_of(self.cfg.gop_len) => Some(prev),
+            _ => None,
+        };
+        let is_key = reference.is_none();
+        let mut recon = reference
+            .cloned()
+            .unwrap_or_else(|| Frame::black(self.rect.w, self.rect.h));
         let mut writer = BitWriter::new();
 
         for plane in Plane::ALL {
@@ -397,8 +415,8 @@ impl TileEncoder {
             y,
         );
         if sad0 <= skip_thresh {
+            // The reconstruction already holds the co-located block.
             w.put_ue(Mode::Skip as u32);
-            crate::blockops::copy_block(recon_plane, recon_stride, x, y, prev, recon_stride, x, y);
             return;
         }
 
@@ -442,10 +460,10 @@ impl TileEncoder {
                     residual[row * BLOCK + col] = s - p;
                 }
             }
-            let recon_vals = self.code_coefficients(w, &residual, |i| {
-                prev[(ry + i / BLOCK) * recon_stride + rx + i % BLOCK] as i32
-            });
-            store_block(recon_plane, recon_stride, x, y, &recon_vals);
+            match self.code_coefficients(w, &residual) {
+                Some(res) => reconstruct_inter(recon_plane, recon_stride, x, y, prev, rx, ry, &res),
+                None => copy_block(recon_plane, recon_stride, x, y, prev, recon_stride, rx, ry),
+            }
         } else {
             w.put_ue(Mode::Intra as u32);
             self.code_residual_and_reconstruct(w, &cur, pred_dc, recon_plane, recon_stride, x, y);
@@ -469,28 +487,26 @@ impl TileEncoder {
         for i in 0..BLOCK_AREA {
             residual[i] = cur[i] - pred;
         }
-        let recon_vals = self.code_coefficients(w, &residual, |_| pred);
-        store_block(recon, stride, x, y, &recon_vals);
+        match self.code_coefficients(w, &residual) {
+            Some(res) => reconstruct_flat(recon, stride, x, y, pred, &res),
+            None => fill_block(recon, stride, x, y, pred as u8),
+        }
     }
 
-    /// Transforms, quantizes, entropy-codes a residual block, and returns the
-    /// reconstructed sample values (prediction + dequantized residual) so the
-    /// encoder's reference matches the decoder's bit-exactly.
+    /// Transforms, quantizes and entropy-codes a residual block, and returns
+    /// the residual as the decoder will reconstruct it (`None` when every
+    /// level quantizes to zero and only the coded-block flag is written), so
+    /// the encoder's reference matches the decoder's bit-exactly.
     fn code_coefficients(
         &self,
         w: &mut BitWriter,
         residual: &[i32; BLOCK_AREA],
-        pred_at: impl Fn(usize) -> i32,
-    ) -> [i32; BLOCK_AREA] {
+    ) -> Option<[i32; BLOCK_AREA]> {
         let mut coefs = forward(residual);
         let nnz = quantize_block(&mut coefs, self.qstep);
         if nnz == 0 {
             w.put_bit(false); // coded-block flag
-            let mut out = [0i32; BLOCK_AREA];
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = pred_at(i);
-            }
-            return out;
+            return None;
         }
         w.put_bit(true);
         w.put_ue(nnz as u32 - 1);
@@ -507,12 +523,7 @@ impl TileEncoder {
         }
         // Reconstruct exactly as the decoder will.
         dequantize_block(&mut coefs, self.qstep);
-        let res = inverse(&coefs);
-        let mut out = [0i32; BLOCK_AREA];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = pred_at(i) + res[i];
-        }
-        out
+        Some(inverse(&coefs))
     }
 }
 
@@ -752,6 +763,64 @@ mod tests {
                 .unwrap();
             let r = tasm_video::psnr_frames(&src, &out);
             assert!(r.y > 20.0, "frame {i} PSNR {:.1} (qp {})", r.y, chunk.qp);
+        }
+    }
+
+    /// The closed loop, exactly: on every frame the encoder's in-loop
+    /// reconstruction (the reference it predicts the next frame from) equals
+    /// the decoder's output sample for sample — not merely within a PSNR
+    /// bound. Any divergence would compound down the GOP as drift.
+    #[test]
+    fn encoder_reconstruction_equals_decoder_output_exactly() {
+        use crate::decoder::TileDecoder;
+        // Two GOPs with motion and fresh content, so P-frames carry SKIP,
+        // INTER and INTRA blocks.
+        let clip: Vec<Frame> = (0..12u32)
+            .map(|i| {
+                let mut f = textured(i / 3);
+                f.fill_rect(Rect::new(4 + 3 * i, 8 + i, 16, 16), 215, 90, 170);
+                for y in 40..56 {
+                    for x in 8..24 {
+                        let v = (x * 31 + y * 17 + i * 101).wrapping_mul(2_654_435_761) >> 24;
+                        f.set_sample(Plane::Y, x, y, v as u8);
+                    }
+                }
+                f
+            })
+            .collect();
+        let rates = [
+            RateControl::ConstantQp,
+            RateControl::TargetRate {
+                millibits_per_sample: 150,
+            },
+        ];
+        for rate in rates {
+            for deblock in [true, false] {
+                let cfg = EncoderConfig {
+                    gop_len: 6,
+                    qp: 26,
+                    deblock,
+                    rate,
+                    ..Default::default()
+                };
+                let mut enc = TileEncoder::new(cfg, Rect::new(0, 0, 64, 64));
+                let mut dec = TileDecoder::new(64, 64, cfg.qp, cfg.deblock);
+                let mut qps = std::collections::BTreeSet::new();
+                for (i, src) in clip.iter().enumerate() {
+                    let chunk = enc.encode_next(src);
+                    qps.insert(chunk.qp);
+                    let out = dec
+                        .decode_next_qp(&chunk.data, chunk.is_key, chunk.qp)
+                        .unwrap();
+                    assert!(
+                        enc.reconstruction() == Some(&out),
+                        "frame {i} ({rate:?}, deblock {deblock}): encoder and decoder diverge"
+                    );
+                }
+                if rate != RateControl::ConstantQp {
+                    assert!(qps.len() > 1, "rate control must move the QP: {qps:?}");
+                }
+            }
         }
     }
 

@@ -33,6 +33,8 @@ pub mod entropy;
 pub mod grid;
 pub mod pred;
 pub mod quant;
+#[cfg(test)]
+mod reference;
 pub mod stats;
 pub mod stitch;
 

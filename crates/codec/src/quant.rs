@@ -8,12 +8,18 @@
 /// Maximum supported quantization parameter.
 pub const MAX_QP: u8 = 51;
 
+/// `round(2^((qp-4)/6))`, at least 1, for every QP (checked against the
+/// formula by `qstep_table_matches_formula`).
+const QSTEP: [i32; MAX_QP as usize + 1] = [
+    1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 6, 6, 7, 8, 9, 10, 11, 13, 14, 16, 18,
+    20, 23, 25, 29, 32, 36, 40, 45, 51, 57, 64, 72, 81, 91, 102, 114, 128, 144, 161, 181, 203, 228,
+];
+
 /// Quantization step size for a QP, following the HEVC doubling rule,
 /// clamped to at least 1 (QP ≤ 4 is effectively near-lossless).
 pub fn qstep(qp: u8) -> i32 {
     assert!(qp <= MAX_QP, "qp {qp} out of range");
-    let step = 2f64.powf((qp as f64 - 4.0) / 6.0);
-    (step.round() as i32).max(1)
+    QSTEP[qp as usize]
 }
 
 /// Quantizes one coefficient: symmetric round-to-nearest with step `qstep`.
@@ -63,6 +69,14 @@ mod tests {
         assert_eq!(qstep(28), 16);
         assert_eq!(qstep(34), 32);
         assert_eq!(qstep(40), 64);
+    }
+
+    #[test]
+    fn qstep_table_matches_formula() {
+        for qp in 0..=MAX_QP {
+            let step = 2f64.powf((qp as f64 - 4.0) / 6.0);
+            assert_eq!(qstep(qp), (step.round() as i32).max(1), "qp {qp}");
+        }
     }
 
     #[test]

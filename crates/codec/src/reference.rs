@@ -1,0 +1,858 @@
+//! The scalar reference kernels, compiled for tests only.
+//!
+//! This is the DCT decode path as it was before the fast path replaced it:
+//! a bit-at-a-time exp-Golomb reader, a dense inverse DCT, a column-major
+//! deblocking filter with a branch per sample, and a frame decoder that
+//! starts from a black frame, copies every SKIP block and clones its
+//! reference per frame. The product code must agree with it bit for bit —
+//! pixels, `Result`s and error variants — and the property tests at the
+//! bottom of this file are where that is checked.
+//!
+//! Two spots are written without the arithmetic overflow the old decoder
+//! had (it panicked in debug builds and, for the motion vector, could index
+//! out of bounds in release builds); both are reachable only from corrupt
+//! streams and are marked below.
+
+use crate::bitstream::BitstreamError;
+use crate::blockops::{copy_block, dc_predict, ZIGZAG};
+use crate::dct::{BLOCK, BLOCK_AREA};
+use crate::decoder::DecodeError;
+use crate::quant::{dequantize_block, qstep};
+use tasm_video::{Frame, Plane};
+
+/// Reads bits MSB-first from a byte slice, one byte (or bit) at a time.
+#[derive(Debug)]
+pub(crate) struct BitReader<'a> {
+    data: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> BitReader<'a> {
+    pub(crate) fn new(data: &'a [u8]) -> Self {
+        BitReader { data, pos: 0 }
+    }
+
+    pub(crate) fn remaining_bits(&self) -> usize {
+        self.data.len() * 8 - self.pos
+    }
+
+    pub(crate) fn get_bits(&mut self, n: u32) -> Result<u32, BitstreamError> {
+        if n as usize > self.remaining_bits() {
+            return Err(BitstreamError::UnexpectedEof);
+        }
+        let mut out = 0u32;
+        let mut remaining = n;
+        while remaining > 0 {
+            let byte = self.data[self.pos / 8];
+            let bit_off = (self.pos % 8) as u32;
+            let avail = 8 - bit_off;
+            let take = avail.min(remaining);
+            let shifted = (byte as u32) >> (avail - take);
+            let mask = (1u32 << take) - 1;
+            out = (out << take) | (shifted & mask);
+            self.pos += take as usize;
+            remaining -= take;
+        }
+        Ok(out)
+    }
+
+    pub(crate) fn get_bit(&mut self) -> Result<bool, BitstreamError> {
+        Ok(self.get_bits(1)? == 1)
+    }
+
+    pub(crate) fn get_ue(&mut self) -> Result<u32, BitstreamError> {
+        let mut zeros = 0u32;
+        loop {
+            if self.remaining_bits() == 0 {
+                return Err(BitstreamError::UnexpectedEof);
+            }
+            if self.get_bits(1)? == 1 {
+                break;
+            }
+            zeros += 1;
+            if zeros > 31 {
+                return Err(BitstreamError::CodeTooLong);
+            }
+        }
+        let rest = self.get_bits(zeros)?;
+        let code = (1u32 << zeros) | rest;
+        Ok(code - 1)
+    }
+
+    pub(crate) fn get_se(&mut self) -> Result<i32, BitstreamError> {
+        let mapped = self.get_ue()?;
+        if mapped % 2 == 1 {
+            Ok(mapped.div_ceil(2) as i32)
+        } else {
+            Ok(-((mapped / 2) as i32))
+        }
+    }
+}
+
+/// Q13 DCT-II basis (a copy of the table in [`crate::dct`], so the dense
+/// transform below shares nothing with the sparse one but the numbers).
+const BASIS: [[i32; BLOCK]; BLOCK] = [
+    [2896, 2896, 2896, 2896, 2896, 2896, 2896, 2896],
+    [4017, 3406, 2276, 799, -799, -2276, -3406, -4017],
+    [3784, 1567, -1567, -3784, -3784, -1567, 1567, 3784],
+    [3406, -799, -4017, -2276, 2276, 4017, 799, -3406],
+    [2896, -2896, -2896, 2896, 2896, -2896, -2896, 2896],
+    [2276, -4017, 799, 3406, -3406, -799, 4017, -2276],
+    [1567, -3784, 3784, -1567, -1567, 3784, -3784, 1567],
+    [799, -2276, 3406, -4017, 4017, -3406, 2276, -799],
+];
+
+/// Dense inverse 8×8 DCT: 1024 multiply-accumulates whatever the block holds.
+pub(crate) fn inverse(coef: &[i32; BLOCK_AREA]) -> [i32; BLOCK_AREA] {
+    let mut tmp = [0i64; BLOCK_AREA];
+    for c in 0..BLOCK {
+        for n in 0..BLOCK {
+            let mut acc = 0i64;
+            for k in 0..BLOCK {
+                acc += coef[k * BLOCK + c] as i64 * BASIS[k][n] as i64;
+            }
+            tmp[n * BLOCK + c] = acc;
+        }
+    }
+    let mut out = [0i32; BLOCK_AREA];
+    let round = 1i64 << 25;
+    for r in 0..BLOCK {
+        for n in 0..BLOCK {
+            let mut acc = 0i64;
+            for k in 0..BLOCK {
+                acc += tmp[r * BLOCK + k] * BASIS[k][n] as i64;
+            }
+            out[r * BLOCK + n] = ((acc + round) >> 26) as i32;
+        }
+    }
+    out
+}
+
+/// The weak deblocking filter, all vertical edges column by column and then
+/// all horizontal edges, with an early return per sample.
+pub(crate) fn deblock_frame(frame: &mut Frame, qstep: i32) {
+    let beta = 2 * qstep + 8;
+    let tc = qstep / 2 + 1;
+    for plane in Plane::ALL {
+        let w = frame.plane_width(plane) as usize;
+        let h = frame.plane_height(plane) as usize;
+        let data = frame.plane_mut(plane);
+        let mut x = 8;
+        while x < w {
+            for y in 0..h {
+                let row = y * w;
+                let p1 = data[row + x - 2] as i32;
+                let p0 = data[row + x - 1] as i32;
+                let q0 = data[row + x] as i32;
+                let q1 = data[row + x + 1] as i32;
+                if let Some((np0, nq0)) = weak_filter(p1, p0, q0, q1, beta, tc) {
+                    data[row + x - 1] = np0;
+                    data[row + x] = nq0;
+                }
+            }
+            x += 8;
+        }
+        let mut y = 8;
+        while y < h {
+            for x in 0..w {
+                let p1 = data[(y - 2) * w + x] as i32;
+                let p0 = data[(y - 1) * w + x] as i32;
+                let q0 = data[y * w + x] as i32;
+                let q1 = data[(y + 1) * w + x] as i32;
+                if let Some((np0, nq0)) = weak_filter(p1, p0, q0, q1, beta, tc) {
+                    data[(y - 1) * w + x] = np0;
+                    data[y * w + x] = nq0;
+                }
+            }
+            y += 8;
+        }
+    }
+}
+
+fn weak_filter(p1: i32, p0: i32, q0: i32, q1: i32, beta: i32, tc: i32) -> Option<(u8, u8)> {
+    let step = (p0 - q0).abs();
+    if step == 0 || step >= beta {
+        return None;
+    }
+    if (p1 - p0).abs() >= beta / 2 || (q1 - q0).abs() >= beta / 2 {
+        return None;
+    }
+    let delta = ((q0 - p0) * 4 + (p1 - q1) + 4) >> 3;
+    let delta = delta.clamp(-tc, tc);
+    Some((
+        (p0 + delta).clamp(0, 255) as u8,
+        (q0 - delta).clamp(0, 255) as u8,
+    ))
+}
+
+fn store_block(plane: &mut [u8], stride: usize, x: usize, y: usize, values: &[i32; BLOCK_AREA]) {
+    for row in 0..BLOCK {
+        let base = (y + row) * stride + x;
+        for col in 0..BLOCK {
+            plane[base + col] = values[row * BLOCK + col].clamp(0, 255) as u8;
+        }
+    }
+}
+
+/// Decodes one frame of a `width`×`height` tile (16-aligned) from a black
+/// frame, block by block.
+pub(crate) fn decode_frame(
+    width: u32,
+    height: u32,
+    deblock: bool,
+    data: &[u8],
+    is_key: bool,
+    qp: u8,
+    prev: Option<&Frame>,
+) -> Result<Frame, DecodeError> {
+    if !is_key && prev.is_none() {
+        return Err(DecodeError::MissingReference);
+    }
+    let mut r = BitReader::new(data);
+    let qs = qstep(qp);
+    let mut recon = Frame::black(width, height);
+    for plane in Plane::ALL {
+        let pw = recon.plane_width(plane) as usize;
+        let ph = recon.plane_height(plane) as usize;
+        let prev_plane = prev.map(|f| f.plane(plane));
+        let recon_plane = recon.plane_mut(plane);
+        let mut y = 0;
+        while y < ph {
+            let mut x = 0;
+            while x < pw {
+                decode_block(&mut r, recon_plane, prev_plane, x, y, pw, ph, qs, is_key)?;
+                x += BLOCK;
+            }
+            y += BLOCK;
+        }
+    }
+    if deblock {
+        deblock_frame(&mut recon, qs);
+    }
+    Ok(recon)
+}
+
+#[allow(clippy::too_many_arguments)]
+fn decode_block(
+    r: &mut BitReader<'_>,
+    recon: &mut [u8],
+    prev: Option<&[u8]>,
+    x: usize,
+    y: usize,
+    pw: usize,
+    ph: usize,
+    qs: i32,
+    is_key: bool,
+) -> Result<(), DecodeError> {
+    let stride = pw;
+    if is_key {
+        let pred = dc_predict(recon, stride, x, y);
+        let vals = read_residual(r, qs, |_| pred)?;
+        store_block(recon, stride, x, y, &vals);
+        return Ok(());
+    }
+    let prev = prev.ok_or(DecodeError::MissingReference)?;
+    match r.get_ue()? {
+        0 => {
+            copy_block(recon, stride, x, y, prev, stride, x, y);
+            Ok(())
+        }
+        1 => {
+            let mvx = r.get_se()?;
+            let mvy = r.get_se()?;
+            // Overflow-free: the old decoder added in i32, where a vector
+            // near the limits wrapped past this check.
+            let rx = x as i64 + mvx as i64;
+            let ry = y as i64 + mvy as i64;
+            if rx < 0 || ry < 0 || rx + BLOCK as i64 > pw as i64 || ry + BLOCK as i64 > ph as i64 {
+                return Err(DecodeError::InvalidSyntax("motion vector outside tile"));
+            }
+            let (rx, ry) = (rx as usize, ry as usize);
+            let vals = read_residual(r, qs, |i| {
+                prev[(ry + i / BLOCK) * stride + rx + i % BLOCK] as i32
+            })?;
+            store_block(recon, stride, x, y, &vals);
+            Ok(())
+        }
+        2 => {
+            let pred = dc_predict(recon, stride, x, y);
+            let vals = read_residual(r, qs, |_| pred)?;
+            store_block(recon, stride, x, y, &vals);
+            Ok(())
+        }
+        _ => Err(DecodeError::InvalidSyntax("unknown block mode")),
+    }
+}
+
+fn read_residual(
+    r: &mut BitReader<'_>,
+    qs: i32,
+    pred_at: impl Fn(usize) -> i32,
+) -> Result<[i32; BLOCK_AREA], DecodeError> {
+    let mut out = [0i32; BLOCK_AREA];
+    if !r.get_bit()? {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = pred_at(i);
+        }
+        return Ok(out);
+    }
+    let nnz = r.get_ue()? as usize + 1;
+    if nnz > BLOCK_AREA {
+        return Err(DecodeError::InvalidSyntax("too many coefficients"));
+    }
+    let mut coefs = [0i32; BLOCK_AREA];
+    let mut pos = 0usize;
+    for _ in 0..nnz {
+        let run = r.get_ue()? as usize;
+        pos += run;
+        if pos >= BLOCK_AREA {
+            return Err(DecodeError::InvalidSyntax(
+                "coefficient run overflows block",
+            ));
+        }
+        let level = r.get_se()?;
+        if level == 0 {
+            return Err(DecodeError::InvalidSyntax("zero level coded as nonzero"));
+        }
+        coefs[ZIGZAG[pos]] = level;
+        pos += 1;
+    }
+    dequantize_block(&mut coefs, qs);
+    let res = inverse(&coefs);
+    for (i, o) in out.iter_mut().enumerate() {
+        // Wrapping, as a release build of the old decoder added (a debug
+        // build panicked): only a corrupt level can overflow here.
+        *o = pred_at(i).wrapping_add(res[i]);
+    }
+    Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bitstream::BitWriter;
+    use crate::decoder::TileDecoder;
+    use crate::encoder::{EncoderConfig, RateControl, TileEncoder};
+    use crate::quant::dequantize;
+    use proptest::prelude::*;
+    use tasm_video::Rect;
+
+    /// splitmix64: the tests' own generator, seeded per case by proptest.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn u32(&mut self, r: std::ops::Range<u32>) -> u32 {
+            r.start + (self.next() % (r.end - r.start) as u64) as u32
+        }
+
+        fn usize(&mut self, r: std::ops::Range<usize>) -> usize {
+            r.start + (self.next() % (r.end - r.start) as u64) as usize
+        }
+    }
+
+    /// Runs `f` over `cases` generated cases, each with its own generator.
+    fn for_cases(cases: u32, name: &str, mut f: impl FnMut(&mut Rng)) {
+        proptest::run_cases(cases, proptest::seed_for(name), |seeds| {
+            f(&mut Rng(any::<u64>().generate(seeds)));
+        });
+    }
+
+    /// A frame of flat 8×8 blocks at random levels plus noise of amplitude
+    /// `amp`: small amplitudes leave steps the filter smooths, large ones
+    /// look like texture it must leave alone.
+    fn blocky_frame(rng: &mut Rng, w: u32, h: u32, amp: u32) -> Frame {
+        let mut f = Frame::black(w, h);
+        for plane in Plane::ALL {
+            let (pw, ph) = (f.plane_width(plane), f.plane_height(plane));
+            let bw = pw.div_ceil(8);
+            let levels: Vec<u32> = (0..bw * ph.div_ceil(8)).map(|_| rng.u32(0..256)).collect();
+            for y in 0..ph {
+                for x in 0..pw {
+                    let base = levels[((y / 8) * bw + x / 8) as usize] as i32;
+                    let noise = rng.u32(0..2 * amp + 1) as i32 - amp as i32;
+                    f.set_sample(plane, x, y, (base / 8 * 8 + noise).clamp(0, 255) as u8);
+                }
+            }
+        }
+        f
+    }
+
+    #[test]
+    fn deblock_matches_reference_for_every_qstep() {
+        let mut touched = 0u32;
+        for_cases(24, "deblock", |rng| {
+            // Chroma planes 8..=64 wide, luma twice that; multiples of 4,
+            // so planes are even-sized but not all multiples of 8 (the old
+            // filter reads one sample past an edge at column `w - 1`).
+            let w = rng.u32(4..33) * 4;
+            let h = rng.u32(4..20) * 4;
+            let amp = [0, 1, 3, 12, 255][rng.usize(0..5)];
+            let frame = blocky_frame(rng, w, h, amp);
+            for qp in 0..=51u8 {
+                let (mut fast, mut slow) = (frame.clone(), frame.clone());
+                crate::deblock::deblock_frame(&mut fast, qstep(qp));
+                deblock_frame(&mut slow, qstep(qp));
+                assert!(fast == slow, "{w}x{h} amp {amp} qp {qp}");
+                touched += u32::from(fast != frame);
+            }
+        });
+        assert!(touched > 200, "the filter must actually fire ({touched})");
+        // Step sizes no QP produces, including ones past the i16 caps.
+        let frame = blocky_frame(&mut Rng(7), 48, 32, 2);
+        for qs in [-40, -4, -3, -1, 0, 123, 124, 127, 128, 300, 40_000, 1 << 29] {
+            let (mut fast, mut slow) = (frame.clone(), frame.clone());
+            crate::deblock::deblock_frame(&mut fast, qs);
+            deblock_frame(&mut slow, qs);
+            assert!(fast == slow, "qstep {qs}");
+        }
+    }
+
+    fn arb_level(rng: &mut Rng) -> i32 {
+        match rng.u32(0..8) {
+            0 => i32::MAX,
+            1 => i32::MIN,
+            2 => rng.u32(0..u32::MAX) as i32,
+            3 => rng.u32(0..1 << 20) as i32 - (1 << 19),
+            _ => rng.u32(0..41) as i32 - 20,
+        }
+    }
+
+    #[test]
+    fn inverse_matches_reference_on_sparse_and_dense_blocks() {
+        for_cases(4000, "inverse", |rng| {
+            let qs = qstep(rng.u32(0..52) as u8);
+            let mut coefs = [0i32; BLOCK_AREA];
+            let (mut rows, mut cols) = (0u8, 0u8);
+            let count = match rng.u32(0..4) {
+                0 => rng.usize(0..3),
+                1 => rng.usize(1..6),
+                2 => rng.usize(6..30),
+                _ => 64,
+            };
+            // Mostly low-frequency positions, as a quantized block has.
+            let reach = if rng.u32(0..3) == 0 { 64 } else { 12 };
+            for _ in 0..count {
+                let at = ZIGZAG[rng.usize(0..reach.max(count.min(64)))];
+                coefs[at] = dequantize(arb_level(rng), qs);
+                if coefs[at] != 0 {
+                    rows |= 1 << (at / BLOCK);
+                    cols |= 1 << (at % BLOCK);
+                }
+            }
+            let want = inverse(&coefs);
+            assert_eq!(crate::dct::inverse(&coefs), want, "{coefs:?}");
+            assert_eq!(crate::dct::inverse_sparse(&coefs, rows, cols), want);
+            // Masks may over-approximate.
+            let (more_rows, more_cols) =
+                (rows | rng.u32(0..256) as u8, cols | rng.u32(0..256) as u8);
+            assert_eq!(
+                crate::dct::inverse_sparse(&coefs, more_rows, more_cols),
+                want
+            );
+        });
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Bits(u32),
+        Bit,
+        Ue,
+        Se,
+    }
+
+    /// Applies `op` to both readers and checks they agree on the result and
+    /// on where they stand afterwards.
+    fn step_both(fast: &mut crate::bitstream::BitReader<'_>, slow: &mut BitReader<'_>, op: Op) {
+        let same = match op {
+            Op::Bits(n) => fast.get_bits(n) == slow.get_bits(n),
+            Op::Bit => fast.get_bit() == slow.get_bit(),
+            Op::Ue => {
+                let (f, s) = (fast.get_ue(), slow.get_ue());
+                // After an error the old reader's position is mid-code;
+                // nothing reads on from there, so only results must match.
+                if f.is_err() {
+                    assert_eq!(f, s);
+                    return;
+                }
+                f == s
+            }
+            Op::Se => {
+                let (f, s) = (fast.get_se(), slow.get_se());
+                if f.is_err() {
+                    assert_eq!(f, s);
+                    return;
+                }
+                f == s
+            }
+        };
+        assert!(same, "{op:?} disagrees");
+        assert_eq!(fast.remaining_bits(), slow.remaining_bits(), "after {op:?}");
+    }
+
+    fn arb_op(rng: &mut Rng) -> Op {
+        match rng.u32(0..4) {
+            0 => Op::Bits(rng.u32(0..33)),
+            1 => Op::Bit,
+            2 => Op::Ue,
+            _ => Op::Se,
+        }
+    }
+
+    #[test]
+    fn bit_reader_matches_reference_at_every_tail_length() {
+        for_cases(600, "bitreader", |rng| {
+            // A valid stream of random codes …
+            let mut w = BitWriter::new();
+            let mut ops = Vec::new();
+            for _ in 0..rng.usize(0..40) {
+                let op = arb_op(rng);
+                let magnitude = match rng.u32(0..4) {
+                    0 => rng.u32(0..4),
+                    1 => rng.u32(0..1 << 12),
+                    2 => rng.u32(0..1 << 28),
+                    _ => rng.u32(0..u32::MAX),
+                };
+                match op {
+                    Op::Bits(n) => w.put_bits(magnitude & ((1u64 << n) - 1) as u32, n),
+                    Op::Bit => w.put_bit(magnitude & 1 == 1),
+                    Op::Ue => w.put_ue(magnitude.min(u32::MAX - 1)),
+                    Op::Se => w.put_se(magnitude as i32),
+                }
+                ops.push(op);
+            }
+            let body = w.finish();
+            // … read back with 0..=9 bytes of random tail after it (so every
+            // code is tried at every distance from the end of the buffer),
+            // and again cut short, then reading on past the end.
+            for tail in 0..10usize {
+                let mut data = body.to_vec();
+                data.extend((0..tail).map(|_| rng.u32(0..256) as u8));
+                let cut = if rng.u32(0..3) == 0 {
+                    rng.usize(0..data.len() + 1)
+                } else {
+                    data.len()
+                };
+                let data = &data[..cut];
+                let mut fast = crate::bitstream::BitReader::new(data);
+                let mut slow = BitReader::new(data);
+                for &op in &ops {
+                    step_both(&mut fast, &mut slow, op);
+                }
+                for _ in 0..24 {
+                    step_both(&mut fast, &mut slow, arb_op(rng));
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn bit_reader_matches_reference_on_garbage_and_long_prefixes() {
+        for_cases(600, "bitreader-garbage", |rng| {
+            let len = rng.usize(0..40);
+            // Sparse bytes make long zero prefixes (CodeTooLong, and the
+            // 29..=31-zero codes the window hands to the bitwise reader).
+            let sparse = rng.u32(0..2) == 0;
+            let data: Vec<u8> = (0..len)
+                .map(|_| {
+                    if sparse && rng.u32(0..6) != 0 {
+                        0
+                    } else {
+                        rng.u32(0..256) as u8
+                    }
+                })
+                .collect();
+            let mut fast = crate::bitstream::BitReader::new(&data);
+            let mut slow = BitReader::new(&data);
+            for _ in 0..64 {
+                step_both(&mut fast, &mut slow, arb_op(rng));
+            }
+        });
+    }
+
+    #[test]
+    fn take_ones_counts_what_get_ue_would() {
+        for_cases(600, "take-ones", |rng| {
+            // Runs of ue(0) — single one bits — between other codes.
+            let mut w = BitWriter::new();
+            for _ in 0..rng.usize(1..8) {
+                for _ in 0..rng.usize(0..200) {
+                    w.put_ue(0);
+                }
+                w.put_ue(rng.u32(1..9));
+            }
+            let data = w.finish();
+            let limit = rng.usize(0..400);
+            // Fast: take runs of ones, read the code that ends each run.
+            let mut fast = crate::bitstream::BitReader::new(&data);
+            let mut slow = BitReader::new(&data);
+            let (mut n_fast, mut n_slow) = (0usize, 0usize);
+            let mut ended_fast = None;
+            while n_fast < limit {
+                n_fast += fast.take_ones(limit - n_fast);
+                if n_fast == limit {
+                    break;
+                }
+                match fast.get_ue() {
+                    Ok(0) => n_fast += 1,
+                    other => {
+                        ended_fast = Some(other);
+                        break;
+                    }
+                }
+            }
+            let mut ended_slow = None;
+            while n_slow < limit {
+                match slow.get_ue() {
+                    Ok(0) => n_slow += 1,
+                    other => {
+                        ended_slow = Some(other);
+                        break;
+                    }
+                }
+            }
+            assert_eq!((n_fast, &ended_fast), (n_slow, &ended_slow));
+            if !matches!(ended_fast, Some(Err(_))) {
+                assert_eq!(fast.remaining_bits(), slow.remaining_bits());
+            }
+        });
+    }
+
+    /// Random clip: textured background, a moving textured square, a patch
+    /// of fresh noise — SKIP, INTER and INTRA blocks all occur.
+    fn arb_clip(rng: &mut Rng, w: u32, h: u32, frames: u32) -> Vec<Frame> {
+        let phase = rng.u32(0..64);
+        let (dx, dy) = (rng.u32(0..4), rng.u32(0..3));
+        (0..frames)
+            .map(|t| {
+                let mut f = Frame::filled(w, h, 0, 110, 150);
+                for y in 0..h {
+                    for x in 0..w {
+                        let v = (x * 5 + y * 3 + phase) % 160 + 40 + (x * 7 + y * 13) % 5;
+                        f.set_sample(Plane::Y, x, y, v as u8);
+                    }
+                }
+                f.fill_rect(
+                    Rect::new(((dx * t) % (w - 8)) & !1, ((dy * t) % (h - 8)) & !1, 8, 8),
+                    215,
+                    90,
+                    170,
+                );
+                for y in 0..8.min(h) {
+                    for x in 0..8.min(w) {
+                        f.set_sample(Plane::Y, w - 1 - x, y, rng.u32(0..256) as u8);
+                    }
+                }
+                f
+            })
+            .collect()
+    }
+
+    fn arb_config(rng: &mut Rng) -> EncoderConfig {
+        EncoderConfig {
+            gop_len: rng.u32(1..6),
+            qp: rng.u32(0..52) as u8,
+            search_range: rng.u32(0..8) as u8,
+            deblock: rng.u32(0..2) == 0,
+            rate: if rng.u32(0..3) == 0 {
+                RateControl::TargetRate {
+                    millibits_per_sample: rng.u32(50..800),
+                }
+            } else {
+                RateControl::ConstantQp
+            },
+            ..Default::default()
+        }
+    }
+
+    /// Decodes `data` with the fast path and the reference and checks they
+    /// agree: the same frame, or the same error.
+    fn decode_both(
+        dec: &TileDecoder,
+        (w, h, deblock): (u32, u32, bool),
+        data: &[u8],
+        is_key: bool,
+        qp: u8,
+        prev: Option<&Frame>,
+    ) -> Result<Frame, DecodeError> {
+        let fast = dec.decode_against(data, is_key, qp, prev, None);
+        let slow = decode_frame(w, h, deblock, data, is_key, qp, prev);
+        assert!(
+            fast == slow,
+            "fast path and reference disagree: {:?} vs {:?}",
+            fast.as_ref().err(),
+            slow.as_ref().err()
+        );
+        fast
+    }
+
+    #[test]
+    fn frame_decode_matches_reference_on_valid_and_corrupt_streams() {
+        let (mut errors, mut survivors) = (0u32, 0u32);
+        for_cases(40, "frame-decode", |rng| {
+            let w = rng.u32(1..5) * 16;
+            let h = rng.u32(1..4) * 16;
+            let cfg = arb_config(rng);
+            let frames = rng.u32(2..8);
+            let clip = arb_clip(rng, w, h, frames);
+            let mut enc = TileEncoder::new(cfg, Rect::new(0, 0, w, h));
+            let dec = TileDecoder::new(w, h, cfg.qp, cfg.deblock);
+            let geom = (w, h, cfg.deblock);
+            let mut prev: Option<Frame> = None;
+            for src in &clip {
+                let ef = enc.encode_next(src);
+                let good = decode_both(&dec, geom, &ef.data, ef.is_key, ef.qp, prev.as_ref())
+                    .expect("encoder output decodes");
+                // Recycling a spent buffer changes nothing.
+                let recycled = dec
+                    .decode_against(
+                        &ef.data,
+                        ef.is_key,
+                        ef.qp,
+                        prev.as_ref(),
+                        Some(Frame::filled(w, h, 9, 9, 9)),
+                    )
+                    .unwrap();
+                assert!(recycled == good, "recycling a buffer changed the frame");
+
+                // Truncations, bit flips and a different QP: same outcome
+                // from both decoders, never a panic.
+                for _ in 0..12 {
+                    let mut bad = ef.data.to_vec();
+                    let qp = match rng.u32(0..4) {
+                        0 => {
+                            bad.truncate(rng.usize(0..bad.len() + 1));
+                            ef.qp
+                        }
+                        1 => rng.u32(0..52) as u8,
+                        _ => {
+                            for _ in 0..rng.u32(1..4) {
+                                let at = rng.usize(0..bad.len());
+                                bad[at] ^= 1 << rng.u32(0..8);
+                            }
+                            ef.qp
+                        }
+                    };
+                    match decode_both(&dec, geom, &bad, ef.is_key, qp, prev.as_ref()) {
+                        Ok(_) => survivors += 1,
+                        Err(_) => errors += 1,
+                    }
+                }
+                // Garbage, as a keyframe and as a P-frame.
+                let garbage: Vec<u8> = (0..rng.usize(0..200))
+                    .map(|_| rng.u32(0..256) as u8)
+                    .collect();
+                let _ = decode_both(&dec, geom, &garbage, true, ef.qp, None);
+                let _ = decode_both(&dec, geom, &garbage, false, ef.qp, Some(&good));
+                assert_eq!(
+                    decode_both(&dec, geom, &ef.data, false, ef.qp, None),
+                    Err(DecodeError::MissingReference)
+                );
+                prev = Some(good);
+            }
+        });
+        assert!(errors > 100 && survivors > 100, "{errors} / {survivors}");
+    }
+
+    /// Hand-built streams for the corrupt values random flips rarely reach.
+    #[test]
+    fn extreme_syntax_values_are_typed_errors_or_exact() {
+        let dec = TileDecoder::new(16, 16, 28, true);
+        let geom = (16, 16, true);
+        let reference = Frame::filled(16, 16, 100, 128, 128);
+        // A motion vector at the i32 limits: outside the tile, not wrapped
+        // into it.
+        for mv in [i32::MAX, i32::MIN + 1, i32::MAX - 3, -9, 9] {
+            let mut w = BitWriter::new();
+            w.put_ue(1);
+            w.put_se(mv);
+            w.put_se(0);
+            let data = w.finish();
+            assert_eq!(
+                decode_both(&dec, geom, &data, false, 28, Some(&reference)),
+                Err(DecodeError::InvalidSyntax("motion vector outside tile"))
+            );
+        }
+        // Levels at the i32 limits saturate through the dequantizer and
+        // wrap in the final sum: pixels still agree, nothing panics.
+        for level in [i32::MAX, i32::MIN + 1, 1 << 30, -(1 << 30)] {
+            for qp in [0u8, 28, 51] {
+                let mut w = BitWriter::new();
+                for block in 0..6 {
+                    w.put_bit(true);
+                    w.put_ue(1); // two coefficients
+                    w.put_ue(block % 3);
+                    w.put_se(level);
+                    w.put_ue(block);
+                    w.put_se(-level);
+                }
+                let data = w.finish();
+                decode_both(&dec, geom, &data, true, qp, None).expect("a valid keyframe");
+            }
+        }
+        // Unknown mode, overlong coefficient count, run past the block, a
+        // zero level, a 32-zero prefix.
+        type Build<'a> = &'a dyn Fn(&mut BitWriter);
+        let cases: [(Build<'_>, DecodeError); 5] = [
+            (
+                &|w| w.put_ue(3),
+                DecodeError::InvalidSyntax("unknown block mode"),
+            ),
+            (
+                &|w| {
+                    w.put_ue(2);
+                    w.put_bit(true);
+                    w.put_ue(64);
+                },
+                DecodeError::InvalidSyntax("too many coefficients"),
+            ),
+            (
+                &|w| {
+                    w.put_ue(2);
+                    w.put_bit(true);
+                    w.put_ue(0);
+                    w.put_ue(64);
+                },
+                DecodeError::InvalidSyntax("coefficient run overflows block"),
+            ),
+            (
+                &|w| {
+                    w.put_ue(2);
+                    w.put_bit(true);
+                    w.put_ue(0);
+                    w.put_ue(0);
+                    w.put_se(0);
+                },
+                DecodeError::InvalidSyntax("zero level coded as nonzero"),
+            ),
+            (
+                &|w| {
+                    w.put_bits(0, 32);
+                    w.put_bits(0, 32);
+                    w.put_bits(u32::MAX, 32);
+                },
+                DecodeError::Bitstream(BitstreamError::CodeTooLong),
+            ),
+        ];
+        for (build, want) in cases {
+            let mut w = BitWriter::new();
+            build(&mut w);
+            // Padding, so the window path (not the tail path) sees the code.
+            w.put_bits(u32::MAX, 32);
+            w.put_bits(u32::MAX, 32);
+            w.put_bits(u32::MAX, 32);
+            let data = w.finish();
+            assert_eq!(
+                decode_both(&dec, geom, &data, false, 28, Some(&reference)),
+                Err(want)
+            );
+        }
+    }
+}

@@ -574,6 +574,10 @@ fn run_request(
             gop,
             epoch: sot.retile_count,
         });
+        // The frames inside the requested span are `keep_from..needed` of the
+        // GOP; `prefix` holds the GOP's frames from `prefix_start` on.
+        let keep_from = span.start.max(gop_start) - gop_start;
+        let mut prefix_start = 0;
         // Single-flight access: either the GOP is served from the cache
         // (possibly after joining another query's in-flight decode of it),
         // or this request owns the decode and publishes the result.
@@ -613,10 +617,22 @@ fn run_request(
                     tile_video.as_ref().expect("just set")
                 }
             };
-            let reference = prefix.last().map(|f| f.as_ref());
-            // On error the token drops unsettled, waking any waiters so one
-            // of them can take over the decode.
-            let (decoded, s) = tv.decode_resume(gop_start + have, needed_end, reference)?;
+            let (decoded, s) = match token {
+                // The GOP prefix is published to the cache, so all of it is
+                // materialised. On error the token drops unsettled, waking
+                // any waiters so one of them can take over the decode.
+                Some(_) => {
+                    let reference = prefix.last().map(|f| f.as_ref());
+                    tv.decode_resume(gop_start + have, needed_end, reference)?
+                }
+                // No cache to publish to: the frames before the span are
+                // warm-up only — decoded and charged as ever (`decode_range`
+                // starts at the GOP's keyframe), but never materialised.
+                None => {
+                    prefix_start = keep_from;
+                    tv.decode_range(gop_start + keep_from..needed_end)?
+                }
+            };
             stats += s;
             shared.owned += 1;
             prefix.extend(decoded.into_iter().map(Arc::new));
@@ -625,9 +641,11 @@ fn run_request(
             }
         }
 
-        // Keep the frames inside the requested span.
-        let keep_from = span.start.max(gop_start) - gop_start;
-        frames.extend(prefix[keep_from as usize..needed as usize].iter().cloned());
+        frames.extend(
+            prefix[(keep_from - prefix_start) as usize..(needed - prefix_start) as usize]
+                .iter()
+                .cloned(),
+        );
     }
 
     Ok(TaskOutput {

@@ -325,7 +325,10 @@ impl Ctl {
 
     /// Whether the session completed its hello exchange.
     pub fn handshaken(&self, token: u64) -> bool {
-        self.conns.get(&token).map(|c| c.handshaken).unwrap_or(false)
+        self.conns
+            .get(&token)
+            .map(|c| c.handshaken)
+            .unwrap_or(false)
     }
 
     /// Whether the session still exists.
@@ -523,6 +526,8 @@ impl Ctl {
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
+            // One arm per way a connection can expire, in order of precedence.
+            #[allow(clippy::if_same_then_else)]
             let expired = if conn.closing {
                 true
             } else if conn.refusing {
@@ -613,8 +618,7 @@ pub fn run<L: Logic>(mut ctl: Ctl, mut logic: L) {
             break;
         }
         let mut woke = false;
-        for i in 0..events.len() {
-            let ev = events[i];
+        for &ev in &events {
             match ev.token {
                 TOKEN_LISTENER => ctl.accept_burst(&mut logic),
                 TOKEN_WAKE => {

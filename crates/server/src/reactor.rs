@@ -151,10 +151,7 @@ impl ServerLogic {
     }
 
     fn send_error(ctl: &mut Ctl, token: u64, id: Option<u64>, code: ErrorCode, message: String) {
-        ctl.send_frame(
-            token,
-            Message::Error { id, code, message }.encode(),
-        );
+        ctl.send_frame(token, Message::Error { id, code, message }.encode());
     }
 
     fn handle_query(
@@ -496,10 +493,7 @@ impl ResponseSource for QueryResponse {
                         // write cannot be part of it.
                         return NextFrame::Wait;
                     }
-                    let streamed = self
-                        .stream_start
-                        .map(|t| t.elapsed())
-                        .unwrap_or_default();
+                    let streamed = self.stream_start.map(|t| t.elapsed()).unwrap_or_default();
                     let mut trace = self.outcome.trace.clone();
                     trace.instance = std::mem::take(&mut self.instance);
                     trace.stream_micros = streamed.as_micros() as u64;

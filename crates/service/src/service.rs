@@ -254,7 +254,10 @@ impl Completion {
 /// a worker dying so abruptly the unwind escapes the job, or any future
 /// code path that forgets — fires with [`ServiceError::WorkerLost`], so
 /// no submitter ever waits on a completion that cannot arrive.
-struct CompletionGuard(Option<Box<dyn FnOnce(Result<QueryOutcome, ServiceError>) + Send>>);
+struct CompletionGuard(Option<CompletionFn>);
+
+/// The callback a [`CompletionGuard`] fires exactly once.
+type CompletionFn = Box<dyn FnOnce(Result<QueryOutcome, ServiceError>) + Send>;
 
 impl Drop for CompletionGuard {
     fn drop(&mut self) {
@@ -402,7 +405,12 @@ impl QueryService {
         self.enqueue(req, false, done)
     }
 
-    fn enqueue(&self, req: QueryRequest, block: bool, done: Completion) -> Result<u64, ServiceError> {
+    fn enqueue(
+        &self,
+        req: QueryRequest,
+        block: bool,
+        done: Completion,
+    ) -> Result<u64, ServiceError> {
         let mut queue = self.shared.queue.lock().expect("queue lock");
         loop {
             if self.shared.shutdown.load(Ordering::SeqCst) {

@@ -10,7 +10,10 @@
 use proptest::run_cases;
 use rand::rngs::StdRng;
 use rand::Rng;
-use tasm_codec::{ContainerError, EncoderConfig, TileCodec, TileEncoder, TileVideo};
+use tasm_codec::bitstream::{BitWriter, BitstreamError};
+use tasm_codec::{
+    ContainerError, DecodeError, EncodedFrame, EncoderConfig, TileCodec, TileEncoder, TileVideo,
+};
 use tasm_video::{Frame, Plane, Rect};
 
 const CASES: u32 = 48;
@@ -161,4 +164,208 @@ fn garbage_input_is_rejected() {
         TileVideo::validate(&bytes).unwrap_err(),
         ContainerError::Truncated
     );
+}
+
+// --- The decode fast path's early-outs -------------------------------------
+//
+// Each shortcut the DCT decoder takes (recycled/pre-copied frames, SKIP runs
+// consumed as runs of one bits, the windowed exp-Golomb reader, the sparse
+// inverse transform) has a boundary where it hands over to the general path
+// or refuses the input. One hand-built container per boundary: a typed
+// error or exactly the expected pixels, never a panic.
+
+/// A DCT container of `w`×`h` tiles at QP 28 (step 16) around hand-written
+/// frame payloads; the first is the keyframe.
+fn handmade(w: u32, h: u32, deblock: bool, payloads: Vec<BitWriter>) -> TileVideo {
+    TileVideo {
+        width: w,
+        height: h,
+        gop_len: payloads.len() as u32,
+        qp: 28,
+        deblock,
+        codec: TileCodec::Dct,
+        frames: payloads
+            .into_iter()
+            .enumerate()
+            .map(|(i, payload)| EncodedFrame {
+                is_key: i == 0,
+                qp: 28,
+                data: payload.finish(),
+            })
+            .collect(),
+    }
+}
+
+/// A 16×16 keyframe (4 luma + 1 + 1 chroma blocks) of DC-only blocks.
+fn flat_keyframe(levels: [i32; 6]) -> BitWriter {
+    let mut w = BitWriter::new();
+    for level in levels {
+        if level == 0 {
+            w.put_bit(false); // no residual coded
+        } else {
+            w.put_bit(true);
+            w.put_ue(0); // one coefficient …
+            w.put_ue(0); // … at zigzag position 0 …
+            w.put_se(level); // … with this level
+        }
+    }
+    w
+}
+
+fn decode_error(v: &TileVideo) -> DecodeError {
+    match v.decode_all() {
+        Err(ContainerError::Decode(e)) => e,
+        other => panic!("expected a decode error, got {other:?}"),
+    }
+}
+
+#[test]
+fn misaligned_tile_dimensions_are_a_typed_error() {
+    // The container format does not constrain dimensions to the 16-pixel
+    // tile grid; the decoder's block loops do. Such a header (a corrupt one:
+    // no encoder writes it) must be refused, not decoded past a plane's end.
+    for (w, h) in [(24, 16), (16, 24), (8, 8), (18, 16), (30, 30)] {
+        let v = handmade(w, h, true, vec![flat_keyframe([0; 6])]);
+        let bytes = v.to_bytes();
+        let back = TileVideo::from_bytes(&bytes).expect("the container itself is well-formed");
+        assert_eq!(
+            decode_error(&back),
+            DecodeError::InvalidSyntax("tile dimensions are not 16-aligned"),
+            "{w}x{h}"
+        );
+    }
+}
+
+#[test]
+fn dc_only_blocks_decode_to_flat_samples() {
+    // The sparse inverse transform's DC-only case: level L at step 16 is
+    // residual round(16 L / 8) = 2 L on every sample, over DC prediction
+    // 128 for the first block of each plane and the neighbours' mean after.
+    let v = handmade(16, 16, false, vec![flat_keyframe([10, 0, -5, 0, 3, -3])]);
+    let (frames, stats) = v.decode_all().unwrap();
+    assert_eq!(stats.frames_decoded, 1);
+    let y = frames[0].plane(Plane::Y);
+    let block = |bx: usize, by: usize| -> Vec<u8> {
+        (0..64)
+            .map(|i| y[(by * 8 + i / 8) * 16 + bx * 8 + i % 8])
+            .collect()
+    };
+    assert_eq!(block(0, 0), vec![148; 64]); // 128 + 20
+    assert_eq!(block(1, 0), vec![148; 64]); // left neighbour, no residual
+    assert_eq!(block(0, 1), vec![138; 64]); // top neighbour 148, -10
+    assert_eq!(block(1, 1), vec![143; 64]); // mean(148, 138), no residual
+    assert_eq!(frames[0].plane(Plane::U), &[134; 64][..]); // 128 + 6
+    assert_eq!(frames[0].plane(Plane::V), &[122; 64][..]); // 128 - 6
+}
+
+#[test]
+fn skip_runs_end_exactly_or_with_a_typed_error() {
+    let key = || flat_keyframe([10, 0, -5, 0, 3, -3]);
+    // Six SKIP blocks are six one bits: the P-frame is its reference.
+    let mut w = BitWriter::new();
+    w.put_bits(0b111111, 6);
+    let v = handmade(16, 16, true, vec![key(), w]);
+    let (frames, _) = v.decode_all().unwrap();
+    // (deblocking is applied to the P-frame again, as the encoder does)
+    let mut again = frames[0].clone();
+    tasm_codec::deblock::deblock_frame(&mut again, tasm_codec::quant::qstep(28));
+    assert_eq!(frames[1], again);
+
+    // An empty payload ends inside the run.
+    let v = handmade(16, 16, true, vec![key(), BitWriter::new()]);
+    assert_eq!(
+        decode_error(&v),
+        DecodeError::Bitstream(BitstreamError::UnexpectedEof)
+    );
+
+    // A long run in a larger tile, ending one block short of the frame:
+    // 64×64 has 96 blocks; 95 ones and then the padding's zero bits, which
+    // read as the start of an exp-Golomb prefix that never completes.
+    let big_key = || {
+        let mut w = BitWriter::new();
+        for _ in 0..96 {
+            w.put_bit(false);
+        }
+        w
+    };
+    let mut w = BitWriter::new();
+    for _ in 0..95 {
+        w.put_bit(true);
+    }
+    let v = handmade(64, 64, true, vec![big_key(), w]);
+    assert_eq!(
+        decode_error(&v),
+        DecodeError::Bitstream(BitstreamError::UnexpectedEof)
+    );
+    // With the 96th, it decodes — to the (flat) reference.
+    let mut w = BitWriter::new();
+    for _ in 0..96 {
+        w.put_bit(true);
+    }
+    let v = handmade(64, 64, true, vec![big_key(), w]);
+    let (frames, stats) = v.decode_all().unwrap();
+    assert_eq!(frames[1], frames[0]);
+    assert_eq!(stats.blocks_decoded, 2 * 96);
+}
+
+#[test]
+fn corrupt_syntax_beyond_the_fast_paths_is_a_typed_error() {
+    let p_frame = |build: &dyn Fn(&mut BitWriter)| {
+        let mut w = BitWriter::new();
+        build(&mut w);
+        // Enough trailing bytes that the reader's 64-bit window is full.
+        for _ in 0..4 {
+            w.put_bits(u32::MAX, 32);
+        }
+        handmade(16, 16, true, vec![flat_keyframe([0; 6]), w])
+    };
+    // A motion vector at the i32 limits is outside the tile; it must not
+    // wrap around into it.
+    for mv in [i32::MAX, i32::MAX - 3, i32::MIN + 1, -1, 9] {
+        let v = p_frame(&|w| {
+            w.put_ue(1);
+            w.put_se(mv);
+            w.put_se(0);
+        });
+        assert_eq!(
+            decode_error(&v),
+            DecodeError::InvalidSyntax("motion vector outside tile"),
+            "mv {mv}"
+        );
+    }
+    // A 32-zero exp-Golomb prefix: past the window's reach and past what
+    // the format allows.
+    let v = p_frame(&|w| {
+        w.put_bits(0, 32);
+        w.put_bits(1, 1);
+    });
+    assert_eq!(
+        decode_error(&v),
+        DecodeError::Bitstream(BitstreamError::CodeTooLong)
+    );
+    // The longest legal code (31-zero prefix, 63 bits) is read whole by the
+    // bitwise path and is merely an unknown block mode.
+    let v = p_frame(&|w| {
+        w.put_bits(0, 31);
+        w.put_bits(1, 1);
+        w.put_bits(12345, 31);
+    });
+    assert_eq!(
+        decode_error(&v),
+        DecodeError::InvalidSyntax("unknown block mode")
+    );
+    // Levels at the i32 limits saturate through the dequantizer and clamp:
+    // pixels, not a panic.
+    let mut w = BitWriter::new();
+    for level in [i32::MAX, i32::MIN + 1, i32::MAX, i32::MIN + 1, 1, -1] {
+        w.put_bit(true);
+        w.put_ue(1); // two coefficients
+        w.put_ue(0);
+        w.put_se(level);
+        w.put_ue(7);
+        w.put_se(-level);
+    }
+    let v = handmade(16, 16, true, vec![w]);
+    let (frames, _) = v.decode_all().unwrap();
+    assert_eq!(frames.len(), 1);
 }

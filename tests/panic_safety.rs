@@ -13,9 +13,7 @@
 
 use std::sync::Arc;
 use tasm_client::{ClientError, Connection};
-use tasm_core::{
-    LabelPredicate, PartitionConfig, Query, StorageConfig, Tasm, TasmConfig,
-};
+use tasm_core::{LabelPredicate, PartitionConfig, Query, StorageConfig, Tasm, TasmConfig};
 use tasm_data::{SceneSpec, SyntheticVideo};
 use tasm_index::MemoryIndex;
 use tasm_proto::ErrorCode;
@@ -135,7 +133,9 @@ fn panicked_query_is_isolated(engine: ServeEngine) {
         }
 
         let what = format!("round {round} after panic");
-        let after = conn.query("v", &healthy).expect("session must survive the panic");
+        let after = conn
+            .query("v", &healthy)
+            .expect("session must survive the panic");
         assert_eq!(after.matched, reference.matched, "{what}: matched");
         let expected: Vec<_> = reference.regions.iter().collect();
         assert_regions_identical(&expected, &after.regions, &what);

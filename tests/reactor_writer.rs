@@ -27,7 +27,12 @@ use tasm_video::{Frame, Rect};
 /// property is exercised across every frame shape the reactor can emit or
 /// relay: empty-payload singletons, nested structs, and pixel planes.
 fn all_frame_kinds() -> Vec<Vec<u8>> {
-    let rect = Rect { x: 4, y: 8, w: 16, h: 12 };
+    let rect = Rect {
+        x: 4,
+        y: 8,
+        w: 16,
+        h: 12,
+    };
     let region = RegionPixels {
         frame: 7,
         rect,
@@ -39,10 +44,17 @@ fn all_frame_kinds() -> Vec<Vec<u8>> {
         .stride(2)
         .limit(5)
         .mode(QueryMode::Pixels);
-    let detection = ReplicatedDetection { label: "van".into(), frame: 9, rect };
+    let detection = ReplicatedDetection {
+        label: "van".into(),
+        frame: 9,
+        rect,
+    };
     let messages = vec![
         Message::ClientHello { version: VERSION },
-        Message::ServerHello { version: VERSION, max_inflight: 8 },
+        Message::ServerHello {
+            version: VERSION,
+            max_inflight: 8,
+        },
         Message::Query {
             id: 42,
             video: "v".into(),
@@ -53,18 +65,34 @@ fn all_frame_kinds() -> Vec<Vec<u8>> {
             id: 42,
             matched: 3,
             regions: 2,
-            plan: PlanStats { tiles_planned: 6, tiles_pruned: 10, ..PlanStats::default() },
+            plan: PlanStats {
+                tiles_planned: 6,
+                tiles_pruned: 10,
+                ..PlanStats::default()
+            },
             epoch: 1,
         },
-        Message::Region { id: 42, region: region.clone() },
+        Message::Region {
+            id: 42,
+            region: region.clone(),
+        },
         Message::ResultDone {
             id: 42,
-            summary: ResultSummary { samples_decoded: 12, ..ResultSummary::default() },
+            summary: ResultSummary {
+                samples_decoded: 12,
+                ..ResultSummary::default()
+            },
             trace: Some(QueryTrace::default()),
         },
         Message::StatsRequest,
-        Message::StatsReply { stats: Box::new(ServiceStats::default()) },
-        Message::Error { id: Some(7), code: ErrorCode::Busy, message: "queue full".into() },
+        Message::StatsReply {
+            stats: Box::new(ServiceStats::default()),
+        },
+        Message::Error {
+            id: Some(7),
+            code: ErrorCode::Busy,
+            message: "queue full".into(),
+        },
         Message::Goodbye,
         Message::ShutdownServer,
         Message::Replicate {
@@ -102,9 +130,19 @@ fn all_frame_kinds() -> Vec<Vec<u8>> {
         },
         Message::ReplicateAck { seq: 4 },
         Message::ManifestRequest { video: "v".into() },
-        Message::ManifestReply { video: "v".into(), manifest: b"{\"sots\":[]}".to_vec() },
-        Message::PushVideo { seq: 5, video: "v".into(), target: "127.0.0.1:9".into() },
-        Message::RemoveVideo { seq: 6, video: "v".into() },
+        Message::ManifestReply {
+            video: "v".into(),
+            manifest: b"{\"sots\":[]}".to_vec(),
+        },
+        Message::PushVideo {
+            seq: 5,
+            video: "v".into(),
+            target: "127.0.0.1:9".into(),
+        },
+        Message::RemoveVideo {
+            seq: 6,
+            video: "v".into(),
+        },
     ];
     let mut frames: Vec<Vec<u8>> = messages.iter().map(Message::encode).collect();
     frames.push(encode_region(42, &region));
@@ -151,7 +189,10 @@ fn drive(queue: &mut FrameQueue, sink: &mut ChunkSink) -> usize {
     loop {
         passes += 1;
         assert!(passes < 1_000_000, "writer failed to make progress");
-        match queue.write_to(sink).expect("scripted sink never hard-fails") {
+        match queue
+            .write_to(sink)
+            .expect("scripted sink never hard-fails")
+        {
             WriteProgress::Flushed => return passes,
             WriteProgress::Blocked { .. } => continue,
         }
