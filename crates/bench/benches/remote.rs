@@ -8,6 +8,12 @@
 //! binary, which also records thread counts and RSS to
 //! `results/BENCH_reactor.json`.
 //!
+//! `wire/stream_40_regions` isolates the result stream's byte path: one
+//! cache-warm query whose answer is 40 regions, reactor server →
+//! `Connection` on loopback, so what is timed is region encode, the
+//! vectored socket writes, the buffered frame assembly and the plane
+//! copies — nothing decodes.
+//!
 //! The workload mirrors `benches/service.rs`: overlapping windows over one
 //! video so the decoded-GOP cache and shared-scan dedup carry most
 //! repeats, leaving the serving layer itself as the measured quantity.
@@ -17,7 +23,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tasm_bench::{bench_dir, micro_partition, scaled_count};
-use tasm_client::{LoadGen, LoadGenConfig, LoadReport};
+use tasm_client::{Connection, LoadGen, LoadGenConfig, LoadReport};
 use tasm_core::{Granularity, LabelPredicate, Query, StorageConfig, Tasm, TasmConfig};
 use tasm_data::{SceneSpec, SyntheticVideo};
 use tasm_index::MemoryIndex;
@@ -154,10 +160,40 @@ fn fmt_ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
+/// One connection streaming a 40-region answer out of a warm cache.
+fn stream_bench(c: &mut Criterion, dir: &PathBuf, video: &SyntheticVideo) {
+    let server = start_server(warm_tasm(dir, video), 1, ServeEngine::Reactor);
+    let mut conn = Connection::connect(server.local_addr()).expect("connect");
+    let car = || Query::new(LabelPredicate::label("car"));
+    // The shortest window from frame 0 whose answer reaches 40 regions,
+    // cut to exactly 40 by dropping whole frames off its front.
+    let regions = |q: &Query, conn: &mut Connection| conn.query("v", q).expect("query").regions;
+    let end = (1..=FRAMES)
+        .find(|&end| regions(&car().frames(0..end), &mut conn).len() >= 40)
+        .expect("the scene holds 40 car regions");
+    let start = (0..end)
+        .find(|&start| regions(&car().frames(start..end), &mut conn).len() <= 40)
+        .expect("some window");
+    let query = car().frames(start..end);
+    let answer = regions(&query, &mut conn);
+    assert_eq!(answer.len(), 40, "frames {start}..{end}");
+    let bytes: u64 = answer.iter().map(|r| r.pixels.sample_count()).sum();
+    eprintln!("wire/stream_40_regions: frames {start}..{end}, {bytes} pixel bytes per answer");
+
+    let mut g = c.benchmark_group("wire");
+    g.bench_function("stream_40_regions", |b| {
+        b.iter(|| regions(&query, &mut conn).len())
+    });
+    g.finish();
+    conn.goodbye().expect("goodbye");
+    server.shutdown();
+}
+
 fn remote_benches(c: &mut Criterion) {
     let video = scene();
     let dir = prepare_store(&video);
     let requests = scaled_count(48) as u64;
+    stream_bench(c, &dir, &video);
 
     let mut g = c.benchmark_group("remote");
     g.sample_size(10);

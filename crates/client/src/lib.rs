@@ -33,7 +33,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tasm_core::{PlanStats, Query, RegionPixels};
-use tasm_proto::{ErrorCode, Message, ProtoError, ReplicationRecord, ResultSummary, VERSION};
+use tasm_proto::nio::{FrameReader, STREAM_BUF_LEN};
+use tasm_proto::{
+    relay_result_frame, ErrorCode, Message, ProtoError, ReplicationRecord, ResultFrame,
+    ResultSummary, VERSION,
+};
 use tasm_service::{LatencyHistogram, ServiceStats};
 
 /// Client-side failures.
@@ -127,6 +131,10 @@ pub struct RemoteOutcome {
 /// One blocking protocol session over TCP.
 pub struct Connection {
     stream: TcpStream,
+    /// Every inbound frame is assembled here: one `read` takes whatever
+    /// burst of frames the socket holds, and payloads are decoded straight
+    /// out of its buffer.
+    reader: FrameReader,
     /// Server-advertised per-session in-flight cap (informational for a
     /// blocking connection, which keeps at most one).
     max_inflight: u32,
@@ -136,21 +144,7 @@ pub struct Connection {
 impl Connection {
     /// Connects and performs the version handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Connection, ClientError> {
-        let mut stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        Message::ClientHello { version: VERSION }.write_to(&mut stream)?;
-        match Message::read_from(&mut stream)? {
-            Message::ServerHello {
-                version: _,
-                max_inflight,
-            } => Ok(Connection {
-                stream,
-                max_inflight,
-                next_id: 0,
-            }),
-            Message::Error { code, message, .. } => Err(ClientError::Rejected { code, message }),
-            _ => Err(ClientError::Unexpected("handshake reply")),
-        }
+        Connection::handshake(TcpStream::connect(addr)?)
     }
 
     /// [`Connection::connect`] with a bound on the TCP connect itself —
@@ -160,25 +154,32 @@ impl Connection {
         addr: &std::net::SocketAddr,
         timeout: Duration,
     ) -> Result<Connection, ClientError> {
-        let mut stream = TcpStream::connect_timeout(addr, timeout)?;
-        stream.set_nodelay(true).ok();
+        let stream = TcpStream::connect_timeout(addr, timeout)?;
         // Bound the handshake round trip too; the caller may relax or
         // tighten I/O timeouts afterwards via `set_io_timeout`.
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
-        Message::ClientHello { version: VERSION }.write_to(&mut stream)?;
-        match Message::read_from(&mut stream)? {
+        let conn = Connection::handshake(stream)?;
+        conn.set_io_timeout(None)?;
+        Ok(conn)
+    }
+
+    fn handshake(stream: TcpStream) -> Result<Connection, ClientError> {
+        stream.set_nodelay(true).ok();
+        let mut conn = Connection {
+            stream,
+            reader: FrameReader::with_capacity(STREAM_BUF_LEN),
+            max_inflight: 0,
+            next_id: 0,
+        };
+        Message::ClientHello { version: VERSION }.write_to(&mut conn.stream)?;
+        match conn.read_message()? {
             Message::ServerHello {
                 version: _,
                 max_inflight,
             } => {
-                stream.set_read_timeout(None)?;
-                stream.set_write_timeout(None)?;
-                Ok(Connection {
-                    stream,
-                    max_inflight,
-                    next_id: 0,
-                })
+                conn.max_inflight = max_inflight;
+                Ok(conn)
             }
             Message::Error { code, message, .. } => Err(ClientError::Rejected { code, message }),
             _ => Err(ClientError::Unexpected("handshake reply")),
@@ -218,16 +219,8 @@ impl Connection {
         query: &Query,
         trace_id: Option<u64>,
     ) -> Result<RemoteOutcome, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
         let t0 = Instant::now();
-        Message::Query {
-            id,
-            video: video.to_string(),
-            query: query.clone(),
-            trace_id,
-        }
-        .write_to(&mut self.stream)?;
+        let id = self.send_query(video, query, trace_id)?;
 
         let (matched, expect_regions, plan, epoch) = match self.read_for(id)? {
             Message::ResultHeader {
@@ -260,11 +253,52 @@ impl Connection {
         }
     }
 
+    /// Executes one query and returns the shard's response stream as
+    /// encoded frames re-addressed to `relay_id` — header, regions, done,
+    /// each byte-identical to what the server sent except for the request
+    /// id (see [`relay_result_frame`]). This is the router's hop: a region
+    /// crosses it in one copy, its pixels never decoded. Typed rejections
+    /// come back as [`ClientError::Rejected`], exactly as from
+    /// [`Connection::query`].
+    pub fn relay_query(
+        &mut self,
+        video: &str,
+        query: &Query,
+        trace_id: Option<u64>,
+        relay_id: u64,
+    ) -> Result<Vec<Vec<u8>>, ClientError> {
+        let id = self.send_query(video, query, trace_id)?;
+        let mut frames = Vec::new();
+        let mut regions_left = 0u32;
+        loop {
+            let payload = self.reader.read_frame(&mut self.stream, None)?;
+            let Some((kind, frame)) = relay_result_frame(&payload, id, relay_id)? else {
+                return Err(match Message::decode_payload(&payload)? {
+                    Message::Error { code, message, .. } => ClientError::Rejected { code, message },
+                    _ => ClientError::Unexpected("expected a result frame"),
+                });
+            };
+            match kind {
+                ResultFrame::Header { regions } if frames.is_empty() => {
+                    frames.reserve(regions.min(4096) as usize + 2);
+                    regions_left = regions;
+                }
+                ResultFrame::Region if !frames.is_empty() && regions_left > 0 => regions_left -= 1,
+                ResultFrame::Done if !frames.is_empty() && regions_left == 0 => {
+                    frames.push(frame);
+                    return Ok(frames);
+                }
+                _ => return Err(ClientError::Unexpected("result frame out of order")),
+            }
+            frames.push(frame);
+        }
+    }
+
     /// Fetches the server's aggregate service statistics (including the
     /// submit→complete latency histogram).
     pub fn stats(&mut self) -> Result<ServiceStats, ClientError> {
         Message::StatsRequest.write_to(&mut self.stream)?;
-        match Message::read_from(&mut self.stream)? {
+        match self.read_message()? {
             Message::StatsReply { stats } => Ok(*stats),
             Message::Error { code, message, .. } => Err(ClientError::Rejected { code, message }),
             _ => Err(ClientError::Unexpected("expected stats reply")),
@@ -276,7 +310,7 @@ impl Connection {
     /// acknowledges.
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
         Message::ShutdownServer.write_to(&mut self.stream)?;
-        match Message::read_from(&mut self.stream)? {
+        match self.read_message()? {
             Message::Goodbye => Ok(()),
             Message::Error { code, message, .. } => Err(ClientError::Rejected { code, message }),
             _ => Err(ClientError::Unexpected("expected shutdown ack")),
@@ -299,7 +333,7 @@ impl Connection {
             video: video.to_string(),
         }
         .write_to(&mut self.stream)?;
-        match Message::read_from(&mut self.stream)? {
+        match self.read_message()? {
             Message::ManifestReply { manifest, .. } => Ok(manifest),
             Message::Error { code, message, .. } => Err(ClientError::Rejected { code, message }),
             _ => Err(ClientError::Unexpected("expected manifest reply")),
@@ -338,7 +372,7 @@ impl Connection {
     }
 
     fn expect_ack(&mut self, seq: u64) -> Result<(), ClientError> {
-        match Message::read_from(&mut self.stream)? {
+        match self.read_message()? {
             Message::ReplicateAck { seq: got } if got == seq => Ok(()),
             Message::ReplicateAck { .. } => {
                 Err(ClientError::Unexpected("ack for a different record"))
@@ -355,10 +389,37 @@ impl Connection {
         Ok(())
     }
 
+    /// Sends one query frame under a fresh request id, which it returns.
+    fn send_query(
+        &mut self,
+        video: &str,
+        query: &Query,
+        trace_id: Option<u64>,
+    ) -> Result<u64, ClientError> {
+        let id = self.next_seq();
+        Message::Query {
+            id,
+            video: video.to_string(),
+            query: query.clone(),
+            trace_id,
+        }
+        .write_to(&mut self.stream)?;
+        Ok(id)
+    }
+
+    /// Reads and decodes the next frame. With a read timeout set
+    /// ([`Connection::set_io_timeout`]), a timeout before a frame's first
+    /// byte is a retryable `Io` error that loses nothing; a peer that
+    /// stalls mid-frame is [`ProtoError::Stalled`].
+    fn read_message(&mut self) -> Result<Message, ClientError> {
+        let payload = self.reader.read_frame(&mut self.stream, None)?;
+        Ok(Message::decode_payload(&payload)?)
+    }
+
     /// Reads the next frame belonging to request `id`, unwrapping typed
     /// error frames into [`ClientError::Rejected`].
     fn read_for(&mut self, id: u64) -> Result<Message, ClientError> {
-        let msg = Message::read_from(&mut self.stream)?;
+        let msg = self.read_message()?;
         match msg {
             Message::Error { code, message, .. } => Err(ClientError::Rejected { code, message }),
             Message::ResultHeader { id: got, .. }

@@ -729,10 +729,10 @@ fn shard_conn<'a>(
 }
 
 /// Routes one query: replica set in placement order, relaying the winning
-/// shard's full response — or a typed error after the last replica — as
-/// encoded frames. The shard's execution trace (instance tag, per-phase
-/// breakdown) is relayed unchanged, so the client sees which shard served
-/// it. Shard failures are handled by failover inside; writing the frames
+/// shard's full response verbatim — or a typed error after the last
+/// replica — as encoded frames. The shard's execution trace (instance
+/// tag, per-phase breakdown) is part of what is relayed, so the client
+/// sees which shard served it. Shard failures are handled by failover inside; writing the frames
 /// to the client is the caller's (engine-specific) job.
 fn route_query_frames(
     shared: &RouterShared,
@@ -771,8 +771,12 @@ fn route_query_frames(
                 continue;
             }
         };
-        match conn.query_traced(video, query, trace_id) {
-            Ok(outcome) => {
+        // The shard's frames are relayed as they came — only the request
+        // id is rewritten — so a region is copied once on its way through
+        // and the trace keeps naming the shard that executed, not the
+        // router.
+        match conn.relay_query(video, query, trace_id, id) {
+            Ok(frames) => {
                 shared.note_success(node);
                 shared.routed.fetch_add(1, Ordering::Relaxed);
                 if tasm_obs::enabled() {
@@ -782,30 +786,6 @@ fn route_query_frames(
                     )
                     .inc();
                 }
-                let mut frames = Vec::with_capacity(outcome.regions.len() + 2);
-                frames.push(
-                    Message::ResultHeader {
-                        id,
-                        matched: outcome.matched,
-                        regions: outcome.regions.len() as u32,
-                        plan: outcome.plan,
-                        epoch: outcome.epoch,
-                    }
-                    .encode(),
-                );
-                for region in outcome.regions {
-                    frames.push(Message::Region { id, region }.encode());
-                }
-                frames.push(
-                    Message::ResultDone {
-                        id,
-                        summary: outcome.summary,
-                        // Relayed verbatim: the trace's instance field keeps
-                        // naming the shard that executed, not the router.
-                        trace: outcome.trace,
-                    }
-                    .encode(),
-                );
                 return frames;
             }
             Err(ClientError::Rejected { code, message }) => {

@@ -73,10 +73,8 @@ pub mod nio;
 mod wire;
 
 pub use message::{
-    encode_region, ErrorCode, Message, ReplicatedDetection, ReplicationRecord, ResultSummary,
-    MAGIC, VERSION,
+    encode_region, relay_result_frame, ErrorCode, Message, ReplicatedDetection, ReplicationRecord,
+    ResultFrame, ResultSummary, MAGIC, VERSION,
 };
 pub use tasm_obs::QueryTrace;
-pub use wire::{
-    frame, read_frame, read_frame_deadline, write_frame, ProtoError, Reader, Writer, MAX_FRAME_LEN,
-};
+pub use wire::{read_frame, read_frame_deadline, ProtoError, Reader, Writer, MAX_FRAME_LEN};

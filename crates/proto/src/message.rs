@@ -1,6 +1,6 @@
 //! The protocol message set and its byte-level codec.
 
-use crate::wire::{read_frame, write_frame, ProtoError, Reader, Writer};
+use crate::wire::{encode_frame, read_frame, ProtoError, Reader, Writer};
 use std::io::{Read, Write};
 use tasm_core::{LabelPredicate, PlanStats, Query, QueryMode, RegionPixels, SharedScanStats};
 use tasm_obs::QueryTrace;
@@ -355,14 +355,21 @@ pub enum Message {
 }
 
 impl Message {
-    /// Encodes the full frame: length prefix plus tagged payload.
+    /// Encodes the full frame — length prefix plus tagged payload — once,
+    /// into its final buffer (sized exactly for a region, whose planes are
+    /// the only bulk a served stream carries). The one message encoder:
+    /// every frame this crate puts on a wire comes from here (or from
+    /// [`encode_region`], its borrowed-region entry point).
     pub fn encode(&self) -> Vec<u8> {
-        crate::wire::frame(&self.encode_payload())
+        let hint = match self {
+            Message::Region { region, .. } => region_payload_len(region),
+            _ => SMALL_PAYLOAD_HINT,
+        };
+        encode_frame(hint, |w| self.encode_payload(w))
     }
 
-    /// Encodes the payload (tag plus body) without the length prefix.
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+    /// Writes the payload (tag plus body) without the length prefix.
+    fn encode_payload(&self, w: &mut Writer) {
         match self {
             Message::ClientHello { version } => {
                 w.u8(tag::CLIENT_HELLO);
@@ -388,7 +395,7 @@ impl Message {
                 w.u8(tag::QUERY);
                 w.u64(*id);
                 w.str(video);
-                encode_query(&mut w, query);
+                encode_query(w, query);
                 match trace_id {
                     Some(trace_id) => {
                         w.u8(1);
@@ -408,10 +415,10 @@ impl Message {
                 w.u64(*id);
                 w.u64(*matched);
                 w.u32(*regions);
-                encode_plan(&mut w, plan);
+                encode_plan(w, plan);
                 w.u64(*epoch);
             }
-            Message::Region { id, region } => encode_region_payload(&mut w, *id, region),
+            Message::Region { id, region } => encode_region_payload(w, *id, region),
             Message::ResultDone { id, summary, trace } => {
                 w.u8(tag::RESULT_DONE);
                 w.u64(*id);
@@ -426,7 +433,7 @@ impl Message {
                 match trace {
                     Some(trace) => {
                         w.u8(1);
-                        encode_trace(&mut w, trace);
+                        encode_trace(w, trace);
                     }
                     None => w.u8(0),
                 }
@@ -434,7 +441,7 @@ impl Message {
             Message::StatsRequest => w.u8(tag::STATS_REQUEST),
             Message::StatsReply { stats } => {
                 w.u8(tag::STATS_REPLY);
-                encode_stats(&mut w, stats);
+                encode_stats(w, stats);
             }
             Message::Error { id, code, message } => {
                 w.u8(tag::ERROR);
@@ -453,7 +460,7 @@ impl Message {
             Message::Replicate { seq, record } => {
                 w.u8(tag::REPLICATE);
                 w.u64(*seq);
-                encode_record(&mut w, record);
+                encode_record(w, record);
             }
             Message::ReplicateAck { seq } => {
                 w.u8(tag::REPLICATE_ACK);
@@ -480,7 +487,6 @@ impl Message {
                 w.str(video);
             }
         }
-        w.into_bytes()
     }
 
     /// Decodes one payload (tag plus body, no length prefix). The payload
@@ -518,20 +524,17 @@ impl Message {
                 epoch: r.u64()?,
             },
             tag::REGION => {
-                let id = r.u64()?;
-                let frame = r.u32()?;
-                let rect = decode_rect(&mut r)?;
-                let (width, height) = (r.u32()?, r.u32()?);
-                let y = r.bytes()?;
-                let u = r.bytes()?;
-                let v = r.bytes()?;
-                let pixels = Frame::from_planes(width, height, y, u, v)
+                let region = RegionView::parse(&mut r)?;
+                // The one copy a pixel pays on the receive side: out of
+                // the payload (the receive buffer) into its plane.
+                let [y, u, v] = region.planes.map(<[u8]>::to_vec);
+                let pixels = Frame::from_planes(region.width, region.height, y, u, v)
                     .ok_or(ProtoError::Malformed("region plane dimensions"))?;
                 Message::Region {
-                    id,
+                    id: region.id,
                     region: RegionPixels {
-                        frame,
-                        rect,
+                        frame: region.frame,
+                        rect: region.rect,
                         pixels,
                     },
                 }
@@ -601,7 +604,8 @@ impl Message {
 
     /// Writes this message as one frame.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        write_frame(w, &self.encode_payload())
+        w.write_all(&self.encode())?;
+        w.flush()
     }
 
     /// Reads and decodes one frame (see [`read_frame`] for the timeout
@@ -624,6 +628,20 @@ impl Message {
     }
 }
 
+/// Buffer a non-region message starts with; most are a few dozen bytes,
+/// and one that is not simply grows.
+const SMALL_PAYLOAD_HINT: usize = 64;
+
+/// Exact length of the payload [`encode_region_payload`] writes: tag, id,
+/// frame, rect, dimensions, and three length-prefixed planes.
+fn region_payload_len(region: &RegionPixels) -> usize {
+    let planes: usize = Plane::ALL
+        .iter()
+        .map(|&plane| 4 + region.pixels.plane(plane).len())
+        .sum();
+    1 + 8 + 4 + 16 + 4 + 4 + planes
+}
+
 fn encode_region_payload(w: &mut Writer, id: u64, region: &RegionPixels) {
     w.u8(tag::REGION);
     w.u64(id);
@@ -638,17 +656,93 @@ fn encode_region_payload(w: &mut Writer, id: u64, region: &RegionPixels) {
 
 /// Encodes a [`Message::Region`] frame (length prefix included) from a
 /// borrowed region, sparing the server a pixel-plane clone per streamed
-/// region: the planes are written once, directly into the final frame
-/// buffer (the length prefix is reserved up front and patched, so no
-/// second copy either).
+/// region: [`Message::encode`] for a region the caller does not own.
 pub fn encode_region(id: u64, region: &RegionPixels) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(0); // length placeholder
-    encode_region_payload(&mut w, id, region);
-    let mut out = w.into_bytes();
-    let len = (out.len() - 4) as u32;
-    out[..4].copy_from_slice(&len.to_le_bytes());
-    out
+    encode_frame(region_payload_len(region), |w| {
+        encode_region_payload(w, id, region)
+    })
+}
+
+/// A REGION body as it lies in a payload, planes still borrowed.
+struct RegionView<'a> {
+    id: u64,
+    frame: u32,
+    rect: Rect,
+    width: u32,
+    height: u32,
+    planes: [&'a [u8]; 3],
+}
+
+impl<'a> RegionView<'a> {
+    /// Parses the body after the tag and holds the plane lengths to the
+    /// dimensions, without copying a pixel.
+    fn parse(r: &mut Reader<'a>) -> Result<RegionView<'a>, ProtoError> {
+        let view = RegionView {
+            id: r.u64()?,
+            frame: r.u32()?,
+            rect: decode_rect(r)?,
+            width: r.u32()?,
+            height: r.u32()?,
+            planes: [r.byte_slice()?, r.byte_slice()?, r.byte_slice()?],
+        };
+        let lens = view.planes.map(<[u8]>::len);
+        match Frame::plane_lens(view.width, view.height) {
+            Some((luma, chroma)) if lens == [luma, chroma, chroma] => Ok(view),
+            _ => Err(ProtoError::Malformed("region plane dimensions")),
+        }
+    }
+}
+
+/// What a frame of a query's result stream is, as far as a relay needs to
+/// know it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResultFrame {
+    /// The [`Message::ResultHeader`]; `regions` region frames follow.
+    Header {
+        /// Region frames that follow.
+        regions: u32,
+    },
+    /// One [`Message::Region`].
+    Region,
+    /// The closing [`Message::ResultDone`].
+    Done,
+}
+
+/// Re-addresses one frame of a result stream for relay: checks that
+/// `payload` is a well-formed header, region or done frame of request
+/// `id` and returns its kind with the frame (length prefix included)
+/// carrying `relay_id` instead — every byte but the eight of the id
+/// verbatim, so a region crosses a router in one copy and its pixels are
+/// never decoded. `Ok(None)` for any other message (an error frame, which
+/// the caller decodes).
+pub fn relay_result_frame(
+    payload: &[u8],
+    id: u64,
+    relay_id: u64,
+) -> Result<Option<(ResultFrame, Vec<u8>)>, ProtoError> {
+    let (kind, got) = match payload.first() {
+        Some(&tag::REGION) => {
+            let mut r = Reader::new(&payload[1..]);
+            let region = RegionView::parse(&mut r)?;
+            r.finish()?;
+            (ResultFrame::Region, region.id)
+        }
+        Some(&tag::RESULT_HEADER) | Some(&tag::RESULT_DONE) => {
+            match Message::decode_payload(payload)? {
+                Message::ResultHeader { id, regions, .. } => (ResultFrame::Header { regions }, id),
+                Message::ResultDone { id, .. } => (ResultFrame::Done, id),
+                _ => return Ok(None),
+            }
+        }
+        _ => return Ok(None),
+    };
+    if got != id {
+        return Err(ProtoError::Malformed("response for a different request"));
+    }
+    // Header, region and done all carry the request id right after the tag.
+    let mut frame = encode_frame(payload.len(), |w| w.raw(payload));
+    frame[5..13].copy_from_slice(&relay_id.to_le_bytes());
+    Ok(Some((kind, frame)))
 }
 
 fn encode_record(w: &mut Writer, rec: &ReplicationRecord) {

@@ -6,7 +6,7 @@
 //! body). Decoding never panics — every malformed input, from a truncated
 //! buffer to an oversized length prefix, surfaces as a [`ProtoError`].
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Largest payload a peer will accept. Caps the allocation a corrupt (or
 /// hostile) length prefix can demand; a full-HD region frame is ~3 MiB, so
@@ -42,10 +42,10 @@ pub enum ProtoError {
     /// Decoding finished with bytes left over — the peer and this side
     /// disagree about the message layout.
     TrailingBytes(usize),
-    /// The peer stopped sending mid-frame (too many consecutive
-    /// zero-progress poll timeouts, or past the [`read_frame_deadline`]
-    /// wall clock). Unlike a between-frames timeout this is not
-    /// retryable: the stream position is inside a torn frame.
+    /// The peer stopped sending mid-frame (closed the stream, too many
+    /// consecutive zero-progress poll timeouts, or past the
+    /// [`read_frame_deadline`] wall clock). Unlike a between-frames timeout
+    /// this is not retryable: the stream position is inside a torn frame.
     Stalled,
 }
 
@@ -95,8 +95,8 @@ impl ProtoError {
 /// A little-endian encoder appending to a byte buffer.
 ///
 /// Infallible: encoding works on in-memory data that is valid by
-/// construction; only the transport write can fail, and that happens in
-/// [`write_frame`].
+/// construction; only the transport write can fail, and that happens when
+/// the finished frame is handed to a socket.
 #[derive(Default)]
 pub struct Writer {
     buf: Vec<u8>,
@@ -113,36 +113,59 @@ impl Writer {
         self.buf
     }
 
+    /// Appends raw bytes, no length prefix.
+    pub fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.raw(&[v]);
     }
 
     /// Appends a little-endian `u16`.
     pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     /// Appends raw bytes with a `u32` length prefix.
     pub fn bytes(&mut self, v: &[u8]) {
         self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
+        self.raw(v);
     }
 
     /// Appends a UTF-8 string with a `u32` length prefix.
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
+}
+
+/// Encodes one frame — length prefix plus the payload `body` writes — into
+/// one buffer: the prefix is reserved, the payload written behind it, and
+/// the prefix patched once the length is known. The single place the
+/// envelope is laid out. `payload_hint` sizes the buffer up front; when it
+/// is exact (a region: header plus its three planes) the buffer never
+/// grows and every pixel is copied exactly once.
+pub(crate) fn encode_frame(payload_hint: usize, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer {
+        buf: Vec::with_capacity(4 + payload_hint),
+    };
+    w.u32(0);
+    body(&mut w);
+    let len = w.buf.len() - 4;
+    debug_assert!(len <= MAX_FRAME_LEN as usize);
+    w.buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    w.buf
 }
 
 /// A bounds-checked little-endian decode cursor over a payload slice.
@@ -198,8 +221,14 @@ impl<'a> Reader<'a> {
     /// against the remaining payload before anything is copied, so a
     /// corrupt prefix cannot demand an outsized allocation.
     pub fn bytes(&mut self) -> Result<Vec<u8>, ProtoError> {
+        Ok(self.byte_slice()?.to_vec())
+    }
+
+    /// [`Reader::bytes`] without the copy: the byte string as it lies in
+    /// the payload.
+    pub fn byte_slice(&mut self) -> Result<&'a [u8], ProtoError> {
         let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     /// Reads a `u32`-length-prefixed UTF-8 string.
@@ -221,28 +250,10 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Consecutive zero-progress timeout reads tolerated once a frame has
-/// started arriving. A live peer delivers the rest of a frame promptly;
-/// this bounds how long a crashed or partitioned peer mid-frame can pin a
-/// session thread (and therefore a graceful server shutdown): with the
-/// server's default 25 ms poll interval, 200 stalled polls ≈ 5 s.
-const MAX_STALLED_READS: u32 = 200;
-
-/// Assembles one frame: length prefix plus `payload`. The single place
-/// the envelope is laid out — [`write_frame`] and every encoder build on
-/// it.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_FRAME_LEN as usize);
-    let mut out = Vec::with_capacity(payload.len() + 4);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Writes one frame — length prefix plus `payload` — to the transport.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&frame(payload))?;
-    w.flush()
+/// A frame around raw payload bytes, for tests that script a byte stream.
+#[cfg(test)]
+pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
+    encode_frame(payload.len(), |w| w.raw(payload))
 }
 
 /// Reads one frame payload from the transport.
@@ -253,6 +264,12 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// this to poll their shutdown flag between frames. Once a frame has
 /// started arriving, short reads are retried until the frame completes, so
 /// a timeout can never tear a frame in half.
+///
+/// This is [`FrameReader`](crate::nio::FrameReader) with no read-ahead: it
+/// asks the transport for the bytes of this frame and not one more (two
+/// reads per frame), so it suits a handshake or a caller that owns no
+/// reader. A session that receives a result stream keeps a buffered
+/// `FrameReader` instead.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtoError> {
     read_frame_deadline(r, None)
 }
@@ -268,67 +285,9 @@ pub fn read_frame_deadline(
     r: &mut impl Read,
     max_frame_time: Option<std::time::Duration>,
 ) -> Result<Vec<u8>, ProtoError> {
-    let deadline = max_frame_time.map(|d| std::time::Instant::now() + d);
-    let mut len_buf = [0u8; 4];
-    read_exact_retrying(r, &mut len_buf, false, deadline)?;
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME_LEN {
-        return Err(ProtoError::Oversized(len));
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_retrying(r, &mut payload, true, deadline)?;
-    Ok(payload)
-}
-
-/// `read_exact` that retries timeout errors once committed to a frame
-/// (`started`, or after the first byte lands), so poll-style read timeouts
-/// only ever surface on frame boundaries. Mid-frame retries are bounded
-/// two ways: [`MAX_STALLED_READS`] zero-progress polls (a peer that dies
-/// mid-frame) and the optional wall-clock `deadline` (a peer that keeps
-/// trickling single bytes); either surfaces as [`ProtoError::Stalled`].
-fn read_exact_retrying(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    started: bool,
-    deadline: Option<std::time::Instant>,
-) -> Result<(), ProtoError> {
-    let mut filled = 0usize;
-    let mut stalled = 0u32;
-    while filled < buf.len() {
-        if let Some(deadline) = deadline {
-            if (started || filled > 0) && std::time::Instant::now() >= deadline {
-                return Err(ProtoError::Stalled);
-            }
-        }
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(ProtoError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                )))
-            }
-            Ok(n) => {
-                filled += n;
-                stalled = 0;
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if !started && filled == 0 {
-                    return Err(ProtoError::Io(e));
-                }
-                // Mid-frame: the peer has committed to this frame, keep
-                // reading — but not forever.
-                stalled += 1;
-                if stalled >= MAX_STALLED_READS {
-                    return Err(ProtoError::Stalled);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e)),
-        }
-    }
-    Ok(())
+    crate::nio::FrameReader::unbuffered()
+        .read_frame(r, max_frame_time)
+        .map(|payload| payload.into_owned())
 }
 
 #[cfg(test)]

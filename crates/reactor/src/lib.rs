@@ -29,9 +29,10 @@
 //!
 //! A response is a [`ResponseSource`]: a lazy sequence of encoded frames.
 //! The loop pulls the next frame only while fewer than ~64 KiB sit
-//! unwritten, so a result with hundreds of region frames occupies bounded
-//! memory no matter how slowly the peer reads (the 64 MiB frame cap
-//! bounds the worst single step). Sources can defer a frame until every
+//! unwritten, then writes everything pulled in one vectored write — one
+//! syscall per burst, not per frame — so a result with hundreds of region
+//! frames occupies bounded memory no matter how slowly the peer reads (the
+//! 64 MiB frame cap bounds the worst single step). Sources can defer a frame until every
 //! previously yielded byte reached the socket (`flushed`), which is how
 //! the server measures its stream phase exactly.
 
@@ -40,7 +41,7 @@ mod poller;
 pub use poller::{wake_pipe, Event, Interest, Poller, WakeReader, Waker};
 
 use std::collections::{HashMap, VecDeque};
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -48,8 +49,11 @@ use std::time::{Duration, Instant};
 use tasm_proto::nio::{FrameQueue, FrameReader, ReadProgress, WriteProgress};
 
 /// Unwritten-byte threshold below which the loop asks sources for more
-/// frames. Small enough to bound buffering, large enough to coalesce a
-/// header + small regions into one writev-sized burst.
+/// frames. Small enough to bound buffering; and since the queue hands
+/// everything it holds to the socket in one `writev`, this is also the
+/// size of a burst: a header plus the regions that fit under the mark
+/// leave in one syscall, so a response costs about `bytes / LOW_WATER`
+/// writes, not one per frame.
 const LOW_WATER: usize = 64 * 1024;
 
 /// Reserved token for the listening socket.
@@ -285,6 +289,11 @@ impl Ctl {
     pub fn set_paused(&mut self, token: u64, paused: bool) {
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.paused = paused;
+            if !paused {
+                // A partial frame buffered behind the one that paused the
+                // session waited on us, not on the peer.
+                conn.reader.restart_frame_clock();
+            }
         }
     }
 
@@ -426,7 +435,7 @@ impl Ctl {
                     return;
                 }
                 match conn.reader.fill_from(&mut conn.stream) {
-                    Ok(ReadProgress::Frame(payload)) => ReadStep::Dispatch(payload),
+                    Ok(ReadProgress::Frame(payload)) => ReadStep::Dispatch(payload.into_owned()),
                     Ok(ReadProgress::NeedMore) => ReadStep::Stop,
                     Ok(ReadProgress::Closed) => {
                         // Clean EOF: in-flight work still completes and
@@ -465,9 +474,7 @@ impl Ctl {
         }
     }
 
-    /// Encode pump + write pump for one session: pull frames from the
-    /// front response while under the low-water mark, then push queued
-    /// bytes until the socket blocks.
+    /// Encode pump + write pump for one session (see [`pump`]).
     fn pump_out(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -475,43 +482,12 @@ impl Ctl {
         if conn.closing {
             return;
         }
-        loop {
-            while conn.out.queued_bytes() < LOW_WATER {
-                let flushed = conn.out.is_empty();
-                let Some(src) = conn.pending.front_mut() else {
-                    break;
-                };
-                match src.next_frame(flushed) {
-                    NextFrame::Frame(f) => conn.out.push(f),
-                    NextFrame::Wait => break,
-                    NextFrame::Done => {
-                        conn.pending.pop_front();
-                    }
-                }
+        match pump(&mut conn.pending, &mut conn.out, &mut conn.stream) {
+            Ok(WriteProgress::Blocked { progressed: false }) => {
+                conn.blocked_since.get_or_insert_with(Instant::now);
             }
-            if conn.out.is_empty() {
-                conn.blocked_since = None;
-                return;
-            }
-            match conn.out.write_to(&mut conn.stream) {
-                Ok(WriteProgress::Flushed) => {
-                    conn.blocked_since = None;
-                    // Sources gated on `flushed` can now continue.
-                    continue;
-                }
-                Ok(WriteProgress::Blocked { progressed }) => {
-                    if progressed {
-                        conn.blocked_since = None;
-                    } else if conn.blocked_since.is_none() {
-                        conn.blocked_since = Some(Instant::now());
-                    }
-                    return;
-                }
-                Err(_) => {
-                    conn.closing = true;
-                    return;
-                }
-            }
+            Ok(_) => conn.blocked_since = None,
+            Err(_) => conn.closing = true,
         }
     }
 
@@ -522,6 +498,13 @@ impl Ctl {
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         let mut to_close: Vec<u64> = Vec::new();
         for &token in &tokens {
+            // A session paused mid-burst left whole frames in its reader;
+            // the socket will not signal bytes it has already given up.
+            if self.conns.get(&token).is_some_and(|c| {
+                !(c.paused || c.draining || c.refusing || c.closing) && c.reader.frame_ready()
+            }) {
+                self.pump_read(logic, token);
+            }
             self.pump_out(token);
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
@@ -540,10 +523,11 @@ impl Ctl {
                 && now.duration_since(conn.opened) > self.cfg.handshake_deadline
             {
                 true
-            } else if conn
-                .reader
-                .frame_started()
-                .is_some_and(|t| now.duration_since(t) > self.cfg.frame_deadline)
+            } else if !conn.paused
+                && conn
+                    .reader
+                    .frame_started()
+                    .is_some_and(|t| now.duration_since(t) > self.cfg.frame_deadline)
             {
                 true
             } else if conn
@@ -600,6 +584,44 @@ impl Ctl {
     }
 }
 
+/// Pulls frames from the front response while fewer than [`LOW_WATER`]
+/// bytes sit unwritten, hands the burst to the sink in one vectored write,
+/// and repeats until the sink blocks or the responses run dry.
+fn pump(
+    pending: &mut VecDeque<Box<dyn ResponseSource>>,
+    out: &mut FrameQueue,
+    sink: &mut impl Write,
+) -> std::io::Result<WriteProgress> {
+    let mut progressed = false;
+    loop {
+        while out.queued_bytes() < LOW_WATER {
+            let flushed = out.is_empty();
+            let Some(src) = pending.front_mut() else {
+                break;
+            };
+            match src.next_frame(flushed) {
+                NextFrame::Frame(f) => out.push(f),
+                NextFrame::Wait => break,
+                NextFrame::Done => {
+                    pending.pop_front();
+                }
+            }
+        }
+        if out.is_empty() {
+            return Ok(WriteProgress::Flushed);
+        }
+        match out.write_to(sink)? {
+            // Sources gated on `flushed` can now continue.
+            WriteProgress::Flushed => progressed = true,
+            WriteProgress::Blocked { progressed: now } => {
+                return Ok(WriteProgress::Blocked {
+                    progressed: progressed || now,
+                });
+            }
+        }
+    }
+}
+
 /// Runs the loop until the shutdown flag is set *and* every session has
 /// drained (in-flight operations completed, responses flushed — each
 /// bounded by the write-stall deadline against unreachable peers).
@@ -643,5 +665,165 @@ pub fn run<L: Logic>(mut ctl: Ctl, mut logic: L) {
     }
     for token in ctl.conns.keys().copied().collect::<Vec<_>>() {
         ctl.close(&mut logic, token);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::IoSlice;
+
+    /// Takes everything offered and counts the calls it took.
+    #[derive(Default)]
+    struct CountingSink {
+        calls: usize,
+        bytes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            let n = bufs.iter().map(|b| b.len()).sum();
+            self.calls += 1;
+            self.bytes += n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Frames in order; the last one only once everything before it has
+    /// reached the sink, as a query's `ResultDone` does.
+    struct Response(VecDeque<Vec<u8>>);
+
+    impl ResponseSource for Response {
+        fn next_frame(&mut self, flushed: bool) -> NextFrame {
+            match self.0.len() {
+                0 => NextFrame::Done,
+                1 if !flushed => NextFrame::Wait,
+                _ => NextFrame::Frame(self.0.pop_front().expect("non-empty")),
+            }
+        }
+    }
+
+    /// A header, 40 regions of ~6.9 KB and a done frame — the shape of a
+    /// `warm_serve` response, ~270 KB — leave in a write per burst, not a
+    /// write per frame.
+    #[test]
+    fn a_response_costs_a_write_per_burst() {
+        let mut frames = VecDeque::from([vec![4u8; 73]]);
+        frames.extend((0..40).map(|i| vec![i as u8; 6965]));
+        frames.push_back(vec![6u8; 152]);
+        let bytes: usize = frames.iter().map(Vec::len).sum();
+        let mut pending: VecDeque<Box<dyn ResponseSource>> = VecDeque::new();
+        pending.push_back(Box::new(Response(frames)));
+        let (mut out, mut sink) = (FrameQueue::new(), CountingSink::default());
+        let progress = pump(&mut pending, &mut out, &mut sink).expect("sink never fails");
+        assert_eq!(progress, WriteProgress::Flushed);
+        assert!(pending.is_empty() && out.is_empty());
+        assert_eq!(sink.bytes, bytes);
+        assert!(
+            sink.calls <= bytes.div_ceil(LOW_WATER) + 2,
+            "{} writes for {bytes} bytes in 42 frames",
+            sink.calls
+        );
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    /// Echoes every frame; the frame `admin` pauses its session until
+    /// `hold` has passed, as an order-sensitive admin operation does.
+    struct PauseThenEcho {
+        hold: Duration,
+        paused_at: Option<(u64, Instant)>,
+    }
+
+    impl Logic for PauseThenEcho {
+        fn on_accept(&mut self, ctl: &mut Ctl, token: u64) {
+            ctl.mark_handshaken(token);
+        }
+
+        fn on_frame(&mut self, ctl: &mut Ctl, token: u64, payload: Vec<u8>) {
+            if payload == b"admin" {
+                ctl.set_paused(token, true);
+                self.paused_at = Some((token, Instant::now()));
+            }
+            ctl.send_frame(token, framed(&payload));
+        }
+
+        fn on_wake(&mut self, _ctl: &mut Ctl) {}
+
+        fn on_tick(&mut self, ctl: &mut Ctl) {
+            if self
+                .paused_at
+                .is_some_and(|(_, at)| at.elapsed() >= self.hold)
+            {
+                let (token, _) = self.paused_at.take().expect("checked");
+                ctl.set_paused(token, false);
+            }
+        }
+
+        fn refusal_frame(&mut self) -> Vec<u8> {
+            Vec::new()
+        }
+
+        fn on_close(&mut self, _token: u64, _handshaken: bool) {}
+    }
+
+    /// A pipelined client's next frame may sit half-received in the read
+    /// buffer behind the frame that paused the session. The time the
+    /// session spends paused is not the peer trickling: the frame deadline
+    /// neither fires during the pause nor the moment it ends.
+    #[test]
+    fn a_pause_longer_than_the_frame_deadline_keeps_the_session() {
+        if !supported() {
+            return;
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let cfg = LoopConfig {
+            poll_interval: Duration::from_millis(5),
+            frame_deadline: Duration::from_millis(100),
+            ..LoopConfig::default()
+        };
+        let ctl = Ctl::new(listener, cfg, shutdown.clone()).expect("reactor");
+        let logic = PauseThenEcho {
+            hold: Duration::from_millis(300),
+            paused_at: None,
+        };
+        let server = std::thread::spawn(move || run(ctl, logic));
+
+        let mut client = TcpStream::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let next = framed(b"the frame behind it");
+        let mut burst = framed(b"admin");
+        burst.extend_from_slice(&next[..9]);
+        client.write_all(&burst).expect("burst");
+        let mut echo = vec![0u8; 4 + 5];
+        client.read_exact(&mut echo).expect("admin echoed");
+        // The peer has now sent everything; the rest of the frame waits in
+        // the socket until the pause — three deadlines long — is over.
+        client.write_all(&next[9..]).expect("rest of the frame");
+        let mut echo = vec![0u8; next.len()];
+        client
+            .read_exact(&mut echo)
+            .expect("session survived the pause");
+        assert_eq!(echo, next);
+
+        shutdown.store(true, Ordering::SeqCst);
+        drop(client);
+        server.join().expect("loop exits");
     }
 }

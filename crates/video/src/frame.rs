@@ -84,11 +84,7 @@ impl Frame {
         u: Vec<u8>,
         v: Vec<u8>,
     ) -> Option<Self> {
-        if width == 0 || height == 0 || !width.is_multiple_of(2) || !height.is_multiple_of(2) {
-            return None;
-        }
-        let luma = (width as usize).checked_mul(height as usize)?;
-        let chroma = luma / 4;
+        let (luma, chroma) = Frame::plane_lens(width, height)?;
         if y.len() != luma || u.len() != chroma || v.len() != chroma {
             return None;
         }
@@ -99,6 +95,17 @@ impl Frame {
             u,
             v,
         })
+    }
+
+    /// Luma and chroma plane lengths of a `width`×`height` 4:2:0 frame;
+    /// `None` when the dimensions are not positive and even. What
+    /// [`Frame::from_planes`] holds its buffers to.
+    pub fn plane_lens(width: u32, height: u32) -> Option<(usize, usize)> {
+        if width == 0 || height == 0 || !width.is_multiple_of(2) || !height.is_multiple_of(2) {
+            return None;
+        }
+        let luma = (width as usize).checked_mul(height as usize)?;
+        Some((luma, luma / 4))
     }
 
     /// Frame width in luma pixels.

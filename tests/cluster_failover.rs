@@ -669,3 +669,119 @@ fn rebalance_mid_workload_is_bit_exact_and_gcs_the_source() {
     n3.shutdown();
     std::fs::remove_dir_all(&base).ok();
 }
+
+/// One query's response stream read frame by frame off a raw session:
+/// every frame up to and including the `ResultDone`, prefix stripped.
+fn raw_response(addr: std::net::SocketAddr, id: u64, query: &Query) -> Vec<Vec<u8>> {
+    use tasm_proto::{read_frame, Message, VERSION};
+    let mut stream = std::net::TcpStream::connect(addr).expect("raw connect");
+    Message::ClientHello { version: VERSION }
+        .write_to(&mut stream)
+        .expect("hello");
+    assert!(matches!(
+        Message::read_from(&mut stream).expect("server hello"),
+        Message::ServerHello { .. }
+    ));
+    Message::Query {
+        id,
+        video: "v".to_string(),
+        query: query.clone(),
+        trace_id: None,
+    }
+    .write_to(&mut stream)
+    .expect("query");
+    let mut frames = Vec::new();
+    loop {
+        let payload = read_frame(&mut stream).expect("response frame");
+        let done = matches!(
+            Message::decode_payload(&payload).expect("decodes"),
+            Message::ResultDone { .. }
+        );
+        frames.push(payload);
+        if done {
+            return frames;
+        }
+    }
+}
+
+/// The router relays a shard's frames, it does not re-encode them: the
+/// header and every region a client gets through the router are the
+/// shard's own bytes except for the eight of the request id.
+#[test]
+fn relayed_frames_are_the_shards_bytes_but_for_the_id() {
+    let video = scene();
+    let base = base_dir("relay");
+    let tasm = open_mem(base.join("n1"), plain_cfg());
+    ingest(&tasm, &video);
+    let shard = TasmServer::bind(
+        Arc::clone(&tasm),
+        ServiceConfig::default(),
+        ServerConfig::default(),
+        "127.0.0.1:0",
+    )
+    .expect("bind shard");
+    let map_path = base.join("cluster.json");
+    let node = NodeInfo {
+        id: "n1".to_string(),
+        addr: shard.local_addr().to_string(),
+    };
+    ShardMap::new(vec![node], 1)
+        .unwrap()
+        .save(&map_path)
+        .unwrap();
+    let router = Router::bind(
+        RouterConfig {
+            map_path,
+            ..Default::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind router");
+
+    let query = Query::new(LabelPredicate::label("car")).frames(0..FRAMES);
+    let (direct_id, routed_id) = (5u64, 0x0900_0000_0000_0321u64);
+    let direct = raw_response(shard.local_addr(), direct_id, &query);
+    let routed = raw_response(router.local_addr(), routed_id, &query);
+    assert_eq!(direct.len(), routed.len());
+    assert!(direct.len() > 2, "the query returns regions");
+    // The closing frame carries the trace, whose timings differ per run.
+    for (d, r) in direct.iter().zip(&routed).take(direct.len() - 1) {
+        assert_eq!(d[0], r[0], "same frame kind");
+        assert_eq!(d[1..9], direct_id.to_le_bytes());
+        assert_eq!(r[1..9], routed_id.to_le_bytes());
+        assert_eq!(d[9..], r[9..], "relayed verbatim");
+    }
+
+    // Requests pipelined to the router arrive in one read; the router
+    // pauses the session per request, so the later ones wait in its frame
+    // reader — and must be picked up from there, not from the socket.
+    use tasm_proto::{Message, VERSION};
+    let mut stream = std::net::TcpStream::connect(router.local_addr()).expect("raw connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut burst = Message::ClientHello { version: VERSION }.encode();
+    for id in 0..3 {
+        burst.extend(
+            Message::Query {
+                id,
+                video: "v".to_string(),
+                query: query.clone(),
+                trace_id: None,
+            }
+            .encode(),
+        );
+    }
+    std::io::Write::write_all(&mut stream, &burst).expect("pipelined burst");
+    let mut done = Vec::new();
+    while done.len() < 3 {
+        if let Message::ResultDone { id, .. } =
+            Message::read_from(&mut stream).expect("every pipelined request is answered")
+        {
+            done.push(id);
+        }
+    }
+    assert_eq!(done, [0, 1, 2]);
+    router.shutdown(false);
+    shard.shutdown();
+}

@@ -239,7 +239,7 @@ proptest! {
         let mut recovered = Vec::new();
         loop {
             match reader.fill_from(&mut src).expect("stream re-frames cleanly") {
-                ReadProgress::Frame(payload) => recovered.push(payload),
+                ReadProgress::Frame(payload) => recovered.push(payload.into_owned()),
                 ReadProgress::Closed => break,
                 ReadProgress::NeedMore => unreachable!("cursor never blocks"),
             }

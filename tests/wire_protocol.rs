@@ -15,6 +15,11 @@ use tasm_video::{Frame, Rect};
 
 const CASES: u32 = 96;
 
+/// A message's payload: its encoded frame without the length prefix.
+fn payload_of(msg: &Message) -> Vec<u8> {
+    msg.encode()[4..].to_vec()
+}
+
 fn arb_string(rng: &mut StdRng, max_len: usize) -> String {
     let len = rng.gen_range(0..max_len + 1);
     (0..len)
@@ -281,11 +286,11 @@ fn every_message_round_trips_bit_exactly() {
     run_cases(CASES, proptest::seed_for("roundtrip"), |rng| {
         let msg = arb_message(rng, variant);
         variant += 1;
-        let payload = msg.encode_payload();
+        let payload = payload_of(&msg);
         let decoded = Message::decode_payload(&payload)
             .unwrap_or_else(|e| panic!("decode failed for {msg:?}: {e}"));
         assert_eq!(
-            decoded.encode_payload(),
+            payload_of(&decoded),
             payload,
             "re-encode diverged for {msg:?}"
         );
@@ -304,7 +309,7 @@ fn framed_io_round_trips() {
         msg.write_to(&mut wire).expect("write to Vec");
         let mut cursor = std::io::Cursor::new(wire);
         let decoded = Message::read_from(&mut cursor).expect("read back");
-        assert_eq!(decoded.encode_payload(), msg.encode_payload());
+        assert_eq!(payload_of(&decoded), payload_of(&msg));
     });
 }
 
@@ -316,7 +321,7 @@ fn truncated_payloads_fail_with_typed_errors() {
     run_cases(CASES, proptest::seed_for("truncate"), |rng| {
         let msg = arb_message(rng, variant);
         variant += 1;
-        let payload = msg.encode_payload();
+        let payload = payload_of(&msg);
         // Exhaustive for small payloads, sampled for pixel-bearing ones.
         let cuts: Vec<usize> = if payload.len() <= 64 {
             (0..payload.len()).collect()
@@ -343,7 +348,7 @@ fn corrupted_payloads_never_panic() {
     run_cases(CASES, proptest::seed_for("corrupt"), |rng| {
         let msg = arb_message(rng, variant);
         variant += 1;
-        let mut payload = msg.encode_payload();
+        let mut payload = payload_of(&msg);
         for _ in 0..8 {
             let at = rng.gen_range(0usize..payload.len());
             payload[at] ^= rng.gen_range(1u32..256) as u8;
@@ -404,7 +409,7 @@ fn query_fields_survive_the_wire() {
         video,
         query: decoded,
         trace_id,
-    } = Message::decode_payload(&msg.encode_payload()).expect("decode")
+    } = Message::decode_payload(&payload_of(&msg)).expect("decode")
     else {
         panic!("wrong variant");
     };
@@ -427,7 +432,7 @@ fn query_traces_survive_the_wire() {
             trace: trace.clone(),
         };
         let Message::ResultDone { trace: decoded, .. } =
-            Message::decode_payload(&msg.encode_payload()).expect("decode")
+            Message::decode_payload(&payload_of(&msg)).expect("decode")
         else {
             panic!("wrong variant");
         };
@@ -461,7 +466,7 @@ fn stats_percentiles_survive_the_wire() {
             stats: Box::new(stats),
         };
         let Message::StatsReply { stats: decoded } =
-            Message::decode_payload(&msg.encode_payload()).expect("decode")
+            Message::decode_payload(&payload_of(&msg)).expect("decode")
         else {
             panic!("wrong variant");
         };
@@ -470,4 +475,143 @@ fn stats_percentiles_survive_the_wire() {
         assert_eq!(decoded.latency.p99(), stats.latency.p99());
         assert_eq!(decoded.completed, stats.completed);
     });
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+        .collect()
+}
+
+/// One full response as a server frames it: header, a region through the
+/// borrowed-region entry point, a region through `Message::encode`, done
+/// with a trace.
+fn golden_response(id: u64) -> Vec<Vec<u8>> {
+    let a = RegionPixels {
+        frame: 7,
+        rect: Rect::new(4, 8, 4, 2),
+        pixels: Frame::from_planes(4, 2, (10..18).collect(), vec![200, 201], vec![90, 91])
+            .expect("4x2 planes"),
+    };
+    let b = RegionPixels {
+        frame: 9,
+        rect: Rect::new(0, 0, 2, 2),
+        pixels: Frame::from_planes(2, 2, vec![1, 2, 3, 4], vec![5], vec![6]).expect("2x2 planes"),
+    };
+    vec![
+        Message::ResultHeader {
+            id,
+            matched: 3,
+            regions: 2,
+            plan: PlanStats {
+                tiles_planned: 1,
+                tiles_pruned: 2,
+                gops_planned: 3,
+                gops_skipped: 4,
+                frames_sampled: 5,
+            },
+            epoch: 6,
+        }
+        .encode(),
+        tasm_proto::encode_region(id, &a),
+        Message::Region { id, region: b }.encode(),
+        Message::ResultDone {
+            id,
+            summary: ResultSummary {
+                samples_decoded: 11,
+                samples_reused: 12,
+                cache_hits: 13,
+                cache_misses: 14,
+                shared: SharedScanStats {
+                    owned: 15,
+                    joined: 16,
+                },
+                lookup_micros: 17,
+                exec_micros: 18,
+            },
+            trace: Some(tasm_proto::QueryTrace {
+                trace_id: 0xfeed,
+                instance: "127.0.0.1:7743".to_string(),
+                epoch: 6,
+                queue_micros: 21,
+                plan_micros: 22,
+                decode_micros: 23,
+                stream_micros: 24,
+                total_micros: 25,
+            }),
+        }
+        .encode(),
+    ]
+}
+
+/// The wire format is pinned, not asserted: these are the bytes the
+/// two-copy encoder (`frame(&encode_payload())`) produced for this
+/// response on the commit before the single encoder replaced it.
+#[test]
+fn a_full_response_encodes_to_the_pinned_bytes() {
+    const GOLDEN: [&str; 4] = [
+        "45000000040807060504030201030000000000000002000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000",
+        "3d00000005080706050403020107000000040000000800000004000000020000000400000002000000080000000a0b0c0d0e0f101102000000c8c9020000005a5b",
+        "3700000005080706050403020109000000000000000000000002000000020000000200000002000000040000000102030401000000050100000006",
+        "940000000608070605040302010b000000000000000c000000000000000d000000000000000e000000000000000f0000000000000010000000000000001100000000000000120000000000000001edfe0000000000000e0000003132372e302e302e313a37373433060000000000000015000000000000001600000000000000170000000000000018000000000000001900000000000000",
+    ];
+    let frames = golden_response(0x0102_0304_0506_0708);
+    assert_eq!(frames.len(), GOLDEN.len());
+    for (frame, golden) in frames.iter().zip(GOLDEN) {
+        assert_eq!(frame, &unhex(golden));
+    }
+    // The frames that carry pixels are sized up front and never grow.
+    for region in &frames[1..3] {
+        assert_eq!(
+            region.capacity(),
+            region.len(),
+            "encoded into its exact size"
+        );
+    }
+}
+
+/// A relayed result frame is the original with another request id: the
+/// same bytes everywhere else, so re-addressing it back restores it.
+#[test]
+fn relayed_result_frames_differ_only_in_the_id() {
+    use tasm_proto::{relay_result_frame, ResultFrame};
+    let (id, relay_id) = (0x0102_0304_0506_0708u64, 0xa1a2_a3a4_a5a6_a7a8u64);
+    let frames = golden_response(id);
+    let kinds = [
+        ResultFrame::Header { regions: 2 },
+        ResultFrame::Region,
+        ResultFrame::Region,
+        ResultFrame::Done,
+    ];
+    for (frame, kind) in frames.iter().zip(kinds) {
+        let (got, relayed) = relay_result_frame(&frame[4..], id, relay_id)
+            .expect("well-formed")
+            .expect("a result frame");
+        assert_eq!(got, kind);
+        assert_eq!(relayed.len(), frame.len());
+        assert_eq!(relayed[..5], frame[..5]);
+        assert_eq!(relayed[5..13], relay_id.to_le_bytes());
+        assert_eq!(relayed[13..], frame[13..]);
+        let (_, back) = relay_result_frame(&relayed[4..], relay_id, id)
+            .expect("well-formed")
+            .expect("a result frame");
+        assert_eq!(&back, frame);
+        // A frame of some other request is refused, not relayed.
+        assert!(relay_result_frame(&frame[4..], id + 1, relay_id).is_err());
+    }
+    // Anything that is not part of a result stream is left to the caller.
+    let error = Message::Error {
+        id: Some(id),
+        code: ErrorCode::Busy,
+        message: "queue full".to_string(),
+    }
+    .encode();
+    assert!(relay_result_frame(&error[4..], id, relay_id)
+        .expect("well-formed")
+        .is_none());
+    // A region whose planes disagree with its dimensions is caught without
+    // decoding a pixel: here the last plane byte is cut off.
+    let region = &frames[1];
+    assert!(relay_result_frame(&region[4..region.len() - 1], id, relay_id).is_err());
 }
