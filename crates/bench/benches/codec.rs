@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use tasm_codec::bitstream::{BitReader, BitWriter};
 use tasm_codec::deblock::deblock_frame;
 use tasm_codec::quant::qstep;
-use tasm_codec::{encode_video, EncoderConfig, StitchedVideo, TileLayout};
+use tasm_codec::{encode_video, pred, CodecChoice, EncoderConfig, StitchedVideo, TileLayout};
 use tasm_data::{Dataset, SceneSpec, SyntheticVideo};
 use tasm_video::{FrameSource, VecFrameSource};
 
@@ -21,7 +21,9 @@ fn scene(frames: u32) -> VecFrameSource {
 
 /// The perf ledger's geometry — one 640×352, GOP-30 VisualRoad second, the
 /// clip its `cold_select` workload decodes — rather than the 320×192 test
-/// scene: whole-GOP decode untiled and 2×2, and the two kernels under it.
+/// scene: whole-GOP decode untiled and 2×2 and the two kernels under it,
+/// then the write path: one SOT's encode untiled and 3×4, `Dct` alone
+/// beside the `Auto` size trial, and the lossless P-frame the trial pays for.
 fn ledger_geometry_benches(c: &mut Criterion) {
     let (w, h, frames) = (640u32, 352u32, 30u32);
     let video = Dataset::VisualRoad2K.build(1, 11);
@@ -85,11 +87,11 @@ fn ledger_geometry_benches(c: &mut Criterion) {
             }
         })
         .collect();
-    let mut w = BitWriter::new();
+    let mut bits = BitWriter::new();
     for &v in &codes {
-        w.put_ue(v);
+        bits.put_ue(v);
     }
-    let stream = w.finish();
+    let stream = bits.finish();
     let mut g = c.benchmark_group("bitreader");
     g.sample_size(20);
     g.throughput(Throughput::Elements(codes.len() as u64));
@@ -98,6 +100,28 @@ fn ledger_geometry_benches(c: &mut Criterion) {
             let mut r = BitReader::new(&stream);
             (0..codes.len()).fold(0u32, |acc, _| acc.wrapping_add(r.get_ue().unwrap()))
         })
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("encode");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(u64::from(frames) * samples));
+    let grid = TileLayout::uniform(w, h, 3, 4).unwrap();
+    for (layout_name, layout) in [("untiled", TileLayout::untiled(w, h)), ("3x4", grid)] {
+        for (codec_name, codec) in [("dct", CodecChoice::Dct), ("auto", CodecChoice::Auto)] {
+            let cfg = EncoderConfig { codec, ..cfg };
+            g.bench_function(format!("640x352_gop30_{layout_name}_{codec_name}"), |b| {
+                b.iter(|| encode_video(&src, &layout, &cfg, false).unwrap())
+            });
+        }
+    }
+    g.finish();
+
+    let mut g = c.benchmark_group("pred");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(samples));
+    g.bench_function("encode_inter", |b| {
+        b.iter(|| pred::encode_inter(&src.frames()[1], &src.frames()[0]))
     });
     g.finish();
 }

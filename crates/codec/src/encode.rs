@@ -5,6 +5,11 @@
 //! [`TileVideo`] per tile. Tiles are encoded independently (the paper's
 //! prototype encodes them sequentially; we optionally parallelize across
 //! tiles since the streams share nothing).
+//!
+//! The loop is frame-major: each source frame is fetched once and every
+//! tile's encoder is fed from that one borrowed frame, so a frame source
+//! that renders or copies on `frame(i)` is asked once per frame, not once
+//! per tile (on the parallel path: once per worker).
 
 use crate::container::{TileCodec, TileVideo};
 use crate::encoder::{CodecChoice, EncodedFrame, EncoderConfig, TileEncoder};
@@ -13,7 +18,7 @@ use crate::pred;
 use crate::stats::EncodeStats;
 use bytes::Bytes;
 use std::time::Instant;
-use tasm_video::{Frame, FrameSource};
+use tasm_video::{Frame, FrameSource, Rect};
 
 /// Encodes all frames of `src` under `layout`, returning one stream per tile
 /// (raster order) plus encode-work accounting.
@@ -31,13 +36,29 @@ pub fn encode_video(
     let t0 = Instant::now();
 
     let rects: Vec<_> = layout.tiles().map(|(_, r)| r).collect();
-    let tile_frames: Vec<(TileCodec, Vec<EncodedFrame>)> = if parallel && rects.len() > 1 {
-        encode_tiles_parallel(src, &rects, cfg)
+    let threads = if parallel {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+            .min(rects.len())
     } else {
-        rects
-            .iter()
-            .map(|&rect| encode_one_tile(src, rect, cfg))
-            .collect()
+        1
+    };
+    let tile_frames: Vec<(TileCodec, Vec<EncodedFrame>)> = if threads > 1 {
+        // Each worker owns a run of consecutive tiles and pulls frames from
+        // the (Sync) source independently.
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = rects
+                .chunks(rects.len().div_ceil(threads))
+                .map(|chunk| scope.spawn(move || encode_tiles(src, chunk, cfg)))
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("tile encode worker panicked"))
+                .collect()
+        })
+    } else {
+        encode_tiles(src, &rects, cfg)
     };
 
     let videos: Vec<TileVideo> = rects
@@ -63,103 +84,117 @@ pub fn encode_video(
     Ok((videos, stats))
 }
 
-fn encode_one_tile(
+/// Encodes the tiles at `rects`, frame-major: one `src.frame(i)` per frame,
+/// handed by reference to every tile's coder in turn.
+fn encode_tiles(
     src: &dyn FrameSource,
-    rect: tasm_video::Rect,
+    rects: &[Rect],
     cfg: &EncoderConfig,
-) -> (TileCodec, Vec<EncodedFrame>) {
-    match cfg.codec {
-        CodecChoice::Dct => (TileCodec::Dct, encode_dct_tile(src, rect, cfg)),
-        CodecChoice::Pred => (TileCodec::Pred, encode_pred_tile(src, rect, cfg)),
-        CodecChoice::Auto => {
-            // Cheap size trial: encode with both codecs, keep the smaller
-            // stream. Payload bytes dominate, so compare those (header size
-            // differs by one byte).
-            let dct = encode_dct_tile(src, rect, cfg);
-            let lossless = encode_pred_tile(src, rect, cfg);
-            let dct_bytes: u64 = dct.iter().map(|f| f.data.len() as u64).sum();
-            let pred_bytes: u64 = lossless.iter().map(|f| f.data.len() as u64).sum();
-            if pred_bytes < dct_bytes {
-                (TileCodec::Pred, lossless)
-            } else {
-                (TileCodec::Dct, dct)
+) -> Vec<(TileCodec, Vec<EncodedFrame>)> {
+    let mut coders: Vec<TileCoder> = rects.iter().map(|&r| TileCoder::new(r, cfg)).collect();
+    for i in 0..src.len() {
+        let frame = src.frame(i);
+        for coder in &mut coders {
+            coder.push(&frame);
+        }
+    }
+    coders.into_iter().map(TileCoder::finish).collect()
+}
+
+/// One tile's encoder state under a [`CodecChoice`]: the DCT stream, the
+/// lossless stream, or — for the `Auto` size trial — both, of which
+/// [`TileCoder::finish`] keeps the smaller.
+struct TileCoder {
+    dct: Option<(TileEncoder, Vec<EncodedFrame>)>,
+    lossless: Option<(PredTileEncoder, Vec<EncodedFrame>)>,
+}
+
+impl TileCoder {
+    fn new(rect: Rect, cfg: &EncoderConfig) -> Self {
+        // Each codec runs unless the choice is the other one alone.
+        let (dct, lossless) = (
+            cfg.codec != CodecChoice::Pred,
+            cfg.codec != CodecChoice::Dct,
+        );
+        TileCoder {
+            dct: dct.then(|| (TileEncoder::new(*cfg, rect), Vec::new())),
+            lossless: lossless.then(|| (PredTileEncoder::new(rect, cfg.gop_len), Vec::new())),
+        }
+    }
+
+    /// Encodes this tile's region of the next source frame.
+    fn push(&mut self, frame: &Frame) {
+        if let Some((enc, out)) = &mut self.dct {
+            out.push(enc.encode_next(frame));
+        }
+        if let Some((enc, out)) = &mut self.lossless {
+            out.push(enc.encode_next(frame));
+        }
+    }
+
+    fn finish(self) -> (TileCodec, Vec<EncodedFrame>) {
+        let payload =
+            |frames: &[EncodedFrame]| -> u64 { frames.iter().map(|f| f.data.len() as u64).sum() };
+        match (self.dct, self.lossless) {
+            (Some((_, dct)), None) => (TileCodec::Dct, dct),
+            (None, Some((_, lossless))) => (TileCodec::Pred, lossless),
+            // The size trial: payload bytes dominate, so compare those
+            // (header size differs by one byte).
+            (Some((_, dct)), Some((_, lossless))) => {
+                if payload(&lossless) < payload(&dct) {
+                    (TileCodec::Pred, lossless)
+                } else {
+                    (TileCodec::Dct, dct)
+                }
             }
+            (None, None) => unreachable!("every codec choice runs at least one encoder"),
         }
     }
 }
 
-fn encode_dct_tile(
-    src: &dyn FrameSource,
-    rect: tasm_video::Rect,
-    cfg: &EncoderConfig,
-) -> Vec<EncodedFrame> {
-    let mut enc = TileEncoder::new(*cfg, rect);
-    (0..src.len())
-        .map(|i| enc.encode_next(&src.frame(i)))
-        .collect()
+/// Lossless streaming encoder for one tile: crops each frame to the tile
+/// rectangle, then per GOP encodes the keyframe intra and P-frames as
+/// temporal deltas against the previous *source* tile (the codec is
+/// lossless, so source and reconstruction are identical — no drift).
+struct PredTileEncoder {
+    rect: Rect,
+    gop_len: u32,
+    prev: Option<Frame>,
+    frame_idx: u32,
 }
 
-/// Lossless path: crop each frame to the tile rectangle, then per GOP encode
-/// the keyframe intra and P-frames as temporal deltas against the previous
-/// *source* tile (the codec is lossless, so source and reconstruction are
-/// identical — no drift).
-fn encode_pred_tile(
-    src: &dyn FrameSource,
-    rect: tasm_video::Rect,
-    cfg: &EncoderConfig,
-) -> Vec<EncodedFrame> {
-    let mut prev: Option<Frame> = None;
-    (0..src.len())
-        .map(|i| {
-            let full = src.frame(i);
-            let mut tile = Frame::black(rect.w, rect.h);
-            tile.blit(&full, rect, 0, 0);
-            let is_key = i.is_multiple_of(cfg.gop_len);
-            let data = if is_key {
-                pred::encode_intra(&tile)
-            } else {
-                pred::encode_inter(&tile, prev.as_ref().expect("P-frame follows a keyframe"))
-            };
-            prev = Some(tile);
-            EncodedFrame {
-                is_key,
-                qp: 0,
-                data: Bytes::from(data),
-            }
-        })
-        .collect()
-}
-
-/// Parallel path: each worker owns a subset of tiles and pulls frames from
-/// the (Sync) source independently.
-fn encode_tiles_parallel(
-    src: &dyn FrameSource,
-    rects: &[tasm_video::Rect],
-    cfg: &EncoderConfig,
-) -> Vec<(TileCodec, Vec<EncodedFrame>)> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(rects.len());
-    let mut out: Vec<(TileCodec, Vec<EncodedFrame>)> =
-        vec![(TileCodec::Dct, Vec::new()); rects.len()];
-    std::thread::scope(|scope| {
-        let chunk = rects.len().div_ceil(threads);
-        for (slot_chunk, rect_chunk) in out.chunks_mut(chunk).zip(rects.chunks(chunk)) {
-            scope.spawn(move || {
-                for (slot, &rect) in slot_chunk.iter_mut().zip(rect_chunk) {
-                    *slot = encode_one_tile(src, rect, cfg);
-                }
-            });
+impl PredTileEncoder {
+    fn new(rect: Rect, gop_len: u32) -> Self {
+        PredTileEncoder {
+            rect,
+            gop_len,
+            prev: None,
+            frame_idx: 0,
         }
-    });
-    out
+    }
+
+    fn encode_next(&mut self, src: &Frame) -> EncodedFrame {
+        let tile = src.crop(self.rect);
+        let is_key = self.frame_idx.is_multiple_of(self.gop_len);
+        let data = match &self.prev {
+            Some(prev) if !is_key => pred::encode_inter(&tile, prev),
+            _ => pred::encode_intra(&tile),
+        };
+        self.prev = Some(tile);
+        self.frame_idx += 1;
+        EncodedFrame {
+            is_key,
+            qp: 0,
+            data: Bytes::from(data),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tasm_video::{Frame, FrameSource, Plane, Rect, VecFrameSource};
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use tasm_video::{Plane, VecFrameSource};
 
     fn moving_source(n: u32, w: u32, h: u32) -> VecFrameSource {
         let frames = (0..n)
@@ -170,6 +205,68 @@ mod tests {
             })
             .collect();
         VecFrameSource::new(frames)
+    }
+
+    /// Counts `frame(i)` calls per frame index.
+    struct CountingSource {
+        inner: VecFrameSource,
+        fetches: Vec<AtomicU32>,
+    }
+
+    impl CountingSource {
+        fn new(inner: VecFrameSource) -> Self {
+            let fetches = (0..inner.len()).map(|_| AtomicU32::new(0)).collect();
+            CountingSource { inner, fetches }
+        }
+
+        fn fetches(&self) -> Vec<u32> {
+            self.fetches
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect()
+        }
+    }
+
+    impl FrameSource for CountingSource {
+        fn width(&self) -> u32 {
+            self.inner.width()
+        }
+        fn height(&self) -> u32 {
+            self.inner.height()
+        }
+        fn len(&self) -> u32 {
+            self.inner.len()
+        }
+        fn frame(&self, idx: u32) -> Frame {
+            self.fetches[idx as usize].fetch_add(1, Ordering::Relaxed);
+            self.inner.frame(idx)
+        }
+    }
+
+    #[test]
+    fn each_frame_is_fetched_once_not_once_per_tile() {
+        let layout = TileLayout::uniform(96, 64, 3, 4).unwrap();
+        let workers = std::thread::available_parallelism()
+            .map(|n| n.get() as u32)
+            .unwrap_or(4);
+        for codec in [CodecChoice::Dct, CodecChoice::Pred, CodecChoice::Auto] {
+            let cfg = EncoderConfig {
+                codec,
+                ..Default::default()
+            };
+            let src = CountingSource::new(moving_source(5, 96, 64));
+            let (serial, _) = encode_video(&src, &layout, &cfg, false).unwrap();
+            assert_eq!(src.fetches(), [1; 5], "{codec:?} serial");
+
+            let src = CountingSource::new(moving_source(5, 96, 64));
+            let (parallel, _) = encode_video(&src, &layout, &cfg, true).unwrap();
+            let fetches = src.fetches();
+            assert!(
+                fetches.iter().all(|&n| (1..=workers).contains(&n)),
+                "{codec:?} parallel on {workers} workers: {fetches:?}"
+            );
+            assert_eq!(serial, parallel, "{codec:?}");
+        }
     }
 
     #[test]

@@ -58,10 +58,11 @@ pub enum RateControl {
 
 /// Which codec [`crate::encode_video`] uses for each tile.
 ///
-/// `Auto` runs a cheap size trial per tile — encode with both codecs and
-/// keep the smaller stream — so flat or low-texture tiles (where the
+/// `Auto` runs a size trial per tile — encode with both codecs and keep
+/// the smaller stream — so tiles that are flat in the input (where the
 /// lossless predictor + rANS coder wins) are stored losslessly while busy
-/// tiles keep the lossy DCT path.
+/// tiles keep the lossy DCT path. The trial is not cheap: it is about
+/// five DCT encodes' worth of time for one stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum CodecChoice {
     /// Always the lossy DCT codec (the pre-codec-id behaviour).
@@ -74,7 +75,7 @@ pub enum CodecChoice {
 }
 
 /// Encoder configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EncoderConfig {
     /// Frames per group of pictures. The first frame of every GOP is a
     /// keyframe. Paper default: one second of video.
@@ -91,6 +92,7 @@ pub struct EncoderConfig {
     pub rate: RateControl,
     /// Per-tile codec selection (defaults to DCT-only, the historical
     /// behaviour; absent in older serialized configs).
+    #[serde(default)]
     pub codec: CodecChoice,
 }
 
@@ -104,49 +106,6 @@ impl Default for EncoderConfig {
             rate: RateControl::ConstantQp,
             codec: CodecChoice::Dct,
         }
-    }
-}
-
-// Hand-written serde impls: `codec` must default when absent so manifests
-// written before the codec-id field existed still deserialize.
-impl Serialize for EncoderConfig {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let obj: Vec<(String, serde::Value)> = vec![
-            ("gop_len".to_string(), serde::to_value(&self.gop_len)?),
-            ("qp".to_string(), serde::to_value(&self.qp)?),
-            (
-                "search_range".to_string(),
-                serde::to_value(&self.search_range)?,
-            ),
-            ("deblock".to_string(), serde::to_value(&self.deblock)?),
-            ("rate".to_string(), serde::to_value(&self.rate)?),
-            ("codec".to_string(), serde::to_value(&self.codec)?),
-        ];
-        serializer.serialize_value(serde::Value::Object(obj))
-    }
-}
-
-impl<'de> Deserialize<'de> for EncoderConfig {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let obj = match deserializer.take_value()? {
-            serde::Value::Object(o) => o,
-            other => {
-                return Err(D::Error::from(serde::Error::msg(format!(
-                    "expected object for EncoderConfig, got {other:?}"
-                ))))
-            }
-        };
-        Ok(EncoderConfig {
-            gop_len: serde::from_value(serde::get_field(&obj, "gop_len")?)?,
-            qp: serde::from_value(serde::get_field(&obj, "qp")?)?,
-            search_range: serde::from_value(serde::get_field(&obj, "search_range")?)?,
-            deblock: serde::from_value(serde::get_field(&obj, "deblock")?)?,
-            rate: serde::from_value(serde::get_field(&obj, "rate")?)?,
-            codec: match serde::get_field(&obj, "codec") {
-                Ok(v) => serde::from_value(v)?,
-                Err(_) => CodecChoice::default(),
-            },
-        })
     }
 }
 
@@ -610,6 +569,33 @@ fn three_step_search(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `codec` is `#[serde(default)]`: a config serialized before the field
+    /// existed reads back as DCT-only, any other missing field is an error.
+    #[test]
+    fn config_without_codec_field_reads_as_dct() {
+        let cfg = EncoderConfig {
+            codec: CodecChoice::Auto,
+            qp: 31,
+            ..Default::default()
+        };
+        let json = serde_json::to_string(&cfg).unwrap();
+        assert_eq!(serde_json::from_str::<EncoderConfig>(&json).unwrap(), cfg);
+
+        let legacy = json.replace(",\"codec\":\"Auto\"", "");
+        assert_ne!(legacy, json);
+        let back: EncoderConfig = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(
+            back,
+            EncoderConfig {
+                codec: CodecChoice::Dct,
+                ..cfg
+            }
+        );
+        let broken = legacy.replace("\"qp\":31,", "");
+        assert_ne!(broken, legacy);
+        assert!(serde_json::from_str::<EncoderConfig>(&broken).is_err());
+    }
 
     #[test]
     fn first_frame_is_keyframe() {

@@ -1,7 +1,7 @@
 //! The `Pred` tile codec: lossless prediction + rANS entropy coding.
 //!
-//! An alternative per-tile codec to the DCT pipeline, selected at ingest by
-//! a size trial (see [`crate::encode`]): frames are predicted — keyframes
+//! An alternative per-tile codec to the DCT pipeline, selected explicitly or
+//! by a size trial (see [`crate::encode`]): frames are predicted — keyframes
 //! with PNG-style per-row spatial predictors (none/left/up/average/Paeth),
 //! P-frames with a temporal delta against the previous reconstruction, per
 //! plane, with a spatial fallback when the scene cuts — and the residual
@@ -84,6 +84,46 @@ fn residual_cost(r: u8) -> u32 {
     (r as u32).min(256 - r as u32)
 }
 
+/// Residual of sample `x` of `row` under predictor `kind`; `prev` is the row
+/// above (absent for the first row, where it reads as zeros).
+#[inline]
+fn residual(kind: u8, row: &[u8], prev: Option<&[u8]>, x: usize) -> u8 {
+    let left = if x > 0 { row[x - 1] } else { 0 };
+    let up = prev.map_or(0, |p| p[x]);
+    let up_left = if x > 0 {
+        prev.map_or(0, |p| p[x - 1])
+    } else {
+        0
+    };
+    row[x].wrapping_sub(predict(kind, left, up, up_left))
+}
+
+/// The cheapest predictor for one row and its residual cost (ties go to the
+/// earlier predictor). `prev` is the row above, absent for the first row,
+/// where only the predictors that do not look up are tried.
+fn best_row_predictor(row: &[u8], prev: Option<&[u8]>) -> (u64, u8) {
+    let mut best = (u64::MAX, PRED_NONE);
+    for kind in [PRED_NONE, PRED_LEFT, PRED_UP, PRED_AVG, PRED_PAETH] {
+        if prev.is_none() && (kind == PRED_UP || kind == PRED_AVG || kind == PRED_PAETH) {
+            continue;
+        }
+        let mut cost = 0u64;
+        for x in 0..row.len() {
+            cost += residual_cost(residual(kind, row, prev, x)) as u64;
+        }
+        if cost < best.0 {
+            best = (cost, kind);
+        }
+    }
+    best
+}
+
+/// Row `y` of a `w`-wide plane and the row above it.
+fn row_and_above(samples: &[u8], w: usize, y: usize) -> (&[u8], Option<&[u8]>) {
+    let prev = (y > 0).then(|| &samples[(y - 1) * w..y * w]);
+    (&samples[y * w..(y + 1) * w], prev)
+}
+
 /// Encodes one plane spatially: a predictor byte per row, then row-major
 /// residuals. Appends to `out`.
 fn encode_plane_spatial(samples: &[u8], w: usize, h: usize, out: &mut Vec<u8>) {
@@ -91,42 +131,11 @@ fn encode_plane_spatial(samples: &[u8], w: usize, h: usize, out: &mut Vec<u8>) {
     let preds_at = out.len();
     out.resize(preds_at + h, PRED_NONE);
     for y in 0..h {
-        let row = &samples[y * w..(y + 1) * w];
-        let prev = if y > 0 {
-            Some(&samples[(y - 1) * w..y * w])
-        } else {
-            None
-        };
-        let mut best = (u64::MAX, PRED_NONE);
-        for kind in [PRED_NONE, PRED_LEFT, PRED_UP, PRED_AVG, PRED_PAETH] {
-            if prev.is_none() && (kind == PRED_UP || kind == PRED_AVG || kind == PRED_PAETH) {
-                continue;
-            }
-            let mut cost = 0u64;
-            for x in 0..w {
-                let left = if x > 0 { row[x - 1] } else { 0 };
-                let up = prev.map_or(0, |p| p[x]);
-                let up_left = if x > 0 {
-                    prev.map_or(0, |p| p[x - 1])
-                } else {
-                    0
-                };
-                cost += residual_cost(row[x].wrapping_sub(predict(kind, left, up, up_left))) as u64;
-            }
-            if cost < best.0 {
-                best = (cost, kind);
-            }
-        }
-        out[preds_at + y] = best.1;
+        let (row, prev) = row_and_above(samples, w, y);
+        let (_, kind) = best_row_predictor(row, prev);
+        out[preds_at + y] = kind;
         for x in 0..w {
-            let left = if x > 0 { row[x - 1] } else { 0 };
-            let up = prev.map_or(0, |p| p[x]);
-            let up_left = if x > 0 {
-                prev.map_or(0, |p| p[x - 1])
-            } else {
-                0
-            };
-            out.push(row[x].wrapping_sub(predict(best.1, left, up, up_left)));
+            out.push(residual(kind, row, prev, x));
         }
     }
 }
@@ -194,13 +203,16 @@ fn decode_plane_spatial(
     Ok(plane)
 }
 
-/// Spatial cost of a whole plane (used for the temporal-vs-spatial trial).
+/// The residual cost [`encode_plane_spatial`] would reach on the plane: the
+/// sum of each row's best predictor cost, with no plane encoded into a
+/// scratch buffer to find it out. (The sum could stop at the temporal cost
+/// it is compared with; ROADMAP 1(b) says why it does not yet.)
 fn spatial_cost(samples: &[u8], w: usize, h: usize) -> u64 {
-    let mut scratch = Vec::with_capacity(1 + h + samples.len());
-    encode_plane_spatial(samples, w, h, &mut scratch);
-    scratch[1 + h..]
-        .iter()
-        .map(|&r| residual_cost(r) as u64)
+    (0..h)
+        .map(|y| {
+            let (row, prev) = row_and_above(samples, w, y);
+            best_row_predictor(row, prev).0
+        })
         .sum()
 }
 
@@ -463,6 +475,39 @@ mod tests {
             decode_frame(&data, 32, 32, None),
             Err(PredError::MissingReference)
         );
+    }
+
+    /// The row-cost sum is the cost of the plane's actual spatial encode.
+    #[test]
+    fn spatial_cost_is_what_a_spatial_encode_reaches() {
+        for t in 0..6 {
+            let f = textured(64, 48, t);
+            for plane in Plane::ALL {
+                let (w, h) = (
+                    f.plane_width(plane) as usize,
+                    f.plane_height(plane) as usize,
+                );
+                let samples = f.plane(plane);
+                let mut scratch = Vec::new();
+                encode_plane_spatial(samples, w, h, &mut scratch);
+                let full: u64 = scratch[1 + h..]
+                    .iter()
+                    .map(|&r| residual_cost(r) as u64)
+                    .sum();
+                assert_eq!(spatial_cost(samples, w, h), full, "plane {plane:?} t {t}");
+            }
+        }
+    }
+
+    /// A scene cut takes the spatial branch on every plane: the P-frame
+    /// decodes with no reference at all.
+    #[test]
+    fn inter_codes_a_scene_cut_spatially() {
+        let a = textured(64, 48, 0);
+        let mut cut = Frame::filled(64, 48, 200, 60, 190);
+        cut.fill_rect(Rect::new(8, 8, 16, 16), 40, 128, 128);
+        let data = encode_inter(&cut, &a);
+        assert_eq!(decode_frame(&data, 64, 48, None), Ok(cut));
     }
 
     #[test]

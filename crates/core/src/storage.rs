@@ -111,6 +111,9 @@ pub enum StoreError {
     Stitch(StitchError),
     /// Caller referenced a video/SOT/tile that does not exist.
     NotFound(String),
+    /// A video name that cannot be a directory name under the store root:
+    /// empty, `.` or `..`, or holding `/`, `\` or NUL.
+    InvalidName(String),
 }
 
 impl std::fmt::Display for StoreError {
@@ -122,6 +125,7 @@ impl std::fmt::Display for StoreError {
             StoreError::Layout(e) => write!(f, "layout error: {e}"),
             StoreError::Stitch(e) => write!(f, "stitch error: {e}"),
             StoreError::NotFound(what) => write!(f, "not found: {what}"),
+            StoreError::InvalidName(name) => write!(f, "invalid video name {name:?}"),
         }
     }
 }
@@ -177,9 +181,15 @@ pub struct StorageConfig {
     pub rate: tasm_codec::encoder::RateControl,
     /// Encode tiles on multiple threads (bit-identical output either way).
     pub parallel_encode: bool,
-    /// Per-tile codec selection. [`CodecChoice::Auto`] (the default) runs a
-    /// cheap size trial per tile at ingest and re-tile, keeping whichever of
-    /// the DCT and entropy-coded lossless streams is smaller.
+    /// Per-tile codec selection, recorded in the manifest at ingest and
+    /// honoured by every later re-tile of the video. The default,
+    /// [`CodecChoice::Auto`], encodes every tile with both codecs and keeps
+    /// the smaller stream — about five times the encode time of
+    /// [`CodecChoice::Dct`], which encodes each tile once, and on re-tiled
+    /// (DCT-decoded) input it keeps the DCT stream on every tile anyway.
+    /// [`CodecChoice::Pred`] stores every tile losslessly. A manifest from
+    /// before this field existed parses as `Dct`, the only codec there was.
+    #[serde(default)]
     pub codec: CodecChoice,
 }
 
@@ -510,10 +520,7 @@ impl VideoStore {
             cfg.sot_frames > 0 && cfg.sot_frames.is_multiple_of(cfg.gop_len),
             "SOT duration must be a positive multiple of the GOP length"
         );
-        assert!(
-            !name.is_empty() && !name.contains(['/', '\\']),
-            "invalid video name"
-        );
+        check_video_name(name)?;
         let dir = self.root.join(name);
         if self.io.exists(&dir) {
             // Unpublish first: the manifest is removed (one atomic unlink)
@@ -764,24 +771,37 @@ impl VideoStore {
         // completed now, this re-tile must not proceed.
         self.finish_pending_commits(&manifest.name)?;
 
-        // Decode the SOT in full from its current tiles, compositing each
-        // tile into place. (Homomorphic stitching only splices DCT streams;
-        // decode-and-blit handles mixed-codec layouts too.)
+        // Decode the SOT in full from its current tiles. (Homomorphic
+        // stitching only splices DCT streams; decode-and-blit handles
+        // mixed-codec layouts too.) A lone tile that is the whole SOT
+        // decodes to the encoder's source frames as they are; anything
+        // else is composited into place, tile by tile.
         let old_tile_count = sot.layout.tile_count();
         let tiles: Vec<TileVideo> = (0..old_tile_count)
             .map(|t| self.read_tile(manifest, sot_idx, t))
             .collect::<Result<_, _>>()?;
         let mut decode = DecodeStats::new();
-        let mut frames: Vec<Frame> = (0..sot.len())
-            .map(|_| Frame::black(manifest.width, manifest.height))
-            .collect();
-        for ((_, rect), tile) in sot.layout.tiles().zip(&tiles) {
-            let (tile_frames, s) = tile.decode_all()?;
-            decode += s;
-            for (dst, src) in frames.iter_mut().zip(&tile_frames) {
-                dst.blit(src, src.rect(), rect.x, rect.y);
+        let whole_sot = (manifest.width, manifest.height, sot.len());
+        let frames = match tiles.as_slice() {
+            [tile] if (tile.width, tile.height, tile.frame_count()) == whole_sot => {
+                let (frames, s) = tile.decode_all()?;
+                decode += s;
+                frames
             }
-        }
+            _ => {
+                let mut frames: Vec<Frame> = (0..sot.len())
+                    .map(|_| Frame::black(manifest.width, manifest.height))
+                    .collect();
+                for ((_, rect), tile) in sot.layout.tiles().zip(&tiles) {
+                    let (tile_frames, s) = tile.decode_all()?;
+                    decode += s;
+                    for (dst, src) in frames.iter_mut().zip(&tile_frames) {
+                        dst.blit(src, src.rect(), rect.x, rect.y);
+                    }
+                }
+                frames
+            }
+        };
 
         // Re-encode under the new layout.
         let src = VecFrameSource::new(frames);
@@ -958,6 +978,7 @@ impl VideoStore {
     ) -> Result<(), StoreError> {
         validate_replica_payload(manifest, sots)?;
         let name = manifest.name.as_str();
+        check_video_name(name)?;
         let dir = self.root.join(name);
         if self.io.exists(&dir) {
             // Unpublish first, exactly as `ingest` does (see above).
@@ -1032,6 +1053,7 @@ impl VideoStore {
             .ok_or_else(|| StoreError::NotFound(format!("SOT {sot_idx}")))?;
         validate_replica_sot(sot, tiles)?;
         let name = new_manifest.name.as_str();
+        check_video_name(name)?;
         self.finish_pending_commits(name)?;
         // The epoch this install supersedes, per the (post-roll-forward)
         // on-disk manifest — read before the commit below rewrites it.
@@ -1082,6 +1104,7 @@ impl VideoStore {
     /// unlinked first — one atomic unpublish — so a crash mid-removal
     /// leaves a manifest-less directory that startup recovery reaps.
     pub fn remove_video(&self, name: &str) -> Result<(), StoreError> {
+        check_video_name(name)?;
         let dir = self.root.join(name);
         let manifest_path = dir.join("manifest.json");
         if !self.io.exists(&manifest_path) {
@@ -1641,6 +1664,19 @@ fn validate_replica_sot(sot: &SotEntry, tiles: &[Vec<u8>]) -> Result<(), StoreEr
                 sot.start, sot.end
             )));
         }
+    }
+    Ok(())
+}
+
+/// A video's name is its directory name under the store root, and it
+/// arrives from callers and — inside replicated manifests — from peers:
+/// anything that would resolve outside the root or to the root itself is
+/// refused before a path is ever built from it.
+fn check_video_name(name: &str) -> Result<(), StoreError> {
+    let hostile =
+        name.is_empty() || name == "." || name == ".." || name.contains(['/', '\\', '\0']);
+    if hostile {
+        return Err(StoreError::InvalidName(name.to_string()));
     }
     Ok(())
 }

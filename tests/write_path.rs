@@ -1,0 +1,401 @@
+//! The write path's bytes are a contract: ingest and re-tile must leave the
+//! same files on disk whatever order the encoder visits frames and tiles
+//! in, and whichever way `retile` hands decoded frames to it.
+//!
+//! Every digest below was computed on the per-tile encode loop (one
+//! `frame(i)` per tile per frame, decoded SOTs composited into fresh frames)
+//! and is FNV-1a-64 over each tile file's store-relative path and bytes, in
+//! path order.
+
+use std::path::{Path, PathBuf};
+use tasm_cluster::{apply_record, StagedSots};
+use tasm_codec::{CodecChoice, TileLayout};
+use tasm_core::{StorageConfig, StoreError, Tasm, TasmConfig, VideoManifest, VideoStore};
+use tasm_index::MemoryIndex;
+use tasm_proto::ReplicationRecord;
+use tasm_video::{Frame, Plane, VecFrameSource};
+
+const W: u32 = 384;
+const H: u32 = 256;
+/// Columns left of this are flat and static: as one 256-wide tile they are
+/// where the `Auto` size trial keeps the lossless stream.
+const FLAT_W: u32 = 256;
+const FRAMES: u32 = 12;
+const GOP: u32 = 6;
+
+fn hash3(x: u32, y: u32, t: u32) -> u32 {
+    let mut v = x
+        .wrapping_mul(0x9e37_79b1)
+        .wrapping_add(y.wrapping_mul(0x85eb_ca6b))
+        .wrapping_add(t.wrapping_mul(0xc2b2_ae35));
+    v ^= v >> 15;
+    v = v.wrapping_mul(0x2c1b_3c6d);
+    v ^ (v >> 13)
+}
+
+/// Flat on the left, textured on the right with a band of fresh noise every
+/// frame (the codec golden tests' split clip).
+fn clip() -> VecFrameSource {
+    let frames = (0..FRAMES)
+        .map(|t| {
+            let mut f = Frame::filled(W, H, 90, 120, 136);
+            for y in 0..H {
+                for x in FLAT_W..W {
+                    let noisy = (64..128).contains(&y);
+                    let v = (x * 5 + y * 3) % 160
+                        + 40
+                        + hash3(x, y, if noisy { t + 1 } else { 0 }) % 23;
+                    f.set_sample(Plane::Y, x, y, v as u8);
+                }
+            }
+            f
+        })
+        .collect();
+    VecFrameSource::new(frames)
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tasm-write-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+fn cfg(codec: CodecChoice, parallel_encode: bool) -> StorageConfig {
+    StorageConfig {
+        gop_len: GOP,
+        sot_frames: GOP,
+        parallel_encode,
+        codec,
+        ..Default::default()
+    }
+}
+
+fn two_cols() -> TileLayout {
+    TileLayout::new(vec![FLAT_W, W - FLAT_W], vec![H]).unwrap()
+}
+
+fn uneven() -> TileLayout {
+    TileLayout::new(vec![FLAT_W, 64, 64], vec![192, 64]).unwrap()
+}
+
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every regular file under `dir`, relative, sorted.
+fn list_tree(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                out.push(path.strip_prefix(dir).unwrap().to_path_buf());
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// Digest of every tile file under `dir` (relative path, then bytes), in
+/// path order. The manifest is left out: it records `parallel_encode`.
+fn digest_tree(dir: &Path) -> u64 {
+    list_tree(dir)
+        .iter()
+        .filter(|rel| rel.extension().is_some_and(|e| e == "tvf"))
+        .fold(0xcbf2_9ce4_8422_2325, |h, rel| {
+            let named = fnv1a(h, rel.to_string_lossy().as_bytes());
+            fnv1a(named, &std::fs::read(dir.join(rel)).unwrap())
+        })
+}
+
+/// The initial layouts: SOT 0 untiled, SOT 1 in two columns — under `Auto`
+/// its flat column is stored losslessly, so re-tiling it decodes a
+/// mixed-codec layout.
+fn initial_layout(sot: usize) -> TileLayout {
+    if sot == 0 {
+        TileLayout::untiled(W, H)
+    } else {
+        two_cols()
+    }
+}
+
+fn tile_codecs(manifest: &VideoManifest) -> Vec<Vec<u8>> {
+    manifest
+        .sots
+        .iter()
+        .map(|s| s.tile_codecs.clone())
+        .collect()
+}
+
+/// Ingests the clip, then re-tiles SOT 0 from the untiled layout and again
+/// from the tiled one, and SOT 1 from its two columns. Returns the tile
+/// files' digest and every SOT's `tile_codecs` after each of the four
+/// steps.
+fn ingest_and_retile(tag: &str, cfg: StorageConfig) -> Vec<(u64, Vec<Vec<u8>>)> {
+    let dir = temp_dir(tag);
+    let store = VideoStore::open(&dir).unwrap();
+    let (manifest, _) = store
+        .ingest("v", &clip(), 30, cfg, |sot, _| initial_layout(sot))
+        .unwrap();
+    // Re-tile through a fresh handle and the manifest as it is on disk: the
+    // codec choice that counts is the one the store recorded at ingest.
+    drop(store);
+    let store = VideoStore::open(&dir).unwrap();
+    let mut manifest = {
+        let on_disk = store.load_manifest("v").unwrap();
+        assert_eq!(on_disk, manifest);
+        on_disk
+    };
+    let video = dir.join("v");
+    let mut steps = vec![(digest_tree(&video), tile_codecs(&manifest))];
+    for (sot, layout) in [(0, two_cols()), (0, uneven()), (1, uneven())] {
+        store.retile(&mut manifest, sot, layout).unwrap();
+        steps.push((digest_tree(&video), tile_codecs(&manifest)));
+    }
+    assert!(store.fsck().unwrap().is_clean());
+    assert_eq!(manifest, store.load_manifest("v").unwrap());
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+    steps
+}
+
+/// Per codec choice, after ingest / SOT 0 untiled→2 cols / SOT 0 2 cols→
+/// uneven / SOT 1 2 cols→uneven: (tile-file digest, `tile_codecs` of SOT 0
+/// and SOT 1).
+type Step = (u64, [&'static [u8]; 2]);
+
+const PINNED: &[(CodecChoice, [Step; 4])] = &[
+    (
+        CodecChoice::Dct,
+        [
+            (0xb42bb7a28ebbc156, [&[0], &[0, 0]]),
+            (0x286c43ff2795e393, [&[0, 0], &[0, 0]]),
+            (0x1b18c801d4ac46a3, [&[0, 0, 0, 0, 0, 0], &[0, 0]]),
+            (
+                0x8a188bbef39c23b1,
+                [&[0, 0, 0, 0, 0, 0], &[0, 0, 0, 0, 0, 0]],
+            ),
+        ],
+    ),
+    (
+        CodecChoice::Pred,
+        [
+            (0x8683b65636a8c56a, [&[1], &[1, 1]]),
+            (0x19bfc66517cd3813, [&[1, 1], &[1, 1]]),
+            (0xd38e81cea0d6f24d, [&[1, 1, 1, 1, 1, 1], &[1, 1]]),
+            (
+                0x862d85c45de2d44c,
+                [&[1, 1, 1, 1, 1, 1], &[1, 1, 1, 1, 1, 1]],
+            ),
+        ],
+    ),
+    (
+        CodecChoice::Auto,
+        [
+            (0xcb33b40a66605f0c, [&[0], &[1, 0]]),
+            (0xbef7f55663f9fed1, [&[0, 0], &[1, 0]]),
+            (0x0337accb6661dee1, [&[0, 0, 0, 0, 0, 0], &[1, 0]]),
+            (
+                0xe9063879d1869043,
+                [&[0, 0, 0, 0, 0, 0], &[1, 0, 0, 0, 0, 0]],
+            ),
+        ],
+    ),
+];
+
+#[test]
+fn ingest_and_retile_files_are_pinned() {
+    let mut got = Vec::new();
+    for codec in [CodecChoice::Dct, CodecChoice::Pred, CodecChoice::Auto] {
+        let serial = ingest_and_retile("pin-serial", cfg(codec, false));
+        let parallel = ingest_and_retile("pin-parallel", cfg(codec, true));
+        assert_eq!(serial, parallel, "{codec:?}: parallel encode moved bytes");
+        got.push((codec, serial));
+    }
+    let same = got.len() == PINNED.len()
+        && got.iter().zip(PINNED).all(|(g, w)| {
+            g.0 == w.0
+                && g.1.len() == w.1.len()
+                && g.1.iter().zip(&w.1).all(|(gs, ws)| {
+                    gs.0 == ws.0 && gs.1.iter().map(Vec::as_slice).eq(ws.1.iter().copied())
+                })
+        });
+    if !same {
+        let mut table = String::new();
+        for (codec, steps) in &got {
+            table += &format!("    (\n        CodecChoice::{codec:?},\n        [\n");
+            for (digest, codecs) in steps {
+                table += &format!(
+                    "            ({digest:#018x}, [&{:?}, &{:?}]),\n",
+                    codecs[0], codecs[1]
+                );
+            }
+            table += "        ],\n    ),\n";
+        }
+        panic!("write-path digests moved; this build produces:\n{table}");
+    }
+}
+
+/// The manifest's JSON with the storage config's `codec` field (the last of
+/// its object) cut out.
+fn without_codec_field(json: &str) -> String {
+    let at = json.find("\"codec\"").expect("manifest records the codec");
+    let comma = json[..at].rfind(',').unwrap();
+    let end = at + json[at..].find('\n').unwrap();
+    format!("{}{}", &json[..comma], &json[end..])
+}
+
+/// A store's manifest says which codec choice it was ingested with, and a
+/// re-tile runs what the manifest says (here the size trial), whatever the
+/// default is; a manifest from before the field existed parses as DCT-only,
+/// which is what such a store holds.
+#[test]
+fn recorded_codec_choice_is_what_a_retile_honours() {
+    let dir = temp_dir("recorded");
+    let store = VideoStore::open(&dir).unwrap();
+    store
+        .ingest("v", &clip(), 30, cfg(CodecChoice::Auto, false), |sot, _| {
+            initial_layout(sot)
+        })
+        .unwrap();
+    let path = dir.join("v").join("manifest.json");
+    let json = std::fs::read_to_string(&path).unwrap();
+    assert!(json.contains("\"codec\": \"Auto\""), "{json}");
+
+    let mut manifest = store.load_manifest("v").unwrap();
+    assert_eq!(manifest.config.codec, CodecChoice::Auto);
+    store.retile(&mut manifest, 1, uneven()).unwrap();
+    assert_eq!(manifest.sots[1].tile_codecs, [1, 0, 0, 0, 0, 0]);
+
+    let legacy = without_codec_field(&json);
+    assert!(!legacy.contains("codec\""), "{legacy}");
+    let parsed: VideoManifest = serde_json::from_str(&legacy).unwrap();
+    assert_eq!(parsed.config.codec, CodecChoice::Dct);
+    assert_eq!(
+        StorageConfig {
+            codec: CodecChoice::Auto,
+            ..parsed.config
+        },
+        cfg(CodecChoice::Auto, false)
+    );
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A peer's `Replicate` frame names the video; the store joins that name
+/// onto its root. A name that would leave the root (or be the root) is a
+/// typed error from every entry point, and nothing outside — or inside —
+/// the store is touched.
+#[test]
+fn hostile_video_names_never_leave_the_store_root() {
+    let sandbox = temp_dir("names");
+    let root = sandbox.join("node").join("videos");
+    // What `CommitVideo { video: "../../victim" }` would remove and recreate.
+    let victim = sandbox.join("victim");
+    std::fs::create_dir_all(&victim).unwrap();
+    std::fs::write(victim.join("keep.txt"), b"not the store's").unwrap();
+
+    let tasm = Tasm::open(
+        &root,
+        Box::new(MemoryIndex::in_memory()),
+        TasmConfig::default(),
+    )
+    .unwrap();
+    let storage = cfg(CodecChoice::Dct, false);
+    let (manifest, _) = tasm
+        .store()
+        .ingest("v", &clip(), 30, storage, |_, _| TileLayout::untiled(W, H))
+        .unwrap();
+    let tiles: Vec<Vec<Vec<u8>>> = (0..manifest.sots.len())
+        .map(|sot| vec![tasm.store().tile_file_bytes(&manifest, sot, 0).unwrap()])
+        .collect();
+    let before = (list_tree(&sandbox), digest_tree(&root));
+
+    for name in [
+        "../../victim",
+        "..",
+        ".",
+        "",
+        "a/b",
+        "a\\b",
+        "/abs",
+        "nul\0byte",
+    ] {
+        let hostile = VideoManifest {
+            name: name.to_string(),
+            ..manifest.clone()
+        };
+        let json = serde_json::to_vec_pretty(&hostile).unwrap();
+
+        let mut staged = StagedSots::new();
+        for (sot, t) in tiles.iter().enumerate() {
+            let stage = ReplicationRecord::StageSot {
+                video: name.to_string(),
+                sot_idx: sot as u32,
+                tiles: t.clone(),
+            };
+            apply_record(&tasm, &mut staged, stage).unwrap();
+        }
+        let commit = ReplicationRecord::CommitVideo {
+            epoch: 0,
+            video: name.to_string(),
+            manifest: json.clone(),
+        };
+        let err = apply_record(&tasm, &mut staged, commit).unwrap_err();
+        assert!(err.contains("invalid video name"), "{name:?}: {err}");
+
+        let mut staged = StagedSots::new();
+        staged.stage(name, 0, tiles[0].clone());
+        let commit = ReplicationRecord::CommitSot {
+            epoch: 1,
+            video: name.to_string(),
+            sot_idx: 0,
+            manifest: json,
+        };
+        assert!(
+            apply_record(&tasm, &mut staged, commit).is_err(),
+            "{name:?}"
+        );
+
+        // The store's own entry points, below the facade's registry.
+        let store = tasm.store();
+        let invalid = |r: Result<(), StoreError>| matches!(r, Err(StoreError::InvalidName(_)));
+        assert!(invalid(store.install_video(&hostile, &tiles)), "{name:?}");
+        assert!(
+            invalid(store.install_sot(&hostile, 0, &tiles[0])),
+            "{name:?}"
+        );
+        assert!(
+            invalid(
+                store
+                    .install_sot_deferred(&hostile, 0, &tiles[0])
+                    .map(|_| ())
+            ),
+            "{name:?}"
+        );
+        assert!(invalid(store.remove_video(name)), "{name:?}");
+        assert!(
+            invalid(
+                store
+                    .ingest(name, &clip(), 30, storage, |_, _| TileLayout::untiled(W, H))
+                    .map(|_| ())
+            ),
+            "{name:?}"
+        );
+    }
+
+    assert_eq!(before, (list_tree(&sandbox), digest_tree(&root)));
+    assert_eq!(
+        std::fs::read(victim.join("keep.txt")).unwrap(),
+        b"not the store's"
+    );
+    assert!(tasm.store().fsck().unwrap().is_clean());
+    drop(tasm);
+    std::fs::remove_dir_all(&sandbox).ok();
+}
