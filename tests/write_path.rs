@@ -13,7 +13,7 @@ use tasm_codec::{CodecChoice, TileLayout};
 use tasm_core::{StorageConfig, StoreError, Tasm, TasmConfig, VideoManifest, VideoStore};
 use tasm_index::MemoryIndex;
 use tasm_proto::ReplicationRecord;
-use tasm_video::{Frame, Plane, VecFrameSource};
+use tasm_video::{Frame, Plane, Rect, VecFrameSource};
 
 const W: u32 = 384;
 const H: u32 = 256;
@@ -239,6 +239,179 @@ fn ingest_and_retile_files_are_pinned() {
             table += "        ],\n    ),\n";
         }
         panic!("write-path digests moved; this build produces:\n{table}");
+    }
+}
+
+/// One 192×128 clip per way `pred::encode_inter`'s temporal-vs-spatial
+/// decision can go: `Static` repeats one noisy frame (temporal residuals
+/// all zero), `Moving` slides a box over that background and drifts a
+/// smooth band (some planes still, some changed a little), `Cut` swaps the
+/// scene for a smooth one at frame 3, mid-GOP (spatial wins on every
+/// plane), then holds it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Motion {
+    Static,
+    Moving,
+    Cut,
+}
+
+const DW: u32 = 192;
+const DH: u32 = 128;
+
+fn decision_clip(motion: Motion) -> VecFrameSource {
+    let frames = (0..FRAMES)
+        .map(|t| {
+            if motion == Motion::Cut && t >= 3 {
+                let mut f = Frame::filled(DW, DH, 0, 70, 180);
+                for y in 0..DH {
+                    for x in 0..DW {
+                        f.set_sample(Plane::Y, x, y, (40 + x / 2 + y) as u8);
+                    }
+                }
+                return f;
+            }
+            let mut f = Frame::filled(DW, DH, 0, 120, 136);
+            for y in 0..DH {
+                for x in 0..DW {
+                    let v = (x * 3 + y * 2) % 150 + 50 + hash3(x, y, 0) % 31;
+                    f.set_sample(Plane::Y, x, y, v as u8);
+                }
+            }
+            if motion == Motion::Moving {
+                for y in 96..DH {
+                    for x in 0..DW {
+                        f.set_sample(Plane::Y, x, y, (60 + x / 2 + y / 4 + 3 * t) as u8);
+                    }
+                }
+                f.fill_rect(Rect::new(8 * t, 16, 32, 32), 220, 90, 170);
+            }
+            f
+        })
+        .collect();
+    VecFrameSource::new(frames)
+}
+
+/// `Tasm::ingest` (untiled) of a decision clip, then one re-tile of SOT 0
+/// to 2×2: the tile files' digest and both SOTs' `tile_codecs` after each.
+fn tasm_ingest_and_retile(motion: Motion, storage: StorageConfig) -> Vec<(u64, Vec<Vec<u8>>)> {
+    let dir = temp_dir(&format!("decision-{motion:?}-{}", storage.parallel_encode));
+    let tasm = Tasm::open(
+        &dir,
+        Box::new(MemoryIndex::in_memory()),
+        TasmConfig {
+            storage,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    tasm.ingest("v", &decision_clip(motion), 30).unwrap();
+    let video = dir.join("v");
+    let mut steps = vec![(
+        digest_tree(&video),
+        tile_codecs(&tasm.manifest("v").unwrap()),
+    )];
+    tasm.retile("v", 0, TileLayout::uniform(DW, DH, 2, 2).unwrap())
+        .unwrap();
+    steps.push((
+        digest_tree(&video),
+        tile_codecs(&tasm.manifest("v").unwrap()),
+    ));
+    assert!(tasm.fsck().unwrap().is_clean());
+    drop(tasm);
+    std::fs::remove_dir_all(&dir).ok();
+    steps
+}
+
+/// Per clip and codec choice, after ingest / SOT 0 untiled→2×2; computed
+/// with the decision made on the full row-cost sum (no early exit).
+const DECISION_PINNED: &[(Motion, CodecChoice, [Step; 2])] = &[
+    (
+        Motion::Static,
+        CodecChoice::Auto,
+        [
+            (0xa858cd2d23606888, [&[1], &[1]]),
+            (0x46c3513a4fb62a23, [&[1, 1, 1, 1], &[1]]),
+        ],
+    ),
+    (
+        Motion::Static,
+        CodecChoice::Pred,
+        [
+            (0xa858cd2d23606888, [&[1], &[1]]),
+            (0x46c3513a4fb62a23, [&[1, 1, 1, 1], &[1]]),
+        ],
+    ),
+    (
+        Motion::Moving,
+        CodecChoice::Auto,
+        [
+            (0x657ff5462634d365, [&[0], &[0]]),
+            (0xed0ccd2566fefbd3, [&[0, 0, 0, 0], &[0]]),
+        ],
+    ),
+    (
+        Motion::Moving,
+        CodecChoice::Pred,
+        [
+            (0x83fca4c0992c775b, [&[1], &[1]]),
+            (0x131e6e078844cda9, [&[1, 1, 1, 1], &[1]]),
+        ],
+    ),
+    (
+        Motion::Cut,
+        CodecChoice::Auto,
+        [
+            (0x64e69ca265987db3, [&[0], &[0]]),
+            (0x412e3c44a53760a8, [&[0, 0, 0, 0], &[0]]),
+        ],
+    ),
+    (
+        Motion::Cut,
+        CodecChoice::Pred,
+        [
+            (0xd59a6fe8fed1a958, [&[1], &[1]]),
+            (0x0c07aa9aabf7ee2f, [&[1, 1, 1, 1], &[1]]),
+        ],
+    ),
+];
+
+#[test]
+fn decision_clips_through_tasm_are_pinned() {
+    let mut got = Vec::new();
+    for motion in [Motion::Static, Motion::Moving, Motion::Cut] {
+        for codec in [CodecChoice::Auto, CodecChoice::Pred] {
+            let serial = tasm_ingest_and_retile(motion, cfg(codec, false));
+            let parallel = tasm_ingest_and_retile(motion, cfg(codec, true));
+            assert_eq!(
+                serial, parallel,
+                "{motion:?} {codec:?}: parallel encode moved bytes"
+            );
+            got.push((motion, codec, serial));
+        }
+    }
+    let same = got.len() == DECISION_PINNED.len()
+        && got.iter().zip(DECISION_PINNED).all(|(g, w)| {
+            (g.0, g.1) == (w.0, w.1)
+                && g.2.len() == w.2.len()
+                && g.2.iter().zip(&w.2).all(|(gs, ws)| {
+                    gs.0 == ws.0 && gs.1.iter().map(Vec::as_slice).eq(ws.1.iter().copied())
+                })
+        });
+    if !same {
+        let mut table = String::new();
+        for (motion, codec, steps) in &got {
+            table += &format!(
+                "    (\n        Motion::{motion:?},\n        CodecChoice::{codec:?},\n        [\n"
+            );
+            for (digest, codecs) in steps {
+                table += &format!(
+                    "            ({digest:#018x}, [&{:?}, &{:?}]),\n",
+                    codecs[0], codecs[1]
+                );
+            }
+            table += "        ],\n    ),\n";
+        }
+        panic!("decision-clip digests moved; this build produces:\n{table}");
     }
 }
 
