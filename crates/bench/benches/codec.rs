@@ -23,7 +23,7 @@ fn scene(frames: u32) -> VecFrameSource {
 /// clip its `cold_select` workload decodes — rather than the 320×192 test
 /// scene: whole-GOP decode untiled and 2×2 and the two kernels under it,
 /// then the write path: one SOT's encode untiled and 3×4, `Dct` alone
-/// beside the `Auto` size trial, and the lossless P-frame the trial pays for.
+/// beside the `Auto` size trial, and the lossless P-frames the trial pays for.
 fn ledger_geometry_benches(c: &mut Criterion) {
     let (w, h, frames) = (640u32, 352u32, 30u32);
     let video = Dataset::VisualRoad2K.build(1, 11);
@@ -117,12 +117,26 @@ fn ledger_geometry_benches(c: &mut Criterion) {
     }
     g.finish();
 
+    // The lossless P-frame the trial pays for, at the best, typical and
+    // worst case of its temporal-vs-spatial sum: a repeated frame (decided
+    // before the first row), the scene's own next frame, and a cut to
+    // another scene (spatial wins on every plane, so every row is summed).
+    let other_scene = Dataset::VisualRoad2K.build(1, 12).frame(0);
+    let frames = src.frames();
+    assert!(
+        pred::decode_frame(&pred::encode_inter(&other_scene, &frames[0]), w, h, None).is_ok(),
+        "the cut input must code every plane spatially"
+    );
     let mut g = c.benchmark_group("pred");
     g.sample_size(20);
     g.throughput(Throughput::Elements(samples));
-    g.bench_function("encode_inter", |b| {
-        b.iter(|| pred::encode_inter(&src.frames()[1], &src.frames()[0]))
-    });
+    for (name, frame) in [
+        ("encode_inter_static", &frames[0]),
+        ("encode_inter_moving", &frames[1]),
+        ("encode_inter_cut", &other_scene),
+    ] {
+        g.bench_function(name, |b| b.iter(|| pred::encode_inter(frame, &frames[0])));
+    }
     g.finish();
 }
 

@@ -62,7 +62,8 @@ pub enum RateControl {
 /// the smaller stream — so tiles that are flat in the input (where the
 /// lossless predictor + rANS coder wins) are stored losslessly while busy
 /// tiles keep the lossy DCT path. The trial is not cheap: it is about
-/// five DCT encodes' worth of time for one stream.
+/// three DCT encodes' worth of time for one stream where the scene mostly
+/// holds still, and more where it does not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum CodecChoice {
     /// Always the lossy DCT codec (the pre-codec-id behaviour).

@@ -86,8 +86,9 @@ impl TileLayout {
     /// The untiled layout `ω`: a single tile covering a `w`×`h` frame.
     ///
     /// # Panics
-    /// Panics if the frame dimensions are not aligned (checked at video
-    /// ingest, so an unaligned frame can never reach layout code).
+    /// Panics if the frame dimensions are not aligned. `VideoStore::ingest`
+    /// refuses such a source before it asks for any layout; other callers
+    /// holding unchecked dimensions use [`TileLayout::new`].
     pub fn untiled(w: u32, h: u32) -> Self {
         TileLayout::new(vec![w], vec![h]).expect("frame dimensions must be TILE_ALIGN-aligned")
     }

@@ -203,10 +203,25 @@ fn decode_plane_spatial(
     Ok(plane)
 }
 
-/// The residual cost [`encode_plane_spatial`] would reach on the plane: the
-/// sum of each row's best predictor cost, with no plane encoded into a
-/// scratch buffer to find it out. (The sum could stop at the temporal cost
-/// it is compared with; ROADMAP 1(b) says why it does not yet.)
+/// Whether [`encode_plane_spatial`] would reach a residual cost below
+/// `temporal_cost` on the plane. Sums each row's best predictor cost, with
+/// no plane encoded into a scratch buffer, and stops at the row where the
+/// sum reaches `temporal_cost`: the rows below cannot bring it back down.
+fn spatial_beats(samples: &[u8], w: usize, h: usize, temporal_cost: u64) -> bool {
+    let mut sum = 0u64;
+    for y in 0..h {
+        if sum >= temporal_cost {
+            return false;
+        }
+        let (row, prev) = row_and_above(samples, w, y);
+        sum += best_row_predictor(row, prev).0;
+    }
+    sum < temporal_cost
+}
+
+/// The oracle for [`spatial_beats`]: the full row-cost sum, every row
+/// visited whatever it is compared with.
+#[cfg(test)]
 fn spatial_cost(samples: &[u8], w: usize, h: usize) -> u64 {
     (0..h)
         .map(|y| {
@@ -310,7 +325,8 @@ pub fn encode_intra(frame: &Frame) -> Vec<u8> {
 
 /// Encodes a P-frame against the previous reconstruction (identical to the
 /// previous source frame — the codec is lossless). Each plane picks
-/// temporal delta or spatial prediction, whichever yields cheaper residuals.
+/// temporal delta or spatial prediction, whichever yields cheaper residuals
+/// (temporal on a tie).
 pub fn encode_inter(frame: &Frame, prev: &Frame) -> Vec<u8> {
     let mut residuals = Vec::with_capacity(frame.sample_count() as usize + 8);
     for plane in Plane::ALL {
@@ -325,11 +341,11 @@ pub fn encode_inter(frame: &Frame, prev: &Frame) -> Vec<u8> {
             .zip(old)
             .map(|(&c, &p)| residual_cost(c.wrapping_sub(p)) as u64)
             .sum();
-        if temporal_cost <= spatial_cost(cur, w, h) {
+        if spatial_beats(cur, w, h, temporal_cost) {
+            encode_plane_spatial(cur, w, h, &mut residuals);
+        } else {
             residuals.push(PLANE_TEMPORAL);
             residuals.extend(cur.iter().zip(old).map(|(&c, &p)| c.wrapping_sub(p)));
-        } else {
-            encode_plane_spatial(cur, w, h, &mut residuals);
         }
     }
     seal(&residuals)
@@ -477,16 +493,92 @@ mod tests {
         );
     }
 
+    /// The oracle for [`encode_inter`]: the same encode, deciding on the
+    /// full sum.
+    fn encode_inter_full_sum(frame: &Frame, prev: &Frame) -> Vec<u8> {
+        let mut residuals = Vec::new();
+        for plane in Plane::ALL {
+            let (w, h) = plane_dims(frame, plane);
+            let (cur, old) = (frame.plane(plane), prev.plane(plane));
+            let delta = || cur.iter().zip(old).map(|(&c, &p)| c.wrapping_sub(p));
+            let temporal_cost: u64 = delta().map(|r| residual_cost(r) as u64).sum();
+            if temporal_cost <= spatial_cost(cur, w, h) {
+                residuals.push(PLANE_TEMPORAL);
+                residuals.extend(delta());
+            } else {
+                encode_plane_spatial(cur, w, h, &mut residuals);
+            }
+        }
+        seal(&residuals)
+    }
+
+    fn plane_dims(f: &Frame, plane: Plane) -> (usize, usize) {
+        (
+            f.plane_width(plane) as usize,
+            f.plane_height(plane) as usize,
+        )
+    }
+
+    /// A frame whose smooth planes a row predictor models almost exactly:
+    /// what a scene cut lands on.
+    fn smooth(w: u32, h: u32) -> Frame {
+        let mut f = Frame::filled(w, h, 0, 70, 180);
+        for y in 0..h {
+            for x in 0..w {
+                f.set_sample(Plane::Y, x, y, (40 + x / 2 + y) as u8);
+            }
+        }
+        f
+    }
+
+    /// A reference frame at temporal cost exactly `cost(plane)` from each
+    /// plane of `cur`: the cost is spread over the leading samples, at most
+    /// 128 (the largest residual cost) apiece.
+    fn reference_at(cur: &Frame, cost: impl Fn(Plane) -> u64) -> Frame {
+        let [y, u, v] = Plane::ALL.map(|plane| {
+            let mut left = cost(plane);
+            let old: Vec<u8> = cur
+                .plane(plane)
+                .iter()
+                .map(|&c| {
+                    let d = left.min(128);
+                    left -= d;
+                    c.wrapping_sub(d as u8)
+                })
+                .collect();
+            assert_eq!(left, 0, "cost does not fit the plane");
+            old
+        });
+        Frame::from_planes(cur.width(), cur.height(), y, u, v).unwrap()
+    }
+
+    /// The thresholds at which the early exit could go wrong on a plane:
+    /// around zero, around the full sum (a tie goes to temporal), after the
+    /// first row and just before the last.
+    fn edge_thresholds(samples: &[u8], w: usize, h: usize) -> [u64; 9] {
+        let full = spatial_cost(samples, w, h);
+        let first_row = spatial_cost(samples, w, 1);
+        let all_but_last = spatial_cost(samples, w, h - 1);
+        [
+            0,
+            1,
+            first_row,
+            first_row + 1,
+            all_but_last,
+            all_but_last + 1,
+            full.saturating_sub(1),
+            full,
+            full + 1,
+        ]
+    }
+
     /// The row-cost sum is the cost of the plane's actual spatial encode.
     #[test]
     fn spatial_cost_is_what_a_spatial_encode_reaches() {
         for t in 0..6 {
             let f = textured(64, 48, t);
             for plane in Plane::ALL {
-                let (w, h) = (
-                    f.plane_width(plane) as usize,
-                    f.plane_height(plane) as usize,
-                );
+                let (w, h) = plane_dims(&f, plane);
                 let samples = f.plane(plane);
                 let mut scratch = Vec::new();
                 encode_plane_spatial(samples, w, h, &mut scratch);
@@ -496,6 +588,87 @@ mod tests {
                     .sum();
                 assert_eq!(spatial_cost(samples, w, h), full, "plane {plane:?} t {t}");
             }
+        }
+    }
+
+    #[test]
+    fn spatial_beats_is_the_full_sum_comparison() {
+        let frames = [
+            Frame::filled(64, 48, 0, 0, 0),
+            Frame::filled(64, 48, 90, 128, 200),
+            textured(64, 48, 0),
+            textured(64, 48, 3),
+            smooth(64, 48),
+        ];
+        for (i, f) in frames.iter().enumerate() {
+            for plane in Plane::ALL {
+                let (w, h) = plane_dims(f, plane);
+                let samples = f.plane(plane);
+                let full = spatial_cost(samples, w, h);
+                for temporal in edge_thresholds(samples, w, h).into_iter().chain([u64::MAX]) {
+                    assert_eq!(
+                        spatial_beats(samples, w, h, temporal),
+                        full < temporal,
+                        "frame {i} plane {plane:?}: full {full}, temporal {temporal}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `encode_inter` against references placed at every edge threshold of
+    /// every plane — the exact tie (temporal keeps the plane, so decoding
+    /// needs the reference), one either side of it, the exit firing after
+    /// the first row and at the last — is byte-equal to the full-sum encode.
+    #[test]
+    fn inter_matches_the_full_sum_encode_at_every_edge() {
+        for cur in [textured(64, 48, 2), smooth(64, 48)] {
+            let edges = |plane| {
+                let (w, h) = plane_dims(&cur, plane);
+                edge_thresholds(cur.plane(plane), w, h)
+            };
+            for k in 0..edges(Plane::Y).len() {
+                let reference = reference_at(&cur, |plane| edges(plane)[k]);
+                let data = encode_inter(&cur, &reference);
+                assert_eq!(data, encode_inter_full_sum(&cur, &reference), "edge {k}");
+                assert_eq!(
+                    decode_frame(&data, 64, 48, Some(&reference)).as_ref(),
+                    Ok(&cur)
+                );
+            }
+            let full = |plane| {
+                let (w, h) = plane_dims(&cur, plane);
+                spatial_cost(cur.plane(plane), w, h)
+            };
+            // A tie on every plane is temporal on every plane; one past it
+            // is spatial on every plane and decodes with no reference.
+            let tie = encode_inter(&cur, &reference_at(&cur, full));
+            assert_eq!(
+                decode_frame(&tie, 64, 48, None),
+                Err(PredError::MissingReference)
+            );
+            let past = encode_inter(&cur, &reference_at(&cur, |p| full(p) + 1));
+            assert_eq!(decode_frame(&past, 64, 48, None).as_ref(), Ok(&cur));
+        }
+    }
+
+    /// Real motion and a real cut, both directions: the decision, and so
+    /// the bytes, are the full sum's.
+    #[test]
+    fn inter_matches_the_full_sum_encode_on_motion_and_cuts() {
+        let clips = [
+            (textured(64, 48, 0), textured(64, 48, 0)),
+            (textured(64, 48, 0), textured(64, 48, 1)),
+            (textured(64, 48, 0), smooth(64, 48)),
+            (smooth(64, 48), textured(64, 48, 0)),
+            (Frame::filled(64, 48, 90, 128, 128), smooth(64, 48)),
+        ];
+        for (i, (prev, cur)) in clips.iter().enumerate() {
+            assert_eq!(
+                encode_inter(cur, prev),
+                encode_inter_full_sum(cur, prev),
+                "clip {i}"
+            );
         }
     }
 
@@ -563,6 +736,30 @@ mod proptests {
             }
             let data = encode_intra(&f);
             prop_assert_eq!(decode_frame(&data, w, h, None).as_ref().ok(), Some(&f));
+        }
+
+        #[test]
+        fn prop_spatial_beats_is_the_full_sum_comparison(
+            seed in any::<u64>(),
+            w in 1usize..40,
+            h in 1usize..24,
+            noise in 0u64..=255,
+            eighths in 0u64..=16,
+            nudge in 0u64..=2,
+        ) {
+            // A ramp the predictors model, under `noise` levels of texture
+            // they cannot: from all-but-free to incompressible.
+            let mut s = seed | 1;
+            let samples: Vec<u8> = (0..w * h)
+                .map(|i| {
+                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (((i % w) * 2 + i / w) as u64 + (s >> 33) % (noise + 1)) as u8
+                })
+                .collect();
+            let full = spatial_cost(&samples, w, h);
+            // Thresholds from zero to twice the sum, and one either side.
+            let temporal = (full * eighths / 8 + nudge).saturating_sub(1);
+            prop_assert_eq!(spatial_beats(&samples, w, h, temporal), full < temporal);
         }
 
         #[test]

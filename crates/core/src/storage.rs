@@ -114,6 +114,8 @@ pub enum StoreError {
     /// A video name that cannot be a directory name under the store root:
     /// empty, `.` or `..`, or holding `/`, `\` or NUL.
     InvalidName(String),
+    /// A [`StorageConfig`] no video can be stored under.
+    InvalidConfig(&'static str),
 }
 
 impl std::fmt::Display for StoreError {
@@ -126,6 +128,7 @@ impl std::fmt::Display for StoreError {
             StoreError::Stitch(e) => write!(f, "stitch error: {e}"),
             StoreError::NotFound(what) => write!(f, "not found: {what}"),
             StoreError::InvalidName(name) => write!(f, "invalid video name {name:?}"),
+            StoreError::InvalidConfig(why) => write!(f, "invalid storage config: {why}"),
         }
     }
 }
@@ -184,7 +187,7 @@ pub struct StorageConfig {
     /// Per-tile codec selection, recorded in the manifest at ingest and
     /// honoured by every later re-tile of the video. The default,
     /// [`CodecChoice::Auto`], encodes every tile with both codecs and keeps
-    /// the smaller stream — about five times the encode time of
+    /// the smaller stream — about three times the encode time of
     /// [`CodecChoice::Dct`], which encodes each tile once, and on re-tiled
     /// (DCT-decoded) input it keeps the DCT stream on every tile anyway.
     /// [`CodecChoice::Pred`] stores every tile losslessly. A manifest from
@@ -516,11 +519,15 @@ impl VideoStore {
         cfg: StorageConfig,
         layout_for: impl FnMut(usize, Range<u32>) -> TileLayout,
     ) -> Result<(VideoManifest, EncodeStats), StoreError> {
-        assert!(
-            cfg.sot_frames > 0 && cfg.sot_frames.is_multiple_of(cfg.gop_len),
-            "SOT duration must be a positive multiple of the GOP length"
-        );
         check_video_name(name)?;
+        // Checked before anything is touched on disk, and before
+        // `layout_for` — which may build `TileLayout::untiled` — runs.
+        if !(cfg.sot_frames > 0 && cfg.sot_frames.is_multiple_of(cfg.gop_len)) {
+            return Err(StoreError::InvalidConfig(
+                "SOT duration must be a positive multiple of the GOP length",
+            ));
+        }
+        TileLayout::new(vec![src.width()], vec![src.height()])?;
         let dir = self.root.join(name);
         if self.io.exists(&dir) {
             // Unpublish first: the manifest is removed (one atomic unlink)
@@ -1866,7 +1873,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "multiple of the GOP")]
     fn sot_must_align_to_gops() {
         let store = temp_store("align");
         let src = test_source(10);
@@ -1875,6 +1881,7 @@ mod tests {
             sot_frames: 10,
             ..Default::default()
         };
-        let _ = store.ingest("v", &src, 30, cfg, |_, _| TileLayout::untiled(64, 64));
+        let refused = store.ingest("v", &src, 30, cfg, |_, _| TileLayout::untiled(64, 64));
+        assert!(matches!(refused, Err(StoreError::InvalidConfig(_))));
     }
 }

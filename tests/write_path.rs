@@ -9,8 +9,10 @@
 
 use std::path::{Path, PathBuf};
 use tasm_cluster::{apply_record, StagedSots};
-use tasm_codec::{CodecChoice, TileLayout};
-use tasm_core::{StorageConfig, StoreError, Tasm, TasmConfig, VideoManifest, VideoStore};
+use tasm_codec::{CodecChoice, LayoutError, TileLayout};
+use tasm_core::{
+    StorageConfig, StoreError, Tasm, TasmConfig, TasmError, VideoManifest, VideoStore,
+};
 use tasm_index::MemoryIndex;
 use tasm_proto::ReplicationRecord;
 use tasm_video::{Frame, Plane, Rect, VecFrameSource};
@@ -209,6 +211,28 @@ const PINNED: &[(CodecChoice, [Step; 4])] = &[
     ),
 ];
 
+/// Whether a run's steps are the pinned ones.
+fn steps_match(got: &[(u64, Vec<Vec<u8>>)], want: &[Step]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(g, w)| g.0 == w.0 && g.1.iter().map(Vec::as_slice).eq(w.1.iter().copied()))
+}
+
+/// A run's steps as rows of a pinned table, to paste over a stale one.
+fn steps_rows(steps: &[(u64, Vec<Vec<u8>>)]) -> String {
+    steps
+        .iter()
+        .map(|(digest, codecs)| {
+            format!(
+                "            ({digest:#018x}, [&{:?}, &{:?}]),\n",
+                codecs[0], codecs[1]
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn ingest_and_retile_files_are_pinned() {
     let mut got = Vec::new();
@@ -219,23 +243,15 @@ fn ingest_and_retile_files_are_pinned() {
         got.push((codec, serial));
     }
     let same = got.len() == PINNED.len()
-        && got.iter().zip(PINNED).all(|(g, w)| {
-            g.0 == w.0
-                && g.1.len() == w.1.len()
-                && g.1.iter().zip(&w.1).all(|(gs, ws)| {
-                    gs.0 == ws.0 && gs.1.iter().map(Vec::as_slice).eq(ws.1.iter().copied())
-                })
-        });
+        && got
+            .iter()
+            .zip(PINNED)
+            .all(|(g, w)| g.0 == w.0 && steps_match(&g.1, &w.1));
     if !same {
         let mut table = String::new();
         for (codec, steps) in &got {
             table += &format!("    (\n        CodecChoice::{codec:?},\n        [\n");
-            for (digest, codecs) in steps {
-                table += &format!(
-                    "            ({digest:#018x}, [&{:?}, &{:?}]),\n",
-                    codecs[0], codecs[1]
-                );
-            }
+            table += &steps_rows(steps);
             table += "        ],\n    ),\n";
         }
         panic!("write-path digests moved; this build produces:\n{table}");
@@ -390,25 +406,17 @@ fn decision_clips_through_tasm_are_pinned() {
         }
     }
     let same = got.len() == DECISION_PINNED.len()
-        && got.iter().zip(DECISION_PINNED).all(|(g, w)| {
-            (g.0, g.1) == (w.0, w.1)
-                && g.2.len() == w.2.len()
-                && g.2.iter().zip(&w.2).all(|(gs, ws)| {
-                    gs.0 == ws.0 && gs.1.iter().map(Vec::as_slice).eq(ws.1.iter().copied())
-                })
-        });
+        && got
+            .iter()
+            .zip(DECISION_PINNED)
+            .all(|(g, w)| (g.0, g.1) == (w.0, w.1) && steps_match(&g.2, &w.2));
     if !same {
         let mut table = String::new();
         for (motion, codec, steps) in &got {
             table += &format!(
                 "    (\n        Motion::{motion:?},\n        CodecChoice::{codec:?},\n        [\n"
             );
-            for (digest, codecs) in steps {
-                table += &format!(
-                    "            ({digest:#018x}, [&{:?}, &{:?}]),\n",
-                    codecs[0], codecs[1]
-                );
-            }
+            table += &steps_rows(steps);
             table += "        ],\n    ),\n";
         }
         panic!("decision-clip digests moved; this build produces:\n{table}");
@@ -459,6 +467,56 @@ fn recorded_codec_choice_is_what_a_retile_honours() {
     );
     drop(store);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A source the tile grid cannot hold (dimensions not multiples of
+/// `TILE_ALIGN`) or a config whose SOTs are not whole GOPs is refused with
+/// a typed error before anything is made on disk — both used to panic, the
+/// first after the video directory existed — and the name stays usable.
+#[test]
+fn unaligned_sources_and_bad_configs_are_typed_errors_that_leave_nothing_behind() {
+    let root = temp_dir("refused");
+    let tasm = Tasm::open(
+        &root,
+        Box::new(MemoryIndex::in_memory()),
+        TasmConfig::default(),
+    )
+    .unwrap();
+    let empty_store = list_tree(&root);
+    let unaligned = VecFrameSource::new(vec![Frame::filled(100, 100, 90, 128, 128); 2]);
+    assert!(matches!(
+        tasm.ingest("v", &unaligned, 30),
+        Err(TasmError::Store(StoreError::Layout(
+            LayoutError::Misaligned { dim: 100 }
+        )))
+    ));
+
+    let untiled = |_: usize, _: std::ops::Range<u32>| TileLayout::untiled(W, H);
+    for (gop_len, sot_frames) in [(30, 45), (30, 0), (0, 30)] {
+        let bad = StorageConfig {
+            gop_len,
+            sot_frames,
+            ..Default::default()
+        };
+        assert!(
+            matches!(
+                tasm.store().ingest("v", &clip(), 30, bad, untiled),
+                Err(StoreError::InvalidConfig(_))
+            ),
+            "gop {gop_len}, sot {sot_frames}"
+        );
+    }
+
+    assert_eq!(list_tree(&root), empty_store);
+    assert!(!root.join("v").exists());
+    assert!(tasm.fsck().unwrap().is_clean());
+    assert!(!tasm.has_stored_video("v"));
+
+    tasm.ingest("v", &clip(), 30).unwrap();
+    assert_eq!(tasm.manifest("v").unwrap().frame_count, FRAMES);
+    assert!(tasm.fsck().unwrap().is_clean());
+    drop(tasm);
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// A peer's `Replicate` frame names the video; the store joins that name
