@@ -625,6 +625,81 @@ mod tests {
         });
     }
 
+    /// One coefficient's `(run, level)` pair, as `read_residual` reads it
+    /// from the product reader.
+    fn read_pair(r: &mut crate::bitstream::BitReader<'_>) -> Result<(u32, i32), BitstreamError> {
+        Ok((r.get_ue()?, r.get_se()?))
+    }
+
+    /// The same pair from the reference reader: two exp-Golomb walks.
+    fn read_pair_slow(r: &mut BitReader<'_>) -> Result<(u32, i32), BitstreamError> {
+        Ok((r.get_ue()?, r.get_se()?))
+    }
+
+    /// Mostly the tiny runs and levels a quantized block holds, some of the
+    /// 37–236-sized ones, a zero level, and the extremes of both codes.
+    fn arb_pair(rng: &mut Rng) -> (u32, i32) {
+        let run = match rng.u32(0..8) {
+            0 => 37 + rng.u32(0..200),
+            1 => u32::MAX - 1 - rng.u32(0..2),
+            2 => rng.u32(3..64),
+            _ => rng.u32(0..3),
+        };
+        let sign = if rng.u32(0..2) == 0 { 1 } else { -1 };
+        let level = match rng.u32(0..8) {
+            0 => i32::MAX,
+            1 => i32::MIN + 1,
+            2 => sign * (37 + rng.u32(0..200) as i32),
+            3 => 0,
+            _ => sign * rng.u32(1..4) as i32,
+        };
+        (run, level)
+    }
+
+    #[test]
+    fn run_level_pairs_match_reference_at_every_cut() {
+        for_cases(100, "run-level", |rng| {
+            let pairs: Vec<(u32, i32)> = (0..rng.usize(1..24)).map(|_| arb_pair(rng)).collect();
+            // 0..8 bits ahead of the pairs put every code at every bit
+            // offset in its byte, and cutting after every byte puts the end
+            // of the stream at every distance from every code.
+            for lead in 0..8u32 {
+                let mut w = BitWriter::new();
+                w.put_bits(rng.u32(0..1 << lead), lead);
+                for &(run, level) in &pairs {
+                    w.put_ue(run);
+                    w.put_se(level);
+                }
+                let whole = w.finish();
+                for cut in 0..=whole.len() {
+                    let data = &whole[..cut];
+                    let mut fast = crate::bitstream::BitReader::new(data);
+                    let mut slow = BitReader::new(data);
+                    let skipped = fast.get_bits(lead);
+                    assert_eq!(skipped, slow.get_bits(lead));
+                    if skipped.is_err() {
+                        continue;
+                    }
+                    // Every written pair, then on past them (padding, then
+                    // the end), until the stream gives out.
+                    let on = [(0, 0); 3];
+                    for (i, &pair) in pairs.iter().chain(&on).enumerate() {
+                        let got = read_pair(&mut fast);
+                        assert_eq!(got, read_pair_slow(&mut slow), "lead {lead} cut {cut}");
+                        match got {
+                            // The codes are prefix-free: a cut never turns
+                            // one pair into another.
+                            Ok(got) if i < pairs.len() => assert_eq!(got, pair),
+                            Ok(_) => {}
+                            Err(_) => break,
+                        }
+                        assert_eq!(fast.remaining_bits(), slow.remaining_bits());
+                    }
+                }
+            }
+        });
+    }
+
     /// Random clip: textured background, a moving textured square, a patch
     /// of fresh noise — SKIP, INTER and INTRA blocks all occur.
     fn arb_clip(rng: &mut Rng, w: u32, h: u32, frames: u32) -> Vec<Frame> {
@@ -854,5 +929,141 @@ mod tests {
                 Err(want)
             );
         }
+    }
+
+    /// Writes one coded residual: the flag, the count as coded (`nnz - 1`)
+    /// and the pairs.
+    fn put_residual(w: &mut BitWriter, nnz_code: u32, pairs: &[(u32, i32)]) {
+        w.put_bit(true);
+        w.put_ue(nnz_code);
+        for &(run, level) in pairs {
+            w.put_ue(run);
+            w.put_se(level);
+        }
+    }
+
+    /// Hand-built coefficient lists at the edges of `read_residual`'s checks,
+    /// each with padding behind it and again as the last bits of the stream.
+    #[test]
+    fn constructed_residual_blocks_are_typed_errors_or_exact() {
+        let dec = TileDecoder::new(16, 16, 28, true);
+        let geom = (16, 16, true);
+        let zero_level = DecodeError::InvalidSyntax("zero level coded as nonzero");
+        let overflow = DecodeError::InvalidSyntax("coefficient run overflows block");
+        let eof = DecodeError::Bitstream(BitstreamError::UnexpectedEof);
+        let full: Vec<(u32, i32)> = (0..64)
+            .map(|i| (0, if i % 3 == 0 { -1 } else { 1 }))
+            .collect();
+        let mut full_but_one_run = full.clone();
+        full_but_one_run[63].0 = 1;
+        // (coded count, pairs, outcome with padding behind, outcome at the
+        // end of the stream). `None`: the block is valid, so what follows
+        // decides — more blocks from the padding, or the end.
+        type Case<'a> = (
+            u32,
+            &'a [(u32, i32)],
+            Option<&'a DecodeError>,
+            &'a DecodeError,
+        );
+        let cases: [Case<'_>; 10] = [
+            // A zero level by the shortest code, after a short run, after a
+            // run no table holds, and as the second pair.
+            (0, &[(0, 0)], Some(&zero_level), &zero_level),
+            (0, &[(5, 0)], Some(&zero_level), &zero_level),
+            (0, &[(40, 0)], Some(&zero_level), &zero_level),
+            (1, &[(2, -1), (0, 0)], Some(&zero_level), &zero_level),
+            // The last coefficient at position 63, and one past it.
+            (1, &[(62, 1), (0, 1)], None, &eof),
+            (1, &[(62, 1), (1, 1)], Some(&overflow), &overflow),
+            (0, &[(64, 1)], Some(&overflow), &overflow),
+            // All 64 coefficients, and a run among them.
+            (63, &full, None, &eof),
+            (63, &full_but_one_run, Some(&overflow), &overflow),
+            // The run is checked before the level is read: an overflowing
+            // run with no level behind it is the run's error, not the end's.
+            (1, &[(62, 1), (1, 0)], Some(&overflow), &overflow),
+        ];
+        for (nnz_code, pairs, padded, at_end) in cases {
+            let mut w = BitWriter::new();
+            put_residual(&mut w, nnz_code, pairs);
+            let bare = w.finish();
+            assert_eq!(
+                decode_both(&dec, geom, &bare, true, 28, None)
+                    .as_ref()
+                    .err(),
+                Some(at_end),
+                "{pairs:?} at the end of the stream"
+            );
+            let mut w = BitWriter::new();
+            put_residual(&mut w, nnz_code, pairs);
+            // Uncoded blocks behind it: a valid frame if the block is.
+            w.put_bits(0, 32);
+            let padded_data = w.finish();
+            assert_eq!(
+                decode_both(&dec, geom, &padded_data, true, 28, None)
+                    .as_ref()
+                    .err(),
+                padded,
+                "{pairs:?} with padding"
+            );
+        }
+        // An overflowing run as the very last bits: its level cannot be
+        // read, and must not be tried.
+        for run in [1u32, 64, 300] {
+            let mut w = BitWriter::new();
+            put_residual(&mut w, 1, &[(62, 1)]);
+            w.put_ue(run);
+            let data = w.finish();
+            assert_eq!(
+                decode_both(&dec, geom, &data, true, 28, None),
+                Err(overflow.clone()),
+                "run {run}"
+            );
+        }
+    }
+
+    /// Blocks of mixed short and long pairs behind 0..64 SKIP bits, so pairs
+    /// start at every bit offset of the reader's window and some straddle
+    /// each refill; whole, and cut after every byte.
+    #[test]
+    fn residuals_at_every_window_offset_match_reference() {
+        let (w, h) = (128u32, 64u32);
+        let dec = TileDecoder::new(w, h, 28, false);
+        let geom = (w, h, false);
+        let reference = Frame::filled(w, h, 90, 120, 140);
+        for_cases(2, "window-offsets", |rng| {
+            for lead in 0..64u32 {
+                let mut bits = BitWriter::new();
+                for _ in 0..lead {
+                    bits.put_ue(0);
+                }
+                for _ in 0..6 {
+                    bits.put_ue(2); // INTRA
+                    let big = 37 + rng.u32(0..200) as i32;
+                    let mut small = || [-3, -2, -1, 1, 2, 3][rng.usize(0..6)];
+                    let pairs = [
+                        (0, small() * 3),
+                        (1, small()),
+                        (37, big),
+                        (0, -big),
+                        (2, small()),
+                        (0, small()),
+                        (5, -37),
+                        (0, small()),
+                    ];
+                    put_residual(&mut bits, pairs.len() as u32 - 1, &pairs);
+                }
+                // SKIP to the end of the frame: 192 blocks in all.
+                for _ in lead + 6..192 {
+                    bits.put_ue(0);
+                }
+                let data = bits.finish();
+                decode_both(&dec, geom, &data, false, 28, Some(&reference))
+                    .expect("a valid P-frame");
+                for cut in 0..data.len() {
+                    let _ = decode_both(&dec, geom, &data[..cut], false, 28, Some(&reference));
+                }
+            }
+        });
     }
 }
