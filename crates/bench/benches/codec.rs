@@ -103,6 +103,42 @@ fn ledger_geometry_benches(c: &mut Criterion) {
     });
     g.finish();
 
+    // The same mix as a block's (run, level) pairs — every second value a
+    // signed level — read by the joint table step and by two walks.
+    let pairs: Vec<(u32, i32)> = codes
+        .chunks_exact(2)
+        .map(|c| (c[0], (c[1] as i32 + 1) * if c[0] % 2 == 0 { 1 } else { -1 }))
+        .collect();
+    let mut bits = BitWriter::new();
+    for &(run, level) in &pairs {
+        bits.put_ue(run);
+        bits.put_se(level);
+    }
+    let stream = bits.finish();
+    let two_walk = |r: &mut BitReader<'_>| (r.get_ue().unwrap(), r.get_se().unwrap());
+    let mut g = c.benchmark_group("bitreader");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(pairs.len() as u64));
+    g.bench_function("run_level", |b| {
+        b.iter(|| {
+            let mut r = BitReader::new(&stream);
+            (0..pairs.len()).fold(0u32, |acc, _| {
+                let (run, level) = r.get_run_level().unwrap_or_else(|| two_walk(&mut r));
+                acc.wrapping_add(run).wrapping_add(level as u32)
+            })
+        })
+    });
+    g.bench_function("run_level_two_walk", |b| {
+        b.iter(|| {
+            let mut r = BitReader::new(&stream);
+            (0..pairs.len()).fold(0u32, |acc, _| {
+                let (run, level) = two_walk(&mut r);
+                acc.wrapping_add(run).wrapping_add(level as u32)
+            })
+        })
+    });
+    g.finish();
+
     let mut g = c.benchmark_group("encode");
     g.sample_size(10);
     g.throughput(Throughput::Elements(u64::from(frames) * samples));

@@ -75,7 +75,9 @@ pub fn inverse(coef: &[i32; BLOCK_AREA]) -> [i32; BLOCK_AREA] {
             cols |= 1 << (i % BLOCK);
         }
     }
-    inverse_sparse(coef, rows, cols)
+    let mut out = [0i32; BLOCK_AREA];
+    inverse_sparse(coef, rows, cols, &mut [0i64; BLOCK_AREA], &mut out);
+    out
 }
 
 /// Indices of the set bits of `mask`, ascending.
@@ -126,7 +128,15 @@ fn inverse_pass(x: impl Fn(usize) -> i64, occupied: u8, bias: i64) -> [i64; BLOC
 /// intermediate rounding, so leaving out the zero terms (and regrouping the
 /// rest) changes nothing but the time: a DC-only block is one multiply, and
 /// otherwise each pass runs over the occupied rows and columns only.
-pub(crate) fn inverse_sparse(coef: &[i32; BLOCK_AREA], rows: u8, cols: u8) -> [i32; BLOCK_AREA] {
+/// `out` is overwritten; `tmp` is the caller's scratch, whatever it holds
+/// (only the occupied columns are written, and only they are read back).
+pub(crate) fn inverse_sparse(
+    coef: &[i32; BLOCK_AREA],
+    rows: u8,
+    cols: u8,
+    tmp: &mut [i64; BLOCK_AREA],
+    out: &mut [i32; BLOCK_AREA],
+) {
     debug_assert!(
         coef.iter()
             .enumerate()
@@ -137,10 +147,10 @@ pub(crate) fn inverse_sparse(coef: &[i32; BLOCK_AREA], rows: u8, cols: u8) -> [i
     if rows <= 1 && cols <= 1 {
         // Only the DC term: every sample is the same value.
         let dc = coef[0] as i64 * (BASIS[0][0] as i64 * BASIS[0][0] as i64);
-        return [((dc + round) >> (2 * SCALE_BITS)) as i32; BLOCK_AREA];
+        *out = [((dc + round) >> (2 * SCALE_BITS)) as i32; BLOCK_AREA];
+        return;
     }
     // Inverse over columns: tmp = C^T * coef, for the occupied columns.
-    let mut tmp = [0i64; BLOCK_AREA];
     for c in set_bits(cols) {
         let column = inverse_pass(|k| coef[k * BLOCK + c] as i64, rows, 0);
         for (n, v) in column.into_iter().enumerate() {
@@ -148,14 +158,12 @@ pub(crate) fn inverse_sparse(coef: &[i32; BLOCK_AREA], rows: u8, cols: u8) -> [i
         }
     }
     // Inverse over rows with rounding and the remaining 1/4-ish normalization.
-    let mut out = [0i32; BLOCK_AREA];
     for (tmp_row, out_row) in tmp.chunks_exact(BLOCK).zip(out.chunks_exact_mut(BLOCK)) {
         let row = inverse_pass(|k| tmp_row[k], cols, round);
         for (o, v) in out_row.iter_mut().zip(row) {
             *o = (v >> (2 * SCALE_BITS)) as i32;
         }
     }
-    out
 }
 
 #[cfg(test)]

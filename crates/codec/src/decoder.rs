@@ -163,13 +163,19 @@ impl TileDecoder {
         };
         let mut r = BitReader::new(data);
         let qs = qstep(qp);
+        let mut block = Scratch {
+            tmp: [0; BLOCK_AREA],
+            residual: [0; BLOCK_AREA],
+        };
         for plane in Plane::ALL {
             let pw = recon.plane_width(plane) as usize;
             let ph = recon.plane_height(plane) as usize;
             let samples = recon.plane_mut(plane);
             match prev {
-                None => decode_key_plane(&mut r, samples, pw, ph, qs)?,
-                Some(prev) => decode_inter_plane(&mut r, samples, prev.plane(plane), pw, ph, qs)?,
+                None => decode_key_plane(&mut r, &mut block, samples, pw, ph, qs)?,
+                Some(prev) => {
+                    decode_inter_plane(&mut r, &mut block, samples, prev.plane(plane), pw, ph, qs)?
+                }
             }
         }
         if self.deblock {
@@ -190,6 +196,7 @@ impl TileDecoder {
 /// Decodes one plane of a keyframe: every block is intra, no mode symbol.
 fn decode_key_plane(
     r: &mut BitReader<'_>,
+    block: &mut Scratch,
     recon: &mut [u8],
     pw: usize,
     ph: usize,
@@ -197,7 +204,7 @@ fn decode_key_plane(
 ) -> Result<(), DecodeError> {
     for y in (0..ph).step_by(BLOCK) {
         for x in (0..pw).step_by(BLOCK) {
-            decode_intra_block(r, recon, pw, x, y, qs)?;
+            decode_intra_block(r, block, recon, pw, x, y, qs)?;
         }
     }
     Ok(())
@@ -208,6 +215,7 @@ fn decode_key_plane(
 /// is a run of one bits (`ue(0)` each) and is consumed in one step.
 fn decode_inter_plane(
     r: &mut BitReader<'_>,
+    block: &mut Scratch,
     recon: &mut [u8],
     prev: &[u8],
     pw: usize,
@@ -243,13 +251,14 @@ fn decode_inter_plane(
                     return Err(DecodeError::InvalidSyntax("motion vector outside tile"));
                 }
                 let (rx, ry) = (rx as usize, ry as usize);
-                match read_residual(r, qs)? {
-                    Some(res) => reconstruct_inter(recon, pw, x, y, prev, rx, ry, &res),
-                    None => copy_block(recon, pw, x, y, prev, pw, rx, ry),
+                if read_residual(r, block, qs)? {
+                    reconstruct_inter(recon, pw, x, y, prev, rx, ry, &block.residual);
+                } else {
+                    copy_block(recon, pw, x, y, prev, pw, rx, ry);
                 }
             }
             // INTRA fallback inside a P-frame.
-            2 => decode_intra_block(r, recon, pw, x, y, qs)?,
+            2 => decode_intra_block(r, block, recon, pw, x, y, qs)?,
             _ => return Err(DecodeError::InvalidSyntax("unknown block mode")),
         }
         b += 1;
@@ -261,6 +270,7 @@ fn decode_inter_plane(
 /// neighbours inside the tile, plus the residual if one is coded.
 fn decode_intra_block(
     r: &mut BitReader<'_>,
+    block: &mut Scratch,
     recon: &mut [u8],
     stride: usize,
     x: usize,
@@ -268,19 +278,31 @@ fn decode_intra_block(
     qs: i32,
 ) -> Result<(), DecodeError> {
     let pred = dc_predict(recon, stride, x, y);
-    match read_residual(r, qs)? {
-        Some(res) => reconstruct_flat(recon, stride, x, y, pred, &res),
-        None => fill_block(recon, stride, x, y, pred as u8),
+    if read_residual(r, block, qs)? {
+        reconstruct_flat(recon, stride, x, y, pred, &block.residual);
+    } else {
+        fill_block(recon, stride, x, y, pred as u8);
     }
     Ok(())
 }
 
+/// The inverse transform's scratch and output, owned by the frame decode and
+/// reused, so a coded block zeroes its coefficients and nothing else, and
+/// copies nothing.
+struct Scratch {
+    tmp: [i64; BLOCK_AREA],
+    residual: [i32; BLOCK_AREA],
+}
+
 /// Reads a coded-block flag and, if set, the block's coefficients —
-/// dequantized as they are parsed — and inverse transforms them. `None`
-/// means no residual is coded.
-fn read_residual(r: &mut BitReader<'_>, qs: i32) -> Result<Option<[i32; BLOCK_AREA]>, DecodeError> {
+/// dequantized as they are parsed — and inverse transforms them into
+/// `block.residual`. `false` means no residual is coded. A coefficient's
+/// `(run, level)` pair is one table step where the table holds it; the
+/// others are read a symbol at a time, and either way a run is checked
+/// before its level counts, so errors come in the order the syntax has.
+fn read_residual(r: &mut BitReader<'_>, block: &mut Scratch, qs: i32) -> Result<bool, DecodeError> {
     if !r.get_bit()? {
-        return Ok(None);
+        return Ok(false);
     }
     let nnz = r.get_ue()? as usize + 1;
     if nnz > BLOCK_AREA {
@@ -290,14 +312,21 @@ fn read_residual(r: &mut BitReader<'_>, qs: i32) -> Result<Option<[i32; BLOCK_AR
     let (mut rows, mut cols) = (0u8, 0u8);
     let mut pos = 0usize;
     for _ in 0..nnz {
-        let run = r.get_ue()? as usize;
-        pos += run;
+        let pair = r.get_run_level();
+        let run = match pair {
+            Some((run, _)) => run,
+            None => r.get_ue()?,
+        };
+        pos += run as usize;
         if pos >= BLOCK_AREA {
             return Err(DecodeError::InvalidSyntax(
                 "coefficient run overflows block",
             ));
         }
-        let level = r.get_se()?;
+        let level = match pair {
+            Some((_, level)) => level,
+            None => r.get_se()?,
+        };
         if level == 0 {
             return Err(DecodeError::InvalidSyntax("zero level coded as nonzero"));
         }
@@ -307,7 +336,8 @@ fn read_residual(r: &mut BitReader<'_>, qs: i32) -> Result<Option<[i32; BLOCK_AR
         cols |= 1 << (at % BLOCK);
         pos += 1;
     }
-    Ok(Some(inverse_sparse(&coefs, rows, cols)))
+    inverse_sparse(&coefs, rows, cols, &mut block.tmp, &mut block.residual);
+    Ok(true)
 }
 
 #[cfg(test)]

@@ -40,7 +40,12 @@ impl Default for CostModel {
         // Calibrated on the reference machine with `fit_cost_model`
         // (single-threaded software decode): ~3.3 ns/sample plus ~7 µs of
         // per-tile-chunk overhead. Re-fit with CostModel::fit for new
-        // hardware, as §4.1 prescribes.
+        // hardware, as §4.1 prescribes. β is by now ≈ 3x the decode rate
+        // the perf ledger measures (`codec.decode_us_per_mpixel` ≈ 1000,
+        // i.e. 1.0 ns/sample, was ≈ 1280 before the decoder's table step)
+        // and is still not re-fitted (ROADMAP 2-v): layouts and re-tile
+        // decisions come from these constants, never from a timing, so
+        // they must change in a PR of their own, with every exact count.
         CostModel {
             beta: 3.3e-9,
             gamma: 7.4e-6,

@@ -212,6 +212,24 @@ impl Default for StorageConfig {
 }
 
 impl StorageConfig {
+    /// Refuses values the codec or the executor would panic on. A config
+    /// arrives from callers and, inside manifests, from disk and from
+    /// peers; it is checked wherever one enters the store.
+    pub fn check(&self) -> Result<(), StoreError> {
+        if self.qp > tasm_codec::quant::MAX_QP {
+            return Err(StoreError::InvalidConfig("QP is above the codec's maximum"));
+        }
+        if self.gop_len == 0 {
+            return Err(StoreError::InvalidConfig("GOP length must be positive"));
+        }
+        if !(self.sot_frames > 0 && self.sot_frames.is_multiple_of(self.gop_len)) {
+            return Err(StoreError::InvalidConfig(
+                "SOT duration must be a positive multiple of the GOP length",
+            ));
+        }
+        Ok(())
+    }
+
     fn encoder(&self) -> EncoderConfig {
         EncoderConfig {
             gop_len: self.gop_len,
@@ -522,11 +540,7 @@ impl VideoStore {
         check_video_name(name)?;
         // Checked before anything is touched on disk, and before
         // `layout_for` — which may build `TileLayout::untiled` — runs.
-        if !(cfg.sot_frames > 0 && cfg.sot_frames.is_multiple_of(cfg.gop_len)) {
-            return Err(StoreError::InvalidConfig(
-                "SOT duration must be a positive multiple of the GOP length",
-            ));
-        }
+        cfg.check()?;
         TileLayout::new(vec![src.width()], vec![src.height()])?;
         let dir = self.root.join(name);
         if self.io.exists(&dir) {
@@ -614,7 +628,9 @@ impl VideoStore {
         if !self.io.exists(&path) {
             return Err(StoreError::NotFound(format!("video '{name}'")));
         }
-        Ok(serde_json::from_slice(&self.io.read(&path)?)?)
+        let manifest: VideoManifest = serde_json::from_slice(&self.io.read(&path)?)?;
+        manifest.config.check()?;
+        Ok(manifest)
     }
 
     /// Persists a manifest (after retiling) atomically: the new content is
@@ -983,6 +999,7 @@ impl VideoStore {
         manifest: &VideoManifest,
         sots: &[Vec<Vec<u8>>],
     ) -> Result<(), StoreError> {
+        manifest.config.check()?;
         validate_replica_payload(manifest, sots)?;
         let name = manifest.name.as_str();
         check_video_name(name)?;
@@ -1058,6 +1075,7 @@ impl VideoStore {
             .sots
             .get(sot_idx)
             .ok_or_else(|| StoreError::NotFound(format!("SOT {sot_idx}")))?;
+        new_manifest.config.check()?;
         validate_replica_sot(sot, tiles)?;
         let name = new_manifest.name.as_str();
         check_video_name(name)?;
@@ -1873,15 +1891,25 @@ mod tests {
     }
 
     #[test]
-    fn sot_must_align_to_gops() {
-        let store = temp_store("align");
-        let src = test_source(10);
-        let cfg = StorageConfig {
-            gop_len: 4,
-            sot_frames: 10,
+    fn sots_must_be_whole_gops_and_qp_in_range() {
+        let cfg = |qp, gop_len, sot_frames| StorageConfig {
+            qp,
+            gop_len,
+            sot_frames,
             ..Default::default()
         };
-        let refused = store.ingest("v", &src, 30, cfg, |_, _| TileLayout::untiled(64, 64));
+        for bad in [cfg(28, 4, 10), cfg(28, 4, 0), cfg(28, 0, 4), cfg(52, 4, 4)] {
+            assert!(
+                matches!(bad.check(), Err(StoreError::InvalidConfig(_))),
+                "{bad:?}"
+            );
+        }
+        cfg(51, 4, 8).check().unwrap();
+        let store = temp_store("align");
+        let src = test_source(10);
+        let refused = store.ingest("v", &src, 30, cfg(28, 4, 10), |_, _| {
+            TileLayout::untiled(64, 64)
+        });
         assert!(matches!(refused, Err(StoreError::InvalidConfig(_))));
     }
 }

@@ -32,6 +32,7 @@ use tasm_core::{
 };
 use tasm_data::{SceneSpec, SyntheticVideo};
 use tasm_index::MemoryIndex;
+use tasm_proto::ReplicationRecord;
 use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::{RetileHook, RetilePolicy, ServiceConfig};
 use tasm_suite::regions_identical;
@@ -269,6 +270,74 @@ fn replication_hook_acks_the_delta_of_a_live_retile() {
             "query {qi}: backup bytes diverge from the primary"
         );
     }
+}
+
+/// A backup takes its peer's manifest verbatim, config included: one with
+/// no GOP length (a division by zero at the backup's first query) or a QP
+/// past the quantizer's table (a panic at its next re-tile) is a typed
+/// error frame before a byte lands, the session stays up, and the sound
+/// manifest behind it installs.
+#[test]
+fn a_backup_refuses_a_peers_out_of_range_config() {
+    let video = scene();
+    let base = base_dir("peer-config");
+    let primary = open_mem(base.join("primary"), plain_cfg());
+    ingest(&primary, &video);
+    let backup_tasm = open_mem(base.join("backup"), plain_cfg());
+    let backup = TasmServer::bind(
+        Arc::clone(&backup_tasm),
+        ServiceConfig {
+            workers: 1,
+            queue_depth: 16,
+            ..Default::default()
+        },
+        ServerConfig::default(),
+        "127.0.0.1:0",
+    )
+    .expect("bind backup shard");
+    let manifest = primary.manifest("v").unwrap();
+    let mut conn = Connection::connect(backup.local_addr()).expect("connect backup");
+    let mut sync = |config: StorageConfig| {
+        for (sot_idx, sot) in manifest.sots.iter().enumerate() {
+            let tiles = (0..sot.layout.tile_count())
+                .map(|t| primary.store().tile_file_bytes(&manifest, sot_idx, t))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            conn.replicate(ReplicationRecord::StageSot {
+                video: "v".to_string(),
+                sot_idx: sot_idx as u32,
+                tiles,
+            })
+            .expect("staging only holds the bytes");
+        }
+        let sent = tasm_core::VideoManifest {
+            config,
+            ..manifest.clone()
+        };
+        conn.replicate(ReplicationRecord::CommitVideo {
+            epoch: 0,
+            video: "v".to_string(),
+            manifest: serde_json::to_vec(&sent).unwrap(),
+        })
+    };
+    for (qp, gop_len) in [(28, 0), (60, 30)] {
+        let refused = sync(StorageConfig {
+            qp,
+            gop_len,
+            ..manifest.config
+        })
+        .expect_err("an out-of-range config must not install");
+        assert!(
+            refused.to_string().contains("invalid storage config"),
+            "{refused}"
+        );
+        assert!(!backup_tasm.has_stored_video("v"));
+        assert!(!base.join("backup").join("v").exists());
+        assert!(backup_tasm.fsck().unwrap().is_clean());
+    }
+    sync(manifest.config).expect("the sound manifest installs");
+    assert_eq!(backup_tasm.manifest("v").unwrap(), manifest);
+    assert!(backup_tasm.fsck().unwrap().is_clean());
 }
 
 /// R=2 failover: `kill -9` the primary mid-workload (regret daemon

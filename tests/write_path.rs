@@ -470,9 +470,10 @@ fn recorded_codec_choice_is_what_a_retile_honours() {
 }
 
 /// A source the tile grid cannot hold (dimensions not multiples of
-/// `TILE_ALIGN`) or a config whose SOTs are not whole GOPs is refused with
-/// a typed error before anything is made on disk — both used to panic, the
-/// first after the video directory existed — and the name stays usable.
+/// `TILE_ALIGN`), a config whose SOTs are not whole GOPs or a QP the
+/// quantizer has no step for is refused with a typed error before anything
+/// is made on disk — all used to panic, the first and last after the video
+/// directory existed — and the name stays usable.
 #[test]
 fn unaligned_sources_and_bad_configs_are_typed_errors_that_leave_nothing_behind() {
     let root = temp_dir("refused");
@@ -492,18 +493,26 @@ fn unaligned_sources_and_bad_configs_are_typed_errors_that_leave_nothing_behind(
     ));
 
     let untiled = |_: usize, _: std::ops::Range<u32>| TileLayout::untiled(W, H);
-    for (gop_len, sot_frames) in [(30, 45), (30, 0), (0, 30)] {
-        let bad = StorageConfig {
-            gop_len,
-            sot_frames,
-            ..Default::default()
-        };
+    for bad in bad_configs() {
         assert!(
             matches!(
                 tasm.store().ingest("v", &clip(), 30, bad, untiled),
                 Err(StoreError::InvalidConfig(_))
             ),
-            "gop {gop_len}, sot {sot_frames}"
+            "{bad:?}"
+        );
+        // The facade ingests with the config it was opened with.
+        let config = TasmConfig {
+            storage: bad,
+            ..Default::default()
+        };
+        let facade = Tasm::open(&root, Box::new(MemoryIndex::in_memory()), config).unwrap();
+        assert!(
+            matches!(
+                facade.ingest("v", &clip(), 30),
+                Err(TasmError::Store(StoreError::InvalidConfig(_)))
+            ),
+            "{bad:?}"
         );
     }
 
@@ -516,6 +525,137 @@ fn unaligned_sources_and_bad_configs_are_typed_errors_that_leave_nothing_behind(
     assert_eq!(tasm.manifest("v").unwrap().frame_count, FRAMES);
     assert!(tasm.fsck().unwrap().is_clean());
     drop(tasm);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Configs the codec or the executor would panic on: SOTs that are not whole
+/// GOPs, no GOP at all, a QP past the quantizer's table.
+fn bad_configs() -> Vec<StorageConfig> {
+    [
+        (28, 30, 45),
+        (28, 30, 0),
+        (28, 0, 30),
+        (28, 0, 0),
+        (52, 30, 30),
+        (60, 6, 6),
+    ]
+    .into_iter()
+    .map(|(qp, gop_len, sot_frames)| StorageConfig {
+        qp,
+        gop_len,
+        sot_frames,
+        ..Default::default()
+    })
+    .collect()
+}
+
+/// A manifest carries its video's config, and arrives from peers and from
+/// disk: one the store would divide by zero or panic on (at the first query,
+/// at the next re-tile) is a typed error from every entry point before a
+/// byte lands, and a manifest file holding one does not load.
+#[test]
+fn out_of_range_configs_in_manifests_are_refused_from_peers_and_disk() {
+    let root = temp_dir("peer-config");
+    let tasm = Tasm::open(
+        &root,
+        Box::new(MemoryIndex::in_memory()),
+        TasmConfig::default(),
+    )
+    .unwrap();
+    let storage = cfg(CodecChoice::Dct, false);
+    let (manifest, _) = tasm
+        .store()
+        .ingest("v", &clip(), 30, storage, |_, _| TileLayout::untiled(W, H))
+        .unwrap();
+    tasm.attach("v").unwrap();
+    let tiles: Vec<Vec<Vec<u8>>> = (0..manifest.sots.len())
+        .map(|sot| vec![tasm.store().tile_file_bytes(&manifest, sot, 0).unwrap()])
+        .collect();
+    let before = (list_tree(&root), digest_tree(&root));
+
+    for bad in bad_configs() {
+        // As a new video, as a rewrite of one it holds, and as a newer
+        // epoch of one SOT.
+        for name in ["w", "v"] {
+            let mut hostile = VideoManifest {
+                name: name.to_string(),
+                config: bad,
+                ..manifest.clone()
+            };
+            hostile.sots[0].retile_count += 1;
+            let json = serde_json::to_vec_pretty(&hostile).unwrap();
+
+            let mut staged = StagedSots::new();
+            for (sot, t) in tiles.iter().enumerate() {
+                staged.stage(name, sot as u32, t.clone());
+            }
+            let commit = ReplicationRecord::CommitVideo {
+                epoch: 0,
+                video: name.to_string(),
+                manifest: json.clone(),
+            };
+            let err = apply_record(&tasm, &mut staged, commit).unwrap_err();
+            assert!(err.contains("invalid storage config"), "{bad:?}: {err}");
+
+            let store = tasm.store();
+            let invalid =
+                |r: Result<(), StoreError>| matches!(r, Err(StoreError::InvalidConfig(_)));
+            assert!(invalid(store.install_video(&hostile, &tiles)), "{bad:?}");
+            assert!(
+                invalid(store.install_sot(&hostile, 0, &tiles[0])),
+                "{bad:?}"
+            );
+        }
+        let mut hostile = VideoManifest {
+            config: bad,
+            ..manifest.clone()
+        };
+        hostile.sots[0].retile_count += 1;
+        let mut staged = StagedSots::new();
+        staged.stage("v", 0, tiles[0].clone());
+        let commit = ReplicationRecord::CommitSot {
+            epoch: 1,
+            video: "v".to_string(),
+            sot_idx: 0,
+            manifest: serde_json::to_vec_pretty(&hostile).unwrap(),
+        };
+        let err = apply_record(&tasm, &mut staged, commit).unwrap_err();
+        assert!(err.contains("invalid storage config"), "{bad:?}: {err}");
+    }
+    assert_eq!(before, (list_tree(&root), digest_tree(&root)));
+    assert!(tasm.fsck().unwrap().is_clean());
+    // The video the store holds still answers, and a sound manifest from a
+    // peer still lands.
+    tasm.apply_replicated_video(manifest.clone(), &tiles)
+        .unwrap();
+    assert!(tasm.fsck().unwrap().is_clean());
+
+    // A manifest file that holds such a config (written by hand, or by a
+    // build from before configs were checked) does not load: the video
+    // does not attach, and fsck names it.
+    let path = root.join("v").join("manifest.json");
+    let sound = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, sound.replace("\"gop_len\": 6", "\"gop_len\": 0")).unwrap();
+    assert!(matches!(
+        tasm.store().load_manifest("v"),
+        Err(StoreError::InvalidConfig(_))
+    ));
+    drop(tasm);
+    let reopened = Tasm::open(
+        &root,
+        Box::new(MemoryIndex::in_memory()),
+        TasmConfig::default(),
+    )
+    .unwrap();
+    assert!(matches!(
+        reopened.attach("v"),
+        Err(TasmError::Store(StoreError::InvalidConfig(_)))
+    ));
+    assert!(!reopened.fsck().unwrap().is_clean());
+    std::fs::write(&path, sound).unwrap();
+    reopened.attach("v").unwrap();
+    assert!(reopened.fsck().unwrap().is_clean());
+    drop(reopened);
     std::fs::remove_dir_all(&root).ok();
 }
 
