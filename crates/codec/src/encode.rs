@@ -269,6 +269,150 @@ mod tests {
         }
     }
 
+    fn payload(frames: &[EncodedFrame]) -> u64 {
+        frames.iter().map(|f| f.data.len() as u64).sum()
+    }
+
+    /// The size trial by its definition, sharing nothing with
+    /// `encode_tiles`: each tile through both encoders to the last frame,
+    /// the lossless stream kept only if its payload is strictly smaller.
+    fn unbounded_trial(
+        src: &VecFrameSource,
+        rects: &[Rect],
+        cfg: &EncoderConfig,
+    ) -> Vec<(TileCodec, Vec<EncodedFrame>)> {
+        rects
+            .iter()
+            .map(|&rect| {
+                let mut enc = TileEncoder::new(*cfg, rect);
+                let dct: Vec<_> = src.frames().iter().map(|f| enc.encode_next(f)).collect();
+                let mut enc = PredTileEncoder::new(rect, cfg.gop_len);
+                let lossless: Vec<_> = src.frames().iter().map(|f| enc.encode_next(f)).collect();
+                if payload(&lossless) < payload(&dct) {
+                    (TileCodec::Pred, lossless)
+                } else {
+                    (TileCodec::Dct, dct)
+                }
+            })
+            .collect()
+    }
+
+    /// Pseudo-random samples from `seed`, one per call.
+    fn lcg(seed: &mut u64) -> u8 {
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (*seed >> 33) as u8
+    }
+
+    /// `n` frames of `w`×`h`: columns left of `flat_w` flat and static (a
+    /// large enough tile of them is where the lossless stream wins), the
+    /// rest textured, with a block moving across the whole frame and —
+    /// where `noise` — fresh noise over the textured part every frame.
+    fn mixed_source(n: u32, w: u32, h: u32, flat_w: u32, noise: bool, seed: u64) -> VecFrameSource {
+        let mut s = seed | 1;
+        let texture: Vec<u8> = (0..w * h).map(|_| 60 + lcg(&mut s) % 90).collect();
+        let frames = (0..n)
+            .map(|t| {
+                let mut f = Frame::filled(w, h, 90, 120, 136);
+                for y in 0..h {
+                    for x in flat_w..w {
+                        let v = if noise {
+                            lcg(&mut s)
+                        } else {
+                            texture[(y * w + x) as usize]
+                        };
+                        f.set_sample(Plane::Y, x, y, v);
+                    }
+                }
+                f.fill_rect(Rect::new((t * 6) % (w - 16), h / 2, 16, 8), 210, 100, 150);
+                f
+            })
+            .collect();
+        VecFrameSource::new(frames)
+    }
+
+    /// Asserts `encode_video` under `Auto`, serial and parallel, is the
+    /// unbounded trial tile for tile — verdict and bytes — and returns the
+    /// verdicts.
+    fn assert_trial_is_the_unbounded_one(
+        src: &VecFrameSource,
+        layout: &TileLayout,
+        cfg: &EncoderConfig,
+        what: &str,
+    ) -> Vec<TileCodec> {
+        assert_eq!(cfg.codec, CodecChoice::Auto);
+        let rects: Vec<Rect> = layout.tiles().map(|(_, r)| r).collect();
+        let want = unbounded_trial(src, &rects, cfg);
+        assert_eq!(encode_tiles(src, &rects, cfg), want, "{what}");
+        for parallel in [false, true] {
+            let (videos, _) = encode_video(src, layout, cfg, parallel).unwrap();
+            let got: Vec<_> = videos.into_iter().map(|v| (v.codec, v.frames)).collect();
+            assert_eq!(got, want, "{what} parallel={parallel}");
+        }
+        want.into_iter().map(|(codec, _)| codec).collect()
+    }
+
+    #[test]
+    fn auto_trial_equals_the_unbounded_trial_verdict_and_bytes() {
+        let (w, h, flat_w) = (320, 128, 256);
+        let layouts = [
+            TileLayout::untiled(w, h),
+            TileLayout::uniform(w, h, 2, 2).unwrap(),
+            TileLayout::new(vec![flat_w, w - flat_w], vec![h]).unwrap(),
+            TileLayout::new(vec![flat_w, 16, 48], vec![96, 32]).unwrap(),
+        ];
+        let mut verdicts = Vec::new();
+        for noise in [false, true] {
+            let src = mixed_source(7, w, h, flat_w, noise, 0x5eed);
+            for layout in &layouts {
+                for (qp, gop_len) in [(4, 3), (28, 7), (40, 4)] {
+                    let cfg = EncoderConfig {
+                        codec: CodecChoice::Auto,
+                        qp,
+                        gop_len,
+                        ..Default::default()
+                    };
+                    let what = format!("noise={noise} qp={qp} gop={gop_len} {layout:?}");
+                    verdicts.extend(assert_trial_is_the_unbounded_one(&src, layout, &cfg, &what));
+                }
+            }
+        }
+        // Both verdicts occur, so both ways out of the trial are compared.
+        assert!(verdicts.contains(&TileCodec::Pred) && verdicts.contains(&TileCodec::Dct));
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Random small clips under 1×1, 2×2 and non-uniform layouts.
+            #[test]
+            fn prop_auto_trial_equals_the_unbounded_trial(
+                seed in any::<u64>(),
+                frames in 1u32..7,
+                gop_len in 1u32..5,
+                qp in 0u8..=51,
+                flat_cols in 0u32..5,
+                noise in any::<bool>(),
+            ) {
+                let (w, h) = (64, 48);
+                let src = mixed_source(frames, w, h, flat_cols * 16, noise, seed);
+                let cfg = EncoderConfig { codec: CodecChoice::Auto, qp, gop_len, ..Default::default() };
+                for layout in [
+                    TileLayout::untiled(w, h),
+                    TileLayout::uniform(w, h, 2, 2).unwrap(),
+                    TileLayout::new(vec![16, 32, 16], vec![32, 16]).unwrap(),
+                ] {
+                    assert_trial_is_the_unbounded_one(&src, &layout, &cfg, "random clip");
+                }
+            }
+        }
+    }
+
     #[test]
     fn untiled_encode_produces_single_stream() {
         let src = moving_source(6, 64, 48);

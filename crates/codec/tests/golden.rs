@@ -584,3 +584,52 @@ fn parallel_encode_equals_serial_on_every_pinned_case() {
         assert_eq!(serial, parallel, "{name}");
     }
 }
+
+/// The `Auto` size trial against its definition, through the public API:
+/// per tile, the stream `Pred` alone writes where its payload is strictly
+/// smaller than the one `Dct` alone writes, else that one — codec and
+/// bytes, serial and parallel, for every clip, layout and encoder setting
+/// pinned above. However the trial gets there, it may not decide otherwise.
+#[test]
+fn auto_keeps_per_tile_the_smaller_of_the_dct_and_pred_streams() {
+    let settings = cases()
+        .into_iter()
+        .map(|(name, cfg, layout)| (name, clip as fn() -> VecFrameSource, cfg, layout))
+        .chain(
+            choice_cases()
+                .into_iter()
+                .map(|(name, clip, _, layout)| (name, clip, cfg(28, true), layout)),
+        );
+    let mut kept = [0usize; 2];
+    for (name, clip, cfg, layout) in settings {
+        let src = clip();
+        let encode = |codec, parallel| {
+            let cfg = EncoderConfig { codec, ..cfg };
+            encode_video(&src, &layout, &cfg, parallel).unwrap().0
+        };
+        let dct = encode(CodecChoice::Dct, false);
+        let pred = encode(CodecChoice::Pred, false);
+        let want: Vec<TileVideo> = dct
+            .into_iter()
+            .zip(pred)
+            .map(|(d, p)| {
+                if p.payload_bytes() < d.payload_bytes() {
+                    p
+                } else {
+                    d
+                }
+            })
+            .collect();
+        for parallel in [false, true] {
+            assert_eq!(
+                encode(CodecChoice::Auto, parallel),
+                want,
+                "{name} parallel={parallel}"
+            );
+        }
+        for tile in &want {
+            kept[tile.codec.id() as usize] += 1;
+        }
+    }
+    assert!(kept[0] > 0 && kept[1] > 0, "kept {kept:?}");
+}
