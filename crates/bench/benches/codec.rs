@@ -23,7 +23,9 @@ fn scene(frames: u32) -> VecFrameSource {
 /// clip its `cold_select` workload decodes — rather than the 320×192 test
 /// scene: whole-GOP decode untiled and 2×2 and the two kernels under it,
 /// then the write path: one SOT's encode untiled and 3×4, `Dct` alone
-/// beside the `Auto` size trial, and the lossless P-frames the trial pays for.
+/// beside the `Auto` size trial (from the rendered frames, and 3×4 from the
+/// decoded ones a re-tile starts from), and the lossless P-frames the trial
+/// pays for.
 fn ledger_geometry_benches(c: &mut Criterion) {
     let (w, h, frames) = (640u32, 352u32, 30u32);
     let video = Dataset::VisualRoad2K.build(1, 11);
@@ -143,14 +145,26 @@ fn ledger_geometry_benches(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Elements(u64::from(frames) * samples));
     let grid = TileLayout::uniform(w, h, 3, 4).unwrap();
-    for (layout_name, layout) in [("untiled", TileLayout::untiled(w, h)), ("3x4", grid)] {
+    for (layout_name, layout) in [("untiled", &TileLayout::untiled(w, h)), ("3x4", &grid)] {
         for (codec_name, codec) in [("dct", CodecChoice::Dct), ("auto", CodecChoice::Auto)] {
             let cfg = EncoderConfig { codec, ..cfg };
             g.bench_function(format!("640x352_gop30_{layout_name}_{codec_name}"), |b| {
-                b.iter(|| encode_video(&src, &layout, &cfg, false).unwrap())
+                b.iter(|| encode_video(&src, layout, &cfg, false).unwrap())
             });
         }
     }
+    // What a re-tile feeds the encoder: the untiled SOT's decoded frames.
+    // Their background is exactly static, so most tiles' whole DCT stream is
+    // smaller than the lossless keyframe and the `Auto` trial is decided
+    // there; on the rendered source above it is decided late.
+    let redecoded = VecFrameSource::new(untiled[0].decode_all().unwrap().0);
+    let auto = EncoderConfig {
+        codec: CodecChoice::Auto,
+        ..cfg
+    };
+    g.bench_function("640x352_gop30_3x4_auto_redecoded", |b| {
+        b.iter(|| encode_video(&redecoded, &grid, &auto, false).unwrap())
+    });
     g.finish();
 
     // The lossless P-frame the trial pays for, at the best, typical and

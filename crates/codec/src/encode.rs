@@ -6,10 +6,12 @@
 //! prototype encodes them sequentially; we optionally parallelize across
 //! tiles since the streams share nothing).
 //!
-//! The loop is frame-major: each source frame is fetched once and every
-//! tile's encoder is fed from that one borrowed frame, so a frame source
-//! that renders or copies on `frame(i)` is asked once per frame, not once
-//! per tile (on the parallel path: once per worker).
+//! Each pass over the source is frame-major: a frame is fetched once and
+//! every tile's coder is fed from that one borrowed frame, so a frame
+//! source that renders or copies on `frame(i)` is asked once per frame per
+//! pass, not once per tile (on the parallel path: once per worker). `Dct`
+//! and `Pred` take one pass; `Auto` takes a DCT pass and then a lossless
+//! one that ends at the frame where no tile's lossless stream can win.
 
 use crate::container::{TileCodec, TileVideo};
 use crate::encoder::{CodecChoice, EncodedFrame, EncoderConfig, TileEncoder};
@@ -84,29 +86,51 @@ pub fn encode_video(
     Ok((videos, stats))
 }
 
-/// Encodes the tiles at `rects`, frame-major: one `src.frame(i)` per frame,
-/// handed by reference to every tile's coder in turn.
+/// Encodes the tiles at `rects` in up to two passes over the source. A
+/// tile's DCT stream is finished before its lossless one starts, so the
+/// size trial knows the total the lossless stream has to beat.
 fn encode_tiles(
     src: &dyn FrameSource,
     rects: &[Rect],
     cfg: &EncoderConfig,
 ) -> Vec<(TileCodec, Vec<EncodedFrame>)> {
     let mut coders: Vec<TileCoder> = rects.iter().map(|&r| TileCoder::new(r, cfg)).collect();
-    for i in 0..src.len() {
-        let frame = src.frame(i);
-        for coder in &mut coders {
-            coder.push(&frame);
-        }
-    }
+    let dct = |c: &TileCoder| c.dct.is_some();
+    let lossless = |c: &TileCoder| c.lossless.is_some();
+    pass(src, &mut coders, dct, TileCoder::push_dct);
+    pass(src, &mut coders, lossless, TileCoder::push_lossless);
     coders.into_iter().map(TileCoder::finish).collect()
 }
 
+/// One frame-major pass: one `src.frame(i)` per frame, handed by reference
+/// to every coder's `push` in turn. Frames are fetched only while a coder
+/// of this pass is `running` — none at all for a codec the choice leaves
+/// out, and none past the frame at which the last size trial is decided.
+fn pass(
+    src: &dyn FrameSource,
+    coders: &mut [TileCoder],
+    running: fn(&TileCoder) -> bool,
+    push: fn(&mut TileCoder, &Frame),
+) {
+    for i in 0..src.len() {
+        if !coders.iter().any(running) {
+            break;
+        }
+        let frame = src.frame(i);
+        coders.iter_mut().for_each(|c| push(c, &frame));
+    }
+}
+
 /// One tile's encoder state under a [`CodecChoice`]: the DCT stream, the
-/// lossless stream, or — for the `Auto` size trial — both, of which
-/// [`TileCoder::finish`] keeps the smaller.
+/// lossless stream, or — for the `Auto` size trial — the DCT stream and,
+/// for as long as it is the smaller of the two, the lossless one.
 struct TileCoder {
     dct: Option<(TileEncoder, Vec<EncodedFrame>)>,
     lossless: Option<(PredTileEncoder, Vec<EncodedFrame>)>,
+    /// Payload bytes the lossless stream may still add and stay the smaller
+    /// one: the DCT payload less the lossless payload, both so far (so the
+    /// DCT stream must be finished first); no bound where no DCT coder runs.
+    room: u64,
 }
 
 impl TileCoder {
@@ -119,34 +143,40 @@ impl TileCoder {
         TileCoder {
             dct: dct.then(|| (TileEncoder::new(*cfg, rect), Vec::new())),
             lossless: lossless.then(|| (PredTileEncoder::new(rect, cfg.gop_len), Vec::new())),
+            room: if dct { 0 } else { u64::MAX },
         }
     }
 
-    /// Encodes this tile's region of the next source frame.
-    fn push(&mut self, frame: &Frame) {
+    /// Encodes this tile's region of the next source frame with the DCT codec.
+    fn push_dct(&mut self, frame: &Frame) {
         if let Some((enc, out)) = &mut self.dct {
-            out.push(enc.encode_next(frame));
-        }
-        if let Some((enc, out)) = &mut self.lossless {
-            out.push(enc.encode_next(frame));
+            let coded = enc.encode_next(frame);
+            self.room += coded.data.len() as u64;
+            out.push(coded);
         }
     }
 
-    fn finish(self) -> (TileCodec, Vec<EncodedFrame>) {
-        let payload =
-            |frames: &[EncodedFrame]| -> u64 { frames.iter().map(|f| f.data.len() as u64).sum() };
-        match (self.dct, self.lossless) {
-            (Some((_, dct)), None) => (TileCodec::Dct, dct),
-            (None, Some((_, lossless))) => (TileCodec::Pred, lossless),
-            // The size trial: payload bytes dominate, so compare those
-            // (header size differs by one byte).
-            (Some((_, dct)), Some((_, lossless))) => {
-                if payload(&lossless) < payload(&dct) {
-                    (TileCodec::Pred, lossless)
-                } else {
-                    (TileCodec::Dct, dct)
-                }
+    /// Encodes this tile's region of the next source frame losslessly, and
+    /// drops the lossless stream at the frame where its payload reaches the
+    /// DCT stream's: a payload only grows, so the size trial is lost.
+    fn push_lossless(&mut self, frame: &Frame) {
+        if let Some((enc, out)) = &mut self.lossless {
+            let coded = enc.encode_next(frame);
+            self.room = self.room.saturating_sub(coded.data.len() as u64);
+            out.push(coded);
+            if self.room == 0 {
+                self.lossless = None;
             }
+        }
+    }
+
+    /// The size trial's verdict. Payload bytes dominate, so those were
+    /// compared (header size differs by one byte): a lossless stream that
+    /// is still here is strictly the smaller one.
+    fn finish(self) -> (TileCodec, Vec<EncodedFrame>) {
+        match (self.lossless, self.dct) {
+            (Some((_, lossless)), _) => (TileCodec::Pred, lossless),
+            (None, Some((_, dct))) => (TileCodec::Dct, dct),
             (None, None) => unreachable!("every codec choice runs at least one encoder"),
         }
     }
@@ -243,8 +273,14 @@ mod tests {
         }
     }
 
+    /// A tile's lossless stream through `PredTileEncoder` alone.
+    fn lossless_stream(src: &VecFrameSource, rect: Rect, gop_len: u32) -> Vec<EncodedFrame> {
+        let mut enc = PredTileEncoder::new(rect, gop_len);
+        src.frames().iter().map(|f| enc.encode_next(f)).collect()
+    }
+
     #[test]
-    fn each_frame_is_fetched_once_not_once_per_tile() {
+    fn each_frame_is_fetched_once_per_pass_not_once_per_tile() {
         let layout = TileLayout::uniform(96, 64, 3, 4).unwrap();
         let workers = std::thread::available_parallelism()
             .map(|n| n.get() as u32)
@@ -254,19 +290,98 @@ mod tests {
                 codec,
                 ..Default::default()
             };
-            let src = CountingSource::new(moving_source(5, 96, 64));
-            let (serial, _) = encode_video(&src, &layout, &cfg, false).unwrap();
-            assert_eq!(src.fetches(), [1; 5], "{codec:?} serial");
+            // One pass under `Dct` and `Pred`. Under `Auto` a second one that
+            // ends with the last of the twelve size trials, here at frame 3.
+            let want = match codec {
+                CodecChoice::Auto => [2, 2, 2, 1, 1],
+                _ => [1; 5],
+            };
+            let clip = moving_source(5, 96, 64);
 
-            let src = CountingSource::new(moving_source(5, 96, 64));
+            let src = CountingSource::new(clip.clone());
+            let (serial, _) = encode_video(&src, &layout, &cfg, false).unwrap();
+            assert_eq!(src.fetches(), want, "{codec:?} serial");
+
+            let src = CountingSource::new(clip);
             let (parallel, _) = encode_video(&src, &layout, &cfg, true).unwrap();
             let fetches = src.fetches();
             assert!(
-                fetches.iter().all(|&n| (1..=workers).contains(&n)),
+                fetches
+                    .iter()
+                    .zip(&want)
+                    .all(|(&n, &per_worker)| (per_worker..=workers * per_worker).contains(&n)),
                 "{codec:?} parallel on {workers} workers: {fetches:?}"
             );
             assert_eq!(serial, parallel, "{codec:?}");
         }
+    }
+
+    /// The lossless pass of one untiled tile whose DCT stream is taken to
+    /// have been `room` bytes: whether the lossless stream was still there
+    /// after each frame, and the verdict.
+    fn lossless_pass_with_room(
+        src: &VecFrameSource,
+        codec: CodecChoice,
+        room: Option<u64>,
+    ) -> (Vec<bool>, (TileCodec, Vec<EncodedFrame>)) {
+        let cfg = EncoderConfig {
+            codec,
+            gop_len: 3,
+            ..Default::default()
+        };
+        let mut coder = TileCoder::new(src.frames()[0].rect(), &cfg);
+        if let Some(room) = room {
+            coder.room = room;
+        }
+        let alive = src
+            .frames()
+            .iter()
+            .map(|f| {
+                coder.push_lossless(f);
+                coder.lossless.is_some()
+            })
+            .collect();
+        (alive, coder.finish())
+    }
+
+    #[test]
+    fn lossless_stream_is_dropped_at_the_frame_its_payload_reaches_the_budget() {
+        let src = moving_source(5, 64, 48);
+        let whole = lossless_stream(&src, src.frames()[0].rect(), 3);
+        let total = payload(&whole);
+        let auto = |room| lossless_pass_with_room(&src, CodecChoice::Auto, Some(room));
+        let alive_for = |frames: usize| (0..5).map(|i| i < frames).collect::<Vec<bool>>();
+
+        // A tie keeps the DCT stream (here an empty one: no DCT pass ran),
+        // and is only known at the last frame.
+        assert_eq!(auto(total), (alive_for(4), (TileCodec::Dct, vec![])));
+        // One byte more to spend and the lossless stream wins, intact.
+        assert_eq!(
+            auto(total + 1),
+            (alive_for(5), (TileCodec::Pred, whole.clone()))
+        );
+        // Nothing or next to nothing to beat: decided by the keyframe.
+        assert_eq!(auto(0).0, alive_for(0));
+        assert_eq!(auto(1).0, alive_for(0));
+        // Every cut: a budget of exactly the first k frames is reached at
+        // frame k, one byte more at frame k + 1.
+        let mut spent = 0;
+        for (k, frame) in whole.iter().enumerate().take(4) {
+            spent += frame.data.len() as u64;
+            assert_eq!(
+                auto(spent).0,
+                alive_for(k),
+                "budget = first {} frames",
+                k + 1
+            );
+            assert_eq!(auto(spent + 1).0, alive_for(k + 1), "one byte more");
+        }
+        // No DCT coder, no budget: `Pred` never stops, whatever it spends.
+        let (alive, verdict) = lossless_pass_with_room(&src, CodecChoice::Pred, None);
+        assert_eq!((alive, verdict), (alive_for(5), (TileCodec::Pred, whole)));
+        // And under `Dct` no lossless coder ever starts.
+        let (alive, _) = lossless_pass_with_room(&src, CodecChoice::Dct, None);
+        assert_eq!(alive, alive_for(0));
     }
 
     fn payload(frames: &[EncodedFrame]) -> u64 {
@@ -286,8 +401,7 @@ mod tests {
             .map(|&rect| {
                 let mut enc = TileEncoder::new(*cfg, rect);
                 let dct: Vec<_> = src.frames().iter().map(|f| enc.encode_next(f)).collect();
-                let mut enc = PredTileEncoder::new(rect, cfg.gop_len);
-                let lossless: Vec<_> = src.frames().iter().map(|f| enc.encode_next(f)).collect();
+                let lossless = lossless_stream(src, rect, cfg.gop_len);
                 if payload(&lossless) < payload(&dct) {
                     (TileCodec::Pred, lossless)
                 } else {

@@ -58,12 +58,13 @@ pub enum RateControl {
 
 /// Which codec [`crate::encode_video`] uses for each tile.
 ///
-/// `Auto` runs a size trial per tile — encode with both codecs and keep
-/// the smaller stream — so tiles that are flat in the input (where the
-/// lossless predictor + rANS coder wins) are stored losslessly while busy
-/// tiles keep the lossy DCT path. The trial is not cheap: it is about
-/// three DCT encodes' worth of time for one stream where the scene mostly
-/// holds still, and more where it does not.
+/// `Auto` runs a size trial per tile — the DCT stream first, then the
+/// lossless one for as long as it is the smaller of the two — so tiles that
+/// are flat in the input (where the lossless predictor + rANS coder wins)
+/// are stored losslessly while busy tiles keep the lossy DCT path. The
+/// trial costs what the lossless coder spends before it is out: measured at
+/// 640×352, about 1.2 DCT encodes' worth of time for one stream on the
+/// decoded frames a re-tile starts from, about 2.2 on rendered frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum CodecChoice {
     /// Always the lossy DCT codec (the pre-codec-id behaviour).

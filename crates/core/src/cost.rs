@@ -86,8 +86,9 @@ impl Default for EncodeModel {
         // Calibrated alongside the decode model; software encode with motion
         // search is roughly 2-3× decode. Still not fitted (ROADMAP item
         // 2-v): this predicts 83 ms for a 640×352×30 SOT (10.1 M samples)
-        // and a re-tile under `Auto` measures ≈ 95 ms today — close by
-        // coincidence of what the size trial costs now, not by calibration.
+        // and a re-tile under `Auto` measures ≈ 54 ms since the size trial
+        // is bounded. Left as it is so the regret policy keeps making the
+        // re-tiles it made (`storage.retile_count` is pinned by the ledger).
         EncodeModel {
             seconds_per_sample: 8.2e-9,
         }

@@ -186,10 +186,10 @@ pub struct StorageConfig {
     pub parallel_encode: bool,
     /// Per-tile codec selection, recorded in the manifest at ingest and
     /// honoured by every later re-tile of the video. The default,
-    /// [`CodecChoice::Auto`], encodes every tile with both codecs and keeps
-    /// the smaller stream — about three times the encode time of
-    /// [`CodecChoice::Dct`], which encodes each tile once, and on re-tiled
-    /// (DCT-decoded) input it keeps the DCT stream on every tile anyway.
+    /// [`CodecChoice::Auto`], keeps the smaller of each tile's two streams,
+    /// at about 2.2 times the encode time of [`CodecChoice::Dct`] at ingest
+    /// and 1.2 times on re-tiled (DCT-decoded) input, where it keeps the
+    /// DCT stream on every tile anyway.
     /// [`CodecChoice::Pred`] stores every tile losslessly. A manifest from
     /// before this field existed parses as `Dct`, the only codec there was.
     #[serde(default)]
@@ -1076,7 +1076,7 @@ impl VideoStore {
             .get(sot_idx)
             .ok_or_else(|| StoreError::NotFound(format!("SOT {sot_idx}")))?;
         new_manifest.config.check()?;
-        validate_replica_sot(sot, tiles)?;
+        validate_replica_sot(sot, new_manifest.config.gop_len, tiles)?;
         let name = new_manifest.name.as_str();
         check_video_name(name)?;
         self.finish_pending_commits(name)?;
@@ -1551,41 +1551,13 @@ impl VideoStore {
                     }
                 };
                 report.tiles_checked += 1;
-                let rect = sot.layout.tile_rect_by_index(t);
-                let mut mismatch = |detail: String| {
+                for detail in slot_mismatches(&header, sot, t, manifest.config.gop_len) {
                     report.issues.push(FsckIssue::TileMismatch {
                         video: video.to_string(),
                         sot_start: sot.start,
                         tile: t,
                         detail,
                     });
-                };
-                if header.width != rect.w || header.height != rect.h {
-                    mismatch(format!(
-                        "container is {}x{}, layout rect is {}x{}",
-                        header.width, header.height, rect.w, rect.h
-                    ));
-                }
-                if header.gop_len != manifest.config.gop_len {
-                    mismatch(format!(
-                        "container GOP length {} vs configured {}",
-                        header.gop_len, manifest.config.gop_len
-                    ));
-                }
-                if header.frame_count != sot.len() {
-                    mismatch(format!(
-                        "container holds {} frames, SOT spans {}",
-                        header.frame_count,
-                        sot.len()
-                    ));
-                }
-                if let Some(&declared) = sot.tile_codecs.get(t as usize) {
-                    if header.codec.id() != declared {
-                        mismatch(format!(
-                            "container codec id {} vs manifest codec id {declared}",
-                            header.codec.id()
-                        ));
-                    }
                 }
             }
 
@@ -1660,14 +1632,14 @@ fn validate_replica_payload(
         )));
     }
     for (sot, tiles) in manifest.sots.iter().zip(sots) {
-        validate_replica_sot(sot, tiles)?;
+        validate_replica_sot(sot, manifest.config.gop_len, tiles)?;
     }
     Ok(())
 }
 
-/// Every tile payload must parse as a tile container and match the codec
-/// the manifest records for its slot.
-fn validate_replica_sot(sot: &SotEntry, tiles: &[Vec<u8>]) -> Result<(), StoreError> {
+/// Every tile payload must be a whole tile container whose header agrees
+/// with the slot the manifest gives it — what `fsck` asks of a tile file.
+fn validate_replica_sot(sot: &SotEntry, gop_len: u32, tiles: &[Vec<u8>]) -> Result<(), StoreError> {
     if tiles.len() as u32 != sot.layout.tile_count() {
         return Err(invalid_payload(format!(
             "SOT {}..{} payload has {} tiles, layout has {}",
@@ -1678,19 +1650,52 @@ fn validate_replica_sot(sot: &SotEntry, tiles: &[Vec<u8>]) -> Result<(), StoreEr
         )));
     }
     for (i, bytes) in tiles.iter().enumerate() {
-        let tile = TileVideo::from_bytes(bytes)?;
-        if sot
-            .tile_codecs
-            .get(i)
-            .is_some_and(|&codec| tile.codec.id() != codec)
-        {
+        let header = TileVideo::validate(bytes)?;
+        if let Some(detail) = slot_mismatches(&header, sot, i as u32, gop_len).first() {
             return Err(invalid_payload(format!(
-                "SOT {}..{} tile {i} codec disagrees with manifest",
+                "SOT {}..{} tile {i}: {detail}",
                 sot.start, sot.end
             )));
         }
     }
     Ok(())
+}
+
+/// How a tile container's header disagrees with the manifest slot it fills
+/// (tile `t` of `sot`, in a video of `gop_len`-frame GOPs): dimensions,
+/// GOP length, frame count, codec. Empty when it fits. A tile that got past
+/// these would still decode, and `Frame::blit` would clip it silently.
+fn slot_mismatches(header: &ContainerHeader, sot: &SotEntry, t: u32, gop_len: u32) -> Vec<String> {
+    let rect = sot.layout.tile_rect_by_index(t);
+    let mut found = Vec::new();
+    if header.width != rect.w || header.height != rect.h {
+        found.push(format!(
+            "container is {}x{}, layout rect is {}x{}",
+            header.width, header.height, rect.w, rect.h
+        ));
+    }
+    if header.gop_len != gop_len {
+        found.push(format!(
+            "container GOP length {} vs configured {gop_len}",
+            header.gop_len
+        ));
+    }
+    if header.frame_count != sot.len() {
+        found.push(format!(
+            "container holds {} frames, SOT spans {}",
+            header.frame_count,
+            sot.len()
+        ));
+    }
+    if let Some(&declared) = sot.tile_codecs.get(t as usize) {
+        if header.codec.id() != declared {
+            found.push(format!(
+                "container codec id {} vs manifest codec id {declared}",
+                header.codec.id()
+            ));
+        }
+    }
+    found
 }
 
 /// A video's name is its directory name under the store root, and it

@@ -9,7 +9,7 @@
 
 use std::path::{Path, PathBuf};
 use tasm_cluster::{apply_record, StagedSots};
-use tasm_codec::{CodecChoice, LayoutError, TileLayout};
+use tasm_codec::{encode_video, CodecChoice, EncoderConfig, LayoutError, TileLayout};
 use tasm_core::{
     StorageConfig, StoreError, Tasm, TasmConfig, TasmError, VideoManifest, VideoStore,
 };
@@ -528,6 +528,20 @@ fn unaligned_sources_and_bad_configs_are_typed_errors_that_leave_nothing_behind(
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// Ingests the clip as "v" — DCT, untiled — and returns its manifest and
+/// every SOT's one tile file: the payload a peer would replicate.
+fn ingest_untiled_v(tasm: &Tasm) -> (VideoManifest, Vec<Vec<Vec<u8>>>) {
+    let storage = cfg(CodecChoice::Dct, false);
+    let (manifest, _) = tasm
+        .store()
+        .ingest("v", &clip(), 30, storage, |_, _| TileLayout::untiled(W, H))
+        .unwrap();
+    let tiles = (0..manifest.sots.len())
+        .map(|sot| vec![tasm.store().tile_file_bytes(&manifest, sot, 0).unwrap()])
+        .collect();
+    (manifest, tiles)
+}
+
 /// Configs the codec or the executor would panic on: SOTs that are not whole
 /// GOPs, no GOP at all, a QP past the quantizer's table.
 fn bad_configs() -> Vec<StorageConfig> {
@@ -562,15 +576,8 @@ fn out_of_range_configs_in_manifests_are_refused_from_peers_and_disk() {
         TasmConfig::default(),
     )
     .unwrap();
-    let storage = cfg(CodecChoice::Dct, false);
-    let (manifest, _) = tasm
-        .store()
-        .ingest("v", &clip(), 30, storage, |_, _| TileLayout::untiled(W, H))
-        .unwrap();
+    let (manifest, tiles) = ingest_untiled_v(&tasm);
     tasm.attach("v").unwrap();
-    let tiles: Vec<Vec<Vec<u8>>> = (0..manifest.sots.len())
-        .map(|sot| vec![tasm.store().tile_file_bytes(&manifest, sot, 0).unwrap()])
-        .collect();
     let before = (list_tree(&root), digest_tree(&root));
 
     for bad in bad_configs() {
@@ -659,6 +666,137 @@ fn out_of_range_configs_in_manifests_are_refused_from_peers_and_disk() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// One untiled DCT tile container of the clip's first `frames` frames,
+/// cropped to `w`×`h`, in GOPs of `gop_len`.
+fn tile_container(w: u32, h: u32, frames: usize, gop_len: u32) -> Vec<u8> {
+    let src = VecFrameSource::new(
+        clip().frames()[..frames]
+            .iter()
+            .map(|f| f.crop(Rect::new(0, 0, w, h)))
+            .collect(),
+    );
+    let cfg = EncoderConfig {
+        gop_len,
+        ..Default::default()
+    };
+    let (tiles, _) = encode_video(&src, &TileLayout::untiled(w, h), &cfg, false).unwrap();
+    tiles[0].to_bytes().to_vec()
+}
+
+/// A peer's tile payload is a container of its own: one that parses but is
+/// the wrong size, length or GOP structure for the slot its manifest gives
+/// it would be served clipped (`Frame::blit` does not complain) until
+/// someone ran `fsck`. Every install path holds it to `fsck`'s comparisons
+/// first: a typed error, nothing written.
+#[test]
+fn replicated_tiles_that_disagree_with_their_manifest_slot_are_refused() {
+    let root = temp_dir("peer-tiles");
+    let tasm = Tasm::open(
+        &root,
+        Box::new(MemoryIndex::in_memory()),
+        TasmConfig::default(),
+    )
+    .unwrap();
+    let (manifest, tiles) = ingest_untiled_v(&tasm);
+    tasm.attach("v").unwrap();
+    // What a peer sends after re-tiling SOT 0: the next epoch of it.
+    let mut next = manifest.clone();
+    next.sots[0].retile_count += 1;
+    let json = serde_json::to_vec_pretty(&next).unwrap();
+    let before = (list_tree(&root), digest_tree(&root));
+
+    let sot_frames = GOP as usize;
+    assert_eq!(tile_container(W, H, sot_frames, GOP), tiles[0][0]);
+    for (bad, why) in [
+        (
+            tile_container(FLAT_W, H, sot_frames, GOP),
+            "container is 256x256, layout rect is 384x256",
+        ),
+        (
+            tile_container(W, H, sot_frames - 1, GOP),
+            "container holds 5 frames, SOT spans 6",
+        ),
+        (
+            tile_container(W, H, sot_frames, GOP / 2),
+            "container GOP length 3 vs configured 6",
+        ),
+    ] {
+        let sot0 = vec![bad];
+        // As the next epoch of a SOT the store holds.
+        let mut staged = StagedSots::new();
+        let stage = ReplicationRecord::StageSot {
+            video: "v".to_string(),
+            sot_idx: 0,
+            tiles: sot0.clone(),
+        };
+        apply_record(&tasm, &mut staged, stage).unwrap();
+        let commit = ReplicationRecord::CommitSot {
+            epoch: 1,
+            video: "v".to_string(),
+            sot_idx: 0,
+            manifest: json.clone(),
+        };
+        let err = apply_record(&tasm, &mut staged, commit).unwrap_err();
+        assert!(err.contains(why), "{why}: {err}");
+
+        // As a whole video, new to the store and replacing the one it has.
+        let sots = vec![sot0.clone(), tiles[1].clone()];
+        for name in ["w", "v"] {
+            let whole = VideoManifest {
+                name: name.to_string(),
+                ..next.clone()
+            };
+            let mut staged = StagedSots::new();
+            for (sot, t) in sots.iter().enumerate() {
+                staged.stage(name, sot as u32, t.clone());
+            }
+            let commit = ReplicationRecord::CommitVideo {
+                epoch: 0,
+                video: name.to_string(),
+                manifest: serde_json::to_vec_pretty(&whole).unwrap(),
+            };
+            let err = apply_record(&tasm, &mut staged, commit).unwrap_err();
+            assert!(err.contains(why), "{why}: {err}");
+            let refused = tasm.store().install_video(&whole, &sots);
+            assert!(invalid_data(refused, why), "{why}");
+        }
+
+        // The store's own entry points, below the facade.
+        let store = tasm.store();
+        assert!(invalid_data(store.install_sot(&next, 0, &sot0), why));
+        let deferred = store.install_sot_deferred(&next, 0, &sot0).map(|_| ());
+        assert!(invalid_data(deferred, why));
+    }
+    assert_eq!(before, (list_tree(&root), digest_tree(&root)));
+    assert!(tasm.fsck().unwrap().is_clean());
+
+    // The honest payload of the same records then lands.
+    let mut staged = StagedSots::new();
+    staged.stage("v", 0, tiles[0].clone());
+    let commit = ReplicationRecord::CommitSot {
+        epoch: 1,
+        video: "v".to_string(),
+        sot_idx: 0,
+        manifest: json,
+    };
+    apply_record(&tasm, &mut staged, commit).unwrap();
+    assert_eq!(tasm.store().load_manifest("v").unwrap(), next);
+    let whole = VideoManifest {
+        name: "w".to_string(),
+        ..next.clone()
+    };
+    tasm.apply_replicated_video(whole, &tiles).unwrap();
+    assert!(tasm.fsck().unwrap().is_clean());
+    drop(tasm);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Whether `r` is the store's typed refusal of a peer's payload, for `why`.
+fn invalid_data(r: Result<(), StoreError>, why: &str) -> bool {
+    matches!(r, Err(StoreError::Io(e))
+        if e.kind() == std::io::ErrorKind::InvalidData && e.to_string().contains(why))
+}
+
 /// A peer's `Replicate` frame names the video; the store joins that name
 /// onto its root. A name that would leave the root (or be the root) is a
 /// typed error from every entry point, and nothing outside — or inside —
@@ -679,13 +817,7 @@ fn hostile_video_names_never_leave_the_store_root() {
     )
     .unwrap();
     let storage = cfg(CodecChoice::Dct, false);
-    let (manifest, _) = tasm
-        .store()
-        .ingest("v", &clip(), 30, storage, |_, _| TileLayout::untiled(W, H))
-        .unwrap();
-    let tiles: Vec<Vec<Vec<u8>>> = (0..manifest.sots.len())
-        .map(|sot| vec![tasm.store().tile_file_bytes(&manifest, sot, 0).unwrap()])
-        .collect();
+    let (manifest, tiles) = ingest_untiled_v(&tasm);
     let before = (list_tree(&sandbox), digest_tree(&root));
 
     for name in [
