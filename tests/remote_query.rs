@@ -16,7 +16,7 @@ use tasm_core::{
 use tasm_data::{SceneSpec, SyntheticVideo};
 use tasm_index::MemoryIndex;
 use tasm_proto::{ErrorCode, Message, ProtoError, VERSION};
-use tasm_server::{ServerConfig, TasmServer};
+use tasm_server::{ServeEngine, ServerConfig, TasmServer};
 use tasm_service::{RetilePolicy, ServiceConfig};
 use tasm_suite::{assert_regions_identical, regions_identical};
 use tasm_video::{FrameSource, Rect};
@@ -652,4 +652,315 @@ fn remote_queries_carry_a_consistent_trace() {
 
     conn.goodbye().expect("goodbye");
     server.shutdown();
+}
+
+// --- Response buffers across answers on one connection ---------------------
+//
+// A server may keep an answer's buffers (region canvases, encoded frames)
+// for the next answer. The sequence below is chosen so that any stale byte,
+// short fill or buffer handed out while still queued shows: the largest
+// answer first, then a single region, many small regions after few large
+// ones, regions at the frame's right/bottom edge and overhanging it, a
+// stride, two videos of different layouts interleaved, and a re-tile
+// between two passes — with a session killed mid-stream and BUSY-refused
+// queries in between. Every region must equal a serial, uncached
+// `Tasm::scan`, post-filtered, at the same epoch.
+
+const HAZARD_A_FRAMES: u32 = 60;
+const HAZARD_B_FRAMES: u32 = 30;
+
+fn hazard_scene_b() -> SyntheticVideo {
+    SyntheticVideo::new(SceneSpec {
+        width: 192,
+        height: 128,
+        frames: HAZARD_B_FRAMES,
+        seed: 91,
+        ..SceneSpec::test_scene()
+    })
+}
+
+/// Opens a store holding the named hazard videos: `a` (256×160, a
+/// non-uniform 3×2 layout, extra labels built for the sequence) and `b`
+/// (192×128, untiled).
+fn hazard_store(tag: &str, videos: &[&str], cache_bytes: u64) -> Arc<Tasm> {
+    let dir = std::env::temp_dir().join(format!("tasm-remote-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cfg = TasmConfig {
+        storage: StorageConfig {
+            gop_len: 10,
+            sot_frames: 10,
+            ..Default::default()
+        },
+        workers: 1,
+        cache_bytes,
+        ..Default::default()
+    };
+    let tasm = Arc::new(Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap());
+    let truth = |name: &str, video: &SyntheticVideo| {
+        for f in 0..video.len() {
+            for (l, b) in video.ground_truth(f) {
+                tasm.add_metadata(name, l, f, b).unwrap();
+            }
+            tasm.mark_processed(name, f).unwrap();
+        }
+    };
+    if videos.contains(&"a") {
+        let video = scene();
+        let layout = tasm_codec::TileLayout::new(vec![64, 128, 64], vec![96, 64]).unwrap();
+        tasm.ingest_with("a", &video, 30, |_, _| layout.clone())
+            .unwrap();
+        truth("a", &video);
+        for f in 0..40 {
+            tasm.add_metadata("a", "whole", f, Rect::new(0, 0, 256, 160))
+                .unwrap();
+        }
+        tasm.add_metadata("a", "lone", 17, Rect::new(101, 33, 37, 21))
+            .unwrap();
+        for f in 0..20 {
+            for i in 0..24 {
+                let speck = Rect::new(3 + 10 * i, 5 + (6 * i + f) % 140, 7, 5);
+                tasm.add_metadata("a", "speck", f, speck).unwrap();
+            }
+        }
+        for f in (0..HAZARD_A_FRAMES).step_by(3) {
+            for edge in [
+                Rect::new(249, 3 + 2 * f, 7, 9),
+                Rect::new(5 + 4 * f, 153, 11, 7),
+                Rect::new(251, 155, 5, 5),
+            ] {
+                tasm.add_metadata("a", "edge", f, edge).unwrap();
+            }
+            for over in [
+                Rect::new(240, 150, 40, 30),
+                Rect::new(255, 159, 9, 9),
+                Rect::new(100 + f, 131, 31, 77),
+            ] {
+                tasm.add_metadata("a", "over", f, over).unwrap();
+            }
+        }
+    }
+    if videos.contains(&"b") {
+        let video = hazard_scene_b();
+        tasm.ingest("b", &video, 30).unwrap();
+        truth("b", &video);
+    }
+    tasm
+}
+
+fn hazard_sequence() -> Vec<(&'static str, Query)> {
+    let q = |label: &str, frames: std::ops::Range<u32>| {
+        Query::new(LabelPredicate::label(label)).frames(frames)
+    };
+    vec![
+        ("a", q("whole", 0..40)),
+        ("a", q("lone", 0..HAZARD_A_FRAMES)),
+        ("a", q("whole", 0..2)),
+        ("a", q("speck", 0..20)),
+        (
+            "a",
+            q("edge", 0..HAZARD_A_FRAMES).roi(Rect::new(128, 80, 128, 80)),
+        ),
+        ("a", q("edge", 0..HAZARD_A_FRAMES)),
+        (
+            "a",
+            q("car", 0..HAZARD_A_FRAMES).roi(Rect::new(96, 60, 96, 80)),
+        ),
+        ("a", q("over", 0..HAZARD_A_FRAMES)),
+        ("a", q("car", 3..HAZARD_A_FRAMES).stride(5)),
+        ("b", q("car", 0..HAZARD_B_FRAMES)),
+        ("a", q("person", 0..HAZARD_A_FRAMES)),
+        ("b", q("person", 1..HAZARD_B_FRAMES).stride(2)),
+        ("a", q("speck", 5..9)),
+        ("b", q("car", 0..HAZARD_B_FRAMES).limit(3)),
+        ("a", q("whole", 30..40)),
+    ]
+}
+
+/// Pipelines `burst` whole-frame queries down a raw session without reading
+/// replies, reads until `until` says the frames seen so far suffice, and
+/// drops the socket with the rest of the stream unread.
+fn abandoned_session(
+    addr: std::net::SocketAddr,
+    burst: u64,
+    until: impl Fn(u32, u32) -> bool,
+) -> (u32, u32) {
+    let mut stream = TcpStream::connect(addr).expect("raw connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout");
+    Message::ClientHello { version: VERSION }
+        .write_to(&mut stream)
+        .expect("hello");
+    assert!(matches!(
+        Message::read_from(&mut stream).expect("server hello"),
+        Message::ServerHello { .. }
+    ));
+    for id in 0..burst {
+        Message::Query {
+            id,
+            video: "a".to_string(),
+            query: Query::new(LabelPredicate::label("whole")).frames(0..40),
+            trace_id: None,
+        }
+        .write_to(&mut stream)
+        .expect("pipelined query");
+    }
+    let (mut busy, mut regions) = (0u32, 0u32);
+    while !until(busy, regions) {
+        match Message::read_from(&mut stream).expect("response frame") {
+            Message::Error {
+                code: ErrorCode::Busy,
+                ..
+            } => busy += 1,
+            Message::Region { .. } => regions += 1,
+            Message::ResultHeader { .. } | Message::ResultDone { .. } => {}
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    (busy, regions)
+}
+
+/// Runs the hazard sequence twice over one connection to `front`, a
+/// re-tile of `a` between the passes, sessions abandoned mid-stream and
+/// BUSY refusals (provoked on `shard_a`, the server holding `a`) between
+/// answers, comparing every answer with the serial uncached twin.
+fn recycled_answers_match_the_twin(
+    front: std::net::SocketAddr,
+    shard_a: std::net::SocketAddr,
+    serving_a: &Tasm,
+    twin: &Tasm,
+    what: &str,
+) {
+    let mut conn = Connection::connect(front).expect("connect");
+    for pass in 0..2 {
+        for (step, (video, query)) in hazard_sequence().into_iter().enumerate() {
+            if step % 5 == 1 {
+                // One session dropped with a multi-MB answer half read...
+                abandoned_session(front, 1, |_, regions| regions >= 2);
+                // ...and one that overruns the one-deep queue first.
+                let (busy, _) =
+                    abandoned_session(shard_a, 8, |busy, regions| busy >= 1 && regions >= 1);
+                assert!(busy >= 1, "{what}: the burst must see BUSY");
+            }
+            let remote = loop {
+                match conn.query(video, &query) {
+                    Ok(remote) => break remote,
+                    Err(e) if e.is_busy() => {
+                        std::thread::sleep(std::time::Duration::from_millis(2))
+                    }
+                    Err(e) => panic!("{what}: pass {pass} step {step}: {e}"),
+                }
+            };
+            let window = query.frame_range();
+            let scan = twin
+                .scan(video, query.predicate(), window.clone())
+                .expect("twin scan");
+            let expected = tasm_suite::post_filter(&scan, &query, window.start);
+            let what = format!("{what}: pass {pass} step {step}");
+            assert_eq!(remote.epoch, scan.epoch, "{what}: epoch");
+            assert!(!expected.is_empty(), "{what}: the step returns pixels");
+            assert_eq!(remote.matched, expected.len() as u64, "{what}: matched");
+            assert_regions_identical(&expected, &remote.regions, &what);
+        }
+        // The same re-tile on both sides: SOTs 0 and 3 of `a` change layout
+        // (and epoch) between two answers on the open connection.
+        for sot in [0, 3] {
+            let layout = tasm_codec::TileLayout::uniform(256, 160, 2, 2).unwrap();
+            serving_a.retile("a", sot, layout.clone()).expect("retile");
+            twin.retile("a", sot, layout).expect("twin retile");
+        }
+    }
+    conn.goodbye().expect("goodbye");
+}
+
+fn one_deep_service() -> ServiceConfig {
+    ServiceConfig {
+        workers: 1,
+        queue_depth: 1,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn answers_on_one_connection_never_show_an_earlier_answers_bytes() {
+    for engine in [ServeEngine::Reactor, ServeEngine::Threads] {
+        let twin = hazard_store(&format!("hazard-twin-{engine:?}"), &["a", "b"], 0);
+        let serving = hazard_store(&format!("hazard-{engine:?}"), &["a", "b"], 64 << 20);
+        let server = TasmServer::bind(
+            Arc::clone(&serving),
+            one_deep_service(),
+            ServerConfig {
+                max_inflight: 32,
+                engine,
+                ..Default::default()
+            },
+            "127.0.0.1:0",
+        )
+        .expect("bind");
+        let addr = server.local_addr();
+        recycled_answers_match_the_twin(addr, addr, &serving, &twin, &format!("{engine:?}"));
+        let report = server.shutdown();
+        assert_eq!(report.service.stats.failed, 0);
+        assert!(report.busy_rejections > 0);
+    }
+}
+
+#[test]
+fn answers_relayed_by_a_router_never_show_an_earlier_answers_bytes() {
+    use tasm_cluster::{NodeInfo, Router, RouterConfig, ShardMap};
+    let twin = hazard_store("hazard-router-twin", &["a", "b"], 0);
+    let stores = [
+        hazard_store("hazard-n1", &["a"], 64 << 20),
+        hazard_store("hazard-n2", &["b"], 64 << 20),
+    ];
+    let shards: Vec<TasmServer> = stores
+        .iter()
+        .map(|tasm| {
+            TasmServer::bind(
+                Arc::clone(tasm),
+                one_deep_service(),
+                ServerConfig {
+                    max_inflight: 32,
+                    ..Default::default()
+                },
+                "127.0.0.1:0",
+            )
+            .expect("bind shard")
+        })
+        .collect();
+    let nodes = shards
+        .iter()
+        .enumerate()
+        .map(|(i, shard)| NodeInfo {
+            id: format!("n{}", i + 1),
+            addr: shard.local_addr().to_string(),
+        })
+        .collect();
+    let mut map = ShardMap::new(nodes, 1).unwrap();
+    map.pin("a", vec!["n1".to_string()]);
+    map.pin("b", vec!["n2".to_string()]);
+    let map_path = std::env::temp_dir().join(format!(
+        "tasm-remote-hazard-cluster-{}.json",
+        std::process::id()
+    ));
+    map.save(&map_path).unwrap();
+    let router = Router::bind(
+        RouterConfig {
+            map_path,
+            ..Default::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind router");
+    recycled_answers_match_the_twin(
+        router.local_addr(),
+        shards[0].local_addr(),
+        &stores[0],
+        &twin,
+        "router",
+    );
+    router.shutdown(false);
+    for shard in shards {
+        assert_eq!(shard.shutdown().service.stats.failed, 0);
+    }
 }
