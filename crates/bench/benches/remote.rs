@@ -12,7 +12,8 @@
 //! cache-warm query whose answer is 40 regions, reactor server →
 //! `Connection` on loopback, so what is timed is region encode, the
 //! vectored socket writes, the buffered frame assembly and the plane
-//! copies — nothing decodes.
+//! copies — nothing decodes. `wire/stream_40_regions_x200` is 200 such
+//! answers in a row over the one connection.
 //!
 //! The workload mirrors `benches/service.rs`: overlapping windows over one
 //! video so the decoded-GOP cache and shared-scan dedup carry most
@@ -183,6 +184,17 @@ fn stream_bench(c: &mut Criterion, dir: &PathBuf, video: &SyntheticVideo) {
     let mut g = c.benchmark_group("wire");
     g.bench_function("stream_40_regions", |b| {
         b.iter(|| regions(&query, &mut conn).len())
+    });
+    // The steady state the server's buffer pools exist for: every answer
+    // after the first is built in the canvases and frame buffers of the one
+    // before it.
+    g.sample_size(10);
+    g.bench_function("stream_40_regions_x200", |b| {
+        b.iter(|| {
+            (0..200)
+                .map(|_| regions(&query, &mut conn).len())
+                .sum::<usize>()
+        })
     });
     g.finish();
     conn.goodbye().expect("goodbye");

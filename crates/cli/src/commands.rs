@@ -1378,23 +1378,26 @@ fn stats(args: &Args) -> CmdResult {
             video_objs.push(format!(
                 concat!(
                     "{{\"name\":\"{}\",\"disk_bytes\":{},\"raw_bytes\":{},",
-                    "\"frames\":{},\"sots\":{},\"tiles_dct\":{},\"tiles_pred\":{}}}"
+                    "\"frames\":{},\"sots\":{},\"codec\":\"{:?}\",",
+                    "\"tiles_dct\":{},\"tiles_pred\":{}}}"
                 ),
                 tasm_obs::log::json_escape(&name),
                 disk,
                 raw,
                 m.frame_count,
                 m.sots.len(),
+                m.config.codec,
                 dct,
                 pred,
             ));
         } else {
             println!(
                 "{name}: {:.1} KiB on disk / {:.1} KiB raw ({:.2}x smaller), \
-                 tiles: {dct} dct, {pred} pred",
+                 codec {:?}, tiles: {dct} dct, {pred} pred",
                 disk as f64 / 1024.0,
                 raw as f64 / 1024.0,
                 raw as f64 / disk.max(1) as f64,
+                m.config.codec,
             );
         }
     }

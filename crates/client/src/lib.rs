@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tasm_core::{PlanStats, Query, RegionPixels};
-use tasm_proto::nio::{FrameReader, STREAM_BUF_LEN};
+use tasm_proto::nio::{FrameReader, WireBuffers, STREAM_BUF_LEN};
 use tasm_proto::{
     relay_result_frame, ErrorCode, Message, ProtoError, ReplicationRecord, ResultFrame,
     ResultSummary, VERSION,
@@ -259,20 +259,22 @@ impl Connection {
     /// id (see [`relay_result_frame`]). This is the router's hop: a region
     /// crosses it in one copy, its pixels never decoded. Typed rejections
     /// come back as [`ClientError::Rejected`], exactly as from
-    /// [`Connection::query`].
+    /// [`Connection::query`]. Frames are built in buffers from `spare`, the
+    /// free list of the queue they are bound for.
     pub fn relay_query(
         &mut self,
         video: &str,
         query: &Query,
         trace_id: Option<u64>,
         relay_id: u64,
+        spare: &WireBuffers,
     ) -> Result<Vec<Vec<u8>>, ClientError> {
         let id = self.send_query(video, query, trace_id)?;
         let mut frames = Vec::new();
         let mut regions_left = 0u32;
         loop {
             let payload = self.reader.read_frame(&mut self.stream, None)?;
-            let Some((kind, frame)) = relay_result_frame(&payload, id, relay_id)? else {
+            let Some((kind, frame)) = relay_result_frame(&payload, id, relay_id, spare)? else {
                 return Err(match Message::decode_payload(&payload)? {
                     Message::Error { code, message, .. } => ClientError::Rejected { code, message },
                     _ => ClientError::Unexpected("expected a result frame"),

@@ -37,6 +37,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use tasm_client::{ClientError, Connection};
 use tasm_core::Query;
+use tasm_proto::nio::WireBuffers;
 use tasm_proto::{ErrorCode, Message, ProtoError, VERSION};
 use tasm_service::ServiceStats;
 
@@ -580,6 +581,7 @@ fn session(shared: &Arc<RouterShared>, mut stream: TcpStream) {
     shared.sessions_served.fetch_add(1, Ordering::Relaxed);
 
     let mut shards: HashMap<String, Connection> = HashMap::new();
+    let spare = tasm_proto::nio::wire_buffers();
     loop {
         if shared.is_shutting_down() {
             return;
@@ -625,12 +627,14 @@ fn session(shared: &Arc<RouterShared>, mut stream: TcpStream) {
                     .write_to(&mut stream);
                     continue;
                 }
-                let frames = route_query_frames(shared, &mut shards, id, &video, &query, trace_id);
+                let frames =
+                    route_query_frames(shared, &mut shards, id, &video, &query, trace_id, &spare);
                 shared.inflight.fetch_sub(1, Ordering::AcqRel);
                 for frame in frames {
                     if std::io::Write::write_all(&mut stream, &frame).is_err() {
                         return;
                     }
+                    spare.give(frame);
                 }
             }
             Message::StatsRequest => {
@@ -741,6 +745,7 @@ fn route_query_frames(
     video: &str,
     query: &Query,
     trace_id: Option<u64>,
+    spare: &WireBuffers,
 ) -> Vec<Vec<u8>> {
     let placement: Vec<(String, String)> = {
         let map = shared.map.read().expect("map lock");
@@ -775,7 +780,7 @@ fn route_query_frames(
         // id is rewritten — so a region is copied once on its way through
         // and the trace keeps naming the shard that executed, not the
         // router.
-        match conn.relay_query(video, query, trace_id, id) {
+        match conn.relay_query(video, query, trace_id, id, spare) {
             Ok(frames) => {
                 shared.note_success(node);
                 shared.routed.fetch_add(1, Ordering::Relaxed);
@@ -905,6 +910,8 @@ enum RouteJob {
         video: String,
         query: Query,
         trace_id: Option<u64>,
+        /// Flushed frame buffers of the session the answer is bound for.
+        spare: Arc<WireBuffers>,
     },
     Stats {
         token: u64,
@@ -922,7 +929,7 @@ struct RouteDone {
 struct Frames(std::collections::VecDeque<Vec<u8>>);
 
 impl tasm_reactor::ResponseSource for Frames {
-    fn next_frame(&mut self, _flushed: bool) -> tasm_reactor::NextFrame {
+    fn next_frame(&mut self, _flushed: bool, _spare: &WireBuffers) -> tasm_reactor::NextFrame {
         match self.0.pop_front() {
             Some(frame) => tasm_reactor::NextFrame::Frame(frame),
             None => tasm_reactor::NextFrame::Done,
@@ -947,8 +954,10 @@ fn route_worker(
                 video,
                 query,
                 trace_id,
+                spare,
             } => {
-                let frames = route_query_frames(shared, &mut shards, id, &video, &query, trace_id);
+                let frames =
+                    route_query_frames(shared, &mut shards, id, &video, &query, trace_id, &spare);
                 // The router-wide in-flight slot frees when the route
                 // finishes, session alive or not.
                 shared.inflight.fetch_sub(1, Ordering::AcqRel);
@@ -1113,6 +1122,9 @@ impl tasm_reactor::Logic for RouterLogic {
                 }
                 // The worker decrements the router-wide count; the
                 // submit below tracks the per-session slot.
+                let Some(spare) = ctl.spare_buffers(token) else {
+                    return;
+                };
                 self.submit(
                     ctl,
                     token,
@@ -1122,6 +1134,7 @@ impl tasm_reactor::Logic for RouterLogic {
                         video,
                         query,
                         trace_id,
+                        spare,
                     },
                 );
             }

@@ -56,7 +56,8 @@ pub enum RateControl {
     },
 }
 
-/// Which codec [`crate::encode_video`] uses for each tile.
+/// Which codec [`crate::encode_video`] uses for each tile. Stores default
+/// to `Dct` and record the choice per video.
 ///
 /// `Auto` runs a size trial per tile — the DCT stream first, then the
 /// lossless one for as long as it is the smaller of the two — so tiles that

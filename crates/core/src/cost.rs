@@ -85,10 +85,10 @@ impl Default for EncodeModel {
     fn default() -> Self {
         // Calibrated alongside the decode model; software encode with motion
         // search is roughly 2-3× decode. Still not fitted (ROADMAP item
-        // 2-v): this predicts 83 ms for a 640×352×30 SOT (10.1 M samples)
-        // and a re-tile under `Auto` measures ≈ 54 ms since the size trial
-        // is bounded. Left as it is so the regret policy keeps making the
-        // re-tiles it made (`storage.retile_count` is pinned by the ledger).
+        // 1-iv): this predicts 83 ms for a 640×352×30 SOT (10.1 M samples)
+        // and a re-tile under the default `Dct` measures ≈ 40 ms. Left as
+        // it is so the regret policy keeps making the re-tiles it made
+        // (`storage.retile_count` is pinned by the ledger).
         EncodeModel {
             seconds_per_sample: 8.2e-9,
         }

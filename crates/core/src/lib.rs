@@ -124,6 +124,7 @@ pub mod durable;
 pub mod edge;
 pub mod exec;
 pub mod partition;
+pub mod pool;
 pub mod query;
 pub mod runner;
 pub mod scan;
@@ -140,10 +141,14 @@ pub use exec::{
     CacheStats, DecodedTile, DecodedTileCache, PlanStats, SharedScanStats, TileDecodeRequest,
 };
 pub use partition::{partition, Granularity, PartitionConfig};
+pub use pool::{BufferPool, CanvasPool};
 pub use query::{Query, QueryMode};
 pub use runner::{run_workload, QueryRecord, RunQuery, Strategy, TruthFn, WorkloadReport};
-pub use scan::{scan, scan_prepared, LabelPredicate, RegionPixels, ScanError, ScanResult};
+pub use scan::{
+    recycle_canvases, scan, scan_prepared, LabelPredicate, RegionPixels, ScanError, ScanResult,
+};
 pub use storage::{
     RetileStats, RetiredEpoch, SotEntry, StorageConfig, StoreError, VideoManifest, VideoStore,
+    CANVAS_POOL_BYTES,
 };
 pub use tasm::{EpochPin, SotTileBytes, Tasm, TasmConfig, TasmError};

@@ -39,16 +39,14 @@
 //! cache state, and across concurrent re-tiles; `tests/concurrent_scan.rs`
 //! and `tests/query_planner.rs` assert it, including by property test.
 
-use crate::exec::{self, DecodedTile, TileDecodeRequest};
-use crate::scan::{
-    align_out, blit_tile_overlap, gop_count, LabelPredicate, RegionPixels, ScanError, ScanResult,
-};
+use crate::exec::{self, TileDecodeRequest};
+use crate::scan::{align_out, gop_count, reassemble, LabelPredicate, ScanError, ScanResult};
 use crate::storage::{VideoManifest, VideoStore};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 use tasm_index::SpatialGrid;
-use tasm_video::{Frame, Rect};
+use tasm_video::Rect;
 
 /// Past this many boxes in a frame, ROI filtering goes through the spatial
 /// grid instead of testing every box directly.
@@ -378,44 +376,7 @@ pub(crate) fn query_prepared(
     result.work.pixels += stats.samples_decoded;
     result.work.tile_chunks += stats.tile_chunks_decoded;
 
-    // A pruned plan can hold several decode pieces per (SOT, tile), one per
-    // GOP run; index them for per-frame lookup during reassembly.
-    let mut by_tile: HashMap<(usize, u32), Vec<&DecodedTile>> = HashMap::new();
-    for d in &decoded {
-        by_tile.entry((d.sot_idx, d.tile)).or_default().push(d);
-    }
-
-    // --- Reassemble: identical composition to scan -----------------------
-    for sot_idx in sot_order {
-        let sot = &manifest.sots[sot_idx];
-        for (&frame, rects) in regions.range(sot.start..sot.end) {
-            let local_idx = frame - sot.start;
-            for r in rects {
-                let aligned = align_out(r, manifest.width, manifest.height);
-                debug_assert!(!aligned.is_empty(), "degenerate boxes were filtered");
-                let mut canvas = Frame::black(aligned.w, aligned.h);
-                for t in sot.layout.tiles_intersecting(&aligned) {
-                    let Some(pieces) = by_tile.get(&(sot_idx, t)) else {
-                        continue;
-                    };
-                    let Some(tile_frame) = pieces.iter().find_map(|d| {
-                        (d.local_start <= local_idx
-                            && local_idx - d.local_start < d.frames.len() as u32)
-                            .then(|| d.frame_at(local_idx))
-                    }) else {
-                        continue;
-                    };
-                    let trect = sot.layout.tile_rect_by_index(t);
-                    blit_tile_overlap(&mut canvas, tile_frame, &trect, &aligned);
-                }
-                result.regions.push(RegionPixels {
-                    frame,
-                    rect: *r,
-                    pixels: canvas,
-                });
-            }
-        }
-    }
+    result.regions = reassemble(store.canvases(), manifest, &regions, sot_order, &decoded);
     Ok(result)
 }
 

@@ -12,7 +12,8 @@
 //! work, as the paper's reported query times do.
 
 use crate::cost::Work;
-use crate::exec::{self, CacheStats, PlanStats, SharedScanStats, TileDecodeRequest};
+use crate::exec::{self, CacheStats, DecodedTile, PlanStats, SharedScanStats, TileDecodeRequest};
+use crate::pool::CanvasPool;
 use crate::storage::{StoreError, VideoManifest, VideoStore};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
@@ -211,7 +212,7 @@ pub fn scan_prepared(
     }
 
     // --- Planning: reduce the query to per-(SOT, tile) decode requests ---
-    let mut sot_plans: Vec<(usize, Range<u32>)> = Vec::new();
+    let mut sot_plans: Vec<usize> = Vec::new();
     let mut requests: Vec<TileDecodeRequest> = Vec::new();
     for sot_idx in manifest.sots_for_range(frames.clone()) {
         let sot = &manifest.sots[sot_idx];
@@ -238,7 +239,7 @@ pub fn scan_prepared(
             tile,
             local_span: local.clone(),
         }));
-        sot_plans.push((sot_idx, local));
+        sot_plans.push(sot_idx);
     }
     result.plan.frames_sampled = regions.len() as u64;
     if requests.is_empty() {
@@ -255,29 +256,67 @@ pub fn scan_prepared(
     result.shared += shared;
     result.work.pixels += stats.samples_decoded;
     result.work.tile_chunks += stats.tile_chunks_decoded;
-    let by_tile: HashMap<(usize, u32), &exec::DecodedTile> =
-        decoded.iter().map(|d| ((d.sot_idx, d.tile), d)).collect();
+    result.regions = reassemble(store.canvases(), manifest, &regions, sot_plans, &decoded);
+    result.matched = result.regions.len() as u64;
+    Ok(result)
+}
 
-    // --- Reassembly: crop each region from its SOT's decoded tiles ---
-    for (sot_idx, local) in sot_plans {
+/// Reassembly, for scan and query alike: crops each region of the listed
+/// SOTs from that SOT's decoded tiles. `decoded` may hold several pieces
+/// per (SOT, tile), one per run of GOPs a pruned plan kept.
+///
+/// Canvases are built in spare buffers from `canvases`
+/// ([`recycle_canvases`] returns them), which still hold an earlier
+/// answer's pixels: a canvas is handed out only once its blits have covered
+/// every sample. The tiles of a layout are disjoint, so that is so exactly
+/// when the areas copied add up to the canvas — always, while layouts cover
+/// the frame and decoded tiles have their slot's size (aligning a box grows
+/// it by at most one pixel to an even edge and tile edges are even, so it
+/// reaches no tile the box did not) — and a canvas that falls short starts
+/// over from black, as every canvas once did.
+pub(crate) fn reassemble(
+    canvases: &CanvasPool,
+    manifest: &VideoManifest,
+    regions: &BTreeMap<u32, Vec<Rect>>,
+    sots: impl IntoIterator<Item = usize>,
+    decoded: &[DecodedTile],
+) -> Vec<RegionPixels> {
+    let mut by_tile: HashMap<(usize, u32), Vec<&DecodedTile>> = HashMap::new();
+    for d in decoded {
+        by_tile.entry((d.sot_idx, d.tile)).or_default().push(d);
+    }
+    let mut out = Vec::new();
+    for sot_idx in sots {
         let sot = &manifest.sots[sot_idx];
         for (&frame, rects) in regions.range(sot.start..sot.end) {
             let local_idx = frame - sot.start;
-            debug_assert!(local.contains(&local_idx));
             for r in rects {
                 let aligned = align_out(r, manifest.width, manifest.height);
                 if aligned.is_empty() {
                     continue;
                 }
-                let mut canvas = Frame::black(aligned.w, aligned.h);
-                for t in sot.layout.tiles_intersecting(&aligned) {
-                    let Some(tile) = by_tile.get(&(sot_idx, t)) else {
-                        continue;
-                    };
-                    let trect = sot.layout.tile_rect_by_index(t);
-                    blit_tile_overlap(&mut canvas, tile.frame_at(local_idx), &trect, &aligned);
+                // Blits every decoded tile under the region; the area copied.
+                let compose = |canvas: &mut Frame| -> u64 {
+                    let tiles = sot.layout.tiles_intersecting(&aligned).into_iter();
+                    tiles
+                        .filter_map(|t| {
+                            let tile_frame = by_tile.get(&(sot_idx, t))?.iter().find_map(|d| {
+                                (d.local_start <= local_idx
+                                    && local_idx - d.local_start < d.frames.len() as u32)
+                                    .then(|| d.frame_at(local_idx))
+                            })?;
+                            let trect = sot.layout.tile_rect_by_index(t);
+                            Some(blit_tile_overlap(canvas, tile_frame, &trect, &aligned))
+                        })
+                        .sum()
+                };
+                let spare = canvases.take(aligned.area() as usize * 3 / 2);
+                let mut canvas = canvas_in(aligned.w, aligned.h, spare);
+                if compose(&mut canvas) != aligned.area() {
+                    canvas = Frame::black(aligned.w, aligned.h);
+                    compose(&mut canvas);
                 }
-                result.regions.push(RegionPixels {
+                out.push(RegionPixels {
                     frame,
                     rect: *r,
                     pixels: canvas,
@@ -285,21 +324,38 @@ pub fn scan_prepared(
             }
         }
     }
-    result.matched = result.regions.len() as u64;
-    Ok(result)
+    out
+}
+
+/// A `w`×`h` frame in `planes`' allocations (Y, U, V). Samples the buffers
+/// already held keep their values; only what a plane grows by is written.
+fn canvas_in(w: u32, h: u32, planes: [Vec<u8>; 3]) -> Frame {
+    let (luma, chroma) = Frame::plane_lens(w, h).expect("aligned regions are even");
+    let [y, u, v] = planes;
+    let sized = |mut plane: Vec<u8>, len| {
+        plane.resize(len, 0);
+        plane
+    };
+    Frame::from_planes(w, h, sized(y, luma), sized(u, chroma), sized(v, chroma))
+        .expect("planes sized to the dimensions")
+}
+
+/// Gives finished regions' canvases back to the pool reassembly draws from
+/// ([`crate::VideoStore::canvases`]), last region first, so the next answer
+/// takes them in the order this one did and an answer of the same shape
+/// finds every canvas the right size.
+pub fn recycle_canvases(pool: &CanvasPool, regions: Vec<RegionPixels>) {
+    for region in regions.into_iter().rev() {
+        pool.give(region.pixels.into_planes());
+    }
 }
 
 /// Copies the part of a decoded tile that overlaps the (chroma-aligned)
-/// region rectangle onto the region canvas. Shared by the scan and query
-/// reassembly paths so both compose pixels identically.
-pub(crate) fn blit_tile_overlap(
-    canvas: &mut Frame,
-    tile_frame: &Frame,
-    trect: &Rect,
-    aligned: &Rect,
-) {
+/// region rectangle onto the region canvas. Returns the luma area copied,
+/// counting whole chroma samples only.
+fn blit_tile_overlap(canvas: &mut Frame, tile_frame: &Frame, trect: &Rect, aligned: &Rect) -> u64 {
     let Some(overlap) = trect.intersect(aligned) else {
-        return;
+        return 0;
     };
     let src_rect = Rect::new(
         overlap.x - trect.x,
@@ -309,14 +365,16 @@ pub(crate) fn blit_tile_overlap(
     );
     let src_aligned = align_in(&src_rect);
     if src_aligned.is_empty() {
-        return;
+        return 0;
     }
-    canvas.blit(
-        tile_frame,
-        src_aligned,
-        overlap.x + (src_aligned.x - src_rect.x) - aligned.x,
-        overlap.y + (src_aligned.y - src_rect.y) - aligned.y,
-    );
+    let dst_x = overlap.x + (src_aligned.x - src_rect.x) - aligned.x;
+    let dst_y = overlap.y + (src_aligned.y - src_rect.y) - aligned.y;
+    canvas.blit(tile_frame, src_aligned, dst_x, dst_y);
+    // `blit` clips the copy to both frames.
+    let src = src_aligned.clamp_to(tile_frame.width(), tile_frame.height());
+    let w = canvas.width().saturating_sub(dst_x).min(src.w) & !1;
+    let h = canvas.height().saturating_sub(dst_y).min(src.h) & !1;
+    w as u64 * h as u64
 }
 
 /// Number of GOPs a local frame span touches.
@@ -396,6 +454,8 @@ fn align_in(r: &Rect) -> Rect {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use tasm_codec::TileLayout;
 
     #[test]
     fn predicate_constructors() {
@@ -460,6 +520,141 @@ mod tests {
         );
         assert_eq!(align_in(&Rect::new(3, 3, 5, 5)), Rect::new(4, 4, 4, 4));
         assert!(align_in(&Rect::new(3, 3, 1, 1)).is_empty());
+    }
+
+    /// A 96×64 video of one two-frame SOT, its decoded tiles under
+    /// `layout` (each sample a function of its frame position, so a
+    /// misplaced or missing pixel shows), and the full frames they tile.
+    fn decoded_sot(layout: &TileLayout) -> (VideoManifest, Vec<DecodedTile>, Vec<Frame>) {
+        let (w, h) = (layout.frame_width(), layout.frame_height());
+        let full: Vec<Frame> = (0..2u32)
+            .map(|f| {
+                let mut frame = Frame::black(w, h);
+                for plane in tasm_video::Plane::ALL {
+                    let pw = frame.plane_width(plane);
+                    for (i, s) in frame.plane_mut(plane).iter_mut().enumerate() {
+                        let (x, y) = (i as u32 % pw, i as u32 / pw);
+                        *s = (x * 7 + y * 13 + f * 101 + plane as u32 * 29) as u8 | 1;
+                    }
+                }
+                frame
+            })
+            .collect();
+        let decoded = layout
+            .tiles()
+            .map(|(tile, rect)| DecodedTile {
+                sot_idx: 0,
+                tile,
+                local_start: 0,
+                frames: full.iter().map(|f| Arc::new(f.crop(rect))).collect(),
+            })
+            .collect();
+        let manifest = VideoManifest {
+            name: "v".to_string(),
+            width: w,
+            height: h,
+            frame_count: 2,
+            fps: 30,
+            config: crate::storage::StorageConfig::default(),
+            sots: vec![crate::storage::SotEntry {
+                start: 0,
+                end: 2,
+                layout: layout.clone(),
+                retile_count: 0,
+                tile_codecs: vec![0; layout.tile_count() as usize],
+            }],
+        };
+        (manifest, decoded, full)
+    }
+
+    /// A pool holding an earlier answer: canvases of assorted sizes, every
+    /// sample 0 (no decoded sample is even, none is black).
+    fn used_pool() -> CanvasPool {
+        let pool = CanvasPool::new(1 << 20, "tasm_test_canvas_bytes", "test");
+        for (w, h) in [(96, 64), (8, 8), (40, 20), (2, 2), (64, 64), (30, 50)] {
+            for _ in 0..8 {
+                pool.give(Frame::filled(w, h, 0, 0, 0).into_planes());
+            }
+        }
+        pool
+    }
+
+    fn layouts() -> Vec<TileLayout> {
+        vec![
+            TileLayout::untiled(96, 64),
+            TileLayout::uniform(96, 64, 2, 3).unwrap(),
+            TileLayout::new(vec![16, 64, 16], vec![48, 16]).unwrap(),
+        ]
+    }
+
+    /// Every region composed in a used buffer equals the crop of the full
+    /// frame: boxes of every parity at every edge, inside the frame, on its
+    /// right and bottom edges and overhanging them.
+    #[test]
+    fn regions_composed_in_used_canvases_equal_the_frames_crop() {
+        for layout in layouts() {
+            let (manifest, decoded, full) = decoded_sot(&layout);
+            let pool = used_pool();
+            let mut boxes = Vec::new();
+            for (x, w) in [
+                (0, 1),
+                (0, 96),
+                (15, 2),
+                (15, 18),
+                (31, 49),
+                (80, 16),
+                (95, 1),
+                (90, 40),
+            ] {
+                for (y, h) in [(0, 64), (0, 1), (47, 2), (33, 30), (63, 1), (60, 99)] {
+                    boxes.push(Rect::new(x, y, w, h));
+                }
+            }
+            let regions: BTreeMap<u32, Vec<Rect>> = (0..2).map(|f| (f, boxes.clone())).collect();
+            let out = reassemble(&pool, &manifest, &regions, [0], &decoded);
+            assert_eq!(out.len(), 2 * boxes.len());
+            for region in &out {
+                let aligned = align_out(&region.rect, 96, 64);
+                let want = full[region.frame as usize].crop(aligned);
+                assert_eq!(region.pixels, want, "{layout:?} {:?}", region.rect);
+            }
+            // A second answer built in the first one's canvases.
+            recycle_canvases(&pool, out);
+            for region in reassemble(&pool, &manifest, &regions, [0], &decoded) {
+                let aligned = align_out(&region.rect, 96, 64);
+                assert_eq!(region.pixels, full[region.frame as usize].crop(aligned));
+            }
+        }
+    }
+
+    /// Where no decoded tile lies under a region, a canvas is black there,
+    /// used buffer or not, as a fresh canvas would be.
+    #[test]
+    fn a_canvas_its_tiles_do_not_cover_starts_from_black() {
+        let layout = TileLayout::uniform(96, 64, 2, 3).unwrap();
+        let (manifest, mut decoded, full) = decoded_sot(&layout);
+        decoded.retain(|d| d.tile != 4);
+        let hole = layout.tile_rect_by_index(4);
+        let regions = BTreeMap::from([(1, vec![Rect::new(10, 10, 70, 50), hole])]);
+        let out = reassemble(&used_pool(), &manifest, &regions, [0], &decoded);
+        for region in &out {
+            let aligned = align_out(&region.rect, 96, 64);
+            let mut want = full[1].crop(aligned);
+            let inside = hole.intersect(&aligned).unwrap();
+            want.fill_rect(
+                Rect::new(
+                    inside.x - aligned.x,
+                    inside.y - aligned.y,
+                    inside.w,
+                    inside.h,
+                ),
+                16,
+                128,
+                128,
+            );
+            assert_eq!(region.pixels, want, "{:?}", region.rect);
+        }
+        assert_eq!(out[1].pixels, Frame::black(hole.w, hole.h));
     }
 
     // Full end-to-end scan tests (with real encoded tiles) live in

@@ -60,6 +60,7 @@ use crate::durable::{
     TMP_SUFFIX,
 };
 use crate::exec::{self, CacheStats, DecodedTileCache, TileDecodeRequest};
+use crate::pool::CanvasPool;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
@@ -185,13 +186,14 @@ pub struct StorageConfig {
     /// Encode tiles on multiple threads (bit-identical output either way).
     pub parallel_encode: bool,
     /// Per-tile codec selection, recorded in the manifest at ingest and
-    /// honoured by every later re-tile of the video. The default,
-    /// [`CodecChoice::Auto`], keeps the smaller of each tile's two streams,
-    /// at about 2.2 times the encode time of [`CodecChoice::Dct`] at ingest
-    /// and 1.2 times on re-tiled (DCT-decoded) input, where it keeps the
-    /// DCT stream on every tile anyway.
-    /// [`CodecChoice::Pred`] stores every tile losslessly. A manifest from
-    /// before this field existed parses as `Dct`, the only codec there was.
+    /// honoured by every later re-tile of the video, whatever the default
+    /// is by then. The default, [`CodecChoice::Dct`], encodes each tile
+    /// once. [`CodecChoice::Auto`] keeps the smaller of each tile's two
+    /// streams, at about 2.2 times the encode time at ingest and 1.2 times
+    /// on re-tiled (DCT-decoded) input, where it keeps the DCT stream on
+    /// every tile anyway. [`CodecChoice::Pred`] stores every tile
+    /// losslessly. A manifest from before this field existed parses as
+    /// `Dct`, the only codec there was.
     #[serde(default)]
     pub codec: CodecChoice,
 }
@@ -206,7 +208,7 @@ impl Default for StorageConfig {
             deblock: true,
             rate: tasm_codec::encoder::RateControl::ConstantQp,
             parallel_encode: true,
-            codec: CodecChoice::Auto,
+            codec: CodecChoice::Dct,
         }
     }
 }
@@ -360,6 +362,11 @@ pub struct RetiredEpoch {
     pub retile_count: u32,
 }
 
+/// Most canvas bytes one store keeps between answers: the planes of a
+/// large answer (the served median is under 300 KB, a whole-video answer a
+/// few MB), so a store idles at most this far above what it needs.
+pub const CANVAS_POOL_BYTES: usize = 2 << 20;
+
 /// The on-disk tile store, with its attached decode-execution settings:
 /// worker count for the parallel tile-decode pipeline and an optional
 /// shared decoded-GOP cache.
@@ -369,6 +376,8 @@ pub struct VideoStore {
     store_id: Arc<str>,
     workers: usize,
     cache: Option<Arc<DecodedTileCache>>,
+    /// Region canvases of finished answers, kept for the next reassembly.
+    canvases: Arc<CanvasPool>,
     io: Arc<dyn StorageIo>,
     recovery: RecoveryReport,
     /// Exclusive advisory lock on `<root>/.tasm.lock`, held for this
@@ -466,6 +475,11 @@ impl VideoStore {
             store_id,
             workers,
             cache,
+            canvases: Arc::new(CanvasPool::new(
+                CANVAS_POOL_BYTES,
+                "tasm_response_canvas_bytes_retained",
+                "Region canvas bytes kept by stores for the next answer.",
+            )),
             io,
             recovery: RecoveryReport::default(),
             _lock: lock,
@@ -511,6 +525,14 @@ impl VideoStore {
     /// Shareable handle to the decoded-GOP cache, if any.
     pub fn decoded_cache_handle(&self) -> Option<Arc<DecodedTileCache>> {
         self.cache.clone()
+    }
+
+    /// Spare region canvases: reassembly builds each region in buffers
+    /// taken from here, and whoever is done with an answer's regions hands
+    /// them to [`crate::recycle_canvases`]. Holds at most
+    /// [`CANVAS_POOL_BYTES`].
+    pub fn canvases(&self) -> &Arc<CanvasPool> {
+        &self.canvases
     }
 
     /// The store's root directory.

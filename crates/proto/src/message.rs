@@ -1,5 +1,6 @@
 //! The protocol message set and its byte-level codec.
 
+use crate::nio::WireBuffers;
 use crate::wire::{encode_frame, read_frame, ProtoError, Reader, Writer};
 use std::io::{Read, Write};
 use tasm_core::{LabelPredicate, PlanStats, Query, QueryMode, RegionPixels, SharedScanStats};
@@ -365,7 +366,7 @@ impl Message {
             Message::Region { region, .. } => region_payload_len(region),
             _ => SMALL_PAYLOAD_HINT,
         };
-        encode_frame(hint, |w| self.encode_payload(w))
+        encode_frame(Vec::new(), hint, |w| self.encode_payload(w))
     }
 
     /// Writes the payload (tag plus body) without the length prefix.
@@ -656,9 +657,12 @@ fn encode_region_payload(w: &mut Writer, id: u64, region: &RegionPixels) {
 
 /// Encodes a [`Message::Region`] frame (length prefix included) from a
 /// borrowed region, sparing the server a pixel-plane clone per streamed
-/// region: [`Message::encode`] for a region the caller does not own.
-pub fn encode_region(id: u64, region: &RegionPixels) -> Vec<u8> {
-    encode_frame(region_payload_len(region), |w| {
+/// region: [`Message::encode`] for a region the caller does not own. The
+/// frame is written in a buffer from `spare`, the free list of the queue
+/// it is bound for.
+pub fn encode_region(id: u64, region: &RegionPixels, spare: &WireBuffers) -> Vec<u8> {
+    let len = region_payload_len(region);
+    encode_frame(spare.take(4 + len), len, |w| {
         encode_region_payload(w, id, region)
     })
 }
@@ -714,11 +718,13 @@ pub enum ResultFrame {
 /// carrying `relay_id` instead — every byte but the eight of the id
 /// verbatim, so a region crosses a router in one copy and its pixels are
 /// never decoded. `Ok(None)` for any other message (an error frame, which
-/// the caller decodes).
+/// the caller decodes). The frame is written in a buffer from `spare`, as
+/// [`encode_region`]'s is.
 pub fn relay_result_frame(
     payload: &[u8],
     id: u64,
     relay_id: u64,
+    spare: &WireBuffers,
 ) -> Result<Option<(ResultFrame, Vec<u8>)>, ProtoError> {
     let (kind, got) = match payload.first() {
         Some(&tag::REGION) => {
@@ -740,7 +746,8 @@ pub fn relay_result_frame(
         return Err(ProtoError::Malformed("response for a different request"));
     }
     // Header, region and done all carry the request id right after the tag.
-    let mut frame = encode_frame(payload.len(), |w| w.raw(payload));
+    let buf = spare.take(4 + payload.len());
+    let mut frame = encode_frame(buf, payload.len(), |w| w.raw(payload));
     frame[5..13].copy_from_slice(&relay_id.to_le_bytes());
     Ok(Some((kind, frame)))
 }

@@ -21,7 +21,9 @@ use crate::wire::{ProtoError, MAX_FRAME_LEN};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tasm_core::BufferPool;
 
 /// Receive buffer of a session that reads *requests* ([`FrameReader::new`]).
 /// A query frame is well under a kilobyte, and a server holds one of these
@@ -366,19 +368,56 @@ const MAX_WRITE_SLICES: usize = 64;
 /// 4-byte length, on a slice boundary, mid-plane — resumes exactly where
 /// it stopped. The byte stream is therefore identical to a single
 /// contiguous write of every pushed frame in order.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FrameQueue {
     frames: VecDeque<Vec<u8>>,
     /// Bytes of the front frame already written.
     offset: usize,
     /// Total unwritten bytes across all queued frames.
     queued: usize,
+    /// Buffers of frames that reached the sink.
+    spare: Arc<WireBuffers>,
+}
+
+/// Most bytes of flushed frames one queue keeps for its next frames. A
+/// server's queue holds a burst (tens of KB) at a time, a router's a whole
+/// relayed answer (up to a few MB).
+pub const WIRE_POOL_BYTES: usize = 1 << 20;
+
+/// A free list of encoded-frame buffers.
+pub type WireBuffers = BufferPool<Vec<u8>>;
+
+/// An empty free list for encoded frames, as every [`FrameQueue`] has one.
+pub fn wire_buffers() -> WireBuffers {
+    BufferPool::new(
+        WIRE_POOL_BYTES,
+        "tasm_wire_buffer_bytes_retained",
+        "Flushed frame buffer bytes kept by output queues for their next frames.",
+    )
+}
+
+impl Default for FrameQueue {
+    fn default() -> Self {
+        FrameQueue::new()
+    }
 }
 
 impl FrameQueue {
     /// An empty queue.
     pub fn new() -> FrameQueue {
-        FrameQueue::default()
+        FrameQueue {
+            frames: VecDeque::new(),
+            offset: 0,
+            queued: 0,
+            spare: Arc::new(wire_buffers()),
+        }
+    }
+
+    /// The buffers of frames already written, at most [`WIRE_POOL_BYTES`]
+    /// of them: whoever encodes the next frame for this queue — on this
+    /// thread or another — takes one to encode into.
+    pub fn spare(&self) -> &Arc<WireBuffers> {
+        &self.spare
     }
 
     /// Queues one encoded frame (length prefix included).
@@ -440,7 +479,8 @@ impl FrameQueue {
             }
             n -= left;
             self.offset = 0;
-            self.frames.pop_front();
+            let flushed = self.frames.pop_front().expect("front exists");
+            self.spare.give(flushed);
         }
     }
 }

@@ -40,7 +40,7 @@ fn response(regions: u32, w: u32, h: u32) -> Vec<Vec<u8>> {
             )
             .expect("plane lengths match"),
         };
-        frames.push(encode_region(id, &region));
+        frames.push(encode_region(id, &region, &wire_buffers()));
     }
     frames.push(
         Message::ResultDone {

@@ -155,11 +155,17 @@ impl Writer {
 /// the prefix patched once the length is known. The single place the
 /// envelope is laid out. `payload_hint` sizes the buffer up front; when it
 /// is exact (a region: header plus its three planes) the buffer never
-/// grows and every pixel is copied exactly once.
-pub(crate) fn encode_frame(payload_hint: usize, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
-    let mut w = Writer {
-        buf: Vec::with_capacity(4 + payload_hint),
-    };
+/// grows and every pixel is copied exactly once. The frame is written in
+/// `buf`'s allocation, whatever it held discarded, so a buffer whose frame
+/// has reached the socket can carry the next one.
+pub(crate) fn encode_frame(
+    buf: Vec<u8>,
+    payload_hint: usize,
+    body: impl FnOnce(&mut Writer),
+) -> Vec<u8> {
+    let mut w = Writer { buf };
+    w.buf.clear();
+    w.buf.reserve(4 + payload_hint);
     w.u32(0);
     body(&mut w);
     let len = w.buf.len() - 4;
@@ -253,7 +259,7 @@ impl<'a> Reader<'a> {
 /// A frame around raw payload bytes, for tests that script a byte stream.
 #[cfg(test)]
 pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
-    encode_frame(payload.len(), |w| w.raw(payload))
+    encode_frame(Vec::new(), payload.len(), |w| w.raw(payload))
 }
 
 /// Reads one frame payload from the transport.

@@ -46,7 +46,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tasm_proto::nio::{FrameQueue, FrameReader, ReadProgress, WriteProgress};
+use tasm_proto::nio::{FrameQueue, FrameReader, ReadProgress, WireBuffers, WriteProgress};
 
 /// Unwritten-byte threshold below which the loop asks sources for more
 /// frames. Small enough to bound buffering; and since the queue hands
@@ -85,15 +85,17 @@ pub enum NextFrame {
 /// than the low-water mark plus one frame.
 pub trait ResponseSource: Send {
     /// The next frame. `flushed` is true when every byte this source
-    /// previously yielded has been handed to the socket.
-    fn next_frame(&mut self, flushed: bool) -> NextFrame;
+    /// previously yielded has been handed to the socket. `spare` holds the
+    /// buffers of frames the session has finished writing; a source that
+    /// encodes here takes one to encode into.
+    fn next_frame(&mut self, flushed: bool, spare: &WireBuffers) -> NextFrame;
 }
 
 /// A single pre-encoded frame as a response.
 struct OneFrame(Option<Vec<u8>>);
 
 impl ResponseSource for OneFrame {
-    fn next_frame(&mut self, _flushed: bool) -> NextFrame {
+    fn next_frame(&mut self, _flushed: bool, _spare: &WireBuffers) -> NextFrame {
         match self.0.take() {
             Some(f) => NextFrame::Frame(f),
             None => NextFrame::Done,
@@ -282,6 +284,12 @@ impl Ctl {
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.pending.push_back(src);
         }
+    }
+
+    /// The session's flushed frame buffers, for a response encoded off the
+    /// loop thread (`None` for unknown tokens).
+    pub fn spare_buffers(&self, token: u64) -> Option<Arc<WireBuffers>> {
+        self.conns.get(&token).map(|c| Arc::clone(c.out.spare()))
     }
 
     /// Suspends/resumes reading this session's requests (order-sensitive
@@ -599,7 +607,7 @@ fn pump(
             let Some(src) = pending.front_mut() else {
                 break;
             };
-            match src.next_frame(flushed) {
+            match src.next_frame(flushed, out.spare()) {
                 NextFrame::Frame(f) => out.push(f),
                 NextFrame::Wait => break,
                 NextFrame::Done => {
@@ -702,7 +710,7 @@ mod tests {
     struct Response(VecDeque<Vec<u8>>);
 
     impl ResponseSource for Response {
-        fn next_frame(&mut self, flushed: bool) -> NextFrame {
+        fn next_frame(&mut self, flushed: bool, _spare: &WireBuffers) -> NextFrame {
             match self.0.len() {
                 0 => NextFrame::Done,
                 1 if !flushed => NextFrame::Wait,
@@ -732,6 +740,58 @@ mod tests {
             "{} writes for {bytes} bytes in 42 frames",
             sink.calls
         );
+    }
+
+    /// A query response as the server builds one: header and closing frame
+    /// allocated fresh, every region encoded into a spare buffer.
+    struct Encoded {
+        sent: usize,
+        regions: usize,
+    }
+
+    impl ResponseSource for Encoded {
+        fn next_frame(&mut self, flushed: bool, spare: &WireBuffers) -> NextFrame {
+            let last = self.regions + 1;
+            if self.sent > last || (self.sent == last && !flushed) {
+                return if self.sent > last {
+                    NextFrame::Done
+                } else {
+                    NextFrame::Wait
+                };
+            }
+            self.sent += 1;
+            NextFrame::Frame(match self.sent - 1 {
+                0 => vec![4u8; 73],
+                n if n == last => vec![6u8; 152],
+                n => {
+                    let mut frame = spare.take(6000 + n);
+                    frame.clear();
+                    frame.resize(6000 + n, n as u8);
+                    frame
+                }
+            })
+        }
+    }
+
+    /// What a session keeps of its flushed frames is a burst's worth, however
+    /// many answers it has streamed: the small frames that did not come from
+    /// the free list do not displace the ones that did.
+    #[test]
+    fn a_sessions_spare_buffers_do_not_grow_with_its_answers() {
+        let (mut out, mut sink) = (FrameQueue::new(), CountingSink::default());
+        let mut pending: VecDeque<Box<dyn ResponseSource>> = VecDeque::new();
+        let mut kept = Vec::new();
+        for _ in 0..300 {
+            pending.push_back(Box::new(Encoded {
+                sent: 0,
+                regions: 40,
+            }));
+            let progress = pump(&mut pending, &mut out, &mut sink).expect("sink never fails");
+            assert_eq!(progress, WriteProgress::Flushed);
+            kept.push(out.spare().retained_bytes());
+        }
+        assert!(kept[299] > 0 && kept[299] <= 2 * LOW_WATER, "{kept:?}");
+        assert_eq!(kept[299], kept[9], "{kept:?}");
     }
 
     fn framed(payload: &[u8]) -> Vec<u8> {

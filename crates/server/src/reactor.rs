@@ -16,6 +16,7 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
+use tasm_proto::nio::WireBuffers;
 use tasm_proto::{encode_region, ErrorCode, Message, ResultSummary, VERSION};
 use tasm_reactor::{Ctl, Logic, NextFrame, ResponseSource, Waker};
 use tasm_service::{QueryOutcome, QueryRequest, ServiceError};
@@ -458,7 +459,7 @@ impl QueryResponse {
 }
 
 impl ResponseSource for QueryResponse {
-    fn next_frame(&mut self, flushed: bool) -> NextFrame {
+    fn next_frame(&mut self, flushed: bool, spare: &WireBuffers) -> NextFrame {
         loop {
             match self.state {
                 RespState::Header => {
@@ -479,7 +480,8 @@ impl ResponseSource for QueryResponse {
                 RespState::Regions => {
                     let regions = &self.outcome.result.regions;
                     if self.next_region < regions.len() {
-                        let frame = encode_region(self.wire_id, &regions[self.next_region]);
+                        let region = &regions[self.next_region];
+                        let frame = encode_region(self.wire_id, region, spare);
                         self.next_region += 1;
                         return NextFrame::Frame(frame);
                     }

@@ -20,6 +20,8 @@ struct SessionShared {
     /// polling.
     inflight: Mutex<u32>,
     drained: Condvar,
+    /// Buffers of region frames already written, for the next ones.
+    spare: tasm_proto::nio::WireBuffers,
 }
 
 impl SessionShared {
@@ -99,6 +101,7 @@ pub(crate) fn run(shared: &Arc<ServerShared>, stream: TcpStream, _guard: Session
         writer: Mutex::new(stream),
         inflight: Mutex::new(0),
         drained: Condvar::new(),
+        spare: tasm_proto::nio::wire_buffers(),
     });
 
     if !handshake(shared, &mut reader, &session) {
@@ -399,7 +402,9 @@ fn handle_query(
                         }
                         .write_to(&mut *w)?;
                         for region in &result.regions {
-                            w.write_all(&tasm_proto::encode_region(id, region))?;
+                            let frame = tasm_proto::encode_region(id, region, &session.spare);
+                            w.write_all(&frame)?;
+                            session.spare.give(frame);
                         }
                         // The stream phase covers the header and region
                         // frames; ResultDone itself carries the trace, so
@@ -466,6 +471,7 @@ mod tests {
             writer: Mutex::new(server_side),
             inflight: Mutex::new(0),
             drained: Condvar::new(),
+            spare: tasm_proto::nio::wire_buffers(),
         })
     }
 

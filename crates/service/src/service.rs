@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tasm_core::{LabelPredicate, Query, ScanResult, Tasm, TasmError};
+use tasm_core::{recycle_canvases, CanvasPool, LabelPredicate, Query, ScanResult, Tasm, TasmError};
 
 /// Which incremental layout policy the background daemon applies to
 /// completed queries.
@@ -132,6 +132,17 @@ pub struct QueryOutcome {
     /// Per-phase execution trace (queue/plan/decode filled here; the
     /// serving layer adds its stream time and instance tag).
     pub trace: tasm_obs::QueryTrace,
+    /// Where the regions' canvases came from, and go back to.
+    canvases: Arc<CanvasPool>,
+}
+
+/// However an outcome ends — streamed to the last frame, refused, or dropped
+/// with the session that was reading it — the store that composed its
+/// canvases gets them back for the next answer.
+impl Drop for QueryOutcome {
+    fn drop(&mut self) {
+        recycle_canvases(&self.canvases, std::mem::take(&mut self.result.regions));
+    }
 }
 
 /// Errors surfaced to submitters.
@@ -645,6 +656,7 @@ fn worker_loop(shared: &Shared) {
                     queue_time,
                     total_time,
                     trace,
+                    canvases: Arc::clone(shared.tasm.store().canvases()),
                 }));
             }
             Ok(Err(e)) => {

@@ -97,6 +97,13 @@ impl Frame {
         })
     }
 
+    /// The three plane buffers (Y, U, V): the inverse of
+    /// [`Frame::from_planes`], for a caller that builds its next frame in
+    /// the allocations of one it is done with.
+    pub fn into_planes(self) -> [Vec<u8>; 3] {
+        [self.y, self.u, self.v]
+    }
+
     /// Luma and chroma plane lengths of a `width`×`height` 4:2:0 frame;
     /// `None` when the dimensions are not positive and even. What
     /// [`Frame::from_planes`] holds its buffers to.
@@ -279,6 +286,15 @@ mod tests {
         assert!(f.plane(Plane::U).iter().all(|&s| s == 110));
         assert!(f.plane(Plane::V).iter().all(|&s| s == 120));
         assert_eq!(f.sample_count(), 128 + 64);
+    }
+
+    #[test]
+    fn planes_round_trip_without_moving() {
+        let f = Frame::filled(16, 8, 200, 7, 9);
+        let y = f.plane(Plane::Y).as_ptr();
+        let [py, pu, pv] = f.clone().into_planes();
+        assert_eq!(Frame::from_planes(16, 8, py, pu, pv), Some(f.clone()));
+        assert_eq!(f.into_planes()[0].as_ptr(), y);
     }
 
     #[test]

@@ -145,7 +145,7 @@ fn all_frame_kinds() -> Vec<Vec<u8>> {
         },
     ];
     let mut frames: Vec<Vec<u8>> = messages.iter().map(Message::encode).collect();
-    frames.push(encode_region(42, &region));
+    frames.push(encode_region(42, &region, &tasm_proto::nio::wire_buffers()));
     frames
 }
 

@@ -514,7 +514,7 @@ fn golden_response(id: u64) -> Vec<Vec<u8>> {
             epoch: 6,
         }
         .encode(),
-        tasm_proto::encode_region(id, &a),
+        tasm_proto::encode_region(id, &a, &tasm_proto::nio::wire_buffers()),
         Message::Region { id, region: b }.encode(),
         Message::ResultDone {
             id,
@@ -584,8 +584,16 @@ fn relayed_result_frames_differ_only_in_the_id() {
         ResultFrame::Region,
         ResultFrame::Done,
     ];
+    // Frames are built in used buffers: nothing they held may show.
+    let spare = tasm_proto::nio::wire_buffers();
+    let used = || {
+        for frame in &frames {
+            spare.give(vec![0xEE; frame.len() + 9]);
+        }
+        &spare
+    };
     for (frame, kind) in frames.iter().zip(kinds) {
-        let (got, relayed) = relay_result_frame(&frame[4..], id, relay_id)
+        let (got, relayed) = relay_result_frame(&frame[4..], id, relay_id, used())
             .expect("well-formed")
             .expect("a result frame");
         assert_eq!(got, kind);
@@ -593,12 +601,12 @@ fn relayed_result_frames_differ_only_in_the_id() {
         assert_eq!(relayed[..5], frame[..5]);
         assert_eq!(relayed[5..13], relay_id.to_le_bytes());
         assert_eq!(relayed[13..], frame[13..]);
-        let (_, back) = relay_result_frame(&relayed[4..], relay_id, id)
+        let (_, back) = relay_result_frame(&relayed[4..], relay_id, id, used())
             .expect("well-formed")
             .expect("a result frame");
         assert_eq!(&back, frame);
         // A frame of some other request is refused, not relayed.
-        assert!(relay_result_frame(&frame[4..], id + 1, relay_id).is_err());
+        assert!(relay_result_frame(&frame[4..], id + 1, relay_id, used()).is_err());
     }
     // Anything that is not part of a result stream is left to the caller.
     let error = Message::Error {
@@ -607,11 +615,11 @@ fn relayed_result_frames_differ_only_in_the_id() {
         message: "queue full".to_string(),
     }
     .encode();
-    assert!(relay_result_frame(&error[4..], id, relay_id)
+    assert!(relay_result_frame(&error[4..], id, relay_id, used())
         .expect("well-formed")
         .is_none());
     // A region whose planes disagree with its dimensions is caught without
     // decoding a pixel: here the last plane byte is cut off.
     let region = &frames[1];
-    assert!(relay_result_frame(&region[4..region.len() - 1], id, relay_id).is_err());
+    assert!(relay_result_frame(&region[4..region.len() - 1], id, relay_id, used()).is_err());
 }

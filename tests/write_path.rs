@@ -432,10 +432,46 @@ fn without_codec_field(json: &str) -> String {
     format!("{}{}", &json[..comma], &json[end..])
 }
 
+/// The default is one DCT encode per tile, nothing else pins it: a store
+/// opened with the default config records `Dct` and writes, byte for byte,
+/// the tile files of one opened with `Dct` spelled out — on the clip whose
+/// flat tile the size trial would have stored losslessly.
+#[test]
+fn a_default_ingest_records_dct_and_writes_what_an_explicit_dct_ingest_writes() {
+    assert_eq!(StorageConfig::default().codec, CodecChoice::Dct);
+    let explicit = TasmConfig {
+        storage: StorageConfig {
+            codec: CodecChoice::Dct,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let ingested =
+        [("default", TasmConfig::default()), ("explicit", explicit)].map(|(tag, cfg)| {
+            let root = temp_dir(&format!("default-{tag}"));
+            let tasm = Tasm::open(&root, Box::new(MemoryIndex::in_memory()), cfg).unwrap();
+            tasm.ingest_with("v", &clip(), 30, |_, _| two_cols())
+                .unwrap();
+            let json = std::fs::read_to_string(root.join("v").join("manifest.json")).unwrap();
+            assert!(json.contains("\"codec\": \"Dct\""), "{tag}: {json}");
+            let manifest = tasm.manifest("v").unwrap();
+            assert_eq!(tile_codecs(&manifest), [[0, 0]], "{tag}");
+            let tiles: Vec<Vec<u8>> = (0..2)
+                .map(|t| tasm.store().tile_file_bytes(&manifest, 0, t).unwrap())
+                .collect();
+            drop(tasm);
+            std::fs::remove_dir_all(&root).ok();
+            (json, tiles)
+        });
+    assert_eq!(ingested[0], ingested[1]);
+}
+
 /// A store's manifest says which codec choice it was ingested with, and a
-/// re-tile runs what the manifest says (here the size trial), whatever the
-/// default is; a manifest from before the field existed parses as DCT-only,
-/// which is what such a store holds.
+/// re-tile runs what the manifest says (here the size trial), not the
+/// default (`Dct`) — on the store that ingested it and on a replica that
+/// was opened with the default and received the manifest from a peer; a
+/// manifest from before the field existed parses as DCT-only, which is what
+/// such a store holds.
 #[test]
 fn recorded_codec_choice_is_what_a_retile_honours() {
     let dir = temp_dir("recorded");
@@ -451,8 +487,39 @@ fn recorded_codec_choice_is_what_a_retile_honours() {
 
     let mut manifest = store.load_manifest("v").unwrap();
     assert_eq!(manifest.config.codec, CodecChoice::Auto);
+    let ingested = manifest.clone();
+    let tiles: Vec<Vec<Vec<u8>>> = (0..ingested.sots.len())
+        .map(|sot| {
+            (0..ingested.sots[sot].layout.tile_count())
+                .map(|t| store.tile_file_bytes(&ingested, sot, t).unwrap())
+                .collect()
+        })
+        .collect();
     store.retile(&mut manifest, 1, uneven()).unwrap();
     assert_eq!(manifest.sots[1].tile_codecs, [1, 0, 0, 0, 0, 0]);
+
+    let replica_dir = temp_dir("recorded-replica");
+    let replica = Tasm::open(
+        &replica_dir,
+        Box::new(MemoryIndex::in_memory()),
+        TasmConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(replica.config().storage.codec, CodecChoice::Dct);
+    replica.apply_replicated_video(ingested, &tiles).unwrap();
+    assert_eq!(
+        replica.manifest("v").unwrap().config.codec,
+        CodecChoice::Auto
+    );
+    replica.retile("v", 1, uneven()).unwrap();
+    assert_eq!(
+        replica.manifest("v").unwrap().sots[1].tile_codecs,
+        manifest.sots[1].tile_codecs,
+        "the replica ran the trial its manifest records"
+    );
+    assert!(replica.fsck().unwrap().is_clean());
+    drop(replica);
+    std::fs::remove_dir_all(&replica_dir).ok();
 
     let legacy = without_codec_field(&json);
     assert!(!legacy.contains("codec\""), "{legacy}");
