@@ -1,15 +1,17 @@
 //! Crash-safety tests of the storage layer: the deterministic crash-point
-//! sweep over the re-tile commit protocol, torn-write regressions for the
+//! sweeps over ingest, re-tile and epoch GC, torn-write regressions for the
 //! manifest, ingest cleanup, fsck, and kill-and-reattach under a live
 //! query service.
 //!
-//! The sweep is the core property: for *every* injectable fault point in a
-//! re-tile (fail-stop and torn-write at each mutating I/O operation),
-//! reopening the store must recover to a state **bit-identical to exactly
-//! one of the two layout epochs** — wholly pre-retile or wholly
-//! post-retile, never a mix — and `fsck` must report it clean.
+//! The sweep is the core property: for *every* injectable fault point of
+//! ingest → re-tile → re-tile → epoch GC (fail-stop and torn-write at each
+//! mutating I/O operation), reopening the store must recover to **exactly
+//! one layout epoch of an uncrashed twin** — its manifest, every tile's
+//! bytes and a full scan all from that epoch, never a mix — with `fsck`
+//! clean and nothing in the video directory the manifest does not name.
+//! The sweeps say nothing of file names or of the order of operations, so
+//! they hold for any commit protocol.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -18,7 +20,7 @@ use tasm_codec::TileLayout;
 use tasm_core::durable::{FaultIo, FaultKind};
 use tasm_core::{
     LabelPredicate, PartitionConfig, RecoveryAction, StorageConfig, StoreError, Tasm, TasmConfig,
-    VideoStore,
+    VideoManifest, VideoStore,
 };
 use tasm_index::MemoryIndex;
 use tasm_service::{QueryRequest, QueryService, RetilePolicy, ServiceConfig, Shutdown};
@@ -57,263 +59,317 @@ fn small_cfg() -> StorageConfig {
     }
 }
 
-/// Every file under `dir`, keyed by store-relative path. Bit-level equality
-/// of two snapshots is the "same epoch" relation the sweep asserts.
-fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    fn walk(base: &Path, dir: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
-        for entry in fs::read_dir(dir).expect("read_dir") {
-            let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                walk(base, &path, out);
-            } else {
-                let rel = path
-                    .strip_prefix(base)
-                    .expect("under base")
-                    .to_string_lossy()
-                    .into_owned();
-                out.insert(rel, fs::read(&path).expect("read file"));
-            }
-        }
-    }
-    let mut out = BTreeMap::new();
-    walk(dir, dir, &mut out);
-    out
+/// What a store says of video "v" through its API, and nothing of how its
+/// files are laid out: the manifest, every tile's container bytes
+/// (`tile_file_bytes`, outer index = SOT) and a digest of one full-window
+/// scan. Two stores in the same layout epoch agree on all three; equality
+/// with exactly one state of an uncrashed twin is the "wholly one epoch,
+/// never a mix" relation the sweeps assert.
+#[derive(PartialEq)]
+struct VideoState {
+    manifest: VideoManifest,
+    tiles: Vec<Vec<Vec<u8>>>,
+    scan: u64,
 }
 
-/// Recreates `dir` to hold exactly the files of `snap`.
-fn restore(snap: &BTreeMap<String, Vec<u8>>, dir: &Path) {
-    let _ = fs::remove_dir_all(dir);
-    for (rel, bytes) in snap {
-        let path = dir.join(rel);
-        fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
-        fs::write(&path, bytes).expect("write");
-    }
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
-/// Human-readable first divergence between a recovered state and the two
-/// epoch snapshots, for sweep failure messages.
-fn describe_divergence(
-    got: &BTreeMap<String, Vec<u8>>,
-    pre: &BTreeMap<String, Vec<u8>>,
-    post: &BTreeMap<String, Vec<u8>>,
-) -> String {
-    let diff = |name: &str, reference: &BTreeMap<String, Vec<u8>>| -> String {
-        let missing: Vec<&String> = reference.keys().filter(|k| !got.contains_key(*k)).collect();
-        let extra: Vec<&String> = got.keys().filter(|k| !reference.contains_key(*k)).collect();
-        let changed: Vec<&String> = reference
-            .iter()
-            .filter(|(k, v)| got.get(*k).is_some_and(|g| g != *v))
-            .map(|(k, _)| k)
-            .collect();
-        format!("vs {name}: missing {missing:?}, extra {extra:?}, changed {changed:?}")
+/// Reopens the store on real I/O — startup recovery runs — and holds it to
+/// what every recovered store owes, whatever the commit protocol: `fsck` is
+/// clean, and the video directory holds the manifest plus one entry per SOT
+/// (everything in it is named by the manifest: no residue, no second
+/// epoch). Returns the video's state (`None` when it does not exist) and
+/// what recovery did.
+fn reopen_and_check(dir: &Path, what: &str) -> (Option<VideoState>, Vec<RecoveryAction>) {
+    let config = TasmConfig {
+        storage: small_cfg(),
+        ..Default::default()
     };
-    format!("{}; {}", diff("pre", pre), diff("post", post))
+    let tasm = Tasm::open(dir, Box::new(MemoryIndex::in_memory()), config).expect("reopen");
+    let actions = tasm.recovery_report().actions.clone();
+    assert!(!tasm.recovery_report().deferred, "{what}: lock still held");
+    let fsck = tasm.fsck().expect("fsck runs");
+    assert!(
+        fsck.is_clean(),
+        "{what}: fsck found {:?} (recovery did {actions:?})",
+        fsck.issues
+    );
+    if !tasm.has_stored_video("v") {
+        assert!(
+            !dir.join("v").exists(),
+            "{what}: a video without a manifest must be gone"
+        );
+        return (None, actions);
+    }
+    tasm.attach("v").expect("attach");
+    let manifest = tasm.manifest("v").expect("manifest");
+    assert!(fsck.tiles_checked > 0, "{what}: nothing checked");
+    let entries: Vec<String> = fs::read_dir(dir.join("v"))
+        .expect("video dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(
+        entries.len(),
+        1 + manifest.sots.len(),
+        "{what}: the manifest names one entry per SOT, the directory holds {entries:?}"
+    );
+    let tiles = manifest
+        .sots
+        .iter()
+        .enumerate()
+        .map(|(i, sot)| {
+            (0..sot.layout.tile_count())
+                .map(|t| tasm.store().tile_file_bytes(&manifest, i, t).expect("tile"))
+                .collect()
+        })
+        .collect();
+    for frame in 0..manifest.frame_count {
+        tasm.add_metadata("v", "patch", frame, Rect::new(8, 8, 48, 40))
+            .expect("metadata");
+        tasm.mark_processed("v", frame).expect("processed");
+    }
+    let result = tasm
+        .scan(
+            "v",
+            &LabelPredicate::label("patch"),
+            0..manifest.frame_count,
+        )
+        .expect("scan");
+    assert_eq!(result.regions.len() as u32, manifest.frame_count, "{what}");
+    let scan = result.regions.iter().fold(0xcbf2_9ce4_8422_2325, |h, r| {
+        let h = fnv1a(h, &r.frame.to_le_bytes());
+        Plane::ALL
+            .iter()
+            .fold(h, |h, &p| fnv1a(h, r.pixels.plane(p)))
+    });
+    let state = VideoState {
+        manifest,
+        tiles,
+        scan,
+    };
+    (Some(state), actions)
 }
 
-/// The crash-point sweep (acceptance criterion): run the same re-tile once
-/// per injectable fault point — fail-stop *and* torn-write at every
-/// mutating operation of the commit protocol — and assert that reopening
-/// the store recovers to a state bit-identical to exactly the pre-retile
-/// or the post-retile epoch, with `fsck` clean either way.
+/// The mutations under the sweep, stopping at the first error: an ingest of
+/// two untiled SOTs, a re-tile of SOT 0 to 4x4 (its superseded epoch
+/// reclaimed at once), a second re-tile of SOT 0 — now decoding sixteen
+/// tiles — to 2x2 with the reclaim deferred, then that reclaim. `steps`
+/// says how many of the four to run.
+fn drive(store: &VideoStore, steps: usize) -> Result<(), StoreError> {
+    let src = test_source(20);
+    store.ingest("v", &src, 30, small_cfg(), |_, _| {
+        TileLayout::untiled(64, 64)
+    })?;
+    if steps == 1 {
+        return Ok(());
+    }
+    let mut manifest = store.load_manifest("v")?;
+    store.retile(
+        &mut manifest,
+        0,
+        TileLayout::uniform(64, 64, 4, 4).expect("layout"),
+    )?;
+    if steps == 2 {
+        return Ok(());
+    }
+    let (_, retired) = store.retile_deferred(
+        &mut manifest,
+        0,
+        TileLayout::uniform(64, 64, 2, 2).expect("layout"),
+    )?;
+    if steps == 3 {
+        return Ok(());
+    }
+    store.gc_epoch("v", retired.expect("a layout change retires an epoch"))
+}
+
+/// The crash-point sweep (acceptance criterion): crash — fail-stop *and*
+/// torn write — at every mutating I/O operation of ingest → re-tile →
+/// re-tile → epoch GC, reopen, and hold the recovered store to
+/// [`reopen_and_check`] and to the uncrashed twin: the video is absent (the
+/// ingest never published) or in exactly the state the twin was in after
+/// one of the steps — manifest, every tile's bytes and the scan all from
+/// that one epoch.
 #[test]
 fn crash_point_sweep_recovers_to_exactly_one_epoch() {
-    // Epoch A: a one-SOT untiled video.
-    let base = temp_dir("sweep-base");
-    let store = VideoStore::open(&base).expect("open base");
-    let src = test_source(10);
-    store
-        .ingest("v", &src, 30, small_cfg(), |_, _| {
-            TileLayout::untiled(64, 64)
+    // The twin's state after the ingest, the first and the second re-tile.
+    let twin = temp_dir("sweep-twin");
+    let states: Vec<VideoState> = (1..=3)
+        .map(|steps| {
+            let _ = fs::remove_dir_all(&twin);
+            let store = VideoStore::open(&twin).expect("open twin");
+            drive(&store, steps).expect("twin step");
+            drop(store);
+            reopen_and_check(&twin, &format!("twin after step {steps}"))
+                .0
+                .expect("twin video")
         })
-        .expect("ingest");
-    drop(store);
-    let pre = snapshot(&base);
+        .collect();
+    let epochs: Vec<u64> = states.iter().map(|s| s.manifest.epoch()).collect();
+    assert_eq!(epochs, [0, 1, 2]);
 
-    // Epoch B: the same store after a clean 4x4 re-tile, run through a
-    // disarmed fault injector so we also learn the exact number of
-    // mutating operations the protocol performs.
-    let new_layout = TileLayout::uniform(64, 64, 4, 4).expect("layout");
-    let clean = temp_dir("sweep-clean");
-    restore(&pre, &clean);
+    // The whole sequence through a disarmed injector: how many fault
+    // points there are, and that the reclaim leaves the last state as is.
+    let _ = fs::remove_dir_all(&twin);
     let counter = FaultIo::new();
-    let store = VideoStore::open_with_io(&clean, 0, 0, counter.clone()).expect("open clean");
-    let mut manifest = store.load_manifest("v").expect("manifest");
+    let store = VideoStore::open_with_io(&twin, 0, 0, counter.clone()).expect("open counted");
     let ops_before = counter.mutating_ops();
-    store
-        .retile(&mut manifest, 0, new_layout.clone())
-        .expect("clean retile");
+    drive(&store, 4).expect("clean sequence");
     let total_ops = counter.mutating_ops() - ops_before;
     drop(store);
-    let post = snapshot(&clean);
+    let (clean, actions) = reopen_and_check(&twin, "clean sequence");
+    assert!(actions.is_empty(), "clean shutdown recovered {actions:?}");
+    assert!(clean.expect("video") == states[2]);
+    // Whatever the protocol: an ingest cannot publish in fewer than four
+    // durable steps (two packs' worth of tiles, the manifest's bytes, its
+    // name), a re-tile in fewer than three, a reclaim in fewer than two.
     assert!(
-        total_ops >= 20,
-        "the protocol must expose at least 20 distinct fault points, got {total_ops}"
+        total_ops >= 12,
+        "the sequence must expose at least 12 fault points, got {total_ops}"
     );
-    assert_ne!(pre, post, "the re-tile must actually change the store");
 
     let scratch = temp_dir("sweep-scratch");
-    let (mut recovered_pre, mut recovered_post) = (0u64, 0u64);
+    let mut absent = 0u64;
+    let mut landed = [0u64; 3];
     for kind in [FaultKind::FailStop, FaultKind::TornWrite] {
         for n in 1..=total_ops {
-            restore(&pre, &scratch);
+            let what = format!("{kind:?} at op {n} of {total_ops}");
+            let _ = fs::remove_dir_all(&scratch);
             let fault = FaultIo::new();
             let store =
                 VideoStore::open_with_io(&scratch, 0, 0, fault.clone()).expect("open faulted");
-            let mut manifest = store.load_manifest("v").expect("manifest");
             fault.arm(fault.mutating_ops() + n, kind);
-            let result = store.retile(&mut manifest, 0, new_layout.clone());
-            assert!(
-                result.is_err(),
-                "{kind:?} at op {n} must surface as an error"
-            );
-            assert!(fault.crashed(), "{kind:?} at op {n} must have fired");
+            assert!(drive(&store, 4).is_err(), "{what} must surface as an error");
+            assert!(fault.crashed(), "{what} must have fired");
             drop(store);
 
-            // Reopen with real I/O: startup recovery runs.
-            let store = VideoStore::open(&scratch).expect("reopen after crash");
-            let fsck = store.fsck().expect("fsck runs");
-            assert!(
-                fsck.is_clean(),
-                "{kind:?} at op {n}: fsck found {:?} (recovery did {:?})",
-                fsck.issues,
-                store.recovery_report().actions
-            );
-            assert!(
-                fsck.tiles_checked > 0,
-                "{kind:?} at op {n}: nothing checked"
-            );
-            drop(store);
-
-            let got = snapshot(&scratch);
-            if got == pre {
-                recovered_pre += 1;
-            } else if got == post {
-                recovered_post += 1;
-            } else {
-                panic!(
-                    "{kind:?} at op {n}: recovered state matches neither epoch: {}",
-                    describe_divergence(&got, &pre, &post)
-                );
+            match reopen_and_check(&scratch, &what).0 {
+                None => absent += 1,
+                Some(got) => match states.iter().position(|s| *s == got) {
+                    Some(i) => landed[i] += 1,
+                    None => panic!(
+                        "{what}: recovered to layout epoch {} but not to the twin's state there \
+                         (manifest equal to the twin's at {:?})",
+                        got.manifest.epoch(),
+                        states.iter().position(|s| s.manifest == got.manifest)
+                    ),
+                },
             }
         }
     }
-    // The sweep must have crossed the commit point: some fault points land
-    // before it (pre-retile epoch survives) and some after (the re-tile
-    // completes at recovery).
-    assert!(recovered_pre > 0, "no fault point rolled back");
-    assert!(recovered_post > 0, "no fault point rolled forward");
-    fs::remove_dir_all(&base).ok();
-    fs::remove_dir_all(&clean).ok();
+    // The sweep must have crossed every publish point: before the ingest's,
+    // and on both sides of each re-tile's.
+    assert!(absent > 0, "no fault point left the video unpublished");
+    assert!(
+        landed.iter().all(|&n| n > 0),
+        "fault points per twin state: {landed:?}"
+    );
+    fs::remove_dir_all(&twin).ok();
     fs::remove_dir_all(&scratch).ok();
 }
 
-/// The crash-point sweep over MVCC epoch GC: fail-stop and torn-write at
-/// every mutating I/O operation of `gc_epoch` (the reclamation that runs
-/// when a pinned epoch's last reader drains). Recovery must always land in
-/// exactly one epoch set — the one the manifest references, with the
-/// retired epoch fully reclaimed — and fsck must be clean.
+/// The crash-point sweep over MVCC epoch GC alone: fail-stop and torn-write
+/// at every mutating I/O operation of `gc_epoch` (the reclamation that runs
+/// when a pinned epoch's last reader drains).
 ///
-/// A crashed GC cannot roll *back* (the retile already committed; the
-/// retired directory is unreferenced residue), so recovery converges on
-/// the post-GC state from every fault point: startup reclaims superseded
-/// epoch directories the same way a completed GC would have.
+/// Until the GC runs, the retired epoch stays readable through the manifest
+/// snapshot a reader pinned; once it has, that snapshot's tiles are typed
+/// `NotFound`. A crashed GC cannot roll *back* (the re-tile already
+/// committed; what is left of the retired epoch is unreferenced), so
+/// recovery converges on the post-GC state from every fault point: startup
+/// reclaims superseded epochs the same way a completed GC would have.
 #[test]
 fn epoch_gc_crash_sweep_recovers_to_exactly_one_epoch_set() {
-    // Base state: a one-SOT untiled video, cleanly ingested.
-    let base = temp_dir("gc-sweep-base");
-    let store = VideoStore::open(&base).expect("open base");
-    let src = test_source(10);
-    store
-        .ingest("v", &src, 30, small_cfg(), |_, _| {
-            TileLayout::untiled(64, 64)
-        })
-        .expect("ingest");
-    drop(store);
-    let ingested = snapshot(&base);
     let new_layout = TileLayout::uniform(64, 64, 2, 2).expect("layout");
+    // Ingest, then a deferred re-tile as if a reader still pinned the
+    // ingested epoch. Returns that reader's manifest snapshot and the
+    // epoch to reclaim.
+    let prepare = |store: &VideoStore| {
+        let src = test_source(10);
+        store
+            .ingest("v", &src, 30, small_cfg(), |_, _| {
+                TileLayout::untiled(64, 64)
+            })
+            .expect("ingest");
+        let pinned = store.load_manifest("v").expect("manifest");
+        let mut manifest = pinned.clone();
+        let (_, retired) = store
+            .retile_deferred(&mut manifest, 0, new_layout.clone())
+            .expect("deferred retile");
+        let retired = retired.expect("a layout change must retire an epoch");
+        let old_tile = store
+            .tile_file_bytes(&pinned, 0, 0)
+            .expect("deferred mode must leave the retired epoch readable");
+        assert!(!old_tile.is_empty());
+        (pinned, retired)
+    };
 
-    // Clean run: a deferred re-tile (the retired epoch's directory stays,
-    // as if a reader still pinned it) followed by its GC. Count the GC's
-    // own mutating operations and capture the post-GC state.
+    // Clean run: count the GC's own mutating operations and capture the
+    // post-GC state.
     let clean = temp_dir("gc-sweep-clean");
-    restore(&ingested, &clean);
     let counter = FaultIo::new();
     let store = VideoStore::open_with_io(&clean, 0, 0, counter.clone()).expect("open clean");
-    let mut manifest = store.load_manifest("v").expect("manifest");
-    let (_, retired) = store
-        .retile_deferred(&mut manifest, 0, new_layout.clone())
-        .expect("clean deferred retile");
-    let retired = retired.expect("a layout change must retire an epoch");
-    assert!(
-        clean.join("v").join("sot_000000_000010").exists(),
-        "deferred mode must leave the retired epoch's directory"
-    );
+    let (pinned, retired) = prepare(&store);
     let ops_before = counter.mutating_ops();
     store.gc_epoch("v", retired).expect("clean gc");
     let gc_ops = counter.mutating_ops() - ops_before;
-    drop(store);
     assert!(
         gc_ops >= 2,
         "epoch GC must expose at least its remove and dir-sync as fault points, got {gc_ops}"
     );
-    assert!(!clean.join("v").join("sot_000000_000010").exists());
-    let post = snapshot(&clean);
+    assert!(matches!(
+        store.tile_file_bytes(&pinned, 0, 0),
+        Err(StoreError::NotFound(_))
+    ));
+    store.gc_epoch("v", retired).expect("GC is idempotent");
+    drop(store);
+    let (post, actions) = reopen_and_check(&clean, "clean gc");
+    assert!(actions.is_empty(), "clean shutdown recovered {actions:?}");
+    let post = post.expect("video");
+    assert_eq!(post.manifest.epoch(), 1);
 
     let scratch = temp_dir("gc-sweep-scratch");
     let mut reclaimed_by_recovery = 0u32;
     for kind in [FaultKind::FailStop, FaultKind::TornWrite] {
         for n in 1..=gc_ops {
-            restore(&ingested, &scratch);
+            let what = format!("{kind:?} at gc op {n}");
+            let _ = fs::remove_dir_all(&scratch);
             let fault = FaultIo::new();
             let store =
                 VideoStore::open_with_io(&scratch, 0, 0, fault.clone()).expect("open faulted");
-            let mut manifest = store.load_manifest("v").expect("manifest");
             // The re-tile itself runs clean; the crash lands inside GC.
-            let (_, retired) = store
-                .retile_deferred(&mut manifest, 0, new_layout.clone())
-                .expect("deferred retile");
-            let retired = retired.expect("retired epoch");
+            let (_, retired) = prepare(&store);
             fault.arm(fault.mutating_ops() + n, kind);
             assert!(
                 store.gc_epoch("v", retired).is_err(),
-                "{kind:?} at gc op {n} must surface as an error"
+                "{what} must surface as an error"
             );
-            assert!(fault.crashed(), "{kind:?} at gc op {n} must have fired");
+            assert!(fault.crashed(), "{what} must have fired");
             drop(store);
 
             // Reopen with real I/O: startup recovery reclaims whatever the
             // crashed GC left of the superseded epoch.
-            let store = VideoStore::open(&scratch).expect("reopen after crashed gc");
-            if store
-                .recovery_report()
-                .actions
+            let (got, actions) = reopen_and_check(&scratch, &what);
+            if actions
                 .iter()
-                .any(|a| matches!(a, RecoveryAction::ReclaimedEpoch { video, .. } if video == "v"))
+                .any(|a| matches!(a, RecoveryAction::ReclaimedEpoch { video, epoch: 0, .. } if video == "v"))
             {
                 reclaimed_by_recovery += 1;
             }
-            let fsck = store.fsck().expect("fsck runs");
             assert!(
-                fsck.is_clean(),
-                "{kind:?} at gc op {n}: fsck found {:?} (recovery did {:?})",
-                fsck.issues,
-                store.recovery_report().actions
-            );
-            drop(store);
-
-            let got = snapshot(&scratch);
-            assert!(
-                got == post,
-                "{kind:?} at gc op {n}: recovery must land in the post-GC epoch set: {}",
-                describe_divergence(&got, &ingested, &post)
+                got.expect("video") == post,
+                "{what}: recovery must land in the post-GC state (it did {actions:?})"
             );
         }
     }
     assert!(
         reclaimed_by_recovery > 0,
-        "at least one fault point must leave the whole retired epoch for recovery to reclaim"
+        "at least one fault point must leave the retired epoch for recovery to reclaim"
     );
-    fs::remove_dir_all(&base).ok();
     fs::remove_dir_all(&clean).ok();
     fs::remove_dir_all(&scratch).ok();
 }
@@ -577,11 +633,20 @@ fn populate_truth(t: &Tasm, frames: u32) {
 }
 
 /// Kill-and-reattach: crash the storage layer while the regret daemon and
-/// 4 query workers are live, reopen the store (recovery), and verify that
-/// post-recovery queries are bit-identical to a serially-driven twin
-/// brought to the same per-SOT layouts.
+/// 4 query workers are live — at the second, fifth and seventh mutating
+/// operation the daemon's re-tiles perform, so the crash lands early in a
+/// commit, late in one, or in the next — reopen the store (recovery), and
+/// verify that it holds nothing the manifest does not name and that every
+/// tile's bytes and every post-recovery query are bit-identical to a
+/// serially-driven twin brought to the same per-SOT layouts.
 #[test]
 fn kill_and_reattach_matches_serially_driven_twin() {
+    for crash_at in [2, 5, 7] {
+        kill_and_reattach(crash_at);
+    }
+}
+
+fn kill_and_reattach(crash_at: u64) {
     const FRAMES: u32 = 40;
     let dir = temp_dir("kill-reattach");
     let fault = FaultIo::new();
@@ -609,9 +674,8 @@ fn kill_and_reattach_matches_serially_driven_twin() {
             ..Default::default()
         },
     );
-    // The next mutating I/O comes from the daemon's re-tiles; land the
-    // crash in the middle of one (op 7 of a ~10-op commit sequence).
-    fault.arm(fault.mutating_ops() + 7, FaultKind::TornWrite);
+    // The next mutating I/O comes from the daemon's re-tiles.
+    fault.arm(fault.mutating_ops() + crash_at, FaultKind::TornWrite);
 
     let windows = [0u32..10, 10..20, 20..30, 30..40];
     let mut submitted = 0u32;
@@ -659,22 +723,45 @@ fn kill_and_reattach_matches_serially_driven_twin() {
     populate_truth(&recovered, FRAMES);
     assert!(recovered.fsck().expect("fsck").is_clean());
     let recovered_manifest = recovered.manifest("v").expect("manifest");
+    assert_eq!(
+        fs::read_dir(dir.join("v")).expect("video dir").count(),
+        1 + recovered_manifest.sots.len(),
+        "crash at op {crash_at}: the video directory holds the manifest and one entry per SOT"
+    );
 
     // The twin is driven serially on clean I/O to the exact per-SOT
     // layouts recovery settled on; transcodes are deterministic, so every
-    // query must then be bit-identical.
+    // tile and every query must then be bit-identical.
     let twin_dir = temp_dir("kill-reattach-twin");
     let twin = Tasm::open(&twin_dir, Box::new(MemoryIndex::in_memory()), service_cfg())
         .expect("open twin");
     twin.ingest("v", &src, 30).expect("twin ingest");
     populate_truth(&twin, FRAMES);
     for (sot_idx, sot) in recovered_manifest.sots.iter().enumerate() {
+        // One re-tile from the ingested layout is what the twin can redo.
+        assert!(sot.retile_count <= 1, "SOT {sot_idx} re-tiled twice");
         let twin_layout = twin.manifest("v").expect("twin manifest").sots[sot_idx]
             .layout
             .clone();
         if twin_layout != sot.layout {
             twin.retile("v", sot_idx, sot.layout.clone())
                 .expect("twin retile");
+        }
+    }
+    let twin_manifest = twin.manifest("v").expect("twin manifest");
+    assert_eq!(recovered_manifest, twin_manifest);
+    for (sot_idx, sot) in recovered_manifest.sots.iter().enumerate() {
+        for t in 0..sot.layout.tile_count() {
+            assert_eq!(
+                recovered
+                    .store()
+                    .tile_file_bytes(&recovered_manifest, sot_idx, t)
+                    .expect("recovered tile"),
+                twin.store()
+                    .tile_file_bytes(&twin_manifest, sot_idx, t)
+                    .expect("twin tile"),
+                "crash at op {crash_at}: SOT {sot_idx} tile {t}"
+            );
         }
     }
 
@@ -690,10 +777,12 @@ fn kill_and_reattach_matches_serially_driven_twin() {
             tasm_suite::assert_regions_identical(
                 &expected,
                 &a.regions,
-                &format!("'{label}' over {window:?} after recovery"),
+                &format!("'{label}' over {window:?} after a crash at op {crash_at}"),
             );
         }
     }
+    drop(recovered);
+    drop(twin);
     fs::remove_dir_all(&dir).ok();
     fs::remove_dir_all(&twin_dir).ok();
 }

@@ -211,6 +211,10 @@ const PINNED: &[(CodecChoice, [Step; 4])] = &[
     ),
 ];
 
+/// What a run measured after each step: (tile-file digest, every SOT's
+/// `tile_codecs`).
+type Steps = Vec<(u64, Vec<Vec<u8>>)>;
+
 /// Whether a run's steps are the pinned ones.
 fn steps_match(got: &[(u64, Vec<Vec<u8>>)], want: &[Step]) -> bool {
     got.len() == want.len()
@@ -255,6 +259,121 @@ fn ingest_and_retile_files_are_pinned() {
             table += "        ],\n    ),\n";
         }
         panic!("write-path digests moved; this build produces:\n{table}");
+    }
+}
+
+/// Digest of what the store serves for `manifest`, file layout aside: every
+/// tile's container bytes as `tile_file_bytes` returns them, keyed by SOT
+/// and raster index, then each SOT's `tile_codecs`.
+fn digest_tiles(store: &VideoStore, manifest: &VideoManifest) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for (i, sot) in manifest.sots.iter().enumerate() {
+        for t in 0..sot.layout.tile_count() {
+            h = fnv1a(h, &[i as u8, t as u8]);
+            h = fnv1a(h, &store.tile_file_bytes(manifest, i, t).unwrap());
+        }
+        h = fnv1a(h, &sot.tile_codecs);
+    }
+    h
+}
+
+/// Per codec choice, [`digest_tiles`] after ingest and after each of four
+/// re-tiles: SOT 0 untiled→2 cols→uneven, SOT 1 2 cols→uneven→2 cols.
+/// Computed on the store that kept one file per tile; how tiles are filed
+/// on disk must never move them.
+const TILES_PINNED: &[(CodecChoice, [u64; 5])] = &[
+    (
+        CodecChoice::Dct,
+        [
+            0xed3d921ce2bda0e2,
+            0xa696ed0b9b04e7ab,
+            0x2aaca36b3c1b7d71,
+            0xe6fabd5aa440d1a3,
+            0x502e88b79a147254,
+        ],
+    ),
+    (
+        CodecChoice::Pred,
+        [
+            0x43f4b2059a4df513,
+            0xad965f0ac9dae8ab,
+            0xb7dc3c53dbea85cf,
+            0xf1f596d40410a4a6,
+            0xb7dc3c53dbea85cf,
+        ],
+    ),
+    (
+        CodecChoice::Auto,
+        [
+            0x7564d233d356d8d9,
+            0xe670d72076152298,
+            0xfec9511a8ee7fa02,
+            0x250758013e2e46f8,
+            0x342e8b2f5e0bb937,
+        ],
+    ),
+];
+
+/// The bytes behind `tile_file_bytes` are the contract replication, `fsck`
+/// and every decode rest on. Ingest, four re-tiles, and beside them a
+/// replica that receives the ingested video whole and each re-tile as the
+/// next epoch of its SOT: both serve the pinned bytes at every step.
+#[test]
+fn tiles_served_after_ingest_retile_and_replica_install_are_pinned() {
+    let mut got = Vec::new();
+    for &(codec, _) in TILES_PINNED {
+        let (dir, replica_dir) = (temp_dir("tiles"), temp_dir("tiles-replica"));
+        let store = VideoStore::open(&dir).unwrap();
+        let replica = VideoStore::open(&replica_dir).unwrap();
+        let (mut manifest, _) = store
+            .ingest("v", &clip(), 30, cfg(codec, false), |sot, _| {
+                initial_layout(sot)
+            })
+            .unwrap();
+        let payload = |manifest: &VideoManifest, sot: usize| -> Vec<Vec<u8>> {
+            (0..manifest.sots[sot].layout.tile_count())
+                .map(|t| store.tile_file_bytes(manifest, sot, t).unwrap())
+                .collect()
+        };
+        let whole: Vec<_> = (0..manifest.sots.len())
+            .map(|sot| payload(&manifest, sot))
+            .collect();
+        replica.install_video(&manifest, &whole).unwrap();
+        let mut steps = vec![digest_tiles(&store, &manifest)];
+        assert_eq!(digest_tiles(&replica, &manifest), steps[0], "{codec:?}");
+        for (sot, layout) in [
+            (0, two_cols()),
+            (0, uneven()),
+            (1, uneven()),
+            (1, two_cols()),
+        ] {
+            store.retile(&mut manifest, sot, layout).unwrap();
+            replica
+                .install_sot(&manifest, sot, &payload(&manifest, sot))
+                .unwrap();
+            let digest = digest_tiles(&store, &manifest);
+            assert_eq!(digest_tiles(&replica, &manifest), digest, "{codec:?}");
+            steps.push(digest);
+        }
+        for s in [&store, &replica] {
+            assert!(s.fsck().unwrap().is_clean(), "{codec:?}");
+            assert_eq!(s.load_manifest("v").unwrap(), manifest, "{codec:?}");
+        }
+        drop((store, replica));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&replica_dir).ok();
+        got.push((codec, steps));
+    }
+    let same = got
+        .iter()
+        .zip(TILES_PINNED)
+        .all(|(g, w)| g.0 == w.0 && g.1 == w.1);
+    if !same {
+        let table: String = got
+            .iter()
+            .map(|(codec, steps)| format!("    (CodecChoice::{codec:?}, {steps:#018x?}),\n"))
+            .collect();
+        panic!("served tile digests moved; this build produces:\n{table}");
     }
 }
 
@@ -309,7 +428,7 @@ fn decision_clip(motion: Motion) -> VecFrameSource {
 
 /// `Tasm::ingest` (untiled) of a decision clip, then one re-tile of SOT 0
 /// to 2×2: the tile files' digest and both SOTs' `tile_codecs` after each.
-fn tasm_ingest_and_retile(motion: Motion, storage: StorageConfig) -> Vec<(u64, Vec<Vec<u8>>)> {
+fn tasm_ingest_and_retile(motion: Motion, storage: StorageConfig) -> (Steps, Vec<u64>) {
     let dir = temp_dir(&format!("decision-{motion:?}-{}", storage.parallel_encode));
     let tasm = Tasm::open(
         &dir,
@@ -326,17 +445,31 @@ fn tasm_ingest_and_retile(motion: Motion, storage: StorageConfig) -> Vec<(u64, V
         digest_tree(&video),
         tile_codecs(&tasm.manifest("v").unwrap()),
     )];
+    let mut served = vec![digest_tiles(tasm.store(), &tasm.manifest("v").unwrap())];
     tasm.retile("v", 0, TileLayout::uniform(DW, DH, 2, 2).unwrap())
         .unwrap();
     steps.push((
         digest_tree(&video),
         tile_codecs(&tasm.manifest("v").unwrap()),
     ));
+    served.push(digest_tiles(tasm.store(), &tasm.manifest("v").unwrap()));
     assert!(tasm.fsck().unwrap().is_clean());
     drop(tasm);
     std::fs::remove_dir_all(&dir).ok();
-    steps
+    (steps, served)
 }
+
+/// [`digest_tiles`] of the decision clips' stores, in [`DECISION_PINNED`]'s
+/// order: what each serves after ingest and after the re-tile, however its
+/// tiles are filed.
+const DECISION_TILES_PINNED: &[[u64; 2]] = &[
+    [0x2e6f6f9f8afdd354, 0xb530b2eb297af360],
+    [0x2e6f6f9f8afdd354, 0xb530b2eb297af360],
+    [0x841b336b1f984ebd, 0x2bdd2fcfba5988c7],
+    [0xbe23c5831a1f8f29, 0x516887b791a0d37a],
+    [0x7ec64e7795cffef7, 0x5efc1e3af23cca72],
+    [0x6f28b7edaa9e8d28, 0x37693fa13bc363a0],
+];
 
 /// Per clip and codec choice, after ingest / SOT 0 untiled→2×2; computed
 /// with the decision made on the full row-cost sum (no early exit).
@@ -393,7 +526,7 @@ const DECISION_PINNED: &[(Motion, CodecChoice, [Step; 2])] = &[
 
 #[test]
 fn decision_clips_through_tasm_are_pinned() {
-    let mut got = Vec::new();
+    let (mut got, mut served) = (Vec::new(), Vec::new());
     for motion in [Motion::Static, Motion::Moving, Motion::Cut] {
         for codec in [CodecChoice::Auto, CodecChoice::Pred] {
             let serial = tasm_ingest_and_retile(motion, cfg(codec, false));
@@ -402,9 +535,15 @@ fn decision_clips_through_tasm_are_pinned() {
                 serial, parallel,
                 "{motion:?} {codec:?}: parallel encode moved bytes"
             );
-            got.push((motion, codec, serial));
+            got.push((motion, codec, serial.0));
+            served.push(serial.1);
         }
     }
+    let pinned: Vec<&[u64]> = DECISION_TILES_PINNED.iter().map(|s| &s[..]).collect();
+    assert!(
+        served == pinned,
+        "served tile digests moved; this build produces:\n{served:#018x?}"
+    );
     let same = got.len() == DECISION_PINNED.len()
         && got
             .iter()
