@@ -1,7 +1,7 @@
 //! Subcommand implementations over a persistent store directory.
 //!
 //! The store layout is `<store>/index/` (persistent semantic index) plus
-//! `<store>/videos/` (tile files + manifests). Scene specs are persisted at
+//! `<store>/videos/` (tile packs + manifests). Scene specs are persisted at
 //! ingest so later `detect` calls can regenerate ground truth
 //! deterministically.
 
@@ -118,7 +118,7 @@ STATS: storage accounting. Per video: on-disk tile bytes, the ratio
 
 FSCK: opens the store (running startup recovery: interrupted re-tiles are
   rolled forward or back, half-ingested videos reaped) and then validates
-  every manifest against the on-disk tile files and their container
+  every manifest against the on-disk tile packs and their container
   headers — SOT chain contiguity, tile presence, dimensions, GOP length,
   frame counts, exact container lengths, stray files. Exits non-zero if
   anything is wrong. Run it after a crash or `kill -9` before trusting a
@@ -1236,8 +1236,9 @@ fn report_recovery(tasm: &Tasm) {
     if report.deferred {
         println!(
             "recovery: deferred — another live process holds the store lock \
-             (a running server?); nothing was repaired, and staging/commit \
-             files may belong to its in-flight re-tiles"
+             (a running server?); nothing was repaired, and packs at epochs \
+             the manifest does not name may be its in-flight re-tiles or \
+             epochs its readers still pin"
         );
         tasm_obs::log::warn(
             "recovery.deferred",
@@ -1265,7 +1266,7 @@ fn report_recovery(tasm: &Tasm) {
 const STORE_SIDECARS: &[&str] = &["scene.json"];
 
 /// Validates the store: recovery runs at open, then every manifest is
-/// checked against its on-disk tile files and container headers.
+/// checked against its on-disk tile packs and container headers.
 fn fsck(args: &Args) -> CmdResult {
     let store = args.required("store")?;
     let tasm = open_tasm(store, args)?;
@@ -1276,13 +1277,13 @@ fn fsck(args: &Args) -> CmdResult {
     };
     if report.is_clean() {
         println!(
-            "fsck clean: {} video(s), {} tile file(s) validated",
+            "fsck clean: {} video(s), {} tile(s) validated",
             report.videos_checked, report.tiles_checked
         );
         Ok(())
     } else {
         println!(
-            "fsck found {} issue(s) across {} video(s) ({} tile file(s) validated):",
+            "fsck found {} issue(s) across {} video(s) ({} tile(s) validated):",
             report.issues.len(),
             report.videos_checked,
             report.tiles_checked
@@ -1539,20 +1540,20 @@ mod tests {
         .expect("ingest");
         run(&format!("fsck --store {s}")).expect("clean store");
         assert!(run(&format!("fsck --store {s} --name nope")).is_err());
-        // Truncate one tile file: fsck must fail with a non-zero exit.
+        // Truncate one SOT's pack: fsck must fail with a non-zero exit.
         let videos = Path::new(&s).join("videos").join("cam");
-        let sot = std::fs::read_dir(&videos)
+        let pack = std::fs::read_dir(&videos)
             .unwrap()
             .filter_map(|e| e.ok())
-            .find(|e| e.path().is_dir())
-            .expect("a SOT dir");
-        let tile = sot.path().join("tile_000.tvf");
-        let bytes = std::fs::read(&tile).unwrap();
-        std::fs::write(&tile, &bytes[..bytes.len() / 2]).unwrap();
+            .find(|e| e.path().extension().is_some_and(|x| x == "tiles"))
+            .expect("a SOT's pack")
+            .path();
+        let bytes = std::fs::read(&pack).unwrap();
+        std::fs::write(&pack, &bytes[..bytes.len() / 2]).unwrap();
         assert!(run(&format!("fsck --store {s}")).is_err());
         assert!(run(&format!("fsck --store {s} --name cam")).is_err());
         // Repair and re-verify.
-        std::fs::write(&tile, &bytes).unwrap();
+        std::fs::write(&pack, &bytes).unwrap();
         run(&format!("fsck --store {s}")).expect("repaired store");
     }
 

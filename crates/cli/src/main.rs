@@ -1,6 +1,6 @@
 //! `tasm` — command-line front-end for the tile-based storage manager.
 //!
-//! Operates a persistent store directory (tile files + semantic index):
+//! Operates a persistent store directory (tile packs + semantic index):
 //!
 //! ```text
 //! tasm ingest  --store S --name V --dataset visual-road-2k --seconds 4 [--seed N]

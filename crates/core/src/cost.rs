@@ -86,9 +86,13 @@ impl Default for EncodeModel {
         // Calibrated alongside the decode model; software encode with motion
         // search is roughly 2-3× decode. Still not fitted (ROADMAP item
         // 1-iv): this predicts 83 ms for a 640×352×30 SOT (10.1 M samples)
-        // and a re-tile under the default `Dct` measures ≈ 40 ms. Left as
-        // it is so the regret policy keeps making the re-tiles it made
-        // (`storage.retile_count` is pinned by the ledger).
+        // and a re-tile under the default `Dct` measures ≈ 32 ms. An
+        // encode rate alone can now stand for `R(s, L)`: file I/O was
+        // ≈ 22 % of a measured re-tile, and grew with the tile count,
+        // while each tile was a file of its own; with one pack per SOT it
+        // is ≈ 7 % and flat. Left as it is so the regret policy keeps
+        // making the re-tiles it made (`storage.retile_count` is pinned by
+        // the ledger).
         EncodeModel {
             seconds_per_sample: 8.2e-9,
         }

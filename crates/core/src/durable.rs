@@ -4,9 +4,9 @@
 //! TASM's storage manager re-organizes tile layouts continuously in the
 //! background (§3.4.5, §4 incremental policies), so a crash can land in the
 //! middle of a re-tile or a manifest update. This module supplies the
-//! mechanism the commit protocol in [`crate::storage`] is built on:
+//! mechanism the commit rule in [`crate::storage`] is built on:
 //!
-//! * [`StorageIo`] — the narrow filesystem surface every manifest and tile
+//! * [`StorageIo`] — the narrow filesystem surface every manifest and pack
 //!   write goes through, so durability is testable;
 //! * [`RealIo`] — the production implementation: durable writes (fsync
 //!   before returning) and atomic renames (parent directory fsynced);
@@ -17,13 +17,14 @@
 //! * [`RecoveryReport`] / [`FsckReport`] — what startup recovery did and
 //!   what an integrity check found.
 //!
-//! The crash-point sweep in `tests/crash_recovery.rs` drives a re-tile once
-//! per injectable fault point and asserts that reopening the store always
-//! recovers to a state bit-identical to exactly one of the two layout
-//! epochs.
+//! The crash-point sweep in `tests/crash_recovery.rs` crashes ingest,
+//! re-tile and epoch GC at every injectable fault point and asserts that
+//! reopening the store always recovers to exactly one layout epoch of an
+//! uncrashed twin.
 
 use std::fs;
 use std::io::{self, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -80,17 +81,25 @@ pub trait StorageIo: Send + Sync {
     /// recovery and fault-point sweeps).
     fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>>;
 
-    /// The length of a file in bytes.
-    fn file_len(&self, path: &Path) -> io::Result<u64>;
+    /// Opens a file for ranged reads (`read_exact_range`) — how one tile
+    /// is read out of a pack, table first, without the tiles around it and
+    /// from one open.
+    fn open(&self, path: &Path) -> io::Result<fs::File>;
+}
 
-    /// Reads at most `max_len` bytes from the start of a file — lets
-    /// header-only consumers (fsck) avoid pulling whole tile payloads into
-    /// memory. The default reads everything and truncates.
-    fn read_prefix(&self, path: &Path, max_len: usize) -> io::Result<Vec<u8>> {
-        let mut data = self.read(path)?;
-        data.truncate(max_len);
-        Ok(data)
+/// Reads exactly the bytes `range` of an open file. A range that reaches
+/// past the end of the file is [`io::ErrorKind::UnexpectedEof`], found out
+/// before anything is allocated for it: ranges come from tables on disk.
+pub(crate) fn read_exact_range(file: &fs::File, range: Range<u64>) -> io::Result<Vec<u8>> {
+    use std::io::{Read as _, Seek as _};
+    if range.end > file.metadata()?.len() {
+        return Err(io::ErrorKind::UnexpectedEof.into());
     }
+    let mut file = file;
+    file.seek(io::SeekFrom::Start(range.start))?;
+    let mut data = vec![0; range.end.saturating_sub(range.start) as usize];
+    file.read_exact(&mut data)?;
+    Ok(data)
 }
 
 /// The production [`StorageIo`]: plain filesystem calls with durability —
@@ -189,17 +198,8 @@ impl StorageIo for RealIo {
         Ok(entries)
     }
 
-    fn file_len(&self, path: &Path) -> io::Result<u64> {
-        Ok(fs::metadata(path)?.len())
-    }
-
-    fn read_prefix(&self, path: &Path, max_len: usize) -> io::Result<Vec<u8>> {
-        use std::io::Read as _;
-        let mut data = Vec::with_capacity(max_len.min(64 << 10));
-        fs::File::open(path)?
-            .take(max_len as u64)
-            .read_to_end(&mut data)?;
-        Ok(data)
+    fn open(&self, path: &Path) -> io::Result<fs::File> {
+        fs::File::open(path)
     }
 }
 
@@ -408,64 +408,40 @@ impl StorageIo for FaultIo {
         self.inner.list_dir(path)
     }
 
-    fn file_len(&self, path: &Path) -> io::Result<u64> {
+    fn open(&self, path: &Path) -> io::Result<fs::File> {
         self.observe()?;
-        self.inner.file_len(path)
-    }
-
-    fn read_prefix(&self, path: &Path, max_len: usize) -> io::Result<Vec<u8>> {
-        self.observe()?;
-        self.inner.read_prefix(path, max_len)
+        self.inner.open(path)
     }
 }
 
 // ---------------------------------------------------------------------
-// On-disk names of the commit protocol
+// On-disk names
 // ---------------------------------------------------------------------
 
 /// Suffix of every temporary file used for atomic replacement.
 pub(crate) const TMP_SUFFIX: &str = ".tmp";
 
-/// The final directory name of a SOT's tile files at layout epoch
-/// `retile_count`. The initial epoch (count 0) keeps the unstamped name an
-/// ingest writes; every re-tile publishes into a fresh `_r`-stamped
-/// directory, so a superseded epoch's tile files coexist on disk with the
-/// current ones until the readers pinned to the old epoch drain and its
-/// directory is reclaimed.
-pub(crate) fn sot_dir_name(start: u32, end: u32, retile_count: u32) -> String {
+/// Extension of a pack file (see [`crate::pack`]).
+const PACK_SUFFIX: &str = ".tiles";
+
+/// The file holding a SOT's tiles at layout epoch `retile_count`. The
+/// initial epoch (count 0) is unstamped; every re-tile writes a fresh
+/// `_r`-stamped pack, so a superseded epoch's tiles coexist on disk with
+/// the current ones until the readers pinned to the old epoch drain and its
+/// pack is reclaimed — and a pack at an epoch no manifest names yet is what
+/// an unfinished (or in-flight) re-tile looks like.
+pub(crate) fn pack_file_name(start: u32, end: u32, retile_count: u32) -> String {
     if retile_count == 0 {
-        format!("sot_{start:06}_{end:06}")
+        format!("sot_{start:06}_{end:06}{PACK_SUFFIX}")
     } else {
-        format!("sot_{start:06}_{end:06}_r{retile_count:06}")
+        format!("sot_{start:06}_{end:06}_r{retile_count:06}{PACK_SUFFIX}")
     }
 }
 
-/// The staging directory a re-tile writes its new tile files into before
-/// the commit point.
-pub(crate) fn staging_dir_name(start: u32, end: u32) -> String {
-    format!("staging_sot_{start:06}_{end:06}")
-}
-
-/// The commit record whose appearance (by atomic rename) is the commit
-/// point of a re-tile.
-pub(crate) fn commit_file_name(start: u32, end: u32) -> String {
-    format!("commit_sot_{start:06}_{end:06}.json")
-}
-
-/// Parses `"{prefix}{start:06}_{end:06}{suffix}"` back into the SOT range.
-fn parse_ranged(name: &str, prefix: &str, suffix: &str) -> Option<(u32, u32)> {
-    let body = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
-    let (s, e) = body.split_once('_')?;
-    if s.len() != 6 || e.len() != 6 {
-        return None;
-    }
-    Some((s.parse().ok()?, e.parse().ok()?))
-}
-
-/// Recognizes a final SOT directory name, stamped or not, returning
+/// Recognizes a pack file name, stamped or not, returning
 /// `(start, end, retile_count)` — the unstamped form is epoch 0.
-pub(crate) fn parse_sot_name(name: &str) -> Option<(u32, u32, u32)> {
-    let body = name.strip_prefix("sot_")?;
+pub(crate) fn parse_pack_name(name: &str) -> Option<(u32, u32, u32)> {
+    let body = name.strip_prefix("sot_")?.strip_suffix(PACK_SUFFIX)?;
     let (range, retile_count) = match body.split_once("_r") {
         Some((range, rc)) => {
             if rc.len() != 6 {
@@ -482,14 +458,18 @@ pub(crate) fn parse_sot_name(name: &str) -> Option<(u32, u32, u32)> {
     Some((s.parse().ok()?, e.parse().ok()?, retile_count))
 }
 
-/// Recognizes a staging directory name.
-pub(crate) fn parse_staging_name(name: &str) -> Option<(u32, u32)> {
-    parse_ranged(name, "staging_sot_", "")
+/// What builds from before packs left in a video directory. A
+/// `staging_sot_*` directory or `commit_sot_*.json` record is the residue
+/// of their re-tile protocol, which recovery discards; a directory under a
+/// pack's name without the extension is a SOT they stored as one file per
+/// tile, which this build does not read and `fsck` names.
+pub(crate) fn is_legacy_retile_residue(name: &str) -> bool {
+    name.starts_with("staging_sot_") || (name.starts_with("commit_sot_") && name.ends_with(".json"))
 }
 
-/// Recognizes a commit record name.
-pub(crate) fn parse_commit_name(name: &str) -> Option<(u32, u32)> {
-    parse_ranged(name, "commit_sot_", ".json")
+/// See [`is_legacy_retile_residue`].
+pub(crate) fn is_legacy_sot_dir_name(name: &str) -> bool {
+    parse_pack_name(&format!("{name}{PACK_SUFFIX}")).is_some()
 }
 
 // ---------------------------------------------------------------------
@@ -499,40 +479,20 @@ pub(crate) fn parse_commit_name(name: &str) -> Option<(u32, u32)> {
 /// One repair startup recovery performed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryAction {
-    /// A commit record existed: the re-tile had passed its commit point, so
-    /// recovery completed it (staging promoted, manifest rewritten from the
-    /// record, record removed). The store is in the post-retile epoch.
-    RolledForward {
-        /// Video the interrupted re-tile belonged to.
-        video: String,
-        /// First frame of the re-tiled SOT.
-        sot_start: u32,
-        /// Past-the-end frame of the re-tiled SOT.
-        sot_end: u32,
-    },
-    /// Staging state existed without a (valid) commit record: the re-tile
-    /// had not committed, so recovery discarded it. The store is in the
-    /// pre-retile epoch.
-    RolledBack {
-        /// Video the interrupted re-tile belonged to.
-        video: String,
-        /// First frame of the SOT whose staging state was discarded.
-        sot_start: u32,
-        /// Past-the-end frame of that SOT.
-        sot_end: u32,
-    },
-    /// A superseded layout epoch's tile directory — retired by a committed
-    /// re-tile but not yet reclaimed when the process died — was removed.
-    /// No reader can hold an epoch pin across a restart, so every directory
-    /// other than the manifest's current epoch set is garbage at startup.
+    /// A pack at a layout epoch the manifest does not name was removed: a
+    /// superseded epoch, retired by a committed re-tile but not yet
+    /// reclaimed when the process died, or the unpublished epoch of a
+    /// re-tile that died before its manifest rename. No reader can hold an
+    /// epoch pin across a restart, so every pack other than the manifest's
+    /// current epoch set is garbage at startup.
     ReclaimedEpoch {
-        /// Video the retired directory belonged to.
+        /// Video the pack belonged to.
         video: String,
         /// First frame of the SOT.
         sot_start: u32,
         /// Past-the-end frame of the SOT.
         sot_end: u32,
-        /// The reclaimed directory's layout epoch (`retile_count`).
+        /// The reclaimed pack's layout epoch (`retile_count`).
         epoch: u32,
     },
     /// A stray `*.tmp` file from an interrupted atomic write was removed.
@@ -541,6 +501,17 @@ pub enum RecoveryAction {
         video: String,
         /// The removed file name.
         file: String,
+    },
+    /// A staging directory or commit record of the re-tile protocol older
+    /// builds ran was discarded. Safe whichever side of that protocol's
+    /// commit point it died on: the manifest still names an epoch whose
+    /// tiles exist, and a re-tile is a physical reorganisation — rolling
+    /// one back loses work, never data.
+    DiscardedLegacyResidue {
+        /// Video directory the entry was found in.
+        video: String,
+        /// The removed entry's name.
+        entry: String,
     },
     /// A video directory without a manifest — an ingest that crashed before
     /// publishing — was removed.
@@ -553,22 +524,6 @@ pub enum RecoveryAction {
 impl std::fmt::Display for RecoveryAction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RecoveryAction::RolledForward {
-                video,
-                sot_start,
-                sot_end,
-            } => write!(
-                f,
-                "rolled forward committed re-tile of '{video}' SOT {sot_start}..{sot_end}"
-            ),
-            RecoveryAction::RolledBack {
-                video,
-                sot_start,
-                sot_end,
-            } => write!(
-                f,
-                "rolled back uncommitted re-tile of '{video}' SOT {sot_start}..{sot_end}"
-            ),
             RecoveryAction::ReclaimedEpoch {
                 video,
                 sot_start,
@@ -576,11 +531,15 @@ impl std::fmt::Display for RecoveryAction {
                 epoch,
             } => write!(
                 f,
-                "reclaimed superseded layout epoch {epoch} of '{video}' SOT {sot_start}..{sot_end}"
+                "reclaimed unreferenced layout epoch {epoch} of '{video}' SOT {sot_start}..{sot_end}"
             ),
             RecoveryAction::RemovedTemp { video, file } => {
                 write!(f, "removed interrupted temp file '{file}' of '{video}'")
             }
+            RecoveryAction::DiscardedLegacyResidue { video, entry } => write!(
+                f,
+                "discarded '{entry}' of '{video}', left by an older build's re-tile"
+            ),
             RecoveryAction::RemovedPartialVideo { video } => {
                 write!(f, "removed partially ingested video '{video}'")
             }
@@ -625,7 +584,18 @@ pub enum FsckIssue {
         /// What is wrong with the chain.
         detail: String,
     },
-    /// A tile file named by the manifest is missing or unreadable.
+    /// A SOT's pack is unreadable, or its table is not one a pack of that
+    /// SOT's layout can have: nothing can be said of the tiles in it.
+    PackCorrupt {
+        /// The affected video.
+        video: String,
+        /// First frame of the SOT.
+        sot_start: u32,
+        /// What is wrong with the pack.
+        detail: String,
+    },
+    /// A tile named by the manifest is missing: its SOT's pack does not
+    /// exist.
     MissingTile {
         /// The affected video.
         video: String,
@@ -634,8 +604,8 @@ pub enum FsckIssue {
         /// Raster index of the missing tile.
         tile: u32,
     },
-    /// A tile file failed container validation (bad magic, torn tail,
-    /// invalid header).
+    /// A tile's bytes failed container validation (bad magic, torn tail,
+    /// invalid header, a length other than the pack table gives it).
     TileCorrupt {
         /// The affected video.
         video: String,
@@ -646,8 +616,8 @@ pub enum FsckIssue {
         /// The container error.
         detail: String,
     },
-    /// A tile file parses but disagrees with the manifest (dimensions, GOP
-    /// length, or frame count).
+    /// A tile parses but disagrees with the manifest (dimensions, GOP
+    /// length, frame count, or codec).
     TileMismatch {
         /// The affected video.
         video: String,
@@ -658,8 +628,17 @@ pub enum FsckIssue {
         /// The disagreement.
         detail: String,
     },
-    /// A file or directory the manifest does not account for (staging
-    /// residue, commit records, stray files) — recovery should have removed
+    /// A SOT stored as a directory of one file per tile, by a build from
+    /// before packs. This build does not read it; the video must be
+    /// ingested again.
+    LegacySotDirectory {
+        /// The affected video.
+        video: String,
+        /// Store-relative path of the directory.
+        path: String,
+    },
+    /// A file or directory the manifest does not account for (a pack at an
+    /// epoch it does not name, stray files) — recovery should have removed
     /// it.
     Stray {
         /// The affected video.
@@ -678,6 +657,11 @@ impl std::fmt::Display for FsckIssue {
             FsckIssue::SotChainBroken { video, detail } => {
                 write!(f, "'{video}': SOT chain broken: {detail}")
             }
+            FsckIssue::PackCorrupt {
+                video,
+                sot_start,
+                detail,
+            } => write!(f, "'{video}': SOT @{sot_start}: pack corrupt: {detail}"),
             FsckIssue::MissingTile {
                 video,
                 sot_start,
@@ -701,6 +685,11 @@ impl std::fmt::Display for FsckIssue {
                 f,
                 "'{video}': SOT @{sot_start}: tile {tile} disagrees with manifest: {detail}"
             ),
+            FsckIssue::LegacySotDirectory { video, path } => write!(
+                f,
+                "'{video}': '{path}' holds one file per tile, as builds before packs \
+                 stored a SOT; this build cannot read it (ingest the video again)"
+            ),
             FsckIssue::Stray { video, path } => {
                 write!(f, "'{video}': stray entry '{path}'")
             }
@@ -709,13 +698,13 @@ impl std::fmt::Display for FsckIssue {
 }
 
 /// The result of a store integrity check ([`crate::VideoStore::fsck`]):
-/// every manifest validated against its on-disk tile files and their
-/// container headers.
+/// every manifest validated against its on-disk packs and the container
+/// headers of the tiles in them.
 #[derive(Debug, Clone, Default)]
 pub struct FsckReport {
     /// Videos examined.
     pub videos_checked: u32,
-    /// Tile files whose containers were validated.
+    /// Tiles whose containers were validated.
     pub tiles_checked: u64,
     /// Everything found wrong, in discovery order.
     pub issues: Vec<FsckIssue>,
@@ -777,21 +766,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn protocol_names_round_trip() {
-        assert_eq!(sot_dir_name(0, 30, 0), "sot_000000_000030");
-        assert_eq!(sot_dir_name(0, 30, 2), "sot_000000_000030_r000002");
-        assert_eq!(parse_sot_name("sot_000000_000030"), Some((0, 30, 0)));
-        assert_eq!(parse_sot_name(&sot_dir_name(30, 60, 7)), Some((30, 60, 7)));
-        assert_eq!(parse_sot_name("sot_000000_000030_r12"), None);
-        assert_eq!(parse_sot_name("sot_0_30"), None);
+    fn pack_names_round_trip() {
+        assert_eq!(pack_file_name(0, 30, 0), "sot_000000_000030.tiles");
+        assert_eq!(pack_file_name(0, 30, 2), "sot_000000_000030_r000002.tiles");
+        assert_eq!(parse_pack_name("sot_000000_000030.tiles"), Some((0, 30, 0)));
         assert_eq!(
-            parse_staging_name(&staging_dir_name(30, 60)),
-            Some((30, 60))
+            parse_pack_name(&pack_file_name(30, 60, 7)),
+            Some((30, 60, 7))
         );
-        assert_eq!(parse_commit_name(&commit_file_name(30, 60)), Some((30, 60)));
-        assert_eq!(parse_commit_name("commit_sot_1_2.json"), None);
-        assert_eq!(parse_staging_name("sot_000000_000030"), None);
-        assert_eq!(parse_commit_name("manifest.json"), None);
+        assert_eq!(parse_pack_name("sot_000000_000030_r12.tiles"), None);
+        assert_eq!(parse_pack_name("sot_0_30.tiles"), None);
+        assert_eq!(parse_pack_name("sot_000000_000030"), None);
+        assert_eq!(parse_pack_name("manifest.json"), None);
+        // What older builds left: their SOT directories and protocol residue.
+        assert!(is_legacy_sot_dir_name("sot_000000_000030"));
+        assert!(is_legacy_sot_dir_name("sot_000030_000060_r000007"));
+        assert!(!is_legacy_sot_dir_name("sot_000000_000030.tiles"));
+        assert!(is_legacy_retile_residue("staging_sot_000030_000060"));
+        assert!(is_legacy_retile_residue("commit_sot_000030_000060.json"));
+        assert!(!is_legacy_retile_residue("manifest.json"));
     }
 
     #[test]
@@ -848,7 +841,34 @@ mod tests {
             .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
             .collect();
         assert_eq!(names, ["a", "b", "c"]);
-        assert_eq!(io.file_len(&dir.join("a")).unwrap(), 1);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ranged_reads_are_exact_or_eof() {
+        let dir = std::env::temp_dir().join(format!("tasm-ranged-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("f");
+        fs::write(&path, b"0123456789").unwrap();
+        let fault = FaultIo::new();
+        let ios: [&dyn StorageIo; 2] = [&RealIo, &*fault];
+        for io in ios {
+            let file = io.open(&path).unwrap();
+            // In any order, from the one handle.
+            assert_eq!(read_exact_range(&file, 2..6).unwrap(), b"2345");
+            assert_eq!(read_exact_range(&file, 0..10).unwrap(), b"0123456789");
+            assert_eq!(read_exact_range(&file, 10..10).unwrap(), b"");
+            for past in [8..11, 11..12, 0..u64::MAX] {
+                let e = read_exact_range(&file, past).unwrap_err();
+                assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
+            }
+            let e = io.open(&dir.join("absent")).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::NotFound);
+        }
+        fault.arm(1, FaultKind::FailStop);
+        assert!(fault.remove_file(&path).is_err());
+        assert!(fault.open(&path).is_err(), "a dead process opens nothing");
         fs::remove_dir_all(&dir).ok();
     }
 }

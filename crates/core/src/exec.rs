@@ -278,7 +278,7 @@ impl DecodedTileCache {
     }
 
     /// Drops the entries of exactly one layout `epoch` of one SOT — the
-    /// eager reclaim run when that epoch's tile directory is GC'd, so a
+    /// eager reclaim run when that epoch's pack is GC'd, so a
     /// retired epoch's decoded GOPs release their budget immediately
     /// instead of lingering until LRU pressure. Other epochs' entries
     /// (the live layout, other pinned epochs) are untouched.
@@ -554,7 +554,7 @@ fn run_request(
     let mut cache_stats = CacheStats::default();
     let mut shared = SharedScanStats::default();
     let mut frames: Vec<Arc<Frame>> = Vec::with_capacity(span.len());
-    // The tile file is read lazily: a fully cached span never touches disk.
+    // The tile is read lazily: a fully cached span never touches disk.
     let mut tile_video: Option<TileVideo> = None;
 
     let first_gop = span.start / gop_len;

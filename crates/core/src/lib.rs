@@ -123,6 +123,7 @@ pub mod cost;
 pub mod durable;
 pub mod edge;
 pub mod exec;
+mod pack;
 pub mod partition;
 pub mod pool;
 pub mod query;

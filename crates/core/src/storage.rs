@@ -1,65 +1,61 @@
 //! Tile-based data storage (§3.4.5).
 //!
-//! TASM stores each tile as a separate video file so that every tile is a
+//! TASM stores each tile as a separate video stream so that every tile is a
 //! spatial random-access point (Figure 1). A video is a concatenation of
-//! SOTs (sequences of tiles, §2): each SOT has its own layout and its own
-//! directory of tile files, and layouts change only at GOP boundaries.
+//! SOTs (sequences of tiles, §2): each SOT has its own layout, and layouts
+//! change only at GOP boundaries. A SOT's tiles at one layout epoch are one
+//! *pack* file (`pack.rs`): a table, then each tile's container bytes
+//! verbatim, so one tile is read without the others.
 //!
 //! ```text
 //! root/<video>/manifest.json
-//! root/<video>/sot_000000_000030/tile_000.tvf           (layout epoch 0)
-//! root/<video>/sot_000000_000030/tile_001.tvf
-//! root/<video>/sot_000030_000060_r000002/tile_000.tvf   (re-tiled twice)
+//! root/<video>/sot_000000_000030.tiles           (layout epoch 0)
+//! root/<video>/sot_000030_000060_r000002.tiles   (re-tiled twice)
 //! ```
 //!
 //! Re-tiling a SOT ([`VideoStore::retile`]) decodes its current tiles and
 //! re-encodes under the new layout — the `R(s, L)` cost in the incremental
-//! policies. Each SOT directory name is stamped with the SOT's layout
-//! epoch (its `retile_count`; epoch 0 is unstamped), so a re-tile
-//! publishes into a *fresh* directory and the superseded epoch's tile
-//! files stay valid on disk for readers still pinned to the old manifest
-//! snapshot. [`VideoStore::retile`] reclaims the retired directory
-//! immediately; [`VideoStore::retile_deferred`] leaves it for the caller
-//! to reclaim with [`VideoStore::gc_epoch`] once its readers drain — the
-//! mechanism the `Tasm` facade's MVCC epoch registry is built on.
+//! policies. Each pack's name is stamped with the SOT's layout epoch (its
+//! `retile_count`; epoch 0 is unstamped), so a re-tile writes a *fresh*
+//! file and the superseded epoch's tiles stay valid on disk for readers
+//! still pinned to the old manifest snapshot. [`VideoStore::retile`]
+//! reclaims the retired pack immediately; [`VideoStore::retile_deferred`]
+//! leaves it for the caller to reclaim with [`VideoStore::gc_epoch`] once
+//! its readers drain — the mechanism the `Tasm` facade's MVCC epoch
+//! registry is built on.
 //!
 //! ## Durability
 //!
-//! Every manifest and tile-file mutation goes through the [`StorageIo`]
-//! shim and follows an atomic commit discipline, so a crash at *any* single
+//! Every mutation of a video follows one rule: **write new files under
+//! names nothing references, make them and their names durable, then
+//! atomically replace `manifest.json`** (write-temp → fsync → rename). The
+//! rename is the only commit point — of an ingest, a replica install and a
+//! re-tile alike — and there is nothing after it to complete. All of it
+//! goes through the [`StorageIo`] shim, so a crash at *any* single
 //! operation leaves each video wholly in one layout epoch:
 //!
-//! * **Manifests** are replaced by write-temp → fsync → rename; readers
-//!   never observe a torn `manifest.json`.
-//! * **Re-tiles** ([`VideoStore::retile`]) run a commit protocol: the new
-//!   tile files are written (and fsynced) under a staging directory, an
-//!   epoch-stamped *commit record* holding the full post-retile manifest is
-//!   atomically renamed into place (the commit point), and only then is the
-//!   staging directory promoted to the new epoch-stamped SOT directory, the
-//!   manifest rewritten, and the record garbage-collected. The superseded
-//!   epoch's directory survives until its readers drain.
-//! * **Opening** a store ([`VideoStore::open`] and friends) runs startup
-//!   recovery: committed-but-unfinished re-tiles roll *forward*,
-//!   uncommitted ones roll *back*, interrupted ingests and temp files are
-//!   removed, and every repair is listed in the store's
-//!   [`RecoveryReport`]. Shared decoded-GOP caches are invalidated for any
-//!   repaired video.
-//! * **[`VideoStore::fsck`]** validates manifests against the on-disk tile
-//!   files and their container headers.
+//! * before the rename, the manifest on disk names the old epoch, whose
+//!   pack is untouched; the new pack (whole, torn or absent) is a file no
+//!   manifest names;
+//! * after it, the manifest names the new epoch, whose pack and name were
+//!   made durable first; the old pack is a file no manifest names.
 //!
-//! A retile that returns an error either never committed (the old epoch is
-//! intact) or passed its commit point — in which case the handle's
-//! manifest is advanced to the committed epoch and the surviving commit
-//! record is completed by the next re-tile of that video or the next open.
-//! The crash-point sweep in `tests/crash_recovery.rs` exercises every
-//! operation of the protocol.
+//! **Opening** a store ([`VideoStore::open`] and friends) runs startup
+//! recovery, which only ever deletes what no manifest names: packs at
+//! other epochs than the manifest's, interrupted ingests and temp files.
+//! Every repair is listed in the store's [`RecoveryReport`], and shared
+//! decoded-GOP caches are invalidated for any repaired video.
+//! **[`VideoStore::fsck`]** validates manifests against the packs on disk
+//! and the container headers of the tiles in them. The crash-point sweep
+//! in `tests/crash_recovery.rs` crashes every operation of every mutation.
 
 use crate::durable::{
-    commit_file_name, parse_commit_name, parse_sot_name, parse_staging_name, sot_dir_name,
-    staging_dir_name, FsckIssue, FsckReport, RealIo, RecoveryAction, RecoveryReport, StorageIo,
+    is_legacy_retile_residue, is_legacy_sot_dir_name, pack_file_name, parse_pack_name,
+    read_exact_range, FsckIssue, FsckReport, RealIo, RecoveryAction, RecoveryReport, StorageIo,
     TMP_SUFFIX,
 };
 use crate::exec::{self, CacheStats, DecodedTileCache, TileDecodeRequest};
+use crate::pack::{self, TileRanges};
 use crate::pool::CanvasPool;
 use serde::{Deserialize, Serialize};
 use std::fs;
@@ -72,30 +68,6 @@ use tasm_codec::{
     EncoderConfig, LayoutError, StitchError, TileLayout, TileVideo,
 };
 use tasm_video::{Frame, FrameSource, SliceSource, VecFrameSource};
-
-/// Why one tile file failed fsck's bounded-read validation.
-enum TileProblem {
-    /// The file does not exist.
-    Missing,
-    /// The file exists but could not be read (permissions, I/O error).
-    Unreadable(String),
-    /// The file read but failed container validation.
-    Invalid(ContainerError),
-}
-
-/// The commit record of an in-flight re-tile: written under a temporary
-/// name, fsynced, then atomically renamed to `commit_sot_*.json` — that
-/// rename is the commit point. It carries the *entire* post-retile manifest
-/// so recovery can roll forward without re-deriving anything.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct CommitRecord {
-    /// First frame of the re-tiled SOT.
-    pub sot_start: u32,
-    /// Past-the-end frame of the re-tiled SOT.
-    pub sot_end: u32,
-    /// The manifest as it must read once the re-tile is complete.
-    pub manifest: VideoManifest,
-}
 
 /// Errors from the storage layer.
 #[derive(Debug)]
@@ -347,9 +319,9 @@ impl RetileStats {
 }
 
 /// A superseded SOT layout epoch left on disk by
-/// [`VideoStore::retile_deferred`]: the directory
-/// `sot_<start>_<end>[_r<retile_count>]` still holds the pre-retile tile
-/// files so readers pinned to the old manifest snapshot keep working.
+/// [`VideoStore::retile_deferred`]: the pack
+/// `sot_<start>_<end>[_r<retile_count>].tiles` still holds the pre-retile
+/// tiles so readers pinned to the old manifest snapshot keep working.
 /// Pass it to [`VideoStore::gc_epoch`] once those readers drain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetiredEpoch {
@@ -358,7 +330,7 @@ pub struct RetiredEpoch {
     /// Past-the-end frame of the retired SOT.
     pub sot_end: u32,
     /// The SOT's `retile_count` *before* the re-tile — the layout epoch
-    /// whose directory is now retired.
+    /// whose pack is now retired.
     pub retile_count: u32,
 }
 
@@ -383,8 +355,9 @@ pub struct VideoStore {
     /// Exclusive advisory lock on `<root>/.tasm.lock`, held for this
     /// handle's lifetime when acquired. Only the handle holding it runs
     /// (mutating) startup recovery — a concurrent `tasm fsck` against a
-    /// live `tasm serve` must never delete the server's in-flight staging
-    /// directories. `flock` semantics: released automatically when the
+    /// live `tasm serve` must never delete the pack a re-tile of the
+    /// server's has written but not yet published, nor an epoch its readers
+    /// still pin. `flock` semantics: released automatically when the
     /// process dies, so a `kill -9` never wedges the store.
     _lock: Option<fs::File>,
 }
@@ -433,8 +406,8 @@ impl VideoStore {
     }
 
     /// The fully general constructor: explicit worker count, shared cache,
-    /// and I/O implementation. Startup recovery runs here: interrupted
-    /// re-tiles are rolled forward (committed) or back (uncommitted),
+    /// and I/O implementation. Startup recovery runs here: packs at epochs
+    /// the manifest does not name (superseded, or never published),
     /// half-ingested videos and temp files are removed, and cache entries
     /// of every repaired video are invalidated.
     pub fn open_shared_io(
@@ -454,7 +427,7 @@ impl VideoStore {
                 .as_ref(),
         );
         // The store lock decides who may *mutate* during startup: recovery
-        // deletes staging directories, which would corrupt an in-flight
+        // deletes unpublished packs, which would corrupt an in-flight
         // re-tile if another live handle (or process) owns them. Taken
         // directly against the real filesystem — it coordinates processes,
         // it is not data I/O.
@@ -541,14 +514,14 @@ impl VideoStore {
     }
 
     /// Ingests a video: splits it into SOTs, encodes each under the layout
-    /// chosen by `layout_for`, writes tile files and the manifest.
+    /// chosen by `layout_for`, writes one pack per SOT and the manifest.
     ///
     /// `layout_for(sot_index, frames)` returns the initial layout for each
     /// SOT (untiled `ω` for lazy strategies, object layouts for eager/edge).
     ///
     /// The manifest write is the publish point: until it lands (atomically),
     /// the video does not exist. If encoding or writing fails midway, the
-    /// partially written directory is removed so no orphan tile files
+    /// partially written directory is removed so no orphan packs
     /// survive; if the failure was a crash (cleanup impossible), startup
     /// recovery removes the manifest-less directory at the next open.
     pub fn ingest(
@@ -570,7 +543,7 @@ impl VideoStore {
             // before the tree, so a crash mid-removal — which unlinks
             // entries in unspecified order — always leaves a manifest-less
             // directory for recovery to reap, never a manifest naming
-            // already-deleted tile files.
+            // already-deleted packs.
             let manifest_path = dir.join("manifest.json");
             if self.io.exists(&manifest_path) {
                 self.io.remove_file(&manifest_path)?;
@@ -619,14 +592,15 @@ impl VideoStore {
             let (tiles, stats) =
                 encode_video(&slice, &layout, &cfg.encoder(), cfg.parallel_encode)?;
             total += stats;
-            self.write_sot_files(name, start, end, &tiles)?;
-            sots.push(SotEntry {
+            let sot = SotEntry {
                 start,
                 end,
                 layout,
                 retile_count: 0,
                 tile_codecs: tiles.iter().map(|t| t.codec.id()).collect(),
-            });
+            };
+            self.write_pack(name, &sot, tiles.iter().map(TileVideo::to_bytes))?;
+            sots.push(sot);
             start = end;
             sot_idx += 1;
         }
@@ -640,7 +614,7 @@ impl VideoStore {
             config: cfg,
             sots,
         };
-        self.save_manifest(&manifest)?;
+        self.publish(&manifest)?;
         Ok((manifest, total))
     }
 
@@ -655,10 +629,13 @@ impl VideoStore {
         Ok(manifest)
     }
 
-    /// Persists a manifest (after retiling) atomically: the new content is
-    /// written to a temporary file, fsynced, and renamed over
-    /// `manifest.json`, so a crash leaves either the old or the new
-    /// manifest — never a torn mix.
+    /// Persists a manifest atomically: the new content is written to a
+    /// temporary file, fsynced, and renamed over `manifest.json`, so a
+    /// crash leaves either the old or the new manifest — never a torn mix.
+    /// Two barriers, both needed: the temp file's fsync orders its *bytes*
+    /// before the rename (else a crash can leave `manifest.json` naming an
+    /// empty file), and the rename's directory fsync is what makes a
+    /// returned `Ok` mean the new manifest survives a power cut.
     pub fn save_manifest(&self, manifest: &VideoManifest) -> Result<(), StoreError> {
         let dir = self.root.join(&manifest.name);
         let tmp = dir.join(format!("manifest.json{TMP_SUFFIX}"));
@@ -667,22 +644,33 @@ impl VideoStore {
         Ok(())
     }
 
-    /// Reads one tile file of one SOT.
+    /// The commit of every mutation, after its packs are written: makes
+    /// the packs' *names* durable, then replaces the manifest. The
+    /// directory fsync orders against a crash after the manifest rename
+    /// reached the disk: without it the new manifest could survive naming
+    /// a pack whose directory entry did not.
+    fn publish(&self, manifest: &VideoManifest) -> Result<(), StoreError> {
+        self.io.sync_dir(&self.root.join(&manifest.name))?;
+        self.save_manifest(manifest)
+    }
+
+    /// Reads one tile of one SOT: the pack's table, then that tile's bytes
+    /// and no other's.
     pub fn read_tile(
         &self,
         manifest: &VideoManifest,
         sot_idx: usize,
         tile_idx: u32,
     ) -> Result<TileVideo, StoreError> {
-        let sot = manifest
-            .sots
-            .get(sot_idx)
-            .ok_or_else(|| StoreError::NotFound(format!("SOT {sot_idx}")))?;
-        let path = self.tile_path(&manifest.name, sot, tile_idx);
-        if !self.io.exists(&path) {
-            return Err(StoreError::NotFound(path.display().to_string()));
+        let bytes = self.read_tile_range(manifest, sot_idx, tile_idx)?;
+        let tile = TileVideo::from_bytes(&bytes)?;
+        // The table is only believed as far as the container agrees:
+        // `from_bytes` stops at the container's declared end, and the
+        // table must not have claimed more for it.
+        if tile.size_bytes() != bytes.len() as u64 {
+            return Err(ContainerError::InvalidHeader("trailing bytes after payload").into());
         }
-        Ok(TileVideo::from_bytes(&self.io.read(&path)?)?)
+        Ok(tile)
     }
 
     /// Plans the decode of a set of tiles of one SOT over a *local* frame
@@ -747,33 +735,20 @@ impl VideoStore {
     /// Re-encodes one SOT under `new_layout` (the incremental policies'
     /// re-tile operation). Updates and persists the manifest.
     ///
-    /// Runs the atomic commit protocol, so a crash at any point leaves the
-    /// video entirely in the pre- or post-retile epoch once recovery runs:
+    /// Follows the store's one commit rule, so a crash at any point leaves
+    /// the video entirely in the pre- or post-retile epoch: the new tiles
+    /// are written as one pack under the *next* epoch's name, which no
+    /// manifest references; the pack and its name are made durable; then
+    /// the manifest is atomically replaced — the **commit point**, with
+    /// nothing after it to complete. An error means the re-tile did not
+    /// happen: `manifest` is left as it was, the old epoch is intact, and
+    /// whatever was written of the new pack is removed by the next attempt
+    /// or the next recovering open.
     ///
-    /// 1. the new tile files are written (each fsynced) under a *staging*
-    ///    directory invisible to readers;
-    /// 2. a commit record carrying the full post-retile manifest is written
-    ///    to a temp name, fsynced, and atomically renamed into place — the
-    ///    **commit point**;
-    /// 3. the staging directory is renamed to the new epoch-stamped SOT
-    ///    directory, the manifest atomically rewritten, and the commit
-    ///    record garbage-collected; the superseded epoch's directory is
-    ///    then reclaimed (immediately here, deferred in
-    ///    [`VideoStore::retile_deferred`]).
-    ///
-    /// A crash before step 2 rolls back (staging is discarded at the next
-    /// open); a crash after it rolls forward (recovery finishes step 3).
-    /// If this method returns an error *after* the commit point, the
-    /// handle's manifest is still advanced to the committed epoch — the
-    /// commit record is the durable truth — and the surviving record is
-    /// finished by the next re-tile of the video or the next open. Reads
-    /// of the affected SOT may fail until then; they never observe a torn
-    /// mix of epochs.
-    ///
-    /// This wrapper reclaims the superseded epoch's directory immediately
-    /// — correct when no reader holds the old manifest snapshot. The
-    /// `Tasm` facade uses [`VideoStore::retile_deferred`] instead and GCs
-    /// through its epoch refcounts.
+    /// This wrapper reclaims the superseded epoch's pack immediately —
+    /// correct when no reader holds the old manifest snapshot. The `Tasm`
+    /// facade uses [`VideoStore::retile_deferred`] instead and GCs through
+    /// its epoch refcounts.
     pub fn retile(
         &self,
         manifest: &mut VideoManifest,
@@ -788,11 +763,11 @@ impl VideoStore {
     }
 
     /// [`VideoStore::retile`] without the immediate old-epoch reclaim: the
-    /// commit publishes the new epoch-stamped SOT directory and manifest
-    /// while the superseded directory stays on disk, readable by any
-    /// pinned pre-retile manifest snapshot. Returns the [`RetiredEpoch`]
-    /// to hand to [`VideoStore::gc_epoch`] once those readers drain
-    /// (`None` when the layout was unchanged and nothing committed).
+    /// commit publishes the new epoch's pack and manifest while the
+    /// superseded pack stays on disk, readable by any pinned pre-retile
+    /// manifest snapshot. Returns the [`RetiredEpoch`] to hand to
+    /// [`VideoStore::gc_epoch`] once those readers drain (`None` when the
+    /// layout was unchanged and nothing committed).
     pub fn retile_deferred(
         &self,
         manifest: &mut VideoManifest,
@@ -808,13 +783,6 @@ impl VideoStore {
         if sot.layout == new_layout {
             return Ok((RetileStats::default(), None));
         }
-
-        // Finish any committed-but-incomplete earlier re-tile of this video
-        // first: writing a *new* commit record while an old one survives
-        // would let the next open resurrect the old record's manifest
-        // snapshot and erase this re-tile. If the pending record cannot be
-        // completed now, this re-tile must not proceed.
-        self.finish_pending_commits(&manifest.name)?;
 
         // Decode the SOT in full from its current tiles. (Homomorphic
         // stitching only splices DCT streams; decode-and-blit handles
@@ -857,55 +825,19 @@ impl VideoStore {
             manifest.config.parallel_encode,
         )?;
 
-        // Stage the new tile files next to (not over) the live ones.
-        let video_dir = self.root.join(&manifest.name);
-        let staging = video_dir.join(staging_dir_name(sot.start, sot.end));
-        if self.io.exists(&staging) {
-            // Residue of an earlier failed attempt in this process (opens
-            // clean it up, but the store may not have been reopened).
-            self.io.remove_dir_all(&staging)?;
-        }
-        self.write_tiles(&staging, &new_tiles)?;
-
-        // Commit: publish the epoch-stamped record atomically.
+        // Write the next epoch's pack beside (never over) the live one,
+        // then commit by replacing the manifest. Cached GOPs of the old
+        // epoch stay valid (cache keys carry the layout epoch) and are
+        // reclaimed with the epoch by `gc_epoch`.
         let mut new_manifest = manifest.clone();
-        {
-            let entry = &mut new_manifest.sots[sot_idx];
-            entry.layout = new_layout;
-            entry.retile_count += 1;
-            entry.tile_codecs = new_tiles.iter().map(|t| t.codec.id()).collect();
-        }
-        let record = CommitRecord {
-            sot_start: sot.start,
-            sot_end: sot.end,
-            manifest: new_manifest.clone(),
-        };
-        let commit = video_dir.join(commit_file_name(sot.start, sot.end));
-        let commit_tmp = video_dir.join(format!(
-            "{}{TMP_SUFFIX}",
-            commit_file_name(sot.start, sot.end)
-        ));
-        self.io
-            .write(&commit_tmp, &serde_json::to_vec_pretty(&record)?)?;
-        self.io.rename(&commit_tmp, &commit)?; // ← commit point
-
-        // Complete: swap directories, rewrite the manifest, drop the
-        // record — exactly the steps recovery's roll-forward replays after
-        // a crash. Completion is idempotent, so a *transient* failure gets
-        // one immediate retry before the error surfaces; a dead disk fails
-        // both attempts and the next re-tile or open finishes the job.
-        let completion = self
-            .roll_forward(&video_dir, &record, &commit)
-            .or_else(|_| self.roll_forward(&video_dir, &record, &commit));
-
-        // Past the commit point the re-tile has logically happened whether
-        // or not completion succeeded — the handle's manifest must advance
-        // either way, so a later re-tile through this handle builds on (and
-        // never silently erases) this one. Cached GOPs of the old epoch
-        // stay valid (cache keys carry the layout epoch) and are reclaimed
-        // with the epoch by `gc_epoch`.
+        let entry = &mut new_manifest.sots[sot_idx];
+        entry.layout = new_layout;
+        entry.retile_count += 1;
+        entry.tile_codecs = new_tiles.iter().map(|t| t.codec.id()).collect();
+        let bytes = new_tiles.iter().map(TileVideo::to_bytes);
+        self.write_unpublished_pack(&manifest.name, entry, bytes)?;
+        self.publish(&new_manifest)?; // ← commit point
         *manifest = new_manifest;
-        completion?;
         Ok((
             RetileStats { decode, encode },
             Some(RetiredEpoch {
@@ -916,13 +848,14 @@ impl VideoStore {
         ))
     }
 
-    /// Reclaims one retired SOT layout epoch: removes its tile directory
-    /// (through the [`StorageIo`] shim, so the crash-point sweep covers
-    /// it) and eagerly drops its decoded-GOP cache entries. Idempotent —
-    /// a missing directory is success, so a crash mid-GC is resolved by
-    /// simply running it again (or by startup recovery, which reaps
-    /// retired epoch directories itself). Refuses to reclaim an epoch the
-    /// on-disk manifest still references.
+    /// Reclaims one SOT layout epoch the manifest does not name — retired
+    /// by a re-tile, or the unpublished residue of a failed one: removes
+    /// its pack (through the [`StorageIo`] shim, so the crash-point sweep
+    /// covers it) and eagerly drops its decoded-GOP cache entries.
+    /// Idempotent — a missing pack is success, so a crash mid-GC is
+    /// resolved by simply running it again (or by startup recovery, which
+    /// reaps such packs itself). Refuses to reclaim an epoch the on-disk
+    /// manifest still references.
     pub fn gc_epoch(&self, video: &str, old: RetiredEpoch) -> Result<(), StoreError> {
         // Guard: never remove a live epoch. The manifest is the truth for
         // which epoch each SOT currently serves reads from.
@@ -941,13 +874,16 @@ impl VideoStore {
                 )));
             }
         }
-        let dir =
-            self.root
-                .join(video)
-                .join(sot_dir_name(old.sot_start, old.sot_end, old.retile_count));
-        if self.io.exists(&dir) {
-            self.io.remove_dir_all(&dir)?;
-            self.io.sync_dir(&self.root.join(video))?;
+        let dir = self.root.join(video);
+        let pack = dir.join(pack_file_name(old.sot_start, old.sot_end, old.retile_count));
+        if self.io.exists(&pack) {
+            self.io.remove_file(&pack)?;
+            // No crash this orders against can mix epochs — a pack that
+            // comes back after a power cut is one no manifest names, and
+            // the next recovering open removes it — but a store under a
+            // long-lived server is only ever opened *deferred*: this fsync
+            // is what makes `Ok` mean the space is reclaimed for good.
+            self.io.sync_dir(&dir)?;
         }
         if let Some(cache) = &self.cache {
             cache.invalidate_sot_epoch(&self.store_id, video, old.sot_start, old.retile_count);
@@ -955,44 +891,40 @@ impl VideoStore {
         Ok(())
     }
 
-    /// Completes every surviving commit record of `name` (there is at most
-    /// one short of outside interference): the in-process equivalent of
-    /// recovery's roll-forward, run before a new re-tile may commit.
-    fn finish_pending_commits(&self, name: &str) -> Result<(), StoreError> {
-        let dir = self.root.join(name);
-        for entry in self.io.list_dir(&dir)? {
-            if parse_commit_name(&entry_name(&entry)).is_none() {
-                continue;
-            }
-            let record: CommitRecord = serde_json::from_slice(&self.io.read(&entry)?)?;
-            self.roll_forward(&dir, &record, &entry)?;
-            if let Some(cache) = &self.cache {
-                cache.invalidate_video(&self.store_id, name);
-            }
-        }
-        Ok(())
-    }
-
-    /// Total bytes of all tile files of a video.
+    /// Total bytes of all tiles of a video: the sum of their container
+    /// lengths, read from each pack's table (the tables themselves, 12 + 16
+    /// bytes per tile, are not counted).
     pub fn video_size_bytes(&self, manifest: &VideoManifest) -> Result<u64, StoreError> {
         let mut total = 0;
         for (i, sot) in manifest.sots.iter().enumerate() {
-            for t in 0..sot.layout.tile_count() {
-                let path = self.tile_path(&manifest.name, sot, t);
-                total += self
-                    .io
-                    .file_len(&path)
-                    .map_err(|_| StoreError::NotFound(format!("SOT {i} tile {t}")))?;
-            }
+            let (_, ranges) = self
+                .open_pack(&manifest.name, sot)
+                .map_err(|_| StoreError::NotFound(format!("SOT {i}")))?;
+            total += ranges.iter().map(|r| r.end - r.start).sum::<u64>();
         }
         Ok(total)
     }
 
-    /// Raw on-disk bytes of one tile file — the replication payload. Bytes
-    /// are shipped verbatim so a backup's tile files end up byte-identical
+    /// One tile's container bytes, exactly as the encoder produced them
+    /// (and checked to be one whole container) — the replication payload.
+    /// Bytes are shipped verbatim so a backup's tiles end up byte-identical
     /// to the primary's; bit-exact answers then fall out of deterministic
     /// decode over identical inputs.
     pub fn tile_file_bytes(
+        &self,
+        manifest: &VideoManifest,
+        sot_idx: usize,
+        tile_idx: u32,
+    ) -> Result<Vec<u8>, StoreError> {
+        let bytes = self.read_tile_range(manifest, sot_idx, tile_idx)?;
+        TileVideo::validate(&bytes)?;
+        Ok(bytes)
+    }
+
+    /// The bytes a SOT's pack table gives one tile, from one open of the
+    /// pack: the table (its length follows from the layout), then that
+    /// range. Callers hold them to the container's own length.
+    fn read_tile_range(
         &self,
         manifest: &VideoManifest,
         sot_idx: usize,
@@ -1002,14 +934,28 @@ impl VideoStore {
             .sots
             .get(sot_idx)
             .ok_or_else(|| StoreError::NotFound(format!("SOT {sot_idx}")))?;
-        let path = self.tile_path(&manifest.name, sot, tile_idx);
-        if !self.io.exists(&path) {
-            return Err(StoreError::NotFound(path.display().to_string()));
-        }
-        Ok(self.io.read(&path)?)
+        let (pack, ranges) = self.open_pack(&manifest.name, sot)?;
+        let range = ranges
+            .into_iter()
+            .nth(tile_idx as usize)
+            .ok_or_else(|| StoreError::NotFound(format!("SOT {sot_idx} tile {tile_idx}")))?;
+        Ok(read_exact_range(&pack, range)?)
     }
 
-    /// Installs a complete replicated video: one `Vec<u8>` of raw tile-file
+    /// Opens a SOT's pack and reads its table: where each of its tiles
+    /// lies. A pack that does not exist is [`StoreError::NotFound`].
+    fn open_pack(&self, name: &str, sot: &SotEntry) -> Result<(fs::File, TileRanges), StoreError> {
+        let path = self.pack_path(name, sot);
+        let pack = self.io.open(&path).map_err(|e| match e.kind() {
+            io::ErrorKind::NotFound => StoreError::NotFound(path.display().to_string()),
+            _ => e.into(),
+        })?;
+        let tiles = sot.layout.tile_count();
+        let head = read_exact_range(&pack, 0..pack::table_len(tiles) as u64)?;
+        Ok((pack, pack::tile_ranges(&head, tiles)?))
+    }
+
+    /// Installs a complete replicated video: one `Vec<u8>` of container
     /// bytes per tile of every SOT (outer index = SOT index), plus the
     /// primary's manifest verbatim. Mirrors `ingest`'s crash story: the
     /// directory is rewritten from scratch and the manifest write is the
@@ -1041,12 +987,10 @@ impl VideoStore {
         let write_all = || -> Result<(), StoreError> {
             for (sot, tiles) in manifest.sots.iter().zip(sots) {
                 // Replicas preserve each SOT's `retile_count`, so the
-                // backup's directory names match the primary's.
-                let sot_dir = self.sot_dir(name, sot);
-                self.write_raw_tiles(&sot_dir, tiles)?;
+                // backup's pack names match the primary's.
+                self.write_pack(name, sot, tiles.iter())?;
             }
-            self.save_manifest(manifest)?;
-            Ok(())
+            self.publish(manifest)
         };
         match write_all() {
             Ok(()) => {
@@ -1060,12 +1004,11 @@ impl VideoStore {
         }
     }
 
-    /// Installs one replicated SOT of an *existing* video via the PR 5
-    /// staged-commit protocol: tile bytes land in a staging directory, the
-    /// commit record (carrying `new_manifest`) is atomically renamed into
-    /// place — the commit point — and roll-forward swaps the directory and
-    /// rewrites the manifest. A crash at any step is resolved by the same
-    /// startup recovery that resolves an interrupted local re-tile.
+    /// Installs one replicated SOT of an *existing* video, by the rule a
+    /// local re-tile commits by: the tiles land as one pack under the new
+    /// epoch's name, and replacing the manifest with `new_manifest` is the
+    /// commit point. A crash at any step is resolved by the same startup
+    /// recovery that resolves an interrupted local re-tile.
     ///
     /// Reclaims the epoch the install supersedes immediately; a replica
     /// serving pinned readers uses [`VideoStore::install_sot_deferred`]
@@ -1087,6 +1030,11 @@ impl VideoStore {
     /// superseded layout epoch: returns the [`RetiredEpoch`] (if the
     /// install replaced one) for the caller to [`VideoStore::gc_epoch`]
     /// once its pinned readers drain.
+    ///
+    /// The installed epoch must be newer than the one the store holds for
+    /// that SOT: an equal or older one is refused with nothing touched,
+    /// since writing it would replace, under any pinned reader, the pack
+    /// the manifest on disk names.
     pub fn install_sot_deferred(
         &self,
         new_manifest: &VideoManifest,
@@ -1101,50 +1049,26 @@ impl VideoStore {
         validate_replica_sot(sot, new_manifest.config.gop_len, tiles)?;
         let name = new_manifest.name.as_str();
         check_video_name(name)?;
-        self.finish_pending_commits(name)?;
-        // The epoch this install supersedes, per the (post-roll-forward)
-        // on-disk manifest — read before the commit below rewrites it.
-        let retired = self.load_manifest(name)?.sots.iter().find_map(|old| {
-            (old.start == sot.start && old.end == sot.end && old.retile_count != sot.retile_count)
-                .then_some(RetiredEpoch {
-                    sot_start: old.start,
-                    sot_end: old.end,
-                    retile_count: old.retile_count,
-                })
-        });
-
-        let video_dir = self.root.join(name);
-        let staging = video_dir.join(staging_dir_name(sot.start, sot.end));
-        if self.io.exists(&staging) {
-            self.io.remove_dir_all(&staging)?;
+        // The epoch this install supersedes, per the on-disk manifest —
+        // read before the commit below rewrites it.
+        let current = self.load_manifest(name)?;
+        let held = current
+            .sots
+            .iter()
+            .find(|old| old.start == sot.start && old.end == sot.end);
+        if let Some(old) = held.filter(|old| old.retile_count >= sot.retile_count) {
+            return Err(invalid_payload(format!(
+                "SOT {}..{} of '{name}' is at layout epoch {}, refusing to install epoch {} over it",
+                sot.start, sot.end, old.retile_count, sot.retile_count
+            )));
         }
-        self.write_raw_tiles(&staging, tiles)?;
-
-        let record = CommitRecord {
-            sot_start: sot.start,
-            sot_end: sot.end,
-            manifest: new_manifest.clone(),
-        };
-        let commit = video_dir.join(commit_file_name(sot.start, sot.end));
-        let commit_tmp = video_dir.join(format!(
-            "{}{TMP_SUFFIX}",
-            commit_file_name(sot.start, sot.end)
-        ));
-        self.io
-            .write(&commit_tmp, &serde_json::to_vec_pretty(&record)?)?;
-        self.io.rename(&commit_tmp, &commit)?; // ← commit point
-
-        let completion = self
-            .roll_forward(&video_dir, &record, &commit)
-            .or_else(|_| self.roll_forward(&video_dir, &record, &commit));
-        // Cached GOPs keyed at the *installed* epoch (possible only if a
-        // caller overwrote an epoch in place) are stale now; older epochs'
-        // entries stay valid and die with their epoch in `gc_epoch`.
-        if let Some(cache) = &self.cache {
-            cache.invalidate_sot_epoch(&self.store_id, name, sot.start, sot.retile_count);
-        }
-        completion?;
-        Ok(retired)
+        self.write_unpublished_pack(name, sot, tiles.iter())?;
+        self.publish(new_manifest)?; // ← commit point
+        Ok(held.map(|old| RetiredEpoch {
+            sot_start: old.start,
+            sot_end: old.end,
+            retile_count: old.retile_count,
+        }))
     }
 
     /// Removes a video from the store (rebalance GC). The manifest is
@@ -1166,56 +1090,54 @@ impl VideoStore {
         Ok(())
     }
 
-    /// Writes raw (already-encoded) tile-file bytes into `dir` with the
-    /// same durability barrier as `write_tiles`: every file fsynced, then
-    /// the directory once for the batch.
-    fn write_raw_tiles(&self, dir: &Path, tiles: &[Vec<u8>]) -> Result<(), StoreError> {
-        self.io.create_dir_all(dir)?;
-        for (i, bytes) in tiles.iter().enumerate() {
-            self.io.write(&dir.join(tile_file_name(i as u32)), bytes)?;
-        }
-        self.io.sync_dir(dir)?;
-        Ok(())
-    }
-
-    /// A SOT's directory at the layout epoch its manifest entry records —
-    /// the only path derivation in the store, so a pinned manifest
-    /// snapshot keeps resolving to its own epoch's files no matter how
-    /// many re-tiles commit after it.
-    fn sot_dir(&self, name: &str, sot: &SotEntry) -> PathBuf {
+    /// A SOT's pack at the layout epoch its manifest entry records — the
+    /// only path derivation in the store, so a pinned manifest snapshot
+    /// keeps resolving to its own epoch's tiles no matter how many
+    /// re-tiles commit after it.
+    fn pack_path(&self, name: &str, sot: &SotEntry) -> PathBuf {
         self.root
             .join(name)
-            .join(sot_dir_name(sot.start, sot.end, sot.retile_count))
+            .join(pack_file_name(sot.start, sot.end, sot.retile_count))
     }
 
-    fn tile_path(&self, name: &str, sot: &SotEntry, tile: u32) -> PathBuf {
-        self.sot_dir(name, sot).join(tile_file_name(tile))
-    }
-
-    fn write_sot_files(
+    /// Writes `sot`'s pack at the layout epoch the entry records: one
+    /// buffer, one durable write (its fsync is what lets
+    /// [`VideoStore::publish`] name these bytes — a crash then finds the
+    /// whole pack or an unpublished manifest, never a manifest over a torn
+    /// pack). The name becomes durable in `publish`.
+    fn write_pack<B: AsRef<[u8]>>(
         &self,
         name: &str,
-        start: u32,
-        end: u32,
-        tiles: &[TileVideo],
+        sot: &SotEntry,
+        tiles: impl ExactSizeIterator<Item = B>,
     ) -> Result<(), StoreError> {
-        // Ingest always writes layout epoch 0.
-        let dir = self.root.join(name).join(sot_dir_name(start, end, 0));
-        self.write_tiles(&dir, tiles)
+        let pack = pack::assemble(tiles);
+        Ok(self.io.write(&self.pack_path(name, sot), &pack)?)
     }
 
-    /// Writes one tile file per entry of `tiles` into `dir` (created if
-    /// missing). Every file is fsynced, then the directory itself — one
-    /// barrier for the whole batch — so the files *and their names* are
-    /// durable before any commit point that depends on them.
-    fn write_tiles(&self, dir: &Path, tiles: &[TileVideo]) -> Result<(), StoreError> {
-        self.io.create_dir_all(dir)?;
-        for (i, tile) in tiles.iter().enumerate() {
-            self.io
-                .write(&dir.join(tile_file_name(i as u32)), &tile.to_bytes())?;
+    /// [`VideoStore::write_pack`] for the epoch `sot` is *about to* be
+    /// published at. A pack already under that name is the residue of an
+    /// earlier attempt that failed in this process (opens clean it up, but
+    /// the store may not have been reopened): it goes first, through
+    /// `gc_epoch`, which refuses if the manifest on disk turns out to name
+    /// it — a commit whose rename landed but reported an error.
+    fn write_unpublished_pack<B: AsRef<[u8]>>(
+        &self,
+        name: &str,
+        sot: &SotEntry,
+        tiles: impl ExactSizeIterator<Item = B>,
+    ) -> Result<(), StoreError> {
+        if self.io.exists(&self.pack_path(name, sot)) {
+            self.gc_epoch(
+                name,
+                RetiredEpoch {
+                    sot_start: sot.start,
+                    sot_end: sot.end,
+                    retile_count: sot.retile_count,
+                },
+            )?;
         }
-        self.io.sync_dir(dir)?;
-        Ok(())
+        self.write_pack(name, sot, tiles)
     }
 
     // ------------------------------------------------------------------
@@ -1223,8 +1145,8 @@ impl VideoStore {
     // ------------------------------------------------------------------
 
     /// Scans every video directory for residue of interrupted operations
-    /// and restores the two-epoch invariant. Idempotent: recovery itself
-    /// can crash at any operation and the next open finishes the job.
+    /// and removes what no manifest names. Idempotent: recovery itself can
+    /// crash at any operation and the next open finishes the job.
     fn recover_all(&self) -> Result<RecoveryReport, StoreError> {
         let mut report = RecoveryReport::default();
         for entry in self.io.list_dir(&self.root)? {
@@ -1246,108 +1168,70 @@ impl VideoStore {
         report: &mut RecoveryReport,
     ) -> Result<(), StoreError> {
         // 0. Only touch directories that are recognizably ours: a manifest,
-        //    tile-store residue (SOT/staging dirs, commit records, manifest
-        //    temp), or a completely empty directory (an ingest that died at
-        //    its first operation). A foreign directory — e.g. the store was
-        //    opened at a wrong or shared path — is left strictly alone.
+        //    tile-store residue (packs, a manifest temp, an older build's
+        //    staging directory or commit record), or a completely empty
+        //    directory (an ingest that died at its first operation). A
+        //    foreign directory — e.g. the store was opened at a wrong or
+        //    shared path — is left strictly alone.
         let entries = self.io.list_dir(dir)?;
         let is_ours = self.io.exists(&dir.join("manifest.json"))
             || entries.is_empty()
             || entries.iter().any(|e| {
                 let name = entry_name(e);
-                parse_sot_name(&name).is_some()
-                    || parse_staging_name(&name).is_some()
-                    || parse_commit_name(&name).is_some()
+                parse_pack_name(&name).is_some()
+                    || is_legacy_retile_residue(&name)
                     || name == format!("manifest.json{TMP_SUFFIX}")
             });
         if !is_ours {
             return Ok(());
         }
 
-        // 1. Interrupted atomic writes: the temp file never became visible
-        //    under its final name, so it holds no committed state.
-        for entry in self.io.list_dir(dir)? {
-            let name = entry_name(&entry);
-            if name.ends_with(TMP_SUFFIX) && !self.io.is_dir(&entry) {
-                self.io.remove_file(&entry)?;
+        for entry in &entries {
+            let name = entry_name(entry);
+            if name.ends_with(TMP_SUFFIX) && !self.io.is_dir(entry) {
+                // 1. Interrupted atomic writes: the temp file never became
+                //    visible under its final name, so it holds no committed
+                //    state.
+                self.io.remove_file(entry)?;
                 report.actions.push(RecoveryAction::RemovedTemp {
                     video: video.to_string(),
                     file: name,
                 });
-            }
-        }
-
-        // 2. Commit records: the re-tile passed its commit point — finish
-        //    it (roll forward). Records are fsynced before the rename that
-        //    publishes them, so an unparsable record cannot exist short of
-        //    outside interference; treat one as pre-commit garbage.
-        for entry in self.io.list_dir(dir)? {
-            let name = entry_name(&entry);
-            let Some((start, end)) = parse_commit_name(&name) else {
-                continue;
-            };
-            match serde_json::from_slice::<CommitRecord>(&self.io.read(&entry)?) {
-                Ok(record) => {
-                    self.roll_forward(dir, &record, &entry)?;
-                    report.actions.push(RecoveryAction::RolledForward {
-                        video: video.to_string(),
-                        sot_start: record.sot_start,
-                        sot_end: record.sot_end,
-                    });
-                    if let Some(cache) = &self.cache {
-                        cache.invalidate_video(&self.store_id, video);
-                    }
+            } else if is_legacy_retile_residue(&name) {
+                // 2. What a re-tile of an older build left mid-protocol
+                //    (see `RecoveryAction::DiscardedLegacyResidue` for why
+                //    discarding it is safe on either side of its commit).
+                if self.io.is_dir(entry) {
+                    self.io.remove_dir_all(entry)?;
+                } else {
+                    self.io.remove_file(entry)?;
                 }
-                Err(_) => {
-                    let staging = dir.join(staging_dir_name(start, end));
-                    if self.io.exists(&staging) {
-                        self.io.remove_dir_all(&staging)?;
-                    }
-                    self.io.remove_file(&entry)?;
-                    report.actions.push(RecoveryAction::RolledBack {
-                        video: video.to_string(),
-                        sot_start: start,
-                        sot_end: end,
-                    });
-                }
-            }
-        }
-
-        // 3. Staging directories without a commit record: the re-tile never
-        //    committed — discard (roll back).
-        for entry in self.io.list_dir(dir)? {
-            let name = entry_name(&entry);
-            let Some((start, end)) = parse_staging_name(&name) else {
-                continue;
-            };
-            if self.io.is_dir(&entry) {
-                self.io.remove_dir_all(&entry)?;
-                report.actions.push(RecoveryAction::RolledBack {
+                report.actions.push(RecoveryAction::DiscardedLegacyResidue {
                     video: video.to_string(),
-                    sot_start: start,
-                    sot_end: end,
+                    entry: name,
                 });
             }
         }
 
-        // 3.5. Superseded layout epochs: a SOT directory whose range the
-        //    manifest covers at a *different* retile count is a retired
-        //    epoch whose GC was interrupted (or deferred and never run —
-        //    no process survived to hold a pin on it). Reclaim it so the
-        //    crash lands in exactly one epoch set. Ranges the manifest
-        //    does not cover at all are left for fsck to flag.
+        // 3. Packs at epochs the manifest does not name: a pack whose range
+        //    the manifest covers at a *different* retile count is a retired
+        //    epoch whose GC was interrupted (or deferred and never run — no
+        //    process survived to hold a pin on it), or the epoch a re-tile
+        //    wrote and died before publishing. Reclaim it so the crash
+        //    lands in exactly one epoch set. Ranges the manifest does not
+        //    cover at all are left for fsck to flag.
         if let Ok(bytes) = self.io.read(&dir.join("manifest.json")) {
             if let Ok(manifest) = serde_json::from_slice::<VideoManifest>(&bytes) {
-                for entry in self.io.list_dir(dir)? {
-                    let Some((start, end, rc)) = parse_sot_name(&entry_name(&entry)) else {
+                for entry in &entries {
+                    let Some((start, end, rc)) = parse_pack_name(&entry_name(entry)) else {
                         continue;
                     };
-                    let superseded = manifest
+                    let unreferenced = manifest
                         .sots
                         .iter()
                         .any(|s| s.start == start && s.end == end && s.retile_count != rc);
-                    if superseded && self.io.is_dir(&entry) {
-                        self.io.remove_dir_all(&entry)?;
+                    if unreferenced && !self.io.is_dir(entry) {
+                        self.io.remove_file(entry)?;
                         report.actions.push(RecoveryAction::ReclaimedEpoch {
                             video: video.to_string(),
                             sot_start: start,
@@ -1362,8 +1246,8 @@ impl VideoStore {
             }
         }
 
-        // 4. No manifest after the above: an ingest crashed before its
-        //    publish point — the video never existed.
+        // 4. No manifest: an ingest crashed before its publish point — the
+        //    video never existed.
         if !self.io.exists(&dir.join("manifest.json")) {
             self.io.remove_dir_all(dir)?;
             report.actions.push(RecoveryAction::RemovedPartialVideo {
@@ -1376,56 +1260,15 @@ impl VideoStore {
         Ok(())
     }
 
-    /// Replays the post-commit steps of the re-tile protocol. Idempotent:
-    /// safe to re-run from any intermediate crash state.
-    fn roll_forward(
-        &self,
-        dir: &Path,
-        record: &CommitRecord,
-        commit_path: &Path,
-    ) -> Result<(), StoreError> {
-        let staging = dir.join(staging_dir_name(record.sot_start, record.sot_end));
-        // The staging directory is promoted to the *new* epoch's name (the
-        // record's manifest is the post-retile truth); the superseded
-        // epoch's directory is untouched here — it stays readable for
-        // pinned snapshots until `gc_epoch` or recovery reclaims it.
-        let new_rc = record
-            .manifest
-            .sots
-            .iter()
-            .find(|s| s.start == record.sot_start && s.end == record.sot_end)
-            .map(|s| s.retile_count)
-            .ok_or_else(|| {
-                StoreError::Io(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "commit record for SOT {}..{} names a SOT absent from its manifest",
-                        record.sot_start, record.sot_end
-                    ),
-                ))
-            })?;
-        let final_dir = dir.join(sot_dir_name(record.sot_start, record.sot_end, new_rc));
-        if self.io.exists(&staging) {
-            if self.io.exists(&final_dir) {
-                self.io.remove_dir_all(&final_dir)?;
-            }
-            self.io.rename(&staging, &final_dir)?;
-        }
-        // If staging is gone the swap already happened; either way the
-        // record holds the authoritative post-retile manifest.
-        self.save_manifest(&record.manifest)?;
-        self.io.remove_file(commit_path)?;
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // fsck
     // ------------------------------------------------------------------
 
     /// Validates every video in the store: manifest readable, SOT chain
-    /// contiguous, every tile file present with a container header that
-    /// matches the manifest (dimensions, GOP length, frame count, exact
-    /// length), and no unaccounted files. Read-only.
+    /// contiguous, every SOT's pack present with a sound table and, for
+    /// each tile in it, a container header that matches the manifest
+    /// (dimensions, GOP length, frame count, exact length), and no
+    /// unaccounted files. Read-only.
     pub fn fsck(&self) -> Result<FsckReport, StoreError> {
         self.fsck_with(&[])
     }
@@ -1465,37 +1308,32 @@ impl VideoStore {
         Ok(report)
     }
 
-    /// Bounded-read container validation of one tile file. Only the header
-    /// and frame table are read; the rare container whose frame table
-    /// outgrows the prefix is re-read in full.
-    fn validate_tile_header(&self, path: &Path) -> Result<ContainerHeader, TileProblem> {
-        const HEADER_PREFIX: usize = 64 << 10;
-        // A file that exists but cannot be read (EACCES, EIO from a dying
-        // disk) is damage, not absence — report it faithfully.
-        let io_problem = |e: io::Error| {
-            if self.io.exists(path) {
-                TileProblem::Unreadable(e.to_string())
-            } else {
-                TileProblem::Missing
-            }
+    /// fsck's one read of a SOT's pack: its bytes and where its `tiles`
+    /// tiles lie in them, the last one ending with the file. `Ok(None)` when
+    /// there is no such pack, `Err` with what is wrong with one there is.
+    fn read_whole_pack(
+        &self,
+        path: &Path,
+        tiles: u32,
+    ) -> Result<Option<(Vec<u8>, TileRanges)>, String> {
+        let pack = match self.io.read(path) {
+            Ok(pack) => pack,
+            Err(_) if !self.io.exists(path) => return Ok(None),
+            // A pack that exists but cannot be read (EACCES, EIO from a
+            // dying disk) is damage, not absence.
+            Err(e) => return Err(format!("unreadable: {e}")),
         };
-        let total = self.io.file_len(path).map_err(io_problem)?;
-        let head = self
-            .io
-            .read_prefix(path, HEADER_PREFIX)
-            .map_err(io_problem)?;
-        if head.len() as u64 == total {
-            return TileVideo::validate(&head).map_err(TileProblem::Invalid);
+        let ranges = pack::tile_ranges(&pack, tiles).map_err(|e| e.to_string())?;
+        let end = ranges
+            .last()
+            .map_or(pack::table_len(tiles) as u64, |r| r.end);
+        if end != pack.len() as u64 {
+            return Err(format!(
+                "pack table ends the last tile at {end}, the file is {} bytes",
+                pack.len()
+            ));
         }
-        match TileVideo::validate_header(&head, total) {
-            // Ambiguous truncation: the table may simply outgrow the
-            // prefix — judge from the whole file.
-            Err(ContainerError::Truncated) => {
-                let all = self.io.read(path).map_err(io_problem)?;
-                TileVideo::validate(&all).map_err(TileProblem::Invalid)
-            }
-            r => r.map_err(TileProblem::Invalid),
-        }
+        Ok(Some((pack, ranges)))
     }
 
     fn fsck_video_into(&self, video: &str, allowed_extras: &[&str], report: &mut FsckReport) {
@@ -1536,110 +1374,98 @@ impl VideoStore {
             });
         }
 
-        // Tile files vs manifest, container headers included. Only a
-        // bounded prefix (header + frame table) of each file is read; the
-        // exact-length check compares the declared size against the file
-        // length, so payload bytes never enter memory.
+        // Packs vs manifest, container headers included: one read per SOT.
         for sot in &manifest.sots {
-            for t in 0..sot.layout.tile_count() {
-                let path = self.tile_path(video, sot, t);
-                let header = match self.validate_tile_header(&path) {
-                    Ok(h) => h,
-                    Err(TileProblem::Missing) => {
-                        report.issues.push(FsckIssue::MissingTile {
+            let tiles = sot.layout.tile_count();
+            let path = self.pack_path(video, sot);
+            let (pack, ranges) = match self.read_whole_pack(&path, tiles) {
+                Ok(Some(read)) => read,
+                Ok(None) => {
+                    report
+                        .issues
+                        .extend((0..tiles).map(|tile| FsckIssue::MissingTile {
                             video: video.to_string(),
                             sot_start: sot.start,
-                            tile: t,
-                        });
-                        continue;
+                            tile,
+                        }));
+                    continue;
+                }
+                Err(detail) => {
+                    report.issues.push(FsckIssue::PackCorrupt {
+                        video: video.to_string(),
+                        sot_start: sot.start,
+                        detail,
+                    });
+                    continue;
+                }
+            };
+            for (t, r) in (0..tiles).zip(ranges) {
+                // In bounds: the ranges are contiguous and end at the
+                // pack's length.
+                match TileVideo::validate(&pack[r.start as usize..r.end as usize]) {
+                    Ok(header) => {
+                        report.tiles_checked += 1;
+                        let found = slot_mismatches(&header, sot, t, manifest.config.gop_len);
+                        report.issues.extend(found.into_iter().map(|detail| {
+                            FsckIssue::TileMismatch {
+                                video: video.to_string(),
+                                sot_start: sot.start,
+                                tile: t,
+                                detail,
+                            }
+                        }));
                     }
-                    Err(TileProblem::Unreadable(detail)) => {
-                        report.issues.push(FsckIssue::TileCorrupt {
-                            video: video.to_string(),
-                            sot_start: sot.start,
-                            tile: t,
-                            detail: format!("unreadable: {detail}"),
-                        });
-                        continue;
-                    }
-                    Err(TileProblem::Invalid(e)) => {
-                        report.issues.push(FsckIssue::TileCorrupt {
-                            video: video.to_string(),
-                            sot_start: sot.start,
-                            tile: t,
-                            detail: e.to_string(),
-                        });
-                        continue;
-                    }
-                };
-                report.tiles_checked += 1;
-                for detail in slot_mismatches(&header, sot, t, manifest.config.gop_len) {
-                    report.issues.push(FsckIssue::TileMismatch {
+                    Err(e) => report.issues.push(FsckIssue::TileCorrupt {
                         video: video.to_string(),
                         sot_start: sot.start,
                         tile: t,
-                        detail,
-                    });
-                }
-            }
-
-            // Unaccounted entries inside the SOT directory.
-            let sot_dir = self.sot_dir(video, sot);
-            let expected: std::collections::BTreeSet<String> =
-                (0..sot.layout.tile_count()).map(tile_file_name).collect();
-            if let Ok(entries) = self.io.list_dir(&sot_dir) {
-                for entry in entries {
-                    let name = entry_name(&entry);
-                    if !expected.contains(&name) {
-                        report.issues.push(FsckIssue::Stray {
-                            video: video.to_string(),
-                            path: format!(
-                                "{}/{name}",
-                                sot_dir_name(sot.start, sot.end, sot.retile_count)
-                            ),
-                        });
-                    }
+                        detail: e.to_string(),
+                    }),
                 }
             }
         }
 
         // Unaccounted entries in the video directory: anything other than
-        // the manifest, allow-listed extras, and the manifest's SOT dirs.
+        // the manifest, allow-listed extras, and the manifest's packs.
         if let Ok(entries) = self.io.list_dir(&dir) {
             for entry in entries {
                 let name = entry_name(&entry);
-                let known_sot = manifest
+                let known_pack = manifest
                     .sots
                     .iter()
-                    .any(|s| name == sot_dir_name(s.start, s.end, s.retile_count));
-                let allowed =
-                    name == "manifest.json" || allowed_extras.contains(&name.as_str()) || known_sot;
+                    .any(|s| name == pack_file_name(s.start, s.end, s.retile_count));
+                if name == "manifest.json" || allowed_extras.contains(&name.as_str()) || known_pack
+                {
+                    continue;
+                }
                 // When recovery was deferred (another live handle holds the
-                // store lock), staging/commit/temp entries are plausibly
-                // that handle's in-flight re-tiles, not crash residue — and
-                // a SOT directory at a superseded epoch of a manifest range
-                // is plausibly a retired epoch still pinned by that
-                // handle's readers. A concurrent fsck must not call a
-                // healthy live store dirty.
-                let live_protocol_state = self.recovery.deferred
-                    && (parse_staging_name(&name).is_some()
-                        || parse_commit_name(&name).is_some()
-                        || name.ends_with(TMP_SUFFIX)
-                        || parse_sot_name(&name).is_some_and(|(s, e, _)| {
+                // store lock), a temp file or a pack of a manifest range at
+                // another epoch is plausibly that handle's: a manifest
+                // being replaced, an epoch a re-tile has written and not
+                // yet published, or a retired epoch its readers still pin.
+                // A concurrent fsck must not call a healthy live store
+                // dirty.
+                let live_state = self.recovery.deferred
+                    && (name.ends_with(TMP_SUFFIX)
+                        || parse_pack_name(&name).is_some_and(|(s, e, _)| {
                             manifest.sots.iter().any(|x| x.start == s && x.end == e)
                         }));
-                if !allowed && !live_protocol_state {
-                    report.issues.push(FsckIssue::Stray {
-                        video: video.to_string(),
-                        path: name,
-                    });
+                if live_state {
+                    continue;
                 }
+                let video = video.to_string();
+                report
+                    .issues
+                    .push(if is_legacy_sot_dir_name(&name) && self.io.is_dir(&entry) {
+                        FsckIssue::LegacySotDirectory { video, path: name }
+                    } else {
+                        FsckIssue::Stray { video, path: name }
+                    });
             }
         }
     }
 }
 
-/// The on-disk name of a tile file.
 /// Rejects a replicated video payload whose shape disagrees with the
 /// manifest it claims to realize, before any byte lands on disk.
 fn validate_replica_payload(
@@ -1660,7 +1486,9 @@ fn validate_replica_payload(
 }
 
 /// Every tile payload must be a whole tile container whose header agrees
-/// with the slot the manifest gives it — what `fsck` asks of a tile file.
+/// with the slot the manifest gives it — what `fsck` asks of a tile. The
+/// pack is then assembled from these very bytes, so it needs no check of
+/// its own.
 fn validate_replica_sot(sot: &SotEntry, gop_len: u32, tiles: &[Vec<u8>]) -> Result<(), StoreError> {
     if tiles.len() as u32 != sot.layout.tile_count() {
         return Err(invalid_payload(format!(
@@ -1735,10 +1563,6 @@ fn check_video_name(name: &str) -> Result<(), StoreError> {
 
 fn invalid_payload(msg: String) -> StoreError {
     StoreError::Io(io::Error::new(io::ErrorKind::InvalidData, msg))
-}
-
-fn tile_file_name(tile: u32) -> String {
-    format!("tile_{tile:03}.tvf")
 }
 
 /// Final path component as an owned string (empty for pathological paths).

@@ -28,13 +28,13 @@
 //! Layout epochs are first-class MVCC versions. A scan *pins* its epoch at
 //! plan time — an [`EpochPin`] holding an `Arc` of that epoch's manifest
 //! snapshot and a reference count in the table — and reads it to
-//! completion; the epoch-stamped SOT directories on disk and the layout
+//! completion; the epoch-stamped SOT packs on disk and the layout
 //! epoch in decoded-GOP cache keys guarantee the pinned snapshot resolves
-//! only its own epoch's bytes. A re-tile commits the *next* epoch (fresh
-//! directories, then the manifest) and publishes it to the table
+//! only its own epoch's bytes. A re-tile commits the *next* epoch (a fresh
+//! pack, then the manifest) and publishes it to the table
 //! immediately — it synchronizes with other writers on the commit mutex
 //! but **never waits on readers**. A superseded epoch is garbage-collected
-//! (tile directories and decoded-GOP cache entries) only when its last
+//! (its packs and decoded-GOP cache entries) only when its last
 //! pin drops; [`Query::as_of`] can name any still-live epoch. Every reader
 //! therefore observes exactly one layout epoch — never a torn mix of tile
 //! files — and retile-commit latency is independent of in-flight scan
@@ -233,7 +233,7 @@ struct EpochEntry {
 
 /// The MVCC version table of one video: every layout epoch still readable
 /// — the current epoch plus any retired epoch a reader has pinned — and
-/// the set of on-disk SOT directories not yet garbage-collected.
+/// the set of on-disk SOT packs not yet garbage-collected.
 struct EpochTable {
     /// The epoch new pins default to ([`VideoManifest::epoch`] of the
     /// latest committed manifest).
@@ -241,21 +241,21 @@ struct EpochTable {
     /// Live epochs by number. The current epoch is always present; retired
     /// epochs stay exactly until their reader count drains to zero.
     live: BTreeMap<u64, EpochEntry>,
-    /// Every `(start, end, retile_count)` SOT directory on disk that this
-    /// table owes a GC decision for. A directory leaves the set (and is
+    /// Every `(start, end, retile_count)` SOT pack on disk that this
+    /// table owes a GC decision for. A pack leaves the set (and is
     /// reclaimed) once no live epoch's manifest references it.
     tracked: BTreeSet<(u32, u32, u32)>,
 }
 
-/// The SOT directories a manifest snapshot resolves reads through.
-fn manifest_dirs(m: &VideoManifest) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+/// The SOT packs a manifest snapshot resolves reads through.
+fn manifest_packs(m: &VideoManifest) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
     m.sots.iter().map(|s| (s.start, s.end, s.retile_count))
 }
 
 impl EpochTable {
     fn new(manifest: Arc<VideoManifest>) -> Self {
         let current = manifest.epoch();
-        let tracked = manifest_dirs(&manifest).collect();
+        let tracked = manifest_packs(&manifest).collect();
         let mut live = BTreeMap::new();
         live.insert(
             current,
@@ -280,9 +280,9 @@ impl EpochTable {
     }
 
     /// Drops retired epochs with no readers from the live set and returns
-    /// the tracked directories no remaining live epoch references — the GC
+    /// the tracked packs no remaining live epoch references — the GC
     /// work list. The current epoch never retires here, so a re-ingest
-    /// under the same name can never have its fresh directories reclaimed
+    /// under the same name can never have its fresh packs reclaimed
     /// by a stale pin's drop.
     fn sweep(&mut self) -> Vec<RetiredEpoch> {
         let current = self.current;
@@ -291,7 +291,7 @@ impl EpochTable {
         let referenced: BTreeSet<(u32, u32, u32)> = self
             .live
             .values()
-            .flat_map(|e| manifest_dirs(&e.manifest))
+            .flat_map(|e| manifest_packs(&e.manifest))
             .collect();
         let dead: Vec<(u32, u32, u32)> = self.tracked.difference(&referenced).copied().collect();
         for d in &dead {
@@ -308,10 +308,10 @@ impl EpochTable {
 
     /// Installs a freshly committed manifest as the current epoch and
     /// sweeps. The superseded epoch stays live while pinned; otherwise its
-    /// now-unreferenced directories come back as the GC work list.
+    /// now-unreferenced packs come back as the GC work list.
     fn publish(&mut self, manifest: Arc<VideoManifest>) -> Vec<RetiredEpoch> {
         let epoch = manifest.epoch();
-        self.tracked.extend(manifest_dirs(&manifest));
+        self.tracked.extend(manifest_packs(&manifest));
         self.current = epoch;
         self.live
             .entry(epoch)
@@ -354,11 +354,11 @@ impl VideoShard {
 }
 
 /// A pinned layout epoch: holds one reference count on the epoch in its
-/// video's table, keeping the epoch's manifest snapshot, tile directories,
+/// video's table, keeping the epoch's manifest snapshot, packs,
 /// and decoded-GOP cache entries alive until dropped. Obtained from
 /// [`Tasm::pin_epoch`] (queries pin internally). Dropping the pin releases
 /// the count; if it was the epoch's last reader and the epoch is no longer
-/// current, the epoch's now-unreferenced tile directories are
+/// current, the epoch's now-unreferenced packs are
 /// garbage-collected on the spot.
 pub struct EpochPin {
     shard: Arc<VideoShard>,
@@ -403,7 +403,7 @@ impl Drop for EpochPin {
             gc
         };
         // GC outside the table lock, best-effort: `gc_epoch` is idempotent
-        // and startup recovery reaps any directory a failed GC leaves.
+        // and startup recovery reaps any pack a failed GC leaves.
         for old in gc {
             let _ = self.store.gc_epoch(&self.manifest.name, old);
         }
@@ -411,7 +411,7 @@ impl Drop for EpochPin {
 }
 
 /// Raw tile-file bytes for one video, as shipped by replication:
-/// `bytes[sot][tile]` is the verbatim contents of that tile file.
+/// `bytes[sot][tile]` is that tile's container bytes, verbatim.
 pub type SotTileBytes = Vec<Vec<Vec<u8>>>;
 
 /// The storage manager.
@@ -436,8 +436,8 @@ pub(crate) fn video_id_for(name: &str) -> u32 {
 impl Tasm {
     /// Opens a storage manager rooted at `root` with the given index.
     ///
-    /// Startup recovery runs before this returns: interrupted re-tiles are
-    /// rolled forward or back and half-ingested videos removed, so every
+    /// Startup recovery runs before this returns: what interrupted re-tiles
+    /// left unpublished and half-ingested videos are removed, so every
     /// video observable through this instance is wholly in one layout
     /// epoch. [`Tasm::recovery_report`] lists what was repaired.
     pub fn open(
@@ -680,7 +680,7 @@ impl Tasm {
     }
 
     /// A single-epoch replication snapshot of one video: its manifest plus
-    /// the raw bytes of every tile file (outer index = SOT index), read
+    /// the container bytes of every tile (outer index = SOT index), read
     /// under one epoch pin so a concurrent re-tile cannot tear the
     /// snapshot across layout epochs — and no longer has to wait for the
     /// snapshot either. The epoch watermark ships unchanged as the
@@ -760,7 +760,7 @@ impl Tasm {
             .retile_count;
         // Writers serialize on the commit mutex; readers pinned to older
         // epochs are unaffected — the install lands in a fresh
-        // epoch-stamped directory and the old epoch is GC'd when its last
+        // epoch-stamped pack and the old epoch is GC'd when its last
         // pin drops.
         let _commit = shard.commit.lock().expect("commit lock");
         {
@@ -789,7 +789,7 @@ impl Tasm {
     /// Removes a video (the rebalance GC step): unregisters it, then
     /// drains by refcount — waits until the last pinned reader of any
     /// epoch drops (no new pins can start: the shard is unregistered) —
-    /// and deletes its files, retired epoch directories included.
+    /// and deletes its files, retired epochs' packs included.
     pub fn remove_video(&self, name: &str) -> Result<(), TasmError> {
         let shard = self.videos.write().expect("videos lock").remove(name);
         let Some(shard) = shard else {
@@ -967,8 +967,8 @@ impl Tasm {
 
     /// Pins a layout epoch of `name` explicitly: the current epoch
     /// (`epoch: None`) or a specific still-live one. While the returned
-    /// [`EpochPin`] is alive, the epoch's manifest snapshot, tile
-    /// directories, and cached GOPs stay readable — re-tiles keep
+    /// [`EpochPin`] is alive, the epoch's manifest snapshot, packs
+    /// and cached GOPs stay readable — re-tiles keep
     /// committing newer epochs around it — and [`Query::as_of`] can name
     /// it. Pinning an epoch that is neither current nor already pinned
     /// fails with [`TasmError::EpochNotLive`]: retired epochs are
@@ -1094,19 +1094,10 @@ impl Tasm {
         sot_idx: usize,
         layout: TileLayout,
     ) -> Result<RetileStats, TasmError> {
-        let requested = layout.clone();
         let _commit = shard.commit.lock().expect("commit lock");
         let mut manifest = (*shard.current_manifest()).clone();
-        let result = self.store.retile_deferred(&mut manifest, sot_idx, layout);
-        // A post-commit completion failure still advances the manifest
-        // to the new layout (the re-tile logically happened; see
-        // `VideoStore::retile_deferred`), so judge by the manifest, not
-        // by `?`.
-        let committed = manifest
-            .sots
-            .get(sot_idx)
-            .is_some_and(|s| s.layout == requested);
-        if committed {
+        let (stats, retired) = self.store.retile_deferred(&mut manifest, sot_idx, layout)?;
+        if retired.is_some() {
             let manifest = Arc::new(manifest);
             let gc = {
                 let mut table = shard.epochs.lock().expect("epoch table lock");
@@ -1116,12 +1107,10 @@ impl Tasm {
                 // Best-effort: idempotent, and recovery reaps leftovers.
                 let _ = self.store.gc_epoch(&manifest.name, old);
             }
-            // Regret resets relative to the new current layout — also when
-            // an error surfaced after the commit point, else the stale
-            // counters would immediately trigger a redundant re-tile.
+            // Regret resets relative to the new current layout.
             pol.sots[sot_idx].regret.clear();
         }
-        Ok(result?.0)
+        Ok(stats)
     }
 
     // ------------------------------------------------------------------

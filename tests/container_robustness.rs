@@ -3,18 +3,25 @@
 //! typed [`ContainerError`]s, never as panics, and [`TileVideo::validate`]
 //! must accept exactly the bytes the writer produced.
 //!
-//! This is the on-disk analogue of `tests/wire_protocol.rs`: tile files
-//! are what `tasm fsck` reads back after a crash, so the reader is the
-//! last line of defense against a torn write that slipped past recovery.
+//! This is the on-disk analogue of `tests/wire_protocol.rs`: tiles are
+//! what `tasm fsck` reads back after a crash, so the reader is the last
+//! line of defense against a torn write that slipped past recovery.
+//!
+//! The same holds one level up, for the pack a store files a SOT's tiles
+//! in: a table that is truncated, mutated or at odds with the containers it
+//! points at is a typed `StoreError` from a read and an `FsckIssue` from
+//! `fsck` — never a panic, and never one tile's bytes served as another's.
 
 use proptest::run_cases;
 use rand::rngs::StdRng;
 use rand::Rng;
 use tasm_codec::bitstream::{BitWriter, BitstreamError};
 use tasm_codec::{
-    ContainerError, DecodeError, EncodedFrame, EncoderConfig, TileCodec, TileEncoder, TileVideo,
+    ContainerError, DecodeError, EncodedFrame, EncoderConfig, TileCodec, TileEncoder, TileLayout,
+    TileVideo,
 };
-use tasm_video::{Frame, Plane, Rect};
+use tasm_core::{FsckIssue, StorageConfig, StoreError, VideoManifest, VideoStore};
+use tasm_video::{Frame, Plane, Rect, VecFrameSource};
 
 const CASES: u32 = 48;
 
@@ -368,4 +375,259 @@ fn corrupt_syntax_beyond_the_fast_paths_is_a_typed_error() {
     let v = handmade(16, 16, true, vec![w]);
     let (frames, _) = v.decode_all().unwrap();
     assert_eq!(frames.len(), 1);
+}
+
+// ---------------------------------------------------------------------
+// Hostile packs
+// ---------------------------------------------------------------------
+
+/// A store holding "v" — one 10-frame SOT of 64x64 in a 2x2 layout — with
+/// the path and bytes of that SOT's pack and each tile's container bytes as
+/// the store served them before anything was tampered with.
+struct PackedStore {
+    store: VideoStore,
+    root: std::path::PathBuf,
+    manifest: VideoManifest,
+    pack_path: std::path::PathBuf,
+    pack: Vec<u8>,
+    tiles: Vec<Vec<u8>>,
+}
+
+/// Header plus table of a four-tile pack.
+const TABLE_LEN: usize = 12 + 16 * 4;
+
+fn packed_store(tag: &str) -> PackedStore {
+    let root = std::env::temp_dir().join(format!("tasm-pack-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let store = VideoStore::open(&root).expect("open");
+    let src = VecFrameSource::new(
+        (0..10)
+            .map(|i| {
+                let mut f = Frame::filled(64, 64, 90, 128, 128);
+                for y in 0..64 {
+                    for x in 0..64 {
+                        f.set_sample(Plane::Y, x, y, ((x * 3 + y * 5 + i * 2) % 200 + 20) as u8);
+                    }
+                }
+                f
+            })
+            .collect(),
+    );
+    let cfg = StorageConfig {
+        gop_len: 5,
+        sot_frames: 10,
+        parallel_encode: false,
+        ..Default::default()
+    };
+    let layout = TileLayout::uniform(64, 64, 2, 2).expect("layout");
+    let (manifest, _) = store
+        .ingest("v", &src, 30, cfg, move |_, _| layout.clone())
+        .expect("ingest");
+    let pack_path = root.join("v").join("sot_000000_000010.tiles");
+    let pack = std::fs::read(&pack_path).expect("pack");
+    let tiles: Vec<Vec<u8>> = (0..4)
+        .map(|t| store.tile_file_bytes(&manifest, 0, t).expect("tile"))
+        .collect();
+    // The pack is its table, then the tiles verbatim and back to back.
+    assert_eq!(pack[TABLE_LEN..], tiles.concat()[..]);
+    PackedStore {
+        store,
+        root,
+        manifest,
+        pack_path,
+        pack,
+        tiles,
+    }
+}
+
+impl PackedStore {
+    /// Every read of every tile of whatever is at `pack_path` now: a typed
+    /// error, or exactly the tile the store was given.
+    fn reads_are_errors_or_the_right_tile(&self, what: &str) {
+        for (t, want) in self.tiles.iter().enumerate() {
+            if let Ok(bytes) = self.store.tile_file_bytes(&self.manifest, 0, t as u32) {
+                assert_eq!(&bytes, want, "{what}: tile {t} served foreign bytes");
+            }
+            if let Ok(tile) = self.store.read_tile(&self.manifest, 0, t as u32) {
+                assert_eq!(tile.to_bytes()[..], want[..], "{what}: tile {t}");
+            }
+        }
+        let _ = self.store.video_size_bytes(&self.manifest);
+    }
+
+    fn fsck_issues(&self) -> Vec<FsckIssue> {
+        self.store.fsck().expect("fsck runs").issues
+    }
+}
+
+/// Any byte of a pack's header or table changed to any other value, and
+/// the pack cut short anywhere: reads are typed errors or the right tile,
+/// and `fsck` always notices.
+#[test]
+fn mutated_and_truncated_pack_tables_are_typed_errors() {
+    let p = packed_store("mutated");
+    assert!(p.fsck_issues().is_empty());
+    run_cases(256, proptest::seed_for("pack-table"), |rng| {
+        let mut bad = p.pack.clone();
+        let at = rng.gen_range(0..TABLE_LEN);
+        let was = bad[at];
+        while bad[at] == was {
+            bad[at] = if rng.gen_range(0u32..4) == 0 {
+                was ^ (1 << rng.gen_range(0u32..8))
+            } else {
+                rng.gen_range(0u32..256) as u8
+            };
+        }
+        std::fs::write(&p.pack_path, &bad).expect("write mutated pack");
+        let what = format!("byte {at}: {was:#04x} -> {:#04x}", bad[at]);
+        p.reads_are_errors_or_the_right_tile(&what);
+        let issues = p.fsck_issues();
+        assert!(
+            matches!(issues[..], [FsckIssue::PackCorrupt { sot_start: 0, .. }]),
+            "{what}: {issues:?}"
+        );
+
+        let keep = rng.gen_range(0..p.pack.len());
+        std::fs::write(&p.pack_path, &p.pack[..keep]).expect("write truncated pack");
+        let what = format!("cut to {keep} of {} bytes", p.pack.len());
+        p.reads_are_errors_or_the_right_tile(&what);
+        assert!(!p.fsck_issues().is_empty(), "{what}");
+        if keep < TABLE_LEN {
+            for t in 0..4 {
+                assert!(
+                    p.store.tile_file_bytes(&p.manifest, 0, t).is_err(),
+                    "{what}: tile {t} read without a table"
+                );
+            }
+        }
+    });
+    std::fs::remove_dir_all(&p.root).ok();
+}
+
+/// Tables that are sound by themselves and wrong about the pack: a last
+/// range past the end of the file, ranges that overlap, a tile count other
+/// than the layout's, and lengths that disagree with the containers' own.
+#[test]
+fn pack_tables_at_odds_with_their_pack_are_typed_errors() {
+    let p = packed_store("at-odds");
+    let entry = |t: usize| 12 + 16 * t;
+    let set_u64 = |pack: &mut [u8], at: usize, v: u64| {
+        pack[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    };
+    let u64_at = |at: usize| u64::from_le_bytes(p.pack[at..at + 8].try_into().unwrap());
+    let invalid_data = |r: Result<TileVideo, StoreError>| matches!(r, Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidData);
+
+    // The last tile's range runs past the end of the file.
+    let mut bad = p.pack.clone();
+    set_u64(&mut bad, entry(3) + 8, u64_at(entry(3) + 8) + 1);
+    std::fs::write(&p.pack_path, &bad).unwrap();
+    assert!(matches!(
+        p.store.read_tile(&p.manifest, 0, 3),
+        Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
+    ));
+    assert!(p.store.read_tile(&p.manifest, 0, 0).is_ok());
+    assert!(matches!(
+        p.fsck_issues()[..],
+        [FsckIssue::PackCorrupt { .. }]
+    ));
+
+    // Tile 1 laid over tile 0: no tile is served at all.
+    let mut bad = p.pack.clone();
+    set_u64(&mut bad, entry(1), u64_at(entry(0)));
+    std::fs::write(&p.pack_path, &bad).unwrap();
+    for t in 0..4 {
+        assert!(
+            invalid_data(p.store.read_tile(&p.manifest, 0, t)),
+            "tile {t}"
+        );
+    }
+    assert!(matches!(
+        p.fsck_issues()[..],
+        [FsckIssue::PackCorrupt { .. }]
+    ));
+
+    // A manifest whose layout has another number of tiles than the pack.
+    std::fs::write(&p.pack_path, &p.pack).unwrap();
+    let mut other = p.manifest.clone();
+    other.sots[0].layout = TileLayout::uniform(64, 64, 1, 2).expect("layout");
+    assert!(invalid_data(p.store.read_tile(&other, 0, 0)));
+    assert!(matches!(
+        p.store.read_tile(&p.manifest, 0, 4),
+        Err(StoreError::NotFound(_))
+    ));
+
+    // The last tile one byte short: its container says so. One byte long,
+    // the file padded to match: the table is sound, the container is not.
+    let mut bad = p.pack.clone();
+    set_u64(&mut bad, entry(3) + 8, u64_at(entry(3) + 8) - 1);
+    bad.pop();
+    std::fs::write(&p.pack_path, &bad).unwrap();
+    assert!(matches!(
+        p.store.read_tile(&p.manifest, 0, 3),
+        Err(StoreError::Container(ContainerError::Truncated))
+    ));
+    assert!(matches!(
+        p.fsck_issues()[..],
+        [FsckIssue::TileCorrupt { tile: 3, .. }]
+    ));
+    let mut bad = p.pack.clone();
+    set_u64(&mut bad, entry(3) + 8, u64_at(entry(3) + 8) + 1);
+    bad.push(0);
+    std::fs::write(&p.pack_path, &bad).unwrap();
+    assert!(matches!(
+        p.store.read_tile(&p.manifest, 0, 3),
+        Err(StoreError::Container(ContainerError::InvalidHeader(_)))
+    ));
+    assert!(matches!(
+        p.fsck_issues()[..],
+        [FsckIssue::TileCorrupt { tile: 3, .. }]
+    ));
+    p.reads_are_errors_or_the_right_tile("padded last tile");
+
+    // Trailing bytes the table does not account for.
+    let mut bad = p.pack.clone();
+    bad.push(0);
+    std::fs::write(&p.pack_path, &bad).unwrap();
+    assert!(matches!(
+        p.fsck_issues()[..],
+        [FsckIssue::PackCorrupt { .. }]
+    ));
+    std::fs::remove_dir_all(&p.root).ok();
+}
+
+/// A replica builds its pack from bytes that already passed the install
+/// checks (`fsck`'s own comparisons, tile by tile), with the code an
+/// ingest builds one with: the pack it files is the primary's, byte for
+/// byte, whether the SOT arrived with the whole video or as a later epoch —
+/// so an install needs, and has, no pack check of its own.
+#[test]
+fn a_replicas_pack_is_the_primarys_byte_for_byte() {
+    let p = packed_store("replica-src");
+    let replica_root =
+        std::env::temp_dir().join(format!("tasm-pack-replica-{}", std::process::id()));
+    std::fs::remove_dir_all(&replica_root).ok();
+    let replica = VideoStore::open(&replica_root).expect("open replica");
+    replica
+        .install_video(&p.manifest, std::slice::from_ref(&p.tiles))
+        .expect("install video");
+    let replica_pack = replica_root.join("v").join("sot_000000_000010.tiles");
+    assert_eq!(std::fs::read(&replica_pack).expect("replica pack"), p.pack);
+
+    let mut manifest = p.manifest.clone();
+    p.store
+        .retile(&mut manifest, 0, TileLayout::untiled(64, 64))
+        .expect("retile");
+    let tile = p.store.tile_file_bytes(&manifest, 0, 0).expect("tile");
+    replica
+        .install_sot(&manifest, 0, std::slice::from_ref(&tile))
+        .expect("install SOT");
+    let next = "sot_000000_000010_r000001.tiles";
+    assert_eq!(
+        std::fs::read(replica_root.join("v").join(next)).expect("replica pack"),
+        std::fs::read(p.root.join("v").join(next)).expect("primary pack")
+    );
+    assert!(!replica_pack.exists(), "the superseded epoch is reclaimed");
+    assert!(replica.fsck().expect("fsck").is_clean());
+    std::fs::remove_dir_all(&p.root).ok();
+    std::fs::remove_dir_all(&replica_root).ok();
 }

@@ -443,8 +443,8 @@ fn torn_manifest_write_leaves_old_manifest_intact() {
 }
 
 /// A graceful mid-ingest failure (bad layout for a later SOT) must remove
-/// the partially written video directory instead of leaving orphan `.tvf`
-/// files behind.
+/// the partially written video directory instead of leaving orphan packs
+/// behind.
 #[test]
 fn failed_ingest_cleans_up_partial_video() {
     let dir = temp_dir("ingest-cleanup");
@@ -479,9 +479,8 @@ fn crashed_ingest_is_reaped_at_next_open() {
     let fault = FaultIo::new();
     let store = VideoStore::open_with_io(&dir, 0, 0, fault.clone()).expect("open");
     let src = test_source(20);
-    // Ops: video dir create, SOT0 dir create, SOT0 tile, SOT1 dir create,
-    // SOT1 tile… — crash on the SOT1 tile write.
-    fault.arm(fault.mutating_ops() + 5, FaultKind::TornWrite);
+    // Ops: video dir create, SOT 0's pack, SOT 1's pack… — tear SOT 1's.
+    fault.arm(fault.mutating_ops() + 3, FaultKind::TornWrite);
     assert!(store
         .ingest("v", &src, 30, small_cfg(), |_, _| TileLayout::untiled(
             64, 64
@@ -508,10 +507,21 @@ fn crashed_ingest_is_reaped_at_next_open() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// fsck detects what recovery cannot: silent corruption of tile files and
-/// entries the manifest does not account for.
+/// The names of a video directory's entries, sorted.
+fn entry_names(video_dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(video_dir)
+        .expect("video dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// fsck detects what recovery cannot: silent corruption of packs and of the
+/// tiles in them, and entries the manifest does not account for.
 #[test]
 fn fsck_detects_corruption_and_strays() {
+    use tasm_core::FsckIssue;
     let dir = temp_dir("fsck");
     let store = VideoStore::open(&dir).expect("open");
     let src = test_source(10);
@@ -526,53 +536,81 @@ fn fsck_detects_corruption_and_strays() {
         Err(StoreError::NotFound(_))
     ));
 
-    let sot_dir = dir.join("v").join("sot_000000_000010");
-    let tile0 = sot_dir.join("tile_000.tvf");
+    // One pack per SOT beside the manifest: a 12-byte header, 16 bytes of
+    // table per tile, then the tiles.
+    assert_eq!(
+        entry_names(&dir.join("v")),
+        ["manifest.json", "sot_000000_000010.tiles"]
+    );
+    let pack = dir.join("v").join("sot_000000_000010.tiles");
+    let original = fs::read(&pack).expect("pack bytes");
+    let tile0 = 12 + 16 * 4;
+    let manifest = store.load_manifest("v").expect("manifest");
+    let served = store.tile_file_bytes(&manifest, 0, 0).expect("tile 0");
+    assert_eq!(original[tile0..tile0 + served.len()], served[..]);
 
-    // Torn tail.
-    let original = fs::read(&tile0).expect("tile bytes");
-    fs::write(&tile0, &original[..original.len() - 3]).expect("truncate");
+    // Torn tail: the table promises more than the file holds.
+    fs::write(&pack, &original[..original.len() - 3]).expect("truncate");
     let report = store.fsck().expect("fsck");
     assert!(
         report
             .issues
             .iter()
-            .any(|i| matches!(i, tasm_core::FsckIssue::TileCorrupt { tile: 0, .. })),
+            .any(|i| matches!(i, FsckIssue::PackCorrupt { sot_start: 0, .. })),
         "torn tail must be flagged, got {:?}",
         report.issues
     );
+    assert!(store.read_tile(&manifest, 0, 3).is_err());
+    assert_eq!(
+        store.tile_file_bytes(&manifest, 0, 0).expect("whole tile"),
+        served,
+        "a tile that is all there still reads"
+    );
 
-    // Bit-flipped header (width field).
+    // Bit-flipped header of tile 0 (its width field): that tile, no other.
     let mut flipped = original.clone();
-    flipped[5] ^= 0xff;
-    fs::write(&tile0, &flipped).expect("flip");
+    flipped[tile0 + 5] ^= 0xff;
+    fs::write(&pack, &flipped).expect("flip");
     let report = store.fsck().expect("fsck");
     assert!(!report.is_clean(), "flipped header must be flagged");
+    assert!(
+        report.issues.iter().all(|i| matches!(
+            i,
+            FsckIssue::TileCorrupt { tile: 0, .. } | FsckIssue::TileMismatch { tile: 0, .. }
+        )),
+        "{:?}",
+        report.issues
+    );
 
-    // Restore, then drop strays in both directories.
-    fs::write(&tile0, &original).expect("restore");
-    fs::write(sot_dir.join("notes.txt"), b"?").expect("stray");
+    // Restore, then drop strays: a foreign file, and what a build from
+    // before packs would have called a commit record — to `fsck` on the
+    // handle that owns the store, both are just entries nothing names.
+    fs::write(&pack, &original).expect("restore");
+    fs::write(dir.join("v").join("notes.txt"), b"?").expect("stray");
     fs::write(dir.join("v").join("commit_sot_000000_000010.json"), b"{")
         .expect("stray commit-lookalike");
     let report = store.fsck().expect("fsck");
     let strays = report
         .issues
         .iter()
-        .filter(|i| {
-            matches!(i, tasm_core::FsckIssue::TileMismatch { .. })
-                || matches!(i, tasm_core::FsckIssue::Stray { .. })
-        })
+        .filter(|i| matches!(i, FsckIssue::Stray { .. }))
         .count();
-    assert!(strays >= 2, "both strays flagged, got {:?}", report.issues);
+    assert_eq!(strays, 2, "both strays flagged, got {:?}", report.issues);
 
-    // A *missing* tile is its own issue class.
-    fs::remove_file(sot_dir.join("notes.txt")).expect("cleanup stray");
-    fs::remove_file(&tile0).expect("remove tile");
+    // A *missing* pack is every one of its tiles missing.
+    fs::remove_file(dir.join("v").join("notes.txt")).expect("cleanup stray");
+    fs::remove_file(&pack).expect("remove pack");
     let report = store.fsck_video("v").expect("fsck v");
-    assert!(report
-        .issues
-        .iter()
-        .any(|i| matches!(i, tasm_core::FsckIssue::MissingTile { tile: 0, .. })));
+    for tile in 0..4 {
+        assert!(report
+            .issues
+            .iter()
+            .any(|i| matches!(i, FsckIssue::MissingTile { tile: t, .. } if *t == tile)));
+    }
+    assert!(matches!(
+        store.read_tile(&manifest, 0, 0),
+        Err(StoreError::NotFound(_))
+    ));
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -787,105 +825,263 @@ fn kill_and_reattach(crash_at: u64) {
     fs::remove_dir_all(&twin_dir).ok();
 }
 
+/// A handle whose re-tile of SOT `sot_idx` died at its `op`-th mutating
+/// operation (1 = the pack write, torn; 2 = the directory fsync after it)
+/// and which is then kept, lock and all: what a live server looks like on
+/// disk between writing a pack and publishing it.
+fn handle_with_unpublished_retile(dir: &Path, sot_idx: usize, op: u64) -> VideoStore {
+    let fault = FaultIo::new();
+    let live = VideoStore::open_with_io(dir, 0, 0, fault.clone()).expect("open live handle");
+    assert!(!live.recovery_report().deferred);
+    let mut manifest = live.load_manifest("v").expect("manifest");
+    fault.arm(fault.mutating_ops() + op, FaultKind::TornWrite);
+    let layout = TileLayout::uniform(64, 64, 4, 4).expect("layout");
+    assert!(live.retile(&mut manifest, sot_idx, layout).is_err());
+    live
+}
+
 /// While one handle holds the store lock (a live server), a second opener
 /// (e.g. `tasm fsck` against a running `tasm serve`) must not run mutating
-/// recovery — deleting what looks like crash residue would corrupt the
-/// live handle's in-flight re-tile.
+/// recovery — the pack of a re-tile the live handle has written and not yet
+/// published is exactly what crash residue looks like, and deleting it
+/// would pull the new epoch out from under the commit.
 #[test]
 fn second_opener_defers_recovery_while_store_is_live() {
     let dir = temp_dir("live-lock");
-    let live = VideoStore::open(&dir).expect("open live handle");
-    let src = test_source(10);
-    live.ingest("v", &src, 30, small_cfg(), |_, _| {
-        TileLayout::untiled(64, 64)
-    })
-    .expect("ingest");
-
-    // What an in-flight re-tile of the live handle looks like on disk.
-    let staging = dir.join("v").join("staging_sot_000000_000010");
-    fs::create_dir_all(&staging).expect("staging");
-    fs::write(staging.join("tile_000.tvf"), b"in flight").expect("tile");
-
-    let second = VideoStore::open(&dir).expect("second opener");
-    assert!(second.recovery_report().deferred, "lock is held: no repair");
-    assert!(second.recovery_report().is_clean());
-    assert!(staging.exists(), "the live re-tile must survive");
-    // A deferred fsck treats the live handle's protocol state (staging,
-    // commit records, temps) as in-flight, not as corruption.
-    let fsck = second.fsck().expect("fsck on live store");
-    assert!(fsck.is_clean(), "live staging flagged: {:?}", fsck.issues);
-    drop(second);
-    assert!(staging.exists());
-
-    // Once the live handle is gone the next open recovers normally.
-    drop(live);
-    let fresh = VideoStore::open(&dir).expect("reopen after shutdown");
-    assert!(!fresh.recovery_report().deferred);
-    assert!(fresh
-        .recovery_report()
-        .actions
-        .iter()
-        .any(|a| matches!(a, RecoveryAction::RolledBack { sot_start: 0, .. })));
-    assert!(!staging.exists());
-    assert!(fresh.fsck().expect("fsck").is_clean());
-    fs::remove_dir_all(&dir).ok();
-}
-
-/// A commit record surviving a transiently failed completion must be
-/// finished before a later re-tile of the same video commits — otherwise
-/// the next open would roll the stale record forward and erase the later
-/// re-tile's manifest entry while its tile files remain.
-#[test]
-fn pending_commit_record_is_finished_before_a_new_retile() {
-    let dir = temp_dir("pending-commit");
     let store = VideoStore::open(&dir).expect("open");
-    let src = test_source(20); // two SOTs of 10
+    let src = test_source(10);
     store
         .ingest("v", &src, 30, small_cfg(), |_, _| {
             TileLayout::untiled(64, 64)
         })
         .expect("ingest");
-    let mut manifest = store.load_manifest("v").expect("manifest");
-    let sot0_layout = TileLayout::uniform(64, 64, 2, 2).expect("layout");
-    store
-        .retile(&mut manifest, 0, sot0_layout.clone())
-        .expect("retile SOT 0");
-
-    // Plant what a post-commit transient failure leaves behind: a commit
-    // record for SOT 0 whose manifest snapshot is the current on-disk
-    // manifest (SOT 0 tiled, SOT 1 untiled).
-    let manifest_json =
-        String::from_utf8(fs::read(dir.join("v").join("manifest.json")).expect("manifest bytes"))
-            .expect("utf8");
-    let record = format!("{{\"sot_start\": 0, \"sot_end\": 10, \"manifest\": {manifest_json}}}");
-    let record_path = dir.join("v").join("commit_sot_000000_000010.json");
-    fs::write(&record_path, record).expect("plant record");
-
-    // A later re-tile of SOT 1 through the same handle must finish the
-    // pending record first, then commit — never stack a second record on
-    // top of the survivor.
-    let sot1_layout = TileLayout::uniform(64, 64, 1, 2).expect("layout");
-    store
-        .retile(&mut manifest, 1, sot1_layout.clone())
-        .expect("retile SOT 1");
-    assert!(!record_path.exists(), "survivor record must be completed");
-
-    // Both layouts survive in the manifest, on disk and after reopen.
-    let reloaded = store.load_manifest("v").expect("reload");
-    assert_eq!(reloaded.sots[0].layout, sot0_layout);
-    assert_eq!(reloaded.sots[1].layout, sot1_layout);
     drop(store);
-    let store = VideoStore::open(&dir).expect("reopen");
-    assert!(
-        store.recovery_report().is_clean(),
-        "nothing left to recover: {:?}",
-        store.recovery_report().actions
+    let ingested = entry_names(&dir.join("v"));
+
+    let live = handle_with_unpublished_retile(&dir, 0, 2);
+    let in_flight = entry_names(&dir.join("v"));
+    assert_eq!(in_flight.len(), ingested.len() + 1, "{in_flight:?}");
+
+    let second = VideoStore::open(&dir).expect("second opener");
+    assert!(second.recovery_report().deferred, "lock is held: no repair");
+    assert!(second.recovery_report().is_clean());
+    // A deferred fsck treats the live handle's state (an unpublished or a
+    // still-pinned epoch, temps) as in-flight, not as corruption.
+    let fsck = second.fsck().expect("fsck on live store");
+    assert!(fsck.is_clean(), "live re-tile flagged: {:?}", fsck.issues);
+    drop(second);
+    assert_eq!(
+        entry_names(&dir.join("v")),
+        in_flight,
+        "the live re-tile must survive"
     );
-    let fsck = store.fsck().expect("fsck");
-    assert!(fsck.is_clean(), "{:?}", fsck.issues);
-    let recovered = store.load_manifest("v").expect("manifest after reopen");
-    assert_eq!(recovered.sots[0].layout, sot0_layout);
-    assert_eq!(recovered.sots[1].layout, sot1_layout);
+
+    // Once the live handle is gone the next open recovers normally.
+    drop(live);
+    let fresh = VideoStore::open(&dir).expect("reopen after shutdown");
+    assert!(!fresh.recovery_report().deferred);
+    assert!(fresh.recovery_report().actions.iter().any(|a| matches!(
+        a,
+        RecoveryAction::ReclaimedEpoch {
+            sot_start: 0,
+            epoch: 1,
+            ..
+        }
+    )));
+    assert_eq!(entry_names(&dir.join("v")), ingested);
+    assert!(fresh.fsck().expect("fsck").is_clean());
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// What a failed re-tile wrote must neither survive into a later commit nor
+/// be taken for one. A handle that has not been through recovery since
+/// (here: one opened beside the handle that failed, so deferred) re-tiles
+/// the same SOT over a torn and over a whole unpublished pack, and another
+/// SOT beside one; every tile it then serves is what a store that never
+/// saw the failure serves, and a recovering open finds nothing amiss.
+#[test]
+fn a_failed_retiles_pack_never_outlives_a_later_commit() {
+    let src = test_source(20); // two SOTs of 10
+    let ingest = |dir: &Path| {
+        let store = VideoStore::open(dir).expect("open");
+        store
+            .ingest("v", &src, 30, small_cfg(), |_, _| {
+                TileLayout::untiled(64, 64)
+            })
+            .expect("ingest");
+    };
+    let later_layout = TileLayout::uniform(64, 64, 2, 2).expect("layout");
+    let tiles_of = |store: &VideoStore| -> Vec<Vec<Vec<u8>>> {
+        let manifest = store.load_manifest("v").expect("manifest");
+        (0..manifest.sots.len())
+            .map(|i| {
+                (0..manifest.sots[i].layout.tile_count())
+                    .map(|t| store.tile_file_bytes(&manifest, i, t).expect("tile"))
+                    .collect()
+            })
+            .collect()
+    };
+
+    for later_sot in [0, 1] {
+        // The twin never fails: ingest, then the later re-tile alone.
+        let twin_dir = temp_dir("failed-retile-twin");
+        ingest(&twin_dir);
+        let twin = VideoStore::open(&twin_dir).expect("open twin");
+        let mut manifest = twin.load_manifest("v").expect("manifest");
+        twin.retile(&mut manifest, later_sot, later_layout.clone())
+            .expect("twin retile");
+        let want = (manifest, tiles_of(&twin));
+
+        for failed_at_op in [1, 2] {
+            let what = format!("SOT 0 failed at op {failed_at_op}, then SOT {later_sot}");
+            let dir = temp_dir("failed-retile");
+            ingest(&dir);
+            let failed = handle_with_unpublished_retile(&dir, 0, failed_at_op);
+            let residue = entry_names(&dir.join("v"));
+            assert_eq!(residue.len(), 4, "{what}: {residue:?}");
+
+            let store = VideoStore::open(&dir).expect("second handle");
+            assert!(store.recovery_report().deferred, "{what}");
+            let mut manifest = store.load_manifest("v").expect("manifest");
+            store
+                .retile(&mut manifest, later_sot, later_layout.clone())
+                .expect("later retile");
+            assert_eq!(manifest, want.0, "{what}");
+            assert_eq!(store.load_manifest("v").expect("on disk"), want.0, "{what}");
+            assert_eq!(tiles_of(&store), want.1, "{what}");
+            drop(store);
+            drop(failed);
+
+            let store = VideoStore::open(&dir).expect("recovering open");
+            let actions = &store.recovery_report().actions;
+            if later_sot == 0 {
+                // The later commit took the failed attempt's name.
+                assert!(actions.is_empty(), "{what}: {actions:?}");
+            } else {
+                assert!(
+                    matches!(
+                        actions[..],
+                        [RecoveryAction::ReclaimedEpoch {
+                            sot_start: 0,
+                            epoch: 1,
+                            ..
+                        }]
+                    ),
+                    "{what}: {actions:?}"
+                );
+            }
+            let fsck = store.fsck().expect("fsck");
+            assert!(fsck.is_clean(), "{what}: {:?}", fsck.issues);
+            assert_eq!(entry_names(&dir.join("v")).len(), 3, "{what}");
+            assert_eq!(store.load_manifest("v").expect("manifest"), want.0);
+            assert_eq!(tiles_of(&store), want.1, "{what}");
+            drop(store);
+            fs::remove_dir_all(&dir).ok();
+        }
+        drop(twin);
+        fs::remove_dir_all(&twin_dir).ok();
+    }
+}
+
+/// What builds from before packs can have left behind. The residue of
+/// their re-tile protocol — a staging directory, a commit record, on
+/// either side of that protocol's commit point — is discarded and reported
+/// by a recovering open, the manifest untouched: it names an epoch whose
+/// tiles exist, and a rolled-back re-tile loses work, never data. A SOT
+/// they stored as a directory of tile files is not converted and gets no
+/// second read path: recovery leaves it alone, reads are typed `NotFound`,
+/// and `fsck` names the directory as the reason.
+#[test]
+fn an_older_builds_residue_is_discarded_and_its_sot_directories_are_named() {
+    use tasm_core::FsckIssue;
+    let dir = temp_dir("legacy");
+    let store = VideoStore::open(&dir).expect("open");
+    let src = test_source(20);
+    store
+        .ingest("v", &src, 30, small_cfg(), |_, _| {
+            TileLayout::untiled(64, 64)
+        })
+        .expect("ingest");
+    let manifest = store.load_manifest("v").expect("manifest");
+    drop(store);
+    let video = dir.join("v");
+    let before = (
+        entry_names(&video),
+        fs::read(video.join("manifest.json")).expect("manifest bytes"),
+    );
+
+    let staging = video.join("staging_sot_000000_000010");
+    fs::create_dir_all(&staging).expect("staging");
+    fs::write(staging.join("tile_000.tvf"), b"half a re-tile").expect("tile");
+    let record = format!(
+        "{{\"sot_start\": 10, \"sot_end\": 20, \"manifest\": {}}}",
+        String::from_utf8_lossy(&before.1)
+    );
+    fs::write(video.join("commit_sot_000010_000020.json"), record).expect("record");
+    fs::write(video.join("commit_sot_000000_000010.json.tmp"), b"{").expect("temp");
+
+    let store = VideoStore::open(&dir).expect("recovering open");
+    let mut discarded: Vec<&str> = store
+        .recovery_report()
+        .actions
+        .iter()
+        .filter_map(|a| match a {
+            RecoveryAction::DiscardedLegacyResidue { video, entry } if video == "v" => {
+                Some(entry.as_str())
+            }
+            _ => None,
+        })
+        .collect();
+    discarded.sort();
+    assert_eq!(
+        discarded,
+        ["commit_sot_000010_000020.json", "staging_sot_000000_000010"]
+    );
+    assert_eq!(store.recovery_report().actions.len(), 3, "and the temp");
+    assert_eq!(
+        before,
+        (
+            entry_names(&video),
+            fs::read(video.join("manifest.json")).expect("manifest bytes")
+        )
+    );
+    assert!(store.fsck().expect("fsck").is_clean());
+    drop(store);
+
+    // SOT 1 as such a build stored it: a directory, one file per tile.
+    let tile = {
+        let store = VideoStore::open(&dir).expect("open");
+        store.tile_file_bytes(&manifest, 1, 0).expect("tile")
+    };
+    fs::remove_file(video.join("sot_000010_000020.tiles")).expect("remove pack");
+    let legacy = video.join("sot_000010_000020");
+    fs::create_dir_all(&legacy).expect("legacy dir");
+    fs::write(legacy.join("tile_000.tvf"), &tile).expect("legacy tile");
+
+    let store = VideoStore::open(&dir).expect("open over a legacy SOT");
+    assert!(store.recovery_report().is_clean());
+    assert_eq!(fs::read(legacy.join("tile_000.tvf")).expect("kept"), tile);
+    assert!(matches!(
+        store.read_tile(&manifest, 1, 0),
+        Err(StoreError::NotFound(_))
+    ));
+    assert!(store.read_tile(&manifest, 0, 0).is_ok());
+    let report = store.fsck().expect("fsck");
+    assert!(
+        matches!(
+            &report.issues[..],
+            [
+                FsckIssue::MissingTile {
+                    sot_start: 10,
+                    tile: 0,
+                    ..
+                },
+                FsckIssue::LegacySotDirectory { path, .. }
+            ] if path == "sot_000010_000020"
+        ),
+        "{:?}",
+        report.issues
+    );
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -939,8 +1135,9 @@ fn recovery_never_deletes_foreign_directories() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Re-tiles through the facade survive restart cleanly: no residue, no
-/// recovery actions, fsck clean — the happy path of the commit protocol.
+/// Re-tiles survive restart cleanly: no residue, no recovery actions, fsck
+/// clean, one pack under the new epoch's name — the happy path of the
+/// commit rule.
 #[test]
 fn clean_retile_leaves_no_residue() {
     let dir = temp_dir("clean-retile");
@@ -974,6 +1171,76 @@ fn clean_retile_leaves_no_residue() {
         store.load_manifest("v").expect("manifest").sots[0].retile_count,
         1
     );
+    assert_eq!(
+        entry_names(&dir.join("v")),
+        ["manifest.json", "sot_000000_000010_r000001.tiles"]
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// What a commit costs is a count of durability steps, and the count does
+/// not depend on what is committed: a re-tile is six mutating operations
+/// (the pack's write, the video directory's fsync, the manifest's temp
+/// write and rename, the retired pack's unlink, the directory's fsync
+/// again) at 4, 16 and 30 tiles alike — four with the reclaim deferred —
+/// and an ingest of S SOTs is S + 5 (the video directory, S packs, its
+/// fsync, the manifest's two, the store root's fsync).
+#[test]
+fn a_commits_mutating_operations_do_not_grow_with_the_tile_count() {
+    let src = VecFrameSource::new(
+        (0..50)
+            .map(|i| {
+                let mut f = Frame::filled(96, 80, 90, 128, 128);
+                f.fill_rect(Rect::new((i * 4) % 64, 16, 32, 32), 200, 90, 160);
+                f
+            })
+            .collect(),
+    );
+    let dir = temp_dir("op-counts");
+    let io = FaultIo::new();
+    let store = VideoStore::open_with_io(&dir, 0, 0, io.clone()).expect("open");
+    let ops = |f: &mut dyn FnMut()| {
+        let before = io.mutating_ops();
+        f();
+        io.mutating_ops() - before
+    };
+
+    for sots in [1, 2, 5] {
+        let name = format!("v{sots}");
+        let cfg = StorageConfig {
+            gop_len: 5,
+            sot_frames: 50 / sots,
+            parallel_encode: false,
+            ..Default::default()
+        };
+        let ingest_ops = ops(&mut || {
+            store
+                .ingest(&name, &src, 30, cfg, |_, _| TileLayout::untiled(96, 80))
+                .expect("ingest");
+        });
+        assert_eq!(ingest_ops, u64::from(sots) + 5, "ingest of {sots} SOTs");
+    }
+
+    let mut manifest = store.load_manifest("v5").expect("manifest");
+    for (sot, (rows, cols)) in [(2, 2), (4, 4), (5, 6)].into_iter().enumerate() {
+        let layout = TileLayout::uniform(96, 80, rows, cols).expect("layout");
+        let tiles = layout.tile_count();
+        let retile_ops = ops(&mut || {
+            store
+                .retile(&mut manifest, sot, layout.clone())
+                .expect("retile");
+        });
+        assert_eq!(retile_ops, 6, "re-tile to {tiles} tiles");
+        let back = ops(&mut || {
+            store
+                .retile_deferred(&mut manifest, sot, TileLayout::untiled(96, 80))
+                .expect("deferred retile")
+                .1
+                .expect("retired epoch");
+        });
+        assert_eq!(back, 4, "deferred re-tile from {tiles} tiles");
+    }
+    drop(store);
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -5,7 +5,7 @@
 //! readers — while every reader pins the epoch it planned against and
 //! reads it bit-exactly to completion. Retired epochs survive exactly as
 //! long as their last reader; the moment it drains, their tile
-//! directories and decoded-GOP cache entries are reclaimed, leaving
+//! packs and decoded-GOP cache entries are reclaimed, leaving
 //! precisely the live epochs on disk with a clean `fsck`.
 
 use proptest::run_cases;
@@ -84,18 +84,18 @@ fn assert_result_matches(reference: &ScanResult, got: &ScanResult, what: &str) {
     assert_regions_identical(&expected, &got.regions, what);
 }
 
-/// The SOT directory naming contract of the storage layer (rc 0 is the
-/// unstamped ingest epoch). Asserting on it here pins the on-disk format.
-fn sot_dir_name(start: u32, end: u32, rc: u32) -> String {
+/// The pack naming contract of the storage layer (rc 0 is the unstamped
+/// ingest epoch). Asserting on it here pins the on-disk format.
+fn pack_name(start: u32, end: u32, rc: u32) -> String {
     if rc == 0 {
-        format!("sot_{start:06}_{end:06}")
+        format!("sot_{start:06}_{end:06}.tiles")
     } else {
-        format!("sot_{start:06}_{end:06}_r{rc:06}")
+        format!("sot_{start:06}_{end:06}_r{rc:06}.tiles")
     }
 }
 
-/// The `sot_*` directories present on disk for video `v`.
-fn sot_dirs_on_disk(store_dir: &Path) -> BTreeSet<String> {
+/// The `sot_*` packs present on disk for video `v`.
+fn packs_on_disk(store_dir: &Path) -> BTreeSet<String> {
     std::fs::read_dir(store_dir.join("v"))
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
@@ -103,22 +103,22 @@ fn sot_dirs_on_disk(store_dir: &Path) -> BTreeSet<String> {
         .collect()
 }
 
-/// The directories a set of pinned epochs (plus the current manifest)
+/// The packs a set of pinned epochs (plus the current manifest)
 /// keeps alive.
-fn expected_dirs(tasm: &Tasm, pins: &[&EpochPin]) -> BTreeSet<String> {
+fn expected_packs(tasm: &Tasm, pins: &[&EpochPin]) -> BTreeSet<String> {
     let mut dirs: BTreeSet<String> = tasm
         .manifest("v")
         .unwrap()
         .sots
         .iter()
-        .map(|s| sot_dir_name(s.start, s.end, s.retile_count))
+        .map(|s| pack_name(s.start, s.end, s.retile_count))
         .collect();
     for pin in pins {
         dirs.extend(
             pin.manifest()
                 .sots
                 .iter()
-                .map(|s| sot_dir_name(s.start, s.end, s.retile_count)),
+                .map(|s| pack_name(s.start, s.end, s.retile_count)),
         );
     }
     dirs
@@ -195,11 +195,11 @@ fn retile_commits_bounded_while_a_reader_pins_its_epoch() {
     // Intermediate epochs had no readers, so exactly the pinned epoch and
     // the current one are live.
     assert_eq!(tasm.live_epochs("v").unwrap(), vec![0, 6]);
-    let held = expected_dirs(&tasm, &[&pin]);
+    let held = expected_packs(&tasm, &[&pin]);
     assert_eq!(
-        sot_dirs_on_disk(&dir),
+        packs_on_disk(&dir),
         held,
-        "disk must hold exactly the live epochs' directories"
+        "disk must hold exactly the live epochs' packs"
     );
 
     // An unpinned epoch is not readable — it was reclaimed, not hidden.
@@ -212,10 +212,10 @@ fn retile_commits_bounded_while_a_reader_pins_its_epoch() {
         other => panic!("AS OF a reclaimed epoch must fail, got {other:?}"),
     }
 
-    // The reader drains: epoch 0's directories are reclaimed on the spot.
+    // The reader drains: epoch 0's packs are reclaimed on the spot.
     drop(pin);
     assert_eq!(tasm.live_epochs("v").unwrap(), vec![6]);
-    assert_eq!(sot_dirs_on_disk(&dir), expected_dirs(&tasm, &[]));
+    assert_eq!(packs_on_disk(&dir), expected_packs(&tasm, &[]));
     assert!(
         tasm.query("v", &full_query().as_of(e0)).is_err(),
         "the drained epoch must no longer be readable"
@@ -296,7 +296,7 @@ fn regret_daemon_retiles_while_a_scan_is_held_open() {
 }
 
 /// Property: under randomly interleaved readers, re-tilers, and pin drops,
-/// (a) a pinned epoch is never reclaimed — its directories stay on disk
+/// (a) a pinned epoch is never reclaimed — its packs stay on disk
 /// and `AS OF` re-reads it bit-identically to the snapshot taken when it
 /// was current; (b) the moment an epoch's last reader drains it stops
 /// being readable; (c) disk always holds exactly the live epochs.
@@ -326,7 +326,7 @@ fn interleaved_readers_retilers_and_gc_never_reclaim_a_pinned_epoch() {
                 pinned.push((pin.epoch(), pin, snapshot));
             }
             // Reader re-reads a random pinned epoch: bit-identical to its
-            // snapshot, and its directories are still on disk.
+            // snapshot, and its packs are still on disk.
             2 => {
                 if pinned.is_empty() {
                     return;
@@ -335,11 +335,11 @@ fn interleaved_readers_retilers_and_gc_never_reclaim_a_pinned_epoch() {
                 let again = tasm.query("v", &full_query().as_of(*epoch)).unwrap();
                 assert_eq!(again.epoch, *epoch);
                 assert_result_matches(snapshot, &again, &format!("AS OF {epoch}"));
-                let on_disk = sot_dirs_on_disk(&dir);
+                let on_disk = packs_on_disk(&dir);
                 for s in &pin.manifest().sots {
                     assert!(
-                        on_disk.contains(&sot_dir_name(s.start, s.end, s.retile_count)),
-                        "pinned epoch {epoch} lost a directory"
+                        on_disk.contains(&pack_name(s.start, s.end, s.retile_count)),
+                        "pinned epoch {epoch} lost a pack"
                     );
                 }
             }
@@ -364,10 +364,10 @@ fn interleaved_readers_retilers_and_gc_never_reclaim_a_pinned_epoch() {
                 }
             }
         }
-        // Invariant after every step: disk holds exactly the directories
+        // Invariant after every step: disk holds exactly the packs
         // of the live epochs (pinned ∪ current), nothing more or less.
         let pins: Vec<&EpochPin> = pinned.iter().map(|(_, p, _)| p).collect();
-        assert_eq!(sot_dirs_on_disk(&dir), expected_dirs(&tasm, &pins));
+        assert_eq!(packs_on_disk(&dir), expected_packs(&tasm, &pins));
     });
 
     drop(pinned);

@@ -2,10 +2,11 @@
 //! same files on disk whatever order the encoder visits frames and tiles
 //! in, and whichever way `retile` hands decoded frames to it.
 //!
-//! Every digest below was computed on the per-tile encode loop (one
+//! Every tile digest below was computed on the per-tile encode loop (one
 //! `frame(i)` per tile per frame, decoded SOTs composited into fresh frames)
-//! and is FNV-1a-64 over each tile file's store-relative path and bytes, in
-//! path order.
+//! and on a store that kept one file per tile. The tree digests are
+//! FNV-1a-64 over each pack's store-relative path and bytes, in path order:
+//! they pin the pack format and the files' names on top of the tiles.
 
 use std::path::{Path, PathBuf};
 use tasm_cluster::{apply_record, StagedSots};
@@ -104,12 +105,12 @@ fn list_tree(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// Digest of every tile file under `dir` (relative path, then bytes), in
-/// path order. The manifest is left out: it records `parallel_encode`.
+/// Digest of every pack under `dir` (relative path, then bytes), in path
+/// order. The manifest is left out: it records `parallel_encode`.
 fn digest_tree(dir: &Path) -> u64 {
     list_tree(dir)
         .iter()
-        .filter(|rel| rel.extension().is_some_and(|e| e == "tvf"))
+        .filter(|rel| rel.extension().is_some_and(|e| e == "tiles"))
         .fold(0xcbf2_9ce4_8422_2325, |h, rel| {
             let named = fnv1a(h, rel.to_string_lossy().as_bytes());
             fnv1a(named, &std::fs::read(dir.join(rel)).unwrap())
@@ -136,9 +137,8 @@ fn tile_codecs(manifest: &VideoManifest) -> Vec<Vec<u8>> {
 }
 
 /// Ingests the clip, then re-tiles SOT 0 from the untiled layout and again
-/// from the tiled one, and SOT 1 from its two columns. Returns the tile
-/// files' digest and every SOT's `tile_codecs` after each of the four
-/// steps.
+/// from the tiled one, and SOT 1 from its two columns. Returns the packs'
+/// digest and every SOT's `tile_codecs` after each of the four steps.
 fn ingest_and_retile(tag: &str, cfg: StorageConfig) -> Vec<(u64, Vec<Vec<u8>>)> {
     let dir = temp_dir(tag);
     let store = VideoStore::open(&dir).unwrap();
@@ -168,7 +168,7 @@ fn ingest_and_retile(tag: &str, cfg: StorageConfig) -> Vec<(u64, Vec<Vec<u8>>)> 
 }
 
 /// Per codec choice, after ingest / SOT 0 untiled→2 cols / SOT 0 2 cols→
-/// uneven / SOT 1 2 cols→uneven: (tile-file digest, `tile_codecs` of SOT 0
+/// uneven / SOT 1 2 cols→uneven: (pack-tree digest, `tile_codecs` of SOT 0
 /// and SOT 1).
 type Step = (u64, [&'static [u8]; 2]);
 
@@ -176,11 +176,11 @@ const PINNED: &[(CodecChoice, [Step; 4])] = &[
     (
         CodecChoice::Dct,
         [
-            (0xb42bb7a28ebbc156, [&[0], &[0, 0]]),
-            (0x286c43ff2795e393, [&[0, 0], &[0, 0]]),
-            (0x1b18c801d4ac46a3, [&[0, 0, 0, 0, 0, 0], &[0, 0]]),
+            (0xe74194d7c99f7f66, [&[0], &[0, 0]]),
+            (0xe177af8be8cfe0d6, [&[0, 0], &[0, 0]]),
+            (0x49e5fa56c516011b, [&[0, 0, 0, 0, 0, 0], &[0, 0]]),
             (
-                0x8a188bbef39c23b1,
+                0x43af06948f8003b3,
                 [&[0, 0, 0, 0, 0, 0], &[0, 0, 0, 0, 0, 0]],
             ),
         ],
@@ -188,11 +188,11 @@ const PINNED: &[(CodecChoice, [Step; 4])] = &[
     (
         CodecChoice::Pred,
         [
-            (0x8683b65636a8c56a, [&[1], &[1, 1]]),
-            (0x19bfc66517cd3813, [&[1, 1], &[1, 1]]),
-            (0xd38e81cea0d6f24d, [&[1, 1, 1, 1, 1, 1], &[1, 1]]),
+            (0x7e8c5236c644cd79, [&[1], &[1, 1]]),
+            (0x682f03b7e81df1d8, [&[1, 1], &[1, 1]]),
+            (0x7f94e43ef258dab5, [&[1, 1, 1, 1, 1, 1], &[1, 1]]),
             (
-                0x862d85c45de2d44c,
+                0xc8febdd1ede75e88,
                 [&[1, 1, 1, 1, 1, 1], &[1, 1, 1, 1, 1, 1]],
             ),
         ],
@@ -200,18 +200,18 @@ const PINNED: &[(CodecChoice, [Step; 4])] = &[
     (
         CodecChoice::Auto,
         [
-            (0xcb33b40a66605f0c, [&[0], &[1, 0]]),
-            (0xbef7f55663f9fed1, [&[0, 0], &[1, 0]]),
-            (0x0337accb6661dee1, [&[0, 0, 0, 0, 0, 0], &[1, 0]]),
+            (0x0a57983f11373e89, [&[0], &[1, 0]]),
+            (0x00e0ed0c3111dab9, [&[0, 0], &[1, 0]]),
+            (0xdf0e837467610e34, [&[0, 0, 0, 0, 0, 0], &[1, 0]]),
             (
-                0xe9063879d1869043,
+                0xb4b79366bbf6c180,
                 [&[0, 0, 0, 0, 0, 0], &[1, 0, 0, 0, 0, 0]],
             ),
         ],
     ),
 ];
 
-/// What a run measured after each step: (tile-file digest, every SOT's
+/// What a run measured after each step: (pack-tree digest, every SOT's
 /// `tile_codecs`).
 type Steps = Vec<(u64, Vec<Vec<u8>>)>;
 
@@ -427,7 +427,8 @@ fn decision_clip(motion: Motion) -> VecFrameSource {
 }
 
 /// `Tasm::ingest` (untiled) of a decision clip, then one re-tile of SOT 0
-/// to 2×2: the tile files' digest and both SOTs' `tile_codecs` after each.
+/// to 2×2: the packs' digest and both SOTs' `tile_codecs` after each, and
+/// what the store serves.
 fn tasm_ingest_and_retile(motion: Motion, storage: StorageConfig) -> (Steps, Vec<u64>) {
     let dir = temp_dir(&format!("decision-{motion:?}-{}", storage.parallel_encode));
     let tasm = Tasm::open(
@@ -478,48 +479,48 @@ const DECISION_PINNED: &[(Motion, CodecChoice, [Step; 2])] = &[
         Motion::Static,
         CodecChoice::Auto,
         [
-            (0xa858cd2d23606888, [&[1], &[1]]),
-            (0x46c3513a4fb62a23, [&[1, 1, 1, 1], &[1]]),
+            (0xbc3b27cf4d34047a, [&[1], &[1]]),
+            (0xdbf23c2f27d8cca9, [&[1, 1, 1, 1], &[1]]),
         ],
     ),
     (
         Motion::Static,
         CodecChoice::Pred,
         [
-            (0xa858cd2d23606888, [&[1], &[1]]),
-            (0x46c3513a4fb62a23, [&[1, 1, 1, 1], &[1]]),
+            (0xbc3b27cf4d34047a, [&[1], &[1]]),
+            (0xdbf23c2f27d8cca9, [&[1, 1, 1, 1], &[1]]),
         ],
     ),
     (
         Motion::Moving,
         CodecChoice::Auto,
         [
-            (0x657ff5462634d365, [&[0], &[0]]),
-            (0xed0ccd2566fefbd3, [&[0, 0, 0, 0], &[0]]),
+            (0x38f5897c5b5f13fd, [&[0], &[0]]),
+            (0xf4970b0e3e7cf15d, [&[0, 0, 0, 0], &[0]]),
         ],
     ),
     (
         Motion::Moving,
         CodecChoice::Pred,
         [
-            (0x83fca4c0992c775b, [&[1], &[1]]),
-            (0x131e6e078844cda9, [&[1, 1, 1, 1], &[1]]),
+            (0x165cd3d66594fd43, [&[1], &[1]]),
+            (0x3605ef308d811682, [&[1, 1, 1, 1], &[1]]),
         ],
     ),
     (
         Motion::Cut,
         CodecChoice::Auto,
         [
-            (0x64e69ca265987db3, [&[0], &[0]]),
-            (0x412e3c44a53760a8, [&[0, 0, 0, 0], &[0]]),
+            (0x4cde73a7d3dfbb32, [&[0], &[0]]),
+            (0x23df7b55cc89ba24, [&[0, 0, 0, 0], &[0]]),
         ],
     ),
     (
         Motion::Cut,
         CodecChoice::Pred,
         [
-            (0xd59a6fe8fed1a958, [&[1], &[1]]),
-            (0x0c07aa9aabf7ee2f, [&[1, 1, 1, 1], &[1]]),
+            (0xba9e444bb20505a4, [&[1], &[1]]),
+            (0xc17669e5f69e5d7d, [&[1, 1, 1, 1], &[1]]),
         ],
     ),
 ];
@@ -993,6 +994,63 @@ fn replicated_tiles_that_disagree_with_their_manifest_slot_are_refused() {
     };
     tasm.apply_replicated_video(whole, &tiles).unwrap();
     assert!(tasm.fsck().unwrap().is_clean());
+    drop(tasm);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// An install never touches the epoch the manifest on disk names. A peer's
+/// record for an epoch the store already holds — or an older one — used to
+/// reach `roll_forward`, which removed the *live* tile directory and wrote
+/// the payload in its place, under any pinned reader (the facade skips such
+/// records; the store's own entry points did not). Both are refused with
+/// `InvalidData` and nothing touched, while readers pinned before and
+/// after keep reading their own bytes.
+#[test]
+fn an_install_of_an_epoch_that_is_not_newer_is_refused_and_touches_nothing() {
+    let root = temp_dir("stale-install");
+    let tasm = Tasm::open(
+        &root,
+        Box::new(MemoryIndex::in_memory()),
+        TasmConfig::default(),
+    )
+    .unwrap();
+    let (ingested, tiles) = ingest_untiled_v(&tasm);
+    tasm.attach("v").unwrap();
+    tasm.retile("v", 0, two_cols()).unwrap();
+    let current = tasm.manifest("v").unwrap();
+    assert_eq!(current.sots[0].retile_count, 1);
+    let served: Vec<Vec<u8>> = (0..2)
+        .map(|t| tasm.store().tile_file_bytes(&current, 0, t).unwrap())
+        .collect();
+    let before = (list_tree(&root), digest_tree(&root));
+
+    // Same epoch, other bytes: what a confused (or hostile) peer sends.
+    let mut same_epoch = ingested.clone();
+    same_epoch.sots[0].retile_count = 1;
+    let store = tasm.store();
+    let why = "refusing to install epoch";
+    for (manifest, payload) in [(&same_epoch, &tiles[0]), (&ingested, &tiles[0])] {
+        assert!(invalid_data(store.install_sot(manifest, 0, payload), why));
+        let deferred = store.install_sot_deferred(manifest, 0, payload).map(|_| ());
+        assert!(invalid_data(deferred, why));
+    }
+    // The same SOT at the store's epoch with the store's own bytes is
+    // still not an install: nothing may be rewritten in place.
+    assert!(invalid_data(store.install_sot(&current, 0, &served), why));
+    assert!(!tasm.apply_replicated_sot(same_epoch, 0, &tiles[0]).unwrap());
+
+    assert_eq!(before, (list_tree(&root), digest_tree(&root)));
+    assert_eq!(store.load_manifest("v").unwrap(), current);
+    for (t, want) in served.iter().enumerate() {
+        assert_eq!(&store.tile_file_bytes(&current, 0, t as u32).unwrap(), want);
+    }
+    assert!(tasm.fsck().unwrap().is_clean());
+
+    // The next epoch still installs, and retires the one it supersedes.
+    let mut next = ingested.clone();
+    next.sots[0].retile_count = 2;
+    let retired = store.install_sot_deferred(&next, 0, &tiles[0]).unwrap();
+    assert_eq!(retired.map(|r| r.retile_count), Some(1));
     drop(tasm);
     std::fs::remove_dir_all(&root).ok();
 }
