@@ -3,11 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use tasm_codec::bitstream::{BitReader, BitWriter};
+use tasm_codec::dct::{forward, BLOCK, BLOCK_AREA};
 use tasm_codec::deblock::deblock_frame;
 use tasm_codec::quant::qstep;
-use tasm_codec::{encode_video, pred, CodecChoice, EncoderConfig, StitchedVideo, TileLayout};
+use tasm_codec::{
+    encode_video, pred, CodecChoice, EncoderConfig, StitchedVideo, TileEncoder, TileLayout,
+};
 use tasm_data::{Dataset, SceneSpec, SyntheticVideo};
-use tasm_video::{FrameSource, VecFrameSource};
+use tasm_video::{Frame, FrameSource, Plane, VecFrameSource};
 
 fn scene(frames: u32) -> VecFrameSource {
     let v = SyntheticVideo::new(SceneSpec {
@@ -19,13 +22,67 @@ fn scene(frames: u32) -> VecFrameSource {
     VecFrameSource::new((0..frames).map(|i| v.frame(i)).collect())
 }
 
+/// The luma 8×8 blocks of `frames`, less their means, that hold an AC level
+/// at `qstep`: under a flat prediction these carry a coded residual wherever
+/// they are placed, whatever the prediction is.
+fn busy_blocks(frames: &[Frame], qstep: i32) -> Vec<[i32; BLOCK_AREA]> {
+    let mut blocks = Vec::new();
+    for f in frames {
+        let (w, luma) = (f.width() as usize, f.plane(Plane::Y));
+        for y in (0..f.height() as usize).step_by(BLOCK) {
+            for x in (0..w).step_by(BLOCK) {
+                let mut block = [0i32; BLOCK_AREA];
+                for (i, v) in block.iter_mut().enumerate() {
+                    *v = luma[(y + i / BLOCK) * w + x + i % BLOCK] as i32;
+                }
+                let mean = block.iter().sum::<i32>() / BLOCK_AREA as i32;
+                block.iter_mut().for_each(|v| *v -= mean);
+                if forward(&block)[1..].iter().any(|c| 2 * c.abs() >= qstep) {
+                    blocks.push(block);
+                }
+            }
+        }
+    }
+    blocks
+}
+
+/// A frame whose three planes are tiled with `blocks` (from `first` on, in
+/// turn) around `level`, each sample plus what `under` holds there.
+fn mosaic(
+    blocks: &[[i32; BLOCK_AREA]],
+    first: usize,
+    level: i32,
+    under: Option<&Frame>,
+    (w, h): (u32, u32),
+) -> Frame {
+    let mut frame = Frame::black(w, h);
+    let mut next = first;
+    for plane in Plane::ALL {
+        let pw = frame.plane_width(plane) as usize;
+        let ph = frame.plane_height(plane) as usize;
+        for y in (0..ph).step_by(BLOCK) {
+            for x in (0..pw).step_by(BLOCK) {
+                let block = &blocks[next % blocks.len()];
+                next += 1;
+                for (i, &v) in block.iter().enumerate() {
+                    let at = (y + i / BLOCK) * pw + x + i % BLOCK;
+                    let base = under.map_or(level, |f| f.plane(plane)[at] as i32);
+                    frame.plane_mut(plane)[at] = (base + v).clamp(0, 255) as u8;
+                }
+            }
+        }
+    }
+    frame
+}
+
 /// The perf ledger's geometry — one 640×352, GOP-30 VisualRoad second, the
 /// clip its `cold_select` workload decodes — rather than the 320×192 test
 /// scene: whole-GOP decode untiled and 2×2 and the two kernels under it,
 /// then the write path: one SOT's encode untiled and 3×4, `Dct` alone
 /// beside the `Auto` size trial (from the rendered frames, and 3×4 from the
-/// decoded ones a re-tile starts from), and the lossless P-frames the trial
-/// pays for.
+/// decoded ones a re-tile starts from), the coded-block path and its
+/// transform and bit writer alone, and the lossless P-frames the trial pays
+/// for.
 fn ledger_geometry_benches(c: &mut Criterion) {
     let (w, h, frames) = (640u32, 352u32, 30u32);
     let video = Dataset::VisualRoad2K.build(1, 11);
@@ -141,6 +198,69 @@ fn ledger_geometry_benches(c: &mut Criterion) {
     });
     g.finish();
 
+    // Writing those pairs, a run and a level at a time.
+    let mut g = c.benchmark_group("bitwriter");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(pairs.len() as u64));
+    g.bench_function("run_level", |b| {
+        b.iter(|| {
+            let mut w = BitWriter::new();
+            for &(run, level) in &pairs {
+                w.put_ue(run);
+                w.put_se(level);
+            }
+            w.finish()
+        })
+    });
+    g.finish();
+
+    // The coded-block path alone, per block. The first frame is the scene's
+    // own busy blocks side by side: as a keyframe every block carries a
+    // residual (11 levels each). The second lays other busy blocks over the
+    // first, so a P-frame codes 96 % of them as INTER with a residual (15
+    // levels each; the rest SKIP). No motion search, no deblocking: predict,
+    // transform, quantize, write, reconstruct.
+    let size = (w, h);
+    let busy = busy_blocks(&src.frames()[..2], qstep(cfg.qp));
+    assert!(busy.len() as u64 * 2 > samples / BLOCK_AREA as u64);
+    let key = mosaic(&busy, 0, 128, None, size);
+    let over = mosaic(&busy, busy.len() / 2, 0, Some(&key), size);
+    let blocks = samples / BLOCK_AREA as u64;
+    let block_cfg = EncoderConfig {
+        search_range: 0,
+        deblock: false,
+        ..cfg
+    };
+    let mut g = c.benchmark_group("encode");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(blocks));
+    g.bench_function("coded_block_intra", |b| {
+        b.iter(|| TileEncoder::new(block_cfg, key.rect()).encode_next(&key))
+    });
+    g.bench_function("coded_block_inter", |b| {
+        b.iter_batched(
+            || {
+                let mut enc = TileEncoder::new(block_cfg, key.rect());
+                enc.encode_next(&key);
+                enc
+            },
+            |mut enc| enc.encode_next(&over),
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("dct");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(busy.len() as u64));
+    g.bench_function("forward", |b| {
+        b.iter(|| {
+            busy.iter()
+                .fold(0i32, |acc, block| acc.wrapping_add(forward(block)[9]))
+        })
+    });
+    g.finish();
+
     let mut g = c.benchmark_group("encode");
     g.sample_size(10);
     g.throughput(Throughput::Elements(u64::from(frames) * samples));
@@ -162,6 +282,9 @@ fn ledger_geometry_benches(c: &mut Criterion) {
         codec: CodecChoice::Auto,
         ..cfg
     };
+    g.bench_function("640x352_gop30_3x4_dct_redecoded", |b| {
+        b.iter(|| encode_video(&redecoded, &grid, &cfg, false).unwrap())
+    });
     g.bench_function("640x352_gop30_3x4_auto_redecoded", |b| {
         b.iter(|| encode_video(&redecoded, &grid, &auto, false).unwrap())
     });

@@ -459,12 +459,20 @@ impl TileEncoder {
     /// the residual as the decoder will reconstruct it (`None` when every
     /// level quantizes to zero and only the coded-block flag is written), so
     /// the encoder's reference matches the decoder's bit-exactly.
-    fn code_coefficients(
+    pub(crate) fn code_coefficients(
         &self,
         w: &mut BitWriter,
         residual: &[i32; BLOCK_AREA],
     ) -> Option<[i32; BLOCK_AREA]> {
-        let mut coefs = forward(residual);
+        self.code_levels(w, forward(residual))
+    }
+
+    /// [`TileEncoder::code_coefficients`] from the transform's output on.
+    pub(crate) fn code_levels(
+        &self,
+        w: &mut BitWriter,
+        mut coefs: [i32; BLOCK_AREA],
+    ) -> Option<[i32; BLOCK_AREA]> {
         let nnz = quantize_block(&mut coefs, self.qstep);
         if nnz == 0 {
             w.put_bit(false); // coded-block flag

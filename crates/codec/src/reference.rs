@@ -4,9 +4,12 @@
 //! a bit-at-a-time exp-Golomb reader, a dense inverse DCT, a column-major
 //! deblocking filter with a branch per sample, and a frame decoder that
 //! starts from a black frame, copies every SKIP block and clones its
-//! reference per frame. The product code must agree with it bit for bit —
-//! pixels, `Result`s and error variants — and the property tests at the
-//! bottom of this file are where that is checked.
+//! reference per frame; and the encoder's coded-block path as it was: a
+//! bit-at-a-time writer, the 1024-multiply forward DCT, and a block coded by
+//! quantizing all 64 coefficients, walking the zigzag, and dequantizing and
+//! inverse transforming them all again. The product code must agree with it
+//! bit for bit — pixels, streams, `Result`s and error variants — and the
+//! property tests at the bottom of this file are where that is checked.
 //!
 //! Two spots are written without the arithmetic overflow the old decoder
 //! had (it panicked in debug builds and, for the motion vector, could index
@@ -17,7 +20,8 @@ use crate::bitstream::BitstreamError;
 use crate::blockops::{copy_block, dc_predict, ZIGZAG};
 use crate::dct::{BLOCK, BLOCK_AREA};
 use crate::decoder::DecodeError;
-use crate::quant::{dequantize_block, qstep};
+use crate::quant::{dequantize_block, qstep, quantize_block};
+use bytes::Bytes;
 use tasm_video::{Frame, Plane};
 
 /// Reads bits MSB-first from a byte slice, one byte (or bit) at a time.
@@ -126,6 +130,122 @@ pub(crate) fn inverse(coef: &[i32; BLOCK_AREA]) -> [i32; BLOCK_AREA] {
         }
     }
     out
+}
+
+/// Forward 8×8 DCT as two dense passes in `i64`: 1024 multiplies.
+pub(crate) fn forward(block: &[i32; BLOCK_AREA]) -> [i32; BLOCK_AREA] {
+    let mut tmp = [0i64; BLOCK_AREA];
+    // Transform rows: tmp = block * C^T
+    for r in 0..BLOCK {
+        for k in 0..BLOCK {
+            let mut acc = 0i64;
+            for n in 0..BLOCK {
+                acc += block[r * BLOCK + n] as i64 * BASIS[k][n] as i64;
+            }
+            tmp[r * BLOCK + k] = acc;
+        }
+    }
+    // Transform columns: out = C * tmp, less the 2^26 the two passes carry.
+    let mut out = [0i32; BLOCK_AREA];
+    let round = 1i64 << 25;
+    for c in 0..BLOCK {
+        for k in 0..BLOCK {
+            let mut acc = 0i64;
+            for n in 0..BLOCK {
+                acc += tmp[n * BLOCK + c] * BASIS[k][n] as i64;
+            }
+            out[k * BLOCK + c] = ((acc + round) >> 26) as i32;
+        }
+    }
+    out
+}
+
+/// Writes bits MSB-first, one bit at a time.
+#[derive(Debug, Default)]
+pub(crate) struct BitwiseWriter {
+    bytes: Vec<u8>,
+    nbits: usize,
+}
+
+impl BitwiseWriter {
+    pub(crate) fn put_bits(&mut self, value: u32, n: u32) {
+        for i in (0..n).rev() {
+            if self.nbits.is_multiple_of(8) {
+                self.bytes.push(0);
+            }
+            let bit = (value >> i) as u8 & 1;
+            *self.bytes.last_mut().expect("a byte was pushed") |= bit << (7 - self.nbits % 8);
+            self.nbits += 1;
+        }
+    }
+
+    pub(crate) fn put_bit(&mut self, bit: bool) {
+        self.put_bits(bit as u32, 1);
+    }
+
+    pub(crate) fn put_ue(&mut self, v: u32) {
+        let code = v + 1;
+        let len = 32 - code.leading_zeros();
+        self.put_bits(0, len - 1);
+        self.put_bits(code, len);
+    }
+
+    pub(crate) fn put_se(&mut self, v: i32) {
+        let mapped = if v <= 0 {
+            (-(v as i64) * 2) as u32
+        } else {
+            (v as u32) * 2 - 1
+        };
+        self.put_ue(mapped);
+    }
+
+    pub(crate) fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    pub(crate) fn finish(self) -> Bytes {
+        Bytes::from(self.bytes)
+    }
+}
+
+/// Transforms, quantizes and entropy-codes a residual block, and returns
+/// the residual as the decoder will reconstruct it (`None` when every level
+/// quantizes to zero and only the coded-block flag is written).
+pub(crate) fn code_coefficients(
+    w: &mut BitwiseWriter,
+    residual: &[i32; BLOCK_AREA],
+    qstep: i32,
+) -> Option<[i32; BLOCK_AREA]> {
+    code_levels(w, forward(residual), qstep)
+}
+
+/// [`code_coefficients`] from the transform's output on.
+pub(crate) fn code_levels(
+    w: &mut BitwiseWriter,
+    mut coefs: [i32; BLOCK_AREA],
+    qstep: i32,
+) -> Option<[i32; BLOCK_AREA]> {
+    let nnz = quantize_block(&mut coefs, qstep);
+    if nnz == 0 {
+        w.put_bit(false); // coded-block flag
+        return None;
+    }
+    w.put_bit(true);
+    w.put_ue(nnz as u32 - 1);
+    let mut run = 0u32;
+    for &zz in ZIGZAG.iter() {
+        let level = coefs[zz];
+        if level == 0 {
+            run += 1;
+        } else {
+            w.put_ue(run);
+            w.put_se(level);
+            run = 0;
+        }
+    }
+    // Reconstruct exactly as the decoder will.
+    dequantize_block(&mut coefs, qstep);
+    Some(crate::dct::inverse(&coefs))
 }
 
 /// The weak deblocking filter, all vertical edges column by column and then
@@ -704,6 +824,185 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// Applies `op` with `magnitude` to both writers and checks they agree
+    /// on the length of the stream so far.
+    fn put_both(fast: &mut BitWriter, slow: &mut BitwiseWriter, op: Op, magnitude: u32) {
+        match op {
+            Op::Bits(n) => {
+                let value = magnitude & ((1u64 << n) - 1) as u32;
+                fast.put_bits(value, n);
+                slow.put_bits(value, n);
+            }
+            Op::Bit => {
+                fast.put_bit(magnitude & 1 == 1);
+                slow.put_bit(magnitude & 1 == 1);
+            }
+            Op::Ue => {
+                fast.put_ue(magnitude.min(u32::MAX - 1));
+                slow.put_ue(magnitude.min(u32::MAX - 1));
+            }
+            Op::Se => {
+                fast.put_se(magnitude as i32);
+                slow.put_se(magnitude as i32);
+            }
+        }
+        assert_eq!(fast.byte_len(), slow.byte_len(), "after {op:?} {magnitude}");
+    }
+
+    #[test]
+    fn bit_writer_matches_reference_after_every_write() {
+        for_cases(600, "bitwriter", |rng| {
+            let mut fast = BitWriter::new();
+            let mut slow = BitwiseWriter::default();
+            assert_eq!(fast.byte_len(), 0);
+            for _ in 0..rng.usize(0..120) {
+                let magnitude = match rng.u32(0..4) {
+                    0 => rng.u32(0..4),
+                    1 => rng.u32(0..1 << 12),
+                    2 => rng.u32(0..1 << 28),
+                    _ => rng.u32(0..u32::MAX),
+                };
+                put_both(&mut fast, &mut slow, arb_op(rng), magnitude);
+            }
+            assert_eq!(fast.finish(), slow.finish());
+        });
+    }
+
+    #[test]
+    fn forward_matches_the_1024_multiply_form() {
+        for_cases(10_000, "forward", |rng| {
+            // Residuals of a flat, a smooth and a noisy block, and the
+            // widest input the transform documents.
+            let amp: i32 = [1, 4, 32, 255, 1 << 16][rng.usize(0..5)];
+            let base = rng.u32(0..2 * amp as u32 + 1) as i32 - amp;
+            let mut block = [0i32; BLOCK_AREA];
+            for (i, v) in block.iter_mut().enumerate() {
+                *v = match rng.u32(0..3) {
+                    0 => base,
+                    1 => base * (i / BLOCK + i % BLOCK) as i32 / 14,
+                    _ => rng.u32(0..2 * amp as u32 + 1) as i32 - amp,
+                };
+            }
+            assert_eq!(crate::dct::forward(&block), forward(&block), "{block:?}");
+        });
+    }
+
+    /// What a coded block starts from: a residual, or (to reach values no
+    /// transform of 8-bit samples produces) its coefficients.
+    #[derive(Debug, Clone, Copy)]
+    enum BlockInput {
+        Residual([i32; BLOCK_AREA]),
+        Coefs([i32; BLOCK_AREA]),
+    }
+
+    /// Codes one block at `qp` with the product path and with the reference,
+    /// `lead` bits into the stream and with a marker behind it, and checks
+    /// the two write the same bits and hand back the same residual. Returns
+    /// whether the block was coded.
+    fn code_both(qp: u8, input: BlockInput, lead: u32) -> bool {
+        let cfg = EncoderConfig {
+            qp,
+            ..Default::default()
+        };
+        let enc = TileEncoder::new(cfg, Rect::new(0, 0, 16, 16));
+        let mut fast = BitWriter::new();
+        let mut slow = BitwiseWriter::default();
+        fast.put_bits((1u64 << lead) as u32 >> 1, lead);
+        slow.put_bits((1u64 << lead) as u32 >> 1, lead);
+        let (got, want) = match input {
+            BlockInput::Residual(r) => (
+                enc.code_coefficients(&mut fast, &r),
+                code_coefficients(&mut slow, &r, qstep(qp)),
+            ),
+            BlockInput::Coefs(c) => (
+                enc.code_levels(&mut fast, c),
+                code_levels(&mut slow, c, qstep(qp)),
+            ),
+        };
+        assert_eq!(got, want, "qp {qp} {input:?}: residual");
+        assert_eq!(fast.byte_len(), slow.byte_len(), "qp {qp} {input:?}");
+        fast.put_ue(5);
+        slow.put_ue(5);
+        assert_eq!(fast.finish(), slow.finish(), "qp {qp} {input:?}: bits");
+        got.is_some()
+    }
+
+    #[test]
+    fn coded_blocks_match_reference_at_every_qp() {
+        let (mut coded, mut uncoded) = (0u32, 0u32);
+        for qp in 0..=51 {
+            assert!(!code_both(qp, BlockInput::Residual([0; BLOCK_AREA]), 0));
+        }
+        for_cases(200, "coded-block", |rng| {
+            for qp in 0..=51 {
+                // Flat, smooth and noisy residuals in the range a difference
+                // of two 8-bit samples has.
+                let amp: i32 = [1, 3, 12, 60, 255][rng.usize(0..5)];
+                let base = rng.u32(0..2 * amp as u32 + 1) as i32 - amp;
+                let noise = [0, 1, amp][rng.usize(0..3)];
+                let (gx, gy) = (rng.u32(0..9) as i32 - 4, rng.u32(0..9) as i32 - 4);
+                let mut residual = [0i32; BLOCK_AREA];
+                for (i, v) in residual.iter_mut().enumerate() {
+                    let ramp = (gx * (i % BLOCK) as i32 + gy * (i / BLOCK) as i32) * amp / 28;
+                    let n = rng.u32(0..2 * noise as u32 + 1) as i32 - noise;
+                    *v = (base + ramp + n).clamp(-255, 255);
+                }
+                if code_both(qp, BlockInput::Residual(residual), rng.u32(0..33)) {
+                    coded += 1;
+                } else {
+                    uncoded += 1;
+                }
+            }
+        });
+        assert!(coded > 2000 && uncoded > 500, "{coded} / {uncoded}");
+    }
+
+    #[test]
+    fn single_and_extreme_coefficients_match_reference_at_every_qp() {
+        for qp in 0..=51 {
+            let q = qstep(qp);
+            // Both sides of the dead zone and of the next rounding step,
+            // levels past any code table, and the ends of the `i32` range.
+            // (`i32::MIN` at step 1 is left out: the old path's sign multiply
+            // overflows there.)
+            let mags = [
+                (q - 1) / 2,
+                q / 2,
+                q / 2 + 1,
+                q,
+                (3 * q - 1) / 2,
+                3 * q / 2 + 1,
+                17 * q,
+                4000 * q + 1,
+                1 << 30,
+                i32::MAX,
+            ];
+            for at in 0..BLOCK_AREA {
+                for mag in mags {
+                    for v in [mag, -mag] {
+                        let mut coefs = [0i32; BLOCK_AREA];
+                        coefs[at] = v;
+                        let coded = code_both(qp, BlockInput::Coefs(coefs), at as u32 % 33);
+                        assert_eq!(coded, 2 * mag as i64 >= q as i64, "qp {qp} at {at}: {v}");
+                    }
+                }
+            }
+            // Dense blocks of extremes: every pair takes the long codes.
+            let mut lo = [i32::MIN + 1; BLOCK_AREA];
+            let mut mixed = [0i32; BLOCK_AREA];
+            for (i, v) in mixed.iter_mut().enumerate() {
+                *v = [1 << 30, -(1 << 30), i32::MAX, 0, i32::MIN + 1, q, -q / 2][i % 7];
+            }
+            assert!(code_both(qp, BlockInput::Coefs(mixed), 7));
+            assert!(code_both(qp, BlockInput::Coefs(lo), 31));
+            if q > 1 {
+                lo[ZIGZAG[63]] = i32::MIN;
+                lo[0] = i32::MIN;
+                assert!(code_both(qp, BlockInput::Coefs(lo), 13));
+            }
+        }
     }
 
     /// Random clip: textured background, a moving textured square, a patch
