@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use tasm_codec::bitstream::{BitReader, BitWriter};
+use tasm_codec::blockops::load_block;
 use tasm_codec::dct::{forward, BLOCK, BLOCK_AREA};
 use tasm_codec::deblock::deblock_frame;
 use tasm_codec::quant::qstep;
@@ -31,10 +32,7 @@ fn busy_blocks(frames: &[Frame], qstep: i32) -> Vec<[i32; BLOCK_AREA]> {
         let (w, luma) = (f.width() as usize, f.plane(Plane::Y));
         for y in (0..f.height() as usize).step_by(BLOCK) {
             for x in (0..w).step_by(BLOCK) {
-                let mut block = [0i32; BLOCK_AREA];
-                for (i, v) in block.iter_mut().enumerate() {
-                    *v = luma[(y + i / BLOCK) * w + x + i % BLOCK] as i32;
-                }
+                let mut block = load_block(luma, w, x, y);
                 let mean = block.iter().sum::<i32>() / BLOCK_AREA as i32;
                 block.iter_mut().for_each(|v| *v -= mean);
                 if forward(&block)[1..].iter().any(|c| 2 * c.abs() >= qstep) {

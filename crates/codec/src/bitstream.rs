@@ -27,15 +27,56 @@ impl std::fmt::Display for BitstreamError {
 
 impl std::error::Error for BitstreamError {}
 
-/// Writes bits MSB-first into a growable byte buffer.
+/// Writes bits MSB-first into a growable byte buffer, a 32-bit word at a
+/// time.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: BytesMut,
     /// Bits accumulated but not yet flushed to `buf` (kept in the high bits).
     acc: u64,
-    /// Number of valid bits in `acc`.
+    /// Number of valid bits in `acc`: fewer than 32 between writes.
     nbits: u32,
 }
+
+/// The exp-Golomb code of `v` as `(code, length)`: `code` is `v + 1`, and
+/// the zeros ahead of it are the rest of the length (up to 63 bits).
+const fn ue_code(v: u32) -> (u32, u32) {
+    let code = v + 1;
+    (code, 2 * (32 - code.leading_zeros()) - 1)
+}
+
+/// The `ue` value a signed exp-Golomb code carries `v` as: 0, 1, -1, 2, -2,
+/// … are 0, 1, 2, 3, 4, …
+const fn se_to_ue(v: i32) -> u32 {
+    if v <= 0 {
+        (-(v as i64) * 2) as u32
+    } else {
+        (v as u32) * 2 - 1
+    }
+}
+
+/// Runs below `PAIR_RUNS` with levels in `-PAIR_LEVELS..PAIR_LEVELS` are
+/// written from [`PAIR_CODES`]; like the reader's [`PAIRS`], that is all but
+/// a few in a thousand of a DCT tile's pairs, in 4 KiB.
+const PAIR_RUNS: u32 = 16;
+const PAIR_LEVELS: i32 = 16;
+const PAIR_COLUMNS: u32 = 2 * PAIR_LEVELS as u32;
+
+/// For each such `(run, level)`, at `run * PAIR_COLUMNS + level +
+/// PAIR_LEVELS`: the `ue` code with the `se` code behind it, and the bits
+/// the two take together (20 at most).
+static PAIR_CODES: [(u32, u8); (PAIR_RUNS * PAIR_COLUMNS) as usize] = {
+    let mut table = [(0, 0); (PAIR_RUNS * PAIR_COLUMNS) as usize];
+    let mut index = 0;
+    while index < PAIR_RUNS * PAIR_COLUMNS {
+        let (run, run_len) = ue_code(index / PAIR_COLUMNS);
+        let level = (index % PAIR_COLUMNS) as i32 - PAIR_LEVELS;
+        let (level, level_len) = ue_code(se_to_ue(level));
+        table[index as usize] = (run << level_len | level, (run_len + level_len) as u8);
+        index += 1;
+    }
+    table
+};
 
 impl BitWriter {
     /// Creates an empty writer.
@@ -51,15 +92,14 @@ impl BitWriter {
             n == 32 || value < (1u32 << n),
             "value does not fit in {n} bits"
         );
-        if n == 0 {
-            return;
-        }
-        self.acc |= (value as u64) << (64 - self.nbits - n);
+        // In two shifts, each of at most 32: together they are 64 when
+        // nothing is written to an empty accumulator.
+        self.acc |= ((value as u64) << (32 - n)) << (32 - self.nbits);
         self.nbits += n;
-        while self.nbits >= 8 {
-            self.buf.put_u8((self.acc >> 56) as u8);
-            self.acc <<= 8;
-            self.nbits -= 8;
+        if self.nbits >= 32 {
+            self.buf.put_slice(&((self.acc >> 32) as u32).to_be_bytes());
+            self.acc <<= 32;
+            self.nbits -= 32;
         }
     }
 
@@ -74,35 +114,46 @@ impl BitWriter {
     #[inline]
     pub fn put_ue(&mut self, v: u32) {
         debug_assert!(v < u32::MAX, "ue(v) requires v + 1 to fit in u32");
-        let code = v + 1;
-        let len = 32 - code.leading_zeros(); // bits in code
-        self.put_bits(0, len - 1);
-        self.put_bits(code, len);
+        let (code, len) = ue_code(v);
+        if len <= 32 {
+            self.put_bits(code, len);
+        } else {
+            self.put_bits(0, len / 2);
+            self.put_bits(code, len / 2 + 1);
+        }
     }
 
     /// Writes a signed exp-Golomb code (`se(v)`), mapping
     /// 0, 1, -1, 2, -2, … to 0, 1, 2, 3, 4, …
     #[inline]
     pub fn put_se(&mut self, v: i32) {
-        let mapped = if v <= 0 {
-            (-(v as i64) * 2) as u32
+        self.put_ue(se_to_ue(v));
+    }
+
+    /// Writes a coefficient's `ue` run and the `se` level behind it: in one
+    /// write where [`PAIR_CODES`] holds the pair.
+    #[inline]
+    pub(crate) fn put_run_level(&mut self, run: u32, level: i32) {
+        let column = level.wrapping_add(PAIR_LEVELS) as u32;
+        if run < PAIR_RUNS && column < PAIR_COLUMNS {
+            let (code, len) = PAIR_CODES[(run * PAIR_COLUMNS + column) as usize];
+            self.put_bits(code, len as u32);
         } else {
-            (v as u32) * 2 - 1
-        };
-        self.put_ue(mapped);
+            self.put_ue(run);
+            self.put_se(level);
+        }
     }
 
     /// Pads with zero bits to the next byte boundary and returns the bytes.
     pub fn finish(mut self) -> Bytes {
-        if self.nbits > 0 {
-            self.buf.put_u8((self.acc >> 56) as u8);
-        }
+        let tail = self.nbits.div_ceil(8) as usize;
+        self.buf.put_slice(&self.acc.to_be_bytes()[..tail]);
         self.buf.freeze()
     }
 
     /// Number of whole bytes the stream would occupy if finished now.
     pub fn byte_len(&self) -> usize {
-        self.buf.len() + if self.nbits > 0 { 1 } else { 0 }
+        self.buf.len() + self.nbits.div_ceil(8) as usize
     }
 }
 

@@ -7,6 +7,8 @@
 //! `forward` followed by `inverse` reconstructs residuals within ±1, which is
 //! below the quantizer's dead zone for every QP we use.
 
+use std::ops::{Add, Mul, Sub};
+
 /// Transform block edge length in samples.
 pub const BLOCK: usize = 8;
 
@@ -36,38 +38,62 @@ const fn basis() -> [[i32; BLOCK]; BLOCK] {
 
 const BASIS: [[i32; BLOCK]; BLOCK] = basis();
 
+/// One 8-point forward pass: `Σ_n x[n]·C[k][n]` for `k` in `0..8`, in the
+/// integer type the caller's values need. The basis rows' symmetry about the
+/// middle (see [`inverse_pass`]) folds the eight inputs into four sums and
+/// four differences, and the even rows' symmetry within each half folds the
+/// sums once more: 22 multiplies for the dense form's 64, the same integers
+/// (nothing is rounded in between).
+#[inline(always)]
+fn forward_pass<T>(x: [T; BLOCK]) -> [T; BLOCK]
+where
+    T: Copy + From<i32> + Add<Output = T> + Sub<Output = T> + Mul<Output = T>,
+{
+    let c = |k: usize, n: usize| T::from(BASIS[k][n]);
+    let (s0, s1, s2, s3) = (x[0] + x[7], x[1] + x[6], x[2] + x[5], x[3] + x[4]);
+    let d = [x[0] - x[7], x[1] - x[6], x[2] - x[5], x[3] - x[4]];
+    let (ss0, ss1, sd0, sd1) = (s0 + s3, s1 + s2, s0 - s3, s1 - s2);
+    let odd = |k: usize| d[0] * c(k, 0) + d[1] * c(k, 1) + d[2] * c(k, 2) + d[3] * c(k, 3);
+    [
+        (ss0 + ss1) * c(0, 0),
+        odd(1),
+        sd0 * c(2, 0) + sd1 * c(2, 1),
+        odd(3),
+        (ss0 - ss1) * c(4, 0),
+        odd(5),
+        sd0 * c(6, 0) + sd1 * c(6, 1),
+        odd(7),
+    ]
+}
+
 /// Forward 8×8 DCT of a residual block (row-major), producing coefficients
-/// at the same nominal scale as the input.
+/// at the same nominal scale as the input. The row pass runs in `i32`, which
+/// holds it for samples up to 2¹⁶ in magnitude (a residual is a difference of
+/// two 8-bit samples); the column pass needs `i64`.
 pub fn forward(block: &[i32; BLOCK_AREA]) -> [i32; BLOCK_AREA] {
-    let mut tmp = [0i64; BLOCK_AREA];
+    debug_assert!(block.iter().all(|v| v.unsigned_abs() <= 1 << 16));
     // Transform rows: tmp = block * C^T
-    for r in 0..BLOCK {
-        for k in 0..BLOCK {
-            let mut acc = 0i64;
-            for n in 0..BLOCK {
-                acc += block[r * BLOCK + n] as i64 * BASIS[k][n] as i64;
-            }
-            tmp[r * BLOCK + k] = acc;
-        }
+    let mut tmp = [0i32; BLOCK_AREA];
+    for (row, out) in block.chunks_exact(BLOCK).zip(tmp.chunks_exact_mut(BLOCK)) {
+        out.copy_from_slice(&forward_pass::<i32>(row.try_into().expect("eight samples")));
     }
     // Transform columns: out = C * tmp. The basis is orthonormal at scale
     // 2^13, so the 2-D product carries a 2^26 factor that we shift away.
     let mut out = [0i32; BLOCK_AREA];
     let round = 1i64 << (2 * SCALE_BITS - 1);
     for c in 0..BLOCK {
-        for k in 0..BLOCK {
-            let mut acc = 0i64;
-            for n in 0..BLOCK {
-                acc += tmp[n * BLOCK + c] * BASIS[k][n] as i64;
-            }
-            out[k * BLOCK + c] = ((acc + round) >> (2 * SCALE_BITS)) as i32;
+        let column = forward_pass::<i64>(std::array::from_fn(|n| tmp[n * BLOCK + c] as i64));
+        for (k, v) in column.into_iter().enumerate() {
+            out[k * BLOCK + c] = ((v + round) >> (2 * SCALE_BITS)) as i32;
         }
     }
     out
 }
 
-/// Inverse 8×8 DCT, reconstructing the residual block.
-pub fn inverse(coef: &[i32; BLOCK_AREA]) -> [i32; BLOCK_AREA] {
+/// Inverse 8×8 DCT, reconstructing the residual block: [`inverse_sparse`]
+/// for a caller that does not know where the nonzero coefficients are.
+#[cfg(test)]
+pub(crate) fn inverse(coef: &[i32; BLOCK_AREA]) -> [i32; BLOCK_AREA] {
     let (mut rows, mut cols) = (0u8, 0u8);
     for (i, &c) in coef.iter().enumerate() {
         if c != 0 {
@@ -121,13 +147,14 @@ fn inverse_pass(x: impl Fn(usize) -> i64, occupied: u8, bias: i64) -> [i64; BLOC
     out
 }
 
-/// [`inverse`] for a caller that knows where the block's nonzero
-/// coefficients are: bit `k` of `rows` (`cols`) must be set if row (column)
-/// `k` holds any. Quantized blocks carry a handful of low-frequency
-/// coefficients, and the transform is a sum of products with no
-/// intermediate rounding, so leaving out the zero terms (and regrouping the
-/// rest) changes nothing but the time: a DC-only block is one multiply, and
-/// otherwise each pass runs over the occupied rows and columns only.
+/// Inverse 8×8 DCT, reconstructing the residual block, for a caller that
+/// knows where the block's nonzero coefficients are: bit `k` of `rows`
+/// (`cols`) must be set if row (column) `k` holds any. Quantized blocks
+/// carry a handful of low-frequency coefficients, and the transform is a sum
+/// of products with no intermediate rounding, so leaving out the zero terms
+/// (and regrouping the rest) changes nothing but the time: a DC-only block
+/// is one multiply, and otherwise each pass runs over the occupied rows and
+/// columns only.
 /// `out` is overwritten; `tmp` is the caller's scratch, whatever it holds
 /// (only the occupied columns are written, and only they are read back).
 pub(crate) fn inverse_sparse(

@@ -17,9 +17,9 @@ use crate::blockops::{
     copy_block, dc_predict, fill_block, load_block, reconstruct_flat, reconstruct_inter, sad,
     ZIGZAG,
 };
-use crate::dct::{forward, inverse, BLOCK, BLOCK_AREA};
+use crate::dct::{forward, inverse_sparse, BLOCK, BLOCK_AREA};
 use crate::deblock::deblock_frame;
-use crate::quant::{dequantize_block, qstep, quantize_block};
+use crate::quant::{dequantize, outside_dead_zone, qstep, quantize};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use tasm_video::{Frame, Plane, Rect};
@@ -64,8 +64,8 @@ pub enum RateControl {
 /// are flat in the input (where the lossless predictor + rANS coder wins)
 /// are stored losslessly while busy tiles keep the lossy DCT path. The
 /// trial costs what the lossless coder spends before it is out: measured at
-/// 640×352, about 1.2 DCT encodes' worth of time for one stream on the
-/// decoded frames a re-tile starts from, about 2.2 on rendered frames.
+/// 640×352, about 1.9 DCT encodes' worth of time for one stream on the
+/// decoded frames a re-tile starts from, about 2.9 on rendered frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum CodecChoice {
     /// Always the lossy DCT codec (the pre-codec-id behaviour).
@@ -148,6 +148,8 @@ pub struct TileEncoder {
     bucket: i64,
     /// Previous reconstructed tile (reference for P-frames).
     recon_prev: Option<Frame>,
+    /// The reconstruction before that one: the next frame is built in it.
+    recon_spare: Option<Frame>,
     frame_idx: u32,
 }
 
@@ -175,6 +177,7 @@ impl TileEncoder {
             cfg,
             rect,
             recon_prev: None,
+            recon_spare: None,
             frame_idx: 0,
         }
     }
@@ -209,25 +212,33 @@ impl TileEncoder {
             self.rect
         );
         // A P-frame's reconstruction starts as a copy of its reference, as
-        // in the decoder: SKIP blocks are then already in place.
+        // in the decoder: SKIP blocks are then already in place. A keyframe
+        // writes every block, so whatever its buffer held never shows.
         let reference = match &self.recon_prev {
             Some(prev) if !self.frame_idx.is_multiple_of(self.cfg.gop_len) => Some(prev),
             _ => None,
         };
         let is_key = reference.is_none();
-        let mut recon = reference
-            .cloned()
+        let mut recon = self
+            .recon_spare
+            .take()
             .unwrap_or_else(|| Frame::black(self.rect.w, self.rect.h));
+        if let Some(prev) = reference {
+            for plane in Plane::ALL {
+                recon.plane_mut(plane).copy_from_slice(prev.plane(plane));
+            }
+        }
         let mut writer = BitWriter::new();
+        let mut coder = BlockCoder::new(self.qstep);
 
         for plane in Plane::ALL {
-            self.encode_plane(&mut writer, src, plane, &mut recon, is_key);
+            self.encode_plane(&mut writer, &mut coder, src, plane, &mut recon, is_key);
         }
 
         if self.cfg.deblock {
             deblock_frame(&mut recon, self.qstep);
         }
-        self.recon_prev = Some(recon);
+        self.recon_spare = self.recon_prev.replace(recon);
         self.frame_idx += 1;
         let frame_qp = self.current_qp;
         let data = writer.finish();
@@ -277,6 +288,7 @@ impl TileEncoder {
     fn encode_plane(
         &self,
         w: &mut BitWriter,
+        coder: &mut BlockCoder,
         src: &Frame,
         plane: Plane,
         recon: &mut Frame,
@@ -306,6 +318,7 @@ impl TileEncoder {
             while bx < pw {
                 self.encode_block(BlockCtx {
                     w,
+                    coder: &mut *coder,
                     src_plane,
                     src_stride,
                     src_x: off_x + bx,
@@ -339,6 +352,7 @@ impl TileEncoder {
     fn encode_block(&self, ctx: BlockCtx<'_, '_>) {
         let BlockCtx {
             w,
+            coder,
             src_plane,
             src_stride,
             src_x,
@@ -359,7 +373,7 @@ impl TileEncoder {
             // Keyframe: always intra; no mode symbol.
             let pred = dc_predict(recon_plane, recon_stride, x, y);
             let cur = load_block(src_plane, src_stride, src_x, src_y);
-            self.code_residual_and_reconstruct(w, &cur, pred, recon_plane, recon_stride, x, y);
+            coder.code_intra(w, &cur, pred, recon_plane, recon_stride, x, y);
             return;
         }
 
@@ -422,21 +436,53 @@ impl TileEncoder {
                     residual[row * BLOCK + col] = s - p;
                 }
             }
-            match self.code_coefficients(w, &residual) {
-                Some(res) => reconstruct_inter(recon_plane, recon_stride, x, y, prev, rx, ry, &res),
+            match coder.code(w, &residual) {
+                Some(res) => reconstruct_inter(recon_plane, recon_stride, x, y, prev, rx, ry, res),
                 None => copy_block(recon_plane, recon_stride, x, y, prev, recon_stride, rx, ry),
             }
         } else {
             w.put_ue(Mode::Intra as u32);
-            self.code_residual_and_reconstruct(w, &cur, pred_dc, recon_plane, recon_stride, x, y);
+            coder.code_intra(w, &cur, pred_dc, recon_plane, recon_stride, x, y);
         }
+    }
+}
+
+/// The coded-block path at one frame's QP, mirroring the decoder's
+/// `read_residual`: the inverse transform's scratch and output are owned by
+/// the frame encode and reused block after block.
+pub(crate) struct BlockCoder {
+    qstep: i32,
+    tmp: [i64; BLOCK_AREA],
+    residual: [i32; BLOCK_AREA],
+}
+
+impl BlockCoder {
+    pub(crate) fn new(qstep: i32) -> Self {
+        BlockCoder {
+            qstep,
+            tmp: [0; BLOCK_AREA],
+            residual: [0; BLOCK_AREA],
+        }
+    }
+
+    /// Transforms, quantizes and entropy-codes a residual block, and returns
+    /// the residual as the decoder will reconstruct it (`None` when every
+    /// level quantizes to zero and only the coded-block flag is written), so
+    /// the encoder's reference matches the decoder's bit-exactly.
+    #[inline]
+    pub(crate) fn code(
+        &mut self,
+        w: &mut BitWriter,
+        residual: &[i32; BLOCK_AREA],
+    ) -> Option<&[i32; BLOCK_AREA]> {
+        self.code_levels(w, &forward(residual))
     }
 
     /// Intra path: subtract the DC prediction, transform-code the residual,
     /// and write the reconstruction into `recon`.
     #[allow(clippy::too_many_arguments)]
-    fn code_residual_and_reconstruct(
-        &self,
+    fn code_intra(
+        &mut self,
         w: &mut BitWriter,
         cur: &[i32; BLOCK_AREA],
         pred: i32,
@@ -449,57 +495,61 @@ impl TileEncoder {
         for i in 0..BLOCK_AREA {
             residual[i] = cur[i] - pred;
         }
-        match self.code_coefficients(w, &residual) {
-            Some(res) => reconstruct_flat(recon, stride, x, y, pred, &res),
+        match self.code(w, &residual) {
+            Some(res) => reconstruct_flat(recon, stride, x, y, pred, res),
             None => fill_block(recon, stride, x, y, pred as u8),
         }
     }
 
-    /// Transforms, quantizes and entropy-codes a residual block, and returns
-    /// the residual as the decoder will reconstruct it (`None` when every
-    /// level quantizes to zero and only the coded-block flag is written), so
-    /// the encoder's reference matches the decoder's bit-exactly.
-    pub(crate) fn code_coefficients(
-        &self,
-        w: &mut BitWriter,
-        residual: &[i32; BLOCK_AREA],
-    ) -> Option<[i32; BLOCK_AREA]> {
-        self.code_levels(w, forward(residual))
-    }
-
-    /// [`TileEncoder::code_coefficients`] from the transform's output on.
+    /// [`BlockCoder::code`] from the transform's output on. Which
+    /// coefficients lie outside the dead zone is gathered first, a bit each
+    /// in scan order and without a branch (which ones do is not predictable);
+    /// the count and the runs are then read off the bits, and each level is
+    /// written and dequantized into place with its row and column noted, so
+    /// the inverse transform runs over those alone.
     pub(crate) fn code_levels(
-        &self,
+        &mut self,
         w: &mut BitWriter,
-        mut coefs: [i32; BLOCK_AREA],
-    ) -> Option<[i32; BLOCK_AREA]> {
-        let nnz = quantize_block(&mut coefs, self.qstep);
-        if nnz == 0 {
+        coefs: &[i32; BLOCK_AREA],
+    ) -> Option<&[i32; BLOCK_AREA]> {
+        let mut kept = 0u64;
+        // (A byte of bits at a time: one chain of 64 ORs is 64 cycles long.)
+        for (group, scan) in ZIGZAG.chunks_exact(8).enumerate() {
+            let mut bits = 0u64;
+            for (pos, &at) in scan.iter().enumerate() {
+                bits |= (outside_dead_zone(coefs[at], self.qstep) as u64) << pos;
+            }
+            kept |= bits << (8 * group);
+        }
+        if kept == 0 {
             w.put_bit(false); // coded-block flag
             return None;
         }
         w.put_bit(true);
-        w.put_ue(nnz as u32 - 1);
-        let mut run = 0u32;
-        for &zz in ZIGZAG.iter() {
-            let level = coefs[zz];
-            if level == 0 {
-                run += 1;
-            } else {
-                w.put_ue(run);
-                w.put_se(level);
-                run = 0;
-            }
+        w.put_ue(kept.count_ones() - 1);
+        let mut dequantized = [0i32; BLOCK_AREA];
+        let (mut rows, mut cols) = (0u8, 0u8);
+        let mut next = 0;
+        while kept != 0 {
+            let pos = kept.trailing_zeros();
+            kept &= kept - 1;
+            let at = ZIGZAG[pos as usize];
+            let level = quantize(coefs[at], self.qstep);
+            w.put_run_level(pos - next, level);
+            next = pos + 1;
+            dequantized[at] = dequantize(level, self.qstep);
+            rows |= 1 << (at / BLOCK);
+            cols |= 1 << (at % BLOCK);
         }
-        // Reconstruct exactly as the decoder will.
-        dequantize_block(&mut coefs, self.qstep);
-        Some(inverse(&coefs))
+        inverse_sparse(&dequantized, rows, cols, &mut self.tmp, &mut self.residual);
+        Some(&self.residual)
     }
 }
 
 /// Per-block encoding context (bundles the many plane-local parameters).
 struct BlockCtx<'a, 'b> {
     w: &'a mut BitWriter,
+    coder: &'a mut BlockCoder,
     src_plane: &'b [u8],
     src_stride: usize,
     src_x: usize,

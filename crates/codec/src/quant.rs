@@ -31,29 +31,20 @@ pub fn quantize(coef: i32, qstep: i32) -> i32 {
     sign * q as i32
 }
 
+/// Whether [`quantize`] gives `coef` a nonzero level, without the division:
+/// `2·|coef| ≥ qstep`. Most coefficients of a residual fall inside this dead
+/// zone, `(-⌈qstep/2⌉, ⌈qstep/2⌉)`; outside it is outside it shifted to
+/// start at zero, as unsigned numbers — an add and a comparison.
+#[inline]
+pub(crate) fn outside_dead_zone(coef: i32, qstep: i32) -> bool {
+    let half = (qstep + 1) / 2;
+    coef.wrapping_add(half - 1) as u32 > (2 * half - 2) as u32
+}
+
 /// Reconstructs a coefficient from its quantized level.
 #[inline]
 pub fn dequantize(level: i32, qstep: i32) -> i32 {
     level.saturating_mul(qstep)
-}
-
-/// Quantizes a whole block in place, returning the number of nonzero levels.
-pub fn quantize_block(coefs: &mut [i32], qstep: i32) -> usize {
-    let mut nonzero = 0;
-    for c in coefs.iter_mut() {
-        *c = quantize(*c, qstep);
-        if *c != 0 {
-            nonzero += 1;
-        }
-    }
-    nonzero
-}
-
-/// Dequantizes a whole block in place.
-pub fn dequantize_block(levels: &mut [i32], qstep: i32) {
-    for l in levels.iter_mut() {
-        *l = dequantize(*l, qstep);
-    }
 }
 
 #[cfg(test)]
@@ -110,6 +101,24 @@ mod tests {
         assert_eq!(quantize(-7, 16), 0);
     }
 
+    /// The dead-zone test agrees with the division, for every step a QP
+    /// gives, every coefficient a transform of 8-bit samples can produce,
+    /// and the ends of the `i32` range.
+    #[test]
+    fn dead_zone_is_where_quantize_gives_zero() {
+        for qp in 0..=MAX_QP {
+            let step = qstep(qp);
+            let wide = [i32::MAX, i32::MIN + 1, i32::MIN, 1 << 30, -(1 << 30)];
+            for v in (-(1 << 12)..=1 << 12).chain(wide) {
+                let zero = 2 * (v as i64).abs() < step as i64;
+                assert_eq!(outside_dead_zone(v, step), !zero, "{v} / {step}");
+                if v != i32::MIN {
+                    assert_eq!(quantize(v, step) == 0, zero, "{v} / {step}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn reconstruction_error_bounded_by_half_step() {
         for qp in [10u8, 22, 28, 34] {
@@ -122,15 +131,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn quantize_block_counts_nonzero() {
-        let mut block = vec![0, 5, 40, -40, 7, -8];
-        let nnz = quantize_block(&mut block, 16);
-        assert_eq!(block, vec![0, 0, 3, -3, 0, -1]);
-        assert_eq!(nnz, 3);
-        dequantize_block(&mut block, 16);
-        assert_eq!(block, vec![0, 0, 48, -48, 0, -16]);
     }
 }

@@ -20,7 +20,7 @@ use crate::bitstream::BitstreamError;
 use crate::blockops::{copy_block, dc_predict, ZIGZAG};
 use crate::dct::{BLOCK, BLOCK_AREA};
 use crate::decoder::DecodeError;
-use crate::quant::{dequantize_block, qstep, quantize_block};
+use crate::quant::{dequantize, qstep, quantize};
 use bytes::Bytes;
 use tasm_video::{Frame, Plane};
 
@@ -130,6 +130,25 @@ pub(crate) fn inverse(coef: &[i32; BLOCK_AREA]) -> [i32; BLOCK_AREA] {
         }
     }
     out
+}
+
+/// Quantizes a whole block in place, returning the number of nonzero levels.
+pub(crate) fn quantize_block(coefs: &mut [i32], qstep: i32) -> usize {
+    let mut nonzero = 0;
+    for c in coefs.iter_mut() {
+        *c = quantize(*c, qstep);
+        if *c != 0 {
+            nonzero += 1;
+        }
+    }
+    nonzero
+}
+
+/// Dequantizes a whole block in place.
+pub(crate) fn dequantize_block(levels: &mut [i32], qstep: i32) {
+    for l in levels.iter_mut() {
+        *l = dequantize(*l, qstep);
+    }
 }
 
 /// Forward 8×8 DCT as two dense passes in `i64`: 1024 multiplies.
@@ -245,7 +264,7 @@ pub(crate) fn code_levels(
     }
     // Reconstruct exactly as the decoder will.
     dequantize_block(&mut coefs, qstep);
-    Some(crate::dct::inverse(&coefs))
+    Some(inverse(&coefs))
 }
 
 /// The weak deblocking filter, all vertical edges column by column and then
@@ -452,8 +471,7 @@ mod tests {
     use super::*;
     use crate::bitstream::BitWriter;
     use crate::decoder::TileDecoder;
-    use crate::encoder::{EncoderConfig, RateControl, TileEncoder};
-    use crate::quant::dequantize;
+    use crate::encoder::{BlockCoder, EncoderConfig, RateControl, TileEncoder};
     use proptest::prelude::*;
     use tasm_video::Rect;
 
@@ -871,6 +889,30 @@ mod tests {
     }
 
     #[test]
+    fn run_level_writes_match_two_reference_codes() {
+        let (mut fast, mut slow) = (BitWriter::new(), BitwiseWriter::default());
+        let mut put = |run: u32, level: i32| {
+            fast.put_run_level(run, level);
+            slow.put_ue(run);
+            slow.put_se(level);
+            assert_eq!(fast.byte_len(), slow.byte_len(), "after ({run}, {level})");
+        };
+        // The code table whole, and its four sides from outside.
+        for run in 0..20 {
+            for level in -20..=20 {
+                put(run, level);
+            }
+        }
+        for_cases(100, "put-run-level", |rng| {
+            for _ in 0..rng.usize(1..24) {
+                let (run, level) = arb_pair(rng);
+                put(run, level);
+            }
+        });
+        assert_eq!(fast.finish(), slow.finish());
+    }
+
+    #[test]
     fn forward_matches_the_1024_multiply_form() {
         for_cases(10_000, "forward", |rng| {
             // Residuals of a flat, a smooth and a noisy block, and the
@@ -902,22 +944,21 @@ mod tests {
     /// the two write the same bits and hand back the same residual. Returns
     /// whether the block was coded.
     fn code_both(qp: u8, input: BlockInput, lead: u32) -> bool {
-        let cfg = EncoderConfig {
-            qp,
-            ..Default::default()
-        };
-        let enc = TileEncoder::new(cfg, Rect::new(0, 0, 16, 16));
+        // The coder's scratch and output hold another block's values.
+        let mut coder = BlockCoder::new(qstep(qp));
+        let stale = std::array::from_fn(|i| (i as i32 - 30) << 20);
+        assert!(coder.code_levels(&mut BitWriter::new(), &stale).is_some());
         let mut fast = BitWriter::new();
         let mut slow = BitwiseWriter::default();
         fast.put_bits((1u64 << lead) as u32 >> 1, lead);
         slow.put_bits((1u64 << lead) as u32 >> 1, lead);
         let (got, want) = match input {
             BlockInput::Residual(r) => (
-                enc.code_coefficients(&mut fast, &r),
+                coder.code(&mut fast, &r).copied(),
                 code_coefficients(&mut slow, &r, qstep(qp)),
             ),
             BlockInput::Coefs(c) => (
-                enc.code_levels(&mut fast, c),
+                coder.code_levels(&mut fast, &c).copied(),
                 code_levels(&mut slow, c, qstep(qp)),
             ),
         };

@@ -86,7 +86,8 @@ impl Default for EncodeModel {
         // Calibrated alongside the decode model; software encode with motion
         // search is roughly 2-3× decode. Still not fitted (ROADMAP item
         // 1-iv): this predicts 83 ms for a 640×352×30 SOT (10.1 M samples)
-        // and a re-tile under the default `Dct` measures ≈ 32 ms. An
+        // and a re-tile under the default `Dct` measures ≈ 28 ms (2.8
+        // ns/sample; its encode alone ≈ 11.5 ms, 1.1 ns/sample). An
         // encode rate alone can now stand for `R(s, L)`: file I/O was
         // ≈ 22 % of a measured re-tile, and grew with the tile count,
         // while each tile was a file of its own; with one pack per SOT it

@@ -536,6 +536,9 @@ impl VideoStore {
         // Checked before anything is touched on disk, and before
         // `layout_for` — which may build `TileLayout::untiled` — runs.
         cfg.check()?;
+        if src.is_empty() {
+            return Err(StoreError::InvalidConfig("source has no frames"));
+        }
         TileLayout::new(vec![src.width()], vec![src.height()])?;
         let dir = self.root.join(name);
         if self.io.exists(&dir) {

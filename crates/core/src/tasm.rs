@@ -1197,45 +1197,52 @@ impl Tasm {
                 continue;
             }
 
-            // Record history first (new alternatives replay it).
-            let prior_history = pol.sots[sot_idx].history.clone();
-            pol.sots[sot_idx]
-                .history
-                .push((label.to_string(), window.clone()));
+            // Record history first (new alternatives replay what came
+            // before it).
+            let state = &mut pol.sots[sot_idx];
+            state.history.push((label.to_string(), window.clone()));
+            let prior_history = &state.history[..state.history.len() - 1];
 
+            // The layouts this call partitions, for the winner below.
+            let mut layouts = Vec::with_capacity(alternatives.len());
             for subset in &alternatives {
                 let alt_layout = match self.subset_layout(id, subset, &sot, w, h)? {
                     Some(l) => l,
                     None => continue,
                 };
-                let is_new = !pol.sots[sot_idx].regret.contains_key(subset);
+                let is_new = !state.regret.contains_key(subset);
                 let mut delta = 0.0;
                 if is_new {
                     // Retroactive regret over the query history (§4.4).
-                    for (hl, hw) in &prior_history {
+                    for (hl, hw) in prior_history {
                         delta += self.query_delta(id, hl, hw.clone(), &sot, gop, &alt_layout)?;
                     }
                 }
                 delta += self.query_delta(id, label, window.clone(), &sot, gop, &alt_layout)?;
-                *pol.sots[sot_idx]
-                    .regret
-                    .entry(subset.clone())
-                    .or_insert(0.0) += delta;
+                *state.regret.entry(subset.clone()).or_insert(0.0) += delta;
+                layouts.push((subset, alt_layout));
             }
 
             // Pick the best alternative exceeding the threshold.
             let reencode_cost = self.cfg.encode.reencode_cost(w, h, sot.len());
             let threshold = self.cfg.eta * reencode_cost;
-            let best: Option<(Vec<String>, f64)> = pol.sots[sot_idx]
+            let best: Option<(Vec<String>, f64)> = state
                 .regret
                 .iter()
                 .filter(|(_, &d)| d > threshold)
                 .max_by(|a, b| a.1.partial_cmp(b.1).expect("regret is finite"))
                 .map(|(k, &d)| (k.clone(), d));
             if let Some((subset, _)) = best {
-                if let Some(layout) = self.subset_layout(id, &subset, &sot, w, h)? {
-                    let history = pol.sots[sot_idx].history.clone();
-                    if layout != sot.layout && !self.would_hurt(id, &layout, &sot, &history, gop)? {
+                // A winner from before the subsets were capped is not among
+                // this call's alternatives.
+                let layout = match layouts.iter().position(|(s, _)| **s == subset) {
+                    Some(at) => Some(layouts.swap_remove(at).1),
+                    None => self.subset_layout(id, &subset, &sot, w, h)?,
+                };
+                if let Some(layout) = layout {
+                    let usable = layout != sot.layout
+                        && !self.would_hurt(id, &layout, &sot, &state.history, gop)?;
+                    if usable {
                         total = add_retile(
                             total,
                             self.retile_shard(&shard, &mut pol, sot_idx, layout)?,
@@ -1243,7 +1250,7 @@ impl Tasm {
                     } else {
                         // Unusable alternative: forget it so it stops
                         // winning the argmax every query.
-                        pol.sots[sot_idx].regret.remove(&subset);
+                        state.regret.remove(&subset);
                     }
                 }
             }

@@ -16,7 +16,7 @@ use tasm_core::{
 };
 use tasm_index::MemoryIndex;
 use tasm_proto::ReplicationRecord;
-use tasm_video::{Frame, Plane, Rect, VecFrameSource};
+use tasm_video::{Frame, Plane, Rect, SliceSource, VecFrameSource};
 
 const W: u32 = 384;
 const H: u32 = 256;
@@ -700,6 +700,21 @@ fn unaligned_sources_and_bad_configs_are_typed_errors_that_leave_nothing_behind(
     ));
 
     let untiled = |_: usize, _: std::ops::Range<u32>| TileLayout::untiled(W, H);
+    // A source with no frames is not a video (a manifest of zero SOTs
+    // would satisfy every scan and re-tile).
+    let (clip_frames, good) = (clip(), StorageConfig::default());
+    let no_frames = SliceSource::new(&clip_frames, 0, 0);
+    assert!(matches!(
+        tasm.ingest("v", &no_frames, 30),
+        Err(TasmError::Store(StoreError::InvalidConfig(
+            "source has no frames"
+        )))
+    ));
+    assert!(matches!(
+        tasm.store().ingest("v", &no_frames, 30, good, untiled),
+        Err(StoreError::InvalidConfig("source has no frames"))
+    ));
+
     for bad in bad_configs() {
         assert!(
             matches!(
