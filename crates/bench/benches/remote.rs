@@ -3,10 +3,10 @@
 //! (the nonblocking reactor and the thread-per-connection baseline), with
 //! the submit→complete latency percentiles, next to an in-process
 //! `QueryService` run of the same workload so the wire + session overhead
-//! is directly visible. The large-fan-in sweep (16/256/1k connections,
-//! 10k behind `TASM_REACTOR_BENCH_10K=1`) lives in the `reactor_bench`
-//! binary, which also records thread counts and RSS to
-//! `results/BENCH_reactor.json`.
+//! is directly visible. Large fan-in is checked, not timed: CI's
+//! `reactor-smoke` job holds 512 connections out of process, and
+//! `tests/panic_safety.rs` pins the reactor's thread count and bit-exact
+//! answers with 256 sessions open.
 //!
 //! `wire/stream_40_regions` isolates the result stream's byte path: one
 //! cache-warm query whose answer is 40 regions, reactor server →

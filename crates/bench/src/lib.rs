@@ -11,9 +11,7 @@
 //! reproduction target, not absolute GPU-decode milliseconds.
 
 use std::path::PathBuf;
-use tasm_core::{
-    partition, Granularity, LabelPredicate, PartitionConfig, StorageConfig, Tasm, TasmConfig,
-};
+use tasm_core::{Granularity, LabelPredicate, PartitionConfig, StorageConfig, Tasm, TasmConfig};
 use tasm_data::{Dataset, SyntheticVideo};
 use tasm_index::MemoryIndex;
 use tasm_video::FrameSource;
@@ -79,7 +77,7 @@ pub fn micro_storage() -> StorageConfig {
         parallel_encode: true,
         // Figure reproductions measure DCT decode work as the paper's
         // system would incur it; the codec size trial is benchmarked
-        // separately by the storage bench.
+        // separately by the codec bench's `encode/*_auto*` rows.
         codec: tasm_codec::CodecChoice::Dct,
     }
 }
@@ -222,22 +220,6 @@ impl BenchVideo {
         }
         out
     }
-
-    /// Fine or coarse non-uniform layout around `labels` for a frame range.
-    pub fn object_layout(
-        &self,
-        labels: &[&str],
-        frames: std::ops::Range<u32>,
-        granularity: Granularity,
-    ) -> tasm_codec::TileLayout {
-        let boxes = self.boxes_for(labels, frames);
-        partition(
-            self.video.width(),
-            self.video.height(),
-            &boxes,
-            &micro_partition(granularity),
-        )
-    }
 }
 
 /// Percentage improvement of `tiled` over `untiled` (positive = faster).
@@ -245,14 +227,10 @@ pub fn improvement_pct(untiled: f64, tiled: f64) -> f64 {
     100.0 * (1.0 - tiled / untiled)
 }
 
-/// Renders a markdown table row.
-pub fn row(cells: &[String]) -> String {
-    format!("| {} |", cells.join(" | "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tasm_core::partition;
 
     #[test]
     fn improvement_math() {

@@ -9,16 +9,57 @@
 //! *processed*: TASM's lazy strategies must distinguish "no objects found on
 //! this frame" from "this frame was never analyzed" (§4.3).
 
-use crate::btree::{BTree, TreeError, USER_META_LEN};
-use crate::dict::{LabelDict, FIRST_LABEL, PROCESSED_LABEL};
-use crate::key::{encode_value, RecordKey};
-use crate::pager::{FileStore, MemStore, PageStore};
+use crate::key::{RecordKey, FIRST_LABEL, MAX_LABEL_LEN, PROCESSED_LABEL};
+use std::collections::BTreeMap;
+use std::io;
 use std::ops::Range;
-use std::path::Path;
 use tasm_video::Rect;
+
+/// Errors from the semantic index.
+#[derive(Debug)]
+pub enum TreeError {
+    /// Backend I/O failure.
+    Io(io::Error),
+    /// A file is not a valid index or is structurally inconsistent.
+    Corrupt(&'static str),
+    /// `add_metadata` refused a label longer than [`MAX_LABEL_LEN`] bytes
+    /// (the byte length it was given).
+    LabelTooLong(usize),
+}
+
+impl From<io::Error> for TreeError {
+    fn from(e: io::Error) -> Self {
+        TreeError::Io(e)
+    }
+}
+
+impl std::fmt::Display for TreeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TreeError::Io(e) => write!(f, "index I/O error: {e}"),
+            TreeError::Corrupt(what) => write!(f, "index corrupt: {what}"),
+            TreeError::LabelTooLong(len) => {
+                write!(
+                    f,
+                    "label of {len} bytes exceeds the {MAX_LABEL_LEN}-byte limit"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for TreeError {}
 
 /// Result alias for index operations.
 pub type IndexResult<T> = Result<T, TreeError>;
+
+/// Refuses a label no index can store (checked before interning).
+pub(crate) fn check_label(label: &str) -> IndexResult<()> {
+    if label.len() > MAX_LABEL_LEN {
+        return Err(TreeError::LabelTooLong(label.len()));
+    }
+    Ok(())
+}
 
 /// A detection returned for a specific queried label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,81 +110,46 @@ pub trait SemanticIndex {
     fn flush(&mut self) -> IndexResult<()>;
 }
 
-/// B+tree-backed semantic index, generic over the page backend.
-pub struct Index<S: PageStore> {
-    tree: BTree<S>,
-    dict: LabelDict,
-    /// Monotonic uniquifier for keys; persisted in the tree's user metadata.
+/// The in-memory reference index: one ordered map over the same
+/// `(video, label, frame, seq)` keys [`crate::TieredIndex`] stores. Tests
+/// use it as the oracle the tier must match; examples and benches use it as
+/// a throwaway index.
+#[derive(Default)]
+pub struct MemoryIndex {
+    records: BTreeMap<RecordKey, Rect>,
+    /// `labels[i]` is the label with id `FIRST_LABEL + i`.
+    labels: Vec<String>,
+    /// Insertion sequence: the key uniquifier for detections.
     seq: u64,
-    /// Detections stored (excludes processed markers); persisted likewise.
+    /// Detections stored (excludes processed markers).
     detections: u64,
 }
-
-/// An ephemeral index for tests and benchmarks.
-pub type MemoryIndex = Index<MemStore>;
-
-/// A disk-backed index (page file + label dictionary side file).
-pub type PersistentIndex = Index<FileStore>;
 
 impl MemoryIndex {
     /// Creates an empty in-memory index.
     pub fn in_memory() -> Self {
-        Index::from_parts(
-            BTree::open(MemStore::default(), 256).expect("in-memory open cannot fail"),
-            LabelDict::in_memory(),
-        )
+        Self::default()
+    }
+
+    fn label_id(&self, label: &str) -> Option<u32> {
+        let pos = self.labels.iter().position(|n| n == label)?;
+        Some(FIRST_LABEL + pos as u32)
     }
 }
 
-impl Default for MemoryIndex {
-    fn default() -> Self {
-        Self::in_memory()
-    }
-}
-
-impl PersistentIndex {
-    /// Opens (or creates) a persistent index inside `dir`.
-    pub fn open(dir: &Path) -> IndexResult<Self> {
-        std::fs::create_dir_all(dir).map_err(TreeError::Io)?;
-        let store = FileStore::open(&dir.join("index.pages")).map_err(TreeError::Io)?;
-        let tree = BTree::open(store, 1024)?;
-        let dict = LabelDict::open(&dir.join("labels.tsv")).map_err(TreeError::Io)?;
-        Ok(Index::from_parts(tree, dict))
-    }
-}
-
-impl<S: PageStore> Index<S> {
-    fn from_parts(tree: BTree<S>, dict: LabelDict) -> Self {
-        let user = tree.user_meta();
-        let seq = u64::from_le_bytes(user[0..8].try_into().unwrap());
-        let detections = u64::from_le_bytes(user[8..16].try_into().unwrap());
-        Index {
-            tree,
-            dict,
-            seq,
-            detections,
-        }
-    }
-
-    fn next_seq(&mut self) -> u32 {
-        self.seq += 1;
-        (self.seq & 0xFFFF_FFFF) as u32
-    }
-
-    /// The underlying tree length, markers included (diagnostics).
-    pub fn record_count(&self) -> u64 {
-        self.tree.len()
-    }
-}
-
-impl<S: PageStore> SemanticIndex for Index<S> {
+impl SemanticIndex for MemoryIndex {
     fn add_metadata(&mut self, video: u32, label: &str, frame: u32, bbox: Rect) -> IndexResult<()> {
-        let label_id = self.dict.intern(label).map_err(TreeError::Io)?;
-        let seq = self.next_seq();
-        self.tree.insert(
-            RecordKey::new(video, label_id, frame, seq),
-            encode_value(&bbox),
-        )?;
+        check_label(label)?;
+        let label_id = match self.label_id(label) {
+            Some(id) => id,
+            None => {
+                self.labels.push(label.to_string());
+                FIRST_LABEL + self.labels.len() as u32 - 1
+            }
+        };
+        self.seq += 1;
+        let key = RecordKey::new(video, label_id, frame, self.seq as u32);
+        self.records.insert(key, bbox);
         self.detections += 1;
         Ok(())
     }
@@ -154,7 +160,7 @@ impl<S: PageStore> SemanticIndex for Index<S> {
         label: &str,
         frames: Range<u32>,
     ) -> IndexResult<Vec<Detection>> {
-        let Some(label_id) = self.dict.lookup(label) else {
+        let Some(label_id) = self.label_id(label) else {
             return Ok(Vec::new());
         };
         if frames.start >= frames.end {
@@ -163,10 +169,9 @@ impl<S: PageStore> SemanticIndex for Index<S> {
         let lo = RecordKey::range_start(video, label_id, frames.start);
         let hi = RecordKey::range_start(video, label_id, frames.end);
         Ok(self
-            .tree
-            .range(&lo, &hi)?
-            .into_iter()
-            .map(|(k, bbox)| Detection {
+            .records
+            .range(lo..hi)
+            .map(|(k, &bbox)| Detection {
                 frame: k.frame,
                 bbox,
             })
@@ -176,10 +181,9 @@ impl<S: PageStore> SemanticIndex for Index<S> {
     fn query_all(&mut self, video: u32, frames: Range<u32>) -> IndexResult<Vec<LabeledDetection>> {
         let mut out = Vec::new();
         for label in self.labels(video)? {
-            let label_owned = label.clone();
             for d in self.query(video, &label, frames.clone())? {
                 out.push(LabeledDetection {
-                    label: label_owned.clone(),
+                    label: label.clone(),
                     frame: d.frame,
                     bbox: d.bbox,
                 });
@@ -192,13 +196,11 @@ impl<S: PageStore> SemanticIndex for Index<S> {
         // Skip-scan: jump from label to label instead of reading every record.
         let mut out = Vec::new();
         let mut probe = RecordKey::new(video, FIRST_LABEL, 0, 0);
-        while let Some((k, _)) = self.tree.seek(&probe)? {
+        while let Some(k) = self.records.range(probe..).next().map(|(k, _)| *k) {
             if k.video != video {
                 break;
             }
-            if let Some(name) = self.dict.name(k.label) {
-                out.push(name.to_string());
-            }
+            out.push(self.labels[(k.label - FIRST_LABEL) as usize].clone());
             let Some(next_label) = k.label.checked_add(1) else {
                 break;
             };
@@ -209,10 +211,8 @@ impl<S: PageStore> SemanticIndex for Index<S> {
 
     fn mark_processed(&mut self, video: u32, frame: u32) -> IndexResult<()> {
         // Idempotent: seq 0, so re-marking overwrites the same record.
-        self.tree.insert(
-            RecordKey::new(video, PROCESSED_LABEL, frame, 0),
-            encode_value(&Rect::new(0, 0, 0, 0)),
-        )?;
+        let key = RecordKey::new(video, PROCESSED_LABEL, frame, 0);
+        self.records.insert(key, Rect::new(0, 0, 0, 0));
         Ok(())
     }
 
@@ -222,12 +222,7 @@ impl<S: PageStore> SemanticIndex for Index<S> {
         }
         let lo = RecordKey::range_start(video, PROCESSED_LABEL, frames.start);
         let hi = RecordKey::range_start(video, PROCESSED_LABEL, frames.end);
-        let mut count = 0u32;
-        self.tree.range_for_each(&lo, &hi, |_, _| {
-            count += 1;
-            true
-        })?;
-        Ok(count)
+        Ok(self.records.range(lo..hi).count() as u32)
     }
 
     fn detection_count(&self) -> u64 {
@@ -235,11 +230,7 @@ impl<S: PageStore> SemanticIndex for Index<S> {
     }
 
     fn flush(&mut self) -> IndexResult<()> {
-        let mut user = [0u8; USER_META_LEN];
-        user[0..8].copy_from_slice(&self.seq.to_le_bytes());
-        user[8..16].copy_from_slice(&self.detections.to_le_bytes());
-        self.tree.set_user_meta(user);
-        self.tree.flush()
+        Ok(())
     }
 }
 
@@ -310,6 +301,17 @@ mod tests {
     }
 
     #[test]
+    fn labels_come_back_in_interning_order() {
+        let mut idx = MemoryIndex::in_memory();
+        for label in ["person", "car", "person", "bird"] {
+            idx.add_metadata(0, label, 1, bbox(1)).unwrap();
+        }
+        // Ids are FIRST_LABEL + first-seen position; a repeat reuses its id.
+        assert_eq!(idx.labels(0).unwrap(), vec!["person", "car", "bird"]);
+        assert_eq!(idx.query(0, "person", 0..2).unwrap().len(), 2);
+    }
+
+    #[test]
     fn query_all_includes_every_label() {
         let mut idx = MemoryIndex::in_memory();
         idx.add_metadata(0, "car", 1, bbox(1)).unwrap();
@@ -333,36 +335,6 @@ mod tests {
         assert_eq!(idx.processed_count(0, 0..10).unwrap(), 2);
         assert_eq!(idx.processed_count(0, 3..10).unwrap(), 0);
         assert_eq!(idx.processed_count(1, 0..10).unwrap(), 0);
-    }
-
-    #[test]
-    fn persistent_index_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!("tasm-idx-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        {
-            let mut idx = PersistentIndex::open(&dir).unwrap();
-            for f in 0..500u32 {
-                idx.add_metadata(3, "car", f, bbox(f)).unwrap();
-                if f % 2 == 0 {
-                    idx.mark_processed(3, f).unwrap();
-                }
-            }
-            idx.add_metadata(3, "person", 7, bbox(7)).unwrap();
-            idx.flush().unwrap();
-        }
-        {
-            let mut idx = PersistentIndex::open(&dir).unwrap();
-            assert_eq!(idx.detection_count(), 501);
-            assert_eq!(idx.query(3, "car", 100..110).unwrap().len(), 10);
-            let mut labels = idx.labels(3).unwrap();
-            labels.sort();
-            assert_eq!(labels, vec!["car", "person"]);
-            assert_eq!(idx.processed_count(3, 0..500).unwrap(), 250);
-            // Sequence counter restored: new inserts do not collide.
-            idx.add_metadata(3, "car", 7, bbox(1000)).unwrap();
-            assert_eq!(idx.detection_count(), 502);
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -14,6 +14,17 @@ pub const KEY_LEN: usize = 16;
 /// Byte length of an encoded value (a bounding box).
 pub const VALUE_LEN: usize = 16;
 
+/// Reserved label id marking frames a detector has processed, so that "no
+/// boxes" can be told apart from "never looked" (§4.3).
+pub const PROCESSED_LABEL: u32 = 0;
+
+/// First id handed out to a real label.
+pub const FIRST_LABEL: u32 = 1;
+
+/// Longest label name, in bytes, the index accepts: the tier writes a
+/// name's length as a `u16` in WAL records and run dictionaries.
+pub const MAX_LABEL_LEN: usize = u16::MAX as usize;
+
 /// Composite key: `(video, label, frame, seq)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecordKey {

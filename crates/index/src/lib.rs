@@ -5,33 +5,23 @@
 //! (video, label, time)" (§3.2 of the paper). The paper's prototype stores
 //! this in SQLite; here the index is built from scratch:
 //!
-//! * [`pager`] — 4 KiB pages over a file (or memory) with a bounded
-//!   write-back cache;
-//! * [`btree`] — a B+tree with fixed-size composite keys, chained leaves for
-//!   range scans, and skip-scan `seek`;
-//! * [`dict`] — the label dictionary interning class names to key ids;
-//! * [`index`] — the [`SemanticIndex`] trait plus its persistent and
-//!   in-memory implementations, including processed-frame tracking used by
-//!   TASM's lazy detection strategies (§4.3);
+//! * [`key`] — the `(video, label, frame, seq)` record key and the reserved
+//!   label ids;
+//! * [`index`] — the [`SemanticIndex`] trait, its error type, and the
+//!   in-memory reference implementation, including processed-frame tracking
+//!   used by TASM's lazy detection strategies (§4.3);
 //! * [`spatial`] — the grid spatial index the paper proposes for
 //!   accelerating conjunctive predicates (§3.2);
-//! * [`tiered`] — the disk-resident SSTable tier: a WAL'd memtable flushed
-//!   to immutable prefix-compressed sorted runs with resident bloom and
+//! * [`tiered`] — the disk-resident index: a WAL'd memtable flushed to
+//!   immutable prefix-compressed sorted runs with resident bloom and
 //!   frame-range filters, plus size-tiered compaction.
 
-pub mod btree;
-pub mod dict;
 pub mod index;
 pub mod key;
-pub mod pager;
 pub mod spatial;
 pub mod tiered;
 
-pub use btree::{BTree, TreeError};
-pub use dict::LabelDict;
-pub use index::{
-    Detection, Index, IndexResult, LabeledDetection, MemoryIndex, PersistentIndex, SemanticIndex,
-};
+pub use index::{Detection, IndexResult, LabeledDetection, MemoryIndex, SemanticIndex, TreeError};
 pub use key::RecordKey;
 pub use spatial::SpatialGrid;
 pub use tiered::{RealTierIo, TierIo, TierIssue, TierStats, TieredIndex};

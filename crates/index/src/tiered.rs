@@ -1,9 +1,9 @@
 //! The disk-resident tier of the semantic index: an LSM/SSTable design.
 //!
 //! At production scale the semantic index is billions of labeled boxes — far
-//! too large for the resident B-tree page cache, and dominated by *append*
-//! traffic (detectors emit boxes in frame order). [`TieredIndex`] stores the
-//! index the way log-structured storage engines do:
+//! too large to keep resident, and dominated by *append* traffic (detectors
+//! emit boxes in frame order). [`TieredIndex`] stores the index the way
+//! log-structured storage engines do:
 //!
 //! * a **memtable** (ordered map) absorbs writes; every mutation is also
 //!   buffered for the **write-ahead log**, appended durably at [`flush`]
@@ -26,10 +26,12 @@
 //!
 //! [`flush`]: SemanticIndex::flush
 
-use crate::btree::TreeError;
-use crate::dict::{FIRST_LABEL, PROCESSED_LABEL};
-use crate::index::{Detection, IndexResult, LabeledDetection, SemanticIndex};
-use crate::key::{decode_value, encode_value, RecordKey, KEY_LEN, VALUE_LEN};
+use crate::index::{
+    check_label, Detection, IndexResult, LabeledDetection, SemanticIndex, TreeError,
+};
+use crate::key::{
+    decode_value, encode_value, RecordKey, FIRST_LABEL, KEY_LEN, PROCESSED_LABEL, VALUE_LEN,
+};
 use std::collections::BTreeMap;
 use std::io;
 use std::ops::Range;
@@ -1086,8 +1088,8 @@ impl TieredIndex {
     }
 
     /// Merges every source (runs oldest-first, memtable last) for keys in
-    /// `[lo, hi)`. Exact-key duplicates collapse newest-wins, matching the
-    /// B-tree's insert-overwrites semantics.
+    /// `[lo, hi)`. Exact-key duplicates collapse newest-wins, matching
+    /// [`crate::MemoryIndex`]'s insert-overwrites semantics.
     fn merged_range(
         &mut self,
         lo: RecordKey,
@@ -1208,6 +1210,7 @@ impl TieredIndex {
 
 impl SemanticIndex for TieredIndex {
     fn add_metadata(&mut self, video: u32, label: &str, frame: u32, bbox: Rect) -> IndexResult<()> {
+        check_label(label)?;
         let label_id = self.intern(label);
         let opseq = self.next_opseq();
         let key = RecordKey::new(video, label_id, frame, (opseq & 0xFFFF_FFFF) as u32);
@@ -1519,6 +1522,33 @@ mod tests {
     }
 
     #[test]
+    fn overlong_label_is_refused_and_loses_nothing() {
+        let dir = temp_dir("long-label");
+        let long = "x".repeat(70_000);
+        {
+            let mut idx = TieredIndex::open(&dir).unwrap();
+            let mut shadow = crate::index::MemoryIndex::in_memory();
+            idx.add_metadata(0, "car", 1, bbox(1)).unwrap();
+            for ix in [&mut idx as &mut dyn SemanticIndex, &mut shadow] {
+                assert!(matches!(
+                    ix.add_metadata(0, &long, 2, bbox(2)),
+                    Err(TreeError::LabelTooLong(70_000))
+                ));
+            }
+            // No label id, WAL record or memtable entry for the refused call.
+            assert_eq!(idx.label_names, ["car"]);
+            assert_eq!((idx.wal_buf.len(), idx.mem.len()), (2, 1));
+            idx.add_metadata(0, "car", 3, bbox(3)).unwrap();
+            idx.flush().unwrap();
+        }
+        let mut idx = TieredIndex::open(&dir).unwrap();
+        assert_eq!(idx.query(0, "car", 0..10).unwrap().len(), 2);
+        assert_eq!(idx.detection_count(), 2);
+        assert_eq!(idx.labels(0).unwrap(), vec!["car"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn torn_wal_tail_is_dropped_and_rewritten() {
         let dir = temp_dir("torn");
         {
@@ -1617,7 +1647,7 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// The tiered index must answer exactly like the in-memory B-tree
+        /// The tiered index must answer exactly like the in-memory index
         /// on random workloads, across memtable, runs, and compactions.
         #[test]
         fn prop_equivalent_to_memory_index(

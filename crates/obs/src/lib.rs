@@ -24,9 +24,8 @@
 //! ## Overhead and the kill switch
 //!
 //! Every record path early-returns when [`set_enabled`]`(false)` has been
-//! called, so a benchmark can measure the instrumented stack against a
-//! no-op baseline in one binary (`obs_bench` asserts the enabled overhead
-//! stays under 3% on warm scans). Enabled is the default.
+//! called, so the instrumented stack can be measured against a no-op
+//! baseline in one binary. Enabled is the default.
 
 pub mod http;
 pub mod log;
@@ -46,8 +45,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Globally enables or disables every metric record path and phase span
-/// (registration and rendering still work). Used by `obs_bench` to compare
-/// the instrumented stack against a no-op baseline.
+/// (registration and rendering still work).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

@@ -1,10 +1,10 @@
-//! Integration tests of the persistent semantic index together with the
-//! tile store: durability across process-style reopen, and index-driven
-//! scans over stored video.
+//! Integration tests of the persistent semantic index (the `TieredIndex`
+//! that `tasm serve` opens) together with the tile store: durability across
+//! process-style reopen, and index-driven scans over stored video.
 
 use tasm_core::{LabelPredicate, StorageConfig, Tasm, TasmConfig};
 use tasm_data::{SceneSpec, SyntheticVideo};
-use tasm_index::{PersistentIndex, SemanticIndex};
+use tasm_index::{SemanticIndex, TieredIndex};
 use tasm_video::{FrameSource, Rect};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -16,7 +16,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn persistent_index_backs_scans() {
     let dir = temp_dir("scan");
-    let idx = PersistentIndex::open(&dir.join("index")).unwrap();
+    let idx = TieredIndex::open(&dir.join("index")).unwrap();
     let cfg = TasmConfig {
         storage: StorageConfig {
             gop_len: 10,
@@ -51,7 +51,7 @@ fn index_survives_reopen_with_many_detections() {
     let boxes_per_frame = 4;
     let frames = 2_000u32;
     {
-        let mut idx = PersistentIndex::open(&dir).unwrap();
+        let mut idx = TieredIndex::open(&dir).unwrap();
         for f in 0..frames {
             for i in 0..boxes_per_frame {
                 idx.add_metadata(
@@ -67,7 +67,7 @@ fn index_survives_reopen_with_many_detections() {
         idx.flush().unwrap();
     }
     {
-        let mut idx = PersistentIndex::open(&dir).unwrap();
+        let mut idx = TieredIndex::open(&dir).unwrap();
         assert_eq!(idx.detection_count(), (frames * boxes_per_frame) as u64);
         assert_eq!(idx.processed_count(0, 0..frames).unwrap(), frames);
         let cars = idx.query(0, "car", 500..510).unwrap();
@@ -102,7 +102,7 @@ fn attach_resumes_after_restart() {
 
     // Session 1: ingest, index, tile.
     {
-        let idx = PersistentIndex::open(&dir.join("index")).unwrap();
+        let idx = TieredIndex::open(&dir.join("index")).unwrap();
         let mut tasm = Tasm::open(dir.join("store"), Box::new(idx), cfg.clone()).unwrap();
         tasm.ingest("cam", &video, 30).unwrap();
         for f in 0..video.len() {
@@ -116,7 +116,7 @@ fn attach_resumes_after_restart() {
 
     // Session 2: attach — no re-encode, layouts preserved, scans work.
     {
-        let idx = PersistentIndex::open(&dir.join("index")).unwrap();
+        let idx = TieredIndex::open(&dir.join("index")).unwrap();
         let tasm = Tasm::open(dir.join("store"), Box::new(idx), cfg).unwrap();
         assert!(tasm.has_stored_video("cam"));
         assert!(!tasm.has_stored_video("other"));
@@ -157,7 +157,7 @@ fn store_and_index_agree_after_reload() {
     });
 
     let manifest_before = {
-        let idx = PersistentIndex::open(&dir.join("index")).unwrap();
+        let idx = TieredIndex::open(&dir.join("index")).unwrap();
         let mut tasm = Tasm::open(dir.join("store"), Box::new(idx), cfg.clone()).unwrap();
         tasm.ingest("v", &video, 30).unwrap();
         for f in 0..video.len() {
@@ -178,7 +178,7 @@ fn store_and_index_agree_after_reload() {
 
     // And the persistent index still knows the labels (video ids are
     // name-derived, so a fresh session resolves the same id).
-    let idx = PersistentIndex::open(&dir.join("index")).unwrap();
+    let idx = TieredIndex::open(&dir.join("index")).unwrap();
     let mut tasm = Tasm::open(dir.join("store"), Box::new(idx), cfg).unwrap();
     let id = tasm.attach("v").unwrap();
     let labels = tasm.index_mut().labels(id).unwrap();

@@ -9,7 +9,9 @@
 //! cascades into later queries. Regression tests for two historical bugs:
 //! the inflight counter leaking when a waiter thread panicked, and
 //! `.expect("writer lock")`-style poison propagation taking a whole
-//! session down after one panicked query.
+//! session down after one panicked query. Beside them sit the reactor's
+//! scaling checks: threads grow with workers, not sessions, and answers
+//! stay bit-exact with 256 sessions open.
 
 use std::sync::Arc;
 use tasm_client::{ClientError, Connection};
@@ -246,4 +248,58 @@ fn reactor_threads_scale_with_workers_not_connections() {
     let report = server.shutdown();
     assert_eq!(report.sessions_served as usize, SESSIONS);
     assert_eq!(report.service.stats.failed, 0);
+}
+
+/// Answers stay bit-identical while many sessions are open, on both
+/// engines: 256 sessions held at once (2 fds each in this process, inside
+/// the default 1,024 `nofile` soft limit), pixel queries at four windows
+/// through sessions spread across that population, each answer compared
+/// byte for byte with in-process `Tasm::query` on a twin store.
+#[test]
+fn answers_stay_bit_exact_with_256_sessions_open() {
+    const SESSIONS: usize = 256;
+    const WINDOW: u32 = 12;
+    let video = scene();
+    let server_tasm = tasm("fanin-server");
+    ingest(&server_tasm, &video);
+    let twin = tasm("fanin-twin");
+    ingest(&twin, &video);
+
+    for engine in [ServeEngine::Reactor, ServeEngine::Threads] {
+        let server = TasmServer::bind(
+            Arc::clone(&server_tasm),
+            ServiceConfig {
+                workers: 2,
+                queue_depth: 32,
+                ..Default::default()
+            },
+            ServerConfig {
+                engine,
+                max_connections: SESSIONS,
+                ..Default::default()
+            },
+            "127.0.0.1:0",
+        )
+        .expect("bind ephemeral port");
+        let mut conns: Vec<Connection> = (0..SESSIONS)
+            .map(|_| Connection::connect(server.local_addr()).expect("connect"))
+            .collect();
+        for (i, start) in [0u32, 11, 23, 37].into_iter().enumerate() {
+            let query = Query::new(LabelPredicate::label("car")).frames(start..start + WINDOW);
+            let reference = twin.query("v", &query).expect("twin query");
+            let expected: Vec<_> = reference.regions.iter().collect();
+            for s in [i, SESSIONS / 2 + i, SESSIONS - 1 - i] {
+                let what = format!("{engine:?}, session {s}, frames from {start}");
+                let got = conns[s].query("v", &query).expect("remote query");
+                assert_eq!(got.matched, reference.matched, "{what}: matched");
+                assert_regions_identical(&expected, &got.regions, &what);
+            }
+        }
+        for conn in conns {
+            conn.goodbye().expect("goodbye");
+        }
+        let report = server.shutdown();
+        assert_eq!(report.sessions_served as usize, SESSIONS);
+        assert_eq!(report.service.stats.failed, 0);
+    }
 }
