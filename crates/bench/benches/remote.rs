@@ -1,9 +1,8 @@
 //! Criterion benchmarks of the networked serving layer: loopback loadgen
-//! throughput at connection-pool sizes 1 / 4 / 16 on both serving engines
-//! (the nonblocking reactor and the thread-per-connection baseline), with
-//! the submit→complete latency percentiles, next to an in-process
-//! `QueryService` run of the same workload so the wire + session overhead
-//! is directly visible. Large fan-in is checked, not timed: CI's
+//! throughput at connection-pool sizes 1 / 4 / 16 against the reactor
+//! server, with the submit→complete latency percentiles, next to an
+//! in-process `QueryService` run of the same workload so the wire +
+//! session overhead is directly visible. Large fan-in is checked, not timed: CI's
 //! `reactor-smoke` job holds 512 connections out of process, and
 //! `tests/panic_safety.rs` pins the reactor's thread count and bit-exact
 //! answers with 256 sessions open.
@@ -28,7 +27,7 @@ use tasm_client::{Connection, LoadGen, LoadGenConfig, LoadReport};
 use tasm_core::{Granularity, LabelPredicate, Query, StorageConfig, Tasm, TasmConfig};
 use tasm_data::{SceneSpec, SyntheticVideo};
 use tasm_index::MemoryIndex;
-use tasm_server::{ServeEngine, ServerConfig, TasmServer};
+use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::{QueryRequest, QueryService, ServiceConfig, ServiceStats, Shutdown};
 use tasm_video::FrameSource;
 
@@ -87,7 +86,7 @@ fn warm_tasm(dir: &PathBuf, video: &SyntheticVideo) -> Arc<Tasm> {
     Arc::new(tasm)
 }
 
-fn start_server(tasm: Arc<Tasm>, workers: usize, engine: ServeEngine) -> TasmServer {
+fn start_server(tasm: Arc<Tasm>, workers: usize) -> TasmServer {
     TasmServer::bind(
         tasm,
         ServiceConfig {
@@ -96,7 +95,6 @@ fn start_server(tasm: Arc<Tasm>, workers: usize, engine: ServeEngine) -> TasmSer
             ..Default::default()
         },
         ServerConfig {
-            engine,
             max_connections: 64,
             max_inflight: 8,
             ..Default::default()
@@ -104,13 +102,6 @@ fn start_server(tasm: Arc<Tasm>, workers: usize, engine: ServeEngine) -> TasmSer
         "127.0.0.1:0",
     )
     .expect("bind loopback server")
-}
-
-fn engine_tag(engine: ServeEngine) -> &'static str {
-    match engine {
-        ServeEngine::Reactor => "reactor",
-        ServeEngine::Threads => "threads",
-    }
 }
 
 fn loadgen(requests: u64, connections: usize) -> LoadGen {
@@ -163,7 +154,7 @@ fn fmt_ms(d: Duration) -> String {
 
 /// One connection streaming a 40-region answer out of a warm cache.
 fn stream_bench(c: &mut Criterion, dir: &PathBuf, video: &SyntheticVideo) {
-    let server = start_server(warm_tasm(dir, video), 1, ServeEngine::Reactor);
+    let server = start_server(warm_tasm(dir, video), 1);
     let mut conn = Connection::connect(server.local_addr()).expect("connect");
     let car = || Query::new(LabelPredicate::label("car"));
     // The shortest window from frame 0 whose answer reaches 40 regions,
@@ -209,19 +200,16 @@ fn remote_benches(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("remote");
     g.sample_size(10);
-    for engine in [ServeEngine::Reactor, ServeEngine::Threads] {
-        for connections in [1usize, 4, 16] {
-            // One warm server per pool size; the timed quantity is a whole
-            // loadgen run against it (connect, query stream, goodbye).
-            let server = start_server(warm_tasm(&dir, &video), connections, engine);
-            let addr = server.local_addr();
-            let gen = loadgen(requests, connections);
-            g.bench_function(
-                format!("loadgen_{}_c{connections}", engine_tag(engine)),
-                |b| b.iter(|| gen.run(addr).expect("loadgen run")),
-            );
-            server.shutdown();
-        }
+    for connections in [1usize, 4, 16] {
+        // One warm server per pool size; the timed quantity is a whole
+        // loadgen run against it (connect, query stream, goodbye).
+        let server = start_server(warm_tasm(&dir, &video), connections);
+        let addr = server.local_addr();
+        let gen = loadgen(requests, connections);
+        g.bench_function(format!("loadgen_reactor_c{connections}"), |b| {
+            b.iter(|| gen.run(addr).expect("loadgen run"))
+        });
+        server.shutdown();
     }
     g.finish();
 
@@ -229,33 +217,31 @@ fn remote_benches(c: &mut Criterion) {
     // verification pass per configuration.
     eprintln!("\nremote serving summary ({requests} sliding-window queries):");
     eprintln!("  config               queries/s   p50 ms   p95 ms   p99 ms   busy");
-    for engine in [ServeEngine::Reactor, ServeEngine::Threads] {
-        for connections in [1usize, 4, 16] {
-            let server = start_server(warm_tasm(&dir, &video), connections, engine);
-            let addr = server.local_addr();
-            // Warm pass, then the measured pass.
-            loadgen(requests, connections).run(addr).expect("warm pass");
-            let report: LoadReport = loadgen(requests, connections)
-                .run(addr)
-                .expect("measured pass");
-            let stats = server.shutdown().service.stats;
-            let tag = format!("{}_c{connections}", engine_tag(engine));
-            eprintln!(
-                "  remote_{tag:<12} {:>8.1}   {:>6} {:>8} {:>8}   {:>4}",
-                report.throughput(),
-                fmt_ms(report.latency.p50()),
-                fmt_ms(report.latency.p95()),
-                fmt_ms(report.latency.p99()),
-                report.busy,
-            );
-            eprintln!(
-                "   └ server            {:>8}   {:>6} {:>8} {:>8}      -",
-                "-",
-                fmt_ms(stats.latency.p50()),
-                fmt_ms(stats.latency.p95()),
-                fmt_ms(stats.latency.p99()),
-            );
-        }
+    for connections in [1usize, 4, 16] {
+        let server = start_server(warm_tasm(&dir, &video), connections);
+        let addr = server.local_addr();
+        // Warm pass, then the measured pass.
+        loadgen(requests, connections).run(addr).expect("warm pass");
+        let report: LoadReport = loadgen(requests, connections)
+            .run(addr)
+            .expect("measured pass");
+        let stats = server.shutdown().service.stats;
+        let tag = format!("reactor_c{connections}");
+        eprintln!(
+            "  remote_{tag:<12} {:>8.1}   {:>6} {:>8} {:>8}   {:>4}",
+            report.throughput(),
+            fmt_ms(report.latency.p50()),
+            fmt_ms(report.latency.p95()),
+            fmt_ms(report.latency.p99()),
+            report.busy,
+        );
+        eprintln!(
+            "   └ server            {:>8}   {:>6} {:>8} {:>8}      -",
+            "-",
+            fmt_ms(stats.latency.p50()),
+            fmt_ms(stats.latency.p95()),
+            fmt_ms(stats.latency.p99()),
+        );
     }
     for workers in [1usize, 4, 16] {
         let tasm = warm_tasm(&dir, &video);

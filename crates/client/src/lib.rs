@@ -273,7 +273,7 @@ impl Connection {
         let mut frames = Vec::new();
         let mut regions_left = 0u32;
         loop {
-            let payload = self.reader.read_frame(&mut self.stream, None)?;
+            let payload = self.reader.read_frame(&mut self.stream)?;
             let Some((kind, frame)) = relay_result_frame(&payload, id, relay_id, spare)? else {
                 return Err(match Message::decode_payload(&payload)? {
                     Message::Error { code, message, .. } => ClientError::Rejected { code, message },
@@ -414,7 +414,7 @@ impl Connection {
     /// byte is a retryable `Io` error that loses nothing; a peer that
     /// stalls mid-frame is [`ProtoError::Stalled`].
     fn read_message(&mut self) -> Result<Message, ClientError> {
-        let payload = self.reader.read_frame(&mut self.stream, None)?;
+        let payload = self.reader.read_frame(&mut self.stream)?;
         Ok(Message::decode_payload(&payload)?)
     }
 

@@ -29,7 +29,7 @@ use crate::map::ShardMap;
 use crate::merge_stats;
 use std::collections::{BTreeSet, HashMap};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -38,7 +38,7 @@ use std::time::Duration;
 use tasm_client::{ClientError, Connection};
 use tasm_core::Query;
 use tasm_proto::nio::WireBuffers;
-use tasm_proto::{ErrorCode, Message, ProtoError, VERSION};
+use tasm_proto::{ErrorCode, Message, VERSION};
 use tasm_service::ServiceStats;
 
 /// Routing, admission, and failover knobs.
@@ -52,7 +52,9 @@ pub struct RouterConfig {
     /// Router-wide in-flight query cap; excess queries receive a typed
     /// BUSY frame.
     pub max_inflight: usize,
-    /// Poll granularity of session reads and the accept loop.
+    /// Longest one reactor wait lasts — how often session deadlines are
+    /// checked, and how long an idle router takes to notice shutdown — and
+    /// the step of the health thread's sleep.
     pub poll_interval: Duration,
     /// Bound on every socket operation against a shard — a hung shard
     /// surfaces as a timeout and triggers failover instead of pinning a
@@ -62,9 +64,9 @@ pub struct RouterConfig {
     pub health_interval: Duration,
     /// Consecutive failures before a node is marked down (promoted past).
     pub fail_threshold: u32,
-    /// Routing worker threads (reactor engine): each owns its own pool of
-    /// shard connections and executes routed queries so the session event
-    /// loop never blocks on shard I/O.
+    /// Routing worker threads: each owns its own pool of shard connections
+    /// and executes routed queries so the session event loop never blocks
+    /// on shard I/O.
     pub route_workers: usize,
 }
 
@@ -84,7 +86,7 @@ impl Default for RouterConfig {
 }
 
 /// Locks a mutex, recovering from poison: the router's guarded state
-/// (failure counts, shutdown flags, session handles) stays consistent
+/// (failure counts, shutdown flags, job queue) stays consistent
 /// across a panicked holder, and one dead routing job must not cascade
 /// into a dead router.
 fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -145,7 +147,6 @@ struct RouterShared {
     shutdown: Arc<AtomicBool>,
     shutdown_requested: Mutex<bool>,
     shutdown_cv: Condvar,
-    active_sessions: AtomicUsize,
     inflight: AtomicUsize,
     routed: AtomicU64,
     retries: AtomicU64,
@@ -210,14 +211,11 @@ impl RouterShared {
 }
 
 /// A running shard router: a listener, its serving threads (one reactor +
-/// a routing worker pool, or accept + per-connection sessions where
-/// readiness polling is unavailable), and the health/map-reload thread.
+/// a routing worker pool), and the health/map-reload thread.
 pub struct Router {
     shared: Arc<RouterShared>,
     local_addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
     health: Option<JoinHandle<()>>,
-    sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
     reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     jobs: Option<Arc<JobQueue>>,
@@ -241,7 +239,6 @@ impl Router {
             shutdown: Arc::clone(&shutdown),
             shutdown_requested: Mutex::new(false),
             shutdown_cv: Condvar::new(),
-            active_sessions: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
             routed: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -249,62 +246,48 @@ impl Router {
             busy_rejections: AtomicU64::new(0),
             sessions_served: AtomicU64::new(0),
         });
-        let sessions = Arc::new(Mutex::new(Vec::new()));
+        let loop_cfg = tasm_reactor::LoopConfig {
+            max_connections: shared.cfg.max_connections,
+            poll_interval: shared.cfg.poll_interval,
+            ..tasm_reactor::LoopConfig::default()
+        };
+        let ctl = tasm_reactor::Ctl::new(listener, loop_cfg, shutdown)?;
+        let waker = ctl.waker();
+        let completions = Arc::new(Mutex::new(Vec::new()));
+        let jobs = Arc::new(JobQueue::new());
+        // The queue is in `router` before the first worker starts: a failed
+        // spawn returns through `Drop`, which must close it, or the workers
+        // already blocked in `pop` are joined forever.
         let mut router = Router {
             shared: Arc::clone(&shared),
             local_addr,
-            accept: None,
             health: None,
-            sessions: Arc::clone(&sessions),
             reactor: None,
             workers: Vec::new(),
-            jobs: None,
-            waker: None,
+            jobs: Some(Arc::clone(&jobs)),
+            waker: Some(waker.clone()),
         };
-        if tasm_reactor::supported() {
-            let loop_cfg = tasm_reactor::LoopConfig {
-                max_connections: shared.cfg.max_connections,
-                poll_interval: shared.cfg.poll_interval,
-                ..tasm_reactor::LoopConfig::default()
-            };
-            let ctl = tasm_reactor::Ctl::new(listener, loop_cfg, shutdown)?;
-            let waker = ctl.waker();
-            let completions = Arc::new(Mutex::new(Vec::new()));
-            let jobs = Arc::new(JobQueue::new());
-            for i in 0..shared.cfg.route_workers.max(1) {
-                let shared = Arc::clone(&shared);
-                let jobs = Arc::clone(&jobs);
-                let completions = Arc::clone(&completions);
-                let waker = waker.clone();
-                router.workers.push(
-                    std::thread::Builder::new()
-                        .name(format!("tasm-route-worker-{i}"))
-                        .spawn(move || route_worker(&shared, &jobs, &completions, &waker))?,
-                );
-            }
-            let logic = RouterLogic {
-                shared: Arc::clone(&shared),
-                completions,
-                jobs: Arc::clone(&jobs),
-            };
-            router.reactor = Some(
+        for i in 0..shared.cfg.route_workers.max(1) {
+            let shared = Arc::clone(&shared);
+            let jobs = Arc::clone(&jobs);
+            let completions = Arc::clone(&completions);
+            let waker = waker.clone();
+            router.workers.push(
                 std::thread::Builder::new()
-                    .name("tasm-route-reactor".to_string())
-                    .spawn(move || tasm_reactor::run(ctl, logic))?,
+                    .name(format!("tasm-route-worker-{i}"))
+                    .spawn(move || route_worker(&shared, &jobs, &completions, &waker))?,
             );
-            router.jobs = Some(jobs);
-            router.waker = Some(waker);
-        } else {
-            listener.set_nonblocking(true)?;
-            let accept = {
-                let shared = Arc::clone(&shared);
-                let sessions = Arc::clone(&sessions);
-                std::thread::Builder::new()
-                    .name("tasm-route-accept".to_string())
-                    .spawn(move || accept_loop(&shared, &listener, &sessions))?
-            };
-            router.accept = Some(accept);
         }
+        let logic = RouterLogic {
+            shared: Arc::clone(&shared),
+            completions,
+            jobs,
+        };
+        router.reactor = Some(
+            std::thread::Builder::new()
+                .name("tasm-route-reactor".to_string())
+                .spawn(move || tasm_reactor::run(ctl, logic))?,
+        );
         let health = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -338,8 +321,8 @@ impl Router {
     }
 
     /// The ordered cluster drain: stop admitting, drain the router's
-    /// in-flight queries (sessions are serial, so joining them is the
-    /// drain), then — when `drain_shards` — drain every shard in
+    /// in-flight queries (the reactor exits once every session has its
+    /// answers flushed), then — when `drain_shards` — drain every shard in
     /// shard-map order, collecting each one's final statistics before
     /// asking it to shut down.
     pub fn shutdown(mut self, drain_shards: bool) -> ClusterShutdownReport {
@@ -373,12 +356,6 @@ impl Router {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(waker) = &self.waker {
             waker.wake();
-        }
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        for s in lock_clean(&self.sessions).drain(..) {
-            let _ = s.join();
         }
         if let Some(t) = self.reactor.take() {
             let _ = t.join();
@@ -440,63 +417,6 @@ fn resolve(addr: &str) -> Result<SocketAddr, String> {
         .ok_or_else(|| format!("address '{addr}' resolves to nothing"))
 }
 
-fn accept_loop(
-    shared: &Arc<RouterShared>,
-    listener: &TcpListener,
-    sessions: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        if shared.is_shutting_down() {
-            return;
-        }
-        let (stream, _peer) = match listener.accept() {
-            Ok(conn) => conn,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.cfg.poll_interval.min(Duration::from_millis(5)));
-                continue;
-            }
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-        };
-        let active = shared.active_sessions.fetch_add(1, Ordering::AcqRel);
-        if active >= shared.cfg.max_connections {
-            shared.active_sessions.fetch_sub(1, Ordering::AcqRel);
-            // Best-effort courtesy frame; the stream drops either way.
-            let mut s = stream;
-            let _ = s.set_nonblocking(false);
-            let _ = s.set_write_timeout(Some(Duration::from_millis(200)));
-            let _ = Message::Error {
-                id: None,
-                code: ErrorCode::TooManyConnections,
-                message: "router is at its connection limit".to_string(),
-            }
-            .write_to(&mut s);
-            continue;
-        }
-        let session_shared = Arc::clone(shared);
-        let handle = match std::thread::Builder::new()
-            .name("tasm-route-session".to_string())
-            .spawn(move || {
-                session(&session_shared, stream);
-                session_shared
-                    .active_sessions
-                    .fetch_sub(1, Ordering::AcqRel);
-            }) {
-            Ok(handle) => handle,
-            Err(_) => {
-                shared.active_sessions.fetch_sub(1, Ordering::AcqRel);
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        let mut sessions = sessions.lock().expect("sessions lock");
-        sessions.retain(|s: &JoinHandle<()>| !s.is_finished());
-        sessions.push(handle);
-    }
-}
-
 /// Probes shards and reloads the map. Probing only watches nodes not yet
 /// down: detection is proactive (a dead primary is noticed before the
 /// next query hits it), while recovery of a down node is deliberately an
@@ -551,169 +471,6 @@ fn health_loop(shared: &Arc<RouterShared>) {
     }
 }
 
-/// Poll timeouts a connection may sit silent before its handshake.
-const HANDSHAKE_DEADLINE_POLLS: u32 = 400;
-/// Wall-clock bound on receiving one request frame once it starts.
-const MAX_REQUEST_FRAME_TIME: Duration = Duration::from_secs(30);
-/// Socket write timeout for response frames.
-const MAX_RESPONSE_WRITE_STALL: Duration = Duration::from_secs(10);
-
-/// One client session: handshake, then serial request dispatch. The
-/// session owns its pool of shard connections, created lazily and dropped
-/// on transport failure.
-fn session(shared: &Arc<RouterShared>, mut stream: TcpStream) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    stream.set_nodelay(true).ok();
-    if stream
-        .set_read_timeout(Some(shared.cfg.poll_interval))
-        .is_err()
-        || stream
-            .set_write_timeout(Some(MAX_RESPONSE_WRITE_STALL))
-            .is_err()
-    {
-        return;
-    }
-    if !handshake(shared, &mut stream) {
-        return;
-    }
-    shared.sessions_served.fetch_add(1, Ordering::Relaxed);
-
-    let mut shards: HashMap<String, Connection> = HashMap::new();
-    let spare = tasm_proto::nio::wire_buffers();
-    loop {
-        if shared.is_shutting_down() {
-            return;
-        }
-        let msg = match Message::read_from_bounded(&mut stream, MAX_REQUEST_FRAME_TIME) {
-            Ok(msg) => msg,
-            Err(e) if e.is_timeout() => continue,
-            Err(ProtoError::Io(_)) | Err(ProtoError::Stalled) => return,
-            Err(_) => {
-                let _ = Message::Error {
-                    id: None,
-                    code: ErrorCode::Malformed,
-                    message: "undecodable frame".to_string(),
-                }
-                .write_to(&mut stream);
-                return;
-            }
-        };
-        match msg {
-            Message::Query {
-                id,
-                video,
-                query,
-                trace_id,
-            } => {
-                if !shared.admitting.load(Ordering::SeqCst) {
-                    let _ = Message::Error {
-                        id: Some(id),
-                        code: ErrorCode::ShuttingDown,
-                        message: "router is draining".to_string(),
-                    }
-                    .write_to(&mut stream);
-                    continue;
-                }
-                if shared.inflight.fetch_add(1, Ordering::AcqRel) >= shared.cfg.max_inflight {
-                    shared.inflight.fetch_sub(1, Ordering::AcqRel);
-                    shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                    let _ = Message::Error {
-                        id: Some(id),
-                        code: ErrorCode::Busy,
-                        message: "router in-flight cap reached".to_string(),
-                    }
-                    .write_to(&mut stream);
-                    continue;
-                }
-                let frames =
-                    route_query_frames(shared, &mut shards, id, &video, &query, trace_id, &spare);
-                shared.inflight.fetch_sub(1, Ordering::AcqRel);
-                for frame in frames {
-                    if std::io::Write::write_all(&mut stream, &frame).is_err() {
-                        return;
-                    }
-                    spare.give(frame);
-                }
-            }
-            Message::StatsRequest => {
-                let merged = cluster_stats(shared, &mut shards);
-                if (Message::StatsReply {
-                    stats: Box::new(merged),
-                })
-                .write_to(&mut stream)
-                .is_err()
-                {
-                    return;
-                }
-            }
-            Message::Goodbye => return,
-            Message::ShutdownServer => {
-                *lock_clean(&shared.shutdown_requested) = true;
-                shared.shutdown_cv.notify_all();
-                let _ = Message::Goodbye.write_to(&mut stream);
-                return;
-            }
-            _ => {
-                let _ = Message::Error {
-                    id: None,
-                    code: ErrorCode::Malformed,
-                    message: "unexpected frame".to_string(),
-                }
-                .write_to(&mut stream);
-                return;
-            }
-        }
-    }
-}
-
-fn handshake(shared: &Arc<RouterShared>, stream: &mut TcpStream) -> bool {
-    let mut silent_polls = 0u32;
-    let hello = loop {
-        match Message::read_from_bounded(stream, MAX_REQUEST_FRAME_TIME) {
-            Ok(msg) => break msg,
-            Err(e) if e.is_timeout() => {
-                if shared.is_shutting_down() {
-                    return false;
-                }
-                silent_polls += 1;
-                if silent_polls >= HANDSHAKE_DEADLINE_POLLS {
-                    return false;
-                }
-            }
-            Err(_) => return false,
-        }
-    };
-    match hello {
-        Message::ClientHello { version } if version == VERSION => Message::ServerHello {
-            version: VERSION,
-            // The router handles one query per session at a time.
-            max_inflight: 1,
-        }
-        .write_to(stream)
-        .is_ok(),
-        Message::ClientHello { version } => {
-            let _ = Message::Error {
-                id: None,
-                code: ErrorCode::VersionMismatch,
-                message: format!("router speaks version {VERSION}, client sent {version}"),
-            }
-            .write_to(stream);
-            false
-        }
-        _ => {
-            let _ = Message::Error {
-                id: None,
-                code: ErrorCode::Malformed,
-                message: "expected client hello".to_string(),
-            }
-            .write_to(stream);
-            false
-        }
-    }
-}
-
 /// Fetches (or creates) the session's connection to `node`.
 fn shard_conn<'a>(
     shared: &RouterShared,
@@ -736,8 +493,8 @@ fn shard_conn<'a>(
 /// shard's full response verbatim — or a typed error after the last
 /// replica — as encoded frames. The shard's execution trace (instance
 /// tag, per-phase breakdown) is part of what is relayed, so the client
-/// sees which shard served it. Shard failures are handled by failover inside; writing the frames
-/// to the client is the caller's (engine-specific) job.
+/// sees which shard served it. Shard failures are handled by failover
+/// inside; the reactor streams the frames to the client.
 fn route_query_frames(
     shared: &RouterShared,
     shards: &mut HashMap<String, Connection>,
@@ -979,11 +736,11 @@ fn route_worker(
     }
 }
 
-/// The router's reactor [`Logic`](tasm_reactor::Logic): same protocol as
-/// the blocking sessions, with shard I/O handed to the worker pool. A
-/// session pauses while its job is in flight — the router serves one
-/// request per session at a time (it advertises `max_inflight: 1`), so
-/// pausing preserves exactly the blocking engine's ordering.
+/// The router's reactor [`Logic`](tasm_reactor::Logic): the server's
+/// protocol, with shard I/O handed to the worker pool. A session pauses
+/// while its job is in flight — the router serves one request per session
+/// at a time (it advertises `max_inflight: 1`), so answers leave in
+/// request order.
 struct RouterLogic {
     shared: Arc<RouterShared>,
     completions: Arc<Mutex<Vec<RouteDone>>>,
@@ -1021,9 +778,7 @@ impl RouterLogic {
 }
 
 impl tasm_reactor::Logic for RouterLogic {
-    fn on_accept(&mut self, _ctl: &mut tasm_reactor::Ctl, _token: u64) {
-        self.shared.active_sessions.fetch_add(1, Ordering::AcqRel);
-    }
+    fn on_accept(&mut self, _ctl: &mut tasm_reactor::Ctl, _token: u64) {}
 
     fn on_refused(&mut self) {}
 
@@ -1171,7 +926,76 @@ impl tasm_reactor::Logic for RouterLogic {
         }
     }
 
-    fn on_close(&mut self, _token: u64, _handshaken: bool) {
-        self.shared.active_sessions.fetch_sub(1, Ordering::AcqRel);
+    fn on_close(&mut self, _token: u64, _handshaken: bool) {}
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::map::NodeInfo;
+    use tasm_core::LabelPredicate;
+
+    /// A router over a saved one-shard map whose shard never answers:
+    /// admission control runs before any shard is asked.
+    fn router_without_shards(tag: &str, cfg: RouterConfig) -> Router {
+        let map_path =
+            std::env::temp_dir().join(format!("tasm-router-{tag}-{}.json", std::process::id()));
+        let node = NodeInfo {
+            id: "n1".to_string(),
+            addr: "127.0.0.1:1".to_string(),
+        };
+        ShardMap::new(vec![node], 1)
+            .expect("map")
+            .save(&map_path)
+            .expect("save map");
+        Router::bind(RouterConfig { map_path, ..cfg }, "127.0.0.1:0").expect("bind router")
+    }
+
+    /// The connection cap refuses extra connections with a typed error
+    /// frame at handshake.
+    #[test]
+    fn connection_cap_refuses_with_typed_error() {
+        let router = router_without_shards(
+            "conncap",
+            RouterConfig {
+                max_connections: 1,
+                ..Default::default()
+            },
+        );
+        let first = Connection::connect(router.local_addr()).expect("first connection fits");
+        match Connection::connect(router.local_addr()) {
+            Err(ClientError::Rejected {
+                code: ErrorCode::TooManyConnections,
+                ..
+            }) => {}
+            Err(other) => panic!("expected TooManyConnections, got {other}"),
+            Ok(_) => panic!("second connection must be refused"),
+        }
+        first.goodbye().expect("goodbye");
+        router.shutdown(false);
+    }
+
+    /// A query over the router-wide in-flight cap is answered BUSY and
+    /// counted.
+    #[test]
+    fn inflight_cap_answers_busy() {
+        let router = router_without_shards(
+            "busy",
+            RouterConfig {
+                max_inflight: 0,
+                ..Default::default()
+            },
+        );
+        let mut conn = Connection::connect(router.local_addr()).expect("connect");
+        match conn.query("v", &Query::new(LabelPredicate::label("car"))) {
+            Err(ClientError::Rejected {
+                code: ErrorCode::Busy,
+                ..
+            }) => {}
+            other => panic!("expected Busy, got {other:?}"),
+        }
+        assert_eq!(router.stats().busy_rejections, 1);
+        conn.goodbye().expect("goodbye");
+        router.shutdown(false);
     }
 }

@@ -42,7 +42,7 @@ impl MetricsServer {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("tasm-metrics".to_string())
-                .spawn(move || accept_loop(&listener, &stop, &body))
+                .spawn(move || scrape_loop(&listener, &stop, &body))
                 .expect("spawn metrics accept loop")
         };
         Ok(MetricsServer {
@@ -76,7 +76,7 @@ impl Drop for MetricsServer {
     }
 }
 
-fn accept_loop(
+fn scrape_loop(
     listener: &TcpListener,
     stop: &AtomicBool,
     body: &Arc<dyn Fn() -> String + Send + Sync>,

@@ -77,4 +77,4 @@ pub use message::{
     ResultFrame, ResultSummary, MAGIC, VERSION,
 };
 pub use tasm_obs::QueryTrace;
-pub use wire::{read_frame, read_frame_deadline, ProtoError, Reader, Writer, MAX_FRAME_LEN};
+pub use wire::{read_frame, ProtoError, Reader, Writer, MAX_FRAME_LEN};

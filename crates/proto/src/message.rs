@@ -615,18 +615,6 @@ impl Message {
         let payload = read_frame(r)?;
         Message::decode_payload(&payload)
     }
-
-    /// [`Message::read_from`] with a wall-clock bound on receiving the
-    /// frame once it has started arriving (see
-    /// [`crate::read_frame_deadline`]). Used by server sessions so no
-    /// peer can pin a connection slot mid-frame indefinitely.
-    pub fn read_from_bounded(
-        r: &mut impl Read,
-        max_frame_time: std::time::Duration,
-    ) -> Result<Message, ProtoError> {
-        let payload = crate::wire::read_frame_deadline(r, Some(max_frame_time))?;
-        Message::decode_payload(&payload)
-    }
 }
 
 /// Buffer a non-region message starts with; most are a few dozen bytes,

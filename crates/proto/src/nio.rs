@@ -5,7 +5,7 @@
 //! buffer, so a single `read` yields every frame it holds, and it never
 //! blocks mid-frame: a peer that delivers half a length prefix costs
 //! nothing but buffered bytes. The reactor feeds it from nonblocking
-//! sockets ([`FrameReader::fill_from`]); blocking sessions with a read
+//! sockets ([`FrameReader::fill_from`]); blocking readers with a read
 //! timeout — the client, the router's shard connections — read through the
 //! same state machine ([`FrameReader::read_frame`]), and the one-shot
 //! helpers ([`read_frame`](crate::read_frame)) are this reader with no
@@ -22,7 +22,7 @@ use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tasm_core::BufferPool;
 
 /// Receive buffer of a session that reads *requests* ([`FrameReader::new`]).
@@ -42,9 +42,8 @@ const OWN_FIRST_EXTENT: usize = 16 * 1024;
 /// Consecutive zero-progress timeout reads [`FrameReader::read_frame`]
 /// tolerates once a frame has started arriving. A live peer delivers the
 /// rest of a frame promptly; this bounds how long a crashed or partitioned
-/// peer mid-frame can pin a session thread (and therefore a graceful
-/// server shutdown): with the server's default 25 ms poll interval, 200
-/// stalled polls ≈ 5 s.
+/// peer mid-frame can pin a blocking reader: 200 stalled polls at the
+/// socket's read timeout.
 const MAX_STALLED_READS: u32 = 200;
 
 /// What one [`FrameReader::fill_from`] pass produced.
@@ -214,19 +213,12 @@ impl FrameReader {
     /// If the timeout fires before *any* byte of the frame arrived, the
     /// timeout `Io` error is returned and nothing is lost — bytes and
     /// frames already buffered stay in the reader, and the call may simply
-    /// be repeated (sessions use this to poll their shutdown flag between
-    /// frames). Once a frame has started arriving, timeouts are retried
-    /// until it completes, bounded two ways: `MAX_STALLED_READS`
-    /// zero-progress polls (a peer that dies mid-frame) and the optional
-    /// wall clock `max_frame_time` since the frame's first byte (a peer
-    /// that keeps trickling single bytes); either surfaces as
-    /// [`ProtoError::Stalled`], and so a timeout can never tear a frame in
+    /// be repeated. Once a frame has started arriving, timeouts are retried
+    /// until it completes, bounded by `MAX_STALLED_READS` zero-progress
+    /// polls (a peer that dies mid-frame), which surface as
+    /// [`ProtoError::Stalled`]; so a timeout can never tear a frame in
     /// half. A closed stream is an `UnexpectedEof` `Io` error.
-    pub fn read_frame(
-        &mut self,
-        src: &mut impl Read,
-        max_frame_time: Option<Duration>,
-    ) -> Result<Cow<'_, [u8]>, ProtoError> {
+    pub fn read_frame(&mut self, src: &mut impl Read) -> Result<Cow<'_, [u8]>, ProtoError> {
         let mut stalled = 0u32;
         loop {
             match self.step(src)? {
@@ -246,11 +238,6 @@ impl FrameReader {
                         io::ErrorKind::UnexpectedEof,
                         "connection closed mid-stream",
                     )));
-                }
-            }
-            if let (Some(max), Some(started)) = (max_frame_time, self.started) {
-                if started.elapsed() >= max {
-                    return Err(ProtoError::Stalled);
                 }
             }
         }

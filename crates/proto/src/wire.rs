@@ -42,10 +42,10 @@ pub enum ProtoError {
     /// Decoding finished with bytes left over — the peer and this side
     /// disagree about the message layout.
     TrailingBytes(usize),
-    /// The peer stopped sending mid-frame (closed the stream, too many
-    /// consecutive zero-progress poll timeouts, or past the
-    /// [`read_frame_deadline`] wall clock). Unlike a between-frames timeout
-    /// this is not retryable: the stream position is inside a torn frame.
+    /// The peer stopped sending mid-frame (closed the stream, or too many
+    /// consecutive zero-progress poll timeouts). Unlike a between-frames
+    /// timeout this is not retryable: the stream position is inside a torn
+    /// frame.
     Stalled,
 }
 
@@ -75,20 +75,6 @@ impl std::error::Error for ProtoError {}
 impl From<io::Error> for ProtoError {
     fn from(e: io::Error) -> Self {
         ProtoError::Io(e)
-    }
-}
-
-impl ProtoError {
-    /// True for the read-timeout shape of [`ProtoError::Io`]: no frame had
-    /// started arriving when the socket's read timeout fired. The caller
-    /// may safely retry the read (used by server sessions to poll their
-    /// shutdown flag between frames).
-    pub fn is_timeout(&self) -> bool {
-        matches!(
-            self,
-            ProtoError::Io(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut
-        )
     }
 }
 
@@ -266,9 +252,8 @@ pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
 ///
 /// Timeout semantics (for sockets with a read timeout set): if the timeout
 /// fires before *any* byte of the frame arrived, the timeout `Io` error is
-/// returned and the stream is positioned to retry cleanly — sessions use
-/// this to poll their shutdown flag between frames. Once a frame has
-/// started arriving, short reads are retried until the frame completes, so
+/// returned and the stream is positioned to retry cleanly. Once a frame
+/// has started arriving, short reads are retried until the frame completes, so
 /// a timeout can never tear a frame in half.
 ///
 /// This is [`FrameReader`](crate::nio::FrameReader) with no read-ahead: it
@@ -277,22 +262,8 @@ pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
 /// reader. A session that receives a result stream keeps a buffered
 /// `FrameReader` instead.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtoError> {
-    read_frame_deadline(r, None)
-}
-
-/// [`read_frame`] with a wall-clock bound on the whole frame once its
-/// first byte has arrived: a peer trickling bytes (one per poll, fast
-/// enough to defeat the zero-progress stall counter) surfaces as
-/// [`ProtoError::Stalled`] when the deadline expires. Servers use this so
-/// no connection can pin a session slot — or a graceful shutdown — beyond
-/// the bound; clients on slow links should prefer the unbounded
-/// [`read_frame`].
-pub fn read_frame_deadline(
-    r: &mut impl Read,
-    max_frame_time: Option<std::time::Duration>,
-) -> Result<Vec<u8>, ProtoError> {
     crate::nio::FrameReader::unbuffered()
-        .read_frame(r, max_frame_time)
+        .read_frame(r)
         .map(|payload| payload.into_owned())
 }
 

@@ -61,14 +61,6 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 /// Reserved token for the wake pipe.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 
-/// Whether this platform can run the reactor: readiness polling and the
-/// wake pipe both construct. Callers check this *before* handing their
-/// listener to [`Ctl::new`], so engine selection can fall back to a
-/// blocking design without consuming the socket.
-pub fn supported() -> bool {
-    Poller::new().is_ok() && wake_pipe().is_ok()
-}
-
 /// What a [`ResponseSource`] produced.
 pub enum NextFrame {
     /// One encoded frame (length prefix included).
@@ -234,7 +226,7 @@ pub struct Ctl {
 impl Ctl {
     /// Builds the loop state: nonblocking listener + wake pipe, both
     /// registered with a fresh poller. Fails where readiness polling is
-    /// unsupported — callers fall back to a blocking engine.
+    /// unsupported (off unix), so serving there is a bind error.
     pub fn new(
         listener: TcpListener,
         cfg: LoopConfig,
@@ -680,6 +672,7 @@ pub fn run<L: Logic>(mut ctl: Ctl, mut logic: L) {
 mod tests {
     use super::*;
     use std::io::IoSlice;
+    use std::sync::atomic::AtomicUsize;
 
     /// Takes everything offered and counts the calls it took.
     #[derive(Default)]
@@ -845,9 +838,6 @@ mod tests {
     /// neither fires during the pause nor the moment it ends.
     #[test]
     fn a_pause_longer_than_the_frame_deadline_keeps_the_session() {
-        if !supported() {
-            return;
-        }
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -884,6 +874,156 @@ mod tests {
 
         shutdown.store(true, Ordering::SeqCst);
         drop(client);
+        server.join().expect("loop exits");
+    }
+
+    /// Both liveness deadlines in the tests below.
+    const DEADLINE: Duration = Duration::from_millis(100);
+    /// The loop's poll interval, and the client's pace when it trickles.
+    const POLL: Duration = Duration::from_millis(5);
+
+    /// Takes a session's first frame as its hello and echoes every frame;
+    /// publishes the loop's open-session count on every tick.
+    struct HelloThenEcho {
+        open: Arc<AtomicUsize>,
+    }
+
+    impl Logic for HelloThenEcho {
+        fn on_accept(&mut self, _ctl: &mut Ctl, _token: u64) {}
+
+        fn on_frame(&mut self, ctl: &mut Ctl, token: u64, payload: Vec<u8>) {
+            ctl.mark_handshaken(token);
+            ctl.send_frame(token, framed(&payload));
+        }
+
+        fn on_wake(&mut self, _ctl: &mut Ctl) {}
+
+        fn on_tick(&mut self, ctl: &mut Ctl) {
+            self.open.store(ctl.active_sessions(), Ordering::SeqCst);
+        }
+
+        fn refusal_frame(&mut self) -> Vec<u8> {
+            Vec::new()
+        }
+
+        fn on_close(&mut self, _token: u64, _handshaken: bool) {}
+    }
+
+    /// A loop with both deadlines at [`DEADLINE`]: its address, its
+    /// shutdown flag, its published open-session count and its thread.
+    fn deadline_loop() -> (
+        std::net::SocketAddr,
+        Arc<AtomicBool>,
+        Arc<AtomicUsize>,
+        std::thread::JoinHandle<()>,
+    ) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let cfg = LoopConfig {
+            poll_interval: POLL,
+            handshake_deadline: DEADLINE,
+            frame_deadline: DEADLINE,
+            ..LoopConfig::default()
+        };
+        let ctl = Ctl::new(listener, cfg, shutdown.clone()).expect("reactor");
+        let open = Arc::new(AtomicUsize::new(0));
+        let logic = HelloThenEcho { open: open.clone() };
+        (
+            addr,
+            shutdown,
+            open,
+            std::thread::spawn(move || run(ctl, logic)),
+        )
+    }
+
+    /// Waits (a bounded while) for the loop to publish `n` open sessions.
+    fn await_open(open: &AtomicUsize, n: usize) {
+        let start = Instant::now();
+        while open.load(Ordering::SeqCst) != n {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "the loop holds {} sessions, expected {n}",
+                open.load(Ordering::SeqCst)
+            );
+            std::thread::sleep(POLL);
+        }
+    }
+
+    /// Whether a read says the server closed the connection: EOF, or a
+    /// reset when bytes it never read were still in flight.
+    fn closed(read: &std::io::Result<usize>) -> bool {
+        match read {
+            Ok(n) => *n == 0,
+            Err(e) => matches!(
+                e.kind(),
+                std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::ConnectionAborted
+            ),
+        }
+    }
+
+    /// A peer that connects and says nothing is closed once the handshake
+    /// deadline passes, and its slot frees.
+    #[test]
+    fn a_silent_peer_is_closed_at_the_handshake_deadline() {
+        let (addr, shutdown, open, server) = deadline_loop();
+        let start = Instant::now();
+        let mut client = TcpStream::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        await_open(&open, 1);
+        let mut byte = [0u8; 1];
+        let end = client.read(&mut byte);
+        assert!(closed(&end), "not closed: {end:?}");
+        let waited = start.elapsed();
+        assert!(
+            waited >= DEADLINE && waited < 5 * DEADLINE,
+            "closed after {waited:?}"
+        );
+        await_open(&open, 0);
+
+        shutdown.store(true, Ordering::SeqCst);
+        server.join().expect("loop exits");
+    }
+
+    /// A peer past its hello that sends half a frame and then one byte per
+    /// poll — enough to look alive, never enough to finish — is closed once
+    /// the frame deadline passes, and its slot frees.
+    #[test]
+    fn a_trickling_peer_is_closed_at_the_frame_deadline() {
+        let (addr, shutdown, open, server) = deadline_loop();
+        let mut client = TcpStream::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        client.write_all(&framed(b"hello")).expect("hello");
+        let mut echo = [0u8; 4 + 5];
+        client.read_exact(&mut echo).expect("hello echoed");
+        await_open(&open, 1);
+
+        // At one byte per poll the rest of this frame would take 5 s.
+        let frame = framed(&[7u8; 2000]);
+        let (half, rest) = frame.split_at(frame.len() / 2);
+        client.set_read_timeout(Some(POLL)).expect("timeout");
+        let start = Instant::now();
+        client.write_all(half).expect("half a frame");
+        let mut byte = [0u8; 1];
+        // Each pass waits one poll for the close, then sends one more byte.
+        let shut = rest.iter().any(|&b| {
+            let read = client.read(&mut byte);
+            assert!(!matches!(read, Ok(n) if n > 0), "an answer to no frame");
+            closed(&read) || client.write_all(&[b]).is_err()
+        });
+        let waited = start.elapsed();
+        assert!(shut, "the whole frame went through");
+        assert!(
+            waited >= DEADLINE && waited < 5 * DEADLINE,
+            "closed after {waited:?}"
+        );
+        await_open(&open, 0);
+
+        shutdown.store(true, Ordering::SeqCst);
         server.join().expect("loop exits");
     }
 }

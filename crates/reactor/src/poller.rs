@@ -1,6 +1,6 @@
 //! OS readiness notification behind one small API: `epoll` on Linux,
 //! POSIX `poll(2)` elsewhere on unix, and an always-failing stub on other
-//! platforms (callers fall back to their blocking engine there).
+//! platforms (serving is unix-only: binding a server there fails).
 //!
 //! No `libc` crate is available in this workspace, so the two or three
 //! syscalls each backend needs are declared directly via `extern "C"` —
@@ -272,9 +272,8 @@ mod sys {
     use std::io;
     use std::time::Duration;
 
-    /// Stub: readiness polling is unix-only here. `new` fails, which makes
-    /// the serving layer fall back to its blocking thread-per-connection
-    /// engine on other platforms.
+    /// Stub: readiness polling is unix-only here. `new` fails, and the
+    /// serving layer's `bind` returns that error on other platforms.
     pub struct Poller;
 
     impl Poller {

@@ -8,8 +8,7 @@
 //!
 //! ## Architecture
 //!
-//! The default engine ([`ServeEngine::Reactor`]) is a single nonblocking
-//! reactor thread owning every session socket:
+//! A single nonblocking reactor thread owns every session socket:
 //!
 //! ```text
 //!   reactor thread (epoll/poll)          QueryService worker pool
@@ -31,11 +30,9 @@
 //! through a wakeup pipe to be streamed out by write-readiness. Total
 //! thread count is O(workers), independent of connection count.
 //!
-//! [`ServeEngine::Threads`] keeps the previous blocking design — one
-//! thread per connection plus one waiter thread per in-flight query — as
-//! a fallback for platforms without readiness polling and as the
-//! comparison baseline in `benches/remote.rs`. Both engines enforce the
-//! same admission control and speak bit-identical wire responses.
+//! Serving is unix-only: the reactor waits on epoll (Linux) or `poll(2)`
+//! (other unixes), and elsewhere [`TasmServer::bind`] returns the poller's
+//! `Unsupported` error.
 //!
 //! ## Shutdown semantics
 //!
@@ -77,24 +74,24 @@
 //! ```
 
 mod reactor;
-mod session;
 
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tasm_core::{Tasm, TasmError};
-use tasm_proto::{ErrorCode, Message};
+use tasm_proto::ErrorCode;
 use tasm_service::{
     QueryService, ServiceConfig, ServiceError, ServiceStats, Shutdown, ShutdownReport,
 };
 
 /// Locks a mutex, recovering the data from a poisoned lock instead of
-/// panicking. Every structure guarded this way (socket writers, counters,
-/// flags) stays internally consistent across a panic at any point, so the
-/// sensible response to poison is to keep serving — a cascade that turns
-/// one panicked query into a dead session (or server) is strictly worse.
+/// panicking. Every structure guarded this way (completion queues,
+/// replication staging, flags) stays internally consistent across a panic
+/// at any point, so the sensible response to poison is to keep serving — a
+/// cascade that turns one panicked query into a dead session (or server) is
+/// strictly worse.
 pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -112,17 +109,13 @@ pub(crate) fn error_code(e: &ServiceError) -> ErrorCode {
     }
 }
 
-/// Which serving engine a [`TasmServer`] runs.
+/// The serving engine a [`TasmServer`] runs. There is one; the type stays
+/// so configurations that name it keep building.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeEngine {
     /// One nonblocking reactor thread for all sessions; queries execute on
-    /// the service's fixed worker pool. Thread count is O(workers). Falls
-    /// back to [`ServeEngine::Threads`] where readiness polling is
-    /// unavailable.
+    /// the service's fixed worker pool. Thread count is O(workers).
     Reactor,
-    /// One blocking thread per connection plus one waiter thread per
-    /// in-flight query — the original design, kept as the bench baseline.
-    Threads,
 }
 
 /// Admission-control and polling knobs of the serving layer.
@@ -134,11 +127,10 @@ pub struct ServerConfig {
     /// Queries one session may have in flight at once; requests beyond the
     /// cap receive `Error{TooManyInflight}`.
     pub max_inflight: u32,
-    /// Poll granularity of session reads and the accept loop — the upper
-    /// bound on how long shutdown waits for an idle session to notice.
+    /// Longest one reactor wait lasts — how often session deadlines are
+    /// checked, and how long an idle server takes to notice shutdown.
     pub poll_interval: Duration,
-    /// Serving engine. Observable behavior is identical across engines;
-    /// pick [`ServeEngine::Threads`] only for baseline comparisons.
+    /// Serving engine (only [`ServeEngine::Reactor`] exists).
     pub engine: ServeEngine,
 }
 
@@ -170,8 +162,8 @@ pub struct ServerReport {
     pub service: ShutdownReport,
 }
 
-/// State shared by the serving threads (reactor + admin, or accept +
-/// sessions) and the server handle.
+/// State shared by the serving threads (reactor + admin) and the server
+/// handle.
 pub(crate) struct ServerShared {
     pub service: QueryService,
     pub cfg: ServerConfig,
@@ -188,9 +180,6 @@ pub(crate) struct ServerShared {
     sessions_served: AtomicU64,
     pub busy_rejections: AtomicU64,
     pub(crate) connection_rejections: AtomicU64,
-    /// Live `refuse()` courtesy threads (threads engine only); bounded so
-    /// a connect flood cannot amplify into unbounded thread creation.
-    refusers: AtomicUsize,
 }
 
 impl ServerShared {
@@ -213,18 +202,6 @@ impl ServerShared {
     }
 }
 
-/// RAII token for one occupied connection slot.
-pub(crate) struct SessionGuard {
-    shared: Arc<ServerShared>,
-}
-
-impl Drop for SessionGuard {
-    fn drop(&mut self) {
-        let prev = self.shared.active_sessions.fetch_sub(1, Ordering::AcqRel);
-        sessions_gauge().set(prev.saturating_sub(1) as i64);
-    }
-}
-
 /// The gauge mirroring `ServerShared::active_sessions`. Updated at both
 /// admission and release, so a scrape sees the same value admission
 /// control acts on.
@@ -236,13 +213,10 @@ pub(crate) fn sessions_gauge() -> Arc<tasm_obs::Gauge> {
 }
 
 /// A running TASM server: a listener and its serving threads (reactor +
-/// admin, or accept + per-connection sessions), all over one shared
-/// [`QueryService`].
+/// admin), all over one shared [`QueryService`].
 pub struct TasmServer {
     shared: Arc<ServerShared>,
     local_addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
     reactor: Option<JoinHandle<()>>,
     admin: Option<JoinHandle<()>>,
     /// Held so the admin thread's `recv` loop stays alive until shutdown
@@ -289,63 +263,40 @@ impl TasmServer {
             sessions_served: AtomicU64::new(0),
             busy_rejections: AtomicU64::new(0),
             connection_rejections: AtomicU64::new(0),
-            refusers: AtomicUsize::new(0),
         });
-        let sessions = Arc::new(Mutex::new(Vec::new()));
+        let loop_cfg = tasm_reactor::LoopConfig {
+            max_connections: cfg.max_connections,
+            poll_interval: cfg.poll_interval,
+            ..tasm_reactor::LoopConfig::default()
+        };
+        let ctl = tasm_reactor::Ctl::new(listener, loop_cfg, shutdown)?;
+        let waker = ctl.waker();
+        let completions = Arc::new(Mutex::new(Vec::new()));
+        let (admin_tx, admin_rx) = mpsc::channel();
+        // Every handle lands in `server` as soon as it exists, so a failed
+        // spawn below returns through `Drop`, which stops what did start.
         let mut server = TasmServer {
             shared: Arc::clone(&shared),
             local_addr,
-            accept: None,
-            sessions: Arc::clone(&sessions),
             reactor: None,
             admin: None,
-            admin_tx: None,
-            waker: None,
+            admin_tx: Some(admin_tx.clone()),
+            waker: Some(waker.clone()),
         };
-        // Engine selection happens before the listener is consumed, so a
-        // platform without readiness polling silently gets the blocking
-        // engine rather than a failed bind.
-        if cfg.engine == ServeEngine::Reactor && tasm_reactor::supported() {
-            let loop_cfg = tasm_reactor::LoopConfig {
-                max_connections: cfg.max_connections,
-                poll_interval: cfg.poll_interval,
-                ..tasm_reactor::LoopConfig::default()
-            };
-            let ctl = tasm_reactor::Ctl::new(listener, loop_cfg, shutdown)?;
-            let waker = ctl.waker();
-            let completions = Arc::new(Mutex::new(Vec::new()));
-            let (admin_tx, admin_rx) = mpsc::channel();
-            let admin = {
-                let shared = Arc::clone(&shared);
-                let completions = Arc::clone(&completions);
-                let waker = waker.clone();
-                std::thread::Builder::new()
-                    .name("tasm-admin".to_string())
-                    .spawn(move || reactor::admin_loop(shared, admin_rx, completions, waker))
-                    .expect("spawn admin thread")
-            };
-            let logic =
-                reactor::ServerLogic::new(shared, completions, waker.clone(), admin_tx.clone());
-            let handle = std::thread::Builder::new()
+        server.admin = Some({
+            let shared = Arc::clone(&shared);
+            let completions = Arc::clone(&completions);
+            let waker = waker.clone();
+            std::thread::Builder::new()
+                .name("tasm-admin".to_string())
+                .spawn(move || reactor::admin_loop(shared, admin_rx, completions, waker))?
+        });
+        let logic = reactor::ServerLogic::new(shared, completions, waker, admin_tx);
+        server.reactor = Some(
+            std::thread::Builder::new()
                 .name("tasm-reactor".to_string())
-                .spawn(move || tasm_reactor::run(ctl, logic))
-                .expect("spawn reactor thread");
-            server.reactor = Some(handle);
-            server.admin = Some(admin);
-            server.admin_tx = Some(admin_tx);
-            server.waker = Some(waker);
-        } else {
-            listener.set_nonblocking(true)?;
-            let accept = {
-                let shared = Arc::clone(&shared);
-                let sessions = Arc::clone(&sessions);
-                std::thread::Builder::new()
-                    .name("tasm-accept".to_string())
-                    .spawn(move || accept_loop(&shared, &listener, &sessions))
-                    .expect("spawn accept loop")
-            };
-            server.accept = Some(accept);
-        }
+                .spawn(move || tasm_reactor::run(ctl, logic))?,
+        );
         Ok(server)
     }
 
@@ -404,13 +355,6 @@ impl TasmServer {
         if let Some(waker) = &self.waker {
             waker.wake();
         }
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        // The accept loop has exited, so no new sessions can appear.
-        for s in lock_clean(&self.sessions).drain(..) {
-            let _ = s.join();
-        }
         if let Some(t) = self.reactor.take() {
             let _ = t.join();
         }
@@ -428,130 +372,5 @@ impl Drop for TasmServer {
         self.stop_threads();
         // Dropping `shared` afterwards drains the service (QueryService's
         // own Drop).
-    }
-}
-
-/// Accepts connections until shutdown, enforcing the connection cap and
-/// spawning one session thread per accepted socket (threads engine).
-fn accept_loop(
-    shared: &Arc<ServerShared>,
-    listener: &TcpListener,
-    sessions: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        if shared.is_shutting_down() {
-            return;
-        }
-        let (stream, _peer) = match listener.accept() {
-            Ok(conn) => conn,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.cfg.poll_interval.min(Duration::from_millis(5)));
-                continue;
-            }
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-        };
-        // Connection-level admission control. The slot is reserved before
-        // the session thread starts so a connect burst cannot overshoot
-        // the cap.
-        let active = shared.active_sessions.fetch_add(1, Ordering::AcqRel);
-        sessions_gauge().set((active + 1) as i64);
-        if active >= shared.cfg.max_connections {
-            let prev = shared.active_sessions.fetch_sub(1, Ordering::AcqRel);
-            sessions_gauge().set(prev.saturating_sub(1) as i64);
-            shared.connection_rejections.fetch_add(1, Ordering::Relaxed);
-            if tasm_obs::enabled() {
-                tasm_obs::counter(
-                    "tasm_connections_rejected_total",
-                    "Connections refused at the listener for exceeding max_connections.",
-                )
-                .inc();
-            }
-            // Detached: refuse() waits (bounded) for the peer to drain the
-            // error frame, which must not stall the accept loop. The
-            // courtesy pool itself is capped — under a connect flood,
-            // connections beyond it are dropped without the typed error
-            // rather than amplified into unbounded threads.
-            if shared.refusers.fetch_add(1, Ordering::AcqRel) < MAX_REFUSE_THREADS {
-                let refuse_shared = Arc::clone(shared);
-                let spawned = std::thread::Builder::new()
-                    .name("tasm-refuse".to_string())
-                    .spawn(move || {
-                        refuse(stream);
-                        refuse_shared.refusers.fetch_sub(1, Ordering::AcqRel);
-                    });
-                if spawned.is_err() {
-                    // The failed spawn dropped the closure (closing the
-                    // socket) without running its decrement.
-                    shared.refusers.fetch_sub(1, Ordering::AcqRel);
-                }
-            } else {
-                shared.refusers.fetch_sub(1, Ordering::AcqRel);
-            }
-            continue;
-        }
-        let guard = SessionGuard {
-            shared: Arc::clone(shared),
-        };
-        let session_shared = Arc::clone(shared);
-        let handle = match std::thread::Builder::new()
-            .name("tasm-session".to_string())
-            .spawn(move || session::run(&session_shared, stream, guard))
-        {
-            Ok(handle) => handle,
-            Err(_) => {
-                // Thread exhaustion — exactly the pressure admission
-                // control exists for. Dropping the closure closed the
-                // socket and released the slot (the guard moved into it);
-                // back off instead of panicking the accept loop dead.
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        let mut sessions = lock_clean(sessions);
-        // Reap finished sessions so long-running servers don't accumulate
-        // handles.
-        sessions.retain(|s: &JoinHandle<()>| !s.is_finished());
-        sessions.push(handle);
-    }
-}
-
-/// Upper bound on concurrent [`refuse`] courtesy threads.
-const MAX_REFUSE_THREADS: usize = 32;
-
-/// Tells an over-cap connection why it is being closed. The client's
-/// already-sent hello is read (and discarded) first: closing a socket
-/// with unread received data makes the kernel send RST, which can discard
-/// the queued error frame before the client reads it. Every call here is
-/// a single bounded syscall so a hostile peer cannot hold the courtesy
-/// thread for more than a couple of seconds.
-fn refuse(mut stream: TcpStream) {
-    // Accepted sockets inherit the listener's O_NONBLOCK on non-Linux
-    // platforms; the timeouts below only bound *blocking* calls.
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-    // One read drains the pending hello (a dozen bytes in one segment);
-    // deliberately not a full frame read, whose retry loop a trickling
-    // peer could stretch.
-    let mut scratch = [0u8; 256];
-    let _ = std::io::Read::read(&mut stream, &mut scratch);
-    let _ = Message::Error {
-        id: None,
-        code: ErrorCode::TooManyConnections,
-        message: "server is at its connection limit".to_string(),
-    }
-    .write_to(&mut stream);
-    // Half-close and give the peer one read's worth of time to drain the
-    // error frame before the socket drops.
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let mut scratch = [0u8; 64];
-    for _ in 0..8 {
-        match std::io::Read::read(&mut stream, &mut scratch) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
     }
 }

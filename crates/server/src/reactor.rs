@@ -1,5 +1,5 @@
-//! The reactor serving engine: protocol dispatch for the readiness-driven
-//! event loop in `tasm-reactor`.
+//! The serving engine: protocol dispatch for the readiness-driven event
+//! loop in `tasm-reactor`.
 //!
 //! One reactor thread owns every session socket. Admitted queries execute
 //! on the `QueryService`'s fixed worker pool and come back through a
@@ -7,9 +7,7 @@
 //! Blocking cluster-administration frames (replication, manifest fetch,
 //! push, remove) run on one dedicated admin thread; their sessions pause
 //! until the ack is queued, preserving the strict request/ack ordering the
-//! replication protocol assumes. Observable behavior — admission control,
-//! typed errors, counters, trace stamping — matches the blocking engine
-//! frame for frame.
+//! replication protocol assumes.
 
 use crate::{error_code, lock_clean, sessions_gauge, ServerShared};
 use std::collections::HashMap;

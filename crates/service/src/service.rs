@@ -320,7 +320,8 @@ pub(crate) struct Shared {
 pub struct QueryService {
     shared: Arc<Shared>,
     // Behind mutexes so `shutdown_now` can join them through `&self` (the
-    // server shares the service across session threads via `Arc`).
+    // server shares the service across its reactor and admin threads via
+    // `Arc`).
     workers: Mutex<Vec<JoinHandle<()>>>,
     daemon: Mutex<Option<JoinHandle<()>>>,
 }
@@ -508,7 +509,7 @@ impl QueryService {
     }
 
     /// [`QueryService::shutdown`] through a shared reference, for callers
-    /// holding the service in an `Arc` (the TCP server's session threads).
+    /// holding the service in an `Arc` (the TCP server's serving threads).
     /// Idempotent: a second call joins nothing and reports zero additional
     /// abandoned queries.
     pub fn shutdown_now(&self, mode: Shutdown) -> ShutdownReport {

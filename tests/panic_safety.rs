@@ -1,4 +1,4 @@
-//! Panic isolation in the serving layer, on both engines.
+//! Panic isolation in the serving layer.
 //!
 //! The contract under test: a panic inside query execution (injected via
 //! `ServiceConfig::test_panic_injector`) is a *per-query* failure — the
@@ -6,12 +6,9 @@
 //! serving subsequent queries bit-exactly, other sessions are untouched,
 //! no in-flight slot leaks (shutdown drains cleanly instead of hanging on
 //! a stranded counter), and no lock poisoned by the unwinding worker
-//! cascades into later queries. Regression tests for two historical bugs:
-//! the inflight counter leaking when a waiter thread panicked, and
-//! `.expect("writer lock")`-style poison propagation taking a whole
-//! session down after one panicked query. Beside them sit the reactor's
-//! scaling checks: threads grow with workers, not sessions, and answers
-//! stay bit-exact with 256 sessions open.
+//! cascades into later queries. Beside it sit the reactor's scaling
+//! checks: threads grow with workers, not sessions, and answers stay
+//! bit-exact with 256 sessions open.
 
 use std::sync::Arc;
 use tasm_client::{ClientError, Connection};
@@ -19,7 +16,7 @@ use tasm_core::{LabelPredicate, PartitionConfig, Query, StorageConfig, Tasm, Tas
 use tasm_data::{SceneSpec, SyntheticVideo};
 use tasm_index::MemoryIndex;
 use tasm_proto::ErrorCode;
-use tasm_server::{ServeEngine, ServerConfig, TasmServer};
+use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::{QueryRequest, ServiceConfig};
 use tasm_suite::assert_regions_identical;
 use tasm_video::FrameSource;
@@ -74,21 +71,16 @@ fn ingest(tasm: &Tasm, video: &SyntheticVideo) {
     }
 }
 
-/// The shared scenario: interleave panicking and healthy queries on one
-/// session, check the panic surfaces as a typed `Internal` rejection and
-/// everything after it still matches the in-process reference, then check
-/// shutdown accounting (no stranded in-flight slot, workers alive).
-fn panicked_query_is_isolated(engine: ServeEngine) {
+/// Interleaves panicking and healthy queries on one session, checks the
+/// panic surfaces as a typed `Internal` rejection and everything after it
+/// still matches the in-process reference, then checks shutdown accounting
+/// (no stranded in-flight slot, workers alive).
+#[test]
+fn panicked_query_is_isolated_reactor() {
     let video = scene();
-    let server_tasm = tasm(match engine {
-        ServeEngine::Reactor => "iso-server-r",
-        ServeEngine::Threads => "iso-server-t",
-    });
+    let server_tasm = tasm("iso-server");
     ingest(&server_tasm, &video);
-    let twin = tasm(match engine {
-        ServeEngine::Reactor => "iso-twin-r",
-        ServeEngine::Threads => "iso-twin-t",
-    });
+    let twin = tasm("iso-twin");
     ingest(&twin, &video);
 
     let server = TasmServer::bind(
@@ -99,10 +91,7 @@ fn panicked_query_is_isolated(engine: ServeEngine) {
             test_panic_injector: Some(inject),
             ..Default::default()
         },
-        ServerConfig {
-            engine,
-            ..Default::default()
-        },
+        ServerConfig::default(),
         "127.0.0.1:0",
     )
     .expect("bind ephemeral port");
@@ -152,8 +141,8 @@ fn panicked_query_is_isolated(engine: ServeEngine) {
     conn2.goodbye().expect("goodbye");
     conn.goodbye().expect("goodbye");
 
-    // Shutdown must drain promptly: a leaked inflight slot (the historical
-    // bug) would strand the drain wait. Run it on a watchdog thread so a
+    // Shutdown must drain promptly: a leaked inflight slot would strand the
+    // drain wait. Run it on a watchdog thread so a
     // regression fails the test instead of hanging the suite.
     let (tx, rx) = std::sync::mpsc::channel();
     let handle = std::thread::spawn(move || {
@@ -171,16 +160,6 @@ fn panicked_query_is_isolated(engine: ServeEngine) {
     assert_eq!(report.service.abandoned, 0, "no query abandoned at drain");
 }
 
-#[test]
-fn panicked_query_is_isolated_reactor() {
-    panicked_query_is_isolated(ServeEngine::Reactor);
-}
-
-#[test]
-fn panicked_query_is_isolated_threads() {
-    panicked_query_is_isolated(ServeEngine::Threads);
-}
-
 /// Counts this process's threads via `/proc/self/status` (Linux only —
 /// elsewhere the check is skipped and the test asserts only connectivity).
 fn thread_count() -> Option<usize> {
@@ -194,8 +173,7 @@ fn thread_count() -> Option<usize> {
 /// The reactor's headline scaling property: session count does not show up
 /// in the thread count. With dozens of idle-but-connected sessions the
 /// process grows O(workers) threads, not O(connections) — the regression
-/// this guards against is the thread-per-connection engine sneaking back
-/// in as the default.
+/// this guards against is a thread per connection sneaking back in.
 #[test]
 fn reactor_threads_scale_with_workers_not_connections() {
     let video = scene();
@@ -210,7 +188,6 @@ fn reactor_threads_scale_with_workers_not_connections() {
             ..Default::default()
         },
         ServerConfig {
-            engine: ServeEngine::Reactor,
             max_connections: 256,
             ..Default::default()
         },
@@ -250,11 +227,11 @@ fn reactor_threads_scale_with_workers_not_connections() {
     assert_eq!(report.service.stats.failed, 0);
 }
 
-/// Answers stay bit-identical while many sessions are open, on both
-/// engines: 256 sessions held at once (2 fds each in this process, inside
-/// the default 1,024 `nofile` soft limit), pixel queries at four windows
-/// through sessions spread across that population, each answer compared
-/// byte for byte with in-process `Tasm::query` on a twin store.
+/// Answers stay bit-identical while many sessions are open: 256 sessions
+/// held at once (2 fds each in this process, inside the default 1,024
+/// `nofile` soft limit), pixel queries at four windows through sessions
+/// spread across that population, each answer compared byte for byte with
+/// in-process `Tasm::query` on a twin store.
 #[test]
 fn answers_stay_bit_exact_with_256_sessions_open() {
     const SESSIONS: usize = 256;
@@ -265,41 +242,38 @@ fn answers_stay_bit_exact_with_256_sessions_open() {
     let twin = tasm("fanin-twin");
     ingest(&twin, &video);
 
-    for engine in [ServeEngine::Reactor, ServeEngine::Threads] {
-        let server = TasmServer::bind(
-            Arc::clone(&server_tasm),
-            ServiceConfig {
-                workers: 2,
-                queue_depth: 32,
-                ..Default::default()
-            },
-            ServerConfig {
-                engine,
-                max_connections: SESSIONS,
-                ..Default::default()
-            },
-            "127.0.0.1:0",
-        )
-        .expect("bind ephemeral port");
-        let mut conns: Vec<Connection> = (0..SESSIONS)
-            .map(|_| Connection::connect(server.local_addr()).expect("connect"))
-            .collect();
-        for (i, start) in [0u32, 11, 23, 37].into_iter().enumerate() {
-            let query = Query::new(LabelPredicate::label("car")).frames(start..start + WINDOW);
-            let reference = twin.query("v", &query).expect("twin query");
-            let expected: Vec<_> = reference.regions.iter().collect();
-            for s in [i, SESSIONS / 2 + i, SESSIONS - 1 - i] {
-                let what = format!("{engine:?}, session {s}, frames from {start}");
-                let got = conns[s].query("v", &query).expect("remote query");
-                assert_eq!(got.matched, reference.matched, "{what}: matched");
-                assert_regions_identical(&expected, &got.regions, &what);
-            }
+    let server = TasmServer::bind(
+        Arc::clone(&server_tasm),
+        ServiceConfig {
+            workers: 2,
+            queue_depth: 32,
+            ..Default::default()
+        },
+        ServerConfig {
+            max_connections: SESSIONS,
+            ..Default::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind ephemeral port");
+    let mut conns: Vec<Connection> = (0..SESSIONS)
+        .map(|_| Connection::connect(server.local_addr()).expect("connect"))
+        .collect();
+    for (i, start) in [0u32, 11, 23, 37].into_iter().enumerate() {
+        let query = Query::new(LabelPredicate::label("car")).frames(start..start + WINDOW);
+        let reference = twin.query("v", &query).expect("twin query");
+        let expected: Vec<_> = reference.regions.iter().collect();
+        for s in [i, SESSIONS / 2 + i, SESSIONS - 1 - i] {
+            let what = format!("session {s}, frames from {start}");
+            let got = conns[s].query("v", &query).expect("remote query");
+            assert_eq!(got.matched, reference.matched, "{what}: matched");
+            assert_regions_identical(&expected, &got.regions, &what);
         }
-        for conn in conns {
-            conn.goodbye().expect("goodbye");
-        }
-        let report = server.shutdown();
-        assert_eq!(report.sessions_served as usize, SESSIONS);
-        assert_eq!(report.service.stats.failed, 0);
     }
+    for conn in conns {
+        conn.goodbye().expect("goodbye");
+    }
+    let report = server.shutdown();
+    assert_eq!(report.sessions_served as usize, SESSIONS);
+    assert_eq!(report.service.stats.failed, 0);
 }

@@ -16,7 +16,7 @@ use tasm_core::{
 use tasm_data::{SceneSpec, SyntheticVideo};
 use tasm_index::MemoryIndex;
 use tasm_proto::{ErrorCode, Message, ProtoError, VERSION};
-use tasm_server::{ServeEngine, ServerConfig, TasmServer};
+use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::{RetilePolicy, ServiceConfig};
 use tasm_suite::{assert_regions_identical, regions_identical};
 use tasm_video::{FrameSource, Rect};
@@ -883,26 +883,23 @@ fn one_deep_service() -> ServiceConfig {
 
 #[test]
 fn answers_on_one_connection_never_show_an_earlier_answers_bytes() {
-    for engine in [ServeEngine::Reactor, ServeEngine::Threads] {
-        let twin = hazard_store(&format!("hazard-twin-{engine:?}"), &["a", "b"], 0);
-        let serving = hazard_store(&format!("hazard-{engine:?}"), &["a", "b"], 64 << 20);
-        let server = TasmServer::bind(
-            Arc::clone(&serving),
-            one_deep_service(),
-            ServerConfig {
-                max_inflight: 32,
-                engine,
-                ..Default::default()
-            },
-            "127.0.0.1:0",
-        )
-        .expect("bind");
-        let addr = server.local_addr();
-        recycled_answers_match_the_twin(addr, addr, &serving, &twin, &format!("{engine:?}"));
-        let report = server.shutdown();
-        assert_eq!(report.service.stats.failed, 0);
-        assert!(report.busy_rejections > 0);
-    }
+    let twin = hazard_store("hazard-twin", &["a", "b"], 0);
+    let serving = hazard_store("hazard", &["a", "b"], 64 << 20);
+    let server = TasmServer::bind(
+        Arc::clone(&serving),
+        one_deep_service(),
+        ServerConfig {
+            max_inflight: 32,
+            ..Default::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    recycled_answers_match_the_twin(addr, addr, &serving, &twin, "server");
+    let report = server.shutdown();
+    assert_eq!(report.service.stats.failed, 0);
+    assert!(report.busy_rejections > 0);
 }
 
 #[test]
