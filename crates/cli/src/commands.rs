@@ -688,6 +688,20 @@ fn print_trace(trace: &tasm_obs::QueryTrace) {
 /// after the global registry in a `/metrics` response.
 type ExtraSeries = Arc<dyn Fn(&mut String) + Send + Sync>;
 
+/// Appends `tasm serve`'s latency histogram to a `/metrics` body. It is
+/// rendered from the same `ServiceStats` snapshot `client stats` sees, so
+/// both views agree at any instant.
+fn render_latency_series(out: &mut String, stats: &tasm_service::ServiceStats) {
+    tasm_obs::render_histogram_into(
+        out,
+        "tasm_query_latency_seconds",
+        "Submit-to-complete query latency (service histogram).",
+        &stats.latency.buckets,
+        stats.latency.count,
+        stats.latency.total_micros,
+    );
+}
+
 /// Starts the Prometheus exposition endpoint shared by `serve` and
 /// `route` when `--metrics-addr` is given.
 fn start_metrics(
@@ -792,22 +806,12 @@ fn serve(args: &Args) -> CmdResult {
         addr,
         hook,
     )?);
-    // The latency histogram on /metrics comes from the same ServiceStats
-    // snapshot `client stats` sees, so both views agree at any instant.
     let metrics = {
         let stats_server = Arc::clone(&server);
         start_metrics(
             args,
             Some(Arc::new(move |out: &mut String| {
-                let stats = stats_server.stats();
-                tasm_obs::render_histogram_into(
-                    out,
-                    "tasm_query_latency_seconds",
-                    "Submit-to-complete query latency (service histogram).",
-                    &stats.latency.buckets,
-                    stats.latency.count,
-                    stats.latency.total_micros,
-                );
+                render_latency_series(out, &stats_server.stats())
             })),
         )?
     };
@@ -1669,6 +1673,79 @@ mod tests {
         ))
         .is_err());
         assert!(run(&format!("query --store {s} --name w --label car --limit x")).is_err());
+    }
+
+    /// FNV-1a-64: a short, stable fingerprint for pinned output.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// One latency histogram feeds three outputs: the `StatsReply` frame,
+    /// the `tasm_query_latency_seconds` series on `/metrics` and the
+    /// `client stats --json` line. All three are pinned for one fixed,
+    /// hand-built snapshot, so a change to the histogram's type cannot move
+    /// a byte of any of them.
+    #[test]
+    fn latency_outputs_are_pinned_for_a_fixed_snapshot() {
+        let mut stats = tasm_service::ServiceStats {
+            submitted: 13,
+            completed: 11,
+            failed: 2,
+            samples_decoded: 123_456,
+            samples_reused: 7_890,
+            cache_hits: 31,
+            cache_misses: 4,
+            retile_ops: 3,
+            retile_errors: 1,
+            queue_peak: 6,
+            ..Default::default()
+        };
+        stats.shared.owned = 5;
+        stats.shared.joined = 2;
+        stats.plan.tiles_planned = 40;
+        stats.plan.tiles_pruned = 12;
+        stats.plan.gops_planned = 20;
+        stats.plan.gops_skipped = 7;
+        stats.plan.frames_sampled = 300;
+        stats.latency.buckets[0] = 1; // under 2 µs
+        stats.latency.buckets[9] = 6; // [512, 1024) µs
+        stats.latency.buckets[12] = 3; // [4096, 8192) µs
+        stats.latency.buckets[20] = 1; // about a second
+        stats.latency.count = 11;
+        stats.latency.total_micros = 1_519_201;
+
+        let frame = tasm_proto::Message::StatsReply {
+            stats: Box::new(stats),
+        }
+        .encode();
+        assert_eq!((frame.len(), fnv1a(&frame)), (479, 0x8607_35a7_3f67_7d3e));
+
+        let mut exposition = String::new();
+        render_latency_series(&mut exposition, &stats);
+        assert_eq!(
+            fnv1a(exposition.as_bytes()),
+            0xac39_fdd7_2731_b799,
+            "{exposition}"
+        );
+        assert!(exposition.contains("tasm_query_latency_seconds_bucket{le=\"0.001024\"} 7\n"));
+        assert!(exposition.ends_with(
+            "tasm_query_latency_seconds_sum 1.519201\ntasm_query_latency_seconds_count 11\n"
+        ));
+
+        assert_eq!(
+            service_stats_json("127.0.0.1:7750", &stats),
+            concat!(
+                r#"{"source":"127.0.0.1:7750","submitted":13,"completed":11,"failed":2,"#,
+                r#""samples_decoded":123456,"samples_reused":7890,"cache_hits":31,"#,
+                r#""cache_misses":4,"shared_owned":5,"shared_joined":2,"retile_ops":3,"#,
+                r#""retile_errors":1,"queue_peak":6,"latency":{"count":11,"#,
+                r#""total_micros":1519201,"p50_micros":938,"p95_micros":2097152,"#,
+                r#""p99_micros":2097152,"buckets":[1,0,0,0,0,0,0,0,0,6,0,0,3,0,0,0,0,0,"#,
+                r#"0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}"#,
+            )
+        );
     }
 
     #[test]
