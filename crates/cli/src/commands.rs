@@ -608,7 +608,7 @@ fn workload(args: &Args) -> CmdResult {
 }
 
 /// Formats a latency histogram's headline percentiles in milliseconds.
-fn fmt_latency(h: &tasm_service::LatencyHistogram) -> String {
+fn fmt_latency(h: &tasm_obs::HistogramSnapshot) -> String {
     format!(
         "p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms",
         h.p50().as_secs_f64() * 1e3,
@@ -696,9 +696,7 @@ fn render_latency_series(out: &mut String, stats: &tasm_service::ServiceStats) {
         out,
         "tasm_query_latency_seconds",
         "Submit-to-complete query latency (service histogram).",
-        &stats.latency.buckets,
-        stats.latency.count,
-        stats.latency.total_micros,
+        &stats.latency,
     );
 }
 

@@ -14,7 +14,7 @@
 //! * [`LoadGen`] — a connection-pooled multi-threaded load generator: `n`
 //!   worker threads, each with its own connection, drain a shared request
 //!   counter and record client-observed latencies into a merged
-//!   [`LatencyHistogram`] ([`LoadReport`]).
+//!   [`HistogramSnapshot`] ([`LoadReport`]).
 //!
 //! ```no_run
 //! use tasm_client::Connection;
@@ -38,7 +38,7 @@ use tasm_proto::{
     relay_result_frame, ErrorCode, Message, ProtoError, ReplicationRecord, ResultFrame,
     ResultSummary, VERSION,
 };
-use tasm_service::{LatencyHistogram, ServiceStats};
+use tasm_service::{HistogramSnapshot, ServiceStats};
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -481,7 +481,7 @@ pub struct LoadReport {
     pub elapsed: Duration,
     /// Client-observed per-request latency distribution (merged across
     /// workers).
-    pub latency: LatencyHistogram,
+    pub latency: HistogramSnapshot,
 }
 
 impl LoadReport {

@@ -55,7 +55,7 @@ mod rebalance;
 mod replicate;
 mod router;
 
-pub use map::{crc32, rendezvous_score, MapError, NodeInfo, Pin, ShardMap};
+pub use map::{rendezvous_score, MapError, NodeInfo, Pin, ShardMap};
 pub use rebalance::{rebalance, RebalanceReport};
 pub use replicate::{
     apply_record, layout_epoch, manifest_json, push_video, Replicator, ReplicatorHook, StagedSots,
@@ -67,19 +67,21 @@ use tasm_service::ServiceStats;
 /// Merges one shard's [`ServiceStats`] into a cluster aggregate:
 /// counters and planner/dedup accounting are summed, queue depth takes
 /// the maximum, and the latency histograms merge bucket-wise (they share
-/// fixed log-scale bucket boundaries, so the merge is exact).
+/// fixed log-scale bucket boundaries, so the merge is exact). Every sum
+/// saturates: a shard's reply is decoded off the wire and may carry any
+/// value, and an overflow here would panic the route worker.
 pub fn merge_stats(into: &mut ServiceStats, s: &ServiceStats) {
-    into.submitted += s.submitted;
-    into.completed += s.completed;
-    into.failed += s.failed;
-    into.samples_decoded += s.samples_decoded;
-    into.samples_reused += s.samples_reused;
-    into.cache_hits += s.cache_hits;
-    into.cache_misses += s.cache_misses;
+    into.submitted = into.submitted.saturating_add(s.submitted);
+    into.completed = into.completed.saturating_add(s.completed);
+    into.failed = into.failed.saturating_add(s.failed);
+    into.samples_decoded = into.samples_decoded.saturating_add(s.samples_decoded);
+    into.samples_reused = into.samples_reused.saturating_add(s.samples_reused);
+    into.cache_hits = into.cache_hits.saturating_add(s.cache_hits);
+    into.cache_misses = into.cache_misses.saturating_add(s.cache_misses);
+    into.retile_ops = into.retile_ops.saturating_add(s.retile_ops);
+    into.retile_errors = into.retile_errors.saturating_add(s.retile_errors);
     into.shared += s.shared;
     into.plan += s.plan;
-    into.retile_ops += s.retile_ops;
-    into.retile_errors += s.retile_errors;
     into.queue_peak = into.queue_peak.max(s.queue_peak);
     into.latency += s.latency;
 }
@@ -88,6 +90,7 @@ pub fn merge_stats(into: &mut ServiceStats, s: &ServiceStats) {
 mod tests {
     use super::merge_stats;
     use std::time::Duration;
+    use tasm_proto::Message;
     use tasm_service::ServiceStats;
 
     fn stats_with(latencies_micros: &[u64], submitted: u64, queue_peak: u64) -> ServiceStats {
@@ -133,6 +136,46 @@ mod tests {
         assert_eq!(merged.queue_peak, 7);
         merge_stats(&mut merged, &stats_with(&[], 0, 11));
         assert_eq!(merged.queue_peak, 11);
+    }
+
+    #[test]
+    fn saturated_stats_replies_merge_without_overflow() {
+        // A StatsReply decodes any u64 into every counter; the router
+        // merges what its shards send.
+        let mut peer = stats_with(&[], u64::MAX, 1);
+        peer.cache_hits = u64::MAX;
+        peer.cache_misses = u64::MAX;
+        peer.shared.owned = u64::MAX;
+        peer.shared.joined = u64::MAX;
+        peer.plan.tiles_planned = u64::MAX;
+        peer.latency.count = u64::MAX;
+        peer.latency.total_micros = u64::MAX;
+        peer.latency.buckets[3] = 10; // [8, 16) µs
+        peer.latency.buckets[5] = u64::MAX; // [32, 64) µs
+        let reply = Message::StatsReply {
+            stats: Box::new(peer),
+        }
+        .encode();
+        let mut merged = ServiceStats::default();
+        for _ in 0..2 {
+            let Message::StatsReply { stats } =
+                Message::decode_payload(&reply[4..]).expect("decode")
+            else {
+                panic!("wrong variant");
+            };
+            merge_stats(&mut merged, &stats);
+        }
+        assert_eq!(merged.submitted, u64::MAX);
+        assert_eq!(merged.plan.tiles_planned, u64::MAX);
+        assert_eq!(merged.latency.count, u64::MAX);
+        assert_eq!(merged.latency.buckets[3], 20);
+        assert_eq!(merged.latency.buckets[5], u64::MAX);
+        assert!((0.0..=1.0).contains(&merged.cache_hit_rate()));
+        assert!((0.0..=1.0).contains(&merged.shared.join_rate()));
+        let p50 = merged.latency.p50().as_micros() as u64;
+        assert!((32..=64).contains(&p50), "p50 = {p50}µs");
+        let p99 = merged.latency.p99().as_micros() as u64;
+        assert!((32..=64).contains(&p99), "p99 = {p99}µs");
     }
 
     #[test]

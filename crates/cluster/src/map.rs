@@ -22,6 +22,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::path::Path;
+use tasm_index::crc32;
 
 /// One cluster member.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -290,20 +291,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// CRC-32 (IEEE, reflected polynomial `0xEDB88320`), bitwise — the map
-/// file is small and read rarely, so no table is warranted.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,13 +303,6 @@ mod tests {
                 addr: format!("127.0.0.1:{}", 7000 + i),
             })
             .collect()
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The canonical check value for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

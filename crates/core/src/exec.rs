@@ -115,13 +115,14 @@ pub struct PlanStats {
     pub frames_sampled: u64,
 }
 
+/// Saturating: a peer's snapshot decoded off the wire can carry any value.
 impl std::ops::AddAssign for PlanStats {
     fn add_assign(&mut self, rhs: PlanStats) {
-        self.tiles_planned += rhs.tiles_planned;
-        self.tiles_pruned += rhs.tiles_pruned;
-        self.gops_planned += rhs.gops_planned;
-        self.gops_skipped += rhs.gops_skipped;
-        self.frames_sampled += rhs.frames_sampled;
+        self.tiles_planned = self.tiles_planned.saturating_add(rhs.tiles_planned);
+        self.tiles_pruned = self.tiles_pruned.saturating_add(rhs.tiles_pruned);
+        self.gops_planned = self.gops_planned.saturating_add(rhs.gops_planned);
+        self.gops_skipped = self.gops_skipped.saturating_add(rhs.gops_skipped);
+        self.frames_sampled = self.frames_sampled.saturating_add(rhs.frames_sampled);
     }
 }
 
@@ -145,7 +146,7 @@ pub struct SharedScanStats {
 impl SharedScanStats {
     /// Fraction of GOP needs served by joining another query's decode.
     pub fn join_rate(&self) -> f64 {
-        let total = self.owned + self.joined;
+        let total = self.owned.saturating_add(self.joined);
         if total == 0 {
             0.0
         } else {
@@ -154,10 +155,11 @@ impl SharedScanStats {
     }
 }
 
+/// Saturating, like [`PlanStats`]'s.
 impl std::ops::AddAssign for SharedScanStats {
     fn add_assign(&mut self, rhs: SharedScanStats) {
-        self.owned += rhs.owned;
-        self.joined += rhs.joined;
+        self.owned = self.owned.saturating_add(rhs.owned);
+        self.joined = self.joined.saturating_add(rhs.joined);
     }
 }
 

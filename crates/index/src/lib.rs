@@ -24,4 +24,4 @@ pub mod tiered;
 pub use index::{Detection, IndexResult, LabeledDetection, MemoryIndex, SemanticIndex, TreeError};
 pub use key::RecordKey;
 pub use spatial::SpatialGrid;
-pub use tiered::{RealTierIo, TierIo, TierIssue, TierStats, TieredIndex};
+pub use tiered::{crc32, RealTierIo, TierIo, TierIssue, TierStats, TieredIndex};

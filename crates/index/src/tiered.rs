@@ -99,7 +99,9 @@ const fn crc_table() -> [u32; 256] {
 
 const CRC_TABLE: [u32; 256] = crc_table();
 
-fn crc32(data: &[u8]) -> u32 {
+/// CRC-32 (IEEE, reflected polynomial `0xEDB88320`): the checksum of WAL
+/// records and run footers here, and of `cluster.json` in `tasm-cluster`.
+pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in data {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -1355,7 +1357,9 @@ mod tests {
 
     #[test]
     fn crc32_known_vector() {
+        // The canonical check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! cluster, cli) can share without cycles. Four pieces:
 //!
 //! - [`metrics`] — a process-global, lock-free metrics registry. Counters
-//!   and gauges are single atomics; histograms use the same log₂-banded
-//!   atomic shape as the service latency histogram (40 power-of-two
-//!   microsecond bands, `Release` count paired with an `Acquire` snapshot
-//!   load so a racy snapshot can only under-count). [`metrics::render`]
-//!   emits the whole registry in Prometheus text exposition format 0.0.4,
-//!   including cumulative `_bucket{le="..."}` series.
+//!   and gauges are single atomics; a [`Histogram`] is 40 power-of-two
+//!   microsecond bands of atomics (`Release` count paired with an
+//!   `Acquire` snapshot load so a racy snapshot can only under-count).
+//!   Its plain copy, [`HistogramSnapshot`], carries the quantiles and the
+//!   merge, and is also the query service's latency histogram.
+//!   [`metrics::render`] emits the whole registry in Prometheus text
+//!   exposition format 0.0.4, including cumulative `_bucket{le="..."}`
+//!   series.
 //! - [`trace`] — per-query distributed tracing: a process-unique
 //!   [`trace::next_trace_id`], RAII [`trace::PhaseSpan`]s that accumulate
 //!   wall time into one of four fixed phases (queue / plan / decode /
@@ -23,9 +25,12 @@
 //!
 //! ## Overhead and the kill switch
 //!
-//! Every record path early-returns when [`set_enabled`]`(false)` has been
-//! called, so the instrumented stack can be measured against a no-op
-//! baseline in one binary. Enabled is the default.
+//! Counters, gauges and phase spans early-return when
+//! [`set_enabled`]`(false)` has been called, so the instrumented stack can
+//! be measured against a no-op baseline in one binary. Enabled is the
+//! default. A [`Histogram`] records regardless, because the service's
+//! latency histogram must match its completed count; the registry's
+//! histogram call sites test [`enabled`] before the lookup instead.
 
 pub mod http;
 pub mod log;
@@ -44,8 +49,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Globally enables or disables every metric record path and phase span
-/// (registration and rendering still work).
+/// Globally enables or disables counters, gauge increments and phase
+/// spans (registration, rendering and [`Histogram`] recording still work).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

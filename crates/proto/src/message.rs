@@ -4,8 +4,8 @@ use crate::nio::WireBuffers;
 use crate::wire::{encode_frame, read_frame, ProtoError, Reader, Writer};
 use std::io::{Read, Write};
 use tasm_core::{LabelPredicate, PlanStats, Query, QueryMode, RegionPixels, SharedScanStats};
-use tasm_obs::QueryTrace;
-use tasm_service::{LatencyHistogram, ServiceStats, LATENCY_BUCKETS};
+use tasm_obs::{HistogramSnapshot, QueryTrace, HISTOGRAM_BANDS};
+use tasm_service::ServiceStats;
 use tasm_video::{Frame, Plane, Rect};
 
 /// Protocol magic opening every client hello.
@@ -1020,7 +1020,7 @@ fn encode_stats(w: &mut Writer, s: &ServiceStats) {
     w.u64(s.queue_peak);
     w.u64(s.latency.count);
     w.u64(s.latency.total_micros);
-    w.u16(LATENCY_BUCKETS as u16);
+    w.u16(HISTOGRAM_BANDS as u16);
     for &b in &s.latency.buckets {
         w.u64(b);
     }
@@ -1045,12 +1045,12 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<ServiceStats, ProtoError> {
     s.retile_ops = r.u64()?;
     s.retile_errors = r.u64()?;
     s.queue_peak = r.u64()?;
-    let mut latency = LatencyHistogram {
+    let mut latency = HistogramSnapshot {
         count: r.u64()?,
         total_micros: r.u64()?,
         ..Default::default()
     };
-    if r.u16()? as usize != LATENCY_BUCKETS {
+    if r.u16()? as usize != HISTOGRAM_BANDS {
         return Err(ProtoError::Malformed("latency bucket count"));
     }
     for b in latency.buckets.iter_mut() {

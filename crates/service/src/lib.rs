@@ -122,4 +122,5 @@ pub use service::{
     QueryHandle, QueryOutcome, QueryRequest, QueryService, RetileHook, RetilePolicy, ServiceConfig,
     ServiceError, Shutdown, ShutdownReport,
 };
-pub use stats::{LatencyHistogram, ServiceStats, LATENCY_BUCKETS};
+pub use stats::ServiceStats;
+pub use tasm_obs::HistogramSnapshot;

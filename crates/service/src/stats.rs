@@ -1,166 +1,8 @@
 //! Aggregate service statistics, maintained lock-free by the workers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 use tasm_core::{PlanStats, ScanResult, SharedScanStats};
-
-/// Number of buckets in the bounded latency histogram: bucket `i` counts
-/// latencies whose microsecond value has `i` as its floored log2 (bucket 0
-/// additionally holds sub-microsecond latencies). 40 buckets reach
-/// 2⁴⁰ µs ≈ 12.7 days, far past any query latency.
-pub const LATENCY_BUCKETS: usize = 40;
-
-/// Atomic side of the latency histogram: workers increment one bucket per
-/// completed query with two extra `fetch_add`s for the count and the sum —
-/// no locks, no allocation, and no timing syscalls beyond the two
-/// timestamps the worker already takes.
-pub(crate) struct LatencyCell {
-    buckets: [AtomicU64; LATENCY_BUCKETS],
-    count: AtomicU64,
-    total_micros: AtomicU64,
-}
-
-impl Default for LatencyCell {
-    fn default() -> Self {
-        LatencyCell {
-            buckets: [const { AtomicU64::new(0) }; LATENCY_BUCKETS],
-            count: AtomicU64::new(0),
-            total_micros: AtomicU64::new(0),
-        }
-    }
-}
-
-impl LatencyCell {
-    pub fn record(&self, latency: Duration) {
-        let micros = latency.as_micros() as u64;
-        self.total_micros.fetch_add(micros, Ordering::Relaxed);
-        self.buckets[bucket_index(micros)].fetch_add(1, Ordering::Relaxed);
-        // Release pairs with the Acquire count load in `snapshot`: a
-        // snapshot that observes this count also observes the bucket
-        // increment above.
-        self.count.fetch_add(1, Ordering::Release);
-    }
-
-    pub fn snapshot(&self) -> LatencyHistogram {
-        // Count is read *before* the buckets: a racing `record` then at
-        // worst leaves the snapshot with count <= sum(buckets), which
-        // `quantile` handles, rather than a count the buckets cannot
-        // satisfy.
-        let count = self.count.load(Ordering::Acquire);
-        LatencyHistogram {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count,
-            total_micros: self.total_micros.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Bucket a microsecond latency falls into (log2 scale, clamped).
-fn bucket_index(micros: u64) -> usize {
-    if micros == 0 {
-        0
-    } else {
-        (micros.ilog2() as usize).min(LATENCY_BUCKETS - 1)
-    }
-}
-
-/// A bounded log₂-bucketed latency histogram (submit→complete wall clock).
-///
-/// Fixed memory regardless of query count: one counter per power-of-two
-/// microsecond band. Percentiles interpolate linearly inside the resolved
-/// band, so they carry band-sized (±2×) resolution — adequate for p50/p95/
-/// p99 reporting without keeping per-query samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    /// Per-band counts; band `i` covers `[2^i, 2^(i+1))` µs (band 0 starts
-    /// at zero).
-    pub buckets: [u64; LATENCY_BUCKETS],
-    /// Recorded latencies.
-    pub count: u64,
-    /// Sum of all recorded latencies in microseconds.
-    pub total_micros: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: [0; LATENCY_BUCKETS],
-            count: 0,
-            total_micros: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Records one latency (the non-atomic side, used by client-side load
-    /// generators; the service records through its internal atomic cell).
-    pub fn record(&mut self, latency: Duration) {
-        let micros = latency.as_micros() as u64;
-        self.buckets[bucket_index(micros)] += 1;
-        self.count += 1;
-        self.total_micros += micros;
-    }
-
-    /// Mean recorded latency.
-    pub fn mean(&self) -> Duration {
-        Duration::from_micros(self.total_micros.checked_div(self.count).unwrap_or(0))
-    }
-
-    /// The `q`-quantile (`0 < q <= 1`) of the recorded latencies,
-    /// interpolated inside the resolved histogram band. Zero when nothing
-    /// was recorded.
-    pub fn quantile(&self, q: f64) -> Duration {
-        if self.count == 0 {
-            return Duration::ZERO;
-        }
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        let mut last_upper = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if seen + n >= target {
-                let lower = if i == 0 { 0u64 } else { 1u64 << i };
-                let upper = 1u64 << (i + 1);
-                let frac = (target - seen) as f64 / n as f64;
-                let micros = lower as f64 + frac * (upper - lower) as f64;
-                return Duration::from_micros(micros as u64);
-            }
-            seen += n;
-            last_upper = 1u64 << (i + 1);
-        }
-        // Reachable only on a racy or hand-built snapshot whose count
-        // exceeds the bucket sum; the highest populated band is then the
-        // honest answer (never a spurious zero).
-        Duration::from_micros(last_upper)
-    }
-
-    /// Median latency.
-    pub fn p50(&self) -> Duration {
-        self.quantile(0.50)
-    }
-
-    /// 95th-percentile latency.
-    pub fn p95(&self) -> Duration {
-        self.quantile(0.95)
-    }
-
-    /// 99th-percentile latency.
-    pub fn p99(&self) -> Duration {
-        self.quantile(0.99)
-    }
-}
-
-impl std::ops::AddAssign for LatencyHistogram {
-    fn add_assign(&mut self, rhs: LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(rhs.buckets) {
-            *a += b;
-        }
-        self.count += rhs.count;
-        self.total_micros += rhs.total_micros;
-    }
-}
+use tasm_obs::{Histogram, HistogramSnapshot};
 
 /// Atomic counters the workers and the retile daemon update in place.
 #[derive(Default)]
@@ -182,7 +24,7 @@ pub(crate) struct StatsCell {
     pub retile_ops: AtomicU64,
     pub retile_errors: AtomicU64,
     pub queue_peak: AtomicU64,
-    pub latency: LatencyCell,
+    pub latency: Histogram,
 }
 
 impl StatsCell {
@@ -268,174 +110,18 @@ pub struct ServiceStats {
     /// Deepest the submission queue has been.
     pub queue_peak: u64,
     /// Submit→complete latency distribution of completed queries
-    /// (p50/p95/p99 via [`LatencyHistogram::quantile`]).
-    pub latency: LatencyHistogram,
+    /// (p50/p95/p99 via [`HistogramSnapshot::quantile`]).
+    pub latency: HistogramSnapshot,
 }
 
 impl ServiceStats {
     /// Fraction of decoded-GOP lookups served from the cache.
     pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
+        let total = self.cache_hits.saturating_add(self.cache_misses);
         if total == 0 {
             0.0
         } else {
             self.cache_hits as f64 / total as f64
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bucket_index_is_log2_with_clamping() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 0);
-        assert_eq!(bucket_index(2), 1);
-        assert_eq!(bucket_index(3), 1);
-        assert_eq!(bucket_index(1024), 10);
-        assert_eq!(bucket_index(u64::MAX), LATENCY_BUCKETS - 1);
-    }
-
-    #[test]
-    fn quantiles_resolve_to_the_right_band() {
-        let mut h = LatencyHistogram::default();
-        for _ in 0..90 {
-            h.record(Duration::from_micros(100)); // band [64, 128)
-        }
-        for _ in 0..10 {
-            h.record(Duration::from_millis(100)); // band [65536, 131072)
-        }
-        assert_eq!(h.count, 100);
-        let p50 = h.p50().as_micros() as u64;
-        assert!((64..128).contains(&p50), "p50 in the 100µs band, got {p50}");
-        let p99 = h.p99().as_micros() as u64;
-        assert!(
-            (65_536..131_072).contains(&p99),
-            "p99 in the 100ms band, got {p99}"
-        );
-        assert!(h.p95() <= h.p99());
-        assert!(h.p50() <= h.p95());
-    }
-
-    #[test]
-    fn racy_snapshot_with_excess_count_never_reports_zero() {
-        // A snapshot can observe a count one ahead of the bucket sum when
-        // it races a concurrent `record`; quantiles must then fall back to
-        // the highest populated band instead of zero.
-        let mut h = LatencyHistogram::default();
-        h.record(Duration::from_micros(900)); // band [512, 1024)
-        h.count += 1; // simulate the torn read
-        assert_eq!(h.p99(), Duration::from_micros(1024));
-        assert!(h.p50() > Duration::ZERO);
-    }
-
-    #[test]
-    fn empty_histogram_reports_zero() {
-        let h = LatencyHistogram::default();
-        assert_eq!(h.p50(), Duration::ZERO);
-        assert_eq!(h.p99(), Duration::ZERO);
-        assert_eq!(h.mean(), Duration::ZERO);
-    }
-
-    #[test]
-    fn merge_accumulates_both_sides() {
-        let mut a = LatencyHistogram::default();
-        let mut b = LatencyHistogram::default();
-        a.record(Duration::from_micros(10));
-        b.record(Duration::from_micros(1000));
-        a += b;
-        assert_eq!(a.count, 2);
-        assert_eq!(a.total_micros, 1010);
-        assert_eq!(a.buckets.iter().sum::<u64>(), 2);
-    }
-
-    #[test]
-    fn single_bucket_quantiles_all_land_in_that_band() {
-        let mut h = LatencyHistogram::default();
-        for _ in 0..37 {
-            h.record(Duration::from_micros(700)); // band [512, 1024)
-        }
-        for q in [0.01, 0.25, 0.5, 0.95, 0.99, 1.0] {
-            let v = h.quantile(q).as_micros() as u64;
-            assert!(
-                (512..=1024).contains(&v),
-                "q={q} must interpolate inside the only populated band, got {v}"
-            );
-        }
-        assert!(h.quantile(0.01) <= h.quantile(1.0));
-    }
-
-    #[test]
-    fn racy_snapshot_with_count_below_bucket_sum_stays_in_band() {
-        // The atomic cell's ordering guarantees a snapshot observes
-        // count <= sum(buckets): bucket adds may land that the count does
-        // not yet reflect. Quantiles must then resolve against the buckets
-        // that are there, never read past them.
-        let mut h = LatencyHistogram::default();
-        h.record(Duration::from_micros(10)); // band [8, 16)
-        h.record(Duration::from_micros(5000)); // band [4096, 8192)
-        h.count -= 1; // simulate the not-yet-counted bucket add
-        assert_eq!(h.count, 1);
-        assert_eq!(h.buckets.iter().sum::<u64>(), 2);
-        // Every quantile of a count-1 histogram resolves inside the first
-        // populated band (interpolation may land on its upper edge).
-        let v = h.quantile(1.0).as_micros() as u64;
-        assert!(
-            (8..=16).contains(&v),
-            "resolved into the first band, got {v}"
-        );
-        assert_eq!(h.quantile(0.5), h.quantile(1.0));
-    }
-
-    #[test]
-    fn merge_of_disjoint_bucket_ranges_keeps_both_tails() {
-        let mut low = LatencyHistogram::default();
-        let mut high = LatencyHistogram::default();
-        for _ in 0..60 {
-            low.record(Duration::from_micros(3)); // band [2, 4)
-        }
-        for _ in 0..40 {
-            high.record(Duration::from_secs(2)); // band [2^20, 2^21) µs
-        }
-        low += high;
-        assert_eq!(low.count, 100);
-        assert_eq!(low.total_micros, 60 * 3 + 40 * 2_000_000);
-        let p50 = low.p50().as_micros() as u64;
-        assert!(
-            (2..4).contains(&p50),
-            "p50 stays in the low band, got {p50}"
-        );
-        let p95 = low.p95().as_micros() as u64;
-        assert!(
-            (1_048_576..2_097_152).contains(&p95),
-            "p95 lands in the seconds band, got {p95}"
-        );
-        // No bucket between the two populated bands was invented.
-        assert_eq!(low.buckets.iter().filter(|&&n| n > 0).count(), 2);
-    }
-
-    #[test]
-    fn merging_an_empty_histogram_changes_nothing() {
-        let mut h = LatencyHistogram::default();
-        h.record(Duration::from_micros(77));
-        let before = h;
-        h += LatencyHistogram::default();
-        assert_eq!(h, before);
-        let mut empty = LatencyHistogram::default();
-        empty += before;
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn atomic_and_plain_sides_agree() {
-        let cell = LatencyCell::default();
-        let mut plain = LatencyHistogram::default();
-        for micros in [0u64, 1, 7, 900, 123_456] {
-            cell.record(Duration::from_micros(micros));
-            plain.record(Duration::from_micros(micros));
-        }
-        assert_eq!(cell.snapshot(), plain);
     }
 }

@@ -10,7 +10,7 @@ use tasm_proto::{
     ErrorCode, Message, ProtoError, ReplicatedDetection, ReplicationRecord, ResultSummary,
     MAX_FRAME_LEN, VERSION,
 };
-use tasm_service::{LatencyHistogram, ServiceStats};
+use tasm_service::{HistogramSnapshot, ServiceStats};
 use tasm_video::{Frame, Rect};
 
 const CASES: u32 = 96;
@@ -103,7 +103,7 @@ fn arb_region(rng: &mut StdRng) -> RegionPixels {
 }
 
 fn arb_stats(rng: &mut StdRng) -> ServiceStats {
-    let mut latency = LatencyHistogram::default();
+    let mut latency = HistogramSnapshot::default();
     for _ in 0..rng.gen_range(0usize..50) {
         latency.record(std::time::Duration::from_micros(
             rng.gen_range(0u64..10_000_000),
