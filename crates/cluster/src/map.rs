@@ -323,6 +323,14 @@ mod tests {
     }
 
     #[test]
+    fn crc32_matches_known_vector() {
+        // The canonical check value for CRC-32/IEEE: the checksum line in
+        // cluster.json must stay this function, or existing maps stop loading.
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
     fn pins_override_and_bump_epoch() {
         let mut map = ShardMap::new(nodes(4), 2).unwrap();
         let before = map.epoch;

@@ -125,3 +125,31 @@ impl ServiceStats {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tasm_obs::HISTOGRAM_BANDS;
+
+    /// Band a single latency recorded by the workers lands in.
+    fn bucket_index(micros: u64) -> usize {
+        let cell = StatsCell::default();
+        cell.latency.record_micros(micros);
+        let snap = cell.snapshot().latency;
+        assert_eq!(snap.count, 1);
+        let mut hit = (0..HISTOGRAM_BANDS).filter(|&i| snap.buckets[i] == 1);
+        let band = hit.next().expect("one band holds the observation");
+        assert_eq!(hit.next(), None);
+        band
+    }
+
+    #[test]
+    fn bucket_index_is_log2_with_clamping() {
+        assert_eq!(bucket_index(0), 0);
+        assert_eq!(bucket_index(1), 0);
+        assert_eq!(bucket_index(2), 1);
+        assert_eq!(bucket_index(3), 1);
+        assert_eq!(bucket_index(1024), 10);
+        assert_eq!(bucket_index(u64::MAX), HISTOGRAM_BANDS - 1);
+    }
+}
