@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use tasm_codec::bitstream::{BitReader, BitWriter};
-use tasm_codec::blockops::load_block;
-use tasm_codec::dct::{forward, BLOCK, BLOCK_AREA};
+use tasm_codec::blockops::{load_block, ZIGZAG};
+use tasm_codec::dct::{forward, inverse_sparse, BLOCK, BLOCK_AREA};
 use tasm_codec::deblock::deblock_frame;
 use tasm_codec::quant::qstep;
 use tasm_codec::{
@@ -42,6 +42,47 @@ fn busy_blocks(frames: &[Frame], qstep: i32) -> Vec<[i32; BLOCK_AREA]> {
         }
     }
     blocks
+}
+
+/// `count` dequantised blocks with their row and column masks, shaped like
+/// the coded blocks the ledger corpus decodes: 1 % DC-only, the rest 8–15
+/// nonzero coefficients (11.4 on average, in 5.7 rows × 4.9 columns) among
+/// the first 24 scan positions, |coef| ≤ 400 and mostly a few steps of 16.
+fn coded_blocks(count: usize) -> Vec<([i32; BLOCK_AREA], u8, u8)> {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 32) as u32
+    };
+    (0..count)
+        .map(|i| {
+            let mut positions = 1u32;
+            if i % 100 != 0 {
+                let nonzero = 8 + next() % 8;
+                while positions.count_ones() < nonzero {
+                    positions |= 1 << (next() % 24);
+                }
+            }
+            let mut coef = [0i32; BLOCK_AREA];
+            let (mut rows, mut cols) = (0u8, 0u8);
+            for (pos, &at) in ZIGZAG.iter().enumerate().take(24) {
+                if positions >> pos & 1 == 1 {
+                    let r = next();
+                    let steps = if r % 8 == 0 {
+                        1 + (r >> 8) % 25
+                    } else {
+                        1 + (r >> 8) % 3
+                    };
+                    coef[at] = if r & 16 == 0 { 16 } else { -16 } * steps as i32;
+                    rows |= 1 << (at / BLOCK);
+                    cols |= 1 << (at % BLOCK);
+                }
+            }
+            (coef, rows, cols)
+        })
+        .collect()
 }
 
 /// A frame whose three planes are tiled with `blocks` (from `first` on, in
@@ -255,6 +296,23 @@ fn ledger_geometry_benches(c: &mut Criterion) {
         b.iter(|| {
             busy.iter()
                 .fold(0i32, |acc, block| acc.wrapping_add(forward(block)[9]))
+        })
+    });
+    g.finish();
+
+    // The decoder's inverse transform over blocks shaped like the ledger
+    // corpus's coded blocks, per block.
+    let coded = coded_blocks(4096);
+    let mut g = c.benchmark_group("dct");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(coded.len() as u64));
+    g.bench_function("inverse_sparse", |b| {
+        let (mut tmp, mut out) = ([0i64; BLOCK_AREA], [0i32; BLOCK_AREA]);
+        b.iter(|| {
+            coded.iter().fold(0i32, |acc, (coef, rows, cols)| {
+                inverse_sparse(coef, *rows, *cols, &mut tmp, &mut out);
+                acc.wrapping_add(out[9])
+            })
         })
     });
     g.finish();

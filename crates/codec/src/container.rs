@@ -64,6 +64,9 @@ pub enum ContainerError {
     UnsupportedCodec(u8),
     /// A header field held an invalid value.
     InvalidHeader(&'static str),
+    /// A decode call asked for what the stream cannot give: a reversed or
+    /// out-of-bounds frame range, or a resume reference of another size.
+    InvalidRequest(&'static str),
     /// Decoding a frame payload failed.
     Decode(DecodeError),
 }
@@ -81,6 +84,7 @@ impl std::fmt::Display for ContainerError {
             ContainerError::Truncated => write!(f, "container truncated"),
             ContainerError::UnsupportedCodec(id) => write!(f, "unsupported codec id {id}"),
             ContainerError::InvalidHeader(what) => write!(f, "invalid header: {what}"),
+            ContainerError::InvalidRequest(what) => write!(f, "invalid request: {what}"),
             ContainerError::Decode(e) => write!(f, "decode failed: {e}"),
         }
     }
@@ -365,14 +369,17 @@ impl TileVideo {
     /// Decoding starts at the preceding keyframe — as in any GOP-structured
     /// codec, frames between the keyframe and `range.start` must be decoded
     /// and discarded, and that warm-up work is included in the stats. This
-    /// is the cost structure TASM's layout optimizer reasons about.
+    /// is the cost structure TASM's layout optimizer reasons about. A
+    /// reversed or out-of-bounds `range` is [`ContainerError::InvalidRequest`].
     pub fn decode_range(
         &self,
         range: Range<u32>,
     ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
-        assert!(range.start <= range.end, "invalid range");
+        if range.start > range.end {
+            return Err(ContainerError::InvalidRequest("reversed frame range"));
+        }
         if range.start >= self.frame_count() || range.end > self.frame_count() {
-            return Err(ContainerError::InvalidHeader("frame range out of bounds"));
+            return Err(ContainerError::InvalidRequest("frame range out of bounds"));
         }
         if range.is_empty() {
             return Ok((Vec::new(), DecodeStats::new()));
@@ -388,16 +395,25 @@ impl TileVideo {
     /// a cached GOP prefix). Resuming from a reference is bit-exact with a
     /// decode that started at the preceding keyframe, but is charged only
     /// for the frames actually decoded — this is what lets a decoded-GOP
-    /// cache extend a partial entry without re-paying the warm-up.
+    /// cache extend a partial entry without re-paying the warm-up. `from >
+    /// end`, an `end` past the stream and a `reference` of another size than
+    /// the tile's are [`ContainerError::InvalidRequest`].
     pub fn decode_resume(
         &self,
         from: u32,
         end: u32,
         reference: Option<&Frame>,
     ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
-        assert!(from <= end, "invalid range");
+        if from > end {
+            return Err(ContainerError::InvalidRequest("reversed frame range"));
+        }
         if end > self.frame_count() {
-            return Err(ContainerError::InvalidHeader("frame range out of bounds"));
+            return Err(ContainerError::InvalidRequest("frame range out of bounds"));
+        }
+        if reference.is_some_and(|r| (r.width(), r.height()) != (self.width, self.height)) {
+            return Err(ContainerError::InvalidRequest(
+                "reference frame size differs from the tile's",
+            ));
         }
         if from == end {
             return Ok((Vec::new(), DecodeStats::new()));
@@ -432,10 +448,6 @@ impl TileVideo {
         end: u32,
         reference: Option<&Frame>,
     ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
-        if let Some(r) = reference {
-            assert_eq!(r.width(), self.width, "reference width mismatch");
-            assert_eq!(r.height(), self.height, "reference height mismatch");
-        }
         let dec = TileDecoder::new(self.width, self.height, self.qp, self.deblock);
         let blocks_per_frame = dec.blocks_per_frame();
         let decode_one = |ef: &EncodedFrame, prev: Option<&Frame>, recycle: Option<Frame>| {
@@ -730,6 +742,42 @@ mod tests {
         let v = encode_test_video(4, 2);
         assert!(v.decode_range(0..5).is_err());
         assert!(v.decode_range(4..4).is_err());
+    }
+
+    #[test]
+    fn reversed_range_is_typed_error() {
+        let reversed = Err(ContainerError::InvalidRequest("reversed frame range"));
+        for v in [encode_test_video(4, 2), encode_pred_video(4, 2)] {
+            #[allow(clippy::reversed_empty_ranges)]
+            let range = 3..1;
+            assert_eq!(v.decode_range(range), reversed);
+        }
+    }
+
+    #[test]
+    fn reversed_resume_is_typed_error() {
+        let reversed = Err(ContainerError::InvalidRequest("reversed frame range"));
+        for v in [encode_test_video(4, 2), encode_pred_video(4, 2)] {
+            assert_eq!(v.decode_resume(3, 2, None), reversed);
+            let (all, _) = v.decode_all().unwrap();
+            assert_eq!(v.decode_resume(3, 2, Some(&all[1])), reversed);
+        }
+    }
+
+    #[test]
+    fn resume_reference_of_another_size_is_typed_error() {
+        let mismatch = Err(ContainerError::InvalidRequest(
+            "reference frame size differs from the tile's",
+        ));
+        for v in [encode_test_video(6, 4), encode_pred_video(6, 4)] {
+            let (all, _) = v.decode_all().unwrap();
+            for (w, h) in [(48, 32), (32, 16), (16, 48)] {
+                let wrong = Frame::black(w, h);
+                assert_eq!(v.decode_resume(2, 4, Some(&wrong)), mismatch, "{w}x{h}");
+            }
+            // The right size still resumes.
+            assert_eq!(v.decode_resume(2, 4, Some(&all[1])).unwrap().0, &all[2..4]);
+        }
     }
 
     #[test]

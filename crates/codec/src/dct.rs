@@ -106,6 +106,27 @@ pub(crate) fn inverse(coef: &[i32; BLOCK_AREA]) -> [i32; BLOCK_AREA] {
     out
 }
 
+/// The basis in `f64`, which holds every entry (an integer below 2¹²)
+/// exactly.
+const BASIS_F64: [[f64; BLOCK]; BLOCK] = {
+    let mut basis = [[0.0; BLOCK]; BLOCK];
+    let mut i = 0;
+    while i < BLOCK_AREA {
+        basis[i / BLOCK][i % BLOCK] = BASIS[i / BLOCK][i % BLOCK] as f64;
+        i += 1;
+    }
+    basis
+};
+
+/// Blocks whose coefficients are all below this in magnitude take the `f64`
+/// passes of [`inverse_sparse_bounded`], which are exact up to here.
+const F64_EXACT_BELOW: u32 = 1 << 20;
+
+/// `1.5 · 2⁷⁸`: adding it to an `f64` in (−2⁷⁷, 2⁷⁷) rounds that value to a
+/// multiple of 2²⁶ (the sum's unit in the last place), and the low 32 bits
+/// of the sum's mantissa are then the quotient, in two's complement.
+const ROUND_OFF_26: f64 = (3u128 << 77) as f64;
+
 /// Indices of the set bits of `mask`, ascending.
 #[inline]
 fn set_bits(mut mask: u8) -> impl Iterator<Item = usize> {
@@ -119,27 +140,36 @@ fn set_bits(mut mask: u8) -> impl Iterator<Item = usize> {
 }
 
 /// One 8-point inverse pass: `Σ_k x[k]·C[k][n]` for `n` in `0..8`, over the
-/// `k` in `occupied` only, plus `bias`. Basis rows with even index are
-/// symmetric (`C[k][7-n] = C[k][n]`) and rows with odd index antisymmetric,
-/// so the two kinds are summed separately for `n` in `0..4`; their sum is
-/// output `n` and their difference output `7 - n`, which halves the
-/// multiplies.
+/// `k` in `occupied` only, plus `bias`, summed in `T` (`basis` is the basis
+/// in `T` or in a type `T` holds). Basis rows with even index are symmetric
+/// (`C[k][7-n] = C[k][n]`) and rows with odd index antisymmetric, so the two
+/// kinds are summed separately for `n` in `0..4`; their sum is output `n`
+/// and their difference output `7 - n`, which halves the multiplies.
 #[inline]
-fn inverse_pass(x: impl Fn(usize) -> i64, occupied: u8, bias: i64) -> [i64; BLOCK] {
-    let (mut even, mut odd) = ([bias; BLOCK / 2], [0i64; BLOCK / 2]);
+fn inverse_pass<T, C>(
+    x: impl Fn(usize) -> T,
+    basis: &[[C; BLOCK]; BLOCK],
+    occupied: u8,
+    bias: T,
+) -> [T; BLOCK]
+where
+    T: Copy + From<i32> + Add<Output = T> + Sub<Output = T> + Mul<Output = T>,
+    C: Copy + Into<T>,
+{
+    let (mut even, mut odd) = ([bias; BLOCK / 2], [T::from(0); BLOCK / 2]);
     // (Two loops rather than one that picks its accumulator per `k`: the
     // accumulators then stay in registers.)
-    let accumulate = |half: &mut [i64; BLOCK / 2], ks: u8| {
+    let accumulate = |half: &mut [T; BLOCK / 2], ks: u8| {
         for k in set_bits(ks) {
             let v = x(k);
-            for (acc, &c) in half.iter_mut().zip(&BASIS[k]) {
-                *acc += v * c as i64;
+            for (acc, &c) in half.iter_mut().zip(&basis[k]) {
+                *acc = *acc + v * c.into();
             }
         }
     };
     accumulate(&mut even, occupied & 0b0101_0101);
     accumulate(&mut odd, occupied & 0b1010_1010);
-    let mut out = [0i64; BLOCK];
+    let mut out = [T::from(0); BLOCK];
     for n in 0..BLOCK / 2 {
         out[n] = even[n] + odd[n];
         out[BLOCK - 1 - n] = even[n] - odd[n];
@@ -157,10 +187,43 @@ fn inverse_pass(x: impl Fn(usize) -> i64, occupied: u8, bias: i64) -> [i64; BLOC
 /// columns only.
 /// `out` is overwritten; `tmp` is the caller's scratch, whatever it holds
 /// (only the occupied columns are written, and only they are read back).
-pub(crate) fn inverse_sparse(
+pub fn inverse_sparse(
     coef: &[i32; BLOCK_AREA],
     rows: u8,
     cols: u8,
+    tmp: &mut [i64; BLOCK_AREA],
+    out: &mut [i32; BLOCK_AREA],
+) {
+    let magnitude = coef.iter().fold(0, |m, c| m | c.unsigned_abs());
+    inverse_sparse_bounded(coef, rows, cols, magnitude, tmp, out);
+}
+
+/// [`inverse_sparse`] for a caller that also knows a bound on the
+/// coefficients: `magnitude` must be at least each one's `unsigned_abs()`
+/// (their OR is, and a parse can collect it as it goes).
+///
+/// The passes sum in `f64` when every coefficient is below 2²⁰, with the
+/// `i64` result, bit for bit: a column sum is at most 8 terms of |coef| ·
+/// 4017 (< 2³⁵), a row sum 8 terms of that times 4017 (< 2⁵⁰), so every
+/// product and partial sum is an integer (the row pass carries a bias of
+/// ½) that `f64` holds exactly, and the order of the sums cannot matter.
+/// The `i64` pass's `(v + 2²⁵) >> 26` is then one add of `ROUND_OFF_26`
+/// (1.5 · 2⁷⁸) to `v + ½`, which rounds to the nearest multiple of 2²⁶ and
+/// can never tie (`v` is an integer). That puts the transform on the packed
+/// `f64` multiply every x86-64 has (two lanes an instruction) instead of the
+/// scalar 64-bit one. Two things the equality leans on hold for any target
+/// features: Rust never contracts `a * b + c` into a fused multiply-add,
+/// which would round once where this rounds nothing (CI runs the codec's
+/// tests with FMA available to keep it so), and the rounding add needs the
+/// default round-to-nearest mode, which Rust code cannot change. A block
+/// with a larger coefficient — only a corrupt stream or the saturating
+/// dequantiser makes one — takes the `i64` passes, and a DC-only block
+/// stays one integer multiply.
+pub fn inverse_sparse_bounded(
+    coef: &[i32; BLOCK_AREA],
+    rows: u8,
+    cols: u8,
+    magnitude: u32,
     tmp: &mut [i64; BLOCK_AREA],
     out: &mut [i32; BLOCK_AREA],
 ) {
@@ -170,6 +233,10 @@ pub(crate) fn inverse_sparse(
             .all(|(i, &c)| c == 0 || (rows >> (i / BLOCK)) & (cols >> (i % BLOCK)) & 1 == 1),
         "nonzero coefficient outside the row/column masks"
     );
+    debug_assert!(
+        coef.iter().all(|c| c.unsigned_abs() <= magnitude),
+        "coefficient above the magnitude bound"
+    );
     let round = 1i64 << (2 * SCALE_BITS - 1);
     if rows <= 1 && cols <= 1 {
         // Only the DC term: every sample is the same value.
@@ -177,16 +244,34 @@ pub(crate) fn inverse_sparse(
         *out = [((dc + round) >> (2 * SCALE_BITS)) as i32; BLOCK_AREA];
         return;
     }
+    if magnitude < F64_EXACT_BELOW {
+        // Inverse over columns, each sum's bits parked in the `i64` scratch.
+        for c in set_bits(cols) {
+            let column = inverse_pass(|k| coef[k * BLOCK + c] as f64, &BASIS_F64, rows, 0.0);
+            for (n, v) in column.into_iter().enumerate() {
+                tmp[n * BLOCK + c] = v.to_bits() as i64;
+            }
+        }
+        // Inverse over rows, from `v + ½` to the `i64` pass's rounded shift.
+        for (tmp_row, out_row) in tmp.chunks_exact(BLOCK).zip(out.chunks_exact_mut(BLOCK)) {
+            let x = |k| f64::from_bits(tmp_row[k] as u64);
+            let row = inverse_pass(x, &BASIS_F64, cols, 0.5);
+            for (o, v) in out_row.iter_mut().zip(row) {
+                *o = (v + ROUND_OFF_26).to_bits() as i32;
+            }
+        }
+        return;
+    }
     // Inverse over columns: tmp = C^T * coef, for the occupied columns.
     for c in set_bits(cols) {
-        let column = inverse_pass(|k| coef[k * BLOCK + c] as i64, rows, 0);
+        let column = inverse_pass(|k| coef[k * BLOCK + c] as i64, &BASIS, rows, 0);
         for (n, v) in column.into_iter().enumerate() {
             tmp[n * BLOCK + c] = v;
         }
     }
     // Inverse over rows with rounding and the remaining 1/4-ish normalization.
     for (tmp_row, out_row) in tmp.chunks_exact(BLOCK).zip(out.chunks_exact_mut(BLOCK)) {
-        let row = inverse_pass(|k| tmp_row[k], cols, round);
+        let row = inverse_pass(|k| tmp_row[k], &BASIS, cols, round);
         for (o, v) in out_row.iter_mut().zip(row) {
             *o = (v >> (2 * SCALE_BITS)) as i32;
         }

@@ -4,7 +4,7 @@ use crate::bitstream::{BitReader, BitstreamError};
 use crate::blockops::{
     copy_block, dc_predict, fill_block, reconstruct_flat, reconstruct_inter, ZIGZAG,
 };
-use crate::dct::{inverse_sparse, BLOCK, BLOCK_AREA};
+use crate::dct::{inverse_sparse_bounded, BLOCK, BLOCK_AREA};
 use crate::deblock::deblock_frame;
 use crate::grid::TILE_ALIGN;
 use crate::quant::{dequantize, qstep};
@@ -295,7 +295,8 @@ struct Scratch {
 }
 
 /// Reads a coded-block flag and, if set, the block's coefficients —
-/// dequantized as they are parsed — and inverse transforms them into
+/// dequantized as they are parsed, with the rows, columns and magnitude bits
+/// they occupy noted — and inverse transforms them into
 /// `block.residual`. `false` means no residual is coded. A coefficient's
 /// `(run, level)` pair is one table step where the table holds it; the
 /// others are read a symbol at a time, and either way a run is checked
@@ -309,7 +310,7 @@ fn read_residual(r: &mut BitReader<'_>, block: &mut Scratch, qs: i32) -> Result<
         return Err(DecodeError::InvalidSyntax("too many coefficients"));
     }
     let mut coefs = [0i32; BLOCK_AREA];
-    let (mut rows, mut cols) = (0u8, 0u8);
+    let (mut rows, mut cols, mut magnitude) = (0u8, 0u8, 0u32);
     let mut pos = 0usize;
     for _ in 0..nnz {
         let pair = r.get_run_level();
@@ -334,9 +335,17 @@ fn read_residual(r: &mut BitReader<'_>, block: &mut Scratch, qs: i32) -> Result<
         coefs[at] = dequantize(level, qs);
         rows |= 1 << (at / BLOCK);
         cols |= 1 << (at % BLOCK);
+        magnitude |= coefs[at].unsigned_abs();
         pos += 1;
     }
-    inverse_sparse(&coefs, rows, cols, &mut block.tmp, &mut block.residual);
+    inverse_sparse_bounded(
+        &coefs,
+        rows,
+        cols,
+        magnitude,
+        &mut block.tmp,
+        &mut block.residual,
+    );
     Ok(true)
 }
 

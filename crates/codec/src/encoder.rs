@@ -17,7 +17,7 @@ use crate::blockops::{
     copy_block, dc_predict, fill_block, load_block, reconstruct_flat, reconstruct_inter, sad,
     ZIGZAG,
 };
-use crate::dct::{forward, inverse_sparse, BLOCK, BLOCK_AREA};
+use crate::dct::{forward, inverse_sparse_bounded, BLOCK, BLOCK_AREA};
 use crate::deblock::deblock_frame;
 use crate::quant::{dequantize, outside_dead_zone, qstep, quantize};
 use bytes::Bytes;
@@ -505,8 +505,9 @@ impl BlockCoder {
     /// coefficients lie outside the dead zone is gathered first, a bit each
     /// in scan order and without a branch (which ones do is not predictable);
     /// the count and the runs are then read off the bits, and each level is
-    /// written and dequantized into place with its row and column noted, so
-    /// the inverse transform runs over those alone.
+    /// written and dequantized into place with its row, column and magnitude
+    /// noted, so the inverse transform runs over those alone, in the lanes
+    /// the magnitude allows.
     pub(crate) fn code_levels(
         &mut self,
         w: &mut BitWriter,
@@ -528,7 +529,7 @@ impl BlockCoder {
         w.put_bit(true);
         w.put_ue(kept.count_ones() - 1);
         let mut dequantized = [0i32; BLOCK_AREA];
-        let (mut rows, mut cols) = (0u8, 0u8);
+        let (mut rows, mut cols, mut magnitude) = (0u8, 0u8, 0u32);
         let mut next = 0;
         while kept != 0 {
             let pos = kept.trailing_zeros();
@@ -540,8 +541,10 @@ impl BlockCoder {
             dequantized[at] = dequantize(level, self.qstep);
             rows |= 1 << (at / BLOCK);
             cols |= 1 << (at % BLOCK);
+            magnitude |= dequantized[at].unsigned_abs();
         }
-        inverse_sparse(&dequantized, rows, cols, &mut self.tmp, &mut self.residual);
+        let (tmp, residual) = (&mut self.tmp, &mut self.residual);
+        inverse_sparse_bounded(&dequantized, rows, cols, magnitude, tmp, residual);
         Some(&self.residual)
     }
 }

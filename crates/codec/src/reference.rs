@@ -601,6 +601,102 @@ mod tests {
         });
     }
 
+    /// Both sides of the 2²⁰ bound under which the inverse transform sums
+    /// in `f64`: the blocks that push those sums furthest, the smallest
+    /// coefficient that must take the `i64` passes, and the `i32` extremes
+    /// the saturating dequantiser hands on — each with exact masks and
+    /// over-approximated ones, through both entry points, and with a
+    /// magnitude bound that sends a small block down the `i64` passes too.
+    #[test]
+    fn inverse_matches_reference_on_both_sides_of_the_f64_bound() {
+        let below = (1 << 20) - 1;
+        let mut blocks: Vec<[i32; BLOCK_AREA]> = vec![[below; BLOCK_AREA], [-below; BLOCK_AREA]];
+        // For each output sample, every coefficient at ±(2²⁰ − 1) with the
+        // sign that makes every product in its sum positive: the largest
+        // sums the `f64` passes can meet, and the column sums under them.
+        for (r, n) in (0..BLOCK).flat_map(|r| (0..BLOCK).map(move |n| (r, n))) {
+            let worst: [i32; BLOCK_AREA] = std::array::from_fn(|i| {
+                let sign = (BASIS[i / BLOCK][r] * BASIS[i % BLOCK][n]).signum();
+                sign * below
+            });
+            blocks.push(worst);
+            blocks.push(worst.map(|c| -c));
+        }
+        // One coefficient at ±2²⁰ (the `i64` side) or ±(2²⁰ − 1), alone and
+        // beside small ones, at every position.
+        for at in 0..BLOCK_AREA {
+            for v in [1 << 20, -(1 << 20), below, -below] {
+                let mut alone = [0i32; BLOCK_AREA];
+                alone[at] = v;
+                let mut crowded: [i32; BLOCK_AREA] =
+                    std::array::from_fn(|i| [0, 16, -48, 0, 400][i % 5]);
+                crowded[at] = v;
+                blocks.extend([alone, crowded]);
+            }
+        }
+        // Sums exactly halfway between two outputs: with `a` at (0, 0) and
+        // `b` at (0, 1), output (r, 0) is 2896 · (2896a + 4017b) = 181m · 2²⁵
+        // for odd `m`, which the `i64` pass rounds up. The last two are past
+        // 2⁵³, where an `f64` sum would lose the ½ that breaks the tie.
+        for m in [1i64, -1, 3, -5, (1 << 21) + 1, -(1 << 21) - 3] {
+            let b = (0..2896)
+                .find(|b| ((m << 21) - 4017 * b) % 2896 == 0)
+                .unwrap();
+            let mut tie = [0i32; BLOCK_AREA];
+            tie[0] = (((m << 21) - 4017 * b) / 2896) as i32;
+            tie[1] = b as i32;
+            blocks.push(tie);
+        }
+        // The ends of the `i32` range, as saturating dequantisation makes
+        // them, at every step size.
+        for qp in 0..=51u8 {
+            let qs = qstep(qp);
+            let (hi, lo) = (dequantize(i32::MAX, qs), dequantize(i32::MIN, qs));
+            let mut mixed = [0i32; BLOCK_AREA];
+            for (i, c) in mixed.iter_mut().enumerate() {
+                *c = [hi, lo, 0, dequantize(3, qs), hi, lo, lo][i % 7];
+            }
+            let mut one = [0i32; BLOCK_AREA];
+            one[ZIGZAG[qp as usize]] = if qp % 2 == 0 { hi } else { lo };
+            blocks.extend([mixed, one, [hi; BLOCK_AREA], [lo; BLOCK_AREA]]);
+        }
+        let mut extra = Rng(0x5eed);
+        for coefs in &blocks {
+            let want = inverse(coefs);
+            let (mut rows, mut cols) = (0u8, 0u8);
+            let mut magnitude = 0u32;
+            for (i, &c) in coefs.iter().enumerate() {
+                if c != 0 {
+                    rows |= 1 << (i / BLOCK);
+                    cols |= 1 << (i % BLOCK);
+                }
+                magnitude |= c.unsigned_abs();
+            }
+            let more = |mask: u8, extra: &mut Rng| mask | extra.u32(0..256) as u8;
+            let masks = [
+                (rows, cols),
+                (more(rows, &mut extra), more(cols, &mut extra)),
+                (rows, 0xff),
+                (0xff, 0xff),
+            ];
+            for (rows, cols) in masks {
+                let (mut tmp, mut out) = ([i64::MIN; BLOCK_AREA], [-7; BLOCK_AREA]);
+                crate::dct::inverse_sparse(coefs, rows, cols, &mut tmp, &mut out);
+                assert_eq!(out, want, "{coefs:?} rows {rows:#x} cols {cols:#x}");
+                for bound in [magnitude, u32::MAX] {
+                    let (mut tmp, mut out) = ([i64::MAX; BLOCK_AREA], [-7; BLOCK_AREA]);
+                    crate::dct::inverse_sparse_bounded(
+                        coefs, rows, cols, bound, &mut tmp, &mut out,
+                    );
+                    assert_eq!(
+                        out, want,
+                        "{coefs:?} rows {rows:#x} cols {cols:#x} bound {bound}"
+                    );
+                }
+            }
+        }
+    }
+
     #[derive(Debug, Clone, Copy)]
     enum Op {
         Bits(u32),
