@@ -7,9 +7,7 @@ use tasm_codec::blockops::{load_block, ZIGZAG};
 use tasm_codec::dct::{forward, inverse_sparse, BLOCK, BLOCK_AREA};
 use tasm_codec::deblock::deblock_frame;
 use tasm_codec::quant::qstep;
-use tasm_codec::{
-    encode_video, pred, CodecChoice, EncoderConfig, StitchedVideo, TileEncoder, TileLayout,
-};
+use tasm_codec::{encode_video, EncoderConfig, StitchedVideo, TileEncoder, TileLayout};
 use tasm_data::{Dataset, SceneSpec, SyntheticVideo};
 use tasm_video::{Frame, FrameSource, Plane, VecFrameSource};
 
@@ -117,11 +115,9 @@ fn mosaic(
 /// The perf ledger's geometry — one 640×352, GOP-30 VisualRoad second, the
 /// clip its `cold_select` workload decodes — rather than the 320×192 test
 /// scene: whole-GOP decode untiled and 2×2 and the two kernels under it,
-/// then the write path: one SOT's encode untiled and 3×4, `Dct` alone
-/// beside the `Auto` size trial (from the rendered frames, and 3×4 from the
-/// decoded ones a re-tile starts from), the coded-block path and its
-/// transform and bit writer alone, and the lossless P-frames the trial pays
-/// for.
+/// then the write path: one SOT's encode untiled and 3×4 from the rendered
+/// frames, and 3×4 from the decoded ones a re-tile starts from, and the
+/// coded-block path and its transform and bit writer alone.
 fn ledger_geometry_benches(c: &mut Criterion) {
     let (w, h, frames) = (640u32, 352u32, 30u32);
     let video = Dataset::VisualRoad2K.build(1, 11);
@@ -321,51 +317,16 @@ fn ledger_geometry_benches(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Elements(u64::from(frames) * samples));
     let grid = TileLayout::uniform(w, h, 3, 4).unwrap();
-    for (layout_name, layout) in [("untiled", &TileLayout::untiled(w, h)), ("3x4", &grid)] {
-        for (codec_name, codec) in [("dct", CodecChoice::Dct), ("auto", CodecChoice::Auto)] {
-            let cfg = EncoderConfig { codec, ..cfg };
-            g.bench_function(format!("640x352_gop30_{layout_name}_{codec_name}"), |b| {
-                b.iter(|| encode_video(&src, layout, &cfg, false).unwrap())
-            });
-        }
+    for (name, layout) in [("untiled", &TileLayout::untiled(w, h)), ("3x4", &grid)] {
+        g.bench_function(format!("640x352_gop30_{name}_dct"), |b| {
+            b.iter(|| encode_video(&src, layout, &cfg, false).unwrap())
+        });
     }
     // What a re-tile feeds the encoder: the untiled SOT's decoded frames.
-    // Their background is exactly static, so most tiles' whole DCT stream is
-    // smaller than the lossless keyframe and the `Auto` trial is decided
-    // there; on the rendered source above it is decided late.
     let redecoded = VecFrameSource::new(untiled[0].decode_all().unwrap().0);
-    let auto = EncoderConfig {
-        codec: CodecChoice::Auto,
-        ..cfg
-    };
     g.bench_function("640x352_gop30_3x4_dct_redecoded", |b| {
         b.iter(|| encode_video(&redecoded, &grid, &cfg, false).unwrap())
     });
-    g.bench_function("640x352_gop30_3x4_auto_redecoded", |b| {
-        b.iter(|| encode_video(&redecoded, &grid, &auto, false).unwrap())
-    });
-    g.finish();
-
-    // The lossless P-frame the trial pays for, at the best, typical and
-    // worst case of its temporal-vs-spatial sum: a repeated frame (decided
-    // before the first row), the scene's own next frame, and a cut to
-    // another scene (spatial wins on every plane, so every row is summed).
-    let other_scene = Dataset::VisualRoad2K.build(1, 12).frame(0);
-    let frames = src.frames();
-    assert!(
-        pred::decode_frame(&pred::encode_inter(&other_scene, &frames[0]), w, h, None).is_ok(),
-        "the cut input must code every plane spatially"
-    );
-    let mut g = c.benchmark_group("pred");
-    g.sample_size(20);
-    g.throughput(Throughput::Elements(samples));
-    for (name, frame) in [
-        ("encode_inter_static", &frames[0]),
-        ("encode_inter_moving", &frames[1]),
-        ("encode_inter_cut", &other_scene),
-    ] {
-        g.bench_function(name, |b| b.iter(|| pred::encode_inter(frame, &frames[0])));
-    }
     g.finish();
 }
 

@@ -75,10 +75,6 @@ pub fn micro_storage() -> StorageConfig {
         deblock: true,
         rate: tasm_codec::RateControl::ConstantQp,
         parallel_encode: true,
-        // Figure reproductions measure DCT decode work as the paper's
-        // system would incur it; the codec size trial is benchmarked
-        // separately by the codec bench's `encode/*_auto*` rows.
-        codec: tasm_codec::CodecChoice::Dct,
     }
 }
 

@@ -109,12 +109,13 @@ CLUSTER: shard-map administration. `init` writes an epoch-1 CRC-framed
   GC the source copy.
 
 STATS: storage accounting. Per video: on-disk tile bytes, the ratio
-  against raw planar YUV, and how many tiles each codec won (dct = the
-  quantized transform codec, pred = the lossless entropy-coded codec
-  chosen when its stream is smaller). With --storage, also reports the
-  semantic index tier: sorted-run count and sizes, memtable occupancy,
-  WAL length, resident vs on-disk bytes, and the bloom/frame-range
-  filter hit rate measured over one probe query per stored label.
+  against raw planar YUV, and how many tiles each codec holds (dct = the
+  quantized transform codec every tile is written in, pred = the lossless
+  entropy-coded codec of tiles written by earlier builds, still read).
+  With --storage, also reports the semantic index tier: sorted-run count
+  and sizes, memtable occupancy, WAL length, resident vs on-disk bytes,
+  and the bloom/frame-range filter hit rate measured over one probe query
+  per stored label.
 
 FSCK: opens the store (running startup recovery: interrupted re-tiles are
   rolled forward or back, half-ingested videos reaped) and then validates
@@ -1381,7 +1382,7 @@ fn stats(args: &Args) -> CmdResult {
             video_objs.push(format!(
                 concat!(
                     "{{\"name\":\"{}\",\"disk_bytes\":{},\"raw_bytes\":{},",
-                    "\"frames\":{},\"sots\":{},\"codec\":\"{:?}\",",
+                    "\"frames\":{},\"sots\":{},",
                     "\"tiles_dct\":{},\"tiles_pred\":{}}}"
                 ),
                 tasm_obs::log::json_escape(&name),
@@ -1389,18 +1390,16 @@ fn stats(args: &Args) -> CmdResult {
                 raw,
                 m.frame_count,
                 m.sots.len(),
-                m.config.codec,
                 dct,
                 pred,
             ));
         } else {
             println!(
                 "{name}: {:.1} KiB on disk / {:.1} KiB raw ({:.2}x smaller), \
-                 codec {:?}, tiles: {dct} dct, {pred} pred",
+                 tiles: {dct} dct, {pred} pred",
                 disk as f64 / 1024.0,
                 raw as f64 / 1024.0,
                 raw as f64 / disk.max(1) as f64,
-                m.config.codec,
             );
         }
     }

@@ -56,27 +56,6 @@ pub enum RateControl {
     },
 }
 
-/// Which codec [`crate::encode_video`] uses for each tile. Stores default
-/// to `Dct` and record the choice per video.
-///
-/// `Auto` runs a size trial per tile — the DCT stream first, then the
-/// lossless one for as long as it is the smaller of the two — so tiles that
-/// are flat in the input (where the lossless predictor + rANS coder wins)
-/// are stored losslessly while busy tiles keep the lossy DCT path. The
-/// trial costs what the lossless coder spends before it is out: measured at
-/// 640×352, about 1.9 DCT encodes' worth of time for one stream on the
-/// decoded frames a re-tile starts from, about 2.9 on rendered frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum CodecChoice {
-    /// Always the lossy DCT codec (the pre-codec-id behaviour).
-    #[default]
-    Dct,
-    /// Always the lossless prediction + rANS entropy codec.
-    Pred,
-    /// Per-tile size trial: whichever codec produces fewer bytes.
-    Auto,
-}
-
 /// Encoder configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EncoderConfig {
@@ -93,10 +72,6 @@ pub struct EncoderConfig {
     pub deblock: bool,
     /// Rate-control mode.
     pub rate: RateControl,
-    /// Per-tile codec selection (defaults to DCT-only, the historical
-    /// behaviour; absent in older serialized configs).
-    #[serde(default)]
-    pub codec: CodecChoice,
 }
 
 impl Default for EncoderConfig {
@@ -107,7 +82,6 @@ impl Default for EncoderConfig {
             search_range: 7,
             deblock: true,
             rate: RateControl::ConstantQp,
-            codec: CodecChoice::Dct,
         }
     }
 }
@@ -634,30 +608,27 @@ fn three_step_search(
 mod tests {
     use super::*;
 
-    /// `codec` is `#[serde(default)]`: a config serialized before the field
-    /// existed reads back as DCT-only, any other missing field is an error.
+    /// This build writes no `codec` key. Configs from earlier builds carry
+    /// `"codec"` as `Dct`, `Pred` or `Auto`, or lack the key. Every form
+    /// reads back as the same config, which encodes DCT, the only codec
+    /// the write path has. Any other missing field is still an error.
     #[test]
     fn config_without_codec_field_reads_as_dct() {
         let cfg = EncoderConfig {
-            codec: CodecChoice::Auto,
             qp: 31,
             ..Default::default()
         };
         let json = serde_json::to_string(&cfg).unwrap();
+        assert!(!json.contains("codec"), "{json}");
         assert_eq!(serde_json::from_str::<EncoderConfig>(&json).unwrap(), cfg);
-
-        let legacy = json.replace(",\"codec\":\"Auto\"", "");
-        assert_ne!(legacy, json);
-        let back: EncoderConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(
-            back,
-            EncoderConfig {
-                codec: CodecChoice::Dct,
-                ..cfg
-            }
-        );
-        let broken = legacy.replace("\"qp\":31,", "");
-        assert_ne!(broken, legacy);
+        for codec in ["Dct", "Pred", "Auto"] {
+            let body = json.strip_suffix('}').unwrap();
+            let legacy = format!("{body},\"codec\":\"{codec}\"}}");
+            let back: EncoderConfig = serde_json::from_str(&legacy).unwrap();
+            assert_eq!(back, cfg, "{legacy}");
+        }
+        let broken = json.replace("\"qp\":31,", "");
+        assert_ne!(broken, json);
         assert!(serde_json::from_str::<EncoderConfig>(&broken).is_err());
     }
 

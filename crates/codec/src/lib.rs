@@ -41,7 +41,7 @@ pub mod stitch;
 pub use container::{ContainerError, ContainerHeader, TileCodec, TileVideo};
 pub use decoder::{DecodeError, TileDecoder};
 pub use encode::encode_video;
-pub use encoder::{CodecChoice, EncodedFrame, EncoderConfig, RateControl, TileEncoder};
+pub use encoder::{EncodedFrame, EncoderConfig, RateControl, TileEncoder};
 pub use entropy::EntropyError;
 pub use grid::{LayoutError, TileLayout, TILE_ALIGN};
 pub use pred::PredError;

@@ -1,16 +1,20 @@
 //! The `Pred` tile codec: lossless prediction + rANS entropy coding.
 //!
-//! An alternative per-tile codec to the DCT pipeline, selected explicitly or
-//! by a size trial (see [`crate::encode`]): frames are predicted — keyframes
-//! with PNG-style per-row spatial predictors (none/left/up/average/Paeth),
+//! Stores written by earlier builds, and peers running them, may hold
+//! `Pred` tiles; this build reads them and writes only DCT tiles
+//! ([`crate::encode_video`]). Frames are predicted — keyframes with
+//! PNG-style per-row spatial predictors (none/left/up/average/Paeth),
 //! P-frames with a temporal delta against the previous reconstruction, per
 //! plane, with a spatial fallback when the scene cuts — and the residual
 //! bytes are entropy-coded with [`crate::entropy`]. The codec is lossless,
 //! so a P-frame's reference equals the source frame and resume-from-cache
 //! decoding is trivially bit-exact.
 
+use crate::container::{TileCodec, TileVideo};
+use crate::encoder::{EncodedFrame, EncoderConfig};
 use crate::entropy::{self, EntropyError};
-use tasm_video::{Frame, Plane};
+use bytes::Bytes;
+use tasm_video::{Frame, FrameSource, Plane, Rect};
 
 /// Errors surfaced while decoding a `Pred` frame payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -351,6 +355,42 @@ pub fn encode_inter(frame: &Frame, prev: &Frame) -> Vec<u8> {
     seal(&residuals)
 }
 
+/// The `Pred` tile at `rect` of every frame of `src`, in GOPs of
+/// `gop_len`: keyframes intra, P-frames against the previous source tile
+/// (which, the codec being lossless, is the decoder's reference). The
+/// header's `qp` and `deblock` are the encoder defaults; a `Pred` decode
+/// reads neither. The store never calls this: it is how tests build the
+/// tiles an older store or peer may hold.
+pub fn encode_tile(src: &dyn FrameSource, rect: Rect, gop_len: u32) -> TileVideo {
+    let defaults = EncoderConfig::default();
+    let mut prev: Option<Frame> = None;
+    let frames = (0..src.len())
+        .map(|i| {
+            let tile = src.frame(i).crop(rect);
+            let is_key = i.is_multiple_of(gop_len);
+            let data = match &prev {
+                Some(prev) if !is_key => encode_inter(&tile, prev),
+                _ => encode_intra(&tile),
+            };
+            prev = Some(tile);
+            EncodedFrame {
+                is_key,
+                qp: 0,
+                data: Bytes::from(data),
+            }
+        })
+        .collect();
+    TileVideo {
+        width: rect.w,
+        height: rect.h,
+        gop_len,
+        qp: defaults.qp,
+        deblock: defaults.deblock,
+        codec: TileCodec::Pred,
+        frames,
+    }
+}
+
 /// Upper bound on the residual-buffer size for a `width`×`height` frame —
 /// the allocation cap handed to the entropy decoder.
 fn residual_bound(width: u32, height: u32) -> usize {
@@ -427,7 +467,8 @@ pub fn decode_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tasm_video::Rect;
+    use crate::grid::TileLayout;
+    use tasm_video::VecFrameSource;
 
     fn textured(w: u32, h: u32, t: u32) -> Frame {
         let mut f = Frame::filled(w, h, 90, 128, 128);
@@ -455,6 +496,24 @@ mod tests {
         let data = encode_inter(&b, &a);
         let back = decode_frame(&data, 64, 48, Some(&a)).unwrap();
         assert_eq!(b, back);
+    }
+
+    /// Each tile `encode_tile` builds under a 2×2 layout survives its
+    /// container bytes and decodes to its crop of the source, with a
+    /// keyframe at every GOP start.
+    #[test]
+    fn encode_tile_roundtrips_losslessly() {
+        let src = VecFrameSource::new((0..6).map(|t| textured(64, 64, t)).collect());
+        for (_, rect) in TileLayout::uniform(64, 64, 2, 2).unwrap().tiles() {
+            let tile = encode_tile(&src, rect, 4);
+            assert_eq!(tile.codec, TileCodec::Pred);
+            let keys: Vec<bool> = tile.frames.iter().map(|f| f.is_key).collect();
+            assert_eq!(keys, [true, false, false, false, true, false]);
+            let back = TileVideo::from_bytes(&tile.to_bytes()).unwrap();
+            let (frames, _) = back.decode_all().unwrap();
+            let crops: Vec<Frame> = src.frames().iter().map(|f| f.crop(rect)).collect();
+            assert_eq!(frames, crops, "{rect:?}");
+        }
     }
 
     #[test]

@@ -1185,7 +1185,6 @@ mod tests {
             } else {
                 RateControl::ConstantQp
             },
-            ..Default::default()
         }
     }
 

@@ -1,6 +1,5 @@
-//! Golden digests of the codecs (DCT first, `Pred` and `Auto` below): the
-//! encoder's container bytes and every decoded plane, pinned as FNV-1a-64
-//! values.
+//! Golden digests of the codecs (DCT first, `Pred` below): the encoders'
+//! container bytes and every decoded plane, pinned as FNV-1a-64 values.
 //!
 //! The on-disk format, the encoder's output and the decoder's pixels are a
 //! contract — stores written by one build are read by the next, and the
@@ -10,7 +9,7 @@
 //! moves means stored tiles would decode to different pixels.
 
 use tasm_codec::{
-    encode_video, CodecChoice, EncoderConfig, RateControl, TileCodec, TileLayout, TileVideo,
+    encode_video, pred, EncoderConfig, RateControl, TileCodec, TileLayout, TileVideo,
 };
 use tasm_video::{Frame, Plane, Rect, VecFrameSource};
 
@@ -245,13 +244,12 @@ fn golden_with_reference_resume() {
 }
 
 // ---------------------------------------------------------------------------
-// `CodecChoice::Pred` and `CodecChoice::Auto`
+// `Pred` tiles, and DCT on more layouts
 // ---------------------------------------------------------------------------
 //
-// The lossless codec and the per-tile size trial are pinned the same way:
-// stores written with either must keep their bytes, and the trial must keep
-// choosing the same codec for the same tile, whatever order `encode_video`
-// visits tiles and frames in.
+// No store writes `Pred` tiles any more, but stores written by earlier
+// builds hold them: `pred::encode_tile` must keep producing their bytes and
+// the decoder their planes.
 
 /// A flat clip: constant background, one solid block moving 2 px per frame.
 /// The lossless predictor codes it in a handful of bytes per frame.
@@ -282,18 +280,15 @@ fn textured_clip() -> VecFrameSource {
     VecFrameSource::new(vec![f; FRAMES as usize])
 }
 
-/// Split-clip geometry: a flat tile must be large before the lossless
-/// stream wins (per frame it pays ~30 bytes of entropy header, the DCT one
-/// bit per SKIP block; they cross near 30k samples).
+/// Split-clip geometry.
 const SW: u32 = 384;
 const SH: u32 = 256;
 /// Width of the split clip's flat part.
 const FLAT_W: u32 = 256;
 
 /// The left `FLAT_W` columns flat and static, the rest textured with a band
-/// of fresh noise every frame: a layout that splits at `x = FLAT_W` has
-/// tiles on which the size trial keeps the lossless stream and tiles on
-/// which it keeps the DCT one.
+/// of fresh noise every frame: a layout that splits at `x = FLAT_W` has a
+/// flat tile and a busy one.
 fn split_clip() -> VecFrameSource {
     let frames = (0..FRAMES)
         .map(|t| {
@@ -313,21 +308,14 @@ fn split_clip() -> VecFrameSource {
     VecFrameSource::new(frames)
 }
 
-/// Like [`run`] for an explicit codec choice: (container-bytes digest,
-/// decoded-planes digest, codec id of every tile in raster order).
-fn run_choice(
-    src: &VecFrameSource,
-    codec: CodecChoice,
-    layout: &TileLayout,
-) -> (u64, u64, Vec<u8>) {
-    let cfg = EncoderConfig {
-        codec,
-        ..cfg(28, true)
-    };
-    let (tiles, _) = encode_video(src, layout, &cfg, false).unwrap();
+/// Like [`run`] for tiles of `codec` (`Pred` through `pred::encode_tile`):
+/// (container-bytes digest, decoded-planes digest).
+fn run_codec(src: &VecFrameSource, codec: TileCodec, layout: &TileLayout) -> (u64, u64) {
+    let tiles = encode(src, codec, layout, false);
     let mut bytes_digest = FNV_SEED;
     let mut pixel_digest = FNV_SEED;
     for (tile, (_, rect)) in tiles.iter().zip(layout.tiles()) {
+        assert_eq!(tile.codec, codec);
         let bytes = tile.to_bytes();
         bytes_digest = fnv1a(bytes_digest, &bytes);
         let back = TileVideo::from_bytes(&bytes).unwrap();
@@ -335,7 +323,7 @@ fn run_choice(
         let (all, _) = back.decode_all().unwrap();
         assert_eq!(all.len(), FRAMES as usize);
         pixel_digest = digest_frames(pixel_digest, &all);
-        if tile.codec == TileCodec::Pred {
+        if codec == TileCodec::Pred {
             // Lossless: the decoded tile is the source's tile.
             for (t, f) in all.iter().enumerate() {
                 assert_eq!(f, &src.frames()[t].crop(rect));
@@ -347,28 +335,41 @@ fn run_choice(
             .unwrap();
         assert_eq!(&all[from as usize..], &resumed[..]);
     }
-    let codecs = tiles.iter().map(|t| t.codec.id()).collect();
-    (bytes_digest, pixel_digest, codecs)
+    (bytes_digest, pixel_digest)
 }
 
-type ChoiceCase = (
-    &'static str,
-    fn() -> VecFrameSource,
-    CodecChoice,
-    TileLayout,
-);
+/// The clip's tiles under `layout` in `codec` at QP 28 with deblocking:
+/// DCT through `encode_video` (serial or `parallel`), `Pred` tile by tile.
+fn encode(
+    src: &VecFrameSource,
+    codec: TileCodec,
+    layout: &TileLayout,
+    parallel: bool,
+) -> Vec<TileVideo> {
+    match codec {
+        TileCodec::Dct => {
+            encode_video(src, layout, &cfg(28, true), parallel)
+                .unwrap()
+                .0
+        }
+        TileCodec::Pred => layout
+            .tiles()
+            .map(|(_, rect)| pred::encode_tile(src, rect, GOP))
+            .collect(),
+    }
+}
+
+type CodecCase = (&'static str, fn() -> VecFrameSource, TileCodec, TileLayout);
 
 /// Flat, textured, moving and split clips; untiled, 2x2, 3x4 and non-uniform
-/// layouts; `Pred` and `Auto`, and `Dct` on the layouts the first table
-/// lacks.
-fn choice_cases() -> Vec<ChoiceCase> {
+/// layouts; `Pred`, and `Dct` on the layouts the first table lacks.
+fn codec_cases() -> Vec<CodecCase> {
     let untiled = || TileLayout::untiled(W, H);
     let tiled = || TileLayout::uniform(W, H, 2, 2).unwrap();
     let uneven = || TileLayout::new(vec![16, 48], vec![48, 16]).unwrap();
     let split_cols = || TileLayout::new(vec![FLAT_W, SW - FLAT_W], vec![SH]).unwrap();
-    let split_uneven = || TileLayout::new(vec![FLAT_W, 64, 64], vec![192, 64]).unwrap();
     let grid = || TileLayout::uniform(W, H, 3, 4).unwrap();
-    let (dct, pred, auto) = (CodecChoice::Dct, CodecChoice::Pred, CodecChoice::Auto);
+    let (dct, pred) = (TileCodec::Dct, TileCodec::Pred);
     vec![
         ("pred/flat/untiled", flat_clip, pred, untiled()),
         ("pred/flat/2x2", flat_clip, pred, tiled()),
@@ -377,196 +378,62 @@ fn choice_cases() -> Vec<ChoiceCase> {
         ("pred/moving/untiled", clip, pred, untiled()),
         ("pred/moving/2x2", clip, pred, tiled()),
         ("pred/moving/uneven", clip, pred, uneven()),
-        ("auto/flat/untiled", flat_clip, auto, untiled()),
-        ("auto/flat/uneven", flat_clip, auto, uneven()),
-        ("auto/textured/2x2", textured_clip, auto, tiled()),
-        ("auto/moving/untiled", clip, auto, untiled()),
-        ("auto/moving/2x2", clip, auto, tiled()),
-        ("auto/moving/uneven", clip, auto, uneven()),
         ("pred/split/2cols", split_clip, pred, split_cols()),
-        (
-            "auto/split/untiled",
-            split_clip,
-            auto,
-            TileLayout::untiled(SW, SH),
-        ),
-        ("auto/split/2cols", split_clip, auto, split_cols()),
-        ("auto/split/uneven", split_clip, auto, split_uneven()),
         ("dct/moving/uneven", clip, dct, uneven()),
         ("dct/moving/3x4", clip, dct, grid()),
         ("pred/moving/3x4", clip, pred, grid()),
-        ("auto/moving/3x4", clip, auto, grid()),
-        ("auto/flat/3x4", flat_clip, auto, grid()),
     ]
 }
 
-/// (case, container-bytes digest, decoded-planes digest, tile codec ids),
-/// computed on the per-tile encode loop before `encode_video` went
-/// frame-major and before `encode_inter`'s early exit.
-const GOLDEN_CHOICE: &[(&str, u64, u64, &[u8])] = &[
-    (
-        "pred/flat/untiled",
-        0x92cd2081e032c64e,
-        0xf553f45193a49a25,
-        &[1],
-    ),
-    (
-        "pred/flat/2x2",
-        0xeb9d6cdcc0f45336,
-        0x3d7747cd892f4425,
-        &[1, 1, 1, 1],
-    ),
+/// (case, container-bytes digest, decoded-planes digest), computed on the
+/// per-tile encode loop before `encode_video` went frame-major and before
+/// `encode_inter`'s early exit.
+const GOLDEN_CODECS: &[(&str, u64, u64)] = &[
+    ("pred/flat/untiled", 0x92cd2081e032c64e, 0xf553f45193a49a25),
+    ("pred/flat/2x2", 0xeb9d6cdcc0f45336, 0x3d7747cd892f4425),
     (
         "pred/textured/untiled",
         0x2936ca98d490cd42,
         0xbb3e0ce4b2bc4955,
-        &[1],
     ),
     (
         "pred/textured/uneven",
         0xdaebc75a4cc6a3a9,
         0x71927fa0b6faa435,
-        &[1, 1, 1, 1],
     ),
     (
         "pred/moving/untiled",
         0x9080c600832fa367,
         0xa538c98942e1a4cd,
-        &[1],
     ),
-    (
-        "pred/moving/2x2",
-        0xb180bb6bfa77083f,
-        0xe484997ccd0748bd,
-        &[1, 1, 1, 1],
-    ),
-    (
-        "pred/moving/uneven",
-        0x1a5a32156a076cb1,
-        0x5c4b671ad4ff7675,
-        &[1, 1, 1, 1],
-    ),
-    (
-        "auto/flat/untiled",
-        0xd8b9688a312a7db1,
-        0x513c06987ff51e88,
-        &[0],
-    ),
-    (
-        "auto/flat/uneven",
-        0x470af11f0c84476a,
-        0x2538150c1e4e1934,
-        &[0, 0, 0, 0],
-    ),
-    (
-        "auto/textured/2x2",
-        0x9691aa6bd39ccdc7,
-        0x311b27abb22db3f5,
-        &[0, 0, 0, 0],
-    ),
-    (
-        "auto/moving/untiled",
-        0x443a28de04a7cd95,
-        0x30fed70f9cb2a5bf,
-        &[0],
-    ),
-    (
-        "auto/moving/2x2",
-        0x6e74f40c6450ddc7,
-        0x5fa6ce8f390e2428,
-        &[0, 0, 0, 0],
-    ),
-    (
-        "auto/moving/uneven",
-        0x02618c175f17f4d7,
-        0xadb3dae31c8e3ad2,
-        &[0, 0, 0, 0],
-    ),
-    (
-        "pred/split/2cols",
-        0x6ac8a0709163c96a,
-        0xdb8d02fc8484736c,
-        &[1, 1],
-    ),
-    (
-        "auto/split/untiled",
-        0x8a86d0da2c6d71fc,
-        0x746dd4d0817a876c,
-        &[0],
-    ),
-    (
-        "auto/split/2cols",
-        0xe53493d0c92435a4,
-        0xe431750b5a3fb01e,
-        &[1, 0],
-    ),
-    (
-        "auto/split/uneven",
-        0x6d0779212876ecfa,
-        0xa780b24bf944dca2,
-        &[1, 0, 0, 0, 0, 0],
-    ),
-    (
-        "dct/moving/uneven",
-        0x02618c175f17f4d7,
-        0xadb3dae31c8e3ad2,
-        &[0, 0, 0, 0],
-    ),
-    (
-        "dct/moving/3x4",
-        0x17d46b6aec058fc9,
-        0x961064d725306db9,
-        &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    ),
-    (
-        "pred/moving/3x4",
-        0x3b2704d4a4391e67,
-        0x0fa1e86d24ac2ec9,
-        &[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
-    ),
-    (
-        "auto/moving/3x4",
-        0x17d46b6aec058fc9,
-        0x961064d725306db9,
-        &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    ),
-    (
-        "auto/flat/3x4",
-        0x007cb8d2e30ae4cf,
-        0xf4aced31c1f88d28,
-        &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-    ),
+    ("pred/moving/2x2", 0xb180bb6bfa77083f, 0xe484997ccd0748bd),
+    ("pred/moving/uneven", 0x1a5a32156a076cb1, 0x5c4b671ad4ff7675),
+    ("pred/split/2cols", 0x6ac8a0709163c96a, 0xdb8d02fc8484736c),
+    ("dct/moving/uneven", 0x02618c175f17f4d7, 0xadb3dae31c8e3ad2),
+    ("dct/moving/3x4", 0x17d46b6aec058fc9, 0x961064d725306db9),
+    ("pred/moving/3x4", 0x3b2704d4a4391e67, 0x0fa1e86d24ac2ec9),
 ];
 
 #[test]
-fn pred_and_auto_bytes_planes_and_choices_are_pinned() {
-    let got: Vec<(&str, u64, u64, Vec<u8>)> = choice_cases()
+fn pred_tiles_and_more_dct_layouts_are_pinned() {
+    let got: Vec<(&str, u64, u64)> = codec_cases()
         .into_iter()
         .map(|(name, clip, codec, layout)| {
-            let (bytes, pixels, codecs) = run_choice(&clip(), codec, &layout);
-            (name, bytes, pixels, codecs)
+            let (bytes, pixels) = run_codec(&clip(), codec, &layout);
+            (name, bytes, pixels)
         })
         .collect();
-    let same = got.len() == GOLDEN_CHOICE.len()
-        && got
-            .iter()
-            .zip(GOLDEN_CHOICE)
-            .all(|(g, w)| (g.0, g.1, g.2, g.3.as_slice()) == *w);
-    if !same {
+    if got != GOLDEN_CODECS {
         let table: String = got
             .iter()
-            .map(|(n, b, p, c)| format!("    (\"{n}\", {b:#018x}, {p:#018x}, &{c:?}),\n"))
+            .map(|(n, b, p)| format!("    (\"{n}\", {b:#018x}, {p:#018x}),\n"))
             .collect();
-        panic!("pred/auto digests moved; this build produces:\n{table}");
+        panic!("pred/dct digests moved; this build produces:\n{table}");
     }
-    // The trial is exercised both ways: the large flat tile keeps the
-    // lossless stream, the busy one the DCT stream.
-    let split = &got.iter().find(|g| g.0 == "auto/split/2cols").unwrap().3;
-    assert_eq!(split, &[TileCodec::Pred.id(), TileCodec::Dct.id()]);
 }
 
 /// Worker threads each encode a run of tiles; the streams are the serial
-/// ones (which the tables above pin) for every codec choice and layout.
+/// ones (which the tables above pin) for every DCT case and layout.
 #[test]
 fn parallel_encode_equals_serial_on_every_pinned_case() {
     for (name, cfg, layout) in cases() {
@@ -574,62 +441,11 @@ fn parallel_encode_equals_serial_on_every_pinned_case() {
         let (parallel, _) = encode_video(&clip(), &layout, &cfg, true).unwrap();
         assert_eq!(serial, parallel, "{name}");
     }
-    for (name, clip, codec, layout) in choice_cases() {
-        let cfg = EncoderConfig {
-            codec,
-            ..cfg(28, true)
-        };
-        let (serial, _) = encode_video(&clip(), &layout, &cfg, false).unwrap();
-        let (parallel, _) = encode_video(&clip(), &layout, &cfg, true).unwrap();
-        assert_eq!(serial, parallel, "{name}");
-    }
-}
-
-/// The `Auto` size trial against its definition, through the public API:
-/// per tile, the stream `Pred` alone writes where its payload is strictly
-/// smaller than the one `Dct` alone writes, else that one — codec and
-/// bytes, serial and parallel, for every clip, layout and encoder setting
-/// pinned above. However the trial gets there, it may not decide otherwise.
-#[test]
-fn auto_keeps_per_tile_the_smaller_of_the_dct_and_pred_streams() {
-    let settings = cases()
-        .into_iter()
-        .map(|(name, cfg, layout)| (name, clip as fn() -> VecFrameSource, cfg, layout))
-        .chain(
-            choice_cases()
-                .into_iter()
-                .map(|(name, clip, _, layout)| (name, clip, cfg(28, true), layout)),
-        );
-    let mut kept = [0usize; 2];
-    for (name, clip, cfg, layout) in settings {
-        let src = clip();
-        let encode = |codec, parallel| {
-            let cfg = EncoderConfig { codec, ..cfg };
-            encode_video(&src, &layout, &cfg, parallel).unwrap().0
-        };
-        let dct = encode(CodecChoice::Dct, false);
-        let pred = encode(CodecChoice::Pred, false);
-        let want: Vec<TileVideo> = dct
-            .into_iter()
-            .zip(pred)
-            .map(|(d, p)| {
-                if p.payload_bytes() < d.payload_bytes() {
-                    p
-                } else {
-                    d
-                }
-            })
-            .collect();
-        for parallel in [false, true] {
-            assert_eq!(
-                encode(CodecChoice::Auto, parallel),
-                want,
-                "{name} parallel={parallel}"
-            );
-        }
-        for tile in &want {
-            kept[tile.codec.id() as usize] += 1;
+    for (name, clip, codec, layout) in codec_cases() {
+        if codec == TileCodec::Dct {
+            let src = clip();
+            let serial = encode(&src, codec, &layout, false);
+            assert_eq!(serial, encode(&src, codec, &layout, true), "{name}");
         }
     }
-    assert!(kept[0] > 0 && kept[1] > 0, "kept {kept:?}");
 }

@@ -706,16 +706,11 @@ mod tests {
         // decoded frames it expands to are full planar YUV. The budget must
         // account the latter: charging on-disk size would let a 1 MiB
         // budget hold gigabytes of decoded pixels.
-        use tasm_codec::{encode_video, CodecChoice, EncoderConfig, TileLayout};
         use tasm_video::VecFrameSource;
         let src = VecFrameSource::new(vec![Frame::filled(64, 64, 120, 128, 128); 4]);
-        let cfg = EncoderConfig {
-            codec: CodecChoice::Pred,
-            ..Default::default()
-        };
-        let (videos, _) = encode_video(&src, &TileLayout::untiled(64, 64), &cfg, false).unwrap();
-        let disk_bytes = videos[0].size_bytes();
-        let (frames, _) = videos[0].decode_all().unwrap();
+        let tile = tasm_codec::pred::encode_tile(&src, src.frames()[0].rect(), 30);
+        let disk_bytes = tile.size_bytes();
+        let (frames, _) = tile.decode_all().unwrap();
         let decoded_bytes: u64 = frames.iter().map(frame_bytes).sum();
         assert!(
             disk_bytes < decoded_bytes / 4,

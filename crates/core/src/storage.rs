@@ -64,8 +64,8 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tasm_codec::{
-    encode_video, CodecChoice, ContainerError, ContainerHeader, DecodeStats, EncodeStats,
-    EncoderConfig, LayoutError, StitchError, TileLayout, TileVideo,
+    encode_video, ContainerError, ContainerHeader, DecodeStats, EncodeStats, EncoderConfig,
+    LayoutError, StitchError, TileLayout, TileVideo,
 };
 use tasm_video::{Frame, FrameSource, SliceSource, VecFrameSource};
 
@@ -138,7 +138,8 @@ impl From<StitchError> for StoreError {
     }
 }
 
-/// Encoding parameters for a stored video.
+/// Encoding parameters for a stored video. Every tile is written as DCT;
+/// the `codec` key that manifests of earlier builds carry is ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StorageConfig {
     /// Quantization parameter.
@@ -157,17 +158,6 @@ pub struct StorageConfig {
     pub rate: tasm_codec::encoder::RateControl,
     /// Encode tiles on multiple threads (bit-identical output either way).
     pub parallel_encode: bool,
-    /// Per-tile codec selection, recorded in the manifest at ingest and
-    /// honoured by every later re-tile of the video, whatever the default
-    /// is by then. The default, [`CodecChoice::Dct`], encodes each tile
-    /// once. [`CodecChoice::Auto`] keeps the smaller of each tile's two
-    /// streams, at about 2.2 times the encode time at ingest and 1.2 times
-    /// on re-tiled (DCT-decoded) input, where it keeps the DCT stream on
-    /// every tile anyway. [`CodecChoice::Pred`] stores every tile
-    /// losslessly. A manifest from before this field existed parses as
-    /// `Dct`, the only codec there was.
-    #[serde(default)]
-    pub codec: CodecChoice,
 }
 
 impl Default for StorageConfig {
@@ -180,7 +170,6 @@ impl Default for StorageConfig {
             deblock: true,
             rate: tasm_codec::encoder::RateControl::ConstantQp,
             parallel_encode: true,
-            codec: CodecChoice::Dct,
         }
     }
 }
@@ -211,7 +200,6 @@ impl StorageConfig {
             search_range: self.search_range,
             deblock: self.deblock,
             rate: self.rate,
-            codec: self.codec,
         }
     }
 }

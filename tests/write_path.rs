@@ -10,18 +10,20 @@
 
 use std::path::{Path, PathBuf};
 use tasm_cluster::{apply_record, StagedSots};
-use tasm_codec::{encode_video, CodecChoice, EncoderConfig, LayoutError, TileLayout};
+use tasm_codec::{encode_video, pred, EncoderConfig, LayoutError, TileLayout};
 use tasm_core::{
-    StorageConfig, StoreError, Tasm, TasmConfig, TasmError, VideoManifest, VideoStore,
+    LabelPredicate, Query, StorageConfig, StoreError, Tasm, TasmConfig, TasmError, VideoManifest,
+    VideoStore,
 };
 use tasm_index::MemoryIndex;
 use tasm_proto::ReplicationRecord;
+use tasm_suite::{assert_regions_identical, post_filter};
 use tasm_video::{Frame, Plane, Rect, SliceSource, VecFrameSource};
 
 const W: u32 = 384;
 const H: u32 = 256;
-/// Columns left of this are flat and static: as one 256-wide tile they are
-/// where the `Auto` size trial keeps the lossless stream.
+/// Columns left of this are flat and static: the tile a store written by an
+/// earlier build may hold as a lossless `Pred` tile.
 const FLAT_W: u32 = 256;
 const FRAMES: u32 = 12;
 const GOP: u32 = 6;
@@ -63,12 +65,11 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn cfg(codec: CodecChoice, parallel_encode: bool) -> StorageConfig {
+fn cfg(parallel_encode: bool) -> StorageConfig {
     StorageConfig {
         gop_len: GOP,
         sot_frames: GOP,
         parallel_encode,
-        codec,
         ..Default::default()
     }
 }
@@ -117,9 +118,7 @@ fn digest_tree(dir: &Path) -> u64 {
         })
 }
 
-/// The initial layouts: SOT 0 untiled, SOT 1 in two columns — under `Auto`
-/// its flat column is stored losslessly, so re-tiling it decodes a
-/// mixed-codec layout.
+/// The initial layouts: SOT 0 untiled, SOT 1 in two columns.
 fn initial_layout(sot: usize) -> TileLayout {
     if sot == 0 {
         TileLayout::untiled(W, H)
@@ -145,8 +144,7 @@ fn ingest_and_retile(tag: &str, cfg: StorageConfig) -> Vec<(u64, Vec<Vec<u8>>)> 
     let (manifest, _) = store
         .ingest("v", &clip(), 30, cfg, |sot, _| initial_layout(sot))
         .unwrap();
-    // Re-tile through a fresh handle and the manifest as it is on disk: the
-    // codec choice that counts is the one the store recorded at ingest.
+    // Re-tile through a fresh handle and the manifest as it is on disk.
     drop(store);
     let store = VideoStore::open(&dir).unwrap();
     let mut manifest = {
@@ -167,98 +165,41 @@ fn ingest_and_retile(tag: &str, cfg: StorageConfig) -> Vec<(u64, Vec<Vec<u8>>)> 
     steps
 }
 
-/// Per codec choice, after ingest / SOT 0 untiled→2 cols / SOT 0 2 cols→
-/// uneven / SOT 1 2 cols→uneven: (pack-tree digest, `tile_codecs` of SOT 0
-/// and SOT 1).
+/// After ingest / SOT 0 untiled→2 cols / SOT 0 2 cols→uneven / SOT 1 2
+/// cols→uneven: (pack-tree digest, `tile_codecs` of SOT 0 and SOT 1).
 type Step = (u64, [&'static [u8]; 2]);
 
-const PINNED: &[(CodecChoice, [Step; 4])] = &[
+const PINNED: [Step; 4] = [
+    (0xe74194d7c99f7f66, [&[0], &[0, 0]]),
+    (0xe177af8be8cfe0d6, [&[0, 0], &[0, 0]]),
+    (0x49e5fa56c516011b, [&[0, 0, 0, 0, 0, 0], &[0, 0]]),
     (
-        CodecChoice::Dct,
-        [
-            (0xe74194d7c99f7f66, [&[0], &[0, 0]]),
-            (0xe177af8be8cfe0d6, [&[0, 0], &[0, 0]]),
-            (0x49e5fa56c516011b, [&[0, 0, 0, 0, 0, 0], &[0, 0]]),
-            (
-                0x43af06948f8003b3,
-                [&[0, 0, 0, 0, 0, 0], &[0, 0, 0, 0, 0, 0]],
-            ),
-        ],
-    ),
-    (
-        CodecChoice::Pred,
-        [
-            (0x7e8c5236c644cd79, [&[1], &[1, 1]]),
-            (0x682f03b7e81df1d8, [&[1, 1], &[1, 1]]),
-            (0x7f94e43ef258dab5, [&[1, 1, 1, 1, 1, 1], &[1, 1]]),
-            (
-                0xc8febdd1ede75e88,
-                [&[1, 1, 1, 1, 1, 1], &[1, 1, 1, 1, 1, 1]],
-            ),
-        ],
-    ),
-    (
-        CodecChoice::Auto,
-        [
-            (0x0a57983f11373e89, [&[0], &[1, 0]]),
-            (0x00e0ed0c3111dab9, [&[0, 0], &[1, 0]]),
-            (0xdf0e837467610e34, [&[0, 0, 0, 0, 0, 0], &[1, 0]]),
-            (
-                0xb4b79366bbf6c180,
-                [&[0, 0, 0, 0, 0, 0], &[1, 0, 0, 0, 0, 0]],
-            ),
-        ],
+        0x43af06948f8003b3,
+        [&[0, 0, 0, 0, 0, 0], &[0, 0, 0, 0, 0, 0]],
     ),
 ];
 
-/// What a run measured after each step: (pack-tree digest, every SOT's
-/// `tile_codecs`).
-type Steps = Vec<(u64, Vec<Vec<u8>>)>;
-
-/// Whether a run's steps are the pinned ones.
-fn steps_match(got: &[(u64, Vec<Vec<u8>>)], want: &[Step]) -> bool {
-    got.len() == want.len()
-        && got
-            .iter()
-            .zip(want)
-            .all(|(g, w)| g.0 == w.0 && g.1.iter().map(Vec::as_slice).eq(w.1.iter().copied()))
-}
-
-/// A run's steps as rows of a pinned table, to paste over a stale one.
-fn steps_rows(steps: &[(u64, Vec<Vec<u8>>)]) -> String {
-    steps
-        .iter()
-        .map(|(digest, codecs)| {
-            format!(
-                "            ({digest:#018x}, [&{:?}, &{:?}]),\n",
-                codecs[0], codecs[1]
-            )
-        })
-        .collect()
-}
-
 #[test]
 fn ingest_and_retile_files_are_pinned() {
-    let mut got = Vec::new();
-    for codec in [CodecChoice::Dct, CodecChoice::Pred, CodecChoice::Auto] {
-        let serial = ingest_and_retile("pin-serial", cfg(codec, false));
-        let parallel = ingest_and_retile("pin-parallel", cfg(codec, true));
-        assert_eq!(serial, parallel, "{codec:?}: parallel encode moved bytes");
-        got.push((codec, serial));
-    }
-    let same = got.len() == PINNED.len()
-        && got
+    let serial = ingest_and_retile("pin-serial", cfg(false));
+    let parallel = ingest_and_retile("pin-parallel", cfg(true));
+    assert_eq!(serial, parallel, "parallel encode moved bytes");
+    let same = serial.len() == PINNED.len()
+        && serial
             .iter()
-            .zip(PINNED)
-            .all(|(g, w)| g.0 == w.0 && steps_match(&g.1, &w.1));
+            .zip(&PINNED)
+            .all(|(g, w)| g.0 == w.0 && g.1.iter().map(Vec::as_slice).eq(w.1.iter().copied()));
     if !same {
-        let mut table = String::new();
-        for (codec, steps) in &got {
-            table += &format!("    (\n        CodecChoice::{codec:?},\n        [\n");
-            table += &steps_rows(steps);
-            table += "        ],\n    ),\n";
-        }
-        panic!("write-path digests moved; this build produces:\n{table}");
+        let rows: String = serial
+            .iter()
+            .map(|(digest, codecs)| {
+                format!(
+                    "    ({digest:#018x}, [&{:?}, &{:?}]),\n",
+                    codecs[0], codecs[1]
+                )
+            })
+            .collect();
+        panic!("write-path digests moved; this build produces:\n{rows}");
     }
 }
 
@@ -277,41 +218,16 @@ fn digest_tiles(store: &VideoStore, manifest: &VideoManifest) -> u64 {
     h
 }
 
-/// Per codec choice, [`digest_tiles`] after ingest and after each of four
-/// re-tiles: SOT 0 untiled→2 cols→uneven, SOT 1 2 cols→uneven→2 cols.
-/// Computed on the store that kept one file per tile; how tiles are filed
-/// on disk must never move them.
-const TILES_PINNED: &[(CodecChoice, [u64; 5])] = &[
-    (
-        CodecChoice::Dct,
-        [
-            0xed3d921ce2bda0e2,
-            0xa696ed0b9b04e7ab,
-            0x2aaca36b3c1b7d71,
-            0xe6fabd5aa440d1a3,
-            0x502e88b79a147254,
-        ],
-    ),
-    (
-        CodecChoice::Pred,
-        [
-            0x43f4b2059a4df513,
-            0xad965f0ac9dae8ab,
-            0xb7dc3c53dbea85cf,
-            0xf1f596d40410a4a6,
-            0xb7dc3c53dbea85cf,
-        ],
-    ),
-    (
-        CodecChoice::Auto,
-        [
-            0x7564d233d356d8d9,
-            0xe670d72076152298,
-            0xfec9511a8ee7fa02,
-            0x250758013e2e46f8,
-            0x342e8b2f5e0bb937,
-        ],
-    ),
+/// [`digest_tiles`] after ingest and after each of four re-tiles: SOT 0
+/// untiled→2 cols→uneven, SOT 1 2 cols→uneven→2 cols. Computed on the store
+/// that kept one file per tile; how tiles are filed on disk must never move
+/// them.
+const TILES_PINNED: [u64; 5] = [
+    0xed3d921ce2bda0e2,
+    0xa696ed0b9b04e7ab,
+    0x2aaca36b3c1b7d71,
+    0xe6fabd5aa440d1a3,
+    0x502e88b79a147254,
 ];
 
 /// The bytes behind `tile_file_bytes` are the contract replication, `fsck`
@@ -320,360 +236,206 @@ const TILES_PINNED: &[(CodecChoice, [u64; 5])] = &[
 /// next epoch of its SOT: both serve the pinned bytes at every step.
 #[test]
 fn tiles_served_after_ingest_retile_and_replica_install_are_pinned() {
-    let mut got = Vec::new();
-    for &(codec, _) in TILES_PINNED {
-        let (dir, replica_dir) = (temp_dir("tiles"), temp_dir("tiles-replica"));
-        let store = VideoStore::open(&dir).unwrap();
-        let replica = VideoStore::open(&replica_dir).unwrap();
-        let (mut manifest, _) = store
-            .ingest("v", &clip(), 30, cfg(codec, false), |sot, _| {
-                initial_layout(sot)
-            })
-            .unwrap();
-        let payload = |manifest: &VideoManifest, sot: usize| -> Vec<Vec<u8>> {
-            (0..manifest.sots[sot].layout.tile_count())
-                .map(|t| store.tile_file_bytes(manifest, sot, t).unwrap())
-                .collect()
-        };
-        let whole: Vec<_> = (0..manifest.sots.len())
-            .map(|sot| payload(&manifest, sot))
-            .collect();
-        replica.install_video(&manifest, &whole).unwrap();
-        let mut steps = vec![digest_tiles(&store, &manifest)];
-        assert_eq!(digest_tiles(&replica, &manifest), steps[0], "{codec:?}");
-        for (sot, layout) in [
-            (0, two_cols()),
-            (0, uneven()),
-            (1, uneven()),
-            (1, two_cols()),
-        ] {
-            store.retile(&mut manifest, sot, layout).unwrap();
-            replica
-                .install_sot(&manifest, sot, &payload(&manifest, sot))
-                .unwrap();
-            let digest = digest_tiles(&store, &manifest);
-            assert_eq!(digest_tiles(&replica, &manifest), digest, "{codec:?}");
-            steps.push(digest);
-        }
-        for s in [&store, &replica] {
-            assert!(s.fsck().unwrap().is_clean(), "{codec:?}");
-            assert_eq!(s.load_manifest("v").unwrap(), manifest, "{codec:?}");
-        }
-        drop((store, replica));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_dir_all(&replica_dir).ok();
-        got.push((codec, steps));
-    }
-    let same = got
-        .iter()
-        .zip(TILES_PINNED)
-        .all(|(g, w)| g.0 == w.0 && g.1 == w.1);
-    if !same {
-        let table: String = got
-            .iter()
-            .map(|(codec, steps)| format!("    (CodecChoice::{codec:?}, {steps:#018x?}),\n"))
-            .collect();
-        panic!("served tile digests moved; this build produces:\n{table}");
-    }
-}
-
-/// One 192×128 clip per way `pred::encode_inter`'s temporal-vs-spatial
-/// decision can go: `Static` repeats one noisy frame (temporal residuals
-/// all zero), `Moving` slides a box over that background and drifts a
-/// smooth band (some planes still, some changed a little), `Cut` swaps the
-/// scene for a smooth one at frame 3, mid-GOP (spatial wins on every
-/// plane), then holds it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Motion {
-    Static,
-    Moving,
-    Cut,
-}
-
-const DW: u32 = 192;
-const DH: u32 = 128;
-
-fn decision_clip(motion: Motion) -> VecFrameSource {
-    let frames = (0..FRAMES)
-        .map(|t| {
-            if motion == Motion::Cut && t >= 3 {
-                let mut f = Frame::filled(DW, DH, 0, 70, 180);
-                for y in 0..DH {
-                    for x in 0..DW {
-                        f.set_sample(Plane::Y, x, y, (40 + x / 2 + y) as u8);
-                    }
-                }
-                return f;
-            }
-            let mut f = Frame::filled(DW, DH, 0, 120, 136);
-            for y in 0..DH {
-                for x in 0..DW {
-                    let v = (x * 3 + y * 2) % 150 + 50 + hash3(x, y, 0) % 31;
-                    f.set_sample(Plane::Y, x, y, v as u8);
-                }
-            }
-            if motion == Motion::Moving {
-                for y in 96..DH {
-                    for x in 0..DW {
-                        f.set_sample(Plane::Y, x, y, (60 + x / 2 + y / 4 + 3 * t) as u8);
-                    }
-                }
-                f.fill_rect(Rect::new(8 * t, 16, 32, 32), 220, 90, 170);
-            }
-            f
-        })
-        .collect();
-    VecFrameSource::new(frames)
-}
-
-/// `Tasm::ingest` (untiled) of a decision clip, then one re-tile of SOT 0
-/// to 2×2: the packs' digest and both SOTs' `tile_codecs` after each, and
-/// what the store serves.
-fn tasm_ingest_and_retile(motion: Motion, storage: StorageConfig) -> (Steps, Vec<u64>) {
-    let dir = temp_dir(&format!("decision-{motion:?}-{}", storage.parallel_encode));
-    let tasm = Tasm::open(
-        &dir,
-        Box::new(MemoryIndex::in_memory()),
-        TasmConfig {
-            storage,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    tasm.ingest("v", &decision_clip(motion), 30).unwrap();
-    let video = dir.join("v");
-    let mut steps = vec![(
-        digest_tree(&video),
-        tile_codecs(&tasm.manifest("v").unwrap()),
-    )];
-    let mut served = vec![digest_tiles(tasm.store(), &tasm.manifest("v").unwrap())];
-    tasm.retile("v", 0, TileLayout::uniform(DW, DH, 2, 2).unwrap())
-        .unwrap();
-    steps.push((
-        digest_tree(&video),
-        tile_codecs(&tasm.manifest("v").unwrap()),
-    ));
-    served.push(digest_tiles(tasm.store(), &tasm.manifest("v").unwrap()));
-    assert!(tasm.fsck().unwrap().is_clean());
-    drop(tasm);
-    std::fs::remove_dir_all(&dir).ok();
-    (steps, served)
-}
-
-/// [`digest_tiles`] of the decision clips' stores, in [`DECISION_PINNED`]'s
-/// order: what each serves after ingest and after the re-tile, however its
-/// tiles are filed.
-const DECISION_TILES_PINNED: &[[u64; 2]] = &[
-    [0x2e6f6f9f8afdd354, 0xb530b2eb297af360],
-    [0x2e6f6f9f8afdd354, 0xb530b2eb297af360],
-    [0x841b336b1f984ebd, 0x2bdd2fcfba5988c7],
-    [0xbe23c5831a1f8f29, 0x516887b791a0d37a],
-    [0x7ec64e7795cffef7, 0x5efc1e3af23cca72],
-    [0x6f28b7edaa9e8d28, 0x37693fa13bc363a0],
-];
-
-/// Per clip and codec choice, after ingest / SOT 0 untiled→2×2; computed
-/// with the decision made on the full row-cost sum (no early exit).
-const DECISION_PINNED: &[(Motion, CodecChoice, [Step; 2])] = &[
-    (
-        Motion::Static,
-        CodecChoice::Auto,
-        [
-            (0xbc3b27cf4d34047a, [&[1], &[1]]),
-            (0xdbf23c2f27d8cca9, [&[1, 1, 1, 1], &[1]]),
-        ],
-    ),
-    (
-        Motion::Static,
-        CodecChoice::Pred,
-        [
-            (0xbc3b27cf4d34047a, [&[1], &[1]]),
-            (0xdbf23c2f27d8cca9, [&[1, 1, 1, 1], &[1]]),
-        ],
-    ),
-    (
-        Motion::Moving,
-        CodecChoice::Auto,
-        [
-            (0x38f5897c5b5f13fd, [&[0], &[0]]),
-            (0xf4970b0e3e7cf15d, [&[0, 0, 0, 0], &[0]]),
-        ],
-    ),
-    (
-        Motion::Moving,
-        CodecChoice::Pred,
-        [
-            (0x165cd3d66594fd43, [&[1], &[1]]),
-            (0x3605ef308d811682, [&[1, 1, 1, 1], &[1]]),
-        ],
-    ),
-    (
-        Motion::Cut,
-        CodecChoice::Auto,
-        [
-            (0x4cde73a7d3dfbb32, [&[0], &[0]]),
-            (0x23df7b55cc89ba24, [&[0, 0, 0, 0], &[0]]),
-        ],
-    ),
-    (
-        Motion::Cut,
-        CodecChoice::Pred,
-        [
-            (0xba9e444bb20505a4, [&[1], &[1]]),
-            (0xc17669e5f69e5d7d, [&[1, 1, 1, 1], &[1]]),
-        ],
-    ),
-];
-
-#[test]
-fn decision_clips_through_tasm_are_pinned() {
-    let (mut got, mut served) = (Vec::new(), Vec::new());
-    for motion in [Motion::Static, Motion::Moving, Motion::Cut] {
-        for codec in [CodecChoice::Auto, CodecChoice::Pred] {
-            let serial = tasm_ingest_and_retile(motion, cfg(codec, false));
-            let parallel = tasm_ingest_and_retile(motion, cfg(codec, true));
-            assert_eq!(
-                serial, parallel,
-                "{motion:?} {codec:?}: parallel encode moved bytes"
-            );
-            got.push((motion, codec, serial.0));
-            served.push(serial.1);
-        }
-    }
-    let pinned: Vec<&[u64]> = DECISION_TILES_PINNED.iter().map(|s| &s[..]).collect();
-    assert!(
-        served == pinned,
-        "served tile digests moved; this build produces:\n{served:#018x?}"
-    );
-    let same = got.len() == DECISION_PINNED.len()
-        && got
-            .iter()
-            .zip(DECISION_PINNED)
-            .all(|(g, w)| (g.0, g.1) == (w.0, w.1) && steps_match(&g.2, &w.2));
-    if !same {
-        let mut table = String::new();
-        for (motion, codec, steps) in &got {
-            table += &format!(
-                "    (\n        Motion::{motion:?},\n        CodecChoice::{codec:?},\n        [\n"
-            );
-            table += &steps_rows(steps);
-            table += "        ],\n    ),\n";
-        }
-        panic!("decision-clip digests moved; this build produces:\n{table}");
-    }
-}
-
-/// The manifest's JSON with the storage config's `codec` field (the last of
-/// its object) cut out.
-fn without_codec_field(json: &str) -> String {
-    let at = json.find("\"codec\"").expect("manifest records the codec");
-    let comma = json[..at].rfind(',').unwrap();
-    let end = at + json[at..].find('\n').unwrap();
-    format!("{}{}", &json[..comma], &json[end..])
-}
-
-/// The default is one DCT encode per tile, nothing else pins it: a store
-/// opened with the default config records `Dct` and writes, byte for byte,
-/// the tile files of one opened with `Dct` spelled out — on the clip whose
-/// flat tile the size trial would have stored losslessly.
-#[test]
-fn a_default_ingest_records_dct_and_writes_what_an_explicit_dct_ingest_writes() {
-    assert_eq!(StorageConfig::default().codec, CodecChoice::Dct);
-    let explicit = TasmConfig {
-        storage: StorageConfig {
-            codec: CodecChoice::Dct,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let ingested =
-        [("default", TasmConfig::default()), ("explicit", explicit)].map(|(tag, cfg)| {
-            let root = temp_dir(&format!("default-{tag}"));
-            let tasm = Tasm::open(&root, Box::new(MemoryIndex::in_memory()), cfg).unwrap();
-            tasm.ingest_with("v", &clip(), 30, |_, _| two_cols())
-                .unwrap();
-            let json = std::fs::read_to_string(root.join("v").join("manifest.json")).unwrap();
-            assert!(json.contains("\"codec\": \"Dct\""), "{tag}: {json}");
-            let manifest = tasm.manifest("v").unwrap();
-            assert_eq!(tile_codecs(&manifest), [[0, 0]], "{tag}");
-            let tiles: Vec<Vec<u8>> = (0..2)
-                .map(|t| tasm.store().tile_file_bytes(&manifest, 0, t).unwrap())
-                .collect();
-            drop(tasm);
-            std::fs::remove_dir_all(&root).ok();
-            (json, tiles)
-        });
-    assert_eq!(ingested[0], ingested[1]);
-}
-
-/// A store's manifest says which codec choice it was ingested with, and a
-/// re-tile runs what the manifest says (here the size trial), not the
-/// default (`Dct`) — on the store that ingested it and on a replica that
-/// was opened with the default and received the manifest from a peer; a
-/// manifest from before the field existed parses as DCT-only, which is what
-/// such a store holds.
-#[test]
-fn recorded_codec_choice_is_what_a_retile_honours() {
-    let dir = temp_dir("recorded");
+    let (dir, replica_dir) = (temp_dir("tiles"), temp_dir("tiles-replica"));
     let store = VideoStore::open(&dir).unwrap();
-    store
-        .ingest("v", &clip(), 30, cfg(CodecChoice::Auto, false), |sot, _| {
-            initial_layout(sot)
-        })
+    let replica = VideoStore::open(&replica_dir).unwrap();
+    let (mut manifest, _) = store
+        .ingest("v", &clip(), 30, cfg(false), |sot, _| initial_layout(sot))
         .unwrap();
-    let path = dir.join("v").join("manifest.json");
-    let json = std::fs::read_to_string(&path).unwrap();
-    assert!(json.contains("\"codec\": \"Auto\""), "{json}");
+    let payload = |manifest: &VideoManifest, sot: usize| -> Vec<Vec<u8>> {
+        (0..manifest.sots[sot].layout.tile_count())
+            .map(|t| store.tile_file_bytes(manifest, sot, t).unwrap())
+            .collect()
+    };
+    let whole: Vec<_> = (0..manifest.sots.len())
+        .map(|sot| payload(&manifest, sot))
+        .collect();
+    replica.install_video(&manifest, &whole).unwrap();
+    let mut steps = vec![digest_tiles(&store, &manifest)];
+    assert_eq!(digest_tiles(&replica, &manifest), steps[0]);
+    for (sot, layout) in [
+        (0, two_cols()),
+        (0, uneven()),
+        (1, uneven()),
+        (1, two_cols()),
+    ] {
+        store.retile(&mut manifest, sot, layout).unwrap();
+        replica
+            .install_sot(&manifest, sot, &payload(&manifest, sot))
+            .unwrap();
+        let digest = digest_tiles(&store, &manifest);
+        assert_eq!(digest_tiles(&replica, &manifest), digest);
+        steps.push(digest);
+    }
+    for s in [&store, &replica] {
+        assert!(s.fsck().unwrap().is_clean());
+        assert_eq!(s.load_manifest("v").unwrap(), manifest);
+    }
+    drop((store, replica));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&replica_dir).ok();
+    assert!(
+        steps == TILES_PINNED,
+        "served tile digests moved; this build produces:\n{steps:#018x?}"
+    );
+}
 
-    let mut manifest = store.load_manifest("v").unwrap();
-    assert_eq!(manifest.config.codec, CodecChoice::Auto);
-    let ingested = manifest.clone();
-    let tiles: Vec<Vec<Vec<u8>>> = (0..ingested.sots.len())
+/// SOT 1's flat column.
+fn flat_column() -> Rect {
+    Rect::new(0, 0, FLAT_W, H)
+}
+
+/// What a peer running an earlier build ships: the clip ingested under
+/// [`initial_layout`], with SOT 1's flat column the lossless `Pred` tile
+/// that build's `Auto` size trial kept there and the manifest recording
+/// it. Returns the manifest and every SOT's tile payloads.
+fn older_peer_video() -> (VideoManifest, Vec<Vec<Vec<u8>>>) {
+    let dir = temp_dir("older-peer");
+    let store = VideoStore::open(&dir).unwrap();
+    let (mut manifest, _) = store
+        .ingest("v", &clip(), 30, cfg(false), |sot, _| initial_layout(sot))
+        .unwrap();
+    let mut sots: Vec<Vec<Vec<u8>>> = (0..manifest.sots.len())
         .map(|sot| {
-            (0..ingested.sots[sot].layout.tile_count())
-                .map(|t| store.tile_file_bytes(&ingested, sot, t).unwrap())
+            (0..manifest.sots[sot].layout.tile_count())
+                .map(|t| store.tile_file_bytes(&manifest, sot, t).unwrap())
                 .collect()
         })
         .collect();
-    store.retile(&mut manifest, 1, uneven()).unwrap();
-    assert_eq!(manifest.sots[1].tile_codecs, [1, 0, 0, 0, 0, 0]);
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+    let clip = clip();
+    let sot1 = SliceSource::new(&clip, GOP, GOP);
+    sots[1][0] = pred::encode_tile(&sot1, flat_column(), GOP)
+        .to_bytes()
+        .to_vec();
+    manifest.sots[1].tile_codecs = vec![1, 0];
+    (manifest, sots)
+}
 
-    let replica_dir = temp_dir("recorded-replica");
-    let replica = Tasm::open(
-        &replica_dir,
+/// [`digest_tiles`] of the older peer's video once SOT 1 is re-tiled to
+/// [`uneven`]. Computed first on the last build that had the `Auto` size
+/// trial, re-tiling the same store with its DCT-only setting.
+const PRED_RETILED_PINNED: u64 = 0x288bc71187f1dde4;
+
+/// Asserts that ROI, stride and whole-video queries over both labels of
+/// [`pred_tiles_from_an_older_peer_are_served_and_retile_to_dct`] answer,
+/// bit for bit, what the post-filtered unpruned scan at the current epoch
+/// holds.
+fn assert_queries_match_the_scan(tasm: &Tasm, when: &str) {
+    let both = LabelPredicate::any_of(&["flat", "edge"]);
+    let full = tasm.scan("v", &both, 0..FRAMES).unwrap();
+    let all = Query::new(both).frames(0..FRAMES);
+    for (what, q) in [
+        ("whole video", all.clone()),
+        ("flat column", all.clone().roi(flat_column())),
+        ("stride 4", all.stride(4)),
+    ] {
+        let result = tasm.query("v", &q).unwrap();
+        let what = format!("{when}: {what}");
+        assert_regions_identical(&post_filter(&full, &q, 0), &result.regions, &what);
+    }
+}
+
+/// A `Pred` tile from an older peer stays served. Installed whole through
+/// `apply_replicated_video`, queries over it return the source's pixels
+/// exactly (the codec is lossless) and `fsck` accepts it. A re-tile of its
+/// SOT writes DCT tiles only. Before and after, queries answer what the
+/// post-filtered unpruned scan at the current epoch holds, bit for bit.
+#[test]
+fn pred_tiles_from_an_older_peer_are_served_and_retile_to_dct() {
+    let root = temp_dir("pred-served");
+    let tasm = Tasm::open(
+        &root,
         Box::new(MemoryIndex::in_memory()),
         TasmConfig::default(),
     )
     .unwrap();
-    assert_eq!(replica.config().storage.codec, CodecChoice::Dct);
-    replica.apply_replicated_video(ingested, &tiles).unwrap();
-    assert_eq!(
-        replica.manifest("v").unwrap().config.codec,
-        CodecChoice::Auto
-    );
-    replica.retile("v", 1, uneven()).unwrap();
-    assert_eq!(
-        replica.manifest("v").unwrap().sots[1].tile_codecs,
-        manifest.sots[1].tile_codecs,
-        "the replica ran the trial its manifest records"
-    );
-    assert!(replica.fsck().unwrap().is_clean());
-    drop(replica);
-    std::fs::remove_dir_all(&replica_dir).ok();
+    let (manifest, sots) = older_peer_video();
+    tasm.apply_replicated_video(manifest, &sots).unwrap();
+    assert!(tasm.fsck().unwrap().is_clean());
+    // One box inside the flat column, one across both columns.
+    for f in 0..FRAMES {
+        tasm.add_metadata("v", "flat", f, Rect::new(32 + 4 * f, 48, 64, 32))
+            .unwrap();
+        tasm.add_metadata("v", "edge", f, Rect::new(FLAT_W - 32, 96, 64, 48))
+            .unwrap();
+        tasm.mark_processed("v", f).unwrap();
+    }
 
-    let legacy = without_codec_field(&json);
-    assert!(!legacy.contains("codec\""), "{legacy}");
-    let parsed: VideoManifest = serde_json::from_str(&legacy).unwrap();
-    assert_eq!(parsed.config.codec, CodecChoice::Dct);
-    assert_eq!(
-        StorageConfig {
-            codec: CodecChoice::Auto,
-            ..parsed.config
-        },
-        cfg(CodecChoice::Auto, false)
-    );
-    drop(store);
-    std::fs::remove_dir_all(&dir).ok();
+    let clip = clip();
+    let flat = Query::new(LabelPredicate::label("flat")).frames(GOP..FRAMES);
+    let served = tasm.query("v", &flat).unwrap();
+    assert_eq!(served.regions.len(), GOP as usize);
+    for r in &served.regions {
+        assert_eq!(r.pixels, clip.frames()[r.frame as usize].crop(r.rect));
+    }
+    assert_queries_match_the_scan(&tasm, "as installed");
+
+    tasm.retile("v", 1, uneven()).unwrap();
+    let retiled = tasm.manifest("v").unwrap();
+    assert_eq!(tile_codecs(&retiled), [vec![0], vec![0; 6]]);
+    let digest = digest_tiles(tasm.store(), &retiled);
+    assert_eq!(digest, PRED_RETILED_PINNED, "{digest:#018x}");
+    assert!(tasm.fsck().unwrap().is_clean());
+    assert_queries_match_the_scan(&tasm, "re-tiled");
+    drop(tasm);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Manifests written by earlier builds record a codec choice in their
+/// storage config: `"codec"` as `Auto`, `Pred` or `Dct`, or no key before
+/// it existed. Each loads, from a peer and from disk, installs through
+/// `apply_replicated_video`, and re-tiles to DCT tiles. The manifests this
+/// build writes carry no `codec` key.
+#[test]
+fn older_manifests_load_install_and_retile_to_dct() {
+    let (manifest, sots) = older_peer_video();
+    let json = serde_json::to_string_pretty(&manifest).unwrap();
+    assert!(!json.contains("\"codec\""), "{json}");
+    let last = "\"parallel_encode\": false";
+    let at = json.find(last).expect("the storage config's last field") + last.len();
+    for codec in ["Auto", "Pred", "Dct", ""] {
+        let older = match codec {
+            "" => json.clone(),
+            _ => format!(
+                "{},\n    \"codec\": \"{codec}\"{}",
+                &json[..at],
+                &json[at..]
+            ),
+        };
+        let from_peer: VideoManifest = serde_json::from_str(&older).unwrap();
+        assert_eq!(from_peer, manifest, "{codec:?}");
+
+        let root = temp_dir(&format!("older-{codec}"));
+        let open = || {
+            Tasm::open(
+                &root,
+                Box::new(MemoryIndex::in_memory()),
+                TasmConfig::default(),
+            )
+            .unwrap()
+        };
+        let tasm = open();
+        tasm.apply_replicated_video(from_peer, &sots).unwrap();
+        // The manifest file as the earlier build wrote it.
+        let path = root.join("v").join("manifest.json");
+        std::fs::write(&path, &older).unwrap();
+        assert_eq!(tasm.store().load_manifest("v").unwrap(), manifest);
+        drop(tasm);
+
+        let tasm = open();
+        tasm.attach("v").unwrap();
+        assert_eq!(tasm.manifest("v").unwrap(), manifest, "{codec:?}");
+        tasm.retile("v", 1, uneven()).unwrap();
+        let retiled = tasm.manifest("v").unwrap();
+        assert_eq!(tile_codecs(&retiled), [vec![0], vec![0; 6]], "{codec:?}");
+        let written = std::fs::read_to_string(&path).unwrap();
+        assert!(!written.contains("\"codec\""), "{codec:?}: {written}");
+        assert!(tasm.fsck().unwrap().is_clean(), "{codec:?}");
+        drop(tasm);
+        std::fs::remove_dir_all(&root).ok();
+    }
 }
 
 /// A source the tile grid cannot hold (dimensions not multiples of
@@ -753,7 +515,7 @@ fn unaligned_sources_and_bad_configs_are_typed_errors_that_leave_nothing_behind(
 /// Ingests the clip as "v" — DCT, untiled — and returns its manifest and
 /// every SOT's one tile file: the payload a peer would replicate.
 fn ingest_untiled_v(tasm: &Tasm) -> (VideoManifest, Vec<Vec<Vec<u8>>>) {
-    let storage = cfg(CodecChoice::Dct, false);
+    let storage = cfg(false);
     let (manifest, _) = tasm
         .store()
         .ingest("v", &clip(), 30, storage, |_, _| TileLayout::untiled(W, H))
@@ -1095,7 +857,7 @@ fn hostile_video_names_never_leave_the_store_root() {
         TasmConfig::default(),
     )
     .unwrap();
-    let storage = cfg(CodecChoice::Dct, false);
+    let storage = cfg(false);
     let (manifest, tiles) = ingest_untiled_v(&tasm);
     let before = (list_tree(&sandbox), digest_tree(&root));
 
