@@ -438,6 +438,44 @@ fn older_manifests_load_install_and_retile_to_dct() {
     }
 }
 
+/// The default is one DCT encode per tile, nothing else: a store opened
+/// with the default config records codec 0 (`Dct`) for every tile and
+/// writes, byte for byte, the containers `encode_video` makes with the
+/// default encoder settings spelled out — on the clip whose flat tile an
+/// earlier build's size trial stored losslessly.
+#[test]
+fn a_default_ingest_records_dct_and_writes_what_an_explicit_dct_ingest_writes() {
+    let root = temp_dir("default");
+    let tasm = Tasm::open(
+        &root,
+        Box::new(MemoryIndex::in_memory()),
+        TasmConfig::default(),
+    )
+    .unwrap();
+    tasm.ingest_with("v", &clip(), 30, |_, _| two_cols())
+        .unwrap();
+    let manifest = tasm.store().load_manifest("v").unwrap();
+    assert_eq!(manifest, tasm.manifest("v").unwrap());
+    assert_eq!(tile_codecs(&manifest), [[0, 0]]);
+    let stored: Vec<Vec<u8>> = (0..2)
+        .map(|t| tasm.store().tile_file_bytes(&manifest, 0, t).unwrap())
+        .collect();
+    drop(tasm);
+    std::fs::remove_dir_all(&root).ok();
+
+    let storage = StorageConfig::default();
+    let explicit = EncoderConfig {
+        gop_len: storage.gop_len,
+        qp: storage.qp,
+        search_range: storage.search_range,
+        deblock: storage.deblock,
+        rate: storage.rate,
+    };
+    let (tiles, _) = encode_video(&clip(), &two_cols(), &explicit, false).unwrap();
+    let encoded: Vec<Vec<u8>> = tiles.iter().map(|t| t.to_bytes().to_vec()).collect();
+    assert!(stored == encoded, "the default ingest's tiles moved");
+}
+
 /// A source the tile grid cannot hold (dimensions not multiples of
 /// `TILE_ALIGN`), a config whose SOTs are not whole GOPs or a QP the
 /// quantizer has no step for is refused with a typed error before anything
