@@ -9,7 +9,7 @@ use tasm_codec::deblock::deblock_frame;
 use tasm_codec::quant::qstep;
 use tasm_codec::{encode_video, EncoderConfig, StitchedVideo, TileEncoder, TileLayout};
 use tasm_data::{Dataset, SceneSpec, SyntheticVideo};
-use tasm_video::{Frame, FrameSource, Plane, VecFrameSource};
+use tasm_video::{Frame, FrameSource, Plane, Rect, VecFrameSource};
 
 fn scene(frames: u32) -> VecFrameSource {
     let v = SyntheticVideo::new(SceneSpec {
@@ -159,6 +159,25 @@ fn ledger_geometry_benches(c: &mut Criterion) {
             |mut f| {
                 deblock_frame(&mut f, qstep(cfg.qp));
                 f
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    // The ledger's layouts are mostly narrow tiles, where a band's set-up
+    // weighs more: the same frame's top 640×288 as twelve 160×96 tiles.
+    let (tw, th) = (160u32, 96u32);
+    let tiles: Vec<Frame> = (0..12)
+        .map(|i| decoded.crop(Rect::new(i % 4 * tw, i / 4 * th, tw, th)))
+        .collect();
+    g.throughput(Throughput::Elements(12 * u64::from(tw * th) * 3 / 2));
+    g.bench_function("160x96", |b| {
+        b.iter_batched(
+            || tiles.clone(),
+            |mut tiles| {
+                for f in &mut tiles {
+                    deblock_frame(f, qstep(cfg.qp));
+                }
+                tiles
             },
             BatchSize::LargeInput,
         )

@@ -38,7 +38,7 @@ pub fn deblock_frame(frame: &mut Frame, qstep: i32) {
             let band_end = (top + EDGE * w).min(data.len());
             filter_vertical_edges(&mut data[top..band_end], w, &t);
             // (The two rows below an interior edge exist in any even-height
-            // plane; heights here are multiples of 8.)
+            // plane; the codec's plane heights are multiples of 8.)
             if top > 0 && band_end >= top + 2 * w {
                 let (above, below) = data[top - 2 * w..top + 2 * w].split_at_mut(2 * w);
                 let (p1, p0) = above.split_at_mut(w);
@@ -76,49 +76,105 @@ impl Thresholds {
 }
 
 /// Filters the vertical block edges (samples left/right of columns 8, 16,
-/// …) of a band of up to eight rows, `w` samples each. Plane widths are
-/// multiples of 8, so `x + 1 < w` always holds at an edge.
+/// …) of a band of up to eight rows, `w` samples each. An edge is filtered
+/// where it has two samples on either side (`x + 2 <= w`).
 ///
-/// Rows do not interact, so an edge is filtered for all the band's rows at
-/// once: the four samples around it are gathered from each row into
-/// eight-lane arrays, filtered in one straight-line pass that vectorises,
-/// and the two corrected samples scattered back.
+/// The codec's planes are 16-aligned, so a band is eight rows of a
+/// multiple-of-8 width and goes straight to [`filter_band`]. Any other
+/// shape `deblock_frame` is handed runs through the same kernel on an
+/// eight-row scratch band, zero-padded, and only the real samples are copied
+/// back. That is exact: rows do not interact, and the edge at `x = 8n`
+/// reads only columns below `8n + 2`, so cutting the scratch width to the
+/// widest multiple of 8 below `w + 7` holds every edge the plane has and
+/// no other.
 #[inline]
 fn filter_vertical_edges(band: &mut [u8], w: usize, t: &Thresholds) {
-    let mut x = EDGE;
-    while x + 2 <= w {
-        let mut lanes = [[0u8; EDGE]; 4];
-        for (i, row) in band.chunks_exact(w).enumerate() {
-            for (lane, &sample) in lanes.iter_mut().zip(&row[x - 2..x + 2]) {
-                lane[i] = sample;
-            }
-        }
-        let [p1, mut p0, mut q0, q1] = lanes;
-        filter_edge(&p1, &mut p0, &mut q0, &q1, t);
-        for (i, row) in band.chunks_exact_mut(w).enumerate() {
-            row[x - 1] = p0[i];
-            row[x] = q0[i];
-        }
-        x += EDGE;
+    if w.is_multiple_of(EDGE) && band.len() == EDGE * w {
+        filter_band(band, w, t);
+        return;
+    }
+    let padded = (w + EDGE - 2) / EDGE * EDGE;
+    if padded <= EDGE {
+        return; // no edge
+    }
+    let real = w.min(padded);
+    let mut scratch = vec![0u8; EDGE * padded];
+    for (row, copy) in band.chunks_exact(w).zip(scratch.chunks_exact_mut(padded)) {
+        copy[..real].copy_from_slice(&row[..real]);
+    }
+    filter_band(&mut scratch, padded, t);
+    for (row, copy) in band.chunks_exact_mut(w).zip(scratch.chunks_exact(padded)) {
+        row[..real].copy_from_slice(&copy[..real]);
     }
 }
 
-/// Filters one edge, sample by sample: `p1`, `p0` are the two lines of
-/// samples before it, `q0`, `q1` the two after (rows, for a horizontal
-/// edge). Straight-line per sample, so it vectorises.
+/// The vertical-edge kernel, on a band of exactly eight rows whose width
+/// `w` is a multiple of 8.
+///
+/// Rows do not interact, so an edge is filtered for all eight rows at
+/// once. The rows are split once into slices of 8-sample chunks of one
+/// known length, so the per-sample work holds no bounds check (two index
+/// tests per edge remain, shared by the eight rows). At edge `k` each row's
+/// `[p1 p0 q0 q1]` — the last two samples of chunk `k - 1` and the first two
+/// of chunk `k` — is read as one `u32`, then the eight words are split by
+/// shift and mask into four eight-lane `i16` arrays; one straight-line loop
+/// filters the lanes, and each row's corrected `(p0, q0)` goes back as an
+/// adjacent pair.
+///
+/// Code generation is sensitive to this exact form, so time a change on
+/// the `deblock/*` bench rows. Reading the words and splitting them in two
+/// separate loops is what lets the compiler load each row's samples as two
+/// 16-bit pairs instead of four bytes: splitting each word as it is read
+/// gives back over half the gain. `[u8; 8]` lanes through [`filter_edge`],
+/// the filter as an `array::from_fn` closure (2–4× slower) and an 8×8 SWAR
+/// byte transpose per edge (30–40 % slower) all lose.
+#[inline]
+fn filter_band(band: &mut [u8], w: usize, t: &Thresholds) {
+    let chunks = w / EDGE;
+    let (band, _) = band.as_chunks_mut::<EDGE>();
+    let mut split = band.chunks_exact_mut(chunks);
+    let mut rows: [&mut [[u8; EDGE]]; EDGE] =
+        std::array::from_fn(|_| &mut split.next().expect("eight rows")[..chunks]);
+    for k in 1..chunks {
+        let mut words = [0u32; EDGE];
+        for (word, row) in words.iter_mut().zip(&rows) {
+            let (left, right) = (row[k - 1], row[k]);
+            *word = u32::from_le_bytes([left[6], left[7], right[0], right[1]]);
+        }
+        let (mut p1, mut p0, mut q0, mut q1) = ([0i16; EDGE], [0; EDGE], [0; EDGE], [0; EDGE]);
+        for (i, &word) in words.iter().enumerate() {
+            p1[i] = (word & 0xff) as i16;
+            p0[i] = (word >> 8 & 0xff) as i16;
+            q0[i] = (word >> 16 & 0xff) as i16;
+            q1[i] = (word >> 24) as i16;
+        }
+        for i in 0..EDGE {
+            (p0[i], q0[i]) = weak_filter(p1[i], p0[i], q0[i], q1[i], t);
+        }
+        for (i, row) in rows.iter_mut().enumerate() {
+            row[k - 1][EDGE - 1] = p0[i] as u8;
+            row[k][0] = q0[i] as u8;
+        }
+    }
+}
+
+/// Filters one horizontal edge, sample by sample: `p1`, `p0` are the two
+/// rows above it, `q0`, `q1` the two below. Straight-line per sample, so it
+/// vectorises.
 #[inline]
 fn filter_edge(p1: &[u8], p0: &mut [u8], q0: &mut [u8], q1: &[u8], t: &Thresholds) {
     for (((&p1, p0), q0), &q1) in p1.iter().zip(p0).zip(q0).zip(q1) {
-        (*p0, *q0) = weak_filter(p1, *p0, *q0, q1, t);
+        let (np0, nq0) = weak_filter(p1.into(), (*p0).into(), (*q0).into(), q1.into(), t);
+        (*p0, *q0) = (np0 as u8, nq0 as u8);
     }
 }
 
 /// H.264-style weak filter on the two samples adjacent to an edge, in
-/// select form: returns the corrected pair, which is the input pair when the
-/// edge should not be touched.
+/// select form: returns the corrected pair, within `0..=255`, which is the
+/// input pair when the edge should not be touched. The only copy of the
+/// filter arithmetic; both edge directions call it.
 #[inline(always)]
-fn weak_filter(p1: u8, p0: u8, q0: u8, q1: u8, t: &Thresholds) -> (u8, u8) {
-    let (p1, p0, q0, q1) = (p1 as i16, p0 as i16, q0 as i16, q1 as i16);
+fn weak_filter(p1: i16, p0: i16, q0: i16, q1: i16, t: &Thresholds) -> (i16, i16) {
     let step = (p0 - q0).abs();
     // A step of `beta` or more is real image content; and the inside of each
     // block must be smooth, so true texture edges are not blurred.
@@ -128,10 +184,7 @@ fn weak_filter(p1: u8, p0: u8, q0: u8, q1: u8, t: &Thresholds) -> (u8, u8) {
         & ((q1 - q0).abs() < t.half_beta);
     let delta = (((q0 - p0) * 4 + (p1 - q1) + 4) >> 3).clamp(-t.tc, t.tc);
     let delta = if on { delta } else { 0 };
-    (
-        (p0 + delta).clamp(0, 255) as u8,
-        (q0 - delta).clamp(0, 255) as u8,
-    )
+    ((p0 + delta).clamp(0, 255), (q0 - delta).clamp(0, 255))
 }
 
 #[cfg(test)]

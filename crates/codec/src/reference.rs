@@ -543,6 +543,28 @@ mod tests {
             }
         });
         assert!(touched > 200, "the filter must actually fire ({touched})");
+        // Whole eight-row bands at every plane width 8·n up to 640 — the
+        // shape the codec produces, which the kernel takes without the
+        // padded scratch band: luma 16·n wide, chroma 8·n, heights 16 or 32.
+        let mut rng = Rng(0x5eed);
+        touched = 0;
+        for n in 1..=80u32 {
+            let h = 16 * rng.u32(1..3);
+            let amp = [0, 1, 3, 12][rng.usize(0..4)];
+            let frame = blocky_frame(&mut rng, 16 * n, h, amp);
+            for _ in 0..4 {
+                let qp = rng.u32(0..52) as u8;
+                let (mut fast, mut slow) = (frame.clone(), frame.clone());
+                crate::deblock::deblock_frame(&mut fast, qstep(qp));
+                deblock_frame(&mut slow, qstep(qp));
+                assert!(fast == slow, "{}x{h} amp {amp} qp {qp}", 16 * n);
+                touched += u32::from(fast != frame);
+            }
+        }
+        assert!(
+            touched > 200,
+            "the filter must fire on whole bands ({touched})"
+        );
         // Step sizes no QP produces, including ones past the i16 caps.
         let frame = blocky_frame(&mut Rng(7), 48, 32, 2);
         for qs in [-40, -4, -3, -1, 0, 123, 124, 127, 128, 300, 40_000, 1 << 29] {
