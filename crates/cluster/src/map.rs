@@ -322,6 +322,40 @@ mod tests {
         ));
     }
 
+    /// `cluster.json` is read by every router and rebalancer of a cluster,
+    /// possibly of another build: its bytes for a fixed map are pinned.
+    #[test]
+    fn to_bytes_is_pinned_for_a_fixed_map() {
+        let mut map = ShardMap::new(nodes(2), 2).unwrap();
+        map.pin("cam", vec!["n1".to_string()]);
+        let text = String::from_utf8(map.to_bytes()).unwrap();
+        let want = r#"TASMCLUSTERMAP v1 crc32=e55de138
+{
+  "epoch": 2,
+  "replicas": 2,
+  "nodes": [
+    {
+      "id": "n0",
+      "addr": "127.0.0.1:7000"
+    },
+    {
+      "id": "n1",
+      "addr": "127.0.0.1:7001"
+    }
+  ],
+  "pins": [
+    {
+      "video": "cam",
+      "nodes": [
+        "n1"
+      ]
+    }
+  ]
+}
+"#;
+        assert_eq!(text, want);
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // The canonical check value for CRC-32/IEEE: the checksum line in

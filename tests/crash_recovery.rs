@@ -231,6 +231,10 @@ fn crash_point_sweep_recovers_to_exactly_one_epoch() {
         total_ops >= 12,
         "the sequence must expose at least 12 fault points, got {total_ops}"
     );
+    // Pinned exactly: ingest of two SOTs (7), a re-tile (6), a deferred
+    // re-tile (4), the reclaim (2). A change to how durable writes are
+    // issued must not add, drop or reorder a fault point.
+    assert_eq!(total_ops, 19, "fault points of ingest → re-tile → re-tile → GC");
 
     let scratch = temp_dir("sweep-scratch");
     let mut absent = 0u64;
@@ -321,6 +325,7 @@ fn epoch_gc_crash_sweep_recovers_to_exactly_one_epoch_set() {
         gc_ops >= 2,
         "epoch GC must expose at least its remove and dir-sync as fault points, got {gc_ops}"
     );
+    assert_eq!(gc_ops, 2, "fault points of one epoch GC");
     assert!(matches!(
         store.tile_file_bytes(&pinned, 0, 0),
         Err(StoreError::NotFound(_))
@@ -1354,6 +1359,9 @@ fn index_tier_crash_sweep_recovers_to_exactly_one_prefix() {
         total_ops >= 20,
         "the index protocol must expose at least 20 fault points, got {total_ops}"
     );
+    // Pinned exactly, so a change to the shim under the index cannot
+    // silently add or drop a fault point.
+    assert_eq!(total_ops, 65, "fault points of the index workload");
     assert!(clean_runs >= 2, "workload must leave multiple runs");
 
     let scratch = temp_dir("index-sweep-scratch");
