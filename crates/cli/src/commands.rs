@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use tasm_client::{Connection, LoadGen, LoadGenConfig};
-use tasm_core::{LabelPredicate, Query, QueryMode, Tasm, TasmConfig};
+use tasm_core::{LabelPredicate, Query, QueryMode, RealIo, StorageIo, Tasm, TasmConfig};
 use tasm_data::{workloads, Dataset, SyntheticVideo, WorkloadParams};
 use tasm_detect::sampled::SampledDetector;
 use tasm_detect::yolo::SimulatedYolo;
@@ -247,10 +247,12 @@ fn ingest(args: &Args) -> CmdResult {
 
     let tasm = open_tasm(store, args)?;
     tasm.ingest(name, &video, 30)?;
-    std::fs::write(
-        spec_path(store, name),
-        serde_json::to_vec_pretty(video.spec())?,
-    )?;
+    // Replaced atomically: a torn sidecar would fail every later command on
+    // an intact video. A stray temp file is reaped by store recovery.
+    let spec = spec_path(store, name);
+    let tmp = spec.with_extension("json.tmp");
+    RealIo.write(&tmp, &serde_json::to_vec_pretty(video.spec())?)?;
+    RealIo.rename(&tmp, &spec)?;
     let bytes = tasm.video_size_bytes(name)?;
     println!(
         "ingested '{name}': {} frames at {}x{}, {} SOTs, {:.1} KiB on disk",
@@ -1556,6 +1558,24 @@ mod tests {
         // Repair and re-verify.
         std::fs::write(&pack, &bytes).unwrap();
         run(&format!("fsck --store {s}")).expect("repaired store");
+    }
+
+    /// What a crash in ingest's sidecar write leaves — a stray
+    /// `scene.json.tmp` beside the published `scene.json` — is reaped by
+    /// the next command's store open, and the video still loads.
+    #[test]
+    fn stray_scene_spec_temp_is_reaped_and_the_video_loads() {
+        let s = store("scene-tmp");
+        run(&format!(
+            "ingest --store {s} --name cam --dataset visual-road-2k --seconds 1 --seed 3"
+        ))
+        .expect("ingest");
+        let tmp = spec_path(&s, "cam").with_extension("json.tmp");
+        assert!(!tmp.exists(), "a finished ingest leaves no temp file");
+        std::fs::write(&tmp, b"{\"torn").unwrap();
+        run(&format!("scan --store {s} --name cam --label car")).expect("scan");
+        assert!(!tmp.exists(), "the store's startup recovery reaps it");
+        run(&format!("fsck --store {s}")).expect("fsck");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::path::Path;
-use tasm_index::crc32;
+use tasm_index::{crc32, RealIo, StorageIo};
 
 /// One cluster member.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -248,17 +248,16 @@ impl ShardMap {
     /// so a reader never observes a torn map and a crash leaves either the
     /// old epoch or the new one.
     pub fn save(&self, path: &Path) -> Result<(), MapError> {
+        self.save_with(path, &RealIo)
+    }
+
+    /// [`ShardMap::save`] through an explicit [`StorageIo`] — the hook the
+    /// crash-point sweep over saves uses. A failed fsync of the file or of
+    /// its directory is an error: the new epoch is not known to be durable.
+    pub fn save_with(&self, path: &Path, io: &dyn StorageIo) -> Result<(), MapError> {
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_bytes())?;
-        let f = std::fs::File::open(&tmp)?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, path)?;
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
+        io.write(&tmp, &self.to_bytes())?;
+        io.rename(&tmp, path)?;
         Ok(())
     }
 
@@ -354,6 +353,36 @@ mod tests {
 }
 "#;
         assert_eq!(text, want);
+    }
+
+    /// The crash-point sweep over a `cluster.json` save: a fail-stop or
+    /// torn write at either of its mutating operations (the temp file's
+    /// write, its rename) leaves `load` returning the old map or the new
+    /// one, never an error and never a torn map.
+    #[test]
+    fn crashed_save_leaves_the_old_map_or_the_new_one() {
+        use tasm_core::{FaultIo, FaultKind};
+        let dir = std::env::temp_dir().join(format!("tasm-map-sweep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cluster.json");
+        let old = ShardMap::new(nodes(3), 2).unwrap();
+        let mut new = old.clone();
+        new.pin("cam", vec!["n2".to_string(), "n0".to_string()]);
+        let counter = FaultIo::new();
+        new.save_with(&path, &*counter).unwrap();
+        assert_eq!(counter.mutating_ops(), 2);
+        assert_eq!(ShardMap::load(&path).unwrap(), new);
+        for kind in [FaultKind::FailStop, FaultKind::TornWrite] {
+            for n in 1..=2 {
+                old.save(&path).unwrap();
+                let fault = FaultIo::new();
+                fault.arm(n, kind);
+                assert!(new.save_with(&path, &*fault).is_err(), "{kind:?} at op {n}");
+                let got = ShardMap::load(&path).expect("a crashed save leaves a map");
+                assert!(got == old || got == new, "{kind:?} at op {n}: {got:?}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

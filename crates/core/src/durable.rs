@@ -6,10 +6,11 @@
 //! middle of a re-tile or a manifest update. This module supplies the
 //! mechanism the commit rule in [`crate::storage`] is built on:
 //!
-//! * [`StorageIo`] — the narrow filesystem surface every manifest and pack
-//!   write goes through, so durability is testable;
-//! * [`RealIo`] — the production implementation: durable writes (fsync
-//!   before returning) and atomic renames (parent directory fsynced);
+//! * [`StorageIo`] — the narrow filesystem surface every manifest, pack,
+//!   index and `cluster.json` write goes through, so durability is
+//!   testable — and [`RealIo`], its production implementation (durable
+//!   writes, renames with the parent directory fsynced). Both are defined
+//!   once, in `tasm_index::io`, and re-exported here;
 //! * [`FaultIo`] — a deterministic fault injector that counts mutating
 //!   operations and fails, torn-writes, or half-removes at the Nth one,
 //!   then behaves as a crashed process (every later operation fails too,
@@ -26,66 +27,10 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
-/// The filesystem surface of the storage layer. Every manifest and tile
-/// file operation goes through an implementation of this trait, so tests
-/// can inject faults at any single operation and production code gets
-/// durable (fsynced) writes in one place.
-///
-/// Mutating operations are [`StorageIo::write`], [`StorageIo::rename`],
-/// [`StorageIo::create_dir_all`], [`StorageIo::remove_dir_all`], and
-/// [`StorageIo::remove_file`]; the rest only observe.
-pub trait StorageIo: Send + Sync {
-    /// Reads a whole file.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-
-    /// Durably writes a whole file: create/truncate, write, fsync. Not
-    /// atomic on its own — callers that need atomic replacement write to a
-    /// temporary name and [`StorageIo::rename`] over the target.
-    fn write(&self, path: &Path, data: &[u8]) -> io::Result<()>;
-
-    /// Durably appends to a file (creating it if absent): open in append
-    /// mode, write, fsync. The write-ahead log of the tiered semantic index
-    /// goes through this, so fault injectors count it as mutating.
-    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()>;
-
-    /// Atomically renames `from` to `to` (replacing `to` if it exists) and
-    /// makes the rename durable.
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-
-    /// Creates a directory and any missing parents.
-    fn create_dir_all(&self, path: &Path) -> io::Result<()>;
-
-    /// Removes a directory tree.
-    fn remove_dir_all(&self, path: &Path) -> io::Result<()>;
-
-    /// Removes a single file.
-    fn remove_file(&self, path: &Path) -> io::Result<()>;
-
-    /// Makes a directory's entries durable (directory fsync). Called once
-    /// after a batch of [`StorageIo::write`]s and before the commit point
-    /// that depends on them — per-file writes deliberately do *not* sync
-    /// their parent, so batch dirent durability costs one barrier, not one
-    /// per file. Counted as a mutating operation by fault injectors.
-    fn sync_dir(&self, path: &Path) -> io::Result<()>;
-
-    /// Whether a path exists.
-    fn exists(&self, path: &Path) -> bool;
-
-    /// Whether a path is a directory.
-    fn is_dir(&self, path: &Path) -> bool;
-
-    /// The entries of a directory, sorted by name (deterministic order for
-    /// recovery and fault-point sweeps).
-    fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>>;
-
-    /// Opens a file for ranged reads (`read_exact_range`) — how one tile
-    /// is read out of a pack, table first, without the tiles around it and
-    /// from one open.
-    fn open(&self, path: &Path) -> io::Result<fs::File>;
-}
+pub use tasm_index::io::{RealIo, StorageIo};
 
 /// Reads exactly the bytes `range` of an open file. A range that reaches
 /// past the end of the file is [`io::ErrorKind::UnexpectedEof`], found out
@@ -100,107 +45,6 @@ pub(crate) fn read_exact_range(file: &fs::File, range: Range<u64>) -> io::Result
     let mut data = vec![0; range.end.saturating_sub(range.start) as usize];
     file.read_exact(&mut data)?;
     Ok(data)
-}
-
-/// The production [`StorageIo`]: plain filesystem calls with durability —
-/// writes fsync the file before returning, renames fsync the destination's
-/// parent directory so the new name survives a power cut.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RealIo;
-
-impl RealIo {
-    /// Fsyncs a directory. A filesystem's *refusal* to fsync directories
-    /// (ENOTSUP/EINVAL) is tolerated — that durability hole cannot be
-    /// fixed from here — but a real I/O failure (e.g. EIO from a dying
-    /// disk) must surface: the commit protocol's barriers depend on it.
-    fn fsync_dir(dir: &Path) -> io::Result<()> {
-        #[cfg(unix)]
-        {
-            let handle = fs::File::open(dir)?;
-            if let Err(e) = handle.sync_all() {
-                if !matches!(
-                    e.kind(),
-                    io::ErrorKind::Unsupported | io::ErrorKind::InvalidInput
-                ) {
-                    return Err(e);
-                }
-            }
-        }
-        #[cfg(not(unix))]
-        let _ = dir;
-        Ok(())
-    }
-
-    /// [`RealIo::fsync_dir`] on a path's parent — what makes a rename's
-    /// new name durable on POSIX.
-    fn fsync_parent(path: &Path) -> io::Result<()> {
-        match path.parent() {
-            Some(parent) if !parent.as_os_str().is_empty() => Self::fsync_dir(parent),
-            _ => Self::fsync_dir(Path::new(".")),
-        }
-    }
-}
-
-impl StorageIo for RealIo {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        fs::read(path)
-    }
-
-    fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        let mut f = fs::File::create(path)?;
-        f.write_all(data)?;
-        f.sync_all()
-    }
-
-    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        f.write_all(data)?;
-        f.sync_all()
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        fs::rename(from, to)?;
-        Self::fsync_parent(to)
-    }
-
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        fs::create_dir_all(path)
-    }
-
-    fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
-        fs::remove_dir_all(path)
-    }
-
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        fs::remove_file(path)
-    }
-
-    fn sync_dir(&self, path: &Path) -> io::Result<()> {
-        Self::fsync_dir(path)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        path.exists()
-    }
-
-    fn is_dir(&self, path: &Path) -> bool {
-        path.is_dir()
-    }
-
-    fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
-        let mut entries: Vec<PathBuf> = fs::read_dir(path)?
-            .map(|e| e.map(|e| e.path()))
-            .collect::<io::Result<_>>()?;
-        entries.sort();
-        Ok(entries)
-    }
-
-    fn open(&self, path: &Path) -> io::Result<fs::File> {
-        fs::File::open(path)
-    }
 }
 
 /// How an injected fault manifests at the target operation.
@@ -227,7 +71,7 @@ pub enum FaultKind {
 /// harness then reopens the directory with [`RealIo`] and checks recovery.
 ///
 /// ```no_run
-/// # use std::sync::Arc;
+/// # use std::sync::{Arc, Mutex};
 /// # use tasm_core::durable::{FaultIo, FaultKind};
 /// # use tasm_core::VideoStore;
 /// let fault = FaultIo::new();
@@ -240,7 +84,7 @@ pub struct FaultIo {
     inner: RealIo,
     ops: AtomicU64,
     fail_at: AtomicU64,
-    kind: AtomicU8,
+    kind: Mutex<FaultKind>,
     crashed: AtomicBool,
 }
 
@@ -252,7 +96,7 @@ impl FaultIo {
             inner: RealIo,
             ops: AtomicU64::new(0),
             fail_at: AtomicU64::new(u64::MAX),
-            kind: AtomicU8::new(0),
+            kind: Mutex::new(FaultKind::FailStop),
             crashed: AtomicBool::new(false),
         })
     }
@@ -260,13 +104,7 @@ impl FaultIo {
     /// Arms the injector: the `at_op`-th mutating operation (1-based,
     /// counted from the injector's construction) faults with `kind`.
     pub fn arm(&self, at_op: u64, kind: FaultKind) {
-        self.kind.store(
-            match kind {
-                FaultKind::FailStop => 0,
-                FaultKind::TornWrite => 1,
-            },
-            Ordering::SeqCst,
-        );
+        *self.kind.lock().expect("fault kind lock") = kind;
         self.fail_at.store(at_op, Ordering::SeqCst);
     }
 
@@ -278,14 +116,6 @@ impl FaultIo {
     /// Whether the fault has fired (the simulated process is dead).
     pub fn crashed(&self) -> bool {
         self.crashed.load(Ordering::SeqCst)
-    }
-
-    fn armed_kind(&self) -> FaultKind {
-        if self.kind.load(Ordering::SeqCst) == 0 {
-            FaultKind::FailStop
-        } else {
-            FaultKind::TornWrite
-        }
     }
 
     fn crash_error() -> io::Error {
@@ -302,7 +132,7 @@ impl FaultIo {
         let n = self.ops.fetch_add(1, Ordering::SeqCst) + 1;
         if n == self.fail_at.load(Ordering::SeqCst) {
             self.crashed.store(true, Ordering::SeqCst);
-            return Ok(Some(self.armed_kind()));
+            return Ok(Some(*self.kind.lock().expect("fault kind lock")));
         }
         Ok(None)
     }
@@ -418,8 +248,7 @@ impl StorageIo for FaultIo {
 // On-disk names
 // ---------------------------------------------------------------------
 
-/// Suffix of every temporary file used for atomic replacement.
-pub(crate) const TMP_SUFFIX: &str = ".tmp";
+pub(crate) use tasm_index::io::TMP_SUFFIX;
 
 /// Extension of a pack file (see [`crate::pack`]).
 const PACK_SUFFIX: &str = ".tiles";
@@ -714,50 +543,6 @@ impl FsckReport {
     /// True when no issues were found.
     pub fn is_clean(&self) -> bool {
         self.issues.is_empty()
-    }
-}
-
-/// Adapts a [`StorageIo`] to the index crate's `TierIo`, so the tiered
-/// semantic index (which lives below this crate in the dependency graph)
-/// writes its WAL, runs, and compactions through the same shim as tile
-/// commits — one fault injector, one crash-point sweep, covering both.
-pub struct StorageTierIo(pub Arc<dyn StorageIo>);
-
-impl tasm_index::TierIo for StorageTierIo {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.0.read(path)
-    }
-
-    fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        self.0.write(path, data)
-    }
-
-    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        self.0.append(path, data)
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.0.rename(from, to)
-    }
-
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        self.0.remove_file(path)
-    }
-
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        self.0.create_dir_all(path)
-    }
-
-    fn sync_dir(&self, path: &Path) -> io::Result<()> {
-        self.0.sync_dir(path)
-    }
-
-    fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
-        self.0.list_dir(path)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        self.0.exists(path)
     }
 }
 

@@ -163,16 +163,14 @@ impl std::ops::AddAssign for SharedScanStats {
     }
 }
 
-/// Key of one cached GOP prefix.
+/// Key of one cached GOP prefix. A cache belongs to exactly one store
+/// ([`VideoStore::open_with_io`] builds it), so the video name identifies
+/// the video.
 ///
-/// `store` and `video` are interned `Arc<str>`s: per-GOP key construction
-/// on the decode hot path only bumps refcounts. The store identity keeps
-/// caches shared across differently-rooted stores
-/// ([`VideoStore::open_shared`]) from serving one store's pixels for a
-/// same-named video in another.
+/// `video` is an interned `Arc<str>`: per-GOP key construction on the
+/// decode hot path only bumps a refcount.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct GopKey {
-    store: Arc<str>,
     video: Arc<str>,
     sot_start: u32,
     tile: u32,
@@ -266,17 +264,9 @@ impl DecodedTileCache {
         self.len() == 0
     }
 
-    /// Drops every entry belonging to `video` of the store identified by
-    /// `store` (called on re-ingest).
-    pub fn invalidate_video(&self, store: &str, video: &str) {
-        self.invalidate_where(|k| k.store.as_ref() == store && k.video.as_ref() == video);
-    }
-
-    /// Drops every entry of one SOT of `video` (called on retile).
-    pub fn invalidate_sot(&self, store: &str, video: &str, sot_start: u32) {
-        self.invalidate_where(|k| {
-            k.store.as_ref() == store && k.video.as_ref() == video && k.sot_start == sot_start
-        });
+    /// Drops every entry belonging to `video` (called on re-ingest).
+    pub fn invalidate_video(&self, video: &str) {
+        self.invalidate_where(|k| k.video.as_ref() == video);
     }
 
     /// Drops the entries of exactly one layout `epoch` of one SOT — the
@@ -284,12 +274,9 @@ impl DecodedTileCache {
     /// retired epoch's decoded GOPs release their budget immediately
     /// instead of lingering until LRU pressure. Other epochs' entries
     /// (the live layout, other pinned epochs) are untouched.
-    pub fn invalidate_sot_epoch(&self, store: &str, video: &str, sot_start: u32, epoch: u32) {
+    pub fn invalidate_sot_epoch(&self, video: &str, sot_start: u32, epoch: u32) {
         self.invalidate_where(|k| {
-            k.store.as_ref() == store
-                && k.video.as_ref() == video
-                && k.sot_start == sot_start
-                && k.epoch == epoch
+            k.video.as_ref() == video && k.sot_start == sot_start && k.epoch == epoch
         });
     }
 
@@ -549,8 +536,7 @@ fn run_request(
     assert!(span.end <= sot.len(), "span exceeds SOT");
 
     let cache = store.decoded_cache();
-    // Interned once per request; per-GOP keys below only bump refcounts.
-    let store_id: Arc<str> = store.store_id();
+    // Interned once per request; per-GOP keys below only bump a refcount.
     let video_name: Arc<str> = Arc::from(manifest.name.as_str());
     let mut stats = DecodeStats::default();
     let mut cache_stats = CacheStats::default();
@@ -569,7 +555,6 @@ fn run_request(
         let needed = needed_end - gop_start;
 
         let key = cache.as_ref().map(|_| GopKey {
-            store: store_id.clone(),
             video: video_name.clone(),
             sot_start: sot.start,
             tile: req.tile,
@@ -673,7 +658,6 @@ mod tests {
 
     fn key(tile: u32, gop: u32) -> GopKey {
         GopKey {
-            store: Arc::from("/store-a"),
             video: Arc::from("v"),
             sot_start: 0,
             tile,
@@ -811,19 +795,20 @@ mod tests {
     fn cache_invalidation_by_video_and_sot() {
         let c = DecodedTileCache::new(1 << 20);
         c.store(key(0, 0), vec![dummy_frame(1)]);
-        let other = GopKey {
-            store: Arc::from("/store-b"),
+        let other = |sot_start: u32| GopKey {
             video: Arc::from("w"),
-            sot_start: 30,
-            tile: 0,
-            gop: 0,
-            epoch: 0,
+            sot_start,
+            ..key(0, 0)
         };
-        c.store(other.clone(), vec![dummy_frame(2)]);
-        c.invalidate_sot("/store-a", "v", 0);
+        c.store(other(0), vec![dummy_frame(2)]);
+        c.store(other(30), vec![dummy_frame(3)]);
+        c.invalidate_video("v");
         assert!(c.lookup(&key(0, 0)).is_none());
-        assert!(c.lookup(&other).is_some());
-        c.invalidate_video("/store-b", "w");
+        assert!(c.lookup(&other(0)).is_some(), "same SOT, other video");
+        c.invalidate_sot_epoch("w", 30, 0);
+        assert!(c.lookup(&other(30)).is_none());
+        assert!(c.lookup(&other(0)).is_some(), "other SOT of the video");
+        c.invalidate_video("w");
         assert!(c.is_empty());
         assert_eq!(c.bytes_used(), 0);
     }
@@ -834,7 +819,6 @@ mod tests {
     #[test]
     fn cache_invalidation_by_epoch_reclaims_bytes_eagerly() {
         let epoch_key = |epoch: u32, tile: u32| GopKey {
-            store: Arc::from("/store-a"),
             video: Arc::from("v"),
             sot_start: 0,
             tile,
@@ -854,7 +838,7 @@ mod tests {
         let per_entry = all_bytes / 4;
         assert_eq!(all_bytes % 4, 0, "equal-sized entries");
 
-        c.invalidate_sot_epoch("/store-a", "v", 0, 0);
+        c.invalidate_sot_epoch("v", 0, 0);
         assert!(c.lookup(&epoch_key(0, 0)).is_none());
         assert!(c.lookup(&epoch_key(0, 1)).is_none());
         assert!(

@@ -12,11 +12,12 @@
 //!   (fine/coarse granularity, §3.4.2);
 //! * [`cost`] — the `C = β·P + γ·T` query cost model, the `R(s, L)`
 //!   re-encode model, and their least-squares calibration (§4.1);
-//! * [`storage`] — each tile stored as its own video file, per-SOT layouts,
-//!   re-tiling by transcode (§3.4.5) under an atomic commit protocol with
-//!   startup recovery and `fsck` validation;
+//! * [`storage`] — per-SOT layouts, one pack file per SOT and layout epoch
+//!   holding that SOT's tiles, re-tiling by transcode (§3.4.5) under an
+//!   atomic commit protocol with startup recovery and `fsck` validation;
 //! * [`durable`] — the injectable [`StorageIo`] filesystem shim behind
-//!   every manifest/tile write: durable production I/O ([`RealIo`]) and a
+//!   every manifest/pack write (defined in `tasm-index`, whose tiered index
+//!   writes through it too): durable production I/O ([`RealIo`]) and a
 //!   deterministic crash injector ([`FaultIo`]) for the crash-point sweep
 //!   tests;
 //! * [`exec`] — the parallel tile-decode execution pipeline: per-(SOT, tile)
@@ -135,7 +136,6 @@ pub mod tasm;
 pub use cost::{estimate_work, fit_linear, pixel_ratio, CostModel, EncodeModel, Work, WorkSample};
 pub use durable::{
     FaultIo, FaultKind, FsckIssue, FsckReport, RealIo, RecoveryAction, RecoveryReport, StorageIo,
-    StorageTierIo,
 };
 pub use edge::{edge_ingest, EdgeConfig, EdgeReport};
 pub use exec::{

@@ -40,11 +40,10 @@
 //! * after it, the manifest names the new epoch, whose pack and name were
 //!   made durable first; the old pack is a file no manifest names.
 //!
-//! **Opening** a store ([`VideoStore::open`] and friends) runs startup
-//! recovery, which only ever deletes what no manifest names: packs at
-//! other epochs than the manifest's, interrupted ingests and temp files.
-//! Every repair is listed in the store's [`RecoveryReport`], and shared
-//! decoded-GOP caches are invalidated for any repaired video.
+//! **Opening** a store ([`VideoStore::open`], [`VideoStore::open_with_io`])
+//! runs startup recovery, which only ever deletes what no manifest names:
+//! packs at other epochs than the manifest's, interrupted ingests and temp
+//! files. Every repair is listed in the store's [`RecoveryReport`].
 //! **[`VideoStore::fsck`]** validates manifests against the packs on disk
 //! and the container headers of the tiles in them. The crash-point sweep
 //! in `tests/crash_recovery.rs` crashes every operation of every mutation.
@@ -329,13 +328,11 @@ pub const CANVAS_POOL_BYTES: usize = 2 << 20;
 
 /// The on-disk tile store, with its attached decode-execution settings:
 /// worker count for the parallel tile-decode pipeline and an optional
-/// shared decoded-GOP cache.
+/// decoded-GOP cache, which belongs to this store alone.
 pub struct VideoStore {
     root: PathBuf,
-    /// Canonical identity of this store in shared-cache keys.
-    store_id: Arc<str>,
     workers: usize,
-    cache: Option<Arc<DecodedTileCache>>,
+    cache: Option<DecodedTileCache>,
     /// Region canvases of finished answers, kept for the next reassembly.
     canvases: Arc<CanvasPool>,
     io: Arc<dyn StorageIo>,
@@ -355,65 +352,25 @@ impl VideoStore {
     /// settings: auto worker count, no decoded-tile cache. Startup recovery
     /// runs before the store is returned (see [`VideoStore::recovery_report`]).
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, StoreError> {
-        Self::open_with(root, 0, 0)
+        Self::open_with_io(root, 0, 0, Arc::new(RealIo))
     }
 
-    /// Opens a store with explicit execution settings: `workers` decode
+    /// Opens a store with explicit execution settings — `workers` decode
     /// threads (`0` = one per available core) and a decoded-GOP cache of
-    /// `cache_bytes` (`0` disables caching).
-    pub fn open_with(
-        root: impl Into<PathBuf>,
-        workers: usize,
-        cache_bytes: u64,
-    ) -> Result<Self, StoreError> {
-        let cache = (cache_bytes > 0).then(|| Arc::new(DecodedTileCache::new(cache_bytes)));
-        Self::open_shared(root, workers, cache)
-    }
-
-    /// Opens a store sharing an existing decoded-GOP cache — lets several
-    /// store handles (e.g. per-connection `Tasm` instances over the same
-    /// directory) hit each other's warm GOPs.
-    pub fn open_shared(
-        root: impl Into<PathBuf>,
-        workers: usize,
-        cache: Option<Arc<DecodedTileCache>>,
-    ) -> Result<Self, StoreError> {
-        Self::open_shared_io(root, workers, cache, Arc::new(RealIo))
-    }
-
-    /// [`VideoStore::open_with`] with an explicit [`StorageIo`]
-    /// implementation — the hook the crash-injection tests use.
+    /// `cache_bytes` (`0` disables caching), owned by this store alone —
+    /// and an explicit [`StorageIo`], the hook the crash-injection tests
+    /// use. Startup recovery runs here: packs at epochs the manifest does
+    /// not name (superseded, or never published), half-ingested videos and
+    /// temp files are removed.
     pub fn open_with_io(
         root: impl Into<PathBuf>,
         workers: usize,
         cache_bytes: u64,
         io: Arc<dyn StorageIo>,
     ) -> Result<Self, StoreError> {
-        let cache = (cache_bytes > 0).then(|| Arc::new(DecodedTileCache::new(cache_bytes)));
-        Self::open_shared_io(root, workers, cache, io)
-    }
-
-    /// The fully general constructor: explicit worker count, shared cache,
-    /// and I/O implementation. Startup recovery runs here: packs at epochs
-    /// the manifest does not name (superseded, or never published),
-    /// half-ingested videos and temp files are removed, and cache entries
-    /// of every repaired video are invalidated.
-    pub fn open_shared_io(
-        root: impl Into<PathBuf>,
-        workers: usize,
-        cache: Option<Arc<DecodedTileCache>>,
-        io: Arc<dyn StorageIo>,
-    ) -> Result<Self, StoreError> {
+        let cache = (cache_bytes > 0).then(|| DecodedTileCache::new(cache_bytes));
         let root = root.into();
         io.create_dir_all(&root)?;
-        // Canonicalize so two handles over the same directory share cache
-        // entries regardless of how the path was spelled.
-        let store_id: Arc<str> = Arc::from(
-            fs::canonicalize(&root)
-                .unwrap_or_else(|_| root.clone())
-                .to_string_lossy()
-                .as_ref(),
-        );
         // The store lock decides who may *mutate* during startup: recovery
         // deletes unpublished packs, which would corrupt an in-flight
         // re-tile if another live handle (or process) owns them. Taken
@@ -433,7 +390,6 @@ impl VideoStore {
         };
         let mut store = VideoStore {
             root,
-            store_id,
             workers,
             cache,
             canvases: Arc::new(CanvasPool::new(
@@ -462,11 +418,6 @@ impl VideoStore {
         &self.recovery
     }
 
-    /// Identity of this store in shared decoded-GOP cache keys.
-    pub(crate) fn store_id(&self) -> Arc<str> {
-        self.store_id.clone()
-    }
-
     /// Worker threads the decode executor will use.
     pub(crate) fn effective_workers(&self) -> usize {
         if self.workers == 0 {
@@ -480,12 +431,7 @@ impl VideoStore {
 
     /// The attached decoded-GOP cache, if any.
     pub fn decoded_cache(&self) -> Option<&DecodedTileCache> {
-        self.cache.as_deref()
-    }
-
-    /// Shareable handle to the decoded-GOP cache, if any.
-    pub fn decoded_cache_handle(&self) -> Option<Arc<DecodedTileCache>> {
-        self.cache.clone()
+        self.cache.as_ref()
     }
 
     /// Spare region canvases: reassembly builds each region in buffers
@@ -544,7 +490,7 @@ impl VideoStore {
         self.io.create_dir_all(&dir)?;
         // Any cached GOPs of a previous video under this name are stale.
         if let Some(cache) = &self.cache {
-            cache.invalidate_video(&self.store_id, name);
+            cache.invalidate_video(name);
         }
         match self.ingest_files(name, src, fps, cfg, layout_for) {
             Ok(ok) => {
@@ -877,7 +823,7 @@ impl VideoStore {
             self.io.sync_dir(&dir)?;
         }
         if let Some(cache) = &self.cache {
-            cache.invalidate_sot_epoch(&self.store_id, video, old.sot_start, old.retile_count);
+            cache.invalidate_sot_epoch(video, old.sot_start, old.retile_count);
         }
         Ok(())
     }
@@ -973,7 +919,7 @@ impl VideoStore {
         }
         self.io.create_dir_all(&dir)?;
         if let Some(cache) = &self.cache {
-            cache.invalidate_video(&self.store_id, name);
+            cache.invalidate_video(name);
         }
         let write_all = || -> Result<(), StoreError> {
             for (sot, tiles) in manifest.sots.iter().zip(sots) {
@@ -1076,7 +1022,7 @@ impl VideoStore {
         self.io.remove_dir_all(&dir)?;
         self.io.sync_dir(&self.root)?;
         if let Some(cache) = &self.cache {
-            cache.invalidate_video(&self.store_id, name);
+            cache.invalidate_video(name);
         }
         Ok(())
     }
@@ -1137,7 +1083,8 @@ impl VideoStore {
 
     /// Scans every video directory for residue of interrupted operations
     /// and removes what no manifest names. Idempotent: recovery itself can
-    /// crash at any operation and the next open finishes the job.
+    /// crash at any operation and the next open finishes the job. Runs only
+    /// at open, before the store's own decoded-GOP cache holds anything.
     fn recover_all(&self) -> Result<RecoveryReport, StoreError> {
         let mut report = RecoveryReport::default();
         for entry in self.io.list_dir(&self.root)? {
@@ -1229,9 +1176,6 @@ impl VideoStore {
                             sot_end: end,
                             epoch: rc,
                         });
-                        if let Some(cache) = &self.cache {
-                            cache.invalidate_sot_epoch(&self.store_id, video, start, rc);
-                        }
                     }
                 }
             }
@@ -1244,9 +1188,6 @@ impl VideoStore {
             report.actions.push(RecoveryAction::RemovedPartialVideo {
                 video: video.to_string(),
             });
-            if let Some(cache) = &self.cache {
-                cache.invalidate_video(&self.store_id, video);
-            }
         }
         Ok(())
     }

@@ -478,27 +478,11 @@ impl Tasm {
         index_dir: &Path,
         cfg: TasmConfig,
     ) -> Result<Self, TasmError> {
-        Self::open_tiered_with_io(root, index_dir, cfg, Arc::new(crate::durable::RealIo))
-    }
-
-    /// [`Tasm::open_tiered`] with an explicit [`crate::durable::StorageIo`].
-    /// The tiered index writes through the *same* shim as tile storage (via
-    /// [`crate::durable::StorageTierIo`]), so one fault injector covers
-    /// retile commits and index WAL/flush/compaction in a single sweep.
-    pub fn open_tiered_with_io(
-        root: impl Into<PathBuf>,
-        index_dir: &Path,
-        cfg: TasmConfig,
-        io: Arc<dyn crate::durable::StorageIo>,
-    ) -> Result<Self, TasmError> {
-        let mut tier = tasm_index::TieredIndex::open_with_io(
-            index_dir,
-            Arc::new(crate::durable::StorageTierIo(io.clone())),
-        )?;
+        let mut tier = tasm_index::TieredIndex::open(index_dir)?;
         if let Some(limit) = cfg.index_memtable_limit {
             tier.set_memtable_limit(limit);
         }
-        Self::open_with_io(root, Box::new(tier), cfg, io)
+        Self::open(root, Box::new(tier), cfg)
     }
 
     /// What startup recovery repaired when this instance opened its store.

@@ -14,14 +14,19 @@
 //!   accelerating conjunctive predicates (§3.2);
 //! * [`tiered`] — the disk-resident index: a WAL'd memtable flushed to
 //!   immutable prefix-compressed sorted runs with resident bloom and
-//!   frame-range filters, plus size-tiered compaction.
+//!   frame-range filters, plus size-tiered compaction;
+//! * [`mod@io`] — [`StorageIo`], the one durable-write shim of the process
+//!   (this index, the tile store and `cluster.json` all write through it),
+//!   and its production implementation [`RealIo`].
 
 pub mod index;
+pub mod io;
 pub mod key;
 pub mod spatial;
 pub mod tiered;
 
 pub use index::{Detection, IndexResult, LabeledDetection, MemoryIndex, SemanticIndex, TreeError};
+pub use io::{RealIo, StorageIo};
 pub use key::RecordKey;
 pub use spatial::SpatialGrid;
-pub use tiered::{crc32, RealTierIo, TierIo, TierIssue, TierStats, TieredIndex};
+pub use tiered::{crc32, TierIssue, TierStats, TieredIndex};

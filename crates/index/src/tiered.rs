@@ -18,22 +18,24 @@
 //! * **size-tiered compaction** merges the smallest runs when the run count
 //!   exceeds [`MAX_RUNS`], bounding read amplification.
 //!
-//! Every byte written goes through the [`TierIo`] trait so the crash-point
-//! sweep in `tests/` can inject faults at any WAL append, run publish, or
-//! compaction step; recovery (run roll-forward + WAL replay with an
-//! operation-sequence watermark) always lands in exactly one of the states
-//! that existed at a `flush` boundary.
+//! Every byte written goes through the process's one durable-write shim,
+//! [`StorageIo`] (see [`crate::io`]), the same one tile commits and
+//! `cluster.json` saves use, so the crash-point sweep in `tests/` can
+//! inject faults at any WAL append, run publish, or compaction step;
+//! recovery (run roll-forward + WAL replay with an operation-sequence
+//! watermark) always lands in exactly one of the states that existed at a
+//! `flush` boundary.
 //!
 //! [`flush`]: SemanticIndex::flush
 
 use crate::index::{
     check_label, Detection, IndexResult, LabeledDetection, SemanticIndex, TreeError,
 };
+use crate::io::{RealIo, StorageIo, TMP_SUFFIX};
 use crate::key::{
     decode_value, encode_value, RecordKey, FIRST_LABEL, KEY_LEN, PROCESSED_LABEL, VALUE_LEN,
 };
 use std::collections::BTreeMap;
-use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -70,9 +72,6 @@ const FOOTER_LEN: usize = 8 * 8 + 4 + 4;
 /// The write-ahead log file name.
 const WAL_NAME: &str = "wal.log";
 
-/// Suffix of in-flight run files (removed on recovery).
-const TMP_SUFFIX: &str = ".tmp";
-
 // ---------------------------------------------------------------------
 // CRC32 (IEEE), table built at compile time
 // ---------------------------------------------------------------------
@@ -107,116 +106,6 @@ pub fn crc32(data: &[u8]) -> u32 {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
-}
-
-// ---------------------------------------------------------------------
-// The injectable I/O surface
-// ---------------------------------------------------------------------
-
-/// The filesystem surface the tiered index writes through. Mirrors the
-/// storage layer's `StorageIo` shim (this crate sits below `tasm-core`, so
-/// it declares its own narrow trait; core adapts its `StorageIo` to this),
-/// which is what lets one fault injector cover tile commits *and* index
-/// WAL/run/compaction writes in the same sweep.
-pub trait TierIo: Send + Sync {
-    /// Reads a whole file.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-    /// Durably writes a whole file (create/truncate + fsync).
-    fn write(&self, path: &Path, data: &[u8]) -> io::Result<()>;
-    /// Durably appends to a file, creating it if absent.
-    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()>;
-    /// Atomically renames `from` to `to` and makes the rename durable.
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-    /// Removes a single file.
-    fn remove_file(&self, path: &Path) -> io::Result<()>;
-    /// Creates a directory and any missing parents.
-    fn create_dir_all(&self, path: &Path) -> io::Result<()>;
-    /// Directory entry durability barrier.
-    fn sync_dir(&self, path: &Path) -> io::Result<()>;
-    /// Directory entries, sorted (deterministic recovery order).
-    fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>>;
-    /// Whether a path exists.
-    fn exists(&self, path: &Path) -> bool;
-}
-
-/// Production [`TierIo`]: fsynced writes and appends, renames made durable
-/// by fsyncing the destination's parent directory.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RealTierIo;
-
-impl RealTierIo {
-    fn fsync_dir(dir: &Path) -> io::Result<()> {
-        #[cfg(unix)]
-        {
-            let handle = std::fs::File::open(dir)?;
-            if let Err(e) = handle.sync_all() {
-                if !matches!(
-                    e.kind(),
-                    io::ErrorKind::Unsupported | io::ErrorKind::InvalidInput
-                ) {
-                    return Err(e);
-                }
-            }
-        }
-        #[cfg(not(unix))]
-        let _ = dir;
-        Ok(())
-    }
-}
-
-impl TierIo for RealTierIo {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        std::fs::read(path)
-    }
-
-    fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        use std::io::Write as _;
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(data)?;
-        f.sync_all()
-    }
-
-    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        f.write_all(data)?;
-        f.sync_all()
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        std::fs::rename(from, to)?;
-        match to.parent() {
-            Some(parent) if !parent.as_os_str().is_empty() => Self::fsync_dir(parent),
-            _ => Self::fsync_dir(Path::new(".")),
-        }
-    }
-
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        std::fs::remove_file(path)
-    }
-
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(path)
-    }
-
-    fn sync_dir(&self, path: &Path) -> io::Result<()> {
-        Self::fsync_dir(path)
-    }
-
-    fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(path)?
-            .map(|e| e.map(|e| e.path()))
-            .collect::<io::Result<_>>()?;
-        entries.sort();
-        Ok(entries)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        path.exists()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -802,7 +691,7 @@ pub struct TierIssue {
 /// prefix-compressed sorted runs with resident bloom + frame-range filters
 /// and size-tiered compaction. See the module docs for the design.
 pub struct TieredIndex {
-    io: Arc<dyn TierIo>,
+    io: Arc<dyn StorageIo>,
     dir: PathBuf,
     /// The memtable: every record not yet in a run.
     mem: BTreeMap<RecordKey, Rect>,
@@ -832,13 +721,13 @@ pub struct TieredIndex {
 impl TieredIndex {
     /// Opens (or creates) a tiered index in `dir` with production I/O.
     pub fn open(dir: &Path) -> IndexResult<Self> {
-        Self::open_with_io(dir, Arc::new(RealTierIo))
+        Self::open_with_io(dir, Arc::new(RealIo))
     }
 
     /// Opens (or creates) a tiered index with an injectable I/O shim —
     /// recovery (temp-file removal, compaction roll-forward, WAL replay)
     /// runs before this returns.
-    pub fn open_with_io(dir: &Path, io: Arc<dyn TierIo>) -> IndexResult<Self> {
+    pub fn open_with_io(dir: &Path, io: Arc<dyn StorageIo>) -> IndexResult<Self> {
         io.create_dir_all(dir)?;
         let mut idx = TieredIndex {
             io,

@@ -193,8 +193,10 @@ fn child_shard_server() {
     )
     .expect("bind shard primary");
     // Publish the bound address atomically (write + rename) for the parent.
+    // Visibility is all it needs, not durability, so not through StorageIo.
     let tmp = format!("{addr_file}.tmp");
     std::fs::write(&tmp, server.local_addr().to_string()).unwrap();
+    #[allow(clippy::disallowed_methods)]
     std::fs::rename(&tmp, &addr_file).unwrap();
     // Serve until the parent SIGKILLs this process.
     loop {

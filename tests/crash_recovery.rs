@@ -233,8 +233,11 @@ fn crash_point_sweep_recovers_to_exactly_one_epoch() {
     );
     // Pinned exactly: ingest of two SOTs (7), a re-tile (6), a deferred
     // re-tile (4), the reclaim (2). A change to how durable writes are
-    // issued must not add, drop or reorder a fault point.
-    assert_eq!(total_ops, 19, "fault points of ingest → re-tile → re-tile → GC");
+    // issued must not add or drop a fault point.
+    assert_eq!(
+        total_ops, 19,
+        "fault points of ingest → re-tile → re-tile → GC"
+    );
 
     let scratch = temp_dir("sweep-scratch");
     let mut absent = 0u64;
@@ -1326,7 +1329,6 @@ fn index_fingerprint(ix: &mut dyn tasm_index::SemanticIndex) -> String {
 /// tier's own verify() must be clean.
 #[test]
 fn index_tier_crash_sweep_recovers_to_exactly_one_prefix() {
-    use tasm_core::StorageTierIo;
     use tasm_index::TieredIndex;
 
     // Every prefix state of the workload, computed on the reference
@@ -1347,8 +1349,7 @@ fn index_tier_crash_sweep_recovers_to_exactly_one_prefix() {
     // flushes, and at least one 4-way compaction into the sweep's range.
     let clean = temp_dir("index-sweep-clean");
     let counter = FaultIo::new();
-    let mut idx = TieredIndex::open_with_io(&clean, Arc::new(StorageTierIo(counter.clone())))
-        .expect("open clean");
+    let mut idx = TieredIndex::open_with_io(&clean, counter.clone()).expect("open clean");
     idx.set_memtable_limit(8);
     let ops_before = counter.mutating_ops();
     run_index_workload(&mut idx).expect("clean workload");
@@ -1370,9 +1371,7 @@ fn index_tier_crash_sweep_recovers_to_exactly_one_prefix() {
         for n in 1..=total_ops {
             let _ = fs::remove_dir_all(&scratch);
             let fault = FaultIo::new();
-            let mut idx =
-                TieredIndex::open_with_io(&scratch, Arc::new(StorageTierIo(fault.clone())))
-                    .expect("open faulted");
+            let mut idx = TieredIndex::open_with_io(&scratch, fault.clone()).expect("open faulted");
             idx.set_memtable_limit(8);
             fault.arm(fault.mutating_ops() + n, kind);
             let result = run_index_workload(&mut idx);
