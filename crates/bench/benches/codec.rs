@@ -4,10 +4,12 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use tasm_codec::bitstream::{BitReader, BitWriter};
 use tasm_codec::blockops::{load_block, ZIGZAG};
-use tasm_codec::dct::{forward, inverse_sparse, BLOCK, BLOCK_AREA};
+use tasm_codec::dct::{forward, Inverse, BLOCK, BLOCK_AREA};
 use tasm_codec::deblock::deblock_frame;
 use tasm_codec::quant::qstep;
-use tasm_codec::{encode_video, EncoderConfig, StitchedVideo, TileEncoder, TileLayout};
+use tasm_codec::{
+    encode_video, EncoderConfig, StitchedVideo, TileCodec, TileEncoder, TileLayout, TileVideo,
+};
 use tasm_data::{Dataset, SceneSpec, SyntheticVideo};
 use tasm_video::{Frame, FrameSource, Plane, Rect, VecFrameSource};
 
@@ -42,11 +44,11 @@ fn busy_blocks(frames: &[Frame], qstep: i32) -> Vec<[i32; BLOCK_AREA]> {
     blocks
 }
 
-/// `count` dequantised blocks with their row and column masks, shaped like
-/// the coded blocks the ledger corpus decodes: 1 % DC-only, the rest 8–15
-/// nonzero coefficients (11.4 on average, in 5.7 rows × 4.9 columns) among
-/// the first 24 scan positions, |coef| ≤ 400 and mostly a few steps of 16.
-fn coded_blocks(count: usize) -> Vec<([i32; BLOCK_AREA], u8, u8)> {
+/// `count` dequantised blocks shaped like the coded blocks the ledger corpus
+/// decodes: 1 % DC-only, the rest 8–15 nonzero coefficients (11.4 on
+/// average, in 5.7 rows × 4.9 columns) among the first 24 scan positions,
+/// |coef| ≤ 400 and mostly a few steps of 16.
+fn coded_blocks(count: usize) -> Vec<[i32; BLOCK_AREA]> {
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     let mut next = move || {
         state ^= state << 13;
@@ -64,7 +66,6 @@ fn coded_blocks(count: usize) -> Vec<([i32; BLOCK_AREA], u8, u8)> {
                 }
             }
             let mut coef = [0i32; BLOCK_AREA];
-            let (mut rows, mut cols) = (0u8, 0u8);
             for (pos, &at) in ZIGZAG.iter().enumerate().take(24) {
                 if positions >> pos & 1 == 1 {
                     let r = next();
@@ -74,11 +75,9 @@ fn coded_blocks(count: usize) -> Vec<([i32; BLOCK_AREA], u8, u8)> {
                         1 + (r >> 8) % 3
                     };
                     coef[at] = if r & 16 == 0 { 16 } else { -16 } * steps as i32;
-                    rows |= 1 << (at / BLOCK);
-                    cols |= 1 << (at % BLOCK);
                 }
             }
-            (coef, rows, cols)
+            coef
         })
         .collect()
 }
@@ -117,7 +116,8 @@ fn mosaic(
 /// scene: whole-GOP decode untiled and 2×2 and the two kernels under it,
 /// then the write path: one SOT's encode untiled and 3×4 from the rendered
 /// frames, and 3×4 from the decoded ones a re-tile starts from, and the
-/// coded-block path and its transform and bit writer alone.
+/// coded-block path (encode and decode) and its transforms and bit writer
+/// alone.
 fn ledger_geometry_benches(c: &mut Criterion) {
     let (w, h, frames) = (640u32, 352u32, 30u32);
     let video = Dataset::VisualRoad2K.build(1, 11);
@@ -304,6 +304,32 @@ fn ledger_geometry_benches(c: &mut Criterion) {
     });
     g.finish();
 
+    // Decoding those two frames back through the span decoder the store
+    // uses: every block of the keyframe and 96 % of the P-frame's are coded,
+    // at twice the coded blocks per sample of `decode/640x352_gop30_*`
+    // (about what `cold_select`'s queries decode).
+    let mut enc = TileEncoder::new(block_cfg, key.rect());
+    let pair = TileVideo {
+        width: w,
+        height: h,
+        gop_len: block_cfg.gop_len,
+        qp: block_cfg.qp,
+        deblock: false,
+        codec: TileCodec::Dct,
+        frames: vec![enc.encode_next(&key), enc.encode_next(&over)],
+    };
+    let reference = pair.decode_range(0..1).unwrap().0.remove(0);
+    let mut g = c.benchmark_group("decode");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(blocks));
+    g.bench_function("coded_block_intra", |b| {
+        b.iter(|| pair.decode_range(0..1).unwrap())
+    });
+    g.bench_function("coded_block_inter", |b| {
+        b.iter(|| pair.decode_resume(1, 2, Some(&reference)).unwrap())
+    });
+    g.finish();
+
     let mut g = c.benchmark_group("dct");
     g.sample_size(20);
     g.throughput(Throughput::Elements(busy.len() as u64));
@@ -315,18 +341,31 @@ fn ledger_geometry_benches(c: &mut Criterion) {
     });
     g.finish();
 
-    // The decoder's inverse transform over blocks shaped like the ledger
-    // corpus's coded blocks, per block.
-    let coded = coded_blocks(4096);
+    // The inverse transform over blocks shaped like the ledger corpus's
+    // coded blocks, their coefficients fed in scan order as the decoder's
+    // parse feeds them, per block.
+    let coded: Vec<Vec<(usize, i32)>> = coded_blocks(4096)
+        .iter()
+        .map(|coef| {
+            ZIGZAG
+                .iter()
+                .filter(|&&at| coef[at] != 0)
+                .map(|&at| (at, coef[at]))
+                .collect()
+        })
+        .collect();
     let mut g = c.benchmark_group("dct");
     g.sample_size(20);
     g.throughput(Throughput::Elements(coded.len() as u64));
-    g.bench_function("inverse_sparse", |b| {
-        let (mut tmp, mut out) = ([0i64; BLOCK_AREA], [0i32; BLOCK_AREA]);
+    g.bench_function("inverse", |b| {
+        let mut inverse = Inverse::default();
         b.iter(|| {
-            coded.iter().fold(0i32, |acc, (coef, rows, cols)| {
-                inverse_sparse(coef, *rows, *cols, &mut tmp, &mut out);
-                acc.wrapping_add(out[9])
+            coded.iter().fold(0i32, |mut acc, scan| {
+                for &(at, coef) in scan {
+                    inverse.add(at, coef);
+                }
+                inverse.finish_rows(|_, row| acc = acc.wrapping_add(row[1]));
+                acc
             })
         })
     });

@@ -4,7 +4,7 @@
 //! stride, using 8×8 blocks (the transform size). Coordinates are in the
 //! plane's own sample grid (chroma coordinates for chroma planes).
 
-use crate::dct::{BLOCK, BLOCK_AREA};
+use crate::dct::{Inverse, BLOCK, BLOCK_AREA};
 
 /// Zigzag scan order for an 8×8 coefficient block (JPEG/MPEG order):
 /// low frequencies first so runs of trailing zeros compress well.
@@ -27,11 +27,10 @@ pub fn load_block(plane: &[u8], stride: usize, x: usize, y: usize) -> [i32; BLOC
     out
 }
 
-/// Reconstructs an 8×8 block under a flat (DC) prediction: writes
-/// `pred + residual`, clamped to the 8-bit sample range, straight into the
-/// plane rows. Encoder and decoder share it, so their reconstructions agree
-/// by construction. The sum wraps rather than overflows: only a corrupt
-/// stream can push a residual that far, and it is clamped regardless.
+/// Reconstructs an 8×8 block under a flat (DC) prediction: finishes
+/// `residual`'s inverse transform and writes `pred` plus each residual row,
+/// clamped to the 8-bit sample range, straight into the plane rows. Encoder
+/// and decoder share it, so their reconstructions agree by construction.
 #[inline]
 pub fn reconstruct_flat(
     plane: &mut [u8],
@@ -39,18 +38,16 @@ pub fn reconstruct_flat(
     x: usize,
     y: usize,
     pred: i32,
-    residual: &[i32; BLOCK_AREA],
+    residual: &mut Inverse,
 ) {
-    for (row, res) in residual.chunks_exact(BLOCK).enumerate() {
-        let dst = &mut plane[(y + row) * stride + x..][..BLOCK];
-        for (d, &r) in dst.iter_mut().zip(res) {
-            *d = pred.wrapping_add(r).clamp(0, 255) as u8;
-        }
-    }
+    residual.finish_rows(|row, res| {
+        add_flat_row(&mut plane[(y + row) * stride + x..][..BLOCK], pred, res);
+    });
 }
 
 /// Reconstructs an 8×8 block under motion-compensated prediction: the block
-/// at `(sx, sy)` of `src` plus `residual`, clamped, written at `(x, y)`.
+/// at `(sx, sy)` of `src` plus `residual`'s rows, clamped, written at
+/// `(x, y)`.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn reconstruct_inter(
@@ -61,14 +58,30 @@ pub fn reconstruct_inter(
     src: &[u8],
     sx: usize,
     sy: usize,
-    residual: &[i32; BLOCK_AREA],
+    residual: &mut Inverse,
 ) {
-    for (row, res) in residual.chunks_exact(BLOCK).enumerate() {
+    residual.finish_rows(|row, res| {
         let dst = &mut plane[(y + row) * stride + x..][..BLOCK];
-        let pred = &src[(sy + row) * stride + sx..][..BLOCK];
-        for ((d, &p), &r) in dst.iter_mut().zip(pred).zip(res) {
-            *d = (p as i32).wrapping_add(r).clamp(0, 255) as u8;
-        }
+        add_row(dst, &src[(sy + row) * stride + sx..][..BLOCK], res);
+    });
+}
+
+/// `dst = clamp(pred + res)`. The sum wraps rather than overflows: only a
+/// corrupt stream can push a residual that far, and it is clamped
+/// regardless.
+#[inline]
+fn add_flat_row(dst: &mut [u8], pred: i32, res: [i32; BLOCK]) {
+    for (d, r) in dst.iter_mut().zip(res) {
+        *d = pred.wrapping_add(r).clamp(0, 255) as u8;
+    }
+}
+
+/// `dst = clamp(pred + res)` sample by sample, wrapping as
+/// [`add_flat_row`] does.
+#[inline]
+fn add_row(dst: &mut [u8], pred: &[u8], res: [i32; BLOCK]) {
+    for ((d, &p), r) in dst.iter_mut().zip(pred).zip(res) {
+        *d = (p as i32).wrapping_add(r).clamp(0, 255) as u8;
     }
 }
 
@@ -170,40 +183,74 @@ mod tests {
         assert_eq!(ZIGZAG[63], 63);
     }
 
+    /// An accumulator fed `coefs`' nonzero coefficients in scan order.
+    fn accumulated(coefs: &[i32; BLOCK_AREA]) -> Inverse {
+        let mut inverse = Inverse::default();
+        for &at in &ZIGZAG {
+            if coefs[at] != 0 {
+                inverse.add(at, coefs[at]);
+            }
+        }
+        inverse
+    }
+
     #[test]
     fn load_reconstruct_roundtrip() {
         let mut plane = vec![0u8; 16 * 16];
         for (i, p) in plane.iter_mut().enumerate() {
             *p = (i % 251) as u8;
         }
-        let block = load_block(&plane, 16, 8, 8);
-        let mut out = vec![0u8; 16 * 16];
-        reconstruct_flat(&mut out, 16, 8, 8, 0, &block);
-        for row in 8..16 {
-            for col in 8..16 {
-                assert_eq!(out[row * 16 + col], plane[row * 16 + col]);
+        // The block less 100, transformed: reconstructed over a flat
+        // prediction of 100 it comes back within the transform's ±1.
+        let block = load_block(&plane, 16, 8, 8).map(|v| v - 100);
+        let coefs = crate::dct::forward(&block);
+        let residual = crate::dct::inverse(&coefs);
+        let mut out = vec![7u8; 16 * 16];
+        reconstruct_flat(&mut out, 16, 8, 8, 100, &mut accumulated(&coefs));
+        for (i, p) in out.iter().enumerate() {
+            let (row, col) = (i / 16, i % 16);
+            if row < 8 || col < 8 {
+                assert_eq!(*p, 7, "outside the block");
+                continue;
             }
+            let at = (row - 8) * BLOCK + col - 8;
+            assert_eq!(*p as i32, (100 + residual[at]).clamp(0, 255));
+            assert!((*p as i32 - plane[i] as i32).abs() <= 1);
         }
-        // The same residual over a motion-compensated prediction of zeros.
-        let zeros = vec![0u8; 16 * 16];
-        let mut inter = vec![0u8; 16 * 16];
-        reconstruct_inter(&mut inter, 16, 8, 8, &zeros, 3, 5, &block);
+        // The same residual over a motion-compensated prediction of 100s,
+        // read from elsewhere in another plane.
+        let mut src = vec![0u8; 16 * 16];
+        for row in 5..13 {
+            src[row * 16 + 3..][..BLOCK].fill(100);
+        }
+        let mut inter = vec![7u8; 16 * 16];
+        reconstruct_inter(&mut inter, 16, 8, 8, &src, 3, 5, &mut accumulated(&coefs));
         assert_eq!(inter, out);
     }
 
     #[test]
     fn reconstruct_clamps_to_u8() {
-        let mut plane = vec![0u8; 64];
-        let mut vals = [0i32; BLOCK_AREA];
+        let mut row = [0u8; BLOCK];
+        let mut vals = [0i32; BLOCK];
         vals[0] = -150;
         vals[1] = 200;
         vals[2] = 28;
         vals[3] = i32::MAX; // wraps negative, then clamps: no overflow panic
-        reconstruct_flat(&mut plane, 8, 0, 0, 100, &vals);
-        assert_eq!(&plane[..5], &[0, 255, 128, 0, 100]);
-        let src = vec![100u8; 64];
-        reconstruct_inter(&mut plane, 8, 0, 0, &src, 0, 0, &vals);
-        assert_eq!(&plane[..5], &[0, 255, 128, 0, 100]);
+        add_flat_row(&mut row, 100, vals);
+        assert_eq!(&row[..5], &[0, 255, 128, 0, 100]);
+        row = [0; BLOCK];
+        add_row(&mut row, &[100; BLOCK], vals);
+        assert_eq!(&row[..5], &[0, 255, 128, 0, 100]);
+        // A DC-only block far past the sample range either way, whole.
+        let mut plane = vec![0u8; 64];
+        let mut dc = [0i32; BLOCK_AREA];
+        for (v, want) in [(4000, 255), (-4000, 0)] {
+            dc[0] = v;
+            reconstruct_flat(&mut plane, 8, 0, 0, 100, &mut accumulated(&dc));
+            assert_eq!(plane, vec![want; 64]);
+            reconstruct_inter(&mut plane, 8, 0, 0, &[100; 64], 0, 0, &mut accumulated(&dc));
+            assert_eq!(plane, vec![want; 64]);
+        }
     }
 
     #[test]

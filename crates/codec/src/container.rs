@@ -375,17 +375,25 @@ impl TileVideo {
         &self,
         range: Range<u32>,
     ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
+        self.check_range(&range)?;
+        if range.is_empty() {
+            return Ok((Vec::new(), DecodeStats::new()));
+        }
+        let start = self.keyframe_before(range.start);
+        self.decode_span(start, range.start, range.end, None)
+    }
+
+    /// The range checks of [`TileVideo::decode_range`], made before any
+    /// work: a reversed or out-of-bounds `range` is
+    /// [`ContainerError::InvalidRequest`].
+    pub(crate) fn check_range(&self, range: &Range<u32>) -> Result<(), ContainerError> {
         if range.start > range.end {
             return Err(ContainerError::InvalidRequest("reversed frame range"));
         }
         if range.start >= self.frame_count() || range.end > self.frame_count() {
             return Err(ContainerError::InvalidRequest("frame range out of bounds"));
         }
-        if range.is_empty() {
-            return Ok((Vec::new(), DecodeStats::new()));
-        }
-        let start = self.keyframe_before(range.start);
-        self.decode_span(start, range.start, range.end, None)
+        Ok(())
     }
 
     /// Resumes decoding at `from`, producing frames `from..end`.

@@ -4,8 +4,14 @@
 //! (scaled by 2¹³, like HEVC's integer transforms) so that encode and decode
 //! are bit-exact across platforms. The forward/inverse pair is not lossless —
 //! it is a transform, and quantization downstream discards precision — but
-//! `forward` followed by `inverse` reconstructs residuals within ±1, which is
-//! below the quantizer's dead zone for every QP we use.
+//! `forward` followed by the inverse reconstructs residuals within ±1, which
+//! is below the quantizer's dead zone for every QP we use.
+//!
+//! [`forward`] takes a whole residual block. The inverse is an accumulator,
+//! [`Inverse`]: it takes coefficients one at a time, as the decoder's parse
+//! or the encoder's quantiser produces them, sums the column pass as they
+//! arrive, and hands the residual back a row at a time, which
+//! `blockops::reconstruct_*` add to the prediction straight into the plane.
 
 use std::ops::{Add, Mul, Sub};
 
@@ -90,22 +96,6 @@ pub fn forward(block: &[i32; BLOCK_AREA]) -> [i32; BLOCK_AREA] {
     out
 }
 
-/// Inverse 8×8 DCT, reconstructing the residual block: [`inverse_sparse`]
-/// for a caller that does not know where the nonzero coefficients are.
-#[cfg(test)]
-pub(crate) fn inverse(coef: &[i32; BLOCK_AREA]) -> [i32; BLOCK_AREA] {
-    let (mut rows, mut cols) = (0u8, 0u8);
-    for (i, &c) in coef.iter().enumerate() {
-        if c != 0 {
-            rows |= 1 << (i / BLOCK);
-            cols |= 1 << (i % BLOCK);
-        }
-    }
-    let mut out = [0i32; BLOCK_AREA];
-    inverse_sparse(coef, rows, cols, &mut [0i64; BLOCK_AREA], &mut out);
-    out
-}
-
 /// The basis in `f64`, which holds every entry (an integer below 2¹²)
 /// exactly.
 const BASIS_F64: [[f64; BLOCK]; BLOCK] = {
@@ -119,8 +109,15 @@ const BASIS_F64: [[f64; BLOCK]; BLOCK] = {
 };
 
 /// Blocks whose coefficients are all below this in magnitude take the `f64`
-/// passes of [`inverse_sparse_bounded`], which are exact up to here.
+/// row pass of [`Inverse::finish_rows`], which is exact up to here.
 const F64_EXACT_BELOW: u32 = 1 << 20;
+
+/// Whether a block whose coefficients' magnitudes OR to `magnitude` takes
+/// the `f64` row pass.
+#[inline]
+fn row_pass_in_f64(magnitude: u32) -> bool {
+    magnitude < F64_EXACT_BELOW
+}
 
 /// `1.5 · 2⁷⁸`: adding it to an `f64` in (−2⁷⁷, 2⁷⁷) rounds that value to a
 /// multiple of 2²⁶ (the sum's unit in the last place), and the low 32 bits
@@ -177,105 +174,152 @@ where
     out
 }
 
-/// Inverse 8×8 DCT, reconstructing the residual block, for a caller that
-/// knows where the block's nonzero coefficients are: bit `k` of `rows`
-/// (`cols`) must be set if row (column) `k` holds any. Quantized blocks
-/// carry a handful of low-frequency coefficients, and the transform is a sum
-/// of products with no intermediate rounding, so leaving out the zero terms
-/// (and regrouping the rest) changes nothing but the time: a DC-only block
-/// is one multiply, and otherwise each pass runs over the occupied rows and
-/// columns only.
-/// `out` is overwritten; `tmp` is the caller's scratch, whatever it holds
-/// (only the occupied columns are written, and only they are read back).
-pub fn inverse_sparse(
-    coef: &[i32; BLOCK_AREA],
+/// The inverse 8×8 DCT as an accumulator: the column pass is summed as the
+/// coefficients arrive ([`Inverse::add`], in any order — a parse's scan
+/// order, say), and [`Inverse::finish_rows`] runs the row pass and hands
+/// over the residual block a row at a time. One accumulator serves block
+/// after block: finishing a block leaves it ready for the next.
+///
+/// Quantized blocks carry a handful of low-frequency coefficients, and the
+/// transform is a sum of products with no intermediate rounding, so summing
+/// only the coefficients there are (in whatever order) changes nothing but
+/// the time. `add` spends four multiply-adds per coefficient; the row pass
+/// runs over the occupied columns only; a DC-only block is one multiply.
+///
+/// Exactness: the column pass sums in `f64`. A product of an `i32` and a
+/// basis entry is an integer below 2⁴³, each half (four terms) stays below
+/// 2⁴⁵ and a column sum below 2⁴⁶, so `f64` holds every partial sum exactly
+/// and the order of the sums cannot matter. The row pass sums in `f64` when
+/// every coefficient is below 2²⁰: a column sum is then below 2³⁵ and a row
+/// sum (8 terms of that times 4017) below 2⁵⁰, an integer plus the bias of
+/// ½ that `f64` still holds exactly. The `i64` pass's `(v + 2²⁵) >> 26` is
+/// then one add of `ROUND_OFF_26` (1.5 · 2⁷⁸) to `v + ½`, which rounds to
+/// the nearest multiple of 2²⁶ and can never tie (`v` is an integer). That
+/// puts the transform on the packed `f64` multiply every x86-64 has (two
+/// lanes an instruction) instead of the scalar 64-bit one. Two things the
+/// equality leans on hold for any target features: Rust never contracts
+/// `a * b + c` into a fused multiply-add, which would round once where this
+/// rounds nothing (CI runs the codec's tests with FMA available to keep it
+/// so), and the rounding add needs the default round-to-nearest mode, which
+/// Rust code cannot change. A block with a larger coefficient — only a
+/// corrupt stream or the saturating dequantiser makes one — takes the `i64`
+/// row pass on the column sums, converted exactly.
+pub struct Inverse {
+    /// Column `c`'s eight sums: `acc[c][..4]` collects the even-index basis
+    /// rows and `acc[c][4..]` the odd ones (the halves of [`inverse_pass`]),
+    /// so column output `n < 4` is their sum and `7 - n` their difference.
+    acc: [[f64; BLOCK]; BLOCK],
+    /// Bit `k` set: row `k` holds a coefficient.
     rows: u8,
+    /// Bit `c` set: column `c` holds a coefficient.
     cols: u8,
-    tmp: &mut [i64; BLOCK_AREA],
-    out: &mut [i32; BLOCK_AREA],
-) {
-    let magnitude = coef.iter().fold(0, |m, c| m | c.unsigned_abs());
-    inverse_sparse_bounded(coef, rows, cols, magnitude, tmp, out);
+    /// The OR of the coefficients' magnitudes, a bound on each.
+    magnitude: u32,
 }
 
-/// [`inverse_sparse`] for a caller that also knows a bound on the
-/// coefficients: `magnitude` must be at least each one's `unsigned_abs()`
-/// (their OR is, and a parse can collect it as it goes).
-///
-/// The passes sum in `f64` when every coefficient is below 2²⁰, with the
-/// `i64` result, bit for bit: a column sum is at most 8 terms of |coef| ·
-/// 4017 (< 2³⁵), a row sum 8 terms of that times 4017 (< 2⁵⁰), so every
-/// product and partial sum is an integer (the row pass carries a bias of
-/// ½) that `f64` holds exactly, and the order of the sums cannot matter.
-/// The `i64` pass's `(v + 2²⁵) >> 26` is then one add of `ROUND_OFF_26`
-/// (1.5 · 2⁷⁸) to `v + ½`, which rounds to the nearest multiple of 2²⁶ and
-/// can never tie (`v` is an integer). That puts the transform on the packed
-/// `f64` multiply every x86-64 has (two lanes an instruction) instead of the
-/// scalar 64-bit one. Two things the equality leans on hold for any target
-/// features: Rust never contracts `a * b + c` into a fused multiply-add,
-/// which would round once where this rounds nothing (CI runs the codec's
-/// tests with FMA available to keep it so), and the rounding add needs the
-/// default round-to-nearest mode, which Rust code cannot change. A block
-/// with a larger coefficient — only a corrupt stream or the saturating
-/// dequantiser makes one — takes the `i64` passes, and a DC-only block
-/// stays one integer multiply.
-pub fn inverse_sparse_bounded(
-    coef: &[i32; BLOCK_AREA],
-    rows: u8,
-    cols: u8,
-    magnitude: u32,
-    tmp: &mut [i64; BLOCK_AREA],
-    out: &mut [i32; BLOCK_AREA],
-) {
-    debug_assert!(
-        coef.iter()
-            .enumerate()
-            .all(|(i, &c)| c == 0 || (rows >> (i / BLOCK)) & (cols >> (i % BLOCK)) & 1 == 1),
-        "nonzero coefficient outside the row/column masks"
-    );
-    debug_assert!(
-        coef.iter().all(|c| c.unsigned_abs() <= magnitude),
-        "coefficient above the magnitude bound"
-    );
-    let round = 1i64 << (2 * SCALE_BITS - 1);
-    if rows <= 1 && cols <= 1 {
-        // Only the DC term: every sample is the same value.
-        let dc = coef[0] as i64 * (BASIS[0][0] as i64 * BASIS[0][0] as i64);
-        *out = [((dc + round) >> (2 * SCALE_BITS)) as i32; BLOCK_AREA];
-        return;
+impl Default for Inverse {
+    fn default() -> Self {
+        Inverse {
+            acc: [[0.0; BLOCK]; BLOCK],
+            rows: 0,
+            cols: 0,
+            magnitude: 0,
+        }
     }
-    if magnitude < F64_EXACT_BELOW {
-        // Inverse over columns, each sum's bits parked in the `i64` scratch.
+}
+
+impl Inverse {
+    /// Adds coefficient `coef` at raster position `at` (row `at / 8`,
+    /// column `at % 8`) to the block: `coef · C[k][0..4]` into the even or
+    /// odd half of its column's sums. Each position is added at most once
+    /// per block.
+    ///
+    /// # Panics
+    /// Panics if `at` is not below [`BLOCK_AREA`].
+    #[inline]
+    pub fn add(&mut self, at: usize, coef: i32) {
+        let (k, c) = (at / BLOCK, at % BLOCK);
+        let v = coef as f64;
+        let half = &mut self.acc[c][k % 2 * (BLOCK / 2)..][..BLOCK / 2];
+        for (sum, &b) in half.iter_mut().zip(&BASIS_F64[k]) {
+            *sum += v * b;
+        }
+        self.rows |= 1 << k;
+        self.cols |= 1 << c;
+        self.magnitude |= coef.unsigned_abs();
+    }
+
+    /// Finishes the block: runs the row pass and hands `emit` each row of
+    /// the residual, `emit(row, samples)`, then re-zeroes what the block
+    /// occupied so the accumulator is ready for the next one.
+    #[inline]
+    pub fn finish_rows(&mut self, mut emit: impl FnMut(usize, [i32; BLOCK])) {
+        let round = 1i64 << (2 * SCALE_BITS - 1);
+        let cols = self.cols;
+        if self.rows <= 1 && cols <= 1 {
+            // Only the DC term: every sample is the same value.
+            // `acc[0][0]` is `coef[0] · C[0][0]`, an integer below 2⁴³.
+            let dc = self.acc[0][0] as i64 * BASIS[0][0] as i64;
+            let sample = ((dc + round) >> (2 * SCALE_BITS)) as i32;
+            for row in 0..BLOCK {
+                emit(row, [sample; BLOCK]);
+            }
+        } else {
+            // Rows `m` and `7 - m` in turn: at column `k` the column pass's
+            // outputs there are its halves' sum and difference.
+            let acc = &self.acc;
+            let up = |m: usize| move |k: usize| acc[k][m] + acc[k][BLOCK / 2 + m];
+            let down = |m: usize| move |k: usize| acc[k][m] - acc[k][BLOCK / 2 + m];
+            if row_pass_in_f64(self.magnitude) {
+                // From `v + ½` to the `i64` pass's rounded shift.
+                let out = |row: [f64; BLOCK]| row.map(|v| (v + ROUND_OFF_26).to_bits() as i32);
+                for m in 0..BLOCK / 2 {
+                    emit(m, out(inverse_pass(up(m), &BASIS_F64, cols, 0.5)));
+                    emit(
+                        BLOCK - 1 - m,
+                        out(inverse_pass(down(m), &BASIS_F64, cols, 0.5)),
+                    );
+                }
+            } else {
+                let out = |row: [i64; BLOCK]| row.map(|v| (v >> (2 * SCALE_BITS)) as i32);
+                for m in 0..BLOCK / 2 {
+                    let (up, down) = (up(m), down(m));
+                    emit(m, out(inverse_pass(|k| up(k) as i64, &BASIS, cols, round)));
+                    emit(
+                        BLOCK - 1 - m,
+                        out(inverse_pass(|k| down(k) as i64, &BASIS, cols, round)),
+                    );
+                }
+            }
+        }
         for c in set_bits(cols) {
-            let column = inverse_pass(|k| coef[k * BLOCK + c] as f64, &BASIS_F64, rows, 0.0);
-            for (n, v) in column.into_iter().enumerate() {
-                tmp[n * BLOCK + c] = v.to_bits() as i64;
-            }
+            self.acc[c] = [0.0; BLOCK];
         }
-        // Inverse over rows, from `v + ½` to the `i64` pass's rounded shift.
-        for (tmp_row, out_row) in tmp.chunks_exact(BLOCK).zip(out.chunks_exact_mut(BLOCK)) {
-            let x = |k| f64::from_bits(tmp_row[k] as u64);
-            let row = inverse_pass(x, &BASIS_F64, cols, 0.5);
-            for (o, v) in out_row.iter_mut().zip(row) {
-                *o = (v + ROUND_OFF_26).to_bits() as i32;
-            }
-        }
-        return;
+        (self.rows, self.cols, self.magnitude) = (0, 0, 0);
     }
-    // Inverse over columns: tmp = C^T * coef, for the occupied columns.
-    for c in set_bits(cols) {
-        let column = inverse_pass(|k| coef[k * BLOCK + c] as i64, &BASIS, rows, 0);
-        for (n, v) in column.into_iter().enumerate() {
-            tmp[n * BLOCK + c] = v;
-        }
+}
+
+#[cfg(test)]
+impl Inverse {
+    /// [`Inverse::finish_rows`] into a row-major block.
+    pub(crate) fn finish(&mut self) -> [i32; BLOCK_AREA] {
+        let mut out = [0; BLOCK_AREA];
+        self.finish_rows(|row, samples| out[row * BLOCK..][..BLOCK].copy_from_slice(&samples));
+        out
     }
-    // Inverse over rows with rounding and the remaining 1/4-ish normalization.
-    for (tmp_row, out_row) in tmp.chunks_exact(BLOCK).zip(out.chunks_exact_mut(BLOCK)) {
-        let row = inverse_pass(|k| tmp_row[k], &BASIS, cols, round);
-        for (o, v) in out_row.iter_mut().zip(row) {
-            *o = (v >> (2 * SCALE_BITS)) as i32;
+}
+
+/// Inverse 8×8 DCT of a whole coefficient block: its nonzero coefficients
+/// through an [`Inverse`], in raster order.
+#[cfg(test)]
+pub(crate) fn inverse(coef: &[i32; BLOCK_AREA]) -> [i32; BLOCK_AREA] {
+    let mut inverse = Inverse::default();
+    for (at, &c) in coef.iter().enumerate() {
+        if c != 0 {
+            inverse.add(at, c);
         }
     }
+    inverse.finish()
 }
 
 #[cfg(test)]
@@ -313,6 +357,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn f64_row_pass_is_taken_below_2_20_only() {
+        // Outputs cannot pin this bound: at exactly 2²⁰ every coefficient
+        // is 0 or ±2²⁰, and the `f64` sums would still be exact there.
+        assert!(row_pass_in_f64(0));
+        assert!(row_pass_in_f64((1 << 20) - 1));
+        assert!(!row_pass_in_f64(1 << 20));
+        assert!(!row_pass_in_f64(u32::MAX));
     }
 
     #[test]

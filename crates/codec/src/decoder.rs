@@ -4,7 +4,7 @@ use crate::bitstream::{BitReader, BitstreamError};
 use crate::blockops::{
     copy_block, dc_predict, fill_block, reconstruct_flat, reconstruct_inter, ZIGZAG,
 };
-use crate::dct::{inverse_sparse_bounded, BLOCK, BLOCK_AREA};
+use crate::dct::{Inverse, BLOCK, BLOCK_AREA};
 use crate::deblock::deblock_frame;
 use crate::grid::TILE_ALIGN;
 use crate::quant::{dequantize, qstep};
@@ -163,10 +163,8 @@ impl TileDecoder {
         };
         let mut r = BitReader::new(data);
         let qs = qstep(qp);
-        let mut block = Scratch {
-            tmp: [0; BLOCK_AREA],
-            residual: [0; BLOCK_AREA],
-        };
+        // One accumulator for the frame: each coded block leaves it zeroed.
+        let mut block = Inverse::default();
         for plane in Plane::ALL {
             let pw = recon.plane_width(plane) as usize;
             let ph = recon.plane_height(plane) as usize;
@@ -196,7 +194,7 @@ impl TileDecoder {
 /// Decodes one plane of a keyframe: every block is intra, no mode symbol.
 fn decode_key_plane(
     r: &mut BitReader<'_>,
-    block: &mut Scratch,
+    block: &mut Inverse,
     recon: &mut [u8],
     pw: usize,
     ph: usize,
@@ -215,7 +213,7 @@ fn decode_key_plane(
 /// is a run of one bits (`ue(0)` each) and is consumed in one step.
 fn decode_inter_plane(
     r: &mut BitReader<'_>,
-    block: &mut Scratch,
+    block: &mut Inverse,
     recon: &mut [u8],
     prev: &[u8],
     pw: usize,
@@ -252,7 +250,7 @@ fn decode_inter_plane(
                 }
                 let (rx, ry) = (rx as usize, ry as usize);
                 if read_residual(r, block, qs)? {
-                    reconstruct_inter(recon, pw, x, y, prev, rx, ry, &block.residual);
+                    reconstruct_inter(recon, pw, x, y, prev, rx, ry, block);
                 } else {
                     copy_block(recon, pw, x, y, prev, pw, rx, ry);
                 }
@@ -270,7 +268,7 @@ fn decode_inter_plane(
 /// neighbours inside the tile, plus the residual if one is coded.
 fn decode_intra_block(
     r: &mut BitReader<'_>,
-    block: &mut Scratch,
+    block: &mut Inverse,
     recon: &mut [u8],
     stride: usize,
     x: usize,
@@ -279,29 +277,22 @@ fn decode_intra_block(
 ) -> Result<(), DecodeError> {
     let pred = dc_predict(recon, stride, x, y);
     if read_residual(r, block, qs)? {
-        reconstruct_flat(recon, stride, x, y, pred, &block.residual);
+        reconstruct_flat(recon, stride, x, y, pred, block);
     } else {
         fill_block(recon, stride, x, y, pred as u8);
     }
     Ok(())
 }
 
-/// The inverse transform's scratch and output, owned by the frame decode and
-/// reused, so a coded block zeroes its coefficients and nothing else, and
-/// copies nothing.
-struct Scratch {
-    tmp: [i64; BLOCK_AREA],
-    residual: [i32; BLOCK_AREA],
-}
-
-/// Reads a coded-block flag and, if set, the block's coefficients —
-/// dequantized as they are parsed, with the rows, columns and magnitude bits
-/// they occupy noted — and inverse transforms them into
-/// `block.residual`. `false` means no residual is coded. A coefficient's
-/// `(run, level)` pair is one table step where the table holds it; the
-/// others are read a symbol at a time, and either way a run is checked
-/// before its level counts, so errors come in the order the syntax has.
-fn read_residual(r: &mut BitReader<'_>, block: &mut Scratch, qs: i32) -> Result<bool, DecodeError> {
+/// Reads a coded-block flag and, if set, the block's coefficients,
+/// dequantized and added to `block`'s inverse transform as they are parsed:
+/// `true` means the block awaits its reconstruction, `false` that no
+/// residual is coded. A coefficient's `(run, level)` pair is one table step
+/// where the table holds it; the others are read a symbol at a time, and
+/// either way a run is checked before its level counts, so errors come in
+/// the order the syntax has. (After an error the frame is abandoned, and
+/// `block` with it.)
+fn read_residual(r: &mut BitReader<'_>, block: &mut Inverse, qs: i32) -> Result<bool, DecodeError> {
     if !r.get_bit()? {
         return Ok(false);
     }
@@ -309,8 +300,6 @@ fn read_residual(r: &mut BitReader<'_>, block: &mut Scratch, qs: i32) -> Result<
     if nnz > BLOCK_AREA {
         return Err(DecodeError::InvalidSyntax("too many coefficients"));
     }
-    let mut coefs = [0i32; BLOCK_AREA];
-    let (mut rows, mut cols, mut magnitude) = (0u8, 0u8, 0u32);
     let mut pos = 0usize;
     for _ in 0..nnz {
         let pair = r.get_run_level();
@@ -331,21 +320,9 @@ fn read_residual(r: &mut BitReader<'_>, block: &mut Scratch, qs: i32) -> Result<
         if level == 0 {
             return Err(DecodeError::InvalidSyntax("zero level coded as nonzero"));
         }
-        let at = ZIGZAG[pos];
-        coefs[at] = dequantize(level, qs);
-        rows |= 1 << (at / BLOCK);
-        cols |= 1 << (at % BLOCK);
-        magnitude |= coefs[at].unsigned_abs();
+        block.add(ZIGZAG[pos], dequantize(level, qs));
         pos += 1;
     }
-    inverse_sparse_bounded(
-        &coefs,
-        rows,
-        cols,
-        magnitude,
-        &mut block.tmp,
-        &mut block.residual,
-    );
     Ok(true)
 }
 

@@ -17,7 +17,7 @@ use crate::blockops::{
     copy_block, dc_predict, fill_block, load_block, reconstruct_flat, reconstruct_inter, sad,
     ZIGZAG,
 };
-use crate::dct::{forward, inverse_sparse_bounded, BLOCK, BLOCK_AREA};
+use crate::dct::{forward, Inverse, BLOCK, BLOCK_AREA};
 use crate::deblock::deblock_frame;
 use crate::quant::{dequantize, outside_dead_zone, qstep, quantize};
 use bytes::Bytes;
@@ -422,33 +422,33 @@ impl TileEncoder {
 }
 
 /// The coded-block path at one frame's QP, mirroring the decoder's
-/// `read_residual`: the inverse transform's scratch and output are owned by
-/// the frame encode and reused block after block.
+/// `read_residual`: the inverse transform's accumulator is owned by the
+/// frame encode and reused block after block.
 pub(crate) struct BlockCoder {
     qstep: i32,
-    tmp: [i64; BLOCK_AREA],
-    residual: [i32; BLOCK_AREA],
+    inverse: Inverse,
 }
 
 impl BlockCoder {
     pub(crate) fn new(qstep: i32) -> Self {
         BlockCoder {
             qstep,
-            tmp: [0; BLOCK_AREA],
-            residual: [0; BLOCK_AREA],
+            inverse: Inverse::default(),
         }
     }
 
     /// Transforms, quantizes and entropy-codes a residual block, and returns
-    /// the residual as the decoder will reconstruct it (`None` when every
-    /// level quantizes to zero and only the coded-block flag is written), so
-    /// the encoder's reference matches the decoder's bit-exactly.
+    /// the accumulator holding the residual as the decoder will reconstruct
+    /// it (`None` when every level quantizes to zero and only the coded-block
+    /// flag is written), so the encoder's reference matches the decoder's
+    /// bit-exactly. The caller finishes it (`blockops::reconstruct_*`)
+    /// before the next block is coded.
     #[inline]
     pub(crate) fn code(
         &mut self,
         w: &mut BitWriter,
         residual: &[i32; BLOCK_AREA],
-    ) -> Option<&[i32; BLOCK_AREA]> {
+    ) -> Option<&mut Inverse> {
         self.code_levels(w, &forward(residual))
     }
 
@@ -479,14 +479,13 @@ impl BlockCoder {
     /// coefficients lie outside the dead zone is gathered first, a bit each
     /// in scan order and without a branch (which ones do is not predictable);
     /// the count and the runs are then read off the bits, and each level is
-    /// written and dequantized into place with its row, column and magnitude
-    /// noted, so the inverse transform runs over those alone, in the lanes
-    /// the magnitude allows.
+    /// written, dequantized and added to the inverse transform in scan order,
+    /// as the decoder's parse adds it.
     pub(crate) fn code_levels(
         &mut self,
         w: &mut BitWriter,
         coefs: &[i32; BLOCK_AREA],
-    ) -> Option<&[i32; BLOCK_AREA]> {
+    ) -> Option<&mut Inverse> {
         let mut kept = 0u64;
         // (A byte of bits at a time: one chain of 64 ORs is 64 cycles long.)
         for (group, scan) in ZIGZAG.chunks_exact(8).enumerate() {
@@ -502,8 +501,6 @@ impl BlockCoder {
         }
         w.put_bit(true);
         w.put_ue(kept.count_ones() - 1);
-        let mut dequantized = [0i32; BLOCK_AREA];
-        let (mut rows, mut cols, mut magnitude) = (0u8, 0u8, 0u32);
         let mut next = 0;
         while kept != 0 {
             let pos = kept.trailing_zeros();
@@ -512,14 +509,9 @@ impl BlockCoder {
             let level = quantize(coefs[at], self.qstep);
             w.put_run_level(pos - next, level);
             next = pos + 1;
-            dequantized[at] = dequantize(level, self.qstep);
-            rows |= 1 << (at / BLOCK);
-            cols |= 1 << (at % BLOCK);
-            magnitude |= dequantized[at].unsigned_abs();
+            self.inverse.add(at, dequantize(level, self.qstep));
         }
-        let (tmp, residual) = (&mut self.tmp, &mut self.residual);
-        inverse_sparse_bounded(&dequantized, rows, cols, magnitude, tmp, residual);
-        Some(&self.residual)
+        Some(&mut self.inverse)
     }
 }
 

@@ -470,6 +470,7 @@ fn read_residual(
 mod tests {
     use super::*;
     use crate::bitstream::BitWriter;
+    use crate::dct::Inverse;
     use crate::decoder::TileDecoder;
     use crate::encoder::{BlockCoder, EncoderConfig, RateControl, TileEncoder};
     use proptest::prelude::*;
@@ -585,12 +586,51 @@ mod tests {
         }
     }
 
+    /// The orders a block's coefficients are fed to an accumulator in: scan
+    /// order (the codec's), raster, reversed raster and a shuffle.
+    fn feed_orders(rng: &mut Rng) -> [[usize; BLOCK_AREA]; 4] {
+        let raster: [usize; BLOCK_AREA] = std::array::from_fn(|i| i);
+        let mut reversed = raster;
+        reversed.reverse();
+        let mut shuffled = raster;
+        for i in (1..BLOCK_AREA).rev() {
+            shuffled.swap(i, rng.usize(0..i + 1));
+        }
+        [ZIGZAG, raster, reversed, shuffled]
+    }
+
+    /// Feeds `coefs` to `inverse` in each of [`feed_orders`] and checks each
+    /// block it finishes is `want`. Zero coefficients are added too where
+    /// `zeros` has a bit set (the accumulator then counts their rows and
+    /// columns as occupied, which must change nothing).
+    fn check_accumulator(
+        inverse: &mut Inverse,
+        coefs: &[i32; BLOCK_AREA],
+        want: &[i32; BLOCK_AREA],
+        zeros: u64,
+        rng: &mut Rng,
+    ) {
+        for order in feed_orders(rng) {
+            for at in order {
+                if coefs[at] != 0 || zeros >> at & 1 == 1 {
+                    inverse.add(at, coefs[at]);
+                }
+            }
+            assert_eq!(
+                &inverse.finish(),
+                want,
+                "{coefs:?} zeros {zeros:#x} order {order:?}"
+            );
+        }
+    }
+
     #[test]
     fn inverse_matches_reference_on_sparse_and_dense_blocks() {
+        // One accumulator for every block, as a frame decode has.
+        let mut accumulator = Inverse::default();
         for_cases(4000, "inverse", |rng| {
             let qs = qstep(rng.u32(0..52) as u8);
             let mut coefs = [0i32; BLOCK_AREA];
-            let (mut rows, mut cols) = (0u8, 0u8);
             let count = match rng.u32(0..4) {
                 0 => rng.usize(0..3),
                 1 => rng.usize(1..6),
@@ -602,40 +642,29 @@ mod tests {
             for _ in 0..count {
                 let at = ZIGZAG[rng.usize(0..reach.max(count.min(64)))];
                 coefs[at] = dequantize(arb_level(rng), qs);
-                if coefs[at] != 0 {
-                    rows |= 1 << (at / BLOCK);
-                    cols |= 1 << (at % BLOCK);
-                }
             }
             let want = inverse(&coefs);
             assert_eq!(crate::dct::inverse(&coefs), want, "{coefs:?}");
-            // Scratch and output arrive holding anything.
-            let sparse = |rows, cols| {
-                let (mut tmp, mut out) = ([i64::MAX; BLOCK_AREA], [-7; BLOCK_AREA]);
-                crate::dct::inverse_sparse(&coefs, rows, cols, &mut tmp, &mut out);
-                out
-            };
-            assert_eq!(sparse(rows, cols), want);
-            // Masks may over-approximate.
-            let (more_rows, more_cols) =
-                (rows | rng.u32(0..256) as u8, cols | rng.u32(0..256) as u8);
-            assert_eq!(sparse(more_rows, more_cols), want);
+            let zeros = rng.next();
+            for zeros in [0, zeros] {
+                check_accumulator(&mut accumulator, &coefs, &want, zeros, rng);
+            }
         });
     }
 
-    /// Both sides of the 2²⁰ bound under which the inverse transform sums
-    /// in `f64`: the blocks that push those sums furthest, the smallest
-    /// coefficient that must take the `i64` passes, and the `i32` extremes
-    /// the saturating dequantiser hands on — each with exact masks and
-    /// over-approximated ones, through both entry points, and with a
-    /// magnitude bound that sends a small block down the `i64` passes too.
+    /// Both sides of the 2²⁰ bound under which the row pass sums in `f64`:
+    /// the blocks that push those sums furthest, the smallest coefficient
+    /// that must take the `i64` pass, and the `i32` extremes the saturating
+    /// dequantiser hands on — each fed in several orders, with and without
+    /// zero coefficients beside it, through one accumulator that has just
+    /// finished a small block.
     #[test]
     fn inverse_matches_reference_on_both_sides_of_the_f64_bound() {
         let below = (1 << 20) - 1;
         let mut blocks: Vec<[i32; BLOCK_AREA]> = vec![[below; BLOCK_AREA], [-below; BLOCK_AREA]];
         // For each output sample, every coefficient at ±(2²⁰ − 1) with the
         // sign that makes every product in its sum positive: the largest
-        // sums the `f64` passes can meet, and the column sums under them.
+        // sums the `f64` pass can meet, and the column sums under them.
         for (r, n) in (0..BLOCK).flat_map(|r| (0..BLOCK).map(move |n| (r, n))) {
             let worst: [i32; BLOCK_AREA] = std::array::from_fn(|i| {
                 let sign = (BASIS[i / BLOCK][r] * BASIS[i % BLOCK][n]).signum();
@@ -682,39 +711,22 @@ mod tests {
             one[ZIGZAG[qp as usize]] = if qp % 2 == 0 { hi } else { lo };
             blocks.extend([mixed, one, [hi; BLOCK_AREA], [lo; BLOCK_AREA]]);
         }
+        // A block as the codec makes them, finished before each of the
+        // above: every large block arrives right after a small one.
+        let mut small = [0i32; BLOCK_AREA];
+        for (pos, v) in [(0, 96), (1, -32), (2, 16), (4, 48), (9, -16)] {
+            small[ZIGZAG[pos]] = v;
+        }
+        let small_want = inverse(&small);
         let mut extra = Rng(0x5eed);
+        let mut accumulator = Inverse::default();
         for coefs in &blocks {
             let want = inverse(coefs);
-            let (mut rows, mut cols) = (0u8, 0u8);
-            let mut magnitude = 0u32;
-            for (i, &c) in coefs.iter().enumerate() {
-                if c != 0 {
-                    rows |= 1 << (i / BLOCK);
-                    cols |= 1 << (i % BLOCK);
-                }
-                magnitude |= c.unsigned_abs();
-            }
-            let more = |mask: u8, extra: &mut Rng| mask | extra.u32(0..256) as u8;
-            let masks = [
-                (rows, cols),
-                (more(rows, &mut extra), more(cols, &mut extra)),
-                (rows, 0xff),
-                (0xff, 0xff),
-            ];
-            for (rows, cols) in masks {
-                let (mut tmp, mut out) = ([i64::MIN; BLOCK_AREA], [-7; BLOCK_AREA]);
-                crate::dct::inverse_sparse(coefs, rows, cols, &mut tmp, &mut out);
-                assert_eq!(out, want, "{coefs:?} rows {rows:#x} cols {cols:#x}");
-                for bound in [magnitude, u32::MAX] {
-                    let (mut tmp, mut out) = ([i64::MAX; BLOCK_AREA], [-7; BLOCK_AREA]);
-                    crate::dct::inverse_sparse_bounded(
-                        coefs, rows, cols, bound, &mut tmp, &mut out,
-                    );
-                    assert_eq!(
-                        out, want,
-                        "{coefs:?} rows {rows:#x} cols {cols:#x} bound {bound}"
-                    );
-                }
+            assert_eq!(crate::dct::inverse(coefs), want, "{coefs:?}");
+            let zeros = extra.next();
+            for zeros in [0, zeros, u64::MAX] {
+                check_accumulator(&mut accumulator, &small, &small_want, 0, &mut extra);
+                check_accumulator(&mut accumulator, coefs, &want, zeros, &mut extra);
             }
         }
     }
@@ -1062,21 +1074,22 @@ mod tests {
     /// the two write the same bits and hand back the same residual. Returns
     /// whether the block was coded.
     fn code_both(qp: u8, input: BlockInput, lead: u32) -> bool {
-        // The coder's scratch and output hold another block's values.
+        // The coder's accumulator has finished another block, past 2²⁰.
         let mut coder = BlockCoder::new(qstep(qp));
         let stale = std::array::from_fn(|i| (i as i32 - 30) << 20);
-        assert!(coder.code_levels(&mut BitWriter::new(), &stale).is_some());
+        let stale = coder.code_levels(&mut BitWriter::new(), &stale);
+        assert!(stale.map(Inverse::finish).is_some());
         let mut fast = BitWriter::new();
         let mut slow = BitwiseWriter::default();
         fast.put_bits((1u64 << lead) as u32 >> 1, lead);
         slow.put_bits((1u64 << lead) as u32 >> 1, lead);
         let (got, want) = match input {
             BlockInput::Residual(r) => (
-                coder.code(&mut fast, &r).copied(),
+                coder.code(&mut fast, &r).map(Inverse::finish),
                 code_coefficients(&mut slow, &r, qstep(qp)),
             ),
             BlockInput::Coefs(c) => (
-                coder.code_levels(&mut fast, &c).copied(),
+                coder.code_levels(&mut fast, &c).map(Inverse::finish),
                 code_levels(&mut slow, c, qstep(qp)),
             ),
         };

@@ -19,6 +19,10 @@ use tasm_video::Frame;
 /// Magic bytes identifying a stitched stream.
 pub const TSF_MAGIC: [u8; 4] = *b"TSF1";
 
+/// The fewest bytes a serialized tile takes: its `u64` length and the
+/// shortest TVF header (a version-1 one, with no frames).
+const MIN_TILE_BYTES: usize = 8 + 23;
+
 /// A stitched video: a tile layout plus the encoded tile streams, combined
 /// without re-encoding.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,11 +140,16 @@ impl StitchedVideo {
         header + self.tiles.iter().map(|t| 8 + t.size_bytes()).sum::<u64>()
     }
 
-    /// Decodes full frames for `range`, compositing every tile.
+    /// Decodes full frames for `range`, compositing every tile. A reversed
+    /// or out-of-bounds `range` is [`ContainerError::InvalidRequest`], as
+    /// for [`TileVideo::decode_range`], before any frame is allocated.
     pub fn decode_range(
         &self,
         range: Range<u32>,
     ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
+        // Every tile has the same frames (`stitch` checks), so the first
+        // tile's range checks are every tile's.
+        self.tiles[0].check_range(&range)?;
         let t0 = Instant::now();
         let mut stats = DecodeStats::new();
         let mut frames: Vec<Frame> = (0..range.len())
@@ -201,8 +210,15 @@ impl StitchedVideo {
         let col_widths: Vec<u32> = (0..cols).map(|_| data.get_u32_le()).collect();
         let row_heights: Vec<u32> = (0..rows).map(|_| data.get_u32_le()).collect();
         let layout = TileLayout::new(col_widths, row_heights)?;
-        let mut tiles = Vec::with_capacity(rows * cols);
-        for _ in 0..rows * cols {
+        // Each tile takes at least its length and a container header, so a
+        // layout the remaining bytes cannot hold is truncated: a small
+        // header must not reserve room for billions of tiles.
+        let count = rows * cols;
+        if data.remaining() / MIN_TILE_BYTES < count {
+            return Err(StitchError::Container(ContainerError::Truncated));
+        }
+        let mut tiles = Vec::with_capacity(count);
+        for _ in 0..count {
             if data.remaining() < 8 {
                 return Err(StitchError::Container(ContainerError::Truncated));
             }
@@ -300,5 +316,71 @@ mod tests {
         let mut bad = bytes.to_vec();
         bad[0] = b'Z';
         assert!(StitchedVideo::from_bytes(&bad).is_err());
+    }
+
+    /// A 524,289-byte header naming 65535 × 65535 tiles of 16 × 16 holds no
+    /// tile at all: it is truncated, and nothing is reserved for the tiles
+    /// (the room for them alone would be 171 GB).
+    #[test]
+    fn hostile_tile_count_is_truncated_not_an_allocation() {
+        let mut header = BytesMut::new();
+        header.put_slice(&TSF_MAGIC);
+        header.put_u8(1);
+        header.put_u16_le(u16::MAX);
+        header.put_u16_le(u16::MAX);
+        for _ in 0..2 * u16::MAX as usize {
+            header.put_u32_le(16);
+        }
+        assert_eq!(header.len(), 524_289);
+        assert_eq!(
+            StitchedVideo::from_bytes(&header),
+            Err(StitchError::Container(ContainerError::Truncated))
+        );
+        // The bound is the true minimum: two frameless tiles in exactly
+        // twice `MIN_TILE_BYTES` parse, and one byte less is truncated.
+        let empty = TileVideo {
+            width: 32,
+            height: 64,
+            gop_len: 30,
+            qp: 28,
+            deblock: true,
+            codec: crate::container::TileCodec::Dct,
+            frames: Vec::new(),
+        };
+        let layout = TileLayout::uniform(64, 64, 1, 2).unwrap();
+        let sv = StitchedVideo::stitch(layout, vec![empty.clone(), empty]).unwrap();
+        let bytes = sv.to_bytes();
+        let header = 4 + 1 + 2 + 2 + 4 * 3;
+        assert_eq!(bytes.len(), header + 2 * MIN_TILE_BYTES);
+        assert_eq!(StitchedVideo::from_bytes(&bytes), Ok(sv));
+        assert_eq!(
+            StitchedVideo::from_bytes(&bytes[..bytes.len() - 1]),
+            Err(StitchError::Container(ContainerError::Truncated))
+        );
+    }
+
+    #[test]
+    fn decode_range_checks_the_range_before_allocating() {
+        let (layout, tiles) = tiled(4, 1, 2);
+        let sv = StitchedVideo::stitch(layout, tiles).unwrap();
+        let ranges = [
+            Range { start: 3, end: 1 },
+            0..5,
+            4..4,
+            0..100_000,
+            0..u32::MAX,
+            u32::MAX..u32::MAX,
+        ];
+        for range in ranges {
+            let want = sv.tiles()[0].decode_range(range.clone()).unwrap_err();
+            assert!(matches!(want, ContainerError::InvalidRequest(_)), "{want}");
+            assert_eq!(
+                sv.decode_range(range.clone()).unwrap_err(),
+                want,
+                "{range:?}"
+            );
+        }
+        assert!(sv.decode_range(2..2).unwrap().0.is_empty());
+        assert_eq!(sv.decode_range(1..4).unwrap().0.len(), 3);
     }
 }
