@@ -7,7 +7,7 @@
 //! the tile count is paying per tile (files, fsyncs), not per byte.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tasm_bench::bench_dir;
+use tasm_bench::BenchDir;
 use tasm_codec::{EncodedFrame, TileCodec, TileLayout, TileVideo};
 use tasm_core::{SotEntry, StorageConfig, VideoManifest, VideoStore};
 
@@ -61,8 +61,8 @@ fn retile_commit_benches(c: &mut Criterion) {
                 tile_codecs: vec![TileCodec::Dct.id(); count],
             }],
         };
-        let dir = bench_dir(&format!("retile-commit-{count}"));
-        let store = VideoStore::open(&dir).expect("open");
+        let dir = BenchDir::new(&format!("retile-commit-{count}"));
+        let store = VideoStore::open(dir.path()).expect("open");
         store
             .install_video(&manifest, std::slice::from_ref(&tiles))
             .expect("install");
@@ -72,8 +72,6 @@ fn retile_commit_benches(c: &mut Criterion) {
                 store.install_sot(&manifest, 0, &tiles).expect("commit");
             })
         });
-        drop(store);
-        std::fs::remove_dir_all(&dir).ok();
     }
     g.finish();
 }

@@ -9,7 +9,9 @@
 //! Run with `cargo run --release -p tasm-bench --bin fig10`.
 
 use serde::Serialize;
-use tasm_bench::{improvement_pct, micro_partition, scaled_secs, write_result, BenchVideo};
+use tasm_bench::{
+    improvement_pct, micro_partition, scaled_secs, table_header, write_result, BenchVideo,
+};
 use tasm_codec::TileLayout;
 use tasm_core::{partition, Granularity};
 use tasm_data::Dataset;
@@ -57,9 +59,7 @@ fn main() {
         let tag = format!("fig10-{}-{seed}", ds.name());
         let mut bv = BenchVideo::prepare(ds, duration, seed, &tag);
         let (w, h) = (bv.video.spec().width, bv.video.spec().height);
-        let untiled = (0..3)
-            .map(|_| bv.time_select(object).0)
-            .fold(f64::INFINITY, f64::min);
+        let untiled = bv.time_select(object).seconds;
         let all = bv.video.labels();
 
         // Layout suite: object layouts (same/different/all, fine+coarse) and
@@ -82,7 +82,7 @@ fn main() {
             Some(TileLayout::uniform(w, h, 5, 5).expect("uniform")),
         ));
 
-        for (idx, (name, labels, fixed)) in suite.into_iter().enumerate() {
+        for (name, labels, fixed) in suite {
             let granularity = if name.contains("coarse") {
                 Granularity::Coarse
             } else {
@@ -136,16 +136,12 @@ fn main() {
             } else {
                 1.0
             };
-            let t = (0..3)
-                .map(|_| bv.time_select(object).0)
-                .fold(f64::INFINITY, f64::min);
-            let _ = idx;
             points.push(Point {
                 dataset: ds.name(),
                 object,
                 layout: name,
                 pixel_ratio: ratio,
-                improvement_pct: improvement_pct(untiled, t),
+                improvement_pct: improvement_pct(untiled, bv.time_select(object).seconds),
             });
         }
     }
@@ -169,8 +165,7 @@ fn main() {
         .fold(0.0f64, f64::max);
 
     println!("# Figure 10: pixel-ratio threshold for the not-tiling rule\n");
-    println!("| dataset | object | layout | P(L)/P(ω) | improvement % |");
-    println!("|---|---|---|---|---|");
+    table_header("dataset | object | layout | P(L)/P(ω) | improvement %");
     for p in &points {
         println!(
             "| {} | {} | {} | {:.2} | {:+.0} |",

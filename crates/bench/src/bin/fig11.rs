@@ -21,14 +21,15 @@
 
 use serde::Serialize;
 use std::collections::BTreeMap;
-use tasm_bench::{bench_dir, micro_config, scaled_count, scaled_secs, write_result};
-use tasm_core::{run_workload, RunQuery, Strategy, Tasm, WorkloadReport};
+use tasm_bench::{
+    deciles, median_deciles, scaled_count, scaled_secs, table_header, write_result, BenchVideo,
+};
+use tasm_core::{run_workload, RunQuery, StorageConfig, Strategy, WorkloadReport};
 use tasm_data::{
     workload1, workload2, workload3, workload4, workload5, workload6, Dataset, Query,
-    SyntheticVideo, WorkloadParams,
+    WorkloadParams,
 };
 use tasm_detect::yolo::SimulatedYolo;
-use tasm_index::MemoryIndex;
 
 const STRATEGIES: [(&str, Strategy); 4] = [
     ("not-tiled", Strategy::NotTiled),
@@ -50,14 +51,16 @@ struct WorkloadResult {
     table2: BTreeMap<String, (f64, f64, f64)>,
 }
 
+/// A corpus video by preset, duration (s) and seed.
+type VideoSpec = (Dataset, u32, u64);
+
 /// Runs one (video, workload) pair under every strategy, returning the
 /// per-strategy cumulative curve normalized by the baseline per-query times.
 fn run_video(
-    video: &SyntheticVideo,
+    (ds, duration, seed): VideoSpec,
     queries: &[Query],
     tag: &str,
 ) -> BTreeMap<&'static str, Vec<f64>> {
-    let truth = |f: u32| video.ground_truth(f);
     let run_queries: Vec<RunQuery> = queries
         .iter()
         .map(|q| RunQuery {
@@ -68,21 +71,20 @@ fn run_video(
 
     let mut reports: BTreeMap<&'static str, WorkloadReport> = BTreeMap::new();
     for (name, strategy) in STRATEGIES {
-        let mut tasm = Tasm::open(
-            bench_dir(&format!("fig11-{tag}-{name}")),
-            Box::new(MemoryIndex::in_memory()),
-            micro_config(),
-        )
-        .expect("open");
-        tasm.ingest("v", video, 30).expect("ingest");
+        let mut bv = BenchVideo::ingest(
+            ds.build(duration, seed),
+            &format!("fig11-{tag}-{name}"),
+            StorageConfig::default(),
+            |_, _| None,
+        );
         let mut detector = SimulatedYolo::full(1);
         let report = run_workload(
-            &mut tasm,
-            "v",
+            &mut bv.tasm,
+            &bv.name,
             &run_queries,
             strategy,
             &mut detector,
-            &truth,
+            &|f| bv.video.ground_truth(f),
             None,
         )
         .expect("workload");
@@ -121,113 +123,64 @@ fn run_video(
     out
 }
 
-/// Downsamples a curve to 11 checkpoints (0%, 10%, …, 100%).
-fn deciles(curve: &[f64]) -> Vec<f64> {
-    (0..=10)
-        .map(|d| {
-            let idx = (d * (curve.len() - 1)) / 10;
-            curve[idx]
-        })
-        .collect()
-}
-
 fn main() {
     let dur_sparse = scaled_secs(20);
     let dur_dense = scaled_secs(10);
     let qlen = 30; // one "minute" of the paper ≈ one second here (30 frames)
     let n_seeds = scaled_count(3) as u64;
 
-    let sparse_videos: Vec<SyntheticVideo> = (0..n_seeds)
-        .map(|s| Dataset::VisualRoad2K.build(dur_sparse, 100 + s))
-        .collect();
-    let dense_videos: Vec<SyntheticVideo> = (0..n_seeds)
+    // Each video with the parameters of the workloads run over it.
+    let sparse: Vec<(VideoSpec, WorkloadParams)> = (0..n_seeds)
         .map(|s| {
-            if s % 2 == 0 {
-                Dataset::ElFuenteDense.build(dur_dense, 200 + s)
-            } else {
-                Dataset::NetflixOpenSource.build(dur_dense, 200 + s)
-            }
+            let params = WorkloadParams::new(dur_sparse * 30, qlen, 1000 + s);
+            ((Dataset::VisualRoad2K, dur_sparse, 100 + s), params)
         })
         .collect();
-
-    type WorkloadRow = (String, Vec<(usize, Vec<Query>)>, bool);
-    let workloads: Vec<WorkloadRow> = {
-        let mut w = Vec::new();
-        let sparse_params = |seed: u64| WorkloadParams::new(dur_sparse * 30, qlen, 1000 + seed);
-        let dense_params = |seed: u64| WorkloadParams::new(dur_dense * 30, qlen, 2000 + seed);
-        w.push((
-            "W1".to_string(),
-            (0..sparse_videos.len())
-                .map(|i| (i, workload1(sparse_params(i as u64))))
-                .collect(),
-            true,
-        ));
-        w.push((
-            "W2".to_string(),
-            (0..sparse_videos.len())
-                .map(|i| (i, workload2(sparse_params(i as u64))))
-                .collect(),
-            true,
-        ));
-        w.push((
-            "W3".to_string(),
-            (0..sparse_videos.len())
-                .map(|i| (i, workload3(sparse_params(i as u64))))
-                .collect(),
-            true,
-        ));
-        w.push((
-            "W4".to_string(),
-            (0..sparse_videos.len())
-                .map(|i| (i, workload4(sparse_params(i as u64))))
-                .collect(),
-            true,
-        ));
-        w.push((
-            "W5".to_string(),
-            (0..dense_videos.len())
-                .map(|i| {
-                    let ds = if i % 2 == 0 {
-                        Dataset::ElFuenteDense
-                    } else {
-                        Dataset::NetflixOpenSource
-                    };
-                    (i, workload5(dense_params(i as u64), ds.primary_labels()))
-                })
-                .collect(),
-            false,
-        ));
-        w.push((
-            "W6".to_string(),
-            (0..dense_videos.len())
-                .map(|i| (i, workload6(dense_params(i as u64), "person")))
-                .collect(),
-            false,
-        ));
-        w
+    let dense: Vec<(VideoSpec, WorkloadParams)> = (0..n_seeds)
+        .map(|s| {
+            let ds = if s % 2 == 0 {
+                Dataset::ElFuenteDense
+            } else {
+                Dataset::NetflixOpenSource
+            };
+            let params = WorkloadParams::new(dur_dense * 30, qlen, 2000 + s);
+            ((ds, dur_dense, 200 + s), params)
+        })
+        .collect();
+    let runs = |videos: &[(VideoSpec, WorkloadParams)],
+                workload: &dyn Fn(WorkloadParams, Dataset) -> Vec<Query>|
+     -> Vec<(VideoSpec, Vec<Query>)> {
+        videos.iter().map(|&(v, p)| (v, workload(p, v.0))).collect()
     };
+    let workloads = [
+        ("W1", runs(&sparse, &|p, _| workload1(p))),
+        ("W2", runs(&sparse, &|p, _| workload2(p))),
+        ("W3", runs(&sparse, &|p, _| workload3(p))),
+        ("W4", runs(&sparse, &|p, _| workload4(p))),
+        (
+            "W5",
+            runs(&dense, &|p, ds| workload5(p, ds.primary_labels())),
+        ),
+        ("W6", runs(&dense, &|p, _| workload6(p, "person"))),
+    ];
 
     // Optional subset filter: TASM_WORKLOADS=W5,W6
     let filter: Option<Vec<String>> = std::env::var("TASM_WORKLOADS")
         .ok()
         .map(|v| v.split(',').map(|s| s.trim().to_string()).collect());
     let mut results = Vec::new();
-    for (wname, per_video, sparse) in workloads {
-        if let Some(f) = &filter {
-            if !f.contains(&wname) {
-                continue;
-            }
+    for (wname, per_video) in workloads {
+        if filter
+            .as_ref()
+            .is_some_and(|f| !f.iter().any(|w| w == wname))
+        {
+            continue;
         }
         eprintln!("[fig11] running {wname}...");
         let mut finals: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
         let mut all_curves: BTreeMap<&'static str, Vec<Vec<f64>>> = BTreeMap::new();
-        for (vi, queries) in &per_video {
-            let video = if sparse {
-                &sparse_videos[*vi]
-            } else {
-                &dense_videos[*vi]
-            };
-            let curves = run_video(video, queries, &format!("{wname}-{vi}"));
+        for (vi, (video, queries)) in per_video.iter().enumerate() {
+            let curves = run_video(*video, queries, &format!("{wname}-{vi}"));
             for (name, curve) in curves {
                 finals
                     .entry(name)
@@ -238,27 +191,19 @@ fn main() {
         }
 
         // Median curve across videos per strategy.
-        let mut curves: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-        for (name, vecs) in &all_curves {
-            let mut med = Vec::new();
-            for d in 0..=10 {
-                let mut vals: Vec<f64> = vecs.iter().map(|v| v[d]).collect();
-                vals.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                med.push(vals[vals.len() / 2]);
-            }
-            curves.insert(name.to_string(), med);
-        }
-        let mut table2: BTreeMap<String, (f64, f64, f64)> = BTreeMap::new();
-        for (name, vals) in &finals {
-            let (q1, m, q3) = tasm_bench::quartiles(vals);
-            table2.insert(name.to_string(), (q1, m, q3));
-        }
+        let curves: BTreeMap<String, Vec<f64>> = all_curves
+            .iter()
+            .map(|(name, vecs)| (name.to_string(), median_deciles(vecs)))
+            .collect();
+        let table2: BTreeMap<String, (f64, f64, f64)> = finals
+            .iter()
+            .map(|(name, vals)| (name.to_string(), tasm_bench::quartiles(vals)))
+            .collect();
 
         println!(
             "\n## {wname}: cumulative decode + re-tiling time (normalized; baseline = #queries)\n"
         );
-        println!("| strategy | 25% | 50% | 75% | 100% | Table 2 final [q1, med, q3] |");
-        println!("|---|---|---|---|---|---|");
+        table_header("strategy | 25% | 50% | 75% | 100% | Table 2 final [q1, med, q3]");
         for (name, curve) in &curves {
             let t2 = table2[name];
             println!(
@@ -267,7 +212,7 @@ fn main() {
             );
         }
         results.push(WorkloadResult {
-            workload: wname,
+            workload: wname.to_string(),
             curves,
             table2,
         });

@@ -13,11 +13,12 @@
 
 use serde::Serialize;
 use std::collections::BTreeMap;
-use tasm_bench::{bench_dir, micro_config, scaled_count, scaled_secs, write_result};
-use tasm_core::{run_workload, RunQuery, Strategy, Tasm};
+use tasm_bench::{
+    deciles, median_deciles, scaled_count, scaled_secs, table_header, write_result, BenchVideo,
+};
+use tasm_core::{run_workload, RunQuery, StorageConfig, Strategy};
 use tasm_data::{workload5, Dataset, WorkloadParams};
 use tasm_detect::yolo::SimulatedYolo;
-use tasm_index::MemoryIndex;
 
 const STRATEGIES: [(&str, Strategy); 4] = [
     ("not-tiled", Strategy::NotTiled),
@@ -52,8 +53,6 @@ fn main() {
         } else {
             Dataset::NetflixOpenSource
         };
-        let video = ds.build(duration, 300 + seed);
-        let truth = |f: u32| video.ground_truth(f);
         let queries: Vec<RunQuery> = workload5(
             WorkloadParams::new(duration * 30, 30, 3000 + seed),
             ds.primary_labels(),
@@ -69,22 +68,21 @@ fn main() {
         let mut base_costs: Vec<f64> = Vec::new();
         for (name, strategy) in STRATEGIES {
             eprintln!("[fig12] seed {seed} strategy {name}...");
-            let mut tasm = Tasm::open(
-                bench_dir(&format!("fig12-{seed}-{name}")),
-                Box::new(MemoryIndex::in_memory()),
-                micro_config(),
-            )
-            .expect("open");
-            tasm.ingest("v", &video, 30).expect("ingest");
+            let mut bv = BenchVideo::ingest(
+                ds.build(duration, 300 + seed),
+                &format!("fig12-{seed}-{name}"),
+                StorageConfig::default(),
+                |_, _| None,
+            );
             let mut detector = SimulatedYolo::full(1);
             let report = run_workload(
-                &mut tasm,
-                "v",
+                &mut bv.tasm,
+                &bv.name,
                 &queries,
                 strategy,
                 &mut detector,
-                &truth,
-                Some(&video),
+                &|f| bv.video.ground_truth(f),
+                Some(&bv.video),
             )
             .expect("workload");
 
@@ -113,29 +111,21 @@ fn main() {
                 cum += cost / base_costs[i];
                 curve.push(cum);
             }
-            let deciles: Vec<f64> = (0..=10)
-                .map(|d| curve[(d * (curve.len() - 1)) / 10])
-                .collect();
-            all_curves.entry(name).or_default().push(deciles);
+            all_curves.entry(name).or_default().push(deciles(&curve));
         }
     }
 
-    let mut curves: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    let mut finals: BTreeMap<String, f64> = BTreeMap::new();
-    for (name, vecs) in &all_curves {
-        let mut med = Vec::new();
-        for d in 0..=10 {
-            let mut vals: Vec<f64> = vecs.iter().map(|v| v[d]).collect();
-            vals.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            med.push(vals[vals.len() / 2]);
-        }
-        finals.insert(name.to_string(), *med.last().expect("curve"));
-        curves.insert(name.to_string(), med);
-    }
+    let curves: BTreeMap<String, Vec<f64>> = all_curves
+        .iter()
+        .map(|(name, vecs)| (name.to_string(), median_deciles(vecs)))
+        .collect();
+    let finals: BTreeMap<String, f64> = curves
+        .iter()
+        .map(|(name, med)| (name.clone(), *med.last().expect("curve")))
+        .collect();
 
     println!("# Figure 12: cumulative cost including initial detection (Workload 5)\n");
-    println!("| strategy | 10% | 25% | 50% | 100% |");
-    println!("|---|---|---|---|---|");
+    table_header("strategy | 10% | 25% | 50% | 100%");
     for (name, c) in &curves {
         println!(
             "| {name} | {:.0} | {:.0} | {:.0} | {:.0} |",

@@ -12,7 +12,7 @@
 
 use serde::Serialize;
 use tasm_bench::{
-    improvement_pct, micro_partition, scaled_secs, write_result, BenchVideo, Summary,
+    improvement_pct, micro_partition, scaled_secs, table_header, write_result, BenchVideo, Summary,
 };
 use tasm_codec::{StitchedVideo, TileLayout};
 use tasm_core::{partition, Granularity};
@@ -46,13 +46,6 @@ struct Fig6 {
     psnr_uniform: Summary,
     psnr_nonuniform: Summary,
     psnr_reencode: Summary,
-}
-
-/// Median decode time of repeated SELECTs (min-of-3 per §timing noise).
-fn timed(bv: &mut BenchVideo, label: &str) -> f64 {
-    (0..3)
-        .map(|_| bv.time_select(label).0)
-        .fold(f64::INFINITY, f64::min)
 }
 
 /// Sequence PSNR of the stored (tiled) video against the raw original.
@@ -93,7 +86,7 @@ fn main() {
         let tag = format!("fig6-{}-{seed}-{object}", ds.name());
         let mut bv = BenchVideo::prepare(ds, duration, seed, &tag);
         let (w, h) = (bv.video.width(), bv.video.height());
-        let untiled = timed(&mut bv, object);
+        let untiled = bv.time_select(object).seconds;
         // PSNR of the re-encoded untiled copy (decoders are lossy too).
         let psnr_reencode = stored_psnr(&bv);
 
@@ -103,7 +96,7 @@ fn main() {
         for (r, c) in grids {
             let layout = TileLayout::uniform(w, h, r, c).expect("uniform");
             bv.apply_layout(|_, _| Some(layout.clone()));
-            let t = timed(&mut bv, object);
+            let t = bv.time_select(object).seconds;
             if t < best_uniform.0 {
                 best_uniform = (t, format!("{r}x{c}"), stored_psnr(&bv));
             }
@@ -117,7 +110,7 @@ fn main() {
                 .collect();
             Some(partition(w, h, &boxes, &micro_partition(Granularity::Fine)))
         });
-        let nonuniform_ms = timed(&mut bv, object);
+        let nonuniform_ms = bv.time_select(object).seconds;
         let psnr_nonuniform = stored_psnr(&bv);
         let nu_tiles = bv
             .tasm
@@ -201,8 +194,7 @@ fn main() {
     // achieved and compare quality.
     // ------------------------------------------------------------------
     println!("\n## 6(b) at matched bitrate (rate-controlled encoder)\n");
-    println!("| dataset | untiled dB | non-uniform dB | uniform 5x5 dB |");
-    println!("|---|---|---|---|");
+    table_header("dataset | untiled dB | non-uniform dB | uniform 5x5 dB");
     let mut rc_untiled = Vec::new();
     let mut rc_nonuniform = Vec::new();
     let mut rc_uniform = Vec::new();
@@ -211,10 +203,10 @@ fn main() {
         (Dataset::Xiph, 5, "car"),
         (Dataset::Mot16, 6, "person"),
     ] {
-        let video = ds.build(duration, seed);
-        let (w, h) = (video.width(), video.height());
         // Budget: the bits/sample the untiled constant-QP encode needed.
-        let probe = BenchVideo::from_video(ds.build(duration, seed), "fig6-rc-probe");
+        let probe = BenchVideo::prepare(ds, duration, seed, "fig6-rc-probe");
+        let video = &probe.video;
+        let (w, h) = (video.width(), video.height());
         let untiled_bytes = probe.tasm.video_size_bytes(&probe.name).expect("size");
         let total_samples = (w as u64 * h as u64 * 3 / 2) * video.len() as u64;
         // A deliberately tight budget (60% of what the untiled constant-QP
@@ -236,7 +228,7 @@ fn main() {
             let mut start = 0u32;
             while start < video.len() {
                 let end = (start + 30).min(video.len());
-                let slice = tasm_video::SliceSource::new(&video, start, end - start);
+                let slice = tasm_video::SliceSource::new(video, start, end - start);
                 let layout = layout_for(start..end);
                 let (tiles, _) = encode_video(&slice, &layout, &cfg, true).expect("encode");
                 let sv = StitchedVideo::stitch(layout, tiles).expect("stitch");
@@ -277,8 +269,7 @@ fn main() {
     println!("(paper: 46 dB re-encode > 40 dB non-uniform > 36 dB uniform)");
 
     println!("\n## Summary (median [IQR]) — paper values in parentheses\n");
-    println!("| metric | this repo | paper |");
-    println!("|---|---|---|");
+    table_header("metric | this repo | paper");
     println!(
         "| 6(a) best uniform improvement % | {} | avg 37 |",
         report.uniform_improvement.display(0)

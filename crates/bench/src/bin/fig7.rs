@@ -9,7 +9,7 @@
 //! Run with `cargo run --release -p tasm-bench --bin fig7`.
 
 use serde::Serialize;
-use tasm_bench::{improvement_pct, scaled_secs, write_result, BenchVideo, Summary};
+use tasm_bench::{improvement_pct, scaled_secs, table_header, write_result, BenchVideo, Summary};
 use tasm_codec::TileLayout;
 use tasm_data::Dataset;
 
@@ -41,17 +41,14 @@ fn main() {
         .into_iter()
         .map(|(ds, seed, object)| {
             let tag = format!("fig7-{}-{seed}-{object}", ds.name());
-            let mut bv = BenchVideo::prepare(ds, duration, seed, &tag);
-            let untiled = (0..3)
-                .map(|_| bv.time_select(object).0)
-                .fold(f64::INFINITY, f64::min);
+            let bv = BenchVideo::prepare(ds, duration, seed, &tag);
+            let untiled = bv.time_select(object).seconds;
             (bv, object, untiled)
         })
         .collect();
 
     println!("# Figure 7: query-time improvement per uniform layout\n");
-    println!("| layout | tiles | improvement % median [IQR] | paper |");
-    println!("|---|---|---|---|");
+    table_header("layout | tiles | improvement % median [IQR] | paper");
     let paper = ["19 (2x2)", "", "", "36 (5x5)", "", "28 (7x10)"];
     let mut results = Vec::new();
     for (gi, (r, c)) in grids.iter().enumerate() {
@@ -60,10 +57,7 @@ fn main() {
             let layout = TileLayout::uniform(bv.video.spec().width, bv.video.spec().height, *r, *c)
                 .expect("uniform layout");
             bv.apply_layout(|_, _| Some(layout.clone()));
-            let t = (0..3)
-                .map(|_| bv.time_select(object).0)
-                .fold(f64::INFINITY, f64::min);
-            improvements.push(improvement_pct(*untiled, t));
+            improvements.push(improvement_pct(*untiled, bv.time_select(object).seconds));
         }
         let summary = Summary::of(&improvements);
         println!(

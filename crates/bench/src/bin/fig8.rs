@@ -21,7 +21,7 @@
 use serde::Serialize;
 use std::collections::BTreeMap;
 use tasm_bench::{
-    improvement_pct, micro_partition, scaled_secs, write_result, BenchVideo, Summary,
+    improvement_pct, micro_partition, scaled_secs, table_header, write_result, BenchVideo, Summary,
 };
 use tasm_core::{partition, Granularity};
 use tasm_data::Dataset;
@@ -36,12 +36,6 @@ struct Fig8 {
     /// condition -> granularity -> density -> improvement summary
     panels: BTreeMap<String, Summary>,
     cheap_detection: BTreeMap<String, Summary>,
-}
-
-fn time_min(bv: &mut BenchVideo, label: &str) -> f64 {
-    (0..3)
-        .map(|_| bv.time_select(label).0)
-        .fold(f64::INFINITY, f64::min)
 }
 
 /// Applies a per-SOT layout around `layout_labels` at `granularity` and
@@ -72,7 +66,7 @@ fn run_condition(
             &micro_partition(g),
         ))
     });
-    improvement_pct(untiled, time_min(bv, query_label))
+    improvement_pct(untiled, bv.time_select(query_label).seconds)
 }
 
 fn main() {
@@ -98,7 +92,7 @@ fn main() {
         for (ds, seed, query, different, extra) in cases {
             let tag = format!("fig8-{}-{seed}", ds.name());
             let mut bv = BenchVideo::prepare(ds, duration, seed, &tag);
-            let untiled = time_min(&mut bv, query);
+            let untiled = bv.time_select(query).seconds;
             let all_labels: Vec<&str> = bv.video.labels();
 
             for g in [Granularity::Fine, Granularity::Coarse] {
@@ -154,35 +148,27 @@ fn main() {
                 map
             };
 
-            let mut bg = BackgroundSubtractor::new();
-            let dets = collect(&mut bg, &bv);
-            detect_layout(&mut bv, &dets);
-            cheap
-                .entry(format!("bg-subtraction/{density}"))
-                .or_default()
-                .push(improvement_pct(untiled, time_min(&mut bv, query)));
-
-            let mut tiny = SimulatedYolo::tiny(seed);
-            let dets = collect(&mut tiny, &bv);
-            detect_layout(&mut bv, &dets);
-            cheap
-                .entry(format!("yolov3-tiny/{density}"))
-                .or_default()
-                .push(improvement_pct(untiled, time_min(&mut bv, query)));
-
-            let mut every5 = SampledDetector::new(SimulatedYolo::full(seed), 5);
-            let dets = collect(&mut every5, &bv);
-            detect_layout(&mut bv, &dets);
-            cheap
-                .entry(format!("yolov3-every-5/{density}"))
-                .or_default()
-                .push(improvement_pct(untiled, time_min(&mut bv, query)));
+            let detectors: [(&str, Box<dyn Detector>); 3] = [
+                ("bg-subtraction", Box::new(BackgroundSubtractor::new())),
+                ("yolov3-tiny", Box::new(SimulatedYolo::tiny(seed))),
+                (
+                    "yolov3-every-5",
+                    Box::new(SampledDetector::new(SimulatedYolo::full(seed), 5)),
+                ),
+            ];
+            for (name, mut detector) in detectors {
+                let dets = collect(detector.as_mut(), &bv);
+                detect_layout(&mut bv, &dets);
+                cheap
+                    .entry(format!("{name}/{density}"))
+                    .or_default()
+                    .push(improvement_pct(untiled, bv.time_select(query).seconds));
+            }
         }
     }
 
     println!("# Figure 8: tile granularity and layout-target effects\n");
-    println!("| condition | granularity | density | improvement % median [IQR] | paper |");
-    println!("|---|---|---|---|---|");
+    table_header("condition | granularity | density | improvement % median [IQR] | paper");
     let paper: BTreeMap<&str, &str> = BTreeMap::from([
         ("same/fine/sparse", "79"),
         ("same/fine/dense", "51"),
@@ -217,8 +203,7 @@ fn main() {
     }
 
     println!("\n## §5.2.4 cheap detection (fine layouts around detector output)\n");
-    println!("| detector | density | improvement % median [IQR] | paper |");
-    println!("|---|---|---|---|");
+    table_header("detector | density | improvement % median [IQR] | paper");
     let paper_cheap: BTreeMap<&str, &str> = BTreeMap::from([
         ("bg-subtraction/sparse", "-3 (all videos)"),
         ("bg-subtraction/dense", "-3 (all videos)"),

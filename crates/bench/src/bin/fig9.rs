@@ -13,10 +13,11 @@
 //! Run with `cargo run --release -p tasm-bench --bin fig9`.
 
 use serde::Serialize;
-use tasm_bench::{bench_dir, improvement_pct, micro_partition, scaled_secs, write_result, Summary};
-use tasm_core::{partition, Granularity, LabelPredicate, StorageConfig, Tasm, TasmConfig};
+use tasm_bench::{
+    improvement_pct, micro_partition, scaled_secs, table_header, write_result, BenchVideo, Summary,
+};
+use tasm_core::{partition, Granularity, LabelPredicate, StorageConfig};
 use tasm_data::Dataset;
-use tasm_index::MemoryIndex;
 use tasm_video::FrameSource;
 
 #[derive(Serialize)]
@@ -24,6 +25,20 @@ struct DurationRow {
     sot_seconds: u32,
     improvement: Summary,
     size_vs_untiled: Summary,
+}
+
+/// Seconds to query `object` in 1-second windows over the whole video.
+fn windowed_secs(bv: &BenchVideo, object: &str) -> f64 {
+    (0..bv.video.len())
+        .step_by(30)
+        .map(|start| {
+            let end = (start + 30).min(bv.video.len());
+            bv.tasm
+                .scan(&bv.name, &LabelPredicate::label(object), start..end)
+                .expect("scan")
+                .seconds()
+        })
+        .sum()
 }
 
 fn main() {
@@ -36,130 +51,51 @@ fn main() {
     ];
     let sot_secs = [1u32, 2, 3, 5];
 
-    // Build one untiled baseline (1-second GOPs, "the default in most video
+    // One untiled baseline (1-second GOPs, "the default in most video
     // encoders") per case.
-    struct Prepared {
-        tasm: Tasm,
-        video: tasm_data::SyntheticVideo,
-        object: &'static str,
-        untiled_secs: f64,
-        untiled_bytes: u64,
-    }
-    let mut prepared: Vec<Prepared> = Vec::new();
-    for (ds, seed, object) in &cases {
-        let video = ds.build(duration, *seed);
-        // Serial, uncached execution: this figure measures per-query
-        // decode cost as the paper's system incurs it.
-        let cfg = TasmConfig {
-            storage: StorageConfig {
-                gop_len: 30,
-                sot_frames: 30,
-                ..Default::default()
-            },
-            workers: 1,
-            cache_bytes: 0,
-            ..Default::default()
-        };
-        let tasm = Tasm::open(
-            bench_dir(&format!("fig9-base-{}-{seed}", ds.name())),
-            Box::new(MemoryIndex::in_memory()),
-            cfg,
-        )
-        .expect("open");
-        tasm.ingest("v", &video, 30).expect("ingest");
-        for f in 0..video.len() {
-            for (l, b) in video.ground_truth(f) {
-                tasm.add_metadata("v", l, f, b).expect("md");
-            }
-        }
-        let t = (0..3)
-            .map(|_| {
-                tasm.scan("v", &LabelPredicate::label(object), 0..video.len())
-                    .expect("scan")
-                    .seconds()
-            })
-            .fold(f64::INFINITY, f64::min);
-        let bytes = tasm.video_size_bytes("v").expect("size");
-        prepared.push(Prepared {
-            tasm,
-            video,
-            object,
-            untiled_secs: t,
-            untiled_bytes: bytes,
-        });
-    }
+    let baselines: Vec<(BenchVideo, u64)> = cases
+        .iter()
+        .map(|&(ds, seed, _)| {
+            let tag = format!("fig9-base-{}-{seed}", ds.name());
+            let base = BenchVideo::prepare(ds, duration, seed, &tag);
+            let bytes = base.tasm.video_size_bytes(&base.name).expect("size");
+            (base, bytes)
+        })
+        .collect();
 
     println!("# Figure 9: SOT duration vs query time and storage\n");
-    println!("| SOT (s) | improvement % median [IQR] | size vs untiled % median [IQR] | paper |");
-    println!("|---|---|---|---|");
+    table_header("SOT (s) | improvement % median [IQR] | size vs untiled % median [IQR] | paper");
     let paper = ["53 / -5%", "", "", "36 / -15%"];
     let mut rows = Vec::new();
     for (si, &ss) in sot_secs.iter().enumerate() {
         let mut improvements = Vec::new();
         let mut sizes = Vec::new();
-        for p in prepared.iter_mut() {
+        for (&(ds, seed, object), (base, untiled_bytes)) in cases.iter().zip(&baselines) {
             // Re-ingest under SOT duration = GOP length = ss seconds, tiled
             // per SOT around the query object.
-            let frames_per_sot = ss * 30;
-            let cfg = TasmConfig {
-                storage: StorageConfig {
-                    gop_len: frames_per_sot,
-                    sot_frames: frames_per_sot,
-                    ..Default::default()
-                },
-                workers: 1,
-                cache_bytes: 0,
+            let storage = StorageConfig {
+                gop_len: ss * 30,
+                sot_frames: ss * 30,
                 ..Default::default()
             };
-            let tasm = Tasm::open(
-                bench_dir(&format!("fig9-{ss}s-{}", p.object)),
-                Box::new(MemoryIndex::in_memory()),
-                cfg,
-            )
-            .expect("open");
-            let video = &p.video;
-            let object = p.object;
-            tasm.ingest_with("v", video, 30, |_, frames| {
-                let boxes: Vec<_> = frames
-                    .clone()
-                    .flat_map(|f| video.ground_truth_for(f, object))
-                    .collect();
-                partition(
-                    video.width(),
-                    video.height(),
-                    &boxes,
-                    &micro_partition(Granularity::Fine),
-                )
-            })
-            .expect("ingest");
-            for f in 0..video.len() {
-                for (l, b) in video.ground_truth(f) {
-                    tasm.add_metadata("v", l, f, b).expect("md");
-                }
-            }
-            // Query: 1-second windows over the whole video.
-            let mut total = 0.0;
-            for start in (0..video.len()).step_by(30) {
-                let end = (start + 30).min(video.len());
-                total += tasm
-                    .scan("v", &LabelPredicate::label(object), start..end)
-                    .expect("scan")
-                    .seconds();
-            }
+            let tiled = BenchVideo::ingest(
+                ds.build(duration, seed),
+                &format!("fig9-{ss}s-{object}"),
+                storage,
+                |video, frames| {
+                    let boxes: Vec<_> = frames
+                        .flat_map(|f| video.ground_truth_for(f, object))
+                        .collect();
+                    let fine = micro_partition(Granularity::Fine);
+                    Some(partition(video.width(), video.height(), &boxes, &fine))
+                },
+            );
+            tiled.index_ground_truth();
             // Baseline decoded with the same windowing for fairness.
-            let mut base_total = 0.0;
-            for start in (0..video.len()).step_by(30) {
-                let end = (start + 30).min(video.len());
-                base_total += p
-                    .tasm
-                    .scan("v", &LabelPredicate::label(object), start..end)
-                    .expect("scan")
-                    .seconds();
-            }
-            improvements.push(improvement_pct(base_total, total));
-            let bytes = tasm.video_size_bytes("v").expect("size");
-            sizes.push(100.0 * (bytes as f64 / p.untiled_bytes as f64 - 1.0));
-            let _ = p.untiled_secs;
+            let total = windowed_secs(&tiled, object);
+            improvements.push(improvement_pct(windowed_secs(base, object), total));
+            let bytes = tiled.tasm.video_size_bytes(&tiled.name).expect("size");
+            sizes.push(100.0 * (bytes as f64 / *untiled_bytes as f64 - 1.0));
         }
         let imp = Summary::of(&improvements);
         let size = Summary::of(&sizes);

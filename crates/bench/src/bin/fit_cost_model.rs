@@ -10,7 +10,7 @@
 //! Run with `cargo run --release -p tasm-bench --bin fit_cost_model`.
 
 use serde::Serialize;
-use tasm_bench::{micro_partition, scaled_secs, write_result, BenchVideo};
+use tasm_bench::{micro_partition, scaled_secs, table_header, write_result, BenchVideo};
 use tasm_codec::TileLayout;
 use tasm_core::{fit_linear, partition, Granularity, WorkSample};
 use tasm_data::Dataset;
@@ -72,25 +72,10 @@ fn main() {
                 encode_samples.push((samples_encoded, retile_secs));
             }
             for label in &labels {
-                // Min of repeats suppresses scheduler noise; the minimum is
-                // the standard estimator for deterministic work.
-                let mut best: Option<WorkSample> = None;
-                for _ in 0..3 {
-                    let (secs, pixels, chunks) = bv.time_select(label);
-                    if pixels == 0 {
-                        continue;
-                    }
-                    let s = WorkSample {
-                        pixels,
-                        tile_chunks: chunks,
-                        seconds: secs,
-                    };
-                    best = Some(match best {
-                        Some(b) if b.seconds <= s.seconds => b,
-                        _ => s,
-                    });
+                let s = bv.time_select(label);
+                if s.pixels > 0 {
+                    samples.push(s);
                 }
-                samples.extend(best);
             }
         }
     }
@@ -104,8 +89,8 @@ fn main() {
         });
     let encode_spp = if sxx > 0.0 { sxy / sxx } else { 0.0 };
 
-    println!("\n| quantity | this repo | paper |");
-    println!("|---|---|---|");
+    println!();
+    table_header("quantity | this repo | paper");
     println!("| samples fitted | {} | ~1400 |", samples.len());
     println!("| β (s/sample) | {:.3e} | n/a (GPU) |", fit.beta);
     println!("| γ (s/tile-chunk) | {:.3e} | n/a (GPU) |", fit.gamma);

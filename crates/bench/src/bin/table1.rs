@@ -3,12 +3,12 @@
 //! Prints the statistics of the synthetic corpus presets next to the paper's
 //! rows: dataset, type, duration, resolution, per-frame object coverage
 //! band, and the frequently occurring object classes. Resolutions and
-//! durations are uniformly scaled (see DESIGN.md).
+//! durations are uniformly scaled down (see `tasm_data::datasets`).
 //!
 //! Run with `cargo run --release -p tasm-bench --bin table1`.
 
 use serde::Serialize;
-use tasm_bench::{scaled_secs, write_result};
+use tasm_bench::{scaled_secs, table_header, write_result};
 use tasm_data::Dataset;
 use tasm_video::FrameSource;
 
@@ -27,8 +27,7 @@ struct Row {
 fn main() {
     let duration = scaled_secs(4);
     println!("# Table 1: video corpus (synthetic equivalents)\n");
-    println!("| dataset | res. | dur. (s) | per-frame coverage (%) | class | frequent objects |");
-    println!("|---|---|---|---|---|---|");
+    table_header("dataset | res. | dur. (s) | per-frame coverage (%) | class | frequent objects");
 
     let mut rows = Vec::new();
     for ds in Dataset::ALL {

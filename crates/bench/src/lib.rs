@@ -1,17 +1,22 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
-//! Each binary in `src/bin/` reproduces one table or figure (see DESIGN.md's
-//! per-experiment index); this library holds the common machinery: building
-//! corpus videos, ingesting them under a fixed layout, timing object
-//! queries, and summarizing with the paper's median/IQR statistics.
+//! Each binary in `src/bin/` reproduces one table or figure and names it in
+//! its doc comment; this library holds what they share: ingesting corpus
+//! videos into throwaway stores, timing object queries, condensing workload
+//! curves, summarizing with the paper's median/IQR statistics, and printing
+//! markdown tables.
 //!
 //! Scale: experiment sizes are controlled by `TASM_BENCH_SCALE` (default
 //! 1.0). The defaults are chosen so every figure regenerates in minutes on a
 //! laptop CPU; the *shapes* (orderings, crossovers, rough factors) are the
 //! reproduction target, not absolute GPU-decode milliseconds.
 
-use std::path::PathBuf;
-use tasm_core::{Granularity, LabelPredicate, PartitionConfig, StorageConfig, Tasm, TasmConfig};
+use std::ops::Range;
+use std::path::{Path, PathBuf};
+use tasm_codec::TileLayout;
+use tasm_core::{
+    Granularity, LabelPredicate, PartitionConfig, StorageConfig, Tasm, TasmConfig, WorkSample,
+};
 use tasm_data::{Dataset, SyntheticVideo};
 use tasm_index::MemoryIndex;
 use tasm_video::FrameSource;
@@ -40,11 +45,27 @@ pub fn scaled_count(base: usize) -> usize {
     ((base as f64 * scale()).round() as usize).max(1)
 }
 
-/// A fresh store directory under the system temp dir.
-pub fn bench_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tasm-bench-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
+/// A store directory under the system temp dir, removed when dropped.
+pub struct BenchDir(PathBuf);
+
+impl BenchDir {
+    /// The directory for `tag`, cleared of whatever a killed run left there.
+    pub fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("tasm-bench-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        BenchDir(dir)
+    }
+
+    /// The directory's path.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for BenchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 /// Directory where experiment outputs (JSON) are written.
@@ -64,20 +85,6 @@ pub fn write_result<T: serde::Serialize>(name: &str, value: &T) {
     eprintln!("[results written to {}]", path.display());
 }
 
-/// The storage configuration used by the microbenchmarks: 1-second GOPs and
-/// SOTs at 30 fps, QP 28 (the paper's defaults).
-pub fn micro_storage() -> StorageConfig {
-    StorageConfig {
-        qp: 28,
-        gop_len: 30,
-        sot_frames: 30,
-        search_range: 7,
-        deblock: true,
-        rate: tasm_codec::RateControl::ConstantQp,
-        parallel_encode: true,
-    }
-}
-
 /// Partition parameters scaled to the simulated resolutions.
 pub fn micro_partition(granularity: Granularity) -> PartitionConfig {
     PartitionConfig {
@@ -87,27 +94,16 @@ pub fn micro_partition(granularity: Granularity) -> PartitionConfig {
     }
 }
 
-/// Standard TASM configuration for experiments.
+/// A video under measurement: the synthetic scene, ingested as `v` into a
+/// store of its own that is removed when this drops.
 ///
-/// Decode execution is pinned to *serial and uncached* here: the figure
+/// Decode execution is pinned to *serial and uncached*: the figure
 /// reproductions (and the cost-model fit) measure per-query decode work as
 /// the paper's system — which has neither a decoded-GOP cache nor
 /// tile-parallel decode — would incur it, and `ScanResult::seconds()` is
 /// wall-clock, so extra workers would fold multicore speedup into the
-/// measurements. The pipeline benchmarks opt back in through
-/// [`BenchVideo::from_video_exec`].
-pub fn micro_config() -> TasmConfig {
-    TasmConfig {
-        storage: micro_storage(),
-        partition: micro_partition(Granularity::Fine),
-        workers: 1,
-        cache_bytes: 0,
-        ..Default::default()
-    }
-}
-
-/// A video under measurement: the synthetic scene plus its ingested,
-/// ground-truth-indexed TASM instance.
+/// measurements. Everything else is `TasmConfig::default()`: the paper's
+/// 1-second GOPs and SOTs at 30 fps, QP 28, η = 1, α = 0.8.
 pub struct BenchVideo {
     /// The scene (ground-truth oracle and frame source).
     pub video: SyntheticVideo,
@@ -115,48 +111,65 @@ pub struct BenchVideo {
     pub tasm: Tasm,
     /// Video name inside the store.
     pub name: String,
+    /// Declared after `tasm`, so the store has closed before its directory
+    /// is removed.
+    _dir: BenchDir,
 }
 
 impl BenchVideo {
-    /// Builds, ingests (untiled), and indexes a dataset preset.
+    /// Builds a dataset preset, ingests it untiled, and indexes its ground
+    /// truth.
     pub fn prepare(dataset: Dataset, duration_s: u32, seed: u64, tag: &str) -> Self {
         let video = dataset.build(duration_s, seed);
-        Self::from_video(video, tag)
+        let bv = Self::ingest(video, tag, StorageConfig::default(), |_, _| None);
+        bv.index_ground_truth();
+        bv
     }
 
-    /// Ingests an existing scene untiled and indexes its ground truth.
-    pub fn from_video(video: SyntheticVideo, tag: &str) -> Self {
-        let cfg = micro_config();
-        Self::from_video_exec(video, tag, cfg.workers, cfg.cache_bytes)
-    }
-
-    /// [`BenchVideo::from_video`] with explicit execution-pipeline settings
-    /// (decode worker count and decoded-GOP cache budget).
-    pub fn from_video_exec(
+    /// Ingests `video` under `storage` into a fresh store, each SOT in the
+    /// layout `layout_for` gives it (None = untiled). The index starts
+    /// empty: [`BenchVideo::index_ground_truth`] fills it, or a workload's
+    /// detector does.
+    pub fn ingest(
         video: SyntheticVideo,
         tag: &str,
-        workers: usize,
-        cache_bytes: u64,
+        storage: StorageConfig,
+        mut layout_for: impl FnMut(&SyntheticVideo, Range<u32>) -> Option<TileLayout>,
     ) -> Self {
-        let tasm = Tasm::open(
-            bench_dir(tag),
-            Box::new(MemoryIndex::in_memory()),
-            TasmConfig {
-                workers,
-                cache_bytes,
-                ..micro_config()
-            },
-        )
-        .expect("open tasm");
+        let dir = BenchDir::new(tag);
+        let cfg = TasmConfig {
+            storage,
+            workers: 1,
+            cache_bytes: 0,
+            ..Default::default()
+        };
+        let tasm =
+            Tasm::open(dir.path(), Box::new(MemoryIndex::in_memory()), cfg).expect("open tasm");
         let name = "v".to_string();
-        tasm.ingest(&name, &video, 30).expect("ingest");
-        for f in 0..video.len() {
-            for (label, bbox) in video.ground_truth(f) {
-                tasm.add_metadata(&name, label, f, bbox).expect("metadata");
-            }
-            tasm.mark_processed(&name, f).expect("mark");
+        let (w, h) = (video.width(), video.height());
+        tasm.ingest_with(&name, &video, 30, |_, frames| {
+            layout_for(&video, frames).unwrap_or_else(|| TileLayout::untiled(w, h))
+        })
+        .expect("ingest");
+        BenchVideo {
+            video,
+            tasm,
+            name,
+            _dir: dir,
         }
-        BenchVideo { video, tasm, name }
+    }
+
+    /// Indexes every frame's ground-truth boxes, as a detector run over the
+    /// whole video would.
+    pub fn index_ground_truth(&self) {
+        for f in 0..self.video.len() {
+            for (label, bbox) in self.video.ground_truth(f) {
+                self.tasm
+                    .add_metadata(&self.name, label, f, bbox)
+                    .expect("metadata");
+            }
+            self.tasm.mark_processed(&self.name, f).expect("mark");
+        }
     }
 
     /// Re-tiles every SOT with the layout produced by `layout_for`
@@ -184,19 +197,28 @@ impl BenchVideo {
         }
     }
 
-    /// Times the microbenchmark query `SELECT label FROM v` (full range),
-    /// returning (seconds, samples, tile_chunks).
-    pub fn time_select(&mut self, label: &str) -> (f64, u64, u64) {
-        let frames = 0..self.video.len();
-        let r = self
-            .tasm
-            .scan(&self.name, &LabelPredicate::label(label), frames)
-            .expect("scan");
-        (
-            r.seconds(),
-            r.stats.samples_decoded,
-            r.stats.tile_chunks_decoded,
-        )
+    /// Times the microbenchmark query `SELECT label FROM v` (full range)
+    /// three times and returns the fastest run: the minimum is the standard
+    /// estimator for deterministic work under scheduler noise.
+    pub fn time_select(&self, label: &str) -> WorkSample {
+        (0..3)
+            .map(|_| {
+                let r = self
+                    .tasm
+                    .scan(
+                        &self.name,
+                        &LabelPredicate::label(label),
+                        0..self.video.len(),
+                    )
+                    .expect("scan");
+                WorkSample {
+                    pixels: r.stats.samples_decoded,
+                    tile_chunks: r.stats.tile_chunks_decoded,
+                    seconds: r.seconds(),
+                }
+            })
+            .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
+            .expect("three runs")
     }
 
     /// Ground-truth boxes of `labels` over a frame range (layout design
@@ -223,6 +245,34 @@ pub fn improvement_pct(untiled: f64, tiled: f64) -> f64 {
     100.0 * (1.0 - tiled / untiled)
 }
 
+/// A cumulative-cost curve at 11 checkpoints: 0 %, 10 %, …, 100 % of the
+/// query sequence.
+pub fn deciles(curve: &[f64]) -> Vec<f64> {
+    (0..=10)
+        .map(|d| curve[d * (curve.len() - 1) / 10])
+        .collect()
+}
+
+/// The checkpoint-wise median of several [`deciles`] curves (the upper
+/// middle value of an even count).
+pub fn median_deciles(curves: &[Vec<f64>]) -> Vec<f64> {
+    (0..=10)
+        .map(|d| {
+            let mut vals: Vec<f64> = curves.iter().map(|c| c[d]).collect();
+            vals.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            vals[vals.len() / 2]
+        })
+        .collect()
+}
+
+/// Prints a markdown table's header row and separator. `columns` is the
+/// header cells joined by ` | `; the rows follow as `| a | b |` lines,
+/// printed as each is measured.
+pub fn table_header(columns: &str) {
+    println!("| {columns} |");
+    println!("|{}", "---|".repeat(columns.split(" | ").count()));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,10 +288,10 @@ mod tests {
     #[test]
     fn bench_video_prepare_and_select() {
         let mut bv = BenchVideo::prepare(Dataset::VisualRoad2K, 1, 3, "lib-test");
-        let (secs, samples, chunks) = bv.time_select("car");
-        assert!(secs > 0.0);
-        assert!(samples > 0);
-        assert!(chunks > 0);
+        let untiled = bv.time_select("car");
+        assert!(untiled.seconds > 0.0);
+        assert!(untiled.pixels > 0);
+        assert!(untiled.tile_chunks > 0);
         // Tiling around cars reduces decode.
         bv.apply_layout(|video, frames| {
             let boxes: Vec<_> = frames
@@ -256,7 +306,11 @@ mod tests {
             );
             (!l.is_untiled()).then_some(l)
         });
-        let (_, samples_tiled, _) = bv.time_select("car");
-        assert!(samples_tiled < samples);
+        assert!(bv.time_select("car").pixels < untiled.pixels);
+        // The store goes with its owner.
+        let dir = bv._dir.path().to_path_buf();
+        assert!(dir.exists());
+        drop(bv);
+        assert!(!dir.exists(), "{} left behind", dir.display());
     }
 }

@@ -43,9 +43,9 @@ impl Default for CostModel {
         // hardware, as §4.1 prescribes. β is by now ≈ 3x the decode rate
         // the perf ledger measures (`codec.decode_us_per_mpixel` ≈ 1000,
         // i.e. 1.0 ns/sample, was ≈ 1280 before the decoder's table step)
-        // and is still not re-fitted (ROADMAP 2-v): layouts and re-tile
-        // decisions come from these constants, never from a timing, so
-        // they must change in a PR of their own, with every exact count.
+        // and is still not re-fitted: layouts and re-tile decisions come
+        // from these constants, never from a timing, so they must be
+        // changed on their own, with every exact count re-checked.
         CostModel {
             beta: 3.3e-9,
             gamma: 7.4e-6,
@@ -84,16 +84,16 @@ pub struct EncodeModel {
 impl Default for EncodeModel {
     fn default() -> Self {
         // Calibrated alongside the decode model; software encode with motion
-        // search is roughly 2-3× decode. Still not fitted (ROADMAP item
-        // 1-iv): this predicts 83 ms for a 640×352×30 SOT (10.1 M samples)
-        // and a re-tile under the default `Dct` measures ≈ 28 ms (2.8
-        // ns/sample; its encode alone ≈ 11.5 ms, 1.1 ns/sample). An
-        // encode rate alone can now stand for `R(s, L)`: file I/O was
-        // ≈ 22 % of a measured re-tile, and grew with the tile count,
-        // while each tile was a file of its own; with one pack per SOT it
-        // is ≈ 7 % and flat. Left as it is so the regret policy keeps
-        // making the re-tiles it made (`storage.retile_count` is pinned by
-        // the ledger).
+        // search is roughly 2-3× decode. Still not fitted: this predicts
+        // 83 ms for a 640×352×30 SOT (10.1 M samples) and a re-tile of one
+        // into DCT tiles, the only codec the write path has, measures
+        // ≈ 28 ms (2.8 ns/sample; its encode alone ≈ 11.5 ms, 1.1
+        // ns/sample). An encode rate alone can now stand for `R(s, L)`:
+        // file I/O was ≈ 22 % of a measured re-tile, and grew with the tile
+        // count, while each tile was a file of its own; with one pack per
+        // SOT it is ≈ 7 % and flat. Left as it is so the regret policy
+        // keeps making the re-tiles it made (`storage.retile_count` is
+        // pinned by the ledger).
         EncodeModel {
             seconds_per_sample: 8.2e-9,
         }

@@ -53,7 +53,7 @@ use crate::durable::{
     read_exact_range, FsckIssue, FsckReport, RealIo, RecoveryAction, RecoveryReport, StorageIo,
     TMP_SUFFIX,
 };
-use crate::exec::{self, CacheStats, DecodedTileCache, TileDecodeRequest};
+use crate::exec::DecodedTileCache;
 use crate::pack::{self, TileRanges};
 use crate::pool::CanvasPool;
 use serde::{Deserialize, Serialize};
@@ -285,9 +285,6 @@ impl VideoManifest {
         first..(last + 1).min(self.sots.len())
     }
 }
-
-/// Per-tile decode output: `(tile raster index, frames over the local span)`.
-pub type DecodedTiles = Vec<(u32, Vec<Arc<Frame>>)>;
 
 /// Costs of a retile operation (decode existing + encode new).
 #[derive(Debug, Clone, Copy, Default)]
@@ -608,65 +605,6 @@ impl VideoStore {
             return Err(ContainerError::InvalidHeader("trailing bytes after payload").into());
         }
         Ok(tile)
-    }
-
-    /// Plans the decode of a set of tiles of one SOT over a *local* frame
-    /// range: one [`TileDecodeRequest`] per tile. Planning is pure — the
-    /// work happens in [`exec::execute`].
-    pub fn plan_decode_tiles(
-        &self,
-        manifest: &VideoManifest,
-        sot_idx: usize,
-        tile_indices: &[u32],
-        local_frames: Range<u32>,
-    ) -> Result<Vec<TileDecodeRequest>, StoreError> {
-        let sot = manifest
-            .sots
-            .get(sot_idx)
-            .ok_or_else(|| StoreError::NotFound(format!("SOT {sot_idx}")))?;
-        if local_frames.start >= local_frames.end || local_frames.end > sot.len() {
-            return Err(StoreError::NotFound(format!(
-                "local frames {local_frames:?} of SOT {sot_idx}"
-            )));
-        }
-        Ok(tile_indices
-            .iter()
-            .map(|&tile| TileDecodeRequest {
-                sot_idx,
-                tile,
-                local_span: local_frames.clone(),
-            })
-            .collect())
-    }
-
-    /// Decodes a set of tiles of one SOT over a *local* frame range through
-    /// the parallel execution pipeline, returning per-tile frames plus
-    /// exact accounting of the decode work (cache reuse excluded — see
-    /// [`VideoStore::decode_tiles_cached`] for the cache counters).
-    pub fn decode_tiles(
-        &self,
-        manifest: &VideoManifest,
-        sot_idx: usize,
-        tile_indices: &[u32],
-        local_frames: Range<u32>,
-    ) -> Result<(DecodedTiles, DecodeStats), StoreError> {
-        let (tiles, stats, _) =
-            self.decode_tiles_cached(manifest, sot_idx, tile_indices, local_frames)?;
-        Ok((tiles, stats))
-    }
-
-    /// [`VideoStore::decode_tiles`] with cache-reuse accounting included.
-    pub fn decode_tiles_cached(
-        &self,
-        manifest: &VideoManifest,
-        sot_idx: usize,
-        tile_indices: &[u32],
-        local_frames: Range<u32>,
-    ) -> Result<(DecodedTiles, DecodeStats, CacheStats), StoreError> {
-        let plan = self.plan_decode_tiles(manifest, sot_idx, tile_indices, local_frames)?;
-        let (decoded, stats, cache, _shared) = exec::execute(self, manifest, &plan)?;
-        let out = decoded.into_iter().map(|d| (d.tile, d.frames)).collect();
-        Ok((out, stats, cache))
     }
 
     /// Re-encodes one SOT under `new_layout` (the incremental policies'
@@ -1507,6 +1445,7 @@ fn entry_name(path: &Path) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{self, TileDecodeRequest};
     use tasm_video::{Plane, Rect};
 
     fn test_source(frames: u32) -> VecFrameSource {
@@ -1591,9 +1530,14 @@ mod tests {
         let (m, _) = store
             .ingest("v", &src, 30, small_cfg(), move |_, _| layout.clone())
             .unwrap();
-        let (tiles, stats) = store.decode_tiles(&m, 0, &[0, 3], 2..6).unwrap();
+        let requests = [0, 3].map(|tile| TileDecodeRequest {
+            sot_idx: 0,
+            tile,
+            local_span: 2..6,
+        });
+        let (tiles, stats, _, _) = exec::execute(&store, &m, &requests).unwrap();
         assert_eq!(tiles.len(), 2);
-        assert_eq!(tiles[0].1.len(), 4);
+        assert_eq!(tiles[0].frames.len(), 4);
         assert!(stats.samples_decoded > 0);
         // Warmup from the GOP start at frame 0 is charged.
         assert_eq!(stats.frames_decoded, 2 * 6);
@@ -1616,11 +1560,16 @@ mod tests {
         assert_eq!(m.sots[0].retile_count, 1);
 
         // The re-tiled SOT still decodes to (approximately) the source.
-        let (tiles, _) = store.decode_tiles(&m, 0, &[0, 1, 2, 3], 0..10).unwrap();
+        let requests = [0, 1, 2, 3].map(|tile| TileDecodeRequest {
+            sot_idx: 0,
+            tile,
+            local_span: 0..10,
+        });
+        let (tiles, _, _, _) = exec::execute(&store, &m, &requests).unwrap();
         let mut composite = Frame::black(64, 64);
-        for (t, frames) in &tiles {
-            let rect = new_layout.tile_rect_by_index(*t);
-            composite.blit(&frames[3], frames[3].rect(), rect.x, rect.y);
+        for t in &tiles {
+            let rect = new_layout.tile_rect_by_index(t.tile);
+            composite.blit(&t.frames[3], t.frames[3].rect(), rect.x, rect.y);
         }
         let r = tasm_video::psnr_frames(&src.frame(3), &composite);
         assert!(r.y > 26.0, "retiled PSNR {:.1}", r.y);

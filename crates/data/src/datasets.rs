@@ -2,8 +2,8 @@
 //!
 //! Each preset instantiates a [`SceneSpec`] whose object classes and
 //! per-frame coverage band match the corresponding corpus row. Resolutions
-//! and durations are scaled down uniformly so experiments run on CPU
-//! (see DESIGN.md); the scale factor is explicit and adjustable.
+//! are scaled down uniformly ([`RES_2K`], [`RES_4K`]) and durations are a
+//! parameter of [`Dataset::build`], so experiments run on CPU.
 //!
 //! | Paper corpus        | Classes               | Coverage band | Character |
 //! |---------------------|-----------------------|---------------|-----------|

@@ -6,7 +6,8 @@
 //! on: textured moving objects of known classes over a textured background,
 //! with exact ground-truth bounding boxes per frame. Every TASM experiment
 //! is driven by object coverage, sparsity, and motion — which the generator
-//! controls precisely (see DESIGN.md, substitution table).
+//! controls precisely (the presets in [`crate::datasets`] map each corpus
+//! to a scene).
 //!
 //! Rendering is deterministic and random-access: `frame(i)` is a pure
 //! function of the spec and `i`, so videos never need to be buffered.
