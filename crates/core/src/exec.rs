@@ -12,11 +12,15 @@
 //!    order. Output frames are `Arc<Frame>`, so cached and freshly decoded
 //!    frames share storage with every consumer.
 //!
-//! Between the two sits the [`DecodedTileCache`]: a byte-budgeted LRU of
-//! decoded GOP prefixes keyed by `(video, SOT, tile, GOP, layout epoch)`,
+//! Between the two sits the [`DecodedTileCache`]: decoded GOP prefixes
+//! keyed by `(video, SOT, tile, GOP, layout epoch)` under a byte budget,
 //! shared behind a mutex so concurrent scans — and repeated queries over
 //! hot GOPs, the paper's Figure 8/9 workloads — reuse decode work instead
-//! of repeating it. Work accounting stays calibrated for the §4.1 cost
+//! of repeating it. Over budget, the least-recently used GOP gives back
+//! its tail frames first and is dropped only when none are left: §4.1
+//! prices a read from the preceding keyframe, so a prefix is worth more
+//! than a tail, and a trimmed GOP resumes from its prefix instead of
+//! decoding again. Work accounting stays calibrated for the §4.1 cost
 //! model: [`DecodeStats`] counts only frames actually decoded, while cache
 //! reuse is reported separately in [`CacheStats`].
 
@@ -218,13 +222,20 @@ struct CacheInner {
     bytes: u64,
 }
 
-/// A shared, byte-budgeted LRU cache of decoded GOP prefixes.
+/// A shared cache of decoded GOP prefixes, bounded by a byte budget.
 ///
 /// Entries store the frames of a GOP from its keyframe onward. A lookup
 /// needing `n` frames hits iff the entry holds at least `n`; shorter
 /// prefixes are *extended* by resuming the decoder from the last cached
 /// reconstruction (bit-exact, see `TileVideo::decode_resume`), paying only
 /// for the missing frames.
+///
+/// The budget holds after every store. Over it, the least-recently used
+/// entry is *trimmed*: it loses tail frames, just enough to fit, and is
+/// dropped only when no frame is left (see [`DecodedTileCache::store`]).
+/// A trimmed GOP is still a miss for a lookup needing the whole GOP, so
+/// trimming turns no miss into a hit; it makes the miss cheaper, which
+/// re-decodes only the frames trimmed away.
 ///
 /// Entries additionally have an *in-progress* state: while one query
 /// decodes a GOP, concurrent queries needing the same GOP block on it and
@@ -272,7 +283,7 @@ impl DecodedTileCache {
     /// Drops the entries of exactly one layout `epoch` of one SOT — the
     /// eager reclaim run when that epoch's pack is GC'd, so a
     /// retired epoch's decoded GOPs release their budget immediately
-    /// instead of lingering until LRU pressure. Other epochs' entries
+    /// instead of lingering until budget pressure. Other epochs' entries
     /// (the live layout, other pinned epochs) are untouched.
     pub fn invalidate_sot_epoch(&self, video: &str, sot_start: u32, epoch: u32) {
         self.invalidate_where(|k| {
@@ -292,7 +303,7 @@ impl DecodedTileCache {
         inner.bytes -= removed;
     }
 
-    /// Returns the cached prefix for `key` (cloned `Arc`s), touching LRU
+    /// Returns the cached prefix for `key` (cloned `Arc`s), touching its
     /// recency. The prefix may be shorter than the caller needs. The
     /// execution path goes through [`DecodedTileCache::acquire`] instead,
     /// which layers single-flight dedup on top of this lookup.
@@ -306,11 +317,18 @@ impl DecodedTileCache {
         Some(entry.frames.clone())
     }
 
-    /// Stores (or extends) the prefix for `key`, evicting least-recently
-    /// used entries if the byte budget is exceeded.
+    /// Stores (or extends) the prefix for `key`, then gives bytes back
+    /// until the budget holds: the least-recently used entry loses just
+    /// enough frames from its tail (⌈over ÷ frame bytes⌉, at least one)
+    /// and is removed only once no frame is left. A trimmed entry keeps
+    /// its keyframe-anchored prefix, so the next query needing the whole
+    /// GOP resumes from it instead of decoding the GOP again. The entry
+    /// just stored is the most recent, so it is trimmed last: a GOP larger
+    /// than the whole budget keeps the prefix that fits.
     fn store(&self, key: GopKey, frames: Vec<Arc<Frame>>) {
         let bytes = frames.iter().map(|f| frame_bytes(f)).sum::<u64>() + 64;
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut guard = self.inner.lock().expect("cache lock");
+        let inner = &mut *guard;
         inner.clock += 1;
         let stamp = inner.clock;
         if let Some((old_len, old_bytes)) = inner.map.get(&key).map(|e| (e.frames.len(), e.bytes)) {
@@ -328,16 +346,33 @@ impl DecodedTileCache {
                 stamp,
             },
         );
-        while inner.bytes > self.budget && inner.map.len() > 1 {
-            let victim = inner
+        let (mut trimmed, mut evicted) = (0, 0);
+        while inner.bytes > self.budget {
+            let over = inner.bytes - self.budget;
+            let (victim, entry) = inner
                 .map
-                .iter()
+                .iter_mut()
                 .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map");
-            if let Some(e) = inner.map.remove(&victim) {
-                inner.bytes -= e.bytes;
+                .expect("bytes over budget are held by some entry");
+            let per_frame = entry.frames.first().map_or(0, |f| frame_bytes(f));
+            let cut = over.div_ceil(per_frame.max(1));
+            if cut < entry.frames.len() as u64 {
+                entry.frames.truncate(entry.frames.len() - cut as usize);
+                let freed = cut * per_frame;
+                entry.bytes -= freed;
+                inner.bytes -= freed;
+                trimmed += freed;
+            } else {
+                let victim = victim.clone();
+                let gone = inner.map.remove(&victim).expect("victim is cached").bytes;
+                inner.bytes -= gone;
+                evicted += gone;
             }
+        }
+        drop(guard);
+        if (trimmed, evicted) != (0, 0) && tasm_obs::enabled() {
+            trimmed_bytes_counter().add(trimmed);
+            evicted_bytes_counter().add(evicted);
         }
     }
 
@@ -385,7 +420,7 @@ impl DecodedTileCache {
             // Wait outside the cache lock, then re-check: the owner may
             // have decoded fewer frames than we need (we would then become
             // the owner of the extension), or the entry may have been
-            // evicted already (ditto).
+            // trimmed or evicted already (ditto).
             *waited = true;
             inflight.wait();
         }
@@ -506,6 +541,23 @@ pub fn execute(
         .add(cache.samples_reused);
     }
     Ok((tiles, decode, cache, shared))
+}
+
+/// Decoded bytes the cache gave back by trimming GOP tails (bumped by
+/// [`DecodedTileCache::store`] only when it is over budget).
+fn trimmed_bytes_counter() -> Arc<tasm_obs::Counter> {
+    tasm_obs::counter(
+        "tasm_cache_trimmed_bytes_total",
+        "Decoded bytes given back by trimming cached GOPs' tail frames.",
+    )
+}
+
+/// Decoded bytes the cache gave back by dropping whole GOP entries.
+fn evicted_bytes_counter() -> Arc<tasm_obs::Counter> {
+    tasm_obs::counter(
+        "tasm_cache_evicted_bytes_total",
+        "Decoded bytes given back by dropping whole cached GOP entries.",
+    )
 }
 
 struct TaskOutput {
@@ -710,8 +762,30 @@ mod tests {
         );
     }
 
+    /// Bytes of one `dummy_frame`, and the fixed charge per entry.
+    const FRAME: u64 = 384;
+    const ENTRY: u64 = 64;
+
+    fn frames(tags: std::ops::Range<u8>) -> Vec<Arc<Frame>> {
+        tags.map(dummy_frame).collect()
+    }
+
+    /// Held by every test whose stores go over budget, so the
+    /// process-global give-back counters move only under the test reading
+    /// them.
+    fn over_budget_serial() -> std::sync::MutexGuard<'static, ()> {
+        static GUARD: Mutex<()> = Mutex::new(());
+        GUARD.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// (trimmed, evicted) bytes counted so far.
+    fn given_back() -> (u64, u64) {
+        (trimmed_bytes_counter().get(), evicted_bytes_counter().get())
+    }
+
     #[test]
     fn cache_evicts_lru_under_budget() {
+        let _serial = over_budget_serial();
         // Each 16x16 frame is 384 bytes + 64 overhead per entry.
         let c = DecodedTileCache::new(1000);
         c.store(key(0, 0), vec![dummy_frame(1)]);
@@ -725,6 +799,129 @@ mod tests {
             "recently used entry survives"
         );
         assert!(c.lookup(&key(1, 0)).is_none(), "LRU entry evicted");
+    }
+
+    /// The LRU entry gives back tail frames, just enough to fit; its
+    /// prefix survives, the accounting stays exact, and an entry with no
+    /// frame left is removed. The give-back counters read the same bytes.
+    #[test]
+    fn cache_trims_lru_tail_before_evicting() {
+        let _serial = over_budget_serial();
+        let before = given_back();
+        let c = DecodedTileCache::new(3000);
+        let a = frames(1..5);
+        c.store(key(0, 0), a.clone());
+        c.store(key(1, 0), frames(5..9));
+        // 2 × (4 × 384 + 64) = 3200: 200 over, so one frame of tile 0 goes.
+        assert_eq!(c.bytes_used(), 2 * (4 * FRAME + ENTRY) - FRAME);
+        assert_eq!(c.lookup(&key(1, 0)).unwrap().len(), 4);
+        let kept = c.lookup(&key(0, 0)).expect("trimmed, not evicted");
+        assert_eq!(kept.len(), 3);
+        assert!(kept.iter().zip(&a).all(|(k, f)| Arc::ptr_eq(k, f)));
+        assert_eq!(given_back(), (before.0 + FRAME, before.1));
+
+        // Tile 0 was touched last: tile 1 is the LRU entry now. 5 frames of
+        // tile 2 put 5 × 384 + 64 more on 2816, 1800 over: ⌈1800 ÷ 384⌉ = 5
+        // frames, more than tile 1 holds, so it goes whole; then tile 0
+        // gives back ⌈(1800 − 1600) ÷ 384⌉ = 1 more.
+        c.store(key(2, 0), frames(9..14));
+        assert!(c.lookup(&key(1, 0)).is_none(), "trimmed to nothing");
+        assert_eq!(c.lookup(&key(0, 0)).unwrap().len(), 2);
+        assert_eq!(c.lookup(&key(2, 0)).unwrap().len(), 5);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.bytes_used(), (2 * FRAME + ENTRY) + (5 * FRAME + ENTRY));
+        assert_eq!(
+            given_back(),
+            (before.0 + 2 * FRAME, before.1 + 4 * FRAME + ENTRY)
+        );
+    }
+
+    /// A lookup needing more than a trimmed entry holds owns the decode,
+    /// starting from the surviving prefix.
+    #[test]
+    fn acquire_on_trimmed_entry_owns_its_prefix() {
+        let _serial = over_budget_serial();
+        let c = DecodedTileCache::new(4 * FRAME + ENTRY);
+        let a = frames(1..5);
+        c.store(key(0, 0), a.clone());
+        // 448 B over: ⌈448 ÷ 384⌉ = 2 tail frames of tile 0 go.
+        c.store(key(1, 0), frames(5..6));
+        let mut waited = false;
+        match c.acquire(&key(0, 0), 4, &mut waited) {
+            GopAccess::Owner(_, prefix) => {
+                assert_eq!(prefix.len(), 2);
+                assert!(prefix.iter().zip(&a).all(|(p, f)| Arc::ptr_eq(p, f)));
+            }
+            GopAccess::Ready(_) => panic!("a trimmed entry cannot serve the whole GOP"),
+        }
+        assert!(!waited);
+        assert!(matches!(
+            c.acquire(&key(0, 0), 2, &mut waited),
+            GopAccess::Ready(p) if p.len() == 2
+        ));
+    }
+
+    /// The budget is a bound after every store, even when one GOP's frames
+    /// exceed it: everything older goes first, then the new entry's tail.
+    #[test]
+    fn cache_budget_is_a_bound() {
+        let _serial = over_budget_serial();
+        let c = DecodedTileCache::new(1000);
+        for (tile, n) in [(0, 1), (1, 1), (2, 3)] {
+            c.store(key(tile, 0), frames(0..n));
+            assert!(
+                c.bytes_used() <= 1000,
+                "{} B after tile {tile}",
+                c.bytes_used()
+            );
+        }
+        assert!(c.lookup(&key(0, 0)).is_none());
+        assert!(c.lookup(&key(1, 0)).is_none());
+        assert_eq!(
+            c.lookup(&key(2, 0)).unwrap().len(),
+            2,
+            "the prefix that fits"
+        );
+        assert_eq!(c.bytes_used(), 2 * FRAME + ENTRY);
+    }
+
+    /// Three 10-frame GOPs totalling 4/3 of the budget, looked up whole,
+    /// round-robin. Every lookup misses, as under whole-entry eviction,
+    /// which would decode all 30 frames each round. The LRU entry is always
+    /// the next GOP looked up, so each lookup finds its GOP short by the
+    /// deficit (total − budget) rounded up to whole frames, and re-decodes
+    /// only that: 3 × 8 = 24 frames a round.
+    #[test]
+    fn cyclic_replay_re_decodes_only_trimmed_tails() {
+        let _serial = over_budget_serial();
+        const GOP: usize = 10;
+        let total = 3 * (GOP as u64 * FRAME + ENTRY);
+        let budget = total * 3 / 4;
+        let c = DecodedTileCache::new(budget);
+        let mut waited = false;
+        for round in 0..6 {
+            let mut decoded = 0;
+            for gop in 0..3 {
+                match c.acquire(&key(0, gop), GOP, &mut waited) {
+                    GopAccess::Owner(t, mut prefix) => {
+                        decoded += GOP - prefix.len();
+                        prefix.extend(frames(prefix.len() as u8..GOP as u8));
+                        t.complete(prefix);
+                    }
+                    GopAccess::Ready(_) => panic!("the three GOPs never fit together"),
+                }
+                assert!(c.bytes_used() <= budget);
+            }
+            if round == 0 {
+                assert_eq!(decoded, 3 * GOP);
+            } else {
+                let bound = 3 * (total - budget).div_ceil(FRAME);
+                assert!(
+                    (decoded as u64) <= bound,
+                    "round {round}: {decoded} frames decoded, bound {bound}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!   tests;
 //! * [`exec`] — the parallel tile-decode execution pipeline: per-(SOT, tile)
 //!   decode planning, a scoped-thread executor, and the shared decoded-GOP
-//!   cache (buffer-pool-style LRU with a byte budget);
+//!   cache (a byte budget that trims the least-recently used GOP's tail
+//!   frames before dropping any entry);
 //! * [`mod@scan`] — the `Scan(video, L, T)` access method with CNF label
 //!   predicates (§3.1);
 //! * [`mod@query`] — the spatiotemporal query planner: ROI, sampling
@@ -71,10 +72,12 @@
 //! out across scoped worker threads — tile bitstreams share nothing, so
 //! they decode in parallel and the results are reassembled in deterministic
 //! order (pixels and work accounting are bit-identical at any worker
-//! count). Between planning and execution sits a shared, byte-budgeted LRU
-//! cache of decoded GOP prefixes, keyed by
-//! `(video, SOT, tile, GOP, layout epoch)`, so overlapping and repeated
-//! queries reuse decode work instead of repeating it; re-tiling or
+//! count). Between planning and execution sits a shared cache of decoded
+//! GOP prefixes, keyed by `(video, SOT, tile, GOP, layout epoch)`, so
+//! overlapping and repeated queries reuse decode work instead of repeating
+//! it. Over its byte budget the cache trims the least-recently used GOP's
+//! tail frames, just enough to fit, and drops an entry only once no frame
+//! is left, so a later miss resumes from the kept prefix; re-tiling or
 //! re-ingesting invalidates the affected entries. Cache reuse is reported
 //! separately ([`ScanResult::cache`]) from real decode work
 //! ([`ScanResult::stats`]), keeping the §4.1 cost model calibrated.

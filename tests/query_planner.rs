@@ -304,6 +304,43 @@ fn wider_query_after_pruned_query_stays_correct() {
     assert_regions_identical(&expected_regions, &got.regions, "prefix extension");
 }
 
+/// A cache smaller than one whole-range query's decoded frames: the second
+/// pass finds GOPs trimmed to a prefix and must extend them bit-exactly,
+/// decoding less than the cold pass, while the cache stays in its budget.
+#[test]
+fn trimmed_cache_extends_prefixes_exactly_under_eviction_pressure() {
+    let pred = LabelPredicate::label("car");
+    let q = Query::new(pred.clone()).frames(0..FRAMES);
+    let reference = tasm_with("trim-ref", |_| {});
+    let expected = reference.scan("v", &pred, 0..FRAMES).unwrap();
+    let expected: Vec<_> = expected.regions.iter().collect();
+    let uncached = reference.query("v", &q).unwrap();
+    // Half an average GOP under what the query decodes: the cache is short
+    // by less than one GOP, so a pass leaves most GOPs a prefix to resume.
+    let decoded = uncached.stats.samples_decoded;
+    let budget = decoded - decoded / uncached.shared.owned / 2;
+    let tasm = tasm_with("trim", |c| c.cache_bytes = budget);
+
+    let cache = || tasm.store().decoded_cache().expect("cache attached");
+
+    let first = tasm.query("v", &q).unwrap();
+    assert_regions_identical(&expected, &first.regions, "cold pass");
+    assert_eq!(first.stats.samples_decoded, decoded);
+    assert!(cache().bytes_used() <= budget);
+
+    let second = tasm.query("v", &q).unwrap();
+    assert_regions_identical(&expected, &second.regions, "trimmed pass");
+    assert!(second.cache.misses > 0, "{:?}", second.cache);
+    assert!(second.cache.frames_reused > 0, "{:?}", second.cache);
+    assert!(
+        second.stats.samples_decoded < first.stats.samples_decoded,
+        "resumed prefixes must save decode: {} vs {}",
+        second.stats.samples_decoded,
+        first.stats.samples_decoded
+    );
+    assert!(cache().bytes_used() <= budget);
+}
+
 /// Worker count must not change pixels or plan counters for pruned plans.
 #[test]
 fn pruned_plans_are_worker_count_invariant() {
