@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tasm_client::{Connection, LoadGen, LoadGenConfig};
 use tasm_core::{LabelPredicate, Query, QueryMode, RealIo, StorageIo, Tasm, TasmConfig};
-use tasm_data::{workloads, Dataset, SyntheticVideo, WorkloadParams};
+use tasm_data::{workloads, Dataset, SceneSpec, SyntheticVideo, WorkloadParams};
 use tasm_detect::sampled::SampledDetector;
 use tasm_detect::yolo::SimulatedYolo;
 use tasm_detect::Detector;
@@ -214,13 +214,14 @@ fn spec_path(store: &str, name: &str) -> PathBuf {
         .join("scene.json")
 }
 
-/// Loads the scene spec persisted at ingest and rebuilds the video, then
-/// registers it with a fresh `Tasm` (manifest comes from disk state; the
-/// facade re-ingests only if the files are missing).
+/// Loads the scene spec persisted at ingest and rebuilds the video. A
+/// sidecar that does not describe a renderable scene (hand-edited, or from
+/// elsewhere) is a typed [`tasm_data::SceneError`], not a panic.
 fn load_video(store: &str, name: &str) -> Result<SyntheticVideo, Box<dyn Error>> {
     let raw = std::fs::read(spec_path(store, name))
         .map_err(|_| format!("video '{name}' not found in store (run `tasm ingest` first)"))?;
-    let spec = serde_json::from_slice(&raw)?;
+    let spec: SceneSpec = serde_json::from_slice(&raw)?;
+    spec.validate()?;
     Ok(SyntheticVideo::new(spec))
 }
 
@@ -1576,6 +1577,52 @@ mod tests {
         run(&format!("scan --store {s} --name cam --label car")).expect("scan");
         assert!(!tmp.exists(), "the store's startup recovery reaps it");
         run(&format!("fsck --store {s}")).expect("fsck");
+    }
+
+    /// A `scene.json` that parses but does not describe a renderable scene
+    /// fails each command that loads it with the typed error; it used to
+    /// panic in `SyntheticVideo::new` (`width: 0` inside `clamp(4, 0)`).
+    #[test]
+    fn invalid_scene_spec_is_a_typed_error_not_a_panic() {
+        use tasm_data::SceneError;
+        let s = store("bad-scene");
+        run(&format!(
+            "ingest --store {s} --name cam --dataset visual-road-2k --seconds 1 --seed 3"
+        ))
+        .expect("ingest");
+        let path = spec_path(&s, "cam");
+        let good = std::fs::read(&path).unwrap();
+        let spec: SceneSpec = serde_json::from_slice(&good).unwrap();
+        let no_width = serde_json::to_string(&SceneSpec {
+            width: 0,
+            ..spec.clone()
+        })
+        .unwrap();
+        let zero_width = SceneError::Dimensions {
+            width: 0,
+            height: spec.height,
+        };
+        // JSON has no infinity, but a literal past f64's range parses as one.
+        let pan = serde_json::to_string(&SceneSpec {
+            camera_pan: 0.5,
+            ..spec
+        })
+        .unwrap();
+        let infinite_pan = SceneError::NotFinite {
+            field: "camera_pan",
+            value: f64::INFINITY,
+        };
+        for (sidecar, want) in [
+            (no_width, zero_width),
+            (pan.replace("0.5", "1e999"), infinite_pan),
+        ] {
+            std::fs::write(&path, sidecar).unwrap();
+            let err = run(&format!("scan --store {s} --name cam --label car"))
+                .expect_err("an invalid sidecar must fail the command");
+            assert_eq!(err.downcast_ref::<SceneError>(), Some(&want), "{err}");
+        }
+        std::fs::write(&path, good).unwrap();
+        run(&format!("scan --store {s} --name cam --label car")).expect("restored sidecar");
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub mod workloads;
 pub mod zipf;
 
 pub use datasets::{Dataset, RES_2K, RES_4K};
-pub use scene::{ObjectClass, SceneSpec, SyntheticVideo};
+pub use scene::{ObjectClass, SceneError, SceneSpec, SyntheticVideo};
 pub use workloads::{
     select_all, workload1, workload2, workload3, workload4, workload5, workload6, Query,
     WorkloadParams,

@@ -11,9 +11,22 @@
 //!
 //! Rendering is deterministic and random-access: `frame(i)` is a pure
 //! function of the spec and `i`, so videos never need to be buffered.
+//!
+//! Every hashed texture value is constant over a cell (5×5 luma, 3×3
+//! chroma, 5×5 on objects), so each cell is hashed once, never each
+//! sample. The background's cell values depend on the seed alone and are
+//! tabled when the video is built: one 13×13 luma table and one 11×11
+//! table per chroma plane, one period of the texture each. A frame maps
+//! its columns, shifted by that frame's camera pan, onto the tables once,
+//! and then writes each row as copies and adds. `scene/reference.rs` is a
+//! per-sample renderer for tests, and the property test there holds the
+//! two equal on every frame of random scenes.
 
 use serde::{Deserialize, Serialize};
 use tasm_video::{Frame, FrameSource, Plane, Rect};
+
+#[cfg(test)]
+mod reference;
 
 /// Object classes appearing in the corpora of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -136,7 +149,73 @@ pub struct SceneSpec {
     pub seed: u64,
 }
 
+/// Why a [`SceneSpec`] cannot be rendered.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SceneError {
+    /// A dimension is zero or not a multiple of 16.
+    Dimensions {
+        /// The spec's width.
+        width: u32,
+        /// The spec's height.
+        height: u32,
+    },
+    /// The spec has no frames.
+    NoFrames,
+    /// `camera_pan` or `size_scale` is NaN or infinite.
+    NotFinite {
+        /// The field's name.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
+}
+
+impl std::fmt::Display for SceneError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SceneError::Dimensions { width, height } => write!(
+                f,
+                "scene dimensions must be non-zero multiples of 16 (codec tile alignment), \
+                 got {width}x{height}"
+            ),
+            SceneError::NoFrames => write!(f, "scene must have at least one frame"),
+            SceneError::NotFinite { field, value } => {
+                write!(f, "scene {field} must be finite, got {value}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SceneError {}
+
 impl SceneSpec {
+    /// Checks that the spec can be rendered: non-zero dimensions that are
+    /// multiples of 16, at least one frame, and a finite `camera_pan` and
+    /// `size_scale`. [`SyntheticVideo::new`] panics on what this rejects;
+    /// a caller holding a spec it did not build (a stored `scene.json`)
+    /// checks it here first.
+    pub fn validate(&self) -> Result<(), SceneError> {
+        let aligned = |d: u32| d > 0 && d.is_multiple_of(16);
+        if !aligned(self.width) || !aligned(self.height) {
+            return Err(SceneError::Dimensions {
+                width: self.width,
+                height: self.height,
+            });
+        }
+        if self.frames == 0 {
+            return Err(SceneError::NoFrames);
+        }
+        for (field, value) in [
+            ("camera_pan", self.camera_pan),
+            ("size_scale", self.size_scale),
+        ] {
+            if !value.is_finite() {
+                return Err(SceneError::NotFinite { field, value });
+            }
+        }
+        Ok(())
+    }
+
     /// A small default scene for tests.
     pub fn test_scene() -> Self {
         SceneSpec {
@@ -222,11 +301,54 @@ fn unit(x: u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// Background luma texture: a 65-pixel period of 13 cells of 5.
+const LUMA_PERIOD: usize = 65;
+const LUMA_CELL: usize = 5;
+const LUMA_CELLS: usize = LUMA_PERIOD / LUMA_CELL;
+/// Background chroma texture: a 33-sample period of 11 cells of 3.
+const CHROMA_PERIOD: usize = 33;
+const CHROMA_CELL: usize = 3;
+const CHROMA_CELLS: usize = CHROMA_PERIOD / CHROMA_CELL;
+/// Object luma texture cell edge.
+const OBJECT_CELL: usize = 5;
+
+/// One period of the background texture, hashed per cell from the seed:
+/// `[cell row][cell column]`.
+struct Texture {
+    /// Luma noise plus the 80 every luma sample adds (the gradient's base
+    /// 40 and an offset of 40).
+    luma: [[u8; LUMA_CELLS]; LUMA_CELLS],
+    u: [[u8; CHROMA_CELLS]; CHROMA_CELLS],
+    v: [[u8; CHROMA_CELLS]; CHROMA_CELLS],
+}
+
+impl Texture {
+    fn new(seed: u64) -> Self {
+        let chroma = |salt: u64| {
+            std::array::from_fn(|wy| {
+                std::array::from_fn(|wx| {
+                    (118 + splitmix(seed ^ salt ^ ((wx as u64) << 24) ^ wy as u64) % 14) as u8
+                })
+            })
+        };
+        Texture {
+            luma: std::array::from_fn(|wy| {
+                std::array::from_fn(|wx| {
+                    (80 + splitmix(seed ^ ((wx as u64) << 32) ^ ((wy as u64) << 8)) % 36) as u8
+                })
+            }),
+            u: chroma(0xAA),
+            v: chroma(0xBB),
+        }
+    }
+}
+
 /// A fully specified synthetic video: renders frames on demand and exposes
 /// exact ground truth.
 pub struct SyntheticVideo {
     spec: SceneSpec,
     objects: Vec<SceneObject>,
+    texture: Texture,
 }
 
 impl SyntheticVideo {
@@ -234,13 +356,11 @@ impl SyntheticVideo {
     /// spec's seed).
     ///
     /// # Panics
-    /// Panics if dimensions are not multiples of 16 or the scene is empty.
+    /// Panics if [`SceneSpec::validate`] rejects the spec.
     pub fn new(spec: SceneSpec) -> Self {
-        assert!(
-            spec.width.is_multiple_of(16) && spec.height.is_multiple_of(16),
-            "scene dimensions must be multiples of 16 (codec tile alignment)"
-        );
-        assert!(spec.frames > 0, "scene must have at least one frame");
+        if let Err(e) = spec.validate() {
+            panic!("{e}");
+        }
         let mut objects = Vec::new();
         let mut n = 0u64;
         for &(class, count) in &spec.objects {
@@ -295,7 +415,11 @@ impl SyntheticVideo {
                 });
             }
         }
-        SyntheticVideo { spec, objects }
+        SyntheticVideo {
+            texture: Texture::new(spec.seed),
+            spec,
+            objects,
+        }
     }
 
     /// The scene specification.
@@ -346,87 +470,99 @@ impl SyntheticVideo {
         labels
     }
 
-    fn render_background(&self, frame: &mut Frame, t: u32) {
-        let w = frame.width();
-        let h = frame.height();
+    /// The background of frame `t`, each plane written once. A column map
+    /// of the frame's pan-shifted cells expands each texture row to a full
+    /// plane row; each luma row is then one of those plus its gradient
+    /// term, each chroma row a copy of one.
+    fn background(&self, t: u32) -> Frame {
+        let (w, h) = (self.spec.width as usize, self.spec.height as usize);
+        // Saturates for a huge pan; reduced modulo each texture's period
+        // before it is added to a column, so no sum can overflow.
         let pan = (self.spec.camera_pan * t as f64) as i64;
-        let seed = self.spec.seed;
-        // Luma: low-frequency gradient + a coarse (4×4-cell) texture pattern,
+        // Luma: low-frequency gradient + a coarse texture of 5×5 cells,
         // shifted by camera pan. Texture repeats every 65px so panning is
-        // seamless. The texture is piecewise-constant over 4×4 cells —
+        // seamless. The texture is piecewise-constant over its cells —
         // natural video is smooth at pixel scale, and per-pixel white noise
         // would both defeat compression and mask codec quality effects. The
         // 5-pixel cell period is deliberately coprime with the 8-pixel
         // transform blocks so texture edges rarely coincide with block
         // boundaries.
-        let yplane = frame.plane_mut(Plane::Y);
-        for y in 0..h as usize {
-            let row = y * w as usize;
-            for x in 0..w as usize {
-                let wx = ((x as i64 + pan).rem_euclid(65) / 5) as u64;
-                let wy = ((y % 65) / 5) as u64;
-                let grad = (40 + (x * 30) / w as usize + (y * 50) / h as usize) as u64;
-                let noise = splitmix(seed ^ (wx << 32) ^ (wy << 8)) % 36;
-                yplane[row + x] = (grad + noise + 40) as u8;
-            }
+        let shift = pan.rem_euclid(LUMA_PERIOD as i64) as usize;
+        let columns: Vec<(usize, u8)> = (0..w)
+            .map(|x| ((x + shift) % LUMA_PERIOD / LUMA_CELL, (x * 30 / w) as u8))
+            .collect();
+        let rows: Vec<u8> = self
+            .texture
+            .luma
+            .iter()
+            .flat_map(|cells| columns.iter().map(|&(c, grad)| cells[c] + grad))
+            .collect();
+        let mut luma = Vec::with_capacity(w * h);
+        for y in 0..h {
+            let row = &rows[y % LUMA_PERIOD / LUMA_CELL * w..][..w];
+            let grad = (y * 50 / h) as u8;
+            luma.extend(row.iter().map(|&s| s + grad));
         }
+        // Chroma: the same construction at half resolution and half the pan.
         let (cw, ch) = (w / 2, h / 2);
-        let uplane = frame.plane_mut(Plane::U);
-        for y in 0..ch as usize {
-            for x in 0..cw as usize {
-                let wx = ((x as i64 + pan / 2).rem_euclid(33) / 3) as u64;
-                uplane[y * cw as usize + x] =
-                    (118 + splitmix(seed ^ 0xAA ^ (wx << 24) ^ ((y % 33 / 3) as u64)) % 14) as u8;
+        let shift = (pan / 2).rem_euclid(CHROMA_PERIOD as i64) as usize;
+        let columns: Vec<usize> = (0..cw)
+            .map(|x| (x + shift) % CHROMA_PERIOD / CHROMA_CELL)
+            .collect();
+        let chroma = |table: &[[u8; CHROMA_CELLS]; CHROMA_CELLS]| {
+            let rows: Vec<u8> = table
+                .iter()
+                .flat_map(|cells| columns.iter().map(|&c| cells[c]))
+                .collect();
+            let mut plane = Vec::with_capacity(cw * ch);
+            for y in 0..ch {
+                plane.extend_from_slice(&rows[y % CHROMA_PERIOD / CHROMA_CELL * cw..][..cw]);
             }
+            plane
+        };
+        let (u, v) = (chroma(&self.texture.u), chroma(&self.texture.v));
+        Frame::from_planes(w as u32, h as u32, luma, u, v).expect("planes sized from the spec")
+    }
+}
+
+/// Paints `obj` over the frame at `rect`. Luma: one hash per 5×5 cell
+/// fills a band of 5 rows' texture, copied into each row of the band.
+/// Chroma: flat per-object colour.
+fn render_object(frame: &mut Frame, obj: &SceneObject, rect: Rect) {
+    let w = frame.width() as usize;
+    let (x0, y0) = (rect.x as usize, rect.y as usize);
+    let (rw, bottom) = (rect.w as usize, rect.bottom() as usize);
+    let yplane = frame.plane_mut(Plane::Y);
+    let mut band = vec![0u8; rw];
+    for (ly, top) in (y0..bottom).step_by(OBJECT_CELL).enumerate() {
+        // Striped texture unique to the object, so motion search has
+        // something to lock onto; smooth at pixel scale.
+        for (lx, cell) in band.chunks_mut(OBJECT_CELL).enumerate() {
+            let local = splitmix(obj.tex ^ lx as u64 ^ ((ly as u64) << 20));
+            let stripe = if (lx + ly).is_multiple_of(2) { 25 } else { 0 };
+            let v = obj.base_luma as i32 + stripe + (local % 14) as i32 - 7;
+            cell.fill(v.clamp(0, 255) as u8);
         }
-        let vplane = frame.plane_mut(Plane::V);
-        for y in 0..ch as usize {
-            for x in 0..cw as usize {
-                let wx = ((x as i64 + pan / 2).rem_euclid(33) / 3) as u64;
-                vplane[y * cw as usize + x] =
-                    (118 + splitmix(seed ^ 0xBB ^ (wx << 24) ^ ((y % 33 / 3) as u64)) % 14) as u8;
-            }
+        for y in top..(top + OBJECT_CELL).min(bottom) {
+            yplane[y * w + x0..][..rw].copy_from_slice(&band);
         }
     }
-
-    fn render_object(&self, frame: &mut Frame, obj: &SceneObject, rect: Rect) {
-        let w = frame.width();
-        let yplane = frame.plane_mut(Plane::Y);
-        for y in rect.y..rect.bottom() {
-            let row = y as usize * w as usize;
-            for x in rect.x..rect.right() {
-                // Striped texture unique to the object, so motion search has
-                // something to lock onto; smooth at pixel scale.
-                let local = splitmix(
-                    obj.tex ^ (((x - rect.x) / 5) as u64) ^ ((((y - rect.y) / 5) as u64) << 20),
-                );
-                let stripe = if ((x - rect.x) / 5 + (y - rect.y) / 5).is_multiple_of(2) {
-                    25
-                } else {
-                    0
-                };
-                let v = obj.base_luma as i32 + stripe + (local % 14) as i32 - 7;
-                yplane[row + x as usize] = v.clamp(0, 255) as u8;
-            }
-        }
-        // Chroma: flat per-object colour.
-        let crect = Rect::new(
-            rect.x / 2,
-            rect.y / 2,
-            rect.w.div_ceil(2),
-            rect.h.div_ceil(2),
-        );
-        let cw = (w / 2) as usize;
-        let uplane = frame.plane_mut(Plane::U);
-        for y in crect.y..crect.bottom() {
-            let row = y as usize * cw;
-            uplane[row + crect.x as usize..row + crect.right() as usize].fill(obj.chroma_u);
-        }
-        let vplane = frame.plane_mut(Plane::V);
-        for y in crect.y..crect.bottom() {
-            let row = y as usize * cw;
-            vplane[row + crect.x as usize..row + crect.right() as usize].fill(obj.chroma_v);
-        }
+    let crect = Rect::new(
+        rect.x / 2,
+        rect.y / 2,
+        rect.w.div_ceil(2),
+        rect.h.div_ceil(2),
+    );
+    let cw = w / 2;
+    let uplane = frame.plane_mut(Plane::U);
+    for y in crect.y..crect.bottom() {
+        let row = y as usize * cw;
+        uplane[row + crect.x as usize..row + crect.right() as usize].fill(obj.chroma_u);
+    }
+    let vplane = frame.plane_mut(Plane::V);
+    for y in crect.y..crect.bottom() {
+        let row = y as usize * cw;
+        vplane[row + crect.x as usize..row + crect.right() as usize].fill(obj.chroma_v);
     }
 }
 
@@ -445,11 +581,10 @@ impl FrameSource for SyntheticVideo {
 
     fn frame(&self, idx: u32) -> Frame {
         assert!(idx < self.spec.frames, "frame {idx} out of range");
-        let mut f = Frame::black(self.spec.width, self.spec.height);
-        self.render_background(&mut f, idx);
+        let mut f = self.background(idx);
         for obj in &self.objects {
             if let Some(rect) = obj.bbox(idx, self.spec.width, self.spec.height) {
-                self.render_object(&mut f, obj, rect);
+                render_object(&mut f, obj, rect);
             }
         }
         f
@@ -583,5 +718,78 @@ mod tests {
             width: 100,
             ..SceneSpec::test_scene()
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "multiples of 16")]
+    fn zero_width_rejected_before_object_placement() {
+        let _ = SyntheticVideo::new(SceneSpec {
+            width: 0,
+            ..SceneSpec::test_scene()
+        });
+    }
+
+    #[test]
+    fn validate_names_what_cannot_be_rendered() {
+        let ok = SceneSpec::test_scene();
+        assert_eq!(ok.validate(), Ok(()));
+        let dims = |width, height| SceneError::Dimensions { width, height };
+        for (width, height) in [(0, 96), (128, 0), (0, 0), (100, 96), (128, 8)] {
+            let spec = SceneSpec {
+                width,
+                height,
+                ..ok.clone()
+            };
+            assert_eq!(spec.validate(), Err(dims(width, height)));
+        }
+        let no_frames = SceneSpec {
+            frames: 0,
+            ..ok.clone()
+        };
+        assert_eq!(no_frames.validate(), Err(SceneError::NoFrames));
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let pan = SceneSpec {
+                camera_pan: value,
+                ..ok.clone()
+            };
+            let scale = SceneSpec {
+                size_scale: value,
+                ..ok.clone()
+            };
+            for (spec, field) in [(pan, "camera_pan"), (scale, "size_scale")] {
+                match spec.validate() {
+                    Err(SceneError::NotFinite { field: f, value: v }) => {
+                        assert_eq!(f, field);
+                        assert_eq!(v.to_bits(), value.to_bits());
+                    }
+                    other => panic!("{field} = {value}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// A frame's pan saturates at `i64::MAX` pixels, and adding a column to
+    /// it overflowed (a panic in debug builds). It is now reduced modulo
+    /// the textures' periods first, so the frame equals that of the
+    /// smallest non-negative pan with the same luma and chroma phase,
+    /// `pan mod (2 · 33 · 65)`.
+    #[test]
+    fn huge_camera_pan_renders_without_overflow() {
+        for (camera_pan, saturated) in [
+            (1e19, i64::MAX),
+            (1e300, i64::MAX),
+            (f64::MAX, i64::MAX),
+            (-1e300, i64::MIN),
+        ] {
+            let huge = SyntheticVideo::new(SceneSpec {
+                camera_pan,
+                ..SceneSpec::test_scene()
+            });
+            let small = SyntheticVideo::new(SceneSpec {
+                camera_pan: saturated.rem_euclid(2 * 33 * 65) as f64,
+                ..SceneSpec::test_scene()
+            });
+            assert!(huge.frame(1) == small.frame(1), "camera_pan {camera_pan}");
+        }
     }
 }
