@@ -10,31 +10,21 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
-use tasm_bench::{micro_partition, BenchDir};
+use tasm_bench::micro_partition;
 use tasm_client::Connection;
 use tasm_core::{Granularity, LabelPredicate, Query, StorageConfig, Tasm, TasmConfig};
-use tasm_data::{SceneSpec, SyntheticVideo};
+use tasm_data::SyntheticVideo;
 use tasm_index::MemoryIndex;
 use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::ServiceConfig;
-use tasm_video::FrameSource;
+use tasm_suite::{index_ground_truth, ingest, scene, TempDir};
 
 const FRAMES: u32 = 60;
-
-fn scene() -> SyntheticVideo {
-    SyntheticVideo::new(SceneSpec {
-        width: 256,
-        height: 160,
-        frames: FRAMES,
-        seed: 23,
-        ..SceneSpec::test_scene()
-    })
-}
 
 /// The scene ingested and tiled around cars in `dir`, then reopened: a
 /// fresh `Tasm` with the index populated from ground truth and a cold
 /// decoded-GOP cache large enough to hold the whole video.
-fn warm_tasm(dir: &BenchDir, video: &SyntheticVideo) -> Arc<Tasm> {
+fn warm_tasm(dir: &TempDir, video: &SyntheticVideo) -> Arc<Tasm> {
     let cfg = TasmConfig {
         storage: StorageConfig {
             gop_len: 10,
@@ -48,31 +38,22 @@ fn warm_tasm(dir: &BenchDir, video: &SyntheticVideo) -> Arc<Tasm> {
     };
     let open =
         || Tasm::open(dir.path(), Box::new(MemoryIndex::in_memory()), cfg.clone()).expect("open");
-    let populate = |tasm: &Tasm| {
-        for f in 0..video.len() {
-            for (l, b) in video.ground_truth(f) {
-                tasm.add_metadata("v", l, f, b).expect("metadata");
-            }
-            tasm.mark_processed("v", f).expect("mark");
-        }
-    };
     let prepared = open();
-    prepared.ingest("v", video, 30).expect("ingest");
-    populate(&prepared);
+    ingest(&prepared, "v", video);
     prepared
         .kqko_retile_all("v", &["car".to_string()])
         .expect("pre-tile");
     drop(prepared);
     let tasm = open();
     tasm.attach("v").expect("attach");
-    populate(&tasm);
+    index_ground_truth(&tasm, "v", video);
     Arc::new(tasm)
 }
 
 /// One connection streaming a 40-region answer out of a warm cache.
 fn stream_bench(c: &mut Criterion) {
-    let video = scene();
-    let dir = BenchDir::new("remote");
+    let video = scene(256, 160, FRAMES, 23);
+    let dir = TempDir::new("bench-remote");
     let server = TasmServer::bind(
         warm_tasm(&dir, &video),
         ServiceConfig {

@@ -7,9 +7,9 @@
 //! the tile count is paying per tile (files, fsyncs), not per byte.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tasm_bench::BenchDir;
 use tasm_codec::{EncodedFrame, TileCodec, TileLayout, TileVideo};
 use tasm_core::{SotEntry, StorageConfig, VideoManifest, VideoStore};
+use tasm_suite::TempDir;
 
 const FRAMES: u32 = 30;
 const TOTAL_PAYLOAD: usize = 1_500_000;
@@ -61,7 +61,7 @@ fn retile_commit_benches(c: &mut Criterion) {
                 tile_codecs: vec![TileCodec::Dct.id(); count],
             }],
         };
-        let dir = BenchDir::new(&format!("retile-commit-{count}"));
+        let dir = TempDir::new(&format!("bench-retile-commit-{count}"));
         let store = VideoStore::open(dir.path()).expect("open");
         store
             .install_video(&manifest, std::slice::from_ref(&tiles))

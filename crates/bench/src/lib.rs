@@ -12,13 +12,14 @@
 //! reproduction target, not absolute GPU-decode milliseconds.
 
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use tasm_codec::TileLayout;
 use tasm_core::{
     Granularity, LabelPredicate, PartitionConfig, StorageConfig, Tasm, TasmConfig, WorkSample,
 };
 use tasm_data::{Dataset, SyntheticVideo};
 use tasm_index::MemoryIndex;
+use tasm_suite::TempDir;
 use tasm_video::FrameSource;
 
 pub mod stats;
@@ -43,29 +44,6 @@ pub fn scaled_secs(base: u32) -> u32 {
 /// Scaled count (at least 1).
 pub fn scaled_count(base: usize) -> usize {
     ((base as f64 * scale()).round() as usize).max(1)
-}
-
-/// A store directory under the system temp dir, removed when dropped.
-pub struct BenchDir(PathBuf);
-
-impl BenchDir {
-    /// The directory for `tag`, cleared of whatever a killed run left there.
-    pub fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("tasm-bench-{tag}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        BenchDir(dir)
-    }
-
-    /// The directory's path.
-    pub fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for BenchDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
 }
 
 /// Directory where experiment outputs (JSON) are written.
@@ -113,7 +91,7 @@ pub struct BenchVideo {
     pub name: String,
     /// Declared after `tasm`, so the store has closed before its directory
     /// is removed.
-    _dir: BenchDir,
+    _dir: TempDir,
 }
 
 impl BenchVideo {
@@ -136,7 +114,7 @@ impl BenchVideo {
         storage: StorageConfig,
         mut layout_for: impl FnMut(&SyntheticVideo, Range<u32>) -> Option<TileLayout>,
     ) -> Self {
-        let dir = BenchDir::new(tag);
+        let dir = TempDir::new(&format!("bench-{tag}"));
         let cfg = TasmConfig {
             storage,
             workers: 1,
@@ -162,14 +140,7 @@ impl BenchVideo {
     /// Indexes every frame's ground-truth boxes, as a detector run over the
     /// whole video would.
     pub fn index_ground_truth(&self) {
-        for f in 0..self.video.len() {
-            for (label, bbox) in self.video.ground_truth(f) {
-                self.tasm
-                    .add_metadata(&self.name, label, f, bbox)
-                    .expect("metadata");
-            }
-            self.tasm.mark_processed(&self.name, f).expect("mark");
-        }
+        tasm_suite::index_ground_truth(&self.tasm, &self.name, &self.video);
     }
 
     /// Re-tiles every SOT with the layout produced by `layout_for`

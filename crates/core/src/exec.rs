@@ -232,7 +232,7 @@ struct CacheInner {
 ///
 /// The budget holds after every store. Over it, the least-recently used
 /// entry is *trimmed*: it loses tail frames, just enough to fit, and is
-/// dropped only when no frame is left (see [`DecodedTileCache::store`]).
+/// dropped only when no frame is left (see `DecodedTileCache::store`).
 /// A trimmed GOP is still a miss for a lookup needing the whole GOP, so
 /// trimming turns no miss into a hit; it makes the miss cheaper, which
 /// re-decodes only the frames trimmed away.

@@ -149,7 +149,7 @@ pub use pool::{BufferPool, CanvasPool};
 pub use query::{Query, QueryMode};
 pub use runner::{run_workload, QueryRecord, RunQuery, Strategy, TruthFn, WorkloadReport};
 pub use scan::{
-    recycle_canvases, scan, scan_prepared, LabelPredicate, RegionPixels, ScanError, ScanResult,
+    recycle_canvases, scan_prepared, LabelPredicate, RegionPixels, ScanError, ScanResult,
 };
 pub use storage::{
     RetileStats, RetiredEpoch, SotEntry, StorageConfig, StoreError, VideoManifest, VideoStore,

@@ -22,7 +22,7 @@
 //!
 //! The planner turns a [`Query`] into a pruned per-`(SOT, tile, GOP)`
 //! decode plan executed by the [`crate::exec`] pipeline, and reports what
-//! it cut in [`exec::PlanStats`] (`tiles_pruned`, `gops_skipped`,
+//! it cut in [`crate::exec::PlanStats`] (`tiles_pruned`, `gops_skipped`,
 //! `frames_sampled`). Plan statistics are computed from the index alone, so
 //! they are identical whether the planned GOPs are decoded, served from the
 //! decoded-GOP cache, or joined from a concurrent query's in-flight decode
@@ -36,15 +36,15 @@
 //! and filtering its output post-hoc (keep regions whose rectangle
 //! intersects the ROI, whose frame lies on the stride, and that belong to
 //! the first `k` matching frames). This holds at any worker count, any
-//! cache state, and across concurrent re-tiles; `tests/concurrent_scan.rs`
-//! and `tests/query_planner.rs` assert it, including by property test.
+//! cache state, and across concurrent re-tiles; `tests/contract.rs`
+//! asserts it on every query path.
 
-use crate::exec::{self, TileDecodeRequest};
+use crate::exec::TileDecodeRequest;
 use crate::scan::{align_out, gop_count, reassemble, LabelPredicate, ScanError, ScanResult};
 use crate::storage::{VideoManifest, VideoStore};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tasm_index::SpatialGrid;
 use tasm_video::Rect;
 
@@ -366,16 +366,7 @@ pub(crate) fn query_prepared(
     }
 
     // --- Execute: same fan-out pipeline as scan --------------------------
-    let t1 = Instant::now();
-    let (decoded, stats, cache, shared) =
-        exec::execute(store, manifest, &requests).map_err(ScanError::Store)?;
-    result.exec_time = t1.elapsed();
-    result.stats += stats;
-    result.cache += cache;
-    result.shared += shared;
-    result.work.pixels += stats.samples_decoded;
-    result.work.tile_chunks += stats.tile_chunks_decoded;
-
+    let decoded = result.execute(store, manifest, &requests)?;
     result.regions = reassemble(store.canvases(), manifest, &regions, sot_order, &decoded);
     Ok(result)
 }
@@ -530,7 +521,6 @@ mod tests {
         assert_eq!(gop_count(&(3..3), 5), 0);
     }
 
-    // End-to-end planner tests (pruning counters, bit-identity with
-    // post-filtered scans, cache-state consistency) live in
-    // tests/query_planner.rs and tests/concurrent_scan.rs.
+    // Pruning counters are checked end to end in tests/query_planner.rs,
+    // bit-identity with post-filtered scans in tests/contract.rs.
 }

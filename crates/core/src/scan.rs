@@ -172,28 +172,32 @@ impl ScanResult {
     pub fn seconds(&self) -> f64 {
         self.lookup_time.as_secs_f64() + self.exec_time.as_secs_f64()
     }
+
+    /// Runs `requests` through the exec pipeline and adds what they cost —
+    /// wall time, decode work, cache and shared-scan accounting — to this
+    /// result: the tail [`scan_prepared`] and the query planner share.
+    pub(crate) fn execute(
+        &mut self,
+        store: &VideoStore,
+        manifest: &VideoManifest,
+        requests: &[TileDecodeRequest],
+    ) -> Result<Vec<DecodedTile>, ScanError> {
+        let t1 = Instant::now();
+        let (decoded, stats, cache, shared) =
+            exec::execute(store, manifest, requests).map_err(ScanError::Store)?;
+        self.exec_time = t1.elapsed();
+        self.stats += stats;
+        self.cache += cache;
+        self.shared += shared;
+        self.work.pixels += stats.samples_decoded;
+        self.work.tile_chunks += stats.tile_chunks_decoded;
+        Ok(decoded)
+    }
 }
 
-/// Executes `Scan(video, predicate, frames)` against stored tiles.
-pub fn scan(
-    store: &VideoStore,
-    manifest: &VideoManifest,
-    index: &mut dyn SemanticIndex,
-    video_id: u32,
-    predicate: &LabelPredicate,
-    frames: Range<u32>,
-) -> Result<ScanResult, ScanError> {
-    let t0 = Instant::now();
-    let frames = frames.start..frames.end.min(manifest.frame_count);
-    let regions = predicate
-        .target_regions(index, video_id, frames.clone())
-        .map_err(ScanError::Index)?;
-    scan_prepared(store, manifest, regions, frames, t0.elapsed())
-}
-
-/// The decode half of [`scan`]: executes against already-resolved target
-/// regions. Split out so callers (notably [`crate::Tasm::scan`]) can release
-/// the semantic-index lock after the lookup phase — decode work then runs
+/// The decode half of [`crate::Tasm::scan`]: executes against
+/// already-resolved target regions, so the caller can release the
+/// semantic-index lock after the lookup phase — decode work then runs
 /// without serializing concurrent queries on the index.
 pub fn scan_prepared(
     store: &VideoStore,
@@ -247,15 +251,7 @@ pub fn scan_prepared(
     }
 
     // --- Execution: fan the requests out across the store's workers ---
-    let t1 = Instant::now();
-    let (decoded, stats, cache, shared) =
-        exec::execute(store, manifest, &requests).map_err(ScanError::Store)?;
-    result.exec_time = t1.elapsed();
-    result.stats += stats;
-    result.cache += cache;
-    result.shared += shared;
-    result.work.pixels += stats.samples_decoded;
-    result.work.tile_chunks += stats.tile_chunks_decoded;
+    let decoded = result.execute(store, manifest, &requests)?;
     result.regions = reassemble(store.canvases(), manifest, &regions, sot_plans, &decoded);
     result.matched = result.regions.len() as u64;
     Ok(result)

@@ -64,7 +64,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tasm_codec::{
     encode_video, ContainerError, ContainerHeader, DecodeStats, EncodeStats, EncoderConfig,
-    LayoutError, StitchError, TileLayout, TileVideo,
+    LayoutError, TileLayout, TileVideo,
 };
 use tasm_video::{Frame, FrameSource, SliceSource, VecFrameSource};
 
@@ -79,8 +79,6 @@ pub enum StoreError {
     Container(ContainerError),
     /// Invalid layout for this video.
     Layout(LayoutError),
-    /// Stitching failure during retile.
-    Stitch(StitchError),
     /// Caller referenced a video/SOT/tile that does not exist.
     NotFound(String),
     /// A video name that cannot be a directory name under the store root:
@@ -97,7 +95,6 @@ impl std::fmt::Display for StoreError {
             StoreError::Manifest(e) => write!(f, "manifest error: {e}"),
             StoreError::Container(e) => write!(f, "container error: {e}"),
             StoreError::Layout(e) => write!(f, "layout error: {e}"),
-            StoreError::Stitch(e) => write!(f, "stitch error: {e}"),
             StoreError::NotFound(what) => write!(f, "not found: {what}"),
             StoreError::InvalidName(name) => write!(f, "invalid video name {name:?}"),
             StoreError::InvalidConfig(why) => write!(f, "invalid storage config: {why}"),
@@ -128,12 +125,6 @@ impl From<ContainerError> for StoreError {
 impl From<LayoutError> for StoreError {
     fn from(e: LayoutError) -> Self {
         StoreError::Layout(e)
-    }
-}
-
-impl From<StitchError> for StoreError {
-    fn from(e: StitchError) -> Self {
-        StoreError::Stitch(e)
     }
 }
 

@@ -2,51 +2,27 @@
 //! error propagation, shutdown.
 
 use std::sync::Arc;
-use tasm_core::{LabelPredicate, PartitionConfig, StorageConfig, Tasm, TasmConfig};
-use tasm_data::{SceneSpec, SyntheticVideo};
+use tasm_core::{LabelPredicate, Tasm, TasmConfig};
+use tasm_data::SyntheticVideo;
 use tasm_index::MemoryIndex;
 use tasm_service::{
     QueryRequest, QueryService, RetilePolicy, ServiceConfig, ServiceError, Shutdown,
 };
-use tasm_video::FrameSource;
+use tasm_suite::{config, ingest, TempDir, TestStore};
 
-fn tasm(tag: &str) -> Arc<Tasm> {
-    let dir = std::env::temp_dir().join(format!("tasm-svc-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let cfg = TasmConfig {
-        storage: StorageConfig {
-            gop_len: 10,
-            sot_frames: 10,
-            ..Default::default()
-        },
-        partition: PartitionConfig {
-            min_tile_width: 32,
-            min_tile_height: 32,
-            ..Default::default()
-        },
-        workers: 1,
-        cache_bytes: 32 << 20,
-        ..Default::default()
-    };
-    Arc::new(Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap())
+fn scene(frames: u32) -> SyntheticVideo {
+    tasm_suite::scene(192, 128, frames, 11)
 }
 
-fn ingest(tasm: &Tasm, frames: u32) -> SyntheticVideo {
-    let video = SyntheticVideo::new(SceneSpec {
-        width: 192,
-        height: 128,
-        frames,
-        seed: 11,
-        ..SceneSpec::test_scene()
-    });
-    tasm.ingest("v", &video, 30).unwrap();
-    for f in 0..video.len() {
-        for (l, b) in video.ground_truth(f) {
-            tasm.add_metadata("v", l, f, b).unwrap();
-        }
-        tasm.mark_processed("v", f).unwrap();
-    }
-    video
+/// The scene, `frames` long, ingested into a store of its own.
+fn store(tag: &str, frames: u32) -> TestStore {
+    let cfg = TasmConfig {
+        cache_bytes: 32 << 20,
+        ..config()
+    };
+    let tasm = TestStore::open(&format!("svc-{tag}"), cfg);
+    ingest(&tasm, "v", &scene(frames));
+    tasm
 }
 
 fn request(frames: std::ops::Range<u32>) -> QueryRequest {
@@ -55,8 +31,7 @@ fn request(frames: std::ops::Range<u32>) -> QueryRequest {
 
 #[test]
 fn completes_queries_and_reports_stats() {
-    let tasm = tasm("basic");
-    ingest(&tasm, 20);
+    let tasm = store("basic", 20);
     let service = QueryService::start(
         Arc::clone(&tasm),
         ServiceConfig {
@@ -86,8 +61,7 @@ fn completes_queries_and_reports_stats() {
 
 #[test]
 fn unknown_video_fails_the_query_not_the_service() {
-    let tasm = tasm("unknown");
-    ingest(&tasm, 10);
+    let tasm = store("unknown", 10);
     let service = QueryService::start(Arc::clone(&tasm), ServiceConfig::default());
     let bad = service
         .submit(QueryRequest::scan(
@@ -107,8 +81,7 @@ fn unknown_video_fails_the_query_not_the_service() {
 
 #[test]
 fn try_submit_reports_backpressure() {
-    let tasm = tasm("full");
-    ingest(&tasm, 10);
+    let tasm = store("full", 10);
     // One worker, tiny queue: flood it and expect QueueFull eventually.
     let service = QueryService::start(
         Arc::clone(&tasm),
@@ -139,8 +112,7 @@ fn try_submit_reports_backpressure() {
 
 #[test]
 fn completed_queries_populate_the_latency_histogram() {
-    let tasm = tasm("latency");
-    ingest(&tasm, 10);
+    let tasm = store("latency", 10);
     let service = QueryService::start(
         Arc::clone(&tasm),
         ServiceConfig {
@@ -166,8 +138,7 @@ fn completed_queries_populate_the_latency_histogram() {
 
 #[test]
 fn abort_abandons_queued_queries_with_typed_errors() {
-    let tasm = tasm("abort");
-    ingest(&tasm, 20);
+    let tasm = store("abort", 20);
     // One worker and a deep queue: flood it, then abort while most queries
     // are still queued.
     let service = QueryService::start(
@@ -206,8 +177,7 @@ fn abort_abandons_queued_queries_with_typed_errors() {
 
 #[test]
 fn retile_daemon_retiles_in_background() {
-    let tasm = tasm("daemon");
-    ingest(&tasm, 20);
+    let tasm = store("daemon", 20);
     let service = QueryService::start(
         Arc::clone(&tasm),
         ServiceConfig {
@@ -248,32 +218,19 @@ fn daemon_crash_is_contained_and_shutdown_drains() {
     // shutdown must still drain cleanly — no hang, no panic, accurate
     // accounting. Recovery of the on-disk state is covered by
     // tests/crash_recovery.rs; this test pins the *service* behavior.
-    let dir = std::env::temp_dir().join(format!("tasm-svc-crash-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = TempDir::new("svc-crash");
     let fault = FaultIo::new();
     let cfg = TasmConfig {
-        storage: StorageConfig {
-            gop_len: 10,
-            sot_frames: 10,
-            ..Default::default()
-        },
-        partition: PartitionConfig {
-            min_tile_width: 32,
-            min_tile_height: 32,
-            ..Default::default()
-        },
         eta: 0.01, // re-tile almost immediately
-        workers: 1,
         // No decoded-GOP cache: every scan must touch the (dead) disk, so
         // post-crash queries demonstrably fail typed instead of being
         // silently served from warm cache entries.
         cache_bytes: 0,
-        ..Default::default()
+        ..config()
     };
-    let tasm = Arc::new(
-        Tasm::open_with_io(&dir, Box::new(MemoryIndex::in_memory()), cfg, fault.clone()).unwrap(),
-    );
-    ingest(&tasm, 20);
+    let index = Box::new(MemoryIndex::in_memory());
+    let tasm = Arc::new(Tasm::open_with_io(dir.path(), index, cfg, fault.clone()).unwrap());
+    ingest(&tasm, "v", &scene(20));
 
     let service = QueryService::start(
         Arc::clone(&tasm),
@@ -312,5 +269,4 @@ fn daemon_crash_is_contained_and_shutdown_drains() {
         "the failed re-tile is counted"
     );
     assert!(report.stats.failed > 0, "post-crash queries fail typed");
-    std::fs::remove_dir_all(&dir).ok();
 }

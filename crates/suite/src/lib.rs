@@ -1,19 +1,117 @@
 //! Workspace glue crate: hosts the repository-level examples (`/examples`)
-//! and cross-crate integration tests (`/tests`), plus the small helpers
-//! they share. See the `tasm-core` crate for the library itself.
+//! and cross-crate integration tests (`/tests`), plus the fixture they
+//! share: the test scene, stores whose directories go when they drop,
+//! ingest with ground-truth detections, and the reference semantics a query
+//! is checked against. See the `tasm-core` crate for the library itself.
 
-use tasm_core::{Query, RegionPixels, ScanResult};
-use tasm_video::Plane;
+use std::borrow::Borrow;
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use tasm_core::{Query, RegionPixels, ScanResult, Tasm, TasmConfig};
+use tasm_data::{SceneSpec, SyntheticVideo};
+use tasm_index::MemoryIndex;
+use tasm_video::{FrameSource, Plane};
 
-/// Applies a [`Query`]'s spatial and temporal predicates to the *output* of
-/// an unpruned scan: keep regions whose rectangle intersects the ROI, whose
-/// frame lies on the sampling stride (anchored at `window_start`), and that
-/// belong to the first `limit` matching frames.
-///
-/// This is the reference semantics the planner must reproduce: for any
-/// query, `Tasm::query` must return exactly these regions, bit for bit,
-/// while decoding only the pruned plan. The integration tests compare the
-/// two on every axis (worker count, cache state, concurrent re-tiling).
+/// A directory under the system temp dir, created empty and removed when
+/// dropped. Whatever writes into it must close first: a store holds it in a
+/// field declared after its `Tasm`, a test binds it before its stores.
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// `tasm-<tag>-<pid>`, cleared of whatever a killed run left there.
+    pub fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("tasm-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("create a temp dir");
+        TempDir(dir)
+    }
+
+    /// The directory's path.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+/// A [`Tasm`] over an in-memory index, alone in a [`TempDir`].
+pub struct TestStore {
+    pub tasm: Arc<Tasm>,
+    /// Declared after `tasm`, so the store has closed before its directory
+    /// is removed.
+    pub dir: TempDir,
+}
+
+impl TestStore {
+    /// Opens an empty store under `cfg`.
+    pub fn open(tag: &str, cfg: TasmConfig) -> Self {
+        let dir = TempDir::new(tag);
+        let index = Box::new(MemoryIndex::in_memory());
+        let tasm = Arc::new(Tasm::open(dir.path(), index, cfg).expect("open a test store"));
+        TestStore { tasm, dir }
+    }
+}
+
+impl Deref for TestStore {
+    type Target = Arc<Tasm>;
+
+    fn deref(&self) -> &Arc<Tasm> {
+        &self.tasm
+    }
+}
+
+/// The test scene's cars and people, `width`×`height`, `frames` long.
+pub fn scene(width: u32, height: u32, frames: u32, seed: u64) -> SyntheticVideo {
+    SyntheticVideo::new(SceneSpec {
+        width,
+        height,
+        frames,
+        seed,
+        ..SceneSpec::test_scene()
+    })
+}
+
+/// What most tests open a store with: GOPs and SOTs of 10 frames, tiles of
+/// at least 32×32, one decode worker and a 64 MiB decoded-GOP cache.
+pub fn config() -> TasmConfig {
+    let mut cfg = TasmConfig {
+        workers: 1,
+        cache_bytes: 64 << 20,
+        ..Default::default()
+    };
+    (cfg.storage.gop_len, cfg.storage.sot_frames) = (10, 10);
+    (cfg.partition.min_tile_width, cfg.partition.min_tile_height) = (32, 32);
+    cfg
+}
+
+/// Ingests `video` untiled as `name` and indexes its ground truth.
+pub fn ingest(tasm: &Tasm, name: &str, video: &SyntheticVideo) {
+    tasm.ingest(name, video, 30).expect("ingest");
+    index_ground_truth(tasm, name, video);
+}
+
+/// Indexes every frame's ground-truth boxes and marks the frame
+/// processed, as a detector run over the whole video would.
+pub fn index_ground_truth(tasm: &Tasm, name: &str, video: &SyntheticVideo) {
+    for f in 0..video.len() {
+        for (label, bbox) in video.ground_truth(f) {
+            tasm.add_metadata(name, label, f, bbox)
+                .expect("add metadata");
+        }
+        tasm.mark_processed(name, f).expect("mark processed");
+    }
+}
+
+/// Applies a [`Query`]'s window, ROI, stride (anchored at `window_start`)
+/// and limit to the *output* of an unpruned scan: the reference semantics
+/// the planner must reproduce. For any query, `Tasm::query` must return
+/// exactly these regions, bit for bit, while decoding only the pruned plan;
+/// `tests/contract.rs` holds every query path to it.
 pub fn post_filter<'a>(
     scan: &'a ScanResult,
     query: &Query,
@@ -23,6 +121,7 @@ pub fn post_filter<'a>(
     let mut out: Vec<&RegionPixels> = scan
         .regions
         .iter()
+        .filter(|r| query.frame_range().contains(&r.frame))
         .filter(|r| match query.roi_rect() {
             Some(roi) => r.rect.intersects(&roi),
             None => true,
@@ -39,34 +138,44 @@ pub fn post_filter<'a>(
     out
 }
 
-/// True when two region lists are bit-identical: same length, and every
-/// region agrees on frame, rectangle, and every pixel of every plane. The
-/// single definition of region equality the integration tests build on.
-pub fn regions_identical(expected: &[&RegionPixels], got: &[RegionPixels]) -> bool {
-    expected.len() == got.len()
-        && expected.iter().zip(got).all(|(e, g)| {
-            e.frame == g.frame
-                && e.rect == g.rect
-                && Plane::ALL
-                    .iter()
-                    .all(|&p| e.pixels.plane(p) == g.pixels.plane(p))
-        })
+/// The first difference between two region lists — count, frame, rectangle
+/// or a plane's pixels — or `None` when they are bit-identical. The single
+/// definition of region equality the integration tests build on.
+pub fn region_diff<E: Borrow<RegionPixels>>(
+    expected: &[E],
+    got: &[RegionPixels],
+) -> Option<String> {
+    let (n, want) = (got.len(), expected.len());
+    if n != want {
+        return Some(format!("{n} regions, expected {want}"));
+    }
+    expected.iter().zip(got).find_map(|(e, g)| {
+        let e = e.borrow();
+        if (e.frame, e.rect) != (g.frame, g.rect) {
+            return Some(format!(
+                "frame {} {:?}, expected frame {} {:?}",
+                g.frame, g.rect, e.frame, e.rect
+            ));
+        }
+        let plane = Plane::ALL
+            .into_iter()
+            .find(|&p| e.pixels.plane(p) != g.pixels.plane(p));
+        plane.map(|p| format!("pixels of frame {} plane {p:?}", e.frame))
+    })
 }
 
-/// Asserts [`regions_identical`], reporting the first divergence (frame,
-/// rect, or plane) with a context string for failures.
-pub fn assert_regions_identical(expected: &[&RegionPixels], got: &[RegionPixels], what: &str) {
-    assert_eq!(expected.len(), got.len(), "{what}: region count");
-    for (e, g) in expected.iter().zip(got) {
-        assert_eq!(e.frame, g.frame, "{what}: frame order");
-        assert_eq!(e.rect, g.rect, "{what}: rects");
-        for plane in Plane::ALL {
-            assert_eq!(
-                e.pixels.plane(plane),
-                g.pixels.plane(plane),
-                "{what}: pixels of frame {} plane {plane:?}",
-                e.frame
-            );
-        }
+/// True when [`region_diff`] finds no difference.
+pub fn regions_identical<E: Borrow<RegionPixels>>(expected: &[E], got: &[RegionPixels]) -> bool {
+    region_diff(expected, got).is_none()
+}
+
+/// Asserts [`regions_identical`], naming the first difference and `what`.
+pub fn assert_regions_identical<E: Borrow<RegionPixels>>(
+    expected: &[E],
+    got: &[RegionPixels],
+    what: &str,
+) {
+    if let Some(diff) = region_diff(expected, got) {
+        panic!("{what}: {diff}");
     }
 }

@@ -27,16 +27,13 @@ use std::time::{Duration, Instant};
 
 use tasm_client::Connection;
 use tasm_cluster::{NodeInfo, Router, RouterConfig, ShardMap};
-use tasm_core::{
-    LabelPredicate, PartitionConfig, Query, QueryMode, StorageConfig, Tasm, TasmConfig,
-};
-use tasm_data::{SceneSpec, SyntheticVideo};
+use tasm_core::{LabelPredicate, Query, QueryMode, StorageConfig, Tasm, TasmConfig};
 use tasm_index::MemoryIndex;
 use tasm_proto::ReplicationRecord;
 use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::{RetileHook, RetilePolicy, ServiceConfig};
-use tasm_suite::regions_identical;
-use tasm_video::{FrameSource, Rect};
+use tasm_suite::{config, ingest, regions_identical, scene, TempDir};
+use tasm_video::Rect;
 
 const FRAMES: u32 = 60;
 
@@ -44,72 +41,16 @@ const CHILD_STORE_ENV: &str = "TASM_CLUSTER_CHILD_STORE";
 const CHILD_BACKUP_ENV: &str = "TASM_CLUSTER_CHILD_BACKUP";
 const CHILD_ADDR_FILE_ENV: &str = "TASM_CLUSTER_CHILD_ADDR_FILE";
 
-/// [`regions_identical`] over two owned region lists.
-fn regions_match(a: &[tasm_core::RegionPixels], b: &[tasm_core::RegionPixels]) -> bool {
-    let refs: Vec<_> = a.iter().collect();
-    regions_identical(&refs, b)
-}
-
-fn scene() -> SyntheticVideo {
-    SyntheticVideo::new(SceneSpec {
-        width: 256,
-        height: 160,
-        frames: FRAMES,
-        seed: 47,
-        ..SceneSpec::test_scene()
-    })
-}
-
 /// One SOT spanning the whole video and a hair-trigger regret threshold:
 /// exactly two layout epochs, with the re-tile landing mid-workload (the
 /// same tuning `remote_query.rs` uses for its epoch-exactness test). Twin,
 /// primary, and backup must share this config bit for bit — the re-tile's
 /// encode is deterministic given the config and the observed layout.
 fn tuned_cfg() -> TasmConfig {
-    TasmConfig {
-        storage: StorageConfig {
-            gop_len: 10,
-            sot_frames: FRAMES,
-            ..Default::default()
-        },
-        partition: PartitionConfig {
-            min_tile_width: 32,
-            min_tile_height: 32,
-            ..Default::default()
-        },
-        workers: 1,
-        cache_bytes: 64 << 20,
-        eta: 0.05,
-        ..Default::default()
-    }
-}
-
-/// The rebalance test's config: standard SOT granularity, no regret tuning
-/// (it runs with the daemon off — one layout epoch, one reference).
-fn plain_cfg() -> TasmConfig {
-    TasmConfig {
-        storage: StorageConfig {
-            gop_len: 10,
-            sot_frames: 10,
-            ..Default::default()
-        },
-        partition: PartitionConfig {
-            min_tile_width: 32,
-            min_tile_height: 32,
-            ..Default::default()
-        },
-        workers: 1,
-        cache_bytes: 64 << 20,
-        ..Default::default()
-    }
-}
-
-/// A fresh scratch directory for one test.
-fn base_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tasm-cluster-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    let mut cfg = config();
+    cfg.storage.sot_frames = FRAMES;
+    cfg.eta = 0.05;
+    cfg
 }
 
 /// Opens a disk-backed store (tiered index) the way the CLI lays one out,
@@ -121,16 +62,6 @@ fn open_store(dir: &Path, cfg: TasmConfig) -> Arc<Tasm> {
 /// An ephemeral in-process store (memory index).
 fn open_mem(dir: PathBuf, cfg: TasmConfig) -> Arc<Tasm> {
     Arc::new(Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap())
-}
-
-fn ingest(tasm: &Tasm, video: &SyntheticVideo) {
-    tasm.ingest("v", video, 30).unwrap();
-    for f in 0..video.len() {
-        for (l, b) in video.ground_truth(f) {
-            tasm.add_metadata("v", l, f, b).unwrap();
-        }
-        tasm.mark_processed("v", f).unwrap();
-    }
 }
 
 /// All-car query mix (windows/ROI/stride/limit vary): with one SOT and one
@@ -211,11 +142,11 @@ fn child_shard_server() {
 /// `retile_ops` flatline through the router.
 #[test]
 fn replication_hook_acks_the_delta_of_a_live_retile() {
-    let video = scene();
-    let base = base_dir("hook-delta");
-    let primary = open_store(&base.join("primary"), tuned_cfg());
-    ingest(&primary, &video);
-    let backup_tasm = open_store(&base.join("backup"), tuned_cfg());
+    let video = scene(256, 160, FRAMES, 47);
+    let base = TempDir::new("cluster-hook-delta");
+    let primary = open_store(&base.path().join("primary"), tuned_cfg());
+    ingest(&primary, "v", &video);
+    let backup_tasm = open_store(&base.path().join("backup"), tuned_cfg());
     let backup = TasmServer::bind(
         Arc::clone(&backup_tasm),
         ServiceConfig {
@@ -268,7 +199,7 @@ fn replication_hook_acks_the_delta_of_a_live_retile() {
         let remote = conn.query("v", q).expect("backup query");
         assert_eq!(remote.matched, local.matched, "query {qi}: matched");
         assert!(
-            regions_match(&local.regions, &remote.regions),
+            regions_identical(&local.regions, &remote.regions),
             "query {qi}: backup bytes diverge from the primary"
         );
     }
@@ -281,11 +212,11 @@ fn replication_hook_acks_the_delta_of_a_live_retile() {
 /// manifest behind it installs.
 #[test]
 fn a_backup_refuses_a_peers_out_of_range_config() {
-    let video = scene();
-    let base = base_dir("peer-config");
-    let primary = open_mem(base.join("primary"), plain_cfg());
-    ingest(&primary, &video);
-    let backup_tasm = open_mem(base.join("backup"), plain_cfg());
+    let video = scene(256, 160, FRAMES, 47);
+    let base = TempDir::new("cluster-peer-config");
+    let primary = open_mem(base.path().join("primary"), config());
+    ingest(&primary, "v", &video);
+    let backup_tasm = open_mem(base.path().join("backup"), config());
     let backup = TasmServer::bind(
         Arc::clone(&backup_tasm),
         ServiceConfig {
@@ -334,7 +265,7 @@ fn a_backup_refuses_a_peers_out_of_range_config() {
             "{refused}"
         );
         assert!(!backup_tasm.has_stored_video("v"));
-        assert!(!base.join("backup").join("v").exists());
+        assert!(!base.path().join("backup").join("v").exists());
         assert!(backup_tasm.fsck().unwrap().is_clean());
     }
     sync(manifest.config).expect("the sound manifest installs");
@@ -347,13 +278,13 @@ fn a_backup_refuses_a_peers_out_of_range_config() {
 /// bit-identical to a single-node twin at the replicated layout epoch.
 #[test]
 fn kill9_failover_stays_bit_identical_at_a_replicated_epoch() {
-    let video = scene();
-    let base = base_dir("failover");
+    let video = scene(256, 160, FRAMES, 47);
+    let base = TempDir::new("cluster-failover");
     let mix = mix();
 
     // In-process references for both epochs, from a serially-driven twin.
-    let twin = open_mem(base.join("twin"), tuned_cfg());
-    ingest(&twin, &video);
+    let twin = open_mem(base.path().join("twin"), tuned_cfg());
+    ingest(&twin, "v", &video);
     let ref_pre: Vec<_> = mix.iter().map(|q| twin.query("v", q).unwrap()).collect();
     let mut retiled = false;
     for _ in 0..64 {
@@ -373,7 +304,7 @@ fn kill9_failover_stays_bit_identical_at_a_replicated_epoch() {
     assert!(
         mix.iter().enumerate().any(|(i, q)| {
             q.query_mode() == QueryMode::Pixels
-                && !regions_match(&ref_pre[i].regions, &ref_post[i].regions)
+                && !regions_identical(&ref_pre[i].regions, &ref_post[i].regions)
         }),
         "the re-tile must change pixels, or epoch tearing would be invisible"
     );
@@ -381,13 +312,13 @@ fn kill9_failover_stays_bit_identical_at_a_replicated_epoch() {
     // The primary's store on disk — detections in the tiered index — so
     // the child process can attach and serve it.
     {
-        let primary = open_store(&base.join("primary"), tuned_cfg());
-        ingest(&primary, &video);
+        let primary = open_store(&base.path().join("primary"), tuned_cfg());
+        ingest(&primary, "v", &video);
         primary.with_index(|ix| ix.flush()).unwrap();
     }
 
     // The backup shard lives in this process (we fsck it at the end).
-    let backup_tasm = open_store(&base.join("backup"), tuned_cfg());
+    let backup_tasm = open_store(&base.path().join("backup"), tuned_cfg());
     let backup = TasmServer::bind(
         Arc::clone(&backup_tasm),
         ServiceConfig {
@@ -402,10 +333,10 @@ fn kill9_failover_stays_bit_identical_at_a_replicated_epoch() {
     let backup_addr = backup.local_addr().to_string();
 
     // The primary shard in a child process, so the kill is a real SIGKILL.
-    let addr_file = base.join("child.addr");
+    let addr_file = base.path().join("child.addr");
     let mut child = std::process::Command::new(std::env::current_exe().unwrap())
         .args(["--exact", "child_shard_server", "--nocapture"])
-        .env(CHILD_STORE_ENV, base.join("primary"))
+        .env(CHILD_STORE_ENV, base.path().join("primary"))
         .env(CHILD_BACKUP_ENV, &backup_addr)
         .env(CHILD_ADDR_FILE_ENV, &addr_file)
         .stdout(Stdio::null())
@@ -428,7 +359,7 @@ fn kill9_failover_stays_bit_identical_at_a_replicated_epoch() {
 
     // Shard map: R=2, the child pinned primary, the in-process backup
     // second.
-    let map_path = base.join("cluster.json");
+    let map_path = base.path().join("cluster.json");
     let mut map = ShardMap::new(
         vec![
             NodeInfo {
@@ -477,8 +408,8 @@ fn kill9_failover_stays_bit_identical_at_a_replicated_epoch() {
             let what = format!("pre-kill pass {pass} query {qi}");
             assert_eq!(remote.matched, ref_pre[qi].matched, "{what}: matched");
             assert!(
-                regions_match(&ref_pre[qi].regions, &remote.regions)
-                    || regions_match(&ref_post[qi].regions, &remote.regions),
+                regions_identical(&ref_pre[qi].regions, &remote.regions)
+                    || regions_identical(&ref_post[qi].regions, &remote.regions),
                 "{what}: result matches neither epoch's in-process reference"
             );
         }
@@ -505,8 +436,8 @@ fn kill9_failover_stays_bit_identical_at_a_replicated_epoch() {
                     let remote = conn.query("v", query).expect("query across the failover");
                     assert_eq!(remote.matched, ref_pre[qi].matched);
                     assert!(
-                        regions_match(&ref_pre[qi].regions, &remote.regions)
-                            || regions_match(&ref_post[qi].regions, &remote.regions),
+                        regions_identical(&ref_pre[qi].regions, &remote.regions)
+                            || regions_identical(&ref_post[qi].regions, &remote.regions),
                         "mid-failover query {qi} torn: matches neither epoch"
                     );
                     served += 1;
@@ -532,7 +463,7 @@ fn kill9_failover_stays_bit_identical_at_a_replicated_epoch() {
         let remote = conn.query("v", query).expect("post-failover query");
         assert_eq!(remote.matched, ref_pre[qi].matched, "query {qi}: matched");
         assert!(
-            regions_match(&ref_post[qi].regions, &remote.regions),
+            regions_identical(&ref_post[qi].regions, &remote.regions),
             "post-failover query {qi} is not bit-identical to the twin at \
              the replicated epoch"
         );
@@ -554,14 +485,13 @@ fn kill9_failover_stays_bit_identical_at_a_replicated_epoch() {
     drop(conn);
     router.shutdown(false);
     backup.shutdown();
-    let revived = open_store(&base.join("primary"), tuned_cfg());
+    let revived = open_store(&base.path().join("primary"), tuned_cfg());
     revived.attach("v").expect("reattach after kill");
     assert!(
         revived.fsck().unwrap().is_clean(),
         "the killed primary's store must recover to a clean fsck"
     );
     drop(revived);
-    std::fs::remove_dir_all(&base).ok();
 }
 
 /// Rebalancing a video between shards mid-workload is invisible: every
@@ -570,18 +500,18 @@ fn kill9_failover_stays_bit_identical_at_a_replicated_epoch() {
 /// source's copy is garbage-collected, and fsck is clean on every node.
 #[test]
 fn rebalance_mid_workload_is_bit_exact_and_gcs_the_source() {
-    let video = scene();
-    let base = base_dir("rebalance");
+    let video = scene(256, 160, FRAMES, 47);
+    let base = TempDir::new("cluster-rebalance");
     let mix = mix();
 
     // Single-epoch reference (daemon off everywhere).
-    let twin = open_mem(base.join("twin"), plain_cfg());
-    ingest(&twin, &video);
+    let twin = open_mem(base.path().join("twin"), config());
+    ingest(&twin, "v", &video);
     let reference: Vec<_> = mix.iter().map(|q| twin.query("v", q).unwrap()).collect();
 
     // Three in-process shards; the video starts on [n1, n2].
     let shard = |tag: &str| {
-        let tasm = open_mem(base.join(tag), plain_cfg());
+        let tasm = open_mem(base.path().join(tag), config());
         let server = TasmServer::bind(
             Arc::clone(&tasm),
             ServiceConfig {
@@ -598,7 +528,7 @@ fn rebalance_mid_workload_is_bit_exact_and_gcs_the_source() {
     let (n1_tasm, n1) = shard("n1");
     let (n2_tasm, n2) = shard("n2");
     let (n3_tasm, n3) = shard("n3");
-    ingest(&n1_tasm, &video);
+    ingest(&n1_tasm, "v", &video);
     // Seed the R=2 replica on n2 through the wire, as `serve --backup`
     // would.
     let mut seed = Connection::connect(n1.local_addr()).expect("connect n1");
@@ -606,7 +536,7 @@ fn rebalance_mid_workload_is_bit_exact_and_gcs_the_source() {
         .expect("seed replica on n2");
     drop(seed);
 
-    let map_path = base.join("cluster.json");
+    let map_path = base.path().join("cluster.json");
     let mut map = ShardMap::new(
         vec![
             NodeInfo {
@@ -658,7 +588,7 @@ fn rebalance_mid_workload_is_bit_exact_and_gcs_the_source() {
                                 .expect("routed query across rebalance");
                             assert_eq!(remote.matched, reference[qi].matched);
                             assert!(
-                                regions_match(&reference[qi].regions, &remote.regions),
+                                regions_identical(&reference[qi].regions, &remote.regions),
                                 "query {qi} changed during the rebalance"
                             );
                             served += 1;
@@ -712,7 +642,7 @@ fn rebalance_mid_workload_is_bit_exact_and_gcs_the_source() {
         let remote = conn.query("v", query).expect("post-flip query");
         assert_eq!(remote.matched, reference[qi].matched, "query {qi}: matched");
         assert!(
-            regions_match(&reference[qi].regions, &remote.regions),
+            regions_identical(&reference[qi].regions, &remote.regions),
             "post-flip query {qi} differs from the reference"
         );
     }
@@ -738,7 +668,6 @@ fn rebalance_mid_workload_is_bit_exact_and_gcs_the_source() {
     n1.shutdown();
     n2.shutdown();
     n3.shutdown();
-    std::fs::remove_dir_all(&base).ok();
 }
 
 /// One query's response stream read frame by frame off a raw session:
@@ -780,10 +709,10 @@ fn raw_response(addr: std::net::SocketAddr, id: u64, query: &Query) -> Vec<Vec<u
 /// shard's own bytes except for the eight of the request id.
 #[test]
 fn relayed_frames_are_the_shards_bytes_but_for_the_id() {
-    let video = scene();
-    let base = base_dir("relay");
-    let tasm = open_mem(base.join("n1"), plain_cfg());
-    ingest(&tasm, &video);
+    let video = scene(256, 160, FRAMES, 47);
+    let base = TempDir::new("cluster-relay");
+    let tasm = open_mem(base.path().join("n1"), config());
+    ingest(&tasm, "v", &video);
     let shard = TasmServer::bind(
         Arc::clone(&tasm),
         ServiceConfig::default(),
@@ -791,7 +720,7 @@ fn relayed_frames_are_the_shards_bytes_but_for_the_id() {
         "127.0.0.1:0",
     )
     .expect("bind shard");
-    let map_path = base.join("cluster.json");
+    let map_path = base.path().join("cluster.json");
     let node = NodeInfo {
         id: "n1".to_string(),
         addr: shard.local_addr().to_string(),

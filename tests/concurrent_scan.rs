@@ -1,73 +1,25 @@
-//! Concurrency correctness of the query service.
+//! The query service under concurrent re-tiling and shared-scan dedup.
 //!
 //! The contract under test: scans executed concurrently through
-//! `QueryService` — at any concurrency, queue depth, or cache state, and
-//! even while the background retile daemon re-tiles mid-workload — return
-//! `ScanResult`s bit-identical to a serial execution against the layout
-//! epoch each scan observed. Shared-scan dedup (single-flight GOP decodes)
-//! must be invisible in the pixels and visible only in the accounting.
+//! `QueryService` while the background regret daemon re-tiles
+//! mid-workload return results bit-identical to a serial execution against
+//! the layout epoch each scan observed, and identical cold queries join one
+//! in-flight GOP decode. Fan-outs at a stable layout, at every cache
+//! budget, are `tests/contract.rs`'s.
 
-use std::sync::{Arc, OnceLock};
-use tasm_core::{
-    LabelPredicate, PartitionConfig, Query, RegionPixels, ScanResult, StorageConfig, Tasm,
-    TasmConfig,
-};
-use tasm_data::{SceneSpec, SyntheticVideo};
-use tasm_index::MemoryIndex;
+use std::sync::Arc;
+use tasm_core::{LabelPredicate, Query, ScanResult};
+use tasm_data::SyntheticVideo;
 use tasm_service::{QueryRequest, QueryService, RetilePolicy, ServiceConfig, Shutdown};
-use tasm_suite::{assert_regions_identical, post_filter, regions_identical};
-use tasm_video::{FrameSource, Plane, Rect};
+use tasm_suite::{config, ingest, post_filter, regions_identical, scene, TestStore};
+use tasm_video::{Plane, Rect};
 
-fn scene(frames: u32) -> SyntheticVideo {
-    SyntheticVideo::new(SceneSpec {
-        width: 256,
-        height: 160,
-        frames,
-        seed: 33,
-        ..SceneSpec::test_scene()
-    })
-}
-
-fn tasm_with(tag: &str, cfg_mut: impl FnOnce(&mut TasmConfig)) -> Arc<Tasm> {
-    let dir = std::env::temp_dir().join(format!("tasm-conc-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let mut cfg = TasmConfig {
-        storage: StorageConfig {
-            gop_len: 10,
-            sot_frames: 10,
-            ..Default::default()
-        },
-        partition: PartitionConfig {
-            min_tile_width: 32,
-            min_tile_height: 32,
-            ..Default::default()
-        },
-        workers: 1,
-        cache_bytes: 64 << 20,
-        ..Default::default()
-    };
-    cfg_mut(&mut cfg);
-    Arc::new(Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap())
-}
-
-fn ingest(tasm: &Tasm, video: &SyntheticVideo) {
-    tasm.ingest("v", video, 30).unwrap();
-    for f in 0..video.len() {
-        for (l, b) in video.ground_truth(f) {
-            tasm.add_metadata("v", l, f, b).unwrap();
-        }
-        tasm.mark_processed("v", f).unwrap();
-    }
-}
-
-fn assert_scans_equal(a: &ScanResult, b: &ScanResult, what: &str) {
-    let expected: Vec<&RegionPixels> = a.regions.iter().collect();
-    assert_regions_identical(&expected, &b.regions, what);
+fn scene20() -> SyntheticVideo {
+    scene(256, 160, 20, 33)
 }
 
 fn scans_equal(a: &ScanResult, b: &ScanResult) -> bool {
-    let expected: Vec<&RegionPixels> = a.regions.iter().collect();
-    regions_identical(&expected, &b.regions)
+    regions_identical(&a.regions, &b.regions)
 }
 
 /// Debug builds keep the stress affordable; release (the CI stress job)
@@ -80,76 +32,16 @@ fn stress_scale() -> (usize, usize) {
     }
 }
 
-#[test]
-fn concurrent_scans_bit_identical_to_serial() {
-    let video = scene(40);
-    let (workers, queries) = stress_scale();
-
-    // Serial reference: uncached, single-threaded, separate store.
-    let serial = tasm_with("serial-ref", |c| {
-        c.cache_bytes = 0;
-        c.workers = 1;
-    });
-    ingest(&serial, &video);
-    serial.kqko_retile_all("v", &["car".to_string()]).unwrap();
-
-    // Concurrent instance: shared cache + dedup, same deterministic content.
-    let conc = tasm_with("concurrent", |_| {});
-    ingest(&conc, &video);
-    conc.kqko_retile_all("v", &["car".to_string()]).unwrap();
-
-    let windows = [0..40u32, 0..10, 5..17, 12..13, 20..40, 8..32];
-    let preds = [
-        LabelPredicate::label("car"),
-        LabelPredicate::label("person"),
-        LabelPredicate::any_of(&["car", "person"]),
-    ];
-    let references: Vec<Vec<ScanResult>> = preds
-        .iter()
-        .map(|p| {
-            windows
-                .iter()
-                .map(|w| serial.scan("v", p, w.clone()).unwrap())
-                .collect()
-        })
-        .collect();
-
-    let service = QueryService::start(
-        Arc::clone(&conc),
-        ServiceConfig {
-            workers,
-            queue_depth: 8, // smaller than the workload: exercises backpressure
-            ..Default::default()
-        },
-    );
-    let handles: Vec<_> = (0..queries)
-        .map(|i| {
-            let p = i % preds.len();
-            let w = (i * 7 + 3) % windows.len();
-            let h = service
-                .submit(QueryRequest::scan(
-                    "v",
-                    preds[p].clone(),
-                    windows[w].clone(),
-                ))
-                .unwrap();
-            (p, w, h)
-        })
-        .collect();
-    for (p, w, h) in handles {
-        let outcome = h.wait().unwrap();
-        assert_scans_equal(
-            &references[p][w],
-            &outcome.result,
-            &format!(
-                "predicate {p} window {:?} at concurrency {workers}",
-                windows[w]
-            ),
-        );
-    }
-    let stats = service.shutdown(Shutdown::Drain).stats;
-    assert_eq!(stats.completed, queries as u64);
-    assert_eq!(stats.failed, 0);
+/// One SOT spanning the whole video and a hair-trigger regret threshold:
+/// exactly two layout epochs exist (untiled at ingest, object-tiled after
+/// the single regret re-tile).
+fn single_sot(tag: &str) -> TestStore {
+    let mut cfg = config();
+    cfg.storage.sot_frames = 20;
+    cfg.eta = 0.05; // regret crosses the threshold after a few queries
+    let tasm = TestStore::open(tag, cfg);
+    ingest(&tasm, "v", &scene20());
+    tasm
 }
 
 /// With the regret daemon firing mid-workload, every concurrent scan must
@@ -159,23 +51,12 @@ fn concurrent_scans_bit_identical_to_serial() {
 /// the expected final layout.
 #[test]
 fn retile_daemon_mid_workload_keeps_scans_bit_exact() {
-    let frames = 20u32;
-    let video = scene(frames);
+    let window = 0..20;
     let (workers, queries) = stress_scale();
-    // One SOT spanning the whole video: exactly two layout epochs exist
-    // (untiled at ingest, object-tiled after the single regret re-tile).
-    let single_sot = move |c: &mut TasmConfig| {
-        c.storage.gop_len = 10;
-        c.storage.sot_frames = 20;
-        c.eta = 0.05; // regret crosses the threshold after a few queries
-    };
-
-    let window = 0..frames;
     let pred = LabelPredicate::label("car");
 
     // Twin driven serially: reference results for both epochs.
-    let twin = tasm_with("twin", single_sot);
-    ingest(&twin, &video);
+    let twin = single_sot("conc-twin");
     let ref_pre = twin.scan("v", &pred, window.clone()).unwrap();
     let mut retiled_after = None;
     for i in 0..queries {
@@ -199,8 +80,7 @@ fn retile_daemon_mid_workload_keeps_scans_bit_exact() {
     assert!(!expected_layout.is_untiled());
 
     // Concurrent run with the daemon enabled.
-    let conc = tasm_with("daemon-stress", single_sot);
-    ingest(&conc, &video);
+    let conc = single_sot("conc-daemon-stress");
     let service = QueryService::start(
         Arc::clone(&conc),
         ServiceConfig {
@@ -253,16 +133,8 @@ fn retile_daemon_mid_workload_keeps_scans_bit_exact() {
 /// must never let a query observe a torn mix of layouts.
 #[test]
 fn roi_queries_bit_exact_across_concurrent_retile() {
-    let frames = 20u32;
-    let video = scene(frames);
+    let window = 0..20;
     let (workers, queries) = stress_scale();
-    let single_sot = move |c: &mut TasmConfig| {
-        c.storage.gop_len = 10;
-        c.storage.sot_frames = 20;
-        c.eta = 0.05;
-    };
-
-    let window = 0..frames;
     let pred = LabelPredicate::label("car");
     let query = Query::new(pred.clone())
         .frames(window.clone())
@@ -270,8 +142,7 @@ fn roi_queries_bit_exact_across_concurrent_retile() {
         .stride(2);
 
     // Twin driven serially: post-filtered references for both epochs.
-    let twin = tasm_with("roi-twin", single_sot);
-    ingest(&twin, &video);
+    let twin = single_sot("conc-roi-twin");
     let scan_pre = twin.scan("v", &pred, window.clone()).unwrap();
     let mut retiled = false;
     for _ in 0..queries {
@@ -305,8 +176,7 @@ fn roi_queries_bit_exact_across_concurrent_retile() {
     );
 
     // Concurrent run with the daemon enabled, submitting full Query values.
-    let conc = tasm_with("roi-daemon", single_sot);
-    ingest(&conc, &video);
+    let conc = single_sot("conc-roi-daemon");
     let service = QueryService::start(
         Arc::clone(&conc),
         ServiceConfig {
@@ -352,10 +222,10 @@ fn roi_queries_bit_exact_across_concurrent_retile() {
 /// allowed before declaring failure.
 #[test]
 fn overlapping_queries_join_inflight_decodes() {
-    let video = scene(20);
+    let video = scene20();
     for attempt in 0..5 {
-        let tasm = tasm_with(&format!("join-{attempt}"), |_| {});
-        ingest(&tasm, &video);
+        let tasm = TestStore::open(&format!("conc-join-{attempt}"), config());
+        ingest(&tasm, "v", &video);
         let service = QueryService::start(
             Arc::clone(&tasm),
             ServiceConfig {
@@ -381,129 +251,4 @@ fn overlapping_queries_join_inflight_decodes() {
         }
     }
     panic!("16 identical cold queries on 8 workers never joined an in-flight decode");
-}
-
-// ---------------------------------------------------------------------
-// Property: shared-scan dedup never changes decoded pixels.
-// ---------------------------------------------------------------------
-
-struct PropSetup {
-    service: QueryService,
-    serial: Arc<Tasm>,
-}
-
-fn prop_setup() -> &'static PropSetup {
-    static SETUP: OnceLock<PropSetup> = OnceLock::new();
-    SETUP.get_or_init(|| {
-        let video = scene(30);
-        let serial = tasm_with("prop-serial", |c| {
-            c.cache_bytes = 0;
-            c.workers = 1;
-        });
-        ingest(&serial, &video);
-        let conc = tasm_with("prop-conc", |_| {});
-        ingest(&conc, &video);
-        let service = QueryService::start(
-            Arc::clone(&conc),
-            ServiceConfig {
-                workers: 4,
-                queue_depth: 32,
-                ..Default::default()
-            },
-        );
-        PropSetup { service, serial }
-    })
-}
-
-mod prop {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
-
-        #[test]
-        fn dedup_never_changes_pixels(
-            start in 0u32..30,
-            len in 1u32..20,
-            label_pick in 0usize..3,
-            fanout in 2usize..6,
-        ) {
-            let setup = prop_setup();
-            let label = ["car", "person", "bicycle"][label_pick];
-            let frames = start..(start + len).min(30);
-            let pred = LabelPredicate::label(label);
-            let reference = setup.serial.scan("v", &pred, frames.clone()).unwrap();
-            // Several copies of the query race through the shared cache;
-            // some join each other's decodes, all must match the uncached
-            // serial reference bit for bit.
-            let handles: Vec<_> = (0..fanout)
-                .map(|_| {
-                    setup
-                        .service
-                        .submit(QueryRequest::scan("v", pred.clone(), frames.clone()))
-                        .unwrap()
-                })
-                .collect();
-            for h in handles {
-                let outcome = h.wait().unwrap();
-                assert_scans_equal(
-                    &reference,
-                    &outcome.result,
-                    &format!("label {label} frames {frames:?}"),
-                );
-            }
-        }
-
-        /// The planner equivalence contract, exercised through the
-        /// concurrent service with the shared decoded-GOP cache: a query
-        /// with arbitrary ROI/stride/limit returns exactly the uncached
-        /// serial scan's output filtered post-hoc — bit for bit — and its
-        /// fanned-out copies (racing each other through the dedup machinery)
-        /// all agree.
-        #[test]
-        fn query_equals_postfiltered_scan(
-            start in 0u32..30,
-            len in 1u32..20,
-            label_pick in 0usize..3,
-            roi in (0u32..200, 0u32..120, 16u32..256, 16u32..160)
-                .prop_map(|(x, y, w, h)| Rect::new(x, y, w, h)),
-            use_roi in proptest::bool::ANY,
-            stride in 1u32..8,
-            limit in proptest::option::of(1u32..6),
-            fanout in 1usize..4,
-        ) {
-            let setup = prop_setup();
-            let label = ["car", "person", "bicycle"][label_pick];
-            let frames = start..(start + len).min(30);
-            let mut query = Query::new(LabelPredicate::label(label))
-                .frames(frames.clone())
-                .stride(stride);
-            if use_roi {
-                query = query.roi(roi);
-            }
-            if let Some(k) = limit {
-                query = query.limit(k);
-            }
-            let scan = setup.serial.scan("v", &LabelPredicate::label(label), frames.clone()).unwrap();
-            let expected = post_filter(&scan, &query, frames.start);
-            let handles: Vec<_> = (0..fanout)
-                .map(|_| {
-                    setup
-                        .service
-                        .submit(QueryRequest::new("v", query.clone()))
-                        .unwrap()
-                })
-                .collect();
-            for h in handles {
-                let outcome = h.wait().unwrap();
-                assert_regions_identical(
-                    &expected,
-                    &outcome.result.regions,
-                    &format!("label {label} frames {frames:?} roi {use_roi} stride {stride} limit {limit:?}"),
-                );
-                prop_assert_eq!(outcome.result.matched, expected.len() as u64);
-            }
-        }
-    }
 }

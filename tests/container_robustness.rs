@@ -21,6 +21,7 @@ use tasm_codec::{
     TileVideo,
 };
 use tasm_core::{FsckIssue, StorageConfig, StoreError, VideoManifest, VideoStore};
+use tasm_suite::TempDir;
 use tasm_video::{Frame, Plane, Rect, VecFrameSource};
 
 const CASES: u32 = 48;
@@ -386,20 +387,21 @@ fn corrupt_syntax_beyond_the_fast_paths_is_a_typed_error() {
 /// the store served them before anything was tampered with.
 struct PackedStore {
     store: VideoStore,
-    root: std::path::PathBuf,
     manifest: VideoManifest,
     pack_path: std::path::PathBuf,
     pack: Vec<u8>,
     tiles: Vec<Vec<u8>>,
+    /// Declared after `store`, so the store has closed before its
+    /// directory is removed.
+    dir: TempDir,
 }
 
 /// Header plus table of a four-tile pack.
 const TABLE_LEN: usize = 12 + 16 * 4;
 
 fn packed_store(tag: &str) -> PackedStore {
-    let root = std::env::temp_dir().join(format!("tasm-pack-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&root).ok();
-    let store = VideoStore::open(&root).expect("open");
+    let dir = TempDir::new(&format!("pack-{tag}"));
+    let store = VideoStore::open(dir.path()).expect("open");
     let src = VecFrameSource::new(
         (0..10)
             .map(|i| {
@@ -423,7 +425,7 @@ fn packed_store(tag: &str) -> PackedStore {
     let (manifest, _) = store
         .ingest("v", &src, 30, cfg, move |_, _| layout.clone())
         .expect("ingest");
-    let pack_path = root.join("v").join("sot_000000_000010.tiles");
+    let pack_path = dir.path().join("v").join("sot_000000_000010.tiles");
     let pack = std::fs::read(&pack_path).expect("pack");
     let tiles: Vec<Vec<u8>> = (0..4)
         .map(|t| store.tile_file_bytes(&manifest, 0, t).expect("tile"))
@@ -432,11 +434,11 @@ fn packed_store(tag: &str) -> PackedStore {
     assert_eq!(pack[TABLE_LEN..], tiles.concat()[..]);
     PackedStore {
         store,
-        root,
         manifest,
         pack_path,
         pack,
         tiles,
+        dir,
     }
 }
 
@@ -501,7 +503,6 @@ fn mutated_and_truncated_pack_tables_are_typed_errors() {
             }
         }
     });
-    std::fs::remove_dir_all(&p.root).ok();
 }
 
 /// Tables that are sound by themselves and wrong about the pack: a last
@@ -592,7 +593,6 @@ fn pack_tables_at_odds_with_their_pack_are_typed_errors() {
         p.fsck_issues()[..],
         [FsckIssue::PackCorrupt { .. }]
     ));
-    std::fs::remove_dir_all(&p.root).ok();
 }
 
 /// A replica builds its pack from bytes that already passed the install
@@ -603,10 +603,9 @@ fn pack_tables_at_odds_with_their_pack_are_typed_errors() {
 #[test]
 fn a_replicas_pack_is_the_primarys_byte_for_byte() {
     let p = packed_store("replica-src");
-    let replica_root =
-        std::env::temp_dir().join(format!("tasm-pack-replica-{}", std::process::id()));
-    std::fs::remove_dir_all(&replica_root).ok();
-    let replica = VideoStore::open(&replica_root).expect("open replica");
+    let replica_dir = TempDir::new("pack-replica");
+    let replica_root = replica_dir.path();
+    let replica = VideoStore::open(replica_root).expect("open replica");
     replica
         .install_video(&p.manifest, std::slice::from_ref(&p.tiles))
         .expect("install video");
@@ -624,10 +623,8 @@ fn a_replicas_pack_is_the_primarys_byte_for_byte() {
     let next = "sot_000000_000010_r000001.tiles";
     assert_eq!(
         std::fs::read(replica_root.join("v").join(next)).expect("replica pack"),
-        std::fs::read(p.root.join("v").join(next)).expect("primary pack")
+        std::fs::read(p.dir.path().join("v").join(next)).expect("primary pack")
     );
     assert!(!replica_pack.exists(), "the superseded epoch is reclaimed");
     assert!(replica.fsck().expect("fsck").is_clean());
-    std::fs::remove_dir_all(&p.root).ok();
-    std::fs::remove_dir_all(&replica_root).ok();
 }

@@ -13,7 +13,7 @@
 //! they hold for any commit protocol.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 use tasm_codec::TileLayout;
@@ -24,12 +24,11 @@ use tasm_core::{
 };
 use tasm_index::MemoryIndex;
 use tasm_service::{QueryRequest, QueryService, RetilePolicy, ServiceConfig, Shutdown};
+use tasm_suite::TempDir;
 use tasm_video::{Frame, Plane, Rect, VecFrameSource};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tasm-crash-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
+fn temp_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("crash-{tag}"))
 }
 
 /// A small deterministic 64x64 source with texture and a moving patch.
@@ -200,11 +199,11 @@ fn crash_point_sweep_recovers_to_exactly_one_epoch() {
     let twin = temp_dir("sweep-twin");
     let states: Vec<VideoState> = (1..=3)
         .map(|steps| {
-            let _ = fs::remove_dir_all(&twin);
-            let store = VideoStore::open(&twin).expect("open twin");
+            let _ = fs::remove_dir_all(twin.path());
+            let store = VideoStore::open(twin.path()).expect("open twin");
             drive(&store, steps).expect("twin step");
             drop(store);
-            reopen_and_check(&twin, &format!("twin after step {steps}"))
+            reopen_and_check(twin.path(), &format!("twin after step {steps}"))
                 .0
                 .expect("twin video")
         })
@@ -214,14 +213,14 @@ fn crash_point_sweep_recovers_to_exactly_one_epoch() {
 
     // The whole sequence through a disarmed injector: how many fault
     // points there are, and that the reclaim leaves the last state as is.
-    let _ = fs::remove_dir_all(&twin);
+    let _ = fs::remove_dir_all(twin.path());
     let counter = FaultIo::new();
-    let store = VideoStore::open_with_io(&twin, 0, 0, counter.clone()).expect("open counted");
+    let store = VideoStore::open_with_io(twin.path(), 0, 0, counter.clone()).expect("open counted");
     let ops_before = counter.mutating_ops();
     drive(&store, 4).expect("clean sequence");
     let total_ops = counter.mutating_ops() - ops_before;
     drop(store);
-    let (clean, actions) = reopen_and_check(&twin, "clean sequence");
+    let (clean, actions) = reopen_and_check(twin.path(), "clean sequence");
     assert!(actions.is_empty(), "clean shutdown recovered {actions:?}");
     assert!(clean.expect("video") == states[2]);
     // Whatever the protocol: an ingest cannot publish in fewer than four
@@ -245,16 +244,16 @@ fn crash_point_sweep_recovers_to_exactly_one_epoch() {
     for kind in [FaultKind::FailStop, FaultKind::TornWrite] {
         for n in 1..=total_ops {
             let what = format!("{kind:?} at op {n} of {total_ops}");
-            let _ = fs::remove_dir_all(&scratch);
+            let _ = fs::remove_dir_all(scratch.path());
             let fault = FaultIo::new();
-            let store =
-                VideoStore::open_with_io(&scratch, 0, 0, fault.clone()).expect("open faulted");
+            let store = VideoStore::open_with_io(scratch.path(), 0, 0, fault.clone())
+                .expect("open faulted");
             fault.arm(fault.mutating_ops() + n, kind);
             assert!(drive(&store, 4).is_err(), "{what} must surface as an error");
             assert!(fault.crashed(), "{what} must have fired");
             drop(store);
 
-            match reopen_and_check(&scratch, &what).0 {
+            match reopen_and_check(scratch.path(), &what).0 {
                 None => absent += 1,
                 Some(got) => match states.iter().position(|s| *s == got) {
                     Some(i) => landed[i] += 1,
@@ -275,8 +274,6 @@ fn crash_point_sweep_recovers_to_exactly_one_epoch() {
         landed.iter().all(|&n| n > 0),
         "fault points per twin state: {landed:?}"
     );
-    fs::remove_dir_all(&twin).ok();
-    fs::remove_dir_all(&scratch).ok();
 }
 
 /// The crash-point sweep over MVCC epoch GC alone: fail-stop and torn-write
@@ -319,7 +316,7 @@ fn epoch_gc_crash_sweep_recovers_to_exactly_one_epoch_set() {
     // post-GC state.
     let clean = temp_dir("gc-sweep-clean");
     let counter = FaultIo::new();
-    let store = VideoStore::open_with_io(&clean, 0, 0, counter.clone()).expect("open clean");
+    let store = VideoStore::open_with_io(clean.path(), 0, 0, counter.clone()).expect("open clean");
     let (pinned, retired) = prepare(&store);
     let ops_before = counter.mutating_ops();
     store.gc_epoch("v", retired).expect("clean gc");
@@ -335,7 +332,7 @@ fn epoch_gc_crash_sweep_recovers_to_exactly_one_epoch_set() {
     ));
     store.gc_epoch("v", retired).expect("GC is idempotent");
     drop(store);
-    let (post, actions) = reopen_and_check(&clean, "clean gc");
+    let (post, actions) = reopen_and_check(clean.path(), "clean gc");
     assert!(actions.is_empty(), "clean shutdown recovered {actions:?}");
     let post = post.expect("video");
     assert_eq!(post.manifest.epoch(), 1);
@@ -345,10 +342,10 @@ fn epoch_gc_crash_sweep_recovers_to_exactly_one_epoch_set() {
     for kind in [FaultKind::FailStop, FaultKind::TornWrite] {
         for n in 1..=gc_ops {
             let what = format!("{kind:?} at gc op {n}");
-            let _ = fs::remove_dir_all(&scratch);
+            let _ = fs::remove_dir_all(scratch.path());
             let fault = FaultIo::new();
-            let store =
-                VideoStore::open_with_io(&scratch, 0, 0, fault.clone()).expect("open faulted");
+            let store = VideoStore::open_with_io(scratch.path(), 0, 0, fault.clone())
+                .expect("open faulted");
             // The re-tile itself runs clean; the crash lands inside GC.
             let (_, retired) = prepare(&store);
             fault.arm(fault.mutating_ops() + n, kind);
@@ -361,7 +358,7 @@ fn epoch_gc_crash_sweep_recovers_to_exactly_one_epoch_set() {
 
             // Reopen with real I/O: startup recovery reclaims whatever the
             // crashed GC left of the superseded epoch.
-            let (got, actions) = reopen_and_check(&scratch, &what);
+            let (got, actions) = reopen_and_check(scratch.path(), &what);
             if actions
                 .iter()
                 .any(|a| matches!(a, RecoveryAction::ReclaimedEpoch { video, epoch: 0, .. } if video == "v"))
@@ -378,8 +375,6 @@ fn epoch_gc_crash_sweep_recovers_to_exactly_one_epoch_set() {
         reclaimed_by_recovery > 0,
         "at least one fault point must leave the retired epoch for recovery to reclaim"
     );
-    fs::remove_dir_all(&clean).ok();
-    fs::remove_dir_all(&scratch).ok();
 }
 
 /// Regression for the non-atomic `save_manifest`: a torn write must never
@@ -388,7 +383,7 @@ fn epoch_gc_crash_sweep_recovers_to_exactly_one_epoch_set() {
 #[test]
 fn torn_manifest_write_leaves_old_manifest_intact() {
     let dir = temp_dir("torn-manifest");
-    let store = VideoStore::open(&dir).expect("open");
+    let store = VideoStore::open(dir.path()).expect("open");
     let src = test_source(10);
     store
         .ingest("v", &src, 30, small_cfg(), |_, _| {
@@ -396,12 +391,12 @@ fn torn_manifest_write_leaves_old_manifest_intact() {
         })
         .expect("ingest");
     drop(store);
-    let manifest_path = dir.join("v").join("manifest.json");
+    let manifest_path = dir.path().join("v").join("manifest.json");
     let original = fs::read(&manifest_path).expect("manifest on disk");
 
     // Tear the manifest rewrite mid-write.
     let fault = FaultIo::new();
-    let store = VideoStore::open_with_io(&dir, 0, 0, fault.clone()).expect("open faulted");
+    let store = VideoStore::open_with_io(dir.path(), 0, 0, fault.clone()).expect("open faulted");
     let mut manifest = store.load_manifest("v").expect("manifest");
     manifest.fps = 60;
     fault.arm(fault.mutating_ops() + 1, FaultKind::TornWrite);
@@ -416,18 +411,18 @@ fn torn_manifest_write_leaves_old_manifest_intact() {
         "a torn write must never touch the published manifest"
     );
     assert!(
-        dir.join("v").join("manifest.json.tmp").exists(),
+        dir.path().join("v").join("manifest.json.tmp").exists(),
         "the torn temp file is what the crash left behind"
     );
 
     // Recovery reaps the temp file; the old manifest still reads.
-    let store = VideoStore::open(&dir).expect("reopen");
+    let store = VideoStore::open(dir.path()).expect("reopen");
     assert!(store
         .recovery_report()
         .actions
         .iter()
         .any(|a| matches!(a, RecoveryAction::RemovedTemp { video, .. } if video == "v")));
-    assert!(!dir.join("v").join("manifest.json.tmp").exists());
+    assert!(!dir.path().join("v").join("manifest.json.tmp").exists());
     assert_eq!(store.load_manifest("v").expect("manifest").fps, 30);
     assert!(store.fsck().expect("fsck").is_clean());
     // Release the store lock: a live handle would (correctly) make the
@@ -437,17 +432,16 @@ fn torn_manifest_write_leaves_old_manifest_intact() {
     // Fail-stop between temp write and rename: same outcome, the fully
     // written temp file is still not the published manifest.
     let fault = FaultIo::new();
-    let store2 = VideoStore::open_with_io(&dir, 0, 0, fault.clone()).expect("open faulted");
+    let store2 = VideoStore::open_with_io(dir.path(), 0, 0, fault.clone()).expect("open faulted");
     let mut manifest = store2.load_manifest("v").expect("manifest");
     manifest.fps = 90;
     fault.arm(fault.mutating_ops() + 2, FaultKind::FailStop);
     assert!(store2.save_manifest(&manifest).is_err());
     drop(store2);
     assert_eq!(fs::read(&manifest_path).expect("manifest"), original);
-    let store = VideoStore::open(&dir).expect("reopen again");
+    let store = VideoStore::open(dir.path()).expect("reopen again");
     assert_eq!(store.load_manifest("v").expect("manifest").fps, 30);
     assert!(store.fsck().expect("fsck").is_clean());
-    fs::remove_dir_all(&dir).ok();
 }
 
 /// A graceful mid-ingest failure (bad layout for a later SOT) must remove
@@ -456,7 +450,7 @@ fn torn_manifest_write_leaves_old_manifest_intact() {
 #[test]
 fn failed_ingest_cleans_up_partial_video() {
     let dir = temp_dir("ingest-cleanup");
-    let store = VideoStore::open(&dir).expect("open");
+    let store = VideoStore::open(dir.path()).expect("open");
     let src = test_source(20); // two SOTs of 10
     let result = store.ingest("v", &src, 30, small_cfg(), |sot, _| {
         if sot == 0 {
@@ -467,7 +461,7 @@ fn failed_ingest_cleans_up_partial_video() {
     });
     assert!(matches!(result, Err(StoreError::Layout(_))));
     assert!(
-        !dir.join("v").exists(),
+        !dir.path().join("v").exists(),
         "partial video directory must be removed"
     );
     assert!(matches!(
@@ -475,7 +469,6 @@ fn failed_ingest_cleans_up_partial_video() {
         Err(StoreError::NotFound(_))
     ));
     assert!(store.fsck().expect("fsck").is_clean());
-    fs::remove_dir_all(&dir).ok();
 }
 
 /// A *crash* mid-ingest cannot clean up (every further I/O fails, as after
@@ -485,7 +478,7 @@ fn failed_ingest_cleans_up_partial_video() {
 fn crashed_ingest_is_reaped_at_next_open() {
     let dir = temp_dir("ingest-crash");
     let fault = FaultIo::new();
-    let store = VideoStore::open_with_io(&dir, 0, 0, fault.clone()).expect("open");
+    let store = VideoStore::open_with_io(dir.path(), 0, 0, fault.clone()).expect("open");
     let src = test_source(20);
     // Ops: video dir create, SOT 0's pack, SOT 1's pack… — tear SOT 1's.
     fault.arm(fault.mutating_ops() + 3, FaultKind::TornWrite);
@@ -496,23 +489,22 @@ fn crashed_ingest_is_reaped_at_next_open() {
         .is_err());
     drop(store);
     assert!(
-        dir.join("v").exists(),
+        dir.path().join("v").exists(),
         "a crashed process cannot have cleaned up"
     );
 
-    let store = VideoStore::open(&dir).expect("reopen");
+    let store = VideoStore::open(dir.path()).expect("reopen");
     assert!(store
         .recovery_report()
         .actions
         .iter()
         .any(|a| matches!(a, RecoveryAction::RemovedPartialVideo { video } if video == "v")));
-    assert!(!dir.join("v").exists(), "recovery reaps the orphan");
+    assert!(!dir.path().join("v").exists(), "recovery reaps the orphan");
     assert!(matches!(
         store.load_manifest("v"),
         Err(StoreError::NotFound(_))
     ));
     assert!(store.fsck().expect("fsck").is_clean());
-    fs::remove_dir_all(&dir).ok();
 }
 
 /// The names of a video directory's entries, sorted.
@@ -531,7 +523,7 @@ fn entry_names(video_dir: &Path) -> Vec<String> {
 fn fsck_detects_corruption_and_strays() {
     use tasm_core::FsckIssue;
     let dir = temp_dir("fsck");
-    let store = VideoStore::open(&dir).expect("open");
+    let store = VideoStore::open(dir.path()).expect("open");
     let src = test_source(10);
     let layout = TileLayout::uniform(64, 64, 2, 2).expect("layout");
     store
@@ -547,10 +539,10 @@ fn fsck_detects_corruption_and_strays() {
     // One pack per SOT beside the manifest: a 12-byte header, 16 bytes of
     // table per tile, then the tiles.
     assert_eq!(
-        entry_names(&dir.join("v")),
+        entry_names(&dir.path().join("v")),
         ["manifest.json", "sot_000000_000010.tiles"]
     );
-    let pack = dir.join("v").join("sot_000000_000010.tiles");
+    let pack = dir.path().join("v").join("sot_000000_000010.tiles");
     let original = fs::read(&pack).expect("pack bytes");
     let tile0 = 12 + 16 * 4;
     let manifest = store.load_manifest("v").expect("manifest");
@@ -594,9 +586,12 @@ fn fsck_detects_corruption_and_strays() {
     // before packs would have called a commit record — to `fsck` on the
     // handle that owns the store, both are just entries nothing names.
     fs::write(&pack, &original).expect("restore");
-    fs::write(dir.join("v").join("notes.txt"), b"?").expect("stray");
-    fs::write(dir.join("v").join("commit_sot_000000_000010.json"), b"{")
-        .expect("stray commit-lookalike");
+    fs::write(dir.path().join("v").join("notes.txt"), b"?").expect("stray");
+    fs::write(
+        dir.path().join("v").join("commit_sot_000000_000010.json"),
+        b"{",
+    )
+    .expect("stray commit-lookalike");
     let report = store.fsck().expect("fsck");
     let strays = report
         .issues
@@ -606,7 +601,7 @@ fn fsck_detects_corruption_and_strays() {
     assert_eq!(strays, 2, "both strays flagged, got {:?}", report.issues);
 
     // A *missing* pack is every one of its tiles missing.
-    fs::remove_file(dir.join("v").join("notes.txt")).expect("cleanup stray");
+    fs::remove_file(dir.path().join("v").join("notes.txt")).expect("cleanup stray");
     fs::remove_file(&pack).expect("remove pack");
     let report = store.fsck_video("v").expect("fsck v");
     for tile in 0..4 {
@@ -619,7 +614,6 @@ fn fsck_detects_corruption_and_strays() {
         store.read_tile(&manifest, 0, 0),
         Err(StoreError::NotFound(_))
     ));
-    fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------
@@ -698,7 +692,7 @@ fn kill_and_reattach(crash_at: u64) {
     let fault = FaultIo::new();
     let tasm = Arc::new(
         Tasm::open_with_io(
-            &dir,
+            dir.path(),
             Box::new(MemoryIndex::in_memory()),
             service_cfg(),
             fault.clone(),
@@ -763,14 +757,20 @@ fn kill_and_reattach(crash_at: u64) {
 
     // "Restart": reopen the store on real I/O — recovery resolves the
     // interrupted re-tile to one epoch — and reattach the video.
-    let recovered = Tasm::open(&dir, Box::new(MemoryIndex::in_memory()), service_cfg())
-        .expect("reopen after kill");
+    let recovered = Tasm::open(
+        dir.path(),
+        Box::new(MemoryIndex::in_memory()),
+        service_cfg(),
+    )
+    .expect("reopen after kill");
     recovered.attach("v").expect("reattach");
     populate_truth(&recovered, FRAMES);
     assert!(recovered.fsck().expect("fsck").is_clean());
     let recovered_manifest = recovered.manifest("v").expect("manifest");
     assert_eq!(
-        fs::read_dir(dir.join("v")).expect("video dir").count(),
+        fs::read_dir(dir.path().join("v"))
+            .expect("video dir")
+            .count(),
         1 + recovered_manifest.sots.len(),
         "crash at op {crash_at}: the video directory holds the manifest and one entry per SOT"
     );
@@ -779,8 +779,12 @@ fn kill_and_reattach(crash_at: u64) {
     // layouts recovery settled on; transcodes are deterministic, so every
     // tile and every query must then be bit-identical.
     let twin_dir = temp_dir("kill-reattach-twin");
-    let twin = Tasm::open(&twin_dir, Box::new(MemoryIndex::in_memory()), service_cfg())
-        .expect("open twin");
+    let twin = Tasm::open(
+        twin_dir.path(),
+        Box::new(MemoryIndex::in_memory()),
+        service_cfg(),
+    )
+    .expect("open twin");
     twin.ingest("v", &src, 30).expect("twin ingest");
     populate_truth(&twin, FRAMES);
     for (sot_idx, sot) in recovered_manifest.sots.iter().enumerate() {
@@ -819,18 +823,13 @@ fn kill_and_reattach(crash_at: u64) {
             let b = twin
                 .scan("v", &LabelPredicate::label(label), window.clone())
                 .expect("twin scan");
-            let expected: Vec<&tasm_core::RegionPixels> = b.regions.iter().collect();
             tasm_suite::assert_regions_identical(
-                &expected,
+                &b.regions,
                 &a.regions,
                 &format!("'{label}' over {window:?} after a crash at op {crash_at}"),
             );
         }
     }
-    drop(recovered);
-    drop(twin);
-    fs::remove_dir_all(&dir).ok();
-    fs::remove_dir_all(&twin_dir).ok();
 }
 
 /// A handle whose re-tile of SOT `sot_idx` died at its `op`-th mutating
@@ -856,7 +855,7 @@ fn handle_with_unpublished_retile(dir: &Path, sot_idx: usize, op: u64) -> VideoS
 #[test]
 fn second_opener_defers_recovery_while_store_is_live() {
     let dir = temp_dir("live-lock");
-    let store = VideoStore::open(&dir).expect("open");
+    let store = VideoStore::open(dir.path()).expect("open");
     let src = test_source(10);
     store
         .ingest("v", &src, 30, small_cfg(), |_, _| {
@@ -864,13 +863,13 @@ fn second_opener_defers_recovery_while_store_is_live() {
         })
         .expect("ingest");
     drop(store);
-    let ingested = entry_names(&dir.join("v"));
+    let ingested = entry_names(&dir.path().join("v"));
 
-    let live = handle_with_unpublished_retile(&dir, 0, 2);
-    let in_flight = entry_names(&dir.join("v"));
+    let live = handle_with_unpublished_retile(dir.path(), 0, 2);
+    let in_flight = entry_names(&dir.path().join("v"));
     assert_eq!(in_flight.len(), ingested.len() + 1, "{in_flight:?}");
 
-    let second = VideoStore::open(&dir).expect("second opener");
+    let second = VideoStore::open(dir.path()).expect("second opener");
     assert!(second.recovery_report().deferred, "lock is held: no repair");
     assert!(second.recovery_report().is_clean());
     // A deferred fsck treats the live handle's state (an unpublished or a
@@ -879,14 +878,14 @@ fn second_opener_defers_recovery_while_store_is_live() {
     assert!(fsck.is_clean(), "live re-tile flagged: {:?}", fsck.issues);
     drop(second);
     assert_eq!(
-        entry_names(&dir.join("v")),
+        entry_names(&dir.path().join("v")),
         in_flight,
         "the live re-tile must survive"
     );
 
     // Once the live handle is gone the next open recovers normally.
     drop(live);
-    let fresh = VideoStore::open(&dir).expect("reopen after shutdown");
+    let fresh = VideoStore::open(dir.path()).expect("reopen after shutdown");
     assert!(!fresh.recovery_report().deferred);
     assert!(fresh.recovery_report().actions.iter().any(|a| matches!(
         a,
@@ -896,9 +895,8 @@ fn second_opener_defers_recovery_while_store_is_live() {
             ..
         }
     )));
-    assert_eq!(entry_names(&dir.join("v")), ingested);
+    assert_eq!(entry_names(&dir.path().join("v")), ingested);
     assert!(fresh.fsck().expect("fsck").is_clean());
-    fs::remove_dir_all(&dir).ok();
 }
 
 /// What a failed re-tile wrote must neither survive into a later commit nor
@@ -933,8 +931,8 @@ fn a_failed_retiles_pack_never_outlives_a_later_commit() {
     for later_sot in [0, 1] {
         // The twin never fails: ingest, then the later re-tile alone.
         let twin_dir = temp_dir("failed-retile-twin");
-        ingest(&twin_dir);
-        let twin = VideoStore::open(&twin_dir).expect("open twin");
+        ingest(twin_dir.path());
+        let twin = VideoStore::open(twin_dir.path()).expect("open twin");
         let mut manifest = twin.load_manifest("v").expect("manifest");
         twin.retile(&mut manifest, later_sot, later_layout.clone())
             .expect("twin retile");
@@ -943,12 +941,12 @@ fn a_failed_retiles_pack_never_outlives_a_later_commit() {
         for failed_at_op in [1, 2] {
             let what = format!("SOT 0 failed at op {failed_at_op}, then SOT {later_sot}");
             let dir = temp_dir("failed-retile");
-            ingest(&dir);
-            let failed = handle_with_unpublished_retile(&dir, 0, failed_at_op);
-            let residue = entry_names(&dir.join("v"));
+            ingest(dir.path());
+            let failed = handle_with_unpublished_retile(dir.path(), 0, failed_at_op);
+            let residue = entry_names(&dir.path().join("v"));
             assert_eq!(residue.len(), 4, "{what}: {residue:?}");
 
-            let store = VideoStore::open(&dir).expect("second handle");
+            let store = VideoStore::open(dir.path()).expect("second handle");
             assert!(store.recovery_report().deferred, "{what}");
             let mut manifest = store.load_manifest("v").expect("manifest");
             store
@@ -960,7 +958,7 @@ fn a_failed_retiles_pack_never_outlives_a_later_commit() {
             drop(store);
             drop(failed);
 
-            let store = VideoStore::open(&dir).expect("recovering open");
+            let store = VideoStore::open(dir.path()).expect("recovering open");
             let actions = &store.recovery_report().actions;
             if later_sot == 0 {
                 // The later commit took the failed attempt's name.
@@ -980,14 +978,10 @@ fn a_failed_retiles_pack_never_outlives_a_later_commit() {
             }
             let fsck = store.fsck().expect("fsck");
             assert!(fsck.is_clean(), "{what}: {:?}", fsck.issues);
-            assert_eq!(entry_names(&dir.join("v")).len(), 3, "{what}");
+            assert_eq!(entry_names(&dir.path().join("v")).len(), 3, "{what}");
             assert_eq!(store.load_manifest("v").expect("manifest"), want.0);
             assert_eq!(tiles_of(&store), want.1, "{what}");
-            drop(store);
-            fs::remove_dir_all(&dir).ok();
         }
-        drop(twin);
-        fs::remove_dir_all(&twin_dir).ok();
     }
 }
 
@@ -1003,7 +997,7 @@ fn a_failed_retiles_pack_never_outlives_a_later_commit() {
 fn an_older_builds_residue_is_discarded_and_its_sot_directories_are_named() {
     use tasm_core::FsckIssue;
     let dir = temp_dir("legacy");
-    let store = VideoStore::open(&dir).expect("open");
+    let store = VideoStore::open(dir.path()).expect("open");
     let src = test_source(20);
     store
         .ingest("v", &src, 30, small_cfg(), |_, _| {
@@ -1012,7 +1006,7 @@ fn an_older_builds_residue_is_discarded_and_its_sot_directories_are_named() {
         .expect("ingest");
     let manifest = store.load_manifest("v").expect("manifest");
     drop(store);
-    let video = dir.join("v");
+    let video = dir.path().join("v");
     let before = (
         entry_names(&video),
         fs::read(video.join("manifest.json")).expect("manifest bytes"),
@@ -1028,7 +1022,7 @@ fn an_older_builds_residue_is_discarded_and_its_sot_directories_are_named() {
     fs::write(video.join("commit_sot_000010_000020.json"), record).expect("record");
     fs::write(video.join("commit_sot_000000_000010.json.tmp"), b"{").expect("temp");
 
-    let store = VideoStore::open(&dir).expect("recovering open");
+    let store = VideoStore::open(dir.path()).expect("recovering open");
     let mut discarded: Vec<&str> = store
         .recovery_report()
         .actions
@@ -1058,7 +1052,7 @@ fn an_older_builds_residue_is_discarded_and_its_sot_directories_are_named() {
 
     // SOT 1 as such a build stored it: a directory, one file per tile.
     let tile = {
-        let store = VideoStore::open(&dir).expect("open");
+        let store = VideoStore::open(dir.path()).expect("open");
         store.tile_file_bytes(&manifest, 1, 0).expect("tile")
     };
     fs::remove_file(video.join("sot_000010_000020.tiles")).expect("remove pack");
@@ -1066,7 +1060,7 @@ fn an_older_builds_residue_is_discarded_and_its_sot_directories_are_named() {
     fs::create_dir_all(&legacy).expect("legacy dir");
     fs::write(legacy.join("tile_000.tvf"), &tile).expect("legacy tile");
 
-    let store = VideoStore::open(&dir).expect("open over a legacy SOT");
+    let store = VideoStore::open(dir.path()).expect("open over a legacy SOT");
     assert!(store.recovery_report().is_clean());
     assert_eq!(fs::read(legacy.join("tile_000.tvf")).expect("kept"), tile);
     assert!(matches!(
@@ -1090,7 +1084,6 @@ fn an_older_builds_residue_is_discarded_and_its_sot_directories_are_named() {
         "{:?}",
         report.issues
     );
-    fs::remove_dir_all(&dir).ok();
 }
 
 /// Recovery only reaps directories that are recognizably the store's own
@@ -1099,7 +1092,7 @@ fn an_older_builds_residue_is_discarded_and_its_sot_directories_are_named() {
 #[test]
 fn recovery_never_deletes_foreign_directories() {
     let dir = temp_dir("foreign");
-    let store = VideoStore::open(&dir).expect("open");
+    let store = VideoStore::open(dir.path()).expect("open");
     let src = test_source(10);
     store
         .ingest("v", &src, 30, small_cfg(), |_, _| {
@@ -1109,12 +1102,12 @@ fn recovery_never_deletes_foreign_directories() {
     drop(store);
 
     // Not ours: a manifest-less directory holding unrelated data.
-    let foreign = dir.join("my-backups");
+    let foreign = dir.path().join("my-backups");
     fs::create_dir_all(&foreign).expect("mkdir");
     fs::write(foreign.join("important.txt"), b"do not lose").expect("write");
     fs::write(foreign.join("notes.tmp"), b"also keep: not tile residue").expect("write");
 
-    let store = VideoStore::open(&dir).expect("reopen");
+    let store = VideoStore::open(dir.path()).expect("reopen");
     assert!(
         store.recovery_report().is_clean(),
         "foreign data must not be touched: {:?}",
@@ -1134,13 +1127,12 @@ fn recovery_never_deletes_foreign_directories() {
 
     // An empty manifest-less directory, by contrast, is ingest residue.
     drop(store);
-    fs::create_dir_all(dir.join("half-ingested")).expect("mkdir");
-    let store = VideoStore::open(&dir).expect("reopen again");
+    fs::create_dir_all(dir.path().join("half-ingested")).expect("mkdir");
+    let store = VideoStore::open(dir.path()).expect("reopen again");
     assert!(store.recovery_report().actions.iter().any(
         |a| matches!(a, RecoveryAction::RemovedPartialVideo { video } if video == "half-ingested")
     ));
-    assert!(!dir.join("half-ingested").exists());
-    fs::remove_dir_all(&dir).ok();
+    assert!(!dir.path().join("half-ingested").exists());
 }
 
 /// Re-tiles survive restart cleanly: no residue, no recovery actions, fsck
@@ -1149,7 +1141,7 @@ fn recovery_never_deletes_foreign_directories() {
 #[test]
 fn clean_retile_leaves_no_residue() {
     let dir = temp_dir("clean-retile");
-    let store = VideoStore::open(&dir).expect("open");
+    let store = VideoStore::open(dir.path()).expect("open");
     let src = test_source(10);
     store
         .ingest("v", &src, 30, small_cfg(), |_, _| {
@@ -1166,7 +1158,7 @@ fn clean_retile_leaves_no_residue() {
         .expect("retile");
     drop(store);
 
-    let store = VideoStore::open(&dir).expect("reopen");
+    let store = VideoStore::open(dir.path()).expect("reopen");
     assert!(
         store.recovery_report().is_clean(),
         "clean shutdown needs no recovery: {:?}",
@@ -1180,10 +1172,9 @@ fn clean_retile_leaves_no_residue() {
         1
     );
     assert_eq!(
-        entry_names(&dir.join("v")),
+        entry_names(&dir.path().join("v")),
         ["manifest.json", "sot_000000_000010_r000001.tiles"]
     );
-    fs::remove_dir_all(&dir).ok();
 }
 
 /// What a commit costs is a count of durability steps, and the count does
@@ -1206,7 +1197,7 @@ fn a_commits_mutating_operations_do_not_grow_with_the_tile_count() {
     );
     let dir = temp_dir("op-counts");
     let io = FaultIo::new();
-    let store = VideoStore::open_with_io(&dir, 0, 0, io.clone()).expect("open");
+    let store = VideoStore::open_with_io(dir.path(), 0, 0, io.clone()).expect("open");
     let ops = |f: &mut dyn FnMut()| {
         let before = io.mutating_ops();
         f();
@@ -1249,7 +1240,6 @@ fn a_commits_mutating_operations_do_not_grow_with_the_tile_count() {
         assert_eq!(back, 4, "deferred re-tile from {tiles} tiles");
     }
     drop(store);
-    fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------
@@ -1349,7 +1339,7 @@ fn index_tier_crash_sweep_recovers_to_exactly_one_prefix() {
     // flushes, and at least one 4-way compaction into the sweep's range.
     let clean = temp_dir("index-sweep-clean");
     let counter = FaultIo::new();
-    let mut idx = TieredIndex::open_with_io(&clean, counter.clone()).expect("open clean");
+    let mut idx = TieredIndex::open_with_io(clean.path(), counter.clone()).expect("open clean");
     idx.set_memtable_limit(8);
     let ops_before = counter.mutating_ops();
     run_index_workload(&mut idx).expect("clean workload");
@@ -1369,9 +1359,10 @@ fn index_tier_crash_sweep_recovers_to_exactly_one_prefix() {
     let mut matched: Vec<u32> = Vec::new();
     for kind in [FaultKind::FailStop, FaultKind::TornWrite] {
         for n in 1..=total_ops {
-            let _ = fs::remove_dir_all(&scratch);
+            let _ = fs::remove_dir_all(scratch.path());
             let fault = FaultIo::new();
-            let mut idx = TieredIndex::open_with_io(&scratch, fault.clone()).expect("open faulted");
+            let mut idx =
+                TieredIndex::open_with_io(scratch.path(), fault.clone()).expect("open faulted");
             idx.set_memtable_limit(8);
             fault.arm(fault.mutating_ops() + n, kind);
             let result = run_index_workload(&mut idx);
@@ -1381,7 +1372,7 @@ fn index_tier_crash_sweep_recovers_to_exactly_one_prefix() {
 
             // Reopen with real I/O: recovery (temp reaping, compaction
             // roll-forward, watermarked WAL replay) runs at open.
-            let mut idx = TieredIndex::open(&scratch).expect("reopen after crash");
+            let mut idx = TieredIndex::open(scratch.path()).expect("reopen after crash");
             let issues = idx.verify().expect("verify runs");
             assert!(
                 issues.is_empty(),
@@ -1410,6 +1401,4 @@ fn index_tier_crash_sweep_recovers_to_exactly_one_prefix() {
         max, INDEX_SWEEP_STEPS,
         "late fault points must preserve the whole acknowledged stream"
     );
-    fs::remove_dir_all(&clean).ok();
-    fs::remove_dir_all(&scratch).ok();
 }

@@ -1,48 +1,34 @@
 //! End-to-end integration: synthetic corpus → detector → semantic index →
 //! tiled storage → `Scan`, across all crates.
 
-use tasm_core::{LabelPredicate, PartitionConfig, StorageConfig, Tasm, TasmConfig};
-use tasm_data::{Dataset, SceneSpec, SyntheticVideo};
+use tasm_core::{LabelPredicate, PartitionConfig, TasmConfig};
+use tasm_data::Dataset;
 use tasm_detect::yolo::SimulatedYolo;
 use tasm_detect::Detector;
-use tasm_index::MemoryIndex;
+use tasm_suite::{config, ingest, scene, TestStore};
 use tasm_video::{FrameSource, Plane};
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("tasm-e2e-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
-fn small_tasm(tag: &str) -> Tasm {
-    let cfg = TasmConfig {
-        storage: StorageConfig {
-            gop_len: 10,
-            sot_frames: 10,
-            parallel_encode: true,
-            ..Default::default()
-        },
-        partition: PartitionConfig {
-            min_tile_width: 64,
-            min_tile_height: 32,
-            ..Default::default()
-        },
+fn small_tasm(tag: &str) -> TestStore {
+    let partition = PartitionConfig {
+        min_tile_width: 64,
+        min_tile_height: 32,
         ..Default::default()
     };
-    Tasm::open(temp_dir(tag), Box::new(MemoryIndex::in_memory()), cfg).unwrap()
+    TestStore::open(
+        tag,
+        TasmConfig {
+            partition,
+            ..config()
+        },
+    )
 }
 
 /// The full pipeline the paper's Figure 2 describes: ingest, detect during
 /// query processing, add metadata, scan for objects, verify pixels.
 #[test]
 fn full_pipeline_scan_returns_object_pixels() {
-    let video = SyntheticVideo::new(SceneSpec {
-        width: 320,
-        height: 192,
-        frames: 30,
-        ..SceneSpec::test_scene()
-    });
-    let tasm = small_tasm("pipeline");
+    let video = scene(320, 192, 30, 7);
+    let tasm = small_tasm("e2e-pipeline");
     tasm.ingest("traffic", &video, 30).unwrap();
 
     // Query processor detects objects as a byproduct and feeds the index.
@@ -76,19 +62,9 @@ fn full_pipeline_scan_returns_object_pixels() {
 /// same regions (the core value proposition, Figure 6(a)).
 #[test]
 fn tiling_reduces_decode_work_without_changing_results() {
-    let video = SyntheticVideo::new(SceneSpec {
-        width: 320,
-        height: 192,
-        frames: 20,
-        ..SceneSpec::test_scene()
-    });
-    let tasm = small_tasm("reduction");
-    tasm.ingest("v", &video, 30).unwrap();
-    for f in 0..video.len() {
-        for (label, bbox) in video.ground_truth(f) {
-            tasm.add_metadata("v", label, f, bbox).unwrap();
-        }
-    }
+    let video = scene(320, 192, 20, 7);
+    let tasm = small_tasm("e2e-reduction");
+    ingest(&tasm, "v", &video);
 
     let before = tasm
         .scan("v", &LabelPredicate::label("person"), 0..20)
@@ -115,19 +91,9 @@ fn tiling_reduces_decode_work_without_changing_results() {
 /// non-existent label retrieves nothing.
 #[test]
 fn cnf_predicates_compose() {
-    let video = SyntheticVideo::new(SceneSpec {
-        width: 320,
-        height: 192,
-        frames: 10,
-        ..SceneSpec::test_scene()
-    });
-    let tasm = small_tasm("cnf");
-    tasm.ingest("v", &video, 30).unwrap();
-    for f in 0..video.len() {
-        for (label, bbox) in video.ground_truth(f) {
-            tasm.add_metadata("v", label, f, bbox).unwrap();
-        }
-    }
+    let video = scene(320, 192, 10, 7);
+    let tasm = small_tasm("e2e-cnf");
+    ingest(&tasm, "v", &video);
 
     let cars = tasm
         .scan("v", &LabelPredicate::label("car"), 0..10)
@@ -157,13 +123,8 @@ fn cnf_predicates_compose() {
 #[test]
 fn dataset_presets_ingest_and_scan() {
     let video = Dataset::VisualRoad2K.build(1, 7);
-    let tasm = small_tasm("dataset");
-    tasm.ingest("vr", &video, 30).unwrap();
-    for f in 0..video.len() {
-        for (label, bbox) in video.ground_truth(f) {
-            tasm.add_metadata("vr", label, f, bbox).unwrap();
-        }
-    }
+    let tasm = small_tasm("e2e-dataset");
+    ingest(&tasm, "vr", &video);
     let result = tasm
         .scan("vr", &LabelPredicate::label("car"), 0..30)
         .unwrap();
@@ -176,19 +137,9 @@ fn dataset_presets_ingest_and_scan() {
 /// Temporal predicates restrict decode to the covering SOTs.
 #[test]
 fn temporal_predicate_limits_decode() {
-    let video = SyntheticVideo::new(SceneSpec {
-        width: 320,
-        height: 192,
-        frames: 40,
-        ..SceneSpec::test_scene()
-    });
-    let tasm = small_tasm("temporal");
-    tasm.ingest("v", &video, 30).unwrap();
-    for f in 0..video.len() {
-        for (label, bbox) in video.ground_truth(f) {
-            tasm.add_metadata("v", label, f, bbox).unwrap();
-        }
-    }
+    let video = scene(320, 192, 40, 7);
+    let tasm = small_tasm("e2e-temporal");
+    ingest(&tasm, "v", &video);
     let narrow = tasm
         .scan("v", &LabelPredicate::label("car"), 10..15)
         .unwrap();

@@ -2,43 +2,16 @@
 //! over real synthetic video, exercising regret accumulation, the α safety
 //! rule, and the workload runner.
 
-use tasm_core::{
-    run_workload, LabelPredicate, PartitionConfig, RunQuery, StorageConfig, Strategy, Tasm,
-    TasmConfig,
-};
-use tasm_data::{SceneSpec, SyntheticVideo};
+use tasm_core::{run_workload, LabelPredicate, RunQuery, Strategy, Tasm, TasmConfig};
 use tasm_detect::yolo::SimulatedYolo;
 use tasm_index::MemoryIndex;
-use tasm_video::FrameSource;
+use tasm_suite::{config, ingest, scene, TempDir};
 
-fn scene(frames: u32, seed: u64) -> SyntheticVideo {
-    SyntheticVideo::new(SceneSpec {
-        width: 320,
-        height: 192,
-        frames,
-        seed,
-        ..SceneSpec::test_scene()
-    })
-}
-
-fn small_tasm(tag: &str) -> Tasm {
-    let dir = std::env::temp_dir().join(format!("tasm-inc-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let cfg = TasmConfig {
-        storage: StorageConfig {
-            gop_len: 10,
-            sot_frames: 10,
-            parallel_encode: true,
-            ..Default::default()
-        },
-        partition: PartitionConfig {
-            min_tile_width: 32,
-            min_tile_height: 32,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap()
+/// A store in `dir` the workload runner can drive: it takes the `Tasm` by
+/// `&mut`.
+fn small_tasm(dir: &TempDir, eta: f64) -> Tasm {
+    let cfg = TasmConfig { eta, ..config() };
+    Tasm::open(dir.path(), Box::new(MemoryIndex::in_memory()), cfg).unwrap()
 }
 
 fn repeated_queries(label: &str, windows: &[(u32, u32)], repeats: usize) -> Vec<RunQuery> {
@@ -59,8 +32,9 @@ fn repeated_queries(label: &str, windows: &[(u32, u32)], repeats: usize) -> Vec<
 /// behaviour).
 #[test]
 fn regret_retiles_only_queried_sections() {
-    let video = scene(40, 3);
-    let mut tasm = small_tasm("cracking");
+    let video = scene(320, 192, 40, 3);
+    let dir = TempDir::new("inc-cracking");
+    let mut tasm = small_tasm(&dir, 1.0);
     tasm.ingest("v", &video, 30).unwrap();
     let truth = |f: u32| video.ground_truth(f);
     let queries = repeated_queries("car", &[(0, 10)], 30);
@@ -97,8 +71,9 @@ fn regret_retiles_only_queried_sections() {
 /// ("TASM may even tile the same SOT multiple times", §4.4).
 #[test]
 fn layout_evolves_with_query_mix() {
-    let video = scene(20, 5);
-    let mut tasm = small_tasm("evolve");
+    let video = scene(320, 192, 20, 5);
+    let dir = TempDir::new("inc-evolve");
+    let mut tasm = small_tasm(&dir, 1.0);
     tasm.ingest("v", &video, 30).unwrap();
     let truth = |f: u32| video.ground_truth(f);
     let mut det = SimulatedYolo::full(1);
@@ -142,28 +117,12 @@ fn layout_evolves_with_query_mix() {
 /// amortize the encode cost (§4.4's discussion of the threshold).
 #[test]
 fn eta_controls_retiling_eagerness() {
-    let video = scene(20, 9);
+    let video = scene(320, 192, 20, 9);
     let truth = |f: u32| video.ground_truth(f);
 
     let count_retiles = |eta: f64, tag: &str| {
-        let dir = std::env::temp_dir().join(format!("tasm-eta-{tag}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let cfg = TasmConfig {
-            eta,
-            storage: StorageConfig {
-                gop_len: 10,
-                sot_frames: 10,
-                parallel_encode: true,
-                ..Default::default()
-            },
-            partition: PartitionConfig {
-                min_tile_width: 32,
-                min_tile_height: 32,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let mut tasm = Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap();
+        let dir = TempDir::new(&format!("inc-eta-{tag}"));
+        let mut tasm = small_tasm(&dir, eta);
         tasm.ingest("v", &video, 30).unwrap();
         let queries = repeated_queries("car", &[(0, 10)], 6);
         let mut det = SimulatedYolo::full(1);
@@ -199,8 +158,9 @@ fn eta_controls_retiling_eagerness() {
 /// stable (the flat diagonal of Figure 11).
 #[test]
 fn not_tiled_baseline_is_stable() {
-    let video = scene(20, 11);
-    let mut tasm = small_tasm("baseline");
+    let video = scene(320, 192, 20, 11);
+    let dir = TempDir::new("inc-baseline");
+    let mut tasm = small_tasm(&dir, 1.0);
     tasm.ingest("v", &video, 30).unwrap();
     let truth = |f: u32| video.ground_truth(f);
     let queries = repeated_queries("car", &[(0, 10), (10, 20)], 5);
@@ -234,15 +194,10 @@ fn not_tiled_baseline_is_stable() {
 /// regions (correctness is preserved across physical reorganization).
 #[test]
 fn results_stable_across_retiling() {
-    let video = scene(20, 13);
-    let tasm = small_tasm("stable");
-    tasm.ingest("v", &video, 30).unwrap();
-    for f in 0..video.len() {
-        for (l, b) in video.ground_truth(f) {
-            tasm.add_metadata("v", l, f, b).unwrap();
-        }
-        tasm.mark_processed("v", f).unwrap();
-    }
+    let video = scene(320, 192, 20, 13);
+    let dir = TempDir::new("inc-stable");
+    let tasm = small_tasm(&dir, 1.0);
+    ingest(&tasm, "v", &video);
     let before = tasm
         .scan("v", &LabelPredicate::label("car"), 0..20)
         .unwrap();

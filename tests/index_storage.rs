@@ -3,20 +3,14 @@
 //! process-style reopen, and index-driven scans over stored video.
 
 use tasm_core::{LabelPredicate, StorageConfig, Tasm, TasmConfig};
-use tasm_data::{SceneSpec, SyntheticVideo};
 use tasm_index::{SemanticIndex, TieredIndex};
-use tasm_video::{FrameSource, Rect};
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("tasm-is-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
+use tasm_suite::{ingest, scene, TempDir};
+use tasm_video::Rect;
 
 #[test]
 fn persistent_index_backs_scans() {
-    let dir = temp_dir("scan");
-    let idx = TieredIndex::open(&dir.join("index")).unwrap();
+    let dir = TempDir::new("is-scan");
+    let idx = TieredIndex::open(&dir.path().join("index")).unwrap();
     let cfg = TasmConfig {
         storage: StorageConfig {
             gop_len: 10,
@@ -25,20 +19,10 @@ fn persistent_index_backs_scans() {
         },
         ..Default::default()
     };
-    let tasm = Tasm::open(dir.join("store"), Box::new(idx), cfg).unwrap();
+    let tasm = Tasm::open(dir.path().join("store"), Box::new(idx), cfg).unwrap();
 
-    let video = SyntheticVideo::new(SceneSpec {
-        width: 320,
-        height: 192,
-        frames: 20,
-        ..SceneSpec::test_scene()
-    });
-    tasm.ingest("v", &video, 30).unwrap();
-    for f in 0..video.len() {
-        for (l, b) in video.ground_truth(f) {
-            tasm.add_metadata("v", l, f, b).unwrap();
-        }
-    }
+    let video = scene(320, 192, 20, 7);
+    ingest(&tasm, "v", &video);
     let result = tasm
         .scan("v", &LabelPredicate::label("car"), 0..20)
         .unwrap();
@@ -47,11 +31,11 @@ fn persistent_index_backs_scans() {
 
 #[test]
 fn index_survives_reopen_with_many_detections() {
-    let dir = temp_dir("durability");
+    let dir = TempDir::new("is-durability");
     let boxes_per_frame = 4;
     let frames = 2_000u32;
     {
-        let mut idx = TieredIndex::open(&dir).unwrap();
+        let mut idx = TieredIndex::open(dir.path()).unwrap();
         for f in 0..frames {
             for i in 0..boxes_per_frame {
                 idx.add_metadata(
@@ -67,7 +51,7 @@ fn index_survives_reopen_with_many_detections() {
         idx.flush().unwrap();
     }
     {
-        let mut idx = TieredIndex::open(&dir).unwrap();
+        let mut idx = TieredIndex::open(dir.path()).unwrap();
         assert_eq!(idx.detection_count(), (frames * boxes_per_frame) as u64);
         assert_eq!(idx.processed_count(0, 0..frames).unwrap(), frames);
         let cars = idx.query(0, "car", 500..510).unwrap();
@@ -84,7 +68,7 @@ fn index_survives_reopen_with_many_detections() {
 /// stable across sessions.
 #[test]
 fn attach_resumes_after_restart() {
-    let dir = temp_dir("attach");
+    let dir = TempDir::new("is-attach");
     let cfg = TasmConfig {
         storage: StorageConfig {
             gop_len: 10,
@@ -93,31 +77,21 @@ fn attach_resumes_after_restart() {
         },
         ..Default::default()
     };
-    let video = SyntheticVideo::new(SceneSpec {
-        width: 320,
-        height: 192,
-        frames: 20,
-        ..SceneSpec::test_scene()
-    });
+    let video = scene(320, 192, 20, 7);
 
     // Session 1: ingest, index, tile.
     {
-        let idx = TieredIndex::open(&dir.join("index")).unwrap();
-        let mut tasm = Tasm::open(dir.join("store"), Box::new(idx), cfg.clone()).unwrap();
-        tasm.ingest("cam", &video, 30).unwrap();
-        for f in 0..video.len() {
-            for (l, b) in video.ground_truth(f) {
-                tasm.add_metadata("cam", l, f, b).unwrap();
-            }
-        }
+        let idx = TieredIndex::open(&dir.path().join("index")).unwrap();
+        let mut tasm = Tasm::open(dir.path().join("store"), Box::new(idx), cfg.clone()).unwrap();
+        ingest(&tasm, "cam", &video);
         tasm.kqko_retile_all("cam", &["car".to_string()]).unwrap();
         tasm.index_mut().flush().unwrap();
     }
 
     // Session 2: attach — no re-encode, layouts preserved, scans work.
     {
-        let idx = TieredIndex::open(&dir.join("index")).unwrap();
-        let tasm = Tasm::open(dir.join("store"), Box::new(idx), cfg).unwrap();
+        let idx = TieredIndex::open(&dir.path().join("index")).unwrap();
+        let tasm = Tasm::open(dir.path().join("store"), Box::new(idx), cfg).unwrap();
         assert!(tasm.has_stored_video("cam"));
         assert!(!tasm.has_stored_video("other"));
         tasm.attach("cam").unwrap();
@@ -140,7 +114,7 @@ fn attach_resumes_after_restart() {
 fn store_and_index_agree_after_reload() {
     // Manifest reload from disk yields the same SOT structure TASM had in
     // memory, so a "restarted" system can keep answering queries.
-    let dir = temp_dir("reload");
+    let dir = TempDir::new("is-reload");
     let cfg = TasmConfig {
         storage: StorageConfig {
             gop_len: 10,
@@ -149,37 +123,27 @@ fn store_and_index_agree_after_reload() {
         },
         ..Default::default()
     };
-    let video = SyntheticVideo::new(SceneSpec {
-        width: 320,
-        height: 192,
-        frames: 30,
-        ..SceneSpec::test_scene()
-    });
+    let video = scene(320, 192, 30, 7);
 
     let manifest_before = {
-        let idx = TieredIndex::open(&dir.join("index")).unwrap();
-        let mut tasm = Tasm::open(dir.join("store"), Box::new(idx), cfg.clone()).unwrap();
-        tasm.ingest("v", &video, 30).unwrap();
-        for f in 0..video.len() {
-            for (l, b) in video.ground_truth(f) {
-                tasm.add_metadata("v", l, f, b).unwrap();
-            }
-        }
+        let idx = TieredIndex::open(&dir.path().join("index")).unwrap();
+        let mut tasm = Tasm::open(dir.path().join("store"), Box::new(idx), cfg.clone()).unwrap();
+        ingest(&tasm, "v", &video);
         tasm.kqko_retile_all("v", &["car".to_string()]).unwrap();
         tasm.index_mut().flush().unwrap();
         tasm.manifest("v").unwrap().clone()
     };
 
     // "Restart": reload manifest directly from the store directory.
-    let store = tasm_core::VideoStore::open(dir.join("store")).unwrap();
+    let store = tasm_core::VideoStore::open(dir.path().join("store")).unwrap();
     let manifest_after = store.load_manifest("v").unwrap();
     assert_eq!(manifest_before, manifest_after);
     assert!(manifest_after.sots.iter().any(|s| !s.layout.is_untiled()));
 
     // And the persistent index still knows the labels (video ids are
     // name-derived, so a fresh session resolves the same id).
-    let idx = TieredIndex::open(&dir.join("index")).unwrap();
-    let mut tasm = Tasm::open(dir.join("store"), Box::new(idx), cfg).unwrap();
+    let idx = TieredIndex::open(&dir.path().join("index")).unwrap();
+    let mut tasm = Tasm::open(dir.path().join("store"), Box::new(idx), cfg).unwrap();
     let id = tasm.attach("v").unwrap();
     let labels = tasm.index_mut().labels(id).unwrap();
     assert!(labels.contains(&"car".to_string()));

@@ -12,14 +12,11 @@
 
 use std::sync::Arc;
 use tasm_client::{ClientError, Connection};
-use tasm_core::{LabelPredicate, PartitionConfig, Query, StorageConfig, Tasm, TasmConfig};
-use tasm_data::{SceneSpec, SyntheticVideo};
-use tasm_index::MemoryIndex;
+use tasm_core::{LabelPredicate, Query};
 use tasm_proto::ErrorCode;
 use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::{QueryRequest, ServiceConfig};
-use tasm_suite::assert_regions_identical;
-use tasm_video::FrameSource;
+use tasm_suite::{assert_regions_identical, config, ingest, scene, TestStore};
 
 const FRAMES: u32 = 60;
 
@@ -30,45 +27,11 @@ fn inject(req: &QueryRequest) -> bool {
     req.query.predicate().labels().contains(&POISON_LABEL)
 }
 
-fn scene() -> SyntheticVideo {
-    SyntheticVideo::new(SceneSpec {
-        width: 256,
-        height: 160,
-        frames: FRAMES,
-        seed: 47,
-        ..SceneSpec::test_scene()
-    })
-}
-
-fn tasm(tag: &str) -> Arc<Tasm> {
-    let dir = std::env::temp_dir().join(format!("tasm-panic-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let cfg = TasmConfig {
-        storage: StorageConfig {
-            gop_len: 10,
-            sot_frames: 10,
-            ..Default::default()
-        },
-        partition: PartitionConfig {
-            min_tile_width: 32,
-            min_tile_height: 32,
-            ..Default::default()
-        },
-        workers: 1,
-        cache_bytes: 64 << 20,
-        ..Default::default()
-    };
-    Arc::new(Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap())
-}
-
-fn ingest(tasm: &Tasm, video: &SyntheticVideo) {
-    tasm.ingest("v", video, 30).unwrap();
-    for f in 0..video.len() {
-        for (l, b) in video.ground_truth(f) {
-            tasm.add_metadata("v", l, f, b).unwrap();
-        }
-        tasm.mark_processed("v", f).unwrap();
-    }
+/// The scene ingested into a store of its own.
+fn store(tag: &str) -> TestStore {
+    let tasm = TestStore::open(tag, config());
+    ingest(&tasm, "v", &scene(256, 160, FRAMES, 47));
+    tasm
 }
 
 /// Interleaves panicking and healthy queries on one session, checks the
@@ -77,11 +40,8 @@ fn ingest(tasm: &Tasm, video: &SyntheticVideo) {
 /// (no stranded in-flight slot, workers alive).
 #[test]
 fn panicked_query_is_isolated_reactor() {
-    let video = scene();
-    let server_tasm = tasm("iso-server");
-    ingest(&server_tasm, &video);
-    let twin = tasm("iso-twin");
-    ingest(&twin, &video);
+    let server_tasm = store("panic-iso-server");
+    let twin = store("panic-iso-twin");
 
     let server = TasmServer::bind(
         Arc::clone(&server_tasm),
@@ -109,8 +69,7 @@ fn panicked_query_is_isolated_reactor() {
         let before = conn.query("v", &healthy).expect("healthy query");
         let reference = twin.query("v", &healthy).expect("twin query");
         assert_eq!(before.matched, reference.matched, "{what}: matched");
-        let expected: Vec<_> = reference.regions.iter().collect();
-        assert_regions_identical(&expected, &before.regions, &what);
+        assert_regions_identical(&reference.regions, &before.regions, &what);
 
         match conn.query("v", &poisoned) {
             Err(ClientError::Rejected { code, .. }) => {
@@ -128,8 +87,7 @@ fn panicked_query_is_isolated_reactor() {
             .query("v", &healthy)
             .expect("session must survive the panic");
         assert_eq!(after.matched, reference.matched, "{what}: matched");
-        let expected: Vec<_> = reference.regions.iter().collect();
-        assert_regions_identical(&expected, &after.regions, &what);
+        assert_regions_identical(&reference.regions, &after.regions, &what);
     }
 
     // A *second* session opened after the panics is also unaffected —
@@ -176,9 +134,7 @@ fn thread_count() -> Option<usize> {
 /// this guards against is a thread per connection sneaking back in.
 #[test]
 fn reactor_threads_scale_with_workers_not_connections() {
-    let video = scene();
-    let server_tasm = tasm("threads");
-    ingest(&server_tasm, &video);
+    let server_tasm = store("panic-threads");
 
     let server = TasmServer::bind(
         Arc::clone(&server_tasm),
@@ -236,11 +192,8 @@ fn reactor_threads_scale_with_workers_not_connections() {
 fn answers_stay_bit_exact_with_256_sessions_open() {
     const SESSIONS: usize = 256;
     const WINDOW: u32 = 12;
-    let video = scene();
-    let server_tasm = tasm("fanin-server");
-    ingest(&server_tasm, &video);
-    let twin = tasm("fanin-twin");
-    ingest(&twin, &video);
+    let server_tasm = store("panic-fanin-server");
+    let twin = store("panic-fanin-twin");
 
     let server = TasmServer::bind(
         Arc::clone(&server_tasm),
@@ -262,12 +215,11 @@ fn answers_stay_bit_exact_with_256_sessions_open() {
     for (i, start) in [0u32, 11, 23, 37].into_iter().enumerate() {
         let query = Query::new(LabelPredicate::label("car")).frames(start..start + WINDOW);
         let reference = twin.query("v", &query).expect("twin query");
-        let expected: Vec<_> = reference.regions.iter().collect();
         for s in [i, SESSIONS / 2 + i, SESSIONS - 1 - i] {
             let what = format!("session {s}, frames from {start}");
             let got = conns[s].query("v", &query).expect("remote query");
             assert_eq!(got.matched, reference.matched, "{what}: matched");
-            assert_regions_identical(&expected, &got.regions, &what);
+            assert_regions_identical(&reference.regions, &got.regions, &what);
         }
     }
     for conn in conns {

@@ -1,174 +1,39 @@
 //! End-to-end tests of the networked serving layer.
 //!
-//! The contract under test (the PR's acceptance criterion): query results
-//! delivered over TCP are **bit-identical** to in-process `Tasm::query`
-//! for the same `Query` — including ROI, stride, limit, and the aggregate
-//! modes — with at least 4 concurrent clients and the background retile
-//! daemon re-tiling mid-workload; and admission control answers a full
-//! queue with a typed BUSY frame instead of ever blocking the socket.
+//! The contract under test: with the background retile daemon re-tiling
+//! mid-workload, results delivered over TCP to 4 concurrent clients are
+//! **bit-identical** to in-process `Tasm::query` at one of the layout
+//! epochs; admission control answers a full queue with a typed BUSY frame
+//! instead of ever blocking the socket; and answers on one connection, or
+//! relayed by a router, never show an earlier answer's bytes. Wire answers
+//! at a stable layout, across the whole query surface, are
+//! `tests/contract.rs`'s.
 
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use tasm_client::{ClientError, Connection, LoadGen, LoadGenConfig};
-use tasm_core::{
-    LabelPredicate, PartitionConfig, Query, QueryMode, StorageConfig, Tasm, TasmConfig,
-};
-use tasm_data::{SceneSpec, SyntheticVideo};
-use tasm_index::MemoryIndex;
+use tasm_core::{LabelPredicate, Query, QueryMode, Tasm, TasmConfig};
+use tasm_data::SyntheticVideo;
 use tasm_proto::{ErrorCode, Message, ProtoError, VERSION};
 use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::{RetilePolicy, ServiceConfig};
-use tasm_suite::{assert_regions_identical, regions_identical};
-use tasm_video::{FrameSource, Rect};
-
-/// [`regions_identical`] over two owned region lists.
-fn regions_match(a: &[tasm_core::RegionPixels], b: &[tasm_core::RegionPixels]) -> bool {
-    let refs: Vec<_> = a.iter().collect();
-    regions_identical(&refs, b)
-}
+use tasm_suite::{
+    assert_regions_identical, config, index_ground_truth, ingest, regions_identical, scene,
+    TempDir, TestStore,
+};
+use tasm_video::Rect;
 
 const FRAMES: u32 = 60;
 
-fn scene() -> SyntheticVideo {
-    SyntheticVideo::new(SceneSpec {
-        width: 256,
-        height: 160,
-        frames: FRAMES,
-        seed: 47,
-        ..SceneSpec::test_scene()
-    })
+fn scene60() -> SyntheticVideo {
+    scene(256, 160, FRAMES, 47)
 }
 
-fn tasm(tag: &str) -> Arc<Tasm> {
-    let dir = std::env::temp_dir().join(format!("tasm-remote-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let cfg = TasmConfig {
-        storage: StorageConfig {
-            gop_len: 10,
-            sot_frames: 10,
-            ..Default::default()
-        },
-        partition: PartitionConfig {
-            min_tile_width: 32,
-            min_tile_height: 32,
-            ..Default::default()
-        },
-        workers: 1,
-        cache_bytes: 64 << 20,
-        ..Default::default()
-    };
-    Arc::new(Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap())
-}
-
-fn ingest(tasm: &Tasm, video: &SyntheticVideo) {
-    tasm.ingest("v", video, 30).unwrap();
-    for f in 0..video.len() {
-        for (l, b) in video.ground_truth(f) {
-            tasm.add_metadata("v", l, f, b).unwrap();
-        }
-        tasm.mark_processed("v", f).unwrap();
-    }
-}
-
-/// The per-client query mix: every planner clause plus both aggregate
-/// modes, windows offset per client so concurrent work overlaps without
-/// being identical.
-fn query_mix(client: u32) -> Vec<Query> {
-    let start = client * 7;
-    vec![
-        Query::new(LabelPredicate::label("car")).frames(start..start + 40),
-        Query::new(LabelPredicate::label("car"))
-            .frames(start..start + 50)
-            .roi(Rect::new(0, 0, 128, 80))
-            .stride(2),
-        Query::new(LabelPredicate::label("person"))
-            .frames(0..FRAMES)
-            .limit(5),
-        Query::new(LabelPredicate::label("car"))
-            .frames(start..start + 30)
-            .roi(Rect::new(64, 40, 128, 80))
-            .stride(3)
-            .limit(4),
-        Query::new(LabelPredicate::label("car"))
-            .frames(0..FRAMES)
-            .mode(QueryMode::Count),
-        Query::new(LabelPredicate::label("person"))
-            .frames(start..start + 40)
-            .mode(QueryMode::Exists),
-    ]
-}
-
-/// Wire fidelity: with a stable layout (no daemon), results served over
-/// TCP to 4 concurrent clients are bit-identical to in-process
-/// `Tasm::query` on an identical twin store, across the full query surface
-/// (ROI, stride, limit, aggregate modes) and across warm-cache repeats.
-#[test]
-fn remote_results_bit_identical_to_in_process_queries() {
-    let video = scene();
-    let server_tasm = tasm("e2e-server");
-    ingest(&server_tasm, &video);
-    // The in-process twin: same video, same detections, its own store.
-    let twin = tasm("e2e-twin");
-    ingest(&twin, &video);
-
-    let server = TasmServer::bind(
-        Arc::clone(&server_tasm),
-        ServiceConfig {
-            workers: 4,
-            queue_depth: 32,
-            ..Default::default()
-        },
-        ServerConfig::default(),
-        "127.0.0.1:0",
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr();
-
-    let barrier = Barrier::new(4);
-    std::thread::scope(|scope| {
-        for client in 0..4u32 {
-            let twin = &twin;
-            let barrier = &barrier;
-            scope.spawn(move || {
-                let mut conn = Connection::connect(addr).expect("connect");
-                barrier.wait();
-                // Two passes so the second hits the warm decoded-GOP cache
-                // and the shared-scan dedup paths.
-                for pass in 0..2 {
-                    for (qi, query) in query_mix(client).into_iter().enumerate() {
-                        let remote = conn.query("v", &query).expect("remote query");
-                        let local = twin.query("v", &query).expect("twin query");
-                        let what = format!("client {client} pass {pass} query {qi}");
-                        assert_eq!(remote.matched, local.matched, "{what}: matched");
-                        let expected: Vec<_> = local.regions.iter().collect();
-                        assert_regions_identical(&expected, &remote.regions, &what);
-                        if query.query_mode() != QueryMode::Pixels {
-                            assert!(
-                                remote.regions.is_empty(),
-                                "{what}: aggregate modes return no pixels"
-                            );
-                            assert_eq!(
-                                remote.summary.samples_decoded, 0,
-                                "{what}: aggregate modes decode nothing"
-                            );
-                        }
-                    }
-                }
-                conn.goodbye().expect("goodbye");
-            });
-        }
-    });
-
-    let report = server.shutdown();
-    assert_eq!(report.sessions_served, 4);
-    let stats = report.service.stats;
-    assert_eq!(stats.failed, 0, "no remote query may fail");
-    assert_eq!(stats.completed, 4 * 2 * 6);
-    assert_eq!(report.service.abandoned, 0);
-    assert_eq!(
-        stats.latency.count, stats.completed,
-        "one latency sample per completed query"
-    );
+/// The scene ingested into a store opened with `cfg`.
+fn store(tag: &str, cfg: TasmConfig) -> TestStore {
+    let tasm = TestStore::open(tag, cfg);
+    ingest(&tasm, "v", &scene60());
+    tasm
 }
 
 /// The retile-daemon half of the acceptance criterion: with the regret
@@ -182,35 +47,12 @@ fn remote_results_bit_identical_to_in_process_queries() {
 #[test]
 fn remote_results_stay_epoch_exact_while_daemon_retiles() {
     let frames = FRAMES;
-    let video = scene();
     // One SOT spanning the whole video and a hair-trigger regret
     // threshold: exactly two layout epochs, with the re-tile landing
     // mid-workload.
-    let tune = |cfg: &mut TasmConfig| {
-        cfg.storage.sot_frames = frames;
-        cfg.eta = 0.05;
-    };
-    let tasm_tuned = |tag: &str| {
-        let dir = std::env::temp_dir().join(format!("tasm-remote-{tag}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let mut cfg = TasmConfig {
-            storage: StorageConfig {
-                gop_len: 10,
-                sot_frames: 10,
-                ..Default::default()
-            },
-            partition: PartitionConfig {
-                min_tile_width: 32,
-                min_tile_height: 32,
-                ..Default::default()
-            },
-            workers: 1,
-            cache_bytes: 64 << 20,
-            ..Default::default()
-        };
-        tune(&mut cfg);
-        Arc::new(Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap())
-    };
+    let mut tuned = config();
+    tuned.storage.sot_frames = frames;
+    tuned.eta = 0.05;
 
     // All-car query mix (windows/ROI/stride/limit vary): with one SOT and
     // one label the regret policy converges on one alternative layout, so
@@ -235,8 +77,7 @@ fn remote_results_stay_epoch_exact_while_daemon_retiles() {
         .collect();
 
     // In-process references for both epochs, from a serially-driven twin.
-    let twin = tasm_tuned("epoch-twin");
-    ingest(&twin, &video);
+    let twin = store("remote-epoch-twin", tuned.clone());
     let ref_pre: Vec<_> = mix.iter().map(|q| twin.query("v", q).unwrap()).collect();
     let mut retiled = false;
     for _ in 0..64 {
@@ -256,13 +97,12 @@ fn remote_results_stay_epoch_exact_while_daemon_retiles() {
     assert!(
         mix.iter().enumerate().any(|(i, q)| {
             q.query_mode() == QueryMode::Pixels
-                && !regions_match(&ref_pre[i].regions, &ref_post[i].regions)
+                && !regions_identical(&ref_pre[i].regions, &ref_post[i].regions)
         }),
         "the re-tile must change pixels, or epoch tearing would be invisible"
     );
 
-    let server_tasm = tasm_tuned("epoch-server");
-    ingest(&server_tasm, &video);
+    let server_tasm = store("remote-epoch-server", tuned);
     let server = TasmServer::bind(
         Arc::clone(&server_tasm),
         ServiceConfig {
@@ -296,8 +136,8 @@ fn remote_results_stay_epoch_exact_while_daemon_retiles() {
                         let what = format!("client {client} pass {pass} query {qi}");
                         assert_eq!(remote.matched, ref_pre[qi].matched, "{what}: matched");
                         assert!(
-                            regions_match(&ref_pre[qi].regions, &remote.regions)
-                                || regions_match(&ref_post[qi].regions, &remote.regions),
+                            regions_identical(&ref_pre[qi].regions, &remote.regions)
+                                || regions_identical(&ref_post[qi].regions, &remote.regions),
                             "{what}: result matches neither epoch's in-process \
                              reference — torn or distorted by the serving layer"
                         );
@@ -322,12 +162,10 @@ fn remote_results_stay_epoch_exact_while_daemon_retiles() {
 /// is refused, the connection keeps working, nothing blocks.
 #[test]
 fn queue_full_returns_typed_busy_not_a_hang() {
-    let video = scene();
-    let server_tasm = tasm("busy");
-    ingest(&server_tasm, &video);
+    let server_tasm = store("remote-busy", config());
     // One worker over a one-deep queue: at most two queries in the system.
     let server = TasmServer::bind(
-        server_tasm,
+        Arc::clone(&server_tasm),
         ServiceConfig {
             workers: 1,
             queue_depth: 1,
@@ -386,11 +224,9 @@ fn queue_full_returns_typed_busy_not_a_hang() {
 /// with a typed error while the earlier ones proceed.
 #[test]
 fn per_session_inflight_cap_is_enforced() {
-    let video = scene();
-    let server_tasm = tasm("inflight");
-    ingest(&server_tasm, &video);
+    let server_tasm = store("remote-inflight", config());
     let server = TasmServer::bind(
-        server_tasm,
+        Arc::clone(&server_tasm),
         ServiceConfig {
             workers: 1,
             queue_depth: 16,
@@ -470,11 +306,9 @@ fn per_session_inflight_cap_is_enforced() {
 /// typed error frame at handshake.
 #[test]
 fn connection_cap_refuses_with_typed_error() {
-    let video = scene();
-    let server_tasm = tasm("conncap");
-    ingest(&server_tasm, &video);
+    let server_tasm = store("remote-conncap", config());
     let server = TasmServer::bind(
-        server_tasm,
+        Arc::clone(&server_tasm),
         ServiceConfig::default(),
         ServerConfig {
             max_connections: 1,
@@ -503,11 +337,9 @@ fn connection_cap_refuses_with_typed_error() {
 /// error during the handshake.
 #[test]
 fn version_mismatch_is_refused_at_handshake() {
-    let video = scene();
-    let server_tasm = tasm("version");
-    ingest(&server_tasm, &video);
+    let server_tasm = store("remote-version", config());
     let server = TasmServer::bind(
-        server_tasm,
+        Arc::clone(&server_tasm),
         ServiceConfig::default(),
         ServerConfig::default(),
         "127.0.0.1:0",
@@ -540,11 +372,9 @@ fn version_mismatch_is_refused_at_handshake() {
 /// a real burst.
 #[test]
 fn loadgen_drives_the_server_and_reports_latency() {
-    let video = scene();
-    let server_tasm = tasm("loadgen");
-    ingest(&server_tasm, &video);
+    let server_tasm = store("remote-loadgen", config());
     let server = TasmServer::bind(
-        server_tasm,
+        Arc::clone(&server_tasm),
         ServiceConfig {
             workers: 2,
             queue_depth: 16,
@@ -604,11 +434,9 @@ fn loadgen_drives_the_server_and_reports_latency() {
 /// phase decomposition is bounded by the measured total.
 #[test]
 fn remote_queries_carry_a_consistent_trace() {
-    let video = scene();
-    let server_tasm = tasm("trace");
-    ingest(&server_tasm, &video);
+    let server_tasm = store("remote-trace", config());
     let server = TasmServer::bind(
-        server_tasm,
+        Arc::clone(&server_tasm),
         ServiceConfig {
             workers: 2,
             queue_depth: 16,
@@ -669,47 +497,23 @@ fn remote_queries_carry_a_consistent_trace() {
 const HAZARD_A_FRAMES: u32 = 60;
 const HAZARD_B_FRAMES: u32 = 30;
 
-fn hazard_scene_b() -> SyntheticVideo {
-    SyntheticVideo::new(SceneSpec {
-        width: 192,
-        height: 128,
-        frames: HAZARD_B_FRAMES,
-        seed: 91,
-        ..SceneSpec::test_scene()
-    })
-}
-
 /// Opens a store holding the named hazard videos: `a` (256×160, a
 /// non-uniform 3×2 layout, extra labels built for the sequence) and `b`
 /// (192×128, untiled).
-fn hazard_store(tag: &str, videos: &[&str], cache_bytes: u64) -> Arc<Tasm> {
-    let dir = std::env::temp_dir().join(format!("tasm-remote-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let cfg = TasmConfig {
-        storage: StorageConfig {
-            gop_len: 10,
-            sot_frames: 10,
-            ..Default::default()
+fn hazard_store(tag: &str, videos: &[&str], cache_bytes: u64) -> TestStore {
+    let tasm = TestStore::open(
+        tag,
+        TasmConfig {
+            cache_bytes,
+            ..config()
         },
-        workers: 1,
-        cache_bytes,
-        ..Default::default()
-    };
-    let tasm = Arc::new(Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap());
-    let truth = |name: &str, video: &SyntheticVideo| {
-        for f in 0..video.len() {
-            for (l, b) in video.ground_truth(f) {
-                tasm.add_metadata(name, l, f, b).unwrap();
-            }
-            tasm.mark_processed(name, f).unwrap();
-        }
-    };
+    );
     if videos.contains(&"a") {
-        let video = scene();
+        let video = scene60();
         let layout = tasm_codec::TileLayout::new(vec![64, 128, 64], vec![96, 64]).unwrap();
         tasm.ingest_with("a", &video, 30, |_, _| layout.clone())
             .unwrap();
-        truth("a", &video);
+        index_ground_truth(&tasm, "a", &video);
         for f in 0..40 {
             tasm.add_metadata("a", "whole", f, Rect::new(0, 0, 256, 160))
                 .unwrap();
@@ -740,9 +544,7 @@ fn hazard_store(tag: &str, videos: &[&str], cache_bytes: u64) -> Arc<Tasm> {
         }
     }
     if videos.contains(&"b") {
-        let video = hazard_scene_b();
-        tasm.ingest("b", &video, 30).unwrap();
-        truth("b", &video);
+        ingest(&tasm, "b", &scene(192, 128, HAZARD_B_FRAMES, 91));
     }
     tasm
 }
@@ -883,8 +685,8 @@ fn one_deep_service() -> ServiceConfig {
 
 #[test]
 fn answers_on_one_connection_never_show_an_earlier_answers_bytes() {
-    let twin = hazard_store("hazard-twin", &["a", "b"], 0);
-    let serving = hazard_store("hazard", &["a", "b"], 64 << 20);
+    let twin = hazard_store("remote-hazard-twin", &["a", "b"], 0);
+    let serving = hazard_store("remote-hazard", &["a", "b"], 64 << 20);
     let server = TasmServer::bind(
         Arc::clone(&serving),
         one_deep_service(),
@@ -905,10 +707,11 @@ fn answers_on_one_connection_never_show_an_earlier_answers_bytes() {
 #[test]
 fn answers_relayed_by_a_router_never_show_an_earlier_answers_bytes() {
     use tasm_cluster::{NodeInfo, Router, RouterConfig, ShardMap};
-    let twin = hazard_store("hazard-router-twin", &["a", "b"], 0);
+    let cluster = TempDir::new("remote-hazard-cluster");
+    let twin = hazard_store("remote-hazard-router-twin", &["a", "b"], 0);
     let stores = [
-        hazard_store("hazard-n1", &["a"], 64 << 20),
-        hazard_store("hazard-n2", &["b"], 64 << 20),
+        hazard_store("remote-hazard-n1", &["a"], 64 << 20),
+        hazard_store("remote-hazard-n2", &["b"], 64 << 20),
     ];
     let shards: Vec<TasmServer> = stores
         .iter()
@@ -936,10 +739,7 @@ fn answers_relayed_by_a_router_never_show_an_earlier_answers_bytes() {
     let mut map = ShardMap::new(nodes, 1).unwrap();
     map.pin("a", vec!["n1".to_string()]);
     map.pin("b", vec!["n2".to_string()]);
-    let map_path = std::env::temp_dir().join(format!(
-        "tasm-remote-hazard-cluster-{}.json",
-        std::process::id()
-    ));
+    let map_path = cluster.path().join("cluster.json");
     map.save(&map_path).unwrap();
     let router = Router::bind(
         RouterConfig {

@@ -16,17 +16,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tasm_client::Connection;
 use tasm_cluster::{NodeInfo, Router, RouterConfig, ShardMap};
-use tasm_core::{
-    LabelPredicate, Query, RegionPixels, StorageConfig, Tasm, TasmConfig, CANVAS_POOL_BYTES,
-};
-use tasm_data::{SceneSpec, SyntheticVideo};
-use tasm_index::MemoryIndex;
+use tasm_core::{LabelPredicate, Query, RegionPixels, Tasm, TasmConfig, CANVAS_POOL_BYTES};
 use tasm_proto::nio::WIRE_POOL_BYTES;
 use tasm_proto::{Message, VERSION};
 use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::ServiceConfig;
-use tasm_suite::assert_regions_identical;
-use tasm_video::{FrameSource, Rect};
+use tasm_suite::{assert_regions_identical, config, ingest, scene, TempDir, TestStore};
+use tasm_video::Rect;
 
 const FRAMES: u32 = 60;
 const CANVAS_GAUGE: &str = "tasm_response_canvas_bytes_retained";
@@ -36,36 +32,20 @@ static TURN: Mutex<()> = Mutex::new(());
 
 /// A 256×160 clip with its ground truth and a `whole` box on every frame:
 /// a `whole` query returns 60 full frames, 3.7 MB of pixels.
-fn store(tag: &str, cache_bytes: u64) -> Arc<Tasm> {
-    let dir = std::env::temp_dir().join(format!("tasm-buffers-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let cfg = TasmConfig {
-        storage: StorageConfig {
-            gop_len: 10,
-            sot_frames: 10,
-            ..Default::default()
+fn store(tag: &str, cache_bytes: u64) -> TestStore {
+    let tasm = TestStore::open(
+        tag,
+        TasmConfig {
+            cache_bytes,
+            ..config()
         },
-        workers: 1,
-        cache_bytes,
-        ..Default::default()
-    };
-    let tasm = Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap();
-    let video = SyntheticVideo::new(SceneSpec {
-        width: 256,
-        height: 160,
-        frames: FRAMES,
-        seed: 47,
-        ..SceneSpec::test_scene()
-    });
-    tasm.ingest("v", &video, 30).unwrap();
-    for f in 0..video.len() {
-        for (l, b) in video.ground_truth(f) {
-            tasm.add_metadata("v", l, f, b).unwrap();
-        }
+    );
+    ingest(&tasm, "v", &scene(256, 160, FRAMES, 47));
+    for f in 0..FRAMES {
         tasm.add_metadata("v", "whole", f, Rect::new(0, 0, 256, 160))
             .unwrap();
     }
-    Arc::new(tasm)
+    tasm
 }
 
 fn whole() -> Query {
@@ -80,8 +60,7 @@ fn reference(twin: &Tasm, query: &Query) -> Vec<RegionPixels> {
 
 fn assert_answer(conn: &mut Connection, query: &Query, expected: &[RegionPixels], what: &str) {
     let remote = conn.query("v", query).expect(what);
-    let expected: Vec<_> = expected.iter().collect();
-    assert_regions_identical(&expected, &remote.regions, what);
+    assert_regions_identical(expected, &remote.regions, what);
 }
 
 /// The value the metrics page shows for a gauge.
@@ -125,13 +104,13 @@ fn serve(tasm: &Arc<Tasm>) -> TasmServer {
 #[test]
 fn an_idle_server_and_router_keep_at_most_the_stated_bytes() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    let twin = store("idle-twin", 0);
+    let twin = store("buffers-idle-twin", 0);
     let expected = reference(&twin, &whole());
     assert!(expected.len() == FRAMES as usize);
-    let serving = store("idle", 64 << 20);
+    let serving = store("buffers-idle", 64 << 20);
     let shard = serve(&serving);
-    let map_path =
-        std::env::temp_dir().join(format!("tasm-buffers-cluster-{}.json", std::process::id()));
+    let cluster = TempDir::new("buffers-cluster");
+    let map_path = cluster.path().join("cluster.json");
     let node = NodeInfo {
         id: "n1".to_string(),
         addr: shard.local_addr().to_string(),
@@ -212,10 +191,10 @@ fn an_idle_server_and_router_keep_at_most_the_stated_bytes() {
 #[test]
 fn a_session_closed_for_a_write_stall_returns_what_it_held() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    let twin = store("stall-twin", 0);
+    let twin = store("buffers-stall-twin", 0);
     let car = Query::new(LabelPredicate::label("car")).frames(0..FRAMES);
     let (expected_whole, expected_car) = (reference(&twin, &whole()), reference(&twin, &car));
-    let serving = store("stall", 64 << 20);
+    let serving = store("buffers-stall", 64 << 20);
     let server = serve(&serving);
     let canvases = serving.store().canvases();
 

@@ -4,17 +4,13 @@
 
 use tasm_codec::{encode_video, EncoderConfig, StitchedVideo, TileLayout};
 use tasm_core::{partition, Granularity, PartitionConfig};
-use tasm_data::{SceneSpec, SyntheticVideo};
+use tasm_data::SyntheticVideo;
+use tasm_suite::TempDir;
 use tasm_video::quality::psnr_sequence;
 use tasm_video::{FrameSource, Rect};
 
 fn scene(frames: u32) -> SyntheticVideo {
-    SyntheticVideo::new(SceneSpec {
-        width: 320,
-        height: 192,
-        frames,
-        ..SceneSpec::test_scene()
-    })
+    tasm_suite::scene(320, 192, frames, 7)
 }
 
 fn raw_frames(v: &SyntheticVideo) -> Vec<tasm_video::Frame> {
@@ -117,9 +113,8 @@ fn stitched_serialization_survives_disk_roundtrip() {
     let (tiles, _) = encode_video(&video, &layout, &cfg, false).unwrap();
     let stitched = StitchedVideo::stitch(layout, tiles).unwrap();
 
-    let dir = std::env::temp_dir().join(format!("tasm-stitch-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("stitched.tsf");
+    let dir = TempDir::new("stitch");
+    let path = dir.path().join("stitched.tsf");
     std::fs::write(&path, stitched.to_bytes()).unwrap();
     let back = StitchedVideo::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
     assert_eq!(stitched, back);
@@ -127,7 +122,6 @@ fn stitched_serialization_survives_disk_roundtrip() {
     let (a, _) = stitched.decode_range(3..7).unwrap();
     let (b, _) = back.decode_range(3..7).unwrap();
     assert_eq!(a, b, "decode must be identical after disk roundtrip");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
