@@ -3,15 +3,21 @@
 //!
 //! Clients speak to the router exactly as they would to a single
 //! `tasm-server` — same handshake, same `Query`/`StatsRequest`/
-//! `ShutdownServer` frames — and never learn the cluster exists. Per
-//! query the router computes the video's replica set from the shard map
-//! and tries each replica in placement order: the primary first, then —
-//! on transport failure, BUSY, or a typed rejection — the backups. A
-//! node that keeps failing is marked down (*sticky*: a node that missed
-//! replicated commits while dead must not silently rejoin and serve
-//! stale epochs; it returns via an operator map change or router
-//! restart), which promotes its backups in every placement — that is the
-//! failover.
+//! `ShutdownServer` frames — and never learn the cluster exists: both run
+//! the one session front of `tasm-reactor`, which speaks the handshake and
+//! the generic replies. Per query the router computes the video's replica
+//! set from the shard map and tries each replica in placement order: the
+//! primary first, then — on transport failure, BUSY, or a typed rejection
+//! — the backups. A node that keeps failing is marked down (*sticky*: a
+//! node that missed replicated commits while dead must not silently
+//! rejoin and serve stale epochs; it returns via an operator map change or
+//! router restart), which promotes its backups in every placement — that
+//! is the failover.
+//!
+//! Routed queries and stats fan-outs do blocking shard I/O, so they run on
+//! the front's pool (`route_workers` threads), which check shard
+//! connections out of one shared idle pool; the session is paused until
+//! its answer is queued, one request at a time.
 //!
 //! The router has its own admission control (a router-wide in-flight cap
 //! answered with typed BUSY, plus a connection cap at the listener) so a
@@ -32,13 +38,14 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tasm_client::{ClientError, Connection};
 use tasm_core::Query;
 use tasm_proto::nio::WireBuffers;
-use tasm_proto::{ErrorCode, Message, VERSION};
+use tasm_proto::{ErrorCode, Message};
+use tasm_reactor::{lock_clean, Ctl, Front, Logic, LoopConfig};
 use tasm_service::ServiceStats;
 
 /// Routing, admission, and failover knobs.
@@ -64,9 +71,9 @@ pub struct RouterConfig {
     pub health_interval: Duration,
     /// Consecutive failures before a node is marked down (promoted past).
     pub fail_threshold: u32,
-    /// Routing worker threads: each owns its own pool of shard connections
-    /// and executes routed queries so the session event loop never blocks
-    /// on shard I/O.
+    /// Routing worker threads: they run routed queries and stats fan-outs,
+    /// sharing one pool of idle shard connections, so the session event
+    /// loop never blocks on shard I/O.
     pub route_workers: usize,
 }
 
@@ -83,14 +90,6 @@ impl Default for RouterConfig {
             route_workers: 8,
         }
     }
-}
-
-/// Locks a mutex, recovering from poison: the router's guarded state
-/// (failure counts, shutdown flags, job queue) stays consistent
-/// across a panicked holder, and one dead routing job must not cascade
-/// into a dead router.
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// A point-in-time snapshot of the router's own counters.
@@ -141,12 +140,12 @@ struct RouterShared {
     /// Consecutive failure counts per node id. A node at or past
     /// `fail_threshold` is down — and stays down (see module docs).
     failures: Mutex<HashMap<String, u32>>,
+    /// Cleared when the router stops: queries are refused and the health
+    /// thread exits.
     admitting: AtomicBool,
-    /// Shared with the reactor's event loop, which exits once it observes
-    /// the flag and drains its sessions.
-    shutdown: Arc<AtomicBool>,
-    shutdown_requested: Mutex<bool>,
-    shutdown_cv: Condvar,
+    /// Shard connections on a frame boundary, by node id, each checked
+    /// out by one routed job at a time.
+    idle: Mutex<HashMap<String, Vec<Connection>>>,
     inflight: AtomicUsize,
     routed: AtomicU64,
     retries: AtomicU64,
@@ -157,7 +156,7 @@ struct RouterShared {
 
 impl RouterShared {
     fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        !self.admitting.load(Ordering::SeqCst)
     }
 
     fn down_set(&self) -> BTreeSet<String> {
@@ -197,6 +196,30 @@ impl RouterShared {
         }
     }
 
+    /// An idle connection to `node`, or a new one.
+    fn checkout(&self, node: &str, addr: &str) -> Result<Connection, String> {
+        if let Some(conn) = lock_clean(&self.idle).get_mut(node).and_then(Vec::pop) {
+            return Ok(conn);
+        }
+        let sock = resolve(addr)?;
+        let conn = Connection::connect_timeout(&sock, self.cfg.shard_io_timeout)
+            .map_err(|e| format!("shard {node} unreachable: {e}"))?;
+        conn.set_io_timeout(Some(self.cfg.shard_io_timeout))
+            .map_err(|e| format!("shard {node}: {e}"))?;
+        Ok(conn)
+    }
+
+    /// Returns a connection on a frame boundary for the next job to reuse.
+    fn checkin(&self, node: &str, conn: Connection) {
+        let mut idle = lock_clean(&self.idle);
+        match idle.get_mut(node) {
+            Some(conns) => conns.push(conn),
+            None => {
+                idle.insert(node.to_string(), vec![conn]);
+            }
+        }
+    }
+
     fn stats(&self) -> RouterStats {
         RouterStats {
             routed: self.routed.load(Ordering::Relaxed),
@@ -210,16 +233,14 @@ impl RouterShared {
     }
 }
 
-/// A running shard router: a listener, its serving threads (one reactor +
-/// a routing worker pool), and the health/map-reload thread.
+/// A running shard router: a listener, its session front (one reactor
+/// thread and `route_workers` routing threads), and the health/map-reload
+/// thread.
 pub struct Router {
     shared: Arc<RouterShared>,
     local_addr: SocketAddr,
+    front: Front,
     health: Option<JoinHandle<()>>,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    jobs: Option<Arc<JobQueue>>,
-    waker: Option<tasm_reactor::Waker>,
 }
 
 impl Router {
@@ -230,15 +251,12 @@ impl Router {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(RouterShared {
             cfg,
             map: RwLock::new(map),
             failures: Mutex::new(HashMap::new()),
             admitting: AtomicBool::new(true),
-            shutdown: Arc::clone(&shutdown),
-            shutdown_requested: Mutex::new(false),
-            shutdown_cv: Condvar::new(),
+            idle: Mutex::new(HashMap::new()),
             inflight: AtomicUsize::new(0),
             routed: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -246,55 +264,28 @@ impl Router {
             busy_rejections: AtomicU64::new(0),
             sessions_served: AtomicU64::new(0),
         });
-        let loop_cfg = tasm_reactor::LoopConfig {
+        let loop_cfg = LoopConfig {
             max_connections: shared.cfg.max_connections,
             poll_interval: shared.cfg.poll_interval,
-            ..tasm_reactor::LoopConfig::default()
+            ..LoopConfig::default()
         };
-        let ctl = tasm_reactor::Ctl::new(listener, loop_cfg, shutdown)?;
-        let waker = ctl.waker();
-        let completions = Arc::new(Mutex::new(Vec::new()));
-        let jobs = Arc::new(JobQueue::new());
-        // The queue is in `router` before the first worker starts: a failed
-        // spawn returns through `Drop`, which must close it, or the workers
-        // already blocked in `pop` are joined forever.
+        let logic = RouterLogic {
+            shared: Arc::clone(&shared),
+        };
+        let workers = shared.cfg.route_workers.max(1);
+        let front = Front::start(listener, loop_cfg, logic, "tasm-route", workers)?;
+        // A failed spawn below returns through `Drop`, which stops the front.
         let mut router = Router {
             shared: Arc::clone(&shared),
             local_addr,
+            front,
             health: None,
-            reactor: None,
-            workers: Vec::new(),
-            jobs: Some(Arc::clone(&jobs)),
-            waker: Some(waker.clone()),
         };
-        for i in 0..shared.cfg.route_workers.max(1) {
-            let shared = Arc::clone(&shared);
-            let jobs = Arc::clone(&jobs);
-            let completions = Arc::clone(&completions);
-            let waker = waker.clone();
-            router.workers.push(
-                std::thread::Builder::new()
-                    .name(format!("tasm-route-worker-{i}"))
-                    .spawn(move || route_worker(&shared, &jobs, &completions, &waker))?,
-            );
-        }
-        let logic = RouterLogic {
-            shared: Arc::clone(&shared),
-            completions,
-            jobs,
-        };
-        router.reactor = Some(
-            std::thread::Builder::new()
-                .name("tasm-route-reactor".to_string())
-                .spawn(move || tasm_reactor::run(ctl, logic))?,
-        );
-        let health = {
-            let shared = Arc::clone(&shared);
+        router.health = Some(
             std::thread::Builder::new()
                 .name("tasm-route-health".to_string())
-                .spawn(move || health_loop(&shared))?
-        };
-        router.health = Some(health);
+                .spawn(move || health_loop(&shared))?,
+        );
         Ok(router)
     }
 
@@ -311,13 +302,7 @@ impl Router {
     /// Blocks until a client sends the administrative `ShutdownServer`
     /// frame (the `tasm route` command's idle state).
     pub fn wait_shutdown_requested(&self) {
-        let mut requested = lock_clean(&self.shared.shutdown_requested);
-        while !*requested {
-            requested = match self.shared.shutdown_cv.wait(requested) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
+        self.front.wait_shutdown_requested();
     }
 
     /// The ordered cluster drain: stop admitting, drain the router's
@@ -326,8 +311,7 @@ impl Router {
     /// shard-map order, collecting each one's final statistics before
     /// asking it to shut down.
     pub fn shutdown(mut self, drain_shards: bool) -> ClusterShutdownReport {
-        self.shared.admitting.store(false, Ordering::SeqCst);
-        self.stop_threads();
+        self.stop();
         let mut report = ClusterShutdownReport {
             router: self.shared.stats(),
             shards: Vec::new(),
@@ -349,33 +333,22 @@ impl Router {
         report
     }
 
-    /// Signals shutdown and joins every thread (idempotent). The reactor
-    /// joins before the job queue closes so in-flight routed queries still
-    /// deliver their responses during the session drain.
-    fn stop_threads(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
-        if let Some(t) = self.reactor.take() {
-            let _ = t.join();
-        }
-        if let Some(jobs) = self.jobs.take() {
-            jobs.close();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+    /// Stops admitting, stops the front (its sessions drained, its threads
+    /// joined), closes the idle shard connections and joins the health
+    /// thread (idempotent).
+    fn stop(&mut self) {
+        self.shared.admitting.store(false, Ordering::SeqCst);
+        self.front.stop();
+        lock_clean(&self.shared.idle).clear();
         if let Some(t) = self.health.take() {
             let _ = t.join();
         }
-        self.waker = None;
     }
 }
 
 impl Drop for Router {
     fn drop(&mut self) {
-        self.stop_threads();
+        self.stop();
     }
 }
 
@@ -471,24 +444,6 @@ fn health_loop(shared: &Arc<RouterShared>) {
     }
 }
 
-/// Fetches (or creates) the session's connection to `node`.
-fn shard_conn<'a>(
-    shared: &RouterShared,
-    shards: &'a mut HashMap<String, Connection>,
-    node: &str,
-    addr: &str,
-) -> Result<&'a mut Connection, String> {
-    if !shards.contains_key(node) {
-        let sock = resolve(addr)?;
-        let conn = Connection::connect_timeout(&sock, shared.cfg.shard_io_timeout)
-            .map_err(|e| format!("shard {node} unreachable: {e}"))?;
-        conn.set_io_timeout(Some(shared.cfg.shard_io_timeout))
-            .map_err(|e| format!("shard {node}: {e}"))?;
-        shards.insert(node.to_string(), conn);
-    }
-    Ok(shards.get_mut(node).expect("just inserted"))
-}
-
 /// Routes one query: replica set in placement order, relaying the winning
 /// shard's full response verbatim — or a typed error after the last
 /// replica — as encoded frames. The shard's execution trace (instance
@@ -497,7 +452,6 @@ fn shard_conn<'a>(
 /// inside; the reactor streams the frames to the client.
 fn route_query_frames(
     shared: &RouterShared,
-    shards: &mut HashMap<String, Connection>,
     id: u64,
     video: &str,
     query: &Query,
@@ -525,7 +479,7 @@ fn route_query_frames(
         if attempt > 0 {
             shared.retries.fetch_add(1, Ordering::Relaxed);
         }
-        let conn = match shard_conn(shared, shards, node, addr) {
+        let mut conn = match shared.checkout(node, addr) {
             Ok(conn) => conn,
             Err(e) => {
                 shared.note_failure(node);
@@ -539,6 +493,7 @@ fn route_query_frames(
         // router.
         match conn.relay_query(video, query, trace_id, id, spare) {
             Ok(frames) => {
+                shared.checkin(node, conn);
                 shared.note_success(node);
                 shared.routed.fetch_add(1, Ordering::Relaxed);
                 if tasm_obs::enabled() {
@@ -552,15 +507,15 @@ fn route_query_frames(
             }
             Err(ClientError::Rejected { code, message }) => {
                 // The shard is alive and on a frame boundary: its
-                // connection stays pooled, but a backup may still be able
-                // to answer (BUSY under load, UnknownVideo on a stale
-                // placement).
+                // connection goes back to the pool, but a backup may still
+                // be able to answer (BUSY under load, UnknownVideo on a
+                // stale placement).
+                shared.checkin(node, conn);
                 last = (code, message);
             }
             Err(e) => {
                 // Transport/protocol failure mid-stream: the connection
                 // cannot be resynchronized. Drop it and count the node.
-                shards.remove(node);
                 shared.note_failure(node);
                 last = (ErrorCode::Internal, format!("shard {node} failed: {e}"));
             }
@@ -575,7 +530,7 @@ fn route_query_frames(
 }
 
 /// Fans `StatsRequest` out to every live shard and merges the snapshots.
-fn cluster_stats(shared: &RouterShared, shards: &mut HashMap<String, Connection>) -> ServiceStats {
+fn cluster_stats(shared: &RouterShared) -> ServiceStats {
     let nodes: Vec<(String, String)> = {
         let map = shared.map.read().expect("map lock");
         map.nodes
@@ -589,261 +544,43 @@ fn cluster_stats(shared: &RouterShared, shards: &mut HashMap<String, Connection>
         if down.contains(&node) {
             continue;
         }
-        let Ok(conn) = shard_conn(shared, shards, &node, &addr) else {
+        let Ok(mut conn) = shared.checkout(&node, &addr) else {
             shared.note_failure(&node);
             continue;
         };
         match conn.stats() {
             Ok(stats) => {
+                shared.checkin(&node, conn);
                 shared.note_success(&node);
                 merge_stats(&mut merged, &stats);
             }
-            Err(_) => {
-                shards.remove(&node);
-                shared.note_failure(&node);
-            }
+            Err(_) => shared.note_failure(&node),
         }
     }
     merged
 }
 
-/// A queue of routing jobs feeding the worker pool. Hand-rolled (mutex +
-/// condvar) so several workers can block on `pop` concurrently — sharing
-/// one `mpsc::Receiver` would serialize pickup behind its lock.
-struct JobQueue {
-    state: Mutex<(std::collections::VecDeque<RouteJob>, bool)>,
-    ready: Condvar,
-}
-
-impl JobQueue {
-    fn new() -> JobQueue {
-        JobQueue {
-            state: Mutex::new((std::collections::VecDeque::new(), false)),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Enqueues a job; false once the queue is closed (shutdown).
-    fn push(&self, job: RouteJob) -> bool {
-        let mut state = lock_clean(&self.state);
-        if state.1 {
-            return false;
-        }
-        state.0.push_back(job);
-        drop(state);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Blocks for the next job; `None` once closed and empty.
-    fn pop(&self) -> Option<RouteJob> {
-        let mut state = lock_clean(&self.state);
-        loop {
-            if let Some(job) = state.0.pop_front() {
-                return Some(job);
-            }
-            if state.1 {
-                return None;
-            }
-            state = match self.ready.wait(state) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
-    }
-
-    fn close(&self) {
-        lock_clean(&self.state).1 = true;
-        self.ready.notify_all();
-    }
-}
-
-/// One unit of work for the routing pool — operations that do blocking
-/// shard I/O and therefore must not run on the reactor thread.
-enum RouteJob {
-    Query {
-        token: u64,
-        id: u64,
-        video: String,
-        query: Query,
-        trace_id: Option<u64>,
-        /// Flushed frame buffers of the session the answer is bound for.
-        spare: Arc<WireBuffers>,
-    },
-    Stats {
-        token: u64,
-    },
-}
-
-/// A finished routing job: the full response, encoded, ready to stream.
-struct RouteDone {
-    token: u64,
-    frames: Vec<Vec<u8>>,
-}
-
-/// Streams a completed route's frames through the reactor's paced encode
-/// pump (bounded unwritten bytes against a slow-reading client).
-struct Frames(std::collections::VecDeque<Vec<u8>>);
-
-impl tasm_reactor::ResponseSource for Frames {
-    fn next_frame(&mut self, _flushed: bool, _spare: &WireBuffers) -> tasm_reactor::NextFrame {
-        match self.0.pop_front() {
-            Some(frame) => tasm_reactor::NextFrame::Frame(frame),
-            None => tasm_reactor::NextFrame::Done,
-        }
-    }
-}
-
-/// Executes routing jobs against this worker's private pool of shard
-/// connections, pushing completed responses back to the reactor.
-fn route_worker(
-    shared: &Arc<RouterShared>,
-    jobs: &Arc<JobQueue>,
-    completions: &Arc<Mutex<Vec<RouteDone>>>,
-    waker: &tasm_reactor::Waker,
-) {
-    let mut shards: HashMap<String, Connection> = HashMap::new();
-    while let Some(job) = jobs.pop() {
-        let done = match job {
-            RouteJob::Query {
-                token,
-                id,
-                video,
-                query,
-                trace_id,
-                spare,
-            } => {
-                let frames =
-                    route_query_frames(shared, &mut shards, id, &video, &query, trace_id, &spare);
-                // The router-wide in-flight slot frees when the route
-                // finishes, session alive or not.
-                shared.inflight.fetch_sub(1, Ordering::AcqRel);
-                RouteDone { token, frames }
-            }
-            RouteJob::Stats { token } => {
-                let merged = cluster_stats(shared, &mut shards);
-                RouteDone {
-                    token,
-                    frames: vec![Message::StatsReply {
-                        stats: Box::new(merged),
-                    }
-                    .encode()],
-                }
-            }
-        };
-        lock_clean(completions).push(done);
-        waker.wake();
-    }
-}
-
-/// The router's reactor [`Logic`](tasm_reactor::Logic): the server's
-/// protocol, with shard I/O handed to the worker pool. A session pauses
-/// while its job is in flight — the router serves one request per session
-/// at a time (it advertises `max_inflight: 1`), so answers leave in
-/// request order.
+/// The router's [`Logic`]: admission, then placement and failover on the
+/// front's pool.
 struct RouterLogic {
     shared: Arc<RouterShared>,
-    completions: Arc<Mutex<Vec<RouteDone>>>,
-    jobs: Arc<JobQueue>,
 }
 
-impl RouterLogic {
-    fn send_error(
-        ctl: &mut tasm_reactor::Ctl,
-        token: u64,
-        id: Option<u64>,
-        code: ErrorCode,
-        message: String,
-    ) {
-        ctl.send_frame(token, Message::Error { id, code, message }.encode());
+impl Logic for RouterLogic {
+    const NAME: &'static str = "router";
+
+    /// One request per session at a time: each pauses its session until
+    /// its answer is queued, so answers leave in request order.
+    fn max_inflight(&self) -> u32 {
+        1
     }
 
-    /// Hands a job to the pool, pausing the session until its response
-    /// comes back through the completion queue.
-    fn submit(&mut self, ctl: &mut tasm_reactor::Ctl, token: u64, job: RouteJob) {
-        ctl.set_paused(token, true);
-        ctl.inflight_inc(token);
-        if !self.jobs.push(job) {
-            ctl.inflight_dec(token);
-            ctl.set_paused(token, false);
-            Self::send_error(
-                ctl,
-                token,
-                None,
-                ErrorCode::ShuttingDown,
-                "router is draining".to_string(),
-            );
-        }
-    }
-}
-
-impl tasm_reactor::Logic for RouterLogic {
-    fn on_accept(&mut self, _ctl: &mut tasm_reactor::Ctl, _token: u64) {}
-
-    fn on_refused(&mut self) {}
-
-    fn refusal_frame(&mut self) -> Vec<u8> {
-        Message::Error {
-            id: None,
-            code: ErrorCode::TooManyConnections,
-            message: "router is at its connection limit".to_string(),
-        }
-        .encode()
+    fn on_hello(&mut self) {
+        self.shared.sessions_served.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn on_frame(&mut self, ctl: &mut tasm_reactor::Ctl, token: u64, payload: Vec<u8>) {
-        let msg = match Message::decode_payload(&payload) {
-            Ok(msg) => msg,
-            Err(_) => {
-                let text = if ctl.handshaken(token) {
-                    "undecodable frame"
-                } else {
-                    "expected client hello"
-                };
-                Self::send_error(ctl, token, None, ErrorCode::Malformed, text.to_string());
-                ctl.begin_drain(token);
-                return;
-            }
-        };
-        if !ctl.handshaken(token) {
-            match msg {
-                Message::ClientHello { version } if version == VERSION => {
-                    ctl.mark_handshaken(token);
-                    self.shared.sessions_served.fetch_add(1, Ordering::Relaxed);
-                    ctl.send_frame(
-                        token,
-                        Message::ServerHello {
-                            version: VERSION,
-                            // The router handles one query per session at
-                            // a time.
-                            max_inflight: 1,
-                        }
-                        .encode(),
-                    );
-                }
-                Message::ClientHello { version } => {
-                    Self::send_error(
-                        ctl,
-                        token,
-                        None,
-                        ErrorCode::VersionMismatch,
-                        format!("router speaks version {VERSION}, client sent {version}"),
-                    );
-                    ctl.begin_drain(token);
-                }
-                _ => {
-                    Self::send_error(
-                        ctl,
-                        token,
-                        None,
-                        ErrorCode::Malformed,
-                        "expected client hello".to_string(),
-                    );
-                    ctl.begin_drain(token);
-                }
-            }
-            return;
-        }
+    fn on_request(&mut self, ctl: &mut Ctl, token: u64, msg: Message) -> bool {
+        let shared = Arc::clone(&self.shared);
         match msg {
             Message::Query {
                 id,
@@ -851,82 +588,42 @@ impl tasm_reactor::Logic for RouterLogic {
                 query,
                 trace_id,
             } => {
-                if !self.shared.admitting.load(Ordering::SeqCst) {
-                    Self::send_error(
-                        ctl,
-                        token,
-                        Some(id),
-                        ErrorCode::ShuttingDown,
-                        "router is draining".to_string(),
-                    );
-                    return;
-                }
-                if self.shared.inflight.fetch_add(1, Ordering::AcqRel)
-                    >= self.shared.cfg.max_inflight
+                let refusal = if shared.is_shutting_down() {
+                    Some((ErrorCode::ShuttingDown, "router is draining"))
+                } else if shared.inflight.fetch_add(1, Ordering::AcqRel) >= shared.cfg.max_inflight
                 {
-                    self.shared.inflight.fetch_sub(1, Ordering::AcqRel);
-                    self.shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                    Self::send_error(
-                        ctl,
-                        token,
-                        Some(id),
-                        ErrorCode::Busy,
-                        "router in-flight cap reached".to_string(),
-                    );
-                    return;
-                }
-                // The worker decrements the router-wide count; the
-                // submit below tracks the per-session slot.
-                let Some(spare) = ctl.spare_buffers(token) else {
-                    return;
+                    shared.inflight.fetch_sub(1, Ordering::AcqRel);
+                    shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
+                    Some((ErrorCode::Busy, "router in-flight cap reached"))
+                } else {
+                    None
                 };
-                self.submit(
-                    ctl,
-                    token,
-                    RouteJob::Query {
-                        token,
-                        id,
-                        video,
-                        query,
-                        trace_id,
-                        spare,
-                    },
-                );
+                if let Some((code, message)) = refusal {
+                    let message = message.to_string();
+                    let frame = Message::Error {
+                        id: Some(id),
+                        code,
+                        message,
+                    };
+                    ctl.send_frame(token, frame.encode());
+                    return true;
+                }
+                ctl.offload(token, move |spare| {
+                    let frames = route_query_frames(&shared, id, &video, &query, trace_id, spare);
+                    // The router-wide slot frees when the route finishes,
+                    // session alive or not.
+                    shared.inflight.fetch_sub(1, Ordering::AcqRel);
+                    frames.into_iter()
+                });
             }
-            Message::StatsRequest => self.submit(ctl, token, RouteJob::Stats { token }),
-            Message::Goodbye => ctl.begin_drain(token),
-            Message::ShutdownServer => {
-                *lock_clean(&self.shared.shutdown_requested) = true;
-                self.shared.shutdown_cv.notify_all();
-                ctl.send_frame(token, Message::Goodbye.encode());
-                ctl.begin_drain(token);
-            }
-            _ => {
-                Self::send_error(
-                    ctl,
-                    token,
-                    None,
-                    ErrorCode::Malformed,
-                    "unexpected frame".to_string(),
-                );
-                ctl.begin_drain(token);
-            }
+            Message::StatsRequest => ctl.offload(token, move |_| {
+                let stats = Box::new(cluster_stats(&shared));
+                vec![Message::StatsReply { stats }.encode()].into_iter()
+            }),
+            _ => return false,
         }
+        true
     }
-
-    fn on_wake(&mut self, ctl: &mut tasm_reactor::Ctl) {
-        let batch: Vec<RouteDone> = lock_clean(&self.completions).drain(..).collect();
-        for done in batch {
-            if !ctl.is_open(done.token) {
-                continue;
-            }
-            ctl.inflight_dec(done.token);
-            ctl.set_paused(done.token, false);
-            ctl.send_response(done.token, Box::new(Frames(done.frames.into())));
-        }
-    }
-
-    fn on_close(&mut self, _token: u64, _handshaken: bool) {}
 }
 
 #[cfg(test)]
@@ -935,8 +632,9 @@ mod tests {
     use crate::map::NodeInfo;
     use tasm_core::LabelPredicate;
 
-    /// A router over a saved one-shard map whose shard never answers:
-    /// admission control runs before any shard is asked.
+    /// A router over a one-shard map whose shard never answers: admission
+    /// control runs before any shard is asked. The map file is removed
+    /// once the router has loaded it.
     fn router_without_shards(tag: &str, cfg: RouterConfig) -> Router {
         let map_path =
             std::env::temp_dir().join(format!("tasm-router-{tag}-{}.json", std::process::id()));
@@ -948,7 +646,13 @@ mod tests {
             .expect("map")
             .save(&map_path)
             .expect("save map");
-        Router::bind(RouterConfig { map_path, ..cfg }, "127.0.0.1:0").expect("bind router")
+        let cfg = RouterConfig {
+            map_path: map_path.clone(),
+            ..cfg
+        };
+        let router = Router::bind(cfg, "127.0.0.1:0");
+        std::fs::remove_file(&map_path).ok();
+        router.expect("bind router")
     }
 
     /// The connection cap refuses extra connections with a typed error

@@ -1,4 +1,4 @@
-//! # tasm-reactor: readiness-driven session event loop
+//! # tasm-reactor: the `tasm-proto` session front
 //!
 //! One thread owns every client socket: a nonblocking listener, a wake
 //! pipe, and per-connection state machines. Frames are assembled
@@ -7,23 +7,34 @@
 //! resumable [`tasm_proto::nio::FrameQueue`] driven by write-readiness —
 //! a peer that stops reading costs a buffer, not a parked thread.
 //!
-//! The loop is protocol-agnostic: it moves frames, enforces admission
-//! (`max_connections`) and the liveness deadlines (handshake, mid-frame
-//! stall, write stall), and delegates every decoded payload to a
-//! [`Logic`] implementation. tasm-server plugs in query dispatch;
-//! tasm-cluster's router plugs in shard routing. Completed work re-enters
-//! the loop through the [`Waker`] half of a self-notification pipe.
+//! The loop speaks the session half of the protocol itself: the hello
+//! exchange, `Goodbye`, `ShutdownServer`, and every generic reply — the
+//! refusal past `max_connections`, `VersionMismatch`, and `Malformed` for
+//! a frame that does not decode or that the front does not serve. It
+//! enforces the liveness deadlines (handshake, mid-frame stall, write
+//! stall). Every other request goes to the front's [`Logic`]: tasm-server
+//! plugs in query dispatch and its admin operations, tasm-cluster's router
+//! plugs in shard routing. Logic answers on the spot, hands blocking work
+//! to the front's pool with [`Ctl::offload`] (the session reads no further
+//! request until the answer is queued), or answers later from a thread of
+//! its own through a [`Completer`]. Answers made off the loop re-enter it
+//! through the [`Waker`] half of a self-notification pipe.
 //!
 //! ```text
 //!        epoll/poll wait ──────────────────────────────┐
 //!          │ listener readable → accept burst          │
-//!          │   over cap → refusal frame, linger, close │
-//!          │ wake pipe readable → Logic::on_wake       │ one reactor
-//!          │ session readable → FrameReader            │ thread,
-//!          │     → Logic::on_frame (dispatch)          │ O(workers)
+//!          │   over cap → refusal frame, linger, close │ one reactor
+//!          │ wake pipe readable → queue completions    │ thread + the
+//!          │ session readable → FrameReader → hello,   │ offload pool:
+//!          │   generic reply, or Logic::on_request     │ O(workers)
 //!          │ session writable → FrameQueue resume      │ total threads
 //!          └ sweep: encode pump, timers, teardown ─────┘
 //! ```
+//!
+//! [`Front::start`] starts the reactor and pool threads. [`Front::stop`]
+//! (or dropping the front) drains every session, joins the reactor, and
+//! only then closes and joins the pool, so answers still being computed
+//! reach their sessions during the drain.
 //!
 //! ## Response streaming
 //!
@@ -43,10 +54,13 @@ pub use poller::{wake_pipe, Event, Interest, Poller, WakeReader, Waker};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tasm_proto::nio::{FrameQueue, FrameReader, ReadProgress, WireBuffers, WriteProgress};
+use tasm_proto::{ErrorCode, Message, VERSION};
 
 /// Unwritten-byte threshold below which the loop asks sources for more
 /// frames. Small enough to bound buffering; and since the queue hands
@@ -60,6 +74,26 @@ const LOW_WATER: usize = 64 * 1024;
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// Reserved token for the wake pipe.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
+
+/// Locks a mutex, recovering the data from a poisoned lock instead of
+/// panicking. Everything the fronts guard this way (completion and job
+/// queues, flags, replication staging, failure counts, idle shard
+/// connections) is valid after every step of every update, so the answer
+/// to poison is to keep serving: a cascade that turns one panicked
+/// operation into a dead session, or a dead front, is strictly worse.
+pub fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// An `Error` frame with no request id.
+fn error_frame(code: ErrorCode, message: String) -> Vec<u8> {
+    Message::Error {
+        id: None,
+        code,
+        message,
+    }
+    .encode()
+}
 
 /// What a [`ResponseSource`] produced.
 pub enum NextFrame {
@@ -83,43 +117,39 @@ pub trait ResponseSource: Send {
     fn next_frame(&mut self, flushed: bool, spare: &WireBuffers) -> NextFrame;
 }
 
-/// A single pre-encoded frame as a response.
-struct OneFrame(Option<Vec<u8>>);
-
-impl ResponseSource for OneFrame {
+/// Frames already encoded, sent in order.
+impl ResponseSource for std::vec::IntoIter<Vec<u8>> {
     fn next_frame(&mut self, _flushed: bool, _spare: &WireBuffers) -> NextFrame {
-        match self.0.take() {
-            Some(f) => NextFrame::Frame(f),
-            None => NextFrame::Done,
-        }
+        self.next().map_or(NextFrame::Done, NextFrame::Frame)
     }
 }
 
-/// Protocol hooks the event loop drives. All methods run on the reactor
-/// thread; none may block.
-pub trait Logic {
-    /// A connection was admitted (slot reserved, socket registered).
-    fn on_accept(&mut self, ctl: &mut Ctl, token: u64);
-    /// One complete inbound frame payload (length prefix stripped).
-    fn on_frame(&mut self, ctl: &mut Ctl, token: u64, payload: Vec<u8>);
-    /// The wake pipe fired: worker completions are waiting.
-    fn on_wake(&mut self, ctl: &mut Ctl);
-    /// Every loop iteration, after events. Default: nothing.
-    fn on_tick(&mut self, _ctl: &mut Ctl) {}
-    /// The frame an over-cap connection is sent before its close.
-    fn refusal_frame(&mut self) -> Vec<u8>;
-    /// An over-cap connection was refused (counters).
+/// What a front serves beyond the session protocol the loop speaks itself.
+/// Every method runs on the reactor thread; none may block.
+pub trait Logic: Send + 'static {
+    /// What the front calls itself in the frames the loop writes for it.
+    const NAME: &'static str;
+    /// The per-session in-flight cap its `ServerHello` advertises.
+    fn max_inflight(&self) -> u32;
+    /// One request from a session past its hello, other than `Goodbye` and
+    /// `ShutdownServer`. Returns false for a message this front does not
+    /// serve; the loop then answers `Malformed` and closes the session.
+    fn on_request(&mut self, ctl: &mut Ctl, token: u64, msg: Message) -> bool;
+    /// A connection was admitted; `active` sessions are now held.
+    fn on_accept(&mut self, _active: usize) {}
+    /// A session completed its hello exchange.
+    fn on_hello(&mut self) {}
+    /// A connection over the cap was refused.
     fn on_refused(&mut self) {}
-    /// A session left the loop (any reason). `handshaken` says whether it
-    /// ever completed its hello exchange.
-    fn on_close(&mut self, token: u64, handshaken: bool);
+    /// A session left the loop, for any reason; `active` sessions remain.
+    fn on_close(&mut self, _token: u64, _active: usize) {}
 }
 
 /// Liveness and admission knobs of the loop.
 #[derive(Debug, Clone, Copy)]
 pub struct LoopConfig {
     /// Concurrent non-refused connections; beyond this, connects get the
-    /// logic's refusal frame and a lingered close.
+    /// refusal frame and a lingered close.
     pub max_connections: usize,
     /// Upper bound on one `wait` — the cadence of the timer sweep and how
     /// fast an idle loop notices the shutdown flag.
@@ -157,7 +187,7 @@ struct Conn {
     out: FrameQueue,
     pending: VecDeque<Box<dyn ResponseSource>>,
     handshaken: bool,
-    /// Reads suspended (an order-sensitive operation is in flight).
+    /// Reads suspended (an offloaded operation is in flight).
     paused: bool,
     /// No further requests; close once in-flight work drains and the
     /// output flushes.
@@ -170,8 +200,8 @@ struct Conn {
     peer_eof: bool,
     /// Fatal transport error: close at the next sweep.
     closing: bool,
-    /// Operations admitted on behalf of this session and not yet
-    /// completed (queries on the worker pool, admin ops).
+    /// Operations admitted on behalf of this session whose answers have
+    /// not been queued yet.
     inflight: u32,
     opened: Instant,
     /// Set while the socket accepts no bytes and output is pending.
@@ -208,29 +238,137 @@ enum ReadStep {
     Stop,
 }
 
+/// Shutdown state shared by a front's handle and its loop.
+#[derive(Default)]
+struct Flags {
+    /// Set by [`Front::stop`]: the loop drains its sessions and exits.
+    shutdown: AtomicBool,
+    /// Set when a client sends `ShutdownServer`.
+    requested: Mutex<bool>,
+    requested_cv: Condvar,
+}
+
+/// An answer bound for a session, queued from any thread.
+struct Completion {
+    token: u64,
+    response: Box<dyn ResponseSource>,
+    /// The answer to an offloaded job: its session reads again.
+    resume: bool,
+}
+
+/// Hands answers made off the loop thread back to their sessions.
+#[derive(Clone)]
+pub struct Completer {
+    queue: Arc<Mutex<Vec<Completion>>>,
+    waker: Waker,
+}
+
+impl Completer {
+    /// Queues `response` on session `token` and frees the in-flight slot
+    /// [`Ctl::inflight_inc`] reserved for it. The answer to a session that
+    /// has closed meanwhile is dropped.
+    pub fn complete(&self, token: u64, response: impl ResponseSource + 'static) {
+        self.push(token, Box::new(response), false);
+    }
+
+    fn push(&self, token: u64, response: Box<dyn ResponseSource>, resume: bool) {
+        lock_clean(&self.queue).push(Completion {
+            token,
+            response,
+            resume,
+        });
+        self.waker.wake();
+    }
+}
+
+/// An offloaded operation: runs on a pool thread and returns its answer.
+type Run = Box<dyn FnOnce(&WireBuffers) -> Box<dyn ResponseSource> + Send>;
+
+/// A blocking operation for one paused session.
+struct Job {
+    token: u64,
+    /// The session's flushed frame buffers, for the answer to encode into.
+    spare: Arc<WireBuffers>,
+    run: Run,
+}
+
+/// The queue the front's pool threads take jobs from. A mutex and condvar
+/// so several workers can wait at once; sharing one `mpsc::Receiver` would
+/// serialize pickup behind its lock.
+#[derive(Default)]
+struct Pool {
+    /// Queued jobs, and whether the pool has closed.
+    state: Mutex<(VecDeque<Job>, bool)>,
+    ready: Condvar,
+}
+
+impl Pool {
+    fn push(&self, job: Job) {
+        lock_clean(&self.state).0.push_back(job);
+        self.ready.notify_one();
+    }
+
+    /// The next job; `None` once the pool has closed and drained.
+    fn pop(&self) -> Option<Job> {
+        let mut state = lock_clean(&self.state);
+        loop {
+            if let Some(job) = state.0.pop_front() {
+                return Some(job);
+            }
+            if state.1 {
+                return None;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+    }
+
+    fn close(&self) {
+        lock_clean(&self.state).1 = true;
+        self.ready.notify_all();
+    }
+
+    /// One pool thread: runs jobs until the pool closes, handing each
+    /// answer back to its session. A job that panics is answered with a
+    /// typed error, so its session resumes and the thread lives on.
+    fn work(&self, done: &Completer) {
+        while let Some(Job { token, spare, run }) = self.pop() {
+            let response = catch_unwind(AssertUnwindSafe(|| run(&spare))).unwrap_or_else(|_| {
+                let frame = error_frame(ErrorCode::Internal, "the operation panicked".into());
+                Box::new(vec![frame].into_iter())
+            });
+            done.push(token, response, true);
+        }
+    }
+}
+
 /// The event loop's mutable state, exposed to [`Logic`] callbacks for
-/// session operations (send, pause, drain, inflight accounting).
+/// session operations.
 pub struct Ctl {
     poller: Poller,
     listener: TcpListener,
     wake_reader: WakeReader,
-    waker: Waker,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     /// Non-refused connections currently in the map.
     active: usize,
     cfg: LoopConfig,
-    shutdown: Arc<AtomicBool>,
+    flags: Arc<Flags>,
+    completer: Completer,
+    pool: Arc<Pool>,
 }
 
 impl Ctl {
     /// Builds the loop state: nonblocking listener + wake pipe, both
     /// registered with a fresh poller. Fails where readiness polling is
     /// unsupported (off unix), so serving there is a bind error.
-    pub fn new(
+    fn new(
         listener: TcpListener,
         cfg: LoopConfig,
-        shutdown: Arc<AtomicBool>,
+        flags: Arc<Flags>,
+        pool: Arc<Pool>,
     ) -> std::io::Result<Ctl> {
         listener.set_nonblocking(true)?;
         let mut poller = Poller::new()?;
@@ -245,78 +383,66 @@ impl Ctl {
             poller,
             listener,
             wake_reader,
-            waker,
             conns: HashMap::new(),
             next_token: 0,
             active: 0,
             cfg,
-            shutdown,
+            flags,
+            completer: Completer {
+                queue: Arc::default(),
+                waker,
+            },
+            pool,
         })
     }
 
-    /// A handle worker threads use to nudge the loop after pushing a
-    /// completion.
-    pub fn waker(&self) -> Waker {
-        self.waker.clone()
+    /// Whether the front is stopping; new work should be refused.
+    pub fn shutting_down(&self) -> bool {
+        self.flags.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Non-refused connections currently held.
-    pub fn active_sessions(&self) -> usize {
-        self.active
+    /// A handle that delivers answers from other threads.
+    pub fn completer(&self) -> Completer {
+        self.completer.clone()
     }
 
-    /// Queues one encoded frame on a session.
+    /// Queues one encoded frame on a session. Responses are strictly FIFO
+    /// per session; frames of different responses never interleave.
     pub fn send_frame(&mut self, token: u64, frame: Vec<u8>) {
-        self.send_response(token, Box::new(OneFrame(Some(frame))));
-    }
-
-    /// Queues a streaming response on a session. Responses are strictly
-    /// FIFO per session; frames of different responses never interleave.
-    pub fn send_response(&mut self, token: u64, src: Box<dyn ResponseSource>) {
         if let Some(conn) = self.conns.get_mut(&token) {
-            conn.pending.push_back(src);
+            conn.pending.push_back(Box::new(vec![frame].into_iter()));
         }
     }
 
-    /// The session's flushed frame buffers, for a response encoded off the
-    /// loop thread (`None` for unknown tokens).
-    pub fn spare_buffers(&self, token: u64) -> Option<Arc<WireBuffers>> {
-        self.conns.get(&token).map(|c| Arc::clone(c.out.spare()))
+    /// Runs `job` on the front's pool and pauses the session until its
+    /// answer is queued: the session reads no further request meanwhile,
+    /// so the answer leaves before the next request is even decoded. The
+    /// job gets the session's flushed frame buffers to encode into.
+    pub fn offload<R: ResponseSource + 'static>(
+        &mut self,
+        token: u64,
+        job: impl FnOnce(&WireBuffers) -> R + Send + 'static,
+    ) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        conn.paused = true;
+        conn.inflight += 1;
+        let run: Run = Box::new(move |spare: &WireBuffers| -> Box<dyn ResponseSource> {
+            Box::new(job(spare))
+        });
+        self.pool.push(Job {
+            token,
+            spare: Arc::clone(conn.out.spare()),
+            run,
+        });
     }
 
-    /// Suspends/resumes reading this session's requests (order-sensitive
-    /// admin operations pause their session until the ack is queued).
-    pub fn set_paused(&mut self, token: u64, paused: bool) {
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.paused = paused;
-            if !paused {
-                // A partial frame buffered behind the one that paused the
-                // session waited on us, not on the peer.
-                conn.reader.restart_frame_clock();
-            }
-        }
-    }
-
-    /// Stops reading requests; the session closes once its in-flight
-    /// operations complete and the output queue flushes.
-    pub fn begin_drain(&mut self, token: u64) {
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.draining = true;
-        }
-    }
-
-    /// Reserves one in-flight operation slot on the session.
+    /// Reserves an in-flight slot on the session for an answer a
+    /// [`Completer`] will deliver.
     pub fn inflight_inc(&mut self, token: u64) {
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.inflight += 1;
-        }
-    }
-
-    /// Releases one in-flight slot (its completion was delivered — or
-    /// discarded, if the session died first; either way the slot frees).
-    pub fn inflight_dec(&mut self, token: u64) {
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.inflight = conn.inflight.saturating_sub(1);
         }
     }
 
@@ -325,29 +451,94 @@ impl Ctl {
         self.conns.get(&token).map(|c| c.inflight).unwrap_or(0)
     }
 
-    /// Marks the hello exchange complete (stops the handshake timer).
-    pub fn mark_handshaken(&mut self, token: u64) {
+    /// Stops reading requests; the session closes once its in-flight
+    /// operations complete and the output queue flushes.
+    fn begin_drain(&mut self, token: u64) {
         if let Some(conn) = self.conns.get_mut(&token) {
-            conn.handshaken = true;
+            conn.draining = true;
         }
     }
 
-    /// Whether the session completed its hello exchange.
-    pub fn handshaken(&self, token: u64) -> bool {
-        self.conns
-            .get(&token)
-            .map(|c| c.handshaken)
-            .unwrap_or(false)
+    /// Answers with a typed error, then closes the session.
+    fn fail(&mut self, token: u64, code: ErrorCode, message: String) {
+        self.send_frame(token, error_frame(code, message));
+        self.begin_drain(token);
     }
 
-    /// Whether the session still exists.
-    pub fn is_open(&self, token: u64) -> bool {
-        self.conns.contains_key(&token)
+    /// One complete inbound frame: the hello exchange and the generic
+    /// replies here, every other request to the logic.
+    fn on_frame<L: Logic>(&mut self, logic: &mut L, token: u64, payload: Vec<u8>) {
+        let Some(handshaken) = self.conns.get(&token).map(|c| c.handshaken) else {
+            return;
+        };
+        let Ok(msg) = Message::decode_payload(&payload) else {
+            let text = if handshaken {
+                "undecodable frame"
+            } else {
+                "expected client hello"
+            };
+            return self.fail(token, ErrorCode::Malformed, text.to_string());
+        };
+        match msg {
+            Message::ClientHello { version } if !handshaken && version == VERSION => {
+                if let Some(conn) = self.conns.get_mut(&token) {
+                    conn.handshaken = true;
+                }
+                logic.on_hello();
+                let hello = Message::ServerHello {
+                    version: VERSION,
+                    max_inflight: logic.max_inflight(),
+                };
+                self.send_frame(token, hello.encode());
+            }
+            Message::ClientHello { version } if !handshaken => {
+                let text = format!(
+                    "{} speaks version {VERSION}, client sent {version}",
+                    L::NAME
+                );
+                self.fail(token, ErrorCode::VersionMismatch, text);
+            }
+            _ if !handshaken => {
+                self.fail(token, ErrorCode::Malformed, "expected client hello".into())
+            }
+            Message::Goodbye => self.begin_drain(token),
+            Message::ShutdownServer => {
+                *lock_clean(&self.flags.requested) = true;
+                self.flags.requested_cv.notify_all();
+                self.send_frame(token, Message::Goodbye.encode());
+                self.begin_drain(token);
+            }
+            msg => {
+                if !logic.on_request(self, token, msg) {
+                    // Hellos after the handshake, server-only frames.
+                    self.fail(token, ErrorCode::Malformed, "unexpected frame".into());
+                }
+            }
+        }
+    }
+
+    /// Queues every answer completed off the loop on its session.
+    fn deliver(&mut self) {
+        let batch = std::mem::take(&mut *lock_clean(&self.completer.queue));
+        for done in batch {
+            // A session that closed first has no reader for its answer.
+            let Some(conn) = self.conns.get_mut(&done.token) else {
+                continue;
+            };
+            conn.inflight = conn.inflight.saturating_sub(1);
+            if done.resume {
+                conn.paused = false;
+                // A partial frame buffered behind the request that paused
+                // the session waited on us, not on the peer.
+                conn.reader.restart_frame_clock();
+            }
+            conn.pending.push_back(done.response);
+        }
     }
 
     fn accept_burst<L: Logic>(&mut self, logic: &mut L) {
         loop {
-            if self.shutdown.load(Ordering::SeqCst) {
+            if self.shutting_down() {
                 return;
             }
             let (stream, _peer) = match self.listener.accept() {
@@ -386,11 +577,11 @@ impl Ctl {
                 // so the close never turns into an RST that could eat the
                 // queued error frame.
                 logic.on_refused();
-                let frame = logic.refusal_frame();
-                self.send_frame(token, frame);
+                let text = format!("{} is at its connection limit", L::NAME);
+                self.send_frame(token, error_frame(ErrorCode::TooManyConnections, text));
             } else {
                 self.active += 1;
-                logic.on_accept(self, token);
+                logic.on_accept(self.active);
             }
         }
     }
@@ -445,30 +636,22 @@ impl Ctl {
                         ReadStep::Stop
                     }
                     Err(e) => {
-                        match e {
-                            tasm_proto::ProtoError::Oversized(_) => {
-                                // Report before closing; a length-prefixed
-                                // stream cannot resynchronize.
-                                conn.draining = true;
-                                let frame = tasm_proto::Message::Error {
-                                    id: None,
-                                    code: tasm_proto::ErrorCode::Malformed,
-                                    message: "undecodable frame".to_string(),
-                                }
-                                .encode();
-                                conn.pending.push_back(Box::new(OneFrame(Some(frame))));
-                            }
-                            _ => {
-                                conn.draining = true;
-                                conn.peer_eof = true;
-                            }
+                        conn.draining = true;
+                        if let tasm_proto::ProtoError::Oversized(_) = e {
+                            // Report before closing; a length-prefixed
+                            // stream cannot resynchronize.
+                            let frame =
+                                error_frame(ErrorCode::Malformed, "undecodable frame".into());
+                            conn.pending.push_back(Box::new(vec![frame].into_iter()));
+                        } else {
+                            conn.peer_eof = true;
                         }
                         ReadStep::Stop
                     }
                 }
             };
             match step {
-                ReadStep::Dispatch(payload) => logic.on_frame(self, token, payload),
+                ReadStep::Dispatch(payload) => self.on_frame(logic, token, payload),
                 ReadStep::Stop => return,
             }
         }
@@ -578,7 +761,7 @@ impl Ctl {
             }
             if !conn.refusing {
                 self.active -= 1;
-                logic.on_close(token, conn.handshaken);
+                logic.on_close(token, self.active);
             }
         }
     }
@@ -625,10 +808,10 @@ fn pump(
 /// Runs the loop until the shutdown flag is set *and* every session has
 /// drained (in-flight operations completed, responses flushed — each
 /// bounded by the write-stall deadline against unreachable peers).
-pub fn run<L: Logic>(mut ctl: Ctl, mut logic: L) {
+fn run<L: Logic>(mut ctl: Ctl, mut logic: L) {
     let mut events: Vec<Event> = Vec::new();
     loop {
-        if ctl.shutdown.load(Ordering::SeqCst) {
+        if ctl.shutting_down() {
             for token in ctl.conns.keys().copied().collect::<Vec<_>>() {
                 ctl.begin_drain(token);
             }
@@ -658,13 +841,102 @@ pub fn run<L: Logic>(mut ctl: Ctl, mut logic: L) {
             }
         }
         if woke {
-            logic.on_wake(&mut ctl);
+            ctl.deliver();
         }
-        logic.on_tick(&mut ctl);
         ctl.sweep(&mut logic);
     }
     for token in ctl.conns.keys().copied().collect::<Vec<_>>() {
         ctl.close(&mut logic, token);
+    }
+}
+
+/// A running front: the reactor thread that owns the listener and every
+/// session, and the pool that runs offloaded jobs.
+pub struct Front {
+    flags: Arc<Flags>,
+    pool: Arc<Pool>,
+    waker: Waker,
+    reactor: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl Front {
+    /// Serves `listener` with `logic` on a reactor thread named
+    /// `<name>-reactor`, with `workers` pool threads named
+    /// `<name>-worker-<i>` for offloaded jobs. Fails where readiness
+    /// polling is unsupported (off unix).
+    pub fn start<L: Logic>(
+        listener: TcpListener,
+        cfg: LoopConfig,
+        logic: L,
+        name: &str,
+        workers: usize,
+    ) -> std::io::Result<Front> {
+        let flags = Arc::new(Flags::default());
+        let pool = Arc::new(Pool::default());
+        let ctl = Ctl::new(listener, cfg, Arc::clone(&flags), Arc::clone(&pool))?;
+        // Every handle lands in `front` as soon as it exists, so a failed
+        // spawn below returns through `Drop`, which closes the pool and
+        // joins what did start.
+        let mut front = Front {
+            flags,
+            pool,
+            waker: ctl.completer.waker.clone(),
+            reactor: None,
+            workers: Vec::new(),
+        };
+        for i in 0..workers {
+            let (pool, done) = (Arc::clone(&front.pool), ctl.completer());
+            front.workers.push(
+                std::thread::Builder::new()
+                    .name(format!("{name}-worker-{i}"))
+                    .spawn(move || pool.work(&done))?,
+            );
+        }
+        front.reactor = Some(
+            std::thread::Builder::new()
+                .name(format!("{name}-reactor"))
+                .spawn(move || run(ctl, logic))?,
+        );
+        Ok(front)
+    }
+
+    /// True once a client has sent `ShutdownServer`.
+    pub fn shutdown_requested(&self) -> bool {
+        *lock_clean(&self.flags.requested)
+    }
+
+    /// Blocks until a client sends `ShutdownServer`.
+    pub fn wait_shutdown_requested(&self) {
+        let mut requested = lock_clean(&self.flags.requested);
+        while !*requested {
+            requested = self
+                .flags
+                .requested_cv
+                .wait(requested)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+    }
+
+    /// Stops the front (idempotent): accepting ends, every session
+    /// finishes what it has in flight and flushes, the reactor is joined,
+    /// and then the pool closes and its threads are joined.
+    pub fn stop(&mut self) {
+        self.flags.shutdown.store(true, Ordering::SeqCst);
+        self.waker.wake();
+        if let Some(t) = self.reactor.take() {
+            let _ = t.join();
+        }
+        self.pool.close();
+        for w in self.workers.drain(..) {
+            let _ = w.join();
+        }
+    }
+}
+
+impl Drop for Front {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -793,43 +1065,72 @@ mod tests {
         frame
     }
 
-    /// Echoes every frame; the frame `admin` pauses its session until
-    /// `hold` has passed, as an order-sensitive admin operation does.
-    struct PauseThenEcho {
-        hold: Duration,
-        paused_at: Option<(u64, Instant)>,
+    fn hello() -> Vec<u8> {
+        Message::ClientHello { version: VERSION }.encode()
     }
 
-    impl Logic for PauseThenEcho {
-        fn on_accept(&mut self, ctl: &mut Ctl, token: u64) {
-            ctl.mark_handshaken(token);
+    /// The greeting [`Echo`] answers a hello with.
+    fn server_hello() -> Vec<u8> {
+        Message::ServerHello {
+            version: VERSION,
+            max_inflight: 1,
+        }
+        .encode()
+    }
+
+    /// Echoes every request; a `StatsRequest` is echoed by an offloaded job
+    /// that takes `hold`, pausing its session as an order-sensitive admin
+    /// operation does. Publishes the loop's open-session count.
+    struct Echo {
+        hold: Duration,
+        open: Arc<AtomicUsize>,
+    }
+
+    impl Logic for Echo {
+        const NAME: &'static str = "echo";
+
+        fn max_inflight(&self) -> u32 {
+            1
         }
 
-        fn on_frame(&mut self, ctl: &mut Ctl, token: u64, payload: Vec<u8>) {
-            if payload == b"admin" {
-                ctl.set_paused(token, true);
-                self.paused_at = Some((token, Instant::now()));
+        fn on_request(&mut self, ctl: &mut Ctl, token: u64, msg: Message) -> bool {
+            let frame = msg.encode();
+            if matches!(msg, Message::StatsRequest) {
+                let hold = self.hold;
+                ctl.offload(token, move |_| {
+                    std::thread::sleep(hold);
+                    vec![frame].into_iter()
+                });
+            } else {
+                ctl.send_frame(token, frame);
             }
-            ctl.send_frame(token, framed(&payload));
+            true
         }
 
-        fn on_wake(&mut self, _ctl: &mut Ctl) {}
-
-        fn on_tick(&mut self, ctl: &mut Ctl) {
-            if self
-                .paused_at
-                .is_some_and(|(_, at)| at.elapsed() >= self.hold)
-            {
-                let (token, _) = self.paused_at.take().expect("checked");
-                ctl.set_paused(token, false);
-            }
+        fn on_accept(&mut self, active: usize) {
+            self.open.store(active, Ordering::SeqCst);
         }
 
-        fn refusal_frame(&mut self) -> Vec<u8> {
-            Vec::new()
+        fn on_close(&mut self, _token: u64, active: usize) {
+            self.open.store(active, Ordering::SeqCst);
         }
+    }
 
-        fn on_close(&mut self, _token: u64, _handshaken: bool) {}
+    /// A front over [`Echo`] on loopback: its address, its published
+    /// open-session count, and the front.
+    fn echo_front(
+        cfg: LoopConfig,
+        hold: Duration,
+    ) -> (std::net::SocketAddr, Arc<AtomicUsize>, Front) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let open = Arc::new(AtomicUsize::new(0));
+        let logic = Echo {
+            hold,
+            open: open.clone(),
+        };
+        let front = Front::start(listener, cfg, logic, "echo", 1).expect("front");
+        (addr, open, front)
     }
 
     /// A pipelined client's next frame may sit half-received in the read
@@ -838,30 +1139,29 @@ mod tests {
     /// neither fires during the pause nor the moment it ends.
     #[test]
     fn a_pause_longer_than_the_frame_deadline_keeps_the_session() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let shutdown = Arc::new(AtomicBool::new(false));
         let cfg = LoopConfig {
             poll_interval: Duration::from_millis(5),
             frame_deadline: Duration::from_millis(100),
             ..LoopConfig::default()
         };
-        let ctl = Ctl::new(listener, cfg, shutdown.clone()).expect("reactor");
-        let logic = PauseThenEcho {
-            hold: Duration::from_millis(300),
-            paused_at: None,
-        };
-        let server = std::thread::spawn(move || run(ctl, logic));
+        let (addr, _open, mut front) = echo_front(cfg, Duration::from_millis(300));
 
         let mut client = TcpStream::connect(addr).expect("connect");
         client
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("timeout");
-        let next = framed(b"the frame behind it");
-        let mut burst = framed(b"admin");
+        client.write_all(&hello()).expect("hello");
+        let mut greeting = vec![0u8; server_hello().len()];
+        client.read_exact(&mut greeting).expect("greeting");
+        let admin = Message::StatsRequest.encode();
+        let next = Message::ManifestRequest {
+            video: "the frame behind it".to_string(),
+        }
+        .encode();
+        let mut burst = admin.clone();
         burst.extend_from_slice(&next[..9]);
         client.write_all(&burst).expect("burst");
-        let mut echo = vec![0u8; 4 + 5];
+        let mut echo = vec![0u8; admin.len()];
         client.read_exact(&mut echo).expect("admin echoed");
         // The peer has now sent everything; the rest of the frame waits in
         // the socket until the pause — three deadlines long — is over.
@@ -872,9 +1172,8 @@ mod tests {
             .expect("session survived the pause");
         assert_eq!(echo, next);
 
-        shutdown.store(true, Ordering::SeqCst);
         drop(client);
-        server.join().expect("loop exits");
+        front.stop();
     }
 
     /// Both liveness deadlines in the tests below.
@@ -882,59 +1181,15 @@ mod tests {
     /// The loop's poll interval, and the client's pace when it trickles.
     const POLL: Duration = Duration::from_millis(5);
 
-    /// Takes a session's first frame as its hello and echoes every frame;
-    /// publishes the loop's open-session count on every tick.
-    struct HelloThenEcho {
-        open: Arc<AtomicUsize>,
-    }
-
-    impl Logic for HelloThenEcho {
-        fn on_accept(&mut self, _ctl: &mut Ctl, _token: u64) {}
-
-        fn on_frame(&mut self, ctl: &mut Ctl, token: u64, payload: Vec<u8>) {
-            ctl.mark_handshaken(token);
-            ctl.send_frame(token, framed(&payload));
-        }
-
-        fn on_wake(&mut self, _ctl: &mut Ctl) {}
-
-        fn on_tick(&mut self, ctl: &mut Ctl) {
-            self.open.store(ctl.active_sessions(), Ordering::SeqCst);
-        }
-
-        fn refusal_frame(&mut self) -> Vec<u8> {
-            Vec::new()
-        }
-
-        fn on_close(&mut self, _token: u64, _handshaken: bool) {}
-    }
-
-    /// A loop with both deadlines at [`DEADLINE`]: its address, its
-    /// shutdown flag, its published open-session count and its thread.
-    fn deadline_loop() -> (
-        std::net::SocketAddr,
-        Arc<AtomicBool>,
-        Arc<AtomicUsize>,
-        std::thread::JoinHandle<()>,
-    ) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let shutdown = Arc::new(AtomicBool::new(false));
+    /// A front with both deadlines at [`DEADLINE`].
+    fn deadline_front() -> (std::net::SocketAddr, Arc<AtomicUsize>, Front) {
         let cfg = LoopConfig {
             poll_interval: POLL,
             handshake_deadline: DEADLINE,
             frame_deadline: DEADLINE,
             ..LoopConfig::default()
         };
-        let ctl = Ctl::new(listener, cfg, shutdown.clone()).expect("reactor");
-        let open = Arc::new(AtomicUsize::new(0));
-        let logic = HelloThenEcho { open: open.clone() };
-        (
-            addr,
-            shutdown,
-            open,
-            std::thread::spawn(move || run(ctl, logic)),
-        )
+        echo_front(cfg, Duration::ZERO)
     }
 
     /// Waits (a bounded while) for the loop to publish `n` open sessions.
@@ -966,7 +1221,7 @@ mod tests {
     /// deadline passes, and its slot frees.
     #[test]
     fn a_silent_peer_is_closed_at_the_handshake_deadline() {
-        let (addr, shutdown, open, server) = deadline_loop();
+        let (addr, open, mut front) = deadline_front();
         let start = Instant::now();
         let mut client = TcpStream::connect(addr).expect("connect");
         client
@@ -983,8 +1238,7 @@ mod tests {
         );
         await_open(&open, 0);
 
-        shutdown.store(true, Ordering::SeqCst);
-        server.join().expect("loop exits");
+        front.stop();
     }
 
     /// A peer past its hello that sends half a frame and then one byte per
@@ -992,14 +1246,14 @@ mod tests {
     /// the frame deadline passes, and its slot frees.
     #[test]
     fn a_trickling_peer_is_closed_at_the_frame_deadline() {
-        let (addr, shutdown, open, server) = deadline_loop();
+        let (addr, open, mut front) = deadline_front();
         let mut client = TcpStream::connect(addr).expect("connect");
         client
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("timeout");
-        client.write_all(&framed(b"hello")).expect("hello");
-        let mut echo = [0u8; 4 + 5];
-        client.read_exact(&mut echo).expect("hello echoed");
+        client.write_all(&hello()).expect("hello");
+        let mut greeting = vec![0u8; server_hello().len()];
+        client.read_exact(&mut greeting).expect("hello answered");
         await_open(&open, 1);
 
         // At one byte per poll the rest of this frame would take 5 s.
@@ -1023,7 +1277,6 @@ mod tests {
         );
         await_open(&open, 0);
 
-        shutdown.store(true, Ordering::SeqCst);
-        server.join().expect("loop exits");
+        front.stop();
     }
 }

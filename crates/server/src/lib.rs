@@ -8,7 +8,11 @@
 //!
 //! ## Architecture
 //!
-//! A single nonblocking reactor thread owns every session socket:
+//! The session front is `tasm-reactor`'s [`Front`]: one nonblocking
+//! reactor thread owns every session socket and speaks the hello
+//! exchange and the generic replies, and one pool thread runs the admin
+//! operations. This crate adds query admission and dispatch and the admin
+//! operations themselves:
 //!
 //! ```text
 //!   reactor thread (epoll/poll)          QueryService worker pool
@@ -20,7 +24,7 @@
 //!   │     mid-frame, 64 MiB cap)│ wake   └──────────────────────┘
 //!   │   FrameQueue (responses   │ pipe +        admin ops
 //!   │     resume at any byte    │ completions ┌─────────────┐
-//!   │     offset on writable)   │◀────────────┤ admin thread│
+//!   │     offset on writable)   │◀────────────┤ pool thread │
 //!   └───────────────────────────┘             └─────────────┘
 //! ```
 //!
@@ -76,25 +80,15 @@
 mod reactor;
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use tasm_core::{Tasm, TasmError};
 use tasm_proto::ErrorCode;
+use tasm_reactor::{Front, LoopConfig};
 use tasm_service::{
     QueryService, ServiceConfig, ServiceError, ServiceStats, Shutdown, ShutdownReport,
 };
-
-/// Locks a mutex, recovering the data from a poisoned lock instead of
-/// panicking. Every structure guarded this way (completion queues,
-/// replication staging, flags) stays internally consistent across a panic
-/// at any point, so the sensible response to poison is to keep serving — a
-/// cascade that turns one panicked query into a dead session (or server) is
-/// strictly worse.
-pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Maps a service-side failure onto the wire's typed error codes.
 pub(crate) fn error_code(e: &ServiceError) -> ErrorCode {
@@ -162,7 +156,7 @@ pub struct ServerReport {
     pub service: ShutdownReport,
 }
 
-/// State shared by the serving threads (reactor + admin) and the server
+/// State shared by the server's logic, its admin jobs and the server
 /// handle.
 pub(crate) struct ServerShared {
     pub service: QueryService,
@@ -171,40 +165,15 @@ pub(crate) struct ServerShared {
     /// the serving instance so `--explain` output names which process (and
     /// in a cluster, which shard) executed the query.
     pub instance: String,
-    /// Shared with the reactor's event loop, which exits once it observes
-    /// the flag and drains its sessions.
-    shutdown: Arc<AtomicBool>,
-    shutdown_requested: Mutex<bool>,
-    shutdown_cv: Condvar,
-    pub(crate) active_sessions: AtomicUsize,
-    sessions_served: AtomicU64,
+    /// Connections that completed a hello exchange, so port scans and
+    /// version mismatches never inflate the count.
+    pub(crate) sessions_served: AtomicU64,
     pub busy_rejections: AtomicU64,
     pub(crate) connection_rejections: AtomicU64,
 }
 
-impl ServerShared {
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Counts a connection whose handshake succeeded (called by the
-    /// session once the hello exchange completes, so port scans and
-    /// version mismatches never inflate the count).
-    pub fn count_session(&self) {
-        self.sessions_served.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Marks that a client asked the server to shut down and wakes
-    /// [`TasmServer::wait_shutdown_requested`].
-    pub fn request_shutdown(&self) {
-        *lock_clean(&self.shutdown_requested) = true;
-        self.shutdown_cv.notify_all();
-    }
-}
-
-/// The gauge mirroring `ServerShared::active_sessions`. Updated at both
-/// admission and release, so a scrape sees the same value admission
-/// control acts on.
+/// The gauge of open client sessions. Updated at both admission and
+/// release, so a scrape sees the same value admission control acts on.
 pub(crate) fn sessions_gauge() -> Arc<tasm_obs::Gauge> {
     tasm_obs::gauge(
         "tasm_sessions_active",
@@ -212,17 +181,15 @@ pub(crate) fn sessions_gauge() -> Arc<tasm_obs::Gauge> {
     )
 }
 
-/// A running TASM server: a listener and its serving threads (reactor +
-/// admin), all over one shared [`QueryService`].
+/// A running TASM server: a listener and its session front (a reactor
+/// thread and a one-thread admin pool), all over one shared
+/// [`QueryService`].
 pub struct TasmServer {
+    /// Declared first, so dropping the server stops the front — sessions
+    /// drained, threads joined — before the service drains.
+    front: Front,
     shared: Arc<ServerShared>,
     local_addr: SocketAddr,
-    reactor: Option<JoinHandle<()>>,
-    admin: Option<JoinHandle<()>>,
-    /// Held so the admin thread's `recv` loop stays alive until shutdown
-    /// explicitly drops it.
-    admin_tx: Option<mpsc::Sender<reactor::AdminJob>>,
-    waker: Option<tasm_reactor::Waker>,
 }
 
 impl TasmServer {
@@ -251,53 +218,27 @@ impl TasmServer {
     ) -> std::io::Result<TasmServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(ServerShared {
             service: QueryService::start_with_hook(tasm, service_cfg, hook),
             cfg,
             instance: local_addr.to_string(),
-            shutdown: Arc::clone(&shutdown),
-            shutdown_requested: Mutex::new(false),
-            shutdown_cv: Condvar::new(),
-            active_sessions: AtomicUsize::new(0),
             sessions_served: AtomicU64::new(0),
             busy_rejections: AtomicU64::new(0),
             connection_rejections: AtomicU64::new(0),
         });
-        let loop_cfg = tasm_reactor::LoopConfig {
+        let loop_cfg = LoopConfig {
             max_connections: cfg.max_connections,
             poll_interval: cfg.poll_interval,
-            ..tasm_reactor::LoopConfig::default()
+            ..LoopConfig::default()
         };
-        let ctl = tasm_reactor::Ctl::new(listener, loop_cfg, shutdown)?;
-        let waker = ctl.waker();
-        let completions = Arc::new(Mutex::new(Vec::new()));
-        let (admin_tx, admin_rx) = mpsc::channel();
-        // Every handle lands in `server` as soon as it exists, so a failed
-        // spawn below returns through `Drop`, which stops what did start.
-        let mut server = TasmServer {
-            shared: Arc::clone(&shared),
+        // One pool thread runs the admin operations in submission order.
+        let logic = reactor::ServerLogic::new(Arc::clone(&shared));
+        let front = Front::start(listener, loop_cfg, logic, "tasm-serve", 1)?;
+        Ok(TasmServer {
+            front,
+            shared,
             local_addr,
-            reactor: None,
-            admin: None,
-            admin_tx: Some(admin_tx.clone()),
-            waker: Some(waker.clone()),
-        };
-        server.admin = Some({
-            let shared = Arc::clone(&shared);
-            let completions = Arc::clone(&completions);
-            let waker = waker.clone();
-            std::thread::Builder::new()
-                .name("tasm-admin".to_string())
-                .spawn(move || reactor::admin_loop(shared, admin_rx, completions, waker))?
-        });
-        let logic = reactor::ServerLogic::new(shared, completions, waker, admin_tx);
-        server.reactor = Some(
-            std::thread::Builder::new()
-                .name("tasm-reactor".to_string())
-                .spawn(move || tasm_reactor::run(ctl, logic))?,
-        );
-        Ok(server)
+        })
     }
 
     /// The address the listener actually bound.
@@ -314,28 +255,22 @@ impl TasmServer {
     /// True once a client has sent the administrative `ShutdownServer`
     /// frame.
     pub fn shutdown_requested(&self) -> bool {
-        *lock_clean(&self.shared.shutdown_requested)
+        self.front.shutdown_requested()
     }
 
     /// Blocks until a client requests shutdown (the `tasm serve` command's
     /// idle state).
     pub fn wait_shutdown_requested(&self) {
-        let mut requested = lock_clean(&self.shared.shutdown_requested);
-        while !*requested {
-            requested = match self.shared.shutdown_cv.wait(requested) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
+        self.front.wait_shutdown_requested();
     }
 
     /// Gracefully shuts the server down: stops accepting, lets every
-    /// session drain its in-flight queries and flush their responses,
-    /// joins all threads, drains the service ([`Shutdown::Drain`] — the
-    /// retile daemon processes its backlog and stops), and reports what
-    /// happened.
+    /// session drain its in-flight queries and admin operations and flush
+    /// their responses, joins the front's threads, drains the service
+    /// ([`Shutdown::Drain`] — the retile daemon processes its backlog and
+    /// stops), and reports what happened.
     pub fn shutdown(mut self) -> ServerReport {
-        self.stop_threads();
+        self.front.stop();
         let service = self.shared.service.shutdown_now(Shutdown::Drain);
         ServerReport {
             sessions_served: self.shared.sessions_served.load(Ordering::Relaxed),
@@ -343,34 +278,5 @@ impl TasmServer {
             connection_rejections: self.shared.connection_rejections.load(Ordering::Relaxed),
             service,
         }
-    }
-
-    /// Signals shutdown and joins every serving thread (idempotent). The
-    /// reactor is joined before the admin channel closes so in-flight
-    /// admin acks still reach their sessions during the drain; the service
-    /// worker pool outlives this call for the same reason (queries the
-    /// reactor is still waiting on keep executing).
-    fn stop_threads(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
-        if let Some(t) = self.reactor.take() {
-            let _ = t.join();
-        }
-        // Closing the channel ends the admin thread's recv loop.
-        self.admin_tx = None;
-        if let Some(t) = self.admin.take() {
-            let _ = t.join();
-        }
-        self.waker = None;
-    }
-}
-
-impl Drop for TasmServer {
-    fn drop(&mut self) {
-        self.stop_threads();
-        // Dropping `shared` afterwards drains the service (QueryService's
-        // own Drop).
     }
 }

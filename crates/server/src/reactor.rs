@@ -1,156 +1,45 @@
-//! The serving engine: protocol dispatch for the readiness-driven event
-//! loop in `tasm-reactor`.
+//! The server's side of the session front in `tasm-reactor`: query
+//! admission and dispatch onto the `QueryService`, and the
+//! cluster-administration frames.
 //!
-//! One reactor thread owns every session socket. Admitted queries execute
-//! on the `QueryService`'s fixed worker pool and come back through a
-//! completion queue + wake pipe — no waiter threads, no parked stacks.
-//! Blocking cluster-administration frames (replication, manifest fetch,
-//! push, remove) run on one dedicated admin thread; their sessions pause
-//! until the ack is queued, preserving the strict request/ack ordering the
-//! replication protocol assumes.
+//! Admitted queries execute on the service's fixed worker pool and their
+//! answers come back through the front's [`Completer`](tasm_reactor::Completer);
+//! a session may keep up to `max_inflight` of them in flight. The
+//! administration frames (replication, manifest fetch, push, remove) do
+//! blocking disk and network I/O, so they run on the front's one pool
+//! thread in submission order, their sessions paused until the ack is
+//! queued — the strict request/ack order the replication protocol assumes.
 
-use crate::{error_code, lock_clean, sessions_gauge, ServerShared};
+use crate::{error_code, sessions_gauge, ServerShared};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+use tasm_cluster::StagedSots;
+use tasm_core::Tasm;
 use tasm_proto::nio::WireBuffers;
-use tasm_proto::{encode_region, ErrorCode, Message, ResultSummary, VERSION};
-use tasm_reactor::{Ctl, Logic, NextFrame, ResponseSource, Waker};
+use tasm_proto::{encode_region, ErrorCode, Message, ResultSummary};
+use tasm_reactor::{lock_clean, Ctl, Logic, NextFrame, ResponseSource};
 use tasm_service::{QueryOutcome, QueryRequest, ServiceError};
 
-/// A completed unit of off-loop work, queued for the reactor.
-pub(crate) enum Complete {
-    /// A query finished on the service's worker pool.
-    Query {
-        token: u64,
-        wire_id: u64,
-        result: Box<Result<QueryOutcome, ServiceError>>,
-    },
-    /// An admin operation finished on the admin thread; the reply frame is
-    /// already encoded.
-    Admin { token: u64, frame: Vec<u8> },
+fn error_frame(id: Option<u64>, code: ErrorCode, message: String) -> Vec<u8> {
+    Message::Error { id, code, message }.encode()
 }
 
-/// Work the admin thread executes for one session.
-pub(crate) struct AdminJob {
-    token: u64,
-    op: AdminOp,
-    /// That session's replication staging area (tile bytes held between
-    /// `StageSot` and its commit record). Shared with the logic's map so
-    /// it dies with the session.
-    staged: Arc<Mutex<tasm_cluster::StagedSots>>,
-}
-
-enum AdminOp {
-    Replicate {
-        seq: u64,
-        record: tasm_proto::ReplicationRecord,
-    },
-    Manifest {
-        video: String,
-    },
-    Push {
-        seq: u64,
-        video: String,
-        target: String,
-    },
-    Remove {
-        seq: u64,
-        video: String,
-    },
-}
-
-/// Runs cluster-administration frames in submission order. These do disk
-/// and network I/O (a `PushVideo` streams tiles to another shard), which
-/// must never block the reactor; one FIFO thread suffices because the
-/// protocols are strictly ack-before-next per session, and sessions pause
-/// while an op is in flight.
-pub(crate) fn admin_loop(
-    shared: Arc<ServerShared>,
-    rx: mpsc::Receiver<AdminJob>,
-    completions: Arc<Mutex<Vec<Complete>>>,
-    waker: Waker,
-) {
-    while let Ok(job) = rx.recv() {
-        let reply = match job.op {
-            AdminOp::Replicate { seq, record } => {
-                let mut staged = lock_clean(&job.staged);
-                match tasm_cluster::apply_record(shared.service.tasm(), &mut staged, record) {
-                    Ok(()) => Message::ReplicateAck { seq },
-                    Err(message) => Message::Error {
-                        id: Some(seq),
-                        code: ErrorCode::Internal,
-                        message,
-                    },
-                }
-            }
-            AdminOp::Manifest { video } => {
-                match tasm_cluster::manifest_json(shared.service.tasm(), &video) {
-                    Ok(manifest) => Message::ManifestReply { video, manifest },
-                    Err(message) => Message::Error {
-                        id: None,
-                        code: ErrorCode::UnknownVideo,
-                        message,
-                    },
-                }
-            }
-            AdminOp::Push { seq, video, target } => {
-                match tasm_cluster::push_video(shared.service.tasm(), &video, &target) {
-                    Ok(()) => Message::ReplicateAck { seq },
-                    Err(message) => Message::Error {
-                        id: Some(seq),
-                        code: ErrorCode::Internal,
-                        message,
-                    },
-                }
-            }
-            AdminOp::Remove { seq, video } => match shared.service.tasm().remove_video(&video) {
-                Ok(()) => Message::ReplicateAck { seq },
-                Err(e) => Message::Error {
-                    id: Some(seq),
-                    code: ErrorCode::UnknownVideo,
-                    message: e.to_string(),
-                },
-            },
-        };
-        lock_clean(&completions).push(Complete::Admin {
-            token: job.token,
-            frame: reply.encode(),
-        });
-        waker.wake();
-    }
-}
-
-/// The server's [`Logic`]: handshake, dispatch, admission control, and
-/// completion delivery.
+/// The server's [`Logic`].
 pub(crate) struct ServerLogic {
     shared: Arc<ServerShared>,
-    completions: Arc<Mutex<Vec<Complete>>>,
-    waker: Waker,
-    admin_tx: mpsc::Sender<AdminJob>,
-    /// Per-session replication staging, keyed by token.
-    staged: HashMap<u64, Arc<Mutex<tasm_cluster::StagedSots>>>,
+    /// Per-session replication staging (tile bytes held between `StageSot`
+    /// and its commit record), keyed by token, so it dies with the session.
+    staged: HashMap<u64, Arc<Mutex<StagedSots>>>,
 }
 
 impl ServerLogic {
-    pub(crate) fn new(
-        shared: Arc<ServerShared>,
-        completions: Arc<Mutex<Vec<Complete>>>,
-        waker: Waker,
-        admin_tx: mpsc::Sender<AdminJob>,
-    ) -> ServerLogic {
+    pub(crate) fn new(shared: Arc<ServerShared>) -> ServerLogic {
         ServerLogic {
             shared,
-            completions,
-            waker,
-            admin_tx,
             staged: HashMap::new(),
         }
-    }
-
-    fn send_error(ctl: &mut Ctl, token: u64, id: Option<u64>, code: ErrorCode, message: String) {
-        ctl.send_frame(token, Message::Error { id, code, message }.encode());
     }
 
     fn handle_query(
@@ -162,40 +51,33 @@ impl ServerLogic {
         query: tasm_core::Query,
         trace_id: Option<u64>,
     ) {
-        if self.shared.is_shutting_down() {
-            Self::send_error(
-                ctl,
-                token,
-                Some(id),
-                ErrorCode::ShuttingDown,
-                "server is shutting down".to_string(),
-            );
+        if ctl.shutting_down() {
+            let text = "server is shutting down".to_string();
+            ctl.send_frame(token, error_frame(Some(id), ErrorCode::ShuttingDown, text));
             return;
         }
-        if ctl.inflight(token) >= self.shared.cfg.max_inflight {
-            Self::send_error(
-                ctl,
+        let max_inflight = self.shared.cfg.max_inflight;
+        if ctl.inflight(token) >= max_inflight {
+            let text = format!("session already has {max_inflight} queries in flight");
+            ctl.send_frame(
                 token,
-                Some(id),
-                ErrorCode::TooManyInflight,
-                format!(
-                    "session already has {} queries in flight",
-                    self.shared.cfg.max_inflight
-                ),
+                error_frame(Some(id), ErrorCode::TooManyInflight, text),
             );
             return;
         }
         let request = QueryRequest::new(video, query).with_trace_id(trace_id);
-        let completions = Arc::clone(&self.completions);
-        let waker = self.waker.clone();
-        let submitted = self.shared.service.try_submit_with(request, move |result| {
-            lock_clean(&completions).push(Complete::Query {
-                token,
-                wire_id: id,
-                result: Box::new(result),
+        let done = ctl.completer();
+        let instance = self.shared.instance.clone();
+        let submitted = self
+            .shared
+            .service
+            .try_submit_with(request, move |result| match result {
+                Ok(outcome) => done.complete(token, QueryResponse::new(id, outcome, instance)),
+                Err(e) => {
+                    let frame = error_frame(Some(id), error_code(&e), e.to_string());
+                    done.complete(token, vec![frame].into_iter());
+                }
             });
-            waker.wake();
-        });
         match submitted {
             Ok(_service_id) => ctl.inflight_inc(token),
             Err(e) => {
@@ -209,42 +91,42 @@ impl ServerLogic {
                         .inc();
                     }
                 }
-                Self::send_error(ctl, token, Some(id), error_code(&e), e.to_string());
+                ctl.send_frame(token, error_frame(Some(id), error_code(&e), e.to_string()));
             }
         }
     }
 
-    /// Hands an admin frame to the admin thread and pauses the session
-    /// until its ack returns through the completion queue — the reactor
-    /// reads no further frames from it, preserving strict per-session
-    /// operation order.
-    fn submit_admin(&mut self, ctl: &mut Ctl, token: u64, op: AdminOp) {
-        let staged = Arc::clone(
-            self.staged
-                .entry(token)
-                .or_insert_with(|| Arc::new(Mutex::new(tasm_cluster::StagedSots::new()))),
-        );
-        ctl.set_paused(token, true);
-        ctl.inflight_inc(token);
-        if self.admin_tx.send(AdminJob { token, op, staged }).is_err() {
-            // Admin thread gone (shutdown): fail typed rather than hang.
-            ctl.inflight_dec(token);
-            ctl.set_paused(token, false);
-            Self::send_error(
-                ctl,
-                token,
-                None,
-                ErrorCode::ShuttingDown,
-                "server is shutting down".to_string(),
-            );
-        }
+    /// Runs an admin operation on the front's pool against the store and
+    /// the session's staging area; the session reads nothing more until
+    /// the reply is queued.
+    fn admin(
+        &mut self,
+        ctl: &mut Ctl,
+        token: u64,
+        op: impl FnOnce(&Tasm, &mut StagedSots) -> Message + Send + 'static,
+    ) {
+        let staged = Arc::clone(self.staged.entry(token).or_default());
+        let shared = Arc::clone(&self.shared);
+        ctl.offload(token, move |_| {
+            let reply = op(shared.service.tasm(), &mut lock_clean(&staged));
+            vec![reply.encode()].into_iter()
+        });
     }
 }
 
 impl Logic for ServerLogic {
-    fn on_accept(&mut self, ctl: &mut Ctl, _token: u64) {
-        self.shared.active_sessions.fetch_add(1, Ordering::AcqRel);
-        sessions_gauge().set(ctl.active_sessions() as i64);
+    const NAME: &'static str = "server";
+
+    fn max_inflight(&self) -> u32 {
+        self.shared.cfg.max_inflight
+    }
+
+    fn on_accept(&mut self, active: usize) {
+        sessions_gauge().set(active as i64);
+    }
+
+    fn on_hello(&mut self) {
+        self.shared.sessions_served.fetch_add(1, Ordering::Relaxed);
     }
 
     fn on_refused(&mut self) {
@@ -260,66 +142,12 @@ impl Logic for ServerLogic {
         }
     }
 
-    fn refusal_frame(&mut self) -> Vec<u8> {
-        Message::Error {
-            id: None,
-            code: ErrorCode::TooManyConnections,
-            message: "server is at its connection limit".to_string(),
-        }
-        .encode()
+    fn on_close(&mut self, token: u64, active: usize) {
+        self.staged.remove(&token);
+        sessions_gauge().set(active as i64);
     }
 
-    fn on_frame(&mut self, ctl: &mut Ctl, token: u64, payload: Vec<u8>) {
-        let msg = match Message::decode_payload(&payload) {
-            Ok(msg) => msg,
-            Err(_) => {
-                let text = if ctl.handshaken(token) {
-                    "undecodable frame"
-                } else {
-                    "expected client hello"
-                };
-                Self::send_error(ctl, token, None, ErrorCode::Malformed, text.to_string());
-                ctl.begin_drain(token);
-                return;
-            }
-        };
-        if !ctl.handshaken(token) {
-            match msg {
-                Message::ClientHello { version } if version == VERSION => {
-                    ctl.mark_handshaken(token);
-                    self.shared.count_session();
-                    ctl.send_frame(
-                        token,
-                        Message::ServerHello {
-                            version: VERSION,
-                            max_inflight: self.shared.cfg.max_inflight,
-                        }
-                        .encode(),
-                    );
-                }
-                Message::ClientHello { version } => {
-                    Self::send_error(
-                        ctl,
-                        token,
-                        None,
-                        ErrorCode::VersionMismatch,
-                        format!("server speaks version {VERSION}, client sent {version}"),
-                    );
-                    ctl.begin_drain(token);
-                }
-                _ => {
-                    Self::send_error(
-                        ctl,
-                        token,
-                        None,
-                        ErrorCode::Malformed,
-                        "expected client hello".to_string(),
-                    );
-                    ctl.begin_drain(token);
-                }
-            }
-            return;
-        }
+    fn on_request(&mut self, ctl: &mut Ctl, token: u64, msg: Message) -> bool {
         match msg {
             Message::Query {
                 id,
@@ -328,97 +156,60 @@ impl Logic for ServerLogic {
                 trace_id,
             } => self.handle_query(ctl, token, id, video, query, trace_id),
             Message::StatsRequest => {
-                ctl.send_frame(
-                    token,
-                    Message::StatsReply {
-                        stats: Box::new(self.shared.service.stats()),
-                    }
-                    .encode(),
-                );
-            }
-            Message::Goodbye => ctl.begin_drain(token),
-            Message::ShutdownServer => {
-                self.shared.request_shutdown();
-                ctl.send_frame(token, Message::Goodbye.encode());
-                ctl.begin_drain(token);
+                let stats = Box::new(self.shared.service.stats());
+                ctl.send_frame(token, Message::StatsReply { stats }.encode());
             }
             Message::Replicate { seq, record } => {
-                self.submit_admin(ctl, token, AdminOp::Replicate { seq, record });
-            }
-            Message::ManifestRequest { video } => {
-                self.submit_admin(ctl, token, AdminOp::Manifest { video });
-            }
-            Message::PushVideo { seq, video, target } => {
-                self.submit_admin(ctl, token, AdminOp::Push { seq, video, target });
-            }
-            Message::RemoveVideo { seq, video } => {
-                self.submit_admin(ctl, token, AdminOp::Remove { seq, video });
-            }
-            // Anything else is a protocol violation at this point of the
-            // session (hellos after the handshake, server-only frames).
-            _ => {
-                Self::send_error(
+                self.admin(
                     ctl,
                     token,
-                    None,
-                    ErrorCode::Malformed,
-                    "unexpected frame".to_string(),
-                );
-                ctl.begin_drain(token);
+                    move |tasm, staged| match tasm_cluster::apply_record(tasm, staged, record) {
+                        Ok(()) => Message::ReplicateAck { seq },
+                        Err(message) => Message::Error {
+                            id: Some(seq),
+                            code: ErrorCode::Internal,
+                            message,
+                        },
+                    },
+                )
             }
-        }
-    }
-
-    fn on_wake(&mut self, ctl: &mut Ctl) {
-        let batch: Vec<Complete> = lock_clean(&self.completions).drain(..).collect();
-        for complete in batch {
-            match complete {
-                Complete::Query {
+            Message::ManifestRequest { video } => {
+                self.admin(
+                    ctl,
                     token,
-                    wire_id,
-                    result,
-                } => {
-                    if !ctl.is_open(token) {
-                        // Session died first; the outcome has no reader.
-                        continue;
-                    }
-                    ctl.inflight_dec(token);
-                    match *result {
-                        Ok(outcome) => ctl.send_response(
-                            token,
-                            Box::new(QueryResponse::new(
-                                wire_id,
-                                outcome,
-                                self.shared.instance.clone(),
-                            )),
-                        ),
-                        Err(e) => {
-                            Self::send_error(
-                                ctl,
-                                token,
-                                Some(wire_id),
-                                error_code(&e),
-                                e.to_string(),
-                            );
-                        }
-                    }
-                }
-                Complete::Admin { token, frame } => {
-                    if !ctl.is_open(token) {
-                        continue;
-                    }
-                    ctl.inflight_dec(token);
-                    ctl.set_paused(token, false);
-                    ctl.send_frame(token, frame);
-                }
+                    move |tasm, _| match tasm_cluster::manifest_json(tasm, &video) {
+                        Ok(manifest) => Message::ManifestReply { video, manifest },
+                        Err(message) => Message::Error {
+                            id: None,
+                            code: ErrorCode::UnknownVideo,
+                            message,
+                        },
+                    },
+                )
             }
+            Message::PushVideo { seq, video, target } => self.admin(ctl, token, move |tasm, _| {
+                match tasm_cluster::push_video(tasm, &video, &target) {
+                    Ok(()) => Message::ReplicateAck { seq },
+                    Err(message) => Message::Error {
+                        id: Some(seq),
+                        code: ErrorCode::Internal,
+                        message,
+                    },
+                }
+            }),
+            Message::RemoveVideo { seq, video } => {
+                self.admin(ctl, token, move |tasm, _| match tasm.remove_video(&video) {
+                    Ok(()) => Message::ReplicateAck { seq },
+                    Err(e) => Message::Error {
+                        id: Some(seq),
+                        code: ErrorCode::UnknownVideo,
+                        message: e.to_string(),
+                    },
+                })
+            }
+            _ => return false,
         }
-    }
-
-    fn on_close(&mut self, token: u64, _handshaken: bool) {
-        self.staged.remove(&token);
-        let prev = self.shared.active_sessions.fetch_sub(1, Ordering::AcqRel);
-        sessions_gauge().set(prev.saturating_sub(1) as i64);
+        true
     }
 }
 
