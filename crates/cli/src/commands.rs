@@ -1486,15 +1486,27 @@ mod tests {
         dispatch(&argv)
     }
 
-    fn store(tag: &str) -> String {
+    /// Removes a test's store directory when the test ends.
+    struct RemoveOnDrop(String);
+
+    impl Drop for RemoveOnDrop {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
+    /// A store path under the system temp dir, and the guard that removes
+    /// it.
+    fn store(tag: &str) -> (String, RemoveOnDrop) {
         let dir = std::env::temp_dir().join(format!("tasm-cli-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        dir.display().to_string()
+        let path = dir.display().to_string();
+        (path.clone(), RemoveOnDrop(path))
     }
 
     #[test]
     fn full_cli_session() {
-        let s = store("session");
+        let (s, _store) = store("session");
         run(&format!(
             "ingest --store {s} --name cam --dataset visual-road-2k --seconds 1 --seed 3"
         ))
@@ -1537,7 +1549,7 @@ mod tests {
 
     #[test]
     fn fsck_reports_corruption_and_unknown_videos() {
-        let s = store("fsck");
+        let (s, _store) = store("fsck");
         run(&format!(
             "ingest --store {s} --name cam --dataset visual-road-2k --seconds 1 --seed 3"
         ))
@@ -1566,7 +1578,7 @@ mod tests {
     /// the next command's store open, and the video still loads.
     #[test]
     fn stray_scene_spec_temp_is_reaped_and_the_video_loads() {
-        let s = store("scene-tmp");
+        let (s, _store) = store("scene-tmp");
         run(&format!(
             "ingest --store {s} --name cam --dataset visual-road-2k --seconds 1 --seed 3"
         ))
@@ -1585,7 +1597,7 @@ mod tests {
     #[test]
     fn invalid_scene_spec_is_a_typed_error_not_a_panic() {
         use tasm_data::SceneError;
-        let s = store("bad-scene");
+        let (s, _store) = store("bad-scene");
         run(&format!(
             "ingest --store {s} --name cam --dataset visual-road-2k --seconds 1 --seed 3"
         ))
@@ -1627,7 +1639,7 @@ mod tests {
 
     #[test]
     fn workload_runs_through_query_service() {
-        let s = store("workload");
+        let (s, _store) = store("workload");
         run(&format!(
             "ingest --store {s} --name cam --dataset visual-road-2k --seconds 1 --seed 3"
         ))
@@ -1648,7 +1660,7 @@ mod tests {
 
     #[test]
     fn serve_and_client_round_trip() {
-        let s = store("serve");
+        let (s, _store) = store("serve");
         run(&format!(
             "ingest --store {s} --name cam --dataset visual-road-2k --seconds 1 --seed 3"
         ))
@@ -1701,7 +1713,7 @@ mod tests {
 
     #[test]
     fn errors_are_reported_not_panicked() {
-        let s = store("errors");
+        let (s, _store) = store("errors");
         assert!(run("bogus --store /tmp").is_err());
         assert!(run(&format!("scan --store {s} --name missing --label car")).is_err());
         assert!(run(&format!(

@@ -166,6 +166,7 @@ mod tests {
     use super::*;
     use crate::partition::PartitionConfig;
     use crate::scan::LabelPredicate;
+    use crate::scratch::Scratch;
     use crate::storage::StorageConfig;
     use crate::tasm::TasmConfig;
     use tasm_detect::yolo::{Platform, SimulatedYolo};
@@ -193,9 +194,7 @@ mod tests {
         vec![("car", Rect::new((f * 2) % 96, 8, 24, 16))]
     }
 
-    fn tasm(tag: &str) -> Tasm {
-        let dir = std::env::temp_dir().join(format!("tasm-edge-{tag}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    fn tasm(tag: &str) -> Scratch<Tasm> {
         let cfg = TasmConfig {
             storage: StorageConfig {
                 gop_len: 5,
@@ -210,7 +209,9 @@ mod tests {
             },
             ..Default::default()
         };
-        Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap()
+        Scratch::open(&format!("edge-{tag}"), |dir| {
+            Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap()
+        })
     }
 
     #[test]

@@ -453,10 +453,18 @@ impl InflightToken<'_> {
         self.settle();
     }
 
+    /// Runs from `Drop` too, so also while a panic unwinds (one inside
+    /// `store`, under the cache lock, poisons it): a second panic here
+    /// would abort the process, so the poisoned lock is taken as is. The
+    /// registry removal is one map operation, whole either way.
     fn settle(&mut self) {
         if !self.settled {
             self.settled = true;
-            let mut inner = self.cache.inner.lock().expect("cache lock");
+            let mut inner = self
+                .cache
+                .inner
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
             inner.inflight.remove(&self.key);
             drop(inner);
             self.fl.finish();
@@ -834,6 +842,32 @@ mod tests {
             given_back(),
             (before.0 + 2 * FRAME, before.1 + 4 * FRAME + ENTRY)
         );
+    }
+
+    /// A panic under the cache lock poisons it. The owner token, dropped
+    /// while that panic unwinds, still settles — the in-flight entry goes
+    /// and its waiters wake — instead of panicking a second time, which
+    /// would abort the process.
+    #[test]
+    fn an_owner_dropped_on_a_poisoned_cache_still_settles() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let c = DecodedTileCache::new(1 << 20);
+        let mut waited = false;
+        let GopAccess::Owner(token, _) = c.acquire(&key(0, 0), 1, &mut waited) else {
+            panic!("an empty cache makes the caller the owner");
+        };
+        let decode = Arc::clone(&token.fl);
+        let poisoned = catch_unwind(AssertUnwindSafe(|| {
+            let _held = c.inner.lock().expect("cache lock");
+            panic!("a panic under the cache lock");
+        }));
+        assert!(poisoned.is_err() && c.inner.is_poisoned());
+        let dropped = catch_unwind(AssertUnwindSafe(|| drop(token)));
+        assert!(dropped.is_ok(), "settling on a poisoned cache panicked");
+        // A waiter returns instead of blocking forever.
+        decode.wait();
+        let inner = c.inner.lock().unwrap_or_else(|e| e.into_inner());
+        assert!(inner.inflight.is_empty());
     }
 
     /// A lookup needing more than a trimmed entry holds owns the decode,

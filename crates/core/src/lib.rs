@@ -133,6 +133,8 @@ pub mod pool;
 pub mod query;
 pub mod runner;
 pub mod scan;
+#[cfg(test)]
+mod scratch;
 pub mod storage;
 pub mod tasm;
 

@@ -271,6 +271,7 @@ fn all_labels(tasm: &mut Tasm, video: &str) -> Result<Vec<String>, TasmError> {
 mod tests {
     use super::*;
     use crate::partition::PartitionConfig;
+    use crate::scratch::Scratch;
     use crate::storage::StorageConfig;
     use crate::tasm::TasmConfig;
     use tasm_detect::yolo::SimulatedYolo;
@@ -298,9 +299,7 @@ mod tests {
         vec![("car", Rect::new((f * 2) % 96, 8, 24, 16))]
     }
 
-    fn tasm(tag: &str) -> Tasm {
-        let dir = std::env::temp_dir().join(format!("tasm-runner-{tag}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    fn tasm(tag: &str) -> Scratch<Tasm> {
         let cfg = TasmConfig {
             storage: StorageConfig {
                 gop_len: 5,
@@ -315,7 +314,9 @@ mod tests {
             },
             ..Default::default()
         };
-        Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap()
+        Scratch::open(&format!("runner-{tag}"), |dir| {
+            Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap()
+        })
     }
 
     fn queries(n: u32) -> Vec<RunQuery> {

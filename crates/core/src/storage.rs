@@ -1437,6 +1437,7 @@ fn entry_name(path: &Path) -> String {
 mod tests {
     use super::*;
     use crate::exec::{self, TileDecodeRequest};
+    use crate::scratch::Scratch;
     use tasm_video::{Plane, Rect};
 
     fn test_source(frames: u32) -> VecFrameSource {
@@ -1461,10 +1462,10 @@ mod tests {
         )
     }
 
-    fn temp_store(tag: &str) -> VideoStore {
-        let dir = std::env::temp_dir().join(format!("tasm-store-{tag}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        VideoStore::open(dir).unwrap()
+    fn temp_store(tag: &str) -> Scratch<VideoStore> {
+        Scratch::open(&format!("store-{tag}"), |dir| {
+            VideoStore::open(dir).unwrap()
+        })
     }
 
     fn small_cfg() -> StorageConfig {

@@ -1371,6 +1371,7 @@ fn add_retile(mut a: RetileStats, b: RetileStats) -> RetileStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::Scratch;
     use tasm_index::MemoryIndex;
     use tasm_video::{Frame, Plane, VecFrameSource};
 
@@ -1394,9 +1395,7 @@ mod tests {
         )
     }
 
-    fn tasm(tag: &str) -> Tasm {
-        let dir = std::env::temp_dir().join(format!("tasm-facade-{tag}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    fn tasm(tag: &str) -> Scratch<Tasm> {
         let cfg = TasmConfig {
             storage: StorageConfig {
                 gop_len: 5,
@@ -1411,7 +1410,9 @@ mod tests {
             },
             ..Default::default()
         };
-        Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap()
+        Scratch::open(&format!("facade-{tag}"), |dir| {
+            Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap()
+        })
     }
 
     fn populate_truth(t: &mut Tasm, frames: u32) {
