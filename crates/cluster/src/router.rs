@@ -45,7 +45,7 @@ use tasm_client::{ClientError, Connection};
 use tasm_core::Query;
 use tasm_proto::nio::WireBuffers;
 use tasm_proto::{ErrorCode, Message};
-use tasm_reactor::{lock_clean, Ctl, Front, Logic, LoopConfig};
+use tasm_reactor::{error_frame, lock_clean, Ctl, Front, Logic, LoopConfig};
 use tasm_service::ServiceStats;
 
 /// Routing, admission, and failover knobs.
@@ -467,12 +467,8 @@ fn route_query_frames(
             .collect()
     };
     if placement.is_empty() {
-        return vec![Message::Error {
-            id: Some(id),
-            code: ErrorCode::Internal,
-            message: format!("no live replica for '{video}'"),
-        }
-        .encode()];
+        let message = format!("no live replica for '{video}'");
+        return vec![error_frame(Some(id), ErrorCode::Internal, message)];
     }
     let mut last = (ErrorCode::Internal, "all replicas failed".to_string());
     for (attempt, (node, addr)) in placement.iter().enumerate() {
@@ -521,12 +517,7 @@ fn route_query_frames(
             }
         }
     }
-    vec![Message::Error {
-        id: Some(id),
-        code: last.0,
-        message: last.1,
-    }
-    .encode()]
+    vec![error_frame(Some(id), last.0, last.1)]
 }
 
 /// Fans `StatsRequest` out to every live shard and merges the snapshots.
@@ -599,13 +590,7 @@ impl Logic for RouterLogic {
                     None
                 };
                 if let Some((code, message)) = refusal {
-                    let message = message.to_string();
-                    let frame = Message::Error {
-                        id: Some(id),
-                        code,
-                        message,
-                    };
-                    ctl.send_frame(token, frame.encode());
+                    ctl.send_frame(token, error_frame(Some(id), code, message.to_string()));
                     return true;
                 }
                 ctl.offload(token, move |spare| {

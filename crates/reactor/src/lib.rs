@@ -85,14 +85,9 @@ pub fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// An `Error` frame with no request id.
-fn error_frame(code: ErrorCode, message: String) -> Vec<u8> {
-    Message::Error {
-        id: None,
-        code,
-        message,
-    }
-    .encode()
+/// An encoded `Error` frame.
+pub fn error_frame(id: Option<u64>, code: ErrorCode, message: String) -> Vec<u8> {
+    Message::Error { id, code, message }.encode()
 }
 
 /// What a [`ResponseSource`] produced.
@@ -336,7 +331,7 @@ impl Pool {
     fn work(&self, done: &Completer) {
         while let Some(Job { token, spare, run }) = self.pop() {
             let response = catch_unwind(AssertUnwindSafe(|| run(&spare))).unwrap_or_else(|_| {
-                let frame = error_frame(ErrorCode::Internal, "the operation panicked".into());
+                let frame = error_frame(None, ErrorCode::Internal, "the operation panicked".into());
                 Box::new(vec![frame].into_iter())
             });
             done.push(token, response, true);
@@ -461,7 +456,7 @@ impl Ctl {
 
     /// Answers with a typed error, then closes the session.
     fn fail(&mut self, token: u64, code: ErrorCode, message: String) {
-        self.send_frame(token, error_frame(code, message));
+        self.send_frame(token, error_frame(None, code, message));
         self.begin_drain(token);
     }
 
@@ -578,7 +573,10 @@ impl Ctl {
                 // queued error frame.
                 logic.on_refused();
                 let text = format!("{} is at its connection limit", L::NAME);
-                self.send_frame(token, error_frame(ErrorCode::TooManyConnections, text));
+                self.send_frame(
+                    token,
+                    error_frame(None, ErrorCode::TooManyConnections, text),
+                );
             } else {
                 self.active += 1;
                 logic.on_accept(self.active);
@@ -641,7 +639,7 @@ impl Ctl {
                             // Report before closing; a length-prefixed
                             // stream cannot resynchronize.
                             let frame =
-                                error_frame(ErrorCode::Malformed, "undecodable frame".into());
+                                error_frame(None, ErrorCode::Malformed, "undecodable frame".into());
                             conn.pending.push_back(Box::new(vec![frame].into_iter()));
                         } else {
                             conn.peer_eof = true;

@@ -19,12 +19,8 @@ use tasm_cluster::StagedSots;
 use tasm_core::Tasm;
 use tasm_proto::nio::WireBuffers;
 use tasm_proto::{encode_region, ErrorCode, Message, ResultSummary};
-use tasm_reactor::{lock_clean, Ctl, Logic, NextFrame, ResponseSource};
+use tasm_reactor::{error_frame, lock_clean, Ctl, Logic, NextFrame, ResponseSource};
 use tasm_service::{QueryOutcome, QueryRequest, ServiceError};
-
-fn error_frame(id: Option<u64>, code: ErrorCode, message: String) -> Vec<u8> {
-    Message::Error { id, code, message }.encode()
-}
 
 /// The server's [`Logic`].
 pub(crate) struct ServerLogic {
