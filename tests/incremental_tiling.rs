@@ -190,6 +190,66 @@ fn not_tiled_baseline_is_stable() {
     assert!(report.records[2].samples_decoded < report.records[0].samples_decoded.max(1));
 }
 
+/// The regret policy's state after a fixed observation sequence, pinned to
+/// the bit: repeats of one (label, window) interleave with others, a second
+/// label arrives late (its subsets replay the history so far), and re-tiles
+/// clear the regret so later alternatives replay it again. Each SOT's
+/// regret for every subset, and the re-tiles each SOT took, must not move
+/// however the history is stored.
+#[test]
+fn regret_state_after_a_fixed_sequence_is_pinned() {
+    let video = scene(320, 192, 40, 21);
+    let dir = TempDir::new("inc-pinned");
+    let tasm = small_tasm(&dir, 1.0);
+    ingest(&tasm, "v", &video);
+    let steps = [
+        ("car", 0, 10),
+        ("car", 0, 10),
+        ("car", 5, 15),
+        ("car", 0, 10),
+        ("person", 0, 10),
+        ("car", 5, 15),
+        ("person", 0, 10),
+        ("car", 0, 10),
+        ("person", 12, 30),
+        ("car", 5, 15),
+    ];
+    let mut retiles = 0;
+    for _ in 0..4 {
+        for (label, a, b) in steps {
+            let stats = tasm.observe_regret("v", label, a..b).unwrap();
+            retiles += u32::from(stats.encode.bytes_produced > 0);
+        }
+    }
+    let subsets = [vec!["car"], vec!["person"], vec!["car", "person"]];
+    let mut bits = Vec::new();
+    for sot in 0..4 {
+        for subset in &subsets {
+            let subset: Vec<String> = subset.iter().map(|s| s.to_string()).collect();
+            bits.push(tasm.regret_for("v", sot, &subset).map(f64::to_bits));
+        }
+    }
+    let epochs: Vec<u32> = tasm
+        .manifest("v")
+        .unwrap()
+        .sots
+        .iter()
+        .map(|s| s.retile_count)
+        .collect();
+    assert_eq!((retiles, epochs), (3, vec![1, 1, 1, 0]));
+    #[rustfmt::skip]
+    let pinned = [
+        Some(0), Some(4566086709318218054), Some(4572727707817136176),
+        Some(0), Some(4560068115493561940), Some(13785610607785265466),
+        Some(13788691361619527546), Some(0), Some(13782121431507996400),
+        None, None, None,
+    ];
+    assert_eq!(
+        bits, pinned,
+        "regret bits per SOT × {{car}}, {{person}}, {{car, person}}"
+    );
+}
+
 /// After the regret policy re-tiles, scans still return exactly the same
 /// regions (correctness is preserved across physical reorganization).
 #[test]
