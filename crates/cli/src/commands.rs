@@ -272,7 +272,7 @@ fn detect(args: &Args) -> CmdResult {
     let which = args.get("detector").unwrap_or("yolov3");
     let stride: u32 = args.get_or("stride", 1)?;
 
-    let mut tasm = open_tasm(store, args)?;
+    let tasm = open_tasm(store, args)?;
     let video = register(&tasm, store, name)?;
     let inner: Box<dyn Detector> = match which {
         "yolov3" => Box::new(SimulatedYolo::full(1)),
@@ -289,7 +289,7 @@ fn detect(args: &Args) -> CmdResult {
         }
         tasm.mark_processed(name, f)?;
     }
-    tasm.index_mut().flush()?;
+    tasm.with_index(|ix| ix.flush())?;
     println!(
         "detected {} boxes over {} frames ({} frames run through {which}, stride {stride}); simulated cost {:.2}s",
         detections,
@@ -1310,7 +1310,7 @@ fn info(args: &Args) -> CmdResult {
     let videos_dir = Path::new(store).join("videos");
     let entries = std::fs::read_dir(&videos_dir)
         .map_err(|_| format!("no store at '{store}' (run `tasm ingest` first)"))?;
-    let mut tasm = open_tasm(store, args)?;
+    let tasm = open_tasm(store, args)?;
     for entry in entries {
         let entry = entry?;
         if !entry.path().is_dir() {
@@ -1328,7 +1328,7 @@ fn info(args: &Args) -> CmdResult {
         let m = tasm.manifest(&name)?;
         let tiled = m.sots.iter().filter(|s| !s.layout.is_untiled()).count();
         let id = tasm.video_id(&name)?;
-        let labels = tasm.index_mut().labels(id)?;
+        let labels = tasm.with_index(|ix| ix.labels(id))?;
         println!(
             "{name}: {}x{} {} frames, {} SOTs ({} tiled), {:.1} KiB, labels: [{}]",
             m.width,

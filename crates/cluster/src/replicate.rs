@@ -24,6 +24,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use tasm_client::{ClientError, Connection};
 use tasm_core::{Tasm, VideoManifest};
+use tasm_obs::sync;
 use tasm_proto::{ReplicatedDetection, ReplicationRecord};
 use tasm_service::RetileHook;
 
@@ -355,6 +356,8 @@ impl Replicator {
 /// took it — the cluster's "replicated before reported durable" point.
 pub struct ReplicatorHook {
     tasm: Arc<Tasm>,
+    /// Taken as is on poison: a backup a panic left behind mid-sync fails
+    /// its next delta, which the caller counts and re-syncs.
     backups: Mutex<Vec<Replicator>>,
 }
 
@@ -385,7 +388,7 @@ impl ReplicatorHook {
 
 impl RetileHook for ReplicatorHook {
     fn retiled(&self, video: &str) -> Result<(), String> {
-        let mut backups = self.backups.lock().expect("backups lock");
+        let mut backups = sync::lock(&self.backups);
         for b in backups.iter_mut() {
             b.sync_delta(&self.tasm, video)?;
         }

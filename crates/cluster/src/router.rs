@@ -38,14 +38,15 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tasm_client::{ClientError, Connection};
 use tasm_core::Query;
+use tasm_obs::sync;
 use tasm_proto::nio::WireBuffers;
 use tasm_proto::{ErrorCode, Message};
-use tasm_reactor::{error_frame, lock_clean, Ctl, Front, Logic, LoopConfig};
+use tasm_reactor::{error_frame, Ctl, Front, Logic, LoopConfig};
 use tasm_service::ServiceStats;
 
 /// Routing, admission, and failover knobs.
@@ -136,15 +137,18 @@ pub struct ClusterShutdownReport {
 
 struct RouterShared {
     cfg: RouterConfig,
+    /// Taken as is on poison: the map is read, or replaced whole.
     map: RwLock<ShardMap>,
     /// Consecutive failure counts per node id. A node at or past
-    /// `fail_threshold` is down — and stays down (see module docs).
+    /// `fail_threshold` is down — and stays down (see module docs). Taken
+    /// as is on poison: a section moves one count.
     failures: Mutex<HashMap<String, u32>>,
     /// Cleared when the router stops: queries are refused and the health
     /// thread exits.
     admitting: AtomicBool,
     /// Shard connections on a frame boundary, by node id, each checked
-    /// out by one routed job at a time.
+    /// out by one routed job at a time. Soft state, dropped on poison (see
+    /// [`RouterShared::idle`]).
     idle: Mutex<HashMap<String, Vec<Connection>>>,
     inflight: AtomicUsize,
     routed: AtomicU64,
@@ -155,12 +159,24 @@ struct RouterShared {
 }
 
 impl RouterShared {
+    /// The idle shard connections. After a panic under them none is trusted
+    /// to sit on a frame boundary: all close, and checkouts connect afresh.
+    fn idle(&self) -> MutexGuard<'_, HashMap<String, Vec<Connection>>> {
+        sync::lock_or_reset(&self.idle, HashMap::clear)
+    }
+
+    /// Every node in the shard map, as (id, address).
+    fn nodes(&self) -> Vec<(String, String)> {
+        let node = |n: &crate::NodeInfo| (n.id.clone(), n.addr.clone());
+        sync::read(&self.map).nodes.iter().map(node).collect()
+    }
+
     fn is_shutting_down(&self) -> bool {
         !self.admitting.load(Ordering::SeqCst)
     }
 
     fn down_set(&self) -> BTreeSet<String> {
-        lock_clean(&self.failures)
+        sync::lock(&self.failures)
             .iter()
             .filter(|(_, &n)| n >= self.cfg.fail_threshold)
             .map(|(id, _)| id.clone())
@@ -168,7 +184,7 @@ impl RouterShared {
     }
 
     fn note_success(&self, node: &str) {
-        let mut failures = lock_clean(&self.failures);
+        let mut failures = sync::lock(&self.failures);
         if let Some(n) = failures.get_mut(node) {
             // Sticky once down; only pre-threshold blips are forgiven.
             if *n < self.cfg.fail_threshold {
@@ -178,7 +194,7 @@ impl RouterShared {
     }
 
     fn note_failure(&self, node: &str) {
-        let mut failures = lock_clean(&self.failures);
+        let mut failures = sync::lock(&self.failures);
         let n = failures.entry(node.to_string()).or_insert(0);
         if *n < self.cfg.fail_threshold {
             *n += 1;
@@ -198,7 +214,7 @@ impl RouterShared {
 
     /// An idle connection to `node`, or a new one.
     fn checkout(&self, node: &str, addr: &str) -> Result<Connection, String> {
-        if let Some(conn) = lock_clean(&self.idle).get_mut(node).and_then(Vec::pop) {
+        if let Some(conn) = self.idle().get_mut(node).and_then(Vec::pop) {
             return Ok(conn);
         }
         let sock = resolve(addr)?;
@@ -211,7 +227,7 @@ impl RouterShared {
 
     /// Returns a connection on a frame boundary for the next job to reuse.
     fn checkin(&self, node: &str, conn: Connection) {
-        let mut idle = lock_clean(&self.idle);
+        let mut idle = self.idle();
         match idle.get_mut(node) {
             Some(conns) => conns.push(conn),
             None => {
@@ -227,7 +243,7 @@ impl RouterShared {
             failovers: self.failovers.load(Ordering::Relaxed),
             busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
             sessions_served: self.sessions_served.load(Ordering::Relaxed),
-            map_epoch: self.map.read().expect("map lock").epoch,
+            map_epoch: sync::read(&self.map).epoch,
             down: self.down_set().into_iter().collect(),
         }
     }
@@ -317,14 +333,7 @@ impl Router {
             shards: Vec::new(),
         };
         if drain_shards {
-            let nodes: Vec<(String, String)> = {
-                let map = self.shared.map.read().expect("map lock");
-                map.nodes
-                    .iter()
-                    .map(|n| (n.id.clone(), n.addr.clone()))
-                    .collect()
-            };
-            for (id, addr) in nodes {
+            for (id, addr) in self.shared.nodes() {
                 report
                     .shards
                     .push(drain_shard(&id, &addr, self.shared.cfg.shard_io_timeout));
@@ -339,7 +348,7 @@ impl Router {
     fn stop(&mut self) {
         self.shared.admitting.store(false, Ordering::SeqCst);
         self.front.stop();
-        lock_clean(&self.shared.idle).clear();
+        self.shared.idle().clear();
         if let Some(t) = self.health.take() {
             let _ = t.join();
         }
@@ -408,20 +417,14 @@ fn health_loop(shared: &Arc<RouterShared>) {
         // Reload the map when its epoch advanced (the rebalance flip).
         if let Ok(new_map) = ShardMap::load(&shared.cfg.map_path) {
             let stale = {
-                let map = shared.map.read().expect("map lock");
+                let map = sync::read(&shared.map);
                 new_map.epoch > map.epoch
             };
             if stale {
-                *shared.map.write().expect("map lock") = new_map;
+                *sync::write(&shared.map) = new_map;
             }
         }
-        let nodes: Vec<(String, String)> = {
-            let map = shared.map.read().expect("map lock");
-            map.nodes
-                .iter()
-                .map(|n| (n.id.clone(), n.addr.clone()))
-                .collect()
-        };
+        let nodes = shared.nodes();
         let down = shared.down_set();
         let probe_timeout = shared.cfg.shard_io_timeout.min(Duration::from_secs(1));
         for (id, addr) in nodes {
@@ -459,7 +462,7 @@ fn route_query_frames(
     spare: &WireBuffers,
 ) -> Vec<Vec<u8>> {
     let placement: Vec<(String, String)> = {
-        let map = shared.map.read().expect("map lock");
+        let map = sync::read(&shared.map);
         let down = shared.down_set();
         map.placement(video, &down)
             .into_iter()
@@ -522,13 +525,7 @@ fn route_query_frames(
 
 /// Fans `StatsRequest` out to every live shard and merges the snapshots.
 fn cluster_stats(shared: &RouterShared) -> ServiceStats {
-    let nodes: Vec<(String, String)> = {
-        let map = shared.map.read().expect("map lock");
-        map.nodes
-            .iter()
-            .map(|n| (n.id.clone(), n.addr.clone()))
-            .collect()
-    };
+    let nodes = shared.nodes();
     let down = shared.down_set();
     let mut merged = ServiceStats::default();
     for (node, addr) in nodes {

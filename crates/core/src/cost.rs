@@ -15,7 +15,6 @@
 use serde::{Deserialize, Serialize};
 use tasm_codec::TileLayout;
 use tasm_index::Detection;
-use tasm_video::Rect;
 
 /// Decode work predicted for a query under some layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -236,14 +235,10 @@ pub fn pixel_ratio(
     }
 }
 
-/// Convenience: boxes of a detection list.
-pub fn detection_boxes(detections: &[Detection]) -> Vec<Rect> {
-    detections.iter().map(|d| d.bbox).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tasm_video::Rect;
 
     fn det(frame: u32, x: u32, y: u32) -> Detection {
         Detection {

@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 pub use tasm_index::io::{RealIo, StorageIo};
+use tasm_obs::sync;
 
 /// Reads exactly the bytes `range` of an open file. A range that reaches
 /// past the end of the file is [`io::ErrorKind::UnexpectedEof`], found out
@@ -84,6 +85,7 @@ pub struct FaultIo {
     inner: RealIo,
     ops: AtomicU64,
     fail_at: AtomicU64,
+    /// A `Copy` value, only ever replaced whole: taken as is on poison.
     kind: Mutex<FaultKind>,
     crashed: AtomicBool,
 }
@@ -104,7 +106,7 @@ impl FaultIo {
     /// Arms the injector: the `at_op`-th mutating operation (1-based,
     /// counted from the injector's construction) faults with `kind`.
     pub fn arm(&self, at_op: u64, kind: FaultKind) {
-        *self.kind.lock().expect("fault kind lock") = kind;
+        *sync::lock(&self.kind) = kind;
         self.fail_at.store(at_op, Ordering::SeqCst);
     }
 
@@ -132,7 +134,7 @@ impl FaultIo {
         let n = self.ops.fetch_add(1, Ordering::SeqCst) + 1;
         if n == self.fail_at.load(Ordering::SeqCst) {
             self.crashed.store(true, Ordering::SeqCst);
-            return Ok(Some(*self.kind.lock().expect("fault kind lock")));
+            return Ok(Some(*sync::lock(&self.kind)));
         }
         Ok(None)
     }

@@ -164,54 +164,12 @@ pub fn edge_ingest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::PartitionConfig;
     use crate::scan::LabelPredicate;
-    use crate::scratch::Scratch;
-    use crate::storage::StorageConfig;
-    use crate::tasm::TasmConfig;
+    use crate::scratch::{car_source as source, car_truth as truth_at, Scratch};
     use tasm_detect::yolo::{Platform, SimulatedYolo};
-    use tasm_index::MemoryIndex;
-    use tasm_video::{Frame, Plane, VecFrameSource};
-
-    fn source(frames: u32) -> VecFrameSource {
-        VecFrameSource::new(
-            (0..frames)
-                .map(|i| {
-                    let mut f = Frame::filled(128, 96, 90, 128, 128);
-                    for y in 0..96 {
-                        for x in 0..128 {
-                            f.set_sample(Plane::Y, x, y, ((x * 5 + y * 3) % 170 + 40) as u8);
-                        }
-                    }
-                    f.fill_rect(Rect::new((i * 2) % 96, 8, 24, 16), 220, 90, 170);
-                    f
-                })
-                .collect(),
-        )
-    }
-
-    fn truth_at(f: u32) -> Vec<(&'static str, Rect)> {
-        vec![("car", Rect::new((f * 2) % 96, 8, 24, 16))]
-    }
 
     fn tasm(tag: &str) -> Scratch<Tasm> {
-        let cfg = TasmConfig {
-            storage: StorageConfig {
-                gop_len: 5,
-                sot_frames: 10,
-                parallel_encode: false,
-                ..Default::default()
-            },
-            partition: PartitionConfig {
-                min_tile_width: 32,
-                min_tile_height: 16,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        Scratch::open(&format!("edge-{tag}"), |dir| {
-            Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap()
-        })
+        Scratch::tasm(&format!("edge-{tag}"))
     }
 
     #[test]

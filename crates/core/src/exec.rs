@@ -28,8 +28,9 @@ use crate::storage::{StoreError, VideoManifest, VideoStore};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use tasm_codec::{DecodeStats, TileVideo};
+use tasm_obs::sync;
 use tasm_video::Frame;
 
 /// One unit of decode work: a tile of one SOT over a local frame span.
@@ -196,20 +197,21 @@ struct GopEntry {
 /// owner completes (or abandons) the decode, then re-check the cache.
 #[derive(Default)]
 struct InflightDecode {
+    /// A flag, only ever set whole: taken as is on poison.
     done: Mutex<bool>,
     cv: Condvar,
 }
 
 impl InflightDecode {
     fn finish(&self) {
-        *self.done.lock().expect("inflight lock") = true;
+        *sync::lock(&self.done) = true;
         self.cv.notify_all();
     }
 
     fn wait(&self) {
-        let mut done = self.done.lock().expect("inflight lock");
+        let mut done = sync::lock(&self.done);
         while !*done {
-            done = self.cv.wait(done).expect("inflight lock");
+            done = sync::wait(&self.cv, done);
         }
     }
 }
@@ -242,6 +244,7 @@ struct CacheInner {
 /// join its result instead of decoding it again (single-flight shared-scan
 /// dedup, accounted in [`SharedScanStats`]).
 pub struct DecodedTileCache {
+    /// Soft state, emptied on poison (see [`DecodedTileCache::inner`]).
     inner: Mutex<CacheInner>,
     budget: u64,
 }
@@ -260,14 +263,25 @@ impl DecodedTileCache {
         }
     }
 
+    /// The cache's state. A panic under it (inside `store`, say) may leave
+    /// entries and byte count out of step, so on poison every entry goes:
+    /// an empty cache answers bit-exact. In-flight decodes stay registered;
+    /// each owner removes its own.
+    fn inner(&self) -> MutexGuard<'_, CacheInner> {
+        sync::lock_or_reset(&self.inner, |inner| {
+            inner.map.clear();
+            inner.bytes = 0;
+        })
+    }
+
     /// Current decoded bytes held.
     pub fn bytes_used(&self) -> u64 {
-        self.inner.lock().expect("cache lock").bytes
+        self.inner().bytes
     }
 
     /// Number of cached GOP entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache lock").map.len()
+        self.inner().map.len()
     }
 
     /// True if nothing is cached.
@@ -292,7 +306,7 @@ impl DecodedTileCache {
     }
 
     fn invalidate_where(&self, pred: impl Fn(&GopKey) -> bool) {
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = self.inner();
         let removed: u64 = inner
             .map
             .iter()
@@ -309,7 +323,7 @@ impl DecodedTileCache {
     /// which layers single-flight dedup on top of this lookup.
     #[cfg(test)]
     fn lookup(&self, key: &GopKey) -> Option<Vec<Arc<Frame>>> {
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = self.inner();
         inner.clock += 1;
         let clock = inner.clock;
         let entry = inner.map.get_mut(key)?;
@@ -327,7 +341,7 @@ impl DecodedTileCache {
     /// than the whole budget keeps the prefix that fits.
     fn store(&self, key: GopKey, frames: Vec<Arc<Frame>>) {
         let bytes = frames.iter().map(|f| frame_bytes(f)).sum::<u64>() + 64;
-        let mut guard = self.inner.lock().expect("cache lock");
+        let mut guard = self.inner();
         let inner = &mut *guard;
         inner.clock += 1;
         let stamp = inner.clock;
@@ -386,7 +400,7 @@ impl DecodedTileCache {
     fn acquire(&self, key: &GopKey, needed: usize, waited: &mut bool) -> GopAccess<'_> {
         loop {
             let inflight = {
-                let mut inner = self.inner.lock().expect("cache lock");
+                let mut inner = self.inner();
                 inner.clock += 1;
                 let clock = inner.clock;
                 if let Some(entry) = inner.map.get_mut(key) {
@@ -454,17 +468,12 @@ impl InflightToken<'_> {
     }
 
     /// Runs from `Drop` too, so also while a panic unwinds (one inside
-    /// `store`, under the cache lock, poisons it): a second panic here
-    /// would abort the process, so the poisoned lock is taken as is. The
-    /// registry removal is one map operation, whole either way.
+    /// `store`, under the cache lock, poisons it): it must not panic again,
+    /// which would abort the process, and on poison it empties the cache.
     fn settle(&mut self) {
         if !self.settled {
             self.settled = true;
-            let mut inner = self
-                .cache
-                .inner
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let mut inner = self.cache.inner();
             inner.inflight.remove(&self.key);
             drop(inner);
             self.fl.finish();
@@ -783,7 +792,7 @@ mod tests {
     /// them.
     fn over_budget_serial() -> std::sync::MutexGuard<'static, ()> {
         static GUARD: Mutex<()> = Mutex::new(());
-        GUARD.lock().unwrap_or_else(|e| e.into_inner())
+        sync::lock(&GUARD)
     }
 
     /// (trimmed, evicted) bytes counted so far.
@@ -847,18 +856,29 @@ mod tests {
     /// A panic under the cache lock poisons it. The owner token, dropped
     /// while that panic unwinds, still settles — the in-flight entry goes
     /// and its waiters wake — instead of panicking a second time, which
-    /// would abort the process.
+    /// would abort the process. What the panic left half-stored is gone:
+    /// the next acquire decodes afresh, and the budget holds.
     #[test]
     fn an_owner_dropped_on_a_poisoned_cache_still_settles() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let c = DecodedTileCache::new(1 << 20);
+        let budget = 4 * FRAME + ENTRY;
+        let c = DecodedTileCache::new(budget);
         let mut waited = false;
         let GopAccess::Owner(token, _) = c.acquire(&key(0, 0), 1, &mut waited) else {
             panic!("an empty cache makes the caller the owner");
         };
         let decode = Arc::clone(&token.fl);
         let poisoned = catch_unwind(AssertUnwindSafe(|| {
-            let _held = c.inner.lock().expect("cache lock");
+            // A store that stops midway: a wrong entry, bytes out of step.
+            let mut held = sync::lock(&c.inner);
+            let (frames, stamp) = (frames(90..92), held.clock);
+            let wrong = GopEntry {
+                frames,
+                bytes: 0,
+                stamp,
+            };
+            held.map.insert(key(1, 0), wrong);
+            held.bytes += 10 * budget;
             panic!("a panic under the cache lock");
         }));
         assert!(poisoned.is_err() && c.inner.is_poisoned());
@@ -866,8 +886,22 @@ mod tests {
         assert!(dropped.is_ok(), "settling on a poisoned cache panicked");
         // A waiter returns instead of blocking forever.
         decode.wait();
-        let inner = c.inner.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(inner.inflight.is_empty());
+        assert!(!c.inner.is_poisoned() && sync::lock(&c.inner).inflight.is_empty());
+        assert_eq!((c.len(), c.bytes_used()), (0, 0), "the cache was emptied");
+        let right = frames(1..3);
+        match c.acquire(&key(1, 0), 2, &mut waited) {
+            GopAccess::Owner(token, prefix) => {
+                assert!(prefix.is_empty(), "the half-stored entry is served");
+                token.complete(right.clone());
+            }
+            GopAccess::Ready(_) => panic!("the half-stored entry was served"),
+        }
+        let GopAccess::Ready(got) = c.acquire(&key(1, 0), 2, &mut waited) else {
+            panic!("a completed decode is cached");
+        };
+        assert!(got.iter().zip(&right).all(|(g, r)| Arc::ptr_eq(g, r)));
+        assert_eq!(c.bytes_used(), 2 * FRAME + ENTRY);
+        assert!(c.bytes_used() <= budget);
     }
 
     /// A lookup needing more than a trimmed entry holds owns the decode,

@@ -9,7 +9,8 @@
 //! writes frames. What is kept is bounded by a constant, in bytes of
 //! capacity, and reported on a gauge.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
+use tasm_obs::sync;
 
 /// What a pool keeps: a byte buffer, or the three planes of a canvas.
 pub trait Spare: Default {
@@ -39,6 +40,8 @@ const MIN_POOLED: usize = 1024;
 /// Buffers waiting to be used again: at most `limit` bytes of capacity.
 pub struct BufferPool<B> {
     /// The spare buffers, most recently given last, and their capacity.
+    /// Taken as is on poison: a section pops or pushes one buffer and
+    /// moves the count with it, and no step between can panic.
     free: Mutex<(Vec<B>, usize)>,
     limit: usize,
     gauge: Arc<tasm_obs::Gauge>,
@@ -61,7 +64,7 @@ impl<B: Spare> BufferPool<B> {
     /// first write sizes exactly.
     pub fn take(&self, len: usize) -> B {
         let latest = {
-            let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut free = sync::lock(&self.free);
             let latest = free.0.pop();
             if let Some(buf) = &latest {
                 free.1 -= buf.capacity();
@@ -83,7 +86,7 @@ impl<B: Spare> BufferPool<B> {
     /// more in the pool per answer until the limit.
     pub fn give(&self, buf: B) {
         let capacity = buf.capacity();
-        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut free = sync::lock(&self.free);
         if capacity >= MIN_POOLED && free.1 + capacity <= self.limit {
             free.1 += capacity;
             self.gauge.add(capacity as i64);
@@ -93,7 +96,7 @@ impl<B: Spare> BufferPool<B> {
 
     /// Bytes of capacity held right now; never more than the limit.
     pub fn retained_bytes(&self) -> usize {
-        self.free.lock().unwrap_or_else(PoisonError::into_inner).1
+        sync::lock(&self.free).1
     }
 }
 
@@ -107,7 +110,7 @@ impl<B> std::fmt::Debug for BufferPool<B> {
 
 impl<B> Drop for BufferPool<B> {
     fn drop(&mut self) {
-        let free = self.free.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let free = sync::lock(&self.free);
         self.gauge.add(-(free.1 as i64));
     }
 }

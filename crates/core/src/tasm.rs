@@ -60,6 +60,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
 use tasm_codec::TileLayout;
 use tasm_index::{Detection, SemanticIndex, TreeError};
+use tasm_obs::sync;
 use tasm_video::{FrameSource, Rect};
 
 /// Configuration of the storage manager's policies.
@@ -196,13 +197,29 @@ impl From<ScanError> for TasmError {
 /// Per-SOT incremental-policy state.
 #[derive(Debug, Default, Clone)]
 struct SotPolicy {
-    /// Queries that touched this SOT: (label, frame window ∩ SOT).
-    history: Vec<(String, Range<u32>)>,
+    /// The distinct queries that touched this SOT — (label, frame window ∩
+    /// SOT) — in first-seen order, each with its number of observations:
+    /// at most labels × windows entries, however many queries were served.
+    history: Vec<(String, Range<u32>, u64)>,
     /// Accumulated regret per alternative layout, keyed by the sorted
     /// object subset the layout is designed around.
     regret: BTreeMap<Vec<String>, f64>,
     /// Labels queried against this SOT (incremental-more state).
     queried: BTreeSet<String>,
+}
+
+impl SotPolicy {
+    /// Counts one observation of `(label, window)`; returns its entry.
+    fn record(&mut self, label: &str, window: &Range<u32>) -> usize {
+        let h = &mut self.history;
+        let at = h.iter().position(|(l, w, _)| l == label && w == window);
+        let at = at.unwrap_or_else(|| {
+            h.push((label.to_string(), window.clone(), 0));
+            h.len() - 1
+        });
+        h[at].2 += 1;
+        at
+    }
 }
 
 /// Mutable per-video policy state (regret counters, query history,
@@ -328,7 +345,8 @@ impl EpochTable {
 struct VideoShard {
     id: u32,
     /// The video's MVCC epoch table. Held only for pin/unpin/publish
-    /// bookkeeping — never across decode or tile I/O.
+    /// bookkeeping — never across decode or tile I/O. Taken as is on
+    /// poison: its sections count readers and make single map operations.
     epochs: Mutex<EpochTable>,
     /// Signalled whenever a pin drops; [`Tasm::remove_video`] and
     /// [`Tasm::apply_replicated_video`] wait here until every reader of
@@ -337,19 +355,25 @@ struct VideoShard {
     drained: Condvar,
     /// Serializes writers (re-tile and replicated-SOT commits) against
     /// each other. Readers never touch it — a commit's latency is bounded
-    /// by its own I/O, not by in-flight scans.
+    /// by its own I/O, not by in-flight scans. Guards no data, so it is
+    /// taken as is on poison: a commit that panicked left at most an
+    /// unpublished pack, which the next commit replaces.
     commit: Mutex<()>,
+    /// Soft state, reset on poison (see [`VideoShard::policy`]).
     policy: Mutex<PolicyState>,
 }
 
 impl VideoShard {
+    /// The policy state. A panic under it may have left regret half
+    /// accumulated, so on poison it starts over as a restart would have it.
+    fn policy(&self) -> std::sync::MutexGuard<'_, PolicyState> {
+        sync::lock_or_reset(&self.policy, |p| *p = PolicyState::new(p.sots.len()))
+    }
+
     /// The current epoch's manifest snapshot (cheap: one lock, one `Arc`
     /// clone).
     fn current_manifest(&self) -> Arc<VideoManifest> {
-        self.epochs
-            .lock()
-            .expect("epoch table lock")
-            .current_manifest()
+        sync::lock(&self.epochs).current_manifest()
     }
 }
 
@@ -392,7 +416,7 @@ impl Drop for EpochPin {
     fn drop(&mut self) {
         epoch_pins_gauge().dec();
         let gc = {
-            let mut table = self.shard.epochs.lock().expect("epoch table lock");
+            let mut table = sync::lock(&self.shard.epochs);
             if let Some(entry) = table.live.get_mut(&self.epoch) {
                 entry.readers -= 1;
             }
@@ -418,8 +442,13 @@ pub type SotTileBytes = Vec<Vec<Vec<u8>>>;
 pub struct Tasm {
     /// Shared with every [`EpochPin`], whose drop may run epoch GC.
     store: Arc<VideoStore>,
+    /// Taken as is on poison: each section is one call into the index, and
+    /// an index must be valid wherever that call can stop — a panic inside
+    /// it leaves what an error returned at the same point would.
     index: RwLock<Box<dyn SemanticIndex + Send + Sync>>,
     cfg: TasmConfig,
+    /// Taken as is on poison: its sections are one lookup, insert or
+    /// remove, or a scan that only reads.
     videos: RwLock<BTreeMap<String, Arc<VideoShard>>>,
 }
 
@@ -506,15 +535,10 @@ impl Tasm {
         self.store.as_ref()
     }
 
-    /// Exclusive access to the semantic index (harness instrumentation).
-    pub fn index_mut(&mut self) -> &mut dyn SemanticIndex {
-        self.index.get_mut().expect("index lock").as_mut()
-    }
-
     /// Runs `f` with the semantic index locked. The index lock is terminal
     /// in the facade's lock order: `f` must not call back into `Tasm`.
     pub fn with_index<R>(&self, f: impl FnOnce(&mut dyn SemanticIndex) -> R) -> R {
-        let mut guard = self.index.write().expect("index lock");
+        let mut guard = sync::write(&self.index);
         f(guard.as_mut())
     }
 
@@ -568,7 +592,7 @@ impl Tasm {
     /// registered video: the shared semantic index keys detections by id,
     /// so a collision would silently merge two videos' metadata.
     fn check_id_collision(&self, name: &str, id: u32) -> Result<(), TasmError> {
-        let videos = self.videos.read().expect("videos lock");
+        let videos = sync::read(&self.videos);
         if let Some((existing, _)) = videos
             .iter()
             .find(|(n, s)| s.id == id && n.as_str() != name)
@@ -583,7 +607,7 @@ impl Tasm {
 
     fn register(&self, name: &str, id: u32, manifest: VideoManifest) -> Result<u32, TasmError> {
         let n_sots = manifest.sots.len();
-        let mut videos = self.videos.write().expect("videos lock");
+        let mut videos = sync::write(&self.videos);
         if let Some((existing, _)) = videos
             .iter()
             .find(|(n, s)| s.id == id && n.as_str() != name)
@@ -624,23 +648,14 @@ impl Tasm {
     /// The video's current layout epoch ([`VideoManifest::epoch`]) — what a
     /// new query pins, and the watermark replication ships.
     pub fn current_epoch(&self, name: &str) -> Result<u64, TasmError> {
-        Ok(self
-            .shard(name)?
-            .epochs
-            .lock()
-            .expect("epoch table lock")
-            .current)
+        Ok(sync::lock(&self.shard(name)?.epochs).current)
     }
 
     /// Every layout epoch of the video that is still live — the current
     /// epoch plus any retired epoch held by a pinned reader, ascending.
     /// A live epoch is exactly one [`Query::as_of`] can name.
     pub fn live_epochs(&self, name: &str) -> Result<Vec<u64>, TasmError> {
-        Ok(self
-            .shard(name)?
-            .epochs
-            .lock()
-            .expect("epoch table lock")
+        Ok(sync::lock(&self.shard(name)?.epochs)
             .live
             .keys()
             .copied()
@@ -655,12 +670,7 @@ impl Tasm {
 
     /// Names of every registered video.
     pub fn video_names(&self) -> Vec<String> {
-        self.videos
-            .read()
-            .expect("videos lock")
-            .keys()
-            .cloned()
-            .collect()
+        sync::read(&self.videos).keys().cloned().collect()
     }
 
     /// A single-epoch replication snapshot of one video: its manifest plus
@@ -701,16 +711,16 @@ impl Tasm {
         let name = manifest.name.clone();
         let id = video_id_for(&name);
         self.check_id_collision(&name, id)?;
-        let existing = self.videos.read().expect("videos lock").get(&name).cloned();
+        let existing = sync::read(&self.videos).get(&name).cloned();
         match existing {
             Some(shard) => {
                 // Policy before commit before epochs, per the facade's lock
                 // order. The policy state described the old layout — reset.
-                let mut policy = shard.policy.lock().expect("policy lock");
-                let _commit = shard.commit.lock().expect("commit lock");
-                let mut table = shard.epochs.lock().expect("epoch table lock");
+                let mut policy = shard.policy();
+                let _commit = sync::lock(&shard.commit);
+                let mut table = sync::lock(&shard.epochs);
                 while table.total_readers() > 0 {
-                    table = shard.drained.wait(table).expect("epoch table lock");
+                    table = sync::wait(&shard.drained, table);
                 }
                 self.store.install_video(&manifest, sots)?;
                 *policy = PolicyState::new(manifest.sots.len());
@@ -746,9 +756,9 @@ impl Tasm {
         // epochs are unaffected — the install lands in a fresh
         // epoch-stamped pack and the old epoch is GC'd when its last
         // pin drops.
-        let _commit = shard.commit.lock().expect("commit lock");
+        let _commit = sync::lock(&shard.commit);
         {
-            let table = shard.epochs.lock().expect("epoch table lock");
+            let table = sync::lock(&shard.epochs);
             let cur = table.current_manifest();
             if cur
                 .sots
@@ -760,7 +770,7 @@ impl Tasm {
         }
         let _retired = self.store.install_sot_deferred(&manifest, sot_idx, tiles)?;
         let gc = {
-            let mut table = shard.epochs.lock().expect("epoch table lock");
+            let mut table = sync::lock(&shard.epochs);
             table.publish(Arc::new(manifest))
         };
         for old in gc {
@@ -775,15 +785,15 @@ impl Tasm {
     /// epoch drops (no new pins can start: the shard is unregistered) —
     /// and deletes its files, retired epochs' packs included.
     pub fn remove_video(&self, name: &str) -> Result<(), TasmError> {
-        let shard = self.videos.write().expect("videos lock").remove(name);
+        let shard = sync::write(&self.videos).remove(name);
         let Some(shard) = shard else {
             return Err(TasmError::Store(StoreError::NotFound(format!(
                 "video '{name}'"
             ))));
         };
-        let mut table = shard.epochs.lock().expect("epoch table lock");
+        let mut table = sync::lock(&shard.epochs);
         while table.total_readers() > 0 {
-            table = shard.drained.wait(table).expect("epoch table lock");
+            table = sync::wait(&shard.drained, table);
         }
         drop(table);
         self.store.remove_video(name)?;
@@ -969,7 +979,7 @@ impl Tasm {
         shard: &Arc<VideoShard>,
         epoch: Option<u64>,
     ) -> Result<EpochPin, TasmError> {
-        let mut table = shard.epochs.lock().expect("epoch table lock");
+        let mut table = sync::lock(&shard.epochs);
         let target = epoch.unwrap_or(table.current);
         let current = table.current;
         let Some(entry) = table.live.get_mut(&target) else {
@@ -1046,7 +1056,7 @@ impl Tasm {
         let mut total = RetileStats::default();
         for sot_idx in 0..n_sots {
             if let Some(layout) = self.kqko_layout_shard(&shard, sot_idx, objects)? {
-                let mut pol = shard.policy.lock().expect("policy lock");
+                let mut pol = shard.policy();
                 total = add_retile(total, self.retile_shard(&shard, &mut pol, sot_idx, layout)?);
             }
         }
@@ -1061,7 +1071,7 @@ impl Tasm {
         layout: TileLayout,
     ) -> Result<RetileStats, TasmError> {
         let shard = self.shard(name)?;
-        let mut pol = shard.policy.lock().expect("policy lock");
+        let mut pol = shard.policy();
         self.retile_shard(&shard, &mut pol, sot_idx, layout)
     }
 
@@ -1078,13 +1088,13 @@ impl Tasm {
         sot_idx: usize,
         layout: TileLayout,
     ) -> Result<RetileStats, TasmError> {
-        let _commit = shard.commit.lock().expect("commit lock");
+        let _commit = sync::lock(&shard.commit);
         let mut manifest = (*shard.current_manifest()).clone();
         let (stats, retired) = self.store.retile_deferred(&mut manifest, sot_idx, layout)?;
         if retired.is_some() {
             let manifest = Arc::new(manifest);
             let gc = {
-                let mut table = shard.epochs.lock().expect("epoch table lock");
+                let mut table = sync::lock(&shard.epochs);
                 table.publish(manifest.clone())
             };
             for old in gc {
@@ -1111,11 +1121,8 @@ impl Tasm {
         frames: Range<u32>,
     ) -> Result<RetileStats, TasmError> {
         let shard = self.shard(name)?;
-        let mut pol = shard.policy.lock().expect("policy lock");
-        let sot_range = {
-            let m = shard.current_manifest();
-            m.sots_for_range(frames.clone())
-        };
+        let mut pol = shard.policy();
+        let sot_range = shard.current_manifest().sots_for_range(frames.clone());
         let mut total = RetileStats::default();
         for sot_idx in sot_range {
             if !pol.sots[sot_idx].queried.insert(label.to_string()) {
@@ -1123,10 +1130,7 @@ impl Tasm {
             }
             let objects: Vec<String> = pol.sots[sot_idx].queried.iter().cloned().collect();
             if let Some(layout) = self.kqko_layout_shard(&shard, sot_idx, &objects)? {
-                let current = {
-                    let m = shard.current_manifest();
-                    m.sots[sot_idx].layout.clone()
-                };
+                let current = shard.current_manifest().sots[sot_idx].layout.clone();
                 if layout != current {
                     total =
                         add_retile(total, self.retile_shard(&shard, &mut pol, sot_idx, layout)?);
@@ -1156,7 +1160,7 @@ impl Tasm {
         frames: Range<u32>,
     ) -> Result<RetileStats, TasmError> {
         let shard = self.shard(name)?;
-        let mut pol = shard.policy.lock().expect("policy lock");
+        let mut pol = shard.policy();
         let (sot_range, gop, w, h) = {
             let m = shard.current_manifest();
             (
@@ -1172,10 +1176,7 @@ impl Tasm {
         let mut total = RetileStats::default();
 
         for sot_idx in sot_range {
-            let sot = {
-                let m = shard.current_manifest();
-                m.sots[sot_idx].clone()
-            };
+            let sot = shard.current_manifest().sots[sot_idx].clone();
             let window = frames.start.max(sot.start)..frames.end.min(sot.end);
             if window.is_empty() {
                 continue;
@@ -1184,8 +1185,7 @@ impl Tasm {
             // Record history first (new alternatives replay what came
             // before it).
             let state = &mut pol.sots[sot_idx];
-            state.history.push((label.to_string(), window.clone()));
-            let prior_history = &state.history[..state.history.len() - 1];
+            let now = state.record(label, &window);
 
             // The layouts this call partitions, for the winner below.
             let mut layouts = Vec::with_capacity(alternatives.len());
@@ -1197,9 +1197,15 @@ impl Tasm {
                 let is_new = !state.regret.contains_key(subset);
                 let mut delta = 0.0;
                 if is_new {
-                    // Retroactive regret over the query history (§4.4).
-                    for (hl, hw) in prior_history {
-                        delta += self.query_delta(id, hl, hw.clone(), &sot, gop, &alt_layout)?;
+                    // Retroactive regret over the query history (§4.4): one
+                    // index query per distinct entry, one add per
+                    // observation before this one.
+                    for (at, (hl, hw, n)) in state.history.iter().enumerate() {
+                        let prior = n - u64::from(at == now);
+                        if prior > 0 {
+                            let d = self.query_delta(id, hl, hw.clone(), &sot, gop, &alt_layout)?;
+                            (0..prior).for_each(|_| delta += d);
+                        }
                     }
                 }
                 delta += self.query_delta(id, label, window.clone(), &sot, gop, &alt_layout)?;
@@ -1214,7 +1220,7 @@ impl Tasm {
                 .regret
                 .iter()
                 .filter(|(_, &d)| d > threshold)
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("regret is finite"))
+                .max_by(|a, b| a.1.total_cmp(b.1))
                 .map(|(k, &d)| (k.clone(), d));
             if let Some((subset, _)) = best {
                 // A winner from before the subsets were capped is not among
@@ -1245,16 +1251,14 @@ impl Tasm {
     /// Regret accumulated for a subset on a SOT (tests/diagnostics).
     pub fn regret_for(&self, name: &str, sot_idx: usize, subset: &[String]) -> Option<f64> {
         let shard = self.shard(name).ok()?;
-        let pol = shard.policy.lock().expect("policy lock");
+        let pol = shard.policy();
         pol.sots.get(sot_idx)?.regret.get(subset).copied()
     }
 
     // --- internals ---
 
     fn shard(&self, name: &str) -> Result<Arc<VideoShard>, TasmError> {
-        self.videos
-            .read()
-            .expect("videos lock")
+        sync::read(&self.videos)
             .get(name)
             .cloned()
             .ok_or_else(|| TasmError::UnknownVideo(name.to_string()))
@@ -1306,10 +1310,10 @@ impl Tasm {
         video_id: u32,
         layout: &TileLayout,
         sot: &crate::storage::SotEntry,
-        history: &[(String, Range<u32>)],
+        history: &[(String, Range<u32>, u64)],
         gop: u32,
     ) -> Result<bool, TasmError> {
-        for (label, window) in history {
+        for (label, window, _) in history {
             let dets = self.with_index(|ix| ix.query(video_id, label, window.clone()))?;
             if dets.is_empty() {
                 continue;
@@ -1372,7 +1376,6 @@ fn add_retile(mut a: RetileStats, b: RetileStats) -> RetileStats {
 mod tests {
     use super::*;
     use crate::scratch::Scratch;
-    use tasm_index::MemoryIndex;
     use tasm_video::{Frame, Plane, VecFrameSource};
 
     fn source(frames: u32) -> VecFrameSource {
@@ -1396,23 +1399,7 @@ mod tests {
     }
 
     fn tasm(tag: &str) -> Scratch<Tasm> {
-        let cfg = TasmConfig {
-            storage: StorageConfig {
-                gop_len: 5,
-                sot_frames: 10,
-                parallel_encode: false,
-                ..Default::default()
-            },
-            partition: PartitionConfig {
-                min_tile_width: 32,
-                min_tile_height: 16,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        Scratch::open(&format!("facade-{tag}"), |dir| {
-            Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap()
-        })
+        Scratch::tasm(&format!("facade-{tag}"))
     }
 
     fn populate_truth(t: &mut Tasm, frames: u32) {

@@ -1091,12 +1091,6 @@ impl TieredIndex {
         }
         Ok(issues)
     }
-
-    /// Total records across memtable and runs (diagnostics; duplicate keys
-    /// across tiers are counted per tier).
-    pub fn record_count(&self) -> u64 {
-        self.mem.len() as u64 + self.runs.iter().map(|r| r.entry_count).sum::<u64>()
-    }
 }
 
 impl SemanticIndex for TieredIndex {

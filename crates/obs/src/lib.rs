@@ -1,7 +1,7 @@
 //! # tasm-obs: observability primitives for the TASM stack
 //!
 //! A dependency-free leaf crate every other layer (core, service, server,
-//! cluster, cli) can share without cycles. Four pieces:
+//! cluster, cli) can share without cycles. Five pieces:
 //!
 //! - [`metrics`] — a process-global, lock-free metrics registry. Counters
 //!   and gauges are single atomics; a [`Histogram`] is 40 power-of-two
@@ -22,6 +22,8 @@
 //!   errors, and recovery reports.
 //! - [`http`] — a hand-rolled minimal HTTP/1.1 GET responder for
 //!   `/metrics`, so `tasm serve --metrics-addr` needs no HTTP crate.
+//! - [`sync`] — the one poison rule every lock in the workspace goes
+//!   through.
 //!
 //! ## Overhead and the kill switch
 //!
@@ -35,6 +37,7 @@
 pub mod http;
 pub mod log;
 pub mod metrics;
+pub mod sync;
 pub mod trace;
 
 pub use http::MetricsServer;
@@ -66,5 +69,5 @@ pub fn enabled() -> bool {
 #[cfg(test)]
 pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
     static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    GUARD.lock().unwrap_or_else(|e| e.into_inner())
+    sync::lock(&GUARD)
 }

@@ -17,6 +17,7 @@
 //! [`HistogramSnapshot`] is what `StatsReply` puts on the wire and what
 //! the load generator and the router merge.
 
+use crate::sync;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -258,6 +259,9 @@ struct Entry {
     metric: Metric,
 }
 
+/// Every registered metric. Taken as is on poison: the one panic under it,
+/// a kind mismatch, fires after the map is already valid — and clearing it
+/// would start counters again from zero.
 fn registry() -> &'static Mutex<BTreeMap<&'static str, Entry>> {
     static REGISTRY: OnceLock<Mutex<BTreeMap<&'static str, Entry>>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
@@ -268,7 +272,7 @@ fn registry() -> &'static Mutex<BTreeMap<&'static str, Entry>> {
 /// # Panics
 /// If `name` was previously registered as a different metric kind.
 pub fn counter(name: &'static str, help: &'static str) -> Arc<Counter> {
-    let mut reg = registry().lock().expect("metrics registry lock");
+    let mut reg = sync::lock(registry());
     let entry = reg.entry(name).or_insert_with(|| Entry {
         help,
         metric: Metric::Counter(Arc::new(Counter::default())),
@@ -284,7 +288,7 @@ pub fn counter(name: &'static str, help: &'static str) -> Arc<Counter> {
 /// # Panics
 /// If `name` was previously registered as a different metric kind.
 pub fn gauge(name: &'static str, help: &'static str) -> Arc<Gauge> {
-    let mut reg = registry().lock().expect("metrics registry lock");
+    let mut reg = sync::lock(registry());
     let entry = reg.entry(name).or_insert_with(|| Entry {
         help,
         metric: Metric::Gauge(Arc::new(Gauge::default())),
@@ -300,7 +304,7 @@ pub fn gauge(name: &'static str, help: &'static str) -> Arc<Gauge> {
 /// # Panics
 /// If `name` was previously registered as a different metric kind.
 pub fn histogram(name: &'static str, help: &'static str) -> Arc<Histogram> {
-    let mut reg = registry().lock().expect("metrics registry lock");
+    let mut reg = sync::lock(registry());
     let entry = reg.entry(name).or_insert_with(|| Entry {
         help,
         metric: Metric::Histogram(Arc::new(Histogram::default())),
@@ -315,7 +319,7 @@ pub fn histogram(name: &'static str, help: &'static str) -> Arc<Histogram> {
 /// (`# HELP` / `# TYPE` headers, cumulative `_bucket{le="..."}` series plus
 /// `_sum`/`_count` for histograms, durations in seconds).
 pub fn render() -> String {
-    let reg = registry().lock().expect("metrics registry lock");
+    let reg = sync::lock(registry());
     let mut out = String::new();
     for (name, entry) in reg.iter() {
         match &entry.metric {

@@ -47,6 +47,8 @@
 //! previously yielded byte reached the socket (`flushed`), which is how
 //! the server measures its stream phase exactly.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod poller;
 
 pub use poller::{wake_pipe, Event, Interest, Poller, WakeReader, Waker};
@@ -56,9 +58,10 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use tasm_obs::sync;
 use tasm_proto::nio::{FrameQueue, FrameReader, ReadProgress, WireBuffers, WriteProgress};
 use tasm_proto::{ErrorCode, Message, VERSION};
 
@@ -74,16 +77,6 @@ const LOW_WATER: usize = 64 * 1024;
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// Reserved token for the wake pipe.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
-
-/// Locks a mutex, recovering the data from a poisoned lock instead of
-/// panicking. Everything the fronts guard this way (completion and job
-/// queues, flags, replication staging, failure counts, idle shard
-/// connections) is valid after every step of every update, so the answer
-/// to poison is to keep serving: a cascade that turns one panicked
-/// operation into a dead session, or a dead front, is strictly worse.
-pub fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// An encoded `Error` frame.
 pub fn error_frame(id: Option<u64>, code: ErrorCode, message: String) -> Vec<u8> {
@@ -238,7 +231,8 @@ enum ReadStep {
 struct Flags {
     /// Set by [`Front::stop`]: the loop drains its sessions and exits.
     shutdown: AtomicBool,
-    /// Set when a client sends `ShutdownServer`.
+    /// Set when a client sends `ShutdownServer`. A flag, only ever set
+    /// whole: taken as is on poison.
     requested: Mutex<bool>,
     requested_cv: Condvar,
 }
@@ -254,6 +248,7 @@ struct Completion {
 /// Hands answers made off the loop thread back to their sessions.
 #[derive(Clone)]
 pub struct Completer {
+    /// Taken as is on poison: answers are pushed and taken whole.
     queue: Arc<Mutex<Vec<Completion>>>,
     waker: Waker,
 }
@@ -267,7 +262,7 @@ impl Completer {
     }
 
     fn push(&self, token: u64, response: Box<dyn ResponseSource>, resume: bool) {
-        lock_clean(&self.queue).push(Completion {
+        sync::lock(&self.queue).push(Completion {
             token,
             response,
             resume,
@@ -292,20 +287,21 @@ struct Job {
 /// serialize pickup behind its lock.
 #[derive(Default)]
 struct Pool {
-    /// Queued jobs, and whether the pool has closed.
+    /// Queued jobs, and whether the pool has closed. Taken as is on
+    /// poison: jobs are pushed and popped whole, the flag set whole.
     state: Mutex<(VecDeque<Job>, bool)>,
     ready: Condvar,
 }
 
 impl Pool {
     fn push(&self, job: Job) {
-        lock_clean(&self.state).0.push_back(job);
+        sync::lock(&self.state).0.push_back(job);
         self.ready.notify_one();
     }
 
     /// The next job; `None` once the pool has closed and drained.
     fn pop(&self) -> Option<Job> {
-        let mut state = lock_clean(&self.state);
+        let mut state = sync::lock(&self.state);
         loop {
             if let Some(job) = state.0.pop_front() {
                 return Some(job);
@@ -313,15 +309,12 @@ impl Pool {
             if state.1 {
                 return None;
             }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            state = sync::wait(&self.ready, state);
         }
     }
 
     fn close(&self) {
-        lock_clean(&self.state).1 = true;
+        sync::lock(&self.state).1 = true;
         self.ready.notify_all();
     }
 
@@ -498,7 +491,7 @@ impl Ctl {
             }
             Message::Goodbye => self.begin_drain(token),
             Message::ShutdownServer => {
-                *lock_clean(&self.flags.requested) = true;
+                *sync::lock(&self.flags.requested) = true;
                 self.flags.requested_cv.notify_all();
                 self.send_frame(token, Message::Goodbye.encode());
                 self.begin_drain(token);
@@ -514,7 +507,7 @@ impl Ctl {
 
     /// Queues every answer completed off the loop on its session.
     fn deliver(&mut self) {
-        let batch = std::mem::take(&mut *lock_clean(&self.completer.queue));
+        let batch = std::mem::take(&mut *sync::lock(&self.completer.queue));
         for done in batch {
             // A session that closed first has no reader for its answer.
             let Some(conn) = self.conns.get_mut(&done.token) else {
@@ -901,18 +894,14 @@ impl Front {
 
     /// True once a client has sent `ShutdownServer`.
     pub fn shutdown_requested(&self) -> bool {
-        *lock_clean(&self.flags.requested)
+        *sync::lock(&self.flags.requested)
     }
 
     /// Blocks until a client sends `ShutdownServer`.
     pub fn wait_shutdown_requested(&self) {
-        let mut requested = lock_clean(&self.flags.requested);
+        let mut requested = sync::lock(&self.flags.requested);
         while !*requested {
-            requested = self
-                .flags
-                .requested_cv
-                .wait(requested)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            requested = sync::wait(&self.flags.requested_cv, requested);
         }
     }
 

@@ -77,11 +77,15 @@ mod sys {
 
     impl Poller {
         pub fn new() -> io::Result<Poller> {
+            // SAFETY: `epoll_create1` takes a flags word and touches no
+            // memory of ours; a negative return is handled below.
             let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if fd < 0 {
                 return Err(io::Error::last_os_error());
             }
             Ok(Poller {
+                // SAFETY: `fd` was just returned, non-negative, by
+                // `epoll_create1`, and nothing else owns or closes it.
                 ep: unsafe { OwnedFd::from_raw_fd(fd) },
                 buf: vec![EpollEvent { events: 0, data: 0 }; 512],
             })
@@ -92,6 +96,8 @@ mod sys {
                 events: mask(interest),
                 data: token,
             };
+            // SAFETY: `self.ep` is an open epoll fd, and `ev` a live
+            // `epoll_event` in the kernel's layout that it only reads.
             let rc = unsafe { epoll_ctl(self.ep.as_raw_fd(), op, fd, &mut ev) };
             if rc < 0 {
                 return Err(io::Error::last_os_error());
@@ -114,6 +120,8 @@ mod sys {
         pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
             events.clear();
             let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+            // SAFETY: the kernel writes at most `self.buf.len()` events into
+            // `self.buf`, borrowed for the call; `n` bounds what is read.
             let n = unsafe {
                 epoll_wait(
                     self.ep.as_raw_fd(),
@@ -231,6 +239,8 @@ mod sys {
         pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
             events.clear();
             let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+            // SAFETY: `self.fds` holds `self.fds.len()` C-layout `pollfd`s,
+            // borrowed for the call; the kernel writes only their `revents`.
             let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as u64, ms) };
             if n < 0 {
                 let e = io::Error::last_os_error();

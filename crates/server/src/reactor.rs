@@ -17,9 +17,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tasm_cluster::StagedSots;
 use tasm_core::Tasm;
+use tasm_obs::sync;
 use tasm_proto::nio::WireBuffers;
 use tasm_proto::{encode_region, ErrorCode, Message, ResultSummary};
-use tasm_reactor::{error_frame, lock_clean, Ctl, Logic, NextFrame, ResponseSource};
+use tasm_reactor::{error_frame, Ctl, Logic, NextFrame, ResponseSource};
 use tasm_service::{QueryOutcome, QueryRequest, ServiceError};
 
 /// The server's [`Logic`].
@@ -27,6 +28,8 @@ pub(crate) struct ServerLogic {
     shared: Arc<ServerShared>,
     /// Per-session replication staging (tile bytes held between `StageSot`
     /// and its commit record), keyed by token, so it dies with the session.
+    /// Taken as is on poison: a replication step stages or takes one SOT's
+    /// tiles whole.
     staged: HashMap<u64, Arc<Mutex<StagedSots>>>,
 }
 
@@ -104,7 +107,7 @@ impl ServerLogic {
         let staged = Arc::clone(self.staged.entry(token).or_default());
         let shared = Arc::clone(&self.shared);
         ctl.offload(token, move |_| {
-            let reply = op(shared.service.tasm(), &mut lock_clean(&staged));
+            let reply = op(shared.service.tasm(), &mut sync::lock(&staged));
             vec![reply.encode()].into_iter()
         });
     }

@@ -22,6 +22,7 @@
 use crate::service::{RetilePolicy, Shared};
 use std::ops::Range;
 use std::sync::atomic::Ordering;
+use tasm_obs::sync;
 
 /// One completed query the layout policies should learn from.
 #[derive(Debug, Clone)]
@@ -34,16 +35,13 @@ pub(crate) struct Observation {
 pub(crate) fn daemon_loop(shared: &Shared) {
     loop {
         let batch: Vec<Observation> = {
-            let mut backlog = shared.backlog.lock().expect("backlog lock");
+            let mut backlog = sync::lock(&shared.backlog);
             while backlog.is_empty() {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                let (guard, _timeout) = shared
-                    .backlog_cv
-                    .wait_timeout(backlog, shared.cfg.retile_interval)
-                    .expect("backlog lock");
-                backlog = guard;
+                let interval = shared.cfg.retile_interval;
+                backlog = sync::wait_timeout(&shared.backlog_cv, backlog, interval).0;
             }
             backlog.drain(..).collect()
         };

@@ -10,6 +10,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tasm_core::{recycle_canvases, CanvasPool, LabelPredicate, Query, ScanResult, Tasm, TasmError};
+use tasm_obs::sync;
 
 /// Which incremental layout policy the background daemon applies to
 /// completed queries.
@@ -44,13 +45,6 @@ pub struct ServiceConfig {
     /// submission→completion time reaches this logs its full trace at
     /// `warn` through the structured logger (`None` disables the log).
     pub slow_query: Option<Duration>,
-    /// Test-only fault injection: a worker panics instead of executing any
-    /// request this hook returns `true` for. Exercises the panic-isolation
-    /// path (worker survives, submitter gets [`ServiceError::Panicked`])
-    /// without needing a corruptible storage backend. A plain `fn` pointer
-    /// so the config stays `Copy`.
-    #[doc(hidden)]
-    pub test_panic_injector: Option<fn(&QueryRequest) -> bool>,
 }
 
 impl Default for ServiceConfig {
@@ -61,7 +55,6 @@ impl Default for ServiceConfig {
             retile: RetilePolicy::Off,
             retile_interval: Duration::from_millis(20),
             slow_query: None,
-            test_panic_injector: None,
         }
     }
 }
@@ -298,11 +291,14 @@ fn queue_depth_gauge() -> Arc<tasm_obs::Gauge> {
 pub(crate) struct Shared {
     pub tasm: Arc<Tasm>,
     pub cfg: ServiceConfig,
+    /// Taken as is on poison, like every lock here: a section pushes,
+    /// pops or drains whole jobs, each one `VecDeque` operation.
     queue: Mutex<VecDeque<Job>>,
     not_empty: Condvar,
     not_full: Condvar,
     pub shutdown: AtomicBool,
     pub stats: StatsCell,
+    /// Taken as is on poison: observations are pushed and drained whole.
     pub backlog: Mutex<VecDeque<Observation>>,
     pub backlog_cv: Condvar,
     pub hook: Option<Arc<dyn RetileHook>>,
@@ -321,7 +317,7 @@ pub struct QueryService {
     shared: Arc<Shared>,
     // Behind mutexes so `shutdown_now` can join them through `&self` (the
     // server shares the service across its reactor and admin threads via
-    // `Arc`).
+    // `Arc`). Taken as is on poison: a join handle is taken whole.
     workers: Mutex<Vec<JoinHandle<()>>>,
     daemon: Mutex<Option<JoinHandle<()>>>,
 }
@@ -423,7 +419,7 @@ impl QueryService {
         block: bool,
         done: Completion,
     ) -> Result<u64, ServiceError> {
-        let mut queue = self.shared.queue.lock().expect("queue lock");
+        let mut queue = sync::lock(&self.shared.queue);
         loop {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 done.disarm();
@@ -436,7 +432,7 @@ impl QueryService {
                 done.disarm();
                 return Err(ServiceError::QueueFull);
             }
-            queue = self.shared.not_full.wait(queue).expect("queue lock");
+            queue = sync::wait(&self.shared.not_full, queue);
         }
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let trace_id = req.trace_id.unwrap_or_else(tasm_obs::next_trace_id);
@@ -470,22 +466,12 @@ impl QueryService {
         &self.shared.tasm
     }
 
-    /// Queries currently waiting in the submission queue.
-    pub fn queue_len(&self) -> usize {
-        self.shared.queue.lock().expect("queue lock").len()
-    }
-
-    /// Retile observations awaiting the daemon.
-    pub fn pending_retiles(&self) -> usize {
-        self.shared.backlog.lock().expect("backlog lock").len()
-    }
-
     /// Synchronously processes the retile backlog on the calling thread
     /// (deterministic alternative to waiting for the daemon; used by tests
     /// and the CLI's final drain).
     pub fn drain_retile_backlog(&self) {
         let batch: Vec<Observation> = {
-            let mut backlog = self.shared.backlog.lock().expect("backlog lock");
+            let mut backlog = sync::lock(&self.shared.backlog);
             backlog.drain(..).collect()
         };
         daemon::process_observations(&self.shared, batch);
@@ -519,7 +505,7 @@ impl QueryService {
             // Pull queued jobs before waking the workers so none of them
             // starts executing; in-flight queries are left to finish.
             let dropped: Vec<Job> = {
-                let mut queue = self.shared.queue.lock().expect("queue lock");
+                let mut queue = sync::lock(&self.shared.queue);
                 queue.drain(..).collect()
             };
             abandoned = dropped.len() as u64;
@@ -529,20 +515,20 @@ impl QueryService {
         }
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
-        for w in self.workers.lock().expect("workers lock").drain(..) {
+        for w in sync::lock(&self.workers).drain(..) {
             let _ = w.join();
         }
         if mode == Shutdown::Abort {
             // Discarded only *after* the workers joined: in-flight queries
             // push observations on completion, and the abort contract says
             // none of them reach the daemon.
-            self.shared.backlog.lock().expect("backlog lock").clear();
+            sync::lock(&self.shared.backlog).clear();
         }
         // Wake the daemon after the workers stop producing observations so
         // it drains the final backlog (already cleared under Abort) before
         // exiting.
         self.shared.backlog_cv.notify_all();
-        if let Some(d) = self.daemon.lock().expect("daemon lock").take() {
+        if let Some(d) = sync::lock(&self.daemon).take() {
             let _ = d.join();
         }
         let stats = self.shared.stats.snapshot();
@@ -564,7 +550,7 @@ impl Drop for QueryService {
 fn worker_loop(shared: &Shared) {
     loop {
         let job = {
-            let mut queue = shared.queue.lock().expect("queue lock");
+            let mut queue = sync::lock(&shared.queue);
             loop {
                 if let Some(job) = queue.pop_front() {
                     queue_depth_gauge().set(queue.len() as i64);
@@ -576,7 +562,7 @@ fn worker_loop(shared: &Shared) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                queue = shared.not_empty.wait(queue).expect("queue lock");
+                queue = sync::wait(&shared.not_empty, queue);
             }
         };
         let queue_time = job.enqueued.elapsed();
@@ -589,23 +575,19 @@ fn worker_loop(shared: &Shared) {
             )
             .record(queue_time);
         }
-        // The unwind boundary: a panic inside query execution (or the
-        // test injector standing in for one) fails this query with a
-        // typed error and leaves the worker alive. `job` stays outside
-        // the closure, so even a panic that somehow escaped would fire
-        // the job's completion guard rather than strand the submitter.
+        // The unwind boundary: a panic inside query execution fails this
+        // query with a typed error and leaves the worker alive. `job`
+        // stays outside the closure, so even a panic that somehow escaped
+        // would fire the job's completion guard rather than strand the
+        // submitter.
         let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(inject) = shared.cfg.test_panic_injector {
-                if inject(&job.req) {
-                    panic!("injected test panic");
-                }
-            }
             shared
                 .tasm
                 .query_traced(&job.req.video, &job.req.query, &spans)
         }));
-        match executed {
-            Err(_panic) => {
+        let result = match executed.map_or(Err(ServiceError::Panicked), |r| r.map_err(Into::into)) {
+            Ok(result) => result,
+            Err(e) => {
                 shared.stats.failed.fetch_add(1, Ordering::Relaxed);
                 if tasm_obs::enabled() {
                     tasm_obs::counter(
@@ -614,72 +596,58 @@ fn worker_loop(shared: &Shared) {
                     )
                     .inc();
                 }
+                let panicked = matches!(e, ServiceError::Panicked);
                 tasm_obs::log::warn(
-                    "query.panicked",
-                    &[
-                        ("trace_id", job.trace_id.to_string()),
-                        ("video", job.req.video.clone()),
-                    ],
-                );
-                job.done.deliver(Err(ServiceError::Panicked));
-            }
-            Ok(Ok(result)) => {
-                shared.stats.record_scan(&result);
-                shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-                if tasm_obs::enabled() {
-                    tasm_obs::counter(
-                        "tasm_queries_completed_total",
-                        "Queries completed successfully.",
-                    )
-                    .inc();
-                }
-                if shared.cfg.retile != RetilePolicy::Off {
-                    let mut backlog = shared.backlog.lock().expect("backlog lock");
-                    for label in job.req.query.predicate().labels() {
-                        backlog.push_back(Observation {
-                            video: job.req.video.clone(),
-                            label: label.to_string(),
-                            frames: job.req.query.frame_range(),
-                        });
-                    }
-                    drop(backlog);
-                    shared.backlog_cv.notify_one();
-                }
-                // Reuses the completion timestamp for the histogram — the
-                // fast path still takes exactly two timing syscalls.
-                let total_time = job.enqueued.elapsed();
-                shared.stats.latency.record(total_time);
-                let trace = spans.finish(job.trace_id, result.epoch, total_time);
-                log_if_slow(shared, &job.req.video, &trace, total_time);
-                job.done.deliver(Ok(QueryOutcome {
-                    id: job.id,
-                    result,
-                    queue_time,
-                    total_time,
-                    trace,
-                    canvases: Arc::clone(shared.tasm.store().canvases()),
-                }));
-            }
-            Ok(Err(e)) => {
-                shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                if tasm_obs::enabled() {
-                    tasm_obs::counter(
-                        "tasm_queries_failed_total",
-                        "Queries that returned an error.",
-                    )
-                    .inc();
-                }
-                tasm_obs::log::warn(
-                    "query.failed",
+                    if panicked {
+                        "query.panicked"
+                    } else {
+                        "query.failed"
+                    },
                     &[
                         ("trace_id", job.trace_id.to_string()),
                         ("video", job.req.video.clone()),
                         ("error", e.to_string()),
                     ],
                 );
-                job.done.deliver(Err(ServiceError::Tasm(e)));
+                job.done.deliver(Err(e));
+                continue;
             }
+        };
+        shared.stats.record_scan(&result);
+        shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+        if tasm_obs::enabled() {
+            tasm_obs::counter(
+                "tasm_queries_completed_total",
+                "Queries completed successfully.",
+            )
+            .inc();
         }
+        if shared.cfg.retile != RetilePolicy::Off {
+            let mut backlog = sync::lock(&shared.backlog);
+            for label in job.req.query.predicate().labels() {
+                backlog.push_back(Observation {
+                    video: job.req.video.clone(),
+                    label: label.to_string(),
+                    frames: job.req.query.frame_range(),
+                });
+            }
+            drop(backlog);
+            shared.backlog_cv.notify_one();
+        }
+        // Reuses the completion timestamp for the histogram — the fast path
+        // still takes exactly two timing syscalls.
+        let total_time = job.enqueued.elapsed();
+        shared.stats.latency.record(total_time);
+        let trace = spans.finish(job.trace_id, result.epoch, total_time);
+        log_if_slow(shared, &job.req.video, &trace, total_time);
+        job.done.deliver(Ok(QueryOutcome {
+            id: job.id,
+            result,
+            queue_time,
+            total_time,
+            trace,
+            canvases: Arc::clone(shared.tasm.store().canvases()),
+        }));
     }
 }
 

@@ -239,7 +239,6 @@ fn daemon_crash_is_contained_and_shutdown_drains() {
             queue_depth: 16,
             retile: RetilePolicy::Regret,
             retile_interval: std::time::Duration::from_millis(2),
-            slow_query: None,
             ..Default::default()
         },
     );

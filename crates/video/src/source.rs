@@ -55,11 +55,6 @@ impl VecFrameSource {
     pub fn frames(&self) -> &[Frame] {
         &self.frames
     }
-
-    /// Consumes the source, returning the frames.
-    pub fn into_frames(self) -> Vec<Frame> {
-        self.frames
-    }
 }
 
 impl FrameSource for VecFrameSource {

@@ -115,7 +115,6 @@ fn child_shard_server() {
             queue_depth: 32,
             retile: RetilePolicy::Regret,
             retile_interval: Duration::from_millis(1),
-            slow_query: None,
             ..Default::default()
         },
         ServerConfig::default(),

@@ -88,7 +88,6 @@ fn retile_daemon_mid_workload_keeps_scans_bit_exact() {
             queue_depth: 16,
             retile: RetilePolicy::Regret,
             retile_interval: std::time::Duration::from_millis(1),
-            slow_query: None,
             ..Default::default()
         },
     );
@@ -184,7 +183,6 @@ fn roi_queries_bit_exact_across_concurrent_retile() {
             queue_depth: 16,
             retile: RetilePolicy::Regret,
             retile_interval: std::time::Duration::from_millis(1),
-            slow_query: None,
             ..Default::default()
         },
     );

@@ -28,7 +28,7 @@ use rand::Rng;
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tasm_client::{Connection, RemoteOutcome};
 use tasm_codec::{DecodeStats, TileLayout};
@@ -36,6 +36,7 @@ use tasm_core::{
     EpochPin, LabelPredicate, PlanStats, Query, QueryMode, RegionPixels, ScanResult, TasmConfig,
     TasmError, VideoManifest,
 };
+use tasm_obs::sync;
 use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::{QueryRequest, QueryService, ServiceConfig, Shutdown};
 use tasm_suite::{config, ingest, post_filter, region_diff, scene, TestStore};
@@ -505,7 +506,7 @@ impl Sequence {
 static LANES: Mutex<[String; 2]> = Mutex::new([String::new(), String::new()]);
 
 fn at(lane: usize, position: String) {
-    LANES.lock().unwrap_or_else(PoisonError::into_inner)[lane] = position;
+    sync::lock(&LANES)[lane] = position;
 }
 
 /// One lane: a seeded run of `sequences` sequences of `steps` steps.
@@ -535,7 +536,7 @@ fn run_lane(lane: usize, sequences: u32, steps: usize) {
 fn queries_equal_the_post_filtered_scan_at_their_epoch() {
     let report = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let lanes = LANES.lock().unwrap_or_else(PoisonError::into_inner);
+        let lanes = sync::lock(&LANES);
         for (lane, position) in lanes.iter().enumerate() {
             eprintln!("contract lane {lane}: {position}");
         }

@@ -710,7 +710,6 @@ fn kill_and_reattach(crash_at: u64) {
             queue_depth: 16,
             retile: RetilePolicy::Regret,
             retile_interval: Duration::from_millis(2),
-            slow_query: None,
             ..Default::default()
         },
     );

@@ -82,10 +82,10 @@ fn attach_resumes_after_restart() {
     // Session 1: ingest, index, tile.
     {
         let idx = TieredIndex::open(&dir.path().join("index")).unwrap();
-        let mut tasm = Tasm::open(dir.path().join("store"), Box::new(idx), cfg.clone()).unwrap();
+        let tasm = Tasm::open(dir.path().join("store"), Box::new(idx), cfg.clone()).unwrap();
         ingest(&tasm, "cam", &video);
         tasm.kqko_retile_all("cam", &["car".to_string()]).unwrap();
-        tasm.index_mut().flush().unwrap();
+        tasm.with_index(|ix| ix.flush()).unwrap();
     }
 
     // Session 2: attach — no re-encode, layouts preserved, scans work.
@@ -127,10 +127,10 @@ fn store_and_index_agree_after_reload() {
 
     let manifest_before = {
         let idx = TieredIndex::open(&dir.path().join("index")).unwrap();
-        let mut tasm = Tasm::open(dir.path().join("store"), Box::new(idx), cfg.clone()).unwrap();
+        let tasm = Tasm::open(dir.path().join("store"), Box::new(idx), cfg.clone()).unwrap();
         ingest(&tasm, "v", &video);
         tasm.kqko_retile_all("v", &["car".to_string()]).unwrap();
-        tasm.index_mut().flush().unwrap();
+        tasm.with_index(|ix| ix.flush()).unwrap();
         tasm.manifest("v").unwrap().clone()
     };
 
@@ -143,8 +143,8 @@ fn store_and_index_agree_after_reload() {
     // And the persistent index still knows the labels (video ids are
     // name-derived, so a fresh session resolves the same id).
     let idx = TieredIndex::open(&dir.path().join("index")).unwrap();
-    let mut tasm = Tasm::open(dir.path().join("store"), Box::new(idx), cfg).unwrap();
+    let tasm = Tasm::open(dir.path().join("store"), Box::new(idx), cfg).unwrap();
     let id = tasm.attach("v").unwrap();
-    let labels = tasm.index_mut().labels(id).unwrap();
+    let labels = tasm.with_index(|ix| ix.labels(id)).unwrap();
     assert!(labels.contains(&"car".to_string()));
 }

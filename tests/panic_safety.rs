@@ -1,37 +1,111 @@
-//! Panic isolation in the serving layer.
+//! Panic isolation: a panic costs the one call it fires in — never the
+//! process, and never a later query.
 //!
-//! The contract under test: a panic inside query execution (injected via
-//! `ServiceConfig::test_panic_injector`) is a *per-query* failure — the
+//! Every lock goes through `tasm_obs::sync`, so a lock a panic poisoned is
+//! taken as is, or reset when it holds soft state. The panics are injected
+//! through two seams the store already has: a `SemanticIndex` double that
+//! panics whenever it is asked about one label, and a `StorageIo` double
+//! that panics at one mutating operation of a re-tile.
+//!
+//! Served, a panic inside query execution is a *per-query* failure: the
 //! submitting session receives a typed `Internal` error frame and keeps
 //! serving subsequent queries bit-exactly, other sessions are untouched,
 //! no in-flight slot leaks (shutdown drains cleanly instead of hanging on
-//! a stranded counter), and no lock poisoned by the unwinding worker
-//! cascades into later queries. Beside it sit the reactor's scaling
-//! checks: threads grow with workers, not sessions, and answers stay
-//! bit-exact with 256 sessions open.
+//! a stranded counter), and the index lock the unwinding worker poisoned
+//! does not cascade into later queries. In process, the same holds for a
+//! panic under the policy lock and under the commit lock. Beside these sit
+//! the reactor's scaling checks: threads grow with workers, not sessions,
+//! and answers stay bit-exact with 256 sessions open.
 
-use std::sync::Arc;
+use std::io;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use tasm_client::{ClientError, Connection};
-use tasm_core::{LabelPredicate, Query};
+use tasm_codec::TileLayout;
+use tasm_core::durable::{RealIo, StorageIo};
+use tasm_core::{LabelPredicate, Query, Tasm, TasmError};
+use tasm_index::{Detection, IndexResult, LabeledDetection, MemoryIndex, SemanticIndex};
+use tasm_obs::sync;
 use tasm_proto::ErrorCode;
 use tasm_server::{ServerConfig, TasmServer};
-use tasm_service::{QueryRequest, ServiceConfig};
-use tasm_suite::{assert_regions_identical, config, ingest, scene, TestStore};
+use tasm_service::ServiceConfig;
+use tasm_suite::{assert_regions_identical, config, ingest, scene, TempDir, TestStore};
+use tasm_video::Rect;
 
 const FRAMES: u32 = 60;
 
-/// Queries for this label panic inside the worker instead of executing.
+/// The index double panics whenever it is asked about this label.
 const POISON_LABEL: &str = "panic-me";
 
-fn inject(req: &QueryRequest) -> bool {
-    req.query.predicate().labels().contains(&POISON_LABEL)
+/// The in-memory index, except that a query for [`POISON_LABEL`] panics
+/// inside the index call, under the facade's index lock.
+struct PanickingIndex(MemoryIndex);
+
+impl SemanticIndex for PanickingIndex {
+    fn add_metadata(&mut self, video: u32, label: &str, frame: u32, bbox: Rect) -> IndexResult<()> {
+        self.0.add_metadata(video, label, frame, bbox)
+    }
+
+    fn query(
+        &mut self,
+        video: u32,
+        label: &str,
+        frames: Range<u32>,
+    ) -> IndexResult<Vec<Detection>> {
+        assert_ne!(label, POISON_LABEL, "the index double panics on this label");
+        self.0.query(video, label, frames)
+    }
+
+    fn query_all(&mut self, video: u32, frames: Range<u32>) -> IndexResult<Vec<LabeledDetection>> {
+        self.0.query_all(video, frames)
+    }
+
+    fn labels(&mut self, video: u32) -> IndexResult<Vec<String>> {
+        self.0.labels(video)
+    }
+
+    fn mark_processed(&mut self, video: u32, frame: u32) -> IndexResult<()> {
+        self.0.mark_processed(video, frame)
+    }
+
+    fn processed_count(&mut self, video: u32, frames: Range<u32>) -> IndexResult<u32> {
+        self.0.processed_count(video, frames)
+    }
+
+    fn detection_count(&self) -> u64 {
+        self.0.detection_count()
+    }
+
+    fn flush(&mut self) -> IndexResult<()> {
+        self.0.flush()
+    }
 }
 
-/// The scene ingested into a store of its own.
+/// A store over the panicking index, writing through `io`, holding the
+/// scene as every video in `videos`.
+fn store_with(tag: &str, io: Arc<dyn StorageIo>, videos: &[&str]) -> TestStore {
+    let dir = TempDir::new(tag);
+    let index = Box::new(PanickingIndex(MemoryIndex::in_memory()));
+    let tasm = Tasm::open_with_io(dir.path(), index, config(), io).expect("open a store");
+    for name in videos {
+        ingest(&tasm, name, &scene(256, 160, FRAMES, 47));
+    }
+    TestStore {
+        tasm: Arc::new(tasm),
+        dir,
+    }
+}
+
+/// The scene ingested as `v` into a store of its own.
 fn store(tag: &str) -> TestStore {
-    let tasm = TestStore::open(tag, config());
-    ingest(&tasm, "v", &scene(256, 160, FRAMES, 47));
-    tasm
+    store_with(tag, Arc::new(RealIo), &["v"])
+}
+
+fn cars(frames: Range<u32>) -> Query {
+    Query::new(LabelPredicate::label("car")).frames(frames)
 }
 
 /// Interleaves panicking and healthy queries on one session, checks the
@@ -48,7 +122,6 @@ fn panicked_query_is_isolated_reactor() {
         ServiceConfig {
             workers: 2,
             queue_depth: 16,
-            test_panic_injector: Some(inject),
             ..Default::default()
         },
         ServerConfig::default(),
@@ -228,4 +301,227 @@ fn answers_stay_bit_exact_with_256_sessions_open() {
     let report = server.shutdown();
     assert_eq!(report.sessions_served as usize, SESSIONS);
     assert_eq!(report.service.stats.failed, 0);
+}
+
+/// A panic inside the index, under the index lock, fails the one query it
+/// fires in. The next queries, on that video and on another, answer
+/// bit-exact against a twin that never panicked.
+#[test]
+fn a_query_that_panics_in_the_index_costs_only_itself() {
+    let videos = ["v", "w"];
+    let tasm = store_with("panic-index", Arc::new(RealIo), &videos);
+    let twin = store_with("panic-index-twin", Arc::new(RealIo), &videos);
+    let poisoned = Query::new(LabelPredicate::label(POISON_LABEL)).frames(0..FRAMES);
+    let panicked = catch_unwind(AssertUnwindSafe(|| tasm.query("v", &poisoned)));
+    assert!(
+        panicked.is_err(),
+        "the index double panics inside the query"
+    );
+    for name in videos {
+        for window in [0..FRAMES, 11..37] {
+            let what = format!("video {name}, frames {window:?}");
+            let got = tasm.query(name, &cars(window.clone()));
+            let got = got.unwrap_or_else(|e| panic!("{what}: {e}"));
+            let want = twin.query(name, &cars(window)).expect("twin query");
+            assert_eq!(got.matched, want.matched, "{what}: matched");
+            assert_regions_identical(&want.regions, &got.regions, &what);
+        }
+    }
+}
+
+/// A panic under the policy lock — inside `observe_regret`, where the index
+/// double fires while the alternatives are priced — puts that video's
+/// policy back where a restart would: the next observation returns `Ok`,
+/// and its regret equals a fresh store's after that one observation.
+#[test]
+fn a_panic_inside_observe_regret_resets_that_policy() {
+    let tasm = store("panic-policy");
+    let fresh = store("panic-policy-fresh");
+    let car = ["car".to_string()];
+    tasm.observe_regret("v", "car", 0..10).unwrap();
+    tasm.observe_regret("v", "car", 0..10).unwrap();
+    let panicked = catch_unwind(AssertUnwindSafe(|| {
+        tasm.observe_regret("v", POISON_LABEL, 0..10)
+    }));
+    assert!(
+        panicked.is_err(),
+        "the index double panics inside observe_regret"
+    );
+    tasm.observe_regret("v", "car", 0..10)
+        .expect("the next observation returns Ok");
+    fresh.observe_regret("v", "car", 0..10).unwrap();
+    let got = tasm.regret_for("v", 0, &car).map(f64::to_bits);
+    assert!(got.is_some(), "the observation priced the car layout");
+    assert_eq!(got, fresh.regret_for("v", 0, &car).map(f64::to_bits));
+}
+
+/// How [`StopIo`] stops the operation it is armed for.
+#[derive(Clone, Copy)]
+enum Stop {
+    Panic,
+    Fail,
+}
+
+/// The real filesystem, except that one armed mutating operation panics or
+/// fails before it runs. Every other operation, later ones included, goes
+/// through: unlike a crash, the process lives on.
+struct StopIo {
+    stop: Stop,
+    ops: AtomicU64,
+    at: AtomicU64,
+}
+
+impl StopIo {
+    fn new(stop: Stop) -> Arc<StopIo> {
+        let (ops, at) = (AtomicU64::new(0), AtomicU64::new(0));
+        Arc::new(StopIo { stop, ops, at })
+    }
+
+    /// Arms the `k`-th mutating operation from now.
+    fn arm(&self, k: u64) {
+        self.at
+            .store(self.ops.load(Ordering::SeqCst) + k, Ordering::SeqCst);
+    }
+
+    fn step(&self) -> io::Result<()> {
+        let n = self.ops.fetch_add(1, Ordering::SeqCst) + 1;
+        if n != self.at.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        match self.stop {
+            Stop::Panic => panic!("injected panic at mutating operation {n}"),
+            Stop::Fail => Err(io::Error::other("injected I/O error")),
+        }
+    }
+}
+
+impl StorageIo for StopIo {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        RealIo.read(path)
+    }
+
+    fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        self.step()?;
+        RealIo.write(path, data)
+    }
+
+    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        self.step()?;
+        RealIo.append(path, data)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.step()?;
+        RealIo.rename(from, to)
+    }
+
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        self.step()?;
+        RealIo.create_dir_all(path)
+    }
+
+    fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
+        self.step()?;
+        RealIo.remove_dir_all(path)
+    }
+
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.step()?;
+        RealIo.remove_file(path)
+    }
+
+    fn sync_dir(&self, path: &Path) -> io::Result<()> {
+        self.step()?;
+        RealIo.sync_dir(path)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        RealIo.exists(path)
+    }
+
+    fn is_dir(&self, path: &Path) -> bool {
+        RealIo.is_dir(path)
+    }
+
+    fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
+        RealIo.list_dir(path)
+    }
+
+    fn open(&self, path: &Path) -> io::Result<std::fs::File> {
+        RealIo.open(path)
+    }
+}
+
+/// The same epoch, the same answers bit for bit, and the same `fsck`.
+fn assert_same(tasm: &Tasm, twin: &Tasm, what: &str) {
+    let epochs = [tasm, twin].map(|t| t.current_epoch("v").unwrap());
+    assert_eq!(epochs[0], epochs[1], "{what}: epoch");
+    for window in [0..FRAMES, 3..14] {
+        let got = tasm.query("v", &cars(window.clone()));
+        let got = got.unwrap_or_else(|e| panic!("{what}: {e}"));
+        let want = twin.query("v", &cars(window)).expect("twin query");
+        assert_regions_identical(&want.regions, &got.regions, what);
+    }
+    let [got, want] = [tasm, twin].map(|t| t.fsck().unwrap());
+    assert_eq!(got.tiles_checked, want.tiles_checked, "{what}: fsck");
+    assert_eq!(got.issues, want.issues, "{what}: fsck");
+}
+
+/// A panic at each mutating operation of one re-tile — under the policy
+/// and commit locks — leaves the store as an I/O error at that operation
+/// does: the next query and the next re-tile answer bit-exact against the
+/// store that saw the error, and `fsck` reports the same of both.
+#[test]
+fn a_retile_that_panics_at_any_io_step_leaves_what_an_io_error_leaves() {
+    let first = TileLayout::uniform(256, 160, 2, 2).unwrap();
+    let next = TileLayout::uniform(256, 160, 1, 2).unwrap();
+    for k in 1.. {
+        let (panicking, failing) = (StopIo::new(Stop::Panic), StopIo::new(Stop::Fail));
+        let tasm = store_with(&format!("panic-retile-{k}"), panicking.clone(), &["v"]);
+        let twin = store_with(&format!("panic-retile-twin-{k}"), failing.clone(), &["v"]);
+        panicking.arm(k);
+        failing.arm(k);
+        let panicked = catch_unwind(AssertUnwindSafe(|| tasm.retile("v", 0, first.clone())));
+        let failed = twin.retile("v", 0, first.clone());
+        if panicked.is_ok() {
+            // Past the re-tile's last mutating operation: all were swept.
+            assert!(failed.is_ok());
+            assert!(k > 4, "a re-tile writes a pack, then commits a manifest");
+            break;
+        }
+        let what = format!("stopped at mutating operation {k}");
+        assert_same(&tasm, &twin, &what);
+        let got = tasm
+            .retile("v", 0, next.clone())
+            .map_err(|e: TasmError| e.to_string());
+        let want = twin.retile("v", 0, next.clone()).map_err(|e| e.to_string());
+        assert_eq!(got.is_ok(), want.is_ok(), "{what}: the next re-tile");
+        assert_same(&tasm, &twin, &format!("{what}, then re-tiled"));
+    }
+}
+
+/// The reset form runs its reset once, on the first lock after the panic,
+/// and leaves the lock clean; the plain form hands the data back as the
+/// panic left it.
+#[test]
+fn soft_state_is_reset_once_and_the_rest_is_taken_as_is() {
+    let (soft, kept) = (Mutex::new(vec![1, 2]), Mutex::new(vec![1, 2]));
+    let panicked = catch_unwind(AssertUnwindSafe(|| {
+        let (mut soft, mut kept) = (sync::lock(&soft), sync::lock(&kept));
+        soft.push(3);
+        kept.push(3);
+        panic!("a panic under both locks");
+    }));
+    assert!(panicked.is_err() && soft.is_poisoned() && kept.is_poisoned());
+    let resets = AtomicU64::new(0);
+    let reset = |v: &mut Vec<i32>| {
+        resets.fetch_add(1, Ordering::SeqCst);
+        v.clear();
+    };
+    assert!(sync::lock_or_reset(&soft, reset).is_empty());
+    assert!(!soft.is_poisoned());
+    sync::lock_or_reset(&soft, reset).push(4);
+    assert_eq!(*sync::lock_or_reset(&soft, reset), [4]);
+    assert_eq!(resets.load(Ordering::SeqCst), 1);
+    assert_eq!(*sync::lock(&kept), [1, 2, 3]);
 }

@@ -110,7 +110,6 @@ fn remote_results_stay_epoch_exact_while_daemon_retiles() {
             queue_depth: 32,
             retile: RetilePolicy::Regret,
             retile_interval: std::time::Duration::from_millis(1),
-            slow_query: None,
             ..Default::default()
         },
         ServerConfig::default(),

@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use tasm_client::Connection;
 use tasm_cluster::{NodeInfo, Router, RouterConfig, ShardMap};
 use tasm_core::{LabelPredicate, Query, RegionPixels, Tasm, TasmConfig, CANVAS_POOL_BYTES};
+use tasm_obs::sync;
 use tasm_proto::nio::WIRE_POOL_BYTES;
 use tasm_proto::{Message, VERSION};
 use tasm_server::{ServerConfig, TasmServer};
@@ -103,7 +104,7 @@ fn serve(tasm: &Arc<Tasm>) -> TasmServer {
 /// the gauges agree; and closing everything returns the gauges to zero.
 #[test]
 fn an_idle_server_and_router_keep_at_most_the_stated_bytes() {
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = sync::lock(&TURN);
     let twin = store("buffers-idle-twin", 0);
     let expected = reference(&twin, &whole());
     assert!(expected.len() == FRAMES as usize);
@@ -190,7 +191,7 @@ fn an_idle_server_and_router_keep_at_most_the_stated_bytes() {
 /// still exact.
 #[test]
 fn a_session_closed_for_a_write_stall_returns_what_it_held() {
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = sync::lock(&TURN);
     let twin = store("buffers-stall-twin", 0);
     let car = Query::new(LabelPredicate::label("car")).frames(0..FRAMES);
     let (expected_whole, expected_car) = (reference(&twin, &whole()), reference(&twin, &car));
