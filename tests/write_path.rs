@@ -12,8 +12,8 @@ use std::path::{Path, PathBuf};
 use tasm_cluster::{apply_record, StagedSots};
 use tasm_codec::{encode_video, pred, EncoderConfig, LayoutError, TileLayout};
 use tasm_core::{
-    LabelPredicate, Query, StorageConfig, StoreError, Tasm, TasmConfig, TasmError, VideoManifest,
-    VideoStore,
+    LabelPredicate, Query, RetileStats, StorageConfig, StoreError, Tasm, TasmConfig, TasmError,
+    VideoManifest, VideoStore,
 };
 use tasm_index::MemoryIndex;
 use tasm_proto::ReplicationRecord;
@@ -271,6 +271,64 @@ fn tiles_served_after_ingest_retile_and_replica_install_are_pinned() {
         steps == TILES_PINNED,
         "served tile digests moved; this build produces:\n{steps:#018x?}"
     );
+}
+
+/// Every counter of one re-tile's [`RetileStats`], times left out: decode
+/// (`frames_decoded`, `samples_decoded`, `tile_chunks_decoded`,
+/// `bytes_read`, `blocks_decoded`), then encode (`frames_encoded`,
+/// `samples_encoded`, `bytes_produced`).
+fn retile_counts(s: &RetileStats) -> [u64; 8] {
+    let (d, e) = (&s.decode, &s.encode);
+    [
+        d.frames_decoded,
+        d.samples_decoded,
+        d.tile_chunks_decoded,
+        d.bytes_read,
+        d.blocks_decoded,
+        e.frames_encoded,
+        e.samples_encoded,
+        e.bytes_produced,
+    ]
+}
+
+/// [`retile_counts`] of the four re-tiles of
+/// [`tiles_served_after_ingest_retile_and_replica_install_are_pinned`]:
+/// SOT 0 untiled→2 cols→uneven, SOT 1 2 cols→uneven→2 cols.
+const RETILE_COUNTS_PINNED: [[u64; 8]; 4] = [
+    [6, 884736, 6, 35369, 13824, 12, 884736, 35700],
+    [12, 884736, 12, 35582, 13824, 36, 884736, 36378],
+    [12, 884736, 12, 35078, 13824, 36, 884736, 35894],
+    [36, 884736, 36, 35540, 13824, 12, 884736, 35935],
+];
+
+/// A re-tile's accounting is part of its contract: the cost model and the
+/// ledger read it. Decoding the old tiles and encoding the new ones count
+/// the same work whichever way the frames travel between them, serial or
+/// parallel.
+#[test]
+fn retile_stats_are_pinned_serial_and_parallel() {
+    for parallel in [false, true] {
+        let dir = temp_dir(&format!("retile-stats-{parallel}"));
+        let store = VideoStore::open(dir.path()).unwrap();
+        let (mut manifest, _) = store
+            .ingest("v", &clip(), 30, cfg(parallel), |sot, _| {
+                initial_layout(sot)
+            })
+            .unwrap();
+        let counts: Vec<[u64; 8]> = [
+            (0, two_cols()),
+            (0, uneven()),
+            (1, uneven()),
+            (1, two_cols()),
+        ]
+        .into_iter()
+        .map(|(sot, layout)| retile_counts(&store.retile(&mut manifest, sot, layout).unwrap()))
+        .collect();
+        assert!(
+            counts == RETILE_COUNTS_PINNED,
+            "re-tile counts moved (parallel: {parallel}); this build produces:\n{counts:?}"
+        );
+    }
 }
 
 /// SOT 1's flat column.
