@@ -7,13 +7,12 @@
 //! random access to any GOP: decoding frame `f` starts at the latest
 //! keyframe at or before `f`.
 
-use crate::decoder::{DecodeError, TileDecoder};
+use crate::cursor::TileCursor;
+use crate::decoder::DecodeError;
 use crate::encoder::EncodedFrame;
-use crate::pred;
 use crate::stats::DecodeStats;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::ops::Range;
-use std::time::Instant;
 use tasm_video::Frame;
 
 /// Magic bytes identifying a TVF stream.
@@ -443,115 +442,61 @@ impl TileVideo {
         end: u32,
         reference: Option<&Frame>,
     ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
-        match self.codec {
-            TileCodec::Dct => self.decode_span_dct(start, keep_from, end, reference),
-            TileCodec::Pred => self.decode_span_pred(start, keep_from, end, reference),
+        self.decode_span_in(start, keep_from, end, reference, &mut || None)
+    }
+
+    /// [`TileVideo::decode_range`], with each frame it returns decoded into
+    /// a buffer from `buffers` where that gives one of the tile's size (a
+    /// pool of spent frames); the warm-up before `range` is decoded in two
+    /// buffers of the decode's own, which take turns.
+    pub fn decode_range_in(
+        &self,
+        range: Range<u32>,
+        buffers: &mut dyn FnMut() -> Option<Frame>,
+    ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
+        self.check_range(&range)?;
+        if range.is_empty() {
+            return Ok((Vec::new(), DecodeStats::new()));
         }
+        let start = self.keyframe_before(range.start);
+        self.decode_span_in(start, range.start, range.end, None, buffers)
     }
 
-    fn decode_span_dct(
-        &self,
-        start: u32,
-        keep_from: u32,
-        end: u32,
-        reference: Option<&Frame>,
-    ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
-        let dec = TileDecoder::new(self.width, self.height, self.qp, self.deblock);
-        let blocks_per_frame = dec.blocks_per_frame();
-        let decode_one = |ef: &EncodedFrame, prev: Option<&Frame>, recycle: Option<Frame>| {
-            Ok(dec.decode_against(&ef.data, ef.is_key, ef.qp, prev, recycle)?)
-        };
-        self.decode_chained(
-            start,
-            keep_from,
-            end,
-            reference,
-            blocks_per_frame,
-            decode_one,
-        )
-    }
-
-    /// The lossless `Pred` path: identical GOP semantics (keyframes decode
-    /// standalone, P-frames against the previous reconstruction), so resume
-    /// from a cached prefix works exactly as with the DCT codec.
-    fn decode_span_pred(
-        &self,
-        start: u32,
-        keep_from: u32,
-        end: u32,
-        reference: Option<&Frame>,
-    ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
-        // Same block accounting as the DCT decoder, for a comparable cost
-        // model signal.
-        let blocks_per_frame = {
-            let blocks = (self.width as u64 / 8) * (self.height as u64 / 8);
-            blocks + blocks / 2
-        };
-        let decode_one = |ef: &EncodedFrame, prev: Option<&Frame>, _recycle: Option<Frame>| {
-            let prev = if ef.is_key { None } else { prev };
-            pred::decode_frame(&ef.data, self.width, self.height, prev).map_err(|e| match e {
-                pred::PredError::MissingReference => {
-                    ContainerError::Decode(DecodeError::MissingReference)
-                }
-                other => ContainerError::Decode(DecodeError::Lossless(other.to_string())),
-            })
-        };
-        self.decode_chained(
-            start,
-            keep_from,
-            end,
-            reference,
-            blocks_per_frame,
-            decode_one,
-        )
-    }
-
-    /// The GOP decode loop both codecs share: decodes frames `start..end`
-    /// in order, keeps `keep_from..end`, and accounts for every frame
-    /// decoded. `decode_one` gets the frame's chunk, the reconstruction of
-    /// the frame before it, and possibly a spent frame to recycle.
+    /// The GOP decode loop both codecs share, on one [`TileCursor`]: walks
+    /// `start..end` and keeps `keep_from..end` (`keep_from < end`).
     ///
-    /// No frame is copied to chain the references: the previous
-    /// reconstruction is borrowed from where it already lives — the output
-    /// vector, the caller's `reference`, or, while warm-up frames are being
-    /// decoded and discarded, one of two buffers that take turns.
-    fn decode_chained(
+    /// No frame is copied to chain the references: a kept frame is handed
+    /// out only once the frame after it has been decoded against it, and
+    /// warm-up frames are decoded in the cursor's two buffers.
+    fn decode_span_in(
         &self,
         start: u32,
         keep_from: u32,
         end: u32,
         reference: Option<&Frame>,
-        blocks_per_frame: u64,
-        decode_one: impl Fn(
-            &EncodedFrame,
-            Option<&Frame>,
-            Option<Frame>,
-        ) -> Result<Frame, ContainerError>,
+        buffers: &mut dyn FnMut() -> Option<Frame>,
     ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
-        let t0 = Instant::now();
-        let mut out: Vec<Frame> = Vec::with_capacity((end - keep_from) as usize);
-        // The latest discarded reconstruction, and the one before it.
-        let (mut warm, mut spare): (Option<Frame>, Option<Frame>) = (None, None);
-        let mut stats = DecodeStats::new();
-        let luma = self.width as u64 * self.height as u64;
-        let samples_per_frame = luma + luma / 2;
-        for i in start..end {
-            let ef = &self.frames[i as usize];
-            let prev = out.last().or(warm.as_ref()).or(reference);
-            let frame = decode_one(ef, prev, spare.take())?;
-            stats.frames_decoded += 1;
-            stats.samples_decoded += samples_per_frame;
-            stats.tile_chunks_decoded += 1;
-            stats.bytes_read += ef.data.len() as u64;
-            stats.blocks_decoded += blocks_per_frame;
-            if i >= keep_from {
-                out.push(frame);
-            } else {
-                spare = warm.replace(frame);
-            }
+        let mut cursor = TileCursor::resume(self, start, reference);
+        while cursor.position() < keep_from {
+            cursor.advance()?;
         }
-        stats.decode_time = t0.elapsed();
+        let mut out: Vec<Frame> = Vec::with_capacity((end - keep_from) as usize);
+        while cursor.position() < end {
+            // The frame a decode displaces is the one before it: kept,
+            // unless it was warm-up.
+            let displaced_is_kept = cursor.position() > keep_from;
+            let displaced = cursor.advance_keeping(buffers())?;
+            out.extend(displaced.filter(|_| displaced_is_kept));
+        }
+        let (last, stats) = cursor.finish();
+        out.extend(last);
         Ok((out, stats))
+    }
+
+    /// A cursor at the start of the stream (a keyframe), for decoding the
+    /// tile one frame at a time.
+    pub fn cursor(&self) -> TileCursor<'_> {
+        TileCursor::resume(self, 0, None)
     }
 
     /// Decodes the whole stream.
@@ -564,6 +509,7 @@ impl TileVideo {
 mod tests {
     use super::*;
     use crate::encoder::{EncoderConfig, TileEncoder};
+    use crate::pred;
     use tasm_video::{Plane, Rect};
 
     fn encode_test_video(n: u32, gop: u32) -> TileVideo {
@@ -704,6 +650,56 @@ mod tests {
         assert_eq!(stats.tile_chunks_decoded, 4);
         assert!(stats.samples_decoded > 0);
         assert!(stats.bytes_read > 0);
+    }
+
+    /// Every counter of a [`DecodeStats`], time left out.
+    fn counts(s: &DecodeStats) -> [u64; 5] {
+        [
+            s.frames_decoded,
+            s.samples_decoded,
+            s.tile_chunks_decoded,
+            s.bytes_read,
+            s.blocks_decoded,
+        ]
+    }
+
+    #[test]
+    fn a_cursor_walks_dct_and_pred_tiles_as_decode_all_does() {
+        for v in [encode_test_video(10, 4), encode_pred_video(10, 4)] {
+            let (all, all_stats) = v.decode_all().unwrap();
+            let mut cursor = v.cursor();
+            for (i, want) in all.iter().enumerate() {
+                assert_eq!(cursor.position(), i as u32);
+                assert_eq!(cursor.advance().unwrap(), want, "{:?} frame {i}", v.codec);
+                assert_eq!(cursor.current(), Some(want));
+            }
+            assert_eq!(counts(cursor.stats()), counts(&all_stats), "{:?}", v.codec);
+            assert!(matches!(
+                cursor.advance(),
+                Err(ContainerError::InvalidRequest(_))
+            ));
+            assert_eq!(
+                cursor.stats().frames_decoded,
+                10,
+                "a failed step is not charged"
+            );
+        }
+    }
+
+    #[test]
+    fn decode_range_in_takes_the_kept_frames_buffers_from_the_caller() {
+        for v in [encode_test_video(10, 4), encode_pred_video(10, 4)] {
+            let (want, want_stats) = v.decode_range(5..9).unwrap();
+            let mut handed = 0;
+            let mut buffers = || {
+                handed += 1;
+                Some(Frame::filled(32, 32, 7, 7, 7))
+            };
+            let (got, stats) = v.decode_range_in(5..9, &mut buffers).unwrap();
+            assert_eq!(got, want, "{:?}", v.codec);
+            assert_eq!(counts(&stats), counts(&want_stats));
+            assert_eq!(handed, 4, "one buffer per kept frame");
+        }
     }
 
     #[test]

@@ -6,18 +6,20 @@
 //! prototype encodes them sequentially; we optionally parallelize across
 //! tiles since the streams share nothing).
 //!
-//! Every tile is a DCT stream. The pass over the source is frame-major: a
-//! frame is fetched once and every tile's encoder is fed from that one
-//! borrowed frame, so a frame source that renders or copies on `frame(i)`
-//! is asked once per frame, not once per tile (on the parallel path: once
-//! per worker).
+//! Every tile is a DCT stream. The pass over the source is frame-major:
+//! each frame is lent once ([`FrameSource::lend`]) and every tile's encoder
+//! reads it from that one borrow, so a source that renders, copies or
+//! decodes a frame does so once per frame, not once per tile — on the
+//! parallel path too, where persistent tile workers share the lent frame in
+//! lockstep.
 
 use crate::container::{TileCodec, TileVideo};
 use crate::encoder::{EncodedFrame, EncoderConfig, TileEncoder};
 use crate::grid::{LayoutError, TileLayout};
 use crate::stats::EncodeStats;
-use std::time::Instant;
-use tasm_video::{FrameSource, Rect};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
+use tasm_video::{Frame, FrameSource, Rect};
 
 /// Encodes all frames of `src` under `layout`, returning one stream per tile
 /// (raster order) plus encode-work accounting.
@@ -43,22 +45,7 @@ pub fn encode_video(
     } else {
         1
     };
-    let tile_frames: Vec<Vec<EncodedFrame>> = if threads > 1 {
-        // Each worker owns a run of consecutive tiles and pulls frames from
-        // the (Sync) source independently.
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = rects
-                .chunks(rects.len().div_ceil(threads))
-                .map(|chunk| scope.spawn(move || encode_tiles(src, chunk, cfg)))
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("tile encode worker panicked"))
-                .collect()
-        })
-    } else {
-        encode_tiles(src, &rects, cfg)
-    };
+    let (tile_frames, producing) = encode_lockstep(src, &rects, cfg, threads);
 
     let videos: Vec<TileVideo> = rects
         .iter()
@@ -78,29 +65,129 @@ pub fn encode_video(
         frames_encoded: src.len() as u64 * videos.len() as u64,
         samples_encoded: src.len() as u64 * (src.width() as u64 * src.height() as u64 * 3 / 2),
         bytes_produced: videos.iter().map(|v| v.size_bytes()).sum(),
-        encode_time: t0.elapsed(),
+        encode_time: t0.elapsed().saturating_sub(producing),
     };
     Ok((videos, stats))
 }
 
-/// Encodes the tiles at `rects` in one frame-major pass: one
-/// `src.frame(i)` per frame, handed by reference to every tile's encoder.
-fn encode_tiles(
+/// The encoders of a run of consecutive tiles and what they produced.
+struct TileRun(Vec<(TileEncoder, Vec<EncodedFrame>)>);
+
+impl TileRun {
+    fn new(rects: &[Rect], cfg: &EncoderConfig) -> Self {
+        TileRun(
+            rects
+                .iter()
+                .map(|&r| (TileEncoder::new(*cfg, r), Vec::new()))
+                .collect(),
+        )
+    }
+
+    /// Codes every tile of `frame`: all the run reads of it.
+    fn code(&mut self, frame: &Frame) {
+        for (enc, out) in &mut self.0 {
+            out.push(enc.code_source(frame));
+        }
+    }
+
+    /// Finishes the coded frame's reconstructions, frame-free work.
+    fn settle(&mut self) {
+        for (enc, _) in &mut self.0 {
+            enc.settle();
+        }
+    }
+
+    fn finish(self) -> Vec<Vec<EncodedFrame>> {
+        self.0.into_iter().map(|(_, out)| out).collect()
+    }
+}
+
+/// A frame lent to a tile worker for one lockstep step.
+struct Lent(*const Frame);
+
+// SAFETY: `Frame` is `Sync`, and `encode_lockstep` ends every use of the
+// pointer before the borrow it was taken from ends.
+unsafe impl Send for Lent {}
+
+/// Encodes the tiles at `rects`, split into `threads` runs of consecutive
+/// tiles, in one frame-major pass: each frame is lent once and every run
+/// codes its tiles from that borrow. The first run is coded on the calling
+/// thread, the others on persistent scoped workers. A step ends when every
+/// run has coded the frame; the reconstructions' deblock, which reads no
+/// source frame, then overlaps the next frame's production. Returns each
+/// tile's frames and the time spent in `src` producing frames.
+fn encode_lockstep(
     src: &dyn FrameSource,
     rects: &[Rect],
     cfg: &EncoderConfig,
-) -> Vec<Vec<EncodedFrame>> {
-    let mut tiles: Vec<(TileEncoder, Vec<EncodedFrame>)> = rects
-        .iter()
-        .map(|&r| (TileEncoder::new(*cfg, r), Vec::new()))
-        .collect();
-    for i in 0..src.len() {
-        let frame = src.frame(i);
-        for (enc, out) in &mut tiles {
-            out.push(enc.encode_next(&frame));
+    threads: usize,
+) -> (Vec<Vec<EncodedFrame>>, Duration) {
+    let mut runs = rects.chunks(rects.len().div_ceil(threads.max(1)));
+    let mut own = TileRun::new(runs.next().expect("a layout has tiles"), cfg);
+    std::thread::scope(move |scope| {
+        let (mut lanes, mut workers) = (Vec::new(), Vec::new());
+        for run in runs {
+            let (frames_tx, frames_rx) = mpsc::channel::<Lent>();
+            let (done_tx, done_rx) = mpsc::channel::<()>();
+            workers.push(scope.spawn(move || {
+                let mut tiles = TileRun::new(run, cfg);
+                while let Ok(Lent(frame)) = frames_rx.recv() {
+                    // SAFETY: the lending thread waits in `Step::drop` for
+                    // this step's `done` (or for this thread's end, which
+                    // drops `done_tx`) before its borrow of the frame ends.
+                    tiles.code(unsafe { &*frame });
+                    if done_tx.send(()).is_err() {
+                        break;
+                    }
+                    tiles.settle();
+                }
+                tiles.finish()
+            }));
+            lanes.push((frames_tx, done_rx));
+        }
+        let mut producing = Duration::ZERO;
+        for i in 0..src.len() {
+            let mut since = Instant::now();
+            src.lend(i, &mut |frame| {
+                producing += since.elapsed();
+                // Waits for the workers when dropped, also while a panic in
+                // `own.code` unwinds.
+                let step = Step {
+                    waiting: lanes
+                        .iter()
+                        .filter(|(tx, _)| tx.send(Lent(frame)).is_ok())
+                        .map(|(_, done)| done)
+                        .collect(),
+                };
+                own.code(frame);
+                drop(step);
+                since = Instant::now();
+            });
+            producing += since.elapsed();
+            own.settle();
+        }
+        // Closing the lanes ends the workers' loops.
+        drop(lanes);
+        let mut out = own.finish();
+        for w in workers {
+            out.extend(w.join().expect("tile encode worker panicked"));
+        }
+        (out, producing)
+    })
+}
+
+/// One lockstep step: the workers a frame was lent to.
+struct Step<'a> {
+    waiting: Vec<&'a mpsc::Receiver<()>>,
+}
+
+impl Drop for Step<'_> {
+    fn drop(&mut self) {
+        for done in &self.waiting {
+            // An error means the worker is gone, and with it its borrow.
+            let _ = done.recv();
         }
     }
-    tiles.into_iter().map(|(_, out)| out).collect()
 }
 
 #[cfg(test)]
@@ -120,7 +207,7 @@ mod tests {
         VecFrameSource::new(frames)
     }
 
-    /// Counts `frame(i)` calls per frame index.
+    /// Counts `frame(i)` and `lend(i, ..)` calls per frame index.
     struct CountingSource {
         inner: VecFrameSource,
         fetches: Vec<AtomicU32>,
@@ -154,29 +241,36 @@ mod tests {
             self.fetches[idx as usize].fetch_add(1, Ordering::Relaxed);
             self.inner.frame(idx)
         }
+        fn lend(&self, idx: u32, f: &mut dyn FnMut(&Frame)) {
+            self.fetches[idx as usize].fetch_add(1, Ordering::Relaxed);
+            self.inner.lend(idx, f);
+        }
     }
 
     #[test]
     fn each_frame_is_fetched_once_per_pass_not_once_per_tile() {
         let layout = TileLayout::uniform(96, 64, 3, 4).unwrap();
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get() as u32)
-            .unwrap_or(4);
         let cfg = EncoderConfig::default();
         let clip = moving_source(5, 96, 64);
+        let mut outputs = Vec::new();
+        for parallel in [false, true] {
+            let src = CountingSource::new(clip.clone());
+            outputs.push(encode_video(&src, &layout, &cfg, parallel).unwrap().0);
+            assert_eq!(src.fetches(), [1; 5], "parallel: {parallel}");
+        }
+        assert_eq!(outputs[0], outputs[1]);
+    }
 
-        let src = CountingSource::new(clip.clone());
-        let (serial, _) = encode_video(&src, &layout, &cfg, false).unwrap();
-        assert_eq!(src.fetches(), [1; 5], "serial");
-
-        let src = CountingSource::new(clip);
-        let (parallel, _) = encode_video(&src, &layout, &cfg, true).unwrap();
-        let fetches = src.fetches();
-        assert!(
-            fetches.iter().all(|&n| (1..=workers).contains(&n)),
-            "parallel on {workers} workers: {fetches:?}"
-        );
-        assert_eq!(serial, parallel);
+    #[test]
+    fn lockstep_on_more_runs_than_cores_is_bit_identical() {
+        let layout = TileLayout::uniform(96, 64, 2, 3).unwrap();
+        let cfg = EncoderConfig::default();
+        let src = moving_source(7, 96, 64);
+        let rects: Vec<_> = layout.tiles().map(|(_, r)| r).collect();
+        let serial = encode_lockstep(&src, &rects, &cfg, 1);
+        for threads in [2, 4, 6] {
+            assert_eq!(encode_lockstep(&src, &rects, &cfg, threads).0, serial.0);
+        }
     }
 
     #[test]

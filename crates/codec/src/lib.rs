@@ -24,6 +24,7 @@
 pub mod bitstream;
 pub mod blockops;
 pub mod container;
+pub mod cursor;
 pub mod dct;
 pub mod deblock;
 pub mod decoder;
@@ -39,6 +40,7 @@ pub mod stats;
 pub mod stitch;
 
 pub use container::{ContainerError, ContainerHeader, TileCodec, TileVideo};
+pub use cursor::TileCursor;
 pub use decoder::{DecodeError, TileDecoder};
 pub use encode::encode_video;
 pub use encoder::{EncodedFrame, EncoderConfig, RateControl, TileEncoder};

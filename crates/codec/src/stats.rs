@@ -74,7 +74,9 @@ pub struct EncodeStats {
     pub samples_encoded: u64,
     /// Compressed bytes produced, container headers included.
     pub bytes_produced: u64,
-    /// Wall-clock encode time.
+    /// Wall-clock encode time, less the time the source spent producing
+    /// frames (rendering, or a re-tile's decode, which its
+    /// [`DecodeStats`] already counts).
     #[serde(with = "duration_micros")]
     pub encode_time: Duration,
 }

@@ -684,9 +684,14 @@ fn run_request(
                 // No cache to publish to: the frames before the span are
                 // warm-up only — decoded and charged as ever (`decode_range`
                 // starts at the GOP's keyframe), but never materialised.
+                // The frames kept are decoded into spares of an earlier
+                // answer, which `recycle_frames` gave back.
                 None => {
                     prefix_start = keep_from;
-                    tv.decode_range(gop_start + keep_from..needed_end)?
+                    let pool = store.frame_pool();
+                    tv.decode_range_in(gop_start + keep_from..needed_end, &mut || {
+                        pool.take_sized(tv.width, tv.height)
+                    })?
                 }
             };
             stats += s;
@@ -715,6 +720,23 @@ fn run_request(
         cache: cache_stats,
         shared,
     })
+}
+
+/// Gives an answer's decoded frames back to the store's frame pool once
+/// reassembly is done with them, for the next uncached decode to decode
+/// into ([`VideoStore::frame_pool`]). A store with a cache keeps none: its
+/// frames are the cache's to share, and no decode of it takes from the
+/// pool.
+pub(crate) fn recycle_frames(store: &VideoStore, decoded: Vec<DecodedTile>) {
+    if store.decoded_cache().is_some() {
+        return;
+    }
+    let pool = store.frame_pool();
+    for frame in decoded.into_iter().flat_map(|d| d.frames) {
+        if let Ok(frame) = Arc::try_unwrap(frame) {
+            pool.give(frame);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -5,15 +5,17 @@
 //! side — and handing a few hundred KB back to the allocator after every
 //! answer makes it trim the heap and fault the pages back in for the next.
 //! The owner of each buffer kind keeps them here instead: the store that
-//! composes canvases ([`crate::VideoStore::canvases`]) and the queue that
-//! writes frames. What is kept is bounded by a constant, in bytes of
-//! capacity, and reported on a gauge.
+//! composes canvases ([`crate::VideoStore::canvases`]) and decodes tiles
+//! without a cache, and the queue that writes frames. What is kept is
+//! bounded by a constant, in bytes of capacity, and reported on a gauge.
 
 use std::sync::{Arc, Mutex};
 use tasm_obs::sync;
+use tasm_video::{Frame, Plane};
 
-/// What a pool keeps: a byte buffer, or the three planes of a canvas.
-pub trait Spare: Default {
+/// What a pool keeps: a byte buffer, the three planes of a canvas, or a
+/// decoded frame.
+pub trait Spare {
     /// Bytes allocated, whatever the length.
     fn capacity(&self) -> usize;
 }
@@ -30,9 +32,19 @@ impl Spare for [Vec<u8>; 3] {
     }
 }
 
+impl Spare for Frame {
+    fn capacity(&self) -> usize {
+        Plane::ALL.iter().map(|&p| self.plane(p).len()).sum()
+    }
+}
+
 /// The spare region canvases of a store, each the Y, U and V planes of a
 /// finished region.
 pub type CanvasPool = BufferPool<[Vec<u8>; 3]>;
+
+/// The spare decoded frames of a store, taken by size
+/// ([`BufferPool::take_sized`]).
+pub type FramePool = BufferPool<Frame>;
 
 /// Smallest buffer a pool keeps.
 const MIN_POOLED: usize = 1024;
@@ -62,7 +74,10 @@ impl<B: Spare> BufferPool<B> {
     /// (callers overwrite or clear it), if it holds that many; otherwise
     /// that one is freed and an empty one returned, which the caller's
     /// first write sizes exactly.
-    pub fn take(&self, len: usize) -> B {
+    pub fn take(&self, len: usize) -> B
+    where
+        B: Default,
+    {
         let latest = {
             let mut free = sync::lock(&self.free);
             let latest = free.0.pop();
@@ -97,6 +112,20 @@ impl<B: Spare> BufferPool<B> {
     /// Bytes of capacity held right now; never more than the limit.
     pub fn retained_bytes(&self) -> usize {
         sync::lock(&self.free).1
+    }
+}
+
+impl FramePool {
+    /// The latest spare frame of exactly `width`×`height`, samples stale
+    /// (a decode overwrites every one), or `None` when the pool holds no
+    /// such frame. Spares of other sizes stay for decodes of their size.
+    pub fn take_sized(&self, width: u32, height: u32) -> Option<Frame> {
+        let mut free = sync::lock(&self.free);
+        let at = (free.0.iter()).rposition(|f| (f.width(), f.height()) == (width, height))?;
+        let frame = free.0.remove(at);
+        free.1 -= frame.capacity();
+        self.gauge.add(-(frame.capacity() as i64));
+        Some(frame)
     }
 }
 
@@ -144,6 +173,22 @@ mod tests {
         used.extend_from_slice(b"stale");
         pool.give(used);
         assert_eq!(pool.take(8), b"stale", "contents are the caller's to clear");
+    }
+
+    #[test]
+    fn frames_are_taken_by_size_and_the_others_stay() {
+        let pool = FramePool::new(1 << 20, "tasm_test_pool_bytes", "test");
+        pool.give(Frame::filled(64, 32, 1, 0, 0));
+        pool.give(Frame::filled(32, 32, 2, 0, 0));
+        pool.give(Frame::filled(64, 32, 3, 0, 0));
+        assert_eq!(pool.retained_bytes(), 3072 * 2 + 1536);
+        let take = |w, h| pool.take_sized(w, h).map(|f| f.sample(Plane::Y, 0, 0));
+        assert_eq!(take(64, 32), Some(3), "the latest of that size");
+        assert_eq!(take(16, 16), None, "none of that size, and none freed");
+        assert_eq!(take(64, 32), Some(1));
+        assert_eq!(take(64, 32), None);
+        assert_eq!(pool.retained_bytes(), 1536);
+        assert_eq!(take(32, 32), Some(2));
     }
 
     #[test]

@@ -368,6 +368,7 @@ pub(crate) fn query_prepared(
     // --- Execute: same fan-out pipeline as scan --------------------------
     let decoded = result.execute(store, manifest, &requests)?;
     result.regions = reassemble(store.canvases(), manifest, &regions, sot_order, &decoded);
+    crate::exec::recycle_frames(store, decoded);
     Ok(result)
 }
 

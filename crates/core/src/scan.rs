@@ -253,6 +253,7 @@ pub fn scan_prepared(
     // --- Execution: fan the requests out across the store's workers ---
     let decoded = result.execute(store, manifest, &requests)?;
     result.regions = reassemble(store.canvases(), manifest, &regions, sot_plans, &decoded);
+    exec::recycle_frames(store, decoded);
     result.matched = result.regions.len() as u64;
     Ok(result)
 }

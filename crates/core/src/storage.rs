@@ -55,18 +55,19 @@ use crate::durable::{
 };
 use crate::exec::DecodedTileCache;
 use crate::pack::{self, TileRanges};
-use crate::pool::CanvasPool;
+use crate::pool::{CanvasPool, FramePool};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use tasm_codec::{
     encode_video, ContainerError, ContainerHeader, DecodeStats, EncodeStats, EncoderConfig,
-    LayoutError, TileLayout, TileVideo,
+    LayoutError, TileCursor, TileLayout, TileVideo,
 };
-use tasm_video::{Frame, FrameSource, SliceSource, VecFrameSource};
+use tasm_obs::sync;
+use tasm_video::{Frame, FrameSource, Rect, SliceSource};
 
 /// Errors from the storage layer.
 #[derive(Debug)]
@@ -293,6 +294,124 @@ impl RetileStats {
     }
 }
 
+/// The frames of one SOT, decoded from its current tiles a frame at a time
+/// and lent to the re-tile's encoder: one [`TileCursor`] per old tile, and
+/// one canvas the tiles are blitted into — or, where a single tile covers
+/// the frame, that tile's own reconstruction. Memory is O(frame) however
+/// long the SOT.
+///
+/// The cursors only go forward: the encoder asks for each frame once, in
+/// order, and asking for an earlier frame than the last is a bug. A decode
+/// error ends the walk: later lends hand out nothing (`frame` a black
+/// frame), and [`SotFrames::finish`] returns the error.
+struct SotFrames<'a> {
+    width: u32,
+    height: u32,
+    len: u32,
+    rects: Vec<Rect>,
+    /// Taken as is on poison: a panic under it ends the re-tile, and the
+    /// state is dropped with the source.
+    walk: Mutex<SotWalk<'a>>,
+}
+
+struct SotWalk<'a> {
+    cursors: Vec<TileCursor<'a>>,
+    /// The composed frame; `None` when one tile is the whole frame.
+    canvas: Option<Frame>,
+    /// The frame the cursors (and the canvas) show, once there is one.
+    shown: Option<u32>,
+    /// The first decode error; every lend after it is a no-op.
+    error: Option<ContainerError>,
+}
+
+impl<'a> SotFrames<'a> {
+    fn new(width: u32, height: u32, len: u32, layout: &TileLayout, tiles: &'a [TileVideo]) -> Self {
+        let whole = matches!(tiles, [t] if (t.width, t.height) == (width, height));
+        SotFrames {
+            width,
+            height,
+            len,
+            rects: layout.tiles().map(|(_, r)| r).collect(),
+            walk: Mutex::new(SotWalk {
+                cursors: tiles.iter().map(TileVideo::cursor).collect(),
+                canvas: (!whole).then(|| Frame::black(width, height)),
+                shown: None,
+                error: None,
+            }),
+        }
+    }
+
+    /// Moves every cursor to frame `idx` and composes it; the frame to lend.
+    fn show<'w>(&self, walk: &'w mut SotWalk<'a>, idx: u32) -> Result<&'w Frame, ContainerError> {
+        if walk.shown != Some(idx) {
+            assert!(
+                walk.shown.is_none_or(|shown| shown < idx),
+                "re-tile frames are lent in order: {idx} after {:?}",
+                walk.shown
+            );
+            for cursor in &mut walk.cursors {
+                while cursor.position() <= idx {
+                    cursor.advance()?;
+                }
+            }
+            if let Some(canvas) = &mut walk.canvas {
+                for (cursor, rect) in walk.cursors.iter().zip(&self.rects) {
+                    let tile = cursor.current().expect("the cursor just decoded");
+                    canvas.blit(tile, tile.rect(), rect.x, rect.y);
+                }
+            }
+            walk.shown = Some(idx);
+        }
+        Ok(match &walk.canvas {
+            Some(canvas) => canvas,
+            None => walk.cursors[0].current().expect("the cursor just decoded"),
+        })
+    }
+
+    /// The decode work of the whole walk, or its first error.
+    fn finish(&self) -> Result<DecodeStats, ContainerError> {
+        let mut walk = sync::lock(&self.walk);
+        match walk.error.take() {
+            Some(e) => Err(e),
+            None => Ok(walk
+                .cursors
+                .iter()
+                .fold(DecodeStats::new(), |total, c| total + *c.stats())),
+        }
+    }
+}
+
+impl FrameSource for SotFrames<'_> {
+    fn width(&self) -> u32 {
+        self.width
+    }
+
+    fn height(&self) -> u32 {
+        self.height
+    }
+
+    fn len(&self) -> u32 {
+        self.len
+    }
+
+    fn frame(&self, idx: u32) -> Frame {
+        let mut frame = None;
+        self.lend(idx, &mut |f| frame = Some(f.clone()));
+        frame.unwrap_or_else(|| Frame::black(self.width, self.height))
+    }
+
+    fn lend(&self, idx: u32, f: &mut dyn FnMut(&Frame)) {
+        let mut walk = sync::lock(&self.walk);
+        if walk.error.is_some() {
+            return;
+        }
+        match self.show(&mut walk, idx) {
+            Ok(frame) => f(frame),
+            Err(e) => walk.error = Some(e),
+        }
+    }
+}
+
 /// A superseded SOT layout epoch left on disk by
 /// [`VideoStore::retile_deferred`]: the pack
 /// `sot_<start>_<end>[_r<retile_count>].tiles` still holds the pre-retile
@@ -314,6 +433,12 @@ pub struct RetiredEpoch {
 /// few MB), so a store idles at most this far above what it needs.
 pub const CANVAS_POOL_BYTES: usize = 2 << 20;
 
+/// Most decoded-frame bytes one store keeps between uncached decodes: the
+/// frames a `cold_select` answer keeps (a few tiles of up to a GOP each).
+/// Frames are matched by size, so a spare of another tile's size waits for
+/// a decode of that size instead of being freed and allocated again.
+pub const FRAME_POOL_BYTES: usize = 8 << 20;
+
 /// The on-disk tile store, with its attached decode-execution settings:
 /// worker count for the parallel tile-decode pipeline and an optional
 /// decoded-GOP cache, which belongs to this store alone.
@@ -323,6 +448,9 @@ pub struct VideoStore {
     cache: Option<DecodedTileCache>,
     /// Region canvases of finished answers, kept for the next reassembly.
     canvases: Arc<CanvasPool>,
+    /// Decoded tile frames of finished uncached answers, kept for the next
+    /// uncached decode.
+    frames: FramePool,
     io: Arc<dyn StorageIo>,
     recovery: RecoveryReport,
     /// Exclusive advisory lock on `<root>/.tasm.lock`, held for this
@@ -385,6 +513,11 @@ impl VideoStore {
                 "tasm_response_canvas_bytes_retained",
                 "Region canvas bytes kept by stores for the next answer.",
             )),
+            frames: FramePool::new(
+                FRAME_POOL_BYTES,
+                "tasm_decode_frame_bytes_retained",
+                "Decoded tile frame bytes kept by uncached stores for the next decode.",
+            ),
             io,
             recovery: RecoveryReport::default(),
             _lock: lock,
@@ -428,6 +561,14 @@ impl VideoStore {
     /// [`CANVAS_POOL_BYTES`].
     pub fn canvases(&self) -> &Arc<CanvasPool> {
         &self.canvases
+    }
+
+    /// Spare decoded frames: an uncached decode keeps its frames in buffers
+    /// taken from here, and reassembly gives them back
+    /// ([`crate::exec::recycle_frames`]). Holds at most
+    /// [`FRAME_POOL_BYTES`].
+    pub(crate) fn frame_pool(&self) -> &FramePool {
+        &self.frames
     }
 
     /// The store's root directory.
@@ -650,46 +791,27 @@ impl VideoStore {
             return Ok((RetileStats::default(), None));
         }
 
-        // Decode the SOT in full from its current tiles. (Homomorphic
-        // stitching only splices DCT streams; decode-and-blit handles
-        // mixed-codec layouts too.) A lone tile that is the whole SOT
-        // decodes to the encoder's source frames as they are; anything
-        // else is composited into place, tile by tile.
-        let old_tile_count = sot.layout.tile_count();
-        let tiles: Vec<TileVideo> = (0..old_tile_count)
+        // Stream the SOT from its current tiles into the new layout's
+        // encoders, one frame at a time. (Homomorphic stitching only
+        // splices DCT streams; decode-and-blit handles mixed-codec layouts
+        // too.)
+        let tiles: Vec<TileVideo> = (0..sot.layout.tile_count())
             .map(|t| self.read_tile(manifest, sot_idx, t))
             .collect::<Result<_, _>>()?;
-        let mut decode = DecodeStats::new();
-        let whole_sot = (manifest.width, manifest.height, sot.len());
-        let frames = match tiles.as_slice() {
-            [tile] if (tile.width, tile.height, tile.frame_count()) == whole_sot => {
-                let (frames, s) = tile.decode_all()?;
-                decode += s;
-                frames
-            }
-            _ => {
-                let mut frames: Vec<Frame> = (0..sot.len())
-                    .map(|_| Frame::black(manifest.width, manifest.height))
-                    .collect();
-                for ((_, rect), tile) in sot.layout.tiles().zip(&tiles) {
-                    let (tile_frames, s) = tile.decode_all()?;
-                    decode += s;
-                    for (dst, src) in frames.iter_mut().zip(&tile_frames) {
-                        dst.blit(src, src.rect(), rect.x, rect.y);
-                    }
-                }
-                frames
-            }
-        };
-
-        // Re-encode under the new layout.
-        let src = VecFrameSource::new(frames);
+        let src = SotFrames::new(
+            manifest.width,
+            manifest.height,
+            sot.len(),
+            &sot.layout,
+            &tiles,
+        );
         let (new_tiles, encode) = encode_video(
             &src,
             &new_layout,
             &manifest.config.encoder(),
             manifest.config.parallel_encode,
         )?;
+        let decode = src.finish()?;
 
         // Write the next epoch's pack beside (never over) the live one,
         // then commit by replacing the manifest. Cached GOPs of the old
@@ -1438,7 +1560,7 @@ mod tests {
     use super::*;
     use crate::exec::{self, TileDecodeRequest};
     use crate::scratch::Scratch;
-    use tasm_video::{Plane, Rect};
+    use tasm_video::{Plane, Rect, VecFrameSource};
 
     fn test_source(frames: u32) -> VecFrameSource {
         VecFrameSource::new(
@@ -1475,6 +1597,36 @@ mod tests {
             parallel_encode: false,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn uncached_scans_decode_into_the_frames_the_last_one_gave_back() {
+        let store = temp_store("frame-pool");
+        let (m, _) = store
+            .ingest("v", &test_source(10), 30, small_cfg(), |_, _| {
+                TileLayout::uniform(64, 64, 2, 2).unwrap()
+            })
+            .unwrap();
+        let regions = std::collections::BTreeMap::from([(7, vec![Rect::new(0, 0, 40, 40)])]);
+        let scan = || {
+            let r = crate::scan_prepared(&store, &m, regions.clone(), 0..10, Default::default());
+            r.unwrap()
+                .regions
+                .into_iter()
+                .map(|r| r.pixels)
+                .collect::<Vec<_>>()
+        };
+        let first = scan();
+        let kept = store.frame_pool().retained_bytes();
+        // Frame 7 of the four 32×32 tiles the box touches (5 and 6 are
+        // warm-up, decoded and not kept).
+        assert_eq!(kept, 4 * 1536, "every frame the scan kept came back");
+        assert_eq!(scan(), first, "decoded over stale frames, bit-exact");
+        assert_eq!(
+            store.frame_pool().retained_bytes(),
+            kept,
+            "taken and given back"
+        );
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //! forward or back, and shutdown ([`crate::Shutdown::Drain`]) completes the
 //! backlog before the daemon exits. A re-tile that fails (e.g. the disk
 //! died mid-commit) is counted in `ServiceStats::retile_errors` and does
-//! not take the daemon down.
+//! not take the daemon down; nor does one that panics, which is counted
+//! the same way and logged as `retile.panicked`.
 
 use crate::service::{RetilePolicy, Shared};
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use tasm_obs::sync;
 
@@ -52,19 +54,44 @@ pub(crate) fn daemon_loop(shared: &Shared) {
 /// Feeds a batch of observations to the configured policy, accounting
 /// re-tiles and errors. Shared by the daemon thread and
 /// `QueryService::drain_retile_backlog`.
+///
+/// A panic inside the policy costs its observation only: the facade's
+/// locks recover from it (the policy's is reset, the commit lock is taken
+/// as is), so the daemon goes on with the next observation.
 pub(crate) fn process_observations(shared: &Shared, batch: Vec<Observation>) {
     for obs in batch {
-        let outcome = match shared.cfg.retile {
-            RetilePolicy::Off => continue,
-            RetilePolicy::Regret => {
-                shared
-                    .tasm
-                    .observe_regret(&obs.video, &obs.label, obs.frames.clone())
-            }
-            RetilePolicy::More => {
-                shared
-                    .tasm
-                    .observe_more(&obs.video, &obs.label, obs.frames.clone())
+        let observe = || match shared.cfg.retile {
+            RetilePolicy::Off => None,
+            RetilePolicy::Regret => Some(shared.tasm.observe_regret(
+                &obs.video,
+                &obs.label,
+                obs.frames.clone(),
+            )),
+            RetilePolicy::More => Some(shared.tasm.observe_more(
+                &obs.video,
+                &obs.label,
+                obs.frames.clone(),
+            )),
+        };
+        let outcome = match catch_unwind(AssertUnwindSafe(observe)) {
+            Ok(Some(outcome)) => outcome,
+            Ok(None) => continue,
+            Err(panic) => {
+                shared.stats.retile_errors.fetch_add(1, Ordering::Relaxed);
+                let what = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                tasm_obs::log::error(
+                    "retile.panicked",
+                    &[
+                        ("video", obs.video.clone()),
+                        ("label", obs.label.clone()),
+                        ("error", what),
+                    ],
+                );
+                continue;
             }
         };
         match outcome {

@@ -3,7 +3,8 @@
 //! Encoding a long video must not require holding every raw frame in memory,
 //! so the codec pulls frames through [`FrameSource`]. Procedural generators
 //! (the synthetic corpus in `tasm-data`) implement it by rendering on demand;
-//! decoded segments implement it via [`VecFrameSource`].
+//! in-memory clips via [`VecFrameSource`]; a re-tile by decoding the old
+//! tiles one frame at a time and lending each composed frame.
 
 use crate::frame::Frame;
 
@@ -11,7 +12,8 @@ use crate::frame::Frame;
 ///
 /// Implementations must be deterministic: calling `frame(i)` twice returns
 /// identical pixels. This is what lets the storage manager re-tile a section
-/// of video without buffering the whole sequence.
+/// of video without buffering the whole sequence: the encoder asks for each
+/// frame once, in order, through [`FrameSource::lend`].
 pub trait FrameSource: Sync {
     /// Frame width in luma pixels (constant across the video).
     fn width(&self) -> u32;
@@ -25,9 +27,21 @@ pub trait FrameSource: Sync {
     }
     /// Renders or fetches frame `idx` (must be `< len()`).
     fn frame(&self, idx: u32) -> Frame;
+    /// Hands frame `idx` (must be `< len()`) to `f` by reference, for the
+    /// duration of the call. By default that is an owned
+    /// [`FrameSource::frame`]; a source that keeps the frame itself (a
+    /// decoder's reconstruction, a composed canvas) lends it instead, and
+    /// saves the copy.
+    fn lend(&self, idx: u32, f: &mut dyn FnMut(&Frame)) {
+        f(&self.frame(idx));
+    }
 }
 
 /// An in-memory frame source backed by a `Vec<Frame>`.
+///
+/// It lends through the default [`FrameSource::lend`], a clone per frame:
+/// lending its frames in place measured slower on ingest in the perf
+/// ledger, so it keeps the copy.
 #[derive(Debug, Clone)]
 pub struct VecFrameSource {
     frames: Vec<Frame>,
@@ -119,6 +133,15 @@ impl<S: FrameSource + ?Sized> FrameSource for SliceSource<'_, S> {
         );
         self.inner.frame(self.start + idx)
     }
+
+    fn lend(&self, idx: u32, f: &mut dyn FnMut(&Frame)) {
+        assert!(
+            idx < self.len,
+            "frame {idx} out of range for slice of {}",
+            self.len
+        );
+        self.inner.lend(self.start + idx, f);
+    }
 }
 
 #[cfg(test)]
@@ -139,6 +162,9 @@ mod tests {
         assert!(!s.is_empty());
         assert_eq!(s.width(), 16);
         assert_eq!(s.frame(2).sample(Plane::Y, 0, 0), 2);
+        let mut lent = Vec::new();
+        s.lend(3, &mut |f| lent.push(f.sample(Plane::Y, 0, 0)));
+        assert_eq!(lent, [3], "the default lend hands out frame(idx) once");
     }
 
     #[test]

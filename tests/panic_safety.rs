@@ -26,12 +26,12 @@ use std::sync::{Arc, Mutex};
 use tasm_client::{ClientError, Connection};
 use tasm_codec::TileLayout;
 use tasm_core::durable::{RealIo, StorageIo};
-use tasm_core::{LabelPredicate, Query, Tasm, TasmError};
+use tasm_core::{LabelPredicate, Query, Tasm, TasmConfig, TasmError};
 use tasm_index::{Detection, IndexResult, LabeledDetection, MemoryIndex, SemanticIndex};
 use tasm_obs::sync;
 use tasm_proto::ErrorCode;
 use tasm_server::{ServerConfig, TasmServer};
-use tasm_service::ServiceConfig;
+use tasm_service::{QueryRequest, QueryService, RetilePolicy, ServiceConfig, Shutdown};
 use tasm_suite::{assert_regions_identical, config, ingest, scene, TempDir, TestStore};
 use tasm_video::Rect;
 
@@ -498,6 +498,58 @@ fn a_retile_that_panics_at_any_io_step_leaves_what_an_io_error_leaves() {
         assert_eq!(got.is_ok(), want.is_ok(), "{what}: the next re-tile");
         assert_same(&tasm, &twin, &format!("{what}, then re-tiled"));
     }
+}
+
+/// A panic inside `observe_regret` on the re-tile daemon's thread — the
+/// re-tile's first write panics, under the policy and commit locks — costs
+/// that observation only: it is counted as a re-tile error, the daemon
+/// lives on, and the next observation commits a re-tile. (The index
+/// double cannot fire there from the daemon: a query for its label panics
+/// before it is observed.)
+#[test]
+fn a_panic_inside_observe_regret_leaves_the_retile_daemon_running() {
+    let io = StopIo::new(Stop::Panic);
+    let dir = TempDir::new("panic-daemon");
+    let index = Box::new(PanickingIndex(MemoryIndex::in_memory()));
+    // One observation is regret enough to re-tile.
+    let cfg = TasmConfig {
+        eta: 0.01,
+        ..config()
+    };
+    let tasm = Arc::new(Tasm::open_with_io(dir.path(), index, cfg, io.clone()).expect("open"));
+    ingest(&tasm, "v", &scene(256, 160, FRAMES, 47));
+    let service = QueryService::start(
+        Arc::clone(&tasm),
+        ServiceConfig {
+            workers: 1,
+            queue_depth: 4,
+            retile: RetilePolicy::Regret,
+            ..Default::default()
+        },
+    );
+    let car = || {
+        let handle = service.submit(QueryRequest::new("v", cars(0..10)));
+        handle.expect("submit").wait().expect("the query answers");
+    };
+    io.arm(1);
+    car();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while service.stats().retile_errors == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the daemon never reported the panicked re-tile"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(tasm.current_epoch("v").unwrap(), 0, "nothing committed");
+    car();
+    let stats = service.shutdown(Shutdown::Drain).stats;
+    assert_eq!(stats.retile_errors, 1, "only the injected panic failed");
+    assert!(
+        stats.retile_ops >= 1,
+        "the next observation re-tiled: {stats:?}"
+    );
+    assert!(tasm.current_epoch("v").unwrap() > 0);
 }
 
 /// The reset form runs its reset once, on the first lock after the panic,
