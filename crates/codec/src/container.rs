@@ -374,12 +374,7 @@ impl TileVideo {
         &self,
         range: Range<u32>,
     ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
-        self.check_range(&range)?;
-        if range.is_empty() {
-            return Ok((Vec::new(), DecodeStats::new()));
-        }
-        let start = self.keyframe_before(range.start);
-        self.decode_span(start, range.start, range.end, None)
+        self.decode_range_in(range, &mut || None)
     }
 
     /// The range checks of [`TileVideo::decode_range`], made before any
@@ -430,19 +425,7 @@ impl TileVideo {
                 "resume point is not a keyframe and no reference was supplied",
             ));
         }
-        self.decode_span(from, from, end, reference)
-    }
-
-    /// Shared decode loop: decodes `start..end`, returning frames
-    /// `keep_from..end` and accounting for every frame decoded.
-    fn decode_span(
-        &self,
-        start: u32,
-        keep_from: u32,
-        end: u32,
-        reference: Option<&Frame>,
-    ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
-        self.decode_span_in(start, keep_from, end, reference, &mut || None)
+        self.decode_span(from, from, end, reference, &mut || None)
     }
 
     /// [`TileVideo::decode_range`], with each frame it returns decoded into
@@ -459,16 +442,17 @@ impl TileVideo {
             return Ok((Vec::new(), DecodeStats::new()));
         }
         let start = self.keyframe_before(range.start);
-        self.decode_span_in(start, range.start, range.end, None, buffers)
+        self.decode_span(start, range.start, range.end, None, buffers)
     }
 
     /// The GOP decode loop both codecs share, on one [`TileCursor`]: walks
-    /// `start..end` and keeps `keep_from..end` (`keep_from < end`).
+    /// `start..end`, keeps `keep_from..end` (`keep_from < end`) and
+    /// accounts for every frame decoded.
     ///
     /// No frame is copied to chain the references: a kept frame is handed
     /// out only once the frame after it has been decoded against it, and
     /// warm-up frames are decoded in the cursor's two buffers.
-    fn decode_span_in(
+    fn decode_span(
         &self,
         start: u32,
         keep_from: u32,
