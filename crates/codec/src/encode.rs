@@ -83,17 +83,10 @@ impl TileRun {
         )
     }
 
-    /// Codes every tile of `frame`: all the run reads of it.
-    fn code(&mut self, frame: &Frame) {
+    /// Encodes every tile of `frame`.
+    fn encode(&mut self, frame: &Frame) {
         for (enc, out) in &mut self.0 {
-            out.push(enc.code_source(frame));
-        }
-    }
-
-    /// Finishes the coded frame's reconstructions, frame-free work.
-    fn settle(&mut self) {
-        for (enc, _) in &mut self.0 {
-            enc.settle();
+            out.push(enc.encode_next(frame));
         }
     }
 
@@ -111,11 +104,11 @@ unsafe impl Send for Lent {}
 
 /// Encodes the tiles at `rects`, split into `threads` runs of consecutive
 /// tiles, in one frame-major pass: each frame is lent once and every run
-/// codes its tiles from that borrow. The first run is coded on the calling
-/// thread, the others on persistent scoped workers. A step ends when every
-/// run has coded the frame; the reconstructions' deblock, which reads no
-/// source frame, then overlaps the next frame's production. Returns each
-/// tile's frames and the time spent in `src` producing frames.
+/// encodes its tiles from that borrow. The first run is encoded on the
+/// calling thread, the others on persistent scoped workers. A step ends
+/// when every run has encoded the frame, and only then is the next frame
+/// produced. Returns each tile's frames and the time spent in `src`
+/// producing frames.
 fn encode_lockstep(
     src: &dyn FrameSource,
     rects: &[Rect],
@@ -135,11 +128,10 @@ fn encode_lockstep(
                     // SAFETY: the lending thread waits in `Step::drop` for
                     // this step's `done` (or for this thread's end, which
                     // drops `done_tx`) before its borrow of the frame ends.
-                    tiles.code(unsafe { &*frame });
+                    tiles.encode(unsafe { &*frame });
                     if done_tx.send(()).is_err() {
                         break;
                     }
-                    tiles.settle();
                 }
                 tiles.finish()
             }));
@@ -151,7 +143,7 @@ fn encode_lockstep(
             src.lend(i, &mut |frame| {
                 producing += since.elapsed();
                 // Waits for the workers when dropped, also while a panic in
-                // `own.code` unwinds.
+                // `own.encode` unwinds.
                 let step = Step {
                     waiting: lanes
                         .iter()
@@ -159,12 +151,11 @@ fn encode_lockstep(
                         .map(|(_, done)| done)
                         .collect(),
                 };
-                own.code(frame);
+                own.encode(frame);
                 drop(step);
                 since = Instant::now();
             });
             producing += since.elapsed();
-            own.settle();
         }
         // Closing the lanes ends the workers' loops.
         drop(lanes);

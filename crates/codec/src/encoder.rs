@@ -124,9 +124,6 @@ pub struct TileEncoder {
     recon_prev: Option<Frame>,
     /// The reconstruction before that one: the next frame is built in it.
     recon_spare: Option<Frame>,
-    /// The last frame's reconstruction before its deblock, and the
-    /// quantizer step it was coded at (see [`TileEncoder::settle`]).
-    unsettled: Option<(Frame, i32)>,
     frame_idx: u32,
 }
 
@@ -155,7 +152,6 @@ impl TileEncoder {
             rect,
             recon_prev: None,
             recon_spare: None,
-            unsettled: None,
             frame_idx: 0,
         }
     }
@@ -182,20 +178,6 @@ impl TileEncoder {
     /// # Panics
     /// Panics if the frame does not contain the tile rectangle.
     pub fn encode_next(&mut self, src: &Frame) -> EncodedFrame {
-        let frame = self.code_source(src);
-        self.settle();
-        frame
-    }
-
-    /// The part of [`TileEncoder::encode_next`] that reads `src`: codes the
-    /// frame and leaves its reconstruction's deblock to
-    /// [`TileEncoder::settle`], which the next call runs first if the
-    /// caller did not. An encoder that shares one lent source frame with
-    /// others releases the frame before it settles.
-    ///
-    /// # Panics
-    /// Panics if the frame does not contain the tile rectangle.
-    pub(crate) fn code_source(&mut self, src: &Frame) -> EncodedFrame {
         assert!(
             src.rect().contains(&self.rect),
             "source frame {}x{} does not contain tile {:?}",
@@ -203,7 +185,6 @@ impl TileEncoder {
             src.height(),
             self.rect
         );
-        self.settle();
         // A P-frame's reconstruction starts as a copy of its reference, as
         // in the decoder: SKIP blocks are then already in place. A keyframe
         // writes every block, so whatever its buffer held never shows.
@@ -228,8 +209,10 @@ impl TileEncoder {
             self.encode_plane(&mut writer, &mut coder, src, plane, &mut recon, is_key);
         }
 
-        // Rate control may move the step below; the deblock uses this one.
-        self.unsettled = Some((recon, self.qstep));
+        if self.cfg.deblock {
+            deblock_frame(&mut recon, self.qstep);
+        }
+        self.recon_spare = self.recon_prev.replace(recon);
         self.frame_idx += 1;
         let frame_qp = self.current_qp;
         let data = writer.finish();
@@ -238,18 +221,6 @@ impl TileEncoder {
             is_key,
             qp: frame_qp,
             data,
-        }
-    }
-
-    /// Finishes the last coded frame's reconstruction — the in-loop
-    /// deblock, at the step that frame was coded with — and makes it the
-    /// next frame's reference. Reads no source frame.
-    pub(crate) fn settle(&mut self) {
-        if let Some((mut recon, qstep)) = self.unsettled.take() {
-            if self.cfg.deblock {
-                deblock_frame(&mut recon, qstep);
-            }
-            self.recon_spare = self.recon_prev.replace(recon);
         }
     }
 
