@@ -71,18 +71,18 @@ impl<'a> TileCursor<'a> {
     /// the frame it replaces becomes the spare. Past the last frame this
     /// is [`ContainerError::InvalidRequest`].
     pub fn advance(&mut self) -> Result<&Frame, ContainerError> {
-        let spare = self.spare.take();
-        self.spare = self.advance_keeping(spare)?;
+        self.spare = self.advance_keeping(&mut || None)?;
         Ok(self.current.as_ref().expect("a frame was just decoded"))
     }
 
-    /// Decodes the next frame into `buffer` (or, without one, the spare)
-    /// and makes it current; hands back the frame it replaces, for the
-    /// caller to keep. A `buffer` of another size than the tile's is
-    /// dropped.
+    /// Decodes the next frame and makes it current; hands back the frame
+    /// it replaces, for the caller to keep. A DCT frame is decoded into a
+    /// buffer from `buffers`, or without one into the spare; a buffer of
+    /// another size than the tile's is dropped. A `Pred` frame allocates
+    /// its own, and `buffers` is not asked.
     pub(crate) fn advance_keeping(
         &mut self,
-        buffer: Option<Frame>,
+        buffers: &mut dyn FnMut() -> Option<Frame>,
     ) -> Result<Option<Frame>, ContainerError> {
         let t0 = Instant::now();
         let tile = self.tile;
@@ -91,9 +91,11 @@ impl<'a> TileCursor<'a> {
             .get(self.next as usize)
             .ok_or(ContainerError::InvalidRequest("frame range out of bounds"))?;
         let prev = self.current.as_ref().or(self.reference);
-        let buffer = buffer.or_else(|| self.spare.take());
         let frame = match &self.dct {
-            Some(dec) => dec.decode_against(&ef.data, ef.is_key, ef.qp, prev, buffer)?,
+            Some(dec) => {
+                let buffer = buffers().or_else(|| self.spare.take());
+                dec.decode_against(&ef.data, ef.is_key, ef.qp, prev, buffer)?
+            }
             None => {
                 let prev = if ef.is_key { None } else { prev };
                 pred::decode_frame(&ef.data, tile.width, tile.height, prev).map_err(
