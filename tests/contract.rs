@@ -40,7 +40,7 @@ use tasm_obs::sync;
 use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::{QueryRequest, QueryService, ServiceConfig, Shutdown};
 use tasm_suite::{config, ingest, post_filter, region_diff, scene, TestStore};
-use tasm_video::Rect;
+use tasm_video::{Frame, Rect};
 
 const W: u32 = 128;
 const H: u32 = 96;
@@ -550,4 +550,219 @@ fn queries_equal_the_post_filtered_scan_at_their_epoch() {
             thread.spawn_scoped(scope, run).expect("spawn a lane");
         }
     });
+}
+
+/// A cache budget that holds part of the fixed sequence's working set.
+const PARTIAL: u64 = 5 * GOP_BYTES;
+
+/// An oracle outside the executor: each tile of `manifest`'s SOTs read
+/// with `VideoStore::read_tile` and decoded whole, and the frames stitched
+/// from them, one SOT at a time.
+struct Stitched<'a> {
+    store: &'a TestStore,
+    manifest: VideoManifest,
+    /// The SOT last stitched and its full frames.
+    sot: Option<(usize, Vec<Frame>)>,
+}
+
+impl<'a> Stitched<'a> {
+    fn new(store: &'a TestStore, epoch: u64) -> Self {
+        let manifest = store.manifest("v").unwrap();
+        assert_eq!(manifest.epoch(), epoch, "the answer's epoch is current");
+        Stitched {
+            store,
+            manifest,
+            sot: None,
+        }
+    }
+
+    /// Frame `f` stitched from its SOT's whole-tile decodes.
+    fn frame(&mut self, f: u32) -> &Frame {
+        let sot_idx = (self.manifest.sots.iter())
+            .position(|s| (s.start..s.end).contains(&f))
+            .expect("a SOT holds every frame");
+        if self.sot.as_ref().is_none_or(|(i, _)| *i != sot_idx) {
+            let sot = &self.manifest.sots[sot_idx];
+            let mut frames = vec![Frame::black(W, H); sot.len() as usize];
+            for (t, rect) in sot.layout.tiles() {
+                let tile = self.store.store().read_tile(&self.manifest, sot_idx, t);
+                let (decoded, _) = tile.unwrap().decode_all().unwrap();
+                assert_eq!(decoded.len(), frames.len());
+                for (frame, part) in frames.iter_mut().zip(&decoded) {
+                    frame.blit(part, Rect::new(0, 0, rect.w, rect.h), rect.x, rect.y);
+                }
+            }
+            self.sot = Some((sot_idx, frames));
+        }
+        let (_, frames) = self.sot.as_ref().expect("just stitched");
+        &frames[(f - self.manifest.sots[sot_idx].start) as usize]
+    }
+
+    /// Every region equals the crop of its stitched frame, over the region
+    /// rectangle aligned outward to even coordinates.
+    fn check(&mut self, regions: &[RegionPixels], what: &str) {
+        for region in regions {
+            let r = region.rect;
+            let (x, y) = (r.x & !1, r.y & !1);
+            let aligned = Rect::new(
+                x,
+                y,
+                ((r.right() + 1) & !1) - x,
+                ((r.bottom() + 1) & !1) - y,
+            )
+            .clamp_to(W, H);
+            let want = self.frame(region.frame).crop(aligned);
+            assert!(
+                region.pixels == want,
+                "{what}: frame {} {r:?} is not the stitched frame's crop",
+                region.frame
+            );
+        }
+    }
+}
+
+/// The decode, cache, shared-scan and plan counters a run sums, times left
+/// out.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Counts {
+    decode: [u64; 5],
+    cache: [u64; 4],
+    shared: [u64; 2],
+    plan: [u64; 5],
+}
+
+impl Counts {
+    fn add(&mut self, r: &ScanResult) {
+        let s = &r.stats;
+        let decoded = [
+            s.frames_decoded,
+            s.samples_decoded,
+            s.tile_chunks_decoded,
+            s.bytes_read,
+            s.blocks_decoded,
+        ];
+        let c = &r.cache;
+        let cached = [c.hits, c.misses, c.frames_reused, c.samples_reused];
+        let p = &r.plan;
+        let planned = [
+            p.tiles_planned,
+            p.tiles_pruned,
+            p.gops_planned,
+            p.gops_skipped,
+            p.frames_sampled,
+        ];
+        let sums = [
+            (&mut self.decode[..], &decoded[..]),
+            (&mut self.cache[..], &cached[..]),
+            (&mut self.shared[..], &[r.shared.owned, r.shared.joined][..]),
+            (&mut self.plan[..], &planned[..]),
+        ];
+        for (sum, add) in sums {
+            sum.iter_mut().zip(add).for_each(|(s, a)| *s += a);
+        }
+    }
+}
+
+/// A fixed sequence of scans, queries and re-tiles on a fresh store
+/// (`tag`) of `budget` cache bytes and `workers` decode threads. Every answer is held
+/// to the stitched-frame oracle at its epoch; returns the counters summed
+/// over all of them.
+fn fixed_sequence(tag: &str, budget: u64, workers: usize) -> Counts {
+    let mut cfg = config();
+    (cfg.storage.gop_len, cfg.storage.sot_frames) = (GOP, FRAMES / 2);
+    let store = TestStore::open(
+        &format!("contract-{tag}-{budget}-{workers}"),
+        TasmConfig {
+            workers,
+            cache_bytes: budget,
+            ..cfg
+        },
+    );
+    ingest(&store, "v", &scene(W, H, FRAMES, 33));
+    for f in 0..FRAMES {
+        for speck in specks(f) {
+            store.add_metadata("v", "speck", f, speck).unwrap();
+        }
+    }
+    let [car, speck, any] = predicates();
+    let queries = [
+        Query::new(any.clone())
+            .frames(5..33)
+            .roi(Rect::new(20, 10, 60, 50))
+            .stride(3),
+        Query::new(speck.clone()).limit(4),
+        Query::new(car.clone())
+            .frames(12..38)
+            .roi(Rect::new(64, 0, 64, H))
+            .stride(2),
+    ];
+    let mut counts = Counts::default();
+    let mut answer = |store: &TestStore, r: ScanResult, what: &str| {
+        Stitched::new(store, r.epoch).check(&r.regions, what);
+        counts.add(&r);
+    };
+    let round = |store: &TestStore, answer: &mut dyn FnMut(&TestStore, ScanResult, &str)| {
+        for (i, p) in [&car, &speck, &any].into_iter().enumerate() {
+            answer(
+                store,
+                store.scan("v", p, 0..FRAMES).unwrap(),
+                &format!("scan {i}"),
+            );
+        }
+        for (i, q) in queries.iter().enumerate() {
+            answer(store, store.query("v", q).unwrap(), &format!("query {i}"));
+        }
+    };
+    round(&store, &mut answer);
+    store
+        .retile("v", 0, TileLayout::uniform(W, H, 4, 4).unwrap())
+        .unwrap();
+    round(&store, &mut answer);
+    let kqko = store.kqko_layout("v", 1, &["car".to_string()]).unwrap();
+    store
+        .retile("v", 1, kqko.expect("cars cross SOT 1"))
+        .unwrap();
+    round(&store, &mut answer);
+    round(&store, &mut answer);
+    counts
+}
+
+/// Every region a scan or query returns is the crop of its frame stitched
+/// from whole-tile decodes, under each cache budget (none, a fraction of
+/// one GOP, unbounded) at one and two decode workers.
+#[test]
+fn every_region_is_the_crop_of_its_frame_stitched_from_whole_tile_decodes() {
+    for budget in [0, PARTIAL, u64::MAX] {
+        for workers in [1, 2] {
+            fixed_sequence("oracle", budget, workers);
+        }
+    }
+}
+
+/// What the fixed sequence decodes, reuses, owns and plans at each budget,
+/// one worker: the same work whatever the executor keeps or composes.
+#[test]
+fn a_fixed_serial_sequence_does_pinned_work_at_each_budget() {
+    let got = [0, PARTIAL, u64::MAX].map(|budget| fixed_sequence("pin", budget, 1));
+    let want = [
+        Counts {
+            decode: [2005, 7856640, 2005, 273831, 122760],
+            cache: [0, 0, 0, 0],
+            shared: [412, 0],
+            plan: [129, 49, 412, 51, 496],
+        },
+        Counts {
+            decode: [1607, 6471168, 1607, 215564, 101112],
+            cache: [61, 351, 398, 1385472],
+            shared: [351, 0],
+            plan: [129, 49, 412, 51, 496],
+        },
+        Counts {
+            decode: [310, 1344000, 310, 45425, 21000],
+            cache: [350, 62, 1695, 6512640],
+            shared: [62, 0],
+            plan: [129, 49, 412, 51, 496],
+        },
+    ];
+    assert_eq!(got, want, "budgets none, a third of a GOP, unbounded");
 }
