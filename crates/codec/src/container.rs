@@ -374,7 +374,16 @@ impl TileVideo {
         &self,
         range: Range<u32>,
     ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
-        self.decode_range_in(range, &mut || None)
+        self.check_range(&range)?;
+        if range.is_empty() {
+            return Ok((Vec::new(), DecodeStats::new()));
+        }
+        let start = self.keyframe_before(range.start);
+        decode_span(
+            TileCursor::resume(self, start, None),
+            range.start,
+            range.end,
+        )
     }
 
     /// The range checks of [`TileVideo::decode_range`], made before any
@@ -412,70 +421,33 @@ impl TileVideo {
         if end > self.frame_count() {
             return Err(ContainerError::InvalidRequest("frame range out of bounds"));
         }
-        if reference.is_some_and(|r| (r.width(), r.height()) != (self.width, self.height)) {
-            return Err(ContainerError::InvalidRequest(
-                "reference frame size differs from the tile's",
-            ));
-        }
+        check_reference(self, reference)?;
         if from == end {
             return Ok((Vec::new(), DecodeStats::new()));
         }
-        if reference.is_none() && !self.frames[from as usize].is_key {
+        decode_span(self.cursor_at(from, reference)?, from, end)
+    }
+
+    /// A cursor whose next frame is `from`, for decoding one frame at a
+    /// time from there: `from` must be a keyframe, or `reference` must
+    /// hold the reconstruction of frame `from - 1`, as for
+    /// [`TileVideo::decode_resume`]. A `from` past the last frame and a
+    /// `reference` of another size than the tile's are
+    /// [`ContainerError::InvalidRequest`].
+    pub fn cursor_at<'a>(
+        &'a self,
+        from: u32,
+        reference: Option<&'a Frame>,
+    ) -> Result<TileCursor<'a>, ContainerError> {
+        let first = (self.frames.get(from as usize))
+            .ok_or(ContainerError::InvalidRequest("frame range out of bounds"))?;
+        check_reference(self, reference)?;
+        if reference.is_none() && !first.is_key {
             return Err(ContainerError::InvalidHeader(
                 "resume point is not a keyframe and no reference was supplied",
             ));
         }
-        self.decode_span(from, from, end, reference, &mut || None)
-    }
-
-    /// [`TileVideo::decode_range`], with each frame it returns decoded into
-    /// a buffer from `buffers` where that gives one of the tile's size (a
-    /// pool of spent frames); the warm-up before `range` is decoded in two
-    /// buffers of the decode's own, which take turns. A `Pred` tile
-    /// decodes every frame into a fresh allocation and asks for none.
-    pub fn decode_range_in(
-        &self,
-        range: Range<u32>,
-        buffers: &mut dyn FnMut() -> Option<Frame>,
-    ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
-        self.check_range(&range)?;
-        if range.is_empty() {
-            return Ok((Vec::new(), DecodeStats::new()));
-        }
-        let start = self.keyframe_before(range.start);
-        self.decode_span(start, range.start, range.end, None, buffers)
-    }
-
-    /// The GOP decode loop both codecs share, on one [`TileCursor`]: walks
-    /// `start..end`, keeps `keep_from..end` (`keep_from < end`) and
-    /// accounts for every frame decoded.
-    ///
-    /// No frame is copied to chain the references: a kept frame is handed
-    /// out only once the frame after it has been decoded against it, and
-    /// warm-up frames are decoded in the cursor's two buffers.
-    fn decode_span(
-        &self,
-        start: u32,
-        keep_from: u32,
-        end: u32,
-        reference: Option<&Frame>,
-        buffers: &mut dyn FnMut() -> Option<Frame>,
-    ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
-        let mut cursor = TileCursor::resume(self, start, reference);
-        while cursor.position() < keep_from {
-            cursor.advance()?;
-        }
-        let mut out: Vec<Frame> = Vec::with_capacity((end - keep_from) as usize);
-        while cursor.position() < end {
-            // The frame a decode displaces is the one before it: kept,
-            // unless it was warm-up.
-            let displaced_is_kept = cursor.position() > keep_from;
-            let displaced = cursor.advance_keeping(buffers)?;
-            out.extend(displaced.filter(|_| displaced_is_kept));
-        }
-        let (last, stats) = cursor.finish();
-        out.extend(last);
-        Ok((out, stats))
+        Ok(TileCursor::resume(self, from, reference))
     }
 
     /// A cursor at the start of the stream (a keyframe), for decoding the
@@ -488,6 +460,45 @@ impl TileVideo {
     pub fn decode_all(&self) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
         self.decode_range(0..self.frame_count())
     }
+}
+
+/// The GOP decode loop both codecs share: walks `cursor` to `end`, keeps
+/// `keep_from..end` (`keep_from < end`) and accounts for every frame
+/// decoded.
+///
+/// No frame is copied to chain the references: a kept frame is handed out
+/// only once the frame after it has been decoded against it, and warm-up
+/// frames are decoded in the cursor's two buffers.
+fn decode_span(
+    mut cursor: TileCursor<'_>,
+    keep_from: u32,
+    end: u32,
+) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
+    while cursor.position() < keep_from {
+        cursor.advance()?;
+    }
+    let mut out: Vec<Frame> = Vec::with_capacity((end - keep_from) as usize);
+    while cursor.position() < end {
+        // The frame a decode displaces is the one before it: kept, unless
+        // it was warm-up.
+        let displaced_is_kept = cursor.position() > keep_from;
+        let displaced = cursor.advance_keeping()?;
+        out.extend(displaced.filter(|_| displaced_is_kept));
+    }
+    let (last, stats) = cursor.finish();
+    out.extend(last);
+    Ok((out, stats))
+}
+
+/// A resume `reference` must have the tile's size:
+/// [`ContainerError::InvalidRequest`] otherwise.
+fn check_reference(tile: &TileVideo, reference: Option<&Frame>) -> Result<(), ContainerError> {
+    if reference.is_some_and(|r| (r.width(), r.height()) != (tile.width, tile.height)) {
+        return Err(ContainerError::InvalidRequest(
+            "reference frame size differs from the tile's",
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -668,25 +679,6 @@ mod tests {
                 10,
                 "a failed step is not charged"
             );
-        }
-    }
-
-    #[test]
-    fn decode_range_in_takes_the_kept_frames_buffers_from_the_caller() {
-        for v in [encode_test_video(10, 4), encode_pred_video(10, 4)] {
-            let (want, want_stats) = v.decode_range(5..9).unwrap();
-            let mut handed = 0;
-            let mut buffers = || {
-                handed += 1;
-                Some(Frame::filled(32, 32, 7, 7, 7))
-            };
-            let (got, stats) = v.decode_range_in(5..9, &mut buffers).unwrap();
-            assert_eq!(got, want, "{:?}", v.codec);
-            assert_eq!(counts(&stats), counts(&want_stats));
-            // A `Pred` frame is decoded into a fresh allocation: asking for
-            // a buffer would only free it.
-            let kept = if v.codec == TileCodec::Dct { 4 } else { 0 };
-            assert_eq!(handed, kept, "{:?}: one buffer per kept DCT frame", v.codec);
         }
     }
 

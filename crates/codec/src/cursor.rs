@@ -71,19 +71,15 @@ impl<'a> TileCursor<'a> {
     /// the frame it replaces becomes the spare. Past the last frame this
     /// is [`ContainerError::InvalidRequest`].
     pub fn advance(&mut self) -> Result<&Frame, ContainerError> {
-        self.spare = self.advance_keeping(&mut || None)?;
+        self.spare = self.advance_keeping()?;
         Ok(self.current.as_ref().expect("a frame was just decoded"))
     }
 
     /// Decodes the next frame and makes it current; hands back the frame
-    /// it replaces, for the caller to keep. A DCT frame is decoded into a
-    /// buffer from `buffers`, or without one into the spare; a buffer of
-    /// another size than the tile's is dropped. A `Pred` frame allocates
-    /// its own, and `buffers` is not asked.
-    pub(crate) fn advance_keeping(
-        &mut self,
-        buffers: &mut dyn FnMut() -> Option<Frame>,
-    ) -> Result<Option<Frame>, ContainerError> {
+    /// it replaces, for the caller to keep. A DCT frame is decoded into
+    /// the spare, if there is one, or else into a fresh allocation; a
+    /// `Pred` frame always allocates its own.
+    pub fn advance_keeping(&mut self) -> Result<Option<Frame>, ContainerError> {
         let t0 = Instant::now();
         let tile = self.tile;
         let ef = tile
@@ -92,10 +88,7 @@ impl<'a> TileCursor<'a> {
             .ok_or(ContainerError::InvalidRequest("frame range out of bounds"))?;
         let prev = self.current.as_ref().or(self.reference);
         let frame = match &self.dct {
-            Some(dec) => {
-                let buffer = buffers().or_else(|| self.spare.take());
-                dec.decode_against(&ef.data, ef.is_key, ef.qp, prev, buffer)?
-            }
+            Some(dec) => dec.decode_against(&ef.data, ef.is_key, ef.qp, prev, self.spare.take())?,
             None => {
                 let prev = if ef.is_key { None } else { prev };
                 pred::decode_frame(&ef.data, tile.width, tile.height, prev).map_err(
@@ -122,7 +115,7 @@ impl<'a> TileCursor<'a> {
     }
 
     /// The current frame and the work done, ending the walk.
-    pub(crate) fn finish(self) -> (Option<Frame>, DecodeStats) {
+    pub fn finish(self) -> (Option<Frame>, DecodeStats) {
         (self.current, self.stats)
     }
 }

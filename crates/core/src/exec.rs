@@ -8,9 +8,11 @@
 //!    local frame span that must be materialized.
 //! 2. **Execution** — [`execute`] fans the requests out across scoped
 //!    worker threads (tile bitstreams share nothing, so they decode
-//!    independently) and reassembles results in deterministic request
-//!    order. Output frames are `Arc<Frame>`, so cached and freshly decoded
-//!    frames share storage with every consumer.
+//!    independently) and hands each frame of a request's span to the
+//!    caller's [`FrameSink`] as soon as the request has it: when its cursor
+//!    reconstructs it, or when the cache returns it. An uncached decode
+//!    keeps no frame; cached frames are `Arc<Frame>`, shared with every
+//!    consumer.
 //!
 //! Between the two sits the [`DecodedTileCache`]: decoded GOP prefixes
 //! keyed by `(video, SOT, tile, GOP, layout epoch)` under a byte budget,
@@ -44,25 +46,11 @@ pub struct TileDecodeRequest {
     pub local_span: Range<u32>,
 }
 
-/// Decoded frames for one request, in local frame order.
-#[derive(Debug, Clone)]
-pub struct DecodedTile {
-    /// SOT index the frames belong to.
-    pub sot_idx: usize,
-    /// Tile raster index.
-    pub tile: u32,
-    /// Local index of the first frame in `frames`.
-    pub local_start: u32,
-    /// The materialized frames (`local_span` of the request).
-    pub frames: Vec<Arc<Frame>>,
-}
-
-impl DecodedTile {
-    /// The frame at local index `local_idx` (must lie within the span).
-    pub fn frame_at(&self, local_idx: u32) -> &Arc<Frame> {
-        &self.frames[(local_idx - self.local_start) as usize]
-    }
-}
+/// Where [`execute`] hands each frame of a request's span: the request,
+/// the frame's index within its SOT, and the frame. Called once per frame
+/// of every span, from whichever worker runs the request, and never with
+/// a lock of the executor's held.
+pub type FrameSink<'a> = dyn Fn(&TileDecodeRequest, u32, &Frame) + Sync + 'a;
 
 /// Cache-reuse accounting, reported separately from [`DecodeStats`] so the
 /// fitted `C = β·P + γ·T` cost model keeps seeing only real decode work.
@@ -493,21 +481,23 @@ fn frame_bytes(f: &Frame) -> u64 {
 }
 
 /// Executes decode requests against `store`/`manifest`, fanning out across
-/// the store's configured workers and consulting its decoded-tile cache.
+/// the store's configured workers and consulting its decoded-tile cache;
+/// every frame of every span goes to `sink` (see [`FrameSink`]).
 ///
-/// Results are returned in request order with deterministic, worker-count-
-/// independent accounting: both pixels and stats are bit-identical whether
-/// the plan runs on one thread or many.
+/// Accounting is deterministic and worker-count-independent: stats are
+/// bit-identical whether the plan runs on one thread or many. An error is
+/// the first in request order.
 pub fn execute(
     store: &VideoStore,
     manifest: &VideoManifest,
     requests: &[TileDecodeRequest],
-) -> Result<(Vec<DecodedTile>, DecodeStats, CacheStats, SharedScanStats), StoreError> {
+    sink: &FrameSink<'_>,
+) -> Result<(DecodeStats, CacheStats, SharedScanStats), StoreError> {
     let workers = store.effective_workers().min(requests.len().max(1));
     let mut outputs: Vec<TaskOutput> = Vec::with_capacity(requests.len());
     if workers <= 1 || requests.len() <= 1 {
         for req in requests {
-            outputs.push(run_request(store, manifest, req)?);
+            outputs.push(run_request(store, manifest, req, sink)?);
         }
     } else {
         let slots: Vec<OnceLock<Result<TaskOutput, StoreError>>> =
@@ -520,7 +510,7 @@ pub fn execute(
                     if i >= requests.len() {
                         break;
                     }
-                    let out = run_request(store, manifest, &requests[i]);
+                    let out = run_request(store, manifest, &requests[i], sink);
                     slots[i].set(out).ok().expect("each slot is written once");
                 });
             }
@@ -533,12 +523,10 @@ pub fn execute(
     let mut decode = DecodeStats::default();
     let mut cache = CacheStats::default();
     let mut shared = SharedScanStats::default();
-    let mut tiles = Vec::with_capacity(outputs.len());
     for out in outputs {
         decode += out.stats;
         cache += out.cache;
         shared += out.shared;
-        tiles.push(out.tile);
     }
     if tasm_obs::enabled() {
         tasm_obs::counter(
@@ -557,7 +545,7 @@ pub fn execute(
         )
         .add(cache.samples_reused);
     }
-    Ok((tiles, decode, cache, shared))
+    Ok((decode, cache, shared))
 }
 
 /// Decoded bytes the cache gave back by trimming GOP tails (bumped by
@@ -577,166 +565,140 @@ fn evicted_bytes_counter() -> Arc<tasm_obs::Counter> {
     )
 }
 
+#[derive(Default)]
 struct TaskOutput {
-    tile: DecodedTile,
     stats: DecodeStats,
     cache: CacheStats,
     shared: SharedScanStats,
 }
 
-/// Decodes one request, GOP by GOP, through the cache when one is attached.
+/// Decodes one request through the cache when the store has one, and
+/// hands every frame of its span to `sink`.
 ///
-/// Work parity: for a cold cache this decodes exactly the frames the old
-/// serial path did — from the keyframe preceding the span to its end, with
-/// the trailing GOP truncated at the span end — so `DecodeStats` stays
-/// comparable across the refactor and across worker counts.
+/// Work parity: every path decodes the frames a cold serial decode does —
+/// from the keyframe preceding the span to its end, the trailing GOP
+/// truncated at the span end — less what the cache serves, so
+/// `DecodeStats` is comparable across worker counts and cache states.
 fn run_request(
     store: &VideoStore,
     manifest: &VideoManifest,
     req: &TileDecodeRequest,
+    sink: &FrameSink<'_>,
 ) -> Result<TaskOutput, StoreError> {
     let sot = manifest
         .sots
         .get(req.sot_idx)
         .ok_or_else(|| StoreError::NotFound(format!("SOT {}", req.sot_idx)))?;
-    let gop_len = manifest.config.gop_len;
-    let span = req.local_span.clone();
+    let span = &req.local_span;
     assert!(span.start < span.end, "empty decode span");
     assert!(span.end <= sot.len(), "span exceeds SOT");
+    match store.decoded_cache() {
+        Some(cache) => run_cached(cache, store, manifest, req, sink),
+        None => {
+            // No cache to publish to: one cursor walks the span from the
+            // keyframe before it, the frames before the span are warm-up,
+            // decoded and charged as ever, and no frame is kept — the
+            // cursor's two buffers take turns.
+            let tile = store.read_tile(manifest, req.sot_idx, req.tile)?;
+            let mut cursor = tile.cursor_at(tile.keyframe_before(span.start), None)?;
+            while cursor.position() < span.end {
+                let at = cursor.position();
+                let frame = cursor.advance()?;
+                if at >= span.start {
+                    sink(req, at, frame);
+                }
+            }
+            // A "miss" only exists where a cache exists: uncached stores
+            // report all-zero CacheStats, not a phantom 0% hit rate.
+            let owned = crate::scan::gop_count(span, manifest.config.gop_len);
+            Ok(TaskOutput {
+                stats: *cursor.stats(),
+                shared: SharedScanStats { owned, joined: 0 },
+                ..Default::default()
+            })
+        }
+    }
+}
 
-    let cache = store.decoded_cache();
+/// [`run_request`] on a store with a cache, GOP by GOP, with single-flight
+/// access to each: a GOP is served from the cache (possibly after joining
+/// another query's in-flight decode of it), or this request owns its
+/// decode, resumes it from whatever prefix is cached and publishes it.
+fn run_cached(
+    cache: &DecodedTileCache,
+    store: &VideoStore,
+    manifest: &VideoManifest,
+    req: &TileDecodeRequest,
+    sink: &FrameSink<'_>,
+) -> Result<TaskOutput, StoreError> {
+    let sot = &manifest.sots[req.sot_idx];
+    let gop_len = manifest.config.gop_len;
+    let span = &req.local_span;
     // Interned once per request; per-GOP keys below only bump a refcount.
-    let video_name: Arc<str> = Arc::from(manifest.name.as_str());
-    let mut stats = DecodeStats::default();
-    let mut cache_stats = CacheStats::default();
-    let mut shared = SharedScanStats::default();
-    let mut frames: Vec<Arc<Frame>> = Vec::with_capacity(span.len());
+    let video: Arc<str> = Arc::from(manifest.name.as_str());
+    let mut out = TaskOutput::default();
     // The tile is read lazily: a fully cached span never touches disk.
-    let mut tile_video: Option<TileVideo> = None;
-
-    let first_gop = span.start / gop_len;
-    let last_gop = (span.end - 1) / gop_len;
-    for gop in first_gop..=last_gop {
+    let mut tile: Option<TileVideo> = None;
+    for gop in span.start / gop_len..=(span.end - 1) / gop_len {
         let gop_start = gop * gop_len;
         // Decode to the span end in the last GOP, else the whole GOP —
         // matching the warm-up the GOP structure forces on a cold decode.
-        let needed_end = span.end.min(gop_start + gop_len).min(sot.len());
-        let needed = needed_end - gop_start;
-
-        let key = cache.as_ref().map(|_| GopKey {
-            video: video_name.clone(),
+        let needed = span.end.min(gop_start + gop_len).min(sot.len()) - gop_start;
+        // The frames inside the requested span are `keep_from..needed` of
+        // the GOP.
+        let keep_from = span.start.max(gop_start) - gop_start;
+        let key = GopKey {
+            video: video.clone(),
             sot_start: sot.start,
             tile: req.tile,
             gop,
             epoch: sot.retile_count,
-        });
-        // The frames inside the requested span are `keep_from..needed` of the
-        // GOP; `prefix` holds the GOP's frames from `prefix_start` on.
-        let keep_from = span.start.max(gop_start) - gop_start;
-        let mut prefix_start = 0;
-        // Single-flight access: either the GOP is served from the cache
-        // (possibly after joining another query's in-flight decode of it),
-        // or this request owns the decode and publishes the result.
-        let mut waited = false;
-        let (mut prefix, token) = match (&cache, &key) {
-            (Some(c), Some(k)) => match c.acquire(k, needed as usize, &mut waited) {
-                GopAccess::Ready(cached) => (cached, None),
-                GopAccess::Owner(t, existing) => (existing, Some(t)),
-            },
-            _ => (Vec::new(), None),
         };
-
-        if token.is_none() && cache.is_some() {
-            cache_stats.hits += 1;
-            cache_stats.frames_reused += needed as u64;
-            cache_stats.samples_reused +=
-                needed as u64 * prefix.first().map(|f| frame_bytes(f)).unwrap_or(0);
-            if waited {
-                shared.joined += 1;
-            }
-        } else {
-            // A "miss" only exists where a cache exists: uncached stores
-            // report all-zero CacheStats, not a phantom 0% hit rate.
-            if cache.is_some() {
-                cache_stats.misses += 1;
-            }
-            let have = prefix.len() as u32;
-            if have > 0 {
-                cache_stats.frames_reused += have as u64;
-                cache_stats.samples_reused +=
-                    have as u64 * prefix.first().map(|f| frame_bytes(f)).unwrap_or(0);
-            }
-            let tv = match &tile_video {
-                Some(tv) => tv,
-                None => {
-                    tile_video = Some(store.read_tile(manifest, req.sot_idx, req.tile)?);
-                    tile_video.as_ref().expect("just set")
+        let mut waited = false;
+        let (token, mut prefix) = match cache.acquire(&key, needed as usize, &mut waited) {
+            GopAccess::Ready(cached) => {
+                out.cache.hits += 1;
+                out.cache.frames_reused += needed as u64;
+                out.cache.samples_reused +=
+                    needed as u64 * cached.first().map_or(0, |f| frame_bytes(f));
+                out.shared.joined += waited as u64;
+                for at in keep_from..needed {
+                    sink(req, gop_start + at, &cached[at as usize]);
                 }
-            };
-            let (decoded, s) = match token {
-                // The GOP prefix is published to the cache, so all of it is
-                // materialised. On error the token drops unsettled, waking
-                // any waiters so one of them can take over the decode.
-                Some(_) => {
-                    let reference = prefix.last().map(|f| f.as_ref());
-                    tv.decode_resume(gop_start + have, needed_end, reference)?
-                }
-                // No cache to publish to: the frames before the span are
-                // warm-up only — decoded and charged as ever (`decode_range`
-                // starts at the GOP's keyframe), but never materialised.
-                // The frames kept are decoded into spares of an earlier
-                // answer, which `recycle_frames` gave back.
-                None => {
-                    prefix_start = keep_from;
-                    let pool = store.frame_pool();
-                    tv.decode_range_in(gop_start + keep_from..needed_end, &mut || {
-                        pool.take_sized(tv.width, tv.height)
-                    })?
-                }
-            };
-            stats += s;
-            shared.owned += 1;
-            prefix.extend(decoded.into_iter().map(Arc::new));
-            if let Some(t) = token {
-                t.complete(prefix.clone());
+                continue;
+            }
+            GopAccess::Owner(token, prefix) => (token, prefix),
+        };
+        out.cache.misses += 1;
+        let have = prefix.len() as u32;
+        out.cache.frames_reused += have as u64;
+        out.cache.samples_reused += have as u64 * prefix.first().map_or(0, |f| frame_bytes(f));
+        for at in keep_from..have {
+            sink(req, gop_start + at, &prefix[at as usize]);
+        }
+        if tile.is_none() {
+            tile = Some(store.read_tile(manifest, req.sot_idx, req.tile)?);
+        }
+        let tile = tile.as_ref().expect("just read");
+        // The GOP prefix is published to the cache, so all of it is kept.
+        // On error the token drops unsettled, waking any waiters so one of
+        // them can take over the decode.
+        let reference = prefix.last().cloned();
+        let mut cursor = tile.cursor_at(gop_start + have, reference.as_deref())?;
+        while cursor.position() < gop_start + needed {
+            let at = cursor.position() - gop_start;
+            prefix.extend(cursor.advance_keeping()?.map(Arc::new));
+            if at >= keep_from {
+                sink(req, gop_start + at, cursor.current().expect("just decoded"));
             }
         }
-
-        frames.extend(
-            prefix[(keep_from - prefix_start) as usize..(needed - prefix_start) as usize]
-                .iter()
-                .cloned(),
-        );
+        let (last, stats) = cursor.finish();
+        prefix.extend(last.map(Arc::new));
+        out.stats += stats;
+        out.shared.owned += 1;
+        token.complete(prefix);
     }
-
-    Ok(TaskOutput {
-        tile: DecodedTile {
-            sot_idx: req.sot_idx,
-            tile: req.tile,
-            local_start: span.start,
-            frames,
-        },
-        stats,
-        cache: cache_stats,
-        shared,
-    })
-}
-
-/// Gives an answer's decoded frames back to the store's frame pool once
-/// reassembly is done with them, for the next uncached decode to decode
-/// into ([`VideoStore::frame_pool`]). A store with a cache keeps none: its
-/// frames are the cache's to share, and no decode of it takes from the
-/// pool.
-pub(crate) fn recycle_frames(store: &VideoStore, decoded: Vec<DecodedTile>) {
-    if store.decoded_cache().is_some() {
-        return;
-    }
-    let pool = store.frame_pool();
-    for frame in decoded.into_iter().flat_map(|d| d.frames) {
-        if let Ok(frame) = Arc::try_unwrap(frame) {
-            pool.give(frame);
-        }
-    }
+    Ok(out)
 }
 
 #[cfg(test)]

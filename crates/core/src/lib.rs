@@ -143,9 +143,7 @@ pub use durable::{
     FaultIo, FaultKind, FsckIssue, FsckReport, RealIo, RecoveryAction, RecoveryReport, StorageIo,
 };
 pub use edge::{edge_ingest, EdgeConfig, EdgeReport};
-pub use exec::{
-    CacheStats, DecodedTile, DecodedTileCache, PlanStats, SharedScanStats, TileDecodeRequest,
-};
+pub use exec::{CacheStats, DecodedTileCache, PlanStats, SharedScanStats, TileDecodeRequest};
 pub use partition::{partition, Granularity, PartitionConfig};
 pub use pool::{BufferPool, CanvasPool};
 pub use query::{Query, QueryMode};

@@ -5,17 +5,14 @@
 //! side — and handing a few hundred KB back to the allocator after every
 //! answer makes it trim the heap and fault the pages back in for the next.
 //! The owner of each buffer kind keeps them here instead: the store that
-//! composes canvases ([`crate::VideoStore::canvases`]) and decodes tiles
-//! without a cache, and the queue that writes frames. What is kept is
+//! composes canvases ([`crate::VideoStore::canvases`]) and the queue that
+//! writes frames. What is kept is
 //! bounded by a constant, in bytes of capacity, and reported on a gauge.
 
-use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use tasm_obs::sync;
-use tasm_video::{Frame, Plane};
 
-/// What a pool keeps: a byte buffer, the three planes of a canvas, or a
-/// decoded frame.
+/// What a pool keeps: a byte buffer or the three planes of a canvas.
 pub trait Spare {
     /// Bytes allocated, whatever the length.
     fn capacity(&self) -> usize;
@@ -33,19 +30,9 @@ impl Spare for [Vec<u8>; 3] {
     }
 }
 
-impl Spare for Frame {
-    fn capacity(&self) -> usize {
-        Plane::ALL.iter().map(|&p| self.plane(p).len()).sum()
-    }
-}
-
 /// The spare region canvases of a store, each the Y, U and V planes of a
 /// finished region.
 pub type CanvasPool = BufferPool<[Vec<u8>; 3]>;
-
-/// The spare decoded frames of a store, taken by size
-/// ([`BufferPool::take_sized`]).
-pub type FramePool = BufferPool<Frame>;
 
 /// Smallest buffer a pool keeps.
 const MIN_POOLED: usize = 1024;
@@ -57,8 +44,6 @@ pub struct BufferPool<B> {
     /// moves the count with it, and no step between can panic.
     free: Mutex<(Vec<B>, usize)>,
     limit: usize,
-    /// [`FramePool::take_sized`]'s misses so far.
-    misses: AtomicU32,
     gauge: Arc<tasm_obs::Gauge>,
 }
 
@@ -69,7 +54,6 @@ impl<B: Spare> BufferPool<B> {
         BufferPool {
             free: Mutex::default(),
             limit,
-            misses: AtomicU32::new(0),
             gauge: tasm_obs::gauge(name, help),
         }
     }
@@ -119,41 +103,6 @@ impl<B: Spare> BufferPool<B> {
     }
 }
 
-/// One [`FramePool::take_sized`] miss in this many frees the pool's oldest
-/// spare. Slow on purpose: every spare freed is a frame allocated again,
-/// and the heap fragments. One in 16 raised the perf ledger's
-/// `adaptive_ingest` peak resident set by 3 MB; one in 256 left it flat,
-/// and still empties a pool of `n` stale spares within `256 * n` misses.
-const MISSES_PER_AGED_FRAME: u32 = 256;
-
-impl FramePool {
-    /// The latest spare frame of exactly `width`×`height`, samples stale
-    /// (a decode overwrites every one), or `None` when the pool holds no
-    /// such frame. Spares of other sizes stay for decodes of their size,
-    /// but one miss in [`MISSES_PER_AGED_FRAME`] frees the oldest spare:
-    /// a full pool refuses new frames, and without that, sizes no decode
-    /// asks for any more (the tile sizes of a layout a re-tile replaced)
-    /// would hold it full for good.
-    pub fn take_sized(&self, width: u32, height: u32) -> Option<Frame> {
-        let mut free = sync::lock(&self.free);
-        let found = (free.0.iter()).rposition(|f| (f.width(), f.height()) == (width, height));
-        let ages = found.is_none()
-            && self.misses.fetch_add(1, Relaxed) % MISSES_PER_AGED_FRAME
-                == MISSES_PER_AGED_FRAME - 1;
-        let at = match found {
-            Some(at) => at,
-            None if ages && !free.0.is_empty() => 0,
-            None => return None,
-        };
-        let frame = free.0.remove(at);
-        free.1 -= frame.capacity();
-        self.gauge.add(-(frame.capacity() as i64));
-        drop(free);
-        // An aged spare is freed here, outside the lock.
-        found.map(|_| frame)
-    }
-}
-
 impl<B> std::fmt::Debug for BufferPool<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BufferPool")
@@ -198,53 +147,6 @@ mod tests {
         used.extend_from_slice(b"stale");
         pool.give(used);
         assert_eq!(pool.take(8), b"stale", "contents are the caller's to clear");
-    }
-
-    #[test]
-    fn frames_are_taken_by_size_and_the_others_stay() {
-        let pool = FramePool::new(1 << 20, "tasm_test_pool_bytes", "test");
-        pool.give(Frame::filled(64, 32, 1, 0, 0));
-        pool.give(Frame::filled(32, 32, 2, 0, 0));
-        pool.give(Frame::filled(64, 32, 3, 0, 0));
-        assert_eq!(pool.retained_bytes(), 3072 * 2 + 1536);
-        let take = |w, h| pool.take_sized(w, h).map(|f| f.sample(Plane::Y, 0, 0));
-        assert_eq!(take(64, 32), Some(3), "the latest of that size");
-        assert_eq!(take(16, 16), None, "none of that size, and none freed");
-        assert_eq!(take(64, 32), Some(1));
-        assert_eq!(take(64, 32), None);
-        assert_eq!(pool.retained_bytes(), 1536);
-        assert_eq!(take(32, 32), Some(2));
-    }
-
-    #[test]
-    fn sizes_no_one_takes_age_out_on_misses() {
-        // Room for four 64×32 frames (3072 B each).
-        let pool = FramePool::new(4 * 3072, "tasm_test_pool_bytes", "test");
-        for i in 0..4 {
-            pool.give(Frame::filled(64, 32, i, 0, 0));
-        }
-        // A re-tile changes the tile size: 32×32 frames (1536 B) come and
-        // go from now on, and the 64×32 spares are never taken again.
-        let mut misses = 0;
-        for _ in 0..2 * MISSES_PER_AGED_FRAME {
-            let taken = [(); 3].map(|_| pool.take_sized(32, 32));
-            for f in taken {
-                pool.give(f.unwrap_or_else(|| {
-                    misses += 1;
-                    Frame::filled(32, 32, 9, 0, 0)
-                }));
-            }
-            assert!(pool.retained_bytes() <= 4 * 3072);
-        }
-        // A run of misses frees the oldest 64×32 frame, which lets two
-        // 32×32 ones in; a second run frees the next, and then all three
-        // fit and every take hits.
-        assert_eq!(misses, 2 * MISSES_PER_AGED_FRAME);
-        assert_eq!(pool.retained_bytes(), 2 * 3072 + 3 * 1536);
-        let take = |w, h| pool.take_sized(w, h).map(|f| f.sample(Plane::Y, 0, 0));
-        assert_eq!(take(64, 32), Some(3), "the oldest went first");
-        assert_eq!(take(64, 32), Some(2));
-        assert_eq!(take(64, 32), None);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! asserts it on every query path.
 
 use crate::exec::TileDecodeRequest;
-use crate::scan::{align_out, gop_count, reassemble, LabelPredicate, ScanError, ScanResult};
+use crate::scan::{align_out, gop_count, Composer, LabelPredicate, ScanError, ScanResult};
 use crate::storage::{VideoManifest, VideoStore};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -366,9 +366,8 @@ pub(crate) fn query_prepared(
     }
 
     // --- Execute: same fan-out pipeline as scan --------------------------
-    let decoded = result.execute(store, manifest, &requests)?;
-    result.regions = reassemble(store.canvases(), manifest, &regions, sot_order, &decoded);
-    crate::exec::recycle_frames(store, decoded);
+    let composer = Composer::new(store.canvases(), manifest, &regions, &sot_order);
+    result.regions = result.execute(store, manifest, &requests, composer)?;
     Ok(result)
 }
 

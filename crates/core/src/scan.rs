@@ -12,14 +12,16 @@
 //! work, as the paper's reported query times do.
 
 use crate::cost::Work;
-use crate::exec::{self, CacheStats, DecodedTile, PlanStats, SharedScanStats, TileDecodeRequest};
+use crate::exec::{self, CacheStats, PlanStats, SharedScanStats, TileDecodeRequest};
 use crate::pool::CanvasPool;
 use crate::storage::{StoreError, VideoManifest, VideoStore};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tasm_codec::DecodeStats;
 use tasm_index::{IndexResult, SemanticIndex};
+use tasm_obs::sync;
 use tasm_video::{Frame, Rect};
 
 /// A CNF predicate over labels: an AND of OR-clauses.
@@ -156,9 +158,11 @@ pub struct ScanResult {
     pub epoch: u64,
     /// Time spent querying the semantic index.
     pub lookup_time: Duration,
-    /// Wall-clock time of the decode execution phase. With `workers > 1`
-    /// this is *elapsed* time, not the sum of per-worker decode times —
-    /// `stats.decode_time` holds that sum (the cost model's work measure).
+    /// Wall-clock time of the decode execution phase, which composes the
+    /// regions as their tiles decode: the blits into the region canvases
+    /// are in it. With `workers > 1` this is *elapsed* time, not the sum of
+    /// per-worker decode times — `stats.decode_time` holds that sum (the
+    /// cost model's work measure).
     pub exec_time: Duration,
     /// Tiles-and-pixels estimate actually incurred (for cost-model
     /// validation): mirrors `stats` in estimator units.
@@ -173,7 +177,8 @@ impl ScanResult {
         self.lookup_time.as_secs_f64() + self.exec_time.as_secs_f64()
     }
 
-    /// Runs `requests` through the exec pipeline and adds what they cost —
+    /// Runs `requests` through the exec pipeline, composing each frame
+    /// into `composer`'s canvases as it arrives, and adds what they cost —
     /// wall time, decode work, cache and shared-scan accounting — to this
     /// result: the tail [`scan_prepared`] and the query planner share.
     pub(crate) fn execute(
@@ -181,17 +186,28 @@ impl ScanResult {
         store: &VideoStore,
         manifest: &VideoManifest,
         requests: &[TileDecodeRequest],
-    ) -> Result<Vec<DecodedTile>, ScanError> {
+        composer: Composer<'_>,
+    ) -> Result<Vec<RegionPixels>, ScanError> {
+        // Taken once per composed frame, by whichever worker has it. Valid
+        // at every unwind point, taken as is: a panic under it fails this
+        // query, whose canvases are dropped with it.
+        let composer = Mutex::new(composer);
+        let compose = |req: &TileDecodeRequest, local: u32, frame: &Frame| {
+            sync::lock(&composer).compose(req.sot_idx, req.tile, local, frame);
+        };
         let t1 = Instant::now();
-        let (decoded, stats, cache, shared) =
-            exec::execute(store, manifest, requests).map_err(ScanError::Store)?;
+        let (stats, cache, shared) =
+            exec::execute(store, manifest, requests, &compose).map_err(ScanError::Store)?;
         self.exec_time = t1.elapsed();
         self.stats += stats;
         self.cache += cache;
         self.shared += shared;
         self.work.pixels += stats.samples_decoded;
         self.work.tile_chunks += stats.tile_chunks_decoded;
-        Ok(decoded)
+        let composer = composer
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        composer.finish()
     }
 }
 
@@ -251,77 +267,119 @@ pub fn scan_prepared(
     }
 
     // --- Execution: fan the requests out across the store's workers ---
-    let decoded = result.execute(store, manifest, &requests)?;
-    result.regions = reassemble(store.canvases(), manifest, &regions, sot_plans, &decoded);
-    exec::recycle_frames(store, decoded);
+    let composer = Composer::new(store.canvases(), manifest, &regions, &sot_plans);
+    result.regions = result.execute(store, manifest, &requests, composer)?;
     result.matched = result.regions.len() as u64;
     Ok(result)
 }
 
-/// Reassembly, for scan and query alike: crops each region of the listed
-/// SOTs from that SOT's decoded tiles. `decoded` may hold several pieces
-/// per (SOT, tile), one per run of GOPs a pruned plan kept.
+/// An answer's regions while their tiles decode, for scan and query alike:
+/// each frame a tile request decodes, or the cache serves, is blitted into
+/// the canvases of that frame's regions as soon as the request has it
+/// ([`Composer::compose`]), so no decoded frame waits for the others.
 ///
-/// Canvases are built in spare buffers from `canvases`
+/// Canvases are spare buffers from the store's [`CanvasPool`]
 /// ([`recycle_canvases`] returns them), which still hold an earlier
-/// answer's pixels: a canvas is handed out only once its blits have covered
-/// every sample. The tiles of a layout are disjoint, so that is so exactly
-/// when the areas copied add up to the canvas — always, while layouts cover
-/// the frame and decoded tiles have their slot's size (aligning a box grows
-/// it by at most one pixel to an even edge and tile edges are even, so it
-/// reaches no tile the box did not) — and a canvas that falls short starts
-/// over from black, as every canvas once did.
-pub(crate) fn reassemble(
-    canvases: &CanvasPool,
-    manifest: &VideoManifest,
-    regions: &BTreeMap<u32, Vec<Rect>>,
-    sots: impl IntoIterator<Item = usize>,
-    decoded: &[DecodedTile],
-) -> Vec<RegionPixels> {
-    let mut by_tile: HashMap<(usize, u32), Vec<&DecodedTile>> = HashMap::new();
-    for d in decoded {
-        by_tile.entry((d.sot_idx, d.tile)).or_default().push(d);
-    }
-    let mut out = Vec::new();
-    for sot_idx in sots {
-        let sot = &manifest.sots[sot_idx];
-        for (&frame, rects) in regions.range(sot.start..sot.end) {
-            let local_idx = frame - sot.start;
+/// answer's pixels: nothing fills them first. The tiles of a layout are
+/// disjoint and, once read, fit their slots, so a canvas is whole exactly
+/// when the areas blitted into it add up to its own — always, while
+/// layouts cover the frame (aligning a box grows it by at most one pixel to
+/// an even edge and tile edges are even, so it reaches no tile the box did
+/// not). [`Composer::finish`] checks that sum for every canvas.
+pub(crate) struct Composer<'m> {
+    manifest: &'m VideoManifest,
+    /// In output order: SOT in plan order, then frame, then box.
+    regions: Vec<RegionPixels>,
+    /// Per region: its rectangle aligned outward, and the area blitted
+    /// into its canvas so far.
+    slots: Vec<(Rect, u64)>,
+    /// The regions of frame `first_frame + i` are
+    /// `starts[i]..starts[i + 1]`.
+    first_frame: u32,
+    starts: Vec<usize>,
+}
+
+impl<'m> Composer<'m> {
+    /// Takes a canvas from `canvases` for each region of the listed SOTs
+    /// (in ascending order) before any tile decodes.
+    pub(crate) fn new(
+        canvases: &CanvasPool,
+        manifest: &'m VideoManifest,
+        regions: &BTreeMap<u32, Vec<Rect>>,
+        sots: &[usize],
+    ) -> Self {
+        let mut composer = Composer {
+            manifest,
+            regions: Vec::new(),
+            slots: Vec::new(),
+            first_frame: 0,
+            starts: Vec::new(),
+        };
+        let frames = sots.iter().flat_map(|&s| {
+            let sot = &manifest.sots[s];
+            regions.range(sot.start..sot.end)
+        });
+        for (&frame, rects) in frames {
+            if composer.starts.is_empty() {
+                composer.first_frame = frame;
+            }
+            let at = frame.checked_sub(composer.first_frame);
+            let at = at.expect("SOTs in ascending order") as usize;
+            composer.starts.resize(at + 1, composer.regions.len());
             for r in rects {
                 let aligned = align_out(r, manifest.width, manifest.height);
                 if aligned.is_empty() {
                     continue;
                 }
-                // Blits every decoded tile under the region; the area copied.
-                let compose = |canvas: &mut Frame| -> u64 {
-                    let tiles = sot.layout.tiles_intersecting(&aligned).into_iter();
-                    tiles
-                        .filter_map(|t| {
-                            let tile_frame = by_tile.get(&(sot_idx, t))?.iter().find_map(|d| {
-                                (d.local_start <= local_idx
-                                    && local_idx - d.local_start < d.frames.len() as u32)
-                                    .then(|| d.frame_at(local_idx))
-                            })?;
-                            let trect = sot.layout.tile_rect_by_index(t);
-                            Some(blit_tile_overlap(canvas, tile_frame, &trect, &aligned))
-                        })
-                        .sum()
-                };
                 let spare = canvases.take(aligned.area() as usize * 3 / 2);
-                let mut canvas = canvas_in(aligned.w, aligned.h, spare);
-                if compose(&mut canvas) != aligned.area() {
-                    canvas = Frame::black(aligned.w, aligned.h);
-                    compose(&mut canvas);
-                }
-                out.push(RegionPixels {
+                composer.regions.push(RegionPixels {
                     frame,
                     rect: *r,
-                    pixels: canvas,
+                    pixels: canvas_in(aligned.w, aligned.h, spare),
                 });
+                composer.slots.push((aligned, 0));
             }
         }
+        composer.starts.push(composer.regions.len());
+        composer
     }
-    out
+
+    /// Blits what tile `tile` of SOT `sot_idx` holds of every region of
+    /// the SOT's frame `local` from `frame`, that tile's decode of it.
+    pub(crate) fn compose(&mut self, sot_idx: usize, tile: u32, local: u32, frame: &Frame) {
+        let sot = &self.manifest.sots[sot_idx];
+        let Some(i) = (sot.start + local).checked_sub(self.first_frame) else {
+            return;
+        };
+        let (Some(&lo), Some(&hi)) = (self.starts.get(i as usize), self.starts.get(i as usize + 1))
+        else {
+            return;
+        };
+        if lo == hi {
+            return;
+        }
+        let trect = sot.layout.tile_rect_by_index(tile);
+        let canvases = self.regions[lo..hi].iter_mut().zip(&mut self.slots[lo..hi]);
+        for (region, (aligned, covered)) in canvases {
+            *covered += blit_tile_overlap(&mut region.pixels, frame, &trect, aligned);
+        }
+    }
+
+    /// The regions, once every canvas is whole; a canvas its tiles did not
+    /// cover is [`ScanError::Uncovered`], never a region with stale or
+    /// black samples.
+    pub(crate) fn finish(self) -> Result<Vec<RegionPixels>, ScanError> {
+        let mut slots = self.regions.iter().zip(&self.slots);
+        match slots.find(|(_, (aligned, covered))| *covered != aligned.area()) {
+            Some((region, &(aligned, covered))) => Err(ScanError::Uncovered {
+                frame: region.frame,
+                rect: region.rect,
+                covered,
+                area: aligned.area(),
+            }),
+            None => Ok(self.regions),
+        }
+    }
 }
 
 /// A `w`×`h` frame in `planes`' allocations (Y, U, V). Samples the buffers
@@ -337,7 +395,7 @@ fn canvas_in(w: u32, h: u32, planes: [Vec<u8>; 3]) -> Frame {
         .expect("planes sized to the dimensions")
 }
 
-/// Gives finished regions' canvases back to the pool reassembly draws from
+/// Gives finished regions' canvases back to the pool composition draws from
 /// ([`crate::VideoStore::canvases`]), last region first, so the next answer
 /// takes them in the order this one did and an answer of the same shape
 /// finds every canvas the right size.
@@ -391,6 +449,18 @@ pub enum ScanError {
     Index(tasm_index::TreeError),
     /// Storage failure.
     Store(StoreError),
+    /// A region's canvas the decoded tiles did not cover: `covered` of its
+    /// `area` luma samples (aligned outward) were blitted.
+    Uncovered {
+        /// The region's frame.
+        frame: u32,
+        /// The region's rectangle, as the predicate gave it.
+        rect: Rect,
+        /// Luma samples its tiles covered.
+        covered: u64,
+        /// Luma samples of the rectangle aligned outward.
+        area: u64,
+    },
 }
 
 impl std::fmt::Display for ScanError {
@@ -398,6 +468,15 @@ impl std::fmt::Display for ScanError {
         match self {
             ScanError::Index(e) => write!(f, "scan index error: {e}"),
             ScanError::Store(e) => write!(f, "scan store error: {e}"),
+            ScanError::Uncovered {
+                frame,
+                rect,
+                covered,
+                area,
+            } => write!(
+                f,
+                "region {rect:?} of frame {frame}: its tiles cover {covered} of {area} samples"
+            ),
         }
     }
 }
@@ -451,7 +530,6 @@ fn align_in(r: &Rect) -> Rect {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use tasm_codec::TileLayout;
 
     #[test]
@@ -519,10 +597,10 @@ mod tests {
         assert!(align_in(&Rect::new(3, 3, 1, 1)).is_empty());
     }
 
-    /// A 96×64 video of one two-frame SOT, its decoded tiles under
-    /// `layout` (each sample a function of its frame position, so a
-    /// misplaced or missing pixel shows), and the full frames they tile.
-    fn decoded_sot(layout: &TileLayout) -> (VideoManifest, Vec<DecodedTile>, Vec<Frame>) {
+    /// A 96×64 video of one two-frame SOT under `layout`, and its full
+    /// frames, each sample a function of its frame position, so a
+    /// misplaced or missing pixel shows.
+    fn one_sot(layout: &TileLayout) -> (VideoManifest, Vec<Frame>) {
         let (w, h) = (layout.frame_width(), layout.frame_height());
         let full: Vec<Frame> = (0..2u32)
             .map(|f| {
@@ -535,15 +613,6 @@ mod tests {
                     }
                 }
                 frame
-            })
-            .collect();
-        let decoded = layout
-            .tiles()
-            .map(|(tile, rect)| DecodedTile {
-                sot_idx: 0,
-                tile,
-                local_start: 0,
-                frames: full.iter().map(|f| Arc::new(f.crop(rect))).collect(),
             })
             .collect();
         let manifest = VideoManifest {
@@ -561,7 +630,27 @@ mod tests {
                 tile_codecs: vec![0; layout.tile_count() as usize],
             }],
         };
-        (manifest, decoded, full)
+        (manifest, full)
+    }
+
+    /// Composes `regions` in canvases from `pool`, handing the composer
+    /// every tile of both frames but `missing`.
+    fn compose(
+        pool: &CanvasPool,
+        manifest: &VideoManifest,
+        full: &[Frame],
+        regions: &BTreeMap<u32, Vec<Rect>>,
+        missing: Option<u32>,
+    ) -> Result<Vec<RegionPixels>, ScanError> {
+        let mut composer = Composer::new(pool, manifest, regions, &[0]);
+        for (tile, rect) in manifest.sots[0].layout.tiles() {
+            for (local, frame) in full.iter().enumerate() {
+                if Some(tile) != missing {
+                    composer.compose(0, tile, local as u32, &frame.crop(rect));
+                }
+            }
+        }
+        composer.finish()
     }
 
     /// A pool holding an earlier answer: canvases of assorted sizes, every
@@ -590,7 +679,7 @@ mod tests {
     #[test]
     fn regions_composed_in_used_canvases_equal_the_frames_crop() {
         for layout in layouts() {
-            let (manifest, decoded, full) = decoded_sot(&layout);
+            let (manifest, full) = one_sot(&layout);
             let pool = used_pool();
             let mut boxes = Vec::new();
             for (x, w) in [
@@ -608,7 +697,7 @@ mod tests {
                 }
             }
             let regions: BTreeMap<u32, Vec<Rect>> = (0..2).map(|f| (f, boxes.clone())).collect();
-            let out = reassemble(&pool, &manifest, &regions, [0], &decoded);
+            let out = compose(&pool, &manifest, &full, &regions, None).unwrap();
             assert_eq!(out.len(), 2 * boxes.len());
             for region in &out {
                 let aligned = align_out(&region.rect, 96, 64);
@@ -617,41 +706,80 @@ mod tests {
             }
             // A second answer built in the first one's canvases.
             recycle_canvases(&pool, out);
-            for region in reassemble(&pool, &manifest, &regions, [0], &decoded) {
+            for region in compose(&pool, &manifest, &full, &regions, None).unwrap() {
                 let aligned = align_out(&region.rect, 96, 64);
                 assert_eq!(region.pixels, full[region.frame as usize].crop(aligned));
             }
         }
     }
 
-    /// Where no decoded tile lies under a region, a canvas is black there,
-    /// used buffer or not, as a fresh canvas would be.
+    /// A canvas a tile under it never reached is an error that names the
+    /// region, not a region with stale or black samples.
     #[test]
-    fn a_canvas_its_tiles_do_not_cover_starts_from_black() {
+    fn a_canvas_its_tiles_do_not_cover_is_an_error() {
         let layout = TileLayout::uniform(96, 64, 2, 3).unwrap();
-        let (manifest, mut decoded, full) = decoded_sot(&layout);
-        decoded.retain(|d| d.tile != 4);
+        let (manifest, full) = one_sot(&layout);
         let hole = layout.tile_rect_by_index(4);
-        let regions = BTreeMap::from([(1, vec![Rect::new(10, 10, 70, 50), hole])]);
-        let out = reassemble(&used_pool(), &manifest, &regions, [0], &decoded);
-        for region in &out {
-            let aligned = align_out(&region.rect, 96, 64);
-            let mut want = full[1].crop(aligned);
-            let inside = hole.intersect(&aligned).unwrap();
-            want.fill_rect(
-                Rect::new(
-                    inside.x - aligned.x,
-                    inside.y - aligned.y,
-                    inside.w,
-                    inside.h,
-                ),
-                16,
-                128,
-                128,
-            );
-            assert_eq!(region.pixels, want, "{:?}", region.rect);
+        let regions = BTreeMap::from([(1, vec![Rect::new(10, 10, 4, 4), hole])]);
+        let got = compose(&used_pool(), &manifest, &full, &regions, Some(4));
+        assert!(
+            matches!(
+                got,
+                Err(ScanError::Uncovered { frame: 1, rect, covered: 0, area })
+                    if rect == hole && area == hole.area()
+            ),
+            "{got:?}"
+        );
+    }
+
+    /// A tile whose container does not fit its slot in the layout (here
+    /// 64×48 where the untiled layout has 128×96) fails the answer with a
+    /// typed error: scan and query serve no pixel, where a region would
+    /// otherwise hold the part the tile covers and black beyond it.
+    #[test]
+    fn a_tile_that_does_not_fit_its_slot_fails_the_answer() {
+        use crate::scratch::{car_source, car_truth, Scratch};
+        use crate::{Query, Tasm, TasmError};
+        let tasm: Scratch<Tasm> = Scratch::tasm("scan-misfit");
+        let src = car_source(10);
+        tasm.ingest("v", &src, 30).unwrap();
+        // The car lies inside the misfit tile; the second box reaches past
+        // it.
+        for f in 0..10 {
+            for (label, bbox) in car_truth(f) {
+                tasm.add_metadata("v", label, f, bbox).unwrap();
+            }
+            tasm.add_metadata("v", "car", f, Rect::new(48, 40, 40, 32))
+                .unwrap();
         }
-        assert_eq!(out[1].pixels, Frame::black(hole.w, hole.h));
+        let car = LabelPredicate::label("car");
+        let small: Vec<Frame> = (src.frames().iter())
+            .map(|f| f.crop(Rect::new(0, 0, 64, 48)))
+            .collect();
+        let cfg = tasm_codec::EncoderConfig {
+            gop_len: 5,
+            ..Default::default()
+        };
+        let small = tasm_video::VecFrameSource::new(small);
+        let layout = TileLayout::untiled(64, 48);
+        let (tiles, _) = tasm_codec::encode_video(&small, &layout, &cfg, false).unwrap();
+        let pack = crate::pack::assemble(std::iter::once(tiles[0].to_bytes()));
+        let path = tasm
+            .store()
+            .root()
+            .join("v")
+            .join("sot_000000_000010.tiles");
+        std::fs::write(path, pack).unwrap();
+        let misfit = |got: Result<ScanResult, TasmError>| match got {
+            Err(TasmError::Scan(ScanError::Store(StoreError::TileMismatch {
+                sot_start: 0,
+                tile: 0,
+                detail,
+            }))) => assert!(detail.contains("64x48"), "{detail}"),
+            other => panic!("a misfit tile answered {other:?}"),
+        };
+        misfit(tasm.scan("v", &car, 0..10));
+        misfit(tasm.query("v", &Query::new(car.clone())));
     }
 
     // Full end-to-end scan tests (with real encoded tiles) live in

@@ -55,7 +55,7 @@ use crate::durable::{
 };
 use crate::exec::DecodedTileCache;
 use crate::pack::{self, TileRanges};
-use crate::pool::{CanvasPool, FramePool};
+use crate::pool::CanvasPool;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
@@ -87,6 +87,17 @@ pub enum StoreError {
     InvalidName(String),
     /// A [`StorageConfig`] no video can be stored under.
     InvalidConfig(&'static str),
+    /// A tile whose container does not fit its slot in the manifest: its
+    /// dimensions, GOP length, frame count or codec (the first of
+    /// `slot_mismatches`).
+    TileMismatch {
+        /// First frame of the tile's SOT.
+        sot_start: u32,
+        /// The tile's raster index.
+        tile: u32,
+        /// How the container disagrees with the slot.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -99,6 +110,11 @@ impl std::fmt::Display for StoreError {
             StoreError::NotFound(what) => write!(f, "not found: {what}"),
             StoreError::InvalidName(name) => write!(f, "invalid video name {name:?}"),
             StoreError::InvalidConfig(why) => write!(f, "invalid storage config: {why}"),
+            StoreError::TileMismatch {
+                sot_start,
+                tile,
+                detail,
+            } => write!(f, "SOT at frame {sot_start}, tile {tile}: {detail}"),
         }
     }
 }
@@ -433,12 +449,6 @@ pub struct RetiredEpoch {
 /// few MB), so a store idles at most this far above what it needs.
 pub const CANVAS_POOL_BYTES: usize = 2 << 20;
 
-/// Most decoded-frame bytes one store keeps between uncached decodes: the
-/// frames a `cold_select` answer keeps (a few tiles of up to a GOP each).
-/// Frames are matched by size, so a spare of another tile's size waits for
-/// a decode of that size instead of being freed and allocated again.
-pub const FRAME_POOL_BYTES: usize = 8 << 20;
-
 /// The on-disk tile store, with its attached decode-execution settings:
 /// worker count for the parallel tile-decode pipeline and an optional
 /// decoded-GOP cache, which belongs to this store alone.
@@ -446,11 +456,8 @@ pub struct VideoStore {
     root: PathBuf,
     workers: usize,
     cache: Option<DecodedTileCache>,
-    /// Region canvases of finished answers, kept for the next reassembly.
+    /// Region canvases of finished answers, kept for the next answer.
     canvases: Arc<CanvasPool>,
-    /// Decoded tile frames of finished uncached answers, kept for the next
-    /// uncached decode.
-    frames: FramePool,
     io: Arc<dyn StorageIo>,
     recovery: RecoveryReport,
     /// Exclusive advisory lock on `<root>/.tasm.lock`, held for this
@@ -513,11 +520,6 @@ impl VideoStore {
                 "tasm_response_canvas_bytes_retained",
                 "Region canvas bytes kept by stores for the next answer.",
             )),
-            frames: FramePool::new(
-                FRAME_POOL_BYTES,
-                "tasm_decode_frame_bytes_retained",
-                "Decoded tile frame bytes kept by uncached stores for the next decode.",
-            ),
             io,
             recovery: RecoveryReport::default(),
             _lock: lock,
@@ -561,14 +563,6 @@ impl VideoStore {
     /// [`CANVAS_POOL_BYTES`].
     pub fn canvases(&self) -> &Arc<CanvasPool> {
         &self.canvases
-    }
-
-    /// Spare decoded frames: an uncached decode keeps its frames in buffers
-    /// taken from here, and reassembly gives them back
-    /// ([`crate::exec::recycle_frames`]). Holds at most
-    /// [`FRAME_POOL_BYTES`].
-    pub(crate) fn frame_pool(&self) -> &FramePool {
-        &self.frames
     }
 
     /// The store's root directory.
@@ -721,7 +715,8 @@ impl VideoStore {
     }
 
     /// Reads one tile of one SOT: the pack's table, then that tile's bytes
-    /// and no other's.
+    /// and no other's. A container that does not fit its slot in
+    /// `manifest` is [`StoreError::TileMismatch`].
     pub fn read_tile(
         &self,
         manifest: &VideoManifest,
@@ -729,14 +724,22 @@ impl VideoStore {
         tile_idx: u32,
     ) -> Result<TileVideo, StoreError> {
         let bytes = self.read_tile_range(manifest, sot_idx, tile_idx)?;
-        let tile = TileVideo::from_bytes(&bytes)?;
-        // The table is only believed as far as the container agrees:
-        // `from_bytes` stops at the container's declared end, and the
-        // table must not have claimed more for it.
-        if tile.size_bytes() != bytes.len() as u64 {
-            return Err(ContainerError::InvalidHeader("trailing bytes after payload").into());
+        // The table is only believed as far as the container agrees: the
+        // container must end exactly where the table says it does.
+        let header = TileVideo::validate(&bytes)?;
+        let sot = &manifest.sots[sot_idx];
+        let gop_len = manifest.config.gop_len;
+        if let Some(detail) = slot_mismatches(&header, sot, tile_idx, gop_len)
+            .into_iter()
+            .next()
+        {
+            return Err(StoreError::TileMismatch {
+                sot_start: sot.start,
+                tile: tile_idx,
+                detail,
+            });
         }
-        Ok(tile)
+        Ok(TileVideo::from_bytes(&bytes)?)
     }
 
     /// Re-encodes one SOT under `new_layout` (the incremental policies'
@@ -1497,7 +1500,8 @@ fn validate_replica_sot(sot: &SotEntry, gop_len: u32, tiles: &[Vec<u8>]) -> Resu
 /// How a tile container's header disagrees with the manifest slot it fills
 /// (tile `t` of `sot`, in a video of `gop_len`-frame GOPs): dimensions,
 /// GOP length, frame count, codec. Empty when it fits. A tile that got past
-/// these would still decode, and `Frame::blit` would clip it silently.
+/// these would still decode, and `Frame::blit` would clip it silently:
+/// installs, `fsck` and every read apply it.
 fn slot_mismatches(header: &ContainerHeader, sot: &SotEntry, t: u32, gop_len: u32) -> Vec<String> {
     let rect = sot.layout.tile_rect_by_index(t);
     let mut found = Vec::new();
@@ -1600,36 +1604,6 @@ mod tests {
     }
 
     #[test]
-    fn uncached_scans_decode_into_the_frames_the_last_one_gave_back() {
-        let store = temp_store("frame-pool");
-        let (m, _) = store
-            .ingest("v", &test_source(10), 30, small_cfg(), |_, _| {
-                TileLayout::uniform(64, 64, 2, 2).unwrap()
-            })
-            .unwrap();
-        let regions = std::collections::BTreeMap::from([(7, vec![Rect::new(0, 0, 40, 40)])]);
-        let scan = || {
-            let r = crate::scan_prepared(&store, &m, regions.clone(), 0..10, Default::default());
-            r.unwrap()
-                .regions
-                .into_iter()
-                .map(|r| r.pixels)
-                .collect::<Vec<_>>()
-        };
-        let first = scan();
-        let kept = store.frame_pool().retained_bytes();
-        // Frame 7 of the four 32×32 tiles the box touches (5 and 6 are
-        // warm-up, decoded and not kept).
-        assert_eq!(kept, 4 * 1536, "every frame the scan kept came back");
-        assert_eq!(scan(), first, "decoded over stale frames, bit-exact");
-        assert_eq!(
-            store.frame_pool().retained_bytes(),
-            kept,
-            "taken and given back"
-        );
-    }
-
-    #[test]
     fn ingest_creates_sots_and_manifest() {
         let store = temp_store("ingest");
         let src = test_source(25);
@@ -1679,9 +1653,18 @@ mod tests {
             tile,
             local_span: 2..6,
         });
-        let (tiles, stats, _, _) = exec::execute(&store, &m, &requests).unwrap();
-        assert_eq!(tiles.len(), 2);
-        assert_eq!(tiles[0].frames.len(), 4);
+        let got = std::sync::Mutex::new(Vec::new());
+        let sink = |req: &TileDecodeRequest, local, _: &Frame| {
+            tasm_obs::sync::lock(&got).push((req.tile, local));
+        };
+        let (stats, _, _) = exec::execute(&store, &m, &requests, &sink).unwrap();
+        let mut got = got.into_inner().unwrap();
+        got.sort_unstable();
+        let want: Vec<(u32, u32)> = [0, 3]
+            .iter()
+            .flat_map(|&t| (2..6).map(move |f| (t, f)))
+            .collect();
+        assert_eq!(got, want, "each frame of each span, once");
         assert!(stats.samples_decoded > 0);
         // Warmup from the GOP start at frame 0 is charged.
         assert_eq!(stats.frames_decoded, 2 * 6);
@@ -1709,12 +1692,15 @@ mod tests {
             tile,
             local_span: 0..10,
         });
-        let (tiles, _, _, _) = exec::execute(&store, &m, &requests).unwrap();
-        let mut composite = Frame::black(64, 64);
-        for t in &tiles {
-            let rect = new_layout.tile_rect_by_index(t.tile);
-            composite.blit(&t.frames[3], t.frames[3].rect(), rect.x, rect.y);
-        }
+        let composite = std::sync::Mutex::new(Frame::black(64, 64));
+        let sink = |req: &TileDecodeRequest, local, frame: &Frame| {
+            if local == 3 {
+                let rect = new_layout.tile_rect_by_index(req.tile);
+                tasm_obs::sync::lock(&composite).blit(frame, frame.rect(), rect.x, rect.y);
+            }
+        };
+        exec::execute(&store, &m, &requests, &sink).unwrap();
+        let composite = composite.into_inner().unwrap();
         let r = tasm_video::psnr_frames(&src.frame(3), &composite);
         assert!(r.y > 26.0, "retiled PSNR {:.1}", r.y);
 
