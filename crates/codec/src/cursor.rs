@@ -5,8 +5,9 @@
 //! reference) and the buffer before it, which the next frame is decoded
 //! into. The two take turns, so walking a whole SOT costs two frames of
 //! memory however long it is. Every span decode of a [`TileVideo`] runs on
-//! one, for the DCT and the lossless `Pred` codec alike, and so does the
-//! storage manager's re-tile.
+//! one, for the DCT and the lossless `Pred` codec alike, and so do the
+//! storage manager's re-tile and its tile reads
+//! ([`TileVideo::cursor_at`]).
 
 use crate::container::{ContainerError, TileCodec, TileVideo};
 use crate::decoder::{DecodeError, TileDecoder};
@@ -36,8 +37,9 @@ pub struct TileCursor<'a> {
 impl<'a> TileCursor<'a> {
     /// A cursor whose next frame is `from`. `from` must be a keyframe, or
     /// `reference` must hold the reconstruction of frame `from - 1`; the
-    /// callers check both (a P-frame without its reference is a
-    /// [`DecodeError::MissingReference`] when it is decoded).
+    /// callers check both, as [`TileVideo::cursor_at`] does (a P-frame
+    /// without its reference is a [`DecodeError::MissingReference`] when
+    /// it is decoded).
     pub(crate) fn resume(tile: &'a TileVideo, from: u32, reference: Option<&'a Frame>) -> Self {
         let dct = (tile.codec == TileCodec::Dct)
             .then(|| TileDecoder::new(tile.width, tile.height, tile.qp, tile.deblock));

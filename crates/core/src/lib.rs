@@ -70,10 +70,11 @@
 //! `Scan` no longer decodes tiles in a serial loop. A query is *planned*
 //! into independent per-(SOT, tile) decode requests, which an executor fans
 //! out across scoped worker threads — tile bitstreams share nothing, so
-//! they decode in parallel and the results are reassembled in deterministic
-//! order (pixels and work accounting are bit-identical at any worker
-//! count). Between planning and execution sits a shared cache of decoded
-//! GOP prefixes, keyed by `(video, SOT, tile, GOP, layout epoch)`, so
+//! they decode in parallel and each frame is composed into the answer's
+//! regions as soon as it is decoded (pixels and work accounting are
+//! bit-identical at any worker count). Between planning and execution sits
+//! a shared cache of decoded GOP prefixes, keyed by `(video, SOT, tile,
+//! GOP, layout epoch)`, so
 //! overlapping and repeated queries reuse decode work instead of repeating
 //! it. Over its byte budget the cache trims the least-recently used GOP's
 //! tail frames, just enough to fit, and drops an entry only once no frame

@@ -348,13 +348,8 @@ impl<'m> Composer<'m> {
     /// the SOT's frame `local` from `frame`, that tile's decode of it.
     pub(crate) fn compose(&mut self, sot_idx: usize, tile: u32, local: u32, frame: &Frame) {
         let sot = &self.manifest.sots[sot_idx];
-        let Some(i) = (sot.start + local).checked_sub(self.first_frame) else {
-            return;
-        };
-        let (Some(&lo), Some(&hi)) = (self.starts.get(i as usize), self.starts.get(i as usize + 1))
-        else {
-            return;
-        };
+        let i = (sot.start + local - self.first_frame) as usize;
+        let (lo, hi) = (self.starts[i], self.starts[i + 1]);
         if lo == hi {
             return;
         }
