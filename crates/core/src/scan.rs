@@ -345,11 +345,14 @@ impl<'m> Composer<'m> {
     }
 
     /// Blits what tile `tile` of SOT `sot_idx` holds of every region of
-    /// the SOT's frame `local` from `frame`, that tile's decode of it.
+    /// the SOT's frame `local` from `frame`, that tile's decode of it. A
+    /// frame no region is on is skipped.
     pub(crate) fn compose(&mut self, sot_idx: usize, tile: u32, local: u32, frame: &Frame) {
         let sot = &self.manifest.sots[sot_idx];
-        let i = (sot.start + local - self.first_frame) as usize;
-        let (lo, hi) = (self.starts[i], self.starts[i + 1]);
+        let i = (sot.start + local).checked_sub(self.first_frame);
+        let Some(&[lo, hi]) = i.and_then(|i| self.starts.get(i as usize..i as usize + 2)) else {
+            return;
+        };
         if lo == hi {
             return;
         }
