@@ -6,8 +6,8 @@
 //! answer makes it trim the heap and fault the pages back in for the next.
 //! The owner of each buffer kind keeps them here instead: the store that
 //! composes canvases ([`crate::VideoStore::canvases`]) and the queue that
-//! writes frames. What is kept is
-//! bounded by a constant, in bytes of capacity, and reported on a gauge.
+//! writes frames. What is kept is bounded by a constant, in bytes of
+//! capacity, and reported on a gauge.
 
 use std::sync::{Arc, Mutex};
 use tasm_obs::sync;

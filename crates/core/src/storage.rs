@@ -557,7 +557,7 @@ impl VideoStore {
         self.cache.as_ref()
     }
 
-    /// Spare region canvases: reassembly builds each region in buffers
+    /// Spare region canvases: composition builds each region in buffers
     /// taken from here, and whoever is done with an answer's regions hands
     /// them to [`crate::recycle_canvases`]. Holds at most
     /// [`CANVAS_POOL_BYTES`].
