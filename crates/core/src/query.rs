@@ -270,7 +270,7 @@ pub(crate) fn query_prepared(
     let gop_len = manifest.config.gop_len;
 
     // --- Baseline: the label-only plan `scan` would execute -------------
-    // (tiles from raw boxes, each over the SOT's full matched-frame span).
+    // (tiles from aligned boxes, each over the SOT's full matched-frame span).
     // Everything below prunes relative to this.
     let mut baseline: Vec<(usize, BTreeSet<u32>, Range<u32>)> = Vec::new();
     for sot_idx in manifest.sots_for_range(frames.clone()) {
@@ -280,7 +280,8 @@ pub(crate) fn query_prepared(
         let mut last = 0u32;
         for (&frame, rects) in regions.range(sot.start..sot.end) {
             for r in rects {
-                tiles.extend(sot.layout.tiles_intersecting(r));
+                let aligned = align_out(r, manifest.width, manifest.height);
+                tiles.extend(sot.layout.tiles_intersecting(&aligned));
             }
             first = first.min(frame);
             last = last.max(frame);
@@ -315,7 +316,8 @@ pub(crate) fn query_prepared(
         for (&frame, rects) in regions.range(sot.start..sot.end) {
             let local = frame - sot.start;
             for r in rects {
-                for t in sot.layout.tiles_intersecting(r) {
+                let aligned = align_out(r, manifest.width, manifest.height);
+                for t in sot.layout.tiles_intersecting(&aligned) {
                     per_tile.entry(t).or_default().insert(local);
                 }
             }

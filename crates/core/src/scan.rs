@@ -242,7 +242,8 @@ pub fn scan_prepared(
         let mut last_frame = 0u32;
         for (&frame, rects) in regions.range(sot.start..sot.end) {
             for r in rects {
-                needed.extend(sot.layout.tiles_intersecting(r));
+                let aligned = align_out(r, manifest.width, manifest.height);
+                needed.extend(sot.layout.tiles_intersecting(&aligned));
             }
             first_frame = first_frame.min(frame);
             last_frame = last_frame.max(frame);
@@ -283,9 +284,9 @@ pub fn scan_prepared(
 /// answer's pixels: nothing fills them first. The tiles of a layout are
 /// disjoint and, once read, fit their slots, so a canvas is whole exactly
 /// when the areas blitted into it add up to its own — always, while
-/// layouts cover the frame (aligning a box grows it by at most one pixel to
-/// an even edge and tile edges are even, so it reaches no tile the box did
-/// not). [`Composer::finish`] checks that sum for every canvas.
+/// layouts cover the frame, since scan and query plan each box's tiles
+/// from the box aligned outward, as its canvas is (so even an odd,
+/// zero-width box gets its tile). [`Composer::finish`] checks each sum.
 pub(crate) struct Composer<'m> {
     manifest: &'m VideoManifest,
     /// In output order: SOT in plan order, then frame, then box.
