@@ -724,22 +724,23 @@ impl VideoStore {
         tile_idx: u32,
     ) -> Result<TileVideo, StoreError> {
         let bytes = self.read_tile_range(manifest, sot_idx, tile_idx)?;
-        // The table is only believed as far as the container agrees: the
-        // container must end exactly where the table says it does.
-        let header = TileVideo::validate(&bytes)?;
+        let tile = TileVideo::from_bytes(&bytes)?;
+        // The table is only believed as far as the container agrees:
+        // `from_bytes` stops at the container's declared end, and the
+        // table must not have claimed more for it.
+        if tile.size_bytes() != bytes.len() as u64 {
+            return Err(ContainerError::InvalidHeader("trailing bytes after payload").into());
+        }
         let sot = &manifest.sots[sot_idx];
-        let gop_len = manifest.config.gop_len;
-        if let Some(detail) = slot_mismatches(&header, sot, tile_idx, gop_len)
-            .into_iter()
-            .next()
-        {
+        let found = slot_mismatches(&tile.header(), sot, tile_idx, manifest.config.gop_len);
+        if let Some(detail) = found.into_iter().next() {
             return Err(StoreError::TileMismatch {
                 sot_start: sot.start,
                 tile: tile_idx,
                 detail,
             });
         }
-        Ok(TileVideo::from_bytes(&bytes)?)
+        Ok(tile)
     }
 
     /// Re-encodes one SOT under `new_layout` (the incremental policies'
