@@ -29,8 +29,8 @@ pub struct TileCursor<'a> {
     reference: Option<&'a Frame>,
     /// The reconstruction of frame `next - 1`, once this cursor decoded it.
     current: Option<Frame>,
-    /// A spent reconstruction, whose allocation the next frame takes.
-    spare: Option<Frame>,
+    /// Spent reconstructions, whose allocations the next frames take.
+    spares: Vec<Frame>,
     stats: DecodeStats,
 }
 
@@ -49,7 +49,7 @@ impl<'a> TileCursor<'a> {
             next: from,
             reference,
             current: None,
-            spare: None,
+            spares: Vec::new(),
             stats: DecodeStats::new(),
         }
     }
@@ -69,17 +69,26 @@ impl<'a> TileCursor<'a> {
         &self.stats
     }
 
+    /// Lends the cursor `buffers` to decode into before it allocates, such
+    /// as an earlier cursor's ([`TileCursor::into_buffers`]); one of
+    /// another size than the tile's is dropped when its turn comes.
+    pub fn with_buffers(mut self, buffers: Vec<Frame>) -> Self {
+        self.spares = buffers;
+        self
+    }
+
     /// Decodes the next frame into the spare buffer and makes it current;
     /// the frame it replaces becomes the spare. Past the last frame this
     /// is [`ContainerError::InvalidRequest`].
     pub fn advance(&mut self) -> Result<&Frame, ContainerError> {
-        self.spare = self.advance_keeping()?;
+        let displaced = self.advance_keeping()?;
+        self.spares.extend(displaced);
         Ok(self.current.as_ref().expect("a frame was just decoded"))
     }
 
     /// Decodes the next frame and makes it current; hands back the frame
     /// it replaces, for the caller to keep. A DCT frame is decoded into
-    /// the spare, if there is one, or else into a fresh allocation; a
+    /// a spare, if there is one, or else into a fresh allocation; a
     /// `Pred` frame always allocates its own.
     pub fn advance_keeping(&mut self) -> Result<Option<Frame>, ContainerError> {
         let t0 = Instant::now();
@@ -89,8 +98,9 @@ impl<'a> TileCursor<'a> {
             .get(self.next as usize)
             .ok_or(ContainerError::InvalidRequest("frame range out of bounds"))?;
         let prev = self.current.as_ref().or(self.reference);
+        let spare = self.spares.pop();
         let frame = match &self.dct {
-            Some(dec) => dec.decode_against(&ef.data, ef.is_key, ef.qp, prev, self.spare.take())?,
+            Some(dec) => dec.decode_against(&ef.data, ef.is_key, ef.qp, prev, spare)?,
             None => {
                 let prev = if ef.is_key { None } else { prev };
                 pred::decode_frame(&ef.data, tile.width, tile.height, prev).map_err(
@@ -119,5 +129,11 @@ impl<'a> TileCursor<'a> {
     /// The current frame and the work done, ending the walk.
     pub fn finish(self) -> (Option<Frame>, DecodeStats) {
         (self.current, self.stats)
+    }
+
+    /// The work done and every buffer the cursor holds, ending the walk.
+    pub fn into_buffers(mut self) -> (DecodeStats, Vec<Frame>) {
+        self.spares.extend(self.current);
+        (self.stats, self.spares)
     }
 }

@@ -11,8 +11,8 @@
 //!    independently) and hands each frame of a request's span to the
 //!    caller's [`FrameSink`] as soon as the request has it: when its cursor
 //!    reconstructs it, or when the cache returns it. An uncached decode
-//!    keeps no frame; cached frames are `Arc<Frame>`, shared with every
-//!    consumer.
+//!    keeps no frame, only cursor buffers its worker's next request reuses;
+//!    cached frames are `Arc<Frame>`, shared with every consumer.
 //!
 //! Between the two sits the [`DecodedTileCache`]: decoded GOP prefixes
 //! keyed by `(video, SOT, tile, GOP, layout epoch)` under a byte budget,
@@ -496,8 +496,9 @@ pub fn execute(
     let workers = store.effective_workers().min(requests.len().max(1));
     let mut outputs: Vec<TaskOutput> = Vec::with_capacity(requests.len());
     if workers <= 1 || requests.len() <= 1 {
+        let mut buffers = Vec::new();
         for req in requests {
-            outputs.push(run_request(store, manifest, req, sink)?);
+            outputs.push(run_request(store, manifest, req, sink, &mut buffers)?);
         }
     } else {
         let slots: Vec<OnceLock<Result<TaskOutput, StoreError>>> =
@@ -505,13 +506,14 @@ pub fn execute(
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= requests.len() {
-                        break;
+                scope.spawn(|| {
+                    let mut buffers = Vec::new();
+                    let mut i = next.fetch_add(1, Ordering::Relaxed);
+                    while i < requests.len() {
+                        let out = run_request(store, manifest, &requests[i], sink, &mut buffers);
+                        slots[i].set(out).ok().expect("each slot is written once");
+                        i = next.fetch_add(1, Ordering::Relaxed);
                     }
-                    let out = run_request(store, manifest, &requests[i], sink);
-                    slots[i].set(out).ok().expect("each slot is written once");
                 });
             }
         });
@@ -573,7 +575,8 @@ struct TaskOutput {
 }
 
 /// Decodes one request through the cache when the store has one, and
-/// hands every frame of its span to `sink`.
+/// hands every frame of its span to `sink`. `buffers` carries an uncached
+/// request's two cursor buffers to the next request its worker runs.
 ///
 /// Work parity: every path decodes the frames a cold serial decode does —
 /// from the keyframe preceding the span to its end, the trailing GOP
@@ -584,6 +587,7 @@ fn run_request(
     manifest: &VideoManifest,
     req: &TileDecodeRequest,
     sink: &FrameSink<'_>,
+    buffers: &mut Vec<Frame>,
 ) -> Result<TaskOutput, StoreError> {
     let sot = manifest
         .sots
@@ -600,7 +604,8 @@ fn run_request(
             // decoded and charged as ever, and no frame is kept — the
             // cursor's two buffers take turns.
             let tile = store.read_tile(manifest, req.sot_idx, req.tile)?;
-            let mut cursor = tile.cursor_at(tile.keyframe_before(span.start), None)?;
+            let cursor = tile.cursor_at(tile.keyframe_before(span.start), None)?;
+            let mut cursor = cursor.with_buffers(std::mem::take(buffers));
             while cursor.position() < span.end {
                 let at = cursor.position();
                 let frame = cursor.advance()?;
@@ -611,8 +616,10 @@ fn run_request(
             // A "miss" only exists where a cache exists: uncached stores
             // report all-zero CacheStats, not a phantom 0% hit rate.
             let owned = crate::scan::gop_count(span, manifest.config.gop_len);
+            let (stats, spent) = cursor.into_buffers();
+            *buffers = spent;
             Ok(TaskOutput {
-                stats: *cursor.stats(),
+                stats,
                 shared: SharedScanStats { owned, joined: 0 },
                 ..Default::default()
             })
