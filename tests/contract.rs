@@ -728,22 +728,17 @@ fn fixed_sequence(tag: &str, budget: u64, workers: usize) -> Counts {
 }
 
 /// Every region a scan or query returns is the crop of its frame stitched
-/// from whole-tile decodes, under each cache budget (none, a fraction of
-/// one GOP, unbounded) at one and two decode workers.
+/// from whole-tile decodes, under each cache budget (none, five GOPs,
+/// unbounded) at one and two decode workers; and what the sequence
+/// decodes, reuses, owns and plans at each budget, one worker, is pinned:
+/// the same work whatever the executor keeps or composes.
 #[test]
 fn every_region_is_the_crop_of_its_frame_stitched_from_whole_tile_decodes() {
+    let mut serial = Vec::new();
     for budget in [0, PARTIAL, u64::MAX] {
-        for workers in [1, 2] {
-            fixed_sequence("oracle", budget, workers);
-        }
+        serial.push(fixed_sequence("oracle", budget, 1));
+        fixed_sequence("oracle", budget, 2);
     }
-}
-
-/// What the fixed sequence decodes, reuses, owns and plans at each budget,
-/// one worker: the same work whatever the executor keeps or composes.
-#[test]
-fn a_fixed_serial_sequence_does_pinned_work_at_each_budget() {
-    let got = [0, PARTIAL, u64::MAX].map(|budget| fixed_sequence("pin", budget, 1));
     let want = [
         Counts {
             decode: [2005, 7856640, 2005, 273831, 122760],
@@ -764,5 +759,34 @@ fn a_fixed_serial_sequence_does_pinned_work_at_each_budget() {
             plan: [129, 49, 412, 51, 496],
         },
     ];
-    assert_eq!(got, want, "budgets none, a third of a GOP, unbounded");
+    assert_eq!(serial, want, "budgets none, five GOPs, unbounded");
+}
+
+/// A zero-width box at an odd coordinate, alone on its frame, answers with
+/// the crop of the rectangle it aligns out to, from a tiled SOT and an
+/// untiled one, through scan and query alike: the tiles are planned from
+/// the rectangle the answer is composed over.
+#[test]
+fn a_lone_zero_width_box_answers_with_its_aligned_crop() {
+    let mut cfg = config();
+    (cfg.storage.gop_len, cfg.storage.sot_frames) = (GOP, FRAMES / 2);
+    let store = TestStore::open("contract-sliver", cfg);
+    ingest(&store, "v", &scene(W, H, FRAMES, 33));
+    store
+        .retile("v", 0, TileLayout::uniform(W, H, 4, 4).unwrap())
+        .unwrap();
+    for f in [2, 25] {
+        store
+            .add_metadata("v", "sliver", f, Rect::new(3, 3, 0, 4))
+            .unwrap();
+    }
+    let sliver = LabelPredicate::label("sliver");
+    let scanned = store.scan("v", &sliver, 0..FRAMES).unwrap();
+    let queried = store.query("v", &Query::new(sliver)).unwrap();
+    for (r, what) in [(scanned, "scan"), (queried, "query")] {
+        let frames: Vec<u32> = r.regions.iter().map(|g| g.frame).collect();
+        assert_eq!(frames, [2, 25], "{what}");
+        assert!(r.regions.iter().all(|g| g.pixels.width() == 2), "{what}");
+        Stitched::new(&store, r.epoch).check(&r.regions, what);
+    }
 }
