@@ -6,6 +6,7 @@
 //! deterministically.
 
 use crate::args::Args;
+use serde::Serialize;
 use std::error::Error;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -565,10 +566,9 @@ fn workload(args: &Args) -> CmdResult {
     let handles: Vec<_> = queries
         .iter()
         .map(|q| {
-            service.submit(QueryRequest::scan(
+            service.submit(QueryRequest::new(
                 name,
-                LabelPredicate::label(&q.label),
-                q.frames.clone(),
+                Query::new(LabelPredicate::label(&q.label)).frames(q.frames.clone()),
             ))
         })
         .collect::<Result<_, _>>()?;
@@ -979,42 +979,63 @@ fn client_loadgen(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// One line of hand-built JSON for a [`tasm_service::ServiceStats`]
-/// snapshot. Built
-/// with `format!` rather than a serializer: the service types carry no
-/// serde derives, and every field here is numeric.
+/// `client stats --json`: a [`tasm_service::ServiceStats`] snapshot.
+#[derive(Serialize)]
+struct ServiceStatsJson {
+    source: String,
+    submitted: u64,
+    completed: u64,
+    failed: u64,
+    samples_decoded: u64,
+    samples_reused: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    shared_owned: u64,
+    shared_joined: u64,
+    retile_ops: u64,
+    retile_errors: u64,
+    queue_peak: u64,
+    latency: LatencyJson,
+}
+
+/// The latency histogram in [`ServiceStatsJson`].
+#[derive(Serialize)]
+struct LatencyJson {
+    count: u64,
+    total_micros: u64,
+    p50_micros: u64,
+    p95_micros: u64,
+    p99_micros: u64,
+    buckets: Vec<u64>,
+}
+
 fn service_stats_json(source: &str, stats: &tasm_service::ServiceStats) -> String {
     let l = &stats.latency;
-    let buckets: Vec<String> = l.buckets.iter().map(|b| b.to_string()).collect();
-    format!(
-        concat!(
-            "{{\"source\":\"{}\",\"submitted\":{},\"completed\":{},\"failed\":{},",
-            "\"samples_decoded\":{},\"samples_reused\":{},\"cache_hits\":{},",
-            "\"cache_misses\":{},\"shared_owned\":{},\"shared_joined\":{},",
-            "\"retile_ops\":{},\"retile_errors\":{},\"queue_peak\":{},",
-            "\"latency\":{{\"count\":{},\"total_micros\":{},\"p50_micros\":{},",
-            "\"p95_micros\":{},\"p99_micros\":{},\"buckets\":[{}]}}}}"
-        ),
-        tasm_obs::log::json_escape(source),
-        stats.submitted,
-        stats.completed,
-        stats.failed,
-        stats.samples_decoded,
-        stats.samples_reused,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.shared.owned,
-        stats.shared.joined,
-        stats.retile_ops,
-        stats.retile_errors,
-        stats.queue_peak,
-        l.count,
-        l.total_micros,
-        l.p50().as_micros(),
-        l.p95().as_micros(),
-        l.p99().as_micros(),
-        buckets.join(","),
-    )
+    let micros = |d: Duration| d.as_micros() as u64;
+    serde_json::to_string(&ServiceStatsJson {
+        source: source.to_string(),
+        submitted: stats.submitted,
+        completed: stats.completed,
+        failed: stats.failed,
+        samples_decoded: stats.samples_decoded,
+        samples_reused: stats.samples_reused,
+        cache_hits: stats.cache_hits,
+        cache_misses: stats.cache_misses,
+        shared_owned: stats.shared.owned,
+        shared_joined: stats.shared.joined,
+        retile_ops: stats.retile_ops,
+        retile_errors: stats.retile_errors,
+        queue_peak: stats.queue_peak,
+        latency: LatencyJson {
+            count: l.count,
+            total_micros: l.total_micros,
+            p50_micros: micros(l.p50()),
+            p95_micros: micros(l.p95()),
+            p99_micros: micros(l.p99()),
+            buckets: l.buckets.to_vec(),
+        },
+    })
+    .expect("numbers and a string serialize")
 }
 
 /// Prints a remote server's aggregate statistics.
@@ -1343,14 +1364,66 @@ fn info(args: &Args) -> CmdResult {
     Ok(())
 }
 
+/// One video's object in `stats --json`.
+#[derive(Serialize)]
+#[cfg_attr(test, derive(serde::Deserialize))]
+struct VideoStats {
+    name: String,
+    disk_bytes: u64,
+    raw_bytes: u64,
+    frames: u32,
+    sots: usize,
+    tiles_dct: u64,
+    tiles_pred: u64,
+}
+
+/// The semantic index tier's object in `stats --storage --json`.
+#[derive(Serialize)]
+#[cfg_attr(test, derive(serde::Deserialize))]
+struct IndexStats {
+    runs: usize,
+    run_entries: u64,
+    memtable_entries: usize,
+    detections: u64,
+    disk_bytes: u64,
+    resident_bytes: u64,
+    filter_probes: u64,
+    filter_skips: u64,
+    runs_read: u64,
+}
+
+/// `stats --json`.
+#[derive(Serialize)]
+#[cfg_attr(test, derive(serde::Deserialize))]
+struct StoreStats {
+    videos: Vec<VideoStats>,
+}
+
+/// `stats --storage --json`.
+#[derive(Serialize)]
+#[cfg_attr(test, derive(serde::Deserialize))]
+struct StoreStorageStats {
+    videos: Vec<VideoStats>,
+    index: IndexStats,
+}
+
 fn stats(args: &Args) -> CmdResult {
+    print!("{}", stats_report(args)?);
+    Ok(())
+}
+
+/// What `stats` prints: a line per video and, with `--storage`, the
+/// semantic index tier's counters, as text or (`--json`) one JSON object.
+fn stats_report(args: &Args) -> Result<String, Box<dyn Error>> {
+    use std::fmt::Write;
     let store = args.required("store")?;
     let videos_dir = Path::new(store).join("videos");
     let entries = std::fs::read_dir(&videos_dir)
         .map_err(|_| format!("no store at '{store}' (run `tasm ingest` first)"))?;
     let tasm = open_tasm(store, args)?;
     let json = args.has("json");
-    let mut video_objs: Vec<String> = Vec::new();
+    let mut out = String::new();
+    let mut videos: Vec<VideoStats> = Vec::new();
     let mut ids: Vec<u32> = Vec::new();
     for entry in entries {
         let entry = entry?;
@@ -1371,110 +1444,93 @@ fn stats(args: &Args) -> CmdResult {
         let disk = tasm.video_size_bytes(&name)?;
         let luma = m.width as u64 * m.height as u64;
         let raw = m.frame_count as u64 * (luma + luma / 2);
-        let (mut dct, mut pred) = (0u64, 0u64);
-        for sot in &m.sots {
-            for &c in &sot.tile_codecs {
-                if c == 0 {
-                    dct += 1;
-                } else {
-                    pred += 1;
-                }
-            }
-        }
-        if json {
-            video_objs.push(format!(
-                concat!(
-                    "{{\"name\":\"{}\",\"disk_bytes\":{},\"raw_bytes\":{},",
-                    "\"frames\":{},\"sots\":{},",
-                    "\"tiles_dct\":{},\"tiles_pred\":{}}}"
-                ),
-                tasm_obs::log::json_escape(&name),
-                disk,
-                raw,
-                m.frame_count,
-                m.sots.len(),
-                dct,
-                pred,
-            ));
-        } else {
-            println!(
+        let codecs = m.sots.iter().flat_map(|sot| &sot.tile_codecs);
+        let dct = codecs.clone().filter(|&&c| c == 0).count() as u64;
+        let pred = codecs.count() as u64 - dct;
+        if !json {
+            writeln!(
+                out,
                 "{name}: {:.1} KiB on disk / {:.1} KiB raw ({:.2}x smaller), \
                  tiles: {dct} dct, {pred} pred",
                 disk as f64 / 1024.0,
                 raw as f64 / 1024.0,
                 raw as f64 / disk.max(1) as f64,
-            );
+            )?;
         }
+        videos.push(VideoStats {
+            name,
+            disk_bytes: disk,
+            raw_bytes: raw,
+            frames: m.frame_count,
+            sots: m.sots.len(),
+            tiles_dct: dct,
+            tiles_pred: pred,
+        });
     }
-    let mut index_obj: Option<String> = None;
-    if args.has("storage") {
-        // A second, read-only handle on the tier: probe one query per
-        // stored label so the filter counters reflect real lookups.
-        let mut tier = TieredIndex::open(&Path::new(store).join("index"))?;
-        for &id in &ids {
-            for label in tier.labels(id)? {
-                tier.query(id, &label, 0..u32::MAX)?;
-            }
-        }
-        let ts = tier.stats();
+    if !args.has("storage") {
         if json {
-            index_obj = Some(format!(
-                concat!(
-                    "{{\"runs\":{},\"run_entries\":{},\"memtable_entries\":{},",
-                    "\"detections\":{},\"disk_bytes\":{},\"resident_bytes\":{},",
-                    "\"filter_probes\":{},\"filter_skips\":{},\"runs_read\":{}}}"
-                ),
-                ts.run_count,
-                ts.run_entries,
-                ts.memtable_entries,
-                tier.detection_count(),
-                ts.disk_bytes,
-                ts.resident_bytes,
-                ts.filter_probes,
-                ts.filter_skips,
-                ts.runs_read,
-            ));
-        } else {
-            println!("semantic index tier:");
-            println!(
-                "  {} run(s) holding {} entries, memtable {} entries, {} detections total",
-                ts.run_count,
-                ts.run_entries,
-                ts.memtable_entries,
-                tier.detection_count()
-            );
-            for (id, n, bytes) in tier.run_summaries() {
-                println!(
-                    "    run {id:08}: {n} entries, {:.1} KiB",
-                    bytes as f64 / 1024.0
-                );
-            }
-            println!(
-                "  disk {:.1} KiB, resident {:.1} KiB ({:.1}% of a fully resident map)",
-                ts.disk_bytes as f64 / 1024.0,
-                ts.resident_bytes as f64 / 1024.0,
-                100.0 * ts.resident_bytes as f64
-                    / ((ts.run_entries + ts.memtable_entries as u64).max(1) * 32) as f64,
-            );
-            println!(
-                "  bloom/range filters: {} probe(s), {} skipped disk reads ({:.0}% hit rate), {} run file(s) read",
-                ts.filter_probes,
-                ts.filter_skips,
-                100.0 * ts.filter_hit_rate(),
-                ts.runs_read,
-            );
+            writeln!(out, "{}", serde_json::to_string(&StoreStats { videos })?)?;
+        }
+        return Ok(out);
+    }
+    // A second, read-only handle on the tier: probe one query per stored
+    // label so the filter counters reflect real lookups.
+    let mut tier = TieredIndex::open(&Path::new(store).join("index"))?;
+    for &id in &ids {
+        for label in tier.labels(id)? {
+            tier.query(id, &label, 0..u32::MAX)?;
         }
     }
+    let ts = tier.stats();
     if json {
-        match index_obj {
-            Some(index) => println!(
-                "{{\"videos\":[{}],\"index\":{index}}}",
-                video_objs.join(",")
-            ),
-            None => println!("{{\"videos\":[{}]}}", video_objs.join(",")),
-        }
+        let index = IndexStats {
+            runs: ts.run_count,
+            run_entries: ts.run_entries,
+            memtable_entries: ts.memtable_entries,
+            detections: tier.detection_count(),
+            disk_bytes: ts.disk_bytes,
+            resident_bytes: ts.resident_bytes,
+            filter_probes: ts.filter_probes,
+            filter_skips: ts.filter_skips,
+            runs_read: ts.runs_read,
+        };
+        let both = StoreStorageStats { videos, index };
+        writeln!(out, "{}", serde_json::to_string(&both)?)?;
+        return Ok(out);
     }
-    Ok(())
+    writeln!(out, "semantic index tier:")?;
+    writeln!(
+        out,
+        "  {} run(s) holding {} entries, memtable {} entries, {} detections total",
+        ts.run_count,
+        ts.run_entries,
+        ts.memtable_entries,
+        tier.detection_count()
+    )?;
+    for (id, n, bytes) in tier.run_summaries() {
+        writeln!(
+            out,
+            "    run {id:08}: {n} entries, {:.1} KiB",
+            bytes as f64 / 1024.0
+        )?;
+    }
+    writeln!(
+        out,
+        "  disk {:.1} KiB, resident {:.1} KiB ({:.1}% of a fully resident map)",
+        ts.disk_bytes as f64 / 1024.0,
+        ts.resident_bytes as f64 / 1024.0,
+        100.0 * ts.resident_bytes as f64
+            / ((ts.run_entries + ts.memtable_entries as u64).max(1) * 32) as f64,
+    )?;
+    writeln!(
+        out,
+        "  bloom/range filters: {} probe(s), {} skipped disk reads ({:.0}% hit rate), {} run file(s) read",
+        ts.filter_probes,
+        ts.filter_skips,
+        100.0 * ts.filter_hit_rate(),
+        ts.runs_read,
+    )?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1822,6 +1878,30 @@ mod tests {
                 r#"0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}"#,
             )
         );
+    }
+
+    /// `stats --json` is JSON whatever the video is called: a name with a
+    /// quote in it parses back, with and without `--storage`.
+    #[test]
+    fn stats_json_parses_back_for_a_quoted_name() {
+        let (s, _store) = store("stats-json");
+        run(&format!(
+            "ingest --store {s} --name a\"b --dataset visual-road-2k --seconds 1 --seed 3"
+        ))
+        .expect("ingest");
+        let report = |line: &str| {
+            let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+            stats_report(&Args::parse_with_flags(&argv, &["storage", "json"]).unwrap()).unwrap()
+        };
+        let plain: StoreStats =
+            serde_json::from_str(&report(&format!("--store {s} --json"))).unwrap();
+        let both: StoreStorageStats =
+            serde_json::from_str(&report(&format!("--store {s} --storage --json"))).unwrap();
+        for videos in [plain.videos, both.videos] {
+            assert_eq!(videos.len(), 1);
+            assert_eq!((videos[0].name.as_str(), videos[0].frames), ("a\"b", 30));
+        }
+        assert_eq!(both.index.detections, 0);
     }
 
     #[test]

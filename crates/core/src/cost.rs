@@ -12,6 +12,7 @@
 //! Re-encoding cost `R(s, L)` is likewise "estimated using a linear model
 //! based on the number of pixels being encoded" (§5.3).
 
+use crate::plan::box_tiles;
 use serde::{Deserialize, Serialize};
 use tasm_codec::TileLayout;
 use tasm_index::Detection;
@@ -188,10 +189,12 @@ pub fn estimate_work(
     if detections.is_empty() || query_frames.is_empty() {
         return Work::default();
     }
-    // Tiles that must be decoded: every tile intersecting any requested box.
+    // Tiles that must be decoded: every tile a requested box touches, by
+    // the read planner's rule.
     let mut needed = vec![false; layout.tile_count() as usize];
+    let (w, h) = (layout.frame_width(), layout.frame_height());
     for d in detections {
-        for t in layout.tiles_intersecting(&d.bbox) {
+        for t in box_tiles(layout, &d.bbox, w, h).1 {
             needed[t as usize] = true;
         }
     }
@@ -316,6 +319,20 @@ mod tests {
         let w = estimate_work(&l, &[center], 0..30, 0, 30);
         assert_eq!(w.tile_chunks, 120);
         assert_eq!(w.pixels, 30 * (640 * 352) * 3 / 2);
+    }
+
+    /// A zero-width box at an odd x is priced at the tile the executor
+    /// reads for it: the one under its 2 px aligned rectangle.
+    #[test]
+    fn a_zero_width_box_at_an_odd_x_is_priced_at_its_tile() {
+        let l = TileLayout::uniform(640, 352, 2, 2).unwrap();
+        let sliver = Detection {
+            frame: 0,
+            bbox: Rect::new(333, 17, 0, 20),
+        };
+        let w = estimate_work(&l, &[sliver], 0..30, 0, 30);
+        assert_eq!(w.tile_chunks, 30);
+        assert_eq!(w.pixels, 30 * (320 * 176) * 3 / 2);
     }
 
     #[test]

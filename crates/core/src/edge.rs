@@ -9,6 +9,7 @@
 //! bandwidth — both effects are reported in [`EdgeReport`].
 
 use crate::partition::partition;
+use crate::plan::box_tiles;
 use crate::runner::TruthFn;
 use crate::tasm::{Tasm, TasmError};
 use tasm_codec::TileLayout;
@@ -143,18 +144,13 @@ pub fn edge_ingest(
     let manifest = tasm.manifest(name)?.clone();
     report.full_video_bytes = tasm.store().video_size_bytes(&manifest)?;
     let mut streamed = 0u64;
+    let (w, h) = (manifest.width, manifest.height);
     for (sot_idx, (sot, dets)) in manifest.sots.iter().zip(&per_sot).enumerate() {
-        let mut needed = vec![false; sot.layout.tile_count() as usize];
-        for d in dets {
-            for t in sot.layout.tiles_intersecting(&d.bbox) {
-                needed[t as usize] = true;
-            }
-        }
-        for t in 0..sot.layout.tile_count() {
-            if needed[t as usize] {
-                let tile = tasm.store().read_tile(&manifest, sot_idx, t)?;
-                streamed += tile.size_bytes();
-            }
+        let needed = dets
+            .iter()
+            .flat_map(|d| box_tiles(&sot.layout, &d.bbox, w, h).1);
+        for t in needed.collect::<std::collections::BTreeSet<u32>>() {
+            streamed += tasm.store().read_tile(&manifest, sot_idx, t)?.size_bytes();
         }
     }
     report.streamed_tile_bytes = streamed;

@@ -78,11 +78,14 @@ impl std::ops::AddAssign for CacheStats {
 /// Planner accounting: how much decode work the query planner scheduled and
 /// how much it *avoided* relative to the label-only baseline plan.
 ///
-/// The baseline is what [`mod@crate::scan`] would decode for the same label
-/// predicate: every tile overlapping any labeled box, over each SOT's full
-/// matched-frame span. The spatiotemporal planner ([`crate::query`]) prunes
-/// that plan — tiles whose boxes miss the ROI, GOPs outside the sampling
-/// stride, GOPs past a satisfied `limit` — and records what it cut here.
+/// The baseline is the read plan (`ReadPlan`, in `tasm-core`'s `plan`
+/// module) of the label predicate's boxes, read whole as
+/// [`mod@crate::scan`] reads it: every tile a box touches, over its SOT's
+/// full matched-frame span. The spatiotemporal planner ([`crate::query`])
+/// builds a second plan from the boxes its ROI, stride and `limit` keep,
+/// reads only that plan's GOP runs, and derives these counters from the
+/// two plans: tiles whose boxes all miss the ROI, GOPs outside the sampling
+/// stride and GOPs past a satisfied `limit` are what it cut.
 ///
 /// All counters are computed at *plan time* from the semantic index alone:
 /// they cost no decode work, and they are byte-for-byte identical whether
@@ -615,7 +618,7 @@ fn run_request(
             }
             // A "miss" only exists where a cache exists: uncached stores
             // report all-zero CacheStats, not a phantom 0% hit rate.
-            let owned = crate::scan::gop_count(span, manifest.config.gop_len);
+            let owned = crate::plan::gop_count(span, manifest.config.gop_len);
             let (stats, spent) = cursor.into_buffers();
             *buffers = spent;
             Ok(TaskOutput {

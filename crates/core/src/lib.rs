@@ -130,6 +130,7 @@ pub mod edge;
 pub mod exec;
 mod pack;
 pub mod partition;
+mod plan;
 pub mod pool;
 pub mod query;
 pub mod runner;
@@ -149,9 +150,7 @@ pub use partition::{partition, Granularity, PartitionConfig};
 pub use pool::{BufferPool, CanvasPool};
 pub use query::{Query, QueryMode};
 pub use runner::{run_workload, QueryRecord, RunQuery, Strategy, TruthFn, WorkloadReport};
-pub use scan::{
-    recycle_canvases, scan_prepared, LabelPredicate, RegionPixels, ScanError, ScanResult,
-};
+pub use scan::{recycle_canvases, LabelPredicate, RegionPixels, ScanError, ScanResult};
 pub use storage::{
     RetileStats, RetiredEpoch, SotEntry, StorageConfig, StoreError, VideoManifest, VideoStore,
     CANVAS_POOL_BYTES,

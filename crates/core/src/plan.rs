@@ -1,0 +1,354 @@
+//! The read plan: `Scan` (§3.1) maps each box to the tiles of its SOT and
+//! decodes only those, and [`ReadPlan`] is that mapping, made once. A box
+//! touches the tiles of its rectangle aligned outward to even edges
+//! ([`box_tiles`], the cost model's rule too), the rectangle its canvas
+//! covers. Scan reads the plan whole ([`ReadPlan::whole_reads`]); a query
+//! reads the GOP runs of a plan of the boxes it keeps
+//! ([`ReadPlan::gop_reads`]) and derives its [`PlanStats`] against the
+//! unfiltered plan ([`ReadPlan::stats`]).
+
+use crate::exec::{PlanStats, TileDecodeRequest};
+use crate::storage::VideoManifest;
+use std::collections::BTreeMap;
+use std::ops::Range;
+use tasm_codec::TileLayout;
+use tasm_video::Rect;
+
+/// One region of the answer: a box whose aligned rectangle is not empty.
+#[derive(Debug)]
+pub(crate) struct Slot {
+    pub frame: u32,
+    /// The box as the predicate gave it.
+    pub rect: Rect,
+    /// `rect` aligned outward and clamped to the frame: its canvas.
+    pub aligned: Rect,
+}
+
+/// What one SOT reads.
+struct SotReads {
+    sot_idx: usize,
+    /// Local frames from the first with a box to the last, any box.
+    span: Range<u32>,
+    /// Per tile, the local frames whose boxes touch it, ascending.
+    frames: Vec<Vec<u32>>,
+}
+
+impl SotReads {
+    /// The tiles read, ascending, with their frames.
+    fn tiles(&self) -> impl Iterator<Item = (u32, &[u32])> {
+        let tiles = (0u32..).zip(&self.frames);
+        tiles.filter_map(|(t, f)| (!f.is_empty()).then_some((t, &f[..])))
+    }
+}
+
+/// The tiles a set of boxes reads, and the regions it composes.
+pub(crate) struct ReadPlan {
+    /// Each SOT with a tile to read, ascending.
+    sots: Vec<SotReads>,
+    /// In output order: frame, then box.
+    pub slots: Vec<Slot>,
+}
+
+impl ReadPlan {
+    /// Plans `regions` (frame → boxes) on the SOTs overlapping `frames`.
+    pub(crate) fn new(
+        manifest: &VideoManifest,
+        regions: &BTreeMap<u32, Vec<Rect>>,
+        frames: Range<u32>,
+    ) -> Self {
+        let (mut sots, mut slots) = (Vec::new(), Vec::new());
+        for sot_idx in manifest.sots_for_range(frames) {
+            let sot = &manifest.sots[sot_idx];
+            let mut boxes = regions.range(sot.start..sot.end).peekable();
+            let Some((&first, _)) = boxes.peek() else {
+                continue;
+            };
+            let mut reads = SotReads {
+                sot_idx,
+                span: first - sot.start..first - sot.start,
+                frames: vec![Vec::new(); sot.layout.tile_count() as usize],
+            };
+            for (&frame, rects) in boxes {
+                let local = frame - sot.start;
+                reads.span.end = local + 1;
+                for &rect in rects {
+                    let (aligned, tiles) =
+                        box_tiles(&sot.layout, &rect, manifest.width, manifest.height);
+                    for t in tiles {
+                        let frames = &mut reads.frames[t as usize];
+                        if frames.last() != Some(&local) {
+                            frames.push(local);
+                        }
+                    }
+                    if !aligned.is_empty() {
+                        slots.push(Slot {
+                            frame,
+                            rect,
+                            aligned,
+                        });
+                    }
+                }
+            }
+            if reads.tiles().next().is_some() {
+                sots.push(reads);
+            }
+        }
+        ReadPlan { sots, slots }
+    }
+
+    /// Every planned tile over its SOT's whole span: what scan reads.
+    pub(crate) fn whole_reads(&self) -> Vec<TileDecodeRequest> {
+        let reads = self.sots.iter().flat_map(|sot| {
+            sot.tiles().map(|(tile, _)| TileDecodeRequest {
+                sot_idx: sot.sot_idx,
+                tile,
+                local_span: sot.span.clone(),
+            })
+        });
+        reads.collect()
+    }
+
+    /// Per planned tile, one read per run of consecutive GOPs holding a frame
+    /// of it, from that run's first such frame to its last: what a query reads.
+    pub(crate) fn gop_reads(&self, gop_len: u32) -> Vec<TileDecodeRequest> {
+        let mut reads: Vec<TileDecodeRequest> = Vec::new();
+        for sot in &self.sots {
+            for (tile, frames) in sot.tiles() {
+                let first = reads.len();
+                for &f in frames {
+                    match reads[first..].last_mut() {
+                        Some(run) if f / gop_len <= (run.local_span.end - 1) / gop_len + 1 => {
+                            run.local_span.end = f + 1;
+                        }
+                        _ => reads.push(TileDecodeRequest {
+                            sot_idx: sot.sot_idx,
+                            tile,
+                            local_span: f..f + 1,
+                        }),
+                    }
+                }
+            }
+        }
+        reads
+    }
+
+    /// What `reads`, grouped by tile as both methods above emit them,
+    /// schedule and cut against this plan read whole, the baseline;
+    /// `frames_sampled` is left to the caller.
+    pub(crate) fn stats(&self, reads: &[TileDecodeRequest], gop_len: u32) -> PlanStats {
+        let mut stats = PlanStats::default();
+        let (mut baseline_gops, mut last) = (0, None);
+        for read in reads {
+            stats.gops_planned += gop_count(&read.local_span, gop_len);
+            if last.replace((read.sot_idx, read.tile)) != Some((read.sot_idx, read.tile)) {
+                stats.tiles_planned += 1;
+                let sot = self.sots.binary_search_by_key(&read.sot_idx, |s| s.sot_idx);
+                let sot = &self.sots[sot.expect("reads lie inside the baseline")];
+                baseline_gops += gop_count(&sot.span, gop_len);
+            }
+        }
+        let tiles = self.sots.iter().map(|s| s.tiles().count() as u64);
+        stats.tiles_pruned = tiles.sum::<u64>() - stats.tiles_planned;
+        stats.gops_skipped = baseline_gops - stats.gops_planned;
+        stats
+    }
+}
+
+/// A box's reads under `layout` of a `w`×`h` frame: the box aligned outward
+/// and clamped to the frame, and the tiles it meets. Tile edges are even,
+/// so a non-empty box meets the same tiles raw, and a zero-width box at an
+/// odd coordinate gets the tile under its 2 px alignment.
+pub(crate) fn box_tiles(layout: &TileLayout, rect: &Rect, w: u32, h: u32) -> (Rect, Vec<u32>) {
+    let aligned = align_out(rect, w, h);
+    (aligned, layout.tiles_intersecting(&aligned))
+}
+
+/// Aligns a rectangle outward to even coordinates (chroma parity), clamped
+/// to the frame.
+pub(crate) fn align_out(r: &Rect, w: u32, h: u32) -> Rect {
+    let x = r.x & !1;
+    let y = r.y & !1;
+    let right = (r.right() + 1) & !1;
+    let bottom = (r.bottom() + 1) & !1;
+    Rect::new(x, y, right - x, bottom - y).clamp_to(w, h)
+}
+
+/// Number of GOPs a local frame span touches.
+pub(crate) fn gop_count(span: &Range<u32>, gop_len: u32) -> u64 {
+    if span.is_empty() {
+        return 0;
+    }
+    let first = span.start / gop_len;
+    let last = (span.end - 1) / gop_len;
+    (last - first + 1) as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::query::{filter_regions, Query};
+    use crate::scan::LabelPredicate;
+    use crate::storage::{SotEntry, StorageConfig};
+    use proptest::prelude::*;
+
+    #[test]
+    fn gop_run_grouping_counts() {
+        assert_eq!(gop_count(&(0..10), 5), 2);
+        assert_eq!(gop_count(&(4..6), 5), 2);
+        assert_eq!(gop_count(&(5..6), 5), 1);
+        assert_eq!(gop_count(&(3..3), 5), 0);
+    }
+
+    /// Tile sizes over `units` 16 px units, a new tile starting at unit `i`
+    /// where bit `i` of `cuts` is set.
+    fn cut(units: u32, cuts: u64) -> Vec<u32> {
+        let mut sizes = vec![16];
+        for i in 1..units {
+            match cuts >> i & 1 {
+                1 => sizes.push(16),
+                _ => *sizes.last_mut().unwrap() += 16,
+            }
+        }
+        sizes
+    }
+
+    /// A 30-frame video of three 10-frame SOTs, each under its own uniform
+    /// or non-uniform layout.
+    fn arb_manifest() -> impl Strategy<Value = VideoManifest> {
+        (2u32..9, 2u32..7, any::<[u64; 3]>(), 1u32..7).prop_map(|(wu, hu, seeds, gop_len)| {
+            let (width, height) = (wu * 16, hu * 16);
+            let layout = |seed: u64| match seed & 1 {
+                0 => {
+                    let (rows, cols) = ((seed >> 1) as u32 % hu, (seed >> 8) as u32 % wu);
+                    TileLayout::uniform(width, height, 1 + rows, 1 + cols)
+                }
+                _ => TileLayout::new(cut(wu, seed >> 1), cut(hu, seed >> 20)),
+            };
+            let sots = (0u32..3).zip(seeds).map(|(i, seed)| SotEntry {
+                start: i * 10,
+                end: i * 10 + 10,
+                layout: layout(seed).unwrap(),
+                retile_count: 0,
+                tile_codecs: Vec::new(),
+            });
+            let config = StorageConfig {
+                gop_len,
+                sot_frames: 10,
+                ..Default::default()
+            };
+            let name = "v".to_string();
+            let sots = sots.collect();
+            VideoManifest {
+                name,
+                width,
+                height,
+                frame_count: 30,
+                fps: 30,
+                config,
+                sots,
+            }
+        })
+    }
+
+    /// A box on frames 0..30 whose sides are 0 (a quarter of draws), 1 or
+    /// 2, or up to 80 px, placed up to past the largest frame's edge.
+    fn arb_box() -> impl Strategy<Value = (u32, Rect)> {
+        ((0u32..30, 0u32..160, 0u32..120), any::<u32>()).prop_map(|((frame, x, y), sides)| {
+            let side = |s: u32| [0, 1 + s / 4 % 2, s / 4 % 80, s / 4 % 80][s as usize % 4];
+            (frame, Rect::new(x, y, side(sides), side(sides >> 16)))
+        })
+    }
+
+    /// A query with an ROI (or none), a stride and a limit (or none).
+    fn arb_query() -> impl Strategy<Value = Query> {
+        (
+            (0u32..140, 0u32..110, 0u32..90, 0u32..70),
+            1u32..5,
+            0u32..12,
+        )
+            .prop_map(|((x, y, w, h), stride, limit)| {
+                let q = Query::new(LabelPredicate::label("car")).stride(stride);
+                let q = if x % 3 == 0 {
+                    q
+                } else {
+                    q.roi(Rect::new(x, y, w, h))
+                };
+                if limit < 8 {
+                    q.limit(limit)
+                } else {
+                    q
+                }
+            })
+    }
+
+    /// Every slot of `plan` is covered exactly, at its frame, by the tiles
+    /// `reads` read there.
+    fn assert_slots_covered(m: &VideoManifest, plan: &ReadPlan, reads: &[TileDecodeRequest]) {
+        for slot in &plan.slots {
+            let sot_idx = (slot.frame / 10) as usize;
+            let (local, layout) = (slot.frame % 10, &m.sots[sot_idx].layout);
+            let read = reads
+                .iter()
+                .filter(|r| r.sot_idx == sot_idx && r.local_span.contains(&local));
+            let overlaps =
+                read.filter_map(|r| layout.tile_rect_by_index(r.tile).intersect(&slot.aligned));
+            let covered: u64 = overlaps.map(|overlap| overlap.area()).sum();
+            assert_eq!(covered, slot.aligned.area(), "{slot:?} under {layout:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Scan's whole plan and a query's pruned plan each read, at every
+        /// frame, the tiles that cover each of its non-empty aligned boxes;
+        /// the query reads inside scan's reads, and its counters add up to
+        /// scan's tiles and, per planned tile, scan's GOPs.
+        #[test]
+        fn plans_cover_their_boxes_and_prune_inside_the_baseline(
+            m in arb_manifest(),
+            boxes in proptest::collection::vec(arb_box(), 0..40),
+            window in (0u32..20, 5u32..40),
+            query in arb_query(),
+        ) {
+            let frames = window.0.min(window.1)..window.0.max(window.1).min(30);
+            let mut regions: BTreeMap<u32, Vec<Rect>> = BTreeMap::new();
+            for (f, r) in boxes.iter().filter(|(f, _)| frames.contains(f)) {
+                regions.entry(*f).or_default().push(*r);
+            }
+            let gop_len = m.config.gop_len;
+            let baseline = ReadPlan::new(&m, &regions, frames.clone());
+            let whole = baseline.whole_reads();
+            let aligned = regions.values().flatten().map(|r| align_out(r, m.width, m.height));
+            prop_assert_eq!(baseline.slots.len(), aligned.filter(|a| !a.is_empty()).count());
+            assert_slots_covered(&m, &baseline, &whole);
+            let scan = baseline.stats(&whole, gop_len);
+            prop_assert_eq!((scan.tiles_planned, scan.tiles_pruned), (whole.len() as u64, 0));
+            prop_assert_eq!(scan.gops_skipped, 0);
+
+            let mut kept = regions.clone();
+            filter_regions(&mut kept, &m, &query, &frames);
+            let plan = ReadPlan::new(&m, &kept, frames.clone());
+            let reads = plan.gop_reads(gop_len);
+            prop_assert_eq!(plan.slots.len(), kept.values().map(Vec::len).sum::<usize>());
+            assert_slots_covered(&m, &plan, &reads);
+            if plan.slots.len() == baseline.slots.len() {
+                // Every box that makes a region kept: the query reads the
+                // baseline's plan instead.
+                prop_assert_eq!(&reads, &baseline.gop_reads(gop_len));
+            }
+            let stats = baseline.stats(&reads, gop_len);
+            let mut tiles = BTreeMap::new();
+            for read in &reads {
+                let base = whole.iter().find(|w| (w.sot_idx, w.tile) == (read.sot_idx, read.tile));
+                let base = base.expect("a query reads only tiles scan reads");
+                prop_assert!(base.local_span.start <= read.local_span.start);
+                prop_assert!(read.local_span.end <= base.local_span.end);
+                tiles.insert((read.sot_idx, read.tile), gop_count(&base.local_span, gop_len));
+            }
+            prop_assert_eq!(stats.tiles_planned, tiles.len() as u64);
+            prop_assert_eq!(stats.tiles_planned + stats.tiles_pruned, whole.len() as u64);
+            prop_assert_eq!(stats.gops_planned + stats.gops_skipped, tiles.values().sum::<u64>());
+        }
+    }
+}

@@ -8,8 +8,7 @@
 //!
 //! * **Spatial ROI** ([`Query::roi`]) — only labeled boxes intersecting a
 //!   region of interest are retrieved. Boxes are tested against the ROI
-//!   through [`tasm_index::SpatialGrid`] before planning, so tiles whose
-//!   boxes miss the ROI are never decoded.
+//!   before planning, so tiles whose boxes miss the ROI are never decoded.
 //! * **Temporal sampling** ([`Query::stride`]) — sample every `n`-th frame
 //!   of the window. GOPs containing no sampled frame are never decoded.
 //! * **Limit** ([`Query::limit`]) — return only the first `k` matching
@@ -20,14 +19,11 @@
 //!   [`QueryMode::Exists`] answer from the index alone and skip pixel
 //!   materialization entirely.
 //!
-//! The planner turns a [`Query`] into a pruned per-`(SOT, tile, GOP)`
-//! decode plan executed by the [`crate::exec`] pipeline, and reports what
-//! it cut in [`crate::exec::PlanStats`] (`tiles_pruned`, `gops_skipped`,
-//! `frames_sampled`). Plan statistics are computed from the index alone, so
-//! they are identical whether the planned GOPs are decoded, served from the
-//! decoded-GOP cache, or joined from a concurrent query's in-flight decode
-//! — and the §4.1 cost model keeps seeing only real decode work in
-//! [`ScanResult::stats`].
+//! The planner maps boxes to tiles with the read plan `Scan` reads whole
+//! (`plan::ReadPlan`), built from the label-only boxes (the baseline) and,
+//! when the ROI, stride or limit drop any, again from those they keep. It
+//! emits that plan's per-`(SOT, tile)` GOP runs to the [`crate::exec`]
+//! pipeline and derives [`crate::exec::PlanStats`] from the two plans.
 //!
 //! ## Equivalence contract
 //!
@@ -39,18 +35,14 @@
 //! cache state, and across concurrent re-tiles; `tests/contract.rs`
 //! asserts it on every query path.
 
-use crate::exec::TileDecodeRequest;
-use crate::scan::{align_out, gop_count, Composer, LabelPredicate, ScanError, ScanResult};
+use crate::exec::PlanStats;
+use crate::plan::{align_out, ReadPlan};
+use crate::scan::{LabelPredicate, ScanError, ScanResult};
 use crate::storage::{VideoManifest, VideoStore};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::tasm::Lookup;
+use std::collections::BTreeMap;
 use std::ops::Range;
-use std::time::Duration;
-use tasm_index::SpatialGrid;
 use tasm_video::Rect;
-
-/// Past this many boxes in a frame, ROI filtering goes through the spatial
-/// grid instead of testing every box directly.
-const GRID_THRESHOLD: usize = 16;
 
 /// What a query returns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -203,36 +195,21 @@ impl Query {
 /// Applies the spatial and temporal predicates to the index-resolved
 /// regions, in the same order a post-hoc filter of scan output would:
 /// degenerate boxes out, then ROI, then stride, then limit.
-fn filter_regions(
+pub(crate) fn filter_regions(
     regions: &mut BTreeMap<u32, Vec<Rect>>,
     manifest: &VideoManifest,
     query: &Query,
     frames: &Range<u32>,
 ) {
-    // Boxes that are empty after chroma alignment and frame clamping never
-    // produce a region in scan output; drop them first so `matched` and the
-    // `limit` cutoff agree with post-filtered scan results exactly.
+    // Boxes empty once aligned and clamped never make a region in scan
+    // output: drop them first, so `matched` and the `limit` cutoff agree with
+    // the post-filter, whose ROI test is the raw `Rect::intersects`.
+    let roi = query.roi_rect();
     for rects in regions.values_mut() {
-        rects.retain(|r| !align_out(r, manifest.width, manifest.height).is_empty());
-    }
-    if let Some(roi) = query.roi_rect() {
-        // The grid stores raw rectangles but discovers candidates through
-        // frame-clamped cells; that is exact for a frame-contained ROI (any
-        // raw intersection then lies inside the frame, hence inside the
-        // box's clamped cells) but would miss overlaps that exist only
-        // beyond the frame edge. An ROI reaching past the frame therefore
-        // takes the direct path, keeping ROI semantics identical to the
-        // post-hoc filter: raw `Rect::intersects`, always.
-        let grid_exact =
-            roi.right() <= manifest.width && roi.bottom() <= manifest.height && !roi.is_empty();
-        for rects in regions.values_mut() {
-            if grid_exact && rects.len() > GRID_THRESHOLD {
-                let grid = SpatialGrid::from_boxes(manifest.width, manifest.height, rects);
-                *rects = grid.query_intersecting(&roi);
-            } else {
-                rects.retain(|r| r.intersects(&roi));
-            }
-        }
+        rects.retain(|r| {
+            !align_out(r, manifest.width, manifest.height).is_empty()
+                && roi.is_none_or(|roi| r.intersects(&roi))
+        });
     }
     let stride = query.stride_len();
     if stride > 1 {
@@ -250,126 +227,44 @@ fn filter_regions(
     }
 }
 
-/// The decode half of [`crate::Tasm::query`]: plans and executes a query
-/// against already-resolved target regions. Split from the index lookup for
-/// the same reason as [`crate::scan::scan_prepared`] — the semantic-index
-/// lock is released before any decode work starts.
+/// The decode half of [`crate::Tasm::query`], run after the index lock is
+/// released: reads the GOP runs of the plan of the boxes [`filter_regions`]
+/// keeps, and counts what it cut against the plan of all of them read
+/// whole, as `Scan` reads it (the baseline, which is also the plan when
+/// the filters keep every box that makes a region).
 pub(crate) fn query_prepared(
     store: &VideoStore,
-    manifest: &VideoManifest,
-    mut regions: BTreeMap<u32, Vec<Rect>>,
+    found: Lookup,
     query: &Query,
-    frames: Range<u32>,
-    lookup_time: Duration,
 ) -> Result<ScanResult, ScanError> {
+    let (manifest, mut regions, frames) = (found.pin.manifest(), found.regions, found.frames);
+    let baseline = ReadPlan::new(manifest, &regions, frames.clone());
+    filter_regions(&mut regions, manifest, query, &frames);
+    let matched: usize = regions.values().map(Vec::len).sum();
+    let frames_sampled = regions.len() as u64;
+    let pixels = query.query_mode() == QueryMode::Pixels;
+    let filtered;
+    let plan = if pixels && matched == baseline.slots.len() {
+        &baseline // the filters kept every box that makes a region
+    } else {
+        if !pixels {
+            regions.clear(); // aggregate modes answer from the index alone
+        }
+        filtered = ReadPlan::new(manifest, &regions, frames);
+        &filtered
+    };
+    let reads = plan.gop_reads(manifest.config.gop_len);
     let mut result = ScanResult {
-        lookup_time,
+        lookup_time: found.time,
         epoch: manifest.epoch(),
+        matched: matched as u64,
+        plan: PlanStats {
+            frames_sampled,
+            ..baseline.stats(&reads, manifest.config.gop_len)
+        },
         ..Default::default()
     };
-    let gop_len = manifest.config.gop_len;
-
-    // --- Baseline: the label-only plan `scan` would execute -------------
-    // (tiles from aligned boxes, each over the SOT's full matched-frame span).
-    // Everything below prunes relative to this.
-    let mut baseline: Vec<(usize, BTreeSet<u32>, Range<u32>)> = Vec::new();
-    for sot_idx in manifest.sots_for_range(frames.clone()) {
-        let sot = &manifest.sots[sot_idx];
-        let mut tiles: BTreeSet<u32> = BTreeSet::new();
-        let mut first = u32::MAX;
-        let mut last = 0u32;
-        for (&frame, rects) in regions.range(sot.start..sot.end) {
-            for r in rects {
-                let aligned = align_out(r, manifest.width, manifest.height);
-                tiles.extend(sot.layout.tiles_intersecting(&aligned));
-            }
-            first = first.min(frame);
-            last = last.max(frame);
-        }
-        if !tiles.is_empty() {
-            let span = (first - sot.start)..(last - sot.start + 1);
-            baseline.push((sot_idx, tiles, span));
-        }
-    }
-
-    // --- Prune: ROI ∧ stride ∧ limit ------------------------------------
-    filter_regions(&mut regions, manifest, query, &frames);
-    result.plan.frames_sampled = regions.len() as u64;
-    result.matched = regions.values().map(|v| v.len() as u64).sum();
-
-    if query.query_mode() != QueryMode::Pixels || regions.is_empty() {
-        // Aggregate modes answer from the index alone; the entire baseline
-        // decode plan is skipped. (Likewise when nothing matched.)
-        for (_, tiles, _) in &baseline {
-            result.plan.tiles_pruned += tiles.len() as u64;
-        }
-        return Ok(result);
-    }
-
-    // --- Plan: per-(SOT, tile) runs of GOPs that contain sampled frames --
-    let mut requests: Vec<TileDecodeRequest> = Vec::new();
-    let mut sot_order: Vec<usize> = Vec::new();
-    for (sot_idx, base_tiles, base_span) in &baseline {
-        let sot = &manifest.sots[*sot_idx];
-        // tile → local indices of sampled frames whose boxes touch it.
-        let mut per_tile: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
-        for (&frame, rects) in regions.range(sot.start..sot.end) {
-            let local = frame - sot.start;
-            for r in rects {
-                let aligned = align_out(r, manifest.width, manifest.height);
-                for t in sot.layout.tiles_intersecting(&aligned) {
-                    per_tile.entry(t).or_default().insert(local);
-                }
-            }
-        }
-        result.plan.tiles_pruned += (base_tiles.len() - per_tile.len()) as u64;
-        if per_tile.is_empty() {
-            continue;
-        }
-        sot_order.push(*sot_idx);
-        let base_gops = gop_count(base_span, gop_len);
-        for (tile, locals) in per_tile {
-            let gops: BTreeSet<u32> = locals.iter().map(|l| l / gop_len).collect();
-            result.plan.tiles_planned += 1;
-            result.plan.gops_planned += gops.len() as u64;
-            result.plan.gops_skipped += base_gops - gops.len() as u64;
-            // One decode request per contiguous run of needed GOPs; GOPs in
-            // the gaps are never decoded.
-            let mut run: Option<(u32, u32)> = None; // (first gop, last gop)
-            let flush = |first_gop: u32, last_gop: u32, requests: &mut Vec<_>| {
-                let lo = *locals
-                    .range(first_gop * gop_len..)
-                    .next()
-                    .expect("run contains a sampled frame");
-                let hi = *locals
-                    .range(..(last_gop + 1) * gop_len)
-                    .next_back()
-                    .expect("run contains a sampled frame");
-                requests.push(TileDecodeRequest {
-                    sot_idx: *sot_idx,
-                    tile,
-                    local_span: lo..hi + 1,
-                });
-            };
-            for &g in &gops {
-                run = match run {
-                    None => Some((g, g)),
-                    Some((first, last)) if g == last + 1 => Some((first, g)),
-                    Some((first, last)) => {
-                        flush(first, last, &mut requests);
-                        Some((g, g))
-                    }
-                };
-            }
-            if let Some((first, last)) = run {
-                flush(first, last, &mut requests);
-            }
-        }
-    }
-
-    // --- Execute: same fan-out pipeline as scan --------------------------
-    let composer = Composer::new(store.canvases(), manifest, &regions, &sot_order);
-    result.regions = result.execute(store, manifest, &requests, composer)?;
+    result.execute(store, manifest, plan, &reads)?;
     Ok(result)
 }
 
@@ -425,56 +320,44 @@ mod tests {
         out
     }
 
+    /// Boxes meeting the ROI survive whole (selection, not clipping), in
+    /// order; a frame left without one is dropped. An ROI that meets a box
+    /// only beyond the frame edge keeps it, as the post-filtered scan's raw
+    /// `Rect::intersects` does.
     #[test]
     fn roi_filter_selects_whole_intersecting_boxes() {
-        let m = manifest_for_filtering();
-        let mut regions = boxes(&[
-            (0, Rect::new(0, 0, 10, 10)),
-            (0, Rect::new(60, 60, 10, 10)),
-            (1, Rect::new(100, 0, 10, 10)),
-        ]);
-        let q = Query::new(LabelPredicate::label("car")).roi(Rect::new(0, 0, 32, 96));
-        filter_regions(&mut regions, &m, &q, &(0..30));
-        // Only the box overlapping the left strip survives — unclipped.
-        assert_eq!(regions.len(), 1);
-        assert_eq!(regions[&0], vec![Rect::new(0, 0, 10, 10)]);
-    }
-
-    #[test]
-    fn roi_filter_grid_path_matches_direct_path() {
-        let m = manifest_for_filtering();
-        // More than GRID_THRESHOLD boxes on one frame forces the grid path.
-        let many: Vec<(u32, Rect)> = (0..24)
-            .map(|i| (0u32, Rect::new((i * 5) % 120, (i * 7) % 90, 6, 6)))
-            .collect();
-        let roi = Rect::new(20, 10, 40, 40);
-        let mut grid_path = boxes(&many);
-        let q = Query::new(LabelPredicate::label("car")).roi(roi);
-        filter_regions(&mut grid_path, &m, &q, &(0..30));
-
-        let mut direct: Vec<Rect> = many.iter().map(|(_, r)| *r).collect();
-        direct.retain(|r| r.intersects(&roi));
-        assert_eq!(grid_path.get(&0).cloned().unwrap_or_default(), direct);
-    }
-
-    #[test]
-    fn roi_beyond_frame_edge_keeps_raw_intersection_semantics() {
         let m = manifest_for_filtering(); // 128x96 frame
-                                          // Enough boxes to trigger the grid fast path, plus one extending
-                                          // past the right frame edge.
-        let mut entries: Vec<(u32, Rect)> = (0..20)
-            .map(|i| (0u32, Rect::new((i * 6) % 90, (i * 5) % 80, 4, 4)))
+        let many: Vec<Rect> = (0..24)
+            .map(|i| Rect::new((i * 5) % 120, (i * 7) % 90, 6, 6))
+            .collect();
+        let mut small: Vec<Rect> = (0..20)
+            .map(|i| Rect::new((i * 6) % 90, (i * 5) % 80, 4, 4))
             .collect();
         let overhang = Rect::new(100, 0, 100, 10); // raw right edge at 200
-        entries.push((0, overhang));
-        let mut regions = boxes(&entries);
-        // The ROI overlaps the overhanging box only beyond the frame edge;
-        // raw-rectangle semantics (the post-filter reference) must match it
-        // regardless of which filtering path runs.
-        let roi = Rect::new(150, 0, 20, 10);
-        let q = Query::new(LabelPredicate::label("car")).roi(roi);
-        filter_regions(&mut regions, &m, &q, &(0..30));
-        assert_eq!(regions[&0], vec![overhang]);
+        small.push(overhang);
+        let cases = [
+            (
+                vec![Rect::new(0, 0, 10, 10), Rect::new(60, 60, 10, 10)],
+                Rect::new(0, 0, 32, 96),
+                vec![Rect::new(0, 0, 10, 10)],
+            ),
+            (
+                many,
+                Rect::new(20, 10, 40, 40),
+                [(15, 21), (20, 28), (25, 35), (30, 42), (35, 49)]
+                    .map(|(x, y)| Rect::new(x, y, 6, 6))
+                    .to_vec(),
+            ),
+            (small, Rect::new(150, 0, 20, 10), vec![overhang]),
+        ];
+        for (frame0, roi, want) in cases {
+            let mut regions = boxes(&[(1, Rect::new(100, 0, 10, 10))]);
+            regions.insert(0, frame0);
+            let q = Query::new(LabelPredicate::label("car")).roi(roi);
+            filter_regions(&mut regions, &m, &q, &(0..30));
+            assert_eq!(regions.len(), 1, "{roi:?}");
+            assert_eq!(regions[&0], want, "{roi:?}");
+        }
     }
 
     #[test]
@@ -512,15 +395,6 @@ mod tests {
         // Frame 0's boxes can never appear in scan output, so the limit
         // must not be spent on them.
         assert_eq!(regions.keys().copied().collect::<Vec<_>>(), vec![1]);
-    }
-
-    #[test]
-    fn gop_run_grouping_counts() {
-        // Pure helper check: gop_count over spans.
-        assert_eq!(gop_count(&(0..10), 5), 2);
-        assert_eq!(gop_count(&(4..6), 5), 2);
-        assert_eq!(gop_count(&(5..6), 5), 1);
-        assert_eq!(gop_count(&(3..3), 5), 0);
     }
 
     // Pruning counters are checked end to end in tests/query_planner.rs,

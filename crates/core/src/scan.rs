@@ -7,15 +7,17 @@
 //! labelled car ∩ boxes labelled red).
 //!
 //! Execution: look up boxes in the semantic index, map them to the tiles of
-//! each overlapping SOT, decode only those tiles, and crop the requested
+//! each overlapping SOT (the read plan, `plan::ReadPlan`, which the query
+//! planner shares), decode only those tiles, and crop the requested
 //! regions. Reported stats include the index lookup time and the decode
 //! work, as the paper's reported query times do.
 
-use crate::cost::Work;
 use crate::exec::{self, CacheStats, PlanStats, SharedScanStats, TileDecodeRequest};
+use crate::plan::{ReadPlan, Slot};
 use crate::pool::CanvasPool;
 use crate::storage::{StoreError, VideoManifest, VideoStore};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::tasm::Lookup;
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -164,9 +166,6 @@ pub struct ScanResult {
     /// per-worker decode times — `stats.decode_time` holds that sum (the
     /// cost model's work measure).
     pub exec_time: Duration,
-    /// Tiles-and-pixels estimate actually incurred (for cost-model
-    /// validation): mirrors `stats` in estimator units.
-    pub work: Work,
 }
 
 impl ScanResult {
@@ -177,99 +176,57 @@ impl ScanResult {
         self.lookup_time.as_secs_f64() + self.exec_time.as_secs_f64()
     }
 
-    /// Runs `requests` through the exec pipeline, composing each frame
-    /// into `composer`'s canvases as it arrives, and adds what they cost —
-    /// wall time, decode work, cache and shared-scan accounting — to this
-    /// result: the tail [`scan_prepared`] and the query planner share.
+    /// Runs `reads` of `plan` through the exec pipeline, composing each
+    /// frame into the canvases of the plan's slots as it arrives, and adds
+    /// the regions and their wall time, decode, cache and shared-scan
+    /// accounting to this result.
     pub(crate) fn execute(
         &mut self,
         store: &VideoStore,
         manifest: &VideoManifest,
-        requests: &[TileDecodeRequest],
-        composer: Composer<'_>,
-    ) -> Result<Vec<RegionPixels>, ScanError> {
+        plan: &ReadPlan,
+        reads: &[TileDecodeRequest],
+    ) -> Result<(), ScanError> {
+        if reads.is_empty() {
+            return Ok(());
+        }
         // Taken once per composed frame, by whichever worker has it. Valid
         // at every unwind point, taken as is: a panic under it fails this
         // query, whose canvases are dropped with it.
-        let composer = Mutex::new(composer);
+        let composer = Mutex::new(Composer::new(store.canvases(), manifest, plan));
         let compose = |req: &TileDecodeRequest, local: u32, frame: &Frame| {
             sync::lock(&composer).compose(req.sot_idx, req.tile, local, frame);
         };
         let t1 = Instant::now();
         let (stats, cache, shared) =
-            exec::execute(store, manifest, requests, &compose).map_err(ScanError::Store)?;
+            exec::execute(store, manifest, reads, &compose).map_err(ScanError::Store)?;
         self.exec_time = t1.elapsed();
         self.stats += stats;
         self.cache += cache;
         self.shared += shared;
-        self.work.pixels += stats.samples_decoded;
-        self.work.tile_chunks += stats.tile_chunks_decoded;
-        let composer = composer
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        composer.finish()
+        let composer = composer.into_inner();
+        self.regions = composer.unwrap_or_else(PoisonError::into_inner).finish()?;
+        Ok(())
     }
 }
 
-/// The decode half of [`crate::Tasm::scan`]: executes against
-/// already-resolved target regions, so the caller can release the
-/// semantic-index lock after the lookup phase — decode work then runs
-/// without serializing concurrent queries on the index.
-pub fn scan_prepared(
-    store: &VideoStore,
-    manifest: &VideoManifest,
-    regions: BTreeMap<u32, Vec<Rect>>,
-    frames: Range<u32>,
-    lookup_time: Duration,
-) -> Result<ScanResult, ScanError> {
+/// The decode half of [`crate::Tasm::scan`], run after the index lock is
+/// released: reads every tile the boxes of `regions` touch over its SOT's
+/// whole matched span ([`ReadPlan::whole_reads`]).
+pub(crate) fn scan_prepared(store: &VideoStore, found: Lookup) -> Result<ScanResult, ScanError> {
+    let manifest = found.pin.manifest();
+    let plan = ReadPlan::new(manifest, &found.regions, found.frames);
+    let reads = plan.whole_reads();
     let mut result = ScanResult {
-        lookup_time,
+        lookup_time: found.time,
         epoch: manifest.epoch(),
+        plan: PlanStats {
+            frames_sampled: found.regions.len() as u64,
+            ..plan.stats(&reads, manifest.config.gop_len)
+        },
         ..Default::default()
     };
-    if regions.is_empty() {
-        return Ok(result);
-    }
-
-    // --- Planning: reduce the query to per-(SOT, tile) decode requests ---
-    let mut sot_plans: Vec<usize> = Vec::new();
-    let mut requests: Vec<TileDecodeRequest> = Vec::new();
-    for sot_idx in manifest.sots_for_range(frames.clone()) {
-        let sot = &manifest.sots[sot_idx];
-        // Needed tiles for this SOT (BTreeSet: dedup + sorted raster order).
-        let mut needed: BTreeSet<u32> = BTreeSet::new();
-        let mut first_frame = u32::MAX;
-        let mut last_frame = 0u32;
-        for (&frame, rects) in regions.range(sot.start..sot.end) {
-            for r in rects {
-                let aligned = align_out(r, manifest.width, manifest.height);
-                needed.extend(sot.layout.tiles_intersecting(&aligned));
-            }
-            first_frame = first_frame.min(frame);
-            last_frame = last_frame.max(frame);
-        }
-        if needed.is_empty() {
-            continue;
-        }
-        let local = (first_frame - sot.start)..(last_frame - sot.start + 1);
-        result.plan.tiles_planned += needed.len() as u64;
-        result.plan.gops_planned +=
-            needed.len() as u64 * gop_count(&local, manifest.config.gop_len);
-        requests.extend(needed.into_iter().map(|tile| TileDecodeRequest {
-            sot_idx,
-            tile,
-            local_span: local.clone(),
-        }));
-        sot_plans.push(sot_idx);
-    }
-    result.plan.frames_sampled = regions.len() as u64;
-    if requests.is_empty() {
-        return Ok(result);
-    }
-
-    // --- Execution: fan the requests out across the store's workers ---
-    let composer = Composer::new(store.canvases(), manifest, &regions, &sot_plans);
-    result.regions = result.execute(store, manifest, &requests, composer)?;
+    result.execute(store, manifest, &plan, &reads)?;
     result.matched = result.regions.len() as u64;
     Ok(result)
 }
@@ -280,20 +237,18 @@ pub fn scan_prepared(
 /// ([`Composer::compose`]), so no decoded frame waits for the others.
 ///
 /// Canvases are spare buffers from the store's [`CanvasPool`]
-/// ([`recycle_canvases`] returns them), which still hold an earlier
-/// answer's pixels: nothing fills them first. The tiles of a layout are
-/// disjoint and, once read, fit their slots, so a canvas is whole exactly
-/// when the areas blitted into it add up to its own — always, while
-/// layouts cover the frame, since scan and query plan each box's tiles
-/// from the box aligned outward, as its canvas is (so even an odd,
-/// zero-width box gets its tile). [`Composer::finish`] checks each sum.
+/// ([`recycle_canvases`] returns them), still holding an earlier answer's
+/// pixels. Tiles are disjoint and fit their slots once read, so a canvas is
+/// whole exactly when the areas blitted into it add up to its own, which
+/// [`Composer::finish`] checks: always, while layouts cover the frame, as
+/// the plan reads the tiles of each slot's aligned rectangle.
 pub(crate) struct Composer<'m> {
     manifest: &'m VideoManifest,
-    /// In output order: SOT in plan order, then frame, then box.
+    /// One per slot of the plan, in its order.
     regions: Vec<RegionPixels>,
-    /// Per region: its rectangle aligned outward, and the area blitted
-    /// into its canvas so far.
-    slots: Vec<(Rect, u64)>,
+    slots: &'m [Slot],
+    /// Per slot, the area blitted into its canvas so far.
+    covered: Vec<u64>,
     /// The regions of frame `first_frame + i` are
     /// `starts[i]..starts[i + 1]`.
     first_frame: u32,
@@ -301,48 +256,34 @@ pub(crate) struct Composer<'m> {
 }
 
 impl<'m> Composer<'m> {
-    /// Takes a canvas from `canvases` for each region of the listed SOTs
-    /// (in ascending order) before any tile decodes.
+    /// Takes a canvas from `canvases` for each slot of `plan` before any
+    /// tile decodes.
     pub(crate) fn new(
         canvases: &CanvasPool,
         manifest: &'m VideoManifest,
-        regions: &BTreeMap<u32, Vec<Rect>>,
-        sots: &[usize],
+        plan: &'m ReadPlan,
     ) -> Self {
-        let mut composer = Composer {
-            manifest,
-            regions: Vec::new(),
-            slots: Vec::new(),
-            first_frame: 0,
-            starts: Vec::new(),
-        };
-        let frames = sots.iter().flat_map(|&s| {
-            let sot = &manifest.sots[s];
-            regions.range(sot.start..sot.end)
-        });
-        for (&frame, rects) in frames {
-            if composer.starts.is_empty() {
-                composer.first_frame = frame;
-            }
-            let at = frame.checked_sub(composer.first_frame);
-            let at = at.expect("SOTs in ascending order") as usize;
-            composer.starts.resize(at + 1, composer.regions.len());
-            for r in rects {
-                let aligned = align_out(r, manifest.width, manifest.height);
-                if aligned.is_empty() {
-                    continue;
-                }
-                let spare = canvases.take(aligned.area() as usize * 3 / 2);
-                composer.regions.push(RegionPixels {
-                    frame,
-                    rect: *r,
-                    pixels: canvas_in(aligned.w, aligned.h, spare),
-                });
-                composer.slots.push((aligned, 0));
-            }
+        let first_frame = plan.slots.first().map_or(0, |s| s.frame);
+        let mut starts = Vec::new();
+        let mut regions = Vec::with_capacity(plan.slots.len());
+        for (i, slot) in plan.slots.iter().enumerate() {
+            starts.resize((slot.frame - first_frame) as usize + 1, i);
+            let spare = canvases.take(slot.aligned.area() as usize * 3 / 2);
+            regions.push(RegionPixels {
+                frame: slot.frame,
+                rect: slot.rect,
+                pixels: canvas_in(slot.aligned.w, slot.aligned.h, spare),
+            });
         }
-        composer.starts.push(composer.regions.len());
-        composer
+        starts.push(plan.slots.len());
+        Composer {
+            manifest,
+            regions,
+            slots: &plan.slots,
+            covered: vec![0; plan.slots.len()],
+            first_frame,
+            starts,
+        }
     }
 
     /// Blits what tile `tile` of SOT `sot_idx` holds of every region of
@@ -351,16 +292,14 @@ impl<'m> Composer<'m> {
     pub(crate) fn compose(&mut self, sot_idx: usize, tile: u32, local: u32, frame: &Frame) {
         let sot = &self.manifest.sots[sot_idx];
         let i = (sot.start + local).checked_sub(self.first_frame);
-        let Some(&[lo, hi]) = i.and_then(|i| self.starts.get(i as usize..i as usize + 2)) else {
+        let span = i.and_then(|i| self.starts.get(i as usize..i as usize + 2));
+        let Some(&[lo, hi]) = span.filter(|s| s[0] < s[1]) else {
             return;
         };
-        if lo == hi {
-            return;
-        }
         let trect = sot.layout.tile_rect_by_index(tile);
-        let canvases = self.regions[lo..hi].iter_mut().zip(&mut self.slots[lo..hi]);
-        for (region, (aligned, covered)) in canvases {
-            *covered += blit_tile_overlap(&mut region.pixels, frame, &trect, aligned);
+        let canvases = self.regions[lo..hi].iter_mut().zip(&self.slots[lo..hi]);
+        for ((region, slot), covered) in canvases.zip(&mut self.covered[lo..hi]) {
+            *covered += blit_tile_overlap(&mut region.pixels, frame, &trect, &slot.aligned);
         }
     }
 
@@ -368,13 +307,13 @@ impl<'m> Composer<'m> {
     /// cover is [`ScanError::Uncovered`], never a region with stale or
     /// black samples.
     pub(crate) fn finish(self) -> Result<Vec<RegionPixels>, ScanError> {
-        let mut slots = self.regions.iter().zip(&self.slots);
-        match slots.find(|(_, (aligned, covered))| *covered != aligned.area()) {
-            Some((region, &(aligned, covered))) => Err(ScanError::Uncovered {
-                frame: region.frame,
-                rect: region.rect,
+        let mut slots = self.slots.iter().zip(&self.covered);
+        match slots.find(|(slot, &covered)| covered != slot.aligned.area()) {
+            Some((slot, &covered)) => Err(ScanError::Uncovered {
+                frame: slot.frame,
+                rect: slot.rect,
                 covered,
-                area: aligned.area(),
+                area: slot.aligned.area(),
             }),
             None => Ok(self.regions),
         }
@@ -429,16 +368,6 @@ fn blit_tile_overlap(canvas: &mut Frame, tile_frame: &Frame, trect: &Rect, align
     let w = canvas.width().saturating_sub(dst_x).min(src.w) & !1;
     let h = canvas.height().saturating_sub(dst_y).min(src.h) & !1;
     w as u64 * h as u64
-}
-
-/// Number of GOPs a local frame span touches.
-pub(crate) fn gop_count(span: &Range<u32>, gop_len: u32) -> u64 {
-    if span.is_empty() {
-        return 0;
-    }
-    let first = span.start / gop_len;
-    let last = (span.end - 1) / gop_len;
-    (last - first + 1) as u64
 }
 
 /// Errors from scan execution.
@@ -507,16 +436,6 @@ fn intersect_box_sets(lhs: &[Rect], rhs: &[Rect]) -> Vec<Rect> {
     out
 }
 
-/// Aligns a rectangle outward to even coordinates (chroma parity), clamped
-/// to the frame.
-pub(crate) fn align_out(r: &Rect, w: u32, h: u32) -> Rect {
-    let x = r.x & !1;
-    let y = r.y & !1;
-    let right = (r.right() + 1) & !1;
-    let bottom = (r.bottom() + 1) & !1;
-    Rect::new(x, y, right - x, bottom - y).clamp_to(w, h)
-}
-
 /// Aligns a rectangle inward to even coordinates.
 fn align_in(r: &Rect) -> Rect {
     let x = (r.x + 1) & !1;
@@ -529,6 +448,7 @@ fn align_in(r: &Rect) -> Rect {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::align_out;
     use tasm_codec::TileLayout;
 
     #[test]
@@ -641,7 +561,8 @@ mod tests {
         regions: &BTreeMap<u32, Vec<Rect>>,
         missing: Option<u32>,
     ) -> Result<Vec<RegionPixels>, ScanError> {
-        let mut composer = Composer::new(pool, manifest, regions, &[0]);
+        let plan = ReadPlan::new(manifest, regions, 0..2);
+        let mut composer = Composer::new(pool, manifest, &plan);
         for (tile, rect) in manifest.sots[0].layout.tiles() {
             for (local, frame) in full.iter().enumerate() {
                 if Some(tile) != missing {

@@ -403,6 +403,15 @@ impl EpochPin {
     }
 }
 
+/// What [`Tasm::lookup`] found: the boxes per frame of the clamped
+/// `frames` at the pinned epoch, and how long the index took.
+pub(crate) struct Lookup {
+    pub pin: EpochPin,
+    pub regions: BTreeMap<u32, Vec<Rect>>,
+    pub frames: Range<u32>,
+    pub time: std::time::Duration,
+}
+
 /// The live-reader gauge, incremented by every epoch pin and decremented
 /// on its drop.
 fn epoch_pins_gauge() -> std::sync::Arc<tasm_obs::Gauge> {
@@ -843,22 +852,34 @@ impl Tasm {
         predicate: &LabelPredicate,
         frames: Range<u32>,
     ) -> Result<ScanResult, TasmError> {
+        let found = self.lookup(name, predicate, frames, None)?;
+        Ok(scan_prepared(&self.store, found)?)
+    }
+
+    /// The lookup half of [`Tasm::scan`] and [`Tasm::query`]: pins `name`'s
+    /// layout epoch (`as_of`, or the current one), clamps `frames` to the
+    /// video, and resolves `predicate` in the semantic index, whose lock is
+    /// released before the caller decodes anything.
+    fn lookup(
+        &self,
+        name: &str,
+        predicate: &LabelPredicate,
+        frames: Range<u32>,
+        as_of: Option<u64>,
+    ) -> Result<Lookup, TasmError> {
         let shard = self.shard(name)?;
-        let pin = self.pin_shard(name, &shard, None)?;
-        let manifest = pin.manifest();
-        let frames = frames.start..frames.end.min(manifest.frame_count);
+        let pin = self.pin_shard(name, &shard, as_of)?;
+        let frames = frames.start..frames.end.min(pin.manifest().frame_count);
         let t0 = Instant::now();
         let regions = self
             .with_index(|ix| predicate.target_regions(ix, shard.id, frames.clone()))
             .map_err(|e| TasmError::Scan(ScanError::Index(e)))?;
-        let lookup_time = t0.elapsed();
-        Ok(scan_prepared(
-            &self.store,
-            manifest,
+        Ok(Lookup {
+            pin,
             regions,
             frames,
-            lookup_time,
-        )?)
+            time: t0.elapsed(),
+        })
     }
 
     /// Executes a spatiotemporal [`Query`]: a label predicate optionally
@@ -926,23 +947,11 @@ impl Tasm {
         spans: Option<&Arc<tasm_obs::TraceSpans>>,
     ) -> Result<ScanResult, TasmError> {
         let plan_span = spans.map(|s| s.span(tasm_obs::Phase::Plan));
-        let shard = self.shard(name)?;
-        let pin = self.pin_shard(name, &shard, query.as_of_epoch())?;
-        let manifest = pin.manifest();
-        let window = query.frame_range();
-        let frames = window.start..window.end.min(manifest.frame_count);
-        let t0 = Instant::now();
-        let regions = self
-            .with_index(|ix| {
-                query
-                    .predicate()
-                    .target_regions(ix, shard.id, frames.clone())
-            })
-            .map_err(|e| TasmError::Scan(ScanError::Index(e)))?;
-        let lookup_time = t0.elapsed();
+        let (predicate, as_of) = (query.predicate(), query.as_of_epoch());
+        let found = self.lookup(name, predicate, query.frame_range(), as_of)?;
         drop(plan_span);
         let decode_span = spans.map(|s| s.span(tasm_obs::Phase::Decode));
-        let result = query_prepared(&self.store, manifest, regions, query, frames, lookup_time)?;
+        let result = query_prepared(&self.store, found, query)?;
         drop(decode_span);
         if tasm_obs::enabled() {
             tasm_obs::histogram(

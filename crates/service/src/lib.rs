@@ -72,14 +72,13 @@
 //!     },
 //! );
 //!
-//! // Plain label scans...
+//! // Label-only queries over frame windows...
 //! let handles: Vec<_> = (0..100)
 //!     .map(|i| {
 //!         service
-//!             .submit(QueryRequest::scan(
+//!             .submit(QueryRequest::new(
 //!                 "traffic",
-//!                 LabelPredicate::label("car"),
-//!                 i * 30..(i + 1) * 30,
+//!                 Query::new(LabelPredicate::label("car")).frames(i * 30..(i + 1) * 30),
 //!             ))
 //!             .unwrap()
 //!     })

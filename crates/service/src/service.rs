@@ -4,12 +4,11 @@
 use crate::daemon::{self, Observation};
 use crate::stats::{ServiceStats, StatsCell};
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tasm_core::{recycle_canvases, CanvasPool, LabelPredicate, Query, ScanResult, Tasm, TasmError};
+use tasm_core::{recycle_canvases, CanvasPool, Query, ScanResult, Tasm, TasmError};
 use tasm_obs::sync;
 
 /// Which incremental layout policy the background daemon applies to
@@ -101,12 +100,6 @@ impl QueryRequest {
     pub fn with_trace_id(mut self, trace_id: Option<u64>) -> Self {
         self.trace_id = trace_id;
         self
-    }
-
-    /// A plain label-predicate scan over a frame window — the shape every
-    /// request had before the spatiotemporal planner existed.
-    pub fn scan(video: impl Into<String>, predicate: LabelPredicate, frames: Range<u32>) -> Self {
-        QueryRequest::new(video, Query::new(predicate).frames(frames))
     }
 }
 

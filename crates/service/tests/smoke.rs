@@ -2,7 +2,7 @@
 //! error propagation, shutdown.
 
 use std::sync::Arc;
-use tasm_core::{LabelPredicate, Tasm, TasmConfig};
+use tasm_core::{LabelPredicate, Query, Tasm, TasmConfig};
 use tasm_data::SyntheticVideo;
 use tasm_index::MemoryIndex;
 use tasm_service::{
@@ -26,7 +26,7 @@ fn store(tag: &str, frames: u32) -> TestStore {
 }
 
 fn request(frames: std::ops::Range<u32>) -> QueryRequest {
-    QueryRequest::scan("v", LabelPredicate::label("car"), frames)
+    QueryRequest::new("v", Query::new(LabelPredicate::label("car")).frames(frames))
 }
 
 #[test]
@@ -64,10 +64,9 @@ fn unknown_video_fails_the_query_not_the_service() {
     let tasm = store("unknown", 10);
     let service = QueryService::start(Arc::clone(&tasm), ServiceConfig::default());
     let bad = service
-        .submit(QueryRequest::scan(
+        .submit(QueryRequest::new(
             "nope",
-            LabelPredicate::label("car"),
-            0..10,
+            Query::new(LabelPredicate::label("car")).frames(0..10),
         ))
         .unwrap();
     assert!(matches!(bad.wait(), Err(ServiceError::Tasm(_))));

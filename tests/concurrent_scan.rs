@@ -94,7 +94,10 @@ fn retile_daemon_mid_workload_keeps_scans_bit_exact() {
     let handles: Vec<_> = (0..queries)
         .map(|_| {
             service
-                .submit(QueryRequest::scan("v", pred.clone(), window.clone()))
+                .submit(QueryRequest::new(
+                    "v",
+                    Query::new(pred.clone()).frames(window.clone()),
+                ))
                 .unwrap()
         })
         .collect();
@@ -235,7 +238,10 @@ fn overlapping_queries_join_inflight_decodes() {
         let handles: Vec<_> = (0..16)
             .map(|_| {
                 service
-                    .submit(QueryRequest::scan("v", LabelPredicate::label("car"), 0..20))
+                    .submit(QueryRequest::new(
+                        "v",
+                        Query::new(LabelPredicate::label("car")).frames(0..20),
+                    ))
                     .unwrap()
             })
             .collect();

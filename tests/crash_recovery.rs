@@ -19,8 +19,8 @@ use std::time::Duration;
 use tasm_codec::TileLayout;
 use tasm_core::durable::{FaultIo, FaultKind};
 use tasm_core::{
-    LabelPredicate, PartitionConfig, RecoveryAction, StorageConfig, StoreError, Tasm, TasmConfig,
-    VideoManifest, VideoStore,
+    LabelPredicate, PartitionConfig, Query, RecoveryAction, StorageConfig, StoreError, Tasm,
+    TasmConfig, VideoManifest, VideoStore,
 };
 use tasm_index::MemoryIndex;
 use tasm_service::{QueryRequest, QueryService, RetilePolicy, ServiceConfig, Shutdown};
@@ -723,10 +723,14 @@ fn kill_and_reattach(crash_at: u64) {
             .iter()
             .filter_map(|w| {
                 service
-                    .try_submit(QueryRequest::scan(
+                    .try_submit(QueryRequest::new(
                         "v",
-                        LabelPredicate::label(if round % 3 == 0 { "person" } else { "car" }),
-                        w.clone(),
+                        Query::new(LabelPredicate::label(if round % 3 == 0 {
+                            "person"
+                        } else {
+                            "car"
+                        }))
+                        .frames(w.clone()),
                     ))
                     .ok()
             })

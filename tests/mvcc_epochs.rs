@@ -192,10 +192,9 @@ fn regret_daemon_retiles_while_a_scan_is_held_open() {
     let handles: Vec<_> = (0..24)
         .map(|_| {
             service
-                .submit(QueryRequest::scan(
+                .submit(QueryRequest::new(
                     "v",
-                    LabelPredicate::label("car"),
-                    0..FRAMES,
+                    Query::new(LabelPredicate::label("car")).frames(0..FRAMES),
                 ))
                 .unwrap()
         })
