@@ -1186,7 +1186,10 @@ fn clean_retile_leaves_no_residue() {
 /// write and rename, the retired pack's unlink, the directory's fsync
 /// again) at 4, 16 and 30 tiles alike — four with the reclaim deferred —
 /// and an ingest of S SOTs is S + 5 (the video directory, S packs, its
-/// fsync, the manifest's two, the store root's fsync).
+/// fsync, the manifest's two, the store root's fsync). A replica install
+/// of S SOTs costs what an ingest does, a replicated SOT what a deferred
+/// re-tile does plus the reclaim's two, and a removal three (the
+/// manifest's unlink, the directory's removal, the store root's fsync).
 #[test]
 fn a_commits_mutating_operations_do_not_grow_with_the_tile_count() {
     let src = VecFrameSource::new(
@@ -1221,6 +1224,13 @@ fn a_commits_mutating_operations_do_not_grow_with_the_tile_count() {
                 .expect("ingest");
         });
         assert_eq!(ingest_ops, u64::from(sots) + 5, "ingest of {sots} SOTs");
+        let replica = replica_of(&store, &name, &format!("r{sots}"));
+        let install_ops = ops(&mut || {
+            store
+                .install_video(&replica.0, &replica.1)
+                .expect("install");
+        });
+        assert_eq!(install_ops, u64::from(sots) + 5, "install of {sots} SOTs");
     }
 
     let mut manifest = store.load_manifest("v5").expect("manifest");
@@ -1233,6 +1243,20 @@ fn a_commits_mutating_operations_do_not_grow_with_the_tile_count() {
                 .expect("retile");
         });
         assert_eq!(retile_ops, 6, "re-tile to {tiles} tiles");
+        let (next, payload) = replica_of(&store, "v5", "r5");
+        let mut retired = None;
+        let install_ops = ops(&mut || {
+            retired = store
+                .install_sot_deferred(&next, sot, &payload[sot])
+                .expect("install SOT");
+        });
+        assert_eq!(install_ops, 4, "SOT install of {tiles} tiles");
+        let reclaim_ops = ops(&mut || {
+            store
+                .gc_epoch("r5", retired.expect("retired epoch"))
+                .expect("reclaim");
+        });
+        assert_eq!(reclaim_ops, 2, "reclaim after a SOT install");
         let back = ops(&mut || {
             store
                 .retile_deferred(&mut manifest, sot, TileLayout::untiled(96, 80))
@@ -1242,7 +1266,26 @@ fn a_commits_mutating_operations_do_not_grow_with_the_tile_count() {
         });
         assert_eq!(back, 4, "deferred re-tile from {tiles} tiles");
     }
+    for name in ["r1", "r2", "r5"] {
+        let remove_ops = ops(&mut || store.remove_video(name).expect("remove"));
+        assert_eq!(remove_ops, 3, "removal of {name}");
+    }
     drop(store);
+}
+
+/// `from`'s manifest as stored, renamed `to`, with every tile's bytes: a
+/// replica payload for [`VideoStore::install_video`] and `install_sot`.
+fn replica_of(store: &VideoStore, from: &str, to: &str) -> (VideoManifest, Vec<Vec<Vec<u8>>>) {
+    let mut manifest = store.load_manifest(from).expect("manifest");
+    let tiles = (0..manifest.sots.len())
+        .map(|sot| {
+            (0..manifest.sots[sot].layout.tile_count())
+                .map(|t| store.tile_file_bytes(&manifest, sot, t).expect("tile"))
+                .collect()
+        })
+        .collect();
+    manifest.name = to.to_string();
+    (manifest, tiles)
 }
 
 // ---------------------------------------------------------------------
