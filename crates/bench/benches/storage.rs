@@ -69,7 +69,8 @@ fn retile_commit_benches(c: &mut Criterion) {
         g.bench_function(format!("retile_commit_{count}"), |b| {
             b.iter(|| {
                 manifest.sots[0].retile_count += 1;
-                store.install_sot(&manifest, 0, &tiles).expect("commit");
+                let retired = store.install_sot(&manifest, 0, &tiles).expect("commit");
+                store.gc_epoch("v", retired.expect("retired")).expect("gc");
             })
         });
     }

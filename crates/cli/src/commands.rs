@@ -1299,8 +1299,8 @@ fn fsck(args: &Args) -> CmdResult {
     let tasm = open_tasm(store, args)?;
     report_recovery(&tasm);
     let report = match args.get("name") {
-        Some(name) => tasm.store().fsck_video_with(name, STORE_SIDECARS)?,
-        None => tasm.store().fsck_with(STORE_SIDECARS)?,
+        Some(name) => tasm.store().fsck_video(name, STORE_SIDECARS)?,
+        None => tasm.store().fsck(STORE_SIDECARS)?,
     };
     if report.is_clean() {
         println!(

@@ -30,6 +30,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::storage::{PackId, VideoManifest};
 pub use tasm_index::io::{RealIo, StorageIo};
 use tasm_obs::sync;
 
@@ -255,52 +256,95 @@ pub(crate) use tasm_index::io::TMP_SUFFIX;
 /// Extension of a pack file (see [`crate::pack`]).
 const PACK_SUFFIX: &str = ".tiles";
 
-/// The file holding a SOT's tiles at layout epoch `retile_count`. The
-/// initial epoch (count 0) is unstamped; every re-tile writes a fresh
-/// `_r`-stamped pack, so a superseded epoch's tiles coexist on disk with
-/// the current ones until the readers pinned to the old epoch drain and its
-/// pack is reclaimed — and a pack at an epoch no manifest names yet is what
-/// an unfinished (or in-flight) re-tile looks like.
-pub(crate) fn pack_file_name(start: u32, end: u32, retile_count: u32) -> String {
-    if retile_count == 0 {
-        format!("sot_{start:06}_{end:06}{PACK_SUFFIX}")
-    } else {
-        format!("sot_{start:06}_{end:06}_r{retile_count:06}{PACK_SUFFIX}")
+/// The file whose atomic replacement commits every mutation of a video.
+pub(crate) const MANIFEST_FILE: &str = "manifest.json";
+
+/// The file holding a SOT's tiles at one layout epoch. The initial epoch
+/// (count 0) is unstamped; every re-tile writes a fresh `_r`-stamped pack,
+/// so a superseded epoch's tiles coexist on disk with the current ones
+/// until the readers pinned to the old epoch drain and its pack is
+/// reclaimed — and a pack at an epoch no manifest names yet is what an
+/// unfinished (or in-flight) re-tile looks like.
+pub(crate) fn pack_file_name(id: PackId) -> String {
+    let range = format!("sot_{:06}_{:06}", id.sot_start, id.sot_end);
+    match id.retile_count {
+        0 => format!("{range}{PACK_SUFFIX}"),
+        rc => format!("{range}_r{rc:06}{PACK_SUFFIX}"),
     }
 }
 
-/// Recognizes a pack file name, stamped or not, returning
-/// `(start, end, retile_count)` — the unstamped form is epoch 0.
-pub(crate) fn parse_pack_name(name: &str) -> Option<(u32, u32, u32)> {
+/// Recognizes a pack file name, stamped or not — the unstamped form is
+/// epoch 0.
+pub(crate) fn parse_pack_name(name: &str) -> Option<PackId> {
     let body = name.strip_prefix("sot_")?.strip_suffix(PACK_SUFFIX)?;
     let (range, retile_count) = match body.split_once("_r") {
-        Some((range, rc)) => {
-            if rc.len() != 6 {
-                return None;
-            }
-            (range, rc.parse().ok()?)
-        }
+        Some((range, rc)) if rc.len() == 6 => (range, rc.parse().ok()?),
+        Some(_) => return None,
         None => (body, 0),
     };
-    let (s, e) = range.split_once('_')?;
-    if s.len() != 6 || e.len() != 6 {
-        return None;
+    let (s, e) = range
+        .split_once('_')
+        .filter(|(s, e)| s.len() == 6 && e.len() == 6)?;
+    Some(PackId {
+        sot_start: s.parse().ok()?,
+        sot_end: e.parse().ok()?,
+        retile_count,
+    })
+}
+
+/// What one entry of a video directory is, relative to the video's
+/// manifest: the one rule startup recovery acts on and `fsck` reports by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EntryClass {
+    /// `manifest.json`.
+    Manifest,
+    /// A pack the manifest names, or any pack when there is no manifest.
+    LivePack,
+    /// A pack of a SOT the manifest holds, at another layout epoch.
+    OtherEpochPack(PackId),
+    /// A temp file of an interrupted (or in-flight) atomic write.
+    Temp,
+    /// What the re-tile protocol of older builds left: a staging
+    /// directory or a commit record.
+    LegacyResidue,
+    /// A SOT stored by older builds as a directory of one file per tile.
+    LegacySotDir,
+    /// Anything else, a pack of a SOT the manifest does not hold included.
+    Other,
+}
+
+/// Sorts the video-directory entry `name` (a directory when `is_dir`)
+/// relative to `manifest`, `None` when there is none that can be read: a
+/// pack is reclaimable only when a readable manifest does not name it.
+pub(crate) fn classify_entry(
+    name: &str,
+    is_dir: bool,
+    manifest: Option<&VideoManifest>,
+) -> EntryClass {
+    if name == MANIFEST_FILE {
+        return EntryClass::Manifest;
     }
-    Some((s.parse().ok()?, e.parse().ok()?, retile_count))
-}
-
-/// What builds from before packs left in a video directory. A
-/// `staging_sot_*` directory or `commit_sot_*.json` record is the residue
-/// of their re-tile protocol, which recovery discards; a directory under a
-/// pack's name without the extension is a SOT they stored as one file per
-/// tile, which this build does not read and `fsck` names.
-pub(crate) fn is_legacy_retile_residue(name: &str) -> bool {
-    name.starts_with("staging_sot_") || (name.starts_with("commit_sot_") && name.ends_with(".json"))
-}
-
-/// See [`is_legacy_retile_residue`].
-pub(crate) fn is_legacy_sot_dir_name(name: &str) -> bool {
-    parse_pack_name(&format!("{name}{PACK_SUFFIX}")).is_some()
+    if !is_dir && name.ends_with(TMP_SUFFIX) {
+        return EntryClass::Temp;
+    }
+    if name.starts_with("staging_sot_")
+        || (name.starts_with("commit_sot_") && name.ends_with(".json"))
+    {
+        return EntryClass::LegacyResidue;
+    }
+    if is_dir && parse_pack_name(&format!("{name}{PACK_SUFFIX}")).is_some() {
+        return EntryClass::LegacySotDir;
+    }
+    let Some(id) = parse_pack_name(name).filter(|_| !is_dir) else {
+        return EntryClass::Other;
+    };
+    let range = id.sot_start..id.sot_end;
+    match manifest {
+        None => EntryClass::LivePack,
+        Some(m) if m.names_pack(id) => EntryClass::LivePack,
+        Some(m) if m.sots.iter().any(|s| s.frames() == range) => EntryClass::OtherEpochPack(id),
+        Some(_) => EntryClass::Other,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -552,26 +596,92 @@ impl FsckReport {
 mod tests {
     use super::*;
 
+    fn id(sot_start: u32, sot_end: u32, retile_count: u32) -> PackId {
+        PackId {
+            sot_start,
+            sot_end,
+            retile_count,
+        }
+    }
+
     #[test]
     fn pack_names_round_trip() {
-        assert_eq!(pack_file_name(0, 30, 0), "sot_000000_000030.tiles");
-        assert_eq!(pack_file_name(0, 30, 2), "sot_000000_000030_r000002.tiles");
-        assert_eq!(parse_pack_name("sot_000000_000030.tiles"), Some((0, 30, 0)));
+        assert_eq!(pack_file_name(id(0, 30, 0)), "sot_000000_000030.tiles");
         assert_eq!(
-            parse_pack_name(&pack_file_name(30, 60, 7)),
-            Some((30, 60, 7))
+            pack_file_name(id(0, 30, 2)),
+            "sot_000000_000030_r000002.tiles"
+        );
+        assert_eq!(
+            parse_pack_name("sot_000000_000030.tiles"),
+            Some(id(0, 30, 0))
+        );
+        assert_eq!(
+            parse_pack_name(&pack_file_name(id(30, 60, 7))),
+            Some(id(30, 60, 7))
         );
         assert_eq!(parse_pack_name("sot_000000_000030_r12.tiles"), None);
         assert_eq!(parse_pack_name("sot_0_30.tiles"), None);
         assert_eq!(parse_pack_name("sot_000000_000030"), None);
         assert_eq!(parse_pack_name("manifest.json"), None);
-        // What older builds left: their SOT directories and protocol residue.
-        assert!(is_legacy_sot_dir_name("sot_000000_000030"));
-        assert!(is_legacy_sot_dir_name("sot_000030_000060_r000007"));
-        assert!(!is_legacy_sot_dir_name("sot_000000_000030.tiles"));
-        assert!(is_legacy_retile_residue("staging_sot_000030_000060"));
-        assert!(is_legacy_retile_residue("commit_sot_000030_000060.json"));
-        assert!(!is_legacy_retile_residue("manifest.json"));
+        assert!(id(0, 30, 7) < id(0, 60, 0) && id(0, 30, 0) < id(0, 30, 1));
+    }
+
+    #[test]
+    fn entries_classify_against_the_manifest() {
+        use crate::storage::{SotEntry, StorageConfig};
+        use EntryClass::*;
+        let sot = |start, end, retile_count| SotEntry {
+            start,
+            end,
+            layout: tasm_codec::TileLayout::untiled(64, 64),
+            retile_count,
+            tile_codecs: vec![],
+        };
+        let manifest = VideoManifest {
+            name: "v".into(),
+            width: 64,
+            height: 64,
+            fps: 30,
+            frame_count: 20,
+            config: StorageConfig::default(),
+            sots: vec![sot(0, 10, 0), sot(10, 20, 2)],
+        };
+        let dirs = [
+            "staging_sot_000030_000060",
+            "sot_000000_000030",
+            "sot_000030_000060_r000007",
+        ];
+        for (name, want) in [
+            ("manifest.json", Manifest),
+            ("sot_000000_000010.tiles", LivePack),
+            ("sot_000010_000020_r000002.tiles", LivePack),
+            ("sot_000010_000020.tiles", OtherEpochPack(id(10, 20, 0))),
+            (
+                "sot_000000_000010_r000003.tiles",
+                OtherEpochPack(id(0, 10, 3)),
+            ),
+            ("sot_000020_000030.tiles", Other),
+            ("manifest.json.tmp", Temp),
+            ("sot_000000_000010.tiles.tmp", Temp),
+            ("staging_sot_000030_000060", LegacyResidue),
+            ("commit_sot_000030_000060.json", LegacyResidue),
+            ("sot_000000_000030", LegacySotDir),
+            ("sot_000030_000060_r000007", LegacySotDir),
+            ("scene.json", Other),
+        ] {
+            let is_dir = dirs.contains(&name);
+            let got = classify_entry(name, is_dir, Some(&manifest));
+            assert_eq!(got, want, "{name}");
+            // With no manifest to judge by, every pack is live.
+            let unjudged = if parse_pack_name(name).is_some() {
+                LivePack
+            } else {
+                want
+            };
+            assert_eq!(classify_entry(name, is_dir, None), unjudged, "{name}");
+        }
+        let file = classify_entry("sot_000000_000030", false, Some(&manifest));
+        assert_eq!(file, Other);
     }
 
     #[test]

@@ -152,7 +152,7 @@ pub use query::{Query, QueryMode};
 pub use runner::{run_workload, QueryRecord, RunQuery, Strategy, TruthFn, WorkloadReport};
 pub use scan::{recycle_canvases, LabelPredicate, RegionPixels, ScanError, ScanResult};
 pub use storage::{
-    RetileStats, RetiredEpoch, SotEntry, StorageConfig, StoreError, VideoManifest, VideoStore,
+    PackId, RetileStats, SotEntry, StorageConfig, StoreError, VideoManifest, VideoStore,
     CANVAS_POOL_BYTES,
 };
 pub use tasm::{EpochPin, SotTileBytes, Tasm, TasmConfig, TasmError};

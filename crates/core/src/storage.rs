@@ -19,10 +19,9 @@
 //! `retile_count`; epoch 0 is unstamped), so a re-tile writes a *fresh*
 //! file and the superseded epoch's tiles stay valid on disk for readers
 //! still pinned to the old manifest snapshot. [`VideoStore::retile`]
-//! reclaims the retired pack immediately; [`VideoStore::retile_deferred`]
-//! leaves it for the caller to reclaim with [`VideoStore::gc_epoch`] once
-//! its readers drain — the mechanism the `Tasm` facade's MVCC epoch
-//! registry is built on.
+//! returns the retired pack's [`PackId`] for the caller to reclaim with
+//! [`VideoStore::gc_epoch`] once its readers drain — the mechanism the
+//! `Tasm` facade's MVCC epoch registry is built on.
 //!
 //! ## Durability
 //!
@@ -30,9 +29,10 @@
 //! names nothing references, make them and their names durable, then
 //! atomically replace `manifest.json`** (write-temp → fsync → rename). The
 //! rename is the only commit point — of an ingest, a replica install and a
-//! re-tile alike — and there is nothing after it to complete. All of it
-//! goes through the [`StorageIo`] shim, so a crash at *any* single
-//! operation leaves each video wholly in one layout epoch:
+//! re-tile alike (`replace_video` and `commit_sot` write it, nothing else)
+//! — and there is nothing after it to complete. All of it goes through the
+//! [`StorageIo`] shim, so a crash at *any* single operation leaves each
+//! video wholly in one layout epoch:
 //!
 //! * before the rename, the manifest on disk names the old epoch, whose
 //!   pack is untouched; the new pack (whole, torn or absent) is a file no
@@ -43,15 +43,15 @@
 //! **Opening** a store ([`VideoStore::open`], [`VideoStore::open_with_io`])
 //! runs startup recovery, which only ever deletes what no manifest names:
 //! packs at other epochs than the manifest's, interrupted ingests and temp
-//! files. Every repair is listed in the store's [`RecoveryReport`].
-//! **[`VideoStore::fsck`]** validates manifests against the packs on disk
-//! and the container headers of the tiles in them. The crash-point sweep
-//! in `tests/crash_recovery.rs` crashes every operation of every mutation.
+//! files, as `durable::classify_entry` sorts entries. Every repair is listed
+//! in the store's [`RecoveryReport`]. **[`VideoStore::fsck`]** validates
+//! manifests against the packs on disk and the container headers of the
+//! tiles in them. The crash-point sweep in `tests/crash_recovery.rs`
+//! crashes every operation of every mutation.
 
 use crate::durable::{
-    is_legacy_retile_residue, is_legacy_sot_dir_name, pack_file_name, parse_pack_name,
-    read_exact_range, FsckIssue, FsckReport, RealIo, RecoveryAction, RecoveryReport, StorageIo,
-    TMP_SUFFIX,
+    classify_entry, pack_file_name, read_exact_range, EntryClass, FsckIssue, FsckReport, RealIo,
+    RecoveryAction, RecoveryReport, StorageIo, MANIFEST_FILE, TMP_SUFFIX,
 };
 use crate::exec::DecodedTileCache;
 use crate::pack::{self, TileRanges};
@@ -242,6 +242,30 @@ impl SotEntry {
     pub fn is_empty(&self) -> bool {
         false
     }
+
+    /// The pack this entry's tiles are read from.
+    pub fn pack_id(&self) -> PackId {
+        PackId {
+            sot_start: self.start,
+            sot_end: self.end,
+            retile_count: self.retile_count,
+        }
+    }
+}
+
+/// A SOT's pack at one layout epoch: the file
+/// `sot_<start>_<end>[_r<retile_count>].tiles`. Ordered by SOT, then
+/// epoch. A re-tile or replicated SOT returns the one it retired, which
+/// keeps the pre-commit tiles on disk for readers pinned to the old
+/// manifest snapshot: pass it to [`VideoStore::gc_epoch`] once they drain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct PackId {
+    /// First frame of the SOT (global, inclusive).
+    pub sot_start: u32,
+    /// Past-the-end frame of the SOT.
+    pub sot_end: u32,
+    /// The SOT's `retile_count` at this epoch.
+    pub retile_count: u32,
 }
 
 /// Persistent description of a stored video.
@@ -291,6 +315,17 @@ impl VideoManifest {
         let last_frame = frames.end.min(self.frame_count) - 1;
         let last = (last_frame / self.config.sot_frames) as usize;
         first..(last + 1).min(self.sots.len())
+    }
+
+    /// The packs this manifest resolves reads through, one per SOT.
+    pub(crate) fn packs(&self) -> impl Iterator<Item = PackId> + '_ {
+        self.sots.iter().map(SotEntry::pack_id)
+    }
+
+    /// Whether this manifest names `pack`: the one test of what may be
+    /// reclaimed.
+    pub(crate) fn names_pack(&self, pack: PackId) -> bool {
+        self.packs().any(|p| p == pack)
     }
 }
 
@@ -428,22 +463,6 @@ impl FrameSource for SotFrames<'_> {
     }
 }
 
-/// A superseded SOT layout epoch left on disk by
-/// [`VideoStore::retile_deferred`]: the pack
-/// `sot_<start>_<end>[_r<retile_count>].tiles` still holds the pre-retile
-/// tiles so readers pinned to the old manifest snapshot keep working.
-/// Pass it to [`VideoStore::gc_epoch`] once those readers drain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetiredEpoch {
-    /// First frame of the retired SOT (global, inclusive).
-    pub sot_start: u32,
-    /// Past-the-end frame of the retired SOT.
-    pub sot_end: u32,
-    /// The SOT's `retile_count` *before* the re-tile — the layout epoch
-    /// whose pack is now retired.
-    pub retile_count: u32,
-}
-
 /// Most canvas bytes one store keeps between answers: the planes of a
 /// large answer (the served median is under 300 KB, a whole-video answer a
 /// few MB), so a store idles at most this far above what it needs.
@@ -576,18 +595,15 @@ impl VideoStore {
     /// `layout_for(sot_index, frames)` returns the initial layout for each
     /// SOT (untiled `ω` for lazy strategies, object layouts for eager/edge).
     ///
-    /// The manifest write is the publish point: until it lands (atomically),
-    /// the video does not exist. If encoding or writing fails midway, the
-    /// partially written directory is removed so no orphan packs
-    /// survive; if the failure was a crash (cleanup impossible), startup
-    /// recovery removes the manifest-less directory at the next open.
+    /// Commits by `replace_video`'s rule: until the manifest
+    /// lands (atomically), the video does not exist.
     pub fn ingest(
         &self,
         name: &str,
         src: &dyn FrameSource,
         fps: u32,
         cfg: StorageConfig,
-        layout_for: impl FnMut(usize, Range<u32>) -> TileLayout,
+        mut layout_for: impl FnMut(usize, Range<u32>) -> TileLayout,
     ) -> Result<(VideoManifest, EncodeStats), StoreError> {
         check_video_name(name)?;
         // Checked before anything is touched on disk, and before
@@ -597,90 +613,88 @@ impl VideoStore {
             return Err(StoreError::InvalidConfig("source has no frames"));
         }
         TileLayout::new(vec![src.width()], vec![src.height()])?;
+        let mut total = EncodeStats::default();
+        let manifest = self.replace_video(name, || {
+            let mut sots = Vec::new();
+            for start in (0..src.len()).step_by(cfg.sot_frames as usize) {
+                let end = (start + cfg.sot_frames).min(src.len());
+                let layout = layout_for(sots.len(), start..end);
+                layout.check_covers(src.width(), src.height())?;
+                let slice = SliceSource::new(src, start, end - start);
+                let (tiles, stats) =
+                    encode_video(&slice, &layout, &cfg.encoder(), cfg.parallel_encode)?;
+                total += stats;
+                let sot = SotEntry {
+                    start,
+                    end,
+                    layout,
+                    retile_count: 0,
+                    tile_codecs: tiles.iter().map(|t| t.codec.id()).collect(),
+                };
+                self.write_pack(name, &sot, tiles.iter().map(TileVideo::to_bytes))?;
+                sots.push(sot);
+            }
+            Ok(VideoManifest {
+                name: name.to_string(),
+                width: src.width(),
+                height: src.height(),
+                fps,
+                frame_count: src.len(),
+                config: cfg,
+                sots,
+            })
+        })?;
+        Ok((manifest, total))
+    }
+
+    /// The commit of a whole video (ingest, replica install): unpublishes
+    /// any video under `name`, lets `write_packs` write the packs and
+    /// return their manifest, and publishes it — the commit point. A
+    /// failure midway removes the partly written directory (or, after a
+    /// crash, startup recovery does), so no orphan packs survive.
+    fn replace_video(
+        &self,
+        name: &str,
+        write_packs: impl FnOnce() -> Result<VideoManifest, StoreError>,
+    ) -> Result<VideoManifest, StoreError> {
         let dir = self.root.join(name);
         if self.io.exists(&dir) {
-            // Unpublish first: the manifest is removed (one atomic unlink)
-            // before the tree, so a crash mid-removal — which unlinks
-            // entries in unspecified order — always leaves a manifest-less
-            // directory for recovery to reap, never a manifest naming
-            // already-deleted packs.
-            let manifest_path = dir.join("manifest.json");
-            if self.io.exists(&manifest_path) {
-                self.io.remove_file(&manifest_path)?;
-            }
-            self.io.remove_dir_all(&dir)?;
+            self.unpublish(&dir)?;
         }
         self.io.create_dir_all(&dir)?;
         // Any cached GOPs of a previous video under this name are stale.
         if let Some(cache) = &self.cache {
             cache.invalidate_video(name);
         }
-        match self.ingest_files(name, src, fps, cfg, layout_for) {
-            Ok(ok) => {
-                // The video directory's own name in the store root must be
-                // durable for the publish to survive a power cut.
-                self.io.sync_dir(&self.root)?;
-                Ok(ok)
-            }
-            Err(e) => {
-                // Best-effort: under an injected crash these removals fail
-                // too (as they would after kill -9) and startup recovery
+        let manifest = write_packs()
+            .and_then(|manifest| self.publish(&manifest).map(|()| manifest)) // ← commit point
+            .inspect_err(|_| {
+                // Best-effort: under an injected crash this removal fails
+                // too (as it would after kill -9) and startup recovery
                 // reaps the manifest-less directory instead.
                 let _ = self.io.remove_dir_all(&dir);
-                Err(e)
-            }
-        }
+            })?;
+        // The video directory's own name in the store root must be durable
+        // for the publish to survive a power cut.
+        self.io.sync_dir(&self.root)?;
+        Ok(manifest)
     }
 
-    fn ingest_files(
-        &self,
-        name: &str,
-        src: &dyn FrameSource,
-        fps: u32,
-        cfg: StorageConfig,
-        mut layout_for: impl FnMut(usize, Range<u32>) -> TileLayout,
-    ) -> Result<(VideoManifest, EncodeStats), StoreError> {
-        let mut sots = Vec::new();
-        let mut total = EncodeStats::default();
-        let mut start = 0u32;
-        let mut sot_idx = 0usize;
-        while start < src.len() {
-            let end = (start + cfg.sot_frames).min(src.len());
-            let layout = layout_for(sot_idx, start..end);
-            layout.check_covers(src.width(), src.height())?;
-            let slice = SliceSource::new(src, start, end - start);
-            let (tiles, stats) =
-                encode_video(&slice, &layout, &cfg.encoder(), cfg.parallel_encode)?;
-            total += stats;
-            let sot = SotEntry {
-                start,
-                end,
-                layout,
-                retile_count: 0,
-                tile_codecs: tiles.iter().map(|t| t.codec.id()).collect(),
-            };
-            self.write_pack(name, &sot, tiles.iter().map(TileVideo::to_bytes))?;
-            sots.push(sot);
-            start = end;
-            sot_idx += 1;
+    /// Deletes a video directory, the manifest first (one atomic unlink)
+    /// and then the tree, so a crash mid-removal — which unlinks entries in
+    /// unspecified order — always leaves a manifest-less directory for
+    /// recovery to reap, never a manifest naming already-deleted packs.
+    fn unpublish(&self, dir: &Path) -> Result<(), StoreError> {
+        let manifest_path = dir.join(MANIFEST_FILE);
+        if self.io.exists(&manifest_path) {
+            self.io.remove_file(&manifest_path)?;
         }
-
-        let manifest = VideoManifest {
-            name: name.to_string(),
-            width: src.width(),
-            height: src.height(),
-            fps,
-            frame_count: src.len(),
-            config: cfg,
-            sots,
-        };
-        self.publish(&manifest)?;
-        Ok((manifest, total))
+        Ok(self.io.remove_dir_all(dir)?)
     }
 
     /// Loads a video's manifest.
     pub fn load_manifest(&self, name: &str) -> Result<VideoManifest, StoreError> {
-        let path = self.root.join(name).join("manifest.json");
+        let path = self.root.join(name).join(MANIFEST_FILE);
         if !self.io.exists(&path) {
             return Err(StoreError::NotFound(format!("video '{name}'")));
         }
@@ -698,9 +712,9 @@ impl VideoStore {
     /// returned `Ok` mean the new manifest survives a power cut.
     pub fn save_manifest(&self, manifest: &VideoManifest) -> Result<(), StoreError> {
         let dir = self.root.join(&manifest.name);
-        let tmp = dir.join(format!("manifest.json{TMP_SUFFIX}"));
+        let tmp = dir.join(format!("{MANIFEST_FILE}{TMP_SUFFIX}"));
         self.io.write(&tmp, &serde_json::to_vec_pretty(manifest)?)?;
-        self.io.rename(&tmp, &dir.join("manifest.json"))?;
+        self.io.rename(&tmp, &dir.join(MANIFEST_FILE))?;
         Ok(())
     }
 
@@ -746,45 +760,20 @@ impl VideoStore {
     /// Re-encodes one SOT under `new_layout` (the incremental policies'
     /// re-tile operation). Updates and persists the manifest.
     ///
-    /// Follows the store's one commit rule, so a crash at any point leaves
-    /// the video entirely in the pre- or post-retile epoch: the new tiles
-    /// are written as one pack under the *next* epoch's name, which no
-    /// manifest references; the pack and its name are made durable; then
-    /// the manifest is atomically replaced — the **commit point**, with
-    /// nothing after it to complete. An error means the re-tile did not
-    /// happen: `manifest` is left as it was, the old epoch is intact, and
-    /// whatever was written of the new pack is removed by the next attempt
-    /// or the next recovering open.
-    ///
-    /// This wrapper reclaims the superseded epoch's pack immediately —
-    /// correct when no reader holds the old manifest snapshot. The `Tasm`
-    /// facade uses [`VideoStore::retile_deferred`] instead and GCs through
-    /// its epoch refcounts.
+    /// Commits by `commit_sot`'s rule, so a crash at any point leaves the
+    /// video entirely in the pre- or post-retile epoch. An error means the
+    /// re-tile did not happen: `manifest` is left as it was, and whatever
+    /// was written of the new pack is removed by the next attempt or the
+    /// next recovering open. Returns the superseded epoch's [`PackId`],
+    /// still readable by pinned pre-retile snapshots, for
+    /// [`VideoStore::gc_epoch`] once they drain (`None` when the layout was
+    /// unchanged and nothing committed).
     pub fn retile(
         &self,
         manifest: &mut VideoManifest,
         sot_idx: usize,
         new_layout: TileLayout,
-    ) -> Result<RetileStats, StoreError> {
-        let (stats, retired) = self.retile_deferred(manifest, sot_idx, new_layout)?;
-        if let Some(old) = retired {
-            self.gc_epoch(&manifest.name, old)?;
-        }
-        Ok(stats)
-    }
-
-    /// [`VideoStore::retile`] without the immediate old-epoch reclaim: the
-    /// commit publishes the new epoch's pack and manifest while the
-    /// superseded pack stays on disk, readable by any pinned pre-retile
-    /// manifest snapshot. Returns the [`RetiredEpoch`] to hand to
-    /// [`VideoStore::gc_epoch`] once those readers drain (`None` when the
-    /// layout was unchanged and nothing committed).
-    pub fn retile_deferred(
-        &self,
-        manifest: &mut VideoManifest,
-        sot_idx: usize,
-        new_layout: TileLayout,
-    ) -> Result<(RetileStats, Option<RetiredEpoch>), StoreError> {
+    ) -> Result<(RetileStats, Option<PackId>), StoreError> {
         new_layout.check_covers(manifest.width, manifest.height)?;
         let sot = manifest
             .sots
@@ -817,27 +806,45 @@ impl VideoStore {
         )?;
         let decode = src.finish()?;
 
-        // Write the next epoch's pack beside (never over) the live one,
-        // then commit by replacing the manifest. Cached GOPs of the old
-        // epoch stay valid (cache keys carry the layout epoch) and are
-        // reclaimed with the epoch by `gc_epoch`.
+        // Cached GOPs of the old epoch stay valid (cache keys carry the
+        // layout epoch) and are reclaimed with the epoch by `gc_epoch`.
         let mut new_manifest = manifest.clone();
         let entry = &mut new_manifest.sots[sot_idx];
         entry.layout = new_layout;
         entry.retile_count += 1;
         entry.tile_codecs = new_tiles.iter().map(|t| t.codec.id()).collect();
         let bytes = new_tiles.iter().map(TileVideo::to_bytes);
-        self.write_unpublished_pack(&manifest.name, entry, bytes)?;
-        self.publish(&new_manifest)?; // ← commit point
+        let retired = self.commit_sot(manifest, &new_manifest, sot_idx, bytes)?;
         *manifest = new_manifest;
-        Ok((
-            RetileStats { decode, encode },
-            Some(RetiredEpoch {
-                sot_start: sot.start,
-                sot_end: sot.end,
-                retile_count: sot.retile_count,
-            }),
-        ))
+        Ok((RetileStats { decode, encode }, retired))
+    }
+
+    /// The commit of one SOT's new layout epoch (re-tile, replicated SOT):
+    /// the tiles are written as one pack under the epoch `new` records for
+    /// SOT `sot_idx`, beside (never over) the live pack, and `new` is
+    /// published — the **commit point**, with nothing after it to complete.
+    /// Returns the pack `old` names for that SOT, which `new` supersedes.
+    /// A pack already under the new name is residue of an earlier attempt
+    /// in this process: it goes first, through `gc_epoch`, which refuses if
+    /// the manifest on disk names it (a rename that landed but failed).
+    fn commit_sot<B: AsRef<[u8]>>(
+        &self,
+        old: &VideoManifest,
+        new: &VideoManifest,
+        sot_idx: usize,
+        tiles: impl ExactSizeIterator<Item = B>,
+    ) -> Result<Option<PackId>, StoreError> {
+        let sot = &new.sots[sot_idx];
+        if self.io.exists(&self.pack_path(&new.name, sot)) {
+            self.gc_epoch(&new.name, sot.pack_id())?;
+        }
+        self.write_pack(&new.name, sot, tiles)?;
+        self.publish(new)?; // ← commit point
+        Ok(old
+            .sots
+            .iter()
+            .find(|s| (s.start, s.end) == (sot.start, sot.end))
+            .map(SotEntry::pack_id))
     }
 
     /// Reclaims one SOT layout epoch the manifest does not name — retired
@@ -846,28 +853,23 @@ impl VideoStore {
     /// covers it) and eagerly drops its decoded-GOP cache entries.
     /// Idempotent — a missing pack is success, so a crash mid-GC is
     /// resolved by simply running it again (or by startup recovery, which
-    /// reaps such packs itself). Refuses to reclaim an epoch the on-disk
-    /// manifest still references.
-    pub fn gc_epoch(&self, video: &str, old: RetiredEpoch) -> Result<(), StoreError> {
+    /// reaps such packs itself). Fails closed: refuses to reclaim unless
+    /// the manifest on disk can be read and does not name the pack — a
+    /// video without a readable manifest is recovery's to reap.
+    pub fn gc_epoch(&self, video: &str, old: PackId) -> Result<(), StoreError> {
         // Guard: never remove a live epoch. The manifest is the truth for
         // which epoch each SOT currently serves reads from.
-        if let Ok(manifest) = self.load_manifest(video) {
-            if manifest.sots.iter().any(|s| {
-                s.start == old.sot_start
-                    && s.end == old.sot_end
-                    && s.retile_count == old.retile_count
-            }) {
-                return Err(StoreError::Io(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "refusing to GC live epoch r{} of '{video}' SOT {}..{}",
-                        old.retile_count, old.sot_start, old.sot_end
-                    ),
-                )));
-            }
+        if self.load_manifest(video)?.names_pack(old) {
+            return Err(StoreError::Io(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "refusing to GC live epoch r{} of '{video}' SOT {}..{}",
+                    old.retile_count, old.sot_start, old.sot_end
+                ),
+            )));
         }
         let dir = self.root.join(video);
-        let pack = dir.join(pack_file_name(old.sot_start, old.sot_end, old.retile_count));
+        let pack = dir.join(pack_file_name(old));
         if self.io.exists(&pack) {
             self.io.remove_file(&pack)?;
             // No crash this orders against can mix epochs — a pack that
@@ -885,13 +887,12 @@ impl VideoStore {
 
     /// Total bytes of all tiles of a video: the sum of their container
     /// lengths, read from each pack's table (the tables themselves, 12 + 16
-    /// bytes per tile, are not counted).
+    /// bytes per tile, are not counted). Only a missing pack is
+    /// [`StoreError::NotFound`].
     pub fn video_size_bytes(&self, manifest: &VideoManifest) -> Result<u64, StoreError> {
         let mut total = 0;
-        for (i, sot) in manifest.sots.iter().enumerate() {
-            let (_, ranges) = self
-                .open_pack(&manifest.name, sot)
-                .map_err(|_| StoreError::NotFound(format!("SOT {i}")))?;
+        for sot in &manifest.sots {
+            let (_, ranges) = self.open_pack(&manifest.name, sot)?;
             total += ranges.iter().map(|r| r.end - r.start).sum::<u64>();
         }
         Ok(total)
@@ -949,11 +950,9 @@ impl VideoStore {
 
     /// Installs a complete replicated video: one `Vec<u8>` of container
     /// bytes per tile of every SOT (outer index = SOT index), plus the
-    /// primary's manifest verbatim. Mirrors `ingest`'s crash story: the
-    /// directory is rewritten from scratch and the manifest write is the
-    /// publish point, so a crash mid-install leaves a manifest-less
-    /// directory for startup recovery to reap. Every payload must parse as
-    /// a tile container before anything is written.
+    /// primary's manifest verbatim. Commits by `ingest`'s rule
+    /// (`replace_video`). Every payload must parse as a tile
+    /// container before anything is written.
     pub fn install_video(
         &self,
         manifest: &VideoManifest,
@@ -963,76 +962,32 @@ impl VideoStore {
         validate_replica_payload(manifest, sots)?;
         let name = manifest.name.as_str();
         check_video_name(name)?;
-        let dir = self.root.join(name);
-        if self.io.exists(&dir) {
-            // Unpublish first, exactly as `ingest` does (see above).
-            let manifest_path = dir.join("manifest.json");
-            if self.io.exists(&manifest_path) {
-                self.io.remove_file(&manifest_path)?;
-            }
-            self.io.remove_dir_all(&dir)?;
-        }
-        self.io.create_dir_all(&dir)?;
-        if let Some(cache) = &self.cache {
-            cache.invalidate_video(name);
-        }
-        let write_all = || -> Result<(), StoreError> {
+        self.replace_video(name, || {
             for (sot, tiles) in manifest.sots.iter().zip(sots) {
                 // Replicas preserve each SOT's `retile_count`, so the
                 // backup's pack names match the primary's.
                 self.write_pack(name, sot, tiles.iter())?;
             }
-            self.publish(manifest)
-        };
-        match write_all() {
-            Ok(()) => {
-                self.io.sync_dir(&self.root)?;
-                Ok(())
-            }
-            Err(e) => {
-                let _ = self.io.remove_dir_all(&dir);
-                Err(e)
-            }
-        }
-    }
-
-    /// Installs one replicated SOT of an *existing* video, by the rule a
-    /// local re-tile commits by: the tiles land as one pack under the new
-    /// epoch's name, and replacing the manifest with `new_manifest` is the
-    /// commit point. A crash at any step is resolved by the same startup
-    /// recovery that resolves an interrupted local re-tile.
-    ///
-    /// Reclaims the epoch the install supersedes immediately; a replica
-    /// serving pinned readers uses [`VideoStore::install_sot_deferred`]
-    /// and GCs when they drain.
-    pub fn install_sot(
-        &self,
-        new_manifest: &VideoManifest,
-        sot_idx: usize,
-        tiles: &[Vec<u8>],
-    ) -> Result<(), StoreError> {
-        let retired = self.install_sot_deferred(new_manifest, sot_idx, tiles)?;
-        if let Some(old) = retired {
-            self.gc_epoch(&new_manifest.name, old)?;
-        }
+            Ok(manifest.clone())
+        })?;
         Ok(())
     }
 
-    /// [`VideoStore::install_sot`] without the immediate reclaim of the
-    /// superseded layout epoch: returns the [`RetiredEpoch`] (if the
-    /// install replaced one) for the caller to [`VideoStore::gc_epoch`]
-    /// once its pinned readers drain.
+    /// Installs one replicated SOT of an *existing* video by a local
+    /// re-tile's rule (`commit_sot`), so the same startup recovery resolves
+    /// a crash at any step. Returns the [`PackId`] the install supersedes
+    /// (if any) for [`VideoStore::gc_epoch`] once its pinned readers drain.
     ///
     /// The installed epoch must be newer than the one the store holds for
     /// that SOT: an equal or older one is refused with nothing touched,
     /// since writing it would replace, under any pinned reader, the pack
     /// the manifest on disk names.
-    pub fn install_sot_deferred(
+    pub fn install_sot(
         &self,
         new_manifest: &VideoManifest,
         sot_idx: usize,
         tiles: &[Vec<u8>],
-    ) -> Result<Option<RetiredEpoch>, StoreError> {
+    ) -> Result<Option<PackId>, StoreError> {
         let sot = new_manifest
             .sots
             .get(sot_idx)
@@ -1042,7 +997,7 @@ impl VideoStore {
         let name = new_manifest.name.as_str();
         check_video_name(name)?;
         // The epoch this install supersedes, per the on-disk manifest —
-        // read before the commit below rewrites it.
+        // read before the commit rewrites it.
         let current = self.load_manifest(name)?;
         let held = current
             .sots
@@ -1054,27 +1009,19 @@ impl VideoStore {
                 sot.start, sot.end, old.retile_count, sot.retile_count
             )));
         }
-        self.write_unpublished_pack(name, sot, tiles.iter())?;
-        self.publish(new_manifest)?; // ← commit point
-        Ok(held.map(|old| RetiredEpoch {
-            sot_start: old.start,
-            sot_end: old.end,
-            retile_count: old.retile_count,
-        }))
+        self.commit_sot(&current, new_manifest, sot_idx, tiles.iter())
     }
 
-    /// Removes a video from the store (rebalance GC). The manifest is
-    /// unlinked first — one atomic unpublish — so a crash mid-removal
-    /// leaves a manifest-less directory that startup recovery reaps.
+    /// Removes a video from the store (rebalance GC), by
+    /// `unpublish`: a crash mid-removal leaves a
+    /// manifest-less directory that startup recovery reaps.
     pub fn remove_video(&self, name: &str) -> Result<(), StoreError> {
         check_video_name(name)?;
         let dir = self.root.join(name);
-        let manifest_path = dir.join("manifest.json");
-        if !self.io.exists(&manifest_path) {
+        if !self.io.exists(&dir.join(MANIFEST_FILE)) {
             return Err(StoreError::NotFound(format!("video '{name}'")));
         }
-        self.io.remove_file(&manifest_path)?;
-        self.io.remove_dir_all(&dir)?;
+        self.unpublish(&dir)?;
         self.io.sync_dir(&self.root)?;
         if let Some(cache) = &self.cache {
             cache.invalidate_video(name);
@@ -1087,9 +1034,7 @@ impl VideoStore {
     /// keeps resolving to its own epoch's tiles no matter how many
     /// re-tiles commit after it.
     fn pack_path(&self, name: &str, sot: &SotEntry) -> PathBuf {
-        self.root
-            .join(name)
-            .join(pack_file_name(sot.start, sot.end, sot.retile_count))
+        self.root.join(name).join(pack_file_name(sot.pack_id()))
     }
 
     /// Writes `sot`'s pack at the layout epoch the entry records: one
@@ -1105,31 +1050,6 @@ impl VideoStore {
     ) -> Result<(), StoreError> {
         let pack = pack::assemble(tiles);
         Ok(self.io.write(&self.pack_path(name, sot), &pack)?)
-    }
-
-    /// [`VideoStore::write_pack`] for the epoch `sot` is *about to* be
-    /// published at. A pack already under that name is the residue of an
-    /// earlier attempt that failed in this process (opens clean it up, but
-    /// the store may not have been reopened): it goes first, through
-    /// `gc_epoch`, which refuses if the manifest on disk turns out to name
-    /// it — a commit whose rename landed but reported an error.
-    fn write_unpublished_pack<B: AsRef<[u8]>>(
-        &self,
-        name: &str,
-        sot: &SotEntry,
-        tiles: impl ExactSizeIterator<Item = B>,
-    ) -> Result<(), StoreError> {
-        if self.io.exists(&self.pack_path(name, sot)) {
-            self.gc_epoch(
-                name,
-                RetiredEpoch {
-                    sot_start: sot.start,
-                    sot_end: sot.end,
-                    retile_count: sot.retile_count,
-                },
-            )?;
-        }
-        self.write_pack(name, sot, tiles)
     }
 
     // ------------------------------------------------------------------
@@ -1160,85 +1080,92 @@ impl VideoStore {
         video: &str,
         report: &mut RecoveryReport,
     ) -> Result<(), StoreError> {
+        let has_manifest = self.io.exists(&dir.join(MANIFEST_FILE));
+        let manifest = self.load_manifest(video).ok();
+        let entries: Vec<(PathBuf, String, EntryClass)> = self
+            .io
+            .list_dir(dir)?
+            .into_iter()
+            .map(|entry| {
+                let name = entry_name(&entry);
+                let class = classify_entry(&name, self.io.is_dir(&entry), manifest.as_ref());
+                (entry, name, class)
+            })
+            .collect();
         // 0. Only touch directories that are recognizably ours: a manifest,
         //    tile-store residue (packs, a manifest temp, an older build's
         //    staging directory or commit record), or a completely empty
         //    directory (an ingest that died at its first operation). A
         //    foreign directory — e.g. the store was opened at a wrong or
         //    shared path — is left strictly alone.
-        let entries = self.io.list_dir(dir)?;
-        let is_ours = self.io.exists(&dir.join("manifest.json"))
+        let manifest_tmp = format!("{MANIFEST_FILE}{TMP_SUFFIX}");
+        let is_ours = has_manifest
             || entries.is_empty()
-            || entries.iter().any(|e| {
-                let name = entry_name(e);
-                parse_pack_name(&name).is_some()
-                    || is_legacy_retile_residue(&name)
-                    || name == format!("manifest.json{TMP_SUFFIX}")
+            || entries.iter().any(|(_, name, class)| {
+                *name == manifest_tmp
+                    || matches!(
+                        class,
+                        EntryClass::LivePack
+                            | EntryClass::OtherEpochPack(_)
+                            | EntryClass::LegacyResidue
+                    )
             });
         if !is_ours {
             return Ok(());
         }
 
-        for entry in &entries {
-            let name = entry_name(entry);
-            if name.ends_with(TMP_SUFFIX) && !self.io.is_dir(entry) {
+        for (entry, name, class) in &entries {
+            match class {
                 // 1. Interrupted atomic writes: the temp file never became
                 //    visible under its final name, so it holds no committed
                 //    state.
-                self.io.remove_file(entry)?;
-                report.actions.push(RecoveryAction::RemovedTemp {
-                    video: video.to_string(),
-                    file: name,
-                });
-            } else if is_legacy_retile_residue(&name) {
+                EntryClass::Temp => {
+                    self.io.remove_file(entry)?;
+                    report.actions.push(RecoveryAction::RemovedTemp {
+                        video: video.to_string(),
+                        file: name.clone(),
+                    });
+                }
                 // 2. What a re-tile of an older build left mid-protocol
                 //    (see `RecoveryAction::DiscardedLegacyResidue` for why
                 //    discarding it is safe on either side of its commit).
-                if self.io.is_dir(entry) {
-                    self.io.remove_dir_all(entry)?;
-                } else {
-                    self.io.remove_file(entry)?;
+                EntryClass::LegacyResidue => {
+                    if self.io.is_dir(entry) {
+                        self.io.remove_dir_all(entry)?;
+                    } else {
+                        self.io.remove_file(entry)?;
+                    }
+                    report.actions.push(RecoveryAction::DiscardedLegacyResidue {
+                        video: video.to_string(),
+                        entry: name.clone(),
+                    });
                 }
-                report.actions.push(RecoveryAction::DiscardedLegacyResidue {
-                    video: video.to_string(),
-                    entry: name,
-                });
+                _ => {}
             }
         }
 
-        // 3. Packs at epochs the manifest does not name: a pack whose range
-        //    the manifest covers at a *different* retile count is a retired
-        //    epoch whose GC was interrupted (or deferred and never run — no
+        // 3. Packs at epochs the manifest does not name: a retired epoch
+        //    whose GC was interrupted (or deferred and never run — no
         //    process survived to hold a pin on it), or the epoch a re-tile
         //    wrote and died before publishing. Reclaim it so the crash
         //    lands in exactly one epoch set. Ranges the manifest does not
-        //    cover at all are left for fsck to flag.
-        if let Ok(bytes) = self.io.read(&dir.join("manifest.json")) {
-            if let Ok(manifest) = serde_json::from_slice::<VideoManifest>(&bytes) {
-                for entry in &entries {
-                    let Some((start, end, rc)) = parse_pack_name(&entry_name(entry)) else {
-                        continue;
-                    };
-                    let unreferenced = manifest
-                        .sots
-                        .iter()
-                        .any(|s| s.start == start && s.end == end && s.retile_count != rc);
-                    if unreferenced && !self.io.is_dir(entry) {
-                        self.io.remove_file(entry)?;
-                        report.actions.push(RecoveryAction::ReclaimedEpoch {
-                            video: video.to_string(),
-                            sot_start: start,
-                            sot_end: end,
-                            epoch: rc,
-                        });
-                    }
-                }
+        //    hold are left for fsck to flag, and nothing is reclaimed
+        //    without a readable manifest.
+        for (entry, _, class) in &entries {
+            if let EntryClass::OtherEpochPack(pack) = *class {
+                self.io.remove_file(entry)?;
+                report.actions.push(RecoveryAction::ReclaimedEpoch {
+                    video: video.to_string(),
+                    sot_start: pack.sot_start,
+                    sot_end: pack.sot_end,
+                    epoch: pack.retile_count,
+                });
             }
         }
 
         // 4. No manifest: an ingest crashed before its publish point — the
         //    video never existed.
-        if !self.io.exists(&dir.join("manifest.json")) {
+        if !has_manifest {
             self.io.remove_dir_all(dir)?;
             report.actions.push(RecoveryAction::RemovedPartialVideo {
                 video: video.to_string(),
@@ -1255,16 +1182,11 @@ impl VideoStore {
     /// contiguous, every SOT's pack present with a sound table and, for
     /// each tile in it, a container header that matches the manifest
     /// (dimensions, GOP length, frame count, exact length), and no
-    /// unaccounted files. Read-only.
-    pub fn fsck(&self) -> Result<FsckReport, StoreError> {
-        self.fsck_with(&[])
-    }
-
-    /// [`VideoStore::fsck`] with an allow-list of sidecar file names the
-    /// caller places inside video directories (e.g. the CLI's scene spec):
-    /// those are not flagged as stray. The core store itself needs no
-    /// extras.
-    pub fn fsck_with(&self, allowed_extras: &[&str]) -> Result<FsckReport, StoreError> {
+    /// unaccounted files. `allowed_extras` names the sidecar files a caller
+    /// places inside video directories (e.g. the CLI's scene spec), which
+    /// are not flagged as stray; the core store itself needs none.
+    /// Read-only.
+    pub fn fsck(&self, allowed_extras: &[&str]) -> Result<FsckReport, StoreError> {
         let mut report = FsckReport::default();
         for entry in self.io.list_dir(&self.root)? {
             if self.io.is_dir(&entry) {
@@ -1276,13 +1198,7 @@ impl VideoStore {
 
     /// [`VideoStore::fsck`] restricted to one video. Errors if the video's
     /// directory does not exist at all.
-    pub fn fsck_video(&self, name: &str) -> Result<FsckReport, StoreError> {
-        self.fsck_video_with(name, &[])
-    }
-
-    /// [`VideoStore::fsck_video`] with a caller sidecar allow-list (see
-    /// [`VideoStore::fsck_with`]).
-    pub fn fsck_video_with(
+    pub fn fsck_video(
         &self,
         name: &str,
         allowed_extras: &[&str],
@@ -1417,37 +1333,25 @@ impl VideoStore {
         if let Ok(entries) = self.io.list_dir(&dir) {
             for entry in entries {
                 let name = entry_name(&entry);
-                let known_pack = manifest
-                    .sots
-                    .iter()
-                    .any(|s| name == pack_file_name(s.start, s.end, s.retile_count));
-                if name == "manifest.json" || allowed_extras.contains(&name.as_str()) || known_pack
-                {
-                    continue;
-                }
-                // When recovery was deferred (another live handle holds the
-                // store lock), a temp file or a pack of a manifest range at
-                // another epoch is plausibly that handle's: a manifest
-                // being replaced, an epoch a re-tile has written and not
-                // yet published, or a retired epoch its readers still pin.
-                // A concurrent fsck must not call a healthy live store
-                // dirty.
-                let live_state = self.recovery.deferred
-                    && (name.ends_with(TMP_SUFFIX)
-                        || parse_pack_name(&name).is_some_and(|(s, e, _)| {
-                            manifest.sots.iter().any(|x| x.start == s && x.end == e)
-                        }));
-                if live_state {
+                if allowed_extras.contains(&name.as_str()) {
                     continue;
                 }
                 let video = video.to_string();
-                report
-                    .issues
-                    .push(if is_legacy_sot_dir_name(&name) && self.io.is_dir(&entry) {
-                        FsckIssue::LegacySotDirectory { video, path: name }
-                    } else {
-                        FsckIssue::Stray { video, path: name }
-                    });
+                match classify_entry(&name, self.io.is_dir(&entry), Some(&manifest)) {
+                    EntryClass::Manifest | EntryClass::LivePack => {}
+                    // When recovery was deferred (another live handle holds
+                    // the store lock), a temp file or a pack of a manifest
+                    // SOT at another epoch is plausibly that handle's: a
+                    // manifest being replaced, an epoch a re-tile has
+                    // written and not yet published, or a retired epoch
+                    // its readers still pin. A concurrent fsck must not
+                    // call a healthy live store dirty.
+                    EntryClass::Temp | EntryClass::OtherEpochPack(_) if self.recovery.deferred => {}
+                    EntryClass::LegacySotDir => report
+                        .issues
+                        .push(FsckIssue::LegacySotDirectory { video, path: name }),
+                    _ => report.issues.push(FsckIssue::Stray { video, path: name }),
+                }
             }
         }
     }
@@ -1681,7 +1585,7 @@ mod tests {
             })
             .unwrap();
         let new_layout = TileLayout::uniform(64, 64, 2, 2).unwrap();
-        let stats = store.retile(&mut m, 0, new_layout.clone()).unwrap();
+        let (stats, _) = store.retile(&mut m, 0, new_layout.clone()).unwrap();
         assert!(stats.encode.bytes_produced > 0);
         assert!(stats.seconds() > 0.0);
         assert_eq!(m.sots[0].layout, new_layout);
@@ -1719,9 +1623,10 @@ mod tests {
                 TileLayout::untiled(64, 64)
             })
             .unwrap();
-        let stats = store
+        let (stats, retired) = store
             .retile(&mut m, 0, TileLayout::untiled(64, 64))
             .unwrap();
+        assert_eq!(retired, None);
         assert_eq!(stats.encode.bytes_produced, 0);
         assert_eq!(m.sots[0].retile_count, 0);
     }

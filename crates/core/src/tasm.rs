@@ -50,9 +50,7 @@ use crate::cost::{estimate_work, pixel_ratio, CostModel, EncodeModel};
 use crate::partition::{partition, PartitionConfig};
 use crate::query::{query_prepared, Query};
 use crate::scan::{scan_prepared, LabelPredicate, ScanError, ScanResult};
-use crate::storage::{
-    RetileStats, RetiredEpoch, StorageConfig, StoreError, VideoManifest, VideoStore,
-};
+use crate::storage::{PackId, RetileStats, StorageConfig, StoreError, VideoManifest, VideoStore};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -258,42 +256,21 @@ struct EpochTable {
     /// Live epochs by number. The current epoch is always present; retired
     /// epochs stay exactly until their reader count drains to zero.
     live: BTreeMap<u64, EpochEntry>,
-    /// Every `(start, end, retile_count)` SOT pack on disk that this
-    /// table owes a GC decision for. A pack leaves the set (and is
-    /// reclaimed) once no live epoch's manifest references it.
-    tracked: BTreeSet<(u32, u32, u32)>,
-}
-
-/// The SOT packs a manifest snapshot resolves reads through.
-fn manifest_packs(m: &VideoManifest) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
-    m.sots.iter().map(|s| (s.start, s.end, s.retile_count))
+    /// Every SOT pack on disk that this table owes a GC decision for. A
+    /// pack leaves the set (and is reclaimed) once no live epoch's
+    /// manifest names it.
+    tracked: BTreeSet<PackId>,
 }
 
 impl EpochTable {
     fn new(manifest: Arc<VideoManifest>) -> Self {
-        let current = manifest.epoch();
-        let tracked = manifest_packs(&manifest).collect();
-        let mut live = BTreeMap::new();
-        live.insert(
-            current,
-            EpochEntry {
-                manifest,
-                readers: 0,
-            },
-        );
-        EpochTable {
-            current,
-            live,
-            tracked,
-        }
-    }
-
-    fn current_manifest(&self) -> Arc<VideoManifest> {
-        self.live[&self.current].manifest.clone()
-    }
-
-    fn total_readers(&self) -> u64 {
-        self.live.values().map(|e| e.readers).sum()
+        let mut table = EpochTable {
+            current: manifest.epoch(),
+            live: BTreeMap::new(),
+            tracked: BTreeSet::new(),
+        };
+        table.publish(manifest);
+        table
     }
 
     /// Drops retired epochs with no readers from the live set and returns
@@ -301,34 +278,28 @@ impl EpochTable {
     /// work list. The current epoch never retires here, so a re-ingest
     /// under the same name can never have its fresh packs reclaimed
     /// by a stale pin's drop.
-    fn sweep(&mut self) -> Vec<RetiredEpoch> {
+    fn sweep(&mut self) -> Vec<PackId> {
         let current = self.current;
         self.live
             .retain(|&epoch, entry| epoch == current || entry.readers > 0);
-        let referenced: BTreeSet<(u32, u32, u32)> = self
+        let referenced: BTreeSet<PackId> = self
             .live
             .values()
-            .flat_map(|e| manifest_packs(&e.manifest))
+            .flat_map(|e| e.manifest.packs())
             .collect();
-        let dead: Vec<(u32, u32, u32)> = self.tracked.difference(&referenced).copied().collect();
+        let dead: Vec<PackId> = self.tracked.difference(&referenced).copied().collect();
         for d in &dead {
             self.tracked.remove(d);
         }
-        dead.into_iter()
-            .map(|(sot_start, sot_end, retile_count)| RetiredEpoch {
-                sot_start,
-                sot_end,
-                retile_count,
-            })
-            .collect()
+        dead
     }
 
     /// Installs a freshly committed manifest as the current epoch and
     /// sweeps. The superseded epoch stays live while pinned; otherwise its
     /// now-unreferenced packs come back as the GC work list.
-    fn publish(&mut self, manifest: Arc<VideoManifest>) -> Vec<RetiredEpoch> {
+    fn publish(&mut self, manifest: Arc<VideoManifest>) -> Vec<PackId> {
         let epoch = manifest.epoch();
-        self.tracked.extend(manifest_packs(&manifest));
+        self.tracked.extend(manifest.packs());
         self.current = epoch;
         self.live
             .entry(epoch)
@@ -373,7 +344,33 @@ impl VideoShard {
     /// The current epoch's manifest snapshot (cheap: one lock, one `Arc`
     /// clone).
     fn current_manifest(&self) -> Arc<VideoManifest> {
-        sync::lock(&self.epochs).current_manifest()
+        let table = sync::lock(&self.epochs);
+        table.live[&table.current].manifest.clone()
+    }
+
+    /// The epoch table once every pinned reader of every epoch has dropped
+    /// — what a writer that destroys epochs in place waits for.
+    fn drain(&self) -> std::sync::MutexGuard<'_, EpochTable> {
+        let mut table = sync::lock(&self.epochs);
+        while table.live.values().any(|e| e.readers > 0) {
+            table = sync::wait(&self.drained, table);
+        }
+        table
+    }
+
+    /// Publishes a committed manifest as the current epoch and reclaims,
+    /// outside the table lock, the packs no live epoch names any more.
+    fn publish(&self, store: &VideoStore, manifest: VideoManifest) {
+        let manifest = Arc::new(manifest);
+        let gc = sync::lock(&self.epochs).publish(manifest.clone());
+        reclaim(store, &manifest.name, gc);
+    }
+}
+
+/// Best-effort GC: `gc_epoch` is idempotent, and recovery reaps leftovers.
+fn reclaim(store: &VideoStore, video: &str, gc: Vec<PackId>) {
+    for old in gc {
+        let _ = store.gc_epoch(video, old);
     }
 }
 
@@ -435,11 +432,8 @@ impl Drop for EpochPin {
             self.shard.drained.notify_all();
             gc
         };
-        // GC outside the table lock, best-effort: `gc_epoch` is idempotent
-        // and startup recovery reaps any pack a failed GC leaves.
-        for old in gc {
-            let _ = self.store.gc_epoch(&self.manifest.name, old);
-        }
+        // GC outside the table lock.
+        reclaim(&self.store, &self.manifest.name, gc);
     }
 }
 
@@ -469,6 +463,23 @@ pub(crate) fn video_id_for(name: &str) -> u32 {
     name.bytes().fold(0x811c9dc5u32, |acc, b| {
         (acc ^ b as u32).wrapping_mul(0x01000193)
     })
+}
+
+/// Refuses registering `name` when its FNV-1a id aliases a different video
+/// in `videos`: the shared semantic index keys detections by id, so a
+/// collision would silently merge two videos' metadata.
+fn id_collision(
+    videos: &BTreeMap<String, Arc<VideoShard>>,
+    name: &str,
+    id: u32,
+) -> Result<(), TasmError> {
+    match videos.iter().find(|(n, s)| s.id == id && *n != name) {
+        Some((existing, _)) => Err(TasmError::VideoIdCollision {
+            existing: existing.clone(),
+            rejected: name.to_string(),
+        }),
+        None => Ok(()),
+    }
 }
 
 impl Tasm {
@@ -531,7 +542,7 @@ impl Tasm {
     /// Validates every stored video's manifest against its on-disk tile
     /// files and container headers (see [`VideoStore::fsck`]). Read-only.
     pub fn fsck(&self) -> Result<crate::durable::FsckReport, TasmError> {
-        Ok(self.store.fsck()?)
+        Ok(self.store.fsck(&[])?)
     }
 
     /// The active configuration.
@@ -573,7 +584,7 @@ impl Tasm {
         let id = video_id_for(name);
         // Check before paying for the encode; re-checked under the write
         // lock at registration.
-        self.check_id_collision(name, id)?;
+        id_collision(&sync::read(&self.videos), name, id)?;
         let (manifest, _) = self
             .store
             .ingest(name, src, fps, self.cfg.storage, layout_for)?;
@@ -592,40 +603,16 @@ impl Tasm {
     /// resolved).
     pub fn attach(&self, name: &str) -> Result<u32, TasmError> {
         let id = video_id_for(name);
-        self.check_id_collision(name, id)?;
+        id_collision(&sync::read(&self.videos), name, id)?;
         let manifest = self.store.load_manifest(name)?;
         self.register(name, id, manifest)
-    }
-
-    /// Refuses registration when `name`'s FNV-1a id aliases a different
-    /// registered video: the shared semantic index keys detections by id,
-    /// so a collision would silently merge two videos' metadata.
-    fn check_id_collision(&self, name: &str, id: u32) -> Result<(), TasmError> {
-        let videos = sync::read(&self.videos);
-        if let Some((existing, _)) = videos
-            .iter()
-            .find(|(n, s)| s.id == id && n.as_str() != name)
-        {
-            return Err(TasmError::VideoIdCollision {
-                existing: existing.clone(),
-                rejected: name.to_string(),
-            });
-        }
-        Ok(())
     }
 
     fn register(&self, name: &str, id: u32, manifest: VideoManifest) -> Result<u32, TasmError> {
         let n_sots = manifest.sots.len();
         let mut videos = sync::write(&self.videos);
-        if let Some((existing, _)) = videos
-            .iter()
-            .find(|(n, s)| s.id == id && n.as_str() != name)
-        {
-            return Err(TasmError::VideoIdCollision {
-                existing: existing.clone(),
-                rejected: name.to_string(),
-            });
-        }
+        // Again under the write lock: another registration may have won.
+        id_collision(&videos, name, id)?;
         videos.insert(
             name.to_string(),
             Arc::new(VideoShard {
@@ -719,7 +706,7 @@ impl Tasm {
     ) -> Result<u32, TasmError> {
         let name = manifest.name.clone();
         let id = video_id_for(&name);
-        self.check_id_collision(&name, id)?;
+        id_collision(&sync::read(&self.videos), &name, id)?;
         let existing = sync::read(&self.videos).get(&name).cloned();
         match existing {
             Some(shard) => {
@@ -727,10 +714,7 @@ impl Tasm {
                 // order. The policy state described the old layout — reset.
                 let mut policy = shard.policy();
                 let _commit = sync::lock(&shard.commit);
-                let mut table = sync::lock(&shard.epochs);
-                while table.total_readers() > 0 {
-                    table = sync::wait(&shard.drained, table);
-                }
+                let mut table = shard.drain();
                 self.store.install_video(&manifest, sots)?;
                 *policy = PolicyState::new(manifest.sots.len());
                 *table = EpochTable::new(Arc::new(manifest));
@@ -754,8 +738,7 @@ impl Tasm {
         sot_idx: usize,
         tiles: &[Vec<u8>],
     ) -> Result<bool, TasmError> {
-        let name = manifest.name.clone();
-        let shard = self.shard(&name)?;
+        let shard = self.shard(&manifest.name)?;
         let new_epoch = manifest
             .sots
             .get(sot_idx)
@@ -766,26 +749,16 @@ impl Tasm {
         // epoch-stamped pack and the old epoch is GC'd when its last
         // pin drops.
         let _commit = sync::lock(&shard.commit);
+        let current = shard.current_manifest();
+        if current
+            .sots
+            .get(sot_idx)
+            .is_some_and(|c| c.retile_count >= new_epoch)
         {
-            let table = sync::lock(&shard.epochs);
-            let cur = table.current_manifest();
-            if cur
-                .sots
-                .get(sot_idx)
-                .is_some_and(|c| c.retile_count >= new_epoch)
-            {
-                return Ok(false);
-            }
+            return Ok(false);
         }
-        let _retired = self.store.install_sot_deferred(&manifest, sot_idx, tiles)?;
-        let gc = {
-            let mut table = sync::lock(&shard.epochs);
-            table.publish(Arc::new(manifest))
-        };
-        for old in gc {
-            // Best-effort: idempotent, and recovery reaps leftovers.
-            let _ = self.store.gc_epoch(&name, old);
-        }
+        self.store.install_sot(&manifest, sot_idx, tiles)?;
+        shard.publish(&self.store, manifest);
         Ok(true)
     }
 
@@ -800,11 +773,7 @@ impl Tasm {
                 "video '{name}'"
             ))));
         };
-        let mut table = sync::lock(&shard.epochs);
-        while table.total_readers() > 0 {
-            table = sync::wait(&shard.drained, table);
-        }
-        drop(table);
+        drop(shard.drain());
         self.store.remove_video(name)?;
         Ok(())
     }
@@ -1035,15 +1004,9 @@ impl Tasm {
             let m = shard.current_manifest();
             (m.width, m.height, m.sots[sot_idx].clone(), m.config.gop_len)
         };
-        let dets = self.detections_for(shard.id, objects, sot.frames())?;
-        if dets.is_empty() {
+        let Some((layout, dets)) = self.subset_layout(shard.id, objects, &sot, w, h)? else {
             return Ok(None);
-        }
-        let boxes: Vec<Rect> = dets.iter().map(|d| d.bbox).collect();
-        let layout = partition(w, h, &boxes, &self.cfg.partition);
-        if layout.is_untiled() {
-            return Ok(None);
-        }
+        };
         // Not-tiling rule over the whole-SOT query for these objects.
         let ratio = pixel_ratio(&layout, &dets, sot.frames(), sot.start, gop);
         if ratio > self.cfg.alpha {
@@ -1099,17 +1062,9 @@ impl Tasm {
     ) -> Result<RetileStats, TasmError> {
         let _commit = sync::lock(&shard.commit);
         let mut manifest = (*shard.current_manifest()).clone();
-        let (stats, retired) = self.store.retile_deferred(&mut manifest, sot_idx, layout)?;
+        let (stats, retired) = self.store.retile(&mut manifest, sot_idx, layout)?;
         if retired.is_some() {
-            let manifest = Arc::new(manifest);
-            let gc = {
-                let mut table = sync::lock(&shard.epochs);
-                table.publish(manifest.clone())
-            };
-            for old in gc {
-                // Best-effort: idempotent, and recovery reaps leftovers.
-                let _ = self.store.gc_epoch(&manifest.name, old);
-            }
+            shard.publish(&self.store, manifest);
             // Regret resets relative to the new current layout.
             pol.sots[sot_idx].regret.clear();
         }
@@ -1199,9 +1154,8 @@ impl Tasm {
             // The layouts this call partitions, for the winner below.
             let mut layouts = Vec::with_capacity(alternatives.len());
             for subset in &alternatives {
-                let alt_layout = match self.subset_layout(id, subset, &sot, w, h)? {
-                    Some(l) => l,
-                    None => continue,
+                let Some((alt_layout, _)) = self.subset_layout(id, subset, &sot, w, h)? else {
+                    continue;
                 };
                 let is_new = !state.regret.contains_key(subset);
                 let mut delta = 0.0;
@@ -1236,7 +1190,7 @@ impl Tasm {
                 // this call's alternatives.
                 let layout = match layouts.iter().position(|(s, _)| **s == subset) {
                     Some(at) => Some(layouts.swap_remove(at).1),
-                    None => self.subset_layout(id, &subset, &sot, w, h)?,
+                    None => self.subset_layout(id, &subset, &sot, w, h)?.map(|(l, _)| l),
                 };
                 if let Some(layout) = layout {
                     let usable = layout != sot.layout
@@ -1273,8 +1227,8 @@ impl Tasm {
             .ok_or_else(|| TasmError::UnknownVideo(name.to_string()))
     }
 
-    /// Layout around a subset's detected boxes in a SOT, or `None` when no
-    /// boxes exist or no cut is possible.
+    /// Layout around a subset's detected boxes in a SOT, with those
+    /// detections, or `None` when no boxes exist or no cut is possible.
     fn subset_layout(
         &self,
         video_id: u32,
@@ -1282,18 +1236,14 @@ impl Tasm {
         sot: &crate::storage::SotEntry,
         w: u32,
         h: u32,
-    ) -> Result<Option<TileLayout>, TasmError> {
+    ) -> Result<Option<(TileLayout, Vec<Detection>)>, TasmError> {
         let dets = self.detections_for(video_id, subset, sot.frames())?;
         if dets.is_empty() {
             return Ok(None);
         }
         let boxes: Vec<Rect> = dets.iter().map(|d| d.bbox).collect();
         let layout = partition(w, h, &boxes, &self.cfg.partition);
-        Ok(if layout.is_untiled() {
-            None
-        } else {
-            Some(layout)
-        })
+        Ok((!layout.is_untiled()).then_some((layout, dets)))
     }
 
     /// Estimated improvement `∆(q, L_cur, L_alt)` of one query on one SOT.

@@ -83,13 +83,6 @@ impl SpatialGrid {
         }
     }
 
-    /// All distinct boxes intersecting `query`, in insertion order.
-    pub fn query_intersecting(&self, query: &Rect) -> Vec<Rect> {
-        let mut ids = self.candidate_ids(query);
-        ids.retain(|&id| self.boxes[id as usize].intersects(query));
-        ids.into_iter().map(|id| self.boxes[id as usize]).collect()
-    }
-
     /// Pairwise intersections between `query` and the indexed boxes —
     /// the conjunctive-predicate primitive ("pixels in the intersection of
     /// boxes associated with all cᵢ", §3.1).
@@ -140,7 +133,7 @@ mod tests {
     fn empty_grid_returns_nothing() {
         let g = SpatialGrid::new(640, 352, 64);
         assert!(g.is_empty());
-        assert!(g.query_intersecting(&Rect::new(0, 0, 640, 352)).is_empty());
+        assert!(g.intersections(&Rect::new(0, 0, 640, 352)).is_empty());
     }
 
     #[test]
@@ -149,13 +142,11 @@ mod tests {
         g.insert(Rect::new(10, 10, 50, 50));
         g.insert(Rect::new(300, 200, 40, 40));
         g.insert(Rect::new(600, 300, 30, 30));
-        let hits = g.query_intersecting(&Rect::new(0, 0, 100, 100));
+        let hits = g.intersections(&Rect::new(0, 0, 100, 100));
         assert_eq!(hits, vec![Rect::new(10, 10, 50, 50)]);
-        let hits = g.query_intersecting(&Rect::new(310, 210, 10, 10));
-        assert_eq!(hits, vec![Rect::new(300, 200, 40, 40)]);
-        assert!(g
-            .query_intersecting(&Rect::new(100, 100, 20, 20))
-            .is_empty());
+        let hits = g.intersections(&Rect::new(310, 210, 10, 10));
+        assert_eq!(hits, vec![Rect::new(310, 210, 10, 10)]);
+        assert!(g.intersections(&Rect::new(100, 100, 20, 20)).is_empty());
     }
 
     #[test]
@@ -163,8 +154,8 @@ mod tests {
         let mut g = SpatialGrid::new(640, 352, 64);
         // Box spanning 4+ cells.
         g.insert(Rect::new(32, 32, 128, 128));
-        let hits = g.query_intersecting(&Rect::new(0, 0, 640, 352));
-        assert_eq!(hits.len(), 1);
+        let hits = g.intersections(&Rect::new(0, 0, 640, 352));
+        assert_eq!(hits, vec![Rect::new(32, 32, 128, 128)]);
     }
 
     #[test]
@@ -181,11 +172,9 @@ mod tests {
     fn out_of_frame_queries_are_safe() {
         let mut g = SpatialGrid::new(640, 352, 64);
         g.insert(Rect::new(600, 320, 100, 100)); // extends past the frame
-        let hits = g.query_intersecting(&Rect::new(630, 340, 500, 500));
-        assert_eq!(hits.len(), 1);
-        assert!(g
-            .query_intersecting(&Rect::new(5000, 5000, 10, 10))
-            .is_empty());
+        let hits = g.intersections(&Rect::new(630, 340, 500, 500));
+        assert_eq!(hits, vec![Rect::new(630, 340, 70, 80)]);
+        assert!(g.intersections(&Rect::new(5000, 5000, 10, 10)).is_empty());
     }
 
     #[test]
@@ -219,10 +208,10 @@ mod proptests {
             let frame_h = g.rows * g.cell;
             let mut expected: Vec<Rect> = boxes
                 .iter()
-                .filter(|b| !b.clamp_to(frame_w, frame_h).is_empty() && b.intersects(&query))
-                .copied()
+                .filter(|b| !b.clamp_to(frame_w, frame_h).is_empty())
+                .filter_map(|b| b.intersect(&query))
                 .collect();
-            let mut got = g.query_intersecting(&query);
+            let mut got = g.intersections(&query);
             expected.sort_by_key(|r| (r.x, r.y, r.w, r.h));
             got.sort_by_key(|r| (r.x, r.y, r.w, r.h));
             prop_assert_eq!(got, expected);

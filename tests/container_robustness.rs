@@ -458,7 +458,7 @@ impl PackedStore {
     }
 
     fn fsck_issues(&self) -> Vec<FsckIssue> {
-        self.store.fsck().expect("fsck runs").issues
+        self.store.fsck(&[]).expect("fsck runs").issues
     }
 }
 
@@ -503,6 +503,22 @@ fn mutated_and_truncated_pack_tables_are_typed_errors() {
             }
         }
     });
+}
+
+/// A pack that is there but unsound is its own error from
+/// `video_size_bytes`, never a missing SOT: a bad magic is not `NotFound`,
+/// a pack that is gone is.
+#[test]
+fn video_size_of_an_unsound_pack_is_not_a_missing_sot() {
+    let p = packed_store("size");
+    let mut bad = p.pack.clone();
+    bad[0] ^= 0xff;
+    std::fs::write(&p.pack_path, &bad).expect("write bad magic");
+    let err = p.store.video_size_bytes(&p.manifest).unwrap_err();
+    assert!(!matches!(err, StoreError::NotFound(_)), "{err}");
+    std::fs::remove_file(&p.pack_path).expect("remove pack");
+    let err = p.store.video_size_bytes(&p.manifest).unwrap_err();
+    assert!(matches!(err, StoreError::NotFound(_)), "{err}");
 }
 
 /// Tables that are sound by themselves and wrong about the pack: a last
@@ -617,14 +633,17 @@ fn a_replicas_pack_is_the_primarys_byte_for_byte() {
         .retile(&mut manifest, 0, TileLayout::untiled(64, 64))
         .expect("retile");
     let tile = p.store.tile_file_bytes(&manifest, 0, 0).expect("tile");
-    replica
+    let retired = replica
         .install_sot(&manifest, 0, std::slice::from_ref(&tile))
         .expect("install SOT");
+    replica
+        .gc_epoch("v", retired.expect("retired"))
+        .expect("gc");
     let next = "sot_000000_000010_r000001.tiles";
     assert_eq!(
         std::fs::read(replica_root.join("v").join(next)).expect("replica pack"),
         std::fs::read(p.dir.path().join("v").join(next)).expect("primary pack")
     );
     assert!(!replica_pack.exists(), "the superseded epoch is reclaimed");
-    assert!(replica.fsck().expect("fsck").is_clean());
+    assert!(replica.fsck(&[]).expect("fsck").is_clean());
 }

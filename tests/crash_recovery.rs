@@ -167,15 +167,16 @@ fn drive(store: &VideoStore, steps: usize) -> Result<(), StoreError> {
         return Ok(());
     }
     let mut manifest = store.load_manifest("v")?;
-    store.retile(
+    let (_, retired) = store.retile(
         &mut manifest,
         0,
         TileLayout::uniform(64, 64, 4, 4).expect("layout"),
     )?;
+    store.gc_epoch("v", retired.expect("a layout change retires an epoch"))?;
     if steps == 2 {
         return Ok(());
     }
-    let (_, retired) = store.retile_deferred(
+    let (_, retired) = store.retile(
         &mut manifest,
         0,
         TileLayout::uniform(64, 64, 2, 2).expect("layout"),
@@ -302,7 +303,7 @@ fn epoch_gc_crash_sweep_recovers_to_exactly_one_epoch_set() {
         let pinned = store.load_manifest("v").expect("manifest");
         let mut manifest = pinned.clone();
         let (_, retired) = store
-            .retile_deferred(&mut manifest, 0, new_layout.clone())
+            .retile(&mut manifest, 0, new_layout.clone())
             .expect("deferred retile");
         let retired = retired.expect("a layout change must retire an epoch");
         let old_tile = store
@@ -424,7 +425,7 @@ fn torn_manifest_write_leaves_old_manifest_intact() {
         .any(|a| matches!(a, RecoveryAction::RemovedTemp { video, .. } if video == "v")));
     assert!(!dir.path().join("v").join("manifest.json.tmp").exists());
     assert_eq!(store.load_manifest("v").expect("manifest").fps, 30);
-    assert!(store.fsck().expect("fsck").is_clean());
+    assert!(store.fsck(&[]).expect("fsck").is_clean());
     // Release the store lock: a live handle would (correctly) make the
     // openers below defer recovery.
     drop(store);
@@ -441,7 +442,7 @@ fn torn_manifest_write_leaves_old_manifest_intact() {
     assert_eq!(fs::read(&manifest_path).expect("manifest"), original);
     let store = VideoStore::open(dir.path()).expect("reopen again");
     assert_eq!(store.load_manifest("v").expect("manifest").fps, 30);
-    assert!(store.fsck().expect("fsck").is_clean());
+    assert!(store.fsck(&[]).expect("fsck").is_clean());
 }
 
 /// A graceful mid-ingest failure (bad layout for a later SOT) must remove
@@ -468,7 +469,7 @@ fn failed_ingest_cleans_up_partial_video() {
         store.load_manifest("v"),
         Err(StoreError::NotFound(_))
     ));
-    assert!(store.fsck().expect("fsck").is_clean());
+    assert!(store.fsck(&[]).expect("fsck").is_clean());
 }
 
 /// A *crash* mid-ingest cannot clean up (every further I/O fails, as after
@@ -504,7 +505,7 @@ fn crashed_ingest_is_reaped_at_next_open() {
         store.load_manifest("v"),
         Err(StoreError::NotFound(_))
     ));
-    assert!(store.fsck().expect("fsck").is_clean());
+    assert!(store.fsck(&[]).expect("fsck").is_clean());
 }
 
 /// The names of a video directory's entries, sorted.
@@ -529,10 +530,10 @@ fn fsck_detects_corruption_and_strays() {
     store
         .ingest("v", &src, 30, small_cfg(), move |_, _| layout.clone())
         .expect("ingest");
-    assert!(store.fsck().expect("fsck").is_clean());
-    assert!(store.fsck_video("v").expect("fsck v").is_clean());
+    assert!(store.fsck(&[]).expect("fsck").is_clean());
+    assert!(store.fsck_video("v", &[]).expect("fsck v").is_clean());
     assert!(matches!(
-        store.fsck_video("nope"),
+        store.fsck_video("nope", &[]),
         Err(StoreError::NotFound(_))
     ));
 
@@ -551,7 +552,7 @@ fn fsck_detects_corruption_and_strays() {
 
     // Torn tail: the table promises more than the file holds.
     fs::write(&pack, &original[..original.len() - 3]).expect("truncate");
-    let report = store.fsck().expect("fsck");
+    let report = store.fsck(&[]).expect("fsck");
     assert!(
         report
             .issues
@@ -571,7 +572,7 @@ fn fsck_detects_corruption_and_strays() {
     let mut flipped = original.clone();
     flipped[tile0 + 5] ^= 0xff;
     fs::write(&pack, &flipped).expect("flip");
-    let report = store.fsck().expect("fsck");
+    let report = store.fsck(&[]).expect("fsck");
     assert!(!report.is_clean(), "flipped header must be flagged");
     assert!(
         report.issues.iter().all(|i| matches!(
@@ -592,7 +593,7 @@ fn fsck_detects_corruption_and_strays() {
         b"{",
     )
     .expect("stray commit-lookalike");
-    let report = store.fsck().expect("fsck");
+    let report = store.fsck(&[]).expect("fsck");
     let strays = report
         .issues
         .iter()
@@ -603,7 +604,7 @@ fn fsck_detects_corruption_and_strays() {
     // A *missing* pack is every one of its tiles missing.
     fs::remove_file(dir.path().join("v").join("notes.txt")).expect("cleanup stray");
     fs::remove_file(&pack).expect("remove pack");
-    let report = store.fsck_video("v").expect("fsck v");
+    let report = store.fsck_video("v", &[]).expect("fsck v");
     for tile in 0..4 {
         assert!(report
             .issues
@@ -877,7 +878,7 @@ fn second_opener_defers_recovery_while_store_is_live() {
     assert!(second.recovery_report().is_clean());
     // A deferred fsck treats the live handle's state (an unpublished or a
     // still-pinned epoch, temps) as in-flight, not as corruption.
-    let fsck = second.fsck().expect("fsck on live store");
+    let fsck = second.fsck(&[]).expect("fsck on live store");
     assert!(fsck.is_clean(), "live re-tile flagged: {:?}", fsck.issues);
     drop(second);
     assert_eq!(
@@ -899,7 +900,7 @@ fn second_opener_defers_recovery_while_store_is_live() {
         }
     )));
     assert_eq!(entry_names(&dir.path().join("v")), ingested);
-    assert!(fresh.fsck().expect("fsck").is_clean());
+    assert!(fresh.fsck(&[]).expect("fsck").is_clean());
 }
 
 /// What a failed re-tile wrote must neither survive into a later commit nor
@@ -937,8 +938,10 @@ fn a_failed_retiles_pack_never_outlives_a_later_commit() {
         ingest(twin_dir.path());
         let twin = VideoStore::open(twin_dir.path()).expect("open twin");
         let mut manifest = twin.load_manifest("v").expect("manifest");
-        twin.retile(&mut manifest, later_sot, later_layout.clone())
+        let (_, retired) = twin
+            .retile(&mut manifest, later_sot, later_layout.clone())
             .expect("twin retile");
+        twin.gc_epoch("v", retired.expect("retired")).expect("gc");
         let want = (manifest, tiles_of(&twin));
 
         for failed_at_op in [1, 2] {
@@ -952,9 +955,10 @@ fn a_failed_retiles_pack_never_outlives_a_later_commit() {
             let store = VideoStore::open(dir.path()).expect("second handle");
             assert!(store.recovery_report().deferred, "{what}");
             let mut manifest = store.load_manifest("v").expect("manifest");
-            store
+            let (_, retired) = store
                 .retile(&mut manifest, later_sot, later_layout.clone())
                 .expect("later retile");
+            store.gc_epoch("v", retired.expect("retired")).expect("gc");
             assert_eq!(manifest, want.0, "{what}");
             assert_eq!(store.load_manifest("v").expect("on disk"), want.0, "{what}");
             assert_eq!(tiles_of(&store), want.1, "{what}");
@@ -979,7 +983,7 @@ fn a_failed_retiles_pack_never_outlives_a_later_commit() {
                     "{what}: {actions:?}"
                 );
             }
-            let fsck = store.fsck().expect("fsck");
+            let fsck = store.fsck(&[]).expect("fsck");
             assert!(fsck.is_clean(), "{what}: {:?}", fsck.issues);
             assert_eq!(entry_names(&dir.path().join("v")).len(), 3, "{what}");
             assert_eq!(store.load_manifest("v").expect("manifest"), want.0);
@@ -1050,7 +1054,7 @@ fn an_older_builds_residue_is_discarded_and_its_sot_directories_are_named() {
             fs::read(video.join("manifest.json")).expect("manifest bytes")
         )
     );
-    assert!(store.fsck().expect("fsck").is_clean());
+    assert!(store.fsck(&[]).expect("fsck").is_clean());
     drop(store);
 
     // SOT 1 as such a build stored it: a directory, one file per tile.
@@ -1071,7 +1075,7 @@ fn an_older_builds_residue_is_discarded_and_its_sot_directories_are_named() {
         Err(StoreError::NotFound(_))
     ));
     assert!(store.read_tile(&manifest, 0, 0).is_ok());
-    let report = store.fsck().expect("fsck");
+    let report = store.fsck(&[]).expect("fsck");
     assert!(
         matches!(
             &report.issues[..],
@@ -1126,7 +1130,7 @@ fn recovery_never_deletes_foreign_directories() {
     );
     // fsck still *flags* the unknown directory — it should not be in a
     // store — it just never deletes it.
-    assert!(!store.fsck().expect("fsck").is_clean());
+    assert!(!store.fsck(&[]).expect("fsck").is_clean());
 
     // An empty manifest-less directory, by contrast, is ingest residue.
     drop(store);
@@ -1152,13 +1156,14 @@ fn clean_retile_leaves_no_residue() {
         })
         .expect("ingest");
     let mut manifest = store.load_manifest("v").expect("manifest");
-    store
+    let (_, retired) = store
         .retile(
             &mut manifest,
             0,
             TileLayout::uniform(64, 64, 2, 2).expect("layout"),
         )
         .expect("retile");
+    store.gc_epoch("v", retired.expect("retired")).expect("gc");
     drop(store);
 
     let store = VideoStore::open(dir.path()).expect("reopen");
@@ -1167,7 +1172,7 @@ fn clean_retile_leaves_no_residue() {
         "clean shutdown needs no recovery: {:?}",
         store.recovery_report().actions
     );
-    let fsck = store.fsck().expect("fsck");
+    let fsck = store.fsck(&[]).expect("fsck");
     assert!(fsck.is_clean(), "{:?}", fsck.issues);
     assert_eq!(fsck.tiles_checked, 4);
     assert_eq!(
@@ -1178,6 +1183,35 @@ fn clean_retile_leaves_no_residue() {
         entry_names(&dir.path().join("v")),
         ["manifest.json", "sot_000000_000010_r000001.tiles"]
     );
+}
+
+/// GC reclaims only what a readable manifest does not name: with the
+/// manifest garbage, or gone as between a re-ingest's unpublish and its
+/// publish, the pack it named stays.
+#[test]
+fn gc_epoch_without_a_readable_manifest_reclaims_nothing() {
+    let dir = temp_dir("gc-closed");
+    let store = VideoStore::open(dir.path()).expect("open");
+    let (manifest, _) = store
+        .ingest("v", &test_source(10), 30, small_cfg(), |_, _| {
+            TileLayout::untiled(64, 64)
+        })
+        .expect("ingest");
+    let live = manifest.sots[0].pack_id();
+    let video = dir.path().join("v");
+    fs::write(video.join("manifest.json"), b"{ not a manifest").expect("garbage");
+    let garbage = store.gc_epoch("v", live);
+    assert!(
+        matches!(garbage, Err(StoreError::Manifest(_))),
+        "{garbage:?}"
+    );
+    fs::remove_file(video.join("manifest.json")).expect("unlink");
+    let missing = store.gc_epoch("v", live);
+    assert!(
+        matches!(missing, Err(StoreError::NotFound(_))),
+        "{missing:?}"
+    );
+    assert!(video.join("sot_000000_000010.tiles").exists());
 }
 
 /// What a commit costs is a count of durability steps, and the count does
@@ -1238,16 +1272,17 @@ fn a_commits_mutating_operations_do_not_grow_with_the_tile_count() {
         let layout = TileLayout::uniform(96, 80, rows, cols).expect("layout");
         let tiles = layout.tile_count();
         let retile_ops = ops(&mut || {
-            store
+            let (_, retired) = store
                 .retile(&mut manifest, sot, layout.clone())
                 .expect("retile");
+            store.gc_epoch("v5", retired.expect("retired")).expect("gc");
         });
         assert_eq!(retile_ops, 6, "re-tile to {tiles} tiles");
         let (next, payload) = replica_of(&store, "v5", "r5");
         let mut retired = None;
         let install_ops = ops(&mut || {
             retired = store
-                .install_sot_deferred(&next, sot, &payload[sot])
+                .install_sot(&next, sot, &payload[sot])
                 .expect("install SOT");
         });
         assert_eq!(install_ops, 4, "SOT install of {tiles} tiles");
@@ -1259,7 +1294,7 @@ fn a_commits_mutating_operations_do_not_grow_with_the_tile_count() {
         assert_eq!(reclaim_ops, 2, "reclaim after a SOT install");
         let back = ops(&mut || {
             store
-                .retile_deferred(&mut manifest, sot, TileLayout::untiled(96, 80))
+                .retile(&mut manifest, sot, TileLayout::untiled(96, 80))
                 .expect("deferred retile")
                 .1
                 .expect("retired epoch");

@@ -153,10 +153,11 @@ fn ingest_and_retile(tag: &str, cfg: StorageConfig) -> Vec<(u64, Vec<Vec<u8>>)> 
     let video = dir.path().join("v");
     let mut steps = vec![(digest_tree(&video), tile_codecs(&manifest))];
     for (sot, layout) in [(0, two_cols()), (0, uneven()), (1, uneven())] {
-        store.retile(&mut manifest, sot, layout).unwrap();
+        let (_, retired) = store.retile(&mut manifest, sot, layout).unwrap();
+        store.gc_epoch("v", retired.unwrap()).unwrap();
         steps.push((digest_tree(&video), tile_codecs(&manifest)));
     }
-    assert!(store.fsck().unwrap().is_clean());
+    assert!(store.fsck(&[]).unwrap().is_clean());
     assert_eq!(manifest, store.load_manifest("v").unwrap());
     steps
 }
@@ -255,16 +256,16 @@ fn tiles_served_after_ingest_retile_and_replica_install_are_pinned() {
         (1, uneven()),
         (1, two_cols()),
     ] {
-        store.retile(&mut manifest, sot, layout).unwrap();
-        replica
-            .install_sot(&manifest, sot, &payload(&manifest, sot))
-            .unwrap();
+        let (_, retired) = store.retile(&mut manifest, sot, layout).unwrap();
+        store.gc_epoch("v", retired.unwrap()).unwrap();
+        let retired = replica.install_sot(&manifest, sot, &payload(&manifest, sot));
+        replica.gc_epoch("v", retired.unwrap().unwrap()).unwrap();
         let digest = digest_tiles(&store, &manifest);
         assert_eq!(digest_tiles(&replica, &manifest), digest);
         steps.push(digest);
     }
     for s in [&store, &replica] {
-        assert!(s.fsck().unwrap().is_clean());
+        assert!(s.fsck(&[]).unwrap().is_clean());
         assert_eq!(s.load_manifest("v").unwrap(), manifest);
     }
     assert!(
@@ -322,7 +323,7 @@ fn retile_stats_are_pinned_serial_and_parallel() {
             (1, two_cols()),
         ]
         .into_iter()
-        .map(|(sot, layout)| retile_counts(&store.retile(&mut manifest, sot, layout).unwrap()))
+        .map(|(sot, layout)| retile_counts(&store.retile(&mut manifest, sot, layout).unwrap().0))
         .collect();
         assert!(
             counts == RETILE_COUNTS_PINNED,
@@ -673,7 +674,7 @@ fn out_of_range_configs_in_manifests_are_refused_from_peers_and_disk() {
                 |r: Result<(), StoreError>| matches!(r, Err(StoreError::InvalidConfig(_)));
             assert!(invalid(store.install_video(&hostile, &tiles)), "{bad:?}");
             assert!(
-                invalid(store.install_sot(&hostile, 0, &tiles[0])),
+                invalid(store.install_sot(&hostile, 0, &tiles[0]).map(|_| ())),
                 "{bad:?}"
             );
         }
@@ -825,9 +826,8 @@ fn replicated_tiles_that_disagree_with_their_manifest_slot_are_refused() {
 
         // The store's own entry points, below the facade.
         let store = tasm.store();
-        assert!(invalid_data(store.install_sot(&next, 0, &sot0), why));
-        let deferred = store.install_sot_deferred(&next, 0, &sot0).map(|_| ());
-        assert!(invalid_data(deferred, why));
+        let refused = store.install_sot(&next, 0, &sot0).map(|_| ());
+        assert!(invalid_data(refused, why));
     }
     assert_eq!(before, (list_tree(root.path()), digest_tree(root.path())));
     assert!(tasm.fsck().unwrap().is_clean());
@@ -883,13 +883,13 @@ fn an_install_of_an_epoch_that_is_not_newer_is_refused_and_touches_nothing() {
     let store = tasm.store();
     let why = "refusing to install epoch";
     for (manifest, payload) in [(&same_epoch, &tiles[0]), (&ingested, &tiles[0])] {
-        assert!(invalid_data(store.install_sot(manifest, 0, payload), why));
-        let deferred = store.install_sot_deferred(manifest, 0, payload).map(|_| ());
-        assert!(invalid_data(deferred, why));
+        let refused = store.install_sot(manifest, 0, payload).map(|_| ());
+        assert!(invalid_data(refused, why));
     }
     // The same SOT at the store's epoch with the store's own bytes is
     // still not an install: nothing may be rewritten in place.
-    assert!(invalid_data(store.install_sot(&current, 0, &served), why));
+    let refused = store.install_sot(&current, 0, &served).map(|_| ());
+    assert!(invalid_data(refused, why));
     assert!(!tasm.apply_replicated_sot(same_epoch, 0, &tiles[0]).unwrap());
 
     assert_eq!(before, (list_tree(root.path()), digest_tree(root.path())));
@@ -902,7 +902,7 @@ fn an_install_of_an_epoch_that_is_not_newer_is_refused_and_touches_nothing() {
     // The next epoch still installs, and retires the one it supersedes.
     let mut next = ingested.clone();
     next.sots[0].retile_count = 2;
-    let retired = store.install_sot_deferred(&next, 0, &tiles[0]).unwrap();
+    let retired = store.install_sot(&next, 0, &tiles[0]).unwrap();
     assert_eq!(retired.map(|r| r.retile_count), Some(1));
 }
 
@@ -986,15 +986,7 @@ fn hostile_video_names_never_leave_the_store_root() {
         let invalid = |r: Result<(), StoreError>| matches!(r, Err(StoreError::InvalidName(_)));
         assert!(invalid(store.install_video(&hostile, &tiles)), "{name:?}");
         assert!(
-            invalid(store.install_sot(&hostile, 0, &tiles[0])),
-            "{name:?}"
-        );
-        assert!(
-            invalid(
-                store
-                    .install_sot_deferred(&hostile, 0, &tiles[0])
-                    .map(|_| ())
-            ),
+            invalid(store.install_sot(&hostile, 0, &tiles[0]).map(|_| ())),
             "{name:?}"
         );
         assert!(invalid(store.remove_video(name)), "{name:?}");
@@ -1013,5 +1005,5 @@ fn hostile_video_names_never_leave_the_store_root() {
         std::fs::read(victim.join("keep.txt")).unwrap(),
         b"not the store's"
     );
-    assert!(tasm.store().fsck().unwrap().is_clean());
+    assert!(tasm.store().fsck(&[]).unwrap().is_clean());
 }
