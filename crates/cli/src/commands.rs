@@ -234,6 +234,29 @@ fn register(tasm: &Tasm, store: &str, name: &str) -> Result<SyntheticVideo, Box<
     Ok(video)
 }
 
+/// Opens the store and registers each video stored in it — only `only`,
+/// when given — skipping directories that do not load as a video. The
+/// registered names, in directory order.
+fn open_stored(
+    store: &str,
+    args: &Args,
+    only: Option<&str>,
+) -> Result<(Tasm, Vec<String>), Box<dyn Error>> {
+    let entries = std::fs::read_dir(Path::new(store).join("videos"))
+        .map_err(|_| format!("no store at '{store}' (run `tasm ingest` first)"))?;
+    let tasm = open_tasm(store, args)?;
+    let mut names = Vec::new();
+    for entry in entries {
+        let entry = entry?;
+        let name = entry.file_name().to_string_lossy().to_string();
+        let wanted = entry.path().is_dir() && only.is_none_or(|only| only == name);
+        if wanted && register(&tasm, store, &name).is_ok() {
+            names.push(name);
+        }
+    }
+    Ok((tasm, names))
+}
+
 fn ingest(args: &Args) -> CmdResult {
     let store = args.required("store")?;
     let name = args.required("name")?;
@@ -747,27 +770,14 @@ fn serve(args: &Args) -> CmdResult {
         ..ServerConfig::default()
     };
 
-    let tasm = Arc::new(open_tasm(store, args)?);
+    // Every stored video is served; queries name them over the wire. The
+    // detector output lives in the persistent index, so no ground truth is
+    // replayed.
+    let (tasm, mut served) = open_stored(store, args, None)?;
+    let tasm = Arc::new(tasm);
     // Opening ran startup recovery; surface what it repaired (e.g. after a
     // kill -9 mid-re-tile) before serving any traffic.
     report_recovery(&tasm);
-    // Register every stored video; queries name them over the wire.
-    let mut served = Vec::new();
-    let videos_dir = Path::new(store).join("videos");
-    let entries = std::fs::read_dir(&videos_dir)
-        .map_err(|_| format!("no store at '{store}' (run `tasm ingest` first)"))?;
-    for entry in entries {
-        let entry = entry?;
-        if !entry.path().is_dir() {
-            continue;
-        }
-        let name = entry.file_name().to_string_lossy().to_string();
-        if register(&tasm, store, &name).is_ok() {
-            // The detector output lives in the persistent index; replaying
-            // ground truth is not needed here.
-            served.push(name);
-        }
-    }
     if served.is_empty() {
         return Err(format!("store '{store}' holds no servable videos").into());
     }
@@ -1328,24 +1338,8 @@ fn fsck(args: &Args) -> CmdResult {
 
 fn info(args: &Args) -> CmdResult {
     let store = args.required("store")?;
-    let videos_dir = Path::new(store).join("videos");
-    let entries = std::fs::read_dir(&videos_dir)
-        .map_err(|_| format!("no store at '{store}' (run `tasm ingest` first)"))?;
-    let tasm = open_tasm(store, args)?;
-    for entry in entries {
-        let entry = entry?;
-        if !entry.path().is_dir() {
-            continue;
-        }
-        let name = entry.file_name().to_string_lossy().to_string();
-        if let Some(filter) = args.get("name") {
-            if filter != name {
-                continue;
-            }
-        }
-        if register(&tasm, store, &name).is_err() {
-            continue;
-        }
+    let (tasm, names) = open_stored(store, args, args.get("name"))?;
+    for name in names {
         let m = tasm.manifest(&name)?;
         let tiled = m.sots.iter().filter(|s| !s.layout.is_untiled()).count();
         let id = tasm.video_id(&name)?;
@@ -1417,28 +1411,12 @@ fn stats(args: &Args) -> CmdResult {
 fn stats_report(args: &Args) -> Result<String, Box<dyn Error>> {
     use std::fmt::Write;
     let store = args.required("store")?;
-    let videos_dir = Path::new(store).join("videos");
-    let entries = std::fs::read_dir(&videos_dir)
-        .map_err(|_| format!("no store at '{store}' (run `tasm ingest` first)"))?;
-    let tasm = open_tasm(store, args)?;
+    let (tasm, names) = open_stored(store, args, args.get("name"))?;
     let json = args.has("json");
     let mut out = String::new();
     let mut videos: Vec<VideoStats> = Vec::new();
     let mut ids: Vec<u32> = Vec::new();
-    for entry in entries {
-        let entry = entry?;
-        if !entry.path().is_dir() {
-            continue;
-        }
-        let name = entry.file_name().to_string_lossy().to_string();
-        if let Some(filter) = args.get("name") {
-            if filter != name {
-                continue;
-            }
-        }
-        if register(&tasm, store, &name).is_err() {
-            continue;
-        }
+    for name in names {
         ids.push(tasm.video_id(&name)?);
         let m = tasm.manifest(&name)?;
         let disk = tasm.video_size_bytes(&name)?;

@@ -147,21 +147,21 @@ impl Connection {
         Connection::handshake(TcpStream::connect(addr)?)
     }
 
-    /// [`Connection::connect`] with a bound on the TCP connect itself —
-    /// health checks and failover probes use this so a dead node costs a
-    /// bounded wait instead of the kernel-default connect timeout.
-    pub fn connect_timeout(
-        addr: &std::net::SocketAddr,
-        timeout: Duration,
-    ) -> Result<Connection, ClientError> {
-        let stream = TcpStream::connect_timeout(addr, timeout)?;
-        // Bound the handshake round trip too; the caller may relax or
-        // tighten I/O timeouts afterwards via `set_io_timeout`.
+    /// Connects to `addr` with every step bounded by `timeout`: the TCP
+    /// connect, the handshake, and each later read and write (until
+    /// [`Connection::set_io_timeout`]). How a node dials a node: a peer
+    /// that accepts and never answers costs `timeout`, never a hang.
+    pub fn dial(addr: &str, timeout: Duration) -> Result<Connection, ClientError> {
+        let sock = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("address '{addr}' resolves to nothing"),
+            )
+        })?;
+        let stream = TcpStream::connect_timeout(&sock, timeout)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
-        let conn = Connection::handshake(stream)?;
-        conn.set_io_timeout(None)?;
-        Ok(conn)
+        Connection::handshake(stream)
     }
 
     fn handshake(stream: TcpStream) -> Result<Connection, ClientError> {

@@ -27,7 +27,6 @@
 //! serve wrong bytes.
 
 use crate::map::ShardMap;
-use std::net::ToSocketAddrs;
 use std::path::Path;
 use std::time::Duration;
 use tasm_client::Connection;
@@ -141,14 +140,5 @@ pub fn rebalance(
 }
 
 fn connect(addr: &str, timeout: Duration) -> Result<Connection, String> {
-    let sock = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("bad address '{addr}': {e}"))?
-        .next()
-        .ok_or_else(|| format!("address '{addr}' resolves to nothing"))?;
-    let conn = Connection::connect_timeout(&sock, timeout)
-        .map_err(|e| format!("node at {addr} unreachable: {e}"))?;
-    conn.set_io_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    Ok(conn)
+    Connection::dial(addr, timeout).map_err(|e| format!("node at {addr} unreachable: {e}"))
 }

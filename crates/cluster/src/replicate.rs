@@ -22,6 +22,7 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use tasm_client::{ClientError, Connection};
 use tasm_core::{Tasm, VideoManifest};
 use tasm_obs::sync;
@@ -31,6 +32,10 @@ use tasm_service::RetileHook;
 /// Soft cap on the tile bytes packed into one `StageSot` chunk, leaving
 /// ample headroom under `tasm_proto::MAX_FRAME_LEN` for framing.
 const STAGE_CHUNK_BYTES: usize = 8 << 20;
+
+/// How long a push waits for a backup to connect, and for each read or
+/// write after it: the rebalance command's default node timeout.
+const REPLICATION_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A receiving session's staging area: tile bytes that have arrived in
 /// `StageSot` records but whose commit record hasn't landed yet.
@@ -255,10 +260,13 @@ pub struct Replicator {
 }
 
 impl Replicator {
-    /// Connects to the backup at `addr`.
+    /// Connects to the backup at `addr`. The connect and every exchange
+    /// after it are bounded by `REPLICATION_TIMEOUT` (30 s), so a backup that
+    /// stops answering fails the push instead of holding the thread that
+    /// runs it.
     pub fn connect(addr: &str) -> Result<Replicator, String> {
-        let conn =
-            Connection::connect(addr).map_err(|e| format!("backup {addr} unreachable: {e}"))?;
+        let conn = Connection::dial(addr, REPLICATION_TIMEOUT)
+            .map_err(|e| format!("backup {addr} unreachable: {e}"))?;
         Ok(Replicator {
             conn,
             addr: addr.to_string(),

@@ -217,12 +217,8 @@ impl RouterShared {
         if let Some(conn) = self.idle().get_mut(node).and_then(Vec::pop) {
             return Ok(conn);
         }
-        let sock = resolve(addr)?;
-        let conn = Connection::connect_timeout(&sock, self.cfg.shard_io_timeout)
-            .map_err(|e| format!("shard {node} unreachable: {e}"))?;
-        conn.set_io_timeout(Some(self.cfg.shard_io_timeout))
-            .map_err(|e| format!("shard {node}: {e}"))?;
-        Ok(conn)
+        Connection::dial(addr, self.cfg.shard_io_timeout)
+            .map_err(|e| format!("shard {node} unreachable: {e}"))
     }
 
     /// Returns a connection on a frame boundary for the next job to reuse.
@@ -369,16 +365,8 @@ fn drain_shard(id: &str, addr: &str, timeout: Duration) -> ShardShutdownReport {
         stats: None,
         error: None,
     };
-    let sock = match resolve(addr) {
-        Ok(s) => s,
-        Err(e) => {
-            report.error = Some(e);
-            return report;
-        }
-    };
-    match Connection::connect_timeout(&sock, timeout) {
+    match Connection::dial(addr, timeout) {
         Ok(mut conn) => {
-            let _ = conn.set_io_timeout(Some(timeout));
             match conn.stats() {
                 Ok(stats) => report.stats = Some(stats),
                 Err(e) => report.error = Some(format!("stats failed: {e}")),
@@ -390,13 +378,6 @@ fn drain_shard(id: &str, addr: &str, timeout: Duration) -> ShardShutdownReport {
         Err(e) => report.error = Some(format!("unreachable: {e}")),
     }
     report
-}
-
-fn resolve(addr: &str) -> Result<SocketAddr, String> {
-    addr.to_socket_addrs()
-        .map_err(|e| format!("bad address '{addr}': {e}"))?
-        .next()
-        .ok_or_else(|| format!("address '{addr}' resolves to nothing"))
 }
 
 /// Probes shards and reloads the map. Probing only watches nodes not yet
@@ -431,13 +412,11 @@ fn health_loop(shared: &Arc<RouterShared>) {
             if down.contains(&id) || shared.is_shutting_down() {
                 continue;
             }
-            let alive = resolve(&addr)
-                .ok()
-                .and_then(|sock| Connection::connect_timeout(&sock, probe_timeout).ok())
+            let alive = Connection::dial(&addr, probe_timeout)
                 .map(|conn| {
                     let _ = conn.goodbye();
                 })
-                .is_some();
+                .is_ok();
             if alive {
                 shared.note_success(&id);
             } else {

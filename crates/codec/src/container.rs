@@ -227,21 +227,6 @@ impl TileVideo {
         self.frames.len() as u32
     }
 
-    /// The header this stream serializes with, as [`TileVideo::validate`]
-    /// would read it back.
-    pub fn header(&self) -> ContainerHeader {
-        ContainerHeader {
-            width: self.width,
-            height: self.height,
-            gop_len: self.gop_len,
-            qp: self.qp,
-            deblock: self.deblock,
-            codec: self.codec,
-            frame_count: self.frame_count(),
-            declared_len: self.size_bytes(),
-        }
-    }
-
     /// Total compressed payload size (excluding the container header).
     pub fn payload_bytes(&self) -> u64 {
         self.frames.iter().map(|f| f.data.len() as u64).sum()
@@ -340,26 +325,12 @@ impl TileVideo {
     /// payload: header fields in range, frame table well-formed, and the
     /// buffer exactly as long as the container declares — a torn tail is
     /// [`ContainerError::Truncated`], appended garbage is an invalid
-    /// header. This is the check `tasm fsck` runs against every tile file
-    /// on disk.
+    /// header. The store's pack reader runs it on every tile it hands out.
     pub fn validate(data: &[u8]) -> Result<ContainerHeader, ContainerError> {
-        Self::validate_header(data, data.len() as u64)
-    }
-
-    /// [`TileVideo::validate`] from a *prefix* of the stream plus the known
-    /// total length — lets fsck check a file with a bounded header read
-    /// instead of pulling whole tile payloads into memory. `prefix` must
-    /// contain the full fixed header and frame table (a
-    /// [`ContainerError::Truncated`] from a short prefix of a longer file
-    /// means "read more", not "the file is torn").
-    pub fn validate_header(
-        prefix: &[u8],
-        file_len: u64,
-    ) -> Result<ContainerHeader, ContainerError> {
-        let prelude = Prelude::parse(prefix)?;
+        let prelude = Prelude::parse(data)?;
         let payload: u64 = prelude.table.iter().map(|&(len, _, _)| len as u64).sum();
         let declared_len = prelude.payload_offset as u64 + payload;
-        match file_len.cmp(&declared_len) {
+        match (data.len() as u64).cmp(&declared_len) {
             std::cmp::Ordering::Less => Err(ContainerError::Truncated),
             std::cmp::Ordering::Greater => Err(ContainerError::InvalidHeader(
                 "trailing bytes after payload",

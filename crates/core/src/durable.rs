@@ -1,5 +1,6 @@
-//! Crash-safe storage primitives: the injectable I/O shim, the
-//! deterministic fault injector, and the recovery / fsck report types.
+//! Crash safety: the injectable I/O shim, the deterministic fault
+//! injector, and the walks that repair and check a store — startup
+//! recovery and `fsck` — beside the rule they sort entries by.
 //!
 //! TASM's storage manager re-organizes tile layouts continuously in the
 //! background (§3.4.5, §4 incremental policies), so a crash can land in the
@@ -15,6 +16,8 @@
 //!   operations and fails, torn-writes, or half-removes at the Nth one,
 //!   then behaves as a crashed process (every later operation fails too,
 //!   so no cleanup code can run — exactly like `kill -9`);
+//! * `classify_entry` — what a video directory's entry is to its manifest:
+//!   what recovery removes and [`VideoStore::fsck`] flags;
 //! * [`RecoveryReport`] / [`FsckReport`] — what startup recovery did and
 //!   what an integrity check found.
 //!
@@ -25,29 +28,14 @@
 
 use std::fs;
 use std::io::{self, Write as _};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::storage::{PackId, VideoManifest};
+use crate::pack::{check_tile, parse_pack_name, PackReader, PACK_SUFFIX};
+use crate::storage::{PackId, StoreError, VideoManifest, VideoStore};
 pub use tasm_index::io::{RealIo, StorageIo};
 use tasm_obs::sync;
-
-/// Reads exactly the bytes `range` of an open file. A range that reaches
-/// past the end of the file is [`io::ErrorKind::UnexpectedEof`], found out
-/// before anything is allocated for it: ranges come from tables on disk.
-pub(crate) fn read_exact_range(file: &fs::File, range: Range<u64>) -> io::Result<Vec<u8>> {
-    use std::io::{Read as _, Seek as _};
-    if range.end > file.metadata()?.len() {
-        return Err(io::ErrorKind::UnexpectedEof.into());
-    }
-    let mut file = file;
-    file.seek(io::SeekFrom::Start(range.start))?;
-    let mut data = vec![0; range.end.saturating_sub(range.start) as usize];
-    file.read_exact(&mut data)?;
-    Ok(data)
-}
 
 /// How an injected fault manifests at the target operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,44 +241,8 @@ impl StorageIo for FaultIo {
 
 pub(crate) use tasm_index::io::TMP_SUFFIX;
 
-/// Extension of a pack file (see [`crate::pack`]).
-const PACK_SUFFIX: &str = ".tiles";
-
 /// The file whose atomic replacement commits every mutation of a video.
 pub(crate) const MANIFEST_FILE: &str = "manifest.json";
-
-/// The file holding a SOT's tiles at one layout epoch. The initial epoch
-/// (count 0) is unstamped; every re-tile writes a fresh `_r`-stamped pack,
-/// so a superseded epoch's tiles coexist on disk with the current ones
-/// until the readers pinned to the old epoch drain and its pack is
-/// reclaimed — and a pack at an epoch no manifest names yet is what an
-/// unfinished (or in-flight) re-tile looks like.
-pub(crate) fn pack_file_name(id: PackId) -> String {
-    let range = format!("sot_{:06}_{:06}", id.sot_start, id.sot_end);
-    match id.retile_count {
-        0 => format!("{range}{PACK_SUFFIX}"),
-        rc => format!("{range}_r{rc:06}{PACK_SUFFIX}"),
-    }
-}
-
-/// Recognizes a pack file name, stamped or not — the unstamped form is
-/// epoch 0.
-pub(crate) fn parse_pack_name(name: &str) -> Option<PackId> {
-    let body = name.strip_prefix("sot_")?.strip_suffix(PACK_SUFFIX)?;
-    let (range, retile_count) = match body.split_once("_r") {
-        Some((range, rc)) if rc.len() == 6 => (range, rc.parse().ok()?),
-        Some(_) => return None,
-        None => (body, 0),
-    };
-    let (s, e) = range
-        .split_once('_')
-        .filter(|(s, e)| s.len() == 6 && e.len() == 6)?;
-    Some(PackId {
-        sot_start: s.parse().ok()?,
-        sot_end: e.parse().ok()?,
-        retile_count,
-    })
-}
 
 /// What one entry of a video directory is, relative to the video's
 /// manifest: the one rule startup recovery acts on and `fsck` reports by.
@@ -592,9 +544,276 @@ impl FsckReport {
     }
 }
 
+// ---------------------------------------------------------------------
+// Startup recovery and fsck
+// ---------------------------------------------------------------------
+
+impl VideoStore {
+    /// Scans every video directory for residue of interrupted operations
+    /// and removes what no manifest names. Idempotent: recovery itself can
+    /// crash at any operation and the next open finishes the job. Runs only
+    /// at open, before the store's own decoded-GOP cache holds anything.
+    pub(crate) fn recover_all(&self) -> Result<RecoveryReport, StoreError> {
+        let mut report = RecoveryReport::default();
+        for entry in self.io().list_dir(self.root())? {
+            if self.io().is_dir(&entry) {
+                self.recover_video_dir(&entry, &entry_name(&entry), &mut report)?;
+            }
+        }
+        Ok(report)
+    }
+
+    fn recover_video_dir(
+        &self,
+        dir: &Path,
+        video: &str,
+        report: &mut RecoveryReport,
+    ) -> Result<(), StoreError> {
+        let has_manifest = self.io().exists(&dir.join(MANIFEST_FILE));
+        let manifest = self.load_manifest(video).ok();
+        let entries: Vec<(PathBuf, String, EntryClass)> = self
+            .io()
+            .list_dir(dir)?
+            .into_iter()
+            .map(|entry| {
+                let name = entry_name(&entry);
+                let class = classify_entry(&name, self.io().is_dir(&entry), manifest.as_ref());
+                (entry, name, class)
+            })
+            .collect();
+        // 0. Only touch directories that are recognizably ours: a manifest,
+        //    tile-store residue (packs, a manifest temp, an older build's
+        //    staging directory or commit record), or a completely empty
+        //    directory (an ingest that died at its first operation). A
+        //    foreign directory — e.g. the store was opened at a wrong or
+        //    shared path — is left strictly alone.
+        let manifest_tmp = format!("{MANIFEST_FILE}{TMP_SUFFIX}");
+        let is_ours = has_manifest
+            || entries.is_empty()
+            || entries.iter().any(|(_, name, class)| {
+                *name == manifest_tmp
+                    || matches!(
+                        class,
+                        EntryClass::LivePack
+                            | EntryClass::OtherEpochPack(_)
+                            | EntryClass::LegacyResidue
+                    )
+            });
+        if !is_ours {
+            return Ok(());
+        }
+
+        for (entry, name, class) in &entries {
+            match class {
+                // 1. Interrupted atomic writes: the temp file never became
+                //    visible under its final name, so it holds no committed
+                //    state.
+                EntryClass::Temp => {
+                    self.io().remove_file(entry)?;
+                    report.actions.push(RecoveryAction::RemovedTemp {
+                        video: video.to_string(),
+                        file: name.clone(),
+                    });
+                }
+                // 2. What a re-tile of an older build left mid-protocol
+                //    (see `RecoveryAction::DiscardedLegacyResidue` for why
+                //    discarding it is safe on either side of its commit).
+                EntryClass::LegacyResidue => {
+                    if self.io().is_dir(entry) {
+                        self.io().remove_dir_all(entry)?;
+                    } else {
+                        self.io().remove_file(entry)?;
+                    }
+                    report.actions.push(RecoveryAction::DiscardedLegacyResidue {
+                        video: video.to_string(),
+                        entry: name.clone(),
+                    });
+                }
+                _ => {}
+            }
+        }
+
+        // 3. Packs at epochs the manifest does not name: a retired epoch
+        //    whose GC was interrupted (or deferred and never run — no
+        //    process survived to hold a pin on it), or the epoch a re-tile
+        //    wrote and died before publishing. Reclaim it so the crash
+        //    lands in exactly one epoch set. Ranges the manifest does not
+        //    hold are left for fsck to flag, and nothing is reclaimed
+        //    without a readable manifest.
+        for (entry, _, class) in &entries {
+            if let EntryClass::OtherEpochPack(pack) = *class {
+                self.io().remove_file(entry)?;
+                report.actions.push(RecoveryAction::ReclaimedEpoch {
+                    video: video.to_string(),
+                    sot_start: pack.sot_start,
+                    sot_end: pack.sot_end,
+                    epoch: pack.retile_count,
+                });
+            }
+        }
+
+        // 4. No manifest: an ingest crashed before its publish point — the
+        //    video never existed.
+        if !has_manifest {
+            self.io().remove_dir_all(dir)?;
+            report.actions.push(RecoveryAction::RemovedPartialVideo {
+                video: video.to_string(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Validates every video in the store: manifest readable, SOT chain
+    /// contiguous, every SOT's pack present with a sound table that
+    /// accounts for every byte of it, every tile in it passing the check
+    /// every read applies (`pack::check_tile`), and no unaccounted files. `allowed_extras` names the sidecar files a caller
+    /// places inside video directories (e.g. the CLI's scene spec), which
+    /// are not flagged as stray; the core store itself needs none.
+    /// Read-only.
+    pub fn fsck(&self, allowed_extras: &[&str]) -> Result<FsckReport, StoreError> {
+        let mut report = FsckReport::default();
+        for entry in self.io().list_dir(self.root())? {
+            if self.io().is_dir(&entry) {
+                self.fsck_video_into(&entry_name(&entry), allowed_extras, &mut report);
+            }
+        }
+        Ok(report)
+    }
+
+    /// [`VideoStore::fsck`] restricted to one video. Errors if the video's
+    /// directory does not exist at all.
+    pub fn fsck_video(
+        &self,
+        name: &str,
+        allowed_extras: &[&str],
+    ) -> Result<FsckReport, StoreError> {
+        if !self.io().is_dir(&self.root().join(name)) {
+            return Err(StoreError::NotFound(format!("video '{name}'")));
+        }
+        let mut report = FsckReport::default();
+        self.fsck_video_into(name, allowed_extras, &mut report);
+        Ok(report)
+    }
+
+    fn fsck_video_into(&self, video: &str, allowed_extras: &[&str], report: &mut FsckReport) {
+        report.videos_checked += 1;
+        let dir = self.root().join(video);
+        // The packs checked are the ones in this directory, whatever name
+        // the manifest gives its video.
+        let manifest = match self.load_manifest(video) {
+            Ok(m) => VideoManifest {
+                name: video.to_string(),
+                ..m
+            },
+            Err(e) => {
+                report.issues.push(FsckIssue::ManifestUnreadable {
+                    video: video.to_string(),
+                    detail: e.to_string(),
+                });
+                return;
+            }
+        };
+
+        for detail in manifest.chain_breaks() {
+            let video = video.to_string();
+            report
+                .issues
+                .push(FsckIssue::SotChainBroken { video, detail });
+        }
+
+        // Packs vs manifest, every tile held to its slot: one open per SOT.
+        let gop_len = manifest.config.gop_len;
+        for (i, sot) in manifest.sots.iter().enumerate() {
+            let (tiles, sot_start) = (sot.layout.tile_count(), sot.start);
+            let pack = PackReader::open(self, &manifest, i).and_then(PackReader::whole);
+            let video = video.to_string();
+            let pack = match pack {
+                Ok(pack) => pack,
+                Err(StoreError::NotFound(_)) => {
+                    report
+                        .issues
+                        .extend((0..tiles).map(|tile| FsckIssue::MissingTile {
+                            video: video.clone(),
+                            sot_start,
+                            tile,
+                        }));
+                    continue;
+                }
+                Err(e) => {
+                    let detail = e.to_string();
+                    report.issues.push(FsckIssue::PackCorrupt {
+                        video,
+                        sot_start,
+                        detail,
+                    });
+                    continue;
+                }
+            };
+            for tile in 0..tiles {
+                let corrupt = |detail| FsckIssue::TileCorrupt {
+                    video: video.clone(),
+                    sot_start,
+                    tile,
+                    detail,
+                };
+                match pack.bytes(tile).map(|b| check_tile(&b, sot, tile, gop_len)) {
+                    Ok(Ok(found)) => {
+                        report.tiles_checked += 1;
+                        let mismatch = |detail| FsckIssue::TileMismatch {
+                            video: video.clone(),
+                            sot_start,
+                            tile,
+                            detail,
+                        };
+                        report.issues.extend(found.into_iter().map(mismatch));
+                    }
+                    Ok(Err(e)) => report.issues.push(corrupt(e.to_string())),
+                    Err(e) => report.issues.push(corrupt(e.to_string())),
+                }
+            }
+        }
+
+        // Unaccounted entries in the video directory: anything other than
+        // the manifest, allow-listed extras, and the manifest's packs.
+        if let Ok(entries) = self.io().list_dir(&dir) {
+            for entry in entries {
+                let name = entry_name(&entry);
+                if allowed_extras.contains(&name.as_str()) {
+                    continue;
+                }
+                let video = video.to_string();
+                match classify_entry(&name, self.io().is_dir(&entry), Some(&manifest)) {
+                    EntryClass::Manifest | EntryClass::LivePack => {}
+                    // When recovery was deferred (another live handle holds
+                    // the store lock), a temp file or a pack of a manifest
+                    // SOT at another epoch is plausibly that handle's: a
+                    // manifest being replaced, an epoch a re-tile has
+                    // written and not yet published, or a retired epoch
+                    // its readers still pin. A concurrent fsck must not
+                    // call a healthy live store dirty.
+                    EntryClass::Temp | EntryClass::OtherEpochPack(_)
+                        if self.recovery_report().deferred => {}
+                    EntryClass::LegacySotDir => report
+                        .issues
+                        .push(FsckIssue::LegacySotDirectory { video, path: name }),
+                    _ => report.issues.push(FsckIssue::Stray { video, path: name }),
+                }
+            }
+        }
+    }
+}
+
+/// Final path component as an owned string (empty for pathological paths).
+fn entry_name(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pack::{pack_file_name, read_exact_range};
 
     fn id(sot_start: u32, sot_end: u32, retile_count: u32) -> PackId {
         PackId {

@@ -13,13 +13,12 @@
 //! * [`cost`] — the `C = β·P + γ·T` query cost model, the `R(s, L)`
 //!   re-encode model, and their least-squares calibration (§4.1);
 //! * [`storage`] — per-SOT layouts, one pack file per SOT and layout epoch
-//!   holding that SOT's tiles, re-tiling by transcode (§3.4.5) under an
-//!   atomic commit protocol with startup recovery and `fsck` validation;
+//!   holding that SOT's tiles (every read through `pack`'s one reader),
+//!   re-tiling by transcode (§3.4.5) under an atomic commit;
 //! * [`durable`] — the injectable [`StorageIo`] filesystem shim behind
-//!   every manifest/pack write (defined in `tasm-index`, whose tiered index
-//!   writes through it too): durable production I/O ([`RealIo`]) and a
-//!   deterministic crash injector ([`FaultIo`]) for the crash-point sweep
-//!   tests;
+//!   every manifest/pack write (defined in `tasm-index`), a deterministic
+//!   crash injector ([`FaultIo`]) for the crash-point sweep tests, and
+//!   startup recovery and `fsck`;
 //! * [`exec`] — the parallel tile-decode execution pipeline: per-(SOT, tile)
 //!   decode planning, a scoped-thread executor, and the shared decoded-GOP
 //!   cache (a byte budget that trims the least-recently used GOP's tail

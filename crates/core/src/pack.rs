@@ -1,4 +1,5 @@
-//! The pack: every tile of one SOT at one layout epoch, in one file.
+//! The pack — every tile of one SOT at one layout epoch, in one file — and
+//! [`PackReader`], the one reader of it.
 //!
 //! ```text
 //! "TSMP"  version:u32  tile_count:u32              (12 bytes, little endian)
@@ -7,30 +8,91 @@
 //! ```
 //!
 //! A tile's bytes are exactly what `TileVideo::to_bytes` produced (or a
-//! peer replicated), so everything that reads a tile — decode, `fsck`,
-//! replication — sees the bytes it saw when each tile was a file of its
-//! own. The table comes first and its length follows from the tile count
-//! the manifest already records, so a reader fetches it with one ranged
-//! read and the tile with a second, never the whole pack.
+//! peer replicated). The table's length follows from the tile count the
+//! manifest records, so a reader fetches it with one ranged read and a
+//! tile with a second, never the whole pack. Every read of a pack — a
+//! query's [`VideoStore::read_tile`], the replication payload, a re-tile's
+//! source ([`SotFrames`]), `video_size_bytes` and `fsck` — opens it through
+//! [`PackReader`], and [`check_tile`] is the one check of a tile's bytes
+//! against its manifest slot.
 //!
 //! The pack carries no checksum. The version field is what lets a later
 //! format widen each table entry by a column (a CRC per tile) without
-//! guessing; every byte of header and table is checked on read.
+//! guessing; every byte of header and table is checked on read, and a
+//! tile's CRC would be checked in [`check_tile`].
 
+use crate::storage::{PackId, SotEntry, StoreError, VideoManifest, VideoStore};
+use std::fs;
 use std::io;
 use std::ops::Range;
+use std::sync::Mutex;
+use tasm_codec::{ContainerError, DecodeStats, TileCursor, TileVideo};
+use tasm_obs::sync;
+use tasm_video::{Frame, FrameSource, Rect};
 
 const MAGIC: [u8; 4] = *b"TSMP";
 const VERSION: u32 = 1;
 const HEADER_LEN: usize = 12;
 const ENTRY_LEN: usize = 16;
 
-/// Where each tile of a pack lies in it, in raster order.
-pub(crate) type TileRanges = Vec<Range<u64>>;
+/// Extension of a pack file.
+pub(crate) const PACK_SUFFIX: &str = ".tiles";
+
+/// The file holding a SOT's tiles at one layout epoch. The initial epoch
+/// (count 0) is unstamped; every re-tile writes a fresh `_r`-stamped pack,
+/// so a superseded epoch's tiles coexist on disk with the current ones
+/// until the readers pinned to the old epoch drain and its pack is
+/// reclaimed — and a pack at an epoch no manifest names yet is what an
+/// unfinished (or in-flight) re-tile looks like.
+pub(crate) fn pack_file_name(id: PackId) -> String {
+    let range = format!("sot_{:06}_{:06}", id.sot_start, id.sot_end);
+    match id.retile_count {
+        0 => format!("{range}{PACK_SUFFIX}"),
+        rc => format!("{range}_r{rc:06}{PACK_SUFFIX}"),
+    }
+}
+
+/// Recognizes a pack file name, stamped or not — the unstamped form is
+/// epoch 0.
+pub(crate) fn parse_pack_name(name: &str) -> Option<PackId> {
+    let body = name.strip_prefix("sot_")?.strip_suffix(PACK_SUFFIX)?;
+    let (range, retile_count) = match body.split_once("_r") {
+        Some((range, rc)) if rc.len() == 6 => (range, rc.parse().ok()?),
+        Some(_) => return None,
+        None => (body, 0),
+    };
+    let (s, e) = range
+        .split_once('_')
+        .filter(|(s, e)| s.len() == 6 && e.len() == 6)?;
+    Some(PackId {
+        sot_start: s.parse().ok()?,
+        sot_end: e.parse().ok()?,
+        retile_count,
+    })
+}
+
+/// Reads exactly the bytes `range` of an open file. A range that reaches
+/// past the end of the file is [`io::ErrorKind::UnexpectedEof`], found out
+/// before anything is allocated for it: ranges come from tables on disk.
+pub(crate) fn read_exact_range(file: &fs::File, range: Range<u64>) -> io::Result<Vec<u8>> {
+    use std::io::{Read as _, Seek as _};
+    let len = file.metadata()?.len();
+    if range.end > len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("bytes {range:?} reach past the end of a {len}-byte file"),
+        ));
+    }
+    let mut file = file;
+    file.seek(io::SeekFrom::Start(range.start))?;
+    let mut data = vec![0; range.end.saturating_sub(range.start) as usize];
+    file.read_exact(&mut data)?;
+    Ok(data)
+}
 
 /// Bytes of the header plus the table of a pack of `tiles` tiles: what a
 /// reader must fetch before it can locate a tile.
-pub(crate) fn table_len(tiles: u32) -> usize {
+fn table_len(tiles: u32) -> usize {
     HEADER_LEN + ENTRY_LEN * tiles as usize
 }
 
@@ -60,7 +122,7 @@ pub(crate) fn assemble<B: AsRef<[u8]>>(tiles: impl ExactSizeIterator<Item = B>) 
 /// overlap and none points back into the table. Whether the last range
 /// ends inside the file is for the caller to check, against the file's
 /// length or by reading it.
-pub(crate) fn tile_ranges(head: &[u8], tiles: u32) -> io::Result<TileRanges> {
+fn tile_ranges(head: &[u8], tiles: u32) -> io::Result<Vec<Range<u64>>> {
     let invalid = |why: String| io::Error::new(io::ErrorKind::InvalidData, why);
     let too_short = || invalid(format!("pack is too short for a table of {tiles} tiles"));
     let header = head.get(..HEADER_LEN).ok_or_else(too_short)?;
@@ -95,6 +157,306 @@ pub(crate) fn tile_ranges(head: &[u8], tiles: u32) -> io::Result<TileRanges> {
         next = end;
     }
     Ok(ranges)
+}
+
+/// One open pack of one SOT: the file, and where each of its tiles lies,
+/// read and checked once. Tiles are read from it in any order, one ranged
+/// read each.
+pub(crate) struct PackReader<'m> {
+    file: fs::File,
+    /// Where each tile lies in the file, in raster order.
+    ranges: Vec<Range<u64>>,
+    sot: &'m SotEntry,
+    gop_len: u32,
+}
+
+impl<'m> PackReader<'m> {
+    /// Opens the pack of SOT `sot_idx` of `manifest` in `store`, at the
+    /// epoch the manifest records, and reads its table. A pack that does
+    /// not exist is [`StoreError::NotFound`].
+    pub(crate) fn open(
+        store: &VideoStore,
+        manifest: &'m VideoManifest,
+        sot_idx: usize,
+    ) -> Result<Self, StoreError> {
+        let sot = manifest
+            .sots
+            .get(sot_idx)
+            .ok_or_else(|| StoreError::NotFound(format!("SOT {sot_idx}")))?;
+        let path = store.pack_path(&manifest.name, sot);
+        let file = store.io().open(&path).map_err(|e| match e.kind() {
+            io::ErrorKind::NotFound => StoreError::NotFound(path.display().to_string()),
+            _ => e.into(),
+        })?;
+        let tiles = sot.layout.tile_count();
+        let head = read_exact_range(&file, 0..table_len(tiles) as u64)?;
+        let ranges = tile_ranges(&head, tiles)?;
+        Ok(PackReader {
+            file,
+            ranges,
+            sot,
+            gop_len: manifest.config.gop_len,
+        })
+    }
+
+    /// This reader, once its table accounts for every byte of the file:
+    /// `fsck`'s check, which no read needs.
+    pub(crate) fn whole(self) -> Result<Self, StoreError> {
+        let len = self.file.metadata()?.len();
+        let end = self.ranges.last().map_or(HEADER_LEN as u64, |r| r.end);
+        if end != len {
+            let why = format!("pack table ends the last tile at {end}, the file is {len} bytes");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, why).into());
+        }
+        Ok(self)
+    }
+
+    /// Tile `t`'s bytes as the table gives them, unchecked.
+    pub(crate) fn bytes(&self, t: u32) -> Result<Vec<u8>, StoreError> {
+        let range = self.ranges.get(t as usize).ok_or_else(|| {
+            StoreError::NotFound(format!("SOT at frame {} tile {t}", self.sot.start))
+        })?;
+        Ok(read_exact_range(&self.file, range.clone())?)
+    }
+
+    /// Tile `t`'s bytes once [`check_tile`] holds them to their slot: the
+    /// replication payload. A mismatch is [`StoreError::TileMismatch`].
+    pub(crate) fn tile_bytes(&self, t: u32) -> Result<Vec<u8>, StoreError> {
+        let bytes = self.bytes(t)?;
+        let found = check_tile(&bytes, self.sot, t, self.gop_len)?;
+        if let Some(detail) = found.into_iter().next() {
+            return Err(StoreError::TileMismatch {
+                sot_start: self.sot.start,
+                tile: t,
+                detail,
+            });
+        }
+        Ok(bytes)
+    }
+
+    /// Tile `t`, held to its slot and parsed for decode.
+    pub(crate) fn tile(&self, t: u32) -> Result<TileVideo, StoreError> {
+        Ok(TileVideo::from_bytes(&self.tile_bytes(t)?)?)
+    }
+}
+
+/// The one check of a tile's bytes against their slot, tile `t` of `sot`
+/// in a video of `gop_len`-frame GOPs: `Err` unless they are one whole
+/// container (header fields in range, frame table well formed, exactly as
+/// long as it declares), then every way its dimensions, GOP length, frame
+/// count and codec disagree with the slot — empty when it fits. A tile that
+/// got past it would still decode, and `Frame::blit` would clip it
+/// silently: reads, replica installs and `fsck` all apply it.
+pub(crate) fn check_tile(
+    bytes: &[u8],
+    sot: &SotEntry,
+    t: u32,
+    gop_len: u32,
+) -> Result<Vec<String>, ContainerError> {
+    let header = TileVideo::validate(bytes)?;
+    let rect = sot.layout.tile_rect_by_index(t);
+    let mut found = Vec::new();
+    if header.width != rect.w || header.height != rect.h {
+        found.push(format!(
+            "container is {}x{}, layout rect is {}x{}",
+            header.width, header.height, rect.w, rect.h
+        ));
+    }
+    if header.gop_len != gop_len {
+        found.push(format!(
+            "container GOP length {} vs configured {gop_len}",
+            header.gop_len
+        ));
+    }
+    if header.frame_count != sot.len() {
+        found.push(format!(
+            "container holds {} frames, SOT spans {}",
+            header.frame_count,
+            sot.len()
+        ));
+    }
+    if let Some(&declared) = sot.tile_codecs.get(t as usize) {
+        if header.codec.id() != declared {
+            found.push(format!(
+                "container codec id {} vs manifest codec id {declared}",
+                header.codec.id()
+            ));
+        }
+    }
+    Ok(found)
+}
+
+/// The read path: every read of a stored tile goes through a [`PackReader`].
+impl VideoStore {
+    /// Reads one tile of one SOT: the pack's table, then that tile's bytes
+    /// and no other's. A container that does not fit its slot in
+    /// `manifest` is [`StoreError::TileMismatch`].
+    pub fn read_tile(
+        &self,
+        manifest: &VideoManifest,
+        sot_idx: usize,
+        tile_idx: u32,
+    ) -> Result<TileVideo, StoreError> {
+        PackReader::open(self, manifest, sot_idx)?.tile(tile_idx)
+    }
+
+    /// One tile's container bytes, exactly as the encoder produced them and
+    /// held to their slot as [`VideoStore::read_tile`] holds them: the
+    /// replication payload, shipped verbatim so a backup's tiles are
+    /// byte-identical to the primary's.
+    pub fn tile_file_bytes(
+        &self,
+        manifest: &VideoManifest,
+        sot_idx: usize,
+        tile_idx: u32,
+    ) -> Result<Vec<u8>, StoreError> {
+        PackReader::open(self, manifest, sot_idx)?.tile_bytes(tile_idx)
+    }
+
+    /// `read` of every tile of SOT `sot_idx`, from one open of its pack:
+    /// [`PackReader::tile`] for a re-tile's source, and
+    /// [`PackReader::tile_bytes`] for a replication snapshot.
+    pub(crate) fn read_sot<'m, T>(
+        &self,
+        manifest: &'m VideoManifest,
+        sot_idx: usize,
+        read: impl Fn(&PackReader<'m>, u32) -> Result<T, StoreError>,
+    ) -> Result<Vec<T>, StoreError> {
+        let pack = PackReader::open(self, manifest, sot_idx)?;
+        (0..pack.ranges.len() as u32)
+            .map(|t| read(&pack, t))
+            .collect()
+    }
+
+    /// Total bytes of all tiles of a video, from each pack's table (the
+    /// tables themselves, 12 + 16 bytes per tile, not counted). Only a
+    /// missing pack is [`StoreError::NotFound`].
+    pub fn video_size_bytes(&self, manifest: &VideoManifest) -> Result<u64, StoreError> {
+        let mut total = 0;
+        for i in 0..manifest.sots.len() {
+            let pack = PackReader::open(self, manifest, i)?;
+            total += pack.ranges.iter().map(|r| r.end - r.start).sum::<u64>();
+        }
+        Ok(total)
+    }
+}
+
+/// The frames of one SOT, decoded from its current tiles a frame at a time
+/// and lent to the re-tile's encoder: one [`TileCursor`] per old tile, and
+/// one canvas the tiles are blitted into — or, where a single tile covers
+/// the frame, that tile's own reconstruction. Memory is O(frame) however
+/// long the SOT.
+///
+/// The cursors only go forward: the encoder asks for each frame once, in
+/// order, and asking for an earlier frame than the last is a bug. A decode
+/// error ends the walk: later lends hand out nothing (`frame` a black
+/// frame), and [`SotFrames::finish`] returns the error.
+pub(crate) struct SotFrames<'a> {
+    width: u32,
+    height: u32,
+    len: u32,
+    rects: Vec<Rect>,
+    /// Taken as is on poison: a panic under it ends the re-tile, and the
+    /// state is dropped with the source.
+    walk: Mutex<SotWalk<'a>>,
+}
+
+struct SotWalk<'a> {
+    cursors: Vec<TileCursor<'a>>,
+    /// The composed frame; `None` when one tile is the whole frame.
+    canvas: Option<Frame>,
+    /// The frame the cursors (and the canvas) show, once there is one.
+    shown: Option<u32>,
+    /// The first decode error; every lend after it is a no-op.
+    error: Option<ContainerError>,
+}
+
+impl<'a> SotFrames<'a> {
+    pub(crate) fn new(width: u32, height: u32, sot: &SotEntry, tiles: &'a [TileVideo]) -> Self {
+        let whole = matches!(tiles, [t] if (t.width, t.height) == (width, height));
+        SotFrames {
+            width,
+            height,
+            len: sot.len(),
+            rects: sot.layout.tiles().map(|(_, r)| r).collect(),
+            walk: Mutex::new(SotWalk {
+                cursors: tiles.iter().map(TileVideo::cursor).collect(),
+                canvas: (!whole).then(|| Frame::black(width, height)),
+                shown: None,
+                error: None,
+            }),
+        }
+    }
+
+    /// Moves every cursor to frame `idx` and composes it; the frame to lend.
+    fn show<'w>(&self, walk: &'w mut SotWalk<'a>, idx: u32) -> Result<&'w Frame, ContainerError> {
+        if walk.shown != Some(idx) {
+            assert!(
+                walk.shown.is_none_or(|shown| shown < idx),
+                "re-tile frames are lent in order: {idx} after {:?}",
+                walk.shown
+            );
+            for cursor in &mut walk.cursors {
+                while cursor.position() <= idx {
+                    cursor.advance()?;
+                }
+            }
+            if let Some(canvas) = &mut walk.canvas {
+                for (cursor, rect) in walk.cursors.iter().zip(&self.rects) {
+                    let tile = cursor.current().expect("the cursor just decoded");
+                    canvas.blit(tile, tile.rect(), rect.x, rect.y);
+                }
+            }
+            walk.shown = Some(idx);
+        }
+        Ok(match &walk.canvas {
+            Some(canvas) => canvas,
+            None => walk.cursors[0].current().expect("the cursor just decoded"),
+        })
+    }
+
+    /// The decode work of the whole walk, or its first error.
+    pub(crate) fn finish(&self) -> Result<DecodeStats, ContainerError> {
+        let mut walk = sync::lock(&self.walk);
+        match walk.error.take() {
+            Some(e) => Err(e),
+            None => Ok(walk
+                .cursors
+                .iter()
+                .fold(DecodeStats::new(), |total, c| total + *c.stats())),
+        }
+    }
+}
+
+impl FrameSource for SotFrames<'_> {
+    fn width(&self) -> u32 {
+        self.width
+    }
+
+    fn height(&self) -> u32 {
+        self.height
+    }
+
+    fn len(&self) -> u32 {
+        self.len
+    }
+
+    fn frame(&self, idx: u32) -> Frame {
+        let mut frame = None;
+        self.lend(idx, &mut |f| frame = Some(f.clone()));
+        frame.unwrap_or_else(|| Frame::black(self.width, self.height))
+    }
+
+    fn lend(&self, idx: u32, f: &mut dyn FnMut(&Frame)) {
+        let mut walk = sync::lock(&self.walk);
+        if walk.error.is_some() {
+            return;
+        }
+        match self.show(&mut walk, idx) {
+            Ok(frame) => f(frame),
+            Err(e) => walk.error = Some(e),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -93,24 +93,24 @@ impl LabelPredicate {
             }
             per_clause.push(frame_boxes);
         }
-        // Conjunction: fold clause regions by intersection. Small frames use
-        // direct pairwise tests; larger box sets go through the spatial grid
-        // the paper proposes for conjunctive predicates (§3.2).
+        // Conjunction: fold clause regions by pairwise intersection, in
+        // `lhs`-major order (every region of one left box, then the next's).
         let mut iter = per_clause.into_iter();
         let Some(mut acc) = iter.next() else {
             return Ok(BTreeMap::new());
         };
         for clause in iter {
-            let mut next: BTreeMap<u32, Vec<Rect>> = BTreeMap::new();
-            for (frame, lhs) in &acc {
-                if let Some(rhs) = clause.get(frame) {
-                    let regions = intersect_box_sets(lhs, rhs);
-                    if !regions.is_empty() {
-                        next.insert(*frame, regions);
-                    }
-                }
-            }
-            acc = next;
+            acc = acc
+                .iter()
+                .filter_map(|(frame, lhs)| {
+                    let rhs = clause.get(frame)?;
+                    let regions: Vec<Rect> = lhs
+                        .iter()
+                        .flat_map(|a| rhs.iter().filter_map(|b| a.intersect(b)))
+                        .collect();
+                    (!regions.is_empty()).then_some((*frame, regions))
+                })
+                .collect();
         }
         Ok(acc)
     }
@@ -411,31 +411,6 @@ impl std::fmt::Display for ScanError {
 
 impl std::error::Error for ScanError {}
 
-/// Pairwise intersections between two box sets. Beyond a small size product
-/// the spatial grid of `tasm-index` prunes the candidate pairs.
-fn intersect_box_sets(lhs: &[Rect], rhs: &[Rect]) -> Vec<Rect> {
-    const GRID_THRESHOLD: usize = 64;
-    if lhs.len() * rhs.len() <= GRID_THRESHOLD {
-        let mut out = Vec::new();
-        for a in lhs {
-            for b in rhs {
-                if let Some(i) = a.intersect(b) {
-                    out.push(i);
-                }
-            }
-        }
-        return out;
-    }
-    let hull = Rect::hull(lhs.iter().chain(rhs));
-    let grid =
-        tasm_index::SpatialGrid::from_boxes(hull.right().max(64), hull.bottom().max(64), lhs);
-    let mut out = Vec::new();
-    for b in rhs {
-        out.extend(grid.intersections(b));
-    }
-    out
-}
-
 /// Aligns a rectangle inward to even coordinates.
 fn align_in(r: &Rect) -> Rect {
     let x = (r.x + 1) & !1;
@@ -489,6 +464,40 @@ mod tests {
         let regions = p.target_regions(&mut idx, 0, 0..10).unwrap();
         assert_eq!(regions.len(), 1);
         assert_eq!(regions[&3], vec![Rect::new(10, 10, 10, 10)]);
+    }
+
+    /// However many boxes a frame holds, a conjunction's regions come in
+    /// the pairwise order: every region of the first left-hand box, then
+    /// the second's.
+    #[test]
+    fn conjunction_regions_are_lhs_major_however_many_boxes() {
+        let mut idx = tasm_index::MemoryIndex::in_memory();
+        // 9 cars and 8 red boxes: every pair overlaps, each in its own
+        // rectangle.
+        for i in 0..9 {
+            idx.add_metadata(0, "car", 3, Rect::new(i * 2, 0, 40, 40 + i))
+                .unwrap();
+        }
+        for j in 0..8 {
+            idx.add_metadata(0, "red", 3, Rect::new(20 + j, 20 + j * 2, 30, 30))
+                .unwrap();
+        }
+        let boxes = |idx: &mut tasm_index::MemoryIndex, label| -> Vec<Rect> {
+            let found = idx.query(0, label, 3..4).unwrap();
+            found.iter().map(|d| d.bbox).collect()
+        };
+        let (cars, reds) = (boxes(&mut idx, "car"), boxes(&mut idx, "red"));
+        let pairwise: Vec<Rect> = cars
+            .iter()
+            .flat_map(|a| reds.iter().map(|b| a.intersect(b).unwrap()))
+            .collect();
+        assert_eq!(pairwise.len(), 72);
+        let distinct: std::collections::BTreeSet<_> =
+            pairwise.iter().map(|r| (r.x, r.y, r.w, r.h)).collect();
+        assert_eq!(distinct.len(), 72);
+        let p = LabelPredicate::label("car").and(&["red"]);
+        let regions = p.target_regions(&mut idx, 0, 0..10).unwrap();
+        assert_eq!(regions[&3], pairwise);
     }
 
     #[test]

@@ -1,11 +1,15 @@
-//! Tile-based data storage (§3.4.5).
+//! Tile-based data storage (§3.4.5): the store, its manifests, and every
+//! mutation of a video.
 //!
 //! TASM stores each tile as a separate video stream so that every tile is a
 //! spatial random-access point (Figure 1). A video is a concatenation of
 //! SOTs (sequences of tiles, §2): each SOT has its own layout, and layouts
 //! change only at GOP boundaries. A SOT's tiles at one layout epoch are one
-//! *pack* file (`pack.rs`): a table, then each tile's container bytes
-//! verbatim, so one tile is read without the others.
+//! *pack* file: a table, then each tile's container bytes verbatim, so one
+//! tile is read without the others. The pack's format and its one reader —
+//! every read of a tile, `read_tile` included — are in `pack.rs`; startup
+//! recovery and `fsck` are in [`crate::durable`], beside the rule that
+//! sorts a video directory's entries and the reports they fill.
 //!
 //! ```text
 //! root/<video>/manifest.json
@@ -45,29 +49,25 @@
 //! packs at other epochs than the manifest's, interrupted ingests and temp
 //! files, as `durable::classify_entry` sorts entries. Every repair is listed
 //! in the store's [`RecoveryReport`]. **[`VideoStore::fsck`]** validates
-//! manifests against the packs on disk and the container headers of the
-//! tiles in them. The crash-point sweep in `tests/crash_recovery.rs`
-//! crashes every operation of every mutation.
+//! manifests against the packs on disk and the tiles in them. The
+//! crash-point sweep in `tests/crash_recovery.rs` crashes every operation
+//! of every mutation.
 
-use crate::durable::{
-    classify_entry, pack_file_name, read_exact_range, EntryClass, FsckIssue, FsckReport, RealIo,
-    RecoveryAction, RecoveryReport, StorageIo, MANIFEST_FILE, TMP_SUFFIX,
-};
+use crate::durable::{RealIo, RecoveryReport, StorageIo, MANIFEST_FILE, TMP_SUFFIX};
 use crate::exec::DecodedTileCache;
-use crate::pack::{self, TileRanges};
+use crate::pack::{self, check_tile, pack_file_name, PackReader, SotFrames};
 use crate::pool::CanvasPool;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use tasm_codec::{
-    encode_video, ContainerError, ContainerHeader, DecodeStats, EncodeStats, EncoderConfig,
-    LayoutError, TileCursor, TileLayout, TileVideo,
+    encode_video, ContainerError, DecodeStats, EncodeStats, EncoderConfig, LayoutError, TileLayout,
+    TileVideo,
 };
-use tasm_obs::sync;
-use tasm_video::{Frame, FrameSource, Rect, SliceSource};
+use tasm_video::{FrameSource, SliceSource};
 
 /// Errors from the storage layer.
 #[derive(Debug)]
@@ -317,6 +317,29 @@ impl VideoManifest {
         first..(last + 1).min(self.sots.len())
     }
 
+    /// How the SOT chain fails to be contiguous frames covering exactly
+    /// `0..frame_count`: `fsck`'s check of the manifest itself.
+    pub(crate) fn chain_breaks(&self) -> Vec<String> {
+        let mut breaks = Vec::new();
+        let mut expected_start = 0u32;
+        for (i, sot) in self.sots.iter().enumerate() {
+            if sot.start != expected_start || sot.end <= sot.start {
+                breaks.push(format!(
+                    "SOT {i} spans {}..{} but frame {expected_start} comes next",
+                    sot.start, sot.end
+                ));
+            }
+            expected_start = sot.end;
+        }
+        if expected_start != self.frame_count {
+            breaks.push(format!(
+                "SOTs cover 0..{expected_start} of {} frames",
+                self.frame_count
+            ));
+        }
+        breaks
+    }
+
     /// The packs this manifest resolves reads through, one per SOT.
     pub(crate) fn packs(&self) -> impl Iterator<Item = PackId> + '_ {
         self.sots.iter().map(SotEntry::pack_id)
@@ -342,124 +365,6 @@ impl RetileStats {
     /// Total wall-clock seconds of the transcode.
     pub fn seconds(&self) -> f64 {
         self.decode.seconds() + self.encode.seconds()
-    }
-}
-
-/// The frames of one SOT, decoded from its current tiles a frame at a time
-/// and lent to the re-tile's encoder: one [`TileCursor`] per old tile, and
-/// one canvas the tiles are blitted into — or, where a single tile covers
-/// the frame, that tile's own reconstruction. Memory is O(frame) however
-/// long the SOT.
-///
-/// The cursors only go forward: the encoder asks for each frame once, in
-/// order, and asking for an earlier frame than the last is a bug. A decode
-/// error ends the walk: later lends hand out nothing (`frame` a black
-/// frame), and [`SotFrames::finish`] returns the error.
-struct SotFrames<'a> {
-    width: u32,
-    height: u32,
-    len: u32,
-    rects: Vec<Rect>,
-    /// Taken as is on poison: a panic under it ends the re-tile, and the
-    /// state is dropped with the source.
-    walk: Mutex<SotWalk<'a>>,
-}
-
-struct SotWalk<'a> {
-    cursors: Vec<TileCursor<'a>>,
-    /// The composed frame; `None` when one tile is the whole frame.
-    canvas: Option<Frame>,
-    /// The frame the cursors (and the canvas) show, once there is one.
-    shown: Option<u32>,
-    /// The first decode error; every lend after it is a no-op.
-    error: Option<ContainerError>,
-}
-
-impl<'a> SotFrames<'a> {
-    fn new(width: u32, height: u32, len: u32, layout: &TileLayout, tiles: &'a [TileVideo]) -> Self {
-        let whole = matches!(tiles, [t] if (t.width, t.height) == (width, height));
-        SotFrames {
-            width,
-            height,
-            len,
-            rects: layout.tiles().map(|(_, r)| r).collect(),
-            walk: Mutex::new(SotWalk {
-                cursors: tiles.iter().map(TileVideo::cursor).collect(),
-                canvas: (!whole).then(|| Frame::black(width, height)),
-                shown: None,
-                error: None,
-            }),
-        }
-    }
-
-    /// Moves every cursor to frame `idx` and composes it; the frame to lend.
-    fn show<'w>(&self, walk: &'w mut SotWalk<'a>, idx: u32) -> Result<&'w Frame, ContainerError> {
-        if walk.shown != Some(idx) {
-            assert!(
-                walk.shown.is_none_or(|shown| shown < idx),
-                "re-tile frames are lent in order: {idx} after {:?}",
-                walk.shown
-            );
-            for cursor in &mut walk.cursors {
-                while cursor.position() <= idx {
-                    cursor.advance()?;
-                }
-            }
-            if let Some(canvas) = &mut walk.canvas {
-                for (cursor, rect) in walk.cursors.iter().zip(&self.rects) {
-                    let tile = cursor.current().expect("the cursor just decoded");
-                    canvas.blit(tile, tile.rect(), rect.x, rect.y);
-                }
-            }
-            walk.shown = Some(idx);
-        }
-        Ok(match &walk.canvas {
-            Some(canvas) => canvas,
-            None => walk.cursors[0].current().expect("the cursor just decoded"),
-        })
-    }
-
-    /// The decode work of the whole walk, or its first error.
-    fn finish(&self) -> Result<DecodeStats, ContainerError> {
-        let mut walk = sync::lock(&self.walk);
-        match walk.error.take() {
-            Some(e) => Err(e),
-            None => Ok(walk
-                .cursors
-                .iter()
-                .fold(DecodeStats::new(), |total, c| total + *c.stats())),
-        }
-    }
-}
-
-impl FrameSource for SotFrames<'_> {
-    fn width(&self) -> u32 {
-        self.width
-    }
-
-    fn height(&self) -> u32 {
-        self.height
-    }
-
-    fn len(&self) -> u32 {
-        self.len
-    }
-
-    fn frame(&self, idx: u32) -> Frame {
-        let mut frame = None;
-        self.lend(idx, &mut |f| frame = Some(f.clone()));
-        frame.unwrap_or_else(|| Frame::black(self.width, self.height))
-    }
-
-    fn lend(&self, idx: u32, f: &mut dyn FnMut(&Frame)) {
-        let mut walk = sync::lock(&self.walk);
-        if walk.error.is_some() {
-            return;
-        }
-        match self.show(&mut walk, idx) {
-            Ok(frame) => f(frame),
-            Err(e) => walk.error = Some(e),
-        }
     }
 }
 
@@ -587,6 +492,11 @@ impl VideoStore {
     /// The store's root directory.
     pub fn root(&self) -> &Path {
         &self.root
+    }
+
+    /// The filesystem shim every read and write of this store goes through.
+    pub(crate) fn io(&self) -> &dyn StorageIo {
+        &*self.io
     }
 
     /// Ingests a video: splits it into SOTs, encodes each under the layout
@@ -728,35 +638,6 @@ impl VideoStore {
         self.save_manifest(manifest)
     }
 
-    /// Reads one tile of one SOT: the pack's table, then that tile's bytes
-    /// and no other's. A container that does not fit its slot in
-    /// `manifest` is [`StoreError::TileMismatch`].
-    pub fn read_tile(
-        &self,
-        manifest: &VideoManifest,
-        sot_idx: usize,
-        tile_idx: u32,
-    ) -> Result<TileVideo, StoreError> {
-        let bytes = self.read_tile_range(manifest, sot_idx, tile_idx)?;
-        let tile = TileVideo::from_bytes(&bytes)?;
-        // The table is only believed as far as the container agrees:
-        // `from_bytes` stops at the container's declared end, and the
-        // table must not have claimed more for it.
-        if tile.size_bytes() != bytes.len() as u64 {
-            return Err(ContainerError::InvalidHeader("trailing bytes after payload").into());
-        }
-        let sot = &manifest.sots[sot_idx];
-        let found = slot_mismatches(&tile.header(), sot, tile_idx, manifest.config.gop_len);
-        if let Some(detail) = found.into_iter().next() {
-            return Err(StoreError::TileMismatch {
-                sot_start: sot.start,
-                tile: tile_idx,
-                detail,
-            });
-        }
-        Ok(tile)
-    }
-
     /// Re-encodes one SOT under `new_layout` (the incremental policies'
     /// re-tile operation). Updates and persists the manifest.
     ///
@@ -788,16 +669,8 @@ impl VideoStore {
         // encoders, one frame at a time. (Homomorphic stitching only
         // splices DCT streams; decode-and-blit handles mixed-codec layouts
         // too.)
-        let tiles: Vec<TileVideo> = (0..sot.layout.tile_count())
-            .map(|t| self.read_tile(manifest, sot_idx, t))
-            .collect::<Result<_, _>>()?;
-        let src = SotFrames::new(
-            manifest.width,
-            manifest.height,
-            sot.len(),
-            &sot.layout,
-            &tiles,
-        );
+        let tiles = self.read_sot(manifest, sot_idx, PackReader::tile)?;
+        let src = SotFrames::new(manifest.width, manifest.height, &sot, &tiles);
         let (new_tiles, encode) = encode_video(
             &src,
             &new_layout,
@@ -885,81 +758,28 @@ impl VideoStore {
         Ok(())
     }
 
-    /// Total bytes of all tiles of a video: the sum of their container
-    /// lengths, read from each pack's table (the tables themselves, 12 + 16
-    /// bytes per tile, are not counted). Only a missing pack is
-    /// [`StoreError::NotFound`].
-    pub fn video_size_bytes(&self, manifest: &VideoManifest) -> Result<u64, StoreError> {
-        let mut total = 0;
-        for sot in &manifest.sots {
-            let (_, ranges) = self.open_pack(&manifest.name, sot)?;
-            total += ranges.iter().map(|r| r.end - r.start).sum::<u64>();
-        }
-        Ok(total)
-    }
-
-    /// One tile's container bytes, exactly as the encoder produced them
-    /// (and checked to be one whole container) — the replication payload.
-    /// Bytes are shipped verbatim so a backup's tiles end up byte-identical
-    /// to the primary's; bit-exact answers then fall out of deterministic
-    /// decode over identical inputs.
-    pub fn tile_file_bytes(
-        &self,
-        manifest: &VideoManifest,
-        sot_idx: usize,
-        tile_idx: u32,
-    ) -> Result<Vec<u8>, StoreError> {
-        let bytes = self.read_tile_range(manifest, sot_idx, tile_idx)?;
-        TileVideo::validate(&bytes)?;
-        Ok(bytes)
-    }
-
-    /// The bytes a SOT's pack table gives one tile, from one open of the
-    /// pack: the table (its length follows from the layout), then that
-    /// range. Callers hold them to the container's own length.
-    fn read_tile_range(
-        &self,
-        manifest: &VideoManifest,
-        sot_idx: usize,
-        tile_idx: u32,
-    ) -> Result<Vec<u8>, StoreError> {
-        let sot = manifest
-            .sots
-            .get(sot_idx)
-            .ok_or_else(|| StoreError::NotFound(format!("SOT {sot_idx}")))?;
-        let (pack, ranges) = self.open_pack(&manifest.name, sot)?;
-        let range = ranges
-            .into_iter()
-            .nth(tile_idx as usize)
-            .ok_or_else(|| StoreError::NotFound(format!("SOT {sot_idx} tile {tile_idx}")))?;
-        Ok(read_exact_range(&pack, range)?)
-    }
-
-    /// Opens a SOT's pack and reads its table: where each of its tiles
-    /// lies. A pack that does not exist is [`StoreError::NotFound`].
-    fn open_pack(&self, name: &str, sot: &SotEntry) -> Result<(fs::File, TileRanges), StoreError> {
-        let path = self.pack_path(name, sot);
-        let pack = self.io.open(&path).map_err(|e| match e.kind() {
-            io::ErrorKind::NotFound => StoreError::NotFound(path.display().to_string()),
-            _ => e.into(),
-        })?;
-        let tiles = sot.layout.tile_count();
-        let head = read_exact_range(&pack, 0..pack::table_len(tiles) as u64)?;
-        Ok((pack, pack::tile_ranges(&head, tiles)?))
-    }
-
     /// Installs a complete replicated video: one `Vec<u8>` of container
     /// bytes per tile of every SOT (outer index = SOT index), plus the
     /// primary's manifest verbatim. Commits by `ingest`'s rule
-    /// (`replace_video`). Every payload must parse as a tile
-    /// container before anything is written.
+    /// (`replace_video`). The payload must hold every SOT of the manifest
+    /// and every tile of each, and each tile must fit its slot, before
+    /// anything is written.
     pub fn install_video(
         &self,
         manifest: &VideoManifest,
         sots: &[Vec<Vec<u8>>],
     ) -> Result<(), StoreError> {
         manifest.config.check()?;
-        validate_replica_payload(manifest, sots)?;
+        if sots.len() != manifest.sots.len() {
+            return Err(invalid_payload(format!(
+                "replica payload has {} SOTs, manifest has {}",
+                sots.len(),
+                manifest.sots.len()
+            )));
+        }
+        for (sot, tiles) in manifest.sots.iter().zip(sots) {
+            validate_replica_sot(sot, manifest.config.gop_len, tiles)?;
+        }
         let name = manifest.name.as_str();
         check_video_name(name)?;
         self.replace_video(name, || {
@@ -1033,7 +853,7 @@ impl VideoStore {
     /// only path derivation in the store, so a pinned manifest snapshot
     /// keeps resolving to its own epoch's tiles no matter how many
     /// re-tiles commit after it.
-    fn pack_path(&self, name: &str, sot: &SotEntry) -> PathBuf {
+    pub(crate) fn pack_path(&self, name: &str, sot: &SotEntry) -> PathBuf {
         self.root.join(name).join(pack_file_name(sot.pack_id()))
     }
 
@@ -1051,335 +871,12 @@ impl VideoStore {
         let pack = pack::assemble(tiles);
         Ok(self.io.write(&self.pack_path(name, sot), &pack)?)
     }
-
-    // ------------------------------------------------------------------
-    // Startup recovery
-    // ------------------------------------------------------------------
-
-    /// Scans every video directory for residue of interrupted operations
-    /// and removes what no manifest names. Idempotent: recovery itself can
-    /// crash at any operation and the next open finishes the job. Runs only
-    /// at open, before the store's own decoded-GOP cache holds anything.
-    fn recover_all(&self) -> Result<RecoveryReport, StoreError> {
-        let mut report = RecoveryReport::default();
-        for entry in self.io.list_dir(&self.root)? {
-            if !self.io.is_dir(&entry) {
-                continue;
-            }
-            let Some(video) = entry.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-                continue;
-            };
-            self.recover_video_dir(&entry, &video, &mut report)?;
-        }
-        Ok(report)
-    }
-
-    fn recover_video_dir(
-        &self,
-        dir: &Path,
-        video: &str,
-        report: &mut RecoveryReport,
-    ) -> Result<(), StoreError> {
-        let has_manifest = self.io.exists(&dir.join(MANIFEST_FILE));
-        let manifest = self.load_manifest(video).ok();
-        let entries: Vec<(PathBuf, String, EntryClass)> = self
-            .io
-            .list_dir(dir)?
-            .into_iter()
-            .map(|entry| {
-                let name = entry_name(&entry);
-                let class = classify_entry(&name, self.io.is_dir(&entry), manifest.as_ref());
-                (entry, name, class)
-            })
-            .collect();
-        // 0. Only touch directories that are recognizably ours: a manifest,
-        //    tile-store residue (packs, a manifest temp, an older build's
-        //    staging directory or commit record), or a completely empty
-        //    directory (an ingest that died at its first operation). A
-        //    foreign directory — e.g. the store was opened at a wrong or
-        //    shared path — is left strictly alone.
-        let manifest_tmp = format!("{MANIFEST_FILE}{TMP_SUFFIX}");
-        let is_ours = has_manifest
-            || entries.is_empty()
-            || entries.iter().any(|(_, name, class)| {
-                *name == manifest_tmp
-                    || matches!(
-                        class,
-                        EntryClass::LivePack
-                            | EntryClass::OtherEpochPack(_)
-                            | EntryClass::LegacyResidue
-                    )
-            });
-        if !is_ours {
-            return Ok(());
-        }
-
-        for (entry, name, class) in &entries {
-            match class {
-                // 1. Interrupted atomic writes: the temp file never became
-                //    visible under its final name, so it holds no committed
-                //    state.
-                EntryClass::Temp => {
-                    self.io.remove_file(entry)?;
-                    report.actions.push(RecoveryAction::RemovedTemp {
-                        video: video.to_string(),
-                        file: name.clone(),
-                    });
-                }
-                // 2. What a re-tile of an older build left mid-protocol
-                //    (see `RecoveryAction::DiscardedLegacyResidue` for why
-                //    discarding it is safe on either side of its commit).
-                EntryClass::LegacyResidue => {
-                    if self.io.is_dir(entry) {
-                        self.io.remove_dir_all(entry)?;
-                    } else {
-                        self.io.remove_file(entry)?;
-                    }
-                    report.actions.push(RecoveryAction::DiscardedLegacyResidue {
-                        video: video.to_string(),
-                        entry: name.clone(),
-                    });
-                }
-                _ => {}
-            }
-        }
-
-        // 3. Packs at epochs the manifest does not name: a retired epoch
-        //    whose GC was interrupted (or deferred and never run — no
-        //    process survived to hold a pin on it), or the epoch a re-tile
-        //    wrote and died before publishing. Reclaim it so the crash
-        //    lands in exactly one epoch set. Ranges the manifest does not
-        //    hold are left for fsck to flag, and nothing is reclaimed
-        //    without a readable manifest.
-        for (entry, _, class) in &entries {
-            if let EntryClass::OtherEpochPack(pack) = *class {
-                self.io.remove_file(entry)?;
-                report.actions.push(RecoveryAction::ReclaimedEpoch {
-                    video: video.to_string(),
-                    sot_start: pack.sot_start,
-                    sot_end: pack.sot_end,
-                    epoch: pack.retile_count,
-                });
-            }
-        }
-
-        // 4. No manifest: an ingest crashed before its publish point — the
-        //    video never existed.
-        if !has_manifest {
-            self.io.remove_dir_all(dir)?;
-            report.actions.push(RecoveryAction::RemovedPartialVideo {
-                video: video.to_string(),
-            });
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // fsck
-    // ------------------------------------------------------------------
-
-    /// Validates every video in the store: manifest readable, SOT chain
-    /// contiguous, every SOT's pack present with a sound table and, for
-    /// each tile in it, a container header that matches the manifest
-    /// (dimensions, GOP length, frame count, exact length), and no
-    /// unaccounted files. `allowed_extras` names the sidecar files a caller
-    /// places inside video directories (e.g. the CLI's scene spec), which
-    /// are not flagged as stray; the core store itself needs none.
-    /// Read-only.
-    pub fn fsck(&self, allowed_extras: &[&str]) -> Result<FsckReport, StoreError> {
-        let mut report = FsckReport::default();
-        for entry in self.io.list_dir(&self.root)? {
-            if self.io.is_dir(&entry) {
-                self.fsck_video_into(&entry_name(&entry), allowed_extras, &mut report);
-            }
-        }
-        Ok(report)
-    }
-
-    /// [`VideoStore::fsck`] restricted to one video. Errors if the video's
-    /// directory does not exist at all.
-    pub fn fsck_video(
-        &self,
-        name: &str,
-        allowed_extras: &[&str],
-    ) -> Result<FsckReport, StoreError> {
-        if !self.io.is_dir(&self.root.join(name)) {
-            return Err(StoreError::NotFound(format!("video '{name}'")));
-        }
-        let mut report = FsckReport::default();
-        self.fsck_video_into(name, allowed_extras, &mut report);
-        Ok(report)
-    }
-
-    /// fsck's one read of a SOT's pack: its bytes and where its `tiles`
-    /// tiles lie in them, the last one ending with the file. `Ok(None)` when
-    /// there is no such pack, `Err` with what is wrong with one there is.
-    fn read_whole_pack(
-        &self,
-        path: &Path,
-        tiles: u32,
-    ) -> Result<Option<(Vec<u8>, TileRanges)>, String> {
-        let pack = match self.io.read(path) {
-            Ok(pack) => pack,
-            Err(_) if !self.io.exists(path) => return Ok(None),
-            // A pack that exists but cannot be read (EACCES, EIO from a
-            // dying disk) is damage, not absence.
-            Err(e) => return Err(format!("unreadable: {e}")),
-        };
-        let ranges = pack::tile_ranges(&pack, tiles).map_err(|e| e.to_string())?;
-        let end = ranges
-            .last()
-            .map_or(pack::table_len(tiles) as u64, |r| r.end);
-        if end != pack.len() as u64 {
-            return Err(format!(
-                "pack table ends the last tile at {end}, the file is {} bytes",
-                pack.len()
-            ));
-        }
-        Ok(Some((pack, ranges)))
-    }
-
-    fn fsck_video_into(&self, video: &str, allowed_extras: &[&str], report: &mut FsckReport) {
-        report.videos_checked += 1;
-        let dir = self.root.join(video);
-        let manifest = match self.load_manifest(video) {
-            Ok(m) => m,
-            Err(e) => {
-                report.issues.push(FsckIssue::ManifestUnreadable {
-                    video: video.to_string(),
-                    detail: e.to_string(),
-                });
-                return;
-            }
-        };
-
-        // SOT chain: contiguous frames covering exactly 0..frame_count.
-        let mut expected_start = 0u32;
-        for (i, sot) in manifest.sots.iter().enumerate() {
-            if sot.start != expected_start || sot.end <= sot.start {
-                report.issues.push(FsckIssue::SotChainBroken {
-                    video: video.to_string(),
-                    detail: format!(
-                        "SOT {i} spans {}..{} but frame {expected_start} comes next",
-                        sot.start, sot.end
-                    ),
-                });
-            }
-            expected_start = sot.end;
-        }
-        if expected_start != manifest.frame_count {
-            report.issues.push(FsckIssue::SotChainBroken {
-                video: video.to_string(),
-                detail: format!(
-                    "SOTs cover 0..{expected_start} of {} frames",
-                    manifest.frame_count
-                ),
-            });
-        }
-
-        // Packs vs manifest, container headers included: one read per SOT.
-        for sot in &manifest.sots {
-            let tiles = sot.layout.tile_count();
-            let path = self.pack_path(video, sot);
-            let (pack, ranges) = match self.read_whole_pack(&path, tiles) {
-                Ok(Some(read)) => read,
-                Ok(None) => {
-                    report
-                        .issues
-                        .extend((0..tiles).map(|tile| FsckIssue::MissingTile {
-                            video: video.to_string(),
-                            sot_start: sot.start,
-                            tile,
-                        }));
-                    continue;
-                }
-                Err(detail) => {
-                    report.issues.push(FsckIssue::PackCorrupt {
-                        video: video.to_string(),
-                        sot_start: sot.start,
-                        detail,
-                    });
-                    continue;
-                }
-            };
-            for (t, r) in (0..tiles).zip(ranges) {
-                // In bounds: the ranges are contiguous and end at the
-                // pack's length.
-                match TileVideo::validate(&pack[r.start as usize..r.end as usize]) {
-                    Ok(header) => {
-                        report.tiles_checked += 1;
-                        let found = slot_mismatches(&header, sot, t, manifest.config.gop_len);
-                        report.issues.extend(found.into_iter().map(|detail| {
-                            FsckIssue::TileMismatch {
-                                video: video.to_string(),
-                                sot_start: sot.start,
-                                tile: t,
-                                detail,
-                            }
-                        }));
-                    }
-                    Err(e) => report.issues.push(FsckIssue::TileCorrupt {
-                        video: video.to_string(),
-                        sot_start: sot.start,
-                        tile: t,
-                        detail: e.to_string(),
-                    }),
-                }
-            }
-        }
-
-        // Unaccounted entries in the video directory: anything other than
-        // the manifest, allow-listed extras, and the manifest's packs.
-        if let Ok(entries) = self.io.list_dir(&dir) {
-            for entry in entries {
-                let name = entry_name(&entry);
-                if allowed_extras.contains(&name.as_str()) {
-                    continue;
-                }
-                let video = video.to_string();
-                match classify_entry(&name, self.io.is_dir(&entry), Some(&manifest)) {
-                    EntryClass::Manifest | EntryClass::LivePack => {}
-                    // When recovery was deferred (another live handle holds
-                    // the store lock), a temp file or a pack of a manifest
-                    // SOT at another epoch is plausibly that handle's: a
-                    // manifest being replaced, an epoch a re-tile has
-                    // written and not yet published, or a retired epoch
-                    // its readers still pin. A concurrent fsck must not
-                    // call a healthy live store dirty.
-                    EntryClass::Temp | EntryClass::OtherEpochPack(_) if self.recovery.deferred => {}
-                    EntryClass::LegacySotDir => report
-                        .issues
-                        .push(FsckIssue::LegacySotDirectory { video, path: name }),
-                    _ => report.issues.push(FsckIssue::Stray { video, path: name }),
-                }
-            }
-        }
-    }
 }
 
-/// Rejects a replicated video payload whose shape disagrees with the
-/// manifest it claims to realize, before any byte lands on disk.
-fn validate_replica_payload(
-    manifest: &VideoManifest,
-    sots: &[Vec<Vec<u8>>],
-) -> Result<(), StoreError> {
-    if sots.len() != manifest.sots.len() {
-        return Err(invalid_payload(format!(
-            "replica payload has {} SOTs, manifest has {}",
-            sots.len(),
-            manifest.sots.len()
-        )));
-    }
-    for (sot, tiles) in manifest.sots.iter().zip(sots) {
-        validate_replica_sot(sot, manifest.config.gop_len, tiles)?;
-    }
-    Ok(())
-}
-
-/// Every tile payload must be a whole tile container whose header agrees
-/// with the slot the manifest gives it — what `fsck` asks of a tile. The
-/// pack is then assembled from these very bytes, so it needs no check of
-/// its own.
+/// Every tile payload must pass [`check_tile`] against the slot the
+/// manifest gives it — what every read and `fsck` ask of a tile. The pack
+/// is then assembled from these very bytes, so it needs no check of its
+/// own.
 fn validate_replica_sot(sot: &SotEntry, gop_len: u32, tiles: &[Vec<u8>]) -> Result<(), StoreError> {
     if tiles.len() as u32 != sot.layout.tile_count() {
         return Err(invalid_payload(format!(
@@ -1391,8 +888,7 @@ fn validate_replica_sot(sot: &SotEntry, gop_len: u32, tiles: &[Vec<u8>]) -> Resu
         )));
     }
     for (i, bytes) in tiles.iter().enumerate() {
-        let header = TileVideo::validate(bytes)?;
-        if let Some(detail) = slot_mismatches(&header, sot, i as u32, gop_len).first() {
+        if let Some(detail) = check_tile(bytes, sot, i as u32, gop_len)?.first() {
             return Err(invalid_payload(format!(
                 "SOT {}..{} tile {i}: {detail}",
                 sot.start, sot.end
@@ -1400,44 +896,6 @@ fn validate_replica_sot(sot: &SotEntry, gop_len: u32, tiles: &[Vec<u8>]) -> Resu
         }
     }
     Ok(())
-}
-
-/// How a tile container's header disagrees with the manifest slot it fills
-/// (tile `t` of `sot`, in a video of `gop_len`-frame GOPs): dimensions,
-/// GOP length, frame count, codec. Empty when it fits. A tile that got past
-/// these would still decode, and `Frame::blit` would clip it silently:
-/// installs, `fsck` and every read apply it.
-fn slot_mismatches(header: &ContainerHeader, sot: &SotEntry, t: u32, gop_len: u32) -> Vec<String> {
-    let rect = sot.layout.tile_rect_by_index(t);
-    let mut found = Vec::new();
-    if header.width != rect.w || header.height != rect.h {
-        found.push(format!(
-            "container is {}x{}, layout rect is {}x{}",
-            header.width, header.height, rect.w, rect.h
-        ));
-    }
-    if header.gop_len != gop_len {
-        found.push(format!(
-            "container GOP length {} vs configured {gop_len}",
-            header.gop_len
-        ));
-    }
-    if header.frame_count != sot.len() {
-        found.push(format!(
-            "container holds {} frames, SOT spans {}",
-            header.frame_count,
-            sot.len()
-        ));
-    }
-    if let Some(&declared) = sot.tile_codecs.get(t as usize) {
-        if header.codec.id() != declared {
-            found.push(format!(
-                "container codec id {} vs manifest codec id {declared}",
-                header.codec.id()
-            ));
-        }
-    }
-    found
 }
 
 /// A video's name is its directory name under the store root, and it
@@ -1457,19 +915,12 @@ fn invalid_payload(msg: String) -> StoreError {
     StoreError::Io(io::Error::new(io::ErrorKind::InvalidData, msg))
 }
 
-/// Final path component as an owned string (empty for pathological paths).
-fn entry_name(path: &Path) -> String {
-    path.file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::{self, TileDecodeRequest};
     use crate::scratch::Scratch;
-    use tasm_video::{Plane, Rect, VecFrameSource};
+    use tasm_video::{Frame, Plane, Rect, VecFrameSource};
 
     fn test_source(frames: u32) -> VecFrameSource {
         VecFrameSource::new(

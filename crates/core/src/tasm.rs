@@ -47,6 +47,7 @@
 //! the index (briefly, to look up) — neither is held across decode.
 
 use crate::cost::{estimate_work, pixel_ratio, CostModel, EncodeModel};
+use crate::pack::PackReader;
 use crate::partition::{partition, PartitionConfig};
 use crate::query::{query_prepared, Query};
 use crate::scan::{scan_prepared, LabelPredicate, ScanError, ScanResult};
@@ -535,13 +536,13 @@ impl Tasm {
     }
 
     /// What startup recovery repaired when this instance opened its store.
-    pub fn recovery_report(&self) -> &crate::durable::RecoveryReport {
+    pub fn recovery_report(&self) -> &crate::RecoveryReport {
         self.store.recovery_report()
     }
 
     /// Validates every stored video's manifest against its on-disk tile
     /// files and container headers (see [`VideoStore::fsck`]). Read-only.
-    pub fn fsck(&self) -> Result<crate::durable::FsckReport, TasmError> {
+    pub fn fsck(&self) -> Result<crate::FsckReport, TasmError> {
         Ok(self.store.fsck(&[])?)
     }
 
@@ -671,10 +672,12 @@ impl Tasm {
 
     /// A single-epoch replication snapshot of one video: its manifest plus
     /// the container bytes of every tile (outer index = SOT index), read
-    /// under one epoch pin so a concurrent re-tile cannot tear the
-    /// snapshot across layout epochs — and no longer has to wait for the
-    /// snapshot either. The epoch watermark ships unchanged as the
-    /// manifest's [`VideoManifest::epoch`].
+    /// under one epoch pin so a concurrent re-tile cannot tear the snapshot
+    /// across layout epochs — and no longer has to wait for the snapshot
+    /// either. Each SOT's pack is opened once, and every tile is held to
+    /// its slot as a backup's install will hold it, so a tile it would
+    /// refuse is [`StoreError::TileMismatch`] here. The epoch watermark
+    /// ships unchanged as the manifest's [`VideoManifest::epoch`].
     pub fn replication_snapshot(
         &self,
         name: &str,
@@ -682,14 +685,9 @@ impl Tasm {
         let shard = self.shard(name)?;
         let pin = self.pin_shard(name, &shard, None)?;
         let manifest = pin.manifest();
-        let mut sots = Vec::with_capacity(manifest.sots.len());
-        for (i, sot) in manifest.sots.iter().enumerate() {
-            let mut tiles = Vec::with_capacity(sot.layout.tile_count() as usize);
-            for t in 0..sot.layout.tile_count() {
-                tiles.push(self.store.tile_file_bytes(manifest, i, t)?);
-            }
-            sots.push(tiles);
-        }
+        let sots = (0..manifest.sots.len())
+            .map(|i| self.store.read_sot(manifest, i, PackReader::tile_bytes))
+            .collect::<Result<_, _>>()?;
         Ok((manifest.clone(), sots))
     }
 

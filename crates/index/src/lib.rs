@@ -10,8 +10,6 @@
 //! * [`index`] — the [`SemanticIndex`] trait, its error type, and the
 //!   in-memory reference implementation, including processed-frame tracking
 //!   used by TASM's lazy detection strategies (§4.3);
-//! * [`spatial`] — the grid spatial index the paper proposes for
-//!   accelerating conjunctive predicates (§3.2);
 //! * [`tiered`] — the disk-resident index: a WAL'd memtable flushed to
 //!   immutable prefix-compressed sorted runs with resident bloom and
 //!   frame-range filters, plus size-tiered compaction;
@@ -22,11 +20,9 @@
 pub mod index;
 pub mod io;
 pub mod key;
-pub mod spatial;
 pub mod tiered;
 
 pub use index::{Detection, IndexResult, LabeledDetection, MemoryIndex, SemanticIndex, TreeError};
 pub use io::{RealIo, StorageIo};
 pub use key::RecordKey;
-pub use spatial::SpatialGrid;
 pub use tiered::{crc32, TierIssue, TierStats, TieredIndex};

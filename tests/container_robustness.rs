@@ -15,12 +15,18 @@
 use proptest::run_cases;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use tasm_codec::bitstream::{BitWriter, BitstreamError};
 use tasm_codec::{
     ContainerError, DecodeError, EncodedFrame, EncoderConfig, TileCodec, TileEncoder, TileLayout,
     TileVideo,
 };
-use tasm_core::{FsckIssue, StorageConfig, StoreError, VideoManifest, VideoStore};
+use tasm_core::{
+    FsckIssue, RealIo, StorageConfig, StorageIo, StoreError, Tasm, TasmConfig, TasmError,
+    VideoManifest, VideoStore,
+};
+use tasm_index::MemoryIndex;
 use tasm_suite::TempDir;
 use tasm_video::{Frame, Plane, Rect, VecFrameSource};
 
@@ -646,4 +652,155 @@ fn a_replicas_pack_is_the_primarys_byte_for_byte() {
     );
     assert!(!replica_pack.exists(), "the superseded epoch is reclaimed");
     assert!(replica.fsck(&[]).expect("fsck").is_clean());
+}
+
+// ---------------------------------------------------------------------
+// One reader per pack
+// ---------------------------------------------------------------------
+
+/// The production filesystem, counting how often each file is opened for
+/// reading.
+#[derive(Default)]
+struct OpenCounter {
+    /// Taken as is on poison: one insert per open.
+    opens: std::sync::Mutex<std::collections::BTreeMap<PathBuf, u32>>,
+}
+
+impl OpenCounter {
+    /// Opens per file since the last call, forgetting them.
+    fn take(&self) -> Vec<(String, u32)> {
+        let opens = std::mem::take(&mut *tasm_obs::sync::lock(&self.opens));
+        opens
+            .into_iter()
+            .map(|(path, n)| (path.file_name().unwrap().to_string_lossy().into_owned(), n))
+            .collect()
+    }
+}
+
+impl StorageIo for OpenCounter {
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        RealIo.read(path)
+    }
+    fn write(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+        RealIo.write(path, data)
+    }
+    fn append(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+        RealIo.append(path, data)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        RealIo.rename(from, to)
+    }
+    fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        RealIo.create_dir_all(path)
+    }
+    fn remove_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        RealIo.remove_dir_all(path)
+    }
+    fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+        RealIo.remove_file(path)
+    }
+    fn sync_dir(&self, path: &Path) -> std::io::Result<()> {
+        RealIo.sync_dir(path)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        RealIo.exists(path)
+    }
+    fn is_dir(&self, path: &Path) -> bool {
+        RealIo.is_dir(path)
+    }
+    fn list_dir(&self, path: &Path) -> std::io::Result<Vec<PathBuf>> {
+        RealIo.list_dir(path)
+    }
+    fn open(&self, path: &Path) -> std::io::Result<std::fs::File> {
+        *tasm_obs::sync::lock(&self.opens)
+            .entry(path.to_path_buf())
+            .or_default() += 1;
+        RealIo.open(path)
+    }
+}
+
+/// 20 frames of 128x96 in two 10-frame SOTs, each stored as a 3x4 layout,
+/// through `io`.
+fn ingest_3x4(store: &VideoStore) -> VideoManifest {
+    let src = VecFrameSource::new(
+        (0..20)
+            .map(|i| {
+                let mut f = Frame::filled(128, 96, 90, 128, 128);
+                f.fill_rect(Rect::new(i * 4, 16 + i, 24, 20), 230, 90, 160);
+                f
+            })
+            .collect(),
+    );
+    let cfg = StorageConfig {
+        gop_len: 5,
+        sot_frames: 10,
+        parallel_encode: false,
+        ..Default::default()
+    };
+    let layout = TileLayout::uniform(128, 96, 3, 4).expect("layout");
+    store
+        .ingest("v", &src, 30, cfg, move |_, _| layout.clone())
+        .expect("ingest")
+        .0
+}
+
+/// A re-tile decodes its SOT from one open of the SOT's pack, however many
+/// tiles it holds, and a replication snapshot reads each SOT's pack once.
+#[test]
+fn each_pack_is_opened_once_per_retile_and_per_snapshot() {
+    let dir = TempDir::new("pack-opens");
+    let counter = Arc::new(OpenCounter::default());
+    let tasm = Tasm::open_with_io(
+        dir.path(),
+        Box::new(MemoryIndex::in_memory()),
+        TasmConfig::default(),
+        counter.clone(),
+    )
+    .expect("open");
+    let mut manifest = ingest_3x4(tasm.store());
+    tasm.attach("v").expect("attach");
+    counter.take();
+
+    tasm.replication_snapshot("v").expect("snapshot");
+    let snapshot = counter.take();
+    tasm.store()
+        .retile(&mut manifest, 0, TileLayout::untiled(128, 96))
+        .expect("retile");
+    let retile = counter.take();
+    let pack = |name: &str| (name.to_string(), 1);
+    let packs = [
+        pack("sot_000000_000010.tiles"),
+        pack("sot_000010_000020.tiles"),
+    ];
+    assert_eq!((snapshot, retile), (packs.to_vec(), packs[..1].to_vec()));
+}
+
+/// A tile that parses but does not fit its manifest slot is refused where
+/// it is read for shipping, not first by every backup it would reach.
+#[test]
+fn a_snapshot_of_a_tile_that_does_not_fit_its_slot_is_refused_at_the_primary() {
+    let dir = TempDir::new("pack-snapshot-slot");
+    let tasm = Tasm::open(
+        dir.path(),
+        Box::new(MemoryIndex::in_memory()),
+        TasmConfig::default(),
+    )
+    .expect("open");
+    ingest_3x4(tasm.store());
+    tasm.attach("v").expect("attach");
+    tasm.replication_snapshot("v").expect("a sound snapshot");
+
+    // Tile 0's width field: a whole container, the wrong size for its slot.
+    let pack_path = dir.path().join("v").join("sot_000010_000020.tiles");
+    let mut pack = std::fs::read(&pack_path).expect("pack");
+    pack[12 + 16 * 12 + 5] ^= 0x40;
+    std::fs::write(&pack_path, &pack).expect("write pack");
+    match tasm.replication_snapshot("v") {
+        Err(TasmError::Store(StoreError::TileMismatch {
+            sot_start: 10,
+            tile: 0,
+            detail,
+        })) => assert!(detail.contains("layout rect is 32x32"), "{detail}"),
+        other => panic!("{:?}", other.map(|(m, _)| m.epoch())),
+    }
 }

@@ -334,6 +334,29 @@ fn connection_cap_refuses_with_typed_error() {
 
 /// A version the server does not speak is refused with a typed mismatch
 /// error during the handshake.
+/// A peer that accepts and never answers costs a dialer its bound, not a
+/// hang: the connect lands in the listener's backlog, and the handshake's
+/// read times out. Run on a thread with a deadline, so a dial that hangs
+/// fails the test instead of stalling it.
+#[test]
+fn dialing_a_silent_listener_fails_within_its_bound() {
+    use std::time::{Duration, Instant};
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = silent.local_addr().expect("addr").to_string();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let started = Instant::now();
+        let dialed = Connection::dial(&addr, Duration::from_millis(300)).map(|_| ());
+        let _ = tx.send((dialed, started.elapsed()));
+    });
+    let (dialed, took) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the dial returns before the deadline");
+    assert!(matches!(dialed, Err(ClientError::Io(_))), "{dialed:?}");
+    assert!(took < Duration::from_secs(5), "{took:?}");
+    drop(silent);
+}
+
 #[test]
 fn version_mismatch_is_refused_at_handshake() {
     let server_tasm = store("remote-version", config());
