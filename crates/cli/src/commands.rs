@@ -12,6 +12,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use tasm_client::{Connection, LoadGen, LoadGenConfig};
+use tasm_core::runner::detect_frames;
 use tasm_core::{LabelPredicate, Query, QueryMode, RealIo, StorageIo, Tasm, TasmConfig};
 use tasm_data::{workloads, Dataset, SceneSpec, SyntheticVideo, WorkloadParams};
 use tasm_detect::sampled::SampledDetector;
@@ -304,19 +305,13 @@ fn detect(args: &Args) -> CmdResult {
         other => return Err(format!("unknown detector '{other}'").into()),
     };
     let mut detector = SampledDetector::new(inner, stride);
-    let mut detections = 0u64;
-    for f in 0..video.len() {
-        let truth = video.ground_truth(f);
-        for d in detector.detect(f, None, &truth) {
-            tasm.add_metadata(name, &d.label, f, d.bbox)?;
-            detections += 1;
-        }
-        tasm.mark_processed(name, f)?;
-    }
+    let before = tasm.with_index(|ix| ix.detection_count());
+    let truth = |f| video.ground_truth(f);
+    detect_frames(&tasm, name, 0..video.len(), &mut detector, &truth, None)?;
     tasm.with_index(|ix| ix.flush())?;
     println!(
         "detected {} boxes over {} frames ({} frames run through {which}, stride {stride}); simulated cost {:.2}s",
-        detections,
+        tasm.with_index(|ix| ix.detection_count()) - before,
         video.len(),
         detector.frames_processed(),
         detector.total_cost_seconds()
@@ -549,16 +544,11 @@ fn workload(args: &Args) -> CmdResult {
     // Populate the semantic index up front so the timed run measures query
     // execution, not first-touch detection.
     let frame_count = video.len();
-    if tasm.processed_count(name, 0..frame_count)? < frame_count {
-        let mut detector = SimulatedYolo::full(1);
-        for f in 0..frame_count {
-            let truth = video.ground_truth(f);
-            for d in detector.detect(f, None, &truth) {
-                tasm.add_metadata(name, &d.label, f, d.bbox)?;
-            }
-            tasm.mark_processed(name, f)?;
-        }
-        println!("(populated index: {frame_count} frames detected up front)");
+    let todo = frame_count - tasm.processed_count(name, 0..frame_count)?;
+    let (truth, mut detector) = (|f| video.ground_truth(f), SimulatedYolo::full(1));
+    detect_frames(&tasm, name, 0..frame_count, &mut detector, &truth, None)?;
+    if todo > 0 {
+        println!("(populated index: {todo} frames detected up front)");
     }
 
     let params = WorkloadParams::new(frame_count, query_frames.clamp(1, frame_count), seed);
@@ -1579,6 +1569,29 @@ mod tests {
         // per-video.
         run(&format!("fsck --store {s}")).expect("fsck");
         run(&format!("fsck --store {s} --name cam")).expect("fsck one video");
+    }
+
+    /// A second `detect` skips the frames the first processed: the index
+    /// holds as many boxes as before and `query --mode count` finds as
+    /// many matches.
+    #[test]
+    fn a_second_detect_stores_no_box_twice() {
+        let (s, _store) = store("redetect");
+        run(&format!(
+            "ingest --store {s} --name cam --dataset visual-road-2k --seconds 1 --seed 3"
+        ))
+        .expect("ingest");
+        let counts = || {
+            let (tasm, _) = open_stored(&s, &Args::parse(&[]).unwrap(), Some("cam")).unwrap();
+            let count = Query::new(LabelPredicate::label("car")).mode(QueryMode::Count);
+            let matched = tasm.query("cam", &count).unwrap().matched;
+            (tasm.with_index(|ix| ix.detection_count()), matched)
+        };
+        run(&format!("detect --store {s} --name cam --stride 2")).expect("detect");
+        let first = counts();
+        assert!(first.0 > 0 && first.1 > 0, "{first:?}");
+        run(&format!("detect --store {s} --name cam --stride 2")).expect("detect again");
+        assert_eq!(counts(), first, "(detections, car matches)");
     }
 
     #[test]

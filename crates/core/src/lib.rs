@@ -28,8 +28,11 @@
 //! * [`mod@query`] — the spatiotemporal query planner: ROI, sampling
 //!   stride, first-k limit, and aggregate modes, with index-driven tile and
 //!   GOP pruning before any decode;
-//! * [`tasm`] — the facade: `AddMetadata`, `Scan`, KQKO optimization (§4.2),
-//!   incremental-more and regret-based re-tiling (§4.4);
+//! * [`tasm`] — the facade: `AddMetadata`, `Scan`, the MVCC epoch table and
+//!   the one re-tile commit;
+//! * `policy` — the layout policy on the facade: KQKO optimization (§4.2),
+//!   incremental-more and regret-based re-tiling (§4.4) over one state, one
+//!   loop, one α rule, and the [`RetilePolicy`] switch;
 //! * [`runner`] — workload execution under the strategies compared in §5.3;
 //! * [`edge`] — capture-time tiling on a simulated edge camera (§4.3).
 //!
@@ -130,6 +133,7 @@ pub mod exec;
 mod pack;
 pub mod partition;
 mod plan;
+mod policy;
 pub mod pool;
 pub mod query;
 pub mod runner;
@@ -146,6 +150,7 @@ pub use durable::{
 pub use edge::{edge_ingest, EdgeConfig, EdgeReport};
 pub use exec::{CacheStats, DecodedTileCache, PlanStats, SharedScanStats, TileDecodeRequest};
 pub use partition::{partition, Granularity, PartitionConfig};
+pub use policy::RetilePolicy;
 pub use pool::{BufferPool, CanvasPool};
 pub use query::{Query, QueryMode};
 pub use runner::{run_workload, QueryRecord, RunQuery, Strategy, TruthFn, WorkloadReport};

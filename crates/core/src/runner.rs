@@ -21,6 +21,7 @@
 //! is recorded separately so harnesses can include or exclude it per
 //! figure.
 
+use crate::policy::RetilePolicy;
 use crate::scan::LabelPredicate;
 use crate::tasm::{Tasm, TasmError};
 use serde::{Deserialize, Serialize};
@@ -102,7 +103,8 @@ pub struct WorkloadReport {
     pub initial_detect_seconds: f64,
     /// Wall-clock seconds of up-front tiling (pre-tile strategies).
     pub initial_tile_seconds: f64,
-    /// Total number of SOT re-tile operations performed.
+    /// Total number of SOT re-tile operations performed: the layout
+    /// epochs the run committed.
     pub retile_ops: u32,
     /// Total decoded-GOP cache hits across all queries.
     pub cache_hits: u64,
@@ -143,6 +145,7 @@ pub fn run_workload(
     pixels: Option<&dyn FrameSource>,
 ) -> Result<WorkloadReport, TasmError> {
     let mut report = WorkloadReport::default();
+    let first_epoch = tasm.current_epoch(video)?;
     let frame_count = tasm.manifest(video)?.frame_count;
 
     // --- up-front phase ---
@@ -150,11 +153,11 @@ pub fn run_workload(
         Strategy::PretileAllObjects { .. } => {
             report.initial_detect_seconds =
                 detect_frames(tasm, video, 0..frame_count, detector, truth, pixels)?;
-            let labels = all_labels(tasm, video)?;
+            let id = tasm.video_id(video)?;
+            let labels = tasm.with_index(|ix| ix.labels(id))?;
             let t0 = std::time::Instant::now();
-            let stats = tasm.kqko_retile_all(video, &labels)?;
+            tasm.kqko_retile_all(video, &labels)?;
             report.initial_tile_seconds = t0.elapsed().as_secs_f64();
-            report.retile_ops += u32::from(stats.encode.bytes_produced > 0);
         }
         Strategy::PretileForeground => {
             let src =
@@ -168,12 +171,20 @@ pub fn run_workload(
                 report.initial_detect_seconds += bg.seconds_per_frame();
             }
             let t0 = std::time::Instant::now();
-            let stats = tasm.kqko_retile_all(video, &["foreground".to_string()])?;
+            tasm.kqko_retile_all(video, &["foreground".to_string()])?;
             report.initial_tile_seconds = t0.elapsed().as_secs_f64();
-            report.retile_ops += u32::from(stats.encode.bytes_produced > 0);
         }
         _ => {}
     }
+    let policy = match strategy {
+        Strategy::NotTiled | Strategy::PretileAllObjects { then_regret: false } => {
+            RetilePolicy::Off
+        }
+        Strategy::IncrementalMore => RetilePolicy::More,
+        Strategy::IncrementalRegret
+        | Strategy::PretileAllObjects { then_regret: true }
+        | Strategy::PretileForeground => RetilePolicy::Regret,
+    };
 
     // --- query phase ---
     for q in queries {
@@ -183,21 +194,8 @@ pub fn run_workload(
         let result = tasm.scan(video, &LabelPredicate::label(&q.label), q.frames.clone())?;
 
         let t0 = std::time::Instant::now();
-        let retile = match strategy {
-            Strategy::NotTiled | Strategy::PretileAllObjects { then_regret: false } => None,
-            Strategy::IncrementalMore => {
-                Some(tasm.observe_more(video, &q.label, q.frames.clone())?)
-            }
-            Strategy::IncrementalRegret
-            | Strategy::PretileAllObjects { then_regret: true }
-            | Strategy::PretileForeground => {
-                Some(tasm.observe_regret(video, &q.label, q.frames.clone())?)
-            }
-        };
+        tasm.observe(video, policy, &q.label, q.frames.clone())?;
         let retile_seconds = t0.elapsed().as_secs_f64();
-        if let Some(r) = &retile {
-            report.retile_ops += u32::from(r.encode.bytes_produced > 0);
-        }
 
         report.cache_hits += result.cache.hits;
         report.records.push(QueryRecord {
@@ -213,14 +211,18 @@ pub fn run_workload(
         });
     }
 
+    report.retile_ops = (tasm.current_epoch(video)? - first_epoch) as u32;
     report.final_size_bytes = tasm.video_size_bytes(video)?;
     Ok(report)
 }
 
-/// Runs the detector over the not-yet-processed frames of `frames`,
-/// populating the index. Returns simulated detection seconds.
-fn detect_frames(
-    tasm: &mut Tasm,
+/// The one detection loop: runs `detector` over the frames of `frames`
+/// the index has not processed, stores their boxes and marks them
+/// processed. Each unprocessed stretch is preceded by the frames from
+/// [`Detector::resume_from`] on, boxes discarded, so a resumed pass stores
+/// what an uninterrupted one would. Returns simulated detection seconds.
+pub fn detect_frames(
+    tasm: &Tasm,
     video: &str,
     frames: Range<u32>,
     detector: &mut dyn Detector,
@@ -232,45 +234,37 @@ fn detect_frames(
     if unprocessed == 0 {
         return Ok(0.0);
     }
+    let detect = |detector: &mut dyn Detector, f: u32| {
+        let source = || pixels.expect("detector needs pixels but no source provided");
+        let frame = detector.needs_pixels().then(|| source().frame(f));
+        detector.detect(f, frame.as_ref(), &truth(f))
+    };
     let mut seconds = 0.0;
-    let id = tasm.video_id(video)?;
+    let mut next = None;
     for f in frames {
-        if tasm
-            .with_index(|ix| ix.processed_count(id, f..f + 1))
-            .map_err(TasmError::Index)?
-            > 0
-        {
+        if tasm.processed_count(video, f..f + 1)? > 0 {
             continue;
         }
-        let t = truth(f);
-        let frame_storage;
-        let frame_ref = if detector.needs_pixels() {
-            let src = pixels.expect("detector needs pixels but no source provided");
-            frame_storage = src.frame(f);
-            Some(&frame_storage)
-        } else {
-            None
-        };
-        for det in detector.detect(f, frame_ref, &t) {
+        if next != Some(f) {
+            for p in detector.resume_from(f)..f {
+                detect(detector, p);
+            }
+        }
+        for det in detect(detector, f) {
             tasm.add_metadata(video, &det.label, f, det.bbox)?;
         }
         tasm.mark_processed(video, f)?;
         seconds += detector.seconds_per_frame();
+        next = Some(f + 1);
     }
     Ok(seconds)
-}
-
-/// Labels with any detection for this video.
-fn all_labels(tasm: &mut Tasm, video: &str) -> Result<Vec<String>, TasmError> {
-    let id = tasm.video_id(video)?;
-    tasm.with_index(|ix| ix.labels(id))
-        .map_err(TasmError::Index)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scratch::{car_source as source, car_truth as truth_at, Scratch};
+    use tasm_detect::sampled::SampledDetector;
     use tasm_detect::yolo::SimulatedYolo;
 
     fn tasm(tag: &str) -> Scratch<Tasm> {
@@ -387,6 +381,55 @@ mod tests {
         assert!(report.retile_ops > 0, "eager tiling should happen");
         // No lazy detection afterwards.
         assert!(report.records.iter().all(|r| r.detect_seconds == 0.0));
+    }
+
+    /// A pre-tile that re-tiles every SOT reports one re-tile per SOT: the
+    /// layout epochs the run committed, not the calls that paid.
+    #[test]
+    fn retile_ops_counts_every_sot_retiled() {
+        let mut t = tasm("ops");
+        let src = source(30);
+        t.ingest("v", &src, 30).unwrap();
+        let report = run_workload(
+            &mut t,
+            "v",
+            &[],
+            Strategy::PretileAllObjects { then_regret: false },
+            &mut SimulatedYolo::full(1),
+            &truth_at,
+            None,
+        )
+        .unwrap();
+        let epoch = t.manifest("v").unwrap().epoch();
+        assert_eq!(epoch, 3, "each of the three SOTs re-tiled once");
+        assert_eq!(u64::from(report.retile_ops), epoch);
+    }
+
+    /// A sampled pass killed mid-stride and resumed by a fresh process
+    /// gives every frame the boxes of an uninterrupted pass, and a pass
+    /// over processed frames stores nothing.
+    #[test]
+    fn a_resumed_sampled_pass_stores_what_an_uninterrupted_one_does() {
+        let src = source(20);
+        let sampled = || SampledDetector::new(SimulatedYolo::full(1), 3);
+        let boxes = |t: &Tasm| {
+            let id = t.video_id("v").unwrap();
+            t.with_index(|ix| ix.query_all(id, 0..20)).unwrap()
+        };
+        let whole = tasm("detect-whole");
+        whole.ingest("v", &src, 30).unwrap();
+        detect_frames(&whole, "v", 0..20, &mut sampled(), &truth_at, None).unwrap();
+
+        let resumed = tasm("detect-resumed");
+        resumed.ingest("v", &src, 30).unwrap();
+        detect_frames(&resumed, "v", 0..7, &mut sampled(), &truth_at, None).unwrap();
+        detect_frames(&resumed, "v", 0..20, &mut sampled(), &truth_at, None).unwrap();
+        assert_eq!(boxes(&resumed), boxes(&whole));
+
+        let stored = resumed.with_index(|ix| ix.detection_count());
+        let seconds = detect_frames(&resumed, "v", 0..20, &mut sampled(), &truth_at, None);
+        assert_eq!(seconds.unwrap(), 0.0);
+        assert_eq!(resumed.with_index(|ix| ix.detection_count()), stored);
     }
 
     #[test]

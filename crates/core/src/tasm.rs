@@ -1,10 +1,11 @@
 //! The TASM storage manager facade.
 //!
 //! [`Tasm`] ties the pieces together: the on-disk tile store, the semantic
-//! index, the cost model, and the per-video policy state used by the
-//! incremental tiling strategies. It exposes the paper's API surface —
-//! `AddMetadata` (§3.1), `Scan` (§3.1) — plus the layout optimization entry
-//! points of §4 (KQKO, incremental-more, regret-based).
+//! index, the cost model, and the per-video MVCC epoch tables. It exposes
+//! the paper's API surface — `AddMetadata` (§3.1), `Scan` (§3.1) — and the
+//! one commit primitive re-tiles go through. The layout optimization entry
+//! points of §4 (KQKO, incremental-more, regret-based) and their state are
+//! the `impl Tasm` block of the crate-private `policy` module.
 //!
 //! ## Concurrency model: MVCC layout epochs
 //!
@@ -22,7 +23,7 @@
 //! * each registered video has a per-video shard holding its **epoch
 //!   table** (immutable manifest snapshots, reference-counted per layout
 //!   epoch), a **commit mutex** serializing writers, and its **policy
-//!   state** (query history, regret counters, seen-object sets) behind a
+//!   state** (query history, regret counters, seen objects) behind a
 //!   `Mutex`.
 //!
 //! Layout epochs are first-class MVCC versions. A scan *pins* its epoch at
@@ -46,9 +47,10 @@
 //! holding it. Readers touch only the epoch table (briefly, to pin) and
 //! the index (briefly, to look up) — neither is held across decode.
 
-use crate::cost::{estimate_work, pixel_ratio, CostModel, EncodeModel};
+use crate::cost::{CostModel, EncodeModel};
 use crate::pack::PackReader;
-use crate::partition::{partition, PartitionConfig};
+use crate::partition::PartitionConfig;
+use crate::policy::PolicyState;
 use crate::query::{query_prepared, Query};
 use crate::scan::{scan_prepared, LabelPredicate, ScanError, ScanResult};
 use crate::storage::{PackId, RetileStats, StorageConfig, StoreError, VideoManifest, VideoStore};
@@ -58,14 +60,14 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
 use tasm_codec::TileLayout;
-use tasm_index::{Detection, SemanticIndex, TreeError};
+use tasm_index::{SemanticIndex, TreeError};
 use tasm_obs::sync;
 use tasm_video::{FrameSource, Rect};
 
 /// Configuration of the storage manager's policies.
 #[derive(Debug, Clone)]
 pub struct TasmConfig {
-    /// Not-tiling threshold α (§3.4.4): a layout must decode fewer than
+    /// Not-tiling threshold α (§3.4.4): a layout must decode at most
     /// `α · P(ω)` pixels to be considered useful. Paper value: 0.8.
     pub alpha: f64,
     /// Regret threshold η (§4.4): re-tile once accumulated regret exceeds
@@ -193,53 +195,6 @@ impl From<ScanError> for TasmError {
     }
 }
 
-/// Per-SOT incremental-policy state.
-#[derive(Debug, Default, Clone)]
-struct SotPolicy {
-    /// The distinct queries that touched this SOT — (label, frame window ∩
-    /// SOT) — in first-seen order, each with its number of observations:
-    /// at most labels × windows entries, however many queries were served.
-    history: Vec<(String, Range<u32>, u64)>,
-    /// Accumulated regret per alternative layout, keyed by the sorted
-    /// object subset the layout is designed around.
-    regret: BTreeMap<Vec<String>, f64>,
-    /// Labels queried against this SOT (incremental-more state).
-    queried: BTreeSet<String>,
-}
-
-impl SotPolicy {
-    /// Counts one observation of `(label, window)`; returns its entry.
-    fn record(&mut self, label: &str, window: &Range<u32>) -> usize {
-        let h = &mut self.history;
-        let at = h.iter().position(|(l, w, _)| l == label && w == window);
-        let at = at.unwrap_or_else(|| {
-            h.push((label.to_string(), window.clone(), 0));
-            h.len() - 1
-        });
-        h[at].2 += 1;
-        at
-    }
-}
-
-/// Mutable per-video policy state (regret counters, query history,
-/// seen-object sets). Sharded per video behind a `Mutex` so the incremental
-/// policies of two different videos never contend.
-#[derive(Debug, Default)]
-struct PolicyState {
-    /// Objects seen in queries so far (the paper's `O_Q'`).
-    seen_objects: BTreeSet<String>,
-    sots: Vec<SotPolicy>,
-}
-
-impl PolicyState {
-    fn new(n_sots: usize) -> Self {
-        PolicyState {
-            seen_objects: BTreeSet::new(),
-            sots: vec![SotPolicy::default(); n_sots],
-        }
-    }
-}
-
 /// One live layout epoch of a video: an immutable manifest snapshot plus
 /// the number of readers currently pinned to it.
 struct EpochEntry {
@@ -314,8 +269,8 @@ impl EpochTable {
 }
 
 /// Per-video registration: the shard queries on this video synchronize on.
-struct VideoShard {
-    id: u32,
+pub(crate) struct VideoShard {
+    pub(crate) id: u32,
     /// The video's MVCC epoch table. Held only for pin/unpin/publish
     /// bookkeeping — never across decode or tile I/O. Taken as is on
     /// poison: its sections count readers and make single map operations.
@@ -331,20 +286,21 @@ struct VideoShard {
     /// taken as is on poison: a commit that panicked left at most an
     /// unpublished pack, which the next commit replaces.
     commit: Mutex<()>,
-    /// Soft state, reset on poison (see [`VideoShard::policy`]).
+    /// The layout policy's state (`policy.rs`). Soft state, reset on
+    /// poison (see [`VideoShard::policy`]).
     policy: Mutex<PolicyState>,
 }
 
 impl VideoShard {
     /// The policy state. A panic under it may have left regret half
     /// accumulated, so on poison it starts over as a restart would have it.
-    fn policy(&self) -> std::sync::MutexGuard<'_, PolicyState> {
-        sync::lock_or_reset(&self.policy, |p| *p = PolicyState::new(p.sots.len()))
+    pub(crate) fn policy(&self) -> std::sync::MutexGuard<'_, PolicyState> {
+        sync::lock_or_reset(&self.policy, PolicyState::reset)
     }
 
     /// The current epoch's manifest snapshot (cheap: one lock, one `Arc`
     /// clone).
-    fn current_manifest(&self) -> Arc<VideoManifest> {
+    pub(crate) fn current_manifest(&self) -> Arc<VideoManifest> {
         let table = sync::lock(&self.epochs);
         table.live[&table.current].manifest.clone()
     }
@@ -975,63 +931,7 @@ impl Tasm {
         })
     }
 
-    // ------------------------------------------------------------------
-    // §4.2 — known queries, known objects (KQKO)
-    // ------------------------------------------------------------------
-
-    /// Computes the KQKO layout for one SOT around `objects`: a fine-grained
-    /// non-uniform layout around their boxes, or `None` when the not-tiling
-    /// rule (α) says tiling would not help.
-    pub fn kqko_layout(
-        &self,
-        name: &str,
-        sot_idx: usize,
-        objects: &[String],
-    ) -> Result<Option<TileLayout>, TasmError> {
-        let shard = self.shard(name)?;
-        self.kqko_layout_shard(&shard, sot_idx, objects)
-    }
-
-    fn kqko_layout_shard(
-        &self,
-        shard: &VideoShard,
-        sot_idx: usize,
-        objects: &[String],
-    ) -> Result<Option<TileLayout>, TasmError> {
-        let (w, h, sot, gop) = {
-            let m = shard.current_manifest();
-            (m.width, m.height, m.sots[sot_idx].clone(), m.config.gop_len)
-        };
-        let Some((layout, dets)) = self.subset_layout(shard.id, objects, &sot, w, h)? else {
-            return Ok(None);
-        };
-        // Not-tiling rule over the whole-SOT query for these objects.
-        let ratio = pixel_ratio(&layout, &dets, sot.frames(), sot.start, gop);
-        if ratio > self.cfg.alpha {
-            return Ok(None);
-        }
-        Ok(Some(layout))
-    }
-
-    /// Runs the KQKO optimization over every SOT (the "all objects"/eager
-    /// strategy pre-tiles with `objects` = everything detected). Returns the
-    /// accumulated transcode cost.
-    pub fn kqko_retile_all(
-        &self,
-        name: &str,
-        objects: &[String],
-    ) -> Result<RetileStats, TasmError> {
-        let shard = self.shard(name)?;
-        let n_sots = shard.current_manifest().sots.len();
-        let mut total = RetileStats::default();
-        for sot_idx in 0..n_sots {
-            if let Some(layout) = self.kqko_layout_shard(&shard, sot_idx, objects)? {
-                let mut pol = shard.policy();
-                total = add_retile(total, self.retile_shard(&shard, &mut pol, sot_idx, layout)?);
-            }
-        }
-        Ok(total)
-    }
+    // The commit primitive; the layout policy that drives it is `policy.rs`.
 
     /// Re-tiles one SOT, updating the manifest.
     pub fn retile(
@@ -1051,7 +951,7 @@ impl Tasm {
     /// whatever epochs drained, then resets the SOT's regret relative to
     /// its new layout. In-flight scans keep reading their pinned epochs;
     /// commit latency is bounded by the transcode itself.
-    fn retile_shard(
+    pub(crate) fn retile_shard(
         &self,
         shard: &VideoShard,
         pol: &mut PolicyState,
@@ -1063,270 +963,17 @@ impl Tasm {
         let (stats, retired) = self.store.retile(&mut manifest, sot_idx, layout)?;
         if retired.is_some() {
             shard.publish(&self.store, manifest);
-            // Regret resets relative to the new current layout.
-            pol.sots[sot_idx].regret.clear();
+            pol.retiled(sot_idx);
         }
         Ok(stats)
     }
 
-    // ------------------------------------------------------------------
-    // §5.3 — "incremental, more": re-tile around all queried objects as
-    // soon as a query for a new object type arrives.
-    // ------------------------------------------------------------------
-
-    /// Observes a query under the incremental-more policy; returns any
-    /// transcode cost paid.
-    pub fn observe_more(
-        &self,
-        name: &str,
-        label: &str,
-        frames: Range<u32>,
-    ) -> Result<RetileStats, TasmError> {
-        let shard = self.shard(name)?;
-        let mut pol = shard.policy();
-        let sot_range = shard.current_manifest().sots_for_range(frames.clone());
-        let mut total = RetileStats::default();
-        for sot_idx in sot_range {
-            if !pol.sots[sot_idx].queried.insert(label.to_string()) {
-                continue;
-            }
-            let objects: Vec<String> = pol.sots[sot_idx].queried.iter().cloned().collect();
-            if let Some(layout) = self.kqko_layout_shard(&shard, sot_idx, &objects)? {
-                let current = shard.current_manifest().sots[sot_idx].layout.clone();
-                if layout != current {
-                    total =
-                        add_retile(total, self.retile_shard(&shard, &mut pol, sot_idx, layout)?);
-                }
-            }
-        }
-        Ok(total)
-    }
-
-    // ------------------------------------------------------------------
-    // §4.4 — regret-based incremental tiling
-    // ------------------------------------------------------------------
-
-    /// Observes a query under the regret policy: accumulates regret for the
-    /// alternative layouts of every touched SOT and re-tiles those whose
-    /// best alternative's regret exceeds `η · R(s, L)`. Returns any
-    /// transcode cost paid.
-    ///
-    /// Policy state is sharded per video: concurrent observations on
-    /// different videos never contend, while observations on one video
-    /// serialize on its policy mutex (regret accumulation is inherently
-    /// order-dependent).
-    pub fn observe_regret(
-        &self,
-        name: &str,
-        label: &str,
-        frames: Range<u32>,
-    ) -> Result<RetileStats, TasmError> {
-        let shard = self.shard(name)?;
-        let mut pol = shard.policy();
-        let (sot_range, gop, w, h) = {
-            let m = shard.current_manifest();
-            (
-                m.sots_for_range(frames.clone()),
-                m.config.gop_len,
-                m.width,
-                m.height,
-            )
-        };
-        let id = shard.id;
-        pol.seen_objects.insert(label.to_string());
-        let alternatives = alternative_subsets(&pol.seen_objects, self.cfg.max_subset_objects);
-        let mut total = RetileStats::default();
-
-        for sot_idx in sot_range {
-            let sot = shard.current_manifest().sots[sot_idx].clone();
-            let window = frames.start.max(sot.start)..frames.end.min(sot.end);
-            if window.is_empty() {
-                continue;
-            }
-
-            // Record history first (new alternatives replay what came
-            // before it).
-            let state = &mut pol.sots[sot_idx];
-            let now = state.record(label, &window);
-
-            // The layouts this call partitions, for the winner below.
-            let mut layouts = Vec::with_capacity(alternatives.len());
-            for subset in &alternatives {
-                let Some((alt_layout, _)) = self.subset_layout(id, subset, &sot, w, h)? else {
-                    continue;
-                };
-                let is_new = !state.regret.contains_key(subset);
-                let mut delta = 0.0;
-                if is_new {
-                    // Retroactive regret over the query history (§4.4): one
-                    // index query per distinct entry, one add per
-                    // observation before this one.
-                    for (at, (hl, hw, n)) in state.history.iter().enumerate() {
-                        let prior = n - u64::from(at == now);
-                        if prior > 0 {
-                            let d = self.query_delta(id, hl, hw.clone(), &sot, gop, &alt_layout)?;
-                            (0..prior).for_each(|_| delta += d);
-                        }
-                    }
-                }
-                delta += self.query_delta(id, label, window.clone(), &sot, gop, &alt_layout)?;
-                *state.regret.entry(subset.clone()).or_insert(0.0) += delta;
-                layouts.push((subset, alt_layout));
-            }
-
-            // Pick the best alternative exceeding the threshold.
-            let reencode_cost = self.cfg.encode.reencode_cost(w, h, sot.len());
-            let threshold = self.cfg.eta * reencode_cost;
-            let best: Option<(Vec<String>, f64)> = state
-                .regret
-                .iter()
-                .filter(|(_, &d)| d > threshold)
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(k, &d)| (k.clone(), d));
-            if let Some((subset, _)) = best {
-                // A winner from before the subsets were capped is not among
-                // this call's alternatives.
-                let layout = match layouts.iter().position(|(s, _)| **s == subset) {
-                    Some(at) => Some(layouts.swap_remove(at).1),
-                    None => self.subset_layout(id, &subset, &sot, w, h)?.map(|(l, _)| l),
-                };
-                if let Some(layout) = layout {
-                    let usable = layout != sot.layout
-                        && !self.would_hurt(id, &layout, &sot, &state.history, gop)?;
-                    if usable {
-                        total = add_retile(
-                            total,
-                            self.retile_shard(&shard, &mut pol, sot_idx, layout)?,
-                        );
-                    } else {
-                        // Unusable alternative: forget it so it stops
-                        // winning the argmax every query.
-                        state.regret.remove(&subset);
-                    }
-                }
-            }
-        }
-        Ok(total)
-    }
-
-    /// Regret accumulated for a subset on a SOT (tests/diagnostics).
-    pub fn regret_for(&self, name: &str, sot_idx: usize, subset: &[String]) -> Option<f64> {
-        let shard = self.shard(name).ok()?;
-        let pol = shard.policy();
-        pol.sots.get(sot_idx)?.regret.get(subset).copied()
-    }
-
-    // --- internals ---
-
-    fn shard(&self, name: &str) -> Result<Arc<VideoShard>, TasmError> {
+    pub(crate) fn shard(&self, name: &str) -> Result<Arc<VideoShard>, TasmError> {
         sync::read(&self.videos)
             .get(name)
             .cloned()
             .ok_or_else(|| TasmError::UnknownVideo(name.to_string()))
     }
-
-    /// Layout around a subset's detected boxes in a SOT, with those
-    /// detections, or `None` when no boxes exist or no cut is possible.
-    fn subset_layout(
-        &self,
-        video_id: u32,
-        subset: &[String],
-        sot: &crate::storage::SotEntry,
-        w: u32,
-        h: u32,
-    ) -> Result<Option<(TileLayout, Vec<Detection>)>, TasmError> {
-        let dets = self.detections_for(video_id, subset, sot.frames())?;
-        if dets.is_empty() {
-            return Ok(None);
-        }
-        let boxes: Vec<Rect> = dets.iter().map(|d| d.bbox).collect();
-        let layout = partition(w, h, &boxes, &self.cfg.partition);
-        Ok((!layout.is_untiled()).then_some((layout, dets)))
-    }
-
-    /// Estimated improvement `∆(q, L_cur, L_alt)` of one query on one SOT.
-    fn query_delta(
-        &self,
-        video_id: u32,
-        label: &str,
-        window: Range<u32>,
-        sot: &crate::storage::SotEntry,
-        gop: u32,
-        alt: &TileLayout,
-    ) -> Result<f64, TasmError> {
-        let dets = self.with_index(|ix| ix.query(video_id, label, window.clone()))?;
-        let cur = estimate_work(&sot.layout, &dets, window.clone(), sot.start, gop);
-        let new = estimate_work(alt, &dets, window, sot.start, gop);
-        Ok(self.cfg.cost.cost(cur) - self.cfg.cost.cost(new))
-    }
-
-    /// The α safety check over the SOT's query history: a layout "hurts" if
-    /// any past query would decode ≥ α of the untiled pixels (§5.3).
-    fn would_hurt(
-        &self,
-        video_id: u32,
-        layout: &TileLayout,
-        sot: &crate::storage::SotEntry,
-        history: &[(String, Range<u32>, u64)],
-        gop: u32,
-    ) -> Result<bool, TasmError> {
-        for (label, window, _) in history {
-            let dets = self.with_index(|ix| ix.query(video_id, label, window.clone()))?;
-            if dets.is_empty() {
-                continue;
-            }
-            let r = pixel_ratio(layout, &dets, window.clone(), sot.start, gop);
-            if r >= self.cfg.alpha {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    fn detections_for(
-        &self,
-        video_id: u32,
-        objects: &[String],
-        frames: Range<u32>,
-    ) -> Result<Vec<Detection>, TasmError> {
-        let mut dets = Vec::new();
-        for o in objects {
-            dets.extend(self.with_index(|ix| ix.query(video_id, o, frames.clone()))?);
-        }
-        Ok(dets)
-    }
-}
-
-/// Candidate object subsets for alternative layouts: all non-empty subsets
-/// while small, singletons + the full set beyond the cap.
-fn alternative_subsets(seen_objects: &BTreeSet<String>, cap: usize) -> Vec<Vec<String>> {
-    let seen: Vec<String> = seen_objects.iter().cloned().collect();
-    let mut out = Vec::new();
-    if seen.is_empty() {
-        return out;
-    }
-    if seen.len() <= cap {
-        let n = seen.len();
-        for mask in 1u32..(1 << n) {
-            let subset: Vec<String> = (0..n)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| seen[i].clone())
-                .collect();
-            out.push(subset);
-        }
-    } else {
-        for s in &seen {
-            out.push(vec![s.clone()]);
-        }
-        out.push(seen.clone());
-    }
-    out
-}
-
-fn add_retile(mut a: RetileStats, b: RetileStats) -> RetileStats {
-    a.decode += b.decode;
-    a.encode += b.encode;
-    a
 }
 
 #[cfg(test)]

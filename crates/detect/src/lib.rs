@@ -47,6 +47,12 @@ pub trait Detector {
     /// frames for detectors that only consume ground truth).
     fn needs_pixels(&self) -> bool;
 
+    /// The first frame a pass starting at `frame` must feed the detector for
+    /// `frame` to get what an uninterrupted pass gives it.
+    fn resume_from(&self, frame: u32) -> u32 {
+        frame
+    }
+
     /// Detects objects on one frame.
     ///
     /// `truth` carries the generator's ground-truth boxes (what a perfect
@@ -71,6 +77,10 @@ impl<D: Detector + ?Sized> Detector for Box<D> {
 
     fn needs_pixels(&self) -> bool {
         (**self).needs_pixels()
+    }
+
+    fn resume_from(&self, frame: u32) -> u32 {
+        (**self).resume_from(frame)
     }
 
     fn detect(

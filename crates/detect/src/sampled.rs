@@ -67,6 +67,11 @@ impl<D: Detector> Detector for SampledDetector<D> {
         self.inner.needs_pixels()
     }
 
+    /// The last sampled frame: a skipped frame replays its boxes.
+    fn resume_from(&self, frame: u32) -> u32 {
+        frame - frame % self.stride
+    }
+
     fn detect(
         &mut self,
         frame_idx: u32,

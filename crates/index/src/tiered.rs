@@ -903,16 +903,7 @@ impl TieredIndex {
             &[],
             &self.label_names,
         );
-        let id = self.next_run_id;
-        let final_path = self.dir.join(run_file_name(id));
-        let tmp_path = self
-            .dir
-            .join(format!("{}{}", run_file_name(id), TMP_SUFFIX));
-        self.io.write(&tmp_path, &bytes)?;
-        self.io.rename(&tmp_path, &final_path)?;
-        self.io.sync_dir(&self.dir)?;
-        let run = Run::parse(id, final_path, &bytes)?;
-        self.next_run_id += 1;
+        let run = self.publish_run(&bytes)?;
         self.runs.push(run);
         self.mem.clear();
         self.detections_flushed = detections_cum;
@@ -925,6 +916,34 @@ impl TieredIndex {
             "Semantic-index memtable flushes: WAL truncations after a run was made durable.",
         )
         .inc();
+        Ok(())
+    }
+
+    /// Publishes `bytes` as the next run: written under a temp name,
+    /// renamed into place (the commit point), the directory synced, then
+    /// parsed back.
+    fn publish_run(&mut self, bytes: &[u8]) -> IndexResult<Run> {
+        let id = self.next_run_id;
+        let final_path = self.dir.join(run_file_name(id));
+        let tmp_path = self
+            .dir
+            .join(format!("{}{}", run_file_name(id), TMP_SUFFIX));
+        self.io.write(&tmp_path, bytes)?;
+        self.io.rename(&tmp_path, &final_path)?;
+        self.io.sync_dir(&self.dir)?;
+        let run = Run::parse(id, final_path, bytes)?;
+        self.next_run_id += 1;
+        Ok(run)
+    }
+
+    /// Inserts one record into the memtable and buffers its WAL record; at
+    /// the memtable limit, [`SemanticIndex::flush`]es.
+    fn insert(&mut self, opseq: u64, key: RecordKey, value: Rect) -> IndexResult<()> {
+        self.mem.insert(key, value);
+        self.wal_buf.push(WalRecord::Insert { opseq, key, value });
+        if self.mem.len() >= self.memtable_limit {
+            self.flush()?;
+        }
         Ok(())
     }
 
@@ -958,16 +977,7 @@ impl TieredIndex {
             }
             let dict = dict.to_vec();
             let bytes = encode_run(&merged, max_opseq, detections_cum, &inputs, &dict);
-            let id = self.next_run_id;
-            let final_path = self.dir.join(run_file_name(id));
-            let tmp_path = self
-                .dir
-                .join(format!("{}{}", run_file_name(id), TMP_SUFFIX));
-            self.io.write(&tmp_path, &bytes)?;
-            self.io.rename(&tmp_path, &final_path)?; // commit point
-            self.io.sync_dir(&self.dir)?;
-            let run = Run::parse(id, final_path, &bytes)?;
-            self.next_run_id += 1;
+            let run = self.publish_run(&bytes)?;
             // Delete superseded inputs (recovery redoes this if we crash).
             for i in victims.iter().rev() {
                 let victim = self.runs.remove(*i);
@@ -1099,19 +1109,8 @@ impl SemanticIndex for TieredIndex {
         let label_id = self.intern(label);
         let opseq = self.next_opseq();
         let key = RecordKey::new(video, label_id, frame, (opseq & 0xFFFF_FFFF) as u32);
-        self.mem.insert(key, bbox);
         self.detections_mem += 1;
-        self.wal_buf.push(WalRecord::Insert {
-            opseq,
-            key,
-            value: bbox,
-        });
-        if self.mem.len() >= self.memtable_limit {
-            self.append_wal()?;
-            self.flush_memtable_to_run()?;
-            self.maybe_compact()?;
-        }
-        Ok(())
+        self.insert(opseq, key, bbox)
     }
 
     fn query(
@@ -1186,15 +1185,7 @@ impl SemanticIndex for TieredIndex {
         // Idempotent: seq 0 means re-marking overwrites the same key.
         let opseq = self.next_opseq();
         let key = RecordKey::new(video, PROCESSED_LABEL, frame, 0);
-        let value = Rect::new(0, 0, 0, 0);
-        self.mem.insert(key, value);
-        self.wal_buf.push(WalRecord::Insert { opseq, key, value });
-        if self.mem.len() >= self.memtable_limit {
-            self.append_wal()?;
-            self.flush_memtable_to_run()?;
-            self.maybe_compact()?;
-        }
-        Ok(())
+        self.insert(opseq, key, Rect::new(0, 0, 0, 0))
     }
 
     fn processed_count(&mut self, video: u32, frames: Range<u32>) -> IndexResult<u32> {

@@ -2,8 +2,8 @@
 //!
 //! Workers append an [`Observation`] per completed (query, label) to a
 //! backlog; this single low-priority thread drains it and feeds the
-//! observations to the configured incremental policy
-//! (`Tasm::observe_regret` / `Tasm::observe_more`). Re-tiles triggered here
+//! observations to the configured incremental policy through
+//! `Tasm::observe`. Re-tiles triggered here
 //! never queue behind scans: a re-tile commits a new MVCC layout epoch
 //! immediately, while in-flight queries keep reading the epoch they pinned
 //! at plan time — queries keep their bit-exact guarantee and the layout
@@ -20,7 +20,7 @@
 //! not take the daemon down; nor does one that panics, which is counted
 //! the same way and logged as `retile.panicked`.
 
-use crate::service::{RetilePolicy, Shared};
+use crate::service::Shared;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -60,92 +60,60 @@ pub(crate) fn daemon_loop(shared: &Shared) {
 /// as is), so the daemon goes on with the next observation.
 pub(crate) fn process_observations(shared: &Shared, batch: Vec<Observation>) {
     for obs in batch {
-        let observe = || match shared.cfg.retile {
-            RetilePolicy::Off => None,
-            RetilePolicy::Regret => Some(shared.tasm.observe_regret(
-                &obs.video,
-                &obs.label,
-                obs.frames.clone(),
-            )),
-            RetilePolicy::More => Some(shared.tasm.observe_more(
-                &obs.video,
-                &obs.label,
-                obs.frames.clone(),
-            )),
+        let failed = |event: &str, error: String| {
+            shared.stats.retile_errors.fetch_add(1, Ordering::Relaxed);
+            let fields = [
+                ("video", obs.video.clone()),
+                ("label", obs.label.clone()),
+                ("error", error),
+            ];
+            tasm_obs::log::error(event, &fields);
         };
-        let outcome = match catch_unwind(AssertUnwindSafe(observe)) {
-            Ok(Some(outcome)) => outcome,
-            Ok(None) => continue,
+        let (video, label, policy) = (&obs.video, &obs.label, shared.cfg.retile);
+        let observe = || {
+            shared
+                .tasm
+                .observe(video, policy, label, obs.frames.clone())
+        };
+        let stats = match catch_unwind(AssertUnwindSafe(observe)) {
+            Ok(Ok(stats)) => stats,
+            Ok(Err(e)) => {
+                failed("retile.failed", e.to_string());
+                continue;
+            }
             Err(panic) => {
-                shared.stats.retile_errors.fetch_add(1, Ordering::Relaxed);
                 let what = panic
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_default();
-                tasm_obs::log::error(
-                    "retile.panicked",
-                    &[
-                        ("video", obs.video.clone()),
-                        ("label", obs.label.clone()),
-                        ("error", what),
-                    ],
-                );
+                failed("retile.panicked", what);
                 continue;
             }
         };
-        match outcome {
-            Ok(stats) => {
-                if stats.encode.bytes_produced > 0 {
-                    // Replication hook before the op is counted: the
-                    // re-tile is only reported durable once every backup
-                    // acked the new layout epoch.
-                    let replicated = match &shared.hook {
-                        Some(hook) => match hook.retiled(&obs.video) {
-                            Ok(()) => true,
-                            Err(e) => {
-                                tasm_obs::log::error(
-                                    "retile.replication_failed",
-                                    &[("video", obs.video.clone()), ("error", e)],
-                                );
-                                false
-                            }
-                        },
-                        None => true,
-                    };
-                    if replicated {
-                        shared.stats.retile_ops.fetch_add(1, Ordering::Relaxed);
-                        if tasm_obs::enabled() {
-                            tasm_obs::counter(
-                                "tasm_retile_commits_total",
-                                "Background re-tiles committed (and replicated, when backups are configured).",
-                            )
-                            .inc();
-                        }
-                        tasm_obs::log::debug(
-                            "retile.committed",
-                            &[
-                                ("video", obs.video.clone()),
-                                ("label", obs.label.clone()),
-                                ("bytes", stats.encode.bytes_produced.to_string()),
-                            ],
-                        );
-                    } else {
-                        shared.stats.retile_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            Err(e) => {
-                shared.stats.retile_errors.fetch_add(1, Ordering::Relaxed);
-                tasm_obs::log::error(
-                    "retile.failed",
-                    &[
-                        ("video", obs.video.clone()),
-                        ("label", obs.label.clone()),
-                        ("error", e.to_string()),
-                    ],
-                );
-            }
+        if stats.encode.bytes_produced == 0 {
+            continue;
         }
+        // Replication hook before the op is counted: the re-tile is only
+        // reported durable once every backup acked the new layout epoch.
+        if let Some(Err(e)) = shared.hook.as_ref().map(|hook| hook.retiled(video)) {
+            let fields = [("video", video.clone()), ("error", e)];
+            tasm_obs::log::error("retile.replication_failed", &fields);
+            shared.stats.retile_errors.fetch_add(1, Ordering::Relaxed);
+            continue;
+        }
+        shared.stats.retile_ops.fetch_add(1, Ordering::Relaxed);
+        if tasm_obs::enabled() {
+            tasm_obs::counter(
+                "tasm_retile_commits_total",
+                "Background re-tiles committed (and replicated, when backups are configured).",
+            )
+            .inc();
+        }
+        let bytes = stats.encode.bytes_produced.to_string();
+        tasm_obs::log::debug(
+            "retile.committed",
+            &[("video", obs.video), ("label", obs.label), ("bytes", bytes)],
+        );
     }
 }

@@ -26,8 +26,8 @@
 //!                        │ observations (video, label, window)
 //!                        ▼
 //!                 retile daemon (1 low-priority thread)
-//!                 drains the backlog, runs observe_regret /
-//!                 observe_more, re-tiles when η·R(s,L) is exceeded
+//!                 drains the backlog through Tasm::observe,
+//!                 re-tiles when the policy says so
 //! ```
 //!
 //! Three properties make this safe and fast:
@@ -118,8 +118,9 @@ mod service;
 mod stats;
 
 pub use service::{
-    QueryHandle, QueryOutcome, QueryRequest, QueryService, RetileHook, RetilePolicy, ServiceConfig,
-    ServiceError, Shutdown, ShutdownReport,
+    QueryHandle, QueryOutcome, QueryRequest, QueryService, RetileHook, ServiceConfig, ServiceError,
+    Shutdown, ShutdownReport,
 };
 pub use stats::ServiceStats;
+pub use tasm_core::RetilePolicy;
 pub use tasm_obs::HistogramSnapshot;

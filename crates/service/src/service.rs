@@ -8,22 +8,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tasm_core::{recycle_canvases, CanvasPool, Query, ScanResult, Tasm, TasmError};
+use tasm_core::{recycle_canvases, CanvasPool, Query, RetilePolicy, ScanResult, Tasm, TasmError};
 use tasm_obs::sync;
-
-/// Which incremental layout policy the background daemon applies to
-/// completed queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetilePolicy {
-    /// No background re-tiling.
-    Off,
-    /// The §4.4 regret policy (`Tasm::observe_regret`): accumulate regret
-    /// per alternative layout and re-tile once it exceeds `η · R(s, L)`.
-    Regret,
-    /// The "incremental, more" policy (`Tasm::observe_more`): re-tile as
-    /// soon as a query for a new object class arrives.
-    More,
-}
 
 /// Service configuration.
 #[derive(Debug, Clone, Copy)]

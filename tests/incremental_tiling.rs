@@ -250,6 +250,97 @@ fn regret_state_after_a_fixed_sequence_is_pinned() {
     );
 }
 
+/// FNV-1a over every tile rectangle of each SOT's current layout.
+fn layout_digests(tasm: &Tasm) -> Vec<u64> {
+    let manifest = tasm.manifest("v").unwrap();
+    let digest = |sot: &tasm_core::SotEntry| {
+        let words = sot.layout.tiles().flat_map(|(_, r)| [r.x, r.y, r.w, r.h]);
+        let bytes: Vec<u8> = words.flat_map(u32::to_le_bytes).collect();
+        bytes.iter().fold(0xcbf29ce484222325u64, |acc, &b| {
+            (acc ^ u64::from(b)).wrapping_mul(0x100000001b3)
+        })
+    };
+    manifest.sots.iter().map(digest).collect()
+}
+
+/// The incremental-more and KQKO decisions for a fixed sequence, pinned:
+/// labels arrive late (one with no detections at all), windows repeat and
+/// span SOTs, and each SOT re-tiles only when a label new to it arrives.
+/// KQKO then pre-tiles a fresh twin around both classes. Each SOT's layout
+/// epoch, its tile rectangles and the bytes encoded must not move however
+/// the policy state is stored.
+#[test]
+fn more_and_kqko_decisions_after_a_fixed_sequence_are_pinned() {
+    let video = scene(320, 192, 40, 21);
+    let dir = TempDir::new("inc-more-pinned");
+    let tasm = small_tasm(&dir, 1.0);
+    ingest(&tasm, "v", &video);
+    let steps = [
+        ("car", 0, 10),
+        ("car", 0, 10),
+        ("car", 5, 15),
+        ("dog", 0, 10),
+        ("person", 0, 10),
+        ("person", 5, 25),
+        ("car", 12, 30),
+        ("car", 0, 10),
+        ("person", 30, 40),
+        ("car", 28, 40),
+    ];
+    let mut bytes = 0;
+    for _ in 0..2 {
+        for (label, a, b) in steps {
+            bytes += tasm
+                .observe_more("v", label, a..b)
+                .unwrap()
+                .encode
+                .bytes_produced;
+        }
+    }
+    let epochs = |tasm: &Tasm| -> Vec<u32> {
+        let manifest = tasm.manifest("v").unwrap();
+        manifest.sots.iter().map(|s| s.retile_count).collect()
+    };
+    assert_eq!(
+        (epochs(&tasm), layout_digests(&tasm), bytes),
+        (
+            vec![2, 2, 2, 2],
+            vec![
+                8255006162904382805,
+                13069553821341355589,
+                6913416674475766314,
+                6361625537437144389
+            ],
+            184162
+        ),
+        "incremental-more: per-SOT epochs, tile digests, bytes encoded"
+    );
+
+    let twin_dir = TempDir::new("inc-kqko-pinned");
+    let twin = small_tasm(&twin_dir, 1.0);
+    ingest(&twin, "v", &video);
+    let objects = ["car".to_string(), "person".to_string()];
+    let bytes = twin
+        .kqko_retile_all("v", &objects)
+        .unwrap()
+        .encode
+        .bytes_produced;
+    assert_eq!(
+        (epochs(&twin), layout_digests(&twin), bytes),
+        (
+            vec![1, 1, 1, 1],
+            vec![
+                8255006162904382805,
+                13069553821341355589,
+                6913416674475766314,
+                6361625537437144389
+            ],
+            91999
+        ),
+        "KQKO: per-SOT epochs, tile digests, bytes encoded"
+    );
+}
+
 /// After the regret policy re-tiles, scans still return exactly the same
 /// regions (correctness is preserved across physical reorganization).
 #[test]
