@@ -1,7 +1,9 @@
 //! Figure 10 — the not-tiling decision rule.
 //!
 //! Scatter of measured query-time improvement against the estimated pixel
-//! ratio `P(v,q,L) / P(v,q,ω)` over many (video, object, layout) points.
+//! ratio `P(v,q,L) / P(v,q,ω)` over many (video, object, layout) points,
+//! each `P` priced as the layout policy's α rule prices it
+//! (`estimate_work`, summed over the SOTs).
 //! Paper finding: thresholding at α = 0.8 captures nearly every layout that
 //! would slow queries down; the few improvements forfeited above the
 //! threshold are small (< 20%).
@@ -13,8 +15,9 @@ use tasm_bench::{
     improvement_pct, micro_partition, scaled_secs, table_header, write_result, BenchVideo,
 };
 use tasm_codec::TileLayout;
-use tasm_core::{partition, Granularity};
+use tasm_core::{estimate_work, partition, Granularity};
 use tasm_data::Dataset;
+use tasm_index::Detection;
 use tasm_video::Rect;
 
 #[derive(Serialize)]
@@ -59,28 +62,22 @@ fn main() {
         let tag = format!("fig10-{}-{seed}", ds.name());
         let mut bv = BenchVideo::prepare(ds, duration, seed, &tag);
         let (w, h) = (bv.video.spec().width, bv.video.spec().height);
+        let (omega, gop_len) = (TileLayout::untiled(w, h), bv.tasm.config().storage.gop_len);
         let untiled = bv.time_select(object).seconds;
         let all = bv.video.labels();
 
         // Layout suite: object layouts (same/different/all, fine+coarse) and
         // uniform grids — a spread of good and bad choices.
-        let mut suite: Vec<(String, Vec<&str>, Option<TileLayout>)> = vec![
+        let uniform = |n| Some(TileLayout::uniform(w, h, n, n).expect("uniform"));
+        let suite: Vec<(String, Vec<&str>, Option<TileLayout>)> = vec![
             ("same/fine".into(), vec![object], None),
             ("same/coarse".into(), vec![object], None),
             ("different/fine".into(), vec![other], None),
             ("different/coarse".into(), vec![other], None),
             ("all/fine".into(), all.clone(), None),
+            ("uniform3x3".into(), vec![], uniform(3)),
+            ("uniform5x5".into(), vec![], uniform(5)),
         ];
-        suite.push((
-            "uniform3x3".into(),
-            vec![],
-            Some(TileLayout::uniform(w, h, 3, 3).expect("uniform")),
-        ));
-        suite.push((
-            "uniform5x5".into(),
-            vec![],
-            Some(TileLayout::uniform(w, h, 5, 5).expect("uniform")),
-        ));
 
         for (name, labels, fixed) in suite {
             let granularity = if name.contains("coarse") {
@@ -88,53 +85,35 @@ fn main() {
             } else {
                 Granularity::Fine
             };
-            // Apply per-SOT layouts, tracking the estimated pixel ratio of
-            // the whole query under the applied layouts.
-            let mut ratio_num = 0.0f64;
-            let mut ratio_den = 0.0f64;
+            // Apply per-SOT layouts, pricing the query for the object under
+            // each as the α rule does, and under ω: the estimated pixel
+            // ratio of the whole query is the ratio of the sums.
+            let (mut tiled, mut omega_px) = (0u64, 0u64);
             bv.apply_layout(|video, frames| {
                 let layout = match &fixed {
                     Some(l) => l.clone(),
                     None => {
-                        let boxes: Vec<Rect> = frames
-                            .clone()
-                            .flat_map(|f| {
-                                video
-                                    .ground_truth(f)
-                                    .into_iter()
-                                    .filter(|(l, _)| labels.contains(l))
-                                    .map(|(_, b)| b)
-                            })
-                            .collect();
+                        let truth = frames.clone().flat_map(|f| video.ground_truth(f));
+                        let boxes = truth.filter(|(l, _)| labels.contains(l)).map(|(_, b)| b);
+                        let boxes: Vec<Rect> = boxes.collect();
                         partition(w, h, &boxes, &micro_partition(granularity))
                     }
                 };
-                // Pixel ratio for the *query* object under this layout.
-                let qboxes: Vec<Rect> = frames
-                    .clone()
-                    .flat_map(|f| video.ground_truth_for(f, object))
-                    .collect();
-                let mut needed = vec![false; layout.tile_count() as usize];
-                for b in &qboxes {
-                    for t in layout.tiles_intersecting(b) {
-                        needed[t as usize] = true;
-                    }
+                let mut dets = Vec::new();
+                for frame in frames.clone() {
+                    let boxes = video.ground_truth_for(frame, object);
+                    dets.extend(boxes.into_iter().map(|bbox| Detection { frame, bbox }));
                 }
-                let covered: u64 = layout
-                    .tiles()
-                    .filter(|(i, _)| needed[*i as usize])
-                    .map(|(_, r)| r.area())
-                    .sum();
-                if !qboxes.is_empty() {
-                    ratio_num += covered as f64;
-                    ratio_den += (w as u64 * h as u64) as f64;
-                }
+                let price = |l: &TileLayout| {
+                    estimate_work(l, &dets, frames.clone(), frames.start, gop_len).pixels
+                };
+                tiled += price(&layout);
+                omega_px += price(&omega);
                 Some(layout)
             });
-            let ratio = if ratio_den > 0.0 {
-                ratio_num / ratio_den
-            } else {
-                1.0
+            let ratio = match omega_px {
+                0 => 1.0,
+                px => tiled as f64 / px as f64,
             };
             points.push(Point {
                 dataset: ds.name(),
@@ -146,18 +125,10 @@ fn main() {
         }
     }
 
-    let hurting_rejected = points
-        .iter()
-        .filter(|p| p.improvement_pct < 0.0 && p.pixel_ratio > alpha)
-        .count();
-    let hurting_accepted = points
-        .iter()
-        .filter(|p| p.improvement_pct < 0.0 && p.pixel_ratio <= alpha)
-        .count();
-    let helping_rejected = points
-        .iter()
-        .filter(|p| p.improvement_pct > 0.0 && p.pixel_ratio > alpha)
-        .count();
+    let count = |f: &dyn Fn(&Point) -> bool| points.iter().filter(|p| f(p)).count();
+    let hurting_rejected = count(&|p| p.improvement_pct < 0.0 && p.pixel_ratio > alpha);
+    let hurting_accepted = count(&|p| p.improvement_pct < 0.0 && p.pixel_ratio <= alpha);
+    let helping_rejected = count(&|p| p.improvement_pct > 0.0 && p.pixel_ratio > alpha);
     let max_forfeited = points
         .iter()
         .filter(|p| p.pixel_ratio > alpha)

@@ -219,15 +219,6 @@ impl TileLayout {
         }
         false
     }
-
-    /// Total pixels (luma) that must be decoded to recover `region`:
-    /// the summed area of every tile overlapping it.
-    pub fn covered_area(&self, region: &Rect) -> u64 {
-        self.tiles_intersecting(region)
-            .iter()
-            .map(|&i| self.tile_rect_by_index(i).area())
-            .sum()
-    }
 }
 
 /// Index range `[first, last)` of grid cells overlapping `[lo, hi)`.
@@ -375,14 +366,6 @@ mod tests {
         assert!(!l.boundary_intersects(&Rect::new(0, 0, 160, 80))); // exactly tile 0
         assert!(!l.boundary_intersects(&Rect::new(170, 90, 20, 20))); // inside tile 3
         assert!(!TileLayout::untiled(320, 160).boundary_intersects(&Rect::new(0, 0, 320, 160)));
-    }
-
-    #[test]
-    fn covered_area_counts_whole_tiles() {
-        let l = TileLayout::uniform(320, 160, 2, 2).unwrap();
-        // A 10x10 region inside one 160x80 tile costs the whole tile.
-        assert_eq!(l.covered_area(&Rect::new(0, 0, 10, 10)), 160 * 80);
-        assert_eq!(l.covered_area(&Rect::new(150, 70, 20, 20)), 320 * 160);
     }
 
     #[test]

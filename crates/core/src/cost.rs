@@ -9,21 +9,37 @@
 //! the `fit_cost_model` harness binary), and the defaults below come from
 //! running it on the reference machine.
 //!
+//! [`estimate_work`] counts `P` and `T` as the read plan of the query's boxes
+//! under `L` (`plan::ReadPlan`) decodes them: what [`crate::Tasm::query`]
+//! decodes without a cache, whose [`DecodeStats`] convert to a [`Work`].
+//!
 //! Re-encoding cost `R(s, L)` is likewise "estimated using a linear model
 //! based on the number of pixels being encoded" (§5.3).
 
-use crate::plan::box_tiles;
+use crate::plan::ReadPlan;
 use serde::{Deserialize, Serialize};
-use tasm_codec::TileLayout;
+use std::collections::BTreeMap;
+use tasm_codec::{DecodeStats, TileLayout};
 use tasm_index::Detection;
+use tasm_video::Rect;
 
-/// Decode work predicted for a query under some layout.
+/// Decode work, predicted for a query under some layout or counted by the
+/// decoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Work {
     /// Samples decoded (luma + chroma), the paper's `P`.
     pub pixels: u64,
     /// Tile chunks decoded (tiles × frames), the paper's `T`.
     pub tile_chunks: u64,
+}
+
+impl From<&DecodeStats> for Work {
+    fn from(stats: &DecodeStats) -> Self {
+        Work {
+            pixels: stats.samples_decoded,
+            tile_chunks: stats.tile_chunks_decoded,
+        }
+    }
 }
 
 /// The fitted query cost model `C = β·P + γ·T`.
@@ -173,12 +189,9 @@ pub fn fit_linear(samples: &[WorkSample]) -> FitResult {
     FitResult { beta, gamma, r2 }
 }
 
-/// Estimates the decode work for a query under a layout.
-///
-/// `detections` are the boxes the query must return within the SOT (already
-/// filtered to the query's frame window). Decoding starts at the GOP
-/// boundary at or before the first requested frame, so warm-up frames are
-/// charged, exactly as the real decoder behaves.
+/// Estimates the decode work of a query whose boxes on `query_frames` are
+/// `detections`, in the SOT that starts at `sot_start`, were that SOT laid
+/// out as `layout`: what the query's read plan decodes without a cache.
 pub fn estimate_work(
     layout: &TileLayout,
     detections: &[Detection],
@@ -186,37 +199,12 @@ pub fn estimate_work(
     sot_start: u32,
     gop_len: u32,
 ) -> Work {
-    if detections.is_empty() || query_frames.is_empty() {
-        return Work::default();
-    }
-    // Tiles that must be decoded: every tile a requested box touches, by
-    // the read planner's rule.
-    let mut needed = vec![false; layout.tile_count() as usize];
-    let (w, h) = (layout.frame_width(), layout.frame_height());
+    let mut regions: BTreeMap<u32, Vec<Rect>> = BTreeMap::new();
     for d in detections {
-        for t in box_tiles(layout, &d.bbox, w, h).1 {
-            needed[t as usize] = true;
-        }
+        regions.entry(d.frame).or_default().push(d.bbox);
     }
-    let tile_area: u64 = layout
-        .tiles()
-        .filter(|(i, _)| needed[*i as usize])
-        .map(|(_, r)| r.area())
-        .sum();
-    let tiles: u64 = needed.iter().filter(|&&n| n).count() as u64;
-    if tiles == 0 {
-        return Work::default();
-    }
-    // Frames decoded: from the GOP boundary preceding the window's start
-    // (relative to the SOT) through the window's end.
-    let rel_start = query_frames.start.saturating_sub(sot_start);
-    let warmup_start = rel_start / gop_len.max(1) * gop_len.max(1);
-    let frames = (query_frames.end.saturating_sub(sot_start)).saturating_sub(warmup_start) as u64;
-    Work {
-        // Samples = luma area × 3/2 for 4:2:0 chroma.
-        pixels: frames * tile_area * 3 / 2,
-        tile_chunks: frames * tiles,
-    }
+    let size = (layout.frame_width(), layout.frame_height());
+    ReadPlan::for_layout(sot_start, query_frames, layout, size, &regions).work(gop_len)
 }
 
 /// `P(s, q, L) / P(s, q, ω)` — the pixel ratio behind the not-tiling rule
@@ -231,10 +219,9 @@ pub fn pixel_ratio(
     let omega = TileLayout::untiled(layout.frame_width(), layout.frame_height());
     let tiled = estimate_work(layout, detections, query_frames.clone(), sot_start, gop_len);
     let untiled = estimate_work(&omega, detections, query_frames, sot_start, gop_len);
-    if untiled.pixels == 0 {
-        1.0
-    } else {
-        tiled.pixels as f64 / untiled.pixels as f64
+    match untiled.pixels {
+        0 => 1.0,
+        p => tiled.pixels as f64 / p as f64,
     }
 }
 
@@ -299,9 +286,10 @@ mod tests {
     #[test]
     fn untiled_work_charges_whole_frames() {
         let l = TileLayout::untiled(640, 352);
+        // A box on frame 5 decodes the whole frame from keyframe 0: 6 frames.
         let w = estimate_work(&l, &[det(5, 100, 100)], 0..30, 0, 30);
-        assert_eq!(w.tile_chunks, 30);
-        assert_eq!(w.pixels, 30 * 640 * 352 * 3 / 2);
+        assert_eq!(w.tile_chunks, 6);
+        assert_eq!(w.pixels, 6 * 640 * 352 * 3 / 2);
     }
 
     #[test]
@@ -309,16 +297,16 @@ mod tests {
         let l = TileLayout::uniform(640, 352, 2, 2).unwrap();
         // One box fully inside the top-left tile.
         let w = estimate_work(&l, &[det(0, 10, 10)], 0..30, 0, 30);
-        assert_eq!(w.tile_chunks, 30);
-        assert_eq!(w.pixels, 30 * (320 * 176) * 3 / 2);
+        assert_eq!(w.tile_chunks, 1);
+        assert_eq!(w.pixels, (320 * 176) * 3 / 2);
         // Box straddling all four tiles.
         let center = Detection {
             frame: 0,
             bbox: Rect::new(300, 160, 40, 40),
         };
         let w = estimate_work(&l, &[center], 0..30, 0, 30);
-        assert_eq!(w.tile_chunks, 120);
-        assert_eq!(w.pixels, 30 * (640 * 352) * 3 / 2);
+        assert_eq!(w.tile_chunks, 4);
+        assert_eq!(w.pixels, (640 * 352) * 3 / 2);
     }
 
     /// A zero-width box at an odd x is priced at the tile the executor
@@ -331,18 +319,17 @@ mod tests {
             bbox: Rect::new(333, 17, 0, 20),
         };
         let w = estimate_work(&l, &[sliver], 0..30, 0, 30);
-        assert_eq!(w.tile_chunks, 30);
-        assert_eq!(w.pixels, 30 * (320 * 176) * 3 / 2);
+        assert_eq!(w.tile_chunks, 1);
+        assert_eq!(w.pixels, (320 * 176) * 3 / 2);
     }
 
     #[test]
     fn warmup_frames_are_charged() {
         let l = TileLayout::untiled(640, 352);
-        // SOT starts at frame 100, GOP 30. Query 115..125 must decode from
-        // frame 110 (local 10 is inside GOP starting at local 0 — wait,
-        // local start = 15, GOP boundary at 0). Frames decoded: 0..25 = 25.
+        // SOT starts at frame 100, GOP 30. A box on frame 115 (local 15)
+        // decodes from the GOP boundary at local 0: local frames 0..16.
         let w = estimate_work(&l, &[det(115, 0, 0)], 115..125, 100, 30);
-        assert_eq!(w.tile_chunks, 25);
+        assert_eq!(w.tile_chunks, 16);
     }
 
     #[test]

@@ -286,7 +286,7 @@ pub(crate) fn check_tile(
     Ok(found)
 }
 
-/// The read path: every read of a stored tile goes through a [`PackReader`].
+/// The read path: every read of a stored tile goes through a `PackReader`.
 impl VideoStore {
     /// Reads one tile of one SOT: the pack's table, then that tile's bytes
     /// and no other's. A container that does not fit its slot in

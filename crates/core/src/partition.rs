@@ -260,7 +260,11 @@ mod tests {
         assert_ne!(t0, t1, "distant boxes should land in different tiles");
         // Fine layout decodes fewer pixels for box 0 than coarse.
         let lc = partition(W, H, &boxes, &coarse());
-        assert!(l.covered_area(&boxes[0]) < lc.covered_area(&boxes[0]));
+        let covered = |l: &TileLayout| -> u64 {
+            let tiles = l.tiles_intersecting(&boxes[0]);
+            tiles.iter().map(|&t| l.tile_rect_by_index(t).area()).sum()
+        };
+        assert!(covered(&l) < covered(&lc));
     }
 
     #[test]

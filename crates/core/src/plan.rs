@@ -1,12 +1,14 @@
 //! The read plan: `Scan` (§3.1) maps each box to the tiles of its SOT and
 //! decodes only those, and [`ReadPlan`] is that mapping, made once. A box
 //! touches the tiles of its rectangle aligned outward to even edges
-//! ([`box_tiles`], the cost model's rule too), the rectangle its canvas
-//! covers. Scan reads the plan whole ([`ReadPlan::whole_reads`]); a query
-//! reads the GOP runs of a plan of the boxes it keeps
-//! ([`ReadPlan::gop_reads`]) and derives its [`PlanStats`] against the
-//! unfiltered plan ([`ReadPlan::stats`]).
+//! ([`box_tiles`]), the rectangle its canvas covers. Scan reads the plan
+//! whole ([`ReadPlan::whole_reads`]); a query reads the GOP runs of a plan
+//! of the boxes it keeps ([`ReadPlan::gop_reads`]) and derives its
+//! [`PlanStats`] against the unfiltered plan ([`ReadPlan::stats`]). The
+//! cost model prices a query under a candidate layout as the decode work of
+//! those GOP runs ([`ReadPlan::for_layout`], [`ReadPlan::work`]).
 
+use crate::cost::Work;
 use crate::exec::{PlanStats, TileDecodeRequest};
 use crate::storage::VideoManifest;
 use std::collections::BTreeMap;
@@ -25,15 +27,16 @@ pub(crate) struct Slot {
 }
 
 /// What one SOT reads.
-struct SotReads {
+struct SotReads<'a> {
     sot_idx: usize,
+    layout: &'a TileLayout,
     /// Local frames from the first with a box to the last, any box.
     span: Range<u32>,
     /// Per tile, the local frames whose boxes touch it, ascending.
     frames: Vec<Vec<u32>>,
 }
 
-impl SotReads {
+impl SotReads<'_> {
     /// The tiles read, ascending, with their frames.
     fn tiles(&self) -> impl Iterator<Item = (u32, &[u32])> {
         let tiles = (0u32..).zip(&self.frames);
@@ -42,58 +45,79 @@ impl SotReads {
 }
 
 /// The tiles a set of boxes reads, and the regions it composes.
-pub(crate) struct ReadPlan {
+#[derive(Default)]
+pub(crate) struct ReadPlan<'a> {
     /// Each SOT with a tile to read, ascending.
-    sots: Vec<SotReads>,
+    sots: Vec<SotReads<'a>>,
     /// In output order: frame, then box.
     pub slots: Vec<Slot>,
 }
 
-impl ReadPlan {
+impl<'a> ReadPlan<'a> {
     /// Plans `regions` (frame → boxes) on the SOTs overlapping `frames`.
     pub(crate) fn new(
-        manifest: &VideoManifest,
+        manifest: &'a VideoManifest,
         regions: &BTreeMap<u32, Vec<Rect>>,
         frames: Range<u32>,
     ) -> Self {
-        let (mut sots, mut slots) = (Vec::new(), Vec::new());
+        let mut plan = ReadPlan::default();
         for sot_idx in manifest.sots_for_range(frames) {
-            let sot = &manifest.sots[sot_idx];
-            let mut boxes = regions.range(sot.start..sot.end).peekable();
-            let Some((&first, _)) = boxes.peek() else {
-                continue;
-            };
-            let mut reads = SotReads {
-                sot_idx,
-                span: first - sot.start..first - sot.start,
-                frames: vec![Vec::new(); sot.layout.tile_count() as usize],
-            };
-            for (&frame, rects) in boxes {
-                let local = frame - sot.start;
-                reads.span.end = local + 1;
-                for &rect in rects {
-                    let (aligned, tiles) =
-                        box_tiles(&sot.layout, &rect, manifest.width, manifest.height);
-                    for t in tiles {
-                        let frames = &mut reads.frames[t as usize];
-                        if frames.last() != Some(&local) {
-                            frames.push(local);
-                        }
-                    }
-                    if !aligned.is_empty() {
-                        slots.push(Slot {
-                            frame,
-                            rect,
-                            aligned,
-                        });
+            let (sot, size) = (&manifest.sots[sot_idx], (manifest.width, manifest.height));
+            let mut one = ReadPlan::for_layout(sot.start, sot.frames(), &sot.layout, size, regions);
+            for reads in &mut one.sots {
+                reads.sot_idx = sot_idx;
+            }
+            plan.sots.append(&mut one.sots);
+            plan.slots.append(&mut one.slots);
+        }
+        plan
+    }
+
+    /// Plans the boxes of `regions` on `frames` as the SOT that starts at
+    /// `sot_start` reads them under `layout` of a `w`×`h` frame, whatever
+    /// layout the SOT has: the plan's one SOT is SOT 0.
+    pub(crate) fn for_layout(
+        sot_start: u32,
+        frames: Range<u32>,
+        layout: &'a TileLayout,
+        (w, h): (u32, u32),
+        regions: &BTreeMap<u32, Vec<Rect>>,
+    ) -> Self {
+        let mut plan = ReadPlan::default();
+        let mut boxes = regions.range(frames).peekable();
+        let Some((&first, _)) = boxes.peek() else {
+            return plan;
+        };
+        let mut reads = SotReads {
+            sot_idx: 0,
+            layout,
+            span: first - sot_start..first - sot_start,
+            frames: vec![Vec::new(); layout.tile_count() as usize],
+        };
+        for (&frame, rects) in boxes {
+            let local = frame - sot_start;
+            reads.span.end = local + 1;
+            for &rect in rects {
+                let (aligned, tiles) = box_tiles(layout, &rect, w, h);
+                for t in tiles {
+                    let frames = &mut reads.frames[t as usize];
+                    if frames.last() != Some(&local) {
+                        frames.push(local);
                     }
                 }
-            }
-            if reads.tiles().next().is_some() {
-                sots.push(reads);
+                if !aligned.is_empty() {
+                    plan.slots.push(Slot {
+                        frame,
+                        rect,
+                        aligned,
+                    });
+                }
             }
         }
-        ReadPlan { sots, slots }
+        if reads.tiles().next().is_some() {
+            plan.sots.push(reads);
+        }
+        plan
     }
 
     /// Every planned tile over its SOT's whole span: what scan reads.
@@ -152,6 +176,23 @@ impl ReadPlan {
         stats.gops_skipped = baseline_gops - stats.gops_planned;
         stats
     }
+
+    /// What [`ReadPlan::gop_reads`] decode on a store without a cache:
+    /// each read's tile from the keyframe at or before its first frame (a
+    /// GOP boundary, as every SOT starts on one) through its last.
+    pub(crate) fn work(&self, gop_len: u32) -> Work {
+        let mut work = Work::default();
+        for read in self.gop_reads(gop_len) {
+            let sot = self.sots.iter().find(|s| s.sot_idx == read.sot_idx);
+            let layout = sot.expect("a plan reads only its SOTs").layout;
+            let keyframe = read.local_span.start / gop_len * gop_len;
+            let frames = u64::from(read.local_span.end - keyframe);
+            // Samples are luma × 3/2: 4:2:0 chroma.
+            work.pixels += frames * layout.tile_rect_by_index(read.tile).area() * 3 / 2;
+            work.tile_chunks += frames;
+        }
+        work
+    }
 }
 
 /// A box's reads under `layout` of a `w`×`h` frame: the box aligned outward
@@ -186,10 +227,16 @@ pub(crate) fn gop_count(span: &Range<u32>, gop_len: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::estimate_work;
     use crate::query::{filter_regions, Query};
     use crate::scan::LabelPredicate;
+    use crate::scratch::Scratch;
     use crate::storage::{SotEntry, StorageConfig};
+    use crate::tasm::{Tasm, TasmConfig};
     use proptest::prelude::*;
+    use std::path::Path;
+    use tasm_index::{Detection, MemoryIndex};
+    use tasm_video::{Frame, Plane, VecFrameSource};
 
     #[test]
     fn gop_run_grouping_counts() {
@@ -349,6 +396,105 @@ mod tests {
             prop_assert_eq!(stats.tiles_planned, tiles.len() as u64);
             prop_assert_eq!(stats.tiles_planned + stats.tiles_pruned, whole.len() as u64);
             prop_assert_eq!(stats.gops_planned + stats.gops_skipped, tiles.values().sum::<u64>());
+        }
+    }
+
+    /// Frames in each store [`work_case`] describes, each 64×48 (4×3
+    /// tile units).
+    const WORK_FRAMES: u32 = 40;
+
+    /// A store with GOPs of 1, 5, 10 or 30 frames and SOTs of one or two
+    /// GOPs (at most 30 frames), each SOT under its own uniform or
+    /// non-uniform layout, and "car" tracks of 1 to 12 frames, so boxes on
+    /// a single frame and gaps longer than a GOP both come up.
+    fn work_case() -> impl Strategy<Value = (u32, u32, Vec<u64>, Vec<(u32, Rect)>)> {
+        let track = (
+            0..WORK_FRAMES,
+            1u32..13,
+            (0u32..64, 0u32..52),
+            (0u32..40, 0u32..30),
+        );
+        let tracks = proptest::collection::vec(track, 1..10);
+        let (gops, seeds) = (0usize..4, proptest::collection::vec(any::<u64>(), 40..41));
+        ((gops, 1u32..3), seeds, tracks).prop_map(|((g, m), seeds, tracks)| {
+            let gop_len = [1, 5, 10, 30][g];
+            // 30 is a multiple of every GOP drawn.
+            let sot_frames = (gop_len * m).min(30);
+            let boxes = tracks.into_iter().flat_map(|(start, len, (x, y), (w, h))| {
+                let frames = start..(start + len).min(WORK_FRAMES);
+                frames.map(move |f| (f, Rect::new(x + f % 8, y, w, h)))
+            });
+            (gop_len, sot_frames, seeds, boxes.collect())
+        })
+    }
+
+    /// A store at `dir` that decodes on `workers` threads with no cache.
+    fn open_uncached(dir: &Path, gop_len: u32, sot_frames: u32, workers: usize) -> Tasm {
+        let mut cfg = TasmConfig {
+            workers,
+            cache_bytes: 0,
+            ..TasmConfig::default()
+        };
+        let storage = &mut cfg.storage;
+        (storage.gop_len, storage.sot_frames, storage.parallel_encode) =
+            (gop_len, sot_frames, false);
+        Tasm::open(dir, Box::new(MemoryIndex::in_memory()), cfg).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The cost model prices what a query decodes: per SOT, the work
+        /// `estimate_work` predicts for the label-only query's boxes under
+        /// that SOT's layout sums to the samples and chunks `Tasm::query`
+        /// decodes without a cache, on one worker and on two.
+        #[test]
+        fn estimated_work_is_what_an_uncached_query_decodes(
+            case in work_case(),
+            window in (0u32..45, 0u32..45),
+        ) {
+            let (gop_len, sot_frames, seeds, boxes) = case;
+            let frames = window.0.min(window.1)..window.0.max(window.1);
+            let layout = |seed: u64| match seed & 1 {
+                0 => TileLayout::uniform(64, 48, 1 + (seed >> 1) as u32 % 3, 1 + (seed >> 8) as u32 % 4),
+                _ => TileLayout::new(cut(4, seed >> 1), cut(3, seed >> 20)),
+            };
+            let layouts: Vec<TileLayout> = seeds.iter().map(|&s| layout(s).unwrap()).collect();
+            let mut predicted = Work::default();
+            for (sot_idx, start) in (0..WORK_FRAMES).step_by(sot_frames as usize).enumerate() {
+                let end = (start + sot_frames).min(WORK_FRAMES);
+                let window = frames.start.max(start)..frames.end.min(end);
+                let in_window = boxes.iter().filter(|(f, _)| window.contains(f));
+                let dets: Vec<Detection> =
+                    in_window.map(|&(frame, bbox)| Detection { frame, bbox }).collect();
+                if !window.is_empty() {
+                    let work = estimate_work(&layouts[sot_idx], &dets, window, start, gop_len);
+                    predicted.pixels += work.pixels;
+                    predicted.tile_chunks += work.tile_chunks;
+                }
+            }
+
+            let src = VecFrameSource::new((0..WORK_FRAMES).map(|i| {
+                let mut f = Frame::filled(64, 48, 90, 128, 128);
+                f.set_sample(Plane::Y, i % 64, i % 48, 200);
+                f
+            }).collect());
+            let dir = Scratch::open("plan-work", |dir| dir);
+            let query = Query::new(LabelPredicate::label("car")).frames(frames.clone());
+            for workers in [1, 2] {
+                let tasm = open_uncached(&dir, gop_len, sot_frames, workers);
+                if workers == 1 {
+                    tasm.ingest_with("v", &src, 30, |i, _| layouts[i].clone()).unwrap();
+                } else {
+                    tasm.attach("v").unwrap();
+                }
+                for &(frame, bbox) in &boxes {
+                    tasm.add_metadata("v", "car", frame, bbox).unwrap();
+                }
+                let decoded = Work::from(&tasm.query("v", &query).unwrap().stats);
+                let case = format!("GOP {gop_len}, SOT {sot_frames}, frames {frames:?}, {boxes:?}");
+                prop_assert_eq!(decoded, predicted, "{} workers: {}", workers, case);
+            }
         }
     }
 }

@@ -240,7 +240,7 @@ fn regret_state_after_a_fixed_sequence_is_pinned() {
     #[rustfmt::skip]
     let pinned = [
         Some(0), Some(4566086709318218054), Some(4572727707817136176),
-        Some(0), Some(4560068115493561940), Some(13785610607785265466),
+        Some(0), Some(4563328847292222182), Some(13785610607785265466),
         Some(13788691361619527546), Some(0), Some(13782121431507996400),
         None, None, None,
     ];
