@@ -13,18 +13,18 @@
 //!   writes, renames with the parent directory fsynced). Both are defined
 //!   once, in `tasm_index::io`, and re-exported here;
 //! * [`FaultIo`] — a deterministic fault injector that counts mutating
-//!   operations and fails, torn-writes, or half-removes at the Nth one,
-//!   then behaves as a crashed process (every later operation fails too,
-//!   so no cleanup code can run — exactly like `kill -9`);
+//!   operations and crashes at the Nth one, fail-stop or torn (after which
+//!   every operation fails, so no cleanup code can run — exactly like
+//!   `kill -9`), or fails or panics that one operation alone;
 //! * `classify_entry` — what a video directory's entry is to its manifest:
 //!   what recovery removes and [`VideoStore::fsck`] flags;
 //! * [`RecoveryReport`] / [`FsckReport`] — what startup recovery did and
 //!   what an integrity check found.
 //!
-//! The crash-point sweep in `tests/crash_recovery.rs` crashes ingest,
-//! re-tile and epoch GC at every injectable fault point and asserts that
-//! reopening the store always recovers to exactly one layout epoch of an
-//! uncrashed twin.
+//! `tasm_suite::crash::sweep` crashes every mutating operation of ingest,
+//! re-tile, epoch GC and a manifest save, and of the recovering open after
+//! each crash, and holds the reopened store to a fault-free twin after `k`
+//! of its operations, `k` at least the number acknowledged.
 
 use std::fs;
 use std::io::{self, Write as _};
@@ -49,6 +49,11 @@ pub enum FaultKind {
     /// level (rename, create, single-file remove) degrade to
     /// [`FaultKind::FailStop`].
     TornWrite,
+    /// The operation fails before it runs, and the process lives on: every
+    /// other operation goes through and [`FaultIo::crashed`] stays false.
+    Error,
+    /// As [`FaultKind::Error`], but the operation panics instead.
+    Panic,
 }
 
 /// A deterministic fault-injecting [`StorageIo`] for crash testing.
@@ -59,6 +64,9 @@ pub enum FaultKind {
 /// operation, reads and cleanup removals included, fails — so error paths
 /// cannot tidy up, exactly as if the process had been killed. The test
 /// harness then reopens the directory with [`RealIo`] and checks recovery.
+/// [`FaultKind::Error`] and [`FaultKind::Panic`] stop the one operation
+/// instead. Every write that completes persists with its directory entry:
+/// the loss of entries never synced, as at a power cut, is not modelled.
 ///
 /// ```no_run
 /// # use std::sync::{Arc, Mutex};
@@ -121,11 +129,18 @@ impl FaultIo {
             return Err(Self::crash_error());
         }
         let n = self.ops.fetch_add(1, Ordering::SeqCst) + 1;
-        if n == self.fail_at.load(Ordering::SeqCst) {
-            self.crashed.store(true, Ordering::SeqCst);
-            return Ok(Some(*sync::lock(&self.kind)));
+        if n != self.fail_at.load(Ordering::SeqCst) {
+            return Ok(None);
         }
-        Ok(None)
+        let kind = *sync::lock(&self.kind);
+        match kind {
+            FaultKind::Error => Err(io::Error::other("injected I/O error")),
+            FaultKind::Panic => panic!("injected panic at mutating operation {n}"),
+            _ => {
+                self.crashed.store(true, Ordering::SeqCst);
+                Ok(Some(kind))
+            }
+        }
     }
 
     fn observe(&self) -> io::Result<()> {
@@ -145,19 +160,18 @@ impl StorageIo for FaultIo {
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
         match self.step()? {
             None => self.inner.write(path, data),
-            Some(FaultKind::FailStop) => Err(Self::crash_error()),
             Some(FaultKind::TornWrite) => {
                 // Persist an unsynced prefix: the classic torn write.
                 let _ = fs::write(path, &data[..data.len() / 2]);
                 Err(Self::crash_error())
             }
+            Some(_) => Err(Self::crash_error()),
         }
     }
 
     fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
         match self.step()? {
             None => self.inner.append(path, data),
-            Some(FaultKind::FailStop) => Err(Self::crash_error()),
             Some(FaultKind::TornWrite) => {
                 // Append an unsynced prefix: a torn log record.
                 if let Ok(mut f) = fs::OpenOptions::new().create(true).append(true).open(path) {
@@ -165,6 +179,7 @@ impl StorageIo for FaultIo {
                 }
                 Err(Self::crash_error())
             }
+            Some(_) => Err(Self::crash_error()),
         }
     }
 
@@ -185,7 +200,6 @@ impl StorageIo for FaultIo {
     fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
         match self.step()? {
             None => self.inner.remove_dir_all(path),
-            Some(FaultKind::FailStop) => Err(Self::crash_error()),
             Some(FaultKind::TornWrite) => {
                 // Unlink half the entries: a removal interrupted midway.
                 if let Ok(entries) = self.inner.list_dir(path) {
@@ -199,6 +213,7 @@ impl StorageIo for FaultIo {
                 }
                 Err(Self::crash_error())
             }
+            Some(_) => Err(Self::crash_error()),
         }
     }
 
@@ -926,6 +941,28 @@ mod tests {
             fs::read(dir.join("b")).is_ok(),
             "torn file survives on disk"
         );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn error_and_panic_stop_one_operation_and_the_process_lives_on() {
+        let dir = std::env::temp_dir().join(format!("tasm-stopone-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let io = FaultIo::new();
+        io.create_dir_all(&dir).unwrap();
+        io.arm(2, FaultKind::Error);
+        let err = io.write(&dir.join("x"), b"data").unwrap_err();
+        assert!(err.to_string().contains("injected I/O error"));
+        assert!(!dir.join("x").exists(), "the failed write never ran");
+        io.write(&dir.join("x"), b"data").unwrap();
+        io.arm(4, FaultKind::Panic);
+        let removal = std::panic::catch_unwind(|| io.remove_file(&dir.join("x")));
+        assert!(removal.is_err(), "the armed removal panics");
+        assert!(dir.join("x").exists(), "the panicked removal never ran");
+        assert!(!io.crashed());
+        assert_eq!(io.read(&dir.join("x")).unwrap(), b"data");
+        io.remove_file(&dir.join("x")).unwrap();
+        assert_eq!(io.mutating_ops(), 5);
         fs::remove_dir_all(&dir).ok();
     }
 

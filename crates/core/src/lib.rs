@@ -17,7 +17,7 @@
 //!   re-tiling by transcode (§3.4.5) under an atomic commit;
 //! * [`durable`] — the injectable [`StorageIo`] filesystem shim behind
 //!   every manifest/pack write (defined in `tasm-index`), a deterministic
-//!   crash injector ([`FaultIo`]) for the crash-point sweep tests, and
+//!   fault injector ([`FaultIo`]) for the crash sweeps and panic tests, and
 //!   startup recovery and `fsck`;
 //! * [`exec`] — the parallel tile-decode execution pipeline: per-(SOT, tile)
 //!   decode planning, a scoped-thread executor, and the shared decoded-GOP

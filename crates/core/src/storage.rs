@@ -49,9 +49,11 @@
 //! packs at other epochs than the manifest's, interrupted ingests and temp
 //! files, as `durable::classify_entry` sorts entries. Every repair is listed
 //! in the store's [`RecoveryReport`]. **[`VideoStore::fsck`]** validates
-//! manifests against the packs on disk and the tiles in them. The
-//! crash-point sweep in `tests/crash_recovery.rs` crashes every operation
-//! of every mutation.
+//! manifests against the packs on disk and the tiles in them. The crash
+//! sweeps in `tests/crash_recovery.rs` crash every mutating operation of
+//! ingest, re-tile, epoch GC and a manifest save, and of the recovery after
+//! each crash, and hold the reopened store to a fault-free twin that has
+//! run every acknowledged operation and at most the one in flight.
 
 use crate::durable::{RealIo, RecoveryReport, StorageIo, MANIFEST_FILE, TMP_SUFFIX};
 use crate::exec::DecodedTileCache;

@@ -20,11 +20,11 @@
 //!
 //! Every byte written goes through the process's one durable-write shim,
 //! [`StorageIo`] (see [`crate::io`]), the same one tile commits and
-//! `cluster.json` saves use, so the crash-point sweep in `tests/` can
-//! inject faults at any WAL append, run publish, or compaction step;
-//! recovery (run roll-forward + WAL replay with an operation-sequence
-//! watermark) always lands in exactly one of the states that existed at a
-//! `flush` boundary.
+//! `cluster.json` saves use, so `tasm_suite::crash::sweep` can crash any
+//! WAL append, run publish or compaction step, and any step of the
+//! recovery after it. Recovery (temp reaping, run roll-forward, WAL replay
+//! with an operation-sequence watermark) lands in the state after some
+//! prefix of the operations that holds every one a [`flush`] acknowledged.
 //!
 //! [`flush`]: SemanticIndex::flush
 
@@ -768,7 +768,8 @@ impl TieredIndex {
     /// completed `flush`.
     fn recover(&mut self) -> IndexResult<()> {
         let entries = self.io.list_dir(&self.dir)?;
-        // 1. Temp files are in-flight run writes that never published.
+        // 1. Temp files are in-flight run writes or WAL rewrites that never
+        //    published.
         for path in &entries {
             if path.to_string_lossy().ends_with(TMP_SUFFIX) {
                 self.io.remove_file(path)?;
@@ -847,8 +848,11 @@ impl TieredIndex {
                 }
             }
             if valid_len < bytes.len() {
-                // Rewrite without the torn tail so the log is clean again.
-                self.io.write(&wal_path, &bytes[..valid_len])?;
+                // Rewrite without the torn tail so the log is clean again,
+                // under a temp name: a crash mid-rewrite must keep the log.
+                let tmp = self.dir.join(format!("{WAL_NAME}{TMP_SUFFIX}"));
+                self.io.write(&tmp, &bytes[..valid_len])?;
+                self.io.rename(&tmp, &wal_path)?;
             }
             self.wal_len = valid_len as u64;
         }

@@ -1,8 +1,11 @@
 //! Workspace glue crate: hosts the repository-level examples (`/examples`)
 //! and cross-crate integration tests (`/tests`), plus the fixture they
 //! share: the test scene, stores whose directories go when they drop,
-//! ingest with ground-truth detections, and the reference semantics a query
-//! is checked against. See the `tasm-core` crate for the library itself.
+//! ingest with ground-truth detections, the reference semantics a query
+//! is checked against, and the one crash sweep ([`crash`]). See the
+//! `tasm-core` crate for the library itself.
+
+pub mod crash;
 
 use std::borrow::Borrow;
 use std::ops::Deref;

@@ -1,29 +1,29 @@
-//! Crash-safety tests of the storage layer: the deterministic crash-point
-//! sweeps over ingest, re-tile and epoch GC, torn-write regressions for the
-//! manifest, ingest cleanup, fsck, and kill-and-reattach under a live
-//! query service.
-//!
-//! The sweep is the core property: for *every* injectable fault point of
-//! ingest → re-tile → re-tile → epoch GC (fail-stop and torn-write at each
-//! mutating I/O operation), reopening the store must recover to **exactly
-//! one layout epoch of an uncrashed twin** — its manifest, every tile's
-//! bytes and a full scan all from that epoch, never a mix — with `fsck`
-//! clean and nothing in the video directory the manifest does not name.
-//! The sweeps say nothing of file names or of the order of operations, so
-//! they hold for any commit protocol.
+//! Crash-safety tests: the crash sweeps of `tasm_suite::crash` over the
+//! store (ingest, re-tile, epoch GC), a manifest save, the tiered index and
+//! a `cluster.json` save; then ingest cleanup, fsck, commit costs and
+//! kill-and-reattach under a live query service. A store sweep's twin
+//! state is one layout epoch — manifest, every tile's bytes and a full
+//! scan — with `fsck` clean and nothing in the video directory the
+//! manifest does not name. The sweeps say nothing of file names or of the
+//! order of operations, so they hold for any commit protocol.
 
+use std::cell::RefCell;
+use std::collections::HashSet;
 use std::fs;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
+use tasm_cluster::{NodeInfo, ShardMap};
 use tasm_codec::TileLayout;
 use tasm_core::durable::{FaultIo, FaultKind};
 use tasm_core::{
     LabelPredicate, PartitionConfig, Query, RecoveryAction, StorageConfig, StoreError, Tasm,
     TasmConfig, VideoManifest, VideoStore,
 };
-use tasm_index::MemoryIndex;
+use tasm_index::{MemoryIndex, SemanticIndex, TieredIndex, TreeError};
 use tasm_service::{QueryRequest, QueryService, RetilePolicy, ServiceConfig, Shutdown};
+use tasm_suite::crash::{sweep, until_error, Workload};
 use tasm_suite::TempDir;
 use tasm_video::{Frame, Plane, Rect, VecFrameSource};
 
@@ -59,390 +59,176 @@ fn small_cfg() -> StorageConfig {
 }
 
 /// What a store says of video "v" through its API, and nothing of how its
-/// files are laid out: the manifest, every tile's container bytes
-/// (`tile_file_bytes`, outer index = SOT) and a digest of one full-window
-/// scan. Two stores in the same layout epoch agree on all three; equality
-/// with exactly one state of an uncrashed twin is the "wholly one epoch,
-/// never a mix" relation the sweeps assert.
+/// files are laid out: the manifest, every tile's container bytes (outer
+/// index = SOT) and a digest of one full-window scan. Two stores in the
+/// same layout epoch agree on all three.
 #[derive(PartialEq)]
-struct VideoState {
-    manifest: VideoManifest,
-    tiles: Vec<Vec<Vec<u8>>>,
-    scan: u64,
-}
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(h, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+struct VideoState(VideoManifest, Vec<Vec<Vec<u8>>>, u64);
 
 /// Reopens the store on real I/O — startup recovery runs — and holds it to
 /// what every recovered store owes, whatever the commit protocol: `fsck` is
 /// clean, and the video directory holds the manifest plus one entry per SOT
 /// (everything in it is named by the manifest: no residue, no second
-/// epoch). Returns the video's state (`None` when it does not exist) and
-/// what recovery did.
-fn reopen_and_check(dir: &Path, what: &str) -> (Option<VideoState>, Vec<RecoveryAction>) {
+/// epoch); a video without a manifest is gone. Returns the video's state
+/// (`None` when it does not exist) and what recovery did.
+fn reopen_and_check(dir: &Path) -> (Option<VideoState>, Vec<RecoveryAction>) {
     let config = TasmConfig {
         storage: small_cfg(),
         ..Default::default()
     };
     let tasm = Tasm::open(dir, Box::new(MemoryIndex::in_memory()), config).expect("reopen");
     let actions = tasm.recovery_report().actions.clone();
-    assert!(!tasm.recovery_report().deferred, "{what}: lock still held");
+    assert!(!tasm.recovery_report().deferred, "lock still held");
     let fsck = tasm.fsck().expect("fsck runs");
-    assert!(
-        fsck.is_clean(),
-        "{what}: fsck found {:?} (recovery did {actions:?})",
-        fsck.issues
-    );
+    let issues = &fsck.issues;
+    assert!(issues.is_empty(), "fsck found {issues:?} after {actions:?}");
     if !tasm.has_stored_video("v") {
-        assert!(
-            !dir.join("v").exists(),
-            "{what}: a video without a manifest must be gone"
-        );
+        assert!(!dir.join("v").exists(), "a video with no manifest is gone");
         return (None, actions);
     }
     tasm.attach("v").expect("attach");
-    let manifest = tasm.manifest("v").expect("manifest");
-    assert!(fsck.tiles_checked > 0, "{what}: nothing checked");
-    let entries: Vec<String> = fs::read_dir(dir.join("v"))
-        .expect("video dir")
-        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-        .collect();
-    assert_eq!(
-        entries.len(),
-        1 + manifest.sots.len(),
-        "{what}: the manifest names one entry per SOT, the directory holds {entries:?}"
-    );
-    let tiles = manifest
-        .sots
-        .iter()
-        .enumerate()
-        .map(|(i, sot)| {
-            (0..sot.layout.tile_count())
-                .map(|t| tasm.store().tile_file_bytes(&manifest, i, t).expect("tile"))
-                .collect()
-        })
-        .collect();
+    let (manifest, tiles) = replica_of(tasm.store(), "v", "v");
+    assert!(fsck.tiles_checked > 0, "nothing checked");
+    let entries = entry_names(&dir.join("v"));
+    assert_eq!(entries.len(), 1 + manifest.sots.len(), "{entries:?}");
     for frame in 0..manifest.frame_count {
-        tasm.add_metadata("v", "patch", frame, Rect::new(8, 8, 48, 40))
-            .expect("metadata");
+        let bbox = Rect::new(8, 8, 48, 40);
+        tasm.add_metadata("v", "patch", frame, bbox).expect("add");
         tasm.mark_processed("v", frame).expect("processed");
     }
-    let result = tasm
-        .scan(
-            "v",
-            &LabelPredicate::label("patch"),
-            0..manifest.frame_count,
-        )
-        .expect("scan");
-    assert_eq!(result.regions.len() as u32, manifest.frame_count, "{what}");
-    let scan = result.regions.iter().fold(0xcbf2_9ce4_8422_2325, |h, r| {
-        let h = fnv1a(h, &r.frame.to_le_bytes());
-        Plane::ALL
-            .iter()
-            .fold(h, |h, &p| fnv1a(h, r.pixels.plane(p)))
-    });
-    let state = VideoState {
-        manifest,
-        tiles,
-        scan,
-    };
-    (Some(state), actions)
+    let patch = LabelPredicate::label("patch");
+    let result = tasm.scan("v", &patch, 0..manifest.frame_count);
+    let regions = result.expect("scan").regions;
+    assert_eq!(regions.len() as u32, manifest.frame_count);
+    let mut scan = DefaultHasher::new();
+    for r in &regions {
+        (r.frame, Plane::ALL.map(|p| r.pixels.plane(p))).hash(&mut scan);
+    }
+    (Some(VideoState(manifest, tiles, scan.finish())), actions)
 }
 
-/// The mutations under the sweep, stopping at the first error: an ingest of
-/// two untiled SOTs, a re-tile of SOT 0 to 4x4 (its superseded epoch
-/// reclaimed at once), a second re-tile of SOT 0 — now decoding sixteen
-/// tiles — to 2x2 with the reclaim deferred, then that reclaim. `steps`
-/// says how many of the four to run.
-fn drive(store: &VideoStore, steps: usize) -> Result<(), StoreError> {
-    let src = test_source(20);
-    store.ingest("v", &src, 30, small_cfg(), |_, _| {
-        TileLayout::untiled(64, 64)
-    })?;
-    if steps == 1 {
-        return Ok(());
-    }
-    let mut manifest = store.load_manifest("v")?;
-    let (_, retired) = store.retile(
-        &mut manifest,
-        0,
-        TileLayout::uniform(64, 64, 4, 4).expect("layout"),
-    )?;
-    store.gc_epoch("v", retired.expect("a layout change retires an epoch"))?;
-    if steps == 2 {
-        return Ok(());
-    }
-    let (_, retired) = store.retile(
-        &mut manifest,
-        0,
-        TileLayout::uniform(64, 64, 2, 2).expect("layout"),
-    )?;
-    if steps == 3 {
-        return Ok(());
-    }
-    store.gc_epoch("v", retired.expect("a layout change retires an epoch"))
+/// A store workload: `drive` runs the first `k` of its `ops` operations,
+/// stopping at the first error, and returns how many were acknowledged and
+/// attempted. What every recovery did is kept for the test to read.
+struct Store {
+    ops: u64,
+    drive: fn(&VideoStore, u64) -> (u64, u64),
+    actions: RefCell<Vec<RecoveryAction>>,
 }
 
-/// The crash-point sweep (acceptance criterion): crash — fail-stop *and*
-/// torn write — at every mutating I/O operation of ingest → re-tile →
-/// re-tile → epoch GC, reopen, and hold the recovered store to
-/// [`reopen_and_check`] and to the uncrashed twin: the video is absent (the
-/// ingest never published) or in exactly the state the twin was in after
-/// one of the steps — manifest, every tile's bytes and the scan all from
-/// that one epoch.
+impl Workload for Store {
+    type State = Option<VideoState>;
+
+    fn run(&self, dir: &Path, io: Arc<FaultIo>) -> (u64, u64) {
+        let store = VideoStore::open_with_io(dir, 0, 0, io).expect("open");
+        (self.drive)(&store, self.ops)
+    }
+
+    fn open(&self, dir: &Path, io: Arc<FaultIo>) {
+        let _ = VideoStore::open_with_io(dir, 0, 0, io);
+    }
+
+    fn recover(&self, dir: &Path) -> Self::State {
+        let (state, actions) = reopen_and_check(dir);
+        self.actions.borrow_mut().extend(actions);
+        state
+    }
+
+    fn twin(&self, k: u64) -> Self::State {
+        // `ops` tells the workloads' twins apart.
+        let dir = temp_dir(&format!("twin-{}-{k}", self.ops));
+        (self.drive)(&VideoStore::open(dir.path()).expect("open twin"), k);
+        reopen_and_check(dir.path()).0
+    }
+}
+
+fn ingest_untiled(store: &VideoStore, frames: u32) -> Result<VideoManifest, StoreError> {
+    let layout = |_, _| TileLayout::untiled(64, 64);
+    let src = test_source(frames);
+    Ok(store.ingest("v", &src, 30, small_cfg(), layout)?.0)
+}
+
+/// An ingest of two untiled SOTs, a re-tile of SOT 0 to 4x4 with its
+/// superseded epoch reclaimed at once, a second re-tile of SOT 0 — now
+/// decoding sixteen tiles — to 2x2 with the reclaim deferred, then that
+/// reclaim.
+fn ingest_retile_retile_gc(store: &VideoStore, ops: u64) -> (u64, u64) {
+    let (mut manifest, mut retired) = (None, None);
+    until_error(ops, |i| {
+        match i {
+            0 => manifest = Some(ingest_untiled(store, 20)?),
+            1 | 2 => {
+                let n = [4, 2][i as usize - 1];
+                let layout = TileLayout::uniform(64, 64, n, n).expect("layout");
+                let manifest = manifest.as_mut().expect("ingested");
+                retired = store.retile(manifest, 0, layout)?.1;
+                if i == 1 {
+                    store.gc_epoch("v", retired.expect("retired"))?;
+                }
+            }
+            _ => store.gc_epoch("v", retired.expect("retired"))?,
+        }
+        Ok::<_, StoreError>(())
+    })
+}
+
+/// A crash before the ingest publishes leaves no video, its directory
+/// reaped; any later one leaves the twin's state at one of its epochs.
 #[test]
-fn crash_point_sweep_recovers_to_exactly_one_epoch() {
-    // The twin's state after the ingest, the first and the second re-tile.
-    let twin = temp_dir("sweep-twin");
-    let states: Vec<VideoState> = (1..=3)
-        .map(|steps| {
-            let _ = fs::remove_dir_all(twin.path());
-            let store = VideoStore::open(twin.path()).expect("open twin");
-            drive(&store, steps).expect("twin step");
-            drop(store);
-            reopen_and_check(twin.path(), &format!("twin after step {steps}"))
-                .0
-                .expect("twin video")
-        })
-        .collect();
-    let epochs: Vec<u64> = states.iter().map(|s| s.manifest.epoch()).collect();
-    assert_eq!(epochs, [0, 1, 2]);
-
-    // The whole sequence through a disarmed injector: how many fault
-    // points there are, and that the reclaim leaves the last state as is.
-    let _ = fs::remove_dir_all(twin.path());
-    let counter = FaultIo::new();
-    let store = VideoStore::open_with_io(twin.path(), 0, 0, counter.clone()).expect("open counted");
-    let ops_before = counter.mutating_ops();
-    drive(&store, 4).expect("clean sequence");
-    let total_ops = counter.mutating_ops() - ops_before;
-    drop(store);
-    let (clean, actions) = reopen_and_check(twin.path(), "clean sequence");
-    assert!(actions.is_empty(), "clean shutdown recovered {actions:?}");
-    assert!(clean.expect("video") == states[2]);
-    // Whatever the protocol: an ingest cannot publish in fewer than four
-    // durable steps (two packs' worth of tiles, the manifest's bytes, its
-    // name), a re-tile in fewer than three, a reclaim in fewer than two.
-    assert!(
-        total_ops >= 12,
-        "the sequence must expose at least 12 fault points, got {total_ops}"
-    );
+fn a_crash_sweep_over_the_store_keeps_every_acknowledged_operation() {
+    let w = Store {
+        ops: 4,
+        drive: ingest_retile_retile_gc,
+        actions: RefCell::default(),
+    };
+    let sweep = sweep(&w);
     // Pinned exactly: ingest of two SOTs (7), a re-tile (6), a deferred
     // re-tile (4), the reclaim (2). A change to how durable writes are
     // issued must not add or drop a fault point.
-    assert_eq!(
-        total_ops, 19,
-        "fault points of ingest → re-tile → re-tile → GC"
-    );
-
-    let scratch = temp_dir("sweep-scratch");
-    let mut absent = 0u64;
-    let mut landed = [0u64; 3];
-    for kind in [FaultKind::FailStop, FaultKind::TornWrite] {
-        for n in 1..=total_ops {
-            let what = format!("{kind:?} at op {n} of {total_ops}");
-            let _ = fs::remove_dir_all(scratch.path());
-            let fault = FaultIo::new();
-            let store = VideoStore::open_with_io(scratch.path(), 0, 0, fault.clone())
-                .expect("open faulted");
-            fault.arm(fault.mutating_ops() + n, kind);
-            assert!(drive(&store, 4).is_err(), "{what} must surface as an error");
-            assert!(fault.crashed(), "{what} must have fired");
-            drop(store);
-
-            match reopen_and_check(scratch.path(), &what).0 {
-                None => absent += 1,
-                Some(got) => match states.iter().position(|s| *s == got) {
-                    Some(i) => landed[i] += 1,
-                    None => panic!(
-                        "{what}: recovered to layout epoch {} but not to the twin's state there \
-                         (manifest equal to the twin's at {:?})",
-                        got.manifest.epoch(),
-                        states.iter().position(|s| s.manifest == got.manifest)
-                    ),
-                },
-            }
-        }
-    }
-    // The sweep must have crossed every publish point: before the ingest's,
-    // and on both sides of each re-tile's.
-    assert!(absent > 0, "no fault point left the video unpublished");
-    assert!(
-        landed.iter().all(|&n| n > 0),
-        "fault points per twin state: {landed:?}"
-    );
-}
-
-/// The crash-point sweep over MVCC epoch GC alone: fail-stop and torn-write
-/// at every mutating I/O operation of `gc_epoch` (the reclamation that runs
-/// when a pinned epoch's last reader drains).
-///
-/// Until the GC runs, the retired epoch stays readable through the manifest
-/// snapshot a reader pinned; once it has, that snapshot's tiles are typed
-/// `NotFound`. A crashed GC cannot roll *back* (the re-tile already
-/// committed; what is left of the retired epoch is unreferenced), so
-/// recovery converges on the post-GC state from every fault point: startup
-/// reclaims superseded epochs the same way a completed GC would have.
-#[test]
-fn epoch_gc_crash_sweep_recovers_to_exactly_one_epoch_set() {
-    let new_layout = TileLayout::uniform(64, 64, 2, 2).expect("layout");
-    // Ingest, then a deferred re-tile as if a reader still pinned the
-    // ingested epoch. Returns that reader's manifest snapshot and the
-    // epoch to reclaim.
-    let prepare = |store: &VideoStore| {
-        let src = test_source(10);
-        store
-            .ingest("v", &src, 30, small_cfg(), |_, _| {
-                TileLayout::untiled(64, 64)
-            })
-            .expect("ingest");
-        let pinned = store.load_manifest("v").expect("manifest");
-        let mut manifest = pinned.clone();
-        let (_, retired) = store
-            .retile(&mut manifest, 0, new_layout.clone())
-            .expect("deferred retile");
-        let retired = retired.expect("a layout change must retire an epoch");
-        let old_tile = store
-            .tile_file_bytes(&pinned, 0, 0)
-            .expect("deferred mode must leave the retired epoch readable");
-        assert!(!old_tile.is_empty());
-        (pinned, retired)
+    assert_eq!(sweep.points, 19, "ingest → re-tile → re-tile → GC");
+    // The sweep crossed every publish point: before the ingest's, and on
+    // both sides of each re-tile's.
+    assert!((0..=3).all(|k| sweep.reached(k)));
+    // Recoveries reaped the unpublished ingest and the epochs the
+    // immediate and the deferred reclaim retire.
+    let did = w.actions.take();
+    let reclaimed = |epoch| RecoveryAction::ReclaimedEpoch {
+        video: "v".into(),
+        sot_start: 0,
+        sot_end: 10,
+        epoch,
     };
-
-    // Clean run: count the GC's own mutating operations and capture the
-    // post-GC state.
-    let clean = temp_dir("gc-sweep-clean");
-    let counter = FaultIo::new();
-    let store = VideoStore::open_with_io(clean.path(), 0, 0, counter.clone()).expect("open clean");
-    let (pinned, retired) = prepare(&store);
-    let ops_before = counter.mutating_ops();
-    store.gc_epoch("v", retired).expect("clean gc");
-    let gc_ops = counter.mutating_ops() - ops_before;
-    assert!(
-        gc_ops >= 2,
-        "epoch GC must expose at least its remove and dir-sync as fault points, got {gc_ops}"
-    );
-    assert_eq!(gc_ops, 2, "fault points of one epoch GC");
-    assert!(matches!(
-        store.tile_file_bytes(&pinned, 0, 0),
-        Err(StoreError::NotFound(_))
-    ));
-    store.gc_epoch("v", retired).expect("GC is idempotent");
-    drop(store);
-    let (post, actions) = reopen_and_check(clean.path(), "clean gc");
-    assert!(actions.is_empty(), "clean shutdown recovered {actions:?}");
-    let post = post.expect("video");
-    assert_eq!(post.manifest.epoch(), 1);
-
-    let scratch = temp_dir("gc-sweep-scratch");
-    let mut reclaimed_by_recovery = 0u32;
-    for kind in [FaultKind::FailStop, FaultKind::TornWrite] {
-        for n in 1..=gc_ops {
-            let what = format!("{kind:?} at gc op {n}");
-            let _ = fs::remove_dir_all(scratch.path());
-            let fault = FaultIo::new();
-            let store = VideoStore::open_with_io(scratch.path(), 0, 0, fault.clone())
-                .expect("open faulted");
-            // The re-tile itself runs clean; the crash lands inside GC.
-            let (_, retired) = prepare(&store);
-            fault.arm(fault.mutating_ops() + n, kind);
-            assert!(
-                store.gc_epoch("v", retired).is_err(),
-                "{what} must surface as an error"
-            );
-            assert!(fault.crashed(), "{what} must have fired");
-            drop(store);
-
-            // Reopen with real I/O: startup recovery reclaims whatever the
-            // crashed GC left of the superseded epoch.
-            let (got, actions) = reopen_and_check(scratch.path(), &what);
-            if actions
-                .iter()
-                .any(|a| matches!(a, RecoveryAction::ReclaimedEpoch { video, epoch: 0, .. } if video == "v"))
-            {
-                reclaimed_by_recovery += 1;
-            }
-            assert!(
-                got.expect("video") == post,
-                "{what}: recovery must land in the post-GC state (it did {actions:?})"
-            );
-        }
-    }
-    assert!(
-        reclaimed_by_recovery > 0,
-        "at least one fault point must leave the retired epoch for recovery to reclaim"
-    );
+    let partial = RecoveryAction::RemovedPartialVideo { video: "v".into() };
+    let want = [partial, reclaimed(0), reclaimed(1)];
+    assert!(want.iter().all(|a| did.contains(a)), "{did:?}");
 }
 
-/// Regression for the non-atomic `save_manifest`: a torn write must never
-/// reach `manifest.json`, and the interrupted temp file is reaped at the
-/// next open.
+/// A crashed manifest save leaves the published manifest as it was or the
+/// new one whole, its temp file reaped.
 #[test]
-fn torn_manifest_write_leaves_old_manifest_intact() {
-    let dir = temp_dir("torn-manifest");
-    let store = VideoStore::open(dir.path()).expect("open");
-    let src = test_source(10);
-    store
-        .ingest("v", &src, 30, small_cfg(), |_, _| {
-            TileLayout::untiled(64, 64)
+fn a_crash_sweep_over_a_manifest_save_keeps_every_acknowledged_operation() {
+    let drive = |store: &VideoStore, ops| {
+        let mut manifest = None;
+        until_error(ops, |_| {
+            let Some(manifest) = manifest.as_mut() else {
+                manifest = Some(ingest_untiled(store, 10)?);
+                return Ok(());
+            };
+            manifest.fps = 60;
+            store.save_manifest(manifest)
         })
-        .expect("ingest");
-    drop(store);
-    let manifest_path = dir.path().join("v").join("manifest.json");
-    let original = fs::read(&manifest_path).expect("manifest on disk");
-
-    // Tear the manifest rewrite mid-write.
-    let fault = FaultIo::new();
-    let store = VideoStore::open_with_io(dir.path(), 0, 0, fault.clone()).expect("open faulted");
-    let mut manifest = store.load_manifest("v").expect("manifest");
-    manifest.fps = 60;
-    fault.arm(fault.mutating_ops() + 1, FaultKind::TornWrite);
-    assert!(matches!(
-        store.save_manifest(&manifest),
-        Err(StoreError::Io(_))
-    ));
-    drop(store);
-    assert_eq!(
-        fs::read(&manifest_path).expect("manifest still on disk"),
-        original,
-        "a torn write must never touch the published manifest"
-    );
-    assert!(
-        dir.path().join("v").join("manifest.json.tmp").exists(),
-        "the torn temp file is what the crash left behind"
-    );
-
-    // Recovery reaps the temp file; the old manifest still reads.
-    let store = VideoStore::open(dir.path()).expect("reopen");
-    assert!(store
-        .recovery_report()
-        .actions
-        .iter()
-        .any(|a| matches!(a, RecoveryAction::RemovedTemp { video, .. } if video == "v")));
-    assert!(!dir.path().join("v").join("manifest.json.tmp").exists());
-    assert_eq!(store.load_manifest("v").expect("manifest").fps, 30);
-    assert!(store.fsck(&[]).expect("fsck").is_clean());
-    // Release the store lock: a live handle would (correctly) make the
-    // openers below defer recovery.
-    drop(store);
-
-    // Fail-stop between temp write and rename: same outcome, the fully
-    // written temp file is still not the published manifest.
-    let fault = FaultIo::new();
-    let store2 = VideoStore::open_with_io(dir.path(), 0, 0, fault.clone()).expect("open faulted");
-    let mut manifest = store2.load_manifest("v").expect("manifest");
-    manifest.fps = 90;
-    fault.arm(fault.mutating_ops() + 2, FaultKind::FailStop);
-    assert!(store2.save_manifest(&manifest).is_err());
-    drop(store2);
-    assert_eq!(fs::read(&manifest_path).expect("manifest"), original);
-    let store = VideoStore::open(dir.path()).expect("reopen again");
-    assert_eq!(store.load_manifest("v").expect("manifest").fps, 30);
-    assert!(store.fsck(&[]).expect("fsck").is_clean());
+    };
+    let w = Store {
+        ops: 2,
+        drive,
+        actions: RefCell::default(),
+    };
+    let sweep = sweep(&w);
+    assert_eq!(sweep.points, 8, "an ingest of one SOT (6), then a save (2)");
+    assert!(sweep.reached(1), "a crashed save keeps the old manifest");
+    let (video, file) = ("v".into(), "manifest.json.tmp".into());
+    let temp = RecoveryAction::RemovedTemp { video, file };
+    assert!(w.actions.take().contains(&temp));
 }
 
 /// A graceful mid-ingest failure (bad layout for a later SOT) must remove
@@ -472,42 +258,6 @@ fn failed_ingest_cleans_up_partial_video() {
     assert!(store.fsck(&[]).expect("fsck").is_clean());
 }
 
-/// A *crash* mid-ingest cannot clean up (every further I/O fails, as after
-/// `kill -9`), so the orphan directory survives until the next open, where
-/// recovery removes it because it never gained a manifest.
-#[test]
-fn crashed_ingest_is_reaped_at_next_open() {
-    let dir = temp_dir("ingest-crash");
-    let fault = FaultIo::new();
-    let store = VideoStore::open_with_io(dir.path(), 0, 0, fault.clone()).expect("open");
-    let src = test_source(20);
-    // Ops: video dir create, SOT 0's pack, SOT 1's pack… — tear SOT 1's.
-    fault.arm(fault.mutating_ops() + 3, FaultKind::TornWrite);
-    assert!(store
-        .ingest("v", &src, 30, small_cfg(), |_, _| TileLayout::untiled(
-            64, 64
-        ))
-        .is_err());
-    drop(store);
-    assert!(
-        dir.path().join("v").exists(),
-        "a crashed process cannot have cleaned up"
-    );
-
-    let store = VideoStore::open(dir.path()).expect("reopen");
-    assert!(store
-        .recovery_report()
-        .actions
-        .iter()
-        .any(|a| matches!(a, RecoveryAction::RemovedPartialVideo { video } if video == "v")));
-    assert!(!dir.path().join("v").exists(), "recovery reaps the orphan");
-    assert!(matches!(
-        store.load_manifest("v"),
-        Err(StoreError::NotFound(_))
-    ));
-    assert!(store.fsck(&[]).expect("fsck").is_clean());
-}
-
 /// The names of a video directory's entries, sorted.
 fn entry_names(video_dir: &Path) -> Vec<String> {
     let mut names: Vec<String> = fs::read_dir(video_dir)
@@ -524,6 +274,7 @@ fn entry_names(video_dir: &Path) -> Vec<String> {
 fn fsck_detects_corruption_and_strays() {
     use tasm_core::FsckIssue;
     let dir = temp_dir("fsck");
+    let video = dir.path().join("v");
     let store = VideoStore::open(dir.path()).expect("open");
     let src = test_source(10);
     let layout = TileLayout::uniform(64, 64, 2, 2).expect("layout");
@@ -540,10 +291,10 @@ fn fsck_detects_corruption_and_strays() {
     // One pack per SOT beside the manifest: a 12-byte header, 16 bytes of
     // table per tile, then the tiles.
     assert_eq!(
-        entry_names(&dir.path().join("v")),
+        entry_names(&video),
         ["manifest.json", "sot_000000_000010.tiles"]
     );
-    let pack = dir.path().join("v").join("sot_000000_000010.tiles");
+    let pack = video.join("sot_000000_000010.tiles");
     let original = fs::read(&pack).expect("pack bytes");
     let tile0 = 12 + 16 * 4;
     let manifest = store.load_manifest("v").expect("manifest");
@@ -587,12 +338,8 @@ fn fsck_detects_corruption_and_strays() {
     // before packs would have called a commit record — to `fsck` on the
     // handle that owns the store, both are just entries nothing names.
     fs::write(&pack, &original).expect("restore");
-    fs::write(dir.path().join("v").join("notes.txt"), b"?").expect("stray");
-    fs::write(
-        dir.path().join("v").join("commit_sot_000000_000010.json"),
-        b"{",
-    )
-    .expect("stray commit-lookalike");
+    fs::write(video.join("notes.txt"), b"?").expect("stray");
+    fs::write(video.join("commit_sot_000000_000010.json"), b"{").expect("stray");
     let report = store.fsck(&[]).expect("fsck");
     let strays = report
         .issues
@@ -602,7 +349,7 @@ fn fsck_detects_corruption_and_strays() {
     assert_eq!(strays, 2, "both strays flagged, got {:?}", report.issues);
 
     // A *missing* pack is every one of its tiles missing.
-    fs::remove_file(dir.path().join("v").join("notes.txt")).expect("cleanup stray");
+    fs::remove_file(video.join("notes.txt")).expect("cleanup stray");
     fs::remove_file(&pack).expect("remove pack");
     let report = store.fsck_video("v", &[]).expect("fsck v");
     for tile in 0..4 {
@@ -643,12 +390,7 @@ fn service_source(frames: u32) -> VecFrameSource {
 
 fn service_cfg() -> TasmConfig {
     TasmConfig {
-        storage: StorageConfig {
-            gop_len: 5,
-            sot_frames: 10,
-            parallel_encode: false,
-            ..Default::default()
-        },
+        storage: small_cfg(),
         partition: PartitionConfig {
             min_tile_width: 32,
             min_tile_height: 16,
@@ -1124,27 +866,16 @@ fn recovery_never_deletes_foreign_directories() {
         fs::read(foreign.join("important.txt")).expect("survives"),
         b"do not lose"
     );
-    assert!(
-        foreign.join("notes.tmp").exists(),
-        "even .tmp files survive"
-    );
+    assert!(foreign.join("notes.tmp").exists(), "even a .tmp");
     // fsck still *flags* the unknown directory — it should not be in a
     // store — it just never deletes it.
     assert!(!store.fsck(&[]).expect("fsck").is_clean());
-
-    // An empty manifest-less directory, by contrast, is ingest residue.
-    drop(store);
-    fs::create_dir_all(dir.path().join("half-ingested")).expect("mkdir");
-    let store = VideoStore::open(dir.path()).expect("reopen again");
-    assert!(store.recovery_report().actions.iter().any(
-        |a| matches!(a, RecoveryAction::RemovedPartialVideo { video } if video == "half-ingested")
-    ));
-    assert!(!dir.path().join("half-ingested").exists());
 }
 
 /// Re-tiles survive restart cleanly: no residue, no recovery actions, fsck
 /// clean, one pack under the new epoch's name — the happy path of the
-/// commit rule.
+/// commit rule. A snapshot pinned before the re-tile reads the retired
+/// epoch until GC, is typed `NotFound` after it, and GC is idempotent.
 #[test]
 fn clean_retile_leaves_no_residue() {
     let dir = temp_dir("clean-retile");
@@ -1156,14 +887,15 @@ fn clean_retile_leaves_no_residue() {
         })
         .expect("ingest");
     let mut manifest = store.load_manifest("v").expect("manifest");
-    let (_, retired) = store
-        .retile(
-            &mut manifest,
-            0,
-            TileLayout::uniform(64, 64, 2, 2).expect("layout"),
-        )
-        .expect("retile");
-    store.gc_epoch("v", retired.expect("retired")).expect("gc");
+    let pinned = manifest.clone();
+    let layout = TileLayout::uniform(64, 64, 2, 2).expect("layout");
+    let retired = store.retile(&mut manifest, 0, layout).expect("retile").1;
+    let retired = retired.expect("retired");
+    assert!(store.tile_file_bytes(&pinned, 0, 0).is_ok(), "until GC");
+    store.gc_epoch("v", retired).expect("gc");
+    let gone = store.tile_file_bytes(&pinned, 0, 0);
+    assert!(matches!(gone, Err(StoreError::NotFound(_))), "{gone:?}");
+    store.gc_epoch("v", retired).expect("GC is idempotent");
     drop(store);
 
     let store = VideoStore::open(dir.path()).expect("reopen");
@@ -1323,163 +1055,131 @@ fn replica_of(store: &VideoStore, from: &str, to: &str) -> (VideoManifest, Vec<V
     (manifest, tiles)
 }
 
-// ---------------------------------------------------------------------
-// Crash-point sweep over the tiered semantic index
-// ---------------------------------------------------------------------
+/// The index sweep's steps: each changes the logical state (distinct
+/// detections, distinct processed frames), so no two prefixes of the
+/// stream look alike.
+const INDEX_STEPS: u64 = 64;
 
-/// One deterministic index workload step. Every step changes the logical
-/// state (distinct detections / distinct processed frames), so every prefix
-/// of the stream has a distinct fingerprint and "which prefix survived?"
-/// has exactly one answer.
-fn index_workload_step(
-    ix: &mut dyn tasm_index::SemanticIndex,
-    i: u32,
-) -> Result<(), tasm_index::TreeError> {
-    let video = i % 2;
-    let labels = ["car", "person", "bus"];
-    if i % 7 == 6 {
-        ix.mark_processed(video, i)
-    } else {
-        ix.add_metadata(
-            video,
-            labels[(i % 3) as usize],
-            i * 3,
-            Rect::new(i, i * 2, 16, 16),
-        )
+fn index_step(ix: &mut dyn SemanticIndex, i: u64) -> Result<(), TreeError> {
+    let (i, label) = (i as u32, ["car", "person", "bus"][i as usize % 3]);
+    match i % 7 {
+        6 => ix.mark_processed(i % 2, i),
+        _ => ix.add_metadata(i % 2, label, i * 3, Rect::new(i, i * 2, 16, 16)),
     }
 }
 
-const INDEX_SWEEP_STEPS: u32 = 64;
-const INDEX_SWEEP_FLUSH_EVERY: u32 = 5;
-
-/// Runs the workload: a flush every [`INDEX_SWEEP_FLUSH_EVERY`] steps and
-/// once at the end. Stops at the first error (the injected crash). With a
-/// memtable limit of 8, the step count is chosen so the stream *ends* on an
-/// auto-spill: run-flush and compaction I/O follows the final WAL append,
-/// giving the sweep fault points after the last durability point.
-fn run_index_workload(ix: &mut dyn tasm_index::SemanticIndex) -> Result<(), tasm_index::TreeError> {
-    for i in 0..INDEX_SWEEP_STEPS {
-        index_workload_step(ix, i)?;
-        if i % INDEX_SWEEP_FLUSH_EVERY == INDEX_SWEEP_FLUSH_EVERY - 1 {
-            ix.flush()?;
-        }
-    }
-    ix.flush()
-}
-
-/// The observable logical state of a semantic index under the sweep
-/// workload: every probe a planner could make, plus the counters.
-fn index_fingerprint(ix: &mut dyn tasm_index::SemanticIndex) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("detections={}\n", ix.detection_count()));
-    for video in 0..2u32 {
-        out.push_str(&format!(
-            "labels[{video}]={:?}\n",
-            ix.labels(video).expect("labels")
-        ));
-        out.push_str(&format!(
-            "processed[{video}]={}\n",
-            ix.processed_count(video, 0..INDEX_SWEEP_STEPS * 3 + 1)
-                .expect("processed")
-        ));
-        for label in ["car", "person", "bus"] {
-            let dets = ix
-                .query(video, label, 0..INDEX_SWEEP_STEPS * 3 + 1)
-                .expect("query");
-            out.push_str(&format!("q[{video}/{label}]={dets:?}\n"));
-        }
+/// What a semantic index says of the steps: every probe a planner could
+/// make, and the counters.
+fn index_fingerprint(ix: &mut dyn SemanticIndex) -> String {
+    let frames = 0..INDEX_STEPS as u32 * 3 + 1;
+    let mut out = format!("{}", ix.detection_count());
+    for video in 0..2 {
+        let labels = ix.labels(video);
+        let processed = ix.processed_count(video, frames.clone());
+        let all = ix.query_all(video, frames.clone());
+        out += &format!(" {labels:?} {processed:?} {all:?}");
     }
     out
 }
 
-/// The index-tier crash-point sweep (acceptance criterion): fail-stop and
-/// torn-write at every mutating I/O operation of the tiered index's WAL
-/// appends, memtable→run flushes, and compactions. Reopening must replay to
-/// a state equal to **exactly one prefix** of the acknowledged operation
-/// stream — never a hole, never a torn or duplicated record — and the
-/// tier's own verify() must be clean.
-#[test]
-fn index_tier_crash_sweep_recovers_to_exactly_one_prefix() {
-    use tasm_index::TieredIndex;
+/// The tiered index, a flush after every fifth step and the last; a step is
+/// acknowledged once a later flush returns `Ok`. A memtable limit of 8
+/// puts run flushes and a compaction in the sweep, some after the last WAL
+/// append. The twin is the in-memory index.
+struct Index;
 
-    // Every prefix state of the workload, computed on the reference
-    // in-memory index (equivalence with the tiered index is proven by the
-    // index crate's property tests).
-    let expected: Vec<String> = (0..=INDEX_SWEEP_STEPS)
-        .map(|k| {
-            let mut shadow = MemoryIndex::in_memory();
-            for i in 0..k {
-                index_workload_step(&mut shadow, i).expect("shadow step");
+impl Workload for Index {
+    type State = String;
+
+    fn run(&self, dir: &Path, io: Arc<FaultIo>) -> (u64, u64) {
+        let mut idx = TieredIndex::open_with_io(dir, io).expect("open");
+        idx.set_memtable_limit(8);
+        let mut acknowledged = 0;
+        for i in 0..INDEX_STEPS {
+            let flush = i % 5 == 4 || i == INDEX_STEPS - 1;
+            if index_step(&mut idx, i).is_err() || (flush && idx.flush().is_err()) {
+                return (acknowledged, i + 1);
             }
-            index_fingerprint(&mut shadow)
-        })
-        .collect();
+            acknowledged = if flush { i + 1 } else { acknowledged };
+        }
+        (acknowledged, INDEX_STEPS)
+    }
 
-    // Count the workload's mutating I/O operations with a disarmed
-    // injector. The small memtable limit forces WAL appends, several run
-    // flushes, and at least one 4-way compaction into the sweep's range.
-    let clean = temp_dir("index-sweep-clean");
-    let counter = FaultIo::new();
-    let mut idx = TieredIndex::open_with_io(clean.path(), counter.clone()).expect("open clean");
-    idx.set_memtable_limit(8);
-    let ops_before = counter.mutating_ops();
-    run_index_workload(&mut idx).expect("clean workload");
-    let total_ops = counter.mutating_ops() - ops_before;
-    let clean_runs = idx.stats().run_count;
-    drop(idx);
-    assert!(
-        total_ops >= 20,
-        "the index protocol must expose at least 20 fault points, got {total_ops}"
-    );
+    fn open(&self, dir: &Path, io: Arc<FaultIo>) {
+        let _ = TieredIndex::open_with_io(dir, io);
+    }
+
+    fn recover(&self, dir: &Path) -> String {
+        let mut idx = TieredIndex::open(dir).expect("reopen");
+        let issues = idx.verify().expect("verify runs");
+        assert!(issues.is_empty(), "verify found {issues:?}");
+        index_fingerprint(&mut idx)
+    }
+
+    fn twin(&self, k: u64) -> String {
+        let mut shadow = MemoryIndex::in_memory();
+        (0..k).for_each(|i| index_step(&mut shadow, i).expect("twin step"));
+        index_fingerprint(&mut shadow)
+    }
+}
+
+/// WAL appends, run flushes, compactions and, when recovery crashes, its
+/// rewrite of a torn WAL tail.
+#[test]
+fn a_crash_sweep_over_the_index_keeps_every_acknowledged_operation() {
+    let sweep = sweep(&Index);
     // Pinned exactly, so a change to the shim under the index cannot
     // silently add or drop a fault point.
-    assert_eq!(total_ops, 65, "fault points of the index workload");
-    assert!(clean_runs >= 2, "workload must leave multiple runs");
+    assert_eq!(sweep.points, 65, "fault points of the index workload");
+    // Real rollback, and real durability: the whole stream survives a
+    // crash after the last append.
+    let ks = || sweep.landed.iter().map(|l| l.k);
+    assert!(ks().min() < Some(INDEX_STEPS), "no crash rolled back");
+    assert_eq!(ks().max(), Some(INDEX_STEPS));
+    assert!(sweep.landed.iter().any(|l| l.recovery_op.is_some()));
+    let twins: HashSet<String> = (0..=INDEX_STEPS).map(|k| Index.twin(k)).collect();
+    assert_eq!(twins.len() as u64, INDEX_STEPS + 1, "prefixes alike");
+    let dir = temp_dir("index-runs");
+    Index.run(dir.path(), FaultIo::new());
+    let idx = TieredIndex::open(dir.path()).expect("open");
+    assert!(idx.stats().run_count >= 2, "several runs");
+}
 
-    let scratch = temp_dir("index-sweep-scratch");
-    let mut matched: Vec<u32> = Vec::new();
-    for kind in [FaultKind::FailStop, FaultKind::TornWrite] {
-        for n in 1..=total_ops {
-            let _ = fs::remove_dir_all(scratch.path());
-            let fault = FaultIo::new();
-            let mut idx =
-                TieredIndex::open_with_io(scratch.path(), fault.clone()).expect("open faulted");
-            idx.set_memtable_limit(8);
-            fault.arm(fault.mutating_ops() + n, kind);
-            let result = run_index_workload(&mut idx);
-            assert!(result.is_err(), "{kind:?} at op {n} must surface an error");
-            assert!(fault.crashed(), "{kind:?} at op {n} must have fired");
-            drop(idx);
+/// Two `cluster.json` saves, an old map then a new one. A map has no
+/// recovery to crash: `load` only reads.
+struct MapSaves([ShardMap; 2]);
 
-            // Reopen with real I/O: recovery (temp reaping, compaction
-            // roll-forward, watermarked WAL replay) runs at open.
-            let mut idx = TieredIndex::open(scratch.path()).expect("reopen after crash");
-            let issues = idx.verify().expect("verify runs");
-            assert!(
-                issues.is_empty(),
-                "{kind:?} at op {n}: verify found {issues:?}"
-            );
-            let got = index_fingerprint(&mut idx);
-            let hits: Vec<u32> = (0..=INDEX_SWEEP_STEPS)
-                .filter(|&k| expected[k as usize] == got)
-                .collect();
-            assert_eq!(
-                hits.len(),
-                1,
-                "{kind:?} at op {n}: recovered state matches {} prefixes, want exactly 1:\n{got}",
-                hits.len()
-            );
-            matched.push(hits[0]);
-        }
+impl Workload for MapSaves {
+    type State = Option<ShardMap>;
+
+    fn run(&self, dir: &Path, io: Arc<FaultIo>) -> (u64, u64) {
+        let path = dir.join("cluster.json");
+        until_error(2, |i| self.0[i as usize].save_with(&path, &*io))
     }
-    // The sweep must observe real rollback (early prefixes) and real
-    // durability (the full stream survives when the crash lands after the
-    // last append).
-    let min = *matched.iter().min().expect("nonempty sweep");
-    let max = *matched.iter().max().expect("nonempty sweep");
-    assert!(min < INDEX_SWEEP_STEPS, "no fault point ever rolled back");
-    assert_eq!(
-        max, INDEX_SWEEP_STEPS,
-        "late fault points must preserve the whole acknowledged stream"
-    );
+
+    fn open(&self, _: &Path, _: Arc<FaultIo>) {}
+
+    fn recover(&self, dir: &Path) -> Option<ShardMap> {
+        let path = dir.join("cluster.json");
+        let map = path.exists().then(|| ShardMap::load(&path));
+        map.map(|m| m.expect("a crashed save leaves a map that loads"))
+    }
+
+    fn twin(&self, k: u64) -> Option<ShardMap> {
+        k.checked_sub(1).map(|i| self.0[i as usize].clone())
+    }
+}
+
+#[test]
+fn a_crash_sweep_over_a_map_save_keeps_every_acknowledged_operation() {
+    let node = |i| NodeInfo {
+        id: format!("n{i}"),
+        addr: format!("127.0.0.1:{}", 7000 + i),
+    };
+    let old = ShardMap::new((0..3).map(node).collect(), 2).expect("map");
+    let mut new = old.clone();
+    new.pin("cam", vec!["n2".to_string(), "n0".to_string()]);
+    let sweep = sweep(&MapSaves([old, new]));
+    assert_eq!(sweep.points, 2 * 2, "two saves of two operations");
+    assert!(sweep.reached(0) && sweep.reached(1));
 }

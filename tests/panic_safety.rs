@@ -4,8 +4,8 @@
 //! Every lock goes through `tasm_obs::sync`, so a lock a panic poisoned is
 //! taken as is, or reset when it holds soft state. The panics are injected
 //! through two seams the store already has: a `SemanticIndex` double that
-//! panics whenever it is asked about one label, and a `StorageIo` double
-//! that panics at one mutating operation of a re-tile.
+//! panics whenever it is asked about one label, and the fault injector
+//! `FaultIo` armed to panic at one mutating operation of a re-tile.
 //!
 //! Served, a panic inside query execution is a *per-query* failure: the
 //! submitting session receives a typed `Internal` error frame and keeps
@@ -17,15 +17,13 @@
 //! the reactor's scaling checks: threads grow with workers, not sessions,
 //! and answers stay bit-exact with 256 sessions open.
 
-use std::io;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tasm_client::{ClientError, Connection};
 use tasm_codec::TileLayout;
-use tasm_core::durable::{RealIo, StorageIo};
+use tasm_core::durable::{FaultIo, FaultKind, RealIo, StorageIo};
 use tasm_core::{LabelPredicate, Query, Tasm, TasmConfig, TasmError};
 use tasm_index::{Detection, IndexResult, LabeledDetection, MemoryIndex, SemanticIndex};
 use tasm_obs::sync;
@@ -355,103 +353,6 @@ fn a_panic_inside_observe_regret_resets_that_policy() {
     assert_eq!(got, fresh.regret_for("v", 0, &car).map(f64::to_bits));
 }
 
-/// How [`StopIo`] stops the operation it is armed for.
-#[derive(Clone, Copy)]
-enum Stop {
-    Panic,
-    Fail,
-}
-
-/// The real filesystem, except that one armed mutating operation panics or
-/// fails before it runs. Every other operation, later ones included, goes
-/// through: unlike a crash, the process lives on.
-struct StopIo {
-    stop: Stop,
-    ops: AtomicU64,
-    at: AtomicU64,
-}
-
-impl StopIo {
-    fn new(stop: Stop) -> Arc<StopIo> {
-        let (ops, at) = (AtomicU64::new(0), AtomicU64::new(0));
-        Arc::new(StopIo { stop, ops, at })
-    }
-
-    /// Arms the `k`-th mutating operation from now.
-    fn arm(&self, k: u64) {
-        self.at
-            .store(self.ops.load(Ordering::SeqCst) + k, Ordering::SeqCst);
-    }
-
-    fn step(&self) -> io::Result<()> {
-        let n = self.ops.fetch_add(1, Ordering::SeqCst) + 1;
-        if n != self.at.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        match self.stop {
-            Stop::Panic => panic!("injected panic at mutating operation {n}"),
-            Stop::Fail => Err(io::Error::other("injected I/O error")),
-        }
-    }
-}
-
-impl StorageIo for StopIo {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        RealIo.read(path)
-    }
-
-    fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        self.step()?;
-        RealIo.write(path, data)
-    }
-
-    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        self.step()?;
-        RealIo.append(path, data)
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.step()?;
-        RealIo.rename(from, to)
-    }
-
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        self.step()?;
-        RealIo.create_dir_all(path)
-    }
-
-    fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
-        self.step()?;
-        RealIo.remove_dir_all(path)
-    }
-
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        self.step()?;
-        RealIo.remove_file(path)
-    }
-
-    fn sync_dir(&self, path: &Path) -> io::Result<()> {
-        self.step()?;
-        RealIo.sync_dir(path)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        RealIo.exists(path)
-    }
-
-    fn is_dir(&self, path: &Path) -> bool {
-        RealIo.is_dir(path)
-    }
-
-    fn list_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
-        RealIo.list_dir(path)
-    }
-
-    fn open(&self, path: &Path) -> io::Result<std::fs::File> {
-        RealIo.open(path)
-    }
-}
-
 /// The same epoch, the same answers bit for bit, and the same `fsck`.
 fn assert_same(tasm: &Tasm, twin: &Tasm, what: &str) {
     let epochs = [tasm, twin].map(|t| t.current_epoch("v").unwrap());
@@ -476,11 +377,11 @@ fn a_retile_that_panics_at_any_io_step_leaves_what_an_io_error_leaves() {
     let first = TileLayout::uniform(256, 160, 2, 2).unwrap();
     let next = TileLayout::uniform(256, 160, 1, 2).unwrap();
     for k in 1.. {
-        let (panicking, failing) = (StopIo::new(Stop::Panic), StopIo::new(Stop::Fail));
+        let (panicking, failing) = (FaultIo::new(), FaultIo::new());
         let tasm = store_with(&format!("panic-retile-{k}"), panicking.clone(), &["v"]);
         let twin = store_with(&format!("panic-retile-twin-{k}"), failing.clone(), &["v"]);
-        panicking.arm(k);
-        failing.arm(k);
+        panicking.arm(panicking.mutating_ops() + k, FaultKind::Panic);
+        failing.arm(failing.mutating_ops() + k, FaultKind::Error);
         let panicked = catch_unwind(AssertUnwindSafe(|| tasm.retile("v", 0, first.clone())));
         let failed = twin.retile("v", 0, first.clone());
         if panicked.is_ok() {
@@ -508,7 +409,7 @@ fn a_retile_that_panics_at_any_io_step_leaves_what_an_io_error_leaves() {
 /// before it is observed.)
 #[test]
 fn a_panic_inside_observe_regret_leaves_the_retile_daemon_running() {
-    let io = StopIo::new(Stop::Panic);
+    let io = FaultIo::new();
     let dir = TempDir::new("panic-daemon");
     let index = Box::new(PanickingIndex(MemoryIndex::in_memory()));
     // One observation is regret enough to re-tile.
@@ -531,7 +432,7 @@ fn a_panic_inside_observe_regret_leaves_the_retile_daemon_running() {
         let handle = service.submit(QueryRequest::new("v", cars(0..10)));
         handle.expect("submit").wait().expect("the query answers");
     };
-    io.arm(1);
+    io.arm(io.mutating_ops() + 1, FaultKind::Panic);
     car();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     while service.stats().retile_errors == 0 {
