@@ -86,16 +86,26 @@ impl Args {
         self.options.get(key).map(|s| s.as_str())
     }
 
+    /// A comma-separated option's items, trimmed, empty ones dropped: none
+    /// when the option is absent.
+    pub fn list(&self, key: &str) -> Vec<String> {
+        let items = self.get(key).unwrap_or_default().split(',').map(str::trim);
+        items.filter(|s| !s.is_empty()).map(String::from).collect()
+    }
+
+    /// An optional parsed option: `None` when absent.
+    pub fn get_opt<T: std::str::FromStr>(&self, key: &'static str) -> Result<Option<T>, ArgError> {
+        let parse = |v: &String| v.parse().map_err(|_| ArgError::Invalid(key, v.clone()));
+        self.options.get(key).map(parse).transpose()
+    }
+
     /// An optional parsed option with a default.
     pub fn get_or<T: std::str::FromStr>(
         &self,
         key: &'static str,
         default: T,
     ) -> Result<T, ArgError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::Invalid(key, v.clone())),
-        }
+        Ok(self.get_opt(key)?.unwrap_or(default))
     }
 }
 
@@ -114,6 +124,11 @@ mod tests {
         assert_eq!(a.get("name"), Some("v"));
         assert_eq!(a.get_or("seconds", 0u32).unwrap(), 4);
         assert_eq!(a.get_or("seed", 7u64).unwrap(), 7);
+        assert_eq!(a.get_opt::<u32>("seconds").unwrap(), Some(4));
+        assert_eq!(a.get_opt::<u32>("limit").unwrap(), None);
+        let a = Args::parse(&argv("--labels car,,person --pins ,")).unwrap();
+        assert_eq!(a.list("labels"), ["car", "person"]);
+        assert!(a.list("pins").is_empty() && a.list("nodes").is_empty());
     }
 
     #[test]
@@ -129,6 +144,10 @@ mod tests {
         let a = Args::parse(&argv("--seconds four")).unwrap();
         assert!(matches!(
             a.get_or("seconds", 0u32),
+            Err(ArgError::Invalid("seconds", _))
+        ));
+        assert!(matches!(
+            a.get_opt::<u32>("seconds"),
             Err(ArgError::Invalid("seconds", _))
         ));
         let a = Args::parse(&[]).unwrap();

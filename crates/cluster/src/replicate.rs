@@ -169,7 +169,10 @@ fn apply_index_state(
         tasm.mark_processed(video, f)
             .map_err(|e| format!("mark_processed failed: {e}"))?;
     }
-    Ok(())
+    // The ack says the state is durable: out of the index's write buffer
+    // and into its log, as `detect` leaves it.
+    tasm.with_index(|ix| ix.flush())
+        .map_err(|e| format!("index flush failed: {e}"))
 }
 
 /// Reads a video's canonical manifest JSON — the bytes replica

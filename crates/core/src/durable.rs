@@ -17,7 +17,8 @@
 //!   every operation fails, so no cleanup code can run — exactly like
 //!   `kill -9`), or fails or panics that one operation alone;
 //! * `classify_entry` — what a video directory's entry is to its manifest:
-//!   what recovery removes and [`VideoStore::fsck`] flags;
+//!   what recovery removes and [`VideoStore::fsck`] flags — and
+//!   [`Tasm::attach_stored`], which of the root's directories are videos;
 //! * [`RecoveryReport`] / [`FsckReport`] — what startup recovery did and
 //!   what an integrity check found.
 //!
@@ -34,6 +35,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::pack::{check_tile, parse_pack_name, PackReader, PACK_SUFFIX};
 use crate::storage::{PackId, StoreError, VideoManifest, VideoStore};
+use crate::tasm::{Tasm, TasmError};
 pub use tasm_index::io::{RealIo, StorageIo};
 use tasm_obs::sync;
 
@@ -570,12 +572,19 @@ impl VideoStore {
     /// at open, before the store's own decoded-GOP cache holds anything.
     pub(crate) fn recover_all(&self) -> Result<RecoveryReport, StoreError> {
         let mut report = RecoveryReport::default();
-        for entry in self.io().list_dir(self.root())? {
-            if self.io().is_dir(&entry) {
-                self.recover_video_dir(&entry, &entry_name(&entry), &mut report)?;
-            }
+        for (video, dir) in self.video_dirs()? {
+            self.recover_video_dir(&dir, &video, &mut report)?;
         }
         Ok(report)
+    }
+
+    /// Every directory of the store root, by name, in name order: what
+    /// recovery repairs and fsck checks. The videos the store holds are
+    /// the ones with a manifest ([`Tasm::attach_stored`]).
+    fn video_dirs(&self) -> Result<Vec<(String, PathBuf)>, StoreError> {
+        let entries = self.io().list_dir(self.root())?.into_iter();
+        let dirs = entries.filter(|entry| self.io().is_dir(entry));
+        Ok(dirs.map(|dir| (entry_name(&dir), dir)).collect())
     }
 
     fn recover_video_dir(
@@ -687,10 +696,8 @@ impl VideoStore {
     /// Read-only.
     pub fn fsck(&self, allowed_extras: &[&str]) -> Result<FsckReport, StoreError> {
         let mut report = FsckReport::default();
-        for entry in self.io().list_dir(self.root())? {
-            if self.io().is_dir(&entry) {
-                self.fsck_video_into(&entry_name(&entry), allowed_extras, &mut report);
-            }
+        for (video, _) in self.video_dirs()? {
+            self.fsck_video_into(&video, allowed_extras, &mut report);
         }
         Ok(report)
     }
@@ -816,6 +823,39 @@ impl VideoStore {
             }
         }
     }
+}
+
+/// The one rule for which videos a store holds, beside the listing
+/// recovery and fsck walk.
+impl Tasm {
+    /// Attaches every video the store holds and returns their names in
+    /// name order. A video is a directory of the store root with a
+    /// manifest, whether ingested, received by replication or copied in by
+    /// a rebalance; after recovery a directory without one is not the
+    /// store's. A manifest that does not load fails the call with
+    /// [`TasmError::ManifestUnreadable`].
+    pub fn attach_stored(&self) -> Result<Vec<String>, TasmError> {
+        let names = stored_videos(self.store())?;
+        for video in &names {
+            self.attach(video).map_err(|e| match e {
+                TasmError::Store(e) => TasmError::ManifestUnreadable(video.clone(), e),
+                e => e,
+            })?;
+        }
+        Ok(names)
+    }
+
+    /// True if the store holds a video named `name`, by the rule of
+    /// [`Tasm::attach_stored`].
+    pub fn has_stored_video(&self, name: &str) -> bool {
+        stored_videos(self.store()).is_ok_and(|names| names.iter().any(|n| n == name))
+    }
+}
+
+fn stored_videos(store: &VideoStore) -> Result<Vec<String>, StoreError> {
+    let dirs = store.video_dirs()?.into_iter();
+    let stored = dirs.filter(|(_, dir)| store.io().exists(&dir.join(MANIFEST_FILE)));
+    Ok(stored.map(|(video, _)| video).collect())
 }
 
 /// Final path component as an owned string (empty for pathological paths).

@@ -128,6 +128,9 @@ pub enum TasmError {
     Scan(ScanError),
     /// Unknown video name.
     UnknownVideo(String),
+    /// A video the store holds (named) whose manifest does not load (why):
+    /// what fsck reports as [`crate::FsckIssue::ManifestUnreadable`].
+    ManifestUnreadable(String, StoreError),
     /// An `AS OF` query (or explicit pin) named a layout epoch that is
     /// neither the video's current epoch nor a retired epoch still held
     /// live by a pinned reader.
@@ -157,6 +160,9 @@ impl std::fmt::Display for TasmError {
             TasmError::Index(e) => write!(f, "{e}"),
             TasmError::Scan(e) => write!(f, "{e}"),
             TasmError::UnknownVideo(name) => write!(f, "unknown video '{name}'"),
+            TasmError::ManifestUnreadable(video, e) => {
+                write!(f, "video '{video}': manifest unreadable: {e}")
+            }
             TasmError::EpochNotLive {
                 video,
                 requested,
@@ -581,11 +587,6 @@ impl Tasm {
             }),
         );
         Ok(id)
-    }
-
-    /// True if the store already holds a video named `name`.
-    pub fn has_stored_video(&self, name: &str) -> bool {
-        self.store.load_manifest(name).is_ok()
     }
 
     /// The numeric id assigned to a video at ingest.
@@ -1089,6 +1090,34 @@ mod tests {
         ));
         // Re-registering the same name is not a collision.
         t.attach(&first).unwrap();
+    }
+
+    /// `attach_stored` attaches each directory with a manifest, leaves a
+    /// foreign one alone, and names the video whose manifest does not load.
+    #[test]
+    fn attach_stored_attaches_every_manifest_and_names_an_unreadable_one() {
+        let dir = Scratch::open("facade-stored", |dir| dir);
+        let open = || {
+            let index = Box::new(tasm_index::MemoryIndex::in_memory());
+            Tasm::open(dir.as_path(), index, TasmConfig::default()).unwrap()
+        };
+        let t = open();
+        for name in ["b", "a"] {
+            t.ingest(name, &source(10), 30).unwrap();
+        }
+        drop(t);
+        std::fs::create_dir_all(dir.join("notes")).unwrap();
+        std::fs::write(dir.join("notes").join("todo.txt"), b"not a video").unwrap();
+        let t = open();
+        assert!(t.has_stored_video("a") && !t.has_stored_video("notes"));
+        assert_eq!(t.attach_stored().unwrap(), ["a", "b"]);
+        assert_eq!(t.video_names(), ["a", "b"]);
+        drop(t);
+        std::fs::write(dir.join("b").join("manifest.json"), b"{\"torn").unwrap();
+        match open().attach_stored() {
+            Err(TasmError::ManifestUnreadable(video, _)) => assert_eq!(video, "b"),
+            other => panic!("expected ManifestUnreadable, got {other:?}"),
+        }
     }
 
     #[test]
