@@ -1,33 +1,57 @@
-//! Shared harness for regenerating the paper's tables and figures.
-//!
-//! Each binary in `src/bin/` reproduces one table or figure and names it in
-//! its doc comment; this library holds what they share: ingesting corpus
-//! videos into throwaway stores, timing object queries, condensing workload
-//! curves, summarizing with the paper's median/IQR statistics, and printing
-//! markdown tables.
-//!
-//! Scale: experiment sizes are controlled by `TASM_BENCH_SCALE` (default
-//! 1.0). The defaults are chosen so every figure regenerates in minutes on a
-//! laptop CPU; the *shapes* (orderings, crossovers, rough factors) are the
-//! reproduction target, not absolute GPU-decode milliseconds.
+//! The paper's tables and figures (§5), each a function from the
+//! experiment scale to one typed [`Figure`] ([`FIGURES`]), over one shared
+//! harness: throwaway stores of corpus videos, priced object queries and
+//! workloads, and the paper's median/IQR statistics. The `reproduce` binary
+//! renders them into `REPRODUCTION.md`, whose header states how they are
+//! priced: from counted work under the store's own `TasmConfig::cost` and
+//! `encode`, never timed, so one scale gives the same tables byte for byte.
+//! Only the `fit_cost_model` binary times, because calibration is timing.
 
 use std::ops::Range;
-use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use tasm_codec::TileLayout;
 use tasm_core::{
-    Granularity, LabelPredicate, PartitionConfig, StorageConfig, Tasm, TasmConfig, WorkSample,
+    partition, retile_cost, run_workload, Granularity, LabelPredicate, PartitionConfig, RunQuery,
+    StorageConfig, Strategy, Tasm, TasmConfig, Work,
 };
-use tasm_data::{Dataset, SyntheticVideo};
+use tasm_data::{Dataset, Query, SyntheticVideo};
+use tasm_detect::yolo::SimulatedYolo;
 use tasm_index::MemoryIndex;
 use tasm_suite::TempDir;
-use tasm_video::FrameSource;
+use tasm_video::{FrameSource, Rect};
 
+mod fig10;
+mod fig11;
+mod fig12;
+mod fig6;
+mod fig7;
+mod fig8;
+mod fig9;
+pub mod figure;
 pub mod stats;
+mod table1;
 
+pub use figure::{render, Figure, Table, Verdict};
 pub use stats::{mean, median, quartiles, Summary};
 
-/// Experiment scale factor from `TASM_BENCH_SCALE` (e.g. `0.5` to halve
-/// video durations for a quick pass).
+/// A reproduction: its figure at a scale.
+pub type Reproduction = fn(f64) -> Figure;
+
+/// Every reproduction, by the name `reproduce` selects it with, in the
+/// paper's order.
+pub const FIGURES: [(&str, Reproduction); 8] = [
+    ("table1", table1::table1),
+    ("fig6", fig6::fig6),
+    ("fig7", fig7::fig7),
+    ("fig8", fig8::fig8),
+    ("fig9", fig9::fig9),
+    ("fig10", fig10::fig10),
+    ("fig11", fig11::fig11),
+    ("fig12", fig12::fig12),
+];
+
+/// Experiment scale factor from `TASM_BENCH_SCALE` (default 1.0; e.g. `0.25`
+/// for a quick pass).
 pub fn scale() -> f64 {
     std::env::var("TASM_BENCH_SCALE")
         .ok()
@@ -36,31 +60,35 @@ pub fn scale() -> f64 {
         .unwrap_or(1.0)
 }
 
-/// Scaled duration in seconds (at least 1).
-pub fn scaled_secs(base: u32) -> u32 {
-    ((base as f64 * scale()).round() as u32).max(1)
+/// `base` seconds at `scale` (at least 1).
+pub fn scaled_secs(base: u32, scale: f64) -> u32 {
+    ((base as f64 * scale).round() as u32).max(1)
 }
 
-/// Scaled count (at least 1).
-pub fn scaled_count(base: usize) -> usize {
-    ((base as f64 * scale()).round() as usize).max(1)
+/// `base` at `scale` (at least 1).
+pub fn scaled_count(base: usize, scale: f64) -> usize {
+    ((base as f64 * scale).round() as usize).max(1)
 }
 
-/// Directory where experiment outputs (JSON) are written.
-pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    dir
-}
-
-/// Writes a serializable result to `results/<name>.json`.
-pub fn write_result<T: serde::Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
-    std::fs::write(&path, serde_json::to_vec_pretty(value).expect("serialize"))
-        .expect("write result");
-    eprintln!("[results written to {}]", path.display());
+/// The non-uniform layout at `granularity` around the ground-truth boxes of
+/// `labels` on `frames` of `video`.
+pub fn layout_around(
+    video: &SyntheticVideo,
+    frames: Range<u32>,
+    labels: &[&str],
+    granularity: Granularity,
+) -> TileLayout {
+    let truth = frames.flat_map(|f| video.ground_truth(f));
+    let boxes: Vec<Rect> = truth
+        .filter(|(l, _)| labels.contains(l))
+        .map(|(_, b)| b)
+        .collect();
+    partition(
+        video.width(),
+        video.height(),
+        &boxes,
+        &micro_partition(granularity),
+    )
 }
 
 /// Partition parameters scaled to the simulated resolutions.
@@ -75,13 +103,10 @@ pub fn micro_partition(granularity: Granularity) -> PartitionConfig {
 /// A video under measurement: the synthetic scene, ingested as `v` into a
 /// store of its own that is removed when this drops.
 ///
-/// Decode execution is pinned to *serial and uncached*: the figure
-/// reproductions (and the cost-model fit) measure per-query decode work as
-/// the paper's system — which has neither a decoded-GOP cache nor
-/// tile-parallel decode — would incur it, and `ScanResult::seconds()` is
-/// wall-clock, so extra workers would fold multicore speedup into the
-/// measurements. Everything else is `TasmConfig::default()`: the paper's
-/// 1-second GOPs and SOTs at 30 fps, QP 28, η = 1, α = 0.8.
+/// The store has no decoded-GOP cache: the paper's system has none, and a
+/// cache hit is decode work not counted, so it would change the prices.
+/// Everything else is `TasmConfig::default()`: the paper's 1-second GOPs and
+/// SOTs at 30 fps, QP 28, η = 1, α = 0.8, and the stale prices of §4.1.
 pub struct BenchVideo {
     /// The scene (ground-truth oracle and frame source).
     pub video: SyntheticVideo,
@@ -114,10 +139,12 @@ impl BenchVideo {
         storage: StorageConfig,
         mut layout_for: impl FnMut(&SyntheticVideo, Range<u32>) -> Option<TileLayout>,
     ) -> Self {
-        let dir = TempDir::new(&format!("bench-{tag}"));
+        // Numbered, so figures built at once in one process never share one.
+        static STORES: AtomicUsize = AtomicUsize::new(0);
+        let n = STORES.fetch_add(1, Ordering::Relaxed);
+        let dir = TempDir::new(&format!("bench-{tag}-{n}"));
         let cfg = TasmConfig {
             storage,
-            workers: 1,
             cache_bytes: 0,
             ..Default::default()
         };
@@ -147,12 +174,9 @@ impl BenchVideo {
     /// (None = leave as is).
     pub fn apply_layout(
         &mut self,
-        mut layout_for: impl FnMut(
-            &SyntheticVideo,
-            std::ops::Range<u32>,
-        ) -> Option<tasm_codec::TileLayout>,
+        mut layout_for: impl FnMut(&SyntheticVideo, Range<u32>) -> Option<TileLayout>,
     ) {
-        let sots: Vec<(usize, std::ops::Range<u32>)> = self
+        let sots: Vec<(usize, Range<u32>)> = self
             .tasm
             .manifest(&self.name)
             .expect("manifest")
@@ -168,47 +192,83 @@ impl BenchVideo {
         }
     }
 
-    /// Times the microbenchmark query `SELECT label FROM v` (full range)
-    /// three times and returns the fastest run: the minimum is the standard
-    /// estimator for deterministic work under scheduler noise.
-    pub fn time_select(&self, label: &str) -> WorkSample {
-        (0..3)
-            .map(|_| {
-                let r = self
-                    .tasm
-                    .scan(
-                        &self.name,
-                        &LabelPredicate::label(label),
-                        0..self.video.len(),
-                    )
-                    .expect("scan");
-                WorkSample {
-                    pixels: r.stats.samples_decoded,
-                    tile_chunks: r.stats.tile_chunks_decoded,
-                    seconds: r.seconds(),
-                }
-            })
-            .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
-            .expect("three runs")
+    /// The decode work counted by the query `SELECT label FROM v` over
+    /// `frames`.
+    pub fn select(&self, label: &str, frames: Range<u32>) -> Work {
+        let predicate = LabelPredicate::label(label);
+        let r = self
+            .tasm
+            .scan(&self.name, &predicate, frames)
+            .expect("scan");
+        Work::from(&r.stats)
     }
 
-    /// Ground-truth boxes of `labels` over a frame range (layout design
-    /// input for the microbenchmarks, which assume a populated index).
-    pub fn boxes_for(
-        &self,
-        labels: &[&str],
-        frames: std::ops::Range<u32>,
-    ) -> Vec<tasm_video::Rect> {
-        let mut out = Vec::new();
-        for f in frames {
-            for (l, b) in self.video.ground_truth(f) {
-                if labels.contains(&l) {
-                    out.push(b);
-                }
-            }
-        }
-        out
+    /// §4.1's price of the microbenchmark query `SELECT label FROM v` over
+    /// the whole video, under the store's own cost model.
+    pub fn select_cost(&self, label: &str) -> f64 {
+        let work = self.select(label, 0..self.video.len());
+        self.tasm.config().cost.cost(work)
     }
+}
+
+/// Runs `queries` on a fresh untiled copy of `video()` under each of
+/// `strategies`, and returns each one's cumulative priced cost at 11
+/// checkpoints (0 %, 10 %, …, 100 % of the queries), in units of the first
+/// strategy's mean query (not tiling, in both figures that use it).
+/// Up-front tiling — and, `with_detection`, simulated detection, up front
+/// and lazy — is charged where it occurs, the up-front part with the first
+/// query.
+pub fn cumulative_costs(
+    video: impl Fn() -> SyntheticVideo,
+    queries: &[Query],
+    strategies: &[(&str, Strategy)],
+    tag: &str,
+    with_detection: bool,
+) -> Vec<Vec<f64>> {
+    let queries: Vec<RunQuery> = queries
+        .iter()
+        .map(|q| RunQuery {
+            label: q.label.clone(),
+            frames: q.frames.clone(),
+        })
+        .collect();
+    let detect = |seconds: f64| if with_detection { seconds } else { 0.0 };
+    let mut unit = None;
+    let mut curves = Vec::new();
+    for (name, strategy) in strategies {
+        let storage = StorageConfig::default();
+        let mut bv = BenchVideo::ingest(video(), &format!("{tag}-{name}"), storage, |_, _| None);
+        let report = run_workload(
+            &mut bv.tasm,
+            &bv.name,
+            &queries,
+            *strategy,
+            &mut SimulatedYolo::full(1),
+            &|f| bv.video.ground_truth(f),
+            Some(&bv.video),
+        )
+        .expect("workload");
+        let cfg = bv.tasm.config();
+        let unit = *unit.get_or_insert_with(|| {
+            let total: f64 = report.records.iter().map(|r| r.cost(cfg)).sum();
+            (total / report.records.len().max(1) as f64).max(f64::MIN_POSITIVE)
+        });
+        let up_front =
+            retile_cost(cfg, &report.initial_tile) + detect(report.initial_detect_seconds);
+        let mut cum = up_front / unit;
+        let curve: Vec<f64> = (report.records.iter())
+            .map(|r| {
+                cum += (r.cost(cfg) + detect(r.detect_seconds)) / unit;
+                cum
+            })
+            .collect();
+        curves.push(
+            (0..=10)
+                .map(|d| curve[d * (curve.len() - 1) / 10])
+                .collect(),
+        );
+    }
+    curves
 }
 
 /// Percentage improvement of `tiled` over `untiled` (positive = faster).
@@ -216,38 +276,16 @@ pub fn improvement_pct(untiled: f64, tiled: f64) -> f64 {
     100.0 * (1.0 - tiled / untiled)
 }
 
-/// A cumulative-cost curve at 11 checkpoints: 0 %, 10 %, …, 100 % of the
-/// query sequence.
-pub fn deciles(curve: &[f64]) -> Vec<f64> {
-    (0..=10)
-        .map(|d| curve[d * (curve.len() - 1) / 10])
-        .collect()
-}
-
-/// The checkpoint-wise median of several [`deciles`] curves (the upper
-/// middle value of an even count).
+/// The checkpoint-wise [`median`] of several [`cumulative_costs`] curves.
 pub fn median_deciles(curves: &[Vec<f64>]) -> Vec<f64> {
     (0..=10)
-        .map(|d| {
-            let mut vals: Vec<f64> = curves.iter().map(|c| c[d]).collect();
-            vals.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            vals[vals.len() / 2]
-        })
+        .map(|d| median(&curves.iter().map(|c| c[d]).collect::<Vec<f64>>()))
         .collect()
-}
-
-/// Prints a markdown table's header row and separator. `columns` is the
-/// header cells joined by ` | `; the rows follow as `| a | b |` lines,
-/// printed as each is measured.
-pub fn table_header(columns: &str) {
-    println!("| {columns} |");
-    println!("|{}", "---|".repeat(columns.split(" | ").count()));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tasm_core::partition;
 
     #[test]
     fn improvement_math() {
@@ -259,25 +297,21 @@ mod tests {
     #[test]
     fn bench_video_prepare_and_select() {
         let mut bv = BenchVideo::prepare(Dataset::VisualRoad2K, 1, 3, "lib-test");
-        let untiled = bv.time_select("car");
-        assert!(untiled.seconds > 0.0);
+        let untiled = bv.select("car", 0..bv.video.len());
         assert!(untiled.pixels > 0);
         assert!(untiled.tile_chunks > 0);
+        let cost = bv.tasm.config().cost;
+        assert_eq!(
+            bv.select_cost("car"),
+            cost.cost(untiled),
+            "counted, not timed"
+        );
         // Tiling around cars reduces decode.
         bv.apply_layout(|video, frames| {
-            let boxes: Vec<_> = frames
-                .clone()
-                .flat_map(|f| video.ground_truth_for(f, "car"))
-                .collect();
-            let l = partition(
-                video.width(),
-                video.height(),
-                &boxes,
-                &micro_partition(Granularity::Fine),
-            );
+            let l = layout_around(video, frames, &["car"], Granularity::Fine);
             (!l.is_untiled()).then_some(l)
         });
-        assert!(bv.time_select("car").pixels < untiled.pixels);
+        assert!(bv.select("car", 0..bv.video.len()).pixels < untiled.pixels);
         // The store goes with its owner.
         let dir = bv._dir.path().to_path_buf();
         assert!(dir.exists());

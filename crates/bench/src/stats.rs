@@ -1,8 +1,6 @@
 //! Summary statistics used throughout the evaluation: the paper reports
 //! medians with interquartile ranges (IQR) for every bar chart.
 
-use serde::{Deserialize, Serialize};
-
 /// Median of a sample (NaN-free input expected).
 ///
 /// # Panics
@@ -49,7 +47,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// A median-with-IQR summary, the unit the paper's bar charts report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// First quartile.
     pub q1: f64,

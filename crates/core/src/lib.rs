@@ -153,7 +153,9 @@ pub use partition::{partition, Granularity, PartitionConfig};
 pub use policy::RetilePolicy;
 pub use pool::{BufferPool, CanvasPool};
 pub use query::{Query, QueryMode};
-pub use runner::{run_workload, QueryRecord, RunQuery, Strategy, TruthFn, WorkloadReport};
+pub use runner::{
+    retile_cost, run_workload, QueryRecord, RunQuery, Strategy, TruthFn, WorkloadReport,
+};
 pub use scan::{recycle_canvases, LabelPredicate, RegionPixels, ScanError, ScanResult};
 pub use storage::{
     PackId, RetileStats, SotEntry, StorageConfig, StoreError, VideoManifest, VideoStore,

@@ -20,10 +20,16 @@
 //! detections are a byproduct of query execution and their (simulated) cost
 //! is recorded separately so harnesses can include or exclude it per
 //! figure.
+//!
+//! Decode and re-tile work is recorded as counted, never timed, and priced
+//! with §4.1's model under the store's own [`TasmConfig`] — the prices the
+//! policy decides with — so the same run gives the same costs.
 
+use crate::cost::Work;
 use crate::policy::RetilePolicy;
 use crate::scan::LabelPredicate;
-use crate::tasm::{Tasm, TasmError};
+use crate::storage::RetileStats;
+use crate::tasm::{Tasm, TasmConfig, TasmError};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use tasm_detect::Detector;
@@ -63,16 +69,15 @@ pub enum Strategy {
 }
 
 /// Per-query accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryRecord {
     /// The query executed.
     pub label: String,
     /// Query window start frame.
     pub start_frame: u32,
-    /// Wall-clock seconds spent looking up the index and decoding.
-    pub decode_seconds: f64,
-    /// Wall-clock seconds spent re-tiling after this query.
-    pub retile_seconds: f64,
+    /// The re-tiles the policy committed after this query (zero when it
+    /// committed none).
+    pub retile: RetileStats,
     /// Simulated seconds of lazy detection triggered by this query.
     pub detect_seconds: f64,
     /// Samples decoded by the query (cache reuse excluded).
@@ -92,17 +97,34 @@ impl QueryRecord {
     pub fn samples_touched(&self) -> u64 {
         self.samples_decoded + self.samples_reused
     }
+
+    /// §4.1's price of the query's decode and of the re-tiles after it.
+    pub fn cost(&self, cfg: &TasmConfig) -> f64 {
+        let work = Work {
+            pixels: self.samples_decoded,
+            tile_chunks: self.tile_chunks,
+        };
+        cfg.cost.cost(work) + retile_cost(cfg, &self.retile)
+    }
+}
+
+/// §4.1's price of a re-tile's counted work: decoding the SOT's old tiles
+/// (`C = β·P + γ·T`) plus encoding its samples at the rate `R(s, L)` is
+/// estimated with, both under `cfg`'s models.
+pub fn retile_cost(cfg: &TasmConfig, retile: &RetileStats) -> f64 {
+    let encode = cfg.encode.seconds_per_sample * retile.encode.samples_encoded as f64;
+    cfg.cost.cost(Work::from(&retile.decode)) + encode
 }
 
 /// Result of running a workload under one strategy.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkloadReport {
     /// Per-query records, in execution order.
     pub records: Vec<QueryRecord>,
     /// Simulated seconds of up-front detection (pre-tile strategies).
     pub initial_detect_seconds: f64,
-    /// Wall-clock seconds of up-front tiling (pre-tile strategies).
-    pub initial_tile_seconds: f64,
+    /// The up-front tiling of the pre-tile strategies (zero otherwise).
+    pub initial_tile: RetileStats,
     /// Total number of SOT re-tile operations performed: the layout
     /// epochs the run committed.
     pub retile_ops: u32,
@@ -113,20 +135,11 @@ pub struct WorkloadReport {
 }
 
 impl WorkloadReport {
-    /// Total decode + retile seconds (the quantity plotted in Figure 11).
-    pub fn decode_and_retile_seconds(&self) -> f64 {
-        self.records
-            .iter()
-            .map(|r| r.decode_seconds + r.retile_seconds)
-            .sum::<f64>()
-            + self.initial_tile_seconds
-    }
-
-    /// Total including detection (the quantity plotted in Figure 12).
-    pub fn total_with_detection_seconds(&self) -> f64 {
-        self.decode_and_retile_seconds()
-            + self.initial_detect_seconds
-            + self.records.iter().map(|r| r.detect_seconds).sum::<f64>()
+    /// Priced decode + re-tile seconds, the up-front tiling included (the
+    /// quantity plotted in Figure 11).
+    pub fn cost(&self, cfg: &TasmConfig) -> f64 {
+        let queries: f64 = self.records.iter().map(|r| r.cost(cfg)).sum();
+        queries + retile_cost(cfg, &self.initial_tile)
     }
 }
 
@@ -155,9 +168,7 @@ pub fn run_workload(
                 detect_frames(tasm, video, 0..frame_count, detector, truth, pixels)?;
             let id = tasm.video_id(video)?;
             let labels = tasm.with_index(|ix| ix.labels(id))?;
-            let t0 = std::time::Instant::now();
-            tasm.kqko_retile_all(video, &labels)?;
-            report.initial_tile_seconds = t0.elapsed().as_secs_f64();
+            report.initial_tile = tasm.kqko_retile_all(video, &labels)?;
         }
         Strategy::PretileForeground => {
             let src =
@@ -170,9 +181,7 @@ pub fn run_workload(
                 }
                 report.initial_detect_seconds += bg.seconds_per_frame();
             }
-            let t0 = std::time::Instant::now();
-            tasm.kqko_retile_all(video, &["foreground".to_string()])?;
-            report.initial_tile_seconds = t0.elapsed().as_secs_f64();
+            report.initial_tile = tasm.kqko_retile_all(video, &["foreground".to_string()])?;
         }
         _ => {}
     }
@@ -192,17 +201,13 @@ pub fn run_workload(
         let detect_seconds = detect_frames(tasm, video, q.frames.clone(), detector, truth, pixels)?;
 
         let result = tasm.scan(video, &LabelPredicate::label(&q.label), q.frames.clone())?;
-
-        let t0 = std::time::Instant::now();
-        tasm.observe(video, policy, &q.label, q.frames.clone())?;
-        let retile_seconds = t0.elapsed().as_secs_f64();
+        let retile = tasm.observe(video, policy, &q.label, q.frames.clone())?;
 
         report.cache_hits += result.cache.hits;
         report.records.push(QueryRecord {
             label: q.label.clone(),
             start_frame: q.frames.start,
-            decode_seconds: result.seconds(),
-            retile_seconds,
+            retile,
             detect_seconds,
             samples_decoded: result.stats.samples_decoded,
             tile_chunks: result.stats.tile_chunks_decoded,
@@ -298,7 +303,11 @@ mod tests {
         .unwrap();
         assert_eq!(report.records.len(), 5);
         assert_eq!(report.retile_ops, 0);
-        assert!(report.decode_and_retile_seconds() > 0.0);
+        assert!(report.cost(t.config()) > 0.0);
+        assert!(report
+            .records
+            .iter()
+            .all(|r| r.retile.encode.samples_encoded == 0));
         // First query over each window pays detection; repeats do not.
         assert!(report.records[0].detect_seconds > 0.0);
         assert_eq!(report.records[3].detect_seconds, 0.0);
@@ -379,6 +388,7 @@ mod tests {
         let expected = 30.0 * SimulatedYolo::full(1).seconds_per_frame();
         assert!((report.initial_detect_seconds - expected).abs() < 1e-9);
         assert!(report.retile_ops > 0, "eager tiling should happen");
+        assert!(report.initial_tile.encode.samples_encoded > 0);
         // No lazy detection afterwards.
         assert!(report.records.iter().all(|r| r.detect_seconds == 0.0));
     }
@@ -474,13 +484,21 @@ mod tests {
             None,
         )
         .unwrap();
-        let manual: f64 = report
+        let cfg = t.config();
+        let manual: f64 = report.records.iter().map(|r| r.cost(cfg)).sum();
+        assert_eq!(report.cost(cfg), manual, "no up-front tiling to add");
+        assert!(report.final_size_bytes > 0);
+        // Each committed re-tile is priced: it decoded the old tiles and
+        // encoded the SOT once, at the rate `R(s, L)` is estimated with.
+        let retiled: Vec<&QueryRecord> = report
             .records
             .iter()
-            .map(|r| r.decode_seconds + r.retile_seconds)
-            .sum();
-        assert!((report.decode_and_retile_seconds() - manual).abs() < 1e-12);
-        assert!(report.total_with_detection_seconds() >= report.decode_and_retile_seconds());
-        assert!(report.final_size_bytes > 0);
+            .filter(|r| r.retile.encode.samples_encoded > 0)
+            .collect();
+        assert!(!retiled.is_empty(), "incremental-more re-tiles");
+        for r in retiled {
+            let encode = cfg.encode.seconds_per_sample * r.retile.encode.samples_encoded as f64;
+            assert!(retile_cost(cfg, &r.retile) > encode);
+        }
     }
 }

@@ -76,7 +76,17 @@ pub fn log(level: Level, event: &str, fields: &[(&str, String)]) {
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_millis())
         .unwrap_or(0);
-    let line = if JSON.load(Ordering::Relaxed) {
+    let line = render(level, event, fields, ts, JSON.load(Ordering::Relaxed));
+    // One write_all per line, newline included, keeps concurrent loggers
+    // from interleaving inside a line (stderr is unbuffered; the lock
+    // covers the call).
+    let stderr = std::io::stderr();
+    let _ = stderr.lock().write_all(line.as_bytes());
+}
+
+/// One event as the line [`log`] writes, its newline included.
+fn render(level: Level, event: &str, fields: &[(&str, String)], ts: u128, json: bool) -> String {
+    let mut line = if json {
         let mut line = format!(
             "{{\"ts\":{ts},\"level\":\"{}\",\"event\":\"{}\"",
             level.name(),
@@ -104,12 +114,8 @@ pub fn log(level: Level, event: &str, fields: &[(&str, String)]) {
         }
         line
     };
-    // One write_all per line keeps concurrent loggers from interleaving
-    // inside a line (stderr is unbuffered; the lock covers the call).
-    let stderr = std::io::stderr();
-    let mut handle = stderr.lock();
-    let _ = handle.write_all(line.as_bytes());
-    let _ = handle.write_all(b"\n");
+    line.push('\n');
+    line
 }
 
 /// [`log`] at [`Level::Debug`].
@@ -171,5 +177,15 @@ mod tests {
         assert_eq!(json_escape("a\\b"), "a\\\\b");
         assert_eq!(json_escape("a\nb\tc"), "a\\nb\\tc");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
+    fn a_rendered_line_ends_in_exactly_one_newline() {
+        let fields = [("video", "cam 3".to_string()), ("ms", "412".to_string())];
+        for json in [false, true] {
+            let line = render(Level::Warn, "slow_query", &fields, 1, json);
+            assert!(line.ends_with('\n') && !line.ends_with("\n\n"), "{line:?}");
+            assert_eq!(line.matches('\n').count(), 1, "{line:?}");
+        }
     }
 }
