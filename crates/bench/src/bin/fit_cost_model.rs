@@ -14,20 +14,21 @@
 
 use tasm_bench::{layout_around, scale, scaled_secs, BenchVideo};
 use tasm_codec::TileLayout;
-use tasm_core::{fit_linear, Granularity, LabelPredicate, WorkSample};
+use tasm_core::{fit_linear, Granularity, LabelPredicate, Query, WorkSample};
 use tasm_data::Dataset;
 use tasm_video::FrameSource;
 
-/// Times `SELECT label FROM v` (full range) three times: its counted work
-/// with the fastest run's decode seconds, summed over the decode workers so
-/// that parallel decode does not fold into the fit. The minimum is the
-/// standard estimator for deterministic work under scheduler noise.
+/// Times the label-only `Tasm::query` `SELECT label FROM v` (full range)
+/// three times: the work its decode counted, which is what the policy and
+/// the figures price (`Tasm::price`), with the fastest run's decode seconds,
+/// summed over the decode workers so that parallel decode does not fold
+/// into the fit. The minimum is the standard estimator for deterministic
+/// work under scheduler noise.
 fn time_select(bv: &BenchVideo, label: &str) -> WorkSample {
-    let predicate = LabelPredicate::label(label);
+    let query = Query::new(LabelPredicate::label(label)).frames(0..bv.video.len());
     (0..3)
         .map(|_| {
-            let r = bv.tasm.scan(&bv.name, &predicate, 0..bv.video.len());
-            let stats = r.expect("scan").stats;
+            let stats = bv.tasm.query(&bv.name, &query).expect("query").stats;
             WorkSample {
                 pixels: stats.samples_decoded,
                 tile_chunks: stats.tile_chunks_decoded,

@@ -31,10 +31,11 @@ fn header(scale: f64, walls: &[(&str, Duration)], total: Duration) -> String {
          (`TASM_BENCH_SCALE`); do not edit by hand.\n\n\
          ## Benchmarking strategy\n\n\
          - **Priced, not timed.** A query costs §4.1's `C = β·P + γ·T` over the samples `P` \
-         and tile chunks `T` its decode counted. A re-tile costs its decode under the same \
-         model plus its encoded samples at the rate `R(s, L)` is estimated with. These are \
-         the prices the layout policy decides with, so one scale gives the same tables byte \
-         for byte; no column is a wall time.\n\
+         and tile chunks `T` that the read plan `Tasm::query` runs would decode without a \
+         cache, counted by `Tasm::price` with no decode. A re-tile costs its decode under the \
+         same model plus its encoded samples at the rate `R(s, L)` is estimated with. These \
+         are the prices the layout policy decides with, so one scale gives the same tables \
+         byte for byte; no column is a wall time.\n\
          - **Stale prices.** β = {:.1} ns/sample, γ = {:.1} µs/tile chunk and encode \
          {:.1} ns/sample, the defaults of `TasmConfig`, fitted on an earlier codec; the \
          `fit_cost_model` harness measures today's. Re-pricing them is a diff against this \

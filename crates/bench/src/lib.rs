@@ -3,12 +3,13 @@
 //! harness: throwaway stores of corpus videos, priced object queries and
 //! workloads, and the paper's median/IQR statistics. The `reproduce` binary
 //! renders them into `REPRODUCTION.md`, whose header states how they are
-//! priced: from counted work under the store's own `TasmConfig::cost` and
-//! `encode`, never timed, so one scale gives the same tables byte for byte.
-//! Only the `fit_cost_model` binary times, because calibration is timing.
+//! priced: a query by the read plan `Tasm::query` runs, counted by
+//! `Tasm::price` without a decode, under the store's own `TasmConfig::cost`
+//! and `encode`, never timed, so one scale gives the same tables byte for
+//! byte. Only the `fit_cost_model` binary times, because calibration is
+//! timing.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use tasm_codec::TileLayout;
 use tasm_core::{
     partition, retile_cost, run_workload, Granularity, LabelPredicate, PartitionConfig, RunQuery,
@@ -139,10 +140,7 @@ impl BenchVideo {
         storage: StorageConfig,
         mut layout_for: impl FnMut(&SyntheticVideo, Range<u32>) -> Option<TileLayout>,
     ) -> Self {
-        // Numbered, so figures built at once in one process never share one.
-        static STORES: AtomicUsize = AtomicUsize::new(0);
-        let n = STORES.fetch_add(1, Ordering::Relaxed);
-        let dir = TempDir::new(&format!("bench-{tag}-{n}"));
+        let dir = TempDir::new(&format!("bench-{tag}"));
         let cfg = TasmConfig {
             storage,
             cache_bytes: 0,
@@ -192,15 +190,11 @@ impl BenchVideo {
         }
     }
 
-    /// The decode work counted by the query `SELECT label FROM v` over
-    /// `frames`.
+    /// The decode work of the query `SELECT label FROM v` over `frames`,
+    /// priced by its read plan ([`Tasm::price`]).
     pub fn select(&self, label: &str, frames: Range<u32>) -> Work {
-        let predicate = LabelPredicate::label(label);
-        let r = self
-            .tasm
-            .scan(&self.name, &predicate, frames)
-            .expect("scan");
-        Work::from(&r.stats)
+        let query = tasm_core::Query::new(LabelPredicate::label(label)).frames(frames);
+        self.tasm.price(&self.name, &query).expect("price")
     }
 
     /// §4.1's price of the microbenchmark query `SELECT label FROM v` over
@@ -212,14 +206,14 @@ impl BenchVideo {
 }
 
 /// Runs `queries` on a fresh untiled copy of `video()` under each of
-/// `strategies`, and returns each one's cumulative priced cost at 11
-/// checkpoints (0 %, 10 %, …, 100 % of the queries), in units of the first
-/// strategy's mean query (not tiling, in both figures that use it).
-/// Up-front tiling — and, `with_detection`, simulated detection, up front
-/// and lazy — is charged where it occurs, the up-front part with the first
-/// query.
+/// `strategies`, one thread each, and returns each one's cumulative priced
+/// cost at 11 checkpoints (0 %, 10 %, …, 100 % of the queries), in units of
+/// the first strategy's mean query (not tiling, in both figures that use
+/// it). Up-front tiling — and, `with_detection`, simulated detection, up
+/// front and lazy — is charged where it occurs, the up-front part with the
+/// first query.
 pub fn cumulative_costs(
-    video: impl Fn() -> SyntheticVideo,
+    video: impl Fn() -> SyntheticVideo + Sync,
     queries: &[Query],
     strategies: &[(&str, Strategy)],
     tag: &str,
@@ -233,42 +227,52 @@ pub fn cumulative_costs(
         })
         .collect();
     let detect = |seconds: f64| if with_detection { seconds } else { 0.0 };
-    let mut unit = None;
-    let mut curves = Vec::new();
-    for (name, strategy) in strategies {
+    // Per strategy: the up-front price, then each query's price and its
+    // detection seconds.
+    let run = |name: &str, strategy: Strategy| {
         let storage = StorageConfig::default();
         let mut bv = BenchVideo::ingest(video(), &format!("{tag}-{name}"), storage, |_, _| None);
         let report = run_workload(
             &mut bv.tasm,
             &bv.name,
             &queries,
-            *strategy,
+            strategy,
             &mut SimulatedYolo::full(1),
             &|f| bv.video.ground_truth(f),
             Some(&bv.video),
         )
         .expect("workload");
         let cfg = bv.tasm.config();
-        let unit = *unit.get_or_insert_with(|| {
-            let total: f64 = report.records.iter().map(|r| r.cost(cfg)).sum();
-            (total / report.records.len().max(1) as f64).max(f64::MIN_POSITIVE)
-        });
         let up_front =
             retile_cost(cfg, &report.initial_tile) + detect(report.initial_detect_seconds);
+        let records = report.records.iter();
+        let priced: Vec<(f64, f64)> = records.map(|r| (r.cost(cfg), r.detect_seconds)).collect();
+        (up_front, priced)
+    };
+    let runs: Vec<(f64, Vec<(f64, f64)>)> = std::thread::scope(|s| {
+        let runs: Vec<_> = (strategies.iter())
+            .map(|&(name, strategy)| s.spawn(move || run(name, strategy)))
+            .collect();
+        runs.into_iter()
+            .map(|r| r.join().expect("strategy"))
+            .collect()
+    });
+    let first = &runs[0].1;
+    let total: f64 = first.iter().map(|&(cost, _)| cost).sum();
+    let unit = (total / first.len().max(1) as f64).max(f64::MIN_POSITIVE);
+    let curve = |(up_front, priced): &(f64, Vec<(f64, f64)>)| {
         let mut cum = up_front / unit;
-        let curve: Vec<f64> = (report.records.iter())
-            .map(|r| {
-                cum += (r.cost(cfg) + detect(r.detect_seconds)) / unit;
+        let curve: Vec<f64> = (priced.iter())
+            .map(|&(cost, detect_seconds)| {
+                cum += (cost + detect(detect_seconds)) / unit;
                 cum
             })
             .collect();
-        curves.push(
-            (0..=10)
-                .map(|d| curve[d * (curve.len() - 1) / 10])
-                .collect(),
-        );
-    }
-    curves
+        (0..=10)
+            .map(|d| curve[d * (curve.len() - 1) / 10])
+            .collect()
+    };
+    runs.iter().map(curve).collect()
 }
 
 /// Percentage improvement of `tiled` over `untiled` (positive = faster).

@@ -230,7 +230,7 @@ mod tests {
     use crate::cost::estimate_work;
     use crate::query::{filter_regions, Query};
     use crate::scan::LabelPredicate;
-    use crate::scratch::Scratch;
+    use crate::scratch::{car_source, car_truth, Scratch};
     use crate::storage::{SotEntry, StorageConfig};
     use crate::tasm::{Tasm, TasmConfig};
     use proptest::prelude::*;
@@ -447,7 +447,8 @@ mod tests {
         /// The cost model prices what a query decodes: per SOT, the work
         /// `estimate_work` predicts for the label-only query's boxes under
         /// that SOT's layout sums to the samples and chunks `Tasm::query`
-        /// decodes without a cache, on one worker and on two.
+        /// decodes without a cache, on one worker and on two, and
+        /// `Tasm::price` counts the same without decoding.
         #[test]
         fn estimated_work_is_what_an_uncached_query_decodes(
             case in work_case(),
@@ -493,8 +494,33 @@ mod tests {
                 }
                 let decoded = Work::from(&tasm.query("v", &query).unwrap().stats);
                 let case = format!("GOP {gop_len}, SOT {sot_frames}, frames {frames:?}, {boxes:?}");
+                prop_assert_eq!(tasm.price("v", &query).unwrap(), decoded, "{} workers: {}", workers, &case);
                 prop_assert_eq!(decoded, predicted, "{} workers: {}", workers, case);
             }
         }
+    }
+
+    /// A warm decoded-GOP cache cuts what a query decodes, never its price:
+    /// `Tasm::price` counts the plan's reads as an uncached query decodes
+    /// them.
+    #[test]
+    fn price_is_unchanged_on_a_warm_cache() {
+        let tasm = Scratch::tasm("plan-price-warm");
+        tasm.ingest("v", &car_source(30), 30).unwrap();
+        tasm.retile("v", 1, TileLayout::uniform(128, 96, 2, 2).unwrap())
+            .unwrap();
+        for f in 0..30 {
+            for (label, rect) in car_truth(f) {
+                tasm.add_metadata("v", label, f, rect).unwrap();
+            }
+        }
+        let query = Query::new(LabelPredicate::label("car")).frames(3..27);
+        let cold = tasm.price("v", &query).unwrap();
+        let first = tasm.query("v", &query).unwrap();
+        assert_eq!(Work::from(&first.stats), cold);
+        let warm = tasm.query("v", &query).unwrap();
+        assert!(warm.cache.hits > 0, "{:?}", warm.cache);
+        assert!(warm.stats.samples_decoded < first.stats.samples_decoded);
+        assert_eq!(tasm.price("v", &query).unwrap(), cold);
     }
 }

@@ -227,44 +227,73 @@ pub(crate) fn filter_regions(
     }
 }
 
+/// The planning half of [`crate::Tasm::query`] and [`crate::Tasm::price`]:
+/// the plan of the boxes [`filter_regions`] keeps, and the plan of all of
+/// them read whole, as `Scan` reads it (the baseline, which is also the
+/// plan when the filters keep every box that makes a region). Aggregate
+/// modes answer from the index alone, so they plan no read.
+pub(crate) struct QueryPlan<'a> {
+    baseline: ReadPlan<'a>,
+    /// `None` when the baseline is the plan.
+    filtered: Option<ReadPlan<'a>>,
+    matched: u64,
+    frames_sampled: u64,
+}
+
+impl<'a> QueryPlan<'a> {
+    pub(crate) fn new(
+        manifest: &'a VideoManifest,
+        mut regions: BTreeMap<u32, Vec<Rect>>,
+        frames: Range<u32>,
+        query: &Query,
+    ) -> Self {
+        let baseline = ReadPlan::new(manifest, &regions, frames.clone());
+        filter_regions(&mut regions, manifest, query, &frames);
+        let matched: usize = regions.values().map(Vec::len).sum();
+        let frames_sampled = regions.len() as u64;
+        let pixels = query.query_mode() == QueryMode::Pixels;
+        let filtered = (!pixels || matched != baseline.slots.len()).then(|| {
+            if !pixels {
+                regions.clear();
+            }
+            ReadPlan::new(manifest, &regions, frames)
+        });
+        QueryPlan {
+            baseline,
+            filtered,
+            matched: matched as u64,
+            frames_sampled,
+        }
+    }
+
+    /// The plan the query reads.
+    pub(crate) fn plan(&self) -> &ReadPlan<'a> {
+        self.filtered.as_ref().unwrap_or(&self.baseline)
+    }
+}
+
 /// The decode half of [`crate::Tasm::query`], run after the index lock is
-/// released: reads the GOP runs of the plan of the boxes [`filter_regions`]
-/// keeps, and counts what it cut against the plan of all of them read
-/// whole, as `Scan` reads it (the baseline, which is also the plan when
-/// the filters keep every box that makes a region).
+/// released: reads the GOP runs of the [`QueryPlan`] and counts what it cut
+/// against the baseline.
 pub(crate) fn query_prepared(
     store: &VideoStore,
     found: Lookup,
     query: &Query,
 ) -> Result<ScanResult, ScanError> {
-    let (manifest, mut regions, frames) = (found.pin.manifest(), found.regions, found.frames);
-    let baseline = ReadPlan::new(manifest, &regions, frames.clone());
-    filter_regions(&mut regions, manifest, query, &frames);
-    let matched: usize = regions.values().map(Vec::len).sum();
-    let frames_sampled = regions.len() as u64;
-    let pixels = query.query_mode() == QueryMode::Pixels;
-    let filtered;
-    let plan = if pixels && matched == baseline.slots.len() {
-        &baseline // the filters kept every box that makes a region
-    } else {
-        if !pixels {
-            regions.clear(); // aggregate modes answer from the index alone
-        }
-        filtered = ReadPlan::new(manifest, &regions, frames);
-        &filtered
-    };
-    let reads = plan.gop_reads(manifest.config.gop_len);
+    let manifest = found.pin.manifest();
+    let planned = QueryPlan::new(manifest, found.regions, found.frames, query);
+    let reads = planned.plan().gop_reads(manifest.config.gop_len);
     let mut result = ScanResult {
         lookup_time: found.time,
         epoch: manifest.epoch(),
-        matched: matched as u64,
+        matched: planned.matched,
         plan: PlanStats {
-            frames_sampled,
-            ..baseline.stats(&reads, manifest.config.gop_len)
+            frames_sampled: planned.frames_sampled,
+            ..planned.baseline.stats(&reads, manifest.config.gop_len)
         },
         ..Default::default()
     };
-    result.execute(store, manifest, plan, &reads)?;
+    result.execute(store, manifest, planned.plan(), &reads)?;
     Ok(result)
 }
 

@@ -21,12 +21,16 @@
 //! is recorded separately so harnesses can include or exclude it per
 //! figure.
 //!
-//! Decode and re-tile work is recorded as counted, never timed, and priced
-//! with §4.1's model under the store's own [`TasmConfig`] — the prices the
-//! policy decides with — so the same run gives the same costs.
+//! A query's work is priced, not run: [`Tasm::price`] plans it as
+//! [`Tasm::query`] does and counts what that plan would decode on a store
+//! without a cache, decoding nothing. That work and each re-tile's counted
+//! work are priced with §4.1's model under the store's own [`TasmConfig`] —
+//! the prices the policy decides with — so the same run gives the same
+//! costs.
 
 use crate::cost::Work;
 use crate::policy::RetilePolicy;
+use crate::query::Query;
 use crate::scan::LabelPredicate;
 use crate::storage::RetileStats;
 use crate::tasm::{Tasm, TasmConfig, TasmError};
@@ -80,31 +84,15 @@ pub struct QueryRecord {
     pub retile: RetileStats,
     /// Simulated seconds of lazy detection triggered by this query.
     pub detect_seconds: f64,
-    /// Samples decoded by the query (cache reuse excluded).
-    pub samples_decoded: u64,
-    /// Tile chunks decoded by the query.
-    pub tile_chunks: u64,
-    /// Decoded-GOP cache hits during the query.
-    pub cache_hits: u64,
-    /// Samples served from the decoded-GOP cache instead of being decoded.
-    pub samples_reused: u64,
+    /// What the query's plan decodes, priced by [`Tasm::price`] before the
+    /// policy observes the query.
+    pub work: Work,
 }
 
 impl QueryRecord {
-    /// Samples the query *needed*, decoded or reused — the quantity the
-    /// strategy comparisons of §5.3 reason about (a warm cache shifts work
-    /// from `samples_decoded` to `samples_reused` without changing it).
-    pub fn samples_touched(&self) -> u64 {
-        self.samples_decoded + self.samples_reused
-    }
-
     /// §4.1's price of the query's decode and of the re-tiles after it.
     pub fn cost(&self, cfg: &TasmConfig) -> f64 {
-        let work = Work {
-            pixels: self.samples_decoded,
-            tile_chunks: self.tile_chunks,
-        };
-        cfg.cost.cost(work) + retile_cost(cfg, &self.retile)
+        cfg.cost.cost(self.work) + retile_cost(cfg, &self.retile)
     }
 }
 
@@ -128,8 +116,6 @@ pub struct WorkloadReport {
     /// Total number of SOT re-tile operations performed: the layout
     /// epochs the run committed.
     pub retile_ops: u32,
-    /// Total decoded-GOP cache hits across all queries.
-    pub cache_hits: u64,
     /// Final on-disk size of the video.
     pub final_size_bytes: u64,
 }
@@ -200,19 +186,15 @@ pub fn run_workload(
         // Lazy detection: analyze frames the index has not seen yet.
         let detect_seconds = detect_frames(tasm, video, q.frames.clone(), detector, truth, pixels)?;
 
-        let result = tasm.scan(video, &LabelPredicate::label(&q.label), q.frames.clone())?;
+        let query = Query::new(LabelPredicate::label(&q.label)).frames(q.frames.clone());
+        let work = tasm.price(video, &query)?;
         let retile = tasm.observe(video, policy, &q.label, q.frames.clone())?;
-
-        report.cache_hits += result.cache.hits;
         report.records.push(QueryRecord {
             label: q.label.clone(),
             start_frame: q.frames.start,
             retile,
             detect_seconds,
-            samples_decoded: result.stats.samples_decoded,
-            tile_chunks: result.stats.tile_chunks_decoded,
-            cache_hits: result.cache.hits,
-            samples_reused: result.cache.samples_reused,
+            work,
         });
     }
 
@@ -346,24 +328,13 @@ mod tests {
         .unwrap();
 
         assert!(r_reg.retile_ops > 0, "regret should have re-tiled");
-        // After re-tiling, late queries touch fewer samples than baseline.
-        // `samples_touched` counts decoded + cache-reused work, so the
-        // comparison is cache-warmth-independent.
-        let late_base: u64 = r_base.records[15..]
-            .iter()
-            .map(|r| r.samples_touched())
-            .sum();
-        let late_reg: u64 = r_reg.records[15..]
-            .iter()
-            .map(|r| r.samples_touched())
-            .sum();
+        // After re-tiling, late queries decode fewer samples than baseline.
+        let late =
+            |r: &WorkloadReport| -> u64 { r.records[15..].iter().map(|r| r.work.pixels).sum() };
+        let (late_base, late_reg) = (late(&r_base), late(&r_reg));
         assert!(
             late_reg < late_base,
             "late regret decode {late_reg} should beat baseline {late_base}"
-        );
-        assert!(
-            r_base.cache_hits > 0,
-            "repeated windows should hit the decoded-GOP cache"
         );
     }
 

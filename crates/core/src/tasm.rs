@@ -47,11 +47,11 @@
 //! holding it. Readers touch only the epoch table (briefly, to pin) and
 //! the index (briefly, to look up) — neither is held across decode.
 
-use crate::cost::{CostModel, EncodeModel};
+use crate::cost::{CostModel, EncodeModel, Work};
 use crate::pack::PackReader;
 use crate::partition::PartitionConfig;
 use crate::policy::PolicyState;
-use crate::query::{query_prepared, Query};
+use crate::query::{query_prepared, Query, QueryPlan};
 use crate::scan::{scan_prepared, LabelPredicate, ScanError, ScanResult};
 use crate::storage::{PackId, RetileStats, StorageConfig, StoreError, VideoManifest, VideoStore};
 use std::collections::{BTreeMap, BTreeSet};
@@ -780,10 +780,11 @@ impl Tasm {
         Ok(scan_prepared(&self.store, found)?)
     }
 
-    /// The lookup half of [`Tasm::scan`] and [`Tasm::query`]: pins `name`'s
-    /// layout epoch (`as_of`, or the current one), clamps `frames` to the
-    /// video, and resolves `predicate` in the semantic index, whose lock is
-    /// released before the caller decodes anything.
+    /// The lookup half of [`Tasm::scan`], [`Tasm::query`] and
+    /// [`Tasm::price`]: pins `name`'s layout epoch (`as_of`, or the current
+    /// one), clamps `frames` to the video, and resolves `predicate` in the
+    /// semantic index, whose lock is released before the caller decodes
+    /// anything.
     fn lookup(
         &self,
         name: &str,
@@ -890,6 +891,18 @@ impl Tasm {
             .record(result.exec_time);
         }
         Ok(result)
+    }
+
+    /// §4.1's work of [`Tasm::query`] on a store without a decoded-GOP
+    /// cache, decoding nothing: the same lookup and plan, priced by the
+    /// GOP runs the query would read ([`crate::cost::Work`]'s `P` and `T`).
+    /// Aggregate modes read nothing, so they price zero work.
+    pub fn price(&self, name: &str, query: &Query) -> Result<Work, TasmError> {
+        let (predicate, as_of) = (query.predicate(), query.as_of_epoch());
+        let found = self.lookup(name, predicate, query.frame_range(), as_of)?;
+        let manifest = found.pin.manifest();
+        let planned = QueryPlan::new(manifest, found.regions, found.frames, query);
+        Ok(planned.plan().work(manifest.config.gop_len))
     }
 
     /// Pins a layout epoch of `name` explicitly: the current epoch

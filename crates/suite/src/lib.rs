@@ -10,6 +10,7 @@ pub mod crash;
 use std::borrow::Borrow;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tasm_core::{Query, RegionPixels, ScanResult, Tasm, TasmConfig};
 use tasm_data::{SceneSpec, SyntheticVideo};
@@ -22,9 +23,13 @@ use tasm_video::{FrameSource, Plane};
 pub struct TempDir(PathBuf);
 
 impl TempDir {
-    /// `tasm-<tag>-<pid>`, cleared of whatever a killed run left there.
+    /// `tasm-<tag>-<pid>-<n>`, numbered process-wide so two live ones never
+    /// share a directory, and cleared of whatever a killed run left there.
     pub fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("tasm-{tag}-{}", std::process::id()));
+        static DIRS: AtomicUsize = AtomicUsize::new(0);
+        let n = DIRS.fetch_add(1, Ordering::Relaxed);
+        let name = format!("tasm-{tag}-{}-{n}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).expect("create a temp dir");
         TempDir(dir)
@@ -180,5 +185,22 @@ pub fn assert_regions_identical<E: Borrow<RegionPixels>>(
 ) {
     if let Some(diff) = region_diff(expected, got) {
         panic!("{what}: {diff}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::TempDir;
+
+    /// Two live directories of one tag are distinct, and dropping one
+    /// leaves the other's files.
+    #[test]
+    fn temp_dirs_of_one_tag_do_not_share_a_directory() {
+        let a = TempDir::new("t");
+        std::fs::write(a.path().join("kept"), b"a").unwrap();
+        let b = TempDir::new("t");
+        assert_ne!(a.path(), b.path());
+        drop(b);
+        assert_eq!(std::fs::read(a.path().join("kept")).unwrap(), b"a");
     }
 }
