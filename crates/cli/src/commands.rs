@@ -1,6 +1,7 @@
-//! The commands over a store directory — `ingest`, `detect`, `scan`,
-//! `query`, `retile`, `observe`, `workload`, `info`, `stats` and `fsck` —
-//! and the flag readers they share with the commands over a network.
+//! The commands over a store directory — `ingest`, `detect`, `query`
+//! (which `tasm scan` runs too), `retile`, `observe`, `workload`, `info`,
+//! `stats` and `fsck` — and the flag readers they share with the commands
+//! over a network.
 //!
 //! The store layout is `<store>/index/` (persistent semantic index) plus
 //! `<store>/videos/` (tile packs + manifests). The videos a store holds are
@@ -180,34 +181,9 @@ fn note_repeats(repeat: u32, run: u32) {
     }
 }
 
-pub(crate) fn scan(args: &Args) -> CmdResult {
-    let store = args.required("store")?;
-    let name = args.required("name")?;
-    let label = args.required("label")?;
-    let (tasm, _) = open_stored(store, args, Some(name))?;
-    let frames = tasm.manifest(name)?.frame_count;
-    let start: u32 = args.get_or("start", 0)?;
-    let end: u32 = args.get_or("end", frames)?;
-
-    let repeat: u32 = args.get_or("repeat", 1)?;
-    for run in 0..repeat.max(1) {
-        let result = tasm.scan(name, &LabelPredicate::label(label), start..end)?;
-        println!(
-            "scan '{label}' over frames {start}..{end}: {} regions, {} samples decoded, {} tile-chunks, {} cache hits ({} samples reused), {:.2} ms",
-            result.regions.len(),
-            result.stats.samples_decoded,
-            result.stats.tile_chunks_decoded,
-            result.cache.hits,
-            result.cache.samples_reused,
-            result.seconds() * 1e3
-        );
-        note_repeats(repeat, run);
-    }
-    Ok(())
-}
-
 /// Runs a spatiotemporal query through the planner and reports both the
-/// answer and what the planner pruned.
+/// answer and what the planner pruned; `tasm scan` is this command with no
+/// query clause.
 pub(crate) fn query(args: &Args) -> CmdResult {
     let store = args.required("store")?;
     let name = args.required("name")?;

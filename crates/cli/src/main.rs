@@ -73,7 +73,8 @@ QUERY: the spatiotemporal planner. --roi keeps only boxes intersecting the
   --limit K stops after the first K matching frames, and --mode count|exists
   answers from the semantic index without decoding any tile. Pruned tiles
   and GOPs are never decoded; the command reports what the planner cut.
-  Results are bit-identical to `tasm scan` filtered after the fact.
+  Results are bit-identical to `tasm scan` filtered after the fact: `tasm
+  scan` is the query with none of these clauses, and reads what it reads.
   --as-of E pins a still-live layout epoch (MVCC): the query reads that
   exact tile layout even if the video has since been re-tiled. Epochs stay
   live while a reader pins them; a reclaimed epoch is a typed error.
@@ -164,8 +165,8 @@ pub fn dispatch(argv: &[String]) -> CmdResult {
     match cmd.as_str() {
         "ingest" => commands::ingest(&args),
         "detect" => commands::detect(&args),
-        "scan" => commands::scan(&args),
-        "query" => commands::query(&args),
+        // A scan is the label-only query.
+        "scan" | "query" => commands::query(&args),
         "retile" => commands::retile(&args),
         "observe" => commands::observe(&args),
         "workload" => commands::workload(&args),

@@ -55,13 +55,14 @@ impl Default for CostModel {
     fn default() -> Self {
         // Calibrated on the reference machine with `fit_cost_model`
         // (single-threaded software decode): ~3.3 ns/sample plus ~7 µs of
-        // per-tile-chunk overhead. Re-fit with CostModel::fit for new
-        // hardware, as §4.1 prescribes. β is by now ≈ 3x the decode rate
-        // the perf ledger measures (`codec.decode_us_per_mpixel` ≈ 1000,
-        // i.e. 1.0 ns/sample, was ≈ 1280 before the decoder's table step)
-        // and is still not re-fitted: layouts and re-tile decisions come
-        // from these constants, never from a timing, so they must be
-        // changed on their own, with every exact count re-checked.
+        // per-tile-chunk overhead. Re-fit with `fit_cost_model` (its
+        // `fit_linear`) for new hardware, as §4.1 prescribes. β is by now
+        // ≈ 3x the decode rate the perf ledger measures
+        // (`codec.decode_us_per_mpixel` ≈ 1000, i.e. 1.0 ns/sample, was
+        // ≈ 1280 before the decoder's table step) and is still not
+        // re-fitted: layouts and re-tile decisions come from these
+        // constants, never from a timing, so they must be changed on their
+        // own, with every exact count re-checked.
         CostModel {
             beta: 3.3e-9,
             gamma: 7.4e-6,
@@ -73,19 +74,6 @@ impl CostModel {
     /// Estimated seconds to perform `work`.
     pub fn cost(&self, work: Work) -> f64 {
         self.beta * work.pixels as f64 + self.gamma * work.tile_chunks as f64
-    }
-
-    /// Fits β and γ from measurements, returning the model and its R².
-    /// Panics if fewer than three samples are provided.
-    pub fn fit(samples: &[WorkSample]) -> (CostModel, f64) {
-        let fit = fit_linear(samples);
-        (
-            CostModel {
-                beta: fit.beta,
-                gamma: fit.gamma,
-            },
-            fit.r2,
-        )
     }
 }
 

@@ -79,13 +79,14 @@ impl std::ops::AddAssign for CacheStats {
 /// how much it *avoided* relative to the label-only baseline plan.
 ///
 /// The baseline is the read plan (`ReadPlan`, in `tasm-core`'s `plan`
-/// module) of the label predicate's boxes, read whole as
-/// [`mod@crate::scan`] reads it: every tile a box touches, over its SOT's
-/// full matched-frame span. The spatiotemporal planner ([`crate::query`])
-/// builds a second plan from the boxes its ROI, stride and `limit` keep,
-/// reads only that plan's GOP runs, and derives these counters from the
-/// two plans: tiles whose boxes all miss the ROI, GOPs outside the sampling
-/// stride and GOPs past a satisfied `limit` are what it cut.
+/// module) of the label predicate's boxes: every tile a box touches, over
+/// its SOT's full matched-frame span. The spatiotemporal planner
+/// ([`crate::query`]) builds a second plan from the boxes its ROI, stride
+/// and `limit` keep, reads only that plan's GOP runs, and derives these
+/// counters from the two plans: tiles whose boxes all miss the ROI, GOPs
+/// outside the sampling stride and GOPs past a satisfied `limit` are what
+/// it cut, and GOPs of the span no box of a planned tile lies in are
+/// skipped by every read, a scan's (the label-only query's) included.
 ///
 /// All counters are computed at *plan time* from the semantic index alone:
 /// they cost no decode work, and they are byte-for-byte identical whether

@@ -23,8 +23,9 @@
 //!   decode planning, a scoped-thread executor, and the shared decoded-GOP
 //!   cache (a byte budget that trims the least-recently used GOP's tail
 //!   frames before dropping any entry);
-//! * [`mod@scan`] — the `Scan(video, L, T)` access method with CNF label
-//!   predicates (§3.1);
+//! * [`mod@scan`] — the `Scan(video, L, T)` access method's CNF label
+//!   predicates (§3.1), its result, and the composition of regions as
+//!   their tiles decode; [`Tasm::scan`] is the label-only query;
 //! * [`mod@query`] — the spatiotemporal query planner: ROI, sampling
 //!   stride, first-k limit, and aggregate modes, with index-driven tile and
 //!   GOP pruning before any decode;

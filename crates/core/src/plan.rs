@@ -1,11 +1,11 @@
 //! The read plan: `Scan` (§3.1) maps each box to the tiles of its SOT and
 //! decodes only those, and [`ReadPlan`] is that mapping, made once. A box
 //! touches the tiles of its rectangle aligned outward to even edges
-//! ([`box_tiles`]), the rectangle its canvas covers. Scan reads the plan
-//! whole ([`ReadPlan::whole_reads`]); a query reads the GOP runs of a plan
-//! of the boxes it keeps ([`ReadPlan::gop_reads`]) and derives its
-//! [`PlanStats`] against the unfiltered plan ([`ReadPlan::stats`]). The
-//! cost model prices a query under a candidate layout as the decode work of
+//! ([`box_tiles`]), the rectangle its canvas covers. A query, and so a
+//! scan (the label-only query), reads the GOP runs of a plan of the boxes
+//! it keeps ([`ReadPlan::gop_reads`]) and derives its [`PlanStats`] against
+//! the unfiltered plan read over its span ([`ReadPlan::stats`]). The cost
+//! model prices a query under a candidate layout as the decode work of
 //! those GOP runs ([`ReadPlan::for_layout`], [`ReadPlan::work`]).
 
 use crate::cost::Work;
@@ -120,20 +120,9 @@ impl<'a> ReadPlan<'a> {
         plan
     }
 
-    /// Every planned tile over its SOT's whole span: what scan reads.
-    pub(crate) fn whole_reads(&self) -> Vec<TileDecodeRequest> {
-        let reads = self.sots.iter().flat_map(|sot| {
-            sot.tiles().map(|(tile, _)| TileDecodeRequest {
-                sot_idx: sot.sot_idx,
-                tile,
-                local_span: sot.span.clone(),
-            })
-        });
-        reads.collect()
-    }
-
     /// Per planned tile, one read per run of consecutive GOPs holding a frame
-    /// of it, from that run's first such frame to its last: what a query reads.
+    /// of it, from that run's first such frame to its last: what a scan or
+    /// query reads.
     pub(crate) fn gop_reads(&self, gop_len: u32) -> Vec<TileDecodeRequest> {
         let mut reads: Vec<TileDecodeRequest> = Vec::new();
         for sot in &self.sots {
@@ -156,8 +145,9 @@ impl<'a> ReadPlan<'a> {
         reads
     }
 
-    /// What `reads`, grouped by tile as both methods above emit them,
-    /// schedule and cut against this plan read whole, the baseline;
+    /// What `reads`, grouped by tile as [`ReadPlan::gop_reads`] emits them,
+    /// schedule and cut against the baseline, this plan read over its span:
+    /// each of its tiles from its SOT's first box frame to its last.
     /// `frames_sampled` is left to the caller.
     pub(crate) fn stats(&self, reads: &[TileDecodeRequest], gop_len: u32) -> PlanStats {
         let mut stats = PlanStats::default();
@@ -344,13 +334,34 @@ mod tests {
         }
     }
 
+    /// `reads` lie inside `baseline` read over its span (each of its tiles
+    /// over its SOT's span), and their counters against it add up to the
+    /// baseline's tiles and, per tile read, the GOPs of that span.
+    fn assert_inside_baseline(baseline: &ReadPlan, reads: &[TileDecodeRequest], gop_len: u32) {
+        let stats = baseline.stats(reads, gop_len);
+        let mut tiles = BTreeMap::new();
+        for read in reads {
+            let sot = baseline.sots.iter().find(|s| s.sot_idx == read.sot_idx);
+            let sot = sot.expect("a read lies in a SOT of the baseline");
+            assert!(!sot.frames[read.tile as usize].is_empty(), "{read:?}");
+            assert!(sot.span.start <= read.local_span.start, "{read:?}");
+            assert!(read.local_span.end <= sot.span.end, "{read:?}");
+            tiles.insert((read.sot_idx, read.tile), gop_count(&sot.span, gop_len));
+        }
+        let baseline_tiles: u64 = baseline.sots.iter().map(|s| s.tiles().count() as u64).sum();
+        let baseline_gops: u64 = tiles.values().sum();
+        assert_eq!(stats.tiles_planned, tiles.len() as u64);
+        assert_eq!(stats.tiles_planned + stats.tiles_pruned, baseline_tiles);
+        assert_eq!(stats.gops_planned + stats.gops_skipped, baseline_gops);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Scan's whole plan and a query's pruned plan each read, at every
-        /// frame, the tiles that cover each of its non-empty aligned boxes;
-        /// the query reads inside scan's reads, and its counters add up to
-        /// scan's tiles and, per planned tile, scan's GOPs.
+        /// The label-only plan (the baseline) and a query's pruned plan
+        /// each read, at every frame, the tiles that cover each of its
+        /// non-empty aligned boxes, inside the baseline read over its span;
+        /// the label-only read prunes no tile.
         #[test]
         fn plans_cover_their_boxes_and_prune_inside_the_baseline(
             m in arb_manifest(),
@@ -365,13 +376,12 @@ mod tests {
             }
             let gop_len = m.config.gop_len;
             let baseline = ReadPlan::new(&m, &regions, frames.clone());
-            let whole = baseline.whole_reads();
+            let label_only = baseline.gop_reads(gop_len);
             let aligned = regions.values().flatten().map(|r| align_out(r, m.width, m.height));
             prop_assert_eq!(baseline.slots.len(), aligned.filter(|a| !a.is_empty()).count());
-            assert_slots_covered(&m, &baseline, &whole);
-            let scan = baseline.stats(&whole, gop_len);
-            prop_assert_eq!((scan.tiles_planned, scan.tiles_pruned), (whole.len() as u64, 0));
-            prop_assert_eq!(scan.gops_skipped, 0);
+            assert_slots_covered(&m, &baseline, &label_only);
+            assert_inside_baseline(&baseline, &label_only, gop_len);
+            prop_assert_eq!(baseline.stats(&label_only, gop_len).tiles_pruned, 0);
 
             let mut kept = regions.clone();
             filter_regions(&mut kept, &m, &query, &frames);
@@ -382,20 +392,9 @@ mod tests {
             if plan.slots.len() == baseline.slots.len() {
                 // Every box that makes a region kept: the query reads the
                 // baseline's plan instead.
-                prop_assert_eq!(&reads, &baseline.gop_reads(gop_len));
+                prop_assert_eq!(&reads, &label_only);
             }
-            let stats = baseline.stats(&reads, gop_len);
-            let mut tiles = BTreeMap::new();
-            for read in &reads {
-                let base = whole.iter().find(|w| (w.sot_idx, w.tile) == (read.sot_idx, read.tile));
-                let base = base.expect("a query reads only tiles scan reads");
-                prop_assert!(base.local_span.start <= read.local_span.start);
-                prop_assert!(read.local_span.end <= base.local_span.end);
-                tiles.insert((read.sot_idx, read.tile), gop_count(&base.local_span, gop_len));
-            }
-            prop_assert_eq!(stats.tiles_planned, tiles.len() as u64);
-            prop_assert_eq!(stats.tiles_planned + stats.tiles_pruned, whole.len() as u64);
-            prop_assert_eq!(stats.gops_planned + stats.gops_skipped, tiles.values().sum::<u64>());
+            assert_inside_baseline(&baseline, &reads, gop_len);
         }
     }
 
@@ -447,8 +446,9 @@ mod tests {
         /// The cost model prices what a query decodes: per SOT, the work
         /// `estimate_work` predicts for the label-only query's boxes under
         /// that SOT's layout sums to the samples and chunks `Tasm::query`
-        /// decodes without a cache, on one worker and on two, and
-        /// `Tasm::price` counts the same without decoding.
+        /// decodes without a cache, on one worker and on two,
+        /// `Tasm::price` counts the same without decoding, and
+        /// `Tasm::scan` of the same window decodes it too.
         #[test]
         fn estimated_work_is_what_an_uncached_query_decodes(
             case in work_case(),
@@ -494,7 +494,10 @@ mod tests {
                 }
                 let decoded = Work::from(&tasm.query("v", &query).unwrap().stats);
                 let case = format!("GOP {gop_len}, SOT {sot_frames}, frames {frames:?}, {boxes:?}");
-                prop_assert_eq!(tasm.price("v", &query).unwrap(), decoded, "{} workers: {}", workers, &case);
+                let price = tasm.price("v", &query).unwrap();
+                prop_assert_eq!(price, decoded, "{} workers: {}", workers, &case);
+                let scanned = tasm.scan("v", query.predicate(), frames.clone()).unwrap();
+                prop_assert_eq!(Work::from(&scanned.stats), price, "scan, {} workers: {}", workers, &case);
                 prop_assert_eq!(decoded, predicted, "{} workers: {}", workers, case);
             }
         }

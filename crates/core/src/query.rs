@@ -1,10 +1,10 @@
 //! The spatiotemporal query planner.
 //!
-//! [`mod@crate::scan`] accepts only a label predicate over a contiguous frame
-//! range: every tile overlapping any labeled box is decoded for the whole
-//! matched span. This module adds the query shapes the paper's storage
-//! manager exists to serve — *subframe, object-centric* retrieval — by
-//! planning the decode before touching any bytes:
+//! `Scan` (§3.1, [`crate::Tasm::scan`]) is a label predicate over a
+//! contiguous frame range: the query with none of the clauses below. This
+//! module plans every read, scan included, and adds the query shapes the
+//! paper's storage manager exists to serve — *subframe, object-centric*
+//! retrieval — by planning the decode before touching any bytes:
 //!
 //! * **Spatial ROI** ([`Query::roi`]) — only labeled boxes intersecting a
 //!   region of interest are retrieved. Boxes are tested against the ROI
@@ -19,11 +19,12 @@
 //!   [`QueryMode::Exists`] answer from the index alone and skip pixel
 //!   materialization entirely.
 //!
-//! The planner maps boxes to tiles with the read plan `Scan` reads whole
-//! (`plan::ReadPlan`), built from the label-only boxes (the baseline) and,
-//! when the ROI, stride or limit drop any, again from those they keep. It
-//! emits that plan's per-`(SOT, tile)` GOP runs to the [`crate::exec`]
-//! pipeline and derives [`crate::exec::PlanStats`] from the two plans.
+//! The planner maps boxes to tiles with the read plan (`plan::ReadPlan`),
+//! built from the label-only boxes (the baseline) and, when the ROI, stride
+//! or limit drop any, again from those they keep. It emits that plan's
+//! per-`(SOT, tile)` GOP runs to the [`crate::exec`] pipeline and derives
+//! [`crate::exec::PlanStats`] from the two plans, against the baseline read
+//! over its span.
 //!
 //! ## Equivalence contract
 //!
@@ -33,7 +34,8 @@
 //! intersects the ROI, whose frame lies on the stride, and that belong to
 //! the first `k` matching frames). This holds at any worker count, any
 //! cache state, and across concurrent re-tiles; `tests/contract.rs`
-//! asserts it on every query path.
+//! asserts it on every query path, and holds the scans it compares against
+//! to frames stitched from whole-tile decodes, outside the executor.
 
 use crate::exec::PlanStats;
 use crate::plan::{align_out, ReadPlan};
@@ -47,8 +49,8 @@ use tasm_video::Rect;
 /// What a query returns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum QueryMode {
-    /// Materialize the matched regions' pixels (the [`mod@crate::scan`]
-    /// behavior). The default.
+    /// Materialize the matched regions' pixels (what a scan returns). The
+    /// default.
     #[default]
     Pixels,
     /// Report only the number of matching regions
@@ -229,9 +231,9 @@ pub(crate) fn filter_regions(
 
 /// The planning half of [`crate::Tasm::query`] and [`crate::Tasm::price`]:
 /// the plan of the boxes [`filter_regions`] keeps, and the plan of all of
-/// them read whole, as `Scan` reads it (the baseline, which is also the
-/// plan when the filters keep every box that makes a region). Aggregate
-/// modes answer from the index alone, so they plan no read.
+/// them (the baseline, which is also the plan when the filters keep every
+/// box that makes a region). Aggregate modes answer from the index alone,
+/// so they plan no read.
 pub(crate) struct QueryPlan<'a> {
     baseline: ReadPlan<'a>,
     /// `None` when the baseline is the plan.

@@ -6,17 +6,19 @@
 //! labels; conjunctions intersect the clauses' regions ("red cars" = boxes
 //! labelled car ∩ boxes labelled red).
 //!
-//! Execution: look up boxes in the semantic index, map them to the tiles of
-//! each overlapping SOT (the read plan, `plan::ReadPlan`, which the query
-//! planner shares), decode only those tiles, and crop the requested
-//! regions. Reported stats include the index lookup time and the decode
+//! A scan is the label-only query ([`crate::Tasm::scan`] runs
+//! [`crate::Tasm::query`]): look up boxes in the semantic index, map them to
+//! the tiles of each overlapping SOT (the read plan, `plan::ReadPlan`),
+//! decode only those tiles over the GOPs that hold their boxes, and crop
+//! the requested regions. This module holds what every read shares: the
+//! predicate, the result, and the composition of regions as their tiles
+//! decode. Reported stats include the index lookup time and the decode
 //! work, as the paper's reported query times do.
 
 use crate::exec::{self, CacheStats, PlanStats, SharedScanStats, TileDecodeRequest};
 use crate::plan::{ReadPlan, Slot};
 use crate::pool::CanvasPool;
 use crate::storage::{StoreError, VideoManifest, VideoStore};
-use crate::tasm::Lookup;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
@@ -128,7 +130,7 @@ pub struct RegionPixels {
     pub pixels: Frame,
 }
 
-/// Result of a `Scan` (or [`crate::Tasm::query`]) call.
+/// Result of a [`crate::Tasm::query`] (or `Scan`) call.
 #[derive(Debug, Default)]
 pub struct ScanResult {
     /// Matched regions with their pixels, frame order. Empty for the
@@ -210,31 +212,10 @@ impl ScanResult {
     }
 }
 
-/// The decode half of [`crate::Tasm::scan`], run after the index lock is
-/// released: reads every tile the boxes of `regions` touch over its SOT's
-/// whole matched span ([`ReadPlan::whole_reads`]).
-pub(crate) fn scan_prepared(store: &VideoStore, found: Lookup) -> Result<ScanResult, ScanError> {
-    let manifest = found.pin.manifest();
-    let plan = ReadPlan::new(manifest, &found.regions, found.frames);
-    let reads = plan.whole_reads();
-    let mut result = ScanResult {
-        lookup_time: found.time,
-        epoch: manifest.epoch(),
-        plan: PlanStats {
-            frames_sampled: found.regions.len() as u64,
-            ..plan.stats(&reads, manifest.config.gop_len)
-        },
-        ..Default::default()
-    };
-    result.execute(store, manifest, &plan, &reads)?;
-    result.matched = result.regions.len() as u64;
-    Ok(result)
-}
-
-/// An answer's regions while their tiles decode, for scan and query alike:
-/// each frame a tile request decodes, or the cache serves, is blitted into
-/// the canvases of that frame's regions as soon as the request has it
-/// ([`Composer::compose`]), so no decoded frame waits for the others.
+/// An answer's regions while their tiles decode: each frame a tile request
+/// decodes, or the cache serves, is blitted into the canvases of that
+/// frame's regions as soon as the request has it ([`Composer::compose`]),
+/// so no decoded frame waits for the others.
 ///
 /// Canvases are spare buffers from the store's [`CanvasPool`]
 /// ([`recycle_canvases`] returns them), still holding an earlier answer's

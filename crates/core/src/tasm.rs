@@ -52,7 +52,7 @@ use crate::pack::PackReader;
 use crate::partition::PartitionConfig;
 use crate::policy::PolicyState;
 use crate::query::{query_prepared, Query, QueryPlan};
-use crate::scan::{scan_prepared, LabelPredicate, ScanError, ScanResult};
+use crate::scan::{LabelPredicate, ScanError, ScanResult};
 use crate::storage::{PackId, RetileStats, StorageConfig, StoreError, VideoManifest, VideoStore};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -762,29 +762,23 @@ impl Tasm {
     }
 
     /// `Scan(video, L, T)` (§3.1): retrieves the pixels satisfying the
-    /// predicate, decoding only the necessary tiles.
-    ///
-    /// Takes `&self`: any number of scans (on any videos) may run
-    /// concurrently through one instance. The scan pins the video's
-    /// current layout epoch at plan time and reads that immutable snapshot
-    /// to completion — concurrent re-tiles commit new epochs freely
-    /// without waiting for it, and every scan observes exactly one layout
-    /// epoch ([`ScanResult::epoch`] says which).
+    /// predicate, decoding only the necessary tiles. It is the label-only
+    /// [`Tasm::query`] of the window `frames`, so it reads what that query
+    /// reads, pins its epoch the same way ([`ScanResult::epoch`] says
+    /// which), and reports its plan.
     pub fn scan(
         &self,
         name: &str,
         predicate: &LabelPredicate,
         frames: Range<u32>,
     ) -> Result<ScanResult, TasmError> {
-        let found = self.lookup(name, predicate, frames, None)?;
-        Ok(scan_prepared(&self.store, found)?)
+        self.query(name, &Query::new(predicate.clone()).frames(frames))
     }
 
-    /// The lookup half of [`Tasm::scan`], [`Tasm::query`] and
-    /// [`Tasm::price`]: pins `name`'s layout epoch (`as_of`, or the current
-    /// one), clamps `frames` to the video, and resolves `predicate` in the
-    /// semantic index, whose lock is released before the caller decodes
-    /// anything.
+    /// The lookup half of [`Tasm::query`] and [`Tasm::price`]: pins
+    /// `name`'s layout epoch (`as_of`, or the current one), clamps `frames`
+    /// to the video, and resolves `predicate` in the semantic index, whose
+    /// lock is released before the caller decodes anything.
     fn lookup(
         &self,
         name: &str,
@@ -819,11 +813,13 @@ impl Tasm {
     /// regions stay bit-identical to running the unpruned [`Tasm::scan`]
     /// and filtering its output post-hoc.
     ///
-    /// Concurrency mirrors [`Tasm::scan`]: the query pins a layout epoch
+    /// Takes `&self`: any number of queries (on any videos) may run
+    /// concurrently through one instance. The query pins a layout epoch
     /// at plan time — the current one, or the epoch named by
     /// [`Query::as_of`] if it is still live — and reads that snapshot to
-    /// completion, so every query observes exactly one layout epoch even
-    /// while re-tiles commit concurrently.
+    /// completion: concurrent re-tiles commit new epochs without waiting
+    /// for it, and every query observes exactly one layout epoch
+    /// ([`ScanResult::epoch`] says which).
     ///
     /// ```no_run
     /// # use tasm_core::{LabelPredicate, Query, QueryMode, Tasm, TasmConfig};

@@ -17,10 +17,12 @@
 //! equal `post_filter` of the twin's unpruned scan at the epoch it executed
 //! against (for `AS OF`, the scan recorded when that epoch was pinned),
 //! carry the twin's plan, and account for every planned GOP and sample as
-//! decoded or reused exactly once. After every step the cache keeps its
-//! budget, the disk holds exactly the live epochs' packs, and a drained
-//! epoch answers `EpochNotLive`. A failure names the seed, sequence, step
-//! and operation.
+//! decoded or reused exactly once. A scan runs the executor the answers
+//! run, so each twin scan is held, once per epoch, to the crops of frames
+//! stitched from whole-tile decodes: the reference outside the executor.
+//! After every step the cache keeps its budget, the disk holds exactly the
+//! live epochs' packs, and a drained epoch answers `EpochNotLive`. A
+//! failure names the seed, sequence, step and operation.
 
 use proptest::{run_cases, seed_for};
 use rand::rngs::StdRng;
@@ -315,11 +317,17 @@ impl Sequence {
         self.sut.current_epoch("v").unwrap()
     }
 
-    /// The twin's scans at the current epoch, computed once per epoch.
+    /// The twin's scans at the current epoch, computed once per epoch. A
+    /// scan runs the executor the answers run, so each is held to frames
+    /// stitched from whole-tile decodes before it serves as the reference.
     fn current_scans(&mut self) -> Rc<Vec<ScanResult>> {
         let epoch = self.current_epoch();
         if self.scans.as_ref().is_none_or(|(e, _)| *e != epoch) {
             let scans = predicates().map(|p| self.twin.scan("v", &p, 0..FRAMES).unwrap());
+            let mut stitched = Stitched::new(&self.twin, epoch);
+            for (i, scan) in scans.iter().enumerate() {
+                stitched.check(&scan.regions, &format!("twin scan {i}"));
+            }
             self.scans = Some((epoch, Rc::new(Vec::from(scans))));
         }
         Rc::clone(&self.scans.as_ref().expect("just computed").1)
@@ -741,22 +749,22 @@ fn every_region_is_the_crop_of_its_frame_stitched_from_whole_tile_decodes() {
     }
     let want = [
         Counts {
-            decode: [2005, 7856640, 2005, 273831, 122760],
+            decode: [1797, 7340544, 1797, 255576, 114696],
             cache: [0, 0, 0, 0],
-            shared: [412, 0],
-            plan: [129, 49, 412, 51, 496],
+            shared: [376, 0],
+            plan: [129, 49, 376, 87, 496],
         },
         Counts {
-            decode: [1607, 6471168, 1607, 215564, 101112],
-            cache: [61, 351, 398, 1385472],
-            shared: [351, 0],
-            plan: [129, 49, 412, 51, 496],
+            decode: [1321, 5746944, 1321, 187489, 89796],
+            cache: [86, 290, 476, 1593600],
+            shared: [290, 0],
+            plan: [129, 49, 376, 87, 496],
         },
         Counts {
-            decode: [310, 1344000, 310, 45425, 21000],
-            cache: [350, 62, 1695, 6512640],
-            shared: [62, 0],
-            plan: [129, 49, 412, 51, 496],
+            decode: [305, 1336320, 305, 45230, 20880],
+            cache: [315, 61, 1492, 6004224],
+            shared: [61, 0],
+            plan: [129, 49, 376, 87, 496],
         },
     ];
     assert_eq!(serial, want, "budgets none, five GOPs, unbounded");
