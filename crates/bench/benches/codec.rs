@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks of the codec substrate: encode and decode
-//! throughput, tiled vs untiled, and homomorphic stitching overhead.
+//! throughput, tiled vs untiled, and stitching tiles back into frames.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use tasm_codec::bitstream::{BitReader, BitWriter};
@@ -462,21 +462,18 @@ fn stitch_benches(c: &mut Criterion) {
     let layout = TileLayout::uniform(320, 192, 2, 2).unwrap();
     let tiles = encode_video(&src, &layout, &cfg, false).unwrap().0;
 
+    // The walk a re-tile decodes its SOT through: every tile a frame at a
+    // time, composited into one canvas.
     let mut g = c.benchmark_group("codec/stitch");
     g.sample_size(20);
-    g.bench_function("stitch_metadata_only", |b| {
-        b.iter_batched(
-            || (layout.clone(), tiles.clone()),
-            |(l, t)| StitchedVideo::stitch(l, t).unwrap(),
-            BatchSize::SmallInput,
-        )
-    });
-    let stitched = StitchedVideo::stitch(layout.clone(), tiles).unwrap();
     g.bench_function("decode_stitched_30f", |b| {
-        b.iter(|| stitched.decode_all().unwrap())
-    });
-    g.bench_function("serialize_roundtrip", |b| {
-        b.iter(|| StitchedVideo::from_bytes(&stitched.to_bytes()).unwrap())
+        b.iter(|| {
+            let mut sv = StitchedVideo::new(&layout, &tiles).unwrap();
+            for f in 0..sv.frame_count() {
+                sv.frame(f).unwrap();
+            }
+            sv.stats()
+        })
     });
     g.finish();
 }

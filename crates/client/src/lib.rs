@@ -148,9 +148,10 @@ impl Connection {
     }
 
     /// Connects to `addr` with every step bounded by `timeout`: the TCP
-    /// connect, the handshake, and each later read and write (until
-    /// [`Connection::set_io_timeout`]). How a node dials a node: a peer
-    /// that accepts and never answers costs `timeout`, never a hang.
+    /// connect, the handshake, and each later read and write. How a node
+    /// dials a node (the router's shard connections, replication to a
+    /// backup): a peer that accepts and never answers costs `timeout`,
+    /// never a hang.
     pub fn dial(addr: &str, timeout: Duration) -> Result<Connection, ClientError> {
         let sock = addr.to_socket_addrs()?.next().ok_or_else(|| {
             std::io::Error::new(
@@ -184,16 +185,6 @@ impl Connection {
             Message::Error { code, message, .. } => Err(ClientError::Rejected { code, message }),
             _ => Err(ClientError::Unexpected("handshake reply")),
         }
-    }
-
-    /// Bounds every subsequent socket read and write (`None` removes the
-    /// bound). The router applies this to its shard connections so a hung
-    /// shard surfaces as a timeout — and triggers failover — instead of
-    /// pinning a routed query forever.
-    pub fn set_io_timeout(&self, timeout: Option<Duration>) -> Result<(), ClientError> {
-        self.stream.set_read_timeout(timeout)?;
-        self.stream.set_write_timeout(timeout)?;
-        Ok(())
     }
 
     /// The per-session in-flight cap the server advertised at handshake.
@@ -410,9 +401,9 @@ impl Connection {
     }
 
     /// Reads and decodes the next frame. With a read timeout set
-    /// ([`Connection::set_io_timeout`]), a timeout before a frame's first
-    /// byte is a retryable `Io` error that loses nothing; a peer that
-    /// stalls mid-frame is [`ProtoError::Stalled`].
+    /// ([`Connection::dial`]), a timeout before a frame's first byte is a
+    /// retryable `Io` error that loses nothing; a peer that stalls
+    /// mid-frame is [`ProtoError::Stalled`].
     fn read_message(&mut self) -> Result<Message, ClientError> {
         let payload = self.reader.read_frame(&mut self.stream)?;
         Ok(Message::decode_payload(&payload)?)

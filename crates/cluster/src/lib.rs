@@ -58,7 +58,7 @@ mod router;
 pub use map::{rendezvous_score, MapError, NodeInfo, Pin, ShardMap};
 pub use rebalance::{rebalance, RebalanceReport};
 pub use replicate::{
-    apply_record, layout_epoch, manifest_json, push_video, Replicator, ReplicatorHook, StagedSots,
+    apply_record, manifest_json, push_video, Replicator, ReplicatorHook, StagedSots,
 };
 pub use router::{ClusterShutdownReport, Router, RouterConfig, RouterStats, ShardShutdownReport};
 

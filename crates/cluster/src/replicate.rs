@@ -247,11 +247,6 @@ fn stage_chunks(video: &str, sot_idx: u32, tiles: &[Vec<u8>]) -> Vec<Replication
     out
 }
 
-/// The layout epoch a manifest is at: the sum of per-SOT retile counts.
-pub fn layout_epoch(manifest: &VideoManifest) -> u64 {
-    manifest.sots.iter().map(|s| s.retile_count as u64).sum()
-}
-
 /// The sending half of replication: one connection to a backup plus the
 /// per-SOT layout epochs it is known to hold, so a re-tile ships only the
 /// SOTs that actually changed.
@@ -310,7 +305,7 @@ impl Replicator {
             }
         }
         let epochs: Vec<u32> = manifest.sots.iter().map(|s| s.retile_count).collect();
-        let epoch = layout_epoch(&manifest);
+        let epoch = manifest.epoch();
         let manifest_bytes = serde_json::to_vec_pretty(&manifest).map_err(|e| e.to_string())?;
         self.send(ReplicationRecord::CommitVideo {
             epoch,
@@ -323,34 +318,35 @@ impl Replicator {
     }
 
     /// Ships the SOTs of `video` whose layout epoch advanced since the
-    /// backup's last ack (the retile-commit delta). Falls back to a full
-    /// sync when the backup has never seen the video.
+    /// backup's last ack (the retile-commit delta), reading only those
+    /// SOTs' packs. Falls back to a full sync when the backup has never
+    /// seen the video.
     pub fn sync_delta(&mut self, tasm: &Tasm, video: &str) -> Result<(), String> {
         if !self.acked.contains_key(video) {
             return self.sync_full(tasm, video);
         }
+        let known = self.acked.get(video).cloned().unwrap_or_default();
+        let stale = |m: &VideoManifest, i: usize| {
+            known.len() != m.sots.len() || m.sots[i].retile_count > known[i]
+        };
         let (manifest, sots) = tasm
-            .replication_snapshot(video)
+            .replication_delta(video, stale)
             .map_err(|e| format!("snapshot failed: {e}"))?;
         let manifest_bytes = serde_json::to_vec_pretty(&manifest).map_err(|e| e.to_string())?;
-        let known = self.acked.get(video).cloned().unwrap_or_default();
-        let mut epochs = known.clone();
+        let mut epochs = known;
         epochs.resize(manifest.sots.len(), 0);
-        for (i, sot) in manifest.sots.iter().enumerate() {
-            let have = known.get(i).copied().unwrap_or(0);
-            if sot.retile_count <= have && known.len() == manifest.sots.len() {
-                continue;
-            }
-            for rec in stage_chunks(video, i as u32, &sots[i]) {
+        for (i, tiles) in &sots {
+            for rec in stage_chunks(video, *i as u32, tiles) {
                 self.send(rec)?;
             }
+            let retile_count = manifest.sots[*i].retile_count;
             self.send(ReplicationRecord::CommitSot {
-                epoch: sot.retile_count as u64,
+                epoch: retile_count as u64,
                 video: video.to_string(),
-                sot_idx: i as u32,
+                sot_idx: *i as u32,
                 manifest: manifest_bytes.clone(),
             })?;
-            epochs[i] = sot.retile_count;
+            epochs[*i] = retile_count;
         }
         self.acked.insert(video.to_string(), epochs);
         Ok(())

@@ -360,7 +360,12 @@ impl TileVideo {
         &self,
         range: Range<u32>,
     ) -> Result<(Vec<Frame>, DecodeStats), ContainerError> {
-        self.check_range(&range)?;
+        if range.start > range.end {
+            return Err(ContainerError::InvalidRequest("reversed frame range"));
+        }
+        if range.start >= self.frame_count() || range.end > self.frame_count() {
+            return Err(ContainerError::InvalidRequest("frame range out of bounds"));
+        }
         if range.is_empty() {
             return Ok((Vec::new(), DecodeStats::new()));
         }
@@ -370,19 +375,6 @@ impl TileVideo {
             range.start,
             range.end,
         )
-    }
-
-    /// The range checks of [`TileVideo::decode_range`], made before any
-    /// work: a reversed or out-of-bounds `range` is
-    /// [`ContainerError::InvalidRequest`].
-    pub(crate) fn check_range(&self, range: &Range<u32>) -> Result<(), ContainerError> {
-        if range.start > range.end {
-            return Err(ContainerError::InvalidRequest("reversed frame range"));
-        }
-        if range.start >= self.frame_count() || range.end > self.frame_count() {
-            return Err(ContainerError::InvalidRequest("frame range out of bounds"));
-        }
-        Ok(())
     }
 
     /// Resumes decoding at `from`, producing frames `from..end`.

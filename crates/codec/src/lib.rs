@@ -10,8 +10,9 @@
 //!   ([`TileLayout`]); every tile is an *independently decodable* bitstream
 //!   because intra prediction, motion vectors, and the in-loop deblocking
 //!   filter are confined to the tile rectangle (spatial random access).
-//! * **Homomorphic stitching** — encoded tiles are recombined into a
-//!   full-frame stream without re-encoding ([`StitchedVideo`]).
+//! * **Stitching** — a SOT's tiles are decoded a frame at a time and
+//!   composited back into full frames without re-encoding
+//!   ([`StitchedVideo`], the walk every re-tile decodes through).
 //! * **Exact work accounting** — decoders report pixels, tiles, bytes, and
 //!   blocks processed ([`DecodeStats`]), the quantities TASM's cost model
 //!   `C = β·P + γ·T` is built on.

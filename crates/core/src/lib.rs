@@ -162,4 +162,4 @@ pub use storage::{
     PackId, RetileStats, SotEntry, StorageConfig, StoreError, VideoManifest, VideoStore,
     CANVAS_POOL_BYTES,
 };
-pub use tasm::{EpochPin, SotTileBytes, Tasm, TasmConfig, TasmError};
+pub use tasm::{EpochPin, ShippedSot, SotTileBytes, Tasm, TasmConfig, TasmError};

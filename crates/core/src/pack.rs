@@ -26,9 +26,9 @@ use std::fs;
 use std::io;
 use std::ops::Range;
 use std::sync::Mutex;
-use tasm_codec::{ContainerError, DecodeStats, TileCursor, TileVideo};
+use tasm_codec::{ContainerError, DecodeStats, StitchError, StitchedVideo, TileLayout, TileVideo};
 use tasm_obs::sync;
-use tasm_video::{Frame, FrameSource, Rect};
+use tasm_video::{Frame, FrameSource};
 
 const MAGIC: [u8; 4] = *b"TSMP";
 const VERSION: u32 = 1;
@@ -245,8 +245,8 @@ impl<'m> PackReader<'m> {
 /// container (header fields in range, frame table well formed, exactly as
 /// long as it declares), then every way its dimensions, GOP length, frame
 /// count and codec disagree with the slot — empty when it fits. A tile that
-/// got past it would still decode, and `Frame::blit` would clip it
-/// silently: reads, replica installs and `fsck` all apply it.
+/// got past it would still decode, and composing it into a frame would
+/// clip it silently: reads, replica installs and `fsck` all apply it.
 pub(crate) fn check_tile(
     bytes: &[u8],
     sot: &SotEntry,
@@ -341,89 +341,40 @@ impl VideoStore {
     }
 }
 
-/// The frames of one SOT, decoded from its current tiles a frame at a time
-/// and lent to the re-tile's encoder: one [`TileCursor`] per old tile, and
-/// one canvas the tiles are blitted into — or, where a single tile covers
-/// the frame, that tile's own reconstruction. Memory is O(frame) however
-/// long the SOT.
+/// The frames of one SOT, stitched from its current tiles and lent to the
+/// re-tile's encoder: a [`StitchedVideo`] behind a lock, since the
+/// encoder's workers share the source. Memory is O(frame) however long the
+/// SOT.
 ///
-/// The cursors only go forward: the encoder asks for each frame once, in
-/// order, and asking for an earlier frame than the last is a bug. A decode
-/// error ends the walk: later lends hand out nothing (`frame` a black
-/// frame), and [`SotFrames::finish`] returns the error.
+/// The encoder asks for each frame in order. A decode error ends the walk:
+/// later lends hand out nothing (`frame` a black frame), and
+/// [`SotFrames::finish`] returns the error.
 pub(crate) struct SotFrames<'a> {
     width: u32,
     height: u32,
     len: u32,
-    rects: Vec<Rect>,
-    /// Taken as is on poison: a panic under it ends the re-tile, and the
-    /// state is dropped with the source.
-    walk: Mutex<SotWalk<'a>>,
-}
-
-struct SotWalk<'a> {
-    cursors: Vec<TileCursor<'a>>,
-    /// The composed frame; `None` when one tile is the whole frame.
-    canvas: Option<Frame>,
-    /// The frame the cursors (and the canvas) show, once there is one.
-    shown: Option<u32>,
-    /// The first decode error; every lend after it is a no-op.
-    error: Option<ContainerError>,
+    /// The walk and its first error. Taken as is on poison: a panic under
+    /// it ends the re-tile, and the state is dropped with the source.
+    walk: Mutex<(StitchedVideo<'a>, Option<ContainerError>)>,
 }
 
 impl<'a> SotFrames<'a> {
-    pub(crate) fn new(width: u32, height: u32, sot: &SotEntry, tiles: &'a [TileVideo]) -> Self {
-        let whole = matches!(tiles, [t] if (t.width, t.height) == (width, height));
-        SotFrames {
-            width,
-            height,
-            len: sot.len(),
-            rects: sot.layout.tiles().map(|(_, r)| r).collect(),
-            walk: Mutex::new(SotWalk {
-                cursors: tiles.iter().map(TileVideo::cursor).collect(),
-                canvas: (!whole).then(|| Frame::black(width, height)),
-                shown: None,
-                error: None,
-            }),
-        }
-    }
-
-    /// Moves every cursor to frame `idx` and composes it; the frame to lend.
-    fn show<'w>(&self, walk: &'w mut SotWalk<'a>, idx: u32) -> Result<&'w Frame, ContainerError> {
-        if walk.shown != Some(idx) {
-            assert!(
-                walk.shown.is_none_or(|shown| shown < idx),
-                "re-tile frames are lent in order: {idx} after {:?}",
-                walk.shown
-            );
-            for cursor in &mut walk.cursors {
-                while cursor.position() <= idx {
-                    cursor.advance()?;
-                }
-            }
-            if let Some(canvas) = &mut walk.canvas {
-                for (cursor, rect) in walk.cursors.iter().zip(&self.rects) {
-                    let tile = cursor.current().expect("the cursor just decoded");
-                    canvas.blit(tile, tile.rect(), rect.x, rect.y);
-                }
-            }
-            walk.shown = Some(idx);
-        }
-        Ok(match &walk.canvas {
-            Some(canvas) => canvas,
-            None => walk.cursors[0].current().expect("the cursor just decoded"),
+    pub(crate) fn new(layout: &TileLayout, tiles: &'a [TileVideo]) -> Result<Self, StitchError> {
+        let walk = StitchedVideo::new(layout, tiles)?;
+        Ok(SotFrames {
+            width: layout.frame_width(),
+            height: layout.frame_height(),
+            len: walk.frame_count(),
+            walk: Mutex::new((walk, None)),
         })
     }
 
     /// The decode work of the whole walk, or its first error.
     pub(crate) fn finish(&self) -> Result<DecodeStats, ContainerError> {
         let mut walk = sync::lock(&self.walk);
-        match walk.error.take() {
+        match walk.1.take() {
             Some(e) => Err(e),
-            None => Ok(walk
-                .cursors
-                .iter()
-                .fold(DecodeStats::new(), |total, c| total + *c.stats())),
+            None => Ok(walk.0.stats()),
         }
     }
 }
@@ -449,12 +400,13 @@ impl FrameSource for SotFrames<'_> {
 
     fn lend(&self, idx: u32, f: &mut dyn FnMut(&Frame)) {
         let mut walk = sync::lock(&self.walk);
-        if walk.error.is_some() {
+        let (walk, error) = &mut *walk;
+        if error.is_some() {
             return;
         }
-        match self.show(&mut walk, idx) {
+        match walk.frame(idx) {
             Ok(frame) => f(frame),
-            Err(e) => walk.error = Some(e),
+            Err(e) => *error = Some(e),
         }
     }
 }

@@ -245,7 +245,7 @@ impl Tasm {
         let id = shard.id;
         let cfg = self.config();
         pol.seen_objects.insert(label.to_string());
-        let alternatives = alternative_subsets(&pol.seen_objects, cfg.max_subset_objects);
+        let alternatives = alternative_subsets(&pol.seen_objects);
 
         self.retile_sots(&shard, &mut pol, sots, |pol, sot_idx| {
             let sot = shard.current_manifest().sots[sot_idx].clone();
@@ -371,11 +371,16 @@ impl Tasm {
     }
 }
 
+/// Largest seen-object set for which every subset is considered as an
+/// alternative layout; beyond this only singletons and the full set are
+/// tracked (the paper enumerates subsets; this caps the blow-up).
+const MAX_SUBSET_OBJECTS: usize = 4;
+
 /// Candidate object subsets for alternative layouts: all non-empty subsets
-/// while small, singletons + the full set beyond the cap.
-fn alternative_subsets(seen: &BTreeSet<String>, cap: usize) -> Vec<Vec<String>> {
+/// while small, singletons + the full set beyond [`MAX_SUBSET_OBJECTS`].
+fn alternative_subsets(seen: &BTreeSet<String>) -> Vec<Vec<String>> {
     let seen: Vec<String> = seen.iter().cloned().collect();
-    if seen.len() > cap {
+    if seen.len() > MAX_SUBSET_OBJECTS {
         let mut out: Vec<Vec<String>> = seen.iter().map(|s| vec![s.clone()]).collect();
         out.push(seen);
         return out;

@@ -66,8 +66,8 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tasm_codec::{
-    encode_video, ContainerError, DecodeStats, EncodeStats, EncoderConfig, LayoutError, TileLayout,
-    TileVideo,
+    encode_video, ContainerError, DecodeStats, EncodeStats, EncoderConfig, LayoutError,
+    StitchError, TileLayout, TileVideo,
 };
 use tasm_video::{FrameSource, SliceSource};
 
@@ -82,6 +82,8 @@ pub enum StoreError {
     Container(ContainerError),
     /// Invalid layout for this video.
     Layout(LayoutError),
+    /// Tiles that do not fit the layout they are stitched under.
+    Stitch(StitchError),
     /// Caller referenced a video/SOT/tile that does not exist.
     NotFound(String),
     /// A video name that cannot be a directory name under the store root:
@@ -109,6 +111,7 @@ impl std::fmt::Display for StoreError {
             StoreError::Manifest(e) => write!(f, "manifest error: {e}"),
             StoreError::Container(e) => write!(f, "container error: {e}"),
             StoreError::Layout(e) => write!(f, "layout error: {e}"),
+            StoreError::Stitch(e) => write!(f, "stitch error: {e}"),
             StoreError::NotFound(what) => write!(f, "not found: {what}"),
             StoreError::InvalidName(name) => write!(f, "invalid video name {name:?}"),
             StoreError::InvalidConfig(why) => write!(f, "invalid storage config: {why}"),
@@ -144,6 +147,12 @@ impl From<ContainerError> for StoreError {
 impl From<LayoutError> for StoreError {
     fn from(e: LayoutError) -> Self {
         StoreError::Layout(e)
+    }
+}
+
+impl From<StitchError> for StoreError {
+    fn from(e: StitchError) -> Self {
+        StoreError::Stitch(e)
     }
 }
 
@@ -667,12 +676,10 @@ impl VideoStore {
             return Ok((RetileStats::default(), None));
         }
 
-        // Stream the SOT from its current tiles into the new layout's
-        // encoders, one frame at a time. (Homomorphic stitching only
-        // splices DCT streams; decode-and-blit handles mixed-codec layouts
-        // too.)
+        // Stream the SOT, stitched from its current tiles of either codec,
+        // into the new layout's encoders, one frame at a time.
         let tiles = self.read_sot(manifest, sot_idx, PackReader::tile)?;
-        let src = SotFrames::new(manifest.width, manifest.height, &sot, &tiles);
+        let src = SotFrames::new(&sot.layout, &tiles)?;
         let (new_tiles, encode) = encode_video(
             &src,
             &new_layout,

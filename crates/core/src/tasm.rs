@@ -81,10 +81,6 @@ pub struct TasmConfig {
     pub cost: CostModel,
     /// The fitted re-encode cost model.
     pub encode: EncodeModel,
-    /// Largest seen-object set for which every subset is considered as an
-    /// alternative layout; beyond this only singletons and the full set are
-    /// tracked (the paper enumerates subsets; this caps the blow-up).
-    pub max_subset_objects: usize,
     /// Worker threads for the parallel tile-decode pipeline. `0` = one per
     /// available core. `1` reproduces the old strictly serial execution
     /// (bit-identical results either way).
@@ -109,7 +105,6 @@ impl Default for TasmConfig {
             storage: StorageConfig::default(),
             cost: CostModel::default(),
             encode: EncodeModel::default(),
-            max_subset_objects: 4,
             workers: 0,
             cache_bytes: 256 << 20,
             index_memtable_limit: None,
@@ -404,6 +399,9 @@ impl Drop for EpochPin {
 /// `bytes[sot][tile]` is that tile's container bytes, verbatim.
 pub type SotTileBytes = Vec<Vec<Vec<u8>>>;
 
+/// One shipped SOT of a replication delta: its index and its tiles' bytes.
+pub type ShippedSot = (usize, Vec<Vec<u8>>);
+
 /// The storage manager.
 pub struct Tasm {
     /// Shared with every [`EpochPin`], whose drop may run epoch GC.
@@ -639,12 +637,26 @@ impl Tasm {
         &self,
         name: &str,
     ) -> Result<(VideoManifest, SotTileBytes), TasmError> {
+        let (manifest, sots) = self.replication_delta(name, |_, _| true)?;
+        Ok((manifest, sots.into_iter().map(|(_, tiles)| tiles).collect()))
+    }
+
+    /// [`Tasm::replication_snapshot`] of only the SOTs `ship` picks (given
+    /// the pinned manifest and a SOT index), each beside its index: what a
+    /// retile-commit delta ships. The packs of the SOTs it skips are not
+    /// opened.
+    pub fn replication_delta(
+        &self,
+        name: &str,
+        ship: impl Fn(&VideoManifest, usize) -> bool,
+    ) -> Result<(VideoManifest, Vec<ShippedSot>), TasmError> {
         let shard = self.shard(name)?;
         let pin = self.pin_shard(name, &shard, None)?;
         let manifest = pin.manifest();
         let sots = (0..manifest.sots.len())
-            .map(|i| self.store.read_sot(manifest, i, PackReader::tile_bytes))
-            .collect::<Result<_, _>>()?;
+            .filter(|&i| ship(manifest, i))
+            .map(|i| Ok((i, self.store.read_sot(manifest, i, PackReader::tile_bytes)?)))
+            .collect::<Result<_, StoreError>>()?;
         Ok((manifest.clone(), sots))
     }
 

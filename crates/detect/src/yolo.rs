@@ -30,19 +30,19 @@ pub enum Platform {
 
 /// Configuration of a simulated detector.
 #[derive(Debug, Clone)]
-pub struct YoloConfig {
+struct YoloConfig {
     /// Report name.
-    pub name: &'static str,
+    name: &'static str,
     /// Probability an object (large enough) is detected on a given frame.
-    pub recall: f64,
+    recall: f64,
     /// Objects smaller than this fraction of the frame area are missed.
-    pub min_area_frac: f64,
+    min_area_frac: f64,
     /// Box corners move by up to this fraction of box dimensions.
-    pub jitter_frac: f64,
+    jitter_frac: f64,
     /// Seconds per frame on a server GPU.
-    pub server_spf: f64,
+    server_spf: f64,
     /// Seconds per frame on an edge GPU.
-    pub edge_spf: f64,
+    edge_spf: f64,
 }
 
 /// A deterministic simulated YOLO detector.
@@ -81,15 +81,6 @@ impl SimulatedYolo {
                 server_spf: 1.0 / 220.0,
                 edge_spf: 1.0 / 60.0,
             },
-            platform: Platform::ServerGpu,
-            seed,
-        }
-    }
-
-    /// A custom configuration (for ablations).
-    pub fn with_config(cfg: YoloConfig, seed: u64) -> Self {
-        SimulatedYolo {
-            cfg,
             platform: Platform::ServerGpu,
             seed,
         }

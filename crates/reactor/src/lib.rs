@@ -73,6 +73,14 @@ use tasm_proto::{ErrorCode, Message, VERSION};
 /// writes, not one per frame.
 const LOW_WATER: usize = 64 * 1024;
 
+/// How long a write may make zero progress against a full socket buffer
+/// before the session is abandoned.
+const WRITE_STALL: Duration = Duration::from_secs(10);
+
+/// How long a refused connection lingers for the peer to read the refusal
+/// frame.
+const REFUSE_LINGER: Duration = Duration::from_secs(1);
+
 /// Reserved token for the listening socket.
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// Reserved token for the wake pipe.
@@ -147,12 +155,6 @@ pub struct LoopConfig {
     /// Wall-clock bound on receiving one frame once its first byte
     /// arrived (anti-trickle).
     pub frame_deadline: Duration,
-    /// How long a write may make zero progress against a full socket
-    /// buffer before the session is abandoned.
-    pub write_stall: Duration,
-    /// How long a refused connection lingers for the peer to read the
-    /// refusal frame.
-    pub refuse_linger: Duration,
 }
 
 impl Default for LoopConfig {
@@ -162,8 +164,6 @@ impl Default for LoopConfig {
             poll_interval: Duration::from_millis(25),
             handshake_deadline: Duration::from_secs(10),
             frame_deadline: Duration::from_secs(30),
-            write_stall: Duration::from_secs(10),
-            refuse_linger: Duration::from_secs(1),
         }
     }
 }
@@ -692,7 +692,7 @@ impl Ctl {
                     let _ = conn.stream.shutdown(std::net::Shutdown::Write);
                     conn.half_closed = true;
                 }
-                conn.peer_eof || now.duration_since(conn.opened) > self.cfg.refuse_linger
+                conn.peer_eof || now.duration_since(conn.opened) > REFUSE_LINGER
             } else if !conn.handshaken
                 && now.duration_since(conn.opened) > self.cfg.handshake_deadline
             {
@@ -706,7 +706,7 @@ impl Ctl {
                 true
             } else if conn
                 .blocked_since
-                .is_some_and(|t| now.duration_since(t) > self.cfg.write_stall)
+                .is_some_and(|t| now.duration_since(t) > WRITE_STALL)
             {
                 true
             } else {

@@ -18,8 +18,9 @@ use tasm_index::MemoryIndex;
 use tasm_video::FrameSource;
 
 fn main() {
-    let root = std::env::temp_dir().join("tasm-amber");
-    std::fs::remove_dir_all(&root).ok();
+    // Removed, with every store under it, when `main` returns.
+    let dir = tasm_suite::TempDir::new("amber");
+    let root = dir.path();
     let cfg = TasmConfig {
         storage: StorageConfig {
             gop_len: 30,

@@ -16,8 +16,9 @@ use tasm_index::MemoryIndex;
 use tasm_video::FrameSource;
 
 fn main() {
-    let root = std::env::temp_dir().join("tasm-edge");
-    std::fs::remove_dir_all(&root).ok();
+    // Removed, with every store under it, when `main` returns.
+    let dir = tasm_suite::TempDir::new("edge");
+    let root = dir.path();
     let cfg = TasmConfig {
         storage: StorageConfig {
             gop_len: 30,
@@ -26,7 +27,7 @@ fn main() {
         },
         ..Default::default()
     };
-    let mut tasm = Tasm::open(&root, Box::new(MemoryIndex::in_memory()), cfg).expect("open");
+    let mut tasm = Tasm::open(root, Box::new(MemoryIndex::in_memory()), cfg).expect("open");
 
     // 3 seconds from a traffic camera; the VDBMS announced O_Q = {car}.
     let video = Dataset::VisualRoad2K.build(3, 11);

@@ -14,8 +14,9 @@ use tasm_index::MemoryIndex;
 use tasm_video::FrameSource;
 
 fn main() {
-    let root = std::env::temp_dir().join("tasm-ornithology");
-    std::fs::remove_dir_all(&root).ok();
+    // Removed, with every store under it, when `main` returns.
+    let dir = tasm_suite::TempDir::new("ornithology");
+    let root = dir.path();
     let cfg = TasmConfig {
         storage: StorageConfig {
             gop_len: 30,
@@ -24,7 +25,7 @@ fn main() {
         },
         ..Default::default()
     };
-    let mut tasm = Tasm::open(&root, Box::new(MemoryIndex::in_memory()), cfg).expect("open");
+    let mut tasm = Tasm::open(root, Box::new(MemoryIndex::in_memory()), cfg).expect("open");
 
     // A Netflix-public-style nature clip: birds and a person.
     let video = Dataset::NetflixPublic.build(3, 77);

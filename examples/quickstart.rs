@@ -11,8 +11,9 @@ use tasm_video::FrameSource;
 
 fn main() {
     // 1. Open a storage manager: a tile store on disk plus a semantic index.
-    let root = std::env::temp_dir().join("tasm-quickstart");
-    std::fs::remove_dir_all(&root).ok();
+    // Removed, with every store under it, when `main` returns.
+    let dir = tasm_suite::TempDir::new("quickstart");
+    let root = dir.path();
     let cfg = TasmConfig {
         storage: StorageConfig {
             gop_len: 30,
@@ -22,7 +23,7 @@ fn main() {
         ..Default::default()
     };
     let tasm =
-        Tasm::open(&root, Box::new(MemoryIndex::in_memory()), cfg).expect("open storage manager");
+        Tasm::open(root, Box::new(MemoryIndex::in_memory()), cfg).expect("open storage manager");
 
     // 2. A two-second synthetic traffic video (cars + pedestrians), rendered
     //    on demand. In a real deployment this is the camera feed.

@@ -31,10 +31,11 @@ fn report(what: &str, r: &ScanResult) {
 fn main() {
     // 1. A storage manager with short GOPs (so temporal pruning has units
     //    to skip) over a four-second synthetic intersection.
-    let root = std::env::temp_dir().join("tasm-roi-query");
-    std::fs::remove_dir_all(&root).ok();
+    // Removed, with every store under it, when `main` returns.
+    let dir = tasm_suite::TempDir::new("roi-query");
+    let root = dir.path();
     let tasm = Tasm::open(
-        &root,
+        root,
         Box::new(MemoryIndex::in_memory()),
         TasmConfig {
             storage: StorageConfig {

@@ -17,6 +17,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use tasm_cluster::ReplicatorHook;
 use tasm_codec::bitstream::{BitWriter, BitstreamError};
 use tasm_codec::{
     ContainerError, DecodeError, EncodedFrame, EncoderConfig, TileCodec, TileEncoder, TileLayout,
@@ -27,6 +28,8 @@ use tasm_core::{
     VideoManifest, VideoStore,
 };
 use tasm_index::MemoryIndex;
+use tasm_server::{ServerConfig, TasmServer};
+use tasm_service::{RetileHook, ServiceConfig};
 use tasm_suite::TempDir;
 use tasm_video::{Frame, Plane, Rect, VecFrameSource};
 
@@ -773,6 +776,49 @@ fn each_pack_is_opened_once_per_retile_and_per_snapshot() {
         pack("sot_000010_000020.tiles"),
     ];
     assert_eq!((snapshot, retile), (packs.to_vec(), packs[..1].to_vec()));
+}
+
+/// A replication delta reads only the SOTs it ships: once SOT 0 of two is
+/// re-tiled, the hook's delta to its one backup opens SOT 0's new pack on
+/// the primary and no other.
+#[test]
+fn a_replication_delta_opens_only_the_packs_it_ships() {
+    let dir = TempDir::new("pack-opens-delta");
+    let counter = Arc::new(OpenCounter::default());
+    let primary = Arc::new(
+        Tasm::open_with_io(
+            dir.path().join("primary"),
+            Box::new(MemoryIndex::in_memory()),
+            TasmConfig::default(),
+            counter.clone(),
+        )
+        .expect("open primary"),
+    );
+    ingest_3x4(primary.store());
+    primary.attach("v").expect("attach");
+    let backup = Tasm::open(
+        dir.path().join("backup"),
+        Box::new(MemoryIndex::in_memory()),
+        TasmConfig::default(),
+    )
+    .expect("open backup");
+    let backup = TasmServer::bind(
+        Arc::new(backup),
+        ServiceConfig::default(),
+        ServerConfig::default(),
+        "127.0.0.1:0",
+    )
+    .expect("bind backup");
+    let hook = ReplicatorHook::bootstrap(Arc::clone(&primary), &[backup.local_addr().to_string()])
+        .expect("full sync");
+    primary
+        .retile("v", 0, TileLayout::untiled(128, 96))
+        .expect("retile");
+    counter.take();
+
+    hook.retiled("v").expect("delta");
+    let shipped = ("sot_000000_000010_r000001.tiles".to_string(), 1);
+    assert_eq!(counter.take(), vec![shipped]);
 }
 
 /// A tile that parses but does not fit its manifest slot is refused where

@@ -1,20 +1,28 @@
-//! Homomorphic stitching and quality integration tests: any tiled encoding
-//! must stitch back (no re-encode) into a full video of good quality
+//! Stitching and quality integration tests: any tiled encoding must
+//! stitch back (no re-encode) into a full video of good quality
 //! (Figure 6(b)'s property).
 
-use tasm_codec::{encode_video, EncoderConfig, StitchedVideo, TileLayout};
+use tasm_codec::{encode_video, DecodeStats, EncoderConfig, StitchedVideo, TileLayout, TileVideo};
 use tasm_core::{partition, Granularity, PartitionConfig};
 use tasm_data::SyntheticVideo;
-use tasm_suite::TempDir;
 use tasm_video::quality::psnr_sequence;
-use tasm_video::{FrameSource, Rect};
+use tasm_video::{Frame, FrameSource, Rect};
 
 fn scene(frames: u32) -> SyntheticVideo {
     tasm_suite::scene(320, 192, frames, 7)
 }
 
-fn raw_frames(v: &SyntheticVideo) -> Vec<tasm_video::Frame> {
+fn raw_frames(v: &SyntheticVideo) -> Vec<Frame> {
     (0..v.len()).map(|i| v.frame(i)).collect()
+}
+
+/// Every frame of `tiles` stitched under `layout`, and the decode work.
+fn stitch_all(layout: &TileLayout, tiles: &[TileVideo]) -> (Vec<Frame>, DecodeStats) {
+    let mut sv = StitchedVideo::new(layout, tiles).unwrap();
+    let frames = (0..sv.frame_count())
+        .map(|f| sv.frame(f).unwrap().clone())
+        .collect();
+    (frames, sv.stats())
 }
 
 #[test]
@@ -26,8 +34,7 @@ fn uniform_tiled_video_stitches_to_good_quality() {
         ..Default::default()
     };
     let (tiles, _) = encode_video(&video, &layout, &cfg, true).unwrap();
-    let stitched = StitchedVideo::stitch(layout, tiles).unwrap();
-    let (decoded, stats) = stitched.decode_all().unwrap();
+    let (decoded, stats) = stitch_all(&layout, &tiles);
 
     let original = raw_frames(&video);
     let report = psnr_sequence(original.iter(), decoded.iter());
@@ -58,8 +65,7 @@ fn under_rate_control_many_tiles_cost_quality() {
     let original = raw_frames(&video);
     let psnr_of = |layout: TileLayout| {
         let (tiles, _) = encode_video(&video, &layout, &cfg, true).unwrap();
-        let stitched = StitchedVideo::stitch(layout, tiles).unwrap();
-        let (decoded, _) = stitched.decode_all().unwrap();
+        let (decoded, _) = stitch_all(&layout, &tiles);
         psnr_sequence(original.iter(), decoded.iter()).y
     };
 
@@ -96,32 +102,9 @@ fn object_layout_stitches_to_acceptable_quality() {
     );
     let original = raw_frames(&video);
     let (tiles, _) = encode_video(&video, &nonuniform, &cfg, true).unwrap();
-    let stitched = StitchedVideo::stitch(nonuniform, tiles).unwrap();
-    let (decoded, _) = stitched.decode_all().unwrap();
+    let (decoded, _) = stitch_all(&nonuniform, &tiles);
     let report = psnr_sequence(original.iter(), decoded.iter());
     assert!(report.y > 30.0, "object layout PSNR {:.2} dB", report.y);
-}
-
-#[test]
-fn stitched_serialization_survives_disk_roundtrip() {
-    let video = scene(10);
-    let layout = TileLayout::uniform(320, 192, 2, 2).unwrap();
-    let cfg = EncoderConfig {
-        gop_len: 5,
-        ..Default::default()
-    };
-    let (tiles, _) = encode_video(&video, &layout, &cfg, false).unwrap();
-    let stitched = StitchedVideo::stitch(layout, tiles).unwrap();
-
-    let dir = TempDir::new("stitch");
-    let path = dir.path().join("stitched.tsf");
-    std::fs::write(&path, stitched.to_bytes()).unwrap();
-    let back = StitchedVideo::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
-    assert_eq!(stitched, back);
-
-    let (a, _) = stitched.decode_range(3..7).unwrap();
-    let (b, _) = back.decode_range(3..7).unwrap();
-    assert_eq!(a, b, "decode must be identical after disk roundtrip");
 }
 
 #[test]
@@ -133,14 +116,13 @@ fn partial_decode_of_stitched_video_matches_full_decode() {
         ..Default::default()
     };
     let (tiles, _) = encode_video(&video, &layout, &cfg, false).unwrap();
-    let stitched = StitchedVideo::stitch(layout, tiles).unwrap();
+    let (all, _) = stitch_all(&layout, &tiles);
 
-    let (all, _) = stitched.decode_all().unwrap();
-    let (part, stats) = stitched.decode_range(12..17).unwrap();
-    assert_eq!(part.len(), 5);
-    for (i, frame) in part.iter().enumerate() {
-        assert_eq!(frame, &all[12 + i]);
+    // A walk asked first for frame 12 shows the same frames; it only goes
+    // forward from frame 0, so it decodes every frame before them too.
+    let mut sv = StitchedVideo::new(&layout, &tiles).unwrap();
+    for f in 12..17 {
+        assert_eq!(sv.frame(f).unwrap(), &all[f as usize], "frame {f}");
     }
-    // Warmup from the GOP boundary at frame 10 is charged for all 4 tiles.
-    assert_eq!(stats.frames_decoded, 4 * 7);
+    assert_eq!(sv.stats().frames_decoded, 4 * 17);
 }
