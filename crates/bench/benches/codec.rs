@@ -123,10 +123,10 @@ fn ledger_geometry_benches(c: &mut Criterion) {
     let video = Dataset::VisualRoad2K.build(1, 11);
     let src = VecFrameSource::new((0..frames).map(|i| video.frame(i)).collect());
     let cfg = EncoderConfig::default();
-    let untiled = encode_video(&src, &TileLayout::untiled(w, h), &cfg, false)
+    let untiled = encode_video(&src, &TileLayout::untiled(w, h), &cfg)
         .unwrap()
         .0;
-    let tiled = encode_video(&src, &TileLayout::uniform(w, h, 2, 2).unwrap(), &cfg, false)
+    let tiled = encode_video(&src, &TileLayout::uniform(w, h, 2, 2).unwrap(), &cfg)
         .unwrap()
         .0;
     let samples = u64::from(w * h) * 3 / 2;
@@ -377,13 +377,13 @@ fn ledger_geometry_benches(c: &mut Criterion) {
     let grid = TileLayout::uniform(w, h, 3, 4).unwrap();
     for (name, layout) in [("untiled", &TileLayout::untiled(w, h)), ("3x4", &grid)] {
         g.bench_function(format!("640x352_gop30_{name}_dct"), |b| {
-            b.iter(|| encode_video(&src, layout, &cfg, false).unwrap())
+            b.iter(|| encode_video(&src, layout, &cfg).unwrap())
         });
     }
     // What a re-tile feeds the encoder: the untiled SOT's decoded frames.
     let redecoded = VecFrameSource::new(untiled[0].decode_all().unwrap().0);
     g.bench_function("640x352_gop30_3x4_dct_redecoded", |b| {
-        b.iter(|| encode_video(&redecoded, &grid, &cfg, false).unwrap())
+        b.iter(|| encode_video(&redecoded, &grid, &cfg).unwrap())
     });
     g.finish();
 }
@@ -401,15 +401,11 @@ fn encode_benches(c: &mut Criterion) {
     g.throughput(Throughput::Elements(samples));
     g.bench_function("untiled_30f", |b| {
         let layout = TileLayout::untiled(320, 192);
-        b.iter(|| encode_video(&src, &layout, &cfg, false).unwrap())
+        b.iter(|| encode_video(&src, &layout, &cfg).unwrap())
     });
     g.bench_function("tiled_2x2_30f", |b| {
         let layout = TileLayout::uniform(320, 192, 2, 2).unwrap();
-        b.iter(|| encode_video(&src, &layout, &cfg, false).unwrap())
-    });
-    g.bench_function("tiled_2x2_parallel_30f", |b| {
-        let layout = TileLayout::uniform(320, 192, 2, 2).unwrap();
-        b.iter(|| encode_video(&src, &layout, &cfg, true).unwrap())
+        b.iter(|| encode_video(&src, &layout, &cfg).unwrap())
     });
     g.bench_function("no_motion_search_30f", |b| {
         let layout = TileLayout::untiled(320, 192);
@@ -417,7 +413,7 @@ fn encode_benches(c: &mut Criterion) {
             search_range: 0,
             ..cfg
         };
-        b.iter(|| encode_video(&src, &layout, &cfg, false).unwrap())
+        b.iter(|| encode_video(&src, &layout, &cfg).unwrap())
     });
     g.finish();
 }
@@ -430,13 +426,10 @@ fn decode_benches(c: &mut Criterion) {
     };
     let untiled = {
         let layout = TileLayout::untiled(320, 192);
-        encode_video(&src, &layout, &cfg, false)
-            .unwrap()
-            .0
-            .remove(0)
+        encode_video(&src, &layout, &cfg).unwrap().0.remove(0)
     };
     let layout4 = TileLayout::uniform(320, 192, 2, 2).unwrap();
-    let tiled = encode_video(&src, &layout4, &cfg, false).unwrap().0;
+    let tiled = encode_video(&src, &layout4, &cfg).unwrap().0;
 
     let mut g = c.benchmark_group("codec/decode");
     g.sample_size(20);
@@ -460,7 +453,7 @@ fn stitch_benches(c: &mut Criterion) {
         ..Default::default()
     };
     let layout = TileLayout::uniform(320, 192, 2, 2).unwrap();
-    let tiles = encode_video(&src, &layout, &cfg, false).unwrap().0;
+    let tiles = encode_video(&src, &layout, &cfg).unwrap().0;
 
     // The walk a re-tile decodes its SOT through: every tile a frame at a
     // time, composited into one canvas.

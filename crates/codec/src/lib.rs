@@ -43,7 +43,7 @@ pub mod stitch;
 pub use container::{ContainerError, ContainerHeader, TileCodec, TileVideo};
 pub use cursor::TileCursor;
 pub use decoder::{DecodeError, TileDecoder};
-pub use encode::encode_video;
+pub use encode::{encode_video, LayoutEncoder};
 pub use encoder::{EncodedFrame, EncoderConfig, RateControl, TileEncoder};
 pub use entropy::EntropyError;
 pub use grid::{LayoutError, TileLayout, TILE_ALIGN};

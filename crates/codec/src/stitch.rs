@@ -151,7 +151,7 @@ mod tests {
     fn tiled(n: u32, rows: u32, cols: u32) -> (TileLayout, Vec<TileVideo>) {
         let src = source(n);
         let layout = TileLayout::uniform(64, 64, rows, cols).unwrap();
-        let (videos, _) = encode_video(&src, &layout, &EncoderConfig::default(), false).unwrap();
+        let (videos, _) = encode_video(&src, &layout, &EncoderConfig::default()).unwrap();
         (layout, videos)
     }
 

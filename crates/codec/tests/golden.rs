@@ -91,7 +91,7 @@ fn digest_frames(mut h: u64, frames: &[Frame]) -> u64 {
 /// ranged decode with warm-up and a mid-GOP resume reproduce the full
 /// decode's frames.
 fn run(cfg: EncoderConfig, layout: &TileLayout) -> (u64, u64) {
-    let (tiles, _) = encode_video(&clip(), layout, &cfg, false).unwrap();
+    let (tiles, _) = encode_video(&clip(), layout, &cfg).unwrap();
     let mut bytes_digest = FNV_SEED;
     let mut pixel_digest = FNV_SEED;
     for tile in &tiles {
@@ -226,7 +226,7 @@ fn container_bytes_and_decoded_planes_are_pinned() {
 fn golden_with_reference_resume() {
     use tasm_codec::TileDecoder;
     let c = cfg(28, true);
-    let (tiles, _) = encode_video(&clip(), &TileLayout::untiled(W, H), &c, false).unwrap();
+    let (tiles, _) = encode_video(&clip(), &TileLayout::untiled(W, H), &c).unwrap();
     let tile = &tiles[0];
     let (all, _) = tile.decode_all().unwrap();
     let from = 3usize;
@@ -311,7 +311,7 @@ fn split_clip() -> VecFrameSource {
 /// Like [`run`] for tiles of `codec` (`Pred` through `pred::encode_tile`):
 /// (container-bytes digest, decoded-planes digest).
 fn run_codec(src: &VecFrameSource, codec: TileCodec, layout: &TileLayout) -> (u64, u64) {
-    let tiles = encode(src, codec, layout, false);
+    let tiles = encode(src, codec, layout);
     let mut bytes_digest = FNV_SEED;
     let mut pixel_digest = FNV_SEED;
     for (tile, (_, rect)) in tiles.iter().zip(layout.tiles()) {
@@ -339,19 +339,10 @@ fn run_codec(src: &VecFrameSource, codec: TileCodec, layout: &TileLayout) -> (u6
 }
 
 /// The clip's tiles under `layout` in `codec` at QP 28 with deblocking:
-/// DCT through `encode_video` (serial or `parallel`), `Pred` tile by tile.
-fn encode(
-    src: &VecFrameSource,
-    codec: TileCodec,
-    layout: &TileLayout,
-    parallel: bool,
-) -> Vec<TileVideo> {
+/// DCT through `encode_video`, `Pred` tile by tile.
+fn encode(src: &VecFrameSource, codec: TileCodec, layout: &TileLayout) -> Vec<TileVideo> {
     match codec {
-        TileCodec::Dct => {
-            encode_video(src, layout, &cfg(28, true), parallel)
-                .unwrap()
-                .0
-        }
+        TileCodec::Dct => encode_video(src, layout, &cfg(28, true)).unwrap().0,
         TileCodec::Pred => layout
             .tiles()
             .map(|(_, rect)| pred::encode_tile(src, rect, GOP))
@@ -429,23 +420,5 @@ fn pred_tiles_and_more_dct_layouts_are_pinned() {
             .map(|(n, b, p)| format!("    (\"{n}\", {b:#018x}, {p:#018x}),\n"))
             .collect();
         panic!("pred/dct digests moved; this build produces:\n{table}");
-    }
-}
-
-/// Worker threads each encode a run of tiles; the streams are the serial
-/// ones (which the tables above pin) for every DCT case and layout.
-#[test]
-fn parallel_encode_equals_serial_on_every_pinned_case() {
-    for (name, cfg, layout) in cases() {
-        let (serial, _) = encode_video(&clip(), &layout, &cfg, false).unwrap();
-        let (parallel, _) = encode_video(&clip(), &layout, &cfg, true).unwrap();
-        assert_eq!(serial, parallel, "{name}");
-    }
-    for (name, clip, codec, layout) in codec_cases() {
-        if codec == TileCodec::Dct {
-            let src = clip();
-            let serial = encode(&src, codec, &layout, false);
-            assert_eq!(serial, encode(&src, codec, &layout, true), "{name}");
-        }
     }
 }

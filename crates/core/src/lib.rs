@@ -141,6 +141,7 @@ pub mod runner;
 pub mod scan;
 #[cfg(test)]
 mod scratch;
+mod sots;
 pub mod storage;
 pub mod tasm;
 

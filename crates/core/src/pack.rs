@@ -12,7 +12,7 @@
 //! manifest records, so a reader fetches it with one ranged read and a
 //! tile with a second, never the whole pack. Every read of a pack — a
 //! query's [`VideoStore::read_tile`], the replication payload, a re-tile's
-//! source ([`SotFrames`]), `video_size_bytes` and `fsck` — opens it through
+//! source tiles, `video_size_bytes` and `fsck` — opens it through
 //! [`PackReader`], and [`check_tile`] is the one check of a tile's bytes
 //! against its manifest slot.
 //!
@@ -25,10 +25,7 @@ use crate::storage::{PackId, SotEntry, StoreError, VideoManifest, VideoStore};
 use std::fs;
 use std::io;
 use std::ops::Range;
-use std::sync::Mutex;
-use tasm_codec::{ContainerError, DecodeStats, StitchError, StitchedVideo, TileLayout, TileVideo};
-use tasm_obs::sync;
-use tasm_video::{Frame, FrameSource};
+use tasm_codec::{ContainerError, TileVideo};
 
 const MAGIC: [u8; 4] = *b"TSMP";
 const VERSION: u32 = 1;
@@ -338,76 +335,6 @@ impl VideoStore {
             total += pack.ranges.iter().map(|r| r.end - r.start).sum::<u64>();
         }
         Ok(total)
-    }
-}
-
-/// The frames of one SOT, stitched from its current tiles and lent to the
-/// re-tile's encoder: a [`StitchedVideo`] behind a lock, since the
-/// encoder's workers share the source. Memory is O(frame) however long the
-/// SOT.
-///
-/// The encoder asks for each frame in order. A decode error ends the walk:
-/// later lends hand out nothing (`frame` a black frame), and
-/// [`SotFrames::finish`] returns the error.
-pub(crate) struct SotFrames<'a> {
-    width: u32,
-    height: u32,
-    len: u32,
-    /// The walk and its first error. Taken as is on poison: a panic under
-    /// it ends the re-tile, and the state is dropped with the source.
-    walk: Mutex<(StitchedVideo<'a>, Option<ContainerError>)>,
-}
-
-impl<'a> SotFrames<'a> {
-    pub(crate) fn new(layout: &TileLayout, tiles: &'a [TileVideo]) -> Result<Self, StitchError> {
-        let walk = StitchedVideo::new(layout, tiles)?;
-        Ok(SotFrames {
-            width: layout.frame_width(),
-            height: layout.frame_height(),
-            len: walk.frame_count(),
-            walk: Mutex::new((walk, None)),
-        })
-    }
-
-    /// The decode work of the whole walk, or its first error.
-    pub(crate) fn finish(&self) -> Result<DecodeStats, ContainerError> {
-        let mut walk = sync::lock(&self.walk);
-        match walk.1.take() {
-            Some(e) => Err(e),
-            None => Ok(walk.0.stats()),
-        }
-    }
-}
-
-impl FrameSource for SotFrames<'_> {
-    fn width(&self) -> u32 {
-        self.width
-    }
-
-    fn height(&self) -> u32 {
-        self.height
-    }
-
-    fn len(&self) -> u32 {
-        self.len
-    }
-
-    fn frame(&self, idx: u32) -> Frame {
-        let mut frame = None;
-        self.lend(idx, &mut |f| frame = Some(f.clone()));
-        frame.unwrap_or_else(|| Frame::black(self.width, self.height))
-    }
-
-    fn lend(&self, idx: u32, f: &mut dyn FnMut(&Frame)) {
-        let mut walk = sync::lock(&self.walk);
-        let (walk, error) = &mut *walk;
-        if error.is_some() {
-            return;
-        }
-        match walk.frame(idx) {
-            Ok(frame) => f(frame),
-            Err(e) => *error = Some(e),
-        }
     }
 }
 

@@ -57,8 +57,9 @@
 
 use crate::durable::{RealIo, RecoveryReport, StorageIo, MANIFEST_FILE, TMP_SUFFIX};
 use crate::exec::DecodedTileCache;
-use crate::pack::{self, check_tile, pack_file_name, PackReader, SotFrames};
+use crate::pack::{self, check_tile, pack_file_name, PackReader};
 use crate::pool::CanvasPool;
+use crate::sots::encode_sots;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
@@ -66,10 +67,10 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tasm_codec::{
-    encode_video, ContainerError, DecodeStats, EncodeStats, EncoderConfig, LayoutError,
-    StitchError, TileLayout, TileVideo,
+    ContainerError, DecodeStats, EncodeStats, EncoderConfig, LayoutEncoder, LayoutError,
+    StitchError, StitchedVideo, TileLayout, TileVideo,
 };
-use tasm_video::{FrameSource, SliceSource};
+use tasm_video::FrameSource;
 
 /// Errors from the storage layer.
 #[derive(Debug)]
@@ -174,7 +175,9 @@ pub struct StorageConfig {
     /// Rate-control mode (constant QP by default; target-rate mode emulates
     /// hardware encoders under a bit budget).
     pub rate: tasm_codec::encoder::RateControl,
-    /// Encode tiles on multiple threads (bit-identical output either way).
+    /// Encode on several threads (bit-identical output either way): an
+    /// ingest spreads its SOTs across them, each SOT encoded whole on one
+    /// thread. A re-tile encodes on the calling thread.
     pub parallel_encode: bool,
 }
 
@@ -515,6 +518,11 @@ impl VideoStore {
     ///
     /// `layout_for(sot_index, frames)` returns the initial layout for each
     /// SOT (untiled `ω` for lazy strategies, object layouts for eager/edge).
+    /// It runs on the calling thread, in SOT order, before any encode.
+    /// With `cfg.parallel_encode` the SOTs are encoded on several threads,
+    /// none started more than two per thread ahead of the next pack to
+    /// write; the packs are written in SOT order either way, and hold the
+    /// same bytes.
     ///
     /// Commits by `replace_video`'s rule: until the manifest
     /// lands (atomically), the video does not exist.
@@ -536,24 +544,35 @@ impl VideoStore {
         TileLayout::new(vec![src.width()], vec![src.height()])?;
         let mut total = EncodeStats::default();
         let manifest = self.replace_video(name, || {
+            // Every SOT's layout, in SOT order on this thread, before any
+            // encode starts.
             let mut sots = Vec::new();
             for start in (0..src.len()).step_by(cfg.sot_frames as usize) {
                 let end = (start + cfg.sot_frames).min(src.len());
                 let layout = layout_for(sots.len(), start..end);
                 layout.check_covers(src.width(), src.height())?;
-                let slice = SliceSource::new(src, start, end - start);
-                let (tiles, stats) =
-                    encode_video(&slice, &layout, &cfg.encoder(), cfg.parallel_encode)?;
-                total += stats;
-                let sot = SotEntry {
+                sots.push(SotEntry {
                     start,
                     end,
                     layout,
                     retile_count: 0,
-                    tile_codecs: tiles.iter().map(|t| t.codec.id()).collect(),
-                };
-                self.write_pack(name, &sot, tiles.iter().map(TileVideo::to_bytes))?;
-                sots.push(sot);
+                    tile_codecs: Vec::new(),
+                });
+            }
+            let threads = if cfg.parallel_encode {
+                std::thread::available_parallelism()
+                    .map_or(1, |n| n.get())
+                    .min(sots.len())
+            } else {
+                1
+            };
+            let mut tile_codecs = Vec::with_capacity(sots.len());
+            total = encode_sots(src, &sots, &cfg.encoder(), threads, |sot, tiles| {
+                tile_codecs.push(tiles.iter().map(|t| t.codec.id()).collect());
+                self.write_pack(name, sot, tiles.iter().map(TileVideo::to_bytes))
+            })?;
+            for (sot, codecs) in sots.iter_mut().zip(tile_codecs) {
+                sot.tile_codecs = codecs;
             }
             Ok(VideoManifest {
                 name: name.to_string(),
@@ -677,16 +696,18 @@ impl VideoStore {
         }
 
         // Stream the SOT, stitched from its current tiles of either codec,
-        // into the new layout's encoders, one frame at a time.
+        // into the new layout's encoder, one frame at a time.
         let tiles = self.read_sot(manifest, sot_idx, PackReader::tile)?;
-        let src = SotFrames::new(&sot.layout, &tiles)?;
-        let (new_tiles, encode) = encode_video(
-            &src,
-            &new_layout,
-            &manifest.config.encoder(),
-            manifest.config.parallel_encode,
-        )?;
-        let decode = src.finish()?;
+        let mut walk = StitchedVideo::new(&sot.layout, &tiles)?;
+        // The walk's frames are the size of the SOT's own layout, which
+        // nothing holds to the video's in a manifest from disk or a peer.
+        new_layout.check_covers(sot.layout.frame_width(), sot.layout.frame_height())?;
+        let mut encoder = LayoutEncoder::new(&new_layout, &manifest.config.encoder());
+        for i in 0..walk.frame_count() {
+            encoder.encode(walk.frame(i)?);
+        }
+        let (new_tiles, encode) = encoder.finish();
+        let decode = walk.stats();
 
         // Cached GOPs of the old epoch stay valid (cache keys carry the
         // layout epoch) and are reclaimed with the epoch by `gc_epoch`.

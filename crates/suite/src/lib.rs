@@ -2,10 +2,12 @@
 //! and cross-crate integration tests (`/tests`), plus the fixture they
 //! share: the test scene, stores whose directories go when they drop,
 //! ingest with ground-truth detections, the reference semantics a query
-//! is checked against, and the one crash sweep ([`crash`]). See the
-//! `tasm-core` crate for the library itself.
+//! is checked against, the one crash sweep ([`crash`]) and the memory
+//! bounds' counting allocator ([`heap`]). See the `tasm-core` crate for
+//! the library itself.
 
 pub mod crash;
+pub mod heap;
 
 use std::borrow::Borrow;
 use std::ops::Deref;

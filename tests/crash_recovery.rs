@@ -952,7 +952,8 @@ fn gc_epoch_without_a_readable_manifest_reclaims_nothing() {
 /// write and rename, the retired pack's unlink, the directory's fsync
 /// again) at 4, 16 and 30 tiles alike — four with the reclaim deferred —
 /// and an ingest of S SOTs is S + 5 (the video directory, S packs, its
-/// fsync, the manifest's two, the store root's fsync). A replica install
+/// fsync, the manifest's two, the store root's fsync), its SOTs encoded
+/// serially or in parallel. A replica install
 /// of S SOTs costs what an ingest does, a replicated SOT what a deferred
 /// re-tile does plus the reclaim's two, and a removal three (the
 /// manifest's unlink, the directory's removal, the store root's fsync).
@@ -978,18 +979,21 @@ fn a_commits_mutating_operations_do_not_grow_with_the_tile_count() {
 
     for sots in [1, 2, 5] {
         let name = format!("v{sots}");
-        let cfg = StorageConfig {
-            gop_len: 5,
-            sot_frames: 50 / sots,
-            parallel_encode: false,
-            ..Default::default()
-        };
-        let ingest_ops = ops(&mut || {
-            store
-                .ingest(&name, &src, 30, cfg, |_, _| TileLayout::untiled(96, 80))
-                .expect("ingest");
-        });
-        assert_eq!(ingest_ops, u64::from(sots) + 5, "ingest of {sots} SOTs");
+        // Serial, and with the SOTs encoded in parallel ("p1", ...).
+        for (name, parallel_encode) in [(name.clone(), false), (format!("p{sots}"), true)] {
+            let cfg = StorageConfig {
+                gop_len: 5,
+                sot_frames: 50 / sots,
+                parallel_encode,
+                ..Default::default()
+            };
+            let ingest_ops = ops(&mut || {
+                store
+                    .ingest(&name, &src, 30, cfg, |_, _| TileLayout::untiled(96, 80))
+                    .expect("ingest");
+            });
+            assert_eq!(ingest_ops, u64::from(sots) + 5, "ingest of {name}");
+        }
         let replica = replica_of(&store, &name, &format!("r{sots}"));
         let install_ops = ops(&mut || {
             store

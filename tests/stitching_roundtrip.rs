@@ -33,7 +33,7 @@ fn uniform_tiled_video_stitches_to_good_quality() {
         gop_len: 10,
         ..Default::default()
     };
-    let (tiles, _) = encode_video(&video, &layout, &cfg, true).unwrap();
+    let (tiles, _) = encode_video(&video, &layout, &cfg).unwrap();
     let (decoded, stats) = stitch_all(&layout, &tiles);
 
     let original = raw_frames(&video);
@@ -64,7 +64,7 @@ fn under_rate_control_many_tiles_cost_quality() {
 
     let original = raw_frames(&video);
     let psnr_of = |layout: TileLayout| {
-        let (tiles, _) = encode_video(&video, &layout, &cfg, true).unwrap();
+        let (tiles, _) = encode_video(&video, &layout, &cfg).unwrap();
         let (decoded, _) = stitch_all(&layout, &tiles);
         psnr_sequence(original.iter(), decoded.iter()).y
     };
@@ -101,7 +101,7 @@ fn object_layout_stitches_to_acceptable_quality() {
         },
     );
     let original = raw_frames(&video);
-    let (tiles, _) = encode_video(&video, &nonuniform, &cfg, true).unwrap();
+    let (tiles, _) = encode_video(&video, &nonuniform, &cfg).unwrap();
     let (decoded, _) = stitch_all(&nonuniform, &tiles);
     let report = psnr_sequence(original.iter(), decoded.iter());
     assert!(report.y > 30.0, "object layout PSNR {:.2} dB", report.y);
@@ -115,7 +115,7 @@ fn partial_decode_of_stitched_video_matches_full_decode() {
         gop_len: 5,
         ..Default::default()
     };
-    let (tiles, _) = encode_video(&video, &layout, &cfg, false).unwrap();
+    let (tiles, _) = encode_video(&video, &layout, &cfg).unwrap();
     let (all, _) = stitch_all(&layout, &tiles);
 
     // A walk asked first for frame 12 shows the same frames; it only goes

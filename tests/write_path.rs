@@ -11,6 +11,7 @@
 use std::path::{Path, PathBuf};
 use tasm_cluster::{apply_record, StagedSots};
 use tasm_codec::{encode_video, pred, EncoderConfig, LayoutError, TileLayout};
+use tasm_core::durable::{FaultIo, FaultKind};
 use tasm_core::{
     LabelPredicate, Query, RetileStats, StorageConfig, StoreError, Tasm, TasmConfig, TasmError,
     VideoManifest, VideoStore,
@@ -176,11 +177,43 @@ const PINNED: [Step; 4] = [
     ),
 ];
 
+/// Digest of the packs of the clip looped to `sots` two-frame SOTs,
+/// alternately untiled and in two columns.
+fn many_sots_digest(sots: usize, parallel_encode: bool) -> u64 {
+    let dir = temp_dir(&format!("many-sots-{parallel_encode}"));
+    let store = VideoStore::open(dir.path()).unwrap();
+    let frames = clip().frames().to_vec();
+    let looped = (0..2 * sots).map(|i| frames[i % frames.len()].clone());
+    let cfg = StorageConfig {
+        gop_len: 2,
+        sot_frames: 2,
+        parallel_encode,
+        ..Default::default()
+    };
+    store
+        .ingest(
+            "v",
+            &VecFrameSource::new(looped.collect()),
+            30,
+            cfg,
+            |sot, _| initial_layout(sot % 2),
+        )
+        .unwrap();
+    digest_tree(&dir.path().join("v"))
+}
+
 #[test]
 fn ingest_and_retile_files_are_pinned() {
     let serial = ingest_and_retile("pin-serial", cfg(false));
     let parallel = ingest_and_retile("pin-parallel", cfg(true));
     assert_eq!(serial, parallel, "parallel encode moved bytes");
+    // Enough SOTs that some thread encodes more than one.
+    let sots = std::thread::available_parallelism().map_or(1, |n| n.get()) + 2;
+    assert_eq!(
+        many_sots_digest(sots, false),
+        many_sots_digest(sots, true),
+        "parallel encode of {sots} SOTs moved bytes"
+    );
     let same = serial.len() == PINNED.len()
         && serial
             .iter()
@@ -516,25 +549,39 @@ fn a_default_ingest_records_dct_and_writes_what_an_explicit_dct_ingest_writes() 
         deblock: storage.deblock,
         rate: storage.rate,
     };
-    let (tiles, _) = encode_video(&clip(), &two_cols(), &explicit, false).unwrap();
+    let (tiles, _) = encode_video(&clip(), &two_cols(), &explicit).unwrap();
     let encoded: Vec<Vec<u8>> = tiles.iter().map(|t| t.to_bytes().to_vec()).collect();
     assert!(stored == encoded, "the default ingest's tiles moved");
 }
 
 /// A source the tile grid cannot hold (dimensions not multiples of
-/// `TILE_ALIGN`), a config whose SOTs are not whole GOPs or a QP the
-/// quantizer has no step for is refused with a typed error before anything
-/// is made on disk — all used to panic, the first and last after the video
-/// directory existed — and the name stays usable.
+/// `TILE_ALIGN`), a config whose SOTs are not whole GOPs, a QP the
+/// quantizer has no step for, a layout that does not cover the frame in a
+/// middle SOT and a pack write that fails there are each refused with a
+/// typed error, and leave nothing on disk — the first three used to panic,
+/// the first and last of those after the video directory existed — and
+/// the name stays usable. Serial and with the SOTs encoded in parallel.
 #[test]
 fn unaligned_sources_and_bad_configs_are_typed_errors_that_leave_nothing_behind() {
-    let root = temp_dir("refused");
-    let tasm = Tasm::open(
-        root.path(),
-        Box::new(MemoryIndex::in_memory()),
-        TasmConfig::default(),
-    )
-    .unwrap();
+    for parallel_encode in [false, true] {
+        refuse_and_leave_nothing(parallel_encode);
+    }
+}
+
+fn refuse_and_leave_nothing(parallel_encode: bool) {
+    let root = temp_dir(&format!("refused-{parallel_encode}"));
+    let good = StorageConfig {
+        parallel_encode,
+        ..Default::default()
+    };
+    let open = |storage| {
+        let config = TasmConfig {
+            storage,
+            ..Default::default()
+        };
+        Tasm::open(root.path(), Box::new(MemoryIndex::in_memory()), config).unwrap()
+    };
+    let tasm = open(good);
     let empty_store = list_tree(root.path());
     let unaligned = VecFrameSource::new(vec![Frame::filled(100, 100, 90, 128, 128); 2]);
     assert!(matches!(
@@ -547,7 +594,7 @@ fn unaligned_sources_and_bad_configs_are_typed_errors_that_leave_nothing_behind(
     let untiled = |_: usize, _: std::ops::Range<u32>| TileLayout::untiled(W, H);
     // A source with no frames is not a video (a manifest of zero SOTs
     // would satisfy every scan and re-tile).
-    let (clip_frames, good) = (clip(), StorageConfig::default());
+    let clip_frames = clip();
     let no_frames = SliceSource::new(&clip_frames, 0, 0);
     assert!(matches!(
         tasm.ingest("v", &no_frames, 30),
@@ -561,6 +608,10 @@ fn unaligned_sources_and_bad_configs_are_typed_errors_that_leave_nothing_behind(
     ));
 
     for bad in bad_configs() {
+        let bad = StorageConfig {
+            parallel_encode,
+            ..bad
+        };
         assert!(
             matches!(
                 tasm.store().ingest("v", &clip(), 30, bad, untiled),
@@ -569,19 +620,46 @@ fn unaligned_sources_and_bad_configs_are_typed_errors_that_leave_nothing_behind(
             "{bad:?}"
         );
         // The facade ingests with the config it was opened with.
-        let config = TasmConfig {
-            storage: bad,
-            ..Default::default()
-        };
-        let facade = Tasm::open(root.path(), Box::new(MemoryIndex::in_memory()), config).unwrap();
         assert!(
             matches!(
-                facade.ingest("v", &clip(), 30),
+                open(bad).ingest("v", &clip(), 30),
                 Err(TasmError::Store(StoreError::InvalidConfig(_)))
             ),
             "{bad:?}"
         );
     }
+
+    // Four SOTs, the third of them refused.
+    let four_sots = StorageConfig {
+        gop_len: 3,
+        sot_frames: 3,
+        ..good
+    };
+    let third_too_narrow = |sot: usize, _: std::ops::Range<u32>| match sot {
+        2 => TileLayout::untiled(FLAT_W, H),
+        _ => TileLayout::untiled(W, H),
+    };
+    assert!(matches!(
+        tasm.store()
+            .ingest("v", &clip(), 30, four_sots, third_too_narrow),
+        Err(StoreError::Layout(LayoutError::CoverageMismatch {
+            expected: W,
+            got: FLAT_W
+        }))
+    ));
+    let faulty_root = temp_dir(&format!("refused-io-{parallel_encode}"));
+    let io = FaultIo::new();
+    let faulty = VideoStore::open_with_io(faulty_root.path(), 0, 0, io.clone()).unwrap();
+    let empty_faulty = list_tree(faulty_root.path());
+    // The video directory, two packs, then the third pack's write.
+    io.arm(io.mutating_ops() + 4, FaultKind::Error);
+    assert!(matches!(
+        faulty.ingest("v", &clip(), 30, four_sots, untiled),
+        Err(StoreError::Io(e)) if e.to_string().contains("injected")
+    ));
+    assert_eq!(list_tree(faulty_root.path()), empty_faulty);
+    faulty.ingest("v", &clip(), 30, four_sots, untiled).unwrap();
+    assert!(faulty.fsck(&[]).unwrap().is_clean());
 
     assert_eq!(list_tree(root.path()), empty_store);
     assert!(!root.path().join("v").exists());
@@ -742,7 +820,7 @@ fn tile_container(w: u32, h: u32, frames: usize, gop_len: u32) -> Vec<u8> {
         gop_len,
         ..Default::default()
     };
-    let (tiles, _) = encode_video(&src, &TileLayout::untiled(w, h), &cfg, false).unwrap();
+    let (tiles, _) = encode_video(&src, &TileLayout::untiled(w, h), &cfg).unwrap();
     tiles[0].to_bytes().to_vec()
 }
 
