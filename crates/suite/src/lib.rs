@@ -1,20 +1,25 @@
 //! Workspace glue crate: hosts the repository-level examples (`/examples`)
 //! and cross-crate integration tests (`/tests`), plus the fixture they
 //! share: the test scene, stores whose directories go when they drop,
-//! ingest with ground-truth detections, the reference semantics a query
-//! is checked against, the one crash sweep ([`crash`]) and the memory
-//! bounds' counting allocator ([`heap`]). See the `tasm-core` crate for
-//! the library itself.
+//! ingest with ground-truth detections, the one reference every pixel
+//! check holds an answer to ([`Reference`]: the index's boxes, filtered,
+//! cropped from frames stitched from whole-tile decodes, outside the
+//! executor), region equality ([`region_diff`]), the one crash sweep
+//! ([`crash`]) and the memory bounds' counting allocator ([`heap`]). See
+//! the `tasm-core` crate for the library itself.
 
 pub mod crash;
 pub mod heap;
+pub mod reference;
+
+pub use reference::{Expected, Reference};
 
 use std::borrow::Borrow;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use tasm_core::{Query, RegionPixels, ScanResult, Tasm, TasmConfig};
+use tasm_core::{RegionPixels, Tasm, TasmConfig};
 use tasm_data::{SceneSpec, SyntheticVideo};
 use tasm_index::MemoryIndex;
 use tasm_video::{FrameSource, Plane};
@@ -115,37 +120,6 @@ pub fn index_ground_truth(tasm: &Tasm, name: &str, video: &SyntheticVideo) {
         }
         tasm.mark_processed(name, f).expect("mark processed");
     }
-}
-
-/// Applies a [`Query`]'s window, ROI, stride (anchored at `window_start`)
-/// and limit to the *output* of an unpruned scan: the reference semantics
-/// the planner must reproduce. For any query, `Tasm::query` must return
-/// exactly these regions, bit for bit, while decoding only the pruned plan;
-/// `tests/contract.rs` holds every query path to it.
-pub fn post_filter<'a>(
-    scan: &'a ScanResult,
-    query: &Query,
-    window_start: u32,
-) -> Vec<&'a RegionPixels> {
-    let stride = query.stride_len();
-    let mut out: Vec<&RegionPixels> = scan
-        .regions
-        .iter()
-        .filter(|r| query.frame_range().contains(&r.frame))
-        .filter(|r| match query.roi_rect() {
-            Some(roi) => r.rect.intersects(&roi),
-            None => true,
-        })
-        .filter(|r| (r.frame - window_start).is_multiple_of(stride))
-        .collect();
-    if let Some(limit) = query.limit_count() {
-        let mut frames: Vec<u32> = out.iter().map(|r| r.frame).collect();
-        frames.dedup();
-        if let Some(&cutoff) = frames.get(limit as usize) {
-            out.retain(|r| r.frame < cutoff);
-        }
-    }
-    out
 }
 
 /// The first difference between two region lists — count, frame, rectangle

@@ -13,23 +13,23 @@
 //! untiled, uniform 4×4 or KQKO; pins and unpins.
 //!
 //! A serial, uncached twin store takes the same mutating steps, so its
-//! layout epochs line up with the store under test. Every answer must
-//! equal `post_filter` of the twin's unpruned scan at the epoch it executed
-//! against (for `AS OF`, the scan recorded when that epoch was pinned),
-//! carry the twin's plan, and account for every planned GOP and sample as
-//! decoded or reused exactly once. A scan runs the executor the answers
-//! run, so each twin scan is held, once per epoch, to the crops of frames
-//! stitched from whole-tile decodes: the reference outside the executor.
-//! After every step the cache keeps its budget, the disk holds exactly the
-//! live epochs' packs, and a drained epoch answers `EpochNotLive`. A
-//! failure names the seed, sequence, step and operation.
+//! layout epochs line up with the store under test. Every answer must equal
+//! `tasm_suite::Reference`'s over the twin at the epoch it executed against
+//! (the current one, or the pinned one for `AS OF`): the index's boxes,
+//! filtered, each the crop of its frame stitched from whole-tile decodes of
+//! the twin's packs, outside the executor and outside the store under test,
+//! so a pack of that store damaged after its pin fails too. The twin also
+//! gives what
+//! pixels cannot: every answer must carry the twin's plan, and account for
+//! every planned GOP and sample as decoded or reused exactly once. After every step the cache keeps its budget, the
+//! disk holds exactly the live epochs' packs, and a drained epoch answers
+//! `EpochNotLive`. A failure names the seed, sequence, step and operation.
 
 use proptest::{run_cases, seed_for};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeSet;
 use std::ops::Range;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tasm_client::{Connection, RemoteOutcome};
@@ -41,8 +41,8 @@ use tasm_core::{
 use tasm_obs::sync;
 use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::{QueryRequest, QueryService, ServiceConfig, Shutdown};
-use tasm_suite::{config, ingest, post_filter, region_diff, scene, TestStore};
-use tasm_video::{Frame, Rect};
+use tasm_suite::{config, ingest, scene, Reference, TestStore};
+use tasm_video::Rect;
 
 const W: u32 = 128;
 const H: u32 = 96;
@@ -96,9 +96,8 @@ enum Target {
 
 #[derive(Debug)]
 enum Op {
-    /// `predicates()[pred]`, narrowed as `query` says.
+    /// One of `predicates()`, narrowed as `query` says.
     Query {
-        pred: usize,
         query: Query,
         path: Path,
     },
@@ -153,7 +152,7 @@ fn draw_query(rng: &mut StdRng, pinned: &[u64]) -> Op {
         1 => Path::Fanout(rng.gen_range(1..5usize)),
         _ => Path::Wire,
     };
-    Op::Query { pred, query, path }
+    Op::Query { query, path }
 }
 
 fn draw(rng: &mut StdRng, pinned: &[u64]) -> Op {
@@ -228,12 +227,8 @@ impl Answer {
     }
 }
 
-/// A pinned epoch: both stores' pins, and the twin's scans while current.
-struct Pinned {
-    epoch: u64,
-    scans: Rc<Vec<ScanResult>>,
-    pins: (EpochPin, EpochPin),
-}
+/// A pinned epoch: the store under test's pin and the twin's.
+type Pinned = (EpochPin, EpochPin);
 
 /// The pack a manifest's SOT reads through (rc 0 is the unstamped ingest
 /// epoch): the store's on-disk naming contract.
@@ -244,15 +239,14 @@ fn packs(manifest: &VideoManifest) -> impl Iterator<Item = String> + '_ {
     })
 }
 
-/// One sequence's stores and serving paths. The serving paths are
-/// declared (and so dropped) before the stores they hold.
+/// One sequence's stores and serving paths. The serving paths and the
+/// reference are declared (and so dropped) before the stores they hold.
 struct Sequence {
     service: QueryService,
     server: TasmServer,
     conn: Connection,
     pins: Vec<Pinned>,
-    /// The twin's scans of every predicate at the current epoch.
-    scans: Option<(u64, Rc<Vec<ScanResult>>)>,
+    reference: Reference,
     budget: u64,
     sut: TestStore,
     twin: TestStore,
@@ -306,7 +300,7 @@ impl Sequence {
             server,
             conn,
             pins: Vec::new(),
-            scans: None,
+            reference: Reference::new(&twin),
             budget,
             sut,
             twin,
@@ -317,25 +311,9 @@ impl Sequence {
         self.sut.current_epoch("v").unwrap()
     }
 
-    /// The twin's scans at the current epoch, computed once per epoch. A
-    /// scan runs the executor the answers run, so each is held to frames
-    /// stitched from whole-tile decodes before it serves as the reference.
-    fn current_scans(&mut self) -> Rc<Vec<ScanResult>> {
-        let epoch = self.current_epoch();
-        if self.scans.as_ref().is_none_or(|(e, _)| *e != epoch) {
-            let scans = predicates().map(|p| self.twin.scan("v", &p, 0..FRAMES).unwrap());
-            let mut stitched = Stitched::new(&self.twin, epoch);
-            for (i, scan) in scans.iter().enumerate() {
-                stitched.check(&scan.regions, &format!("twin scan {i}"));
-            }
-            self.scans = Some((epoch, Rc::new(Vec::from(scans))));
-        }
-        Rc::clone(&self.scans.as_ref().expect("just computed").1)
-    }
-
     fn apply(&mut self, op: &Op) {
         match op {
-            Op::Query { pred, query, path } => self.query(*pred, query, *path),
+            Op::Query { query, path } => self.query(query, *path),
             Op::Observe {
                 more,
                 label,
@@ -365,21 +343,13 @@ impl Sequence {
                     }
                 }
             }
-            Op::Pin => {
-                let scans = self.current_scans();
-                let pins = (
-                    self.sut.pin_epoch("v", None).unwrap(),
-                    self.twin.pin_epoch("v", None).unwrap(),
-                );
-                self.pins.push(Pinned {
-                    epoch: pins.0.epoch(),
-                    scans,
-                    pins,
-                });
-            }
+            Op::Pin => self.pins.push((
+                self.sut.pin_epoch("v", None).unwrap(),
+                self.twin.pin_epoch("v", None).unwrap(),
+            )),
             Op::Unpin(i) => {
-                let epoch = self.pins.swap_remove(*i).epoch;
-                if epoch != self.current_epoch() && self.pins.iter().all(|p| p.epoch != epoch) {
+                let epoch = self.pins.swap_remove(*i).0.epoch();
+                if epoch != self.current_epoch() && self.pins.iter().all(|p| p.0.epoch() != epoch) {
                     let q = Query::new(LabelPredicate::label("car")).as_of(epoch);
                     let drained = self.sut.query("v", &q);
                     assert!(
@@ -392,16 +362,18 @@ impl Sequence {
         self.check_store();
     }
 
-    /// Every answer `path` gives `query` against the twin's scans and plan.
-    fn query(&mut self, pred: usize, query: &Query, path: Path) {
-        let (epoch, scans) = match query.as_of_epoch() {
-            Some(e) => (
-                e,
-                Rc::clone(&self.pins.iter().find(|p| p.epoch == e).unwrap().scans),
-            ),
-            None => (self.current_epoch(), self.current_scans()),
+    /// Every answer `path` gives `query` against the reference's over the
+    /// twin and the twin's plan.
+    fn query(&mut self, query: &Query, path: Path) {
+        let current;
+        let pin = match query.as_of_epoch() {
+            Some(e) => &self.pins.iter().find(|p| p.0.epoch() == e).unwrap().1,
+            None => {
+                current = self.twin.pin_epoch("v", None).unwrap();
+                &current
+            }
         };
-        let expected = post_filter(&scans[pred], query, query.frame_range().start);
+        let (epoch, expected) = (pin.epoch(), self.reference.answer(pin, query));
         let twin = Answer::local(&mut self.twin.query("v", query).unwrap());
         let answers = match path {
             Path::Direct => vec![Answer::local(&mut self.sut.query("v", query).unwrap())],
@@ -433,13 +405,8 @@ impl Sequence {
         }
         for a in answers {
             assert_eq!(a.epoch, epoch, "executed epoch");
-            assert_eq!(a.matched, expected.len() as u64, "matched");
-            if query.query_mode() == QueryMode::Pixels {
-                if let Some(diff) = region_diff(&expected, &a.regions) {
-                    panic!("not the post-filtered scan: {diff}");
-                }
-            } else {
-                assert!(a.regions.is_empty(), "aggregates return no pixels");
+            expected.check(a.matched, &a.regions, "not the reference's answer");
+            if query.query_mode() != QueryMode::Pixels {
                 assert_eq!((a.decoded, a.misses), (0, 0), "aggregates decode nothing");
             }
             assert_eq!(a.plan, twin.plan, "plan");
@@ -467,7 +434,7 @@ impl Sequence {
             current,
             "the twin's epoch"
         );
-        let mut live: BTreeSet<u64> = self.pins.iter().map(|p| p.epoch).collect();
+        let mut live: BTreeSet<u64> = self.pins.iter().map(|p| p.0.epoch()).collect();
         live.insert(current);
         assert_eq!(
             self.sut.live_epochs("v").unwrap(),
@@ -477,7 +444,7 @@ impl Sequence {
         let manifest = self.sut.manifest("v").unwrap();
         let mut held: BTreeSet<String> = packs(&manifest).collect();
         for p in &self.pins {
-            held.extend(packs(p.pins.0.manifest()));
+            held.extend(packs(p.0.manifest()));
         }
         let on_disk: BTreeSet<String> = std::fs::read_dir(self.sut.dir.path().join("v"))
             .unwrap()
@@ -528,7 +495,7 @@ fn run_lane(lane: usize, sequences: u32, steps: usize) {
         at(lane, format!("{what}, opening"));
         let mut sequence = Sequence::open(&format!("contract-{lane}"), budget, workers);
         for step in 0..steps {
-            let pinned: Vec<u64> = sequence.pins.iter().map(|p| p.epoch).collect();
+            let pinned: Vec<u64> = sequence.pins.iter().map(|p| p.0.epoch()).collect();
             let op = draw(rng, &pinned);
             at(lane, format!("{what}, step {step}: {op:?}"));
             sequence.apply(&op);
@@ -562,72 +529,6 @@ fn queries_equal_the_post_filtered_scan_at_their_epoch() {
 
 /// A cache budget that holds part of the fixed sequence's working set.
 const PARTIAL: u64 = 5 * GOP_BYTES;
-
-/// An oracle outside the executor: each tile of `manifest`'s SOTs read
-/// with `VideoStore::read_tile` and decoded whole, and the frames stitched
-/// from them, one SOT at a time.
-struct Stitched<'a> {
-    store: &'a TestStore,
-    manifest: VideoManifest,
-    /// The SOT last stitched and its full frames.
-    sot: Option<(usize, Vec<Frame>)>,
-}
-
-impl<'a> Stitched<'a> {
-    fn new(store: &'a TestStore, epoch: u64) -> Self {
-        let manifest = store.manifest("v").unwrap();
-        assert_eq!(manifest.epoch(), epoch, "the answer's epoch is current");
-        Stitched {
-            store,
-            manifest,
-            sot: None,
-        }
-    }
-
-    /// Frame `f` stitched from its SOT's whole-tile decodes.
-    fn frame(&mut self, f: u32) -> &Frame {
-        let sot_idx = (self.manifest.sots.iter())
-            .position(|s| (s.start..s.end).contains(&f))
-            .expect("a SOT holds every frame");
-        if self.sot.as_ref().is_none_or(|(i, _)| *i != sot_idx) {
-            let sot = &self.manifest.sots[sot_idx];
-            let mut frames = vec![Frame::black(W, H); sot.len() as usize];
-            for (t, rect) in sot.layout.tiles() {
-                let tile = self.store.store().read_tile(&self.manifest, sot_idx, t);
-                let (decoded, _) = tile.unwrap().decode_all().unwrap();
-                assert_eq!(decoded.len(), frames.len());
-                for (frame, part) in frames.iter_mut().zip(&decoded) {
-                    frame.blit(part, Rect::new(0, 0, rect.w, rect.h), rect.x, rect.y);
-                }
-            }
-            self.sot = Some((sot_idx, frames));
-        }
-        let (_, frames) = self.sot.as_ref().expect("just stitched");
-        &frames[(f - self.manifest.sots[sot_idx].start) as usize]
-    }
-
-    /// Every region equals the crop of its stitched frame, over the region
-    /// rectangle aligned outward to even coordinates.
-    fn check(&mut self, regions: &[RegionPixels], what: &str) {
-        for region in regions {
-            let r = region.rect;
-            let (x, y) = (r.x & !1, r.y & !1);
-            let aligned = Rect::new(
-                x,
-                y,
-                ((r.right() + 1) & !1) - x,
-                ((r.bottom() + 1) & !1) - y,
-            )
-            .clamp_to(W, H);
-            let want = self.frame(region.frame).crop(aligned);
-            assert!(
-                region.pixels == want,
-                "{what}: frame {} {r:?} is not the stitched frame's crop",
-                region.frame
-            );
-        }
-    }
-}
 
 /// The decode, cache, shared-scan and plan counters a run sums, times left
 /// out.
@@ -672,9 +573,9 @@ impl Counts {
 }
 
 /// A fixed sequence of scans, queries and re-tiles on a fresh store
-/// (`tag`) of `budget` cache bytes and `workers` decode threads. Every answer is held
-/// to the stitched-frame oracle at its epoch; returns the counters summed
-/// over all of them.
+/// (`tag`) of `budget` cache bytes and `workers` decode threads. Every
+/// answer is held to the reference at its epoch; returns the counters
+/// summed over all of them.
 fn fixed_sequence(tag: &str, budget: u64, workers: usize) -> Counts {
     let mut cfg = config();
     (cfg.storage.gop_len, cfg.storage.sot_frames) = (GOP, FRAMES / 2);
@@ -704,34 +605,33 @@ fn fixed_sequence(tag: &str, budget: u64, workers: usize) -> Counts {
             .roi(Rect::new(64, 0, 64, H))
             .stride(2),
     ];
+    let mut reference = Reference::new(&store);
     let mut counts = Counts::default();
-    let mut answer = |store: &TestStore, r: ScanResult, what: &str| {
-        Stitched::new(store, r.epoch).check(&r.regions, what);
+    let mut answer = |r: ScanResult, q: &Query, what: &str| {
+        reference.check("v", q, &r, what);
         counts.add(&r);
     };
-    let round = |store: &TestStore, answer: &mut dyn FnMut(&TestStore, ScanResult, &str)| {
+    let mut round = || {
         for (i, p) in [&car, &speck, &any].into_iter().enumerate() {
-            answer(
-                store,
-                store.scan("v", p, 0..FRAMES).unwrap(),
-                &format!("scan {i}"),
-            );
+            let scan = Query::new(p.clone()).frames(0..FRAMES);
+            let r = store.scan("v", p, 0..FRAMES).unwrap();
+            answer(r, &scan, &format!("scan {i}"));
         }
         for (i, q) in queries.iter().enumerate() {
-            answer(store, store.query("v", q).unwrap(), &format!("query {i}"));
+            answer(store.query("v", q).unwrap(), q, &format!("query {i}"));
         }
     };
-    round(&store, &mut answer);
+    round();
     store
         .retile("v", 0, TileLayout::uniform(W, H, 4, 4).unwrap())
         .unwrap();
-    round(&store, &mut answer);
+    round();
     let kqko = store.kqko_layout("v", 1, &["car".to_string()]).unwrap();
     store
         .retile("v", 1, kqko.expect("cars cross SOT 1"))
         .unwrap();
-    round(&store, &mut answer);
-    round(&store, &mut answer);
+    round();
+    round();
     counts
 }
 
@@ -790,11 +690,13 @@ fn a_lone_zero_width_box_answers_with_its_aligned_crop() {
     }
     let sliver = LabelPredicate::label("sliver");
     let scanned = store.scan("v", &sliver, 0..FRAMES).unwrap();
-    let queried = store.query("v", &Query::new(sliver)).unwrap();
+    let query = Query::new(sliver);
+    let queried = store.query("v", &query).unwrap();
+    let mut reference = Reference::new(&store);
     for (r, what) in [(scanned, "scan"), (queried, "query")] {
         let frames: Vec<u32> = r.regions.iter().map(|g| g.frame).collect();
         assert_eq!(frames, [2, 25], "{what}");
         assert!(r.regions.iter().all(|g| g.pixels.width() == 2), "{what}");
-        Stitched::new(&store, r.epoch).check(&r.regions, what);
+        reference.check("v", &query, &r, what);
     }
 }

@@ -2,9 +2,10 @@
 //! store (ingest, re-tile, epoch GC), a manifest save, the tiered index and
 //! a `cluster.json` save; then ingest cleanup, fsck, commit costs and
 //! kill-and-reattach under a live query service. A store sweep's twin
-//! state is one layout epoch — manifest, every tile's bytes and a full
-//! scan — with `fsck` clean and nothing in the video directory the
-//! manifest does not name. The sweeps say nothing of file names or of the
+//! state is one layout epoch — manifest, every tile's bytes and the
+//! reference's answer to a full scan, which the store's own must equal —
+//! with `fsck` clean and nothing in the video directory the manifest does
+//! not name. The sweeps say nothing of file names or of the
 //! order of operations, so they hold for any commit protocol.
 
 use std::cell::RefCell;
@@ -24,7 +25,7 @@ use tasm_core::{
 use tasm_index::{MemoryIndex, SemanticIndex, TieredIndex, TreeError};
 use tasm_service::{QueryRequest, QueryService, RetilePolicy, ServiceConfig, Shutdown};
 use tasm_suite::crash::{sweep, until_error, Workload};
-use tasm_suite::TempDir;
+use tasm_suite::{Reference, TempDir};
 use tasm_video::{Frame, Plane, Rect, VecFrameSource};
 
 fn temp_dir(tag: &str) -> TempDir {
@@ -60,8 +61,9 @@ fn small_cfg() -> StorageConfig {
 
 /// What a store says of video "v" through its API, and nothing of how its
 /// files are laid out: the manifest, every tile's container bytes (outer
-/// index = SOT) and a digest of one full-window scan. Two stores in the
-/// same layout epoch agree on all three.
+/// index = SOT) and a digest of the reference's answer to one full-window
+/// scan, which the store's own scan must equal. Two stores in the same
+/// layout epoch agree on all three.
 #[derive(PartialEq)]
 struct VideoState(VideoManifest, Vec<Vec<Vec<u8>>>, u64);
 
@@ -77,6 +79,7 @@ fn reopen_and_check(dir: &Path) -> (Option<VideoState>, Vec<RecoveryAction>) {
         ..Default::default()
     };
     let tasm = Tasm::open(dir, Box::new(MemoryIndex::in_memory()), config).expect("reopen");
+    let tasm = Arc::new(tasm);
     let actions = tasm.recovery_report().actions.clone();
     assert!(!tasm.recovery_report().deferred, "lock still held");
     let fsck = tasm.fsck().expect("fsck runs");
@@ -98,10 +101,16 @@ fn reopen_and_check(dir: &Path) -> (Option<VideoState>, Vec<RecoveryAction>) {
     }
     let patch = LabelPredicate::label("patch");
     let result = tasm.scan("v", &patch, 0..manifest.frame_count);
-    let regions = result.expect("scan").regions;
-    assert_eq!(regions.len() as u32, manifest.frame_count);
+    let (result, pin) = (
+        result.expect("scan"),
+        tasm.pin_epoch("v", None).expect("pin"),
+    );
+    let whole = Query::new(patch).frames(0..manifest.frame_count);
+    let expected = Reference::new(&tasm).answer(&pin, &whole);
+    expected.check(result.matched, &result.regions, "the store's scan");
+    assert_eq!(expected.regions.len() as u32, manifest.frame_count);
     let mut scan = DefaultHasher::new();
-    for r in &regions {
+    for r in &expected.regions {
         (r.frame, Plane::ALL.map(|p| r.pixels.plane(p))).hash(&mut scan);
     }
     (Some(VideoState(manifest, tiles, scan.finish())), actions)
@@ -419,9 +428,10 @@ fn populate_truth(t: &Tasm, frames: u32) {
 /// 4 query workers are live — at the second, fifth and seventh mutating
 /// operation the daemon's re-tiles perform, so the crash lands early in a
 /// commit, late in one, or in the next — reopen the store (recovery), and
-/// verify that it holds nothing the manifest does not name and that every
-/// tile's bytes and every post-recovery query are bit-identical to a
-/// serially-driven twin brought to the same per-SOT layouts.
+/// verify that it holds nothing the manifest does not name, that every
+/// tile's bytes are those of a serially-driven twin brought to the same
+/// per-SOT layouts, and that every post-recovery query is the reference's
+/// answer.
 #[test]
 fn kill_and_reattach_matches_serially_driven_twin() {
     for crash_at in [2, 5, 7] {
@@ -523,7 +533,7 @@ fn kill_and_reattach(crash_at: u64) {
 
     // The twin is driven serially on clean I/O to the exact per-SOT
     // layouts recovery settled on; transcodes are deterministic, so every
-    // tile and every query must then be bit-identical.
+    // tile must then be bit-identical.
     let twin_dir = temp_dir("kill-reattach-twin");
     let twin = Tasm::open(
         twin_dir.path(),
@@ -561,19 +571,14 @@ fn kill_and_reattach(crash_at: u64) {
         }
     }
 
+    let recovered = Arc::new(recovered);
+    let mut reference = Reference::new(&recovered);
     for label in ["car", "person"] {
         for window in [0u32..10, 10..20, 20..30, 30..40, 0..40] {
-            let a = recovered
-                .scan("v", &LabelPredicate::label(label), window.clone())
-                .expect("recovered scan");
-            let b = twin
-                .scan("v", &LabelPredicate::label(label), window.clone())
-                .expect("twin scan");
-            tasm_suite::assert_regions_identical(
-                &b.regions,
-                &a.regions,
-                &format!("'{label}' over {window:?} after a crash at op {crash_at}"),
-            );
+            let pred = LabelPredicate::label(label);
+            let scan = recovered.scan("v", &pred, window.clone()).expect("scan");
+            let what = format!("'{label}' over {window:?} after a crash at op {crash_at}");
+            reference.check("v", &Query::new(pred).frames(window), &scan, &what);
         }
     }
 }

@@ -1,11 +1,11 @@
 //! End-to-end integration: synthetic corpus → detector → semantic index →
 //! tiled storage → `Scan`, across all crates.
 
-use tasm_core::{LabelPredicate, PartitionConfig, TasmConfig};
+use tasm_core::{LabelPredicate, PartitionConfig, Query, ScanResult, TasmConfig};
 use tasm_data::Dataset;
 use tasm_detect::yolo::SimulatedYolo;
 use tasm_detect::Detector;
-use tasm_suite::{config, ingest, scene, TestStore};
+use tasm_suite::{config, ingest, scene, Reference, TestStore};
 use tasm_video::{FrameSource, Plane};
 
 fn small_tasm(tag: &str) -> TestStore {
@@ -59,26 +59,28 @@ fn full_pipeline_scan_returns_object_pixels() {
 }
 
 /// Tiling around the queried object reduces decode work but returns the
-/// same regions (the core value proposition, Figure 6(a)).
+/// same regions, each the reference's at its epoch (the core value
+/// proposition, Figure 6(a)).
 #[test]
 fn tiling_reduces_decode_work_without_changing_results() {
     let video = scene(320, 192, 20, 7);
     let tasm = small_tasm("e2e-reduction");
     ingest(&tasm, "v", &video);
+    let person = LabelPredicate::label("person");
+    let query = Query::new(person.clone()).frames(0..20);
+    let mut reference = Reference::new(&tasm);
+    let mut scan = || {
+        let r = tasm.scan("v", &person, 0..20).unwrap();
+        reference.check("v", &query, &r, "scan");
+        r
+    };
 
-    let before = tasm
-        .scan("v", &LabelPredicate::label("person"), 0..20)
-        .unwrap();
+    let before = scan();
     tasm.kqko_retile_all("v", &["person".to_string()]).unwrap();
-    let after = tasm
-        .scan("v", &LabelPredicate::label("person"), 0..20)
-        .unwrap();
+    let after = scan();
 
-    assert_eq!(before.regions.len(), after.regions.len());
-    for (a, b) in before.regions.iter().zip(&after.regions) {
-        assert_eq!(a.frame, b.frame);
-        assert_eq!(a.rect, b.rect);
-    }
+    let rects = |r: &ScanResult| Vec::from_iter(r.regions.iter().map(|g| (g.frame, g.rect)));
+    assert_eq!(rects(&before), rects(&after));
     assert!(
         after.stats.samples_decoded < before.stats.samples_decoded,
         "tiling must reduce decode: {} -> {}",

@@ -2,10 +2,11 @@
 //! over real synthetic video, exercising regret accumulation, the α safety
 //! rule, and the workload runner.
 
-use tasm_core::{run_workload, LabelPredicate, RunQuery, Strategy, Tasm, TasmConfig};
+use std::sync::Arc;
+use tasm_core::{run_workload, LabelPredicate, Query, RunQuery, Strategy, Tasm, TasmConfig};
 use tasm_detect::yolo::SimulatedYolo;
 use tasm_index::MemoryIndex;
-use tasm_suite::{config, ingest, scene, TempDir};
+use tasm_suite::{config, ingest, scene, Reference, TempDir};
 
 /// A store in `dir` the workload runner can drive: it takes the `Tasm` by
 /// `&mut`.
@@ -338,17 +339,21 @@ fn more_and_kqko_decisions_after_a_fixed_sequence_are_pinned() {
     );
 }
 
-/// After the regret policy re-tiles, scans still return exactly the same
-/// regions (correctness is preserved across physical reorganization).
+/// After the regret policy re-tiles, scans still return the reference's
+/// answer at their own epoch (correctness is preserved across physical
+/// reorganization): the same regions, and each one's pixels.
 #[test]
 fn results_stable_across_retiling() {
     let video = scene(320, 192, 20, 13);
     let dir = TempDir::new("inc-stable");
-    let tasm = small_tasm(&dir, 1.0);
+    let tasm = Arc::new(small_tasm(&dir, 1.0));
     ingest(&tasm, "v", &video);
-    let before = tasm
-        .scan("v", &LabelPredicate::label("car"), 0..20)
-        .unwrap();
+    let mut reference = Reference::new(&tasm);
+    let car = LabelPredicate::label("car");
+    let scan = Query::new(car.clone()).frames(0..20);
+    // Held, so the first epoch's answer can be checked after the re-tile.
+    let _first = tasm.pin_epoch("v", None).unwrap();
+    let before = tasm.scan("v", &car, 0..20).unwrap();
     // Drive regret until a re-tile happens.
     let mut retiled = false;
     for _ in 0..40 {
@@ -359,11 +364,8 @@ fn results_stable_across_retiling() {
         }
     }
     assert!(retiled, "regret should re-tile under repeated queries");
-    let after = tasm
-        .scan("v", &LabelPredicate::label("car"), 0..20)
-        .unwrap();
-    assert_eq!(before.regions.len(), after.regions.len());
-    for (a, b) in before.regions.iter().zip(&after.regions) {
-        assert_eq!((a.frame, a.rect), (b.frame, b.rect));
-    }
+    let after = tasm.scan("v", &car, 0..20).unwrap();
+    assert_ne!(before.epoch, after.epoch);
+    reference.check("v", &scan, &before, "before");
+    reference.check("v", &scan, &after, "after");
 }

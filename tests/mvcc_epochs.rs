@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use tasm_codec::TileLayout;
 use tasm_core::{EpochPin, LabelPredicate, Query, Tasm, TasmError, VideoManifest};
 use tasm_service::{QueryRequest, QueryService, RetilePolicy, ServiceConfig, Shutdown};
-use tasm_suite::{assert_regions_identical, config, ingest, scene, TestStore};
+use tasm_suite::{config, ingest, scene, Reference, TestStore};
 
 const FRAMES: u32 = 20;
 
@@ -78,14 +78,11 @@ fn alternating_layouts(tasm: &Tasm) -> [TileLayout; 2] {
 /// The tentpole: a reader holds its epoch open for the whole test while a
 /// writer thread re-tiles continuously. Every commit must land within
 /// [`COMMIT_BOUND`] (the old reader-writer-lock design would block until
-/// the pin dropped — i.e. forever), the pinned epoch must stay bit-exact
-/// against a never-retiled twin throughout, and after the reader drains,
+/// the pin dropped — i.e. forever), the pinned epoch must stay the
+/// reference's answer at it throughout, and after the reader drains,
 /// GC must leave exactly the live epochs on disk with a clean fsck.
 #[test]
 fn retile_commits_bounded_while_a_reader_pins_its_epoch() {
-    let twin = open("mvcc-bounded-twin");
-    let reference = twin.query("v", &full_query()).unwrap();
-
     let tasm = open("mvcc-bounded");
     let e0 = tasm.current_epoch("v").unwrap();
     assert_eq!(e0, 0, "ingest is epoch zero");
@@ -94,6 +91,7 @@ fn retile_commits_bounded_while_a_reader_pins_its_epoch() {
     // torture run.
     let pin = tasm.pin_epoch("v", None).unwrap();
     assert_eq!(pin.epoch(), e0);
+    let expected = Reference::new(&tasm).answer(&pin, &full_query());
 
     // Writer thread: six full re-tile commits while the pin is held.
     let layouts = alternating_layouts(&tasm);
@@ -108,7 +106,7 @@ fn retile_commits_bounded_while_a_reader_pins_its_epoch() {
     });
 
     // Interleave: after every commit the writer reports, re-read the
-    // pinned epoch and compare it bit for bit against the twin.
+    // pinned epoch and compare it bit for bit against the reference.
     for _ in 0..6 {
         let (i, commit_latency) = rx
             .recv_timeout(COMMIT_BOUND)
@@ -119,8 +117,8 @@ fn retile_commits_bounded_while_a_reader_pins_its_epoch() {
         );
         let pinned = tasm.query("v", &full_query().as_of(e0)).unwrap();
         assert_eq!(pinned.epoch, e0);
-        assert_regions_identical(
-            &reference.regions,
+        expected.check(
+            pinned.matched,
             &pinned.regions,
             &format!("pinned epoch after {} commits", i + 1),
         );
@@ -158,9 +156,10 @@ fn retile_commits_bounded_while_a_reader_pins_its_epoch() {
         "the drained epoch must no longer be readable"
     );
 
-    // Post-drain results at the final epoch are still self-consistent...
+    // Post-drain answers at the final epoch are still the reference's...
     let after = tasm.query("v", &full_query()).unwrap();
     assert_eq!(after.epoch, 6);
+    Reference::new(&tasm).check("v", &full_query(), &after, "after the drain");
     // ...and the store passes fsck with zero residue.
     let report = tasm.fsck().unwrap();
     assert!(report.is_clean(), "fsck after GC: {:?}", report.issues);
@@ -171,12 +170,10 @@ fn retile_commits_bounded_while_a_reader_pins_its_epoch() {
 /// held epoch stays bit-exact, and the drained store fscks clean.
 #[test]
 fn regret_daemon_retiles_while_a_scan_is_held_open() {
-    let twin = open("mvcc-daemon-twin");
-    let reference = twin.query("v", &full_query()).unwrap();
-
     let tasm = open("mvcc-daemon");
     let pin = tasm.pin_epoch("v", None).unwrap();
     let e0 = pin.epoch();
+    let expected = Reference::new(&tasm).answer(&pin, &full_query());
 
     let service = QueryService::start(
         Arc::clone(&tasm),
@@ -215,8 +212,8 @@ fn regret_daemon_retiles_while_a_scan_is_held_open() {
 
     // The held epoch read the whole workload out bit-exactly.
     let pinned = tasm.query("v", &full_query().as_of(e0)).unwrap();
-    assert_regions_identical(
-        &reference.regions,
+    expected.check(
+        pinned.matched,
         &pinned.regions,
         "pinned epoch under the regret daemon",
     );

@@ -1,11 +1,11 @@
 //! Pruning by the spatiotemporal query planner: tiles whose boxes miss the
 //! ROI, GOPs outside the stride or past a satisfied limit, and every GOP of
 //! an aggregate query are never decoded, and `ScanResult::plan` reports the
-//! savings. That every query still returns the post-filtered unpruned scan,
-//! at any worker count and cache state, is `tests/contract.rs`'s.
+//! savings, while each answer is still `tasm_suite::Reference`'s. That it
+//! is at any worker count and cache state is `tests/contract.rs`'s.
 
 use tasm_core::{LabelPredicate, Query, QueryMode, StorageConfig, TasmConfig};
-use tasm_suite::{assert_regions_identical, config, ingest, post_filter, scene, TestStore};
+use tasm_suite::{config, ingest, scene, Reference, TestStore};
 use tasm_video::Rect;
 
 const W: u32 = 256;
@@ -46,10 +46,7 @@ fn roi_query_prunes_tiles_and_matches_postfiltered_scan() {
 
     let q = Query::new(pred.clone()).frames(0..FRAMES).roi(corner_roi());
     let result = tasm.query("v", &q).unwrap();
-
-    let expected = post_filter(&full, &q, 0);
-    assert_regions_identical(&expected, &result.regions, "roi query");
-    assert_eq!(result.matched, result.regions.len() as u64);
+    Reference::new(&tasm).check("v", &q, &result, "roi query");
 
     // The acceptance bar: an ROI under 25% of the frame must prune tiles
     // and decode measurably fewer GOPs than the full scan.
@@ -82,9 +79,7 @@ fn stride_skips_gops_and_matches_postfiltered_scan() {
     // leaves every other GOP without a sampled frame.
     let q = Query::new(pred.clone()).frames(0..FRAMES).stride(10);
     let result = tasm.query("v", &q).unwrap();
-
-    let expected = post_filter(&full, &q, 0);
-    assert_regions_identical(&expected, &result.regions, "strided query");
+    Reference::new(&tasm).check("v", &q, &result, "strided query");
     assert!(
         result.plan.gops_skipped > 0,
         "stride 2×gop_len must skip GOPs: {:?}",
@@ -102,9 +97,7 @@ fn limit_stops_after_first_k_matching_frames() {
 
     let q = Query::new(pred.clone()).frames(0..FRAMES).limit(3);
     let result = tasm.query("v", &q).unwrap();
-
-    let expected = post_filter(&full, &q, 0);
-    assert_regions_identical(&expected, &result.regions, "limited query");
+    Reference::new(&tasm).check("v", &q, &result, "limited query");
     assert_eq!(result.plan.frames_sampled, 3, "first 3 matching frames");
     assert!(
         result.stats.samples_decoded < full.stats.samples_decoded,
@@ -116,23 +109,11 @@ fn limit_stops_after_first_k_matching_frames() {
 fn aggregate_modes_skip_decode_entirely() {
     let tasm = tiled("qplan-aggregate");
     let pred = LabelPredicate::label("car");
-    let pixels = tasm
-        .query("v", &Query::new(pred.clone()).frames(0..FRAMES))
-        .unwrap();
-
-    let count = tasm
-        .query(
-            "v",
-            &Query::new(pred.clone())
-                .frames(0..FRAMES)
-                .mode(QueryMode::Count),
-        )
-        .unwrap();
-    assert_eq!(
-        count.matched, pixels.matched,
-        "count must equal the pixel-mode match count"
-    );
-    assert!(count.regions.is_empty());
+    let counting = Query::new(pred.clone())
+        .frames(0..FRAMES)
+        .mode(QueryMode::Count);
+    let count = tasm.query("v", &counting).unwrap();
+    Reference::new(&tasm).check("v", &counting, &count, "count");
     assert_eq!(count.stats.samples_decoded, 0, "Count must not decode");
     assert_eq!(count.stats.frames_decoded, 0);
     assert_eq!(count.cache.misses, 0, "Count must not even touch the cache");

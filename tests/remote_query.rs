@@ -10,16 +10,16 @@
 //! `tests/contract.rs`'s.
 
 use std::net::TcpStream;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use tasm_client::{ClientError, Connection, LoadGen, LoadGenConfig};
-use tasm_core::{LabelPredicate, Query, QueryMode, Tasm, TasmConfig};
+use tasm_core::{LabelPredicate, Query, QueryMode, TasmConfig};
 use tasm_data::SyntheticVideo;
+use tasm_obs::sync;
 use tasm_proto::{ErrorCode, Message, ProtoError, VERSION};
 use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::{RetilePolicy, ServiceConfig};
 use tasm_suite::{
-    assert_regions_identical, config, index_ground_truth, ingest, regions_identical, scene,
-    TempDir, TestStore,
+    config, index_ground_truth, ingest, regions_identical, scene, Reference, TempDir, TestStore,
 };
 use tasm_video::Rect;
 
@@ -38,25 +38,22 @@ fn store(tag: &str, cfg: TasmConfig) -> TestStore {
 
 /// The retile-daemon half of the acceptance criterion: with the regret
 /// daemon re-tiling mid-workload, every result a remote client sees is
-/// bit-identical to an in-process `Tasm::query` reference for one of the
-/// two layout epochs — the serving layer never tears or distorts a result,
-/// even while the layout changes under it. (A re-tile is a lossy
-/// transcode, so pre- and post-epoch pixels legitimately differ; the
-/// per-epoch comparison is the same contract `concurrent_scan.rs`
-/// establishes for the in-process service.)
+/// bit-identical to the reference's answer at the layout epoch it executed
+/// against — the serving layer never tears or distorts a result, even
+/// while the layout changes under it. (A re-tile is a lossy transcode, so
+/// pre- and post-epoch pixels legitimately differ; the per-epoch comparison
+/// is the same contract `concurrent_scan.rs` establishes for the
+/// in-process service.)
 #[test]
 fn remote_results_stay_epoch_exact_while_daemon_retiles() {
     let frames = FRAMES;
     // One SOT spanning the whole video and a hair-trigger regret
-    // threshold: exactly two layout epochs, with the re-tile landing
-    // mid-workload.
+    // threshold: the re-tile lands mid-workload.
     let mut tuned = config();
     tuned.storage.sot_frames = frames;
     tuned.eta = 0.05;
 
-    // All-car query mix (windows/ROI/stride/limit vary): with one SOT and
-    // one label the regret policy converges on one alternative layout, so
-    // the twin's serial re-tile reproduces the server's second epoch.
+    // All-car query mix (windows/ROI/stride/limit vary).
     let mix: Vec<Query> = (0..4u32)
         .flat_map(|client| {
             let start = client * 5;
@@ -76,33 +73,11 @@ fn remote_results_stay_epoch_exact_while_daemon_retiles() {
         })
         .collect();
 
-    // In-process references for both epochs, from a serially-driven twin.
-    let twin = store("remote-epoch-twin", tuned.clone());
-    let ref_pre: Vec<_> = mix.iter().map(|q| twin.query("v", q).unwrap()).collect();
-    let mut retiled = false;
-    for _ in 0..64 {
-        if twin
-            .observe_regret("v", "car", 0..frames)
-            .unwrap()
-            .encode
-            .bytes_produced
-            > 0
-        {
-            retiled = true;
-            break;
-        }
-    }
-    assert!(retiled, "the twin's regret policy must re-tile");
-    let ref_post: Vec<_> = mix.iter().map(|q| twin.query("v", q).unwrap()).collect();
-    assert!(
-        mix.iter().enumerate().any(|(i, q)| {
-            q.query_mode() == QueryMode::Pixels
-                && !regions_identical(&ref_pre[i].regions, &ref_post[i].regions)
-        }),
-        "the re-tile must change pixels, or epoch tearing would be invisible"
-    );
-
     let server_tasm = store("remote-epoch-server", tuned);
+    // The ingest epoch stays live, so an answer at it can be checked after
+    // the daemon has moved on.
+    let ingested = server_tasm.pin_epoch("v", None).unwrap();
+    let reference = Mutex::new(Reference::new(&server_tasm));
     let server = TasmServer::bind(
         Arc::clone(&server_tasm),
         ServiceConfig {
@@ -121,9 +96,8 @@ fn remote_results_stay_epoch_exact_while_daemon_retiles() {
     let barrier = Barrier::new(4);
     std::thread::scope(|scope| {
         for client in 0..4usize {
-            let mix = &mix;
-            let (ref_pre, ref_post) = (&ref_pre, &ref_post);
-            let barrier = &barrier;
+            let (mix, barrier, reference) = (&mix, &barrier, &reference);
+            let server_tasm = &server_tasm;
             scope.spawn(move || {
                 let mut conn = Connection::connect(addr).expect("connect");
                 barrier.wait();
@@ -133,13 +107,10 @@ fn remote_results_stay_epoch_exact_while_daemon_retiles() {
                     for (qi, query) in mix.iter().enumerate() {
                         let remote = conn.query("v", query).expect("remote query");
                         let what = format!("client {client} pass {pass} query {qi}");
-                        assert_eq!(remote.matched, ref_pre[qi].matched, "{what}: matched");
-                        assert!(
-                            regions_identical(&ref_pre[qi].regions, &remote.regions)
-                                || regions_identical(&ref_post[qi].regions, &remote.regions),
-                            "{what}: result matches neither epoch's in-process \
-                             reference — torn or distorted by the serving layer"
-                        );
+                        let pin = server_tasm.pin_epoch("v", Some(remote.epoch));
+                        let pin = pin.expect("the answer's epoch is live");
+                        let expected = sync::lock(reference).answer(&pin, query);
+                        expected.check(remote.matched, &remote.regions, &what);
                     }
                 }
                 conn.goodbye().expect("goodbye");
@@ -154,6 +125,18 @@ fn remote_results_stay_epoch_exact_while_daemon_retiles() {
     assert!(
         stats.retile_ops > 0,
         "the server's regret daemon must have re-tiled mid-workload"
+    );
+    let retiled = server_tasm.pin_epoch("v", None).unwrap();
+    let mut reference = reference.into_inner().unwrap();
+    assert!(
+        mix.iter().any(|q| {
+            let (before, after) = (
+                reference.answer(&ingested, q),
+                reference.answer(&retiled, q),
+            );
+            !regions_identical(&before.regions, &after.regions)
+        }),
+        "the re-tile must change pixels, or epoch tearing would be invisible"
     );
 }
 
@@ -513,8 +496,8 @@ fn remote_queries_carry_a_consistent_trace() {
 // ones, regions at the frame's right/bottom edge and overhanging it, a
 // stride, two videos of different layouts interleaved, and a re-tile
 // between two passes — with a session killed mid-stream and BUSY-refused
-// queries in between. Every region must equal a serial, uncached
-// `Tasm::scan`, post-filtered, at the same epoch.
+// queries in between. Every answer must equal `tasm_suite::Reference`'s at
+// the same epoch.
 
 const HAZARD_A_FRAMES: u32 = 60;
 const HAZARD_B_FRAMES: u32 = 30;
@@ -522,11 +505,11 @@ const HAZARD_B_FRAMES: u32 = 30;
 /// Opens a store holding the named hazard videos: `a` (256×160, a
 /// non-uniform 3×2 layout, extra labels built for the sequence) and `b`
 /// (192×128, untiled).
-fn hazard_store(tag: &str, videos: &[&str], cache_bytes: u64) -> TestStore {
+fn hazard_store(tag: &str, videos: &[&str]) -> TestStore {
     let tasm = TestStore::open(
         tag,
         TasmConfig {
-            cache_bytes,
+            cache_bytes: 64 << 20,
             ..config()
         },
     );
@@ -647,14 +630,15 @@ fn abandoned_session(
 /// Runs the hazard sequence twice over one connection to `front`, a
 /// re-tile of `a` between the passes, sessions abandoned mid-stream and
 /// BUSY refusals (provoked on `shard_a`, the server holding `a`) between
-/// answers, comparing every answer with the serial uncached twin.
-fn recycled_answers_match_the_twin(
+/// answers, holding every answer to the reference of the store serving
+/// its video: `serving[0]` holds `a`, `serving[1]` holds `b`.
+fn recycled_answers_match_the_reference(
     front: std::net::SocketAddr,
     shard_a: std::net::SocketAddr,
-    serving_a: &Tasm,
-    twin: &Tasm,
+    serving: [&TestStore; 2],
     what: &str,
 ) {
+    let mut references = serving.map(|s| Reference::new(s));
     let mut conn = Connection::connect(front).expect("connect");
     for pass in 0..2 {
         for (step, (video, query)) in hazard_sequence().into_iter().enumerate() {
@@ -675,23 +659,22 @@ fn recycled_answers_match_the_twin(
                     Err(e) => panic!("{what}: pass {pass} step {step}: {e}"),
                 }
             };
-            let window = query.frame_range();
-            let scan = twin
-                .scan(video, query.predicate(), window.clone())
-                .expect("twin scan");
-            let expected = tasm_suite::post_filter(&scan, &query, window.start);
+            let i = usize::from(video == "b");
+            let pin = serving[i].pin_epoch(video, None).expect("pin");
+            let expected = references[i].answer(&pin, &query);
             let what = format!("{what}: pass {pass} step {step}");
-            assert_eq!(remote.epoch, scan.epoch, "{what}: epoch");
-            assert!(!expected.is_empty(), "{what}: the step returns pixels");
-            assert_eq!(remote.matched, expected.len() as u64, "{what}: matched");
-            assert_regions_identical(&expected, &remote.regions, &what);
+            assert_eq!(remote.epoch, pin.epoch(), "{what}: epoch");
+            assert!(
+                !expected.regions.is_empty(),
+                "{what}: the step returns pixels"
+            );
+            expected.check(remote.matched, &remote.regions, &what);
         }
-        // The same re-tile on both sides: SOTs 0 and 3 of `a` change layout
-        // (and epoch) between two answers on the open connection.
+        // SOTs 0 and 3 of `a` change layout (and epoch) between two
+        // answers on the open connection.
         for sot in [0, 3] {
             let layout = tasm_codec::TileLayout::uniform(256, 160, 2, 2).unwrap();
-            serving_a.retile("a", sot, layout.clone()).expect("retile");
-            twin.retile("a", sot, layout).expect("twin retile");
+            serving[0].retile("a", sot, layout).expect("retile");
         }
     }
     conn.goodbye().expect("goodbye");
@@ -707,8 +690,7 @@ fn one_deep_service() -> ServiceConfig {
 
 #[test]
 fn answers_on_one_connection_never_show_an_earlier_answers_bytes() {
-    let twin = hazard_store("remote-hazard-twin", &["a", "b"], 0);
-    let serving = hazard_store("remote-hazard", &["a", "b"], 64 << 20);
+    let serving = hazard_store("remote-hazard", &["a", "b"]);
     let server = TasmServer::bind(
         Arc::clone(&serving),
         one_deep_service(),
@@ -720,7 +702,7 @@ fn answers_on_one_connection_never_show_an_earlier_answers_bytes() {
     )
     .expect("bind");
     let addr = server.local_addr();
-    recycled_answers_match_the_twin(addr, addr, &serving, &twin, "server");
+    recycled_answers_match_the_reference(addr, addr, [&serving, &serving], "server");
     let report = server.shutdown();
     assert_eq!(report.service.stats.failed, 0);
     assert!(report.busy_rejections > 0);
@@ -730,10 +712,9 @@ fn answers_on_one_connection_never_show_an_earlier_answers_bytes() {
 fn answers_relayed_by_a_router_never_show_an_earlier_answers_bytes() {
     use tasm_cluster::{NodeInfo, Router, RouterConfig, ShardMap};
     let cluster = TempDir::new("remote-hazard-cluster");
-    let twin = hazard_store("remote-hazard-router-twin", &["a", "b"], 0);
     let stores = [
-        hazard_store("remote-hazard-n1", &["a"], 64 << 20),
-        hazard_store("remote-hazard-n2", &["b"], 64 << 20),
+        hazard_store("remote-hazard-n1", &["a"]),
+        hazard_store("remote-hazard-n2", &["b"]),
     ];
     let shards: Vec<TasmServer> = stores
         .iter()
@@ -771,11 +752,10 @@ fn answers_relayed_by_a_router_never_show_an_earlier_answers_bytes() {
         "127.0.0.1:0",
     )
     .expect("bind router");
-    recycled_answers_match_the_twin(
+    recycled_answers_match_the_reference(
         router.local_addr(),
         shards[0].local_addr(),
-        &stores[0],
-        &twin,
+        [&stores[0], &stores[1]],
         "router",
     );
     router.shutdown(false);

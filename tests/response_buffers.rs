@@ -22,7 +22,7 @@ use tasm_proto::nio::WIRE_POOL_BYTES;
 use tasm_proto::{Message, VERSION};
 use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::ServiceConfig;
-use tasm_suite::{assert_regions_identical, config, ingest, scene, TempDir, TestStore};
+use tasm_suite::{assert_regions_identical, config, ingest, scene, Reference, TempDir, TestStore};
 use tasm_video::Rect;
 
 const FRAMES: u32 = 60;
@@ -33,11 +33,11 @@ static TURN: Mutex<()> = Mutex::new(());
 
 /// A 256×160 clip with its ground truth and a `whole` box on every frame:
 /// a `whole` query returns 60 full frames, 3.7 MB of pixels.
-fn store(tag: &str, cache_bytes: u64) -> TestStore {
+fn store(tag: &str) -> TestStore {
     let tasm = TestStore::open(
         tag,
         TasmConfig {
-            cache_bytes,
+            cache_bytes: 64 << 20,
             ..config()
         },
     );
@@ -53,10 +53,13 @@ fn whole() -> Query {
     Query::new(LabelPredicate::label("whole")).frames(0..FRAMES)
 }
 
-fn reference(twin: &Tasm, query: &Query) -> Vec<RegionPixels> {
-    twin.scan("v", query.predicate(), query.frame_range())
-        .expect("twin scan")
-        .regions
+/// The reference's regions for each of `queries` at `store`'s current
+/// epoch. Its pin and frames are gone when it returns, so nothing it held
+/// shows on the gauges.
+fn expected<const N: usize>(store: &TestStore, queries: [&Query; N]) -> [Vec<RegionPixels>; N] {
+    let mut reference = Reference::new(store);
+    let pin = store.pin_epoch("v", None).expect("pin");
+    queries.map(|q| reference.answer(&pin, q).regions)
 }
 
 fn assert_answer(conn: &mut Connection, query: &Query, expected: &[RegionPixels], what: &str) {
@@ -105,10 +108,9 @@ fn serve(tasm: &Arc<Tasm>) -> TasmServer {
 #[test]
 fn an_idle_server_and_router_keep_at_most_the_stated_bytes() {
     let _turn = sync::lock(&TURN);
-    let twin = store("buffers-idle-twin", 0);
-    let expected = reference(&twin, &whole());
+    let serving = store("buffers-idle");
+    let [expected] = expected(&serving, [&whole()]);
     assert!(expected.len() == FRAMES as usize);
-    let serving = store("buffers-idle", 64 << 20);
     let shard = serve(&serving);
     let cluster = TempDir::new("buffers-cluster");
     let map_path = cluster.path().join("cluster.json");
@@ -192,10 +194,9 @@ fn an_idle_server_and_router_keep_at_most_the_stated_bytes() {
 #[test]
 fn a_session_closed_for_a_write_stall_returns_what_it_held() {
     let _turn = sync::lock(&TURN);
-    let twin = store("buffers-stall-twin", 0);
     let car = Query::new(LabelPredicate::label("car")).frames(0..FRAMES);
-    let (expected_whole, expected_car) = (reference(&twin, &whole()), reference(&twin, &car));
-    let serving = store("buffers-stall", 64 << 20);
+    let serving = store("buffers-stall");
+    let [expected_whole, expected_car] = expected(&serving, [&whole(), &car]);
     let server = serve(&serving);
     let canvases = serving.store().canvases();
 

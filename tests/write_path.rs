@@ -9,6 +9,7 @@
 //! they pin the pack format and the files' names on top of the tiles.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use tasm_cluster::{apply_record, StagedSots};
 use tasm_codec::{encode_video, pred, EncoderConfig, LayoutError, TileLayout};
 use tasm_core::durable::{FaultIo, FaultKind};
@@ -18,7 +19,7 @@ use tasm_core::{
 };
 use tasm_index::MemoryIndex;
 use tasm_proto::ReplicationRecord;
-use tasm_suite::{assert_regions_identical, post_filter, TempDir};
+use tasm_suite::{Reference, TempDir};
 use tasm_video::{Frame, Plane, Rect, SliceSource, VecFrameSource};
 
 const W: u32 = 384;
@@ -404,28 +405,26 @@ const PRED_RETILED_PINNED: u64 = 0x288bc71187f1dde4;
 
 /// Asserts that ROI, stride and whole-video queries over both labels of
 /// [`pred_tiles_from_an_older_peer_are_served_and_retile_to_dct`] answer,
-/// bit for bit, what the post-filtered unpruned scan at the current epoch
-/// holds.
-fn assert_queries_match_the_scan(tasm: &Tasm, when: &str) {
-    let both = LabelPredicate::any_of(&["flat", "edge"]);
-    let full = tasm.scan("v", &both, 0..FRAMES).unwrap();
-    let all = Query::new(both).frames(0..FRAMES);
+/// bit for bit, what the reference holds at the current epoch.
+fn assert_queries_match_the_reference(tasm: &Arc<Tasm>, when: &str) {
+    let all = Query::new(LabelPredicate::any_of(&["flat", "edge"])).frames(0..FRAMES);
+    let mut reference = Reference::new(tasm);
     for (what, q) in [
         ("whole video", all.clone()),
         ("flat column", all.clone().roi(flat_column())),
         ("stride 4", all.stride(4)),
     ] {
         let result = tasm.query("v", &q).unwrap();
-        let what = format!("{when}: {what}");
-        assert_regions_identical(&post_filter(&full, &q, 0), &result.regions, &what);
+        reference.check("v", &q, &result, &format!("{when}: {what}"));
     }
 }
 
 /// A `Pred` tile from an older peer stays served. Installed whole through
 /// `apply_replicated_video`, queries over it return the source's pixels
-/// exactly (the codec is lossless) and `fsck` accepts it. A re-tile of its
+/// exactly (the codec is lossless), as does the reference, which pins the
+/// reference itself to ground truth; `fsck` accepts it. A re-tile of its
 /// SOT writes DCT tiles only. Before and after, queries answer what the
-/// post-filtered unpruned scan at the current epoch holds, bit for bit.
+/// reference holds at the current epoch, bit for bit.
 #[test]
 fn pred_tiles_from_an_older_peer_are_served_and_retile_to_dct() {
     let root = temp_dir("pred-served");
@@ -434,6 +433,7 @@ fn pred_tiles_from_an_older_peer_are_served_and_retile_to_dct() {
         Box::new(MemoryIndex::in_memory()),
         TasmConfig::default(),
     )
+    .map(Arc::new)
     .unwrap();
     let (manifest, sots) = older_peer_video("pred-served-peer");
     tasm.apply_replicated_video(manifest, &sots).unwrap();
@@ -450,11 +450,18 @@ fn pred_tiles_from_an_older_peer_are_served_and_retile_to_dct() {
     let clip = clip();
     let flat = Query::new(LabelPredicate::label("flat")).frames(GOP..FRAMES);
     let served = tasm.query("v", &flat).unwrap();
+    let installed = tasm.pin_epoch("v", None).unwrap();
+    let expected = Reference::new(&tasm).answer(&installed, &flat);
     assert_eq!(served.regions.len(), GOP as usize);
-    for r in &served.regions {
-        assert_eq!(r.pixels, clip.frames()[r.frame as usize].crop(r.rect));
+    assert_eq!(expected.regions.len(), GOP as usize);
+    for (r, e) in served.regions.iter().zip(&expected.regions) {
+        let truth = clip.frames()[r.frame as usize].crop(r.rect);
+        assert_eq!(r.pixels, truth, "served, frame {}", r.frame);
+        assert_eq!((e.frame, e.rect), (r.frame, r.rect));
+        assert_eq!(e.pixels, truth, "the reference, frame {}", e.frame);
     }
-    assert_queries_match_the_scan(&tasm, "as installed");
+    drop(installed);
+    assert_queries_match_the_reference(&tasm, "as installed");
 
     tasm.retile("v", 1, uneven()).unwrap();
     let retiled = tasm.manifest("v").unwrap();
@@ -462,7 +469,7 @@ fn pred_tiles_from_an_older_peer_are_served_and_retile_to_dct() {
     let digest = digest_tiles(tasm.store(), &retiled);
     assert_eq!(digest, PRED_RETILED_PINNED, "{digest:#018x}");
     assert!(tasm.fsck().unwrap().is_clean());
-    assert_queries_match_the_scan(&tasm, "re-tiled");
+    assert_queries_match_the_reference(&tasm, "re-tiled");
 }
 
 /// Manifests written by earlier builds record a codec choice in their
