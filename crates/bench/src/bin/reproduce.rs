@@ -53,7 +53,7 @@ fn header(scale: f64, walls: &[(&str, Duration)], total: Duration) -> String {
         cfg.cost.gamma * 1e6,
         cfg.encode.seconds_per_sample * 1e9,
         cfg.eta,
-        cfg.alpha,
+        tasm_core::ALPHA,
     );
     for (name, wall) in walls {
         let _ = writeln!(out, "| `{name}` | {} |", minutes(*wall));

@@ -7,7 +7,7 @@
 
 use crate::{improvement_pct, layout_around, scaled_secs, BenchVideo, Figure, Table, Verdict};
 use tasm_codec::TileLayout;
-use tasm_core::{estimate_work, Granularity};
+use tasm_core::{estimate_work, Granularity, ALPHA};
 use tasm_data::Dataset;
 use tasm_index::Detection;
 
@@ -24,7 +24,6 @@ struct Point {
 /// Reproduces Figure 10 at `scale`.
 pub fn fig10(scale: f64) -> Figure {
     let duration = scaled_secs(2, scale);
-    let alpha = 0.8;
     let cases: Vec<(Dataset, u64, &str, &str)> = vec![
         (Dataset::VisualRoad2K, 1, "car", "person"),
         (Dataset::VisualRoad2K, 2, "person", "car"),
@@ -108,11 +107,11 @@ pub fn fig10(scale: f64) -> Figure {
 
     let count = |f: &dyn Fn(&Point) -> bool| points.iter().filter(|p| f(p)).count();
     let hurting = count(&|p| p.improvement < 0.0);
-    let hurting_accepted = count(&|p| p.improvement < 0.0 && p.pixel_ratio <= alpha);
-    let helping_rejected = count(&|p| p.improvement > 0.0 && p.pixel_ratio > alpha);
+    let hurting_accepted = count(&|p| p.improvement < 0.0 && p.pixel_ratio <= ALPHA);
+    let helping_rejected = count(&|p| p.improvement > 0.0 && p.pixel_ratio > ALPHA);
     let max_forfeited = points
         .iter()
-        .filter(|p| p.pixel_ratio > alpha)
+        .filter(|p| p.pixel_ratio > ALPHA)
         .map(|p| p.improvement)
         .fold(0.0f64, f64::max);
     Figure {
@@ -122,7 +121,7 @@ pub fn fig10(scale: f64) -> Figure {
         tables: vec![table],
         verdicts: vec![
             Verdict::new(
-                format!("α = {alpha} rejects every layout that slows the query"),
+                format!("α = {ALPHA} rejects every layout that slows the query"),
                 hurting_accepted == 0,
                 format!("{hurting_accepted} of {hurting} hurting layouts slip past"),
             ),

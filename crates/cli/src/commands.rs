@@ -506,7 +506,10 @@ pub(crate) fn service_config(args: &Args) -> Result<ServiceConfig, Box<dyn Error
 mod tests {
     use super::*;
     use crate::dispatch;
-    use crate::report::{render_latency_series, service_stats_json, StoreStats, StoreStorageStats};
+    use crate::report::{
+        render_latency_series, render_router_series, render_server_series, service_stats_json,
+        StoreStats, StoreStorageStats,
+    };
     use tasm_core::StoreError;
 
     fn run(line: &str) -> CmdResult {
@@ -894,6 +897,47 @@ mod tests {
                 r#"0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}"#,
             )
         );
+    }
+
+    /// `/metrics` on `serve` and `route` renders each count the service,
+    /// server and router keep as one typed counter series, from the
+    /// snapshot it is handed; `serve`'s ends with the latency histogram.
+    #[test]
+    fn served_counts_render_as_counter_series() {
+        let stats = tasm_service::ServiceStats {
+            submitted: 13,
+            completed: 11,
+            failed: 2,
+            retile_ops: 3,
+            ..Default::default()
+        };
+        let mut served = String::new();
+        render_server_series(&mut served, &stats, (4, 5));
+        let mut router = String::new();
+        let routed = tasm_cluster::RouterStats {
+            routed: 21,
+            failovers: 1,
+            ..Default::default()
+        };
+        render_router_series(&mut router, &routed);
+        for (body, name, value) in [
+            (&served, "tasm_queries_submitted_total", 13),
+            (&served, "tasm_queries_completed_total", 11),
+            (&served, "tasm_queries_failed_total", 2),
+            (&served, "tasm_retile_commits_total", 3),
+            (&served, "tasm_queries_busy_rejected_total", 4),
+            (&served, "tasm_connections_rejected_total", 5),
+            (&router, "tasm_router_queries_total", 21),
+            (&router, "tasm_router_failovers_total", 1),
+        ] {
+            let series = format!("# TYPE {name} counter\n{name} {value}\n");
+            assert_eq!(body.matches(&series).count(), 1, "{name} in:\n{body}");
+        }
+        let mut latency = String::new();
+        render_latency_series(&mut latency, &stats);
+        assert!(served.ends_with(&latency));
+        assert_eq!(served.matches("# TYPE").count(), 7);
+        assert_eq!(router.matches("# TYPE").count(), 2);
     }
 
     /// `stats --json` is JSON whatever the video is called: a name with a

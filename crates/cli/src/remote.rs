@@ -4,8 +4,8 @@
 use crate::args::Args;
 use crate::commands::{build_query, open_stored, service_config, CmdResult};
 use crate::report::{
-    percentiles, print_answer, print_trace, render_latency_series, report_recovery,
-    service_stats_json, service_text,
+    percentiles, print_answer, print_trace, render_router_series, render_server_series,
+    report_recovery, service_stats_json, service_text,
 };
 use std::error::Error;
 use std::io::Write as _;
@@ -37,7 +37,8 @@ fn apply_log_flags(args: &Args) -> Result<(), Box<dyn Error>> {
 
 /// Starts the Prometheus exposition endpoint shared by `serve` and
 /// `route` when `--metrics-addr` is given: the global registry, then what
-/// `extra` appends (the server's latency histogram).
+/// `extra` appends (the series rendered from the server's or the router's
+/// own counts).
 fn start_metrics(
     args: &Args,
     extra: impl Fn(&mut String) + Send + Sync + 'static,
@@ -108,7 +109,7 @@ pub(crate) fn serve(args: &Args) -> CmdResult {
     )?);
     let stats_server = Arc::clone(&server);
     let metrics = start_metrics(args, move |out: &mut String| {
-        render_latency_series(out, &stats_server.stats())
+        render_server_series(out, &stats_server.stats(), stats_server.rejections())
     })?;
     println!(
         "tasm-server listening on {} — serving [{}] ({} workers, queue depth {}, retile {:?})",
@@ -206,7 +207,6 @@ pub(crate) fn client_loadgen(args: &Args) -> CmdResult {
         query,
         window,
         frames,
-        busy_backoff: Duration::from_millis(2),
         reconnect_attempts: reconnects,
     })
     .run(addr)?;
@@ -340,12 +340,13 @@ pub(crate) fn route(args: &Args) -> CmdResult {
         health_interval: Duration::from_millis(args.get_or("health-ms", 500u64)?),
         fail_threshold: args.get_or("fail-threshold", 2u32)?,
         route_workers: args.get_or("route-workers", 8usize)?,
-        ..tasm_cluster::RouterConfig::default()
     };
-    let router = tasm_cluster::Router::bind(cfg, addr)?;
-    // Router-side counters (routed queries, failovers, replication acks)
-    // live in the global registry; no shard is dialed on a scrape.
-    let metrics = start_metrics(args, |_: &mut String| {})?;
+    let router = Arc::new(tasm_cluster::Router::bind(cfg, addr)?);
+    // A scrape renders the router's own counts; no shard is dialed.
+    let stats_router = Arc::clone(&router);
+    let metrics = start_metrics(args, move |out: &mut String| {
+        render_router_series(out, &stats_router.stats())
+    })?;
     let stats = router.stats();
     println!(
         "tasm-router listening on {} (shard map epoch {})",
@@ -359,9 +360,11 @@ pub(crate) fn route(args: &Args) -> CmdResult {
     std::io::stdout().flush().ok();
 
     router.wait_shutdown_requested();
+    // As in `serve`: the metrics endpoint holds the only other handle.
     if let Some(m) = metrics {
         m.shutdown();
     }
+    let router = Arc::try_unwrap(router).map_err(|_| "metrics endpoint still holds the router")?;
     let report = router.shutdown(true);
     println!(
         "cluster drain: {} queries routed ({} replica retries, {} failovers), {} busy rejections, {} sessions",

@@ -6,6 +6,7 @@ use serde::Serialize;
 use std::error::Error;
 use std::fmt::Write as _;
 use std::time::Duration;
+use tasm_cluster::RouterStats;
 use tasm_core::{PlanStats, QueryMode, Tasm};
 use tasm_index::{SemanticIndex, TieredIndex};
 use tasm_obs::{HistogramSnapshot, QueryTrace};
@@ -334,9 +335,56 @@ pub(crate) fn service_stats_json(source: &str, stats: &ServiceStats) -> String {
     .expect("numbers and a string serialize")
 }
 
-/// Appends `tasm serve`'s latency histogram to a `/metrics` body. It is
-/// rendered from the same `ServiceStats` snapshot `client stats` sees, so
-/// both views agree at any instant.
+/// The counters `serve` renders from its service's counts, as (name, help).
+#[rustfmt::skip]
+const SERVICE_COUNTERS: [(&str, &str); 4] = [
+    ("tasm_queries_submitted_total", "Queries accepted into the submission queue."),
+    ("tasm_queries_completed_total", "Queries completed successfully."),
+    ("tasm_queries_failed_total", "Queries that returned an error."),
+    ("tasm_retile_commits_total", "Background re-tiles committed (and replicated, when backups are configured)."),
+];
+
+/// The counters `serve` renders from its server's refusals.
+#[rustfmt::skip]
+const SERVER_COUNTERS: [(&str, &str); 2] = [
+    ("tasm_queries_busy_rejected_total", "Queries refused with a BUSY frame because the service queue was full."),
+    ("tasm_connections_rejected_total", "Connections refused at the listener for exceeding max_connections."),
+];
+
+/// The counters `route` renders from its own counts.
+#[rustfmt::skip]
+const ROUTER_COUNTERS: [(&str, &str); 2] = [
+    ("tasm_router_queries_total", "Queries successfully routed to a shard."),
+    ("tasm_router_failovers_total", "Shards marked down after reaching the failure threshold."),
+];
+
+/// Appends `counters`, each with its value in `values`, to a `/metrics` body.
+fn render_counters(out: &mut String, counters: &[(&str, &str)], values: &[u64]) {
+    for ((name, help), value) in counters.iter().zip(values) {
+        tasm_obs::render_counter_into(out, name, help, *value);
+    }
+}
+
+/// Appends the series `tasm serve` renders from its own counts to a
+/// `/metrics` body: the service's counters and latency histogram, from the
+/// `ServiceStats` snapshot `client stats` sees (so both views agree at any
+/// instant), and the server's refusals as
+/// [`tasm_server::TasmServer::rejections`] returns them.
+pub(crate) fn render_server_series(out: &mut String, stats: &ServiceStats, rejections: (u64, u64)) {
+    let s = stats;
+    let service = [s.submitted, s.completed, s.failed, s.retile_ops];
+    render_counters(out, &SERVICE_COUNTERS, &service);
+    render_counters(out, &SERVER_COUNTERS, &[rejections.0, rejections.1]);
+    render_latency_series(out, stats);
+}
+
+/// Appends the series `tasm route` renders from its own counts to a
+/// `/metrics` body.
+pub(crate) fn render_router_series(out: &mut String, stats: &RouterStats) {
+    render_counters(out, &ROUTER_COUNTERS, &[stats.routed, stats.failovers]);
+}
+
+/// Appends the service's latency histogram to a `/metrics` body.
 pub(crate) fn render_latency_series(out: &mut String, stats: &ServiceStats) {
     tasm_obs::render_histogram_into(
         out,

@@ -427,6 +427,11 @@ impl Connection {
     }
 }
 
+/// A load generator worker's pause before it retries a query refused BUSY.
+const BUSY_BACKOFF: Duration = Duration::from_millis(2);
+/// A load generator worker's pause before each reconnect after the first.
+const RECONNECT_PAUSE: Duration = Duration::from_millis(10);
+
 /// Configuration of the pooled load generator.
 #[derive(Debug, Clone)]
 pub struct LoadGenConfig {
@@ -444,13 +449,11 @@ pub struct LoadGenConfig {
     pub window: u32,
     /// Frame count of the target video (bounds the sliding window).
     pub frames: u32,
-    /// Pause before retrying after a BUSY rejection.
-    pub busy_backoff: Duration,
     /// Extra reconnect attempts (beyond the first) a worker makes after a
-    /// transport failure, pausing [`LoadGenConfig::busy_backoff`] between
-    /// attempts. Router awareness: during a shard failover or a router
-    /// restart the listener may refuse connections for a moment — retrying
-    /// rides the workload through instead of abandoning the worker.
+    /// transport failure, pausing 10 ms before each. Router awareness:
+    /// during a shard failover or a router restart the listener may refuse
+    /// connections for a moment — retrying rides the workload through
+    /// instead of abandoning the worker.
     pub reconnect_attempts: u32,
 }
 
@@ -500,9 +503,8 @@ impl LoadGen {
 
     /// Runs the workload against `addr`: `connections` workers drain a
     /// shared counter of `requests`, sliding each request's frame window
-    /// deterministically, retrying BUSY rejections after
-    /// [`LoadGenConfig::busy_backoff`], and recording every completed
-    /// request's latency.
+    /// deterministically, retrying BUSY rejections after a 2 ms pause, and
+    /// recording every completed request's latency.
     pub fn run(&self, addr: impl ToSocketAddrs) -> Result<LoadReport, ClientError> {
         let addr = addr
             .to_socket_addrs()?
@@ -575,7 +577,7 @@ fn worker(
                 }
                 Err(e) if e.is_busy() => {
                     report.busy += 1;
-                    std::thread::sleep(cfg.busy_backoff);
+                    std::thread::sleep(BUSY_BACKOFF);
                 }
                 Err(ClientError::Rejected { .. }) => {
                     // A typed rejection leaves the stream on a frame
@@ -604,8 +606,8 @@ fn worker(
 }
 
 /// Re-establishes a worker's connection: the first attempt is immediate,
-/// each further attempt (up to `reconnect_attempts`) waits `busy_backoff`
-/// first so a restarting listener has time to come back.
+/// each further attempt (up to `reconnect_attempts`) waits
+/// `RECONNECT_PAUSE` first so a restarting listener has time to come back.
 fn reconnect(
     addr: std::net::SocketAddr,
     cfg: &LoadGenConfig,
@@ -620,7 +622,7 @@ fn reconnect(
         Err(e) => last = e,
     }
     for _ in 0..cfg.reconnect_attempts {
-        std::thread::sleep(cfg.busy_backoff.max(Duration::from_millis(10)));
+        std::thread::sleep(RECONNECT_PAUSE);
         match Connection::connect(addr) {
             Ok(c) => {
                 report.reconnects += 1;

@@ -46,7 +46,7 @@ use tasm_core::Query;
 use tasm_obs::sync;
 use tasm_proto::nio::WireBuffers;
 use tasm_proto::{ErrorCode, Message};
-use tasm_reactor::{error_frame, Ctl, Front, Logic, LoopConfig};
+use tasm_reactor::{error_frame, Ctl, Front, Logic};
 use tasm_service::ServiceStats;
 
 /// Routing, admission, and failover knobs.
@@ -60,10 +60,6 @@ pub struct RouterConfig {
     /// Router-wide in-flight query cap; excess queries receive a typed
     /// BUSY frame.
     pub max_inflight: usize,
-    /// Longest one reactor wait lasts — how often session deadlines are
-    /// checked, and how long an idle router takes to notice shutdown — and
-    /// the step of the health thread's sleep.
-    pub poll_interval: Duration,
     /// Bound on every socket operation against a shard — a hung shard
     /// surfaces as a timeout and triggers failover instead of pinning a
     /// routed query.
@@ -84,7 +80,6 @@ impl Default for RouterConfig {
             map_path: PathBuf::from("cluster.json"),
             max_connections: 64,
             max_inflight: 64,
-            poll_interval: Duration::from_millis(25),
             shard_io_timeout: Duration::from_secs(10),
             health_interval: Duration::from_millis(500),
             fail_threshold: 2,
@@ -200,13 +195,6 @@ impl RouterShared {
             *n += 1;
             if *n >= self.cfg.fail_threshold {
                 self.failovers.fetch_add(1, Ordering::Relaxed);
-                if tasm_obs::enabled() {
-                    tasm_obs::counter(
-                        "tasm_router_failovers_total",
-                        "Shards marked down after reaching the failure threshold.",
-                    )
-                    .inc();
-                }
                 tasm_obs::log::warn("router.failover", &[("shard", node.to_string())]);
             }
         }
@@ -276,16 +264,17 @@ impl Router {
             busy_rejections: AtomicU64::new(0),
             sessions_served: AtomicU64::new(0),
         });
-        let loop_cfg = LoopConfig {
-            max_connections: shared.cfg.max_connections,
-            poll_interval: shared.cfg.poll_interval,
-            ..LoopConfig::default()
-        };
         let logic = RouterLogic {
             shared: Arc::clone(&shared),
         };
         let workers = shared.cfg.route_workers.max(1);
-        let front = Front::start(listener, loop_cfg, logic, "tasm-route", workers)?;
+        let front = Front::start(
+            listener,
+            shared.cfg.max_connections,
+            logic,
+            "tasm-route",
+            workers,
+        )?;
         // A failed spawn below returns through `Drop`, which stops the front.
         let mut router = Router {
             shared: Arc::clone(&shared),
@@ -380,6 +369,10 @@ fn drain_shard(id: &str, addr: &str, timeout: Duration) -> ShardShutdownReport {
     report
 }
 
+/// The health thread's sleep step: how long a stopping router waits for
+/// it at most.
+const HEALTH_STEP: Duration = Duration::from_millis(25);
+
 /// Probes shards and reloads the map. Probing only watches nodes not yet
 /// down: detection is proactive (a dead primary is noticed before the
 /// next query hits it), while recovery of a down node is deliberately an
@@ -391,9 +384,8 @@ fn health_loop(shared: &Arc<RouterShared>) {
             if shared.is_shutting_down() {
                 return;
             }
-            let step = shared.cfg.poll_interval.min(Duration::from_millis(50));
-            std::thread::sleep(step);
-            waited += step;
+            std::thread::sleep(HEALTH_STEP);
+            waited += HEALTH_STEP;
         }
         // Reload the map when its epoch advanced (the rebalance flip).
         if let Ok(new_map) = ShardMap::load(&shared.cfg.map_path) {
@@ -474,13 +466,6 @@ fn route_query_frames(
                 shared.checkin(node, conn);
                 shared.note_success(node);
                 shared.routed.fetch_add(1, Ordering::Relaxed);
-                if tasm_obs::enabled() {
-                    tasm_obs::counter(
-                        "tasm_router_queries_total",
-                        "Queries successfully routed to a shard.",
-                    )
-                    .inc();
-                }
                 return frames;
             }
             Err(ClientError::Rejected { code, message }) => {

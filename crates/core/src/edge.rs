@@ -16,25 +16,10 @@ use tasm_codec::TileLayout;
 use tasm_detect::{Detector, RawDetection};
 use tasm_video::{FrameSource, Rect};
 
-/// Configuration of the simulated edge camera.
-#[derive(Debug, Clone)]
-pub struct EdgeConfig {
-    /// Object classes the VDBMS announced (`O_Q`).
-    pub target_objects: Vec<String>,
-    /// Run the detector every `stride` frames (full YOLOv3 cannot keep up
-    /// with capture rate on an embedded GPU; §5.2.4 finds stride 5 works).
-    pub detection_stride: u32,
-}
-
-impl EdgeConfig {
-    /// Camera watching for the given classes, detecting every 5th frame.
-    pub fn new(target_objects: &[&str]) -> Self {
-        EdgeConfig {
-            target_objects: target_objects.iter().map(|s| s.to_string()).collect(),
-            detection_stride: 5,
-        }
-    }
-}
+/// The camera runs its detector on every fifth frame: full YOLOv3 cannot
+/// keep up with the capture rate on an embedded GPU, and §5.2.4 finds
+/// stride 5 works.
+const DETECTION_STRIDE: u32 = 5;
 
 /// Outcome of an edge-tiled ingest.
 #[derive(Debug, Clone, Default)]
@@ -63,31 +48,29 @@ impl EdgeReport {
 }
 
 /// Simulates capture-time tiling on the camera and ingests the result:
-/// the video enters the store already tiled around `O_Q`, and the semantic
-/// index is pre-populated with the camera's detections.
+/// the video enters the store already tiled around the classes in
+/// `targets` (`O_Q`), and the semantic index is pre-populated with every
+/// box the camera's detector reported. The detector runs once per sampled
+/// frame, at capture.
 pub fn edge_ingest(
     tasm: &mut Tasm,
     name: &str,
     src: &dyn FrameSource,
     fps: u32,
-    cfg: &EdgeConfig,
+    targets: &[&str],
     detector: &mut dyn Detector,
     truth: TruthFn<'_>,
 ) -> Result<EdgeReport, TasmError> {
-    assert!(cfg.detection_stride > 0, "stride must be positive");
     let mut report = EdgeReport::default();
     let sot_frames = tasm.config().storage.sot_frames;
     let (w, h) = (src.width(), src.height());
-    let n = src.len();
 
-    // --- capture loop: sampled detection per SOT ---
-    let mut per_sot: Vec<Vec<RawDetection>> = Vec::new();
+    // --- capture loop: sampled detection, each frame's boxes kept ---
+    // Held boxes apply to skipped frames too (objects persist).
+    let mut seen: Vec<Vec<RawDetection>> = Vec::with_capacity(src.len() as usize);
     let mut held: Vec<RawDetection> = Vec::new();
-    for f in 0..n {
-        if f % sot_frames == 0 {
-            per_sot.push(Vec::new());
-        }
-        if f % cfg.detection_stride == 0 {
+    for f in 0..src.len() {
+        if f % DETECTION_STRIDE == 0 {
             let t = truth(f);
             let frame_storage;
             let frame_ref = if detector.needs_pixels() {
@@ -97,45 +80,37 @@ pub fn edge_ingest(
                 None
             };
             held = detector.detect(f, frame_ref, &t);
+            for d in &mut held {
+                d.bbox = d.bbox.clamp_to(w, h);
+            }
             report.frames_processed += 1;
             report.detect_seconds += detector.seconds_per_frame();
         }
-        // Held boxes apply to skipped frames too (objects persist).
-        let sot = per_sot.last_mut().expect("sot bucket exists");
-        for d in &held {
-            if cfg.target_objects.contains(&d.label) {
-                let mut d = d.clone();
-                d.bbox = d.bbox.clamp_to(w, h);
-                sot.extend([RawDetection { bbox: d.bbox, ..d }]);
-            }
-        }
+        seen.push(held.clone());
     }
 
-    // --- choose per-SOT layouts before first encode ---
+    // --- choose per-SOT layouts around the target boxes before first encode ---
+    let per_sot: Vec<Vec<Rect>> = seen
+        .chunks(sot_frames as usize)
+        .map(|frames| {
+            let dets = frames.iter().flatten();
+            let targeted = dets.filter(|d| targets.contains(&d.label.as_str()));
+            targeted.map(|d| d.bbox).collect()
+        })
+        .collect();
     let partition_cfg = tasm.config().partition;
     let layouts: Vec<TileLayout> = per_sot
         .iter()
-        .map(|dets| {
-            let boxes: Vec<Rect> = dets.iter().map(|d| d.bbox).collect();
-            partition(w, h, &boxes, &partition_cfg)
-        })
+        .map(|boxes| partition(w, h, boxes, &partition_cfg))
         .collect();
     report.tiled_sots = layouts.iter().filter(|l| !l.is_untiled()).count() as u32;
 
-    let layouts_for = layouts.clone();
-    tasm.ingest_with(name, src, fps, move |i, _| layouts_for[i].clone())?;
+    tasm.ingest_with(name, src, fps, move |i, _| layouts[i].clone())?;
 
-    // --- pre-initialize the semantic index with the camera's detections ---
-    // (boxes are replayed per frame; held boxes repeat across frames, so
-    // deduplicate by (frame bucket) ... the camera reports per frame).
-    let mut held: Vec<RawDetection> = Vec::new();
-    for f in 0..n {
-        if f % cfg.detection_stride == 0 {
-            let t = truth(f);
-            held = detector.detect(f, None, &t);
-        }
-        for d in &held {
-            tasm.add_metadata(name, &d.label, f, d.bbox.clamp_to(w, h))?;
+    // --- pre-initialize the semantic index with what the camera saw ---
+    for (f, dets) in (0..).zip(&seen) {
+        for d in dets {
+            tasm.add_metadata(name, &d.label, f, d.bbox)?;
         }
         tasm.mark_processed(name, f)?;
     }
@@ -145,10 +120,8 @@ pub fn edge_ingest(
     report.full_video_bytes = tasm.store().video_size_bytes(&manifest)?;
     let mut streamed = 0u64;
     let (w, h) = (manifest.width, manifest.height);
-    for (sot_idx, (sot, dets)) in manifest.sots.iter().zip(&per_sot).enumerate() {
-        let needed = dets
-            .iter()
-            .flat_map(|d| box_tiles(&sot.layout, &d.bbox, w, h).1);
+    for (sot_idx, (sot, boxes)) in manifest.sots.iter().zip(&per_sot).enumerate() {
+        let needed = boxes.iter().flat_map(|b| box_tiles(&sot.layout, b, w, h).1);
         for t in needed.collect::<std::collections::BTreeSet<u32>>() {
             streamed += tasm.store().read_tile(&manifest, sot_idx, t)?.size_bytes();
         }
@@ -162,6 +135,7 @@ mod tests {
     use super::*;
     use crate::scan::LabelPredicate;
     use crate::scratch::{car_source as source, car_truth as truth_at, Scratch};
+    use tasm_detect::background::{BackgroundSubtractor, FOREGROUND_LABEL};
     use tasm_detect::yolo::{Platform, SimulatedYolo};
 
     fn tasm(tag: &str) -> Scratch<Tasm> {
@@ -173,8 +147,7 @@ mod tests {
         let mut t = tasm("basic");
         let src = source(30);
         let mut det = SimulatedYolo::full(1).on(Platform::EdgeGpu);
-        let cfg = EdgeConfig::new(&["car"]);
-        let report = edge_ingest(&mut t, "v", &src, 30, &cfg, &mut det, &truth_at).unwrap();
+        let report = edge_ingest(&mut t, "v", &src, 30, &["car"], &mut det, &truth_at).unwrap();
 
         // Sampled detection: 30 frames / stride 5 = 6 processed.
         assert_eq!(report.frames_processed, 6);
@@ -191,13 +164,46 @@ mod tests {
         assert!(!result.regions.is_empty());
     }
 
+    /// A detector that needs pixels runs once per sampled frame, at
+    /// capture, and the index holds exactly the boxes it reported there,
+    /// each held across the frames up to the next sample.
+    #[test]
+    fn the_index_holds_the_boxes_the_capture_saw() {
+        let mut t = tasm("bg");
+        let src = source(30);
+        let mut det = BackgroundSubtractor::new();
+        let targets = [FOREGROUND_LABEL];
+        let report = edge_ingest(&mut t, "v", &src, 30, &targets, &mut det, &|_| Vec::new());
+        let report = report.unwrap();
+        assert_eq!(report.frames_processed, 6);
+        assert!(report.tiled_sots > 0, "the moving car is foreground");
+
+        // What the camera saw: the same subtractor over the sampled frames.
+        let mut camera = BackgroundSubtractor::new();
+        let (mut held, mut saw) = (Vec::new(), Vec::new());
+        for f in 0..30 {
+            if f % DETECTION_STRIDE == 0 {
+                held = camera.detect(f, Some(&src.frame(f)), &[]);
+            }
+            saw.extend(held.iter().map(|d| (f, d.bbox.clamp_to(128, 96))));
+        }
+        assert!(!saw.is_empty());
+        let id = crate::tasm::video_id_for("v");
+        let stored = t.with_index(|ix| ix.query(id, FOREGROUND_LABEL, 0..30));
+        let mut stored: Vec<_> = stored.unwrap().iter().map(|d| (d.frame, d.bbox)).collect();
+        let key = |&(f, r): &(u32, Rect)| (f, r.x, r.y, r.w, r.h);
+        stored.sort_by_key(key);
+        saw.sort_by_key(key);
+        assert_eq!(stored, saw);
+        assert_eq!(t.processed_count("v", 0..30).unwrap(), 30);
+    }
+
     #[test]
     fn streaming_only_object_tiles_saves_bandwidth() {
         let mut t = tasm("bw");
         let src = source(30);
         let mut det = SimulatedYolo::full(1).on(Platform::EdgeGpu);
-        let cfg = EdgeConfig::new(&["car"]);
-        let report = edge_ingest(&mut t, "v", &src, 30, &cfg, &mut det, &truth_at).unwrap();
+        let report = edge_ingest(&mut t, "v", &src, 30, &["car"], &mut det, &truth_at).unwrap();
         assert!(report.streamed_tile_bytes > 0);
         assert!(
             report.streamed_tile_bytes < report.full_video_bytes,
@@ -213,8 +219,7 @@ mod tests {
         let mut t = tasm("noretile");
         let src = source(30);
         let mut det = SimulatedYolo::full(1).on(Platform::EdgeGpu);
-        let cfg = EdgeConfig::new(&["car"]);
-        edge_ingest(&mut t, "v", &src, 30, &cfg, &mut det, &truth_at).unwrap();
+        edge_ingest(&mut t, "v", &src, 30, &["car"], &mut det, &truth_at).unwrap();
         // Compare against a lazily ingested copy: edge decode is cheaper on
         // the very first query.
         let lazy = tasm("noretile-lazy");

@@ -149,10 +149,10 @@ pub use cost::{estimate_work, fit_linear, pixel_ratio, CostModel, EncodeModel, W
 pub use durable::{
     FaultIo, FaultKind, FsckIssue, FsckReport, RealIo, RecoveryAction, RecoveryReport, StorageIo,
 };
-pub use edge::{edge_ingest, EdgeConfig, EdgeReport};
+pub use edge::{edge_ingest, EdgeReport};
 pub use exec::{CacheStats, DecodedTileCache, PlanStats, SharedScanStats, TileDecodeRequest};
 pub use partition::{partition, Granularity, PartitionConfig};
-pub use policy::RetilePolicy;
+pub use policy::{RetilePolicy, ALPHA};
 pub use pool::{BufferPool, CanvasPool};
 pub use query::{Query, QueryMode};
 pub use runner::{

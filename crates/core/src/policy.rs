@@ -10,7 +10,7 @@
 use crate::cost::{estimate_work, pixel_ratio};
 use crate::partition::partition;
 use crate::storage::{RetileStats, SotEntry};
-use crate::tasm::{Tasm, TasmConfig, TasmError, VideoShard};
+use crate::tasm::{Tasm, TasmError, VideoShard};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use tasm_codec::TileLayout;
@@ -87,19 +87,24 @@ impl PolicyState {
     }
 }
 
-/// The not-tiling rule (§3.4.4), and the only comparison against α: a
-/// layout is worth tiling for a query over `window` with detections `dets`
-/// when it decodes at most `α · P(ω)` pixels, α times what the untiled
-/// layout would decode.
+/// The not-tiling threshold α (§3.4.4), the paper's value: a layout must
+/// decode at most `α · P(ω)` pixels to be considered useful.
+pub const ALPHA: f64 = 0.8;
+
+/// The not-tiling rule (§3.4.4), and the only comparison against α
+/// ([`ALPHA`] on every call outside tests): a layout is worth tiling for a
+/// query over `window` with detections `dets` when it decodes at most
+/// `alpha · P(ω)` pixels, `alpha` times what the untiled layout would
+/// decode.
 fn worth_tiling(
-    cfg: &TasmConfig,
+    alpha: f64,
     layout: &TileLayout,
     dets: &[Detection],
     window: Range<u32>,
     sot: &SotEntry,
     gop: u32,
 ) -> bool {
-    pixel_ratio(layout, dets, window, sot.start, gop) <= cfg.alpha
+    pixel_ratio(layout, dets, window, sot.start, gop) <= alpha
 }
 
 impl Tasm {
@@ -172,7 +177,7 @@ impl Tasm {
         };
         // The not-tiling rule over the whole-SOT query for these objects.
         let gop = m.config.gop_len;
-        let worth = worth_tiling(self.config(), &layout, &dets, sot.frames(), sot, gop);
+        let worth = worth_tiling(ALPHA, &layout, &dets, sot.frames(), sot, gop);
         Ok(worth.then_some(layout))
     }
 
@@ -312,7 +317,7 @@ impl Tasm {
                 }
                 let dets = self.with_index(|ix| ix.query(id, hl, hw.clone()))?;
                 usable =
-                    dets.is_empty() || worth_tiling(cfg, &layout, &dets, hw.clone(), &sot, gop);
+                    dets.is_empty() || worth_tiling(ALPHA, &layout, &dets, hw.clone(), &sot, gop);
             }
             if usable {
                 return Ok(Some(layout));
@@ -416,13 +421,7 @@ mod tests {
         }];
         let ratio = pixel_ratio(&layout, &dets, 0..10, 0, 5);
         assert!(ratio > 0.0 && ratio < 1.0, "one tile of four: {ratio}");
-        let at = |alpha: f64| {
-            let cfg = TasmConfig {
-                alpha,
-                ..TasmConfig::default()
-            };
-            worth_tiling(&cfg, &layout, &dets, 0..10, &sot, 5)
-        };
+        let at = |alpha: f64| worth_tiling(alpha, &layout, &dets, 0..10, &sot, 5);
         assert!(at(ratio), "ratio == α is accepted");
         assert!(!at(ratio.next_down()), "ratio just above α is declined");
     }

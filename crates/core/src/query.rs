@@ -29,13 +29,15 @@
 //! ## Equivalence contract
 //!
 //! For any ROI/stride/limit combination, [`crate::Tasm::query`] returns
-//! regions *bit-identical* to running the unpruned [`crate::Tasm::scan`]
-//! and filtering its output post-hoc (keep regions whose rectangle
-//! intersects the ROI, whose frame lies on the stride, and that belong to
-//! the first `k` matching frames). This holds at any worker count, any
-//! cache state, and across concurrent re-tiles; `tests/contract.rs`
-//! asserts it on every query path, and holds the scans it compares against
-//! to frames stitched from whole-tile decodes, outside the executor.
+//! regions *bit-identical* to the post-filtered whole-frame read at its
+//! epoch: every box the index holds for the predicate, filtered post-hoc
+//! (keep boxes whose rectangle intersects the ROI, whose frame lies on the
+//! stride, and that belong to the first `k` matching frames), each cropped
+//! from a frame stitched from whole-tile decodes. This holds at any worker
+//! count, any cache state, and across concurrent re-tiles;
+//! `tests/contract.rs` asserts it on every query path against
+//! `tasm_suite::Reference`, which builds that read with no planner,
+//! executor, cache or composer.
 
 use crate::exec::PlanStats;
 use crate::plan::{align_out, ReadPlan};
@@ -429,5 +431,6 @@ mod tests {
     }
 
     // Pruning counters are checked end to end in tests/query_planner.rs,
-    // bit-identity with post-filtered scans in tests/contract.rs.
+    // bit-identity with the post-filtered whole-frame read
+    // (`tasm_suite::Reference`) in tests/contract.rs.
 }

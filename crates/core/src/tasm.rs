@@ -15,8 +15,8 @@
 //! per-video state is sharded so queries on different videos never contend
 //! on it, and no lock is ever held across decode:
 //!
-//! * the **semantic index** sits behind one `RwLock` (exclusive for every
-//!   index operation, since the trait's methods take `&mut self`) and is
+//! * the **semantic index** sits behind one `Mutex` (the trait's methods
+//!   take `&mut self`, so every index operation is exclusive) and is
 //!   only held for the duration of a lookup or insert — never across
 //!   decode work, so index contention is bounded by the cheap lookup
 //!   phase;
@@ -67,9 +67,6 @@ use tasm_video::{FrameSource, Rect};
 /// Configuration of the storage manager's policies.
 #[derive(Debug, Clone)]
 pub struct TasmConfig {
-    /// Not-tiling threshold α (§3.4.4): a layout must decode at most
-    /// `α · P(ω)` pixels to be considered useful. Paper value: 0.8.
-    pub alpha: f64,
     /// Regret threshold η (§4.4): re-tile once accumulated regret exceeds
     /// `η · R(s, L)`. Paper value: 1.0.
     pub eta: f64,
@@ -99,7 +96,6 @@ pub struct TasmConfig {
 impl Default for TasmConfig {
     fn default() -> Self {
         TasmConfig {
-            alpha: 0.8,
             eta: 1.0,
             partition: PartitionConfig::default(),
             storage: StorageConfig::default(),
@@ -409,7 +405,7 @@ pub struct Tasm {
     /// Taken as is on poison: each section is one call into the index, and
     /// an index must be valid wherever that call can stop — a panic inside
     /// it leaves what an error returned at the same point would.
-    index: RwLock<Box<dyn SemanticIndex + Send + Sync>>,
+    index: Mutex<Box<dyn SemanticIndex + Send + Sync>>,
     cfg: TasmConfig,
     /// Taken as is on poison: its sections are one lookup, insert or
     /// remove, or a scan that only reads.
@@ -474,7 +470,7 @@ impl Tasm {
                 cfg.cache_bytes,
                 io,
             )?),
-            index: RwLock::new(index),
+            index: Mutex::new(index),
             cfg,
             videos: RwLock::new(BTreeMap::new()),
         })
@@ -519,8 +515,7 @@ impl Tasm {
     /// Runs `f` with the semantic index locked. The index lock is terminal
     /// in the facade's lock order: `f` must not call back into `Tasm`.
     pub fn with_index<R>(&self, f: impl FnOnce(&mut dyn SemanticIndex) -> R) -> R {
-        let mut guard = sync::write(&self.index);
-        f(guard.as_mut())
+        f(sync::lock(&self.index).as_mut())
     }
 
     /// Ingests a video untiled (`ω` for every SOT) — the starting point of

@@ -11,7 +11,9 @@
 //!   merge, and is also the query service's latency histogram.
 //!   [`metrics::render`] emits the whole registry in Prometheus text
 //!   exposition format 0.0.4, including cumulative `_bucket{le="..."}`
-//!   series.
+//!   series; [`render_counter_into`] and [`render_histogram_into`] emit
+//!   one series the registry does not hold (a server's, a router's or a
+//!   service's own counts, rendered at scrape time).
 //! - [`trace`] — per-query distributed tracing: a process-unique
 //!   [`trace::next_trace_id`], RAII [`trace::PhaseSpan`]s that accumulate
 //!   wall time into one of four fixed phases (queue / plan / decode /
@@ -32,7 +34,9 @@
 //! be measured against a no-op baseline in one binary. Enabled is the
 //! default. A [`Histogram`] records regardless, because the service's
 //! latency histogram must match its completed count; the registry's
-//! histogram call sites test [`enabled`] before the lookup instead.
+//! histogram call sites test [`enabled`] before the lookup instead. The
+//! counts a service, server or router keeps for itself are plain atomics
+//! outside the registry, so they count regardless too.
 
 pub mod http;
 pub mod log;
@@ -43,8 +47,8 @@ pub mod trace;
 pub use http::MetricsServer;
 pub use log::Level;
 pub use metrics::{
-    counter, gauge, histogram, render, render_histogram_into, Counter, Gauge, Histogram,
-    HistogramSnapshot, HISTOGRAM_BANDS,
+    counter, gauge, histogram, render, render_counter_into, render_histogram_into, Counter, Gauge,
+    Histogram, HistogramSnapshot, HISTOGRAM_BANDS,
 };
 pub use trace::{next_trace_id, Phase, PhaseSpan, QueryTrace, TraceSpans};
 

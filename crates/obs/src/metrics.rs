@@ -323,13 +323,7 @@ pub fn render() -> String {
     let mut out = String::new();
     for (name, entry) in reg.iter() {
         match &entry.metric {
-            Metric::Counter(c) => {
-                out.push_str(&format!(
-                    "# HELP {name} {}\n# TYPE {name} counter\n{name} {}\n",
-                    entry.help,
-                    c.get()
-                ));
-            }
+            Metric::Counter(c) => render_counter_into(&mut out, name, entry.help, c.get()),
             Metric::Gauge(g) => {
                 out.push_str(&format!(
                     "# HELP {name} {}\n# TYPE {name} gauge\n{name} {}\n",
@@ -343,6 +337,16 @@ pub fn render() -> String {
         }
     }
     out
+}
+
+/// Appends one counter in exposition format.
+///
+/// Shared by [`render`] and by callers exposing a count the registry does
+/// not hold (a server's or a router's own counters).
+pub fn render_counter_into(out: &mut String, name: &str, help: &str, value: u64) {
+    out.push_str(&format!(
+        "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
+    ));
 }
 
 /// Appends one histogram in exposition format. The rendered `le` bounds

@@ -9,12 +9,13 @@
 //!
 //! The loop speaks the session half of the protocol itself: the hello
 //! exchange, `Goodbye`, `ShutdownServer`, and every generic reply — the
-//! refusal past `max_connections`, `VersionMismatch`, and `Malformed` for
-//! a frame that does not decode or that the front does not serve. It
-//! enforces the liveness deadlines (handshake, mid-frame stall, write
-//! stall). Every other request goes to the front's [`Logic`]: tasm-server
-//! plugs in query dispatch and its admin operations, tasm-cluster's router
-//! plugs in shard routing. Logic answers on the spot, hands blocking work
+//! refusal past the connection cap [`Front::start`] takes,
+//! `VersionMismatch`, and `Malformed` for a frame that does not decode or
+//! that the front does not serve. It enforces the liveness deadlines
+//! (handshake 10 s, mid-frame stall 30 s, write stall 10 s), constants of
+//! the loop like its 25 ms poll interval. Every other request goes to the
+//! front's [`Logic`]: tasm-server plugs in query dispatch and its admin
+//! operations, tasm-cluster's router plugs in shard routing. Logic answers on the spot, hands blocking work
 //! to the front's pool with [`Ctl::offload`] (the session reads no further
 //! request until the answer is queued), or answers later from a thread of
 //! its own through a [`Completer`]. Answers made off the loop re-enter it
@@ -141,31 +142,26 @@ pub trait Logic: Send + 'static {
     fn on_close(&mut self, _token: u64, _active: usize) {}
 }
 
-/// Liveness and admission knobs of the loop.
+/// The loop's clock. Serving always runs [`Timing::SERVING`]; the type
+/// exists so this crate's tests can shorten the deadlines.
 #[derive(Debug, Clone, Copy)]
-pub struct LoopConfig {
-    /// Concurrent non-refused connections; beyond this, connects get the
-    /// refusal frame and a lingered close.
-    pub max_connections: usize,
+struct Timing {
     /// Upper bound on one `wait` — the cadence of the timer sweep and how
     /// fast an idle loop notices the shutdown flag.
-    pub poll_interval: Duration,
+    poll: Duration,
     /// How long a connection may sit without completing its handshake.
-    pub handshake_deadline: Duration,
+    handshake: Duration,
     /// Wall-clock bound on receiving one frame once its first byte
     /// arrived (anti-trickle).
-    pub frame_deadline: Duration,
+    frame: Duration,
 }
 
-impl Default for LoopConfig {
-    fn default() -> Self {
-        LoopConfig {
-            max_connections: 64,
-            poll_interval: Duration::from_millis(25),
-            handshake_deadline: Duration::from_secs(10),
-            frame_deadline: Duration::from_secs(30),
-        }
-    }
+impl Timing {
+    const SERVING: Timing = Timing {
+        poll: Duration::from_millis(25),
+        handshake: Duration::from_secs(10),
+        frame: Duration::from_secs(30),
+    };
 }
 
 /// Per-connection state machine.
@@ -342,7 +338,10 @@ pub struct Ctl {
     next_token: u64,
     /// Non-refused connections currently in the map.
     active: usize,
-    cfg: LoopConfig,
+    /// Concurrent non-refused connections; beyond this, connects get the
+    /// refusal frame and a lingered close.
+    max_connections: usize,
+    timing: Timing,
     flags: Arc<Flags>,
     completer: Completer,
     pool: Arc<Pool>,
@@ -352,12 +351,7 @@ impl Ctl {
     /// Builds the loop state: nonblocking listener + wake pipe, both
     /// registered with a fresh poller. Fails where readiness polling is
     /// unsupported (off unix), so serving there is a bind error.
-    fn new(
-        listener: TcpListener,
-        cfg: LoopConfig,
-        flags: Arc<Flags>,
-        pool: Arc<Pool>,
-    ) -> std::io::Result<Ctl> {
+    fn new(listener: TcpListener, max_connections: usize, timing: Timing) -> std::io::Result<Ctl> {
         listener.set_nonblocking(true)?;
         let mut poller = Poller::new()?;
         let (waker, wake_reader) = wake_pipe()?;
@@ -374,13 +368,14 @@ impl Ctl {
             conns: HashMap::new(),
             next_token: 0,
             active: 0,
-            cfg,
-            flags,
+            max_connections,
+            timing,
+            flags: Arc::default(),
             completer: Completer {
                 queue: Arc::default(),
                 waker,
             },
-            pool,
+            pool: Arc::default(),
         })
     }
 
@@ -541,7 +536,7 @@ impl Ctl {
             // Small response frames must not sit in Nagle's buffer
             // waiting for a delayed ACK.
             stream.set_nodelay(true).ok();
-            let over = self.active >= self.cfg.max_connections;
+            let over = self.active >= self.max_connections;
             let mut conn = Conn::new(stream);
             conn.refusing = over;
             let token = self.next_token;
@@ -693,15 +688,13 @@ impl Ctl {
                     conn.half_closed = true;
                 }
                 conn.peer_eof || now.duration_since(conn.opened) > REFUSE_LINGER
-            } else if !conn.handshaken
-                && now.duration_since(conn.opened) > self.cfg.handshake_deadline
-            {
+            } else if !conn.handshaken && now.duration_since(conn.opened) > self.timing.handshake {
                 true
             } else if !conn.paused
                 && conn
                     .reader
                     .frame_started()
-                    .is_some_and(|t| now.duration_since(t) > self.cfg.frame_deadline)
+                    .is_some_and(|t| now.duration_since(t) > self.timing.frame)
             {
                 true
             } else if conn
@@ -810,7 +803,7 @@ fn run<L: Logic>(mut ctl: Ctl, mut logic: L) {
                 break;
             }
         }
-        if ctl.poller.wait(&mut events, ctl.cfg.poll_interval).is_err() {
+        if ctl.poller.wait(&mut events, ctl.timing.poll).is_err() {
             break;
         }
         let mut woke = false;
@@ -854,24 +847,43 @@ pub struct Front {
 impl Front {
     /// Serves `listener` with `logic` on a reactor thread named
     /// `<name>-reactor`, with `workers` pool threads named
-    /// `<name>-worker-<i>` for offloaded jobs. Fails where readiness
-    /// polling is unsupported (off unix).
+    /// `<name>-worker-<i>` for offloaded jobs. Past `max_connections`
+    /// concurrent sessions, a connect gets the refusal frame and a
+    /// lingered close. Fails where readiness polling is unsupported (off
+    /// unix).
     pub fn start<L: Logic>(
         listener: TcpListener,
-        cfg: LoopConfig,
+        max_connections: usize,
         logic: L,
         name: &str,
         workers: usize,
     ) -> std::io::Result<Front> {
-        let flags = Arc::new(Flags::default());
-        let pool = Arc::new(Pool::default());
-        let ctl = Ctl::new(listener, cfg, Arc::clone(&flags), Arc::clone(&pool))?;
+        Self::start_timed(
+            listener,
+            max_connections,
+            Timing::SERVING,
+            logic,
+            name,
+            workers,
+        )
+    }
+
+    /// [`Front::start`] on the given clock.
+    fn start_timed<L: Logic>(
+        listener: TcpListener,
+        max_connections: usize,
+        timing: Timing,
+        logic: L,
+        name: &str,
+        workers: usize,
+    ) -> std::io::Result<Front> {
+        let ctl = Ctl::new(listener, max_connections, timing)?;
         // Every handle lands in `front` as soon as it exists, so a failed
         // spawn below returns through `Drop`, which closes the pool and
         // joins what did start.
         let mut front = Front {
-            flags,
-            pool,
+            flags: Arc::clone(&ctl.flags),
+            pool: Arc::clone(&ctl.pool),
             waker: ctl.completer.waker.clone(),
             reactor: None,
             workers: Vec::new(),
@@ -1106,7 +1118,7 @@ mod tests {
     /// A front over [`Echo`] on loopback: its address, its published
     /// open-session count, and the front.
     fn echo_front(
-        cfg: LoopConfig,
+        timing: Timing,
         hold: Duration,
     ) -> (std::net::SocketAddr, Arc<AtomicUsize>, Front) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1116,7 +1128,7 @@ mod tests {
             hold,
             open: open.clone(),
         };
-        let front = Front::start(listener, cfg, logic, "echo", 1).expect("front");
+        let front = Front::start_timed(listener, 64, timing, logic, "echo", 1).expect("front");
         (addr, open, front)
     }
 
@@ -1126,12 +1138,12 @@ mod tests {
     /// neither fires during the pause nor the moment it ends.
     #[test]
     fn a_pause_longer_than_the_frame_deadline_keeps_the_session() {
-        let cfg = LoopConfig {
-            poll_interval: Duration::from_millis(5),
-            frame_deadline: Duration::from_millis(100),
-            ..LoopConfig::default()
+        let timing = Timing {
+            poll: Duration::from_millis(5),
+            frame: Duration::from_millis(100),
+            ..Timing::SERVING
         };
-        let (addr, _open, mut front) = echo_front(cfg, Duration::from_millis(300));
+        let (addr, _open, mut front) = echo_front(timing, Duration::from_millis(300));
 
         let mut client = TcpStream::connect(addr).expect("connect");
         client
@@ -1170,13 +1182,12 @@ mod tests {
 
     /// A front with both deadlines at [`DEADLINE`].
     fn deadline_front() -> (std::net::SocketAddr, Arc<AtomicUsize>, Front) {
-        let cfg = LoopConfig {
-            poll_interval: POLL,
-            handshake_deadline: DEADLINE,
-            frame_deadline: DEADLINE,
-            ..LoopConfig::default()
+        let timing = Timing {
+            poll: POLL,
+            handshake: DEADLINE,
+            frame: DEADLINE,
         };
-        echo_front(cfg, Duration::ZERO)
+        echo_front(timing, Duration::ZERO)
     }
 
     /// Waits (a bounded while) for the loop to publish `n` open sessions.

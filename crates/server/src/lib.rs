@@ -82,10 +82,9 @@ mod reactor;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use tasm_core::{Tasm, TasmError};
 use tasm_proto::ErrorCode;
-use tasm_reactor::{Front, LoopConfig};
+use tasm_reactor::Front;
 use tasm_service::{
     QueryService, ServiceConfig, ServiceError, ServiceStats, Shutdown, ShutdownReport,
 };
@@ -121,9 +120,6 @@ pub struct ServerConfig {
     /// Queries one session may have in flight at once; requests beyond the
     /// cap receive `Error{TooManyInflight}`.
     pub max_inflight: u32,
-    /// Longest one reactor wait lasts — how often session deadlines are
-    /// checked, and how long an idle server takes to notice shutdown.
-    pub poll_interval: Duration,
     /// Serving engine (only [`ServeEngine::Reactor`] exists).
     pub engine: ServeEngine,
 }
@@ -133,7 +129,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_connections: 64,
             max_inflight: 8,
-            poll_interval: Duration::from_millis(25),
             engine: ServeEngine::Reactor,
         }
     }
@@ -226,14 +221,9 @@ impl TasmServer {
             busy_rejections: AtomicU64::new(0),
             connection_rejections: AtomicU64::new(0),
         });
-        let loop_cfg = LoopConfig {
-            max_connections: cfg.max_connections,
-            poll_interval: cfg.poll_interval,
-            ..LoopConfig::default()
-        };
         // One pool thread runs the admin operations in submission order.
         let logic = reactor::ServerLogic::new(Arc::clone(&shared));
-        let front = Front::start(listener, loop_cfg, logic, "tasm-serve", 1)?;
+        let front = Front::start(listener, cfg.max_connections, logic, "tasm-serve", 1)?;
         Ok(TasmServer {
             front,
             shared,
@@ -250,6 +240,17 @@ impl TasmServer {
     /// submit→complete latency histogram).
     pub fn stats(&self) -> ServiceStats {
         self.shared.service.stats()
+    }
+
+    /// The server's refusals so far, as (queries refused with BUSY,
+    /// connections refused over [`ServerConfig::max_connections`]): the
+    /// counts [`ServerReport`] returns at shutdown.
+    pub fn rejections(&self) -> (u64, u64) {
+        let shared = &self.shared;
+        (
+            shared.busy_rejections.load(Ordering::Relaxed),
+            shared.connection_rejections.load(Ordering::Relaxed),
+        )
     }
 
     /// True once a client has sent the administrative `ShutdownServer`
@@ -272,10 +273,11 @@ impl TasmServer {
     pub fn shutdown(mut self) -> ServerReport {
         self.front.stop();
         let service = self.shared.service.shutdown_now(Shutdown::Drain);
+        let (busy_rejections, connection_rejections) = self.rejections();
         ServerReport {
             sessions_served: self.shared.sessions_served.load(Ordering::Relaxed),
-            busy_rejections: self.shared.busy_rejections.load(Ordering::Relaxed),
-            connection_rejections: self.shared.connection_rejections.load(Ordering::Relaxed),
+            busy_rejections,
+            connection_rejections,
             service,
         }
     }

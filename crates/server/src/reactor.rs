@@ -82,13 +82,6 @@ impl ServerLogic {
             Err(e) => {
                 if matches!(e, ServiceError::QueueFull) {
                     self.shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                    if tasm_obs::enabled() {
-                        tasm_obs::counter(
-                            "tasm_queries_busy_rejected_total",
-                            "Queries refused with a BUSY frame because the service queue was full.",
-                        )
-                        .inc();
-                    }
                 }
                 ctl.send_frame(token, error_frame(Some(id), error_code(&e), e.to_string()));
             }
@@ -132,13 +125,6 @@ impl Logic for ServerLogic {
         self.shared
             .connection_rejections
             .fetch_add(1, Ordering::Relaxed);
-        if tasm_obs::enabled() {
-            tasm_obs::counter(
-                "tasm_connections_rejected_total",
-                "Connections refused at the listener for exceeding max_connections.",
-            )
-            .inc();
-        }
     }
 
     fn on_close(&mut self, token: u64, active: usize) {

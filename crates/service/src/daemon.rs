@@ -24,6 +24,7 @@ use crate::service::Shared;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
+use std::time::Duration;
 use tasm_obs::sync;
 
 /// One completed query the layout policies should learn from.
@@ -34,6 +35,11 @@ pub(crate) struct Observation {
     pub frames: Range<u32>,
 }
 
+/// The longest the idle daemon sleeps before it looks at the backlog and
+/// the shutdown flag again. A push and a shutdown both notify it, so this
+/// only bounds a wakeup that raced the check.
+const IDLE_WAIT: Duration = Duration::from_millis(20);
+
 pub(crate) fn daemon_loop(shared: &Shared) {
     loop {
         let batch: Vec<Observation> = {
@@ -42,8 +48,7 @@ pub(crate) fn daemon_loop(shared: &Shared) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                let interval = shared.cfg.retile_interval;
-                backlog = sync::wait_timeout(&shared.backlog_cv, backlog, interval).0;
+                backlog = sync::wait_timeout(&shared.backlog_cv, backlog, IDLE_WAIT).0;
             }
             backlog.drain(..).collect()
         };
@@ -103,13 +108,6 @@ pub(crate) fn process_observations(shared: &Shared, batch: Vec<Observation>) {
             continue;
         }
         shared.stats.retile_ops.fetch_add(1, Ordering::Relaxed);
-        if tasm_obs::enabled() {
-            tasm_obs::counter(
-                "tasm_retile_commits_total",
-                "Background re-tiles committed (and replicated, when backups are configured).",
-            )
-            .inc();
-        }
         let bytes = stats.encode.bytes_produced.to_string();
         tasm_obs::log::debug(
             "retile.committed",

@@ -24,8 +24,6 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Background layout policy applied to completed queries.
     pub retile: RetilePolicy,
-    /// How often the retile daemon wakes when idle.
-    pub retile_interval: Duration,
     /// Slow-query log threshold: any completed query whose
     /// submission→completion time reaches this logs its full trace at
     /// `warn` through the structured logger (`None` disables the log).
@@ -38,7 +36,6 @@ impl Default for ServiceConfig {
             workers: 0,
             queue_depth: 64,
             retile: RetilePolicy::Off,
-            retile_interval: Duration::from_millis(20),
             slow_query: None,
         }
     }
@@ -428,11 +425,6 @@ impl QueryService {
             .queue_peak
             .fetch_max(queue.len() as u64, Ordering::Relaxed);
         if tasm_obs::enabled() {
-            tasm_obs::counter(
-                "tasm_queries_submitted_total",
-                "Queries accepted into the submission queue.",
-            )
-            .inc();
             queue_depth_gauge().set(queue.len() as i64);
         }
         drop(queue);
@@ -568,13 +560,6 @@ fn worker_loop(shared: &Shared) {
             Ok(result) => result,
             Err(e) => {
                 shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                if tasm_obs::enabled() {
-                    tasm_obs::counter(
-                        "tasm_queries_failed_total",
-                        "Queries that returned an error.",
-                    )
-                    .inc();
-                }
                 let panicked = matches!(e, ServiceError::Panicked);
                 tasm_obs::log::warn(
                     if panicked {
@@ -594,13 +579,6 @@ fn worker_loop(shared: &Shared) {
         };
         shared.stats.record_scan(&result);
         shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-        if tasm_obs::enabled() {
-            tasm_obs::counter(
-                "tasm_queries_completed_total",
-                "Queries completed successfully.",
-            )
-            .inc();
-        }
         if shared.cfg.retile != RetilePolicy::Off {
             let mut backlog = sync::lock(&shared.backlog);
             for label in job.req.query.predicate().labels() {

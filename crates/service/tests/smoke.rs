@@ -237,7 +237,6 @@ fn daemon_crash_is_contained_and_shutdown_drains() {
             workers: 2,
             queue_depth: 16,
             retile: RetilePolicy::Regret,
-            retile_interval: std::time::Duration::from_millis(2),
             ..Default::default()
         },
     );

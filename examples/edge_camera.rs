@@ -9,7 +9,7 @@
 //! cargo run --release -p tasm-suite --example edge_camera
 //! ```
 
-use tasm_core::{edge_ingest, EdgeConfig, LabelPredicate, StorageConfig, Tasm, TasmConfig};
+use tasm_core::{edge_ingest, LabelPredicate, StorageConfig, Tasm, TasmConfig};
 use tasm_data::Dataset;
 use tasm_detect::yolo::{Platform, SimulatedYolo};
 use tasm_index::MemoryIndex;
@@ -34,15 +34,16 @@ fn main() {
     let truth = |f: u32| video.ground_truth(f);
 
     // Full YOLOv3 on the embedded GPU manages ~16 fps; capture is 30 fps,
-    // so the camera detects every 5th frame (§5.2.4 finds this adequate).
+    // so the camera detects every 5th frame (§5.2.4 finds this adequate),
+    // once per sampled frame, and its boxes both tile the video and fill
+    // the index.
     let mut detector = SimulatedYolo::full(3).on(Platform::EdgeGpu);
-    let edge_cfg = EdgeConfig::new(&["car"]);
     let report = edge_ingest(
         &mut tasm,
         "cam0",
         &video,
         30,
-        &edge_cfg,
+        &["car"],
         &mut detector,
         &truth,
     )

@@ -114,7 +114,6 @@ fn child_shard_server() {
             workers: 2,
             queue_depth: 32,
             retile: RetilePolicy::Regret,
-            retile_interval: Duration::from_millis(1),
             ..Default::default()
         },
         ServerConfig::default(),

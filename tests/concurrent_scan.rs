@@ -54,7 +54,6 @@ fn race_the_daemon(store: &TestStore, query: &Query, workers: usize, queries: us
             workers,
             queue_depth: 16,
             retile: RetilePolicy::Regret,
-            retile_interval: std::time::Duration::from_millis(1),
             ..Default::default()
         },
     );

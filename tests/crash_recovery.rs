@@ -462,7 +462,6 @@ fn kill_and_reattach(crash_at: u64) {
             workers: 4,
             queue_depth: 16,
             retile: RetilePolicy::Regret,
-            retile_interval: Duration::from_millis(2),
             ..Default::default()
         },
     );

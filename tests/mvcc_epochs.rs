@@ -181,7 +181,6 @@ fn regret_daemon_retiles_while_a_scan_is_held_open() {
             workers: 4,
             queue_depth: 16,
             retile: RetilePolicy::Regret,
-            retile_interval: Duration::from_millis(1),
             ..Default::default()
         },
     );

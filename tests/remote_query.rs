@@ -84,7 +84,6 @@ fn remote_results_stay_epoch_exact_while_daemon_retiles() {
             workers: 4,
             queue_depth: 32,
             retile: RetilePolicy::Regret,
-            retile_interval: std::time::Duration::from_millis(1),
             ..Default::default()
         },
         ServerConfig::default(),
@@ -410,7 +409,6 @@ fn loadgen_drives_the_server_and_reports_latency() {
         query: Query::new(LabelPredicate::label("car")),
         window: 20,
         frames: FRAMES,
-        busy_backoff: std::time::Duration::from_millis(1),
         reconnect_attempts: 0,
     })
     .run(addr)
