@@ -13,6 +13,7 @@
 set -euo pipefail
 
 suites=(
+    cluster_failover
     concurrent_scan
     contract
     crash_recovery

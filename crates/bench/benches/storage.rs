@@ -70,7 +70,7 @@ fn retile_commit_benches(c: &mut Criterion) {
             b.iter(|| {
                 manifest.sots[0].retile_count += 1;
                 let retired = store.install_sot(&manifest, 0, &tiles).expect("commit");
-                store.gc_epoch("v", retired.expect("retired")).expect("gc");
+                store.gc_epoch("v", retired).expect("gc");
             })
         });
     }

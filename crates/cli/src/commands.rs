@@ -15,7 +15,6 @@ use crate::report::{
     print_answer, print_trace, report_recovery, service_text, VideoReport, VideoStats,
 };
 use std::error::Error;
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tasm_core::runner::detect_frames;
@@ -93,20 +92,6 @@ pub(crate) fn open_stored(
     Ok((tasm, names))
 }
 
-/// `ingest` under a name the store holds. The index keys a video's
-/// detections and processed marks by its name, so a second ingest would
-/// leave the first video's over the new pixels.
-#[derive(Debug)]
-pub(crate) struct AlreadyStored(pub String);
-
-impl fmt::Display for AlreadyStored {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "video '{}' is already in the store", self.0)
-    }
-}
-
-impl Error for AlreadyStored {}
-
 pub(crate) fn ingest(args: &Args) -> CmdResult {
     let store = args.required("store")?;
     let name = args.required("name")?;
@@ -119,9 +104,6 @@ pub(crate) fn ingest(args: &Args) -> CmdResult {
         .find(|d| d.name() == dataset_name)
         .ok_or_else(|| format!("unknown dataset '{dataset_name}' (see `tasm presets`)"))?;
     let tasm = open_tasm(store, args)?;
-    if tasm.has_stored_video(name) {
-        return Err(AlreadyStored(name.to_string()).into());
-    }
     let video = dataset.build(seconds, seed);
     tasm.ingest(name, &video, 30)?;
     // Replaced atomically: a torn sidecar would fail every later command on
@@ -811,9 +793,9 @@ mod tests {
             "ingest --store {s} --name w --dataset visual-road-2k --seconds 1"
         ))
         .expect_err("re-ingest");
-        assert_eq!(
-            again.downcast_ref::<AlreadyStored>().map(|e| e.0.as_str()),
-            Some("w")
+        assert!(
+            matches!(again.downcast_ref::<TasmError>(), Some(TasmError::AlreadyStored(n)) if n == "w"),
+            "{again}"
         );
         // `info`, `stats` and `fsck` name a missing video alike.
         for cmd in ["info", "stats", "fsck"] {

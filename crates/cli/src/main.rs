@@ -112,7 +112,7 @@ STATS: storage accounting. Per video: on-disk tile bytes, the ratio
   entropy-coded codec of tiles written by earlier builds, still read).
   With --storage, also reports the semantic index tier: sorted-run count
   and sizes, memtable occupancy, WAL length, resident vs on-disk bytes,
-  and the bloom/frame-range filter hit rate measured over one probe query
+  and the range tables' hit rate (run reads skipped) over one probe query
   per stored label.
 
 FSCK: opens the store (running startup recovery: interrupted re-tiles are

@@ -173,7 +173,7 @@ pub(crate) fn store_stats(
     )?;
     writeln!(
         out,
-        "  bloom/range filters: {} probe(s), {} skipped disk reads ({:.0}% hit rate), {} run file(s) read",
+        "  range tables: {} probe(s), {} skipped disk reads ({:.0}% hit rate), {} run file(s) read",
         ts.filter_probes,
         ts.filter_skips,
         100.0 * ts.filter_hit_rate(),

@@ -34,7 +34,10 @@
 //! * [`Replicator`] / [`apply_record`] — primary→backup shipping of
 //!   manifests, verbatim tile bytes, and semantic-index state; re-tile
 //!   commits replicate *before* they count as durable
-//!   ([`ReplicatorHook`] plugs into the retile daemon).
+//!   ([`ReplicatorHook`] plugs into the retile daemon). A backup installs
+//!   a re-tiled SOT by the same commit step as a local re-tile: the
+//!   record's entry for that SOT replaces its own, and the rest of the
+//!   primary's manifest is checked against its own, never adopted.
 //! * [`Router`] — a `tasm-proto` front-end fanning queries to the owning
 //!   shard, failing over to backups, merging cluster-wide statistics,
 //!   and draining the cluster in order on shutdown.

@@ -103,6 +103,10 @@ pub enum StoreError {
         /// How the container disagrees with the slot.
         detail: String,
     },
+    /// A peer's manifest for a commit of one SOT of the named video that
+    /// describes another video: its name, size, fps, frame count, config
+    /// or SOT bounds differ from the store's.
+    ReplicaMismatch(String),
 }
 
 impl std::fmt::Display for StoreError {
@@ -121,6 +125,9 @@ impl std::fmt::Display for StoreError {
                 tile,
                 detail,
             } => write!(f, "SOT at frame {sot_start}, tile {tile}: {detail}"),
+            StoreError::ReplicaMismatch(video) => {
+                write!(f, "peer manifest disagrees with '{video}'")
+            }
         }
     }
 }
@@ -634,6 +641,7 @@ impl VideoStore {
 
     /// Loads a video's manifest.
     pub fn load_manifest(&self, name: &str) -> Result<VideoManifest, StoreError> {
+        check_video_name(name)?;
         let path = self.root.join(name).join(MANIFEST_FILE);
         if !self.io.exists(&path) {
             return Err(StoreError::NotFound(format!("video '{name}'")));
@@ -711,43 +719,44 @@ impl VideoStore {
 
         // Cached GOPs of the old epoch stay valid (cache keys carry the
         // layout epoch) and are reclaimed with the epoch by `gc_epoch`.
-        let mut new_manifest = manifest.clone();
-        let entry = &mut new_manifest.sots[sot_idx];
-        entry.layout = new_layout;
-        entry.retile_count += 1;
-        entry.tile_codecs = new_tiles.iter().map(|t| t.codec.id()).collect();
+        let entry = SotEntry {
+            layout: new_layout,
+            retile_count: sot.retile_count + 1,
+            tile_codecs: new_tiles.iter().map(|t| t.codec.id()).collect(),
+            ..sot
+        };
         let bytes = new_tiles.iter().map(TileVideo::to_bytes);
-        let retired = self.commit_sot(manifest, &new_manifest, sot_idx, bytes)?;
-        *manifest = new_manifest;
-        Ok((RetileStats { decode, encode }, retired))
+        let (next, retired) = self.commit_sot(manifest, sot_idx, entry, bytes)?;
+        *manifest = next;
+        Ok((RetileStats { decode, encode }, Some(retired)))
     }
 
-    /// The commit of one SOT's new layout epoch (re-tile, replicated SOT):
-    /// the tiles are written as one pack under the epoch `new` records for
-    /// SOT `sot_idx`, beside (never over) the live pack, and `new` is
-    /// published — the **commit point**, with nothing after it to complete.
-    /// Returns the pack `old` names for that SOT, which `new` supersedes.
+    /// The commit of one SOT's new layout epoch (re-tile, replicated SOT),
+    /// and the one place such a commit's manifest is built: `base` with SOT
+    /// `sot_idx` replaced by `entry`, and nothing else changed. The tiles
+    /// are written as one pack under the epoch `entry` records, beside
+    /// (never over) the live pack, and the next manifest is published —
+    /// the **commit point**, with nothing after it to complete. Returns
+    /// that manifest and the pack it supersedes, `base`'s for the SOT.
     /// A pack already under the new name is residue of an earlier attempt
     /// in this process: it goes first, through `gc_epoch`, which refuses if
     /// the manifest on disk names it (a rename that landed but failed).
     fn commit_sot<B: AsRef<[u8]>>(
         &self,
-        old: &VideoManifest,
-        new: &VideoManifest,
+        base: &VideoManifest,
         sot_idx: usize,
+        entry: SotEntry,
         tiles: impl ExactSizeIterator<Item = B>,
-    ) -> Result<Option<PackId>, StoreError> {
-        let sot = &new.sots[sot_idx];
-        if self.io.exists(&self.pack_path(&new.name, sot)) {
-            self.gc_epoch(&new.name, sot.pack_id())?;
+    ) -> Result<(VideoManifest, PackId), StoreError> {
+        let mut next = base.clone();
+        let retired = std::mem::replace(&mut next.sots[sot_idx], entry).pack_id();
+        let sot = &next.sots[sot_idx];
+        if self.io.exists(&self.pack_path(&next.name, sot)) {
+            self.gc_epoch(&next.name, sot.pack_id())?;
         }
-        self.write_pack(&new.name, sot, tiles)?;
-        self.publish(new)?; // ← commit point
-        Ok(old
-            .sots
-            .iter()
-            .find(|s| (s.start, s.end) == (sot.start, sot.end))
-            .map(SotEntry::pack_id))
+        self.write_pack(&next.name, sot, tiles)?;
+        self.publish(&next)?; // ← commit point
+        Ok((next, retired))
     }
 
     /// Reclaims one SOT layout epoch the manifest does not name — retired
@@ -823,43 +832,67 @@ impl VideoStore {
         Ok(())
     }
 
-    /// Installs one replicated SOT of an *existing* video by a local
-    /// re-tile's rule (`commit_sot`), so the same startup recovery resolves
-    /// a crash at any step. Returns the [`PackId`] the install supersedes
-    /// (if any) for [`VideoStore::gc_epoch`] once its pinned readers drain.
-    ///
-    /// The installed epoch must be newer than the one the store holds for
-    /// that SOT: an equal or older one is refused with nothing touched,
-    /// since writing it would replace, under any pinned reader, the pack
-    /// the manifest on disk names.
+    /// Installs one replicated SOT of an *existing* video over the manifest
+    /// on disk (`install_sot_on`), refusing a layout epoch
+    /// the store already holds for it, or an older one. Returns the
+    /// [`PackId`] the install supersedes, for [`VideoStore::gc_epoch`] once
+    /// its pinned readers drain.
     pub fn install_sot(
         &self,
-        new_manifest: &VideoManifest,
+        record: &VideoManifest,
         sot_idx: usize,
         tiles: &[Vec<u8>],
-    ) -> Result<Option<PackId>, StoreError> {
-        let sot = new_manifest
-            .sots
-            .get(sot_idx)
-            .ok_or_else(|| StoreError::NotFound(format!("SOT {sot_idx}")))?;
-        new_manifest.config.check()?;
-        validate_replica_sot(sot, new_manifest.config.gop_len, tiles)?;
-        let name = new_manifest.name.as_str();
-        check_video_name(name)?;
-        // The epoch this install supersedes, per the on-disk manifest —
-        // read before the commit rewrites it.
-        let current = self.load_manifest(name)?;
-        let held = current
-            .sots
-            .iter()
-            .find(|old| old.start == sot.start && old.end == sot.end);
-        if let Some(old) = held.filter(|old| old.retile_count >= sot.retile_count) {
-            return Err(invalid_payload(format!(
-                "SOT {}..{} of '{name}' is at layout epoch {}, refusing to install epoch {} over it",
-                sot.start, sot.end, old.retile_count, sot.retile_count
-            )));
+    ) -> Result<PackId, StoreError> {
+        // A record for a video the store does not hold still names its
+        // out-of-range config first.
+        record.config.check()?;
+        let base = self.load_manifest(&record.name)?;
+        match self.install_sot_on(&base, record, sot_idx, tiles)? {
+            Some((_, retired)) => Ok(retired),
+            None => Err(invalid_payload(format!(
+                "SOT {sot_idx} of '{}' is at layout epoch {}, refusing to install epoch {} over it",
+                base.name, base.sots[sot_idx].retile_count, record.sots[sot_idx].retile_count
+            ))),
         }
-        self.commit_sot(&current, new_manifest, sot_idx, tiles.iter())
+    }
+
+    /// Installs SOT `sot_idx` of `record`, a peer's manifest after it
+    /// committed that SOT, over `base`, the manifest this node holds, by a
+    /// local re-tile's rule (`commit_sot`). Only the record's entry for
+    /// that SOT is taken. The rest is checked, never adopted: its config
+    /// must pass [`StorageConfig::check`], and its name, size, fps, frame
+    /// count, config and SOT bounds must be `base`'s
+    /// ([`StoreError::ReplicaMismatch`]). An entry whose layout epoch is
+    /// not newer than `base`'s for the SOT is skipped (`None`: writing it
+    /// would replace the pack `base` names under any pinned reader).
+    /// Otherwise its tiles must fit its slots. A refused or skipped install
+    /// writes nothing; one that lands returns the next manifest and the
+    /// pack it supersedes.
+    pub(crate) fn install_sot_on(
+        &self,
+        base: &VideoManifest,
+        record: &VideoManifest,
+        sot_idx: usize,
+        tiles: &[Vec<u8>],
+    ) -> Result<Option<(VideoManifest, PackId)>, StoreError> {
+        record.config.check()?;
+        let shape = |m: &VideoManifest| {
+            let bounds: Vec<_> = m.sots.iter().map(SotEntry::frames).collect();
+            ([m.width, m.height, m.fps, m.frame_count], m.config, bounds)
+        };
+        if base.name != record.name || shape(base) != shape(record) {
+            return Err(StoreError::ReplicaMismatch(base.name.clone()));
+        }
+        let (Some(held), Some(entry)) = (base.sots.get(sot_idx), record.sots.get(sot_idx)) else {
+            return Err(StoreError::NotFound(format!("SOT {sot_idx}")));
+        };
+        if entry.retile_count <= held.retile_count {
+            return Ok(None);
+        }
+        entry.layout.check_covers(base.width, base.height)?;
+        validate_replica_sot(entry, base.config.gop_len, tiles)?;
+        self.commit_sot(base, sot_idx, entry.clone(), tiles.iter())
+            .map(Some)
     }
 
     /// Removes a video from the store (rebalance GC), by

@@ -3,9 +3,10 @@
 //! [`Tasm`] ties the pieces together: the on-disk tile store, the semantic
 //! index, the cost model, and the per-video MVCC epoch tables. It exposes
 //! the paper's API surface — `AddMetadata` (§3.1), `Scan` (§3.1) — and the
-//! one commit primitive re-tiles go through. The layout optimization entry
-//! points of §4 (KQKO, incremental-more, regret-based) and their state are
-//! the `impl Tasm` block of the crate-private `policy` module.
+//! one SOT commit step re-tiles and replicated SOTs go through. The layout
+//! optimization entry points of §4 (KQKO, incremental-more, regret-based)
+//! and their state are the `impl Tasm` block of the crate-private `policy`
+//! module.
 //!
 //! ## Concurrency model: MVCC layout epochs
 //!
@@ -142,6 +143,8 @@ pub enum TasmError {
         /// The name whose registration was refused.
         rejected: String,
     },
+    /// An ingest under a name the store already holds.
+    AlreadyStored(String),
 }
 
 impl std::fmt::Display for TasmError {
@@ -168,6 +171,7 @@ impl std::fmt::Display for TasmError {
                 "video id collision: '{rejected}' hashes to the same id as \
                  registered video '{existing}'; rename one of them"
             ),
+            TasmError::AlreadyStored(name) => write!(f, "video '{name}' is already in the store"),
         }
     }
 }
@@ -228,9 +232,9 @@ impl EpochTable {
 
     /// Drops retired epochs with no readers from the live set and returns
     /// the tracked packs no remaining live epoch references — the GC
-    /// work list. The current epoch never retires here, so a re-ingest
-    /// under the same name can never have its fresh packs reclaimed
-    /// by a stale pin's drop.
+    /// work list. The current epoch never retires here, so a video
+    /// installed again under the same name can never have its fresh packs
+    /// reclaimed by a stale pin's drop.
     fn sweep(&mut self) -> Vec<PackId> {
         let current = self.current;
         self.live
@@ -528,8 +532,10 @@ impl Tasm {
     /// Ingests a video with per-SOT initial layouts (eager and edge
     /// strategies supply object layouts here).
     ///
-    /// Re-ingesting a name replaces the stored video; doing so while scans
-    /// on that name are in flight is not supported.
+    /// A name the store holds is refused before anything is encoded
+    /// ([`TasmError::AlreadyStored`]): the index keys detections by the
+    /// name, so a second video under it would inherit the first's. To
+    /// replace a video, [`Tasm::remove_video`] it first.
     pub fn ingest_with(
         &self,
         name: &str,
@@ -537,6 +543,9 @@ impl Tasm {
         fps: u32,
         layout_for: impl FnMut(usize, Range<u32>) -> TileLayout,
     ) -> Result<u32, TasmError> {
+        if self.has_stored_video(name) {
+            return Err(TasmError::AlreadyStored(name.to_string()));
+        }
         let id = video_id_for(name);
         // Check before paying for the encode; re-checked under the write
         // lock at registration.
@@ -689,39 +698,26 @@ impl Tasm {
         }
     }
 
-    /// Applies one replicated SOT commit. `manifest` is the primary's
-    /// post-commit manifest; `sot_idx` names the SOT that re-tiled and
-    /// `tiles` its raw tile-file bytes. Idempotent: a record the backup
-    /// already holds — its layout epoch (`retile_count`) for that SOT is
-    /// at least the record's — is skipped. Returns whether it applied.
+    /// Applies one replicated SOT commit: installs SOT `sot_idx` of
+    /// `record`, the primary's manifest after that commit, with `tiles` its
+    /// raw tile-file bytes, over this node's current manifest, by the one
+    /// commit step a local re-tile takes (`VideoStore::install_sot_on`
+    /// says what the rest of `record` must agree with; it is never
+    /// adopted). Idempotent: a record for a layout epoch the node already
+    /// holds for that SOT, or an older one, is skipped. Returns whether it
+    /// applied.
     pub fn apply_replicated_sot(
         &self,
-        manifest: VideoManifest,
+        record: VideoManifest,
         sot_idx: usize,
         tiles: &[Vec<u8>],
     ) -> Result<bool, TasmError> {
-        let shard = self.shard(&manifest.name)?;
-        let new_epoch = manifest
-            .sots
-            .get(sot_idx)
-            .ok_or_else(|| TasmError::Store(StoreError::NotFound(format!("SOT {sot_idx}"))))?
-            .retile_count;
-        // Writers serialize on the commit mutex; readers pinned to older
-        // epochs are unaffected — the install lands in a fresh
-        // epoch-stamped pack and the old epoch is GC'd when its last
-        // pin drops.
-        let _commit = sync::lock(&shard.commit);
-        let current = shard.current_manifest();
-        if current
-            .sots
-            .get(sot_idx)
-            .is_some_and(|c| c.retile_count >= new_epoch)
-        {
-            return Ok(false);
-        }
-        self.store.install_sot(&manifest, sot_idx, tiles)?;
-        shard.publish(&self.store, manifest);
-        Ok(true)
+        let shard = self.shard(&record.name)?;
+        let mut pol = shard.policy();
+        self.commit_sot(&shard, &mut pol, sot_idx, |base| {
+            let installed = self.store.install_sot_on(base, &record, sot_idx, tiles)?;
+            Ok(installed.map(|(next, _)| next))
+        })
     }
 
     /// Removes a video (the rebalance GC step): unregisters it, then
@@ -962,12 +958,9 @@ impl Tasm {
         self.retile_shard(&shard, &mut pol, sot_idx, layout)
     }
 
-    /// The re-tile primitive: serializes on the shard's commit mutex —
-    /// never on readers — commits the new layout epoch through the
-    /// deferred store protocol, publishes it to the epoch table, reclaims
-    /// whatever epochs drained, then resets the SOT's regret relative to
-    /// its new layout. In-flight scans keep reading their pinned epochs;
-    /// commit latency is bounded by the transcode itself.
+    /// The re-tile primitive: re-encodes SOT `sot_idx` under `layout` by
+    /// the one commit step ([`Tasm::commit_sot`]); a layout equal to the
+    /// current one commits nothing. Returns the transcode's cost.
     pub(crate) fn retile_shard(
         &self,
         shard: &VideoShard,
@@ -975,14 +968,41 @@ impl Tasm {
         sot_idx: usize,
         layout: TileLayout,
     ) -> Result<RetileStats, TasmError> {
-        let _commit = sync::lock(&shard.commit);
-        let mut manifest = (*shard.current_manifest()).clone();
-        let (stats, retired) = self.store.retile(&mut manifest, sot_idx, layout)?;
-        if retired.is_some() {
-            shard.publish(&self.store, manifest);
-            pol.retiled(sot_idx);
-        }
+        let mut stats = RetileStats::default();
+        self.commit_sot(shard, pol, sot_idx, |base| {
+            let mut next = base.clone();
+            let retired;
+            (stats, retired) = self.store.retile(&mut next, sot_idx, layout)?;
+            Ok(retired.map(|_| next))
+        })?;
         Ok(stats)
+    }
+
+    /// The one SOT commit step of both writers, a re-tile and a replicated
+    /// SOT. `pol` is the shard's policy state, which the caller holds (the
+    /// lock order takes it first). The step serializes on the shard's
+    /// commit mutex — never on readers — and hands `commit` the shard's
+    /// current manifest, over which it commits SOT `sot_idx` in the store
+    /// and returns the next manifest (`None`: nothing committed). That
+    /// manifest is published as the current epoch, the epochs that drained
+    /// are reclaimed, and the SOT's regret, priced against the layout just
+    /// replaced, starts over. In-flight scans keep reading their pinned
+    /// epochs, so commit latency is bounded by the commit's own work.
+    /// Returns whether it committed.
+    fn commit_sot(
+        &self,
+        shard: &VideoShard,
+        pol: &mut PolicyState,
+        sot_idx: usize,
+        commit: impl FnOnce(&VideoManifest) -> Result<Option<VideoManifest>, StoreError>,
+    ) -> Result<bool, TasmError> {
+        let _commit = sync::lock(&shard.commit);
+        let Some(next) = commit(&shard.current_manifest())? else {
+            return Ok(false);
+        };
+        shard.publish(&self.store, next);
+        pol.retiled(sot_idx);
+        Ok(true)
     }
 
     pub(crate) fn shard(&self, name: &str) -> Result<Arc<VideoShard>, TasmError> {
@@ -1067,6 +1087,22 @@ mod tests {
     fn tasm_is_sync_and_send() {
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<Tasm>();
+    }
+
+    #[test]
+    fn ingest_over_a_stored_name_is_refused_until_it_is_removed() {
+        let t = tasm("again");
+        t.ingest("v", &source(10), 30).unwrap();
+        let held = t.manifest("v").unwrap();
+        assert!(matches!(
+            t.ingest("v", &source(20), 30),
+            Err(TasmError::AlreadyStored(name)) if name == "v"
+        ));
+        assert_eq!(t.manifest("v").unwrap(), held);
+        assert_eq!(t.store().load_manifest("v").unwrap(), held);
+        t.remove_video("v").unwrap();
+        t.ingest("v", &source(20), 30).unwrap();
+        assert_eq!(t.manifest("v").unwrap().frame_count, 20);
     }
 
     #[test]

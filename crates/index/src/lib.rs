@@ -11,8 +11,9 @@
 //!   in-memory reference implementation, including processed-frame tracking
 //!   used by TASM's lazy detection strategies (§4.3);
 //! * [`tiered`] — the disk-resident index: a WAL'd memtable flushed to
-//!   immutable prefix-compressed sorted runs with resident bloom and
-//!   frame-range filters, plus size-tiered compaction;
+//!   immutable prefix-compressed sorted runs, each with a resident range
+//!   table of its `(video, label)` pairs and their frame bounds, plus
+//!   size-tiered compaction;
 //! * [`mod@io`] — [`StorageIo`], the one durable-write shim of the process
 //!   (this index, the tile store and `cluster.json` all write through it),
 //!   and its production implementation [`RealIo`].

@@ -12,8 +12,8 @@
 //!   sorted run** with prefix-compressed `(video, label, frame)` keys
 //!   (restart points every [`RESTART_INTERVAL`] entries keep random seeks
 //!   cheap);
-//! * each run carries a **bloom filter** over `(video, label)` pairs and a
-//!   **frame-range table**, both resident, so planner lookups skip runs
+//! * each run carries a resident **range table**: every `(video, label)`
+//!   pair it holds with its frame bounds, so planner lookups skip runs
 //!   without touching disk;
 //! * **size-tiered compaction** merges the smallest runs when the run count
 //!   exceeds [`MAX_RUNS`], bounding read amplification.
@@ -53,12 +53,6 @@ pub const MAX_RUNS: usize = 4;
 
 /// Runs merged per compaction.
 pub const COMPACTION_FANIN: usize = 4;
-
-/// Bloom filter bits per `(video, label)` pair.
-const BLOOM_BITS_PER_KEY: u32 = 10;
-
-/// Bloom filter hash count.
-const BLOOM_HASHES: u32 = 4;
 
 /// Magic at the head of a run file.
 const RUN_MAGIC: [u8; 4] = *b"TSR1";
@@ -109,64 +103,6 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------
-// Bloom filter over (video, label)
-// ---------------------------------------------------------------------
-
-fn fnv64(data: &[u8], mut hash: u64) -> u64 {
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-fn bloom_hashes(video: u32, label: u32) -> (u64, u64) {
-    let mut key = [0u8; 8];
-    key[0..4].copy_from_slice(&video.to_be_bytes());
-    key[4..8].copy_from_slice(&label.to_be_bytes());
-    let h1 = fnv64(&key, 0xCBF2_9CE4_8422_2325);
-    let h2 = fnv64(&key, 0x9AE1_6A3B_2F90_404F) | 1; // odd: full cycle
-    (h1, h2)
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Bloom {
-    bits: u32,
-    hashes: u32,
-    data: Vec<u8>,
-}
-
-impl Bloom {
-    fn build(pairs: &[(u32, u32)]) -> Bloom {
-        let bits = (pairs.len() as u32 * BLOOM_BITS_PER_KEY).max(64);
-        let mut bloom = Bloom {
-            bits,
-            hashes: BLOOM_HASHES,
-            data: vec![0u8; bits.div_ceil(8) as usize],
-        };
-        for &(video, label) in pairs {
-            let (h1, h2) = bloom_hashes(video, label);
-            for i in 0..bloom.hashes as u64 {
-                let bit = (h1.wrapping_add(i.wrapping_mul(h2)) % bloom.bits as u64) as usize;
-                bloom.data[bit / 8] |= 1 << (bit % 8);
-            }
-        }
-        bloom
-    }
-
-    fn may_contain(&self, video: u32, label: u32) -> bool {
-        if self.bits == 0 {
-            return false;
-        }
-        let (h1, h2) = bloom_hashes(video, label);
-        (0..self.hashes as u64).all(|i| {
-            let bit = (h1.wrapping_add(i.wrapping_mul(h2)) % self.bits as u64) as usize;
-            self.data[bit / 8] & (1 << (bit % 8)) != 0
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
 // Run files
 // ---------------------------------------------------------------------
 
@@ -193,8 +129,8 @@ struct Run {
     max_opseq: u64,
     detections_cum: u64,
     restarts: Vec<(RecordKey, u32)>,
+    /// Sorted by `(video, label)`, one entry per pair.
     ranges: Vec<RangeFilter>,
-    bloom: Bloom,
     /// Run ids this run was compacted from (roll-forward deletes them).
     inputs: Vec<u64>,
     /// Cumulative label-dictionary snapshot at flush time, in id order.
@@ -297,7 +233,7 @@ fn encode_run(
         put_u32(&mut out, *offset);
     }
 
-    // Filters: frame-range table + bloom over (video, label).
+    // Filter: the range table, one entry per (video, label), in key order.
     let filter_off = out.len() as u64;
     let mut ranges: Vec<RangeFilter> = Vec::new();
     for (key, _) in entries.iter() {
@@ -324,11 +260,6 @@ fn encode_run(
         put_u32(&mut out, r.max_frame);
         put_u64(&mut out, r.count);
     }
-    let pairs: Vec<(u32, u32)> = ranges.iter().map(|r| (r.video, r.label)).collect();
-    let bloom = Bloom::build(&pairs);
-    put_u32(&mut out, bloom.bits);
-    put_u32(&mut out, bloom.hashes);
-    out.extend_from_slice(&bloom.data);
 
     // Cumulative label dictionary snapshot.
     let dict_off = out.len() as u64;
@@ -419,14 +350,14 @@ impl Run {
                 count: c.u64()?,
             });
         }
-        let bits = c.u32()?;
-        let hashes = c.u32()?;
-        let bloom_bytes = c.take(bits.div_ceil(8) as usize)?.to_vec();
-        let bloom = Bloom {
-            bits,
-            hashes,
-            data: bloom_bytes,
-        };
+        if ranges
+            .windows(2)
+            .any(|w| (w[0].video, w[0].label) >= (w[1].video, w[1].label))
+        {
+            return Err(TreeError::Corrupt("run range table out of order"));
+        }
+        // What follows the table is not read: the Bloom filter of a run
+        // written before the table stood alone (the file CRC covers it).
 
         let mut c = Cursor::new(&bytes[dict_off..inputs_off]);
         let n = c.u32()? as usize;
@@ -455,32 +386,26 @@ impl Run {
             detections_cum,
             restarts,
             ranges,
-            bloom,
             inputs,
             dict,
         })
     }
 
-    /// Whether a lookup for `(video, label)` over `frames` can skip this
-    /// run entirely. Checks the bloom filter first, then the exact
-    /// frame-range table.
+    /// Whether a lookup for `(video, label)` over `frames` must read this
+    /// run: the range table holds the pair, with frames in `frames`.
     fn may_overlap(&self, video: u32, label: u32, frames: &Range<u32>) -> bool {
-        if !self.bloom.may_contain(video, label) {
-            return false;
-        }
-        self.ranges.iter().any(|r| {
-            r.video == video
-                && r.label == label
-                && r.min_frame < frames.end
-                && r.max_frame >= frames.start
-        })
+        self.ranges
+            .binary_search_by_key(&(video, label), |r| (r.video, r.label))
+            .is_ok_and(|i| {
+                let r = &self.ranges[i];
+                r.min_frame < frames.end && r.max_frame >= frames.start
+            })
     }
 
     /// Bytes this run keeps resident (restart index + filters + dict).
     fn resident_bytes(&self) -> u64 {
         (self.restarts.len() * (KEY_LEN + 4)) as u64
             + (self.ranges.len() * 24) as u64
-            + self.bloom.data.len() as u64
             + self.dict.iter().map(|s| s.len() as u64 + 2).sum::<u64>()
     }
 
@@ -661,7 +586,7 @@ pub struct TierStats {
     pub resident_bytes: u64,
     /// Per-run filter probes made by queries.
     pub filter_probes: u64,
-    /// Probes the bloom + range filters answered without touching disk.
+    /// Probes the range tables answered without touching disk.
     pub filter_skips: u64,
     /// Run files actually read by queries.
     pub runs_read: u64,
@@ -688,7 +613,7 @@ pub struct TierIssue {
 }
 
 /// The disk-resident [`SemanticIndex`]: WAL'd memtable over immutable
-/// prefix-compressed sorted runs with resident bloom + frame-range filters
+/// prefix-compressed sorted runs with resident range tables
 /// and size-tiered compaction. See the module docs for the design.
 pub struct TieredIndex {
     io: Arc<dyn StorageIo>,
@@ -1241,17 +1166,6 @@ mod tests {
     }
 
     #[test]
-    fn bloom_no_false_negatives() {
-        let pairs: Vec<(u32, u32)> = (0..200).map(|i| (i % 7, i)).collect();
-        let bloom = Bloom::build(&pairs);
-        for &(v, l) in &pairs {
-            assert!(bloom.may_contain(v, l));
-        }
-        let misses = (1000..2000).filter(|&l| bloom.may_contain(9, l)).count();
-        assert!(misses < 100, "false positive rate too high: {misses}/1000");
-    }
-
-    #[test]
     fn run_roundtrip_and_scan() {
         let mut entries = BTreeMap::new();
         for f in 0..1000u32 {
@@ -1286,6 +1200,42 @@ mod tests {
         assert_eq!(run.scan_all(&bytes).unwrap(), entries);
     }
 
+    /// A run file as the encoder wrote it while runs carried a Bloom filter
+    /// after the range table (540 bytes: video 7's `car` at frames 10–13,
+    /// marked processed, and `person` at 20–21; video 9's `car` at 0–1).
+    /// It still opens, and answers from the table alone.
+    #[test]
+    fn a_run_written_with_a_bloom_filter_opens_and_answers() {
+        let dir = temp_dir("bloom-run");
+        std::fs::create_dir_all(&dir).unwrap();
+        let old = include_bytes!("../testdata/run_with_bloom.sst");
+        std::fs::write(dir.join(run_file_name(0)), old).unwrap();
+        let mut idx = TieredIndex::open(&dir).unwrap();
+        assert!(idx.verify().unwrap().is_empty());
+        assert_eq!(idx.run_summaries(), vec![(0, 12, old.len() as u64)]);
+        let frames = |d: Vec<Detection>| d.into_iter().map(|d| d.frame).collect::<Vec<_>>();
+        assert_eq!(
+            frames(idx.query(7, "car", 0..100).unwrap()),
+            [10, 11, 12, 13]
+        );
+        assert_eq!(
+            idx.query(7, "person", 21..22).unwrap(),
+            [Detection {
+                frame: 21,
+                bbox: Rect::new(40, 2, 6, 18)
+            }]
+        );
+        assert_eq!(frames(idx.query(9, "car", 0..10).unwrap()), [0, 1]);
+        assert_eq!(idx.processed_count(7, 0..100).unwrap(), 4);
+        assert_eq!(idx.labels(7).unwrap(), ["car", "person"]);
+        let stats = idx.stats();
+        assert_eq!((stats.filter_probes, stats.runs_read), (4, 4));
+        assert!(idx.query(9, "person", 0..100).unwrap().is_empty());
+        assert!(idx.query(7, "car", 14..100).unwrap().is_empty());
+        assert_eq!(idx.stats().filter_skips, 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn run_rejects_corruption() {
         let mut entries = BTreeMap::new();
@@ -1304,6 +1254,28 @@ mod tests {
         ));
     }
 
+    /// Lookups binary-search the range table, so a table out of key order
+    /// (with a valid CRC) is corrupt, not a run that skips what it holds.
+    #[test]
+    fn run_with_an_unsorted_range_table_is_corrupt() {
+        let entries = BTreeMap::from([
+            (RecordKey::new(1, 2, 0, 0), bbox(0)),
+            (RecordKey::new(1, 3, 0, 0), bbox(1)),
+        ]);
+        let mut bytes = encode_run(&entries, 1, 2, &[], &[]);
+        let footer = bytes.len() - FOOTER_LEN;
+        let filter_off = u64::from_le_bytes(bytes[footer + 16..footer + 24].try_into().unwrap());
+        let table = filter_off as usize + 4;
+        let (first, second) = bytes[table..table + 48].split_at_mut(24);
+        first.swap_with_slice(second);
+        let crc = crc32(&bytes[..footer + 64]);
+        bytes[footer + 64..footer + 68].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            Run::parse(0, PathBuf::new(), &bytes),
+            Err(TreeError::Corrupt("run range table out of order"))
+        ));
+    }
+
     #[test]
     fn filters_skip_non_overlapping_runs() {
         let mut entries = BTreeMap::new();
@@ -1316,7 +1288,10 @@ mod tests {
         assert!(run.may_overlap(3, 1, &(0..501)));
         assert!(!run.may_overlap(3, 1, &(0..500)), "range filter must skip");
         assert!(!run.may_overlap(3, 1, &(600..700)));
-        assert!(!run.may_overlap(4, 1, &(550..560)), "bloom must skip");
+        assert!(
+            !run.may_overlap(4, 1, &(550..560)),
+            "an absent pair must skip"
+        );
         assert!(!run.may_overlap(3, 2, &(550..560)));
     }
 
@@ -1493,7 +1468,7 @@ mod tests {
         assert!(stats.filter_probes > 0);
         assert!(
             stats.filter_skips > 0,
-            "bloom/range filters should skip the person-only runs"
+            "the range tables should skip the person-only runs"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

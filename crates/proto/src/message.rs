@@ -96,7 +96,11 @@ pub enum ReplicationRecord {
         video: String,
         /// Index of the re-tiled SOT within the manifest.
         sot_idx: u32,
-        /// The primary's post-commit manifest, JSON-encoded.
+        /// The primary's post-commit manifest, JSON-encoded. The backup
+        /// installs only its entry for SOT `sot_idx`, over the backup's own
+        /// manifest; the rest must agree with that manifest (name, size,
+        /// fps, frame count, config, every SOT's bounds) or the record is
+        /// refused.
         manifest: Vec<u8>,
     },
     /// The video's semantic-index state: every detection plus the set of

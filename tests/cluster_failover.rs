@@ -26,13 +26,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tasm_client::Connection;
-use tasm_cluster::{NodeInfo, Router, RouterConfig, ShardMap};
+use tasm_cluster::{NodeInfo, Replicator, Router, RouterConfig, ShardMap};
+use tasm_codec::TileLayout;
 use tasm_core::{LabelPredicate, Query, QueryMode, StorageConfig, Tasm, TasmConfig};
 use tasm_index::MemoryIndex;
 use tasm_proto::ReplicationRecord;
 use tasm_server::{ServerConfig, TasmServer};
 use tasm_service::{RetileHook, RetilePolicy, ServiceConfig};
-use tasm_suite::{config, ingest, regions_identical, scene, TempDir};
+use tasm_suite::{config, ingest, regions_identical, scene, Reference, TempDir};
 use tasm_video::Rect;
 
 const FRAMES: u32 = 60;
@@ -200,6 +201,57 @@ fn replication_hook_acks_the_delta_of_a_live_retile() {
             regions_identical(&local.regions, &remote.regions),
             "query {qi}: backup bytes diverge from the primary"
         );
+    }
+}
+
+/// One delta can ship two SOTs: an observed window that crosses a SOT
+/// boundary re-tiles both, and `sync_delta` sends one `CommitSot` for
+/// each, every record carrying the primary's manifest after both commits.
+/// The backup installs each record's own SOT over the manifest it holds,
+/// so after the delta it names only packs it received: its manifest is
+/// the primary's, `fsck` is clean, and both SOTs answer the reference's
+/// pixels.
+#[test]
+fn a_delta_of_two_retiled_sots_lands_whole_on_the_backup() {
+    let video = scene(256, 160, 20, 47);
+    let base = TempDir::new("cluster-two-sot-delta");
+    let primary = open_mem(base.path().join("primary"), config());
+    ingest(&primary, "v", &video);
+    let backup_tasm = open_mem(base.path().join("backup"), config());
+    let backup = TasmServer::bind(
+        Arc::clone(&backup_tasm),
+        ServiceConfig {
+            workers: 1,
+            queue_depth: 16,
+            ..Default::default()
+        },
+        ServerConfig::default(),
+        "127.0.0.1:0",
+    )
+    .expect("bind backup shard");
+    let mut replicator = Replicator::connect(&backup.local_addr().to_string()).unwrap();
+    replicator.sync_full(&primary, "v").unwrap();
+
+    let quads = TileLayout::uniform(256, 160, 2, 2).unwrap();
+    for sot in 0..2 {
+        primary.retile("v", sot, quads.clone()).unwrap();
+    }
+    replicator
+        .sync_delta(&primary, "v")
+        .expect("the backup acks both SOTs");
+
+    assert_eq!(
+        backup_tasm.manifest("v").unwrap(),
+        primary.manifest("v").unwrap()
+    );
+    let fsck = backup_tasm.fsck().unwrap();
+    assert!(fsck.is_clean(), "{:?}", fsck.issues);
+    let mut reference = Reference::new(&backup_tasm);
+    for frames in [0..10, 10..20] {
+        let q = Query::new(LabelPredicate::label("car")).frames(frames.clone());
+        let got = backup_tasm.query("v", &q).expect("the backup answers");
+        assert!(!got.regions.is_empty(), "frames {frames:?}");
+        reference.check("v", &q, &got, &format!("frames {frames:?}"));
     }
 }
 

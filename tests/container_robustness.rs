@@ -645,9 +645,7 @@ fn a_replicas_pack_is_the_primarys_byte_for_byte() {
     let retired = replica
         .install_sot(&manifest, 0, std::slice::from_ref(&tile))
         .expect("install SOT");
-    replica
-        .gc_epoch("v", retired.expect("retired"))
-        .expect("gc");
+    replica.gc_epoch("v", retired).expect("gc");
     let next = "sot_000000_000010_r000001.tiles";
     assert_eq!(
         std::fs::read(replica_root.join("v").join(next)).expect("replica pack"),

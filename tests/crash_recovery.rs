@@ -1021,9 +1021,11 @@ fn a_commits_mutating_operations_do_not_grow_with_the_tile_count() {
         let (next, payload) = replica_of(&store, "v5", "r5");
         let mut retired = None;
         let install_ops = ops(&mut || {
-            retired = store
-                .install_sot(&next, sot, &payload[sot])
-                .expect("install SOT");
+            retired = Some(
+                store
+                    .install_sot(&next, sot, &payload[sot])
+                    .expect("install SOT"),
+            );
         });
         assert_eq!(install_ops, 4, "SOT install of {tiles} tiles");
         let reclaim_ops = ops(&mut || {

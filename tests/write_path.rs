@@ -293,7 +293,7 @@ fn tiles_served_after_ingest_retile_and_replica_install_are_pinned() {
         let (_, retired) = store.retile(&mut manifest, sot, layout).unwrap();
         store.gc_epoch("v", retired.unwrap()).unwrap();
         let retired = replica.install_sot(&manifest, sot, &payload(&manifest, sot));
-        replica.gc_epoch("v", retired.unwrap().unwrap()).unwrap();
+        replica.gc_epoch("v", retired.unwrap()).unwrap();
         let digest = digest_tiles(&store, &manifest);
         assert_eq!(digest_tiles(&replica, &manifest), digest);
         steps.push(digest);
@@ -988,7 +988,68 @@ fn an_install_of_an_epoch_that_is_not_newer_is_refused_and_touches_nothing() {
     let mut next = ingested.clone();
     next.sots[0].retile_count = 2;
     let retired = store.install_sot(&next, 0, &tiles[0]).unwrap();
-    assert_eq!(retired.map(|r| r.retile_count), Some(1));
+    assert_eq!(retired.retile_count, 1);
+}
+
+/// A replicated SOT commit takes the record's entry for that SOT and
+/// nothing else of its manifest, so the rest must describe the video the
+/// store holds: a record whose size, fps, frame count, config or SOT
+/// bounds differ is `ReplicaMismatch`, from the facade and the store
+/// alike, an entry whose layout does not cover the video is a layout
+/// error, and nothing is written. The record that agrees then lands.
+#[test]
+fn a_sot_commit_whose_manifest_disagrees_with_the_stores_is_refused() {
+    let root = temp_dir("disagree");
+    let tasm = Tasm::open(
+        root.path(),
+        Box::new(MemoryIndex::in_memory()),
+        TasmConfig::default(),
+    )
+    .unwrap();
+    let (manifest, tiles) = ingest_untiled_v(&tasm);
+    tasm.attach("v").unwrap();
+    let mut next = manifest.clone();
+    next.sots[0].retile_count += 1;
+    let before = (list_tree(root.path()), digest_tree(root.path()));
+
+    let edited = |edit: fn(&mut VideoManifest)| {
+        let mut record = next.clone();
+        edit(&mut record);
+        record
+    };
+    let mismatch = |e: &StoreError| matches!(e, StoreError::ReplicaMismatch(v) if v == "v");
+    for record in [
+        edited(|m| m.width += 16),
+        edited(|m| m.height -= 16),
+        edited(|m| m.fps += 1),
+        edited(|m| m.frame_count -= 1),
+        edited(|m| m.config.qp += 1),
+        edited(|m| (m.sots[0].end, m.sots[1].start) = (4, 4)),
+    ] {
+        match tasm.apply_replicated_sot(record.clone(), 0, &tiles[0]) {
+            Err(TasmError::Store(e)) => assert!(mismatch(&e), "{e}"),
+            other => panic!("{other:?}"),
+        }
+        let refused = tasm.store().install_sot(&record, 0, &tiles[0]).unwrap_err();
+        assert!(mismatch(&refused), "{refused}");
+    }
+    // An entry whose layout does not cover the video, with a tile that
+    // fits that layout.
+    let mut narrow = next.clone();
+    narrow.sots[0].layout = TileLayout::untiled(FLAT_W, H);
+    let tile = vec![tile_container(FLAT_W, H, GOP as usize, GOP)];
+    assert!(matches!(
+        tasm.apply_replicated_sot(narrow, 0, &tile),
+        Err(TasmError::Store(StoreError::Layout(_)))
+    ));
+    assert_eq!(before, (list_tree(root.path()), digest_tree(root.path())));
+    assert_eq!(tasm.manifest("v").unwrap(), manifest);
+
+    assert!(tasm
+        .apply_replicated_sot(next.clone(), 0, &tiles[0])
+        .unwrap());
+    assert_eq!(tasm.manifest("v").unwrap(), next);
+    assert!(tasm.fsck().unwrap().is_clean());
 }
 
 /// Whether `r` is the store's typed refusal of a peer's payload, for `why`.
