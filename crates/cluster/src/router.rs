@@ -444,7 +444,17 @@ fn route_query_frames(
         let message = format!("no live replica for '{video}'");
         return vec![error_frame(Some(id), ErrorCode::Internal, message)];
     }
-    let mut last = (ErrorCode::Internal, "all replicas failed".to_string());
+    // Every replica's reason, in placement order. The answer's code is the
+    // last one that is not `UnknownVideo`: a replica that never received
+    // the video says nothing about one that holds it and refused.
+    let mut answer = ErrorCode::UnknownVideo;
+    let mut reasons = Vec::with_capacity(placement.len());
+    let mut refuse = |refused: ErrorCode, reason: String| {
+        if refused != ErrorCode::UnknownVideo {
+            answer = refused;
+        }
+        reasons.push(reason);
+    };
     for (attempt, (node, addr)) in placement.iter().enumerate() {
         if attempt > 0 {
             shared.retries.fetch_add(1, Ordering::Relaxed);
@@ -453,7 +463,7 @@ fn route_query_frames(
             Ok(conn) => conn,
             Err(e) => {
                 shared.note_failure(node);
-                last = (ErrorCode::Internal, e);
+                refuse(ErrorCode::Internal, format!("{node}: {e}"));
                 continue;
             }
         };
@@ -474,17 +484,18 @@ fn route_query_frames(
                 // be able to answer (BUSY under load, UnknownVideo on a
                 // stale placement).
                 shared.checkin(node, conn);
-                last = (code, message);
+                refuse(code, format!("{node}: {message}"));
             }
             Err(e) => {
                 // Transport/protocol failure mid-stream: the connection
                 // cannot be resynchronized. Drop it and count the node.
                 shared.note_failure(node);
-                last = (ErrorCode::Internal, format!("shard {node} failed: {e}"));
+                refuse(ErrorCode::Internal, format!("{node}: shard failed: {e}"));
             }
         }
     }
-    vec![error_frame(Some(id), last.0, last.1)]
+    let message = format!("every replica refused: {}", reasons.join("; "));
+    vec![error_frame(Some(id), answer, message)]
 }
 
 /// Fans `StatsRequest` out to every live shard and merges the snapshots.

@@ -91,8 +91,21 @@ pub trait SemanticIndex {
     fn query(&mut self, video: u32, label: &str, frames: Range<u32>)
         -> IndexResult<Vec<Detection>>;
 
-    /// All detections of any label in `frames`.
-    fn query_all(&mut self, video: u32, frames: Range<u32>) -> IndexResult<Vec<LabeledDetection>>;
+    /// All detections of any label in `frames`, label by label in
+    /// [`labels`](Self::labels) order.
+    fn query_all(&mut self, video: u32, frames: Range<u32>) -> IndexResult<Vec<LabeledDetection>> {
+        let mut out = Vec::new();
+        for label in self.labels(video)? {
+            for d in self.query(video, &label, frames.clone())? {
+                out.push(LabeledDetection {
+                    label: label.clone(),
+                    frame: d.frame,
+                    bbox: d.bbox,
+                });
+            }
+        }
+        Ok(out)
+    }
 
     /// Distinct labels with at least one detection in `video`.
     fn labels(&mut self, video: u32) -> IndexResult<Vec<String>>;
@@ -112,7 +125,7 @@ pub trait SemanticIndex {
 
 /// The in-memory reference index: one ordered map over the same
 /// `(video, label, frame, seq)` keys [`crate::TieredIndex`] stores. Tests
-/// use it as the oracle the tier must match; examples and benches use it as
+/// use it as the oracle the tier must match; examples and figures use it as
 /// a throwaway index.
 #[derive(Default)]
 pub struct MemoryIndex {
@@ -176,20 +189,6 @@ impl SemanticIndex for MemoryIndex {
                 bbox,
             })
             .collect())
-    }
-
-    fn query_all(&mut self, video: u32, frames: Range<u32>) -> IndexResult<Vec<LabeledDetection>> {
-        let mut out = Vec::new();
-        for label in self.labels(video)? {
-            for d in self.query(video, &label, frames.clone())? {
-                out.push(LabeledDetection {
-                    label: label.clone(),
-                    frame: d.frame,
-                    bbox: d.bbox,
-                });
-            }
-        }
-        Ok(out)
     }
 
     fn labels(&mut self, video: u32) -> IndexResult<Vec<String>> {

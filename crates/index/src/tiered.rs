@@ -28,9 +28,7 @@
 //!
 //! [`flush`]: SemanticIndex::flush
 
-use crate::index::{
-    check_label, Detection, IndexResult, LabeledDetection, SemanticIndex, TreeError,
-};
+use crate::index::{check_label, Detection, IndexResult, SemanticIndex, TreeError};
 use crate::io::{RealIo, StorageIo, TMP_SUFFIX};
 use crate::key::{
     decode_value, encode_value, RecordKey, FIRST_LABEL, KEY_LEN, PROCESSED_LABEL, VALUE_LEN,
@@ -1064,20 +1062,6 @@ impl SemanticIndex for TieredIndex {
                 bbox,
             })
             .collect())
-    }
-
-    fn query_all(&mut self, video: u32, frames: Range<u32>) -> IndexResult<Vec<LabeledDetection>> {
-        let mut out = Vec::new();
-        for label in self.labels(video)? {
-            for d in self.query(video, &label, frames.clone())? {
-                out.push(LabeledDetection {
-                    label: label.clone(),
-                    frame: d.frame,
-                    bbox: d.bbox,
-                });
-            }
-        }
-        Ok(out)
     }
 
     fn labels(&mut self, video: u32) -> IndexResult<Vec<String>> {

@@ -196,48 +196,35 @@ impl QueryHandle {
     }
 }
 
-/// How a job's outcome reaches its submitter: a bounded channel behind a
-/// blocking [`QueryHandle`], or a callback invoked on the worker thread —
-/// the completion path reactor-style servers use to get woken instead of
-/// parking a waiter thread per query.
-enum Completion {
-    Channel(mpsc::SyncSender<Result<QueryOutcome, ServiceError>>),
-    Callback(CompletionGuard),
-}
+/// RAII completion guard: the one way a job's outcome reaches its
+/// submitter — a [`QueryHandle`]'s channel or a reactor's callback, invoked
+/// on the worker thread. A job dropped without delivering — a worker dying
+/// so abruptly the unwind escapes the job, or any future code path that
+/// forgets — fires with [`ServiceError::WorkerLost`], so no submitter ever
+/// waits on a completion that cannot arrive.
+struct CompletionGuard(Option<CompletionFn>);
 
-impl Completion {
-    fn deliver(self, result: Result<QueryOutcome, ServiceError>) {
-        match self {
-            Completion::Channel(tx) => {
-                // A dropped handle is fine: the send just goes nowhere.
-                let _ = tx.send(result);
-            }
-            Completion::Callback(mut guard) => {
-                if let Some(f) = guard.0.take() {
-                    f(result);
-                }
-            }
+/// The callback a [`CompletionGuard`] fires exactly once.
+type CompletionFn = Box<dyn FnOnce(Result<QueryOutcome, ServiceError>) + Send>;
+
+impl CompletionGuard {
+    fn new(done: impl FnOnce(Result<QueryOutcome, ServiceError>) + Send + 'static) -> Self {
+        CompletionGuard(Some(Box::new(done)))
+    }
+
+    fn deliver(mut self, result: Result<QueryOutcome, ServiceError>) {
+        if let Some(f) = self.0.take() {
+            f(result);
         }
     }
 
     /// Defuses the guard without firing it: the submission was rejected,
     /// so the caller learns the outcome from the returned error — a
     /// completion on top of it would be a duplicate response.
-    fn disarm(self) {
-        if let Completion::Callback(mut guard) = self {
-            guard.0.take();
-        }
+    fn disarm(mut self) {
+        self.0.take();
     }
 }
-
-/// RAII completion guard: a callback job dropped without delivering —
-/// a worker dying so abruptly the unwind escapes the job, or any future
-/// code path that forgets — fires with [`ServiceError::WorkerLost`], so
-/// no submitter ever waits on a completion that cannot arrive.
-struct CompletionGuard(Option<CompletionFn>);
-
-/// The callback a [`CompletionGuard`] fires exactly once.
-type CompletionFn = Box<dyn FnOnce(Result<QueryOutcome, ServiceError>) + Send>;
 
 impl Drop for CompletionGuard {
     fn drop(&mut self) {
@@ -247,12 +234,25 @@ impl Drop for CompletionGuard {
     }
 }
 
+/// The outcome channel a [`QueryHandle`] waits on, fed by a guard. A
+/// dropped handle is fine: the send just goes nowhere.
+fn channel_completion() -> (
+    CompletionGuard,
+    mpsc::Receiver<Result<QueryOutcome, ServiceError>>,
+) {
+    let (tx, rx) = mpsc::sync_channel(1);
+    let done = CompletionGuard::new(move |result| {
+        let _ = tx.send(result);
+    });
+    (done, rx)
+}
+
 struct Job {
     id: u64,
     /// Trace id resolved at admission: the request's, or a fresh one.
     trace_id: u64,
     req: QueryRequest,
-    done: Completion,
+    done: CompletionGuard,
     enqueued: Instant,
 }
 
@@ -359,16 +359,16 @@ impl QueryService {
     /// Submits a query, blocking while the queue is at capacity
     /// (backpressure). Returns a handle resolving to the query's outcome.
     pub fn submit(&self, req: QueryRequest) -> Result<QueryHandle, ServiceError> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        let id = self.enqueue(req, true, Completion::Channel(tx))?;
+        let (done, rx) = channel_completion();
+        let id = self.enqueue(req, true, done)?;
         Ok(QueryHandle { id, rx })
     }
 
     /// Submits a query, failing with [`ServiceError::QueueFull`] instead of
     /// blocking when the queue is at capacity.
     pub fn try_submit(&self, req: QueryRequest) -> Result<QueryHandle, ServiceError> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        let id = self.enqueue(req, false, Completion::Channel(tx))?;
+        let (done, rx) = channel_completion();
+        let id = self.enqueue(req, false, done)?;
         Ok(QueryHandle { id, rx })
     }
 
@@ -385,15 +385,14 @@ impl QueryService {
         req: QueryRequest,
         done: impl FnOnce(Result<QueryOutcome, ServiceError>) + Send + 'static,
     ) -> Result<u64, ServiceError> {
-        let done = Completion::Callback(CompletionGuard(Some(Box::new(done))));
-        self.enqueue(req, false, done)
+        self.enqueue(req, false, CompletionGuard::new(done))
     }
 
     fn enqueue(
         &self,
         req: QueryRequest,
         block: bool,
-        done: Completion,
+        done: CompletionGuard,
     ) -> Result<u64, ServiceError> {
         let mut queue = sync::lock(&self.shared.queue);
         loop {
@@ -637,4 +636,18 @@ fn log_if_slow(shared: &Shared, video: &str, trace: &tasm_obs::QueryTrace, total
             ("threshold_ms", threshold.as_millis().to_string()),
         ],
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A job destroyed without running resolves its handle through the
+    /// completion guard, not through a closed channel.
+    #[test]
+    fn a_handle_whose_job_is_dropped_unrun_reports_worker_lost() {
+        let (done, rx) = channel_completion();
+        drop(done);
+        assert!(matches!(rx.try_recv(), Ok(Err(ServiceError::WorkerLost))));
+    }
 }

@@ -835,3 +835,65 @@ fn relayed_frames_are_the_shards_bytes_but_for_the_id() {
     router.shutdown(false);
     shard.shutdown();
 }
+
+/// When every replica refuses, the client gets the real refusal, not a
+/// later replica's `UnknownVideo`: n1 holds `v` but not the epoch asked
+/// for, n2 never received `v`, and the error names both in placement
+/// order.
+#[test]
+fn a_later_unknown_video_does_not_mask_a_real_refusal() {
+    let video = scene(256, 160, FRAMES, 53);
+    let base = TempDir::new("cluster-refusal");
+    let holder = open_mem(base.path().join("n1"), config());
+    ingest(&holder, "v", &video);
+    let empty = open_mem(base.path().join("n2"), config());
+    let bind = |tasm: &Arc<Tasm>| {
+        TasmServer::bind(
+            Arc::clone(tasm),
+            ServiceConfig::default(),
+            ServerConfig::default(),
+            "127.0.0.1:0",
+        )
+        .expect("bind shard")
+    };
+    let (n1, n2) = (bind(&holder), bind(&empty));
+    let map_path = base.path().join("cluster.json");
+    let nodes = [("n1", &n1), ("n2", &n2)]
+        .map(|(id, server)| NodeInfo {
+            id: id.to_string(),
+            addr: server.local_addr().to_string(),
+        })
+        .to_vec();
+    let mut map = ShardMap::new(nodes, 2).unwrap();
+    map.pin("v", vec!["n1".to_string(), "n2".to_string()]);
+    map.save(&map_path).unwrap();
+    let router = Router::bind(
+        RouterConfig {
+            map_path,
+            ..Default::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind router");
+
+    let query = Query::new(LabelPredicate::label("car"))
+        .frames(0..FRAMES)
+        .as_of(999);
+    let mut conn = Connection::connect(router.local_addr()).expect("connect");
+    match conn.query("v", &query) {
+        Err(tasm_client::ClientError::Rejected { code, message }) => {
+            assert_eq!(code, tasm_proto::ErrorCode::EpochNotLive, "{message}");
+            let (at1, at2) = (message.find("n1"), message.find("n2"));
+            assert!(
+                at1.is_some() && at2.is_some() && at1 < at2,
+                "names every replica in placement order: {message}"
+            );
+        }
+        Err(other) => panic!("expected a typed refusal, got {other}"),
+        Ok(_) => panic!("no replica holds epoch 999"),
+    }
+    conn.goodbye().expect("goodbye");
+    router.shutdown(false);
+    n1.shutdown();
+    n2.shutdown();
+}
