@@ -109,7 +109,7 @@ fn main() {
     println!("| γ (s/tile-chunk) | {:.3e} | n/a (GPU) |", fit.gamma);
     println!("| R² | {:.4} | 0.996 |", fit.r2);
     println!("| encode model (s/sample) | {encode_spp:.3e} | n/a |");
-    println!("\nSuggested defaults for `CostModel`/`EncodeModel`:");
+    println!("\nSuggested `CostModel::CALIBRATED`/`EncodeModel::CALIBRATED`:");
     println!(
         "  beta = {:.3e}, gamma = {:.3e}, seconds_per_sample = {:.3e}",
         fit.beta, fit.gamma, encode_spp

@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
 use tasm_bench::{render, scale, FIGURES};
-use tasm_core::TasmConfig;
+use tasm_core::{CostModel, EncodeModel, TasmConfig};
 
 fn minutes(d: Duration) -> String {
     format!("{} min {:02} s", d.as_secs() / 60, d.as_secs() % 60)
@@ -49,9 +49,9 @@ fn header(scale: f64, walls: &[(&str, Duration)], total: Duration) -> String {
          ## Run\n\n\
          Wall time on {threads} hardware threads (advisory; nothing below depends on it):\n\n\
          | figure | wall time |\n|---|---|\n",
-        cfg.cost.beta * 1e9,
-        cfg.cost.gamma * 1e6,
-        cfg.encode.seconds_per_sample * 1e9,
+        CostModel::CALIBRATED.beta * 1e9,
+        CostModel::CALIBRATED.gamma * 1e6,
+        EncodeModel::CALIBRATED.seconds_per_sample * 1e9,
         cfg.eta,
         tasm_core::ALPHA,
     );

@@ -8,7 +8,7 @@
 
 use crate::{improvement_pct, layout_around, scaled_secs, BenchVideo, Figure, Summary};
 use crate::{Table, Verdict};
-use tasm_core::{Granularity, StorageConfig};
+use tasm_core::{CostModel, Granularity, StorageConfig};
 use tasm_data::Dataset;
 use tasm_video::FrameSource;
 
@@ -20,7 +20,7 @@ the original).";
 /// §4.1's price of querying `object` in 1-second windows over the whole
 /// video.
 fn windowed_cost(bv: &BenchVideo, object: &str) -> f64 {
-    let cost = bv.tasm.config().cost;
+    let cost = CostModel::CALIBRATED;
     (0..bv.video.len())
         .step_by(30)
         .map(|start| {

@@ -4,16 +4,16 @@
 //! workloads, and the paper's median/IQR statistics. The `reproduce` binary
 //! renders them into `REPRODUCTION.md`, whose header states how they are
 //! priced: a query by the read plan `Tasm::query` runs, counted by
-//! `Tasm::price` without a decode, under the store's own `TasmConfig::cost`
-//! and `encode`, never timed, so one scale gives the same tables byte for
-//! byte. Only the `fit_cost_model` binary times, because calibration is
-//! timing.
+//! `Tasm::price` without a decode, at `CostModel::CALIBRATED` and
+//! `EncodeModel::CALIBRATED`, never timed, so one scale gives the same
+//! tables byte for byte. Only the `fit_cost_model` binary times, because
+//! calibration is timing.
 
 use std::ops::Range;
 use tasm_codec::TileLayout;
 use tasm_core::{
-    partition, retile_cost, run_workload, Granularity, LabelPredicate, PartitionConfig, RunQuery,
-    StorageConfig, Strategy, Tasm, TasmConfig, Work,
+    partition, retile_cost, run_workload, CostModel, Granularity, LabelPredicate, PartitionConfig,
+    RunQuery, StorageConfig, Strategy, Tasm, TasmConfig, Work,
 };
 use tasm_data::{Dataset, Query, SyntheticVideo};
 use tasm_detect::yolo::SimulatedYolo;
@@ -198,10 +198,10 @@ impl BenchVideo {
     }
 
     /// §4.1's price of the microbenchmark query `SELECT label FROM v` over
-    /// the whole video, under the store's own cost model.
+    /// the whole video, at the calibrated prices.
     pub fn select_cost(&self, label: &str) -> f64 {
         let work = self.select(label, 0..self.video.len());
-        self.tasm.config().cost.cost(work)
+        CostModel::CALIBRATED.cost(work)
     }
 }
 
@@ -242,11 +242,9 @@ pub fn cumulative_costs(
             Some(&bv.video),
         )
         .expect("workload");
-        let cfg = bv.tasm.config();
-        let up_front =
-            retile_cost(cfg, &report.initial_tile) + detect(report.initial_detect_seconds);
+        let up_front = retile_cost(&report.initial_tile) + detect(report.initial_detect_seconds);
         let records = report.records.iter();
-        let priced: Vec<(f64, f64)> = records.map(|r| (r.cost(cfg), r.detect_seconds)).collect();
+        let priced: Vec<(f64, f64)> = records.map(|r| (r.cost(), r.detect_seconds)).collect();
         (up_front, priced)
     };
     let runs: Vec<(f64, Vec<(f64, f64)>)> = std::thread::scope(|s| {
@@ -304,10 +302,9 @@ mod tests {
         let untiled = bv.select("car", 0..bv.video.len());
         assert!(untiled.pixels > 0);
         assert!(untiled.tile_chunks > 0);
-        let cost = bv.tasm.config().cost;
         assert_eq!(
             bv.select_cost("car"),
-            cost.cost(untiled),
+            CostModel::CALIBRATED.cost(untiled),
             "counted, not timed"
         );
         // Tiling around cars reduces decode.

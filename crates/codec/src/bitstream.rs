@@ -5,8 +5,6 @@
 //! simple, prefix-free, and favour small magnitudes, which matches the
 //! residual statistics of quantized DCT coefficients.
 
-use bytes::{BufMut, Bytes, BytesMut};
-
 /// Error raised when a bitstream ends prematurely or contains an invalid code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BitstreamError {
@@ -31,7 +29,7 @@ impl std::error::Error for BitstreamError {}
 /// time.
 #[derive(Debug, Default)]
 pub struct BitWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// Bits accumulated but not yet flushed to `buf` (kept in the high bits).
     acc: u64,
     /// Number of valid bits in `acc`: fewer than 32 between writes.
@@ -97,7 +95,8 @@ impl BitWriter {
         self.acc |= ((value as u64) << (32 - n)) << (32 - self.nbits);
         self.nbits += n;
         if self.nbits >= 32 {
-            self.buf.put_slice(&((self.acc >> 32) as u32).to_be_bytes());
+            self.buf
+                .extend_from_slice(&((self.acc >> 32) as u32).to_be_bytes());
             self.acc <<= 32;
             self.nbits -= 32;
         }
@@ -145,10 +144,10 @@ impl BitWriter {
     }
 
     /// Pads with zero bits to the next byte boundary and returns the bytes.
-    pub fn finish(mut self) -> Bytes {
+    pub fn finish(mut self) -> Vec<u8> {
         let tail = self.nbits.div_ceil(8) as usize;
-        self.buf.put_slice(&self.acc.to_be_bytes()[..tail]);
-        self.buf.freeze()
+        self.buf.extend_from_slice(&self.acc.to_be_bytes()[..tail]);
+        self.buf
     }
 
     /// Number of whole bytes the stream would occupy if finished now.

@@ -11,7 +11,6 @@ use crate::cursor::TileCursor;
 use crate::decoder::DecodeError;
 use crate::encoder::EncodedFrame;
 use crate::stats::DecodeStats;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::ops::Range;
 use tasm_video::Frame;
 
@@ -130,38 +129,42 @@ struct Prelude {
     payload_offset: usize,
 }
 
+/// The little-endian `u32` at `at`, which the caller has bounds-checked.
+fn le_u32(data: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(data[at..at + 4].try_into().expect("four bytes"))
+}
+
 impl Prelude {
-    fn parse(full: &[u8]) -> Result<Prelude, ContainerError> {
-        let mut data = full;
-        if data.remaining() < 23 {
+    fn parse(data: &[u8]) -> Result<Prelude, ContainerError> {
+        if data.len() < 23 {
             return Err(ContainerError::Truncated);
         }
-        let mut magic = [0u8; 4];
-        data.copy_to_slice(&mut magic);
-        if magic != TVF_MAGIC {
+        if data[..4] != TVF_MAGIC {
             return Err(ContainerError::BadMagic);
         }
         // Version 1 has no codec-id byte (implicitly DCT); version 2 carries
         // it right after the version. Unknown versions are rejected outright,
         // unknown codec ids as the typed UnsupportedCodec corruption error.
-        let (codec, fixed_len) = match data.get_u8() {
+        let (codec, fixed_len) = match data[4] {
             1 => (TileCodec::Dct, 23usize),
             2 => {
-                if full.len() < 24 {
+                if data.len() < 24 {
                     return Err(ContainerError::Truncated);
                 }
-                let id = data.get_u8();
+                let id = data[5];
                 let codec = TileCodec::from_id(id).ok_or(ContainerError::UnsupportedCodec(id))?;
                 (codec, 24usize)
             }
             _ => return Err(ContainerError::BadMagic),
         };
-        let width = data.get_u32_le();
-        let height = data.get_u32_le();
-        let gop_len = data.get_u32_le();
-        let qp = data.get_u8();
-        let deblock = data.get_u8() != 0;
-        let count = data.get_u32_le() as usize;
+        // width(4) height(4) gop(4) qp(1) flags(1) count(4) end the header.
+        let fields = &data[fixed_len - 18..fixed_len];
+        let width = le_u32(fields, 0);
+        let height = le_u32(fields, 4);
+        let gop_len = le_u32(fields, 8);
+        let qp = fields[12];
+        let deblock = fields[13] != 0;
+        let count = le_u32(fields, 14) as usize;
         if width == 0 || height == 0 {
             return Err(ContainerError::InvalidHeader("zero dimension"));
         }
@@ -171,14 +174,14 @@ impl Prelude {
         if qp > crate::quant::MAX_QP {
             return Err(ContainerError::InvalidHeader("QP out of range"));
         }
-        if data.remaining() < count * 6 {
+        let Some(entries) = data[fixed_len..].get(..count * 6) else {
             return Err(ContainerError::Truncated);
-        }
+        };
         let mut table = Vec::with_capacity(count);
-        for _ in 0..count {
-            let len = data.get_u32_le() as usize;
-            let is_key = data.get_u8() != 0;
-            let frame_qp = data.get_u8();
+        for entry in entries.chunks_exact(6) {
+            let len = le_u32(entry, 0) as usize;
+            let is_key = entry[4] != 0;
+            let frame_qp = entry[5];
             if frame_qp > crate::quant::MAX_QP {
                 return Err(ContainerError::InvalidHeader("frame QP out of range"));
             }
@@ -267,31 +270,31 @@ impl TileVideo {
     }
 
     /// Serializes to bytes.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.size_bytes() as usize);
-        buf.put_slice(&TVF_MAGIC);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.size_bytes() as usize);
+        buf.extend_from_slice(&TVF_MAGIC);
         match self.codec {
-            TileCodec::Dct => buf.put_u8(1), // version 1: implicit DCT
+            TileCodec::Dct => buf.push(1), // version 1: implicit DCT
             codec => {
-                buf.put_u8(2); // version 2: explicit codec id
-                buf.put_u8(codec.id());
+                buf.push(2); // version 2: explicit codec id
+                buf.push(codec.id());
             }
         }
-        buf.put_u32_le(self.width);
-        buf.put_u32_le(self.height);
-        buf.put_u32_le(self.gop_len);
-        buf.put_u8(self.qp);
-        buf.put_u8(u8::from(self.deblock));
-        buf.put_u32_le(self.frames.len() as u32);
+        buf.extend_from_slice(&self.width.to_le_bytes());
+        buf.extend_from_slice(&self.height.to_le_bytes());
+        buf.extend_from_slice(&self.gop_len.to_le_bytes());
+        buf.push(self.qp);
+        buf.push(u8::from(self.deblock));
+        buf.extend_from_slice(&(self.frames.len() as u32).to_le_bytes());
         for f in &self.frames {
-            buf.put_u32_le(f.data.len() as u32);
-            buf.put_u8(u8::from(f.is_key));
-            buf.put_u8(f.qp);
+            buf.extend_from_slice(&(f.data.len() as u32).to_le_bytes());
+            buf.push(u8::from(f.is_key));
+            buf.push(f.qp);
         }
         for f in &self.frames {
-            buf.put_slice(&f.data);
+            buf.extend_from_slice(&f.data);
         }
-        buf.freeze()
+        buf
     }
 
     /// Parses a serialized TVF stream.
@@ -300,15 +303,15 @@ impl TileVideo {
         let mut payload = &data[prelude.payload_offset..];
         let mut frames = Vec::with_capacity(prelude.table.len());
         for &(len, is_key, frame_qp) in &prelude.table {
-            if payload.remaining() < len {
+            let Some((frame, rest)) = payload.split_at_checked(len) else {
                 return Err(ContainerError::Truncated);
-            }
+            };
             frames.push(EncodedFrame {
                 is_key,
                 qp: frame_qp,
-                data: Bytes::copy_from_slice(&payload[..len]),
+                data: frame.to_vec(),
             });
-            payload.advance(len);
+            payload = rest;
         }
         Ok(TileVideo {
             width: prelude.width,
@@ -537,7 +540,7 @@ mod tests {
             frames.push(EncodedFrame {
                 is_key,
                 qp: 0,
-                data: Bytes::from(data),
+                data,
             });
             prev = Some(f);
         }

@@ -20,7 +20,6 @@ use crate::blockops::{
 use crate::dct::{forward, Inverse, BLOCK, BLOCK_AREA};
 use crate::deblock::deblock_frame;
 use crate::quant::{dequantize, outside_dead_zone, qstep, quantize};
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use tasm_video::{Frame, Plane, Rect};
 
@@ -104,7 +103,7 @@ pub struct EncodedFrame {
     /// QP this frame was coded with (varies under rate control).
     pub qp: u8,
     /// Entropy-coded payload.
-    pub data: Bytes,
+    pub data: Vec<u8>,
 }
 
 /// Streaming encoder for a single tile of a video.

@@ -13,7 +13,6 @@
 use crate::container::{TileCodec, TileVideo};
 use crate::encoder::{EncodedFrame, EncoderConfig};
 use crate::entropy::{self, EntropyError};
-use bytes::Bytes;
 use tasm_video::{Frame, FrameSource, Plane, Rect};
 
 /// Errors surfaced while decoding a `Pred` frame payload.
@@ -376,7 +375,7 @@ pub fn encode_tile(src: &dyn FrameSource, rect: Rect, gop_len: u32) -> TileVideo
             EncodedFrame {
                 is_key,
                 qp: 0,
-                data: Bytes::from(data),
+                data,
             }
         })
         .collect();

@@ -21,7 +21,6 @@ use crate::blockops::{copy_block, dc_predict, ZIGZAG};
 use crate::dct::{BLOCK, BLOCK_AREA};
 use crate::decoder::DecodeError;
 use crate::quant::{dequantize, qstep, quantize};
-use bytes::Bytes;
 use tasm_video::{Frame, Plane};
 
 /// Reads bits MSB-first from a byte slice, one byte (or bit) at a time.
@@ -222,8 +221,8 @@ impl BitwiseWriter {
         self.bytes.len()
     }
 
-    pub(crate) fn finish(self) -> Bytes {
-        Bytes::from(self.bytes)
+    pub(crate) fn finish(self) -> Vec<u8> {
+        self.bytes
     }
 }
 

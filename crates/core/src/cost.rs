@@ -51,26 +51,24 @@ pub struct CostModel {
     pub gamma: f64,
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        // Calibrated on the reference machine with `fit_cost_model`
-        // (single-threaded software decode): ~3.3 ns/sample plus ~7 µs of
-        // per-tile-chunk overhead. Re-fit with `fit_cost_model` (its
-        // `fit_linear`) for new hardware, as §4.1 prescribes. β is by now
-        // ≈ 3x the decode rate the perf ledger measures
-        // (`codec.decode_us_per_mpixel` ≈ 1000, i.e. 1.0 ns/sample, was
-        // ≈ 1280 before the decoder's table step) and is still not
-        // re-fitted: layouts and re-tile decisions come from these
-        // constants, never from a timing, so they must be changed on their
-        // own, with every exact count re-checked.
-        CostModel {
-            beta: 3.3e-9,
-            gamma: 7.4e-6,
-        }
-    }
-}
-
 impl CostModel {
+    /// The prices every plan, layout and re-tile decision uses.
+    // Calibrated on the reference machine with `fit_cost_model`
+    // (single-threaded software decode): ~3.3 ns/sample plus ~7 µs of
+    // per-tile-chunk overhead. `fit_cost_model` (its `fit_linear`)
+    // measures new hardware, as §4.1 prescribes, but nothing feeds a
+    // fit back: changing these is a code change. β is by now
+    // ≈ 3x the decode rate the perf ledger measures
+    // (`codec.decode_us_per_mpixel` ≈ 1000, i.e. 1.0 ns/sample, was
+    // ≈ 1280 before the decoder's table step) and is still not
+    // re-fitted: layouts and re-tile decisions come from these
+    // constants, never from a timing, so they must be changed on their
+    // own, with every exact count re-checked.
+    pub const CALIBRATED: CostModel = CostModel {
+        beta: 3.3e-9,
+        gamma: 7.4e-6,
+    };
+
     /// Estimated seconds to perform `work`.
     pub fn cost(&self, work: Work) -> f64 {
         self.beta * work.pixels as f64 + self.gamma * work.tile_chunks as f64
@@ -85,26 +83,23 @@ pub struct EncodeModel {
     pub seconds_per_sample: f64,
 }
 
-impl Default for EncodeModel {
-    fn default() -> Self {
-        // Calibrated alongside the decode model; software encode with motion
-        // search is roughly 2-3× decode. Still not fitted: this predicts
-        // 83 ms for a 640×352×30 SOT (10.1 M samples) and a re-tile of one
-        // into DCT tiles, the only codec the write path has, measures
-        // ≈ 28 ms (2.8 ns/sample; its encode alone ≈ 11.5 ms, 1.1
-        // ns/sample). An encode rate alone can now stand for `R(s, L)`:
-        // file I/O was ≈ 22 % of a measured re-tile, and grew with the tile
-        // count, while each tile was a file of its own; with one pack per
-        // SOT it is ≈ 7 % and flat. Left as it is so the regret policy
-        // keeps making the re-tiles it made (`storage.retile_count` is
-        // pinned by the ledger).
-        EncodeModel {
-            seconds_per_sample: 8.2e-9,
-        }
-    }
-}
-
 impl EncodeModel {
+    /// The re-encode price every re-tile decision uses.
+    // Calibrated alongside the decode model; software encode with motion
+    // search is roughly 2-3× decode. Still not fitted: this predicts
+    // 83 ms for a 640×352×30 SOT (10.1 M samples) and a re-tile of one
+    // into DCT tiles, the only codec the write path has, measures
+    // ≈ 28 ms (2.8 ns/sample; its encode alone ≈ 11.5 ms, 1.1
+    // ns/sample). An encode rate alone can now stand for `R(s, L)`:
+    // file I/O was ≈ 22 % of a measured re-tile, and grew with the tile
+    // count, while each tile was a file of its own; with one pack per
+    // SOT it is ≈ 7 % and flat. Left as it is so the regret policy
+    // keeps making the re-tiles it made (`storage.retile_count` is
+    // pinned by the ledger).
+    pub const CALIBRATED: EncodeModel = EncodeModel {
+        seconds_per_sample: 8.2e-9,
+    };
+
     /// Estimated seconds to re-encode `frames` frames of a `w`×`h` region.
     pub fn reencode_cost(&self, w: u32, h: u32, frames: u32) -> f64 {
         let samples = w as u64 * h as u64 * 3 / 2;
@@ -336,7 +331,7 @@ mod tests {
 
     #[test]
     fn cost_model_orders_layouts() {
-        let m = CostModel::default();
+        let m = CostModel::CALIBRATED;
         let small = Work {
             pixels: 1_000_000,
             tile_chunks: 30,
@@ -356,7 +351,7 @@ mod tests {
 
     #[test]
     fn encode_model_scales_linearly() {
-        let m = EncodeModel::default();
+        let m = EncodeModel::CALIBRATED;
         let one = m.reencode_cost(640, 352, 30);
         let two = m.reencode_cost(640, 352, 60);
         assert!((two / one - 2.0).abs() < 1e-9);

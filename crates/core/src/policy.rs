@@ -7,7 +7,7 @@
 //! decision reads the index and the current manifest, then commits, under
 //! it.
 
-use crate::cost::{estimate_work, pixel_ratio};
+use crate::cost::{estimate_work, pixel_ratio, CostModel, EncodeModel};
 use crate::partition::partition;
 use crate::storage::{RetileStats, SotEntry};
 use crate::tasm::{Tasm, TasmError, VideoShard};
@@ -290,7 +290,7 @@ impl Tasm {
             }
 
             // Pick the best alternative exceeding the threshold.
-            let threshold = cfg.eta * cfg.encode.reencode_cost(w, h, sot.len());
+            let threshold = cfg.eta * EncodeModel::CALIBRATED.reencode_cost(w, h, sot.len());
             let best = state
                 .regret
                 .iter()
@@ -371,7 +371,7 @@ impl Tasm {
         let dets = self.with_index(|ix| ix.query(video_id, label, window.clone()))?;
         let cur = estimate_work(&sot.layout, &dets, window.clone(), sot.start, gop);
         let new = estimate_work(alt, &dets, window, sot.start, gop);
-        let cost = &self.config().cost;
+        let cost = CostModel::CALIBRATED;
         Ok(cost.cost(cur) - cost.cost(new))
     }
 }

@@ -24,16 +24,16 @@
 //! A query's work is priced, not run: [`Tasm::price`] plans it as
 //! [`Tasm::query`] does and counts what that plan would decode on a store
 //! without a cache, decoding nothing. That work and each re-tile's counted
-//! work are priced with §4.1's model under the store's own [`TasmConfig`] —
-//! the prices the policy decides with — so the same run gives the same
-//! costs.
+//! work are priced with §4.1's model at [`CostModel::CALIBRATED`] and
+//! [`EncodeModel::CALIBRATED`] — the prices the policy decides with — so
+//! the same run gives the same costs.
 
-use crate::cost::Work;
+use crate::cost::{CostModel, EncodeModel, Work};
 use crate::policy::RetilePolicy;
 use crate::query::Query;
 use crate::scan::LabelPredicate;
 use crate::storage::RetileStats;
-use crate::tasm::{Tasm, TasmConfig, TasmError};
+use crate::tasm::{Tasm, TasmError};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use tasm_detect::Detector;
@@ -91,17 +91,17 @@ pub struct QueryRecord {
 
 impl QueryRecord {
     /// §4.1's price of the query's decode and of the re-tiles after it.
-    pub fn cost(&self, cfg: &TasmConfig) -> f64 {
-        cfg.cost.cost(self.work) + retile_cost(cfg, &self.retile)
+    pub fn cost(&self) -> f64 {
+        CostModel::CALIBRATED.cost(self.work) + retile_cost(&self.retile)
     }
 }
 
 /// §4.1's price of a re-tile's counted work: decoding the SOT's old tiles
 /// (`C = β·P + γ·T`) plus encoding its samples at the rate `R(s, L)` is
-/// estimated with, both under `cfg`'s models.
-pub fn retile_cost(cfg: &TasmConfig, retile: &RetileStats) -> f64 {
-    let encode = cfg.encode.seconds_per_sample * retile.encode.samples_encoded as f64;
-    cfg.cost.cost(Work::from(&retile.decode)) + encode
+/// estimated with, both at the calibrated prices.
+pub fn retile_cost(retile: &RetileStats) -> f64 {
+    let encode = EncodeModel::CALIBRATED.seconds_per_sample * retile.encode.samples_encoded as f64;
+    CostModel::CALIBRATED.cost(Work::from(&retile.decode)) + encode
 }
 
 /// Result of running a workload under one strategy.
@@ -123,9 +123,9 @@ pub struct WorkloadReport {
 impl WorkloadReport {
     /// Priced decode + re-tile seconds, the up-front tiling included (the
     /// quantity plotted in Figure 11).
-    pub fn cost(&self, cfg: &TasmConfig) -> f64 {
-        let queries: f64 = self.records.iter().map(|r| r.cost(cfg)).sum();
-        queries + retile_cost(cfg, &self.initial_tile)
+    pub fn cost(&self) -> f64 {
+        let queries: f64 = self.records.iter().map(QueryRecord::cost).sum();
+        queries + retile_cost(&self.initial_tile)
     }
 }
 
@@ -285,7 +285,7 @@ mod tests {
         .unwrap();
         assert_eq!(report.records.len(), 5);
         assert_eq!(report.retile_ops, 0);
-        assert!(report.cost(t.config()) > 0.0);
+        assert!(report.cost() > 0.0);
         assert!(report
             .records
             .iter()
@@ -455,9 +455,8 @@ mod tests {
             None,
         )
         .unwrap();
-        let cfg = t.config();
-        let manual: f64 = report.records.iter().map(|r| r.cost(cfg)).sum();
-        assert_eq!(report.cost(cfg), manual, "no up-front tiling to add");
+        let manual: f64 = report.records.iter().map(QueryRecord::cost).sum();
+        assert_eq!(report.cost(), manual, "no up-front tiling to add");
         assert!(report.final_size_bytes > 0);
         // Each committed re-tile is priced: it decoded the old tiles and
         // encoded the SOT once, at the rate `R(s, L)` is estimated with.
@@ -468,8 +467,9 @@ mod tests {
             .collect();
         assert!(!retiled.is_empty(), "incremental-more re-tiles");
         for r in retiled {
-            let encode = cfg.encode.seconds_per_sample * r.retile.encode.samples_encoded as f64;
-            assert!(retile_cost(cfg, &r.retile) > encode);
+            let encode =
+                EncodeModel::CALIBRATED.seconds_per_sample * r.retile.encode.samples_encoded as f64;
+            assert!(retile_cost(&r.retile) > encode);
         }
     }
 }

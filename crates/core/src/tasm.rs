@@ -48,7 +48,7 @@
 //! holding it. Readers touch only the epoch table (briefly, to pin) and
 //! the index (briefly, to look up) — neither is held across decode.
 
-use crate::cost::{CostModel, EncodeModel, Work};
+use crate::cost::Work;
 use crate::pack::PackReader;
 use crate::partition::PartitionConfig;
 use crate::policy::PolicyState;
@@ -75,10 +75,6 @@ pub struct TasmConfig {
     pub partition: PartitionConfig,
     /// Encoding parameters for stored videos.
     pub storage: StorageConfig,
-    /// The fitted query cost model.
-    pub cost: CostModel,
-    /// The fitted re-encode cost model.
-    pub encode: EncodeModel,
     /// Worker threads for the parallel tile-decode pipeline. `0` = one per
     /// available core. `1` reproduces the old strictly serial execution
     /// (bit-identical results either way).
@@ -100,8 +96,6 @@ impl Default for TasmConfig {
             eta: 1.0,
             partition: PartitionConfig::default(),
             storage: StorageConfig::default(),
-            cost: CostModel::default(),
-            encode: EncodeModel::default(),
             workers: 0,
             cache_bytes: 256 << 20,
             index_memtable_limit: None,

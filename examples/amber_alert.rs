@@ -70,15 +70,10 @@ fn main() {
             None,
         )
         .expect("workload");
-        // Counted work, priced with §4.1's model under the store's config:
-        // the prices the regret policy decides with.
-        let cfg = tasm.config();
-        let retile: f64 = report
-            .records
-            .iter()
-            .map(|r| retile_cost(cfg, &r.retile))
-            .sum();
-        let decode = report.cost(cfg) - retile;
+        // Counted work, priced with §4.1's model: the prices the regret
+        // policy decides with.
+        let retile: f64 = report.records.iter().map(|r| retile_cost(&r.retile)).sum();
+        let decode = report.cost() - retile;
         println!(
             "{label}  priced decode {:7.1} ms   retile {:7.1} ms   re-tiles {}   final size {:.1} KiB",
             decode * 1e3,
