@@ -41,8 +41,8 @@ impl<'a> TileCursor<'a> {
     /// without its reference is a [`DecodeError::MissingReference`] when
     /// it is decoded).
     pub(crate) fn resume(tile: &'a TileVideo, from: u32, reference: Option<&'a Frame>) -> Self {
-        let dct = (tile.codec == TileCodec::Dct)
-            .then(|| TileDecoder::new(tile.width, tile.height, tile.qp, tile.deblock));
+        let dct = (tile.codec() == TileCodec::Dct)
+            .then(|| TileDecoder::new(tile.width(), tile.height(), tile.qp(), tile.deblock()));
         TileCursor {
             tile,
             dct,
@@ -94,16 +94,15 @@ impl<'a> TileCursor<'a> {
         let t0 = Instant::now();
         let tile = self.tile;
         let ef = tile
-            .frames
-            .get(self.next as usize)
+            .frame(self.next)
             .ok_or(ContainerError::InvalidRequest("frame range out of bounds"))?;
         let prev = self.current.as_ref().or(self.reference);
         let spare = self.spares.pop();
         let frame = match &self.dct {
-            Some(dec) => dec.decode_against(&ef.data, ef.is_key, ef.qp, prev, spare)?,
+            Some(dec) => dec.decode_against(ef.data, ef.is_key, ef.qp, prev, spare)?,
             None => {
                 let prev = if ef.is_key { None } else { prev };
-                pred::decode_frame(&ef.data, tile.width, tile.height, prev).map_err(
+                pred::decode_frame(ef.data, tile.width(), tile.height(), prev).map_err(
                     |e| match e {
                         pred::PredError::MissingReference => DecodeError::MissingReference,
                         other => DecodeError::Lossless(other.to_string()),
@@ -111,8 +110,8 @@ impl<'a> TileCursor<'a> {
                 )?
             }
         };
-        let luma = tile.width as u64 * tile.height as u64;
-        let blocks = (tile.width as u64 / 8) * (tile.height as u64 / 8);
+        let luma = tile.width() as u64 * tile.height() as u64;
+        let blocks = (tile.width() as u64 / 8) * (tile.height() as u64 / 8);
         self.stats.frames_decoded += 1;
         self.stats.samples_decoded += luma + luma / 2;
         self.stats.tile_chunks_decoded += 1;

@@ -83,14 +83,9 @@ impl LayoutEncoder {
         let videos: Vec<TileVideo> = self
             .tiles
             .into_iter()
-            .map(|(enc, frames)| TileVideo {
-                width: enc.rect().w,
-                height: enc.rect().h,
-                gop_len: cfg.gop_len,
-                qp: cfg.qp,
-                deblock: cfg.deblock,
-                codec: TileCodec::Dct,
-                frames,
+            .map(|(enc, frames)| {
+                let rect = enc.rect();
+                TileVideo::from_frames(TileCodec::Dct, rect.w, rect.h, &cfg, &frames)
             })
             .collect();
         let stats = EncodeStats {
@@ -185,10 +180,10 @@ mod tests {
         let layout = TileLayout::new(vec![32, 32], vec![16, 32]).unwrap();
         let (videos, _) = encode_video(&src, &layout, &EncoderConfig::default()).unwrap();
         assert_eq!(videos.len(), 4);
-        assert_eq!(videos[0].width, 32);
-        assert_eq!(videos[0].height, 16);
-        assert_eq!(videos[3].width, 32);
-        assert_eq!(videos[3].height, 32);
+        assert_eq!(videos[0].width(), 32);
+        assert_eq!(videos[0].height(), 16);
+        assert_eq!(videos[3].width(), 32);
+        assert_eq!(videos[3].height(), 32);
     }
 
     #[test]

@@ -40,7 +40,7 @@ mod reference;
 pub mod stats;
 pub mod stitch;
 
-pub use container::{ContainerError, ContainerHeader, TileCodec, TileVideo};
+pub use container::{ContainerError, TileCodec, TileFrame, TileVideo};
 pub use cursor::TileCursor;
 pub use decoder::{DecodeError, TileDecoder};
 pub use encode::{encode_video, LayoutEncoder};

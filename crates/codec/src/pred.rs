@@ -361,9 +361,8 @@ pub fn encode_inter(frame: &Frame, prev: &Frame) -> Vec<u8> {
 /// reads neither. The store never calls this: it is how tests build the
 /// tiles an older store or peer may hold.
 pub fn encode_tile(src: &dyn FrameSource, rect: Rect, gop_len: u32) -> TileVideo {
-    let defaults = EncoderConfig::default();
     let mut prev: Option<Frame> = None;
-    let frames = (0..src.len())
+    let frames: Vec<EncodedFrame> = (0..src.len())
         .map(|i| {
             let tile = src.frame(i).crop(rect);
             let is_key = i.is_multiple_of(gop_len);
@@ -379,15 +378,11 @@ pub fn encode_tile(src: &dyn FrameSource, rect: Rect, gop_len: u32) -> TileVideo
             }
         })
         .collect();
-    TileVideo {
-        width: rect.w,
-        height: rect.h,
+    let cfg = EncoderConfig {
         gop_len,
-        qp: defaults.qp,
-        deblock: defaults.deblock,
-        codec: TileCodec::Pred,
-        frames,
-    }
+        ..EncoderConfig::default()
+    };
+    TileVideo::from_frames(TileCodec::Pred, rect.w, rect.h, &cfg, &frames)
 }
 
 /// Upper bound on the residual-buffer size for a `width`×`height` frame —
@@ -505,10 +500,10 @@ mod tests {
         let src = VecFrameSource::new((0..6).map(|t| textured(64, 64, t)).collect());
         for (_, rect) in TileLayout::uniform(64, 64, 2, 2).unwrap().tiles() {
             let tile = encode_tile(&src, rect, 4);
-            assert_eq!(tile.codec, TileCodec::Pred);
-            let keys: Vec<bool> = tile.frames.iter().map(|f| f.is_key).collect();
+            assert_eq!(tile.codec(), TileCodec::Pred);
+            let keys: Vec<bool> = (0..6).map(|i| tile.frame(i).unwrap().is_key).collect();
             assert_eq!(keys, [true, false, false, false, true, false]);
-            let back = TileVideo::from_bytes(&tile.to_bytes()).unwrap();
+            let back = TileVideo::from_bytes(tile.as_bytes().to_vec()).unwrap();
             let (frames, _) = back.decode_all().unwrap();
             let crops: Vec<Frame> = src.frames().iter().map(|f| f.crop(rect)).collect();
             assert_eq!(frames, crops, "{rect:?}");

@@ -67,7 +67,7 @@ impl<'a> StitchedVideo<'a> {
         }
         let rects: Vec<Rect> = layout.tiles().map(|(_, r)| r).collect();
         for ((t, rect), index) in tiles.iter().zip(&rects).zip(0..) {
-            if (t.width, t.height) != (rect.w, rect.h) {
+            if (t.width(), t.height()) != (rect.w, rect.h) {
                 return Err(StitchError::TileDimsMismatch { index });
             }
         }
@@ -79,7 +79,10 @@ impl<'a> StitchedVideo<'a> {
             canvas: (tiles.len() > 1)
                 .then(|| Frame::black(layout.frame_width(), layout.frame_height())),
             rects,
-            cursors: tiles.iter().map(TileVideo::cursor).collect(),
+            cursors: tiles
+                .iter()
+                .map(|t| TileCursor::resume(t, 0, None))
+                .collect(),
             shown: None,
             frame_count,
         })
@@ -170,7 +173,7 @@ mod tests {
             StitchedVideo::new(&layout, &narrow[..4]).err(),
             Some(StitchError::TileDimsMismatch { index: 0 })
         );
-        tiles[1].frames.pop();
+        tiles[1] = tiled(3, 2, 2).1.swap_remove(1);
         assert_eq!(
             StitchedVideo::new(&layout, &tiles).err(),
             Some(StitchError::FrameCountMismatch)

@@ -9,7 +9,7 @@
 //! moves means stored tiles would decode to different pixels.
 
 use tasm_codec::{
-    encode_video, pred, EncoderConfig, RateControl, TileCodec, TileLayout, TileVideo,
+    encode_video, pred, DecodeStats, EncoderConfig, RateControl, TileCodec, TileLayout, TileVideo,
 };
 use tasm_video::{Frame, Plane, Rect, VecFrameSource};
 
@@ -95,9 +95,9 @@ fn run(cfg: EncoderConfig, layout: &TileLayout) -> (u64, u64) {
     let mut bytes_digest = FNV_SEED;
     let mut pixel_digest = FNV_SEED;
     for tile in &tiles {
-        let bytes = tile.to_bytes();
-        bytes_digest = fnv1a(bytes_digest, &bytes);
-        let tile = TileVideo::from_bytes(&bytes).unwrap();
+        let bytes = tile.as_bytes();
+        bytes_digest = fnv1a(bytes_digest, bytes);
+        let tile = TileVideo::from_bytes(bytes.to_vec()).unwrap();
         let (all, stats) = tile.decode_all().unwrap();
         assert_eq!(all.len(), FRAMES as usize);
         assert_eq!(stats.frames_decoded, FRAMES as u64);
@@ -110,13 +110,22 @@ fn run(cfg: EncoderConfig, layout: &TileLayout) -> (u64, u64) {
 
         // Mid-GOP resume from the previous reconstruction.
         let from = GOP + 2;
-        let (resumed, stats) = tile
-            .decode_resume(from, FRAMES, Some(&all[from as usize - 1]))
-            .unwrap();
+        let (resumed, stats) = resume(&tile, from, &all[from as usize - 1]);
         assert_eq!(stats.frames_decoded, (FRAMES - from) as u64);
         assert_eq!(&all[from as usize..], &resumed[..]);
     }
     (bytes_digest, pixel_digest)
+}
+
+/// Frames `from..FRAMES` of `tile` from a cursor resumed at `from` against
+/// `reference`, the reconstruction of frame `from - 1`, and the work done.
+fn resume(tile: &TileVideo, from: u32, reference: &Frame) -> (Vec<Frame>, DecodeStats) {
+    let mut cursor = tile.cursor_at(from, Some(reference)).unwrap();
+    let mut frames = Vec::new();
+    while cursor.position() < FRAMES {
+        frames.push(cursor.advance().unwrap().clone());
+    }
+    (frames, *cursor.stats())
 }
 
 fn cfg(qp: u8, deblock: bool) -> EncoderConfig {
@@ -229,13 +238,14 @@ fn golden_with_reference_resume() {
     let (tiles, _) = encode_video(&clip(), &TileLayout::untiled(W, H), &c).unwrap();
     let tile = &tiles[0];
     let (all, _) = tile.decode_all().unwrap();
-    let from = 3usize;
-    let mut dec = TileDecoder::with_reference(W, H, c.qp, c.deblock, all[from - 1].clone());
-    let resumed: Vec<Frame> = tile.frames[from..GOP as usize]
-        .iter()
-        .map(|ef| dec.decode_next_qp(&ef.data, ef.is_key, ef.qp).unwrap())
+    let from = 3u32;
+    let mut dec =
+        TileDecoder::with_reference(W, H, c.qp, c.deblock, all[from as usize - 1].clone());
+    let resumed: Vec<Frame> = (from..GOP)
+        .map(|i| tile.frame(i).unwrap())
+        .map(|ef| dec.decode_next_qp(ef.data, ef.is_key, ef.qp).unwrap())
         .collect();
-    assert_eq!(&all[from..GOP as usize], &resumed[..]);
+    assert_eq!(&all[from as usize..GOP as usize], &resumed[..]);
     let digest = digest_frames(FNV_SEED, &resumed);
     assert_eq!(
         digest, 0x057c5beec8550a52,
@@ -315,10 +325,10 @@ fn run_codec(src: &VecFrameSource, codec: TileCodec, layout: &TileLayout) -> (u6
     let mut bytes_digest = FNV_SEED;
     let mut pixel_digest = FNV_SEED;
     for (tile, (_, rect)) in tiles.iter().zip(layout.tiles()) {
-        assert_eq!(tile.codec, codec);
-        let bytes = tile.to_bytes();
-        bytes_digest = fnv1a(bytes_digest, &bytes);
-        let back = TileVideo::from_bytes(&bytes).unwrap();
+        assert_eq!(tile.codec(), codec);
+        let bytes = tile.as_bytes();
+        bytes_digest = fnv1a(bytes_digest, bytes);
+        let back = TileVideo::from_bytes(bytes.to_vec()).unwrap();
         assert_eq!(&back, tile);
         let (all, _) = back.decode_all().unwrap();
         assert_eq!(all.len(), FRAMES as usize);
@@ -330,9 +340,7 @@ fn run_codec(src: &VecFrameSource, codec: TileCodec, layout: &TileLayout) -> (u6
             }
         }
         let from = GOP + 2;
-        let (resumed, _) = back
-            .decode_resume(from, FRAMES, Some(&all[from as usize - 1]))
-            .unwrap();
+        let (resumed, _) = resume(&back, from, &all[from as usize - 1]);
         assert_eq!(&all[from as usize..], &resumed[..]);
     }
     (bytes_digest, pixel_digest)

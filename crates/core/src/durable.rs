@@ -778,8 +778,8 @@ impl VideoStore {
                     tile,
                     detail,
                 };
-                match pack.bytes(tile).map(|b| check_tile(&b, sot, tile, gop_len)) {
-                    Ok(Ok(found)) => {
+                match pack.parse(tile) {
+                    Ok(parsed) => {
                         report.tiles_checked += 1;
                         let mismatch = |detail| FsckIssue::TileMismatch {
                             video: video.clone(),
@@ -787,9 +787,12 @@ impl VideoStore {
                             tile,
                             detail,
                         };
+                        let found = check_tile(&parsed, sot, tile, gop_len);
                         report.issues.extend(found.into_iter().map(mismatch));
                     }
-                    Ok(Err(e)) => report.issues.push(corrupt(e.to_string())),
+                    // A container error is reported as the container
+                    // states it, without the store error's prefix.
+                    Err(StoreError::Container(e)) => report.issues.push(corrupt(e.to_string())),
                     Err(e) => report.issues.push(corrupt(e.to_string())),
                 }
             }

@@ -221,7 +221,7 @@ struct CacheInner {
 /// Entries store the frames of a GOP from its keyframe onward. A lookup
 /// needing `n` frames hits iff the entry holds at least `n`; shorter
 /// prefixes are *extended* by resuming the decoder from the last cached
-/// reconstruction (bit-exact, see `TileVideo::decode_resume`), paying only
+/// reconstruction (bit-exact, see `TileVideo::cursor_at`), paying only
 /// for the missing frames.
 ///
 /// The budget holds after every store. Over it, the least-recently used

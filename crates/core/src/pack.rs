@@ -7,25 +7,26 @@
 //! tile 0's container bytes, tile 1's, ...          (verbatim, back to back)
 //! ```
 //!
-//! A tile's bytes are exactly what `TileVideo::to_bytes` produced (or a
-//! peer replicated). The table's length follows from the tile count the
-//! manifest records, so a reader fetches it with one ranged read and a
-//! tile with a second, never the whole pack. Every read of a pack — a
-//! query's [`VideoStore::read_tile`], the replication payload, a re-tile's
-//! source tiles, `video_size_bytes` and `fsck` — opens it through
-//! [`PackReader`], and [`check_tile`] is the one check of a tile's bytes
-//! against its manifest slot.
+//! A tile's bytes are exactly its [`TileVideo`]'s container bytes, as an
+//! encoder made them (or a peer replicated them). The table's length
+//! follows from the tile count the manifest records, so a reader fetches
+//! it with one ranged read and a tile with a second, never the whole pack.
+//! Every read of a pack — a query's [`VideoStore::read_tile`], the
+//! replication payload, a re-tile's source tiles, `video_size_bytes` and
+//! `fsck` — opens it through [`PackReader`]; a tile is parsed once, by
+//! [`TileVideo::from_bytes`], and [`check_tile`] is the one check of the
+//! parsed tile against its manifest slot.
 //!
 //! The pack carries no checksum. The version field is what lets a later
 //! format widen each table entry by a column (a CRC per tile) without
 //! guessing; every byte of header and table is checked on read, and a
-//! tile's CRC would be checked in [`check_tile`].
+//! tile's CRC would be checked in [`PackReader::tile`].
 
 use crate::storage::{PackId, SotEntry, StoreError, VideoManifest, VideoStore};
 use std::fs;
 use std::io;
 use std::ops::Range;
-use tasm_codec::{ContainerError, TileVideo};
+use tasm_codec::TileVideo;
 
 const MAGIC: [u8; 4] = *b"TSMP";
 const VERSION: u32 = 1;
@@ -208,19 +209,22 @@ impl<'m> PackReader<'m> {
         Ok(self)
     }
 
-    /// Tile `t`'s bytes as the table gives them, unchecked.
-    pub(crate) fn bytes(&self, t: u32) -> Result<Vec<u8>, StoreError> {
+    /// Tile `t` as the table gives it, parsed ([`TileVideo::from_bytes`])
+    /// but not held to its slot: what `fsck` reports either way.
+    pub(crate) fn parse(&self, t: u32) -> Result<TileVideo, StoreError> {
         let range = self.ranges.get(t as usize).ok_or_else(|| {
             StoreError::NotFound(format!("SOT at frame {} tile {t}", self.sot.start))
         })?;
-        Ok(read_exact_range(&self.file, range.clone())?)
+        let bytes = read_exact_range(&self.file, range.clone())?;
+        Ok(TileVideo::from_bytes(bytes)?)
     }
 
-    /// Tile `t`'s bytes once [`check_tile`] holds them to their slot: the
-    /// replication payload. A mismatch is [`StoreError::TileMismatch`].
-    pub(crate) fn tile_bytes(&self, t: u32) -> Result<Vec<u8>, StoreError> {
-        let bytes = self.bytes(t)?;
-        let found = check_tile(&bytes, self.sot, t, self.gop_len)?;
+    /// Tile `t`, parsed once and held to its slot by [`check_tile`]: what
+    /// a query decodes, a re-tile stitches and a replication snapshot
+    /// ships. A mismatch is [`StoreError::TileMismatch`].
+    pub(crate) fn tile(&self, t: u32) -> Result<TileVideo, StoreError> {
+        let tile = self.parse(t)?;
+        let found = check_tile(&tile, self.sot, t, self.gop_len);
         if let Some(detail) = found.into_iter().next() {
             return Err(StoreError::TileMismatch {
                 sot_start: self.sot.start,
@@ -228,59 +232,49 @@ impl<'m> PackReader<'m> {
                 detail,
             });
         }
-        Ok(bytes)
-    }
-
-    /// Tile `t`, held to its slot and parsed for decode.
-    pub(crate) fn tile(&self, t: u32) -> Result<TileVideo, StoreError> {
-        Ok(TileVideo::from_bytes(&self.tile_bytes(t)?)?)
+        Ok(tile)
     }
 }
 
-/// The one check of a tile's bytes against their slot, tile `t` of `sot`
-/// in a video of `gop_len`-frame GOPs: `Err` unless they are one whole
-/// container (header fields in range, frame table well formed, exactly as
-/// long as it declares), then every way its dimensions, GOP length, frame
-/// count and codec disagree with the slot — empty when it fits. A tile that
-/// got past it would still decode, and composing it into a frame would
-/// clip it silently: reads, replica installs and `fsck` all apply it.
-pub(crate) fn check_tile(
-    bytes: &[u8],
-    sot: &SotEntry,
-    t: u32,
-    gop_len: u32,
-) -> Result<Vec<String>, ContainerError> {
-    let header = TileVideo::validate(bytes)?;
+/// The one check of a parsed tile against its slot, tile `t` of `sot` in a
+/// video of `gop_len`-frame GOPs: every way its dimensions, GOP length,
+/// frame count and codec disagree with the slot — empty when it fits. A
+/// tile that got past it would still decode, and composing it into a frame
+/// would clip it silently: reads, replica installs and `fsck` all apply it.
+pub(crate) fn check_tile(tile: &TileVideo, sot: &SotEntry, t: u32, gop_len: u32) -> Vec<String> {
     let rect = sot.layout.tile_rect_by_index(t);
     let mut found = Vec::new();
-    if header.width != rect.w || header.height != rect.h {
+    if tile.width() != rect.w || tile.height() != rect.h {
         found.push(format!(
             "container is {}x{}, layout rect is {}x{}",
-            header.width, header.height, rect.w, rect.h
+            tile.width(),
+            tile.height(),
+            rect.w,
+            rect.h
         ));
     }
-    if header.gop_len != gop_len {
+    if tile.gop_len() != gop_len {
         found.push(format!(
             "container GOP length {} vs configured {gop_len}",
-            header.gop_len
+            tile.gop_len()
         ));
     }
-    if header.frame_count != sot.len() {
+    if tile.frame_count() != sot.len() {
         found.push(format!(
             "container holds {} frames, SOT spans {}",
-            header.frame_count,
+            tile.frame_count(),
             sot.len()
         ));
     }
     if let Some(&declared) = sot.tile_codecs.get(t as usize) {
-        if header.codec.id() != declared {
+        if tile.codec().id() != declared {
             found.push(format!(
                 "container codec id {} vs manifest codec id {declared}",
-                header.codec.id()
+                tile.codec().id()
             ));
         }
     }
-    Ok(found)
+    found
 }
 
 /// The read path: every read of a stored tile goes through a `PackReader`.
@@ -297,22 +291,9 @@ impl VideoStore {
         PackReader::open(self, manifest, sot_idx)?.tile(tile_idx)
     }
 
-    /// One tile's container bytes, exactly as the encoder produced them and
-    /// held to their slot as [`VideoStore::read_tile`] holds them: the
-    /// replication payload, shipped verbatim so a backup's tiles are
-    /// byte-identical to the primary's.
-    pub fn tile_file_bytes(
-        &self,
-        manifest: &VideoManifest,
-        sot_idx: usize,
-        tile_idx: u32,
-    ) -> Result<Vec<u8>, StoreError> {
-        PackReader::open(self, manifest, sot_idx)?.tile_bytes(tile_idx)
-    }
-
     /// `read` of every tile of SOT `sot_idx`, from one open of its pack:
-    /// [`PackReader::tile`] for a re-tile's source, and
-    /// [`PackReader::tile_bytes`] for a replication snapshot.
+    /// [`PackReader::tile`] for a re-tile's source, and its bytes for a
+    /// replication snapshot.
     pub(crate) fn read_sot<'m, T>(
         &self,
         manifest: &'m VideoManifest,

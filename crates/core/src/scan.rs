@@ -673,7 +673,7 @@ mod tests {
         let small = tasm_video::VecFrameSource::new(small);
         let layout = TileLayout::untiled(64, 48);
         let (tiles, _) = tasm_codec::encode_video(&small, &layout, &cfg).unwrap();
-        let pack = crate::pack::assemble(std::iter::once(tiles[0].to_bytes()));
+        let pack = crate::pack::assemble(std::iter::once(tiles[0].as_bytes()));
         let path = tasm
             .store()
             .root()

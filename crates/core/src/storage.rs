@@ -575,8 +575,8 @@ impl VideoStore {
             };
             let mut tile_codecs = Vec::with_capacity(sots.len());
             total = encode_sots(src, &sots, &cfg.encoder(), threads, |sot, tiles| {
-                tile_codecs.push(tiles.iter().map(|t| t.codec.id()).collect());
-                self.write_pack(name, sot, tiles.iter().map(TileVideo::to_bytes))
+                tile_codecs.push(tiles.iter().map(|t| t.codec().id()).collect());
+                self.write_pack(name, sot, tiles.iter().map(TileVideo::as_bytes))
             })?;
             for (sot, codecs) in sots.iter_mut().zip(tile_codecs) {
                 sot.tile_codecs = codecs;
@@ -722,10 +722,10 @@ impl VideoStore {
         let entry = SotEntry {
             layout: new_layout,
             retile_count: sot.retile_count + 1,
-            tile_codecs: new_tiles.iter().map(|t| t.codec.id()).collect(),
+            tile_codecs: new_tiles.iter().map(|t| t.codec().id()).collect(),
             ..sot
         };
-        let bytes = new_tiles.iter().map(TileVideo::to_bytes);
+        let bytes = new_tiles.iter().map(TileVideo::as_bytes);
         let (next, retired) = self.commit_sot(manifest, sot_idx, entry, bytes)?;
         *manifest = next;
         Ok((RetileStats { decode, encode }, Some(retired)))
@@ -816,16 +816,16 @@ impl VideoStore {
                 manifest.sots.len()
             )));
         }
-        for (sot, tiles) in manifest.sots.iter().zip(sots) {
-            validate_replica_sot(sot, manifest.config.gop_len, tiles)?;
-        }
+        let parsed = (manifest.sots.iter().zip(sots))
+            .map(|(sot, tiles)| parse_replica_sot(sot, manifest.config.gop_len, tiles))
+            .collect::<Result<Vec<_>, _>>()?;
         let name = manifest.name.as_str();
         check_video_name(name)?;
         self.replace_video(name, || {
-            for (sot, tiles) in manifest.sots.iter().zip(sots) {
+            for (sot, tiles) in manifest.sots.iter().zip(&parsed) {
                 // Replicas preserve each SOT's `retile_count`, so the
                 // backup's pack names match the primary's.
-                self.write_pack(name, sot, tiles.iter())?;
+                self.write_pack(name, sot, tiles.iter().map(TileVideo::as_bytes))?;
             }
             Ok(manifest.clone())
         })?;
@@ -890,8 +890,9 @@ impl VideoStore {
             return Ok(None);
         }
         entry.layout.check_covers(base.width, base.height)?;
-        validate_replica_sot(entry, base.config.gop_len, tiles)?;
-        self.commit_sot(base, sot_idx, entry.clone(), tiles.iter())
+        let tiles = parse_replica_sot(entry, base.config.gop_len, tiles)?;
+        let bytes = tiles.iter().map(TileVideo::as_bytes);
+        self.commit_sot(base, sot_idx, entry.clone(), bytes)
             .map(Some)
     }
 
@@ -936,11 +937,15 @@ impl VideoStore {
     }
 }
 
-/// Every tile payload must pass [`check_tile`] against the slot the
-/// manifest gives it — what every read and `fsck` ask of a tile. The pack
-/// is then assembled from these very bytes, so it needs no check of its
-/// own.
-fn validate_replica_sot(sot: &SotEntry, gop_len: u32, tiles: &[Vec<u8>]) -> Result<(), StoreError> {
+/// Each tile payload of a replicated SOT, parsed once: each must parse and
+/// pass [`check_tile`] against the slot the manifest gives it — what every
+/// read and `fsck` ask of a tile. The pack is then assembled from the
+/// parsed tiles' bytes, so it needs no check of its own.
+fn parse_replica_sot(
+    sot: &SotEntry,
+    gop_len: u32,
+    tiles: &[Vec<u8>],
+) -> Result<Vec<TileVideo>, StoreError> {
     if tiles.len() as u32 != sot.layout.tile_count() {
         return Err(invalid_payload(format!(
             "SOT {}..{} payload has {} tiles, layout has {}",
@@ -950,15 +955,17 @@ fn validate_replica_sot(sot: &SotEntry, gop_len: u32, tiles: &[Vec<u8>]) -> Resu
             sot.layout.tile_count()
         )));
     }
-    for (i, bytes) in tiles.iter().enumerate() {
-        if let Some(detail) = check_tile(bytes, sot, i as u32, gop_len)?.first() {
-            return Err(invalid_payload(format!(
+    let parse = |(i, bytes): (usize, &Vec<u8>)| {
+        let tile = TileVideo::from_bytes(bytes.clone())?;
+        match check_tile(&tile, sot, i as u32, gop_len).first() {
+            Some(detail) => Err(invalid_payload(format!(
                 "SOT {}..{} tile {i}: {detail}",
                 sot.start, sot.end
-            )));
+            ))),
+            None => Ok(tile),
         }
-    }
-    Ok(())
+    };
+    tiles.iter().enumerate().map(parse).collect()
 }
 
 /// A video's name is its directory name under the store root, and it

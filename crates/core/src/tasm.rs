@@ -49,7 +49,6 @@
 //! the index (briefly, to look up) — neither is held across decode.
 
 use crate::cost::Work;
-use crate::pack::PackReader;
 use crate::partition::PartitionConfig;
 use crate::policy::PolicyState;
 use crate::query::{query_prepared, Query, QueryPlan};
@@ -60,7 +59,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
-use tasm_codec::TileLayout;
+use tasm_codec::{TileLayout, TileVideo};
 use tasm_index::{SemanticIndex, TreeError};
 use tasm_obs::sync;
 use tasm_video::{FrameSource, Rect};
@@ -653,7 +652,12 @@ impl Tasm {
         let manifest = pin.manifest();
         let sots = (0..manifest.sots.len())
             .filter(|&i| ship(manifest, i))
-            .map(|i| Ok((i, self.store.read_sot(manifest, i, PackReader::tile_bytes)?)))
+            .map(|i| {
+                let tiles = self.store.read_sot(manifest, i, |pack, t| {
+                    pack.tile(t).map(TileVideo::into_bytes)
+                })?;
+                Ok((i, tiles))
+            })
             .collect::<Result<_, StoreError>>()?;
         Ok((manifest.clone(), sots))
     }

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use tasm_client::Connection;
 use tasm_cluster::{NodeInfo, Replicator, Router, RouterConfig, ShardMap};
-use tasm_codec::TileLayout;
+use tasm_codec::{TileLayout, TileVideo};
 use tasm_core::{LabelPredicate, Query, QueryMode, StorageConfig, Tasm, TasmConfig};
 use tasm_index::MemoryIndex;
 use tasm_proto::ReplicationRecord;
@@ -283,7 +283,12 @@ fn a_backup_refuses_a_peers_out_of_range_config() {
     let mut sync = |config: StorageConfig| {
         for (sot_idx, sot) in manifest.sots.iter().enumerate() {
             let tiles = (0..sot.layout.tile_count())
-                .map(|t| primary.store().tile_file_bytes(&manifest, sot_idx, t))
+                .map(|t| {
+                    primary
+                        .store()
+                        .read_tile(&manifest, sot_idx, t)
+                        .map(TileVideo::into_bytes)
+                })
                 .collect::<Result<_, _>>()
                 .unwrap();
             conn.replicate(ReplicationRecord::StageSot {

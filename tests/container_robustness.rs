@@ -1,7 +1,8 @@
-//! Property tests of the TVF container readers: corrupt or truncated
+//! Property tests of the TVF container reader: corrupt or truncated
 //! input — torn tails, bit-flipped headers, garbage — must surface as
-//! typed [`ContainerError`]s, never as panics, and [`TileVideo::validate`]
-//! must accept exactly the bytes the writer produced.
+//! typed [`ContainerError`]s, never as panics, and
+//! [`TileVideo::from_bytes`] must accept exactly the bytes the writer
+//! produced.
 //!
 //! This is the on-disk analogue of `tests/wire_protocol.rs`: tiles are
 //! what `tasm fsck` reads back after a crash, so the reader is the last
@@ -50,7 +51,7 @@ fn arb_tile_video(rng: &mut StdRng) -> TileVideo {
     };
     let mut enc = TileEncoder::new(cfg, Rect::new(0, 0, w, h));
     let phase = rng.gen_range(0u32..16);
-    let encoded = (0..frames)
+    let encoded: Vec<EncodedFrame> = (0..frames)
         .map(|i| {
             let mut f = Frame::filled(w, h, 100, 128, 128);
             for y in 0..h {
@@ -64,48 +65,59 @@ fn arb_tile_video(rng: &mut StdRng) -> TileVideo {
             enc.encode_next(&f)
         })
         .collect();
-    TileVideo {
-        width: w,
-        height: h,
-        gop_len: gop,
-        qp: cfg.qp,
-        deblock: cfg.deblock,
-        codec: TileCodec::Dct,
-        frames: encoded,
-    }
+    TileVideo::from_frames(TileCodec::Dct, w, h, &cfg, &encoded)
 }
 
-/// `validate` accepts exactly what the writer produced, reports the header
-/// faithfully, and agrees with `from_bytes` about the content.
+/// Bytes after the last payload are no part of a tile: the one reader
+/// refuses them, as it refuses a torn tail.
+const TRAILING: ContainerError = ContainerError::InvalidHeader("trailing bytes after payload");
+
+/// `from_bytes` accepts exactly what the writer produced, keeps it byte
+/// for byte, and reads a header that agrees with the frames it was written
+/// from: a keyframe every `gop_len()` frames, each at the tile's QP.
 #[test]
 fn validate_accepts_writer_output_exactly() {
     run_cases(CASES, proptest::seed_for("validate"), |rng| {
         let v = arb_tile_video(rng);
-        let bytes = v.to_bytes();
-        let h = TileVideo::validate(&bytes).expect("writer output validates");
-        assert_eq!(h.width, v.width);
-        assert_eq!(h.height, v.height);
-        assert_eq!(h.gop_len, v.gop_len);
-        assert_eq!(h.qp, v.qp);
-        assert_eq!(h.deblock, v.deblock);
-        assert_eq!(h.frame_count, v.frame_count());
-        assert_eq!(h.declared_len, bytes.len() as u64);
-        assert_eq!(TileVideo::from_bytes(&bytes).expect("parses"), v);
+        let bytes = v.as_bytes().to_vec();
+        let back = TileVideo::from_bytes(bytes.clone()).expect("writer output parses");
+        assert_eq!(back, v);
+        assert_eq!(back.size_bytes(), bytes.len() as u64);
+        for i in 0..back.frame_count() {
+            let frame = back.frame(i).expect("in range");
+            assert_eq!(frame.is_key, i % back.gop_len() == 0, "frame {i}");
+            assert_eq!(frame.qp, back.qp(), "frame {i}");
+        }
+        assert!(back.frame(back.frame_count()).is_none());
+        assert_eq!(back.into_bytes(), bytes);
 
         // Appended garbage breaks the exact-length contract.
-        let mut longer = bytes.to_vec();
+        let mut longer = bytes;
         longer.extend_from_slice(&[0u8; 3]);
-        assert!(TileVideo::validate(&longer).is_err());
+        assert_eq!(TileVideo::from_bytes(longer), Err(TRAILING));
     });
 }
 
-/// Every strict prefix — a torn tail at any byte — fails both readers with
-/// a typed error; none panics, none silently succeeds.
+/// A tile as the store serves it, with bytes appended after its last
+/// payload, is refused with the error a torn tile's appended bytes always
+/// got from the store's check: there is one rule for trailing bytes.
+#[test]
+fn a_stored_tile_with_bytes_appended_is_refused() {
+    let p = packed_store("trailing");
+    for (t, tile) in p.tiles.iter().enumerate() {
+        let mut longer = tile.clone();
+        longer.extend_from_slice(&[0u8; 7]);
+        assert_eq!(TileVideo::from_bytes(longer), Err(TRAILING), "tile {t}");
+    }
+}
+
+/// Every strict prefix — a torn tail at any byte — fails the reader with a
+/// typed error; none panics, none silently succeeds.
 #[test]
 fn torn_tails_fail_with_typed_errors() {
     run_cases(CASES, proptest::seed_for("torn"), |rng| {
         let v = arb_tile_video(rng);
-        let bytes = v.to_bytes();
+        let bytes = v.as_bytes();
         // Exhaustive for small containers, sampled for large ones.
         let cuts: Vec<usize> = if bytes.len() <= 96 {
             (0..bytes.len()).collect()
@@ -118,38 +130,32 @@ fn torn_tails_fail_with_typed_errors() {
         };
         for cut in cuts {
             assert!(
-                TileVideo::from_bytes(&bytes[..cut]).is_err(),
-                "prefix of {cut}/{} parsed",
-                bytes.len()
-            );
-            assert!(
                 matches!(
-                    TileVideo::validate(&bytes[..cut]),
+                    TileVideo::from_bytes(bytes[..cut].to_vec()),
                     Err(ContainerError::Truncated)
                         | Err(ContainerError::BadMagic)
                         | Err(ContainerError::InvalidHeader(_))
                 ),
-                "prefix of {cut}/{} validated",
+                "prefix of {cut}/{} parsed",
                 bytes.len()
             );
         }
     });
 }
 
-/// Bit flips in the header and frame table never panic the readers: they
-/// parse to something or fail with a typed error.
+/// Bit flips in the header and frame table never panic the reader: it
+/// parses to something or fails with a typed error.
 #[test]
 fn bit_flipped_headers_never_panic() {
     run_cases(CASES, proptest::seed_for("flip"), |rng| {
         let v = arb_tile_video(rng);
-        let mut bytes = v.to_bytes().to_vec();
-        let prelude_len = (23 + v.frame_count() as usize * 6).min(bytes.len());
+        let prelude_len = (23 + v.frame_count() as usize * 6).min(v.as_bytes().len());
+        let mut bytes = v.into_bytes();
         for _ in 0..4 {
             let at = rng.gen_range(0usize..prelude_len);
             bytes[at] ^= 1 << rng.gen_range(0u32..8);
         }
-        let _ = TileVideo::from_bytes(&bytes); // must not panic
-        let _ = TileVideo::validate(&bytes); // must not panic
+        let _ = TileVideo::from_bytes(bytes); // must not panic
     });
 }
 
@@ -161,8 +167,7 @@ fn garbage_input_is_rejected() {
     run_cases(CASES, proptest::seed_for("garbage"), |rng| {
         let len = rng.gen_range(0usize..128);
         let garbage: Vec<u8> = (0..len).map(|_| rng.gen_range(0u32..256) as u8).collect();
-        let _ = TileVideo::from_bytes(&garbage);
-        let _ = TileVideo::validate(&garbage);
+        let _ = TileVideo::from_bytes(garbage);
     });
     // A well-formed header declaring a frame table far larger than the
     // buffer must be truncation, not an allocation attempt.
@@ -171,14 +176,10 @@ fn garbage_input_is_rejected() {
         let mut rng = StdRng::seed_from_u64(proptest::seed_for("huge"));
         arb_tile_video(&mut rng)
     };
-    let mut bytes = v.to_bytes().to_vec();
+    let mut bytes = v.into_bytes();
     bytes[19..23].copy_from_slice(&u32::MAX.to_le_bytes()); // frame count
     assert_eq!(
-        TileVideo::from_bytes(&bytes).unwrap_err(),
-        ContainerError::Truncated
-    );
-    assert_eq!(
-        TileVideo::validate(&bytes).unwrap_err(),
+        TileVideo::from_bytes(bytes).unwrap_err(),
         ContainerError::Truncated
     );
 }
@@ -194,23 +195,20 @@ fn garbage_input_is_rejected() {
 /// A DCT container of `w`×`h` tiles at QP 28 (step 16) around hand-written
 /// frame payloads; the first is the keyframe.
 fn handmade(w: u32, h: u32, deblock: bool, payloads: Vec<BitWriter>) -> TileVideo {
-    TileVideo {
-        width: w,
-        height: h,
+    let cfg = EncoderConfig {
         gop_len: payloads.len() as u32,
         qp: 28,
         deblock,
-        codec: TileCodec::Dct,
-        frames: payloads
-            .into_iter()
-            .enumerate()
-            .map(|(i, payload)| EncodedFrame {
-                is_key: i == 0,
-                qp: 28,
-                data: payload.finish(),
-            })
-            .collect(),
-    }
+        ..Default::default()
+    };
+    let frames: Vec<EncodedFrame> = (payloads.into_iter().enumerate())
+        .map(|(i, payload)| EncodedFrame {
+            is_key: i == 0,
+            qp: 28,
+            data: payload.finish(),
+        })
+        .collect();
+    TileVideo::from_frames(TileCodec::Dct, w, h, &cfg, &frames)
 }
 
 /// A 16×16 keyframe (4 luma + 1 + 1 chroma blocks) of DC-only blocks.
@@ -243,8 +241,8 @@ fn misaligned_tile_dimensions_are_a_typed_error() {
     // no encoder writes it) must be refused, not decoded past a plane's end.
     for (w, h) in [(24, 16), (16, 24), (8, 8), (18, 16), (30, 30)] {
         let v = handmade(w, h, true, vec![flat_keyframe([0; 6])]);
-        let bytes = v.to_bytes();
-        let back = TileVideo::from_bytes(&bytes).expect("the container itself is well-formed");
+        let back =
+            TileVideo::from_bytes(v.into_bytes()).expect("the container itself is well-formed");
         assert_eq!(
             decode_error(&back),
             DecodeError::InvalidSyntax("tile dimensions are not 16-aligned"),
@@ -437,7 +435,12 @@ fn packed_store(tag: &str) -> PackedStore {
     let pack_path = dir.path().join("v").join("sot_000000_000010.tiles");
     let pack = std::fs::read(&pack_path).expect("pack");
     let tiles: Vec<Vec<u8>> = (0..4)
-        .map(|t| store.tile_file_bytes(&manifest, 0, t).expect("tile"))
+        .map(|t| {
+            store
+                .read_tile(&manifest, 0, t)
+                .map(TileVideo::into_bytes)
+                .expect("tile")
+        })
         .collect();
     // The pack is its table, then the tiles verbatim and back to back.
     assert_eq!(pack[TABLE_LEN..], tiles.concat()[..]);
@@ -456,11 +459,12 @@ impl PackedStore {
     /// error, or exactly the tile the store was given.
     fn reads_are_errors_or_the_right_tile(&self, what: &str) {
         for (t, want) in self.tiles.iter().enumerate() {
-            if let Ok(bytes) = self.store.tile_file_bytes(&self.manifest, 0, t as u32) {
-                assert_eq!(&bytes, want, "{what}: tile {t} served foreign bytes");
-            }
             if let Ok(tile) = self.store.read_tile(&self.manifest, 0, t as u32) {
-                assert_eq!(tile.to_bytes()[..], want[..], "{what}: tile {t}");
+                assert_eq!(
+                    tile.as_bytes(),
+                    want,
+                    "{what}: tile {t} served foreign bytes"
+                );
             }
         }
         let _ = self.store.video_size_bytes(&self.manifest);
@@ -506,7 +510,7 @@ fn mutated_and_truncated_pack_tables_are_typed_errors() {
         if keep < TABLE_LEN {
             for t in 0..4 {
                 assert!(
-                    p.store.tile_file_bytes(&p.manifest, 0, t).is_err(),
+                    p.store.read_tile(&p.manifest, 0, t).is_err(),
                     "{what}: tile {t} read without a table"
                 );
             }
@@ -641,7 +645,11 @@ fn a_replicas_pack_is_the_primarys_byte_for_byte() {
     p.store
         .retile(&mut manifest, 0, TileLayout::untiled(64, 64))
         .expect("retile");
-    let tile = p.store.tile_file_bytes(&manifest, 0, 0).expect("tile");
+    let tile = (p
+        .store
+        .read_tile(&manifest, 0, 0)
+        .map(TileVideo::into_bytes))
+    .expect("tile");
     let retired = replica
         .install_sot(&manifest, 0, std::slice::from_ref(&tile))
         .expect("install SOT");

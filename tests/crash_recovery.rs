@@ -16,7 +16,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 use tasm_cluster::{NodeInfo, ShardMap};
-use tasm_codec::TileLayout;
+use tasm_codec::{TileLayout, TileVideo};
 use tasm_core::durable::{FaultIo, FaultKind};
 use tasm_core::{
     LabelPredicate, PartitionConfig, Query, RecoveryAction, StorageConfig, StoreError, Tasm,
@@ -307,7 +307,10 @@ fn fsck_detects_corruption_and_strays() {
     let original = fs::read(&pack).expect("pack bytes");
     let tile0 = 12 + 16 * 4;
     let manifest = store.load_manifest("v").expect("manifest");
-    let served = store.tile_file_bytes(&manifest, 0, 0).expect("tile 0");
+    let served = store
+        .read_tile(&manifest, 0, 0)
+        .map(TileVideo::into_bytes)
+        .expect("tile 0");
     assert_eq!(original[tile0..tile0 + served.len()], served[..]);
 
     // Torn tail: the table promises more than the file holds.
@@ -323,7 +326,10 @@ fn fsck_detects_corruption_and_strays() {
     );
     assert!(store.read_tile(&manifest, 0, 3).is_err());
     assert_eq!(
-        store.tile_file_bytes(&manifest, 0, 0).expect("whole tile"),
+        store
+            .read_tile(&manifest, 0, 0)
+            .map(TileVideo::into_bytes)
+            .expect("whole tile"),
         served,
         "a tile that is all there still reads"
     );
@@ -560,10 +566,12 @@ fn kill_and_reattach(crash_at: u64) {
             assert_eq!(
                 recovered
                     .store()
-                    .tile_file_bytes(&recovered_manifest, sot_idx, t)
+                    .read_tile(&recovered_manifest, sot_idx, t)
+                    .map(TileVideo::into_bytes)
                     .expect("recovered tile"),
                 twin.store()
-                    .tile_file_bytes(&twin_manifest, sot_idx, t)
+                    .read_tile(&twin_manifest, sot_idx, t)
+                    .map(TileVideo::into_bytes)
                     .expect("twin tile"),
                 "crash at op {crash_at}: SOT {sot_idx} tile {t}"
             );
@@ -672,7 +680,12 @@ fn a_failed_retiles_pack_never_outlives_a_later_commit() {
         (0..manifest.sots.len())
             .map(|i| {
                 (0..manifest.sots[i].layout.tile_count())
-                    .map(|t| store.tile_file_bytes(&manifest, i, t).expect("tile"))
+                    .map(|t| {
+                        store
+                            .read_tile(&manifest, i, t)
+                            .map(TileVideo::into_bytes)
+                            .expect("tile")
+                    })
                     .collect()
             })
             .collect()
@@ -806,7 +819,10 @@ fn an_older_builds_residue_is_discarded_and_its_sot_directories_are_named() {
     // SOT 1 as such a build stored it: a directory, one file per tile.
     let tile = {
         let store = VideoStore::open(dir.path()).expect("open");
-        store.tile_file_bytes(&manifest, 1, 0).expect("tile")
+        store
+            .read_tile(&manifest, 1, 0)
+            .map(TileVideo::into_bytes)
+            .expect("tile")
     };
     fs::remove_file(video.join("sot_000010_000020.tiles")).expect("remove pack");
     let legacy = video.join("sot_000010_000020");
@@ -895,9 +911,9 @@ fn clean_retile_leaves_no_residue() {
     let layout = TileLayout::uniform(64, 64, 2, 2).expect("layout");
     let retired = store.retile(&mut manifest, 0, layout).expect("retile").1;
     let retired = retired.expect("retired");
-    assert!(store.tile_file_bytes(&pinned, 0, 0).is_ok(), "until GC");
+    assert!(store.read_tile(&pinned, 0, 0).is_ok(), "until GC");
     store.gc_epoch("v", retired).expect("gc");
-    let gone = store.tile_file_bytes(&pinned, 0, 0);
+    let gone = store.read_tile(&pinned, 0, 0);
     assert!(matches!(gone, Err(StoreError::NotFound(_))), "{gone:?}");
     store.gc_epoch("v", retired).expect("GC is idempotent");
     drop(store);
@@ -1057,7 +1073,12 @@ fn replica_of(store: &VideoStore, from: &str, to: &str) -> (VideoManifest, Vec<V
     let tiles = (0..manifest.sots.len())
         .map(|sot| {
             (0..manifest.sots[sot].layout.tile_count())
-                .map(|t| store.tile_file_bytes(&manifest, sot, t).expect("tile"))
+                .map(|t| {
+                    store
+                        .read_tile(&manifest, sot, t)
+                        .map(TileVideo::into_bytes)
+                        .expect("tile")
+                })
                 .collect()
         })
         .collect();

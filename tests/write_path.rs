@@ -11,7 +11,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tasm_cluster::{apply_record, StagedSots};
-use tasm_codec::{encode_video, pred, EncoderConfig, LayoutError, TileLayout};
+use tasm_codec::{encode_video, pred, EncoderConfig, LayoutError, TileLayout, TileVideo};
 use tasm_core::durable::{FaultIo, FaultKind};
 use tasm_core::{
     LabelPredicate, Query, RetileStats, StorageConfig, StoreError, Tasm, TasmConfig, TasmError,
@@ -235,14 +235,20 @@ fn ingest_and_retile_files_are_pinned() {
 }
 
 /// Digest of what the store serves for `manifest`, file layout aside: every
-/// tile's container bytes as `tile_file_bytes` returns them, keyed by SOT
+/// tile's container bytes as `read_tile` serves them, keyed by SOT
 /// and raster index, then each SOT's `tile_codecs`.
 fn digest_tiles(store: &VideoStore, manifest: &VideoManifest) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325;
     for (i, sot) in manifest.sots.iter().enumerate() {
         for t in 0..sot.layout.tile_count() {
             h = fnv1a(h, &[i as u8, t as u8]);
-            h = fnv1a(h, &store.tile_file_bytes(manifest, i, t).unwrap());
+            h = fnv1a(
+                h,
+                &store
+                    .read_tile(manifest, i, t)
+                    .map(TileVideo::into_bytes)
+                    .unwrap(),
+            );
         }
         h = fnv1a(h, &sot.tile_codecs);
     }
@@ -261,7 +267,7 @@ const TILES_PINNED: [u64; 5] = [
     0x502e88b79a147254,
 ];
 
-/// The bytes behind `tile_file_bytes` are the contract replication, `fsck`
+/// The bytes behind `read_tile` are the contract replication, `fsck`
 /// and every decode rest on. Ingest, four re-tiles, and beside them a
 /// replica that receives the ingested video whole and each re-tile as the
 /// next epoch of its SOT: both serve the pinned bytes at every step.
@@ -275,7 +281,12 @@ fn tiles_served_after_ingest_retile_and_replica_install_are_pinned() {
         .unwrap();
     let payload = |manifest: &VideoManifest, sot: usize| -> Vec<Vec<u8>> {
         (0..manifest.sots[sot].layout.tile_count())
-            .map(|t| store.tile_file_bytes(manifest, sot, t).unwrap())
+            .map(|t| {
+                store
+                    .read_tile(manifest, sot, t)
+                    .map(TileVideo::into_bytes)
+                    .unwrap()
+            })
             .collect()
     };
     let whole: Vec<_> = (0..manifest.sots.len())
@@ -385,15 +396,18 @@ fn older_peer_video(tag: &str) -> (VideoManifest, Vec<Vec<Vec<u8>>>) {
     let mut sots: Vec<Vec<Vec<u8>>> = (0..manifest.sots.len())
         .map(|sot| {
             (0..manifest.sots[sot].layout.tile_count())
-                .map(|t| store.tile_file_bytes(&manifest, sot, t).unwrap())
+                .map(|t| {
+                    store
+                        .read_tile(&manifest, sot, t)
+                        .map(TileVideo::into_bytes)
+                        .unwrap()
+                })
                 .collect()
         })
         .collect();
     let clip = clip();
     let sot1 = SliceSource::new(&clip, GOP, GOP);
-    sots[1][0] = pred::encode_tile(&sot1, flat_column(), GOP)
-        .to_bytes()
-        .to_vec();
+    sots[1][0] = pred::encode_tile(&sot1, flat_column(), GOP).into_bytes();
     manifest.sots[1].tile_codecs = vec![1, 0];
     (manifest, sots)
 }
@@ -545,7 +559,12 @@ fn a_default_ingest_records_dct_and_writes_what_an_explicit_dct_ingest_writes() 
     assert_eq!(manifest, tasm.manifest("v").unwrap());
     assert_eq!(tile_codecs(&manifest), [[0, 0]]);
     let stored: Vec<Vec<u8>> = (0..2)
-        .map(|t| tasm.store().tile_file_bytes(&manifest, 0, t).unwrap())
+        .map(|t| {
+            tasm.store()
+                .read_tile(&manifest, 0, t)
+                .map(TileVideo::into_bytes)
+                .unwrap()
+        })
         .collect();
 
     let storage = StorageConfig::default();
@@ -557,7 +576,7 @@ fn a_default_ingest_records_dct_and_writes_what_an_explicit_dct_ingest_writes() 
         rate: storage.rate,
     };
     let (tiles, _) = encode_video(&clip(), &two_cols(), &explicit).unwrap();
-    let encoded: Vec<Vec<u8>> = tiles.iter().map(|t| t.to_bytes().to_vec()).collect();
+    let encoded: Vec<Vec<u8>> = tiles.into_iter().map(TileVideo::into_bytes).collect();
     assert!(stored == encoded, "the default ingest's tiles moved");
 }
 
@@ -687,7 +706,13 @@ fn ingest_untiled_v(tasm: &Tasm) -> (VideoManifest, Vec<Vec<Vec<u8>>>) {
         .ingest("v", &clip(), 30, storage, |_, _| TileLayout::untiled(W, H))
         .unwrap();
     let tiles = (0..manifest.sots.len())
-        .map(|sot| vec![tasm.store().tile_file_bytes(&manifest, sot, 0).unwrap()])
+        .map(|sot| {
+            vec![tasm
+                .store()
+                .read_tile(&manifest, sot, 0)
+                .map(TileVideo::into_bytes)
+                .unwrap()]
+        })
         .collect();
     (manifest, tiles)
 }
@@ -827,8 +852,8 @@ fn tile_container(w: u32, h: u32, frames: usize, gop_len: u32) -> Vec<u8> {
         gop_len,
         ..Default::default()
     };
-    let (tiles, _) = encode_video(&src, &TileLayout::untiled(w, h), &cfg).unwrap();
-    tiles[0].to_bytes().to_vec()
+    let (mut tiles, _) = encode_video(&src, &TileLayout::untiled(w, h), &cfg).unwrap();
+    tiles.swap_remove(0).into_bytes()
 }
 
 /// A peer's tile payload is a container of its own: one that parses but is
@@ -958,7 +983,12 @@ fn an_install_of_an_epoch_that_is_not_newer_is_refused_and_touches_nothing() {
     let current = tasm.manifest("v").unwrap();
     assert_eq!(current.sots[0].retile_count, 1);
     let served: Vec<Vec<u8>> = (0..2)
-        .map(|t| tasm.store().tile_file_bytes(&current, 0, t).unwrap())
+        .map(|t| {
+            tasm.store()
+                .read_tile(&current, 0, t)
+                .map(TileVideo::into_bytes)
+                .unwrap()
+        })
         .collect();
     let before = (list_tree(root.path()), digest_tree(root.path()));
 
@@ -980,7 +1010,13 @@ fn an_install_of_an_epoch_that_is_not_newer_is_refused_and_touches_nothing() {
     assert_eq!(before, (list_tree(root.path()), digest_tree(root.path())));
     assert_eq!(store.load_manifest("v").unwrap(), current);
     for (t, want) in served.iter().enumerate() {
-        assert_eq!(&store.tile_file_bytes(&current, 0, t as u32).unwrap(), want);
+        assert_eq!(
+            &store
+                .read_tile(&current, 0, t as u32)
+                .map(TileVideo::into_bytes)
+                .unwrap(),
+            want
+        );
     }
     assert!(tasm.fsck().unwrap().is_clean());
 
