@@ -328,33 +328,43 @@ const STORE_SIDECARS: &[&str] = &["scene.json"];
 /// checked against its on-disk tile packs and container headers.
 pub(crate) fn fsck(args: &Args) -> CmdResult {
     let store = args.required("store")?;
-    let tasm = open_tasm(store, args)?;
-    report_recovery(&tasm);
-    let report = match args.get("name") {
-        Some(name) => tasm.store().fsck_video(name, STORE_SIDECARS)?,
-        None => tasm.store().fsck(STORE_SIDECARS)?,
+    let report = {
+        let tasm = open_tasm(store, args)?;
+        report_recovery(&tasm);
+        match args.get("name") {
+            Some(name) => tasm.store().fsck_video(name, STORE_SIDECARS)?,
+            None => tasm.store().fsck(STORE_SIDECARS)?,
+        }
     };
-    if report.is_clean() {
+    // The index tier, opened again once the store's handle on it is
+    // closed: every run re-read, checksummed and decoded, the WAL parsed.
+    let tier = TieredIndex::open(&Path::new(store).join("index"))?.verify()?;
+    let tier_issues = tier
+        .iter()
+        .map(|i| format!("index {}: {}", i.file, i.detail));
+    let issues: Vec<String> = report
+        .issues
+        .iter()
+        .map(ToString::to_string)
+        .chain(tier_issues)
+        .collect();
+    if issues.is_empty() {
         println!(
-            "fsck clean: {} video(s), {} tile(s) validated",
+            "fsck clean: {} video(s), {} tile(s) validated, index verified",
             report.videos_checked, report.tiles_checked
         );
         Ok(())
     } else {
         println!(
-            "fsck found {} issue(s) across {} video(s) ({} tile(s) validated):",
-            report.issues.len(),
+            "fsck found {} issue(s) across {} video(s) ({} tile(s) validated) and the index:",
+            issues.len(),
             report.videos_checked,
             report.tiles_checked
         );
-        for issue in &report.issues {
+        for issue in &issues {
             println!("  - {issue}");
         }
-        Err(format!(
-            "store '{store}' failed fsck with {} issue(s)",
-            report.issues.len()
-        )
-        .into())
+        Err(format!("store '{store}' failed fsck with {} issue(s)", issues.len()).into())
     }
 }
 
@@ -944,6 +954,49 @@ mod tests {
             assert_eq!((videos[0].name.as_str(), videos[0].frames), ("a\"b", 30));
         }
         assert_eq!(both.index.detections, 0);
+    }
+
+    /// `stats --storage` counts the runs compaction has not yet rewritten
+    /// from `TSR1` (fixed-width boxes) to `TSR2`, in text and in JSON.
+    #[test]
+    fn stats_storage_counts_tsr1_runs() {
+        let (s, _store) = store("stats-tsr1");
+        run(&format!(
+            "ingest --store {s} --name cam --dataset visual-road-2k --seconds 1 --seed 3"
+        ))
+        .expect("ingest");
+        let run_v1 = include_bytes!("../../index/testdata/run_v1.sst");
+        std::fs::write(Path::new(&s).join("index/run_00000000.sst"), run_v1).unwrap();
+        let report = |flags: &str| {
+            let line = format!("--store {s} --storage {flags}");
+            let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+            stats_report(&Args::parse_with_flags(&argv, &["storage", "json"]).unwrap()).unwrap()
+        };
+        assert!(report("").contains("1 run(s) holding 12 entries (1 still TSR1)"));
+        let both: StoreStorageStats = serde_json::from_str(&report("--json")).unwrap();
+        assert_eq!((both.index.runs, both.index.v1_runs), (1, 1));
+    }
+
+    /// `fsck` verifies the index tier too: a `TSR1` run from an older
+    /// build is clean, and one whose checksum holds but whose entries do
+    /// not decode (its magic relabelled `TSR2`) fails the check.
+    #[test]
+    fn fsck_verifies_the_index_tier() {
+        let (s, _store) = store("fsck-index");
+        run(&format!(
+            "ingest --store {s} --name cam --dataset visual-road-2k --seconds 1 --seed 3"
+        ))
+        .expect("ingest");
+        let run_path = Path::new(&s).join("index/run_00000000.sst");
+        let mut bytes = include_bytes!("../../index/testdata/run_v1.sst").to_vec();
+        std::fs::write(&run_path, &bytes).unwrap();
+        run(&format!("fsck --store {s}")).expect("a TSR1 run is clean");
+        bytes[..4].copy_from_slice(b"TSR2");
+        let crc_at = bytes.len() - 8;
+        let crc = tasm_index::crc32(&bytes[..crc_at]);
+        bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&run_path, &bytes).unwrap();
+        assert!(run(&format!("fsck --store {s}")).is_err());
     }
 
     #[test]

@@ -83,6 +83,8 @@ pub(crate) struct IndexStats {
     pub filter_probes: u64,
     pub filter_skips: u64,
     pub runs_read: u64,
+    /// Runs still in the `TSR1` layout; compaction rewrites them as `TSR2`.
+    pub v1_runs: usize,
 }
 
 /// `stats --json`.
@@ -123,6 +125,7 @@ pub(crate) fn store_stats(
                     filter_probes: ts.filter_probes,
                     filter_skips: ts.filter_skips,
                     runs_read: ts.runs_read,
+                    v1_runs: ts.v1_runs,
                 },
             })?,
         };
@@ -153,9 +156,10 @@ pub(crate) fn store_stats(
     writeln!(out, "semantic index tier:")?;
     writeln!(
         out,
-        "  {} run(s) holding {} entries, memtable {} entries, {} detections total",
+        "  {} run(s) holding {} entries ({} still TSR1), memtable {} entries, {} detections total",
         ts.run_count,
         ts.run_entries,
+        ts.v1_runs,
         ts.memtable_entries,
         tier.detection_count()
     )?;

@@ -871,7 +871,8 @@ fn entry_name(path: &Path) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pack::{pack_file_name, read_exact_range};
+    use crate::pack::pack_file_name;
+    use tasm_index::io::read_exact_range;
 
     fn id(sot_start: u32, sot_end: u32, retile_count: u32) -> PackId {
         PackId {

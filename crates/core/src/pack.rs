@@ -27,6 +27,7 @@ use std::fs;
 use std::io;
 use std::ops::Range;
 use tasm_codec::TileVideo;
+use tasm_index::io::read_exact_range;
 
 const MAGIC: [u8; 4] = *b"TSMP";
 const VERSION: u32 = 1;
@@ -67,25 +68,6 @@ pub(crate) fn parse_pack_name(name: &str) -> Option<PackId> {
         sot_end: e.parse().ok()?,
         retile_count,
     })
-}
-
-/// Reads exactly the bytes `range` of an open file. A range that reaches
-/// past the end of the file is [`io::ErrorKind::UnexpectedEof`], found out
-/// before anything is allocated for it: ranges come from tables on disk.
-pub(crate) fn read_exact_range(file: &fs::File, range: Range<u64>) -> io::Result<Vec<u8>> {
-    use std::io::{Read as _, Seek as _};
-    let len = file.metadata()?.len();
-    if range.end > len {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            format!("bytes {range:?} reach past the end of a {len}-byte file"),
-        ));
-    }
-    let mut file = file;
-    file.seek(io::SeekFrom::Start(range.start))?;
-    let mut data = vec![0; range.end.saturating_sub(range.start) as usize];
-    file.read_exact(&mut data)?;
-    Ok(data)
 }
 
 /// Bytes of the header plus the table of a pack of `tiles` tiles: what a

@@ -171,8 +171,8 @@ impl Tasm {
     ) -> Result<Option<TileLayout>, TasmError> {
         let m = shard.current_manifest();
         let sot = &m.sots[sot_idx];
-        let Some((layout, dets)) = self.subset_layout(shard.id, objects, sot, m.width, m.height)?
-        else {
+        let mut view = SotView::new(self, shard.id, sot, m.config.gop_len);
+        let Some((layout, dets)) = view.subset_layout(objects, m.width, m.height)? else {
             return Ok(None);
         };
         // The not-tiling rule over the whole-SOT query for these objects.
@@ -258,6 +258,7 @@ impl Tasm {
             if window.is_empty() {
                 return Ok(None);
             }
+            let mut view = SotView::new(self, id, &sot, gop);
 
             // Record history first (new alternatives replay what came
             // before it).
@@ -267,24 +268,23 @@ impl Tasm {
             // The layouts this call partitions, for the winner below.
             let mut layouts = Vec::with_capacity(alternatives.len());
             for subset in &alternatives {
-                let Some((alt_layout, _)) = self.subset_layout(id, subset, &sot, w, h)? else {
+                let Some((alt_layout, _)) = view.subset_layout(subset, w, h)? else {
                     continue;
                 };
                 let is_new = !state.regret.contains_key(subset);
                 let mut delta = 0.0;
                 if is_new {
-                    // Retroactive regret over the query history (§4.4): one
-                    // index query per distinct entry, one add per
-                    // observation before this one.
+                    // Retroactive regret over the query history (§4.4):
+                    // one add per observation before this one.
                     for (at, (hl, hw, n)) in state.history.iter().enumerate() {
                         let prior = n - u64::from(at == now);
                         if prior > 0 {
-                            let d = self.query_delta(id, hl, hw.clone(), &sot, gop, &alt_layout)?;
+                            let d = view.delta(hl, hw, &alt_layout)?;
                             (0..prior).for_each(|_| delta += d);
                         }
                     }
                 }
-                delta += self.query_delta(id, label, window.clone(), &sot, gop, &alt_layout)?;
+                delta += view.delta(label, &window, &alt_layout)?;
                 *state.regret.entry(subset.clone()).or_insert(0.0) += delta;
                 layouts.push((subset, alt_layout));
             }
@@ -304,7 +304,7 @@ impl Tasm {
             // this call's alternatives.
             let layout = match layouts.iter().position(|(s, _)| **s == subset) {
                 Some(at) => Some(layouts.swap_remove(at).1),
-                None => self.subset_layout(id, &subset, &sot, w, h)?.map(|(l, _)| l),
+                None => view.subset_layout(&subset, w, h)?.map(|(l, _)| l),
             };
             let Some(layout) = layout else {
                 return Ok(None);
@@ -315,9 +315,9 @@ impl Tasm {
                 if !usable {
                     break;
                 }
-                let dets = self.with_index(|ix| ix.query(id, hl, hw.clone()))?;
+                let (dets, _) = view.query(hl, hw)?;
                 usable =
-                    dets.is_empty() || worth_tiling(ALPHA, &layout, &dets, hw.clone(), &sot, gop);
+                    dets.is_empty() || worth_tiling(ALPHA, &layout, dets, hw.clone(), &sot, gop);
             }
             if usable {
                 return Ok(Some(layout));
@@ -335,44 +335,107 @@ impl Tasm {
         let pol = shard.policy();
         pol.sots.get(sot_idx)?.regret.get(subset).copied()
     }
+}
 
-    /// Layout around a subset's detected boxes in a SOT, with those
+/// What one decision on one SOT reads of the index: each label's
+/// detections over the whole SOT, asked once, and each query's share of
+/// them (filtered to its window, so the same detections in the same order
+/// as asking the index for the window) with its cost under the SOT's
+/// current layout, computed once.
+struct SotView<'a> {
+    tasm: &'a Tasm,
+    video_id: u32,
+    sot: &'a SotEntry,
+    gop: u32,
+    labels: BTreeMap<String, Vec<Detection>>,
+    /// Keyed by (label, window start, window end).
+    queries: BTreeMap<(String, u32, u32), (Vec<Detection>, f64)>,
+}
+
+impl<'a> SotView<'a> {
+    fn new(tasm: &'a Tasm, video_id: u32, sot: &'a SotEntry, gop: u32) -> Self {
+        SotView {
+            tasm,
+            video_id,
+            sot,
+            gop,
+            labels: BTreeMap::new(),
+            queries: BTreeMap::new(),
+        }
+    }
+
+    /// `label`'s detections over the whole SOT.
+    fn label(&mut self, label: &str) -> Result<&[Detection], TasmError> {
+        if !self.labels.contains_key(label) {
+            let frames = self.sot.frames();
+            let dets = self
+                .tasm
+                .with_index(|ix| ix.query(self.video_id, label, frames))?;
+            self.labels.insert(label.to_string(), dets);
+        }
+        Ok(&self.labels[label])
+    }
+
+    /// The detections of the query `(label, window)`, `window` within the
+    /// SOT, and their cost under the SOT's current layout.
+    fn query(
+        &mut self,
+        label: &str,
+        window: &Range<u32>,
+    ) -> Result<&(Vec<Detection>, f64), TasmError> {
+        let key = (label.to_string(), window.start, window.end);
+        if !self.queries.contains_key(&key) {
+            let dets: Vec<Detection> = self
+                .label(label)?
+                .iter()
+                .filter(|d| window.contains(&d.frame))
+                .copied()
+                .collect();
+            let work = estimate_work(
+                &self.sot.layout,
+                &dets,
+                window.clone(),
+                self.sot.start,
+                self.gop,
+            );
+            let cur = CostModel::CALIBRATED.cost(work);
+            self.queries.insert(key.clone(), (dets, cur));
+        }
+        Ok(&self.queries[&key])
+    }
+
+    /// Estimated improvement `∆(q, L_cur, L_alt)` of the query
+    /// `(label, window)`.
+    fn delta(
+        &mut self,
+        label: &str,
+        window: &Range<u32>,
+        alt: &TileLayout,
+    ) -> Result<f64, TasmError> {
+        let (start, gop) = (self.sot.start, self.gop);
+        let (dets, cur) = self.query(label, window)?;
+        let new = estimate_work(alt, dets, window.clone(), start, gop);
+        Ok(cur - CostModel::CALIBRATED.cost(new))
+    }
+
+    /// Layout around a subset's detected boxes in the SOT, with those
     /// detections, or `None` when no boxes exist or no cut is possible.
     fn subset_layout(
-        &self,
-        video_id: u32,
+        &mut self,
         subset: &[String],
-        sot: &SotEntry,
         w: u32,
         h: u32,
     ) -> Result<Option<(TileLayout, Vec<Detection>)>, TasmError> {
         let mut dets = Vec::new();
         for o in subset {
-            dets.extend(self.with_index(|ix| ix.query(video_id, o, sot.frames()))?);
+            dets.extend_from_slice(self.label(o)?);
         }
         if dets.is_empty() {
             return Ok(None);
         }
         let boxes: Vec<Rect> = dets.iter().map(|d| d.bbox).collect();
-        let layout = partition(w, h, &boxes, &self.config().partition);
+        let layout = partition(w, h, &boxes, &self.tasm.config().partition);
         Ok((!layout.is_untiled()).then_some((layout, dets)))
-    }
-
-    /// Estimated improvement `∆(q, L_cur, L_alt)` of one query on one SOT.
-    fn query_delta(
-        &self,
-        video_id: u32,
-        label: &str,
-        window: Range<u32>,
-        sot: &SotEntry,
-        gop: u32,
-        alt: &TileLayout,
-    ) -> Result<f64, TasmError> {
-        let dets = self.with_index(|ix| ix.query(video_id, label, window.clone()))?;
-        let cur = estimate_work(&sot.layout, &dets, window.clone(), sot.start, gop);
-        let new = estimate_work(alt, &dets, window, sot.start, gop);
-        let cost = CostModel::CALIBRATED;
-        Ok(cost.cost(cur) - cost.cost(new))
     }
 }
 
@@ -402,6 +465,83 @@ fn alternative_subsets(seen: &BTreeSet<String>) -> Vec<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::{car_source, Scratch};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use tasm_index::{IndexResult, MemoryIndex, SemanticIndex};
+
+    /// An in-memory index that counts the `query` calls made of it.
+    struct Counted(MemoryIndex, Arc<AtomicUsize>);
+
+    impl SemanticIndex for Counted {
+        fn add_metadata(
+            &mut self,
+            video: u32,
+            label: &str,
+            frame: u32,
+            bbox: Rect,
+        ) -> IndexResult<()> {
+            self.0.add_metadata(video, label, frame, bbox)
+        }
+        fn query(
+            &mut self,
+            video: u32,
+            label: &str,
+            frames: Range<u32>,
+        ) -> IndexResult<Vec<Detection>> {
+            self.1.fetch_add(1, Ordering::SeqCst);
+            self.0.query(video, label, frames)
+        }
+        fn labels(&mut self, video: u32) -> IndexResult<Vec<String>> {
+            self.0.labels(video)
+        }
+        fn mark_processed(&mut self, video: u32, frame: u32) -> IndexResult<()> {
+            self.0.mark_processed(video, frame)
+        }
+        fn processed_count(&mut self, video: u32, frames: Range<u32>) -> IndexResult<u32> {
+            self.0.processed_count(video, frames)
+        }
+        fn detection_count(&self) -> u64 {
+            self.0.detection_count()
+        }
+        fn flush(&mut self) -> IndexResult<()> {
+            self.0.flush()
+        }
+    }
+
+    /// A regret observation asks the index once per label seen so far per
+    /// SOT it touches, however many alternatives it prices and however
+    /// long the history it replays.
+    #[test]
+    fn observe_regret_asks_the_index_once_per_seen_label_per_sot() {
+        let queries = Arc::new(AtomicUsize::new(0));
+        let index = Counted(MemoryIndex::in_memory(), queries.clone());
+        let t = Scratch::tasm_with("policy-queries", Box::new(index));
+        t.ingest("v", &car_source(30), 30).unwrap();
+        for f in 0..30 {
+            t.add_metadata("v", "car", f, Rect::new((f * 2) % 96, 8, 24, 16))
+                .unwrap();
+            t.add_metadata("v", "person", f, Rect::new(96, 64, 12, 24))
+                .unwrap();
+            t.add_metadata("v", "bus", f, Rect::new(8, 48, 40, 24))
+                .unwrap();
+        }
+        // (label, frames, labels seen after it, SOTs touched)
+        let calls = [
+            ("car", 0..20, 1, 2),
+            ("person", 5..25, 2, 3),
+            ("car", 0..20, 2, 2),
+            ("bus", 0..30, 3, 3),
+            ("person", 12..18, 3, 1),
+            ("car", 0..30, 3, 3),
+        ];
+        for (label, frames, seen, sots) in calls {
+            let before = queries.load(Ordering::SeqCst);
+            t.observe_regret("v", label, frames.clone()).unwrap();
+            let asked = queries.load(Ordering::SeqCst) - before;
+            assert_eq!(asked, seen * sots, "{label} over {frames:?}");
+        }
+    }
 
     /// The α boundary: a layout that decodes exactly `α · P(ω)` pixels is
     /// worth tiling; one a hair above is not.

@@ -4,7 +4,7 @@
 use crate::tasm::{Tasm, TasmConfig};
 use std::ops::{Deref, DerefMut};
 use std::path::PathBuf;
-use tasm_index::MemoryIndex;
+use tasm_index::{MemoryIndex, SemanticIndex};
 use tasm_video::{Frame, Plane, Rect, VecFrameSource};
 
 /// A value opened in `tasm-<name>-<pid>` under the system temp dir. The
@@ -55,11 +55,15 @@ impl Scratch<Tasm> {
     /// A store for 128×96 test video: GOPs of 5 frames and SOTs of 10,
     /// tiles of at least 32×16, an in-memory index.
     pub(crate) fn tasm(name: &str) -> Self {
+        Self::tasm_with(name, Box::new(MemoryIndex::in_memory()))
+    }
+
+    /// [`Scratch::tasm`] over `index`.
+    pub(crate) fn tasm_with(name: &str, index: Box<dyn SemanticIndex + Send + Sync>) -> Self {
         let mut cfg = TasmConfig::default();
         let storage = &mut cfg.storage;
         (storage.gop_len, storage.sot_frames, storage.parallel_encode) = (5, 10, false);
         (cfg.partition.min_tile_width, cfg.partition.min_tile_height) = (32, 16);
-        let index = Box::new(MemoryIndex::in_memory());
         Scratch::open(name, |dir| Tasm::open(dir, index, cfg).unwrap())
     }
 }

@@ -234,6 +234,14 @@ impl SemanticIndex for MemoryIndex {
 }
 
 #[cfg(test)]
+impl MemoryIndex {
+    /// Every record, in key order (the tier's tests compare against it).
+    pub(crate) fn records(&self) -> impl Iterator<Item = (&RecordKey, &Rect)> {
+        self.records.iter()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -7,6 +7,7 @@
 
 use std::fs;
 use std::io::{self, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Suffix of the temp file an atomic replacement renames; recovery reaps it.
@@ -68,6 +69,26 @@ pub trait StorageIo: Send + Sync {
     /// Opens a file for ranged reads — how one tile is read out of a pack,
     /// table first, without the tiles around it and from one open.
     fn open(&self, path: &Path) -> io::Result<fs::File>;
+}
+
+/// Reads exactly the bytes `range` of an open file. A range that reaches
+/// past the end of the file is [`io::ErrorKind::UnexpectedEof`], found out
+/// before anything is allocated for it: ranges come from tables on disk
+/// (a pack's tile table, a run's restart index).
+pub fn read_exact_range(file: &fs::File, range: Range<u64>) -> io::Result<Vec<u8>> {
+    use std::io::{Read as _, Seek as _};
+    let len = file.metadata()?.len();
+    if range.end > len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("bytes {range:?} reach past the end of a {len}-byte file"),
+        ));
+    }
+    let mut file = file;
+    file.seek(io::SeekFrom::Start(range.start))?;
+    let mut data = vec![0; range.end.saturating_sub(range.start) as usize];
+    file.read_exact(&mut data)?;
+    Ok(data)
 }
 
 /// The production [`StorageIo`]: plain filesystem calls with durability —

@@ -5,13 +5,19 @@
 //! then label, then frame, with a sequence number to disambiguate multiple
 //! detections of the same label on the same frame. Keys serialize to 16
 //! big-endian bytes so that byte-wise comparison equals logical comparison.
+//!
+//! The numbers of a record beside its key (WAL fields, boxes) are
+//! varints: unsigned LEB128 ([`put_varint`]), with zigzag ([`put_delta`])
+//! for the signed difference from a previous value. `FORMAT.md` at the
+//! repository root lays out the files built from them.
 
 use tasm_video::Rect;
 
 /// Byte length of an encoded key.
 pub const KEY_LEN: usize = 16;
 
-/// Byte length of an encoded value (a bounding box).
+/// Byte length of a fixed-width box ([`decode_value`]); also what the
+/// tier counts per memtable entry beside the key.
 pub const VALUE_LEN: usize = 16;
 
 /// Reserved label id marking frames a detector has processed, so that "no
@@ -77,21 +83,86 @@ impl RecordKey {
     }
 }
 
-/// Encodes a bounding box value as 16 little-endian bytes.
-pub fn encode_value(rect: &Rect) -> [u8; VALUE_LEN] {
-    let mut out = [0u8; VALUE_LEN];
-    out[0..4].copy_from_slice(&rect.x.to_le_bytes());
-    out[4..8].copy_from_slice(&rect.y.to_le_bytes());
-    out[8..12].copy_from_slice(&rect.w.to_le_bytes());
-    out[12..16].copy_from_slice(&rect.h.to_le_bytes());
-    out
-}
-
-/// Decodes a bounding box value.
+/// Decodes a bounding box stored as 16 bytes: x, y, w, h as
+/// little-endian `u32` (the box of a v1 WAL record and of a `TSR1` run
+/// entry; this build writes [`put_value_varint`]).
 pub fn decode_value(bytes: &[u8]) -> Rect {
     assert_eq!(bytes.len(), VALUE_LEN, "value must be {VALUE_LEN} bytes");
     let le = |r: std::ops::Range<usize>| u32::from_le_bytes(bytes[r].try_into().unwrap());
     Rect::new(le(0..4), le(4..8), le(8..12), le(12..16))
+}
+
+/// Longest varint: ten groups of seven bits hold a `u64`.
+const MAX_VARINT_LEN: usize = 10;
+
+/// Appends `v` as an unsigned LEB128 varint: seven bits a byte, the low
+/// group first, the high bit set on every byte but the last.
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads the varint at `*pos` and moves `*pos` past it. `None` when the
+/// varint is cut off by the end of `data` or overlong (more than ten
+/// bytes, or bits past the 64th); `*pos` is then unchanged and nothing
+/// past `data` was read.
+pub fn get_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut v = 0u64;
+    for (i, &b) in data.get(*pos..)?.iter().take(MAX_VARINT_LEN).enumerate() {
+        if i == MAX_VARINT_LEN - 1 && b > 1 {
+            return None;
+        }
+        v |= u64::from(b & 0x7F) << (7 * i);
+        if b < 0x80 {
+            *pos += i + 1;
+            return Some(v);
+        }
+    }
+    None
+}
+
+/// Zigzag-maps a signed value so that small magnitudes of either sign
+/// make small varints: 0, -1, 1, -2 … become 0, 1, 2, 3 ….
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Inverts [`zigzag`].
+fn unzigzag(v: u64) -> i64 {
+    (v >> 1) as i64 ^ -((v & 1) as i64)
+}
+
+/// Appends `v` as the zigzag varint of its difference from `prev`
+/// (wrapping, so any two `u64` round-trip through [`get_delta`]).
+pub fn put_delta(out: &mut Vec<u8>, prev: u64, v: u64) {
+    put_varint(out, zigzag(v.wrapping_sub(prev) as i64));
+}
+
+/// Reads a value [`put_delta`] wrote against `prev`.
+pub fn get_delta(data: &[u8], pos: &mut usize, prev: u64) -> Option<u64> {
+    get_varint(data, pos).map(|z| prev.wrapping_add(unzigzag(z) as u64))
+}
+
+/// Appends a bounding box as four varints: x, y, w, h.
+pub fn put_value_varint(out: &mut Vec<u8>, rect: &Rect) {
+    for v in [rect.x, rect.y, rect.w, rect.h] {
+        put_varint(out, u64::from(v));
+    }
+}
+
+/// Reads a box [`put_value_varint`] wrote; `None` when a varint is cut
+/// off, overlong, or too large for a `u32`.
+pub fn get_value_varint(data: &[u8], pos: &mut usize) -> Option<Rect> {
+    let mut start = *pos;
+    let mut v = [0u32; 4];
+    for slot in &mut v {
+        *slot = u32::try_from(get_varint(data, &mut start)?).ok()?;
+    }
+    *pos = start;
+    Some(Rect::new(v[0], v[1], v[2], v[3]))
 }
 
 #[cfg(test)]
@@ -141,8 +212,57 @@ mod tests {
 
     #[test]
     fn value_roundtrip() {
-        let r = Rect::new(10, 20, 30, 40);
-        assert_eq!(decode_value(&encode_value(&r)), r);
+        let bytes = [10, 0, 0, 0, 20, 0, 0, 0, 30, 0, 0, 0, 0x28, 0x01, 0, 0];
+        assert_eq!(decode_value(&bytes), Rect::new(10, 20, 30, 296));
+    }
+
+    #[test]
+    fn varints_take_seven_bits_a_byte() {
+        for (v, bytes) in [
+            (0u64, &[0x00][..]),
+            (127, &[0x7F]),
+            (128, &[0x80, 0x01]),
+            (300, &[0xAC, 0x02]),
+            (u32::MAX as u64, &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]),
+            (
+                u64::MAX,
+                &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01],
+            ),
+        ] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            assert_eq!(out, bytes, "{v}");
+            let mut pos = 0;
+            assert_eq!(get_varint(&out, &mut pos), Some(v));
+            assert_eq!(pos, out.len());
+        }
+        assert_eq!(
+            [0, -1, 1, -2, i64::MAX, i64::MIN].map(zigzag),
+            [0, 1, 2, 3, u64::MAX - 1, u64::MAX]
+        );
+    }
+
+    #[test]
+    fn cut_off_and_overlong_varints_read_as_none() {
+        for bad in [
+            &[][..],
+            &[0x80],
+            &[0xFF, 0xFF],
+            // Eleven bytes, and ten whose last sets bits past the 64th.
+            &[
+                0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00,
+            ],
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02],
+        ] {
+            let mut pos = 0;
+            assert_eq!(get_varint(bad, &mut pos), None, "{bad:?}");
+            assert_eq!(pos, 0);
+        }
+        // A box coordinate past u32::MAX.
+        let mut out = Vec::new();
+        put_varint(&mut out, 1 << 32);
+        out.extend([0, 0, 0]);
+        assert_eq!(get_value_varint(&out, &mut 0), None);
     }
 }
 
@@ -166,9 +286,28 @@ mod proptests {
         }
 
         #[test]
-        fn prop_value_roundtrip(x in any::<u32>(), y in any::<u32>(), w in any::<u32>(), h in any::<u32>()) {
+        fn prop_delta_roundtrip(prev in any::<u64>(), v in any::<u64>()) {
+            let mut out = Vec::new();
+            put_delta(&mut out, prev, v);
+            let mut pos = 0;
+            prop_assert_eq!(get_delta(&out, &mut pos, prev), Some(v));
+            prop_assert_eq!(pos, out.len());
+        }
+
+        #[test]
+        fn prop_varint_value_roundtrip(x in any::<u32>(), y in any::<u32>(), w in any::<u32>(), h in any::<u32>()) {
             let r = Rect::new(x, y, w, h);
-            prop_assert_eq!(decode_value(&encode_value(&r)), r);
+            let mut out = Vec::new();
+            put_value_varint(&mut out, &r);
+            let mut pos = 0;
+            prop_assert_eq!(get_value_varint(&out, &mut pos), Some(r));
+            prop_assert_eq!(pos, out.len());
+        }
+
+        #[test]
+        fn prop_value_roundtrip(x in any::<u32>(), y in any::<u32>(), w in any::<u32>(), h in any::<u32>()) {
+            let bytes: Vec<u8> = [x, y, w, h].iter().flat_map(|v| v.to_le_bytes()).collect();
+            prop_assert_eq!(decode_value(&bytes), Rect::new(x, y, w, h));
         }
     }
 }

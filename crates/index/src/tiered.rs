@@ -9,9 +9,9 @@
 //!   buffered for the **write-ahead log**, appended durably at [`flush`]
 //!   time so a crash never loses acknowledged state;
 //! * when the memtable exceeds its limit it is written as an **immutable
-//!   sorted run** with prefix-compressed `(video, label, frame)` keys
-//!   (restart points every [`RESTART_INTERVAL`] entries keep random seeks
-//!   cheap);
+//!   sorted run** with prefix-compressed `(video, label, frame, seq)` keys
+//!   and varint boxes (restart points every [`RESTART_INTERVAL`] entries
+//!   bound what a lookup reads to the restarts around its range);
 //! * each run carries a resident **range table**: every `(video, label)`
 //!   pair it holds with its frame bounds, so planner lookups skip runs
 //!   without touching disk;
@@ -26,12 +26,19 @@
 //! with an operation-sequence watermark) lands in the state after some
 //! prefix of the operations that holds every one a [`flush`] acknowledged.
 //!
+//! WAL records code their numbers as zigzag varint deltas from the
+//! record before them in the same frame. `FORMAT.md` at the repository
+//! root gives both files byte by byte, in the layout this build writes
+//! (`TSR2` runs, WAL tags 2 and 3) beside the one it still reads (`TSR1`
+//! runs, WAL tags 0 and 1, fixed-width fields).
+//!
 //! [`flush`]: SemanticIndex::flush
 
 use crate::index::{check_label, Detection, IndexResult, SemanticIndex, TreeError};
-use crate::io::{RealIo, StorageIo, TMP_SUFFIX};
+use crate::io::{read_exact_range, RealIo, StorageIo, TMP_SUFFIX};
 use crate::key::{
-    decode_value, encode_value, RecordKey, FIRST_LABEL, KEY_LEN, PROCESSED_LABEL, VALUE_LEN,
+    decode_value, get_delta, get_value_varint, get_varint, put_delta, put_value_varint, put_varint,
+    RecordKey, FIRST_LABEL, KEY_LEN, MAX_LABEL_LEN, PROCESSED_LABEL, VALUE_LEN,
 };
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -52,8 +59,13 @@ pub const MAX_RUNS: usize = 4;
 /// Runs merged per compaction.
 pub const COMPACTION_FANIN: usize = 4;
 
-/// Magic at the head of a run file.
-const RUN_MAGIC: [u8; 4] = *b"TSR1";
+/// Magic at the head of a run file this build writes: each entry's box
+/// is four varints.
+const RUN_MAGIC: [u8; 4] = *b"TSR2";
+
+/// Magic of a run whose boxes are 16 fixed bytes. Still read; the
+/// compaction that merges it writes [`RUN_MAGIC`].
+const RUN_MAGIC_V1: [u8; 4] = *b"TSR1";
 
 /// Magic at the tail of a run footer.
 const FOOTER_MAGIC: [u8; 4] = *b"TSRF";
@@ -121,6 +133,8 @@ struct RangeFilter {
 struct Run {
     id: u64,
     path: PathBuf,
+    /// A `TSR1` run: fixed 16-byte boxes.
+    v1: bool,
     file_len: u64,
     data_len: u64,
     entry_count: u64,
@@ -185,6 +199,28 @@ impl<'a> Cursor<'a> {
     fn u64(&mut self) -> Result<u64, TreeError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+
+    fn varint(&mut self) -> Result<u64, TreeError> {
+        get_varint(self.data, &mut self.pos).ok_or(TreeError::Corrupt("varint cut off or overlong"))
+    }
+
+    /// A value coded as a [`put_delta`] from `prev`.
+    fn delta(&mut self, prev: u64) -> Result<u64, TreeError> {
+        get_delta(self.data, &mut self.pos, prev)
+            .ok_or(TreeError::Corrupt("varint cut off or overlong"))
+    }
+
+    /// A `u32` coded as a [`put_delta`] from `prev`.
+    fn delta_u32(&mut self, prev: u32) -> Result<u32, TreeError> {
+        u32::try_from(self.delta(u64::from(prev))?)
+            .map_err(|_| TreeError::Corrupt("varint delta out of range"))
+    }
+
+    fn value(&mut self) -> Result<Rect, TreeError> {
+        get_value_varint(self.data, &mut self.pos).ok_or(TreeError::Corrupt(
+            "varint box cut off, overlong or out of range",
+        ))
+    }
 }
 
 /// Serializes a sorted set of records into run-file bytes.
@@ -199,7 +235,7 @@ fn encode_run(
     let mut out = Vec::new();
     out.extend_from_slice(&RUN_MAGIC);
 
-    // Data region: prefix-compressed keys, fixed 16-byte values.
+    // Data region: prefix-compressed keys, varint boxes.
     let data_start = out.len();
     let mut restarts: Vec<([u8; KEY_LEN], u32)> = Vec::new();
     let mut prev = [0u8; KEY_LEN];
@@ -218,7 +254,7 @@ fn encode_run(
         out.push(shared as u8);
         out.push((KEY_LEN - shared) as u8);
         out.extend_from_slice(&enc[shared..]);
-        out.extend_from_slice(&encode_value(rect));
+        put_value_varint(&mut out, rect);
         prev = enc;
     }
     let data_len = (out.len() - data_start) as u64;
@@ -295,9 +331,12 @@ impl Run {
     /// footer) — everything except the data region, which is re-read on
     /// demand by lookups that pass the filters.
     fn parse(id: u64, path: PathBuf, bytes: &[u8]) -> Result<Run, TreeError> {
-        if bytes.len() < 4 + FOOTER_LEN || bytes[0..4] != RUN_MAGIC {
-            return Err(TreeError::Corrupt("run file too short or bad magic"));
-        }
+        let magic = bytes.get(0..4).filter(|_| bytes.len() >= 4 + FOOTER_LEN);
+        let v1 = match magic {
+            Some(m) if *m == RUN_MAGIC => false,
+            Some(m) if *m == RUN_MAGIC_V1 => true,
+            _ => return Err(TreeError::Corrupt("run file too short or bad magic")),
+        };
         if bytes[bytes.len() - 4..] != FOOTER_MAGIC {
             return Err(TreeError::Corrupt("run footer magic missing"));
         }
@@ -334,6 +373,13 @@ impl Run {
                 return Err(TreeError::Corrupt("restart offset out of range"));
             }
             restarts.push((key, off));
+        }
+        // A lookup reads from one restart to a later one.
+        if restarts
+            .windows(2)
+            .any(|w| w[0].0 >= w[1].0 || w[0].1 >= w[1].1)
+        {
+            return Err(TreeError::Corrupt("run restart index out of order"));
         }
 
         let mut c = Cursor::new(&bytes[filter_off..dict_off]);
@@ -377,6 +423,7 @@ impl Run {
         Ok(Run {
             id,
             path,
+            v1,
             file_len: bytes.len() as u64,
             data_len,
             entry_count,
@@ -407,60 +454,68 @@ impl Run {
             + self.dict.iter().map(|s| s.len() as u64 + 2).sum::<u64>()
     }
 
-    /// Scans the data region for keys in `[lo, hi)` (`hi = None` means
-    /// unbounded), appending to `out`. `data` is the full file contents
-    /// (read on demand by the caller).
-    fn scan_range(
+    /// The bytes of the file a lookup for keys in `[lo, hi)` reads: the
+    /// data region from the last restart at or below `lo` up to the first
+    /// restart at or past `hi`, which holds no key below `hi`.
+    fn slice(&self, lo: &RecordKey, hi: &RecordKey) -> Range<u64> {
+        let offset = |i: usize| {
+            self.restarts
+                .get(i)
+                .map_or(self.data_len, |r| u64::from(r.1))
+        };
+        let start = match self.restarts.partition_point(|(k, _)| k <= lo) {
+            0 => 0,
+            n => offset(n - 1),
+        };
+        let end = offset(self.restarts.partition_point(|(k, _)| k < hi));
+        4 + start..4 + end
+    }
+
+    /// Decodes `region`, whole entries of the data region starting at a
+    /// restart point, appending those with keys in `[lo, hi)` (`hi = None`
+    /// means unbounded) to `out` in key order.
+    fn scan(
         &self,
-        data: &[u8],
+        region: &[u8],
         lo: &RecordKey,
         hi: Option<&RecordKey>,
-        out: &mut BTreeMap<RecordKey, Rect>,
+        out: &mut Vec<(RecordKey, Rect)>,
     ) -> Result<(), TreeError> {
-        if data.len() < 4 + self.data_len as usize {
-            return Err(TreeError::Corrupt("run data region truncated"));
-        }
-        let region = &data[4..4 + self.data_len as usize];
-        // Start at the last restart whose key is <= lo.
-        let start = match self.restarts.partition_point(|(k, _)| k <= lo) {
-            0 => 0usize,
-            n => self.restarts[n - 1].1 as usize,
-        };
-        let mut pos = start;
+        let mut c = Cursor::new(region);
         let mut cur = [0u8; KEY_LEN];
         let mut first = true;
-        while pos < region.len() {
-            if region.len() - pos < 2 {
-                return Err(TreeError::Corrupt("run entry header truncated"));
-            }
-            let shared = region[pos] as usize;
-            let unshared = region[pos + 1] as usize;
-            pos += 2;
+        while c.pos < region.len() {
+            let head = c.take(2)?;
+            let (shared, unshared) = (head[0] as usize, head[1] as usize);
             if shared + unshared != KEY_LEN || (first && shared != 0) {
                 return Err(TreeError::Corrupt("run entry key lengths invalid"));
             }
-            if region.len() - pos < unshared + VALUE_LEN {
-                return Err(TreeError::Corrupt("run entry body truncated"));
-            }
-            cur[shared..].copy_from_slice(&region[pos..pos + unshared]);
-            pos += unshared;
+            cur[shared..].copy_from_slice(c.take(unshared)?);
+            let value = if self.v1 {
+                decode_value(c.take(VALUE_LEN)?)
+            } else {
+                c.value()?
+            };
             let key = RecordKey::decode(&cur);
             if hi.is_some_and(|hi| key >= *hi) {
                 break;
             }
             if key >= *lo {
-                out.insert(key, decode_value(&region[pos..pos + VALUE_LEN]));
+                out.push((key, value));
             }
-            pos += VALUE_LEN;
             first = false;
         }
         Ok(())
     }
 
-    /// Decodes every entry of the data region (compaction, verification).
-    fn scan_all(&self, data: &[u8]) -> Result<BTreeMap<RecordKey, Rect>, TreeError> {
-        let mut out = BTreeMap::new();
-        self.scan_range(data, &RecordKey::new(0, 0, 0, 0), None, &mut out)?;
+    /// Decodes every entry of the data region (compaction, verification);
+    /// `data` is the whole file.
+    fn scan_all(&self, data: &[u8]) -> Result<Vec<(RecordKey, Rect)>, TreeError> {
+        let region = data
+            .get(4..4 + self.data_len as usize)
+            .ok_or(TreeError::Corrupt("run data region truncated"))?;
+        let mut out = Vec::new();
+        self.scan(region, &RecordKey::new(0, 0, 0, 0), None, &mut out)?;
         if out.len() as u64 != self.entry_count {
             return Err(TreeError::Corrupt("run entry count disagrees with footer"));
         }
@@ -472,10 +527,22 @@ impl Run {
 // Write-ahead log
 // ---------------------------------------------------------------------
 
-const WAL_TAG_INSERT: u8 = 0;
-const WAL_TAG_LABEL: u8 = 1;
+/// A record with fixed-width fields: tag, u64 opseq, 16-byte key, 16-byte
+/// box. Still replayed; this build writes [`WAL_TAG_INSERT`].
+const WAL_TAG_INSERT_V1: u8 = 0;
+/// A label record with fixed-width fields: tag, u64 opseq, u32 id, u16
+/// name length, name. Still replayed; this build writes [`WAL_TAG_LABEL`].
+const WAL_TAG_LABEL_V1: u8 = 1;
+/// An insert coded against the record before it in the frame: zigzag
+/// varint deltas of opseq, video, label and frame, seq as a delta from
+/// the low 32 bits of its own opseq, then the box as four varints.
+const WAL_TAG_INSERT: u8 = 2;
+/// A label record: opseq as a zigzag varint delta, then varint id,
+/// varint name length, name.
+const WAL_TAG_LABEL: u8 = 3;
 
 /// One logical WAL record, buffered until the next durable append.
+#[derive(Debug, Clone, PartialEq)]
 enum WalRecord {
     Insert {
         opseq: u64,
@@ -489,24 +556,66 @@ enum WalRecord {
     },
 }
 
+impl WalRecord {
+    fn opseq(&self) -> u64 {
+        match self {
+            WalRecord::Insert { opseq, .. } | WalRecord::Label { opseq, .. } => *opseq,
+        }
+    }
+}
+
+/// What a record's deltas are taken from: the previous record of its
+/// frame (its opseq, and the key of the last insert), zero at a frame's
+/// head, so every frame decodes on its own.
+struct Prev {
+    opseq: u64,
+    key: RecordKey,
+}
+
+impl Prev {
+    fn start() -> Self {
+        Prev {
+            opseq: 0,
+            key: RecordKey::new(0, 0, 0, 0),
+        }
+    }
+
+    fn advance(&mut self, r: &WalRecord) {
+        self.opseq = r.opseq();
+        if let WalRecord::Insert { key, .. } = r {
+            self.key = *key;
+        }
+    }
+}
+
 fn encode_wal_frame(records: &[WalRecord]) -> Vec<u8> {
     let mut payload = Vec::new();
+    let mut prev = Prev::start();
     for r in records {
         match r {
             WalRecord::Insert { opseq, key, value } => {
                 payload.push(WAL_TAG_INSERT);
-                put_u64(&mut payload, *opseq);
-                payload.extend_from_slice(&key.encode());
-                payload.extend_from_slice(&encode_value(value));
+                put_delta(&mut payload, prev.opseq, *opseq);
+                let seq_base = *opseq as u32;
+                for (was, is) in [
+                    (prev.key.video, key.video),
+                    (prev.key.label, key.label),
+                    (prev.key.frame, key.frame),
+                    (seq_base, key.seq),
+                ] {
+                    put_delta(&mut payload, u64::from(was), u64::from(is));
+                }
+                put_value_varint(&mut payload, value);
             }
             WalRecord::Label { opseq, id, name } => {
                 payload.push(WAL_TAG_LABEL);
-                put_u64(&mut payload, *opseq);
-                put_u32(&mut payload, *id);
-                payload.extend_from_slice(&(name.len() as u16).to_le_bytes());
+                put_delta(&mut payload, prev.opseq, *opseq);
+                put_varint(&mut payload, u64::from(*id));
+                put_varint(&mut payload, name.len() as u64);
                 payload.extend_from_slice(name.as_bytes());
             }
         }
+        prev.advance(r);
     }
     let mut frame = Vec::with_capacity(payload.len() + 8);
     put_u32(&mut frame, payload.len() as u32);
@@ -517,7 +626,8 @@ fn encode_wal_frame(records: &[WalRecord]) -> Vec<u8> {
 
 /// Parses WAL bytes into frames of records, returning the records and the
 /// byte length of the valid prefix. A torn or corrupt tail (the expected
-/// residue of a crash mid-append) simply ends the log there.
+/// residue of a crash mid-append) simply ends the log there, and so does
+/// a frame whose checksum holds but whose records do not decode.
 fn parse_wal(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
     let mut records = Vec::new();
     let mut pos = 0usize;
@@ -531,7 +641,7 @@ fn parse_wal(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
         if crc32(payload) != crc {
             break; // corrupt frame
         }
-        let Some(frame_records) = parse_wal_payload(payload) else {
+        let Ok(frame_records) = parse_wal_payload(payload) else {
             break;
         };
         records.extend(frame_records);
@@ -540,29 +650,60 @@ fn parse_wal(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
     (records, pos)
 }
 
-fn parse_wal_payload(payload: &[u8]) -> Option<Vec<WalRecord>> {
+fn parse_wal_payload(payload: &[u8]) -> Result<Vec<WalRecord>, TreeError> {
     let mut out = Vec::new();
     let mut c = Cursor::new(payload);
+    let mut prev = Prev::start();
+    let label_name = |c: &mut Cursor, len: usize| -> Result<String, TreeError> {
+        if len > MAX_LABEL_LEN {
+            return Err(TreeError::Corrupt("WAL label name too long"));
+        }
+        let name = std::str::from_utf8(c.take(len)?)
+            .map_err(|_| TreeError::Corrupt("WAL label name not UTF-8"))?;
+        Ok(name.to_string())
+    };
     while c.pos < payload.len() {
-        let tag = *c.take(1).ok()?.first()?;
-        match tag {
+        let record = match c.take(1)?[0] {
+            WAL_TAG_INSERT_V1 => WalRecord::Insert {
+                opseq: c.u64()?,
+                key: RecordKey::decode(c.take(KEY_LEN)?),
+                value: decode_value(c.take(VALUE_LEN)?),
+            },
+            WAL_TAG_LABEL_V1 => {
+                let opseq = c.u64()?;
+                let id = c.u32()?;
+                let len = c.u16()? as usize;
+                let name = label_name(&mut c, len)?;
+                WalRecord::Label { opseq, id, name }
+            }
             WAL_TAG_INSERT => {
-                let opseq = c.u64().ok()?;
-                let key = RecordKey::decode(c.take(KEY_LEN).ok()?);
-                let value = decode_value(c.take(VALUE_LEN).ok()?);
-                out.push(WalRecord::Insert { opseq, key, value });
+                let opseq = c.delta(prev.opseq)?;
+                let key = RecordKey::new(
+                    c.delta_u32(prev.key.video)?,
+                    c.delta_u32(prev.key.label)?,
+                    c.delta_u32(prev.key.frame)?,
+                    c.delta_u32(opseq as u32)?,
+                );
+                let value = c.value()?;
+                WalRecord::Insert { opseq, key, value }
             }
             WAL_TAG_LABEL => {
-                let opseq = c.u64().ok()?;
-                let id = c.u32().ok()?;
-                let len = c.u16().ok()? as usize;
-                let name = std::str::from_utf8(c.take(len).ok()?).ok()?.to_string();
-                out.push(WalRecord::Label { opseq, id, name });
+                let opseq = c.delta(prev.opseq)?;
+                let id = u32::try_from(c.varint()?)
+                    .map_err(|_| TreeError::Corrupt("WAL label id out of range"))?;
+                let len = usize::try_from(c.varint()?).unwrap_or(usize::MAX);
+                let name = label_name(&mut c, len)?;
+                WalRecord::Label { opseq, id, name }
             }
-            _ => return None,
+            _ => return Err(TreeError::Corrupt("unknown WAL record tag")),
+        };
+        if matches!(record, WalRecord::Label { id, .. } if id < FIRST_LABEL) {
+            return Err(TreeError::Corrupt("WAL label id below the first label"));
         }
+        prev.advance(&record);
+        out.push(record);
     }
-    Some(out)
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -588,6 +729,9 @@ pub struct TierStats {
     pub filter_skips: u64,
     /// Run files actually read by queries.
     pub runs_read: u64,
+    /// Runs still in the `TSR1` layout (fixed 16-byte boxes); compaction
+    /// rewrites each it merges as `TSR2`.
+    pub v1_runs: usize,
 }
 
 impl TierStats {
@@ -759,9 +903,15 @@ impl TieredIndex {
                     }
                     WalRecord::Label { opseq, id, name } => {
                         if opseq > watermark {
+                            // Ids are handed out in order, and the
+                            // newest run's dictionary holds every id below
+                            // the watermark: a gap is not this index's log.
                             let slot = (id - FIRST_LABEL) as usize;
-                            if slot >= self.label_names.len() {
-                                self.label_names.resize(slot + 1, String::new());
+                            if slot > self.label_names.len() {
+                                return Err(TreeError::Corrupt("WAL label id out of sequence"));
+                            }
+                            if slot == self.label_names.len() {
+                                self.label_names.push(String::new());
                             }
                             self.label_names[slot] = name.clone();
                             self.label_ids.insert(name, id);
@@ -915,39 +1065,46 @@ impl TieredIndex {
         Ok(())
     }
 
-    /// Merges every source (runs oldest-first, memtable last) for keys in
-    /// `[lo, hi)`. Exact-key duplicates collapse newest-wins, matching
-    /// [`crate::MemoryIndex`]'s insert-overwrites semantics.
-    fn merged_range(
+    /// Every record of `(video, label)` on `frames`, in key order: the
+    /// memtable's and those of each run its range table does not rule
+    /// out. A run is read from the restart at or below the range to the
+    /// restart at or past its end, not whole. An exact key held by several
+    /// sources keeps the newest value (runs oldest first, the memtable
+    /// last), matching [`crate::MemoryIndex`]'s insert-overwrites
+    /// semantics.
+    fn range(
         &mut self,
-        lo: RecordKey,
-        hi: RecordKey,
-    ) -> IndexResult<BTreeMap<RecordKey, Rect>> {
-        let frames = lo.frame..hi.frame.max(lo.frame);
-        let mut out = BTreeMap::new();
-        let mut hits: Vec<usize> = Vec::new();
-        for (i, run) in self.runs.iter().enumerate() {
+        video: u32,
+        label: u32,
+        frames: Range<u32>,
+    ) -> IndexResult<Vec<(RecordKey, Rect)>> {
+        let lo = RecordKey::range_start(video, label, frames.start);
+        let hi = RecordKey::range_start(video, label, frames.end);
+        let mut out = Vec::new();
+        let mut runs_hit = 0;
+        for run in &self.runs {
             self.filter_probes += 1;
-            let overlap = if lo.video == hi.video && lo.label == hi.label {
-                run.may_overlap(lo.video, lo.label, &frames)
-            } else {
-                // Multi-label scans give the filters a video-only chance.
-                run.ranges.iter().any(|r| r.video == lo.video)
-            };
-            if overlap {
-                hits.push(i);
-            } else {
+            if !run.may_overlap(video, label, &frames) {
                 self.filter_skips += 1;
+                continue;
             }
-        }
-        for i in hits {
-            let run = &self.runs[i];
-            let data = self.io.read(&run.path)?;
-            run.scan_range(&data, &lo, Some(&hi), &mut out)?;
+            let file = self.io.open(&run.path)?;
+            let region = read_exact_range(&file, run.slice(&lo, &hi))?;
+            run.scan(&region, &lo, Some(&hi), &mut out)?;
             self.runs_read += 1;
+            runs_hit += 1;
         }
-        for (k, v) in self.mem.range(lo..hi) {
-            out.insert(*k, *v);
+        out.extend(self.mem.range(lo..hi).map(|(k, v)| (*k, *v)));
+        if runs_hit > 0 {
+            // Stable, so equal keys stay oldest source first; the newest wins.
+            out.sort_by_key(|(k, _)| *k);
+            out.dedup_by(|newer, kept| {
+                let same = newer.0 == kept.0;
+                if same {
+                    *kept = *newer;
+                }
+                same
+            });
         }
         Ok(out)
     }
@@ -963,6 +1120,7 @@ impl TieredIndex {
             filter_probes: self.filter_probes,
             filter_skips: self.filter_skips,
             runs_read: self.runs_read,
+            v1_runs: self.runs.iter().filter(|r| r.v1).count(),
         }
     }
 
@@ -1052,10 +1210,8 @@ impl SemanticIndex for TieredIndex {
         if frames.start >= frames.end {
             return Ok(Vec::new());
         }
-        let lo = RecordKey::range_start(video, label_id, frames.start);
-        let hi = RecordKey::range_start(video, label_id, frames.end);
         Ok(self
-            .merged_range(lo, hi)?
+            .range(video, label_id, frames)?
             .into_iter()
             .map(|(k, bbox)| Detection {
                 frame: k.frame,
@@ -1105,9 +1261,7 @@ impl SemanticIndex for TieredIndex {
         if frames.start >= frames.end {
             return Ok(0);
         }
-        let lo = RecordKey::range_start(video, PROCESSED_LABEL, frames.start);
-        let hi = RecordKey::range_start(video, PROCESSED_LABEL, frames.end);
-        Ok(self.merged_range(lo, hi)?.len() as u32)
+        Ok(self.range(video, PROCESSED_LABEL, frames)?.len() as u32)
     }
 
     fn detection_count(&self) -> u64 {
@@ -1171,17 +1325,20 @@ mod tests {
             "run not compressed: {} bytes",
             bytes.len()
         );
-        let mut out = BTreeMap::new();
-        run.scan_range(
-            &bytes,
-            &RecordKey::range_start(1, 2, 100),
-            Some(&RecordKey::range_start(1, 2, 200)),
-            &mut out,
-        )
-        .unwrap();
+        let (lo, hi) = (
+            RecordKey::range_start(1, 2, 100),
+            RecordKey::range_start(1, 2, 200),
+        );
+        // A lookup reads the restart intervals around its range only.
+        let slice = run.slice(&lo, &hi);
+        assert!(slice.end - slice.start < run.data_len / 8, "{slice:?}");
+        let mut out = Vec::new();
+        let region = &bytes[slice.start as usize..slice.end as usize];
+        run.scan(region, &lo, Some(&hi), &mut out).unwrap();
         assert_eq!(out.len(), 100);
-        assert_eq!(out.values().next(), Some(&bbox(100)));
-        assert_eq!(run.scan_all(&bytes).unwrap(), entries);
+        assert_eq!(out[0], (RecordKey::new(1, 2, 100, 100), bbox(100)));
+        let all: Vec<_> = entries.into_iter().collect();
+        assert_eq!(run.scan_all(&bytes).unwrap(), all);
     }
 
     /// A run file as the encoder wrote it while runs carried a Bloom filter
@@ -1217,6 +1374,268 @@ mod tests {
         assert!(idx.query(9, "person", 0..100).unwrap().is_empty());
         assert!(idx.query(7, "car", 14..100).unwrap().is_empty());
         assert_eq!(idx.stats().filter_skips, 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The bytes of `FORMAT.md`'s `hex` block `name`: whitespace-separated
+    /// bytes, `#` to the end of a line a comment.
+    fn format_md_block(name: &str) -> Vec<u8> {
+        let doc = include_str!("../../../FORMAT.md");
+        let open = format!("```hex {name}\n");
+        let start = doc.find(&open).unwrap_or_else(|| panic!("no block {name}")) + open.len();
+        let body = &doc[start..start + doc[start..].find("```").unwrap()];
+        body.lines()
+            .flat_map(|l| l.split('#').next().unwrap().split_whitespace())
+            .map(|b| u8::from_str_radix(b, 16).unwrap())
+            .collect()
+    }
+
+    /// The key and box of the `car` boxes `FORMAT.md`'s examples hold.
+    fn format_md_cars() -> [(RecordKey, Rect); 2] {
+        [
+            (RecordKey::new(7, 1, 10, 2), Rect::new(110, 50, 24, 16)),
+            (RecordKey::new(7, 1, 11, 4), Rect::new(112, 50, 24, 16)),
+        ]
+    }
+
+    #[test]
+    fn format_md_examples_of_the_wal_decode_and_match_the_encoder() {
+        let [(k1, b1), (k2, b2)] = format_md_cars();
+        let records = vec![
+            WalRecord::Label {
+                opseq: 1,
+                id: 1,
+                name: "car".to_string(),
+            },
+            WalRecord::Insert {
+                opseq: 2,
+                key: k1,
+                value: b1,
+            },
+            WalRecord::Insert {
+                opseq: 3,
+                key: RecordKey::new(7, PROCESSED_LABEL, 10, 0),
+                value: Rect::new(0, 0, 0, 0),
+            },
+            WalRecord::Insert {
+                opseq: 4,
+                key: k2,
+                value: b2,
+            },
+        ];
+        let v2 = format_md_block("wal-v2");
+        assert_eq!(encode_wal_frame(&records), v2);
+        for bytes in [format_md_block("wal-v1"), v2] {
+            assert_eq!(parse_wal(&bytes), (records.clone(), bytes.len()));
+        }
+    }
+
+    #[test]
+    fn format_md_examples_of_runs_decode_and_match_the_encoder() {
+        let mut entries = BTreeMap::from(format_md_cars());
+        entries.insert(
+            RecordKey::new(7, PROCESSED_LABEL, 10, 0),
+            Rect::new(0, 0, 0, 0),
+        );
+        let dict = vec!["car".to_string()];
+        let v2 = format_md_block("run-v2");
+        assert_eq!(encode_run(&entries, 4, 2, &[], &dict), v2);
+        let all: Vec<_> = entries.into_iter().collect();
+        for (bytes, v1) in [(format_md_block("run-v1"), true), (v2, false)] {
+            let run = Run::parse(0, PathBuf::new(), &bytes).unwrap();
+            assert_eq!((run.v1, run.max_opseq, run.detections_cum), (v1, 4, 2));
+            assert_eq!((run.dict.as_slice(), run.ranges.len()), (&dict[..], 2));
+            assert_eq!(run.scan_all(&bytes).unwrap(), all);
+        }
+    }
+
+    /// A directory holding `files`, as a store's index directory.
+    fn dir_with(tag: &str, files: &[(String, &[u8])]) -> PathBuf {
+        let dir = temp_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, bytes) in files {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        dir
+    }
+
+    const WAL_V1: &[u8] = include_bytes!("../testdata/wal_v1.log");
+    const RUN_V1: &[u8] = include_bytes!("../testdata/run_v1.sst");
+
+    /// What both v1 fixtures hold, as the encoder of fixed-width records
+    /// wrote them: video 7's `car` on frames 10–13, each marked processed
+    /// (the WAL's first frame), then `person` on 20–21 and video 9's `car`
+    /// on frame 1, then 0 (its second).
+    fn assert_fixture_answers(idx: &mut TieredIndex) {
+        let det = |frame, bbox| Detection { frame, bbox };
+        let cars: Vec<_> = (10..14)
+            .map(|f| det(f, Rect::new(100 + f, 50, 24, 16)))
+            .collect();
+        assert_eq!(idx.query(7, "car", 0..100).unwrap(), cars);
+        assert_eq!(
+            idx.query(7, "person", 0..100).unwrap(),
+            [
+                det(20, Rect::new(40, 0, 6, 18)),
+                det(21, Rect::new(40, 2, 6, 18))
+            ]
+        );
+        assert_eq!(
+            idx.query(9, "car", 0..10).unwrap(),
+            [
+                det(0, Rect::new(128, 127, 200, 130)),
+                det(1, Rect::new(600, 300, 40, 30))
+            ]
+        );
+        assert_eq!(idx.processed_count(7, 0..100).unwrap(), 4);
+        assert_eq!(idx.labels(7).unwrap(), ["car", "person"]);
+        assert_eq!(idx.labels(9).unwrap(), ["car"]);
+    }
+
+    #[test]
+    fn a_v1_wal_replays_and_a_v1_run_opens() {
+        for (name, bytes) in [(WAL_NAME.to_string(), WAL_V1), (run_file_name(0), RUN_V1)] {
+            let dir = dir_with("v1-fixture", &[(name.clone(), bytes)]);
+            let mut idx = TieredIndex::open(&dir).unwrap();
+            assert!(idx.verify().unwrap().is_empty(), "{name}");
+            assert_fixture_answers(&mut idx);
+            assert_eq!(idx.detection_count(), 8);
+            assert_eq!(idx.stats().v1_runs, usize::from(bytes == RUN_V1));
+            drop(idx);
+            assert_eq!(std::fs::read(dir.join(&name)).unwrap(), bytes, "{name}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_wal_of_v1_frames_then_v2_frames_replays() {
+        let dir = dir_with("v1-then-v2", &[(WAL_NAME.to_string(), WAL_V1)]);
+        {
+            let mut idx = TieredIndex::open(&dir).unwrap();
+            idx.add_metadata(8, "bus", 3, Rect::new(u32::MAX, 0, 128, 127))
+                .unwrap();
+            idx.mark_processed(8, 3).unwrap();
+            idx.flush().unwrap();
+        }
+        let bytes = std::fs::read(dir.join(WAL_NAME)).unwrap();
+        assert_eq!(&bytes[..WAL_V1.len()], WAL_V1);
+        assert_eq!(bytes[WAL_V1.len() + 8], WAL_TAG_LABEL, "a v2 frame follows");
+        let mut idx = TieredIndex::open(&dir).unwrap();
+        assert!(idx.verify().unwrap().is_empty());
+        assert_fixture_answers(&mut idx);
+        assert_eq!(
+            idx.query(8, "bus", 0..10).unwrap(),
+            [Detection {
+                frame: 3,
+                bbox: Rect::new(u32::MAX, 0, 128, 127)
+            }]
+        );
+        assert_eq!(idx.processed_count(8, 0..10).unwrap(), 1);
+        assert_eq!(idx.detection_count(), 9);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compacting_v1_runs_writes_tsr2() {
+        let files: Vec<_> = (0..4).map(|id| (run_file_name(id), RUN_V1)).collect();
+        let dir = dir_with("v1-compact", &files);
+        let mut idx = TieredIndex::open(&dir).unwrap();
+        assert_eq!(idx.stats().v1_runs, 4);
+        // A fifth run larger than the fixture's, so the four v1 runs are
+        // the ones compaction merges.
+        idx.set_memtable_limit(200);
+        for f in 0..200u32 {
+            idx.add_metadata(11, "car", f, bbox(f)).unwrap();
+        }
+        let stats = idx.stats();
+        assert_eq!((stats.run_count, stats.v1_runs), (2, 0));
+        for path in idx.io.list_dir(&dir).unwrap() {
+            let head = std::fs::read(&path).unwrap();
+            assert!(
+                path.ends_with(WAL_NAME) || head.starts_with(&RUN_MAGIC),
+                "{path:?}"
+            );
+        }
+        assert!(idx.verify().unwrap().is_empty());
+        assert_fixture_answers(&mut idx);
+        assert_eq!(idx.query(11, "car", 0..200).unwrap().len(), 200);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A frame whose CRC holds but whose records do not decode ends replay
+    /// at its start, like a torn one: nothing after it is read, nothing
+    /// panics, and recovery rewrites the log as the frames before it.
+    #[test]
+    fn a_frame_with_a_bad_varint_ends_replay_there() {
+        let good = encode_wal_frame(&[
+            WalRecord::Label {
+                opseq: 1,
+                id: 1,
+                name: "car".to_string(),
+            },
+            WalRecord::Insert {
+                opseq: 2,
+                key: RecordKey::new(0, 1, 5, 2),
+                value: Rect::new(1, 2, 3, 4),
+            },
+        ]);
+        let later = encode_wal_frame(&[WalRecord::Insert {
+            opseq: 3,
+            key: RecordKey::new(0, 1, 6, 3),
+            value: Rect::new(1, 2, 3, 4),
+        }]);
+        let frame = |payload: &[u8]| {
+            let mut f = Vec::new();
+            put_u32(&mut f, payload.len() as u32);
+            put_u32(&mut f, crc32(payload));
+            f.extend_from_slice(payload);
+            f
+        };
+        let mut overlong = vec![WAL_TAG_INSERT];
+        overlong.extend([0x80; 10]);
+        overlong.push(0x00);
+        let mut video_past_u32 = vec![WAL_TAG_INSERT, 0x02];
+        put_varint(&mut video_past_u32, 1 << 33); // zigzag of +2^32
+        video_past_u32.extend([0, 0, 0, 1, 2, 3, 4]);
+        let mut box_past_u32 = vec![WAL_TAG_INSERT, 0x02, 0, 2, 10, 0];
+        put_varint(&mut box_past_u32, 1 << 32);
+        box_past_u32.extend([2, 3, 4]);
+        let bad_payloads: [&[u8]; 7] = [
+            &[WAL_TAG_INSERT, 0x02, 0x80],     // cut off by the frame's end
+            &[WAL_TAG_INSERT, 0x02, 0, 2, 10], // box missing
+            &overlong,
+            &video_past_u32,
+            &box_past_u32,
+            &[WAL_TAG_LABEL, 0x02, 0x00, 0x01, b'x'], // label id 0
+            &[WAL_TAG_LABEL, 0x02, 0x02, 0x05, b'x'], // name cut off
+        ];
+        for bad in bad_payloads {
+            let mut bytes = good.clone();
+            bytes.extend(frame(bad));
+            bytes.extend(&later);
+            assert_eq!(parse_wal(&bytes).1, good.len(), "{bad:?}");
+            let dir = dir_with("bad-varint", &[(WAL_NAME.to_string(), &bytes)]);
+            let mut idx = TieredIndex::open(&dir).unwrap();
+            assert_eq!(idx.query(0, "car", 0..10).unwrap().len(), 1, "{bad:?}");
+            assert!(idx.verify().unwrap().is_empty());
+            assert_eq!(std::fs::read(dir.join(WAL_NAME)).unwrap(), good);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A label record whose id skips ahead of the dictionary is refused
+    /// with a typed error, not a dictionary grown to that id.
+    #[test]
+    fn a_wal_label_id_out_of_sequence_is_corrupt() {
+        let bytes = encode_wal_frame(&[WalRecord::Label {
+            opseq: 1,
+            id: u32::MAX,
+            name: "car".to_string(),
+        }]);
+        let dir = dir_with("label-gap", &[(WAL_NAME.to_string(), &bytes)]);
+        assert!(matches!(
+            TieredIndex::open(&dir),
+            Err(TreeError::Corrupt("WAL label id out of sequence"))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1484,6 +1903,158 @@ mod proptests {
     use super::*;
     use crate::index::MemoryIndex;
     use proptest::prelude::*;
+
+    /// Values at the edges of the varint widths: one and two bytes, two
+    /// and three, and the largest `u32`s.
+    const EDGES: [u32; 8] = [0, 1, 127, 128, 16_383, 16_384, u32::MAX - 1, u32::MAX];
+
+    /// `EDGES[bits & 7]`, then the next three bits for the next draw.
+    fn edge(bits: &mut u64) -> u32 {
+        let v = EDGES[(*bits & 7) as usize];
+        *bits >>= 3;
+        v
+    }
+
+    /// What an index holds, in key order, without the seq uniquifiers
+    /// (the tier's are opseqs, the oracle's count inserts).
+    fn contents<'a>(
+        records: impl Iterator<Item = (&'a RecordKey, &'a Rect)>,
+    ) -> Vec<(u32, u32, u32, Rect)> {
+        records
+            .map(|(k, r)| (k.video, k.label, k.frame, *r))
+            .collect()
+    }
+
+    /// Every record the tier holds, newest value per key.
+    fn tier_records(idx: &TieredIndex) -> BTreeMap<RecordKey, Rect> {
+        let mut all = BTreeMap::new();
+        for run in &idx.runs {
+            let bytes = std::fs::read(&run.path).unwrap();
+            all.extend(run.scan_all(&bytes).unwrap());
+        }
+        all.extend(idx.mem.iter().map(|(k, v)| (*k, *v)));
+        all
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Any records round-trip through a v2 WAL frame, whatever their
+        /// order: deltas of either sign, and every field's full range.
+        #[test]
+        fn prop_wal_frames_roundtrip(
+            raw in proptest::collection::vec((any::<bool>(), any::<u64>(), any::<[u32; 4]>(), any::<[u32; 4]>()), 0..40),
+        ) {
+            let records: Vec<WalRecord> = raw
+                .into_iter()
+                .map(|(label, opseq, k, b)| match label {
+                    true => WalRecord::Label {
+                        opseq,
+                        id: k[1].max(FIRST_LABEL),
+                        name: "x".repeat(k[0] as usize % 200),
+                    },
+                    false => WalRecord::Insert {
+                        opseq,
+                        key: RecordKey::new(k[0], k[1], k[2], k[3]),
+                        value: Rect::new(b[0], b[1], b[2], b[3]),
+                    },
+                })
+                .collect();
+            let bytes = encode_wal_frame(&records);
+            prop_assert_eq!(parse_wal(&bytes), (records, bytes.len()));
+        }
+
+        /// Any entries round-trip through a `TSR2` run, and a lookup's
+        /// restart-bounded slice answers a key range as the whole map does.
+        #[test]
+        fn prop_runs_roundtrip(
+            raw in proptest::collection::vec((any::<[u32; 4]>(), any::<[u32; 4]>()), 1..80),
+            bounds in any::<[u32; 4]>(),
+        ) {
+            let entries: BTreeMap<RecordKey, Rect> = raw
+                .into_iter()
+                .map(|(k, b)| {
+                    // Few distinct videos and labels, so prefixes share.
+                    let key = RecordKey::new(k[0] % 3, k[1] % 3, k[2], k[3]);
+                    (key, Rect::new(b[0], b[1], b[2], b[3]))
+                })
+                .collect();
+            let bytes = encode_run(&entries, 9, 9, &[], &[]);
+            let run = Run::parse(0, PathBuf::new(), &bytes).unwrap();
+            let all: Vec<_> = entries.iter().map(|(k, v)| (*k, *v)).collect();
+            prop_assert_eq!(run.scan_all(&bytes).unwrap(), all);
+            let lo = RecordKey::range_start(bounds[0] % 3, bounds[1] % 3, bounds[2]);
+            let hi = RecordKey::range_start(lo.video, lo.label, bounds[3].max(lo.frame));
+            let slice = run.slice(&lo, &hi);
+            let mut out = Vec::new();
+            run.scan(&bytes[slice.start as usize..slice.end as usize], &lo, Some(&hi), &mut out)
+                .unwrap();
+            let want: Vec<_> = entries.range(lo..hi).map(|(k, v)| (*k, *v)).collect();
+            prop_assert_eq!(out, want);
+        }
+
+        /// Edge values survive every path a record takes: v2 WAL frames
+        /// whose videos and frames go down as well as up, a reopen's
+        /// replay, flushes to runs, and compaction.
+        #[test]
+        fn prop_edge_values_survive_the_wal_runs_and_compaction(
+            ops in proptest::collection::vec((0u8..6, any::<u64>()), 1..120),
+            limit in 2usize..12,
+        ) {
+            let dir = std::env::temp_dir().join(format!(
+                "tasm-tiered-edges-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+            let open = || {
+                let mut idx = TieredIndex::open(&dir).unwrap();
+                idx.set_memtable_limit(limit);
+                idx
+            };
+            let mut tiered = open();
+            let mut shadow = MemoryIndex::in_memory();
+            let labels = ["car", "person", "bus"];
+            for (op, mut bits) in ops {
+                let (video, frame) = (edge(&mut bits), edge(&mut bits));
+                match op {
+                    0..=2 => {
+                        let label = labels[op as usize];
+                        let bbox = Rect::new(edge(&mut bits), edge(&mut bits), edge(&mut bits), edge(&mut bits));
+                        tiered.add_metadata(video, label, frame, bbox).unwrap();
+                        shadow.add_metadata(video, label, frame, bbox).unwrap();
+                    }
+                    3 => {
+                        tiered.mark_processed(video, frame).unwrap();
+                        shadow.mark_processed(video, frame).unwrap();
+                    }
+                    4 => tiered.flush().unwrap(),
+                    _ => {
+                        tiered.flush().unwrap();
+                        drop(tiered);
+                        tiered = open();
+                    }
+                }
+            }
+            tiered.flush().unwrap();
+            drop(tiered);
+            let mut tiered = open();
+            prop_assert!(tiered.verify().unwrap().is_empty());
+            prop_assert_eq!(
+                contents(tier_records(&tiered).iter()),
+                contents(shadow.records())
+            );
+            prop_assert_eq!(tiered.detection_count(), shadow.detection_count());
+            for video in EDGES {
+                prop_assert_eq!(tiered.labels(video).unwrap(), shadow.labels(video).unwrap());
+                prop_assert_eq!(
+                    tiered.query_all(video, 0..u32::MAX).unwrap(),
+                    shadow.query_all(video, 0..u32::MAX).unwrap()
+                );
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
