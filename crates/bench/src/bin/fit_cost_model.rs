@@ -12,6 +12,8 @@
 //! Run with `cargo run --release -p tasm-bench --bin fit_cost_model`
 //! (`TASM_BENCH_SCALE=0.25` for a quick pass).
 
+#![forbid(unsafe_code)]
+
 use tasm_bench::{layout_around, scale, scaled_secs, BenchVideo};
 use tasm_codec::TileLayout;
 use tasm_core::{fit_linear, Granularity, LabelPredicate, Query, WorkSample};

@@ -11,6 +11,8 @@
 //! stdout, the same bytes from run to run at one scale; wall times go only
 //! to the file's header and to stderr.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};

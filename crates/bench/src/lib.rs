@@ -9,6 +9,8 @@
 //! tables byte for byte. Only the `fit_cost_model` binary times, because
 //! calibration is timing.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 use tasm_codec::TileLayout;
 use tasm_core::{

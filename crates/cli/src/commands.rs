@@ -410,7 +410,8 @@ pub(crate) fn stats_report(args: &Args) -> Result<String, Box<dyn Error>> {
         return crate::report::store_stats(videos, None, args.has("json"));
     }
     // Opening the tier runs its recovery: temp files removed, runs a
-    // compaction superseded deleted, a torn WAL rewritten. One probe query
+    // compaction superseded deleted, a torn WAL rewritten; beside a live
+    // owner (`tasm serve`) it only reads and repairs nothing. One probe query
     // per stored label makes the filter counters reflect real lookups.
     let mut tier = TieredIndex::open(&Path::new(store).join("index"))?;
     for video in &videos {

@@ -10,6 +10,8 @@
 //! external media decoder); everything else — encoding, the index, layout
 //! optimization, scans — is the real storage manager operating on disk.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 mod remote;

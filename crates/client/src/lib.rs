@@ -27,6 +27,8 @@
 //! println!("{} regions in {:?}", outcome.regions.len(), outcome.latency);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -53,6 +53,8 @@
 //! same [`VideoManifest::epoch`](tasm_core::VideoManifest) value queries
 //! can pin with `AS OF`.
 
+#![forbid(unsafe_code)]
+
 mod map;
 mod rebalance;
 mod replicate;

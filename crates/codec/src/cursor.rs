@@ -42,7 +42,7 @@ impl<'a> TileCursor<'a> {
     /// it is decoded).
     pub(crate) fn resume(tile: &'a TileVideo, from: u32, reference: Option<&'a Frame>) -> Self {
         let dct = (tile.codec() == TileCodec::Dct)
-            .then(|| TileDecoder::new(tile.width(), tile.height(), tile.qp(), tile.deblock()));
+            .then(|| TileDecoder::new(tile.width(), tile.height(), tile.deblock()));
         TileCursor {
             tile,
             dct,

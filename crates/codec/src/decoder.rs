@@ -48,19 +48,17 @@ impl std::error::Error for DecodeError {}
 pub struct TileDecoder {
     width: u32,
     height: u32,
-    default_qp: u8,
     deblock: bool,
     recon_prev: Option<Frame>,
 }
 
 impl TileDecoder {
-    /// Creates a decoder for a tile of the given dimensions, QP, and deblock
-    /// setting (all recorded in the container header).
-    pub fn new(width: u32, height: u32, qp: u8, deblock: bool) -> Self {
+    /// Creates a decoder for a tile of the given dimensions and deblock
+    /// setting (both recorded in the container header).
+    pub fn new(width: u32, height: u32, deblock: bool) -> Self {
         TileDecoder {
             width,
             height,
-            default_qp: qp,
             deblock,
             recon_prev: None,
         }
@@ -72,27 +70,15 @@ impl TileDecoder {
     /// decode loop is deterministic and closed (each P-frame depends only on
     /// the previous reconstruction), resuming this way is bit-exact with a
     /// decode that started from the keyframe.
-    pub fn with_reference(
-        width: u32,
-        height: u32,
-        qp: u8,
-        deblock: bool,
-        reference: Frame,
-    ) -> Self {
+    pub fn with_reference(width: u32, height: u32, deblock: bool, reference: Frame) -> Self {
         assert_eq!(reference.width(), width, "reference width mismatch");
         assert_eq!(reference.height(), height, "reference height mismatch");
         TileDecoder {
             width,
             height,
-            default_qp: qp,
             deblock,
             recon_prev: Some(reference),
         }
-    }
-
-    /// Decodes the next frame chunk at the stream's base QP.
-    pub fn decode_next(&mut self, data: &[u8], is_key: bool) -> Result<Frame, DecodeError> {
-        self.decode_next_qp(data, is_key, self.default_qp)
     }
 
     /// Decodes the next frame chunk with an explicit per-frame QP (frames
@@ -180,14 +166,6 @@ impl TileDecoder {
             deblock_frame(&mut recon, qs);
         }
         Ok(recon)
-    }
-
-    /// Number of 8×8 blocks in one frame of this tile across all planes
-    /// (used for decode accounting).
-    pub fn blocks_per_frame(&self) -> u64 {
-        let luma = (self.width as u64 / BLOCK as u64) * (self.height as u64 / BLOCK as u64);
-        // Chroma planes are quarter size, so together they add half.
-        luma + luma / 2
     }
 }
 
@@ -359,11 +337,13 @@ mod tests {
             ..Default::default()
         };
         let mut enc = TileEncoder::new(cfg, Rect::new(0, 0, 48, 32));
-        let mut dec = TileDecoder::new(48, 32, cfg.qp, cfg.deblock);
+        let mut dec = TileDecoder::new(48, 32, cfg.deblock);
         for i in 0..10 {
             let frame = textured_frame(48, 32, i);
             let chunk = enc.encode_next(&frame);
-            let out = dec.decode_next(&chunk.data, chunk.is_key).unwrap();
+            let out = dec
+                .decode_next_qp(&chunk.data, chunk.is_key, cfg.qp)
+                .unwrap();
             assert_eq!(out.width(), 48);
             assert_eq!(out.height(), 32);
             // Reconstruction should be within quantization error of source.
@@ -385,11 +365,13 @@ mod tests {
             ..Default::default()
         };
         let mut enc = TileEncoder::new(cfg, Rect::new(0, 0, 32, 32));
-        let mut dec = TileDecoder::new(32, 32, cfg.qp, false);
+        let mut dec = TileDecoder::new(32, 32, false);
         for i in 0..4 {
             let frame = textured_frame(32, 32, i);
             let chunk = enc.encode_next(&frame);
-            let out = dec.decode_next(&chunk.data, chunk.is_key).unwrap();
+            let out = dec
+                .decode_next_qp(&chunk.data, chunk.is_key, cfg.qp)
+                .unwrap();
             // qstep == 1 plus DCT rounding: every sample within ±2.
             for plane in Plane::ALL {
                 for (a, b) in frame.plane(plane).iter().zip(out.plane(plane)) {
@@ -410,8 +392,10 @@ mod tests {
         let frame = textured_frame(64, 64, 3);
         let mut enc = TileEncoder::new(cfg, Rect::new(16, 16, 32, 32));
         let chunk = enc.encode_next(&frame);
-        let mut dec = TileDecoder::new(32, 32, cfg.qp, cfg.deblock);
-        let out = dec.decode_next(&chunk.data, chunk.is_key).unwrap();
+        let mut dec = TileDecoder::new(32, 32, cfg.deblock);
+        let out = dec
+            .decode_next_qp(&chunk.data, chunk.is_key, cfg.qp)
+            .unwrap();
         let reference = frame.crop(Rect::new(16, 16, 32, 32));
         let report = tasm_video::psnr_frames(&reference, &out);
         assert!(report.y > 28.0, "tile PSNR {:.1}", report.y);
@@ -419,9 +403,9 @@ mod tests {
 
     #[test]
     fn p_frame_without_keyframe_is_error() {
-        let mut dec = TileDecoder::new(32, 32, 28, true);
+        let mut dec = TileDecoder::new(32, 32, true);
         assert_eq!(
-            dec.decode_next(&[0u8; 4], false),
+            dec.decode_next_qp(&[0u8; 4], false, 28),
             Err(DecodeError::MissingReference)
         );
     }
@@ -432,23 +416,16 @@ mod tests {
         let mut enc = TileEncoder::new(cfg, Rect::new(0, 0, 32, 32));
         let frame = textured_frame(32, 32, 0);
         let chunk = enc.encode_next(&frame);
-        let mut dec = TileDecoder::new(32, 32, cfg.qp, cfg.deblock);
+        let mut dec = TileDecoder::new(32, 32, cfg.deblock);
         let truncated = &chunk.data[..chunk.data.len() / 2];
-        assert!(dec.decode_next(truncated, true).is_err());
+        assert!(dec.decode_next_qp(truncated, true, cfg.qp).is_err());
     }
 
     #[test]
     fn garbage_stream_is_error_not_panic() {
-        let mut dec = TileDecoder::new(32, 32, 28, true);
+        let mut dec = TileDecoder::new(32, 32, true);
         let garbage: Vec<u8> = (0..64u16).map(|i| (i * 37 % 251) as u8).collect();
         // Must not panic; may error or produce nonsense pixels.
-        let _ = dec.decode_next(&garbage, true);
-    }
-
-    #[test]
-    fn blocks_per_frame_accounting() {
-        let dec = TileDecoder::new(64, 32, 28, true);
-        // Luma: 8x4 = 32 blocks; chroma adds half: 48.
-        assert_eq!(dec.blocks_per_frame(), 48);
+        let _ = dec.decode_next_qp(&garbage, true, 28);
     }
 }

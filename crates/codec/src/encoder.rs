@@ -766,7 +766,7 @@ mod tests {
             ..Default::default()
         };
         let mut enc = TileEncoder::new(cfg, Rect::new(0, 0, 64, 64));
-        let mut dec = TileDecoder::new(64, 64, cfg.qp, cfg.deblock);
+        let mut dec = TileDecoder::new(64, 64, cfg.deblock);
         for i in 0..12 {
             let src = textured(i);
             let chunk = enc.encode_next(&src);
@@ -816,7 +816,7 @@ mod tests {
                     ..Default::default()
                 };
                 let mut enc = TileEncoder::new(cfg, Rect::new(0, 0, 64, 64));
-                let mut dec = TileDecoder::new(64, 64, cfg.qp, cfg.deblock);
+                let mut dec = TileDecoder::new(64, 64, cfg.deblock);
                 let mut qps = std::collections::BTreeSet::new();
                 for (i, src) in clip.iter().enumerate() {
                     let chunk = enc.encode_next(src);

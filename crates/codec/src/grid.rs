@@ -197,28 +197,6 @@ impl TileLayout {
         }
         out
     }
-
-    /// True if any interior tile boundary cuts through `rect`.
-    pub fn boundary_intersects(&self, rect: &Rect) -> bool {
-        if rect.is_empty() {
-            return false;
-        }
-        let mut x = 0;
-        for &w in &self.col_widths[..self.col_widths.len() - 1] {
-            x += w;
-            if x > rect.x && x < rect.right() {
-                return true;
-            }
-        }
-        let mut y = 0;
-        for &h in &self.row_heights[..self.row_heights.len() - 1] {
-            y += h;
-            if y > rect.y && y < rect.bottom() {
-                return true;
-            }
-        }
-        false
-    }
 }
 
 /// Index range `[first, last)` of grid cells overlapping `[lo, hi)`.
@@ -356,16 +334,6 @@ mod tests {
         );
         assert_eq!(l.tiles_intersecting(&Rect::new(200, 100, 10, 10)), vec![3]);
         assert!(l.tiles_intersecting(&Rect::new(5, 5, 0, 0)).is_empty());
-    }
-
-    #[test]
-    fn boundary_intersects_detects_cuts() {
-        let l = TileLayout::uniform(320, 160, 2, 2).unwrap();
-        assert!(l.boundary_intersects(&Rect::new(150, 10, 20, 10))); // crosses x=160
-        assert!(l.boundary_intersects(&Rect::new(10, 70, 10, 20))); // crosses y=80
-        assert!(!l.boundary_intersects(&Rect::new(0, 0, 160, 80))); // exactly tile 0
-        assert!(!l.boundary_intersects(&Rect::new(170, 90, 20, 20))); // inside tile 3
-        assert!(!TileLayout::untiled(320, 160).boundary_intersects(&Rect::new(0, 0, 320, 160)));
     }
 
     #[test]

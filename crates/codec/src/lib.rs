@@ -22,6 +22,8 @@
 //! three-step motion search, zigzag run-level coding with exp-Golomb codes,
 //! and an H.264-style weak deblocking filter.
 
+#![forbid(unsafe_code)]
+
 pub mod bitstream;
 pub mod blockops;
 pub mod container;

@@ -1253,7 +1253,7 @@ mod tests {
             let frames = rng.u32(2..8);
             let clip = arb_clip(rng, w, h, frames);
             let mut enc = TileEncoder::new(cfg, Rect::new(0, 0, w, h));
-            let dec = TileDecoder::new(w, h, cfg.qp, cfg.deblock);
+            let dec = TileDecoder::new(w, h, cfg.deblock);
             let geom = (w, h, cfg.deblock);
             let mut prev: Option<Frame> = None;
             for src in &clip {
@@ -1314,7 +1314,7 @@ mod tests {
     /// Hand-built streams for the corrupt values random flips rarely reach.
     #[test]
     fn extreme_syntax_values_are_typed_errors_or_exact() {
-        let dec = TileDecoder::new(16, 16, 28, true);
+        let dec = TileDecoder::new(16, 16, true);
         let geom = (16, 16, true);
         let reference = Frame::filled(16, 16, 100, 128, 128);
         // A motion vector at the i32 limits: outside the tile, not wrapped
@@ -1421,7 +1421,7 @@ mod tests {
     /// each with padding behind it and again as the last bits of the stream.
     #[test]
     fn constructed_residual_blocks_are_typed_errors_or_exact() {
-        let dec = TileDecoder::new(16, 16, 28, true);
+        let dec = TileDecoder::new(16, 16, true);
         let geom = (16, 16, true);
         let zero_level = DecodeError::InvalidSyntax("zero level coded as nonzero");
         let overflow = DecodeError::InvalidSyntax("coefficient run overflows block");
@@ -1503,7 +1503,7 @@ mod tests {
     #[test]
     fn residuals_at_every_window_offset_match_reference() {
         let (w, h) = (128u32, 64u32);
-        let dec = TileDecoder::new(w, h, 28, false);
+        let dec = TileDecoder::new(w, h, false);
         let geom = (w, h, false);
         let reference = Frame::filled(w, h, 90, 120, 140);
         for_cases(2, "window-offsets", |rng| {

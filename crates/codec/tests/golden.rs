@@ -239,8 +239,7 @@ fn golden_with_reference_resume() {
     let tile = &tiles[0];
     let (all, _) = tile.decode_all().unwrap();
     let from = 3u32;
-    let mut dec =
-        TileDecoder::with_reference(W, H, c.qp, c.deblock, all[from as usize - 1].clone());
+    let mut dec = TileDecoder::with_reference(W, H, c.deblock, all[from as usize - 1].clone());
     let resumed: Vec<Frame> = (from..GOP)
         .map(|i| tile.frame(i).unwrap())
         .map(|ef| dec.decode_next_qp(ef.data, ef.is_key, ef.qp).unwrap())

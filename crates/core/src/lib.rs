@@ -127,6 +127,8 @@
 //! let tasm = Tasm::open("/tmp/tasm-store", Box::new(MemoryIndex::in_memory()), cfg);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod durable;
 pub mod edge;

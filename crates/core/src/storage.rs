@@ -164,8 +164,10 @@ impl From<StitchError> for StoreError {
     }
 }
 
-/// Encoding parameters for a stored video. Every tile is written as DCT;
-/// the `codec` key that manifests of earlier builds carry is ignored.
+/// Encoding parameters for a stored video. Every tile is written as DCT,
+/// with the encoder's default motion search and deblocking; the `codec`,
+/// `search_range` and `deblock` keys that manifests of earlier builds
+/// carry are ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StorageConfig {
     /// Quantization parameter.
@@ -175,10 +177,6 @@ pub struct StorageConfig {
     /// SOT duration in frames; must be a multiple of `gop_len` (layout
     /// duration, §3.4.3).
     pub sot_frames: u32,
-    /// Motion search range.
-    pub search_range: u8,
-    /// In-loop deblocking.
-    pub deblock: bool,
     /// Rate-control mode (constant QP by default; target-rate mode emulates
     /// hardware encoders under a bit budget).
     pub rate: tasm_codec::encoder::RateControl,
@@ -194,8 +192,6 @@ impl Default for StorageConfig {
             qp: 28,
             gop_len: 30,
             sot_frames: 30,
-            search_range: 7,
-            deblock: true,
             rate: tasm_codec::encoder::RateControl::ConstantQp,
             parallel_encode: true,
         }
@@ -225,9 +221,8 @@ impl StorageConfig {
         EncoderConfig {
             gop_len: self.gop_len,
             qp: self.qp,
-            search_range: self.search_range,
-            deblock: self.deblock,
             rate: self.rate,
+            ..EncoderConfig::default()
         }
     }
 }
@@ -441,21 +436,11 @@ impl VideoStore {
         io.create_dir_all(&root)?;
         // The store lock decides who may *mutate* during startup: recovery
         // deletes unpublished packs, which would corrupt an in-flight
-        // re-tile if another live handle (or process) owns them. Taken
-        // directly against the real filesystem — it coordinates processes,
-        // it is not data I/O.
-        let (lock, contended) = match fs::File::create(root.join(".tasm.lock")) {
-            Ok(f) => match f.try_lock() {
-                Ok(()) => (Some(f), false),
-                Err(_) => (None, true),
-            },
-            // The lock file cannot even be created (e.g. a read-only
-            // store): that is not evidence of a live peer, so recovery
-            // still runs — on a genuinely read-only store a clean state
-            // needs no repair, and a dirty one fails the open loudly
-            // instead of silently skipping repairs forever.
-            Err(_) => (None, false),
-        };
+        // re-tile if another live handle (or process) owns them. A lock
+        // file that cannot be created (a read-only store) still runs
+        // recovery: a clean state needs no repair, and a dirty one fails
+        // the open loudly instead of silently skipping repairs forever.
+        let (lock, contended) = tasm_index::io::lock_owner(&root.join(".tasm.lock"));
         let mut store = VideoStore {
             root,
             workers,

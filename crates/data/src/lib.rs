@@ -12,6 +12,8 @@
 //!   `SELECT o FROM v` query;
 //! * [`zipf`] — the Zipfian start-frame sampler used by Workloads 3–4.
 
+#![forbid(unsafe_code)]
+
 pub mod datasets;
 pub mod scene;
 pub mod workloads;

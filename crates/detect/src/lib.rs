@@ -16,6 +16,8 @@
 //!
 //! Detectors are deterministic: the same frame yields the same detections.
 
+#![forbid(unsafe_code)]
+
 pub mod background;
 pub mod sampled;
 pub mod yolo;

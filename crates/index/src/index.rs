@@ -25,6 +25,9 @@ pub enum TreeError {
     /// `add_metadata` refused a label longer than [`MAX_LABEL_LEN`] bytes
     /// (the byte length it was given).
     LabelTooLong(usize),
+    /// A write to a [`crate::TieredIndex`] handle that opened beside the
+    /// directory's live owner and only reads.
+    ReadOnly,
 }
 
 impl From<io::Error> for TreeError {
@@ -38,6 +41,12 @@ impl std::fmt::Display for TreeError {
         match self {
             TreeError::Io(e) => write!(f, "index I/O error: {e}"),
             TreeError::Corrupt(what) => write!(f, "index corrupt: {what}"),
+            TreeError::ReadOnly => {
+                write!(
+                    f,
+                    "index is owned by another open handle; this one only reads"
+                )
+            }
             TreeError::LabelTooLong(len) => {
                 write!(
                     f,

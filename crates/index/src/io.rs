@@ -91,6 +91,24 @@ pub fn read_exact_range(file: &fs::File, range: Range<u64>) -> io::Result<Vec<u8
     Ok(data)
 }
 
+/// Takes an exclusive advisory lock on `path` (created if missing): the rule
+/// that decides which handle on a directory may repair it when it opens.
+/// `(Some(lock), false)` when acquired, held until the file drops and
+/// released by the OS when the process dies, so a `kill -9` wedges nothing;
+/// `(None, true)` when another live handle, in this process or another,
+/// holds it; `(None, false)` when the file cannot be created (say, a
+/// read-only directory), which is no evidence of a live peer. Taken against
+/// the real filesystem: it coordinates handles, it is not data I/O.
+pub fn lock_owner(path: &Path) -> (Option<fs::File>, bool) {
+    match fs::File::create(path) {
+        Ok(f) => match f.try_lock() {
+            Ok(()) => (Some(f), false),
+            Err(_) => (None, true),
+        },
+        Err(_) => (None, false),
+    }
+}
+
 /// The production [`StorageIo`]: plain filesystem calls with durability —
 /// writes fsync the file before returning, renames fsync the destination's
 /// parent directory so the new name survives a power cut. The only code

@@ -18,6 +18,8 @@
 //!   (this index, the tile store and `cluster.json` all write through it),
 //!   and its production implementation [`RealIo`].
 
+#![forbid(unsafe_code)]
+
 pub mod index;
 pub mod io;
 pub mod key;

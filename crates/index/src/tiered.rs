@@ -26,6 +26,13 @@
 //! with an operation-sequence watermark) lands in the state after some
 //! prefix of the operations that holds every one a [`flush`] acknowledged.
 //!
+//! Only the directory's owner repairs it: a handle holds an exclusive
+//! advisory lock on `index.lock` for its lifetime (the tile store's rule
+//! for its own directory). A handle opened beside a live owner, such as
+//! `tasm fsck` beside `tasm serve`, replays the runs and the WAL's valid
+//! prefix into memory, removes, rolls forward and rewrites nothing, and
+//! refuses writes with [`TreeError::ReadOnly`].
+//!
 //! WAL records code their numbers as zigzag varint deltas from the
 //! record before them in the same frame. `FORMAT.md` at the repository
 //! root gives both files byte by byte, in the layout this build writes
@@ -75,6 +82,9 @@ const FOOTER_LEN: usize = 8 * 8 + 4 + 4;
 
 /// The write-ahead log file name.
 const WAL_NAME: &str = "wal.log";
+
+/// The lock file whose holder owns the directory.
+const LOCK_NAME: &str = "index.lock";
 
 // ---------------------------------------------------------------------
 // CRC32 (IEEE), table built at compile time
@@ -783,6 +793,12 @@ pub struct TieredIndex {
     filter_probes: u64,
     filter_skips: u64,
     runs_read: u64,
+    /// The lock on [`LOCK_NAME`], held for this handle's lifetime when
+    /// acquired (see [`crate::io::lock_owner`]).
+    _lock: Option<std::fs::File>,
+    /// Another live handle owns the directory: this one repaired nothing
+    /// at open and refuses writes.
+    read_only: bool,
 }
 
 impl TieredIndex {
@@ -793,9 +809,11 @@ impl TieredIndex {
 
     /// Opens (or creates) a tiered index with an injectable I/O shim —
     /// recovery (temp-file removal, compaction roll-forward, WAL replay)
-    /// runs before this returns.
+    /// runs before this returns. Beside a live owner of `dir` the handle
+    /// only replays, and refuses writes.
     pub fn open_with_io(dir: &Path, io: Arc<dyn StorageIo>) -> IndexResult<Self> {
         io.create_dir_all(dir)?;
+        let (lock, read_only) = crate::io::lock_owner(&dir.join(LOCK_NAME));
         let mut idx = TieredIndex {
             io,
             dir: dir.to_path_buf(),
@@ -813,6 +831,8 @@ impl TieredIndex {
             filter_probes: 0,
             filter_skips: 0,
             runs_read: 0,
+            _lock: lock,
+            read_only,
         };
         idx.recover()?;
         Ok(idx)
@@ -832,13 +852,16 @@ impl TieredIndex {
     /// forward (delete inputs a published merged run supersedes), load run
     /// metadata, replay the WAL above the run watermark, and rewrite the
     /// WAL if a torn tail is found — leaving exactly the state of the last
-    /// completed `flush`.
+    /// completed `flush`. A read-only handle loads and replays the same
+    /// state and changes no file: its temp files and torn tail may be the
+    /// owner's writes in flight.
     fn recover(&mut self) -> IndexResult<()> {
+        let repair = !self.read_only;
         let entries = self.io.list_dir(&self.dir)?;
         // 1. Temp files are in-flight run writes or WAL rewrites that never
         //    published.
         for path in &entries {
-            if path.to_string_lossy().ends_with(TMP_SUFFIX) {
+            if repair && path.to_string_lossy().ends_with(TMP_SUFFIX) {
                 self.io.remove_file(path)?;
             }
         }
@@ -859,17 +882,14 @@ impl TieredIndex {
         // 3. Compaction roll-forward: a published merged run supersedes its
         //    inputs; delete any that survived the crash.
         let superseded: Vec<u64> = runs.iter().flat_map(|r| r.inputs.iter().copied()).collect();
-        if !superseded.is_empty() {
-            let mut kept = Vec::new();
-            for run in runs {
-                if superseded.contains(&run.id) {
-                    self.io.remove_file(&run.path)?;
-                } else {
-                    kept.push(run);
-                }
+        let (gone, kept): (Vec<Run>, Vec<Run>) =
+            runs.into_iter().partition(|r| superseded.contains(&r.id));
+        if repair {
+            for run in &gone {
+                self.io.remove_file(&run.path)?;
             }
-            runs = kept;
         }
+        runs = kept;
         self.next_run_id = runs.iter().map(|r| r.id + 1).max().unwrap_or(0);
         // 4. Restore cumulative state from the newest run.
         if let Some(newest) = runs.iter().max_by_key(|r| r.max_opseq) {
@@ -920,7 +940,7 @@ impl TieredIndex {
                     }
                 }
             }
-            if valid_len < bytes.len() {
+            if repair && valid_len < bytes.len() {
                 // Rewrite without the torn tail so the log is clean again,
                 // under a temp name: a crash mid-rewrite must keep the log.
                 let tmp = self.dir.join(format!("{WAL_NAME}{TMP_SUFFIX}"));
@@ -935,6 +955,14 @@ impl TieredIndex {
     fn next_opseq(&mut self) -> u64 {
         self.opseq += 1;
         self.opseq
+    }
+
+    /// Refuses a write on a handle that does not own the directory.
+    fn check_owner(&self) -> IndexResult<()> {
+        if self.read_only {
+            return Err(TreeError::ReadOnly);
+        }
+        Ok(())
     }
 
     fn intern(&mut self, label: &str) -> u32 {
@@ -1190,6 +1218,7 @@ impl TieredIndex {
 
 impl SemanticIndex for TieredIndex {
     fn add_metadata(&mut self, video: u32, label: &str, frame: u32, bbox: Rect) -> IndexResult<()> {
+        self.check_owner()?;
         check_label(label)?;
         let label_id = self.intern(label);
         let opseq = self.next_opseq();
@@ -1251,6 +1280,7 @@ impl SemanticIndex for TieredIndex {
     }
 
     fn mark_processed(&mut self, video: u32, frame: u32) -> IndexResult<()> {
+        self.check_owner()?;
         // Idempotent: seq 0 means re-marking overwrites the same key.
         let opseq = self.next_opseq();
         let key = RecordKey::new(video, PROCESSED_LABEL, frame, 0);
@@ -1269,6 +1299,7 @@ impl SemanticIndex for TieredIndex {
     }
 
     fn flush(&mut self) -> IndexResult<()> {
+        self.check_owner()?;
         self.append_wal()?;
         if self.mem.len() >= self.memtable_limit {
             self.flush_memtable_to_run()?;
@@ -1551,7 +1582,9 @@ mod tests {
         for path in idx.io.list_dir(&dir).unwrap() {
             let head = std::fs::read(&path).unwrap();
             assert!(
-                path.ends_with(WAL_NAME) || head.starts_with(&RUN_MAGIC),
+                path.ends_with(WAL_NAME)
+                    || path.ends_with(LOCK_NAME)
+                    || head.starts_with(&RUN_MAGIC),
                 "{path:?}"
             );
         }
@@ -1828,6 +1861,76 @@ mod tests {
             assert_eq!(idx.query(0, "car", 0..10).unwrap().len(), 1);
             assert!(idx.verify().unwrap().is_empty(), "WAL rewritten clean");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A second open of a directory whose owner is live repairs nothing:
+    /// the temp file of a run the owner may be publishing and a WAL tail
+    /// the owner may be appending stay as they are.
+    #[test]
+    fn a_second_open_beside_a_live_owner_repairs_nothing() {
+        let dir = temp_dir("second-open");
+        let mut owner = TieredIndex::open(&dir).unwrap();
+        owner.add_metadata(0, "car", 1, bbox(1)).unwrap();
+        owner.flush().unwrap();
+        let tmp = dir.join(format!("{}{TMP_SUFFIX}", run_file_name(7)));
+        std::fs::write(&tmp, b"a run being written").unwrap();
+        let wal = dir.join(WAL_NAME);
+        let mut wal_bytes = std::fs::read(&wal).unwrap();
+        wal_bytes.extend_from_slice(&[9, 0, 0, 0, 0xAB, 0xCD]);
+        std::fs::write(&wal, &wal_bytes).unwrap();
+
+        let mut second = TieredIndex::open(&dir).unwrap();
+        let tmp_kept = tmp.exists();
+        let wal_kept = std::fs::read(&wal).unwrap() == wal_bytes;
+        assert!(
+            tmp_kept && wal_kept,
+            "tmp_kept={tmp_kept} wal_kept={wal_kept}"
+        );
+        assert_eq!(second.query(0, "car", 0..10).unwrap().len(), 1);
+        drop(second);
+        drop(owner);
+        // With the owner gone, the next open owns the directory and repairs.
+        let idx = TieredIndex::open(&dir).unwrap();
+        assert!(!tmp.exists());
+        assert!(idx.verify().unwrap().is_empty(), "WAL rewritten clean");
+        drop(idx);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A handle beside a live owner reads what the owner holds at a
+    /// quiescent point and refuses every write with a typed error.
+    #[test]
+    fn a_handle_beside_a_live_owner_reads_and_refuses_writes() {
+        let dir = temp_dir("reader");
+        let mut owner = TieredIndex::open(&dir).unwrap();
+        owner.set_memtable_limit(4);
+        for f in 0..10 {
+            owner.add_metadata(0, "car", f, bbox(f)).unwrap();
+        }
+        owner.flush().unwrap();
+        let mut reader = TieredIndex::open(&dir).unwrap();
+        assert_eq!(reader.stats(), owner.stats());
+        assert!(matches!(
+            reader.add_metadata(0, "car", 10, bbox(10)),
+            Err(TreeError::ReadOnly)
+        ));
+        assert!(matches!(
+            reader.mark_processed(0, 0),
+            Err(TreeError::ReadOnly)
+        ));
+        assert!(matches!(reader.flush(), Err(TreeError::ReadOnly)));
+        assert_eq!(reader.detection_count(), 10);
+        assert_eq!(reader.query(0, "car", 0..10).unwrap().len(), 10);
+        drop(reader);
+        owner.add_metadata(0, "car", 10, bbox(10)).unwrap();
+        owner.flush().unwrap();
+        drop(owner);
+        let mut next = TieredIndex::open(&dir).unwrap();
+        assert_eq!(next.detection_count(), 11);
+        next.mark_processed(0, 0).unwrap();
+        next.flush().unwrap();
+        drop(next);
         std::fs::remove_dir_all(&dir).ok();
     }
 

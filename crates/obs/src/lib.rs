@@ -38,6 +38,8 @@
 //! counts a service, server or router keeps for itself are plain atomics
 //! outside the registry, so they count regardless too.
 
+#![forbid(unsafe_code)]
+
 pub mod http;
 pub mod log;
 pub mod metrics;

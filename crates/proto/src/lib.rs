@@ -68,6 +68,8 @@
 //! `tests/wire_protocol.rs` property-tests round-trips and truncation/
 //! corruption behavior for every message type.
 
+#![forbid(unsafe_code)]
+
 mod message;
 pub mod nio;
 mod wire;

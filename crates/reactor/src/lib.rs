@@ -22,7 +22,7 @@
 //! through the [`Waker`] half of a self-notification pipe.
 //!
 //! ```text
-//!        epoll/poll wait ──────────────────────────────┐
+//!        poll(2) wait ─────────────────────────────────┐
 //!          │ listener readable → accept burst          │
 //!          │   over cap → refusal frame, linger, close │ one reactor
 //!          │ wake pipe readable → queue completions    │ thread + the

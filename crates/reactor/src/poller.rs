@@ -1,10 +1,9 @@
-//! OS readiness notification behind one small API: `epoll` on Linux,
-//! POSIX `poll(2)` elsewhere on unix, and an always-failing stub on other
-//! platforms (serving is unix-only: binding a server there fails).
+//! OS readiness notification behind one small API: POSIX `poll(2)` on
+//! every unix, and an always-failing stub on other platforms (serving is
+//! unix-only: binding a server there fails).
 //!
-//! No `libc` crate is available in this workspace, so the two or three
-//! syscalls each backend needs are declared directly via `extern "C"` —
-//! std already links the C library, the symbols are there.
+//! No `libc` crate is available in this workspace, so `poll` is declared
+//! directly via `extern "C"`: std already links the C library.
 
 use std::io;
 
@@ -23,9 +22,9 @@ impl Interest {
     };
 }
 
-/// One readiness event. `hangup` folds POLLERR/POLLHUP/EPOLLRDHUP
-/// together: the next read on the socket tells the session precisely how
-/// it died.
+/// One readiness event. `hangup` folds POLLERR and POLLHUP together: the
+/// next read on the socket tells the session precisely how it died. A
+/// peer's half-close arrives as `readable`, and that read returns 0 bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     pub token: u64,
@@ -34,142 +33,18 @@ pub struct Event {
     pub hangup: bool,
 }
 
-#[cfg(target_os = "linux")]
-mod sys {
-    use super::{Event, Interest};
-    use std::io;
-    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-    use std::time::Duration;
-
-    // On x86-64 the kernel ABI packs the struct; on other architectures
-    // it is naturally aligned.
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-    }
-
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-
-    /// Level-triggered epoll instance. Level-triggering is deliberate:
-    /// a session that leaves bytes unread (paused) simply drops `readable`
-    /// from its interest set instead of needing edge-rearm bookkeeping.
-    pub struct Poller {
-        ep: OwnedFd,
-        buf: Vec<EpollEvent>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            // SAFETY: `epoll_create1` takes a flags word and touches no
-            // memory of ours; a negative return is handled below.
-            let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Poller {
-                // SAFETY: `fd` was just returned, non-negative, by
-                // `epoll_create1`, and nothing else owns or closes it.
-                ep: unsafe { OwnedFd::from_raw_fd(fd) },
-                buf: vec![EpollEvent { events: 0, data: 0 }; 512],
-            })
-        }
-
-        fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: mask(interest),
-                data: token,
-            };
-            // SAFETY: `self.ep` is an open epoll fd, and `ev` a live
-            // `epoll_event` in the kernel's layout that it only reads.
-            let rc = unsafe { epoll_ctl(self.ep.as_raw_fd(), op, fd, &mut ev) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::default())
-        }
-
-        pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
-            events.clear();
-            let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-            // SAFETY: the kernel writes at most `self.buf.len()` events into
-            // `self.buf`, borrowed for the call; `n` bounds what is read.
-            let n = unsafe {
-                epoll_wait(
-                    self.ep.as_raw_fd(),
-                    self.buf.as_mut_ptr(),
-                    self.buf.len() as i32,
-                    ms,
-                )
-            };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for ev in &self.buf[..n as usize] {
-                // Packed struct: copy the fields out before use.
-                let bits = ev.events;
-                let token = ev.data;
-                events.push(Event {
-                    token,
-                    readable: bits & (EPOLLIN | EPOLLRDHUP) != 0,
-                    writable: bits & EPOLLOUT != 0,
-                    hangup: bits & (EPOLLERR | EPOLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    fn mask(interest: Interest) -> u32 {
-        let mut m = EPOLLRDHUP;
-        if interest.readable {
-            m |= EPOLLIN;
-        }
-        if interest.writable {
-            m |= EPOLLOUT;
-        }
-        m
-    }
-}
-
-#[cfg(all(unix, not(target_os = "linux")))]
+#[cfg(unix)]
 mod sys {
     use super::{Event, Interest};
     use std::io;
     use std::os::fd::RawFd;
     use std::time::Duration;
+
+    /// `nfds_t`: `unsigned long` on Linux, `unsigned int` on other unixes.
+    #[cfg(target_os = "linux")]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::ffi::c_uint;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -180,7 +55,7 @@ mod sys {
     }
 
     extern "C" {
-        fn poll(fds: *mut Pollfd, nfds: u64, timeout: i32) -> i32;
+        fn poll(fds: *mut Pollfd, nfds: Nfds, timeout: i32) -> i32;
     }
 
     const POLLIN: i16 = 0x001;
@@ -188,9 +63,11 @@ mod sys {
     const POLLERR: i16 = 0x008;
     const POLLHUP: i16 = 0x010;
 
-    /// `poll(2)` backend: the registration list is rebuilt into a pollfd
-    /// array per wait. O(n) per tick, which is fine at the connection
-    /// counts non-Linux dev machines see.
+    /// Level-triggered `poll(2)`: the pollfd array is the registration list,
+    /// kept across waits and edited in place, so a paused session just
+    /// drops `readable`. A wait scans every entry, as the reactor's sweep
+    /// already visits every session: at most the connection cap plus the
+    /// listener and the wake pipe.
     pub struct Poller {
         fds: Vec<Pollfd>,
         tokens: Vec<u64>,
@@ -241,7 +118,7 @@ mod sys {
             let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
             // SAFETY: `self.fds` holds `self.fds.len()` C-layout `pollfd`s,
             // borrowed for the call; the kernel writes only their `revents`.
-            let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as u64, ms) };
+            let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as Nfds, ms) };
             if n < 0 {
                 let e = io::Error::last_os_error();
                 if e.kind() == io::ErrorKind::Interrupted {

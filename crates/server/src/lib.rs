@@ -15,7 +15,7 @@
 //! operations themselves:
 //!
 //! ```text
-//!   reactor thread (epoll/poll)          QueryService worker pool
+//!   reactor thread (poll(2))             QueryService worker pool
 //!   ┌───────────────────────────┐        ┌──────────────────────┐
 //!   │ listener → accept burst   │ submit │ worker 0 … worker N  │
 //!   │   over cap → typed error  ├───────▶│  (fixed, bounded     │
@@ -34,9 +34,8 @@
 //! through a wakeup pipe to be streamed out by write-readiness. Total
 //! thread count is O(workers), independent of connection count.
 //!
-//! Serving is unix-only: the reactor waits on epoll (Linux) or `poll(2)`
-//! (other unixes), and elsewhere [`TasmServer::bind`] returns the poller's
-//! `Unsupported` error.
+//! Serving is unix-only: the reactor waits on `poll(2)`, and elsewhere
+//! [`TasmServer::bind`] returns the poller's `Unsupported` error.
 //!
 //! ## Shutdown semantics
 //!
@@ -76,6 +75,8 @@
 //! let report = server.shutdown();
 //! println!("served {} sessions", report.sessions_served);
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod reactor;
 

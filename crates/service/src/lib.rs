@@ -113,6 +113,8 @@
 //! The `tasm workload` CLI command drives exactly this pipeline:
 //! `tasm workload --store DIR --name NAME --concurrency 16 --queue-depth 64`.
 
+#![forbid(unsafe_code)]
+
 mod daemon;
 mod service;
 mod stats;

@@ -29,20 +29,6 @@ impl Rect {
         Rect { x, y, w, h }
     }
 
-    /// Creates a rectangle from two corner points `(x1, y1)`–`(x2, y2)`
-    /// (exclusive bottom-right), the convention used by the paper's
-    /// `AddMetadata(video, frame, label, x1, y1, x2, y2)` API.
-    ///
-    /// Returns an empty rectangle if the corners are inverted.
-    pub fn from_corners(x1: u32, y1: u32, x2: u32, y2: u32) -> Self {
-        Rect {
-            x: x1,
-            y: y1,
-            w: x2.saturating_sub(x1),
-            h: y2.saturating_sub(y1),
-        }
-    }
-
     /// Exclusive right edge.
     pub const fn right(&self) -> u32 {
         self.x + self.w
@@ -141,13 +127,6 @@ impl Rect {
         Rect::new(x, y, self.w.min(w - x), self.h.min(h - y))
     }
 
-    /// Translates the rectangle by a signed offset, clamping at zero.
-    pub fn translate(&self, dx: i64, dy: i64) -> Rect {
-        let x = (self.x as i64 + dx).max(0) as u32;
-        let y = (self.y as i64 + dy).max(0) as u32;
-        Rect::new(x, y, self.w, self.h)
-    }
-
     /// Expands the rectangle by `margin` pixels on every side, clamping to
     /// the `w`×`h` frame. Used to pad detector bounding boxes.
     pub fn inflate(&self, margin: u32, w: u32, h: u32) -> Rect {
@@ -162,19 +141,6 @@ impl Rect {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn corners_roundtrip() {
-        let r = Rect::from_corners(10, 20, 30, 50);
-        assert_eq!(r, Rect::new(10, 20, 20, 30));
-        assert_eq!(r.right(), 30);
-        assert_eq!(r.bottom(), 50);
-    }
-
-    #[test]
-    fn inverted_corners_are_empty() {
-        assert!(Rect::from_corners(30, 50, 10, 20).is_empty());
-    }
 
     #[test]
     fn intersect_overlapping() {
@@ -249,12 +215,6 @@ mod tests {
         assert_eq!(r.clamp_to(100, 100), Rect::new(90, 90, 10, 10));
         let off = Rect::new(200, 200, 5, 5);
         assert!(off.clamp_to(100, 100).is_empty());
-    }
-
-    #[test]
-    fn translate_clamps_at_zero() {
-        let r = Rect::new(5, 5, 10, 10);
-        assert_eq!(r.translate(-10, 3), Rect::new(0, 8, 10, 10));
     }
 
     #[test]

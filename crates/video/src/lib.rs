@@ -8,6 +8,8 @@
 //! equivalent of the raw-frame layer that NVDEC hands to LightDB in the
 //! paper's prototype.
 
+#![forbid(unsafe_code)]
+
 pub mod frame;
 pub mod geometry;
 pub mod quality;

@@ -539,6 +539,43 @@ fn older_manifests_load_install_and_retile_to_dct() {
     }
 }
 
+/// Manifests written by earlier builds carry the encoder's motion search
+/// range and deblocking switch in their storage config. Each loads, from a
+/// peer and from disk, as the manifest this build writes, which carries
+/// neither key: a decode reads deblocking from each tile's own header.
+#[test]
+fn manifests_with_the_encoder_keys_of_earlier_builds_load() {
+    let (manifest, sots) = older_peer_video("encoder-keys");
+    let json = serde_json::to_string_pretty(&manifest).unwrap();
+    for key in ["\"search_range\"", "\"deblock\""] {
+        assert!(!json.contains(key), "{key}: {json}");
+    }
+    let at = json
+        .find("\"parallel_encode\"")
+        .expect("the storage config's last field");
+    // At the defaults every caller used, and at other values.
+    for keys in [
+        "\"search_range\": 7,\n    \"deblock\": true,\n    ",
+        "\"deblock\": false, \"search_range\": 3, ",
+    ] {
+        let older = format!("{}{keys}{}", &json[..at], &json[at..]);
+        let from_peer: VideoManifest = serde_json::from_str(&older).unwrap();
+        assert_eq!(from_peer, manifest, "{keys}");
+
+        let root = temp_dir("encoder-keys-store");
+        let tasm = Tasm::open(
+            root.path(),
+            Box::new(MemoryIndex::in_memory()),
+            TasmConfig::default(),
+        )
+        .unwrap();
+        tasm.apply_replicated_video(from_peer, &sots).unwrap();
+        std::fs::write(root.path().join("v").join("manifest.json"), &older).unwrap();
+        assert_eq!(tasm.store().load_manifest("v").unwrap(), manifest, "{keys}");
+        assert!(tasm.fsck().unwrap().is_clean(), "{keys}");
+    }
+}
+
 /// The default is one DCT encode per tile, nothing else: a store opened
 /// with the default config records codec 0 (`Dct`) for every tile and
 /// writes, byte for byte, the containers `encode_video` makes with the
@@ -571,8 +608,8 @@ fn a_default_ingest_records_dct_and_writes_what_an_explicit_dct_ingest_writes() 
     let explicit = EncoderConfig {
         gop_len: storage.gop_len,
         qp: storage.qp,
-        search_range: storage.search_range,
-        deblock: storage.deblock,
+        search_range: 7,
+        deblock: true,
         rate: storage.rate,
     };
     let (tiles, _) = encode_video(&clip(), &two_cols(), &explicit).unwrap();
