@@ -1072,6 +1072,28 @@ mod tests {
         assert!(bright > 50, "car pixels should be bright, got {bright}");
     }
 
+    /// A tier handle open when the store opens (`tasm info` beside a
+    /// starting `tasm serve`) keeps the store from writing its index only
+    /// while it lives.
+    #[test]
+    fn a_store_opened_beside_a_tier_reader_writes_once_the_reader_drops() {
+        let mut t = Scratch::open("facade-tier-reader", |dir| {
+            let index = dir.join("index");
+            let reader = tasm_index::TieredIndex::open(&index).unwrap();
+            let t = Tasm::open_tiered(dir.join("videos"), &index, TasmConfig::default()).unwrap();
+            (t, Some(reader))
+        });
+        t.0.ingest("v", &source(10), 30).unwrap();
+        assert!(matches!(
+            t.0.mark_processed("v", 0),
+            Err(TasmError::Index(TreeError::ReadOnly))
+        ));
+        t.1 = None;
+        populate_truth(&mut t.0, 10);
+        t.0.with_index(|ix| ix.flush()).unwrap();
+        assert_eq!(t.0.processed_count("v", 0..10).unwrap(), 10);
+    }
+
     #[test]
     fn scan_unknown_video_fails() {
         let t = tasm("unknown");

@@ -26,7 +26,7 @@ pub enum TreeError {
     /// (the byte length it was given).
     LabelTooLong(usize),
     /// A write to a [`crate::TieredIndex`] handle that opened beside the
-    /// directory's live owner and only reads.
+    /// directory's owner while that owner still lives.
     ReadOnly,
 }
 

@@ -31,7 +31,10 @@
 //! for its own directory). A handle opened beside a live owner, such as
 //! `tasm fsck` beside `tasm serve`, replays the runs and the WAL's valid
 //! prefix into memory, removes, rolls forward and rewrites nothing, and
-//! refuses writes with [`TreeError::ReadOnly`].
+//! refuses writes with [`TreeError::ReadOnly`] while that owner lives.
+//! Once it has gone, the handle's next write takes the lock and reloads
+//! the directory as an owning open would, repairs included, so a server
+//! that started beside a short-lived reader still writes.
 //!
 //! WAL records code their numbers as zigzag varint deltas from the
 //! record before them in the same frame. `FORMAT.md` at the repository
@@ -796,8 +799,9 @@ pub struct TieredIndex {
     /// The lock on [`LOCK_NAME`], held for this handle's lifetime when
     /// acquired (see [`crate::io::lock_owner`]).
     _lock: Option<std::fs::File>,
-    /// Another live handle owns the directory: this one repaired nothing
-    /// at open and refuses writes.
+    /// Another live handle owned the directory when this one opened or
+    /// last tried to write: this one repaired nothing and writes nothing
+    /// until it takes the lock.
     read_only: bool,
 }
 
@@ -814,6 +818,16 @@ impl TieredIndex {
     pub fn open_with_io(dir: &Path, io: Arc<dyn StorageIo>) -> IndexResult<Self> {
         io.create_dir_all(dir)?;
         let (lock, read_only) = crate::io::lock_owner(&dir.join(LOCK_NAME));
+        Self::load(dir, io, lock, read_only)
+    }
+
+    /// A handle on `dir` holding `lock`, loaded by [`TieredIndex::recover`].
+    fn load(
+        dir: &Path,
+        io: Arc<dyn StorageIo>,
+        lock: Option<std::fs::File>,
+        read_only: bool,
+    ) -> IndexResult<Self> {
         let mut idx = TieredIndex {
             io,
             dir: dir.to_path_buf(),
@@ -957,11 +971,23 @@ impl TieredIndex {
         self.opseq
     }
 
-    /// Refuses a write on a handle that does not own the directory.
-    fn check_owner(&self) -> IndexResult<()> {
-        if self.read_only {
-            return Err(TreeError::ReadOnly);
+    /// Lets a write through on the directory's owner. A handle that opened
+    /// beside a live owner takes the lock now if that owner has gone, and
+    /// then reloads the directory as an owning open would, repairs
+    /// included, before it writes (it wrote nothing while it only read);
+    /// while the owner lives the write is refused.
+    fn check_owner(&mut self) -> IndexResult<()> {
+        if !self.read_only {
+            return Ok(());
         }
+        let (Some(lock), _) = crate::io::lock_owner(&self.dir.join(LOCK_NAME)) else {
+            return Err(TreeError::ReadOnly);
+        };
+        let mut owner = Self::load(&self.dir, Arc::clone(&self.io), Some(lock), false)?;
+        owner.memtable_limit = self.memtable_limit;
+        (owner.filter_probes, owner.filter_skips, owner.runs_read) =
+            (self.filter_probes, self.filter_skips, self.runs_read);
+        *self = owner;
         Ok(())
     }
 
@@ -1931,6 +1957,34 @@ mod tests {
         next.mark_processed(0, 0).unwrap();
         next.flush().unwrap();
         drop(next);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A handle that opened beside a live owner is read-only only while
+    /// that owner lives: its first write after the owner has gone takes
+    /// the lock, repairs what the owner left, and lands.
+    #[test]
+    fn a_reader_takes_over_once_the_owner_has_gone() {
+        let dir = temp_dir("takeover");
+        let mut owner = TieredIndex::open(&dir).unwrap();
+        owner.add_metadata(0, "car", 1, bbox(1)).unwrap();
+        owner.flush().unwrap();
+        let mut reader = TieredIndex::open(&dir).unwrap();
+        assert!(matches!(reader.flush(), Err(TreeError::ReadOnly)));
+        owner.add_metadata(0, "car", 2, bbox(2)).unwrap();
+        owner.flush().unwrap();
+        drop(owner);
+        let tmp = dir.join(format!("{}{TMP_SUFFIX}", run_file_name(7)));
+        std::fs::write(&tmp, b"a run that never published").unwrap();
+
+        reader.add_metadata(0, "car", 3, bbox(3)).unwrap();
+        reader.flush().unwrap();
+        assert!(!tmp.exists(), "the takeover repairs as an owning open");
+        assert_eq!(reader.query(0, "car", 0..10).unwrap().len(), 3);
+        drop(reader);
+        let mut idx = TieredIndex::open(&dir).unwrap();
+        assert_eq!(idx.query(0, "car", 0..10).unwrap().len(), 3);
+        drop(idx);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -983,6 +983,40 @@ mod tests {
         }
     }
 
+    /// Deregistering an fd moves the last entry into its place: the moved
+    /// fd is still found by fd, and a removed one is not.
+    #[cfg(unix)]
+    #[test]
+    fn the_poller_finds_an_fd_after_another_leaves() {
+        use std::os::fd::AsRawFd;
+        use std::os::unix::net::UnixStream;
+        let pairs: Vec<_> = (0..3).map(|_| UnixStream::pair().unwrap()).collect();
+        let fd = |i: usize| pairs[i].0.as_raw_fd();
+        let mut poller = Poller::new().unwrap();
+        for i in 0..3 {
+            poller.register(fd(i), i as u64, Interest::READ).unwrap();
+        }
+        poller.deregister(fd(0)).unwrap();
+        assert!(poller.deregister(fd(0)).is_err());
+        assert!(poller.reregister(fd(0), 0, Interest::READ).is_err());
+        let write = Interest {
+            readable: true,
+            writable: true,
+        };
+        poller.reregister(fd(2), 7, write).unwrap();
+        (&pairs[1].1).write_all(b"x").unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Duration::from_millis(100))
+            .unwrap();
+        let mut seen: Vec<_> = events
+            .iter()
+            .map(|e| (e.token, e.readable, e.writable))
+            .collect();
+        seen.sort();
+        assert_eq!(seen, [(1, true, false), (7, false, true)]);
+    }
+
     /// A header, 40 regions of ~6.9 KB and a done frame — the shape of a
     /// `warm_serve` response, ~270 KB — leave in a write per burst, not a
     /// write per frame.

@@ -2,8 +2,7 @@
 //! every unix, and an always-failing stub on other platforms (serving is
 //! unix-only: binding a server there fails).
 //!
-//! No `libc` crate is available in this workspace, so `poll` is declared
-//! directly via `extern "C"`: std already links the C library.
+//! With no `libc` crate, `poll` is declared by hand: std links the C library.
 
 use std::io;
 
@@ -64,28 +63,35 @@ mod sys {
     const POLLHUP: i16 = 0x010;
 
     /// Level-triggered `poll(2)`: the pollfd array is the registration list,
-    /// kept across waits and edited in place, so a paused session just
-    /// drops `readable`. A wait scans every entry, as the reactor's sweep
-    /// already visits every session: at most the connection cap plus the
-    /// listener and the wake pipe.
+    /// kept across waits and edited in place (a paused session just drops
+    /// `readable`). A wait scans every entry, as the reactor's sweep visits
+    /// every session: at most the connection cap, the listener and the wake
+    /// pipe. An edit finds its entry through `slots`, without a scan.
+    #[derive(Default)]
     pub struct Poller {
         fds: Vec<Pollfd>,
         tokens: Vec<u64>,
+        /// Each fd's index in `fds`, keyed by fd: stale once it deregisters.
+        slots: Vec<usize>,
     }
 
     impl Poller {
         pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                fds: Vec::new(),
-                tokens: Vec::new(),
-            })
+            Ok(Poller::default())
         }
 
-        fn find(&self, fd: RawFd) -> Option<usize> {
-            self.fds.iter().position(|p| p.fd == fd)
+        fn find(&self, fd: RawFd) -> io::Result<usize> {
+            match usize::try_from(fd).ok().and_then(|f| self.slots.get(f)) {
+                Some(&i) if self.fds.get(i).is_some_and(|p| p.fd == fd) => Ok(i),
+                _ => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
+            }
         }
 
         pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+            let slot = usize::try_from(fd).map_err(|_| io::ErrorKind::InvalidInput)?;
+            self.slots
+                .resize(self.slots.len().max(slot + 1), usize::MAX);
+            self.slots[slot] = self.fds.len();
             self.fds.push(Pollfd {
                 fd,
                 events: mask(interest),
@@ -96,20 +102,19 @@ mod sys {
         }
 
         pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let i = self
-                .find(fd)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
+            let i = self.find(fd)?;
             self.fds[i].events = mask(interest);
             self.tokens[i] = token;
             Ok(())
         }
 
         pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            let i = self
-                .find(fd)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
+            let i = self.find(fd)?;
             self.fds.swap_remove(i);
             self.tokens.swap_remove(i);
+            if let Some(moved) = self.fds.get(i) {
+                self.slots[moved.fd as usize] = i;
+            }
             Ok(())
         }
 
@@ -142,14 +147,7 @@ mod sys {
     }
 
     fn mask(interest: Interest) -> i16 {
-        let mut m = 0;
-        if interest.readable {
-            m |= POLLIN;
-        }
-        if interest.writable {
-            m |= POLLOUT;
-        }
-        m
+        (i16::from(interest.readable) * POLLIN) | (i16::from(interest.writable) * POLLOUT)
     }
 }
 
