@@ -163,70 +163,84 @@ fn cases() -> Vec<(&'static str, EncoderConfig, TileLayout)> {
     ]
 }
 
-/// (case, container-bytes digest, decoded-planes digest), computed on the
-/// scalar reference codec before any fast path existed.
-const GOLDEN: &[(&str, u64, u64)] = &[
-    (
-        "untiled/qp4/no-deblock",
-        0xb0f1da304342493e,
-        0xdde317f103b4888f,
-    ),
-    (
-        "untiled/qp4/deblock",
-        0xf0cc2c681963499a,
-        0xb6ed9465bda25034,
-    ),
-    (
-        "untiled/qp28/no-deblock",
-        0x5d422ed405d9d9af,
-        0x1a6b0f6f4ebce0e3,
-    ),
-    (
-        "untiled/qp28/deblock",
-        0x443a28de04a7cd95,
-        0x30fed70f9cb2a5bf,
-    ),
-    (
-        "untiled/qp40/no-deblock",
-        0x8c90f91efcae69cf,
-        0xaa3fd10d18abff99,
-    ),
-    (
-        "untiled/qp40/deblock",
-        0x12c261f27c95bb90,
-        0x5ebad71bf94cdee7,
-    ),
-    ("2x2/qp4/deblock", 0x2d91950289a96166, 0xa18ce7775aa9347e),
-    ("2x2/qp28/deblock", 0x6e74f40c6450ddc7, 0x5fa6ce8f390e2428),
-    (
-        "2x2/qp40/no-deblock",
-        0xec26a877a3590141,
-        0xeec2db10f1c17f5f,
-    ),
-    (
-        "untiled/rate-0.15bpp",
-        0x8104e490bae170ee,
-        0x902763148530384d,
-    ),
-    ("2x2/rate-0.6bpp", 0x2348b9aaf5436d47, 0x5a8c2faf5d9a690f),
+/// (case, decoded-planes digest), computed on the scalar reference codec
+/// before any fast path existed. A byte format change must leave every
+/// constant-QP row here as it is.
+const GOLDEN_PLANES: &[(&str, u64)] = &[
+    ("untiled/qp4/no-deblock", 0xdde317f103b4888f),
+    ("untiled/qp4/deblock", 0xb6ed9465bda25034),
+    ("untiled/qp28/no-deblock", 0x1a6b0f6f4ebce0e3),
+    ("untiled/qp28/deblock", 0x30fed70f9cb2a5bf),
+    ("untiled/qp40/no-deblock", 0xaa3fd10d18abff99),
+    ("untiled/qp40/deblock", 0x5ebad71bf94cdee7),
+    ("2x2/qp4/deblock", 0xa18ce7775aa9347e),
+    ("2x2/qp28/deblock", 0x5fa6ce8f390e2428),
+    ("2x2/qp40/no-deblock", 0xeec2db10f1c17f5f),
+    ("untiled/rate-0.15bpp", 0x902763148530384d),
+    ("2x2/rate-0.6bpp", 0x5a8c2faf5d9a690f),
 ];
 
-#[test]
-fn container_bytes_and_decoded_planes_are_pinned() {
-    let got: Vec<(&str, u64, u64)> = cases()
+/// (case, container-bytes digest): what the encoder writes.
+const GOLDEN_BYTES: &[(&str, u64)] = &[
+    ("untiled/qp4/no-deblock", 0xb0f1da304342493e),
+    ("untiled/qp4/deblock", 0xf0cc2c681963499a),
+    ("untiled/qp28/no-deblock", 0x5d422ed405d9d9af),
+    ("untiled/qp28/deblock", 0x443a28de04a7cd95),
+    ("untiled/qp40/no-deblock", 0x8c90f91efcae69cf),
+    ("untiled/qp40/deblock", 0x12c261f27c95bb90),
+    ("2x2/qp4/deblock", 0x2d91950289a96166),
+    ("2x2/qp28/deblock", 0x6e74f40c6450ddc7),
+    ("2x2/qp40/no-deblock", 0xec26a877a3590141),
+    ("untiled/rate-0.15bpp", 0x8104e490bae170ee),
+    ("2x2/rate-0.6bpp", 0x2348b9aaf5436d47),
+];
+
+/// Every case's digest as `pick` takes it from [`run`]'s pair, checked
+/// against `pinned`; a mismatch prints the table this build produces.
+fn check_pinned(what: &str, pinned: &[(&str, u64)], pick: fn((u64, u64)) -> u64) {
+    let got: Vec<(&str, u64)> = cases()
         .into_iter()
-        .map(|(name, cfg, layout)| {
-            let (bytes, pixels) = run(cfg, &layout);
-            (name, bytes, pixels)
-        })
+        .map(|(name, cfg, layout)| (name, pick(run(cfg, &layout))))
         .collect();
-    if got != GOLDEN {
+    if got != pinned {
         let table: String = got
             .iter()
-            .map(|(n, b, p)| format!("    (\"{n}\", {b:#018x}, {p:#018x}),\n"))
+            .map(|(n, d)| format!("    (\"{n}\", {d:#018x}),\n"))
             .collect();
-        panic!("codec digests moved; this build produces:\n{table}");
+        panic!("{what} digests moved; this build produces:\n{table}");
     }
+}
+
+#[test]
+fn decoded_planes_are_pinned() {
+    check_pinned("decoded-planes", GOLDEN_PLANES, |(_, planes)| planes);
+}
+
+#[test]
+fn container_bytes_are_pinned() {
+    check_pinned("container-bytes", GOLDEN_BYTES, |(bytes, _)| bytes);
+}
+
+/// `untiled/qp40/deblock` as the encoder wrote it before P-frames coded
+/// SKIP blocks as runs: the clip's 12 frames in one tile whose P-frames
+/// hold SKIP blocks, zero-vector blocks with and without a residual, moved
+/// blocks and intra blocks, one `ue` mode symbol each. Stores hold tiles
+/// like it, so it must decode to the pinned planes, and a ranged decode
+/// and a mid-GOP resume must agree with the whole one.
+const TILE_V1: &[u8] = include_bytes!("../testdata/tile_v1.tvf");
+
+#[test]
+fn a_v1_tile_decodes_to_its_pinned_planes() {
+    assert_eq!(fnv1a(FNV_SEED, TILE_V1), 0x12c261f27c95bb90);
+    let tile = TileVideo::from_bytes(TILE_V1.to_vec()).unwrap();
+    let (all, _) = tile.decode_all().unwrap();
+    assert_eq!(all.len(), FRAMES as usize);
+    assert_eq!(digest_frames(FNV_SEED, &all), 0x5ebad71bf94cdee7);
+    let (ranged, _) = tile.decode_range(GOP + 3..FRAMES).unwrap();
+    assert_eq!(&all[(GOP + 3) as usize..], &ranged[..]);
+    let from = GOP + 2;
+    let (resumed, _) = resume(&tile, from, &all[from as usize - 1]);
+    assert_eq!(&all[from as usize..], &resumed[..]);
 }
 
 /// `TileDecoder::with_reference` — the streaming form of a mid-GOP resume —

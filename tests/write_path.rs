@@ -255,6 +255,29 @@ fn digest_tiles(store: &VideoStore, manifest: &VideoManifest) -> u64 {
     h
 }
 
+/// Digest of every decoded plane of every tile `read_tile` serves for
+/// `manifest`, keyed by SOT and raster index: what the stored bytes mean,
+/// whatever syntax they are in.
+fn digest_planes(store: &VideoStore, manifest: &VideoManifest) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for (i, sot) in manifest.sots.iter().enumerate() {
+        for t in 0..sot.layout.tile_count() {
+            h = fnv1a(h, &[i as u8, t as u8]);
+            let (frames, _) = store
+                .read_tile(manifest, i, t)
+                .unwrap()
+                .decode_all()
+                .unwrap();
+            for f in &frames {
+                for p in Plane::ALL {
+                    h = fnv1a(h, f.plane(p));
+                }
+            }
+        }
+    }
+    h
+}
+
 /// [`digest_tiles`] after ingest and after each of four re-tiles: SOT 0
 /// untiled→2 cols→uneven, SOT 1 2 cols→uneven→2 cols. Computed on the store
 /// that kept one file per tile; how tiles are filed on disk must never move
@@ -265,6 +288,17 @@ const TILES_PINNED: [u64; 5] = [
     0x2aaca36b3c1b7d71,
     0xe6fabd5aa440d1a3,
     0x502e88b79a147254,
+];
+
+/// [`digest_planes`] at the same five steps (the first four are
+/// [`PINNED`]'s too). A change to the tiles' byte format must leave these
+/// as they are.
+const PLANES_PINNED: [u64; 5] = [
+    0x55308c4e7babfbf1,
+    0x7093b0110873d571,
+    0xa9852eb723787b16,
+    0x8829fe85abbc0046,
+    0xe5669cd86b1ebdeb,
 ];
 
 /// The bytes behind `read_tile` are the contract replication, `fsck`
@@ -294,6 +328,7 @@ fn tiles_served_after_ingest_retile_and_replica_install_are_pinned() {
         .collect();
     replica.install_video(&manifest, &whole).unwrap();
     let mut steps = vec![digest_tiles(&store, &manifest)];
+    let mut planes = vec![digest_planes(&store, &manifest)];
     assert_eq!(digest_tiles(&replica, &manifest), steps[0]);
     for (sot, layout) in [
         (0, two_cols()),
@@ -308,11 +343,16 @@ fn tiles_served_after_ingest_retile_and_replica_install_are_pinned() {
         let digest = digest_tiles(&store, &manifest);
         assert_eq!(digest_tiles(&replica, &manifest), digest);
         steps.push(digest);
+        planes.push(digest_planes(&store, &manifest));
     }
     for s in [&store, &replica] {
         assert!(s.fsck(&[]).unwrap().is_clean());
         assert_eq!(s.load_manifest("v").unwrap(), manifest);
     }
+    assert!(
+        planes == PLANES_PINNED,
+        "decoded planes moved; this build produces:\n{planes:#018x?}"
+    );
     assert!(
         steps == TILES_PINNED,
         "served tile digests moved; this build produces:\n{steps:#018x?}"
@@ -1225,4 +1265,142 @@ fn hostile_video_names_never_leave_the_store_root() {
         b"not the store's"
     );
     assert!(tasm.store().fsck(&[]).unwrap().is_clean());
+}
+
+/// Width and height of [`small_clip`].
+const SMALL: (u32, u32) = (128, 64);
+
+/// A small textured clip: a static background, a 16×16 textured object
+/// moving 3 px right and 1 px down a frame, and a patch of fresh noise
+/// every frame, so P-frames hold every kind of block.
+fn small_clip() -> VecFrameSource {
+    let (w, h) = SMALL;
+    let frames = (0..FRAMES)
+        .map(|t| {
+            let mut f = Frame::filled(w, h, 0, 110, 150);
+            for y in 0..h {
+                for x in 0..w {
+                    let v = (x * 5 + y * 3) % 160 + 40 + hash3(x, y, 0) % 7;
+                    f.set_sample(Plane::Y, x, y, v as u8);
+                }
+            }
+            let (ox, oy) = (20 + 3 * t, 8 + t);
+            f.fill_rect(Rect::new(ox & !1, oy & !1, 16, 16), 0, 90, 170);
+            for y in 0..16 {
+                for x in 0..16 {
+                    let v = 215 - ((x ^ y) & 31) - hash3(x, y, 1) % 5;
+                    f.set_sample(Plane::Y, ox + x, oy + y, v as u8);
+                }
+            }
+            for y in 40..56 {
+                for x in 96..112 {
+                    f.set_sample(Plane::Y, x, y, (hash3(x, y, t + 2) % 256) as u8);
+                }
+            }
+            f
+        })
+        .collect();
+    VecFrameSource::new(frames)
+}
+
+/// The `car` box of frame `t`: the moving object of [`small_clip`].
+fn small_car(t: u32) -> Rect {
+    Rect::new(20 + 3 * t, 8 + t, 16, 16)
+}
+
+/// Writes video `cam` to a store rooted at `root` as the CLI lays one out
+/// (`videos/`, `index/`): [`small_clip`] in two SOTs, SOT 0 untiled and
+/// SOT 1 in two rows, SOT 0 then re-tiled 2x2, and a `car` box on every
+/// frame.
+fn write_small_store(root: &Path) -> Tasm {
+    let cfg = TasmConfig {
+        storage: cfg(false),
+        ..TasmConfig::default()
+    };
+    let tasm = Tasm::open_tiered(root.join("videos"), &root.join("index"), cfg).unwrap();
+    let (w, h) = SMALL;
+    let rows = TileLayout::uniform(w, h, 2, 1).unwrap();
+    tasm.ingest_with("cam", &small_clip(), 30, |sot, _| {
+        if sot == 0 {
+            TileLayout::untiled(w, h)
+        } else {
+            rows.clone()
+        }
+    })
+    .unwrap();
+    tasm.retile("cam", 0, TileLayout::uniform(w, h, 2, 2).unwrap())
+        .unwrap();
+    for t in 0..FRAMES {
+        tasm.add_metadata("cam", "car", t, small_car(t)).unwrap();
+        tasm.mark_processed("cam", t).unwrap();
+    }
+    tasm.with_index(|ix| ix.flush()).unwrap();
+    tasm
+}
+
+/// Digest of a query answer: each region's frame, rectangle and planes.
+fn digest_answer(result: &tasm_core::ScanResult) -> u64 {
+    result.regions.iter().fold(0xcbf2_9ce4_8422_2325, |h, r| {
+        let at = [r.frame, r.rect.x, r.rect.y, r.rect.w, r.rect.h];
+        let h = at.iter().fold(h, |h, v| fnv1a(h, &v.to_le_bytes()));
+        Plane::ALL
+            .iter()
+            .fold(h, |h, &p| fnv1a(h, r.pixels.plane(p)))
+    })
+}
+
+/// Copies the directory tree at `from` to `to`.
+fn copy_tree(from: &Path, to: &Path) {
+    for rel in list_tree(from) {
+        let dst = to.join(&rel);
+        std::fs::create_dir_all(dst.parent().unwrap()).unwrap();
+        std::fs::copy(from.join(&rel), dst).unwrap();
+    }
+}
+
+/// The `car` answer over [`small_clip`], whole and every third frame:
+/// computed on the build that wrote `testdata/store_v1`.
+const SMALL_ANSWER_PINNED: [u64; 2] = [0xe78d11f93c937980, 0xec5efa1e7a36c944];
+
+/// `testdata/store_v1` is what [`write_small_store`] wrote on the last
+/// build before P-frames coded SKIP blocks as runs. A copy of it opens,
+/// `fsck`s clean, and answers `car` queries with the pinned pixels, the
+/// pixels a store this build writes from the same clip answers with, and
+/// the reference's.
+#[test]
+fn a_store_written_by_an_earlier_build_reads_the_same_pixels() {
+    let (old, fresh) = (temp_dir("store-v1"), temp_dir("store-v1-fresh"));
+    copy_tree(
+        &Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/testdata/store_v1"),
+        old.path(),
+    );
+    let tasm = Tasm::open_tiered(
+        old.path().join("videos"),
+        &old.path().join("index"),
+        TasmConfig::default(),
+    )
+    .map(Arc::new)
+    .unwrap();
+    assert_eq!(tasm.attach_stored().unwrap(), ["cam"]);
+    let report = tasm.fsck().unwrap();
+    assert!(report.is_clean(), "{:?}", report.issues);
+    assert_eq!(report.tiles_checked, 6);
+    let now = write_small_store(fresh.path());
+    let car = Query::new(LabelPredicate::label("car")).frames(0..FRAMES);
+    let mut reference = Reference::new(&tasm);
+    let mut answers = Vec::new();
+    for q in [car.clone(), car.stride(3)] {
+        let got = tasm.query("cam", &q).unwrap();
+        reference.check("cam", &q, &got, "a store of an earlier build");
+        assert_eq!(got.regions.len() as u32, FRAMES.div_ceil(q.stride_len()));
+        assert_eq!(
+            digest_answer(&got),
+            digest_answer(&now.query("cam", &q).unwrap())
+        );
+        answers.push(digest_answer(&got));
+    }
+    assert!(
+        answers == SMALL_ANSWER_PINNED,
+        "answers moved; this build produces:\n{answers:#018x?}"
+    );
 }
