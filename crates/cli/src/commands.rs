@@ -20,6 +20,7 @@ use std::sync::Arc;
 use tasm_core::runner::detect_frames;
 use tasm_core::{
     LabelPredicate, Query, QueryMode, RealIo, RetilePolicy, StorageIo, Tasm, TasmConfig, TasmError,
+    VideoStore,
 };
 use tasm_data::{workloads, Dataset, SceneSpec, SyntheticVideo, WorkloadParams};
 use tasm_detect::sampled::SampledDetector;
@@ -348,18 +349,21 @@ pub(crate) fn fsck(args: &Args) -> CmdResult {
         .map(ToString::to_string)
         .chain(tier_issues)
         .collect();
+    let tiles = format!(
+        "{} tile(s) validated ({} DCT tile(s) in the v1 block syntax)",
+        report.tiles_checked, report.v1_tiles
+    );
     if issues.is_empty() {
         println!(
-            "fsck clean: {} video(s), {} tile(s) validated, index verified",
-            report.videos_checked, report.tiles_checked
+            "fsck clean: {} video(s), {tiles}, index verified",
+            report.videos_checked
         );
         Ok(())
     } else {
         println!(
-            "fsck found {} issue(s) across {} video(s) ({} tile(s) validated) and the index:",
+            "fsck found {} issue(s) across {} video(s) ({tiles}) and the index:",
             issues.len(),
             report.videos_checked,
-            report.tiles_checked
         );
         for issue in &issues {
             println!("  - {issue}");
@@ -419,7 +423,16 @@ pub(crate) fn stats_report(args: &Args) -> Result<String, Box<dyn Error>> {
             tier.query(video.id, label, 0..u32::MAX)?;
         }
     }
-    crate::report::store_stats(videos, Some(&tier), args.has("json"))
+    // The tiles still in the v1 block syntax, from fsck's read of every
+    // tile's header.
+    let tiles = VideoStore::open(Path::new(store).join("videos"))?;
+    let mut v1_tiles = 0;
+    for video in &videos {
+        v1_tiles += tiles
+            .fsck_video(&video.stats.name, STORE_SIDECARS)?
+            .v1_tiles;
+    }
+    crate::report::store_stats(videos, Some((&tier, v1_tiles)), args.has("json"))
 }
 
 /// Parses `--roi x,y,w,h` into a rectangle.
@@ -976,6 +989,40 @@ mod tests {
         assert!(report("").contains("1 run(s) holding 12 entries (1 still TSR1)"));
         let both: StoreStorageStats = serde_json::from_str(&report("--json")).unwrap();
         assert_eq!((both.index.runs, both.index.v1_runs), (1, 1));
+    }
+
+    /// A store an earlier build wrote (`tests/testdata/store_v1`, whose
+    /// answers `tests/write_path.rs` checks) holds six DCT tiles in the v1
+    /// block syntax: `fsck` passes, and it and `stats --storage` count
+    /// them, in text and in JSON.
+    #[test]
+    fn fsck_and_stats_count_tiles_in_the_v1_block_syntax() {
+        let (s, _store) = store("v1-tiles");
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/testdata/store_v1");
+        let mut dirs = vec![PathBuf::new()];
+        while let Some(rel) = dirs.pop() {
+            std::fs::create_dir_all(Path::new(&s).join(&rel)).unwrap();
+            for entry in std::fs::read_dir(fixture.join(&rel)).unwrap() {
+                let rel = rel.join(entry.unwrap().file_name());
+                if fixture.join(&rel).is_dir() {
+                    dirs.push(rel);
+                } else {
+                    std::fs::copy(fixture.join(&rel), Path::new(&s).join(&rel)).unwrap();
+                }
+            }
+        }
+        let report = |flags: &str| {
+            let line = format!("--store {s} --storage {flags}");
+            let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+            stats_report(&Args::parse_with_flags(&argv, &["storage", "json"]).unwrap()).unwrap()
+        };
+        run(&format!("fsck --store {s}")).expect("an earlier build's store is clean");
+        let store = VideoStore::open(Path::new(&s).join("videos")).unwrap();
+        assert_eq!(store.fsck(STORE_SIDECARS).unwrap().v1_tiles, 6);
+        drop(store);
+        assert!(report("").contains("tiles: 6 DCT tile(s) still in the v1 block syntax"));
+        let both: StoreStorageStats = serde_json::from_str(&report("--json")).unwrap();
+        assert_eq!((both.v1_tiles, both.index.detections), (6, 12));
     }
 
     /// `fsck` verifies the index tier too: a `TSR1` run from an older

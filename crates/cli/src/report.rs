@@ -99,22 +99,26 @@ pub(crate) struct StoreStats {
 #[cfg_attr(test, derive(serde::Deserialize))]
 pub(crate) struct StoreStorageStats {
     pub videos: Vec<VideoStats>,
+    /// DCT tiles still in the v1 block syntax (`FsckReport::v1_tiles`).
+    pub v1_tiles: u64,
     pub index: IndexStats,
 }
 
-/// What `stats` prints: a line per video and, when `tier` is given, the
-/// semantic index tier's counters, as text or (`json`) one JSON object.
+/// What `stats` prints: a line per video and, when `storage` is given, the
+/// count of DCT tiles still in the v1 block syntax and the semantic index
+/// tier's counters, as text or (`json`) one JSON object.
 pub(crate) fn store_stats(
     videos: Vec<VideoReport>,
-    tier: Option<&TieredIndex>,
+    storage: Option<(&TieredIndex, u64)>,
     json: bool,
 ) -> Result<String, Box<dyn Error>> {
     if json {
         let videos = videos.into_iter().map(|v| v.stats).collect();
-        let line = match tier.map(|tier| (tier.stats(), tier.detection_count())) {
+        let line = match storage.map(|(tier, v1)| (tier.stats(), tier.detection_count(), v1)) {
             None => serde_json::to_string(&StoreStats { videos })?,
-            Some((ts, detections)) => serde_json::to_string(&StoreStorageStats {
+            Some((ts, detections, v1_tiles)) => serde_json::to_string(&StoreStorageStats {
                 videos,
+                v1_tiles,
                 index: IndexStats {
                     runs: ts.run_count,
                     run_entries: ts.run_entries,
@@ -149,9 +153,13 @@ pub(crate) fn store_stats(
             *raw_bytes as f64 / (*disk_bytes).max(1) as f64,
         )?;
     }
-    let Some(tier) = tier else {
+    let Some((tier, v1_tiles)) = storage else {
         return Ok(out);
     };
+    writeln!(
+        out,
+        "tiles: {v1_tiles} DCT tile(s) still in the v1 block syntax"
+    )?;
     let ts = tier.stats();
     writeln!(out, "semantic index tier:")?;
     writeln!(

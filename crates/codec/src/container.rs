@@ -18,6 +18,12 @@ use tasm_video::Frame;
 /// Magic bytes identifying a TVF stream.
 pub const TVF_MAGIC: [u8; 4] = *b"TVF1";
 
+/// Header flag: the in-loop deblocking filter is on.
+const FLAG_DEBLOCK: u8 = 1;
+/// Header flag: DCT P-frames code SKIP blocks as runs (the v2 block
+/// syntax, [`crate::decoder`]); clear in tiles written before it.
+const FLAG_SKIP_RUNS: u8 = 2;
+
 /// The per-tile codec a TVF payload was encoded with.
 ///
 /// Version-1 containers predate the codec-id field and always carry
@@ -139,6 +145,7 @@ pub struct TileVideo {
     gop_len: u32,
     qp: u8,
     deblock: bool,
+    skip_runs: bool,
     codec: TileCodec,
     /// The frame table, in display order.
     frames: Vec<FrameEntry>,
@@ -147,7 +154,9 @@ pub struct TileVideo {
 impl TileVideo {
     /// The tile of `frames` (display order), `width`×`height` luma pixels
     /// coded with `codec` under `cfg`'s GOP length, QP and deblocking: its
-    /// container is serialized once and parsed as any stored one is.
+    /// container is serialized once and parsed as any stored one is. DCT
+    /// frames are taken to be in the block syntax the encoder writes, with
+    /// SKIP runs.
     ///
     /// # Panics
     /// Panics if that container does not parse: a zero dimension or GOP
@@ -176,7 +185,11 @@ impl TileVideo {
         buf.extend_from_slice(&height.to_le_bytes());
         buf.extend_from_slice(&cfg.gop_len.to_le_bytes());
         buf.push(cfg.qp);
-        buf.push(u8::from(cfg.deblock));
+        let mut flags = if cfg.deblock { FLAG_DEBLOCK } else { 0 };
+        if codec == TileCodec::Dct {
+            flags |= FLAG_SKIP_RUNS;
+        }
+        buf.push(flags);
         buf.extend_from_slice(&(frames.len() as u32).to_le_bytes());
         for f in frames {
             buf.extend_from_slice(&(f.data.len() as u32).to_le_bytes());
@@ -220,7 +233,7 @@ impl TileVideo {
         let fields = &data[fixed_len - 18..fixed_len];
         // width(4) height(4) gop(4) qp(1) flags(1) count(4) end the header.
         let (width, height, gop_len) = (le_u32(fields, 0), le_u32(fields, 4), le_u32(fields, 8));
-        let (qp, deblock) = (fields[12], fields[13] != 0);
+        let (qp, flags) = (fields[12], fields[13]);
         let count = le_u32(fields, 14) as usize;
         if width == 0 || height == 0 {
             return Err(ContainerError::InvalidHeader("zero dimension"));
@@ -230,6 +243,13 @@ impl TileVideo {
         }
         if qp > crate::quant::MAX_QP {
             return Err(ContainerError::InvalidHeader("QP out of range"));
+        }
+        if flags & !(FLAG_DEBLOCK | FLAG_SKIP_RUNS) != 0 {
+            return Err(ContainerError::InvalidHeader("unknown flag bits"));
+        }
+        let skip_runs = flags & FLAG_SKIP_RUNS != 0;
+        if skip_runs && codec != TileCodec::Dct {
+            return Err(ContainerError::InvalidHeader("SKIP runs on a Pred tile"));
         }
         let Some(entries) = data[fixed_len..].get(..count * 6) else {
             return Err(ContainerError::Truncated);
@@ -266,7 +286,8 @@ impl TileVideo {
                 height,
                 gop_len,
                 qp,
-                deblock,
+                deblock: flags & FLAG_DEBLOCK != 0,
+                skip_runs,
                 codec,
                 frames,
             }),
@@ -306,6 +327,13 @@ impl TileVideo {
     /// Whether the in-loop deblocking filter is active.
     pub fn deblock(&self) -> bool {
         self.deblock
+    }
+
+    /// Whether DCT P-frames code SKIP blocks as runs (the block syntax
+    /// every encode writes). False for a `Pred` tile and for a DCT tile
+    /// written before SKIP runs, which [`TileVideo::cursor_at`] still reads.
+    pub fn skip_runs(&self) -> bool {
+        self.skip_runs
     }
 
     /// The codec the frame payloads were encoded with.
@@ -686,6 +714,41 @@ mod tests {
         assert_eq!(v.as_bytes()[4], 1);
         let h = TileVideo::from_bytes(v.into_bytes()).unwrap();
         assert_eq!(h.codec(), TileCodec::Dct);
+    }
+
+    /// The flags byte: bit 0 deblocking, bit 1 SKIP runs, which every DCT
+    /// encode sets; a DCT tile with it clear is one of an earlier build.
+    /// Other bits, and SKIP runs on a `Pred` tile, are invalid headers.
+    #[test]
+    fn flags_byte_is_deblock_and_skip_runs_and_nothing_else() {
+        let header = |mut bytes: Vec<u8>, at: usize, flags: u8| {
+            bytes[at] = flags;
+            TileVideo::from_bytes(bytes)
+        };
+        let dct = encode_test_video(2, 2).into_bytes();
+        assert_eq!(dct[18], FLAG_DEBLOCK | FLAG_SKIP_RUNS);
+        for flags in 0..4 {
+            let v = header(dct.clone(), 18, flags).unwrap();
+            assert_eq!(
+                (v.deblock(), v.skip_runs()),
+                (flags & 1 != 0, flags & 2 != 0)
+            );
+        }
+        let pred = encode_pred_video(2, 2).into_bytes();
+        assert_eq!(pred[19], 0);
+        assert!(!header(pred.clone(), 19, FLAG_DEBLOCK).unwrap().skip_runs());
+        let refused = [
+            (dct.clone(), 18, 4, "unknown flag bits"),
+            (dct, 18, 0x83, "unknown flag bits"),
+            (pred.clone(), 19, 0x40, "unknown flag bits"),
+            (pred, 19, FLAG_SKIP_RUNS, "SKIP runs on a Pred tile"),
+        ];
+        for (bytes, at, flags, why) in refused {
+            assert_eq!(
+                header(bytes, at, flags),
+                Err(ContainerError::InvalidHeader(why))
+            );
+        }
     }
 
     #[test]

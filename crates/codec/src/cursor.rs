@@ -41,8 +41,10 @@ impl<'a> TileCursor<'a> {
     /// without its reference is a [`DecodeError::MissingReference`] when
     /// it is decoded).
     pub(crate) fn resume(tile: &'a TileVideo, from: u32, reference: Option<&'a Frame>) -> Self {
-        let dct = (tile.codec() == TileCodec::Dct)
-            .then(|| TileDecoder::new(tile.width(), tile.height(), tile.deblock()));
+        let dct = (tile.codec() == TileCodec::Dct).then(|| {
+            TileDecoder::new(tile.width(), tile.height(), tile.deblock())
+                .with_skip_runs(tile.skip_runs())
+        });
         TileCursor {
             tile,
             dct,

@@ -49,6 +49,9 @@ pub struct TileDecoder {
     width: u32,
     height: u32,
     deblock: bool,
+    /// P-frames code SKIP blocks as runs: the block syntax the encoder
+    /// writes, unless [`TileDecoder::with_skip_runs`] says otherwise.
+    skip_runs: bool,
     recon_prev: Option<Frame>,
 }
 
@@ -60,8 +63,15 @@ impl TileDecoder {
             width,
             height,
             deblock,
+            skip_runs: true,
             recon_prev: None,
         }
+    }
+
+    /// The decoder for P-frames in the block syntax `skip_runs` names, as
+    /// a tile's header records it ([`crate::TileVideo::skip_runs`]).
+    pub(crate) fn with_skip_runs(self, skip_runs: bool) -> Self {
+        TileDecoder { skip_runs, ..self }
     }
 
     /// Creates a decoder primed with a reference reconstruction, so decoding
@@ -74,10 +84,8 @@ impl TileDecoder {
         assert_eq!(reference.width(), width, "reference width mismatch");
         assert_eq!(reference.height(), height, "reference height mismatch");
         TileDecoder {
-            width,
-            height,
-            deblock,
             recon_prev: Some(reference),
+            ..TileDecoder::new(width, height, deblock)
         }
     }
 
@@ -157,9 +165,15 @@ impl TileDecoder {
             let samples = recon.plane_mut(plane);
             match prev {
                 None => decode_key_plane(&mut r, &mut block, samples, pw, ph, qs)?,
-                Some(prev) => {
-                    decode_inter_plane(&mut r, &mut block, samples, prev.plane(plane), pw, ph, qs)?
-                }
+                Some(prev) => decode_inter_plane(
+                    &mut r,
+                    &mut block,
+                    samples,
+                    prev.plane(plane),
+                    (pw, ph),
+                    qs,
+                    self.skip_runs,
+                )?,
             }
         }
         if self.deblock {
@@ -186,35 +200,74 @@ fn decode_key_plane(
     Ok(())
 }
 
-/// Decodes one plane of a P-frame. `recon` arrives holding the reference's
-/// samples, which is already the outcome of every SKIP block; a run of them
-/// is a run of one bits (`ue(0)` each) and is consumed in one step.
+/// A coded P-frame block, as its mode symbol names it.
+enum Coded {
+    /// Motion-compensated. `zero`: at the zero vector with a residual, so
+    /// neither a vector nor a coded-block flag is sent (v2's mode 0).
+    Inter { zero: bool },
+    /// DC intra prediction plus an optional residual.
+    Intra,
+}
+
+/// Decodes one `pw`×`ph` plane of a P-frame. `recon` arrives holding the
+/// reference's samples, which is already every SKIP block's outcome, so a
+/// SKIP costs only its parse. The two block syntaxes
+/// differ only in the prefix that finds the next coded block and names its
+/// mode: with `skip_runs` (v2), a `ue` count of the SKIP blocks before it;
+/// in v1, one `1` bit (`ue(0)`) per SKIP block, taken a window at a time.
 fn decode_inter_plane(
     r: &mut BitReader<'_>,
     block: &mut Inverse,
     recon: &mut [u8],
     prev: &[u8],
-    pw: usize,
-    ph: usize,
+    (pw, ph): (usize, usize),
     qs: i32,
+    skip_runs: bool,
 ) -> Result<(), DecodeError> {
     let blocks_x = pw / BLOCK;
     let blocks = blocks_x * (ph / BLOCK);
     let mut b = 0;
     while b < blocks {
-        b += r.take_ones(blocks - b);
-        if b == blocks {
-            break;
-        }
+        let mode = if skip_runs {
+            let run = r.get_ue()? as usize;
+            if run > blocks - b {
+                return Err(DecodeError::InvalidSyntax("SKIP run past the plane's end"));
+            }
+            b += run;
+            if b == blocks {
+                break;
+            }
+            match r.get_ue()? {
+                0 => Coded::Inter { zero: true },
+                1 => Coded::Inter { zero: false },
+                2 => Coded::Intra,
+                _ => return Err(DecodeError::InvalidSyntax("unknown block mode")),
+            }
+        } else {
+            b += r.take_ones(blocks - b);
+            if b == blocks {
+                break;
+            }
+            match r.get_ue()? {
+                // SKIP: `take_ones` leaves none behind, but the symbol is legal.
+                0 => {
+                    b += 1;
+                    continue;
+                }
+                1 => Coded::Inter { zero: false },
+                2 => Coded::Intra,
+                _ => return Err(DecodeError::InvalidSyntax("unknown block mode")),
+            }
+        };
         let x = b % blocks_x * BLOCK;
         let y = b / blocks_x * BLOCK;
-        match r.get_ue()? {
-            // SKIP: `take_ones` leaves none behind, but the symbol is legal.
-            0 => {}
-            // INTER: motion vector + optional residual.
-            1 => {
-                let mvx = r.get_se()?;
-                let mvy = r.get_se()?;
+        match mode {
+            Coded::Inter { zero } => {
+                let (mvx, mvy) = if zero {
+                    (0, 0)
+                } else {
+                    (r.get_se()?, r.get_se()?)
+                };
                 // In i64: a corrupt vector near the i32 limits must fail
                 // the range check, not wrap into range.
                 let rx = x as i64 + mvx as i64;
@@ -227,15 +280,20 @@ fn decode_inter_plane(
                     return Err(DecodeError::InvalidSyntax("motion vector outside tile"));
                 }
                 let (rx, ry) = (rx as usize, ry as usize);
-                if read_residual(r, block, qs)? {
-                    reconstruct_inter(recon, pw, x, y, prev, rx, ry, block);
+                let residual = if zero {
+                    read_levels(r, block, qs)?;
+                    true
                 } else {
+                    read_residual(r, block, qs)?
+                };
+                if residual {
+                    reconstruct_inter(recon, pw, x, y, prev, rx, ry, block);
+                } else if (rx, ry) != (x, y) {
+                    // At the zero vector the block already holds the copy.
                     copy_block(recon, pw, x, y, prev, pw, rx, ry);
                 }
             }
-            // INTRA fallback inside a P-frame.
-            2 => decode_intra_block(r, block, recon, pw, x, y, qs)?,
-            _ => return Err(DecodeError::InvalidSyntax("unknown block mode")),
+            Coded::Intra => decode_intra_block(r, block, recon, pw, x, y, qs)?,
         }
         b += 1;
     }
@@ -262,18 +320,24 @@ fn decode_intra_block(
     Ok(())
 }
 
-/// Reads a coded-block flag and, if set, the block's coefficients,
-/// dequantized and added to `block`'s inverse transform as they are parsed:
-/// `true` means the block awaits its reconstruction, `false` that no
-/// residual is coded. A coefficient's `(run, level)` pair is one table step
-/// where the table holds it; the others are read a symbol at a time, and
-/// either way a run is checked before its level counts, so errors come in
-/// the order the syntax has. (After an error the frame is abandoned, and
-/// `block` with it.)
+/// Reads a coded-block flag and, if set, the block's coefficients
+/// ([`read_levels`]): `true` means the block awaits its reconstruction,
+/// `false` that no residual is coded.
 fn read_residual(r: &mut BitReader<'_>, block: &mut Inverse, qs: i32) -> Result<bool, DecodeError> {
     if !r.get_bit()? {
         return Ok(false);
     }
+    read_levels(r, block, qs)?;
+    Ok(true)
+}
+
+/// Reads a coded block's coefficients, dequantized and added to `block`'s
+/// inverse transform as they are parsed. A coefficient's `(run, level)`
+/// pair is one table step where the table holds it; the others are read a
+/// symbol at a time, and either way a run is checked before its level
+/// counts, so errors come in the order the syntax has. (After an error the
+/// frame is abandoned, and `block` with it.)
+fn read_levels(r: &mut BitReader<'_>, block: &mut Inverse, qs: i32) -> Result<(), DecodeError> {
     let nnz = r.get_ue()? as usize + 1;
     if nnz > BLOCK_AREA {
         return Err(DecodeError::InvalidSyntax("too many coefficients"));
@@ -301,7 +365,7 @@ fn read_residual(r: &mut BitReader<'_>, block: &mut Inverse, qs: i32) -> Result<
         block.add(ZIGZAG[pos], dequantize(level, qs));
         pos += 1;
     }
-    Ok(true)
+    Ok(())
 }
 
 #[cfg(test)]

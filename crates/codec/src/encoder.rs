@@ -23,11 +23,14 @@ use crate::quant::{dequantize, outside_dead_zone, qstep, quantize};
 use serde::{Deserialize, Serialize};
 use tasm_video::{Frame, Plane, Rect};
 
-/// Block coding modes for P-frames. Keyframe blocks are implicitly `Intra`.
+/// The mode symbols of a P-frame's coded blocks. A block that copies the
+/// co-located block of the previous reconstruction (SKIP) is not coded: it
+/// is counted into the run ahead of the next coded block. Keyframe blocks
+/// are implicitly `Intra`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Mode {
-    /// Copy the co-located block from the previous reconstruction.
-    Skip = 0,
+    /// The zero vector plus a residual (its coded-block flag is implied).
+    ZeroInter = 0,
     /// Motion-compensated prediction plus optional residual.
     Inter = 1,
     /// DC intra prediction plus residual (fallback for new content).
@@ -206,6 +209,7 @@ impl TileEncoder {
 
         for plane in Plane::ALL {
             self.encode_plane(&mut writer, &mut coder, src, plane, &mut recon, is_key);
+            coder.end_plane(&mut writer);
         }
 
         if self.cfg.deblock {
@@ -365,7 +369,7 @@ impl TileEncoder {
         );
         if sad0 <= skip_thresh {
             // The reconstruction already holds the co-located block.
-            w.put_ue(Mode::Skip as u32);
+            coder.skip();
             return;
         }
 
@@ -396,9 +400,6 @@ impl TileEncoder {
         // Bias inter slightly because motion vectors cost bits.
         let mv_bits_bias = 32;
         if best_sad + mv_bits_bias <= intra_sad {
-            w.put_ue(Mode::Inter as u32);
-            w.put_se(mv.0);
-            w.put_se(mv.1);
             let rx = (x as i32 + mv.0) as usize;
             let ry = (y as i32 + mv.1) as usize;
             let mut residual = [0i32; BLOCK_AREA];
@@ -409,12 +410,29 @@ impl TileEncoder {
                     residual[row * BLOCK + col] = s - p;
                 }
             }
-            match coder.code(w, &residual) {
+            let coefs = forward(&residual);
+            let kept = coder.kept(&coefs);
+            let levels = if mv != (0, 0) {
+                coder.start_block(w, Mode::Inter);
+                w.put_se(mv.0);
+                w.put_se(mv.1);
+                w.put_bit(kept != 0); // coded-block flag
+                coder.put_levels(w, &coefs, kept)
+            } else if kept != 0 {
+                coder.start_block(w, Mode::ZeroInter);
+                coder.put_levels(w, &coefs, kept)
+            } else {
+                // Nothing to code at the zero vector: the block is a SKIP,
+                // and the reconstruction already holds it.
+                coder.skip();
+                return;
+            };
+            match levels {
                 Some(res) => reconstruct_inter(recon_plane, recon_stride, x, y, prev, rx, ry, res),
                 None => copy_block(recon_plane, recon_stride, x, y, prev, recon_stride, rx, ry),
             }
         } else {
-            w.put_ue(Mode::Intra as u32);
+            coder.start_block(w, Mode::Intra);
             coder.code_intra(w, &cur, pred_dc, recon_plane, recon_stride, x, y);
         }
     }
@@ -422,10 +440,13 @@ impl TileEncoder {
 
 /// The coded-block path at one frame's QP, mirroring the decoder's
 /// `read_residual`: the inverse transform's accumulator is owned by the
-/// frame encode and reused block after block.
+/// frame encode and reused block after block. It also counts the SKIP
+/// blocks of a P-frame plane since its last coded block, the run that
+/// block's header starts with.
 pub(crate) struct BlockCoder {
     qstep: i32,
     inverse: Inverse,
+    skips: u32,
 }
 
 impl BlockCoder {
@@ -433,6 +454,27 @@ impl BlockCoder {
         BlockCoder {
             qstep,
             inverse: Inverse::default(),
+            skips: 0,
+        }
+    }
+
+    /// Counts a SKIP block into the run ahead of the next coded block.
+    fn skip(&mut self) {
+        self.skips += 1;
+    }
+
+    /// Starts a P-frame's coded block: the SKIP run before it, then its
+    /// mode.
+    fn start_block(&mut self, w: &mut BitWriter, mode: Mode) {
+        w.put_ue(std::mem::take(&mut self.skips));
+        w.put_ue(mode as u32);
+    }
+
+    /// Ends a plane: the SKIP run that reaches its last block, if the plane
+    /// does not end in a coded block.
+    fn end_plane(&mut self, w: &mut BitWriter) {
+        if self.skips > 0 {
+            w.put_ue(std::mem::take(&mut self.skips));
         }
     }
 
@@ -474,17 +516,21 @@ impl BlockCoder {
         }
     }
 
-    /// [`BlockCoder::code`] from the transform's output on. Which
-    /// coefficients lie outside the dead zone is gathered first, a bit each
-    /// in scan order and without a branch (which ones do is not predictable);
-    /// the count and the runs are then read off the bits, and each level is
-    /// written, dequantized and added to the inverse transform in scan order,
-    /// as the decoder's parse adds it.
+    /// [`BlockCoder::code`] from the transform's output on: the
+    /// coded-block flag, then [`BlockCoder::put_levels`].
     pub(crate) fn code_levels(
         &mut self,
         w: &mut BitWriter,
         coefs: &[i32; BLOCK_AREA],
     ) -> Option<&mut Inverse> {
+        let kept = self.kept(coefs);
+        w.put_bit(kept != 0);
+        self.put_levels(w, coefs, kept)
+    }
+
+    /// Which coefficients lie outside the dead zone, a bit each in scan
+    /// order, gathered without a branch (which ones do is not predictable).
+    fn kept(&self, coefs: &[i32; BLOCK_AREA]) -> u64 {
         let mut kept = 0u64;
         // (A byte of bits at a time: one chain of 64 ORs is 64 cycles long.)
         for (group, scan) in ZIGZAG.chunks_exact(8).enumerate() {
@@ -494,11 +540,22 @@ impl BlockCoder {
             }
             kept |= bits << (8 * group);
         }
+        kept
+    }
+
+    /// Writes the coefficients `kept` marks: their count and runs read off
+    /// the bits, and each level written, dequantized and added to the
+    /// inverse transform in scan order, as the decoder's parse adds it.
+    /// `None`, writing nothing, when `kept` is empty.
+    fn put_levels(
+        &mut self,
+        w: &mut BitWriter,
+        coefs: &[i32; BLOCK_AREA],
+        mut kept: u64,
+    ) -> Option<&mut Inverse> {
         if kept == 0 {
-            w.put_bit(false); // coded-block flag
             return None;
         }
-        w.put_bit(true);
         w.put_ue(kept.count_ones() - 1);
         let mut next = 0;
         while kept != 0 {

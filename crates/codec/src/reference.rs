@@ -332,44 +332,109 @@ fn store_block(plane: &mut [u8], stride: usize, x: usize, y: usize, values: &[i3
     }
 }
 
-/// Decodes one frame of a `width`×`height` tile (16-aligned) from a black
-/// frame, block by block.
+/// A tile as the frame decoder needs it: its size (16-aligned), whether
+/// the deblocking filter is on, and whether P-frames code SKIP blocks as
+/// runs (v2) or one symbol each (v1).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Geom {
+    pub(crate) width: u32,
+    pub(crate) height: u32,
+    pub(crate) deblock: bool,
+    pub(crate) skip_runs: bool,
+}
+
+/// How many P-frame blocks of each kind a frame held: SKIP, the zero
+/// vector with no residual, the zero vector with one, a nonzero vector,
+/// and intra.
+pub(crate) type Census = [u32; 5];
+
+/// One block as its header names it.
+#[derive(Debug, Clone, Copy)]
+enum Block {
+    Skip,
+    /// Motion-compensated. `zero`: the zero vector with a residual, sent
+    /// with neither a vector nor a coded-block flag (v2's mode 0).
+    Inter {
+        zero: bool,
+    },
+    Intra,
+}
+
+/// Decodes one frame from a black frame, block by block, and counts the
+/// P-frame blocks of each kind.
 pub(crate) fn decode_frame(
-    width: u32,
-    height: u32,
-    deblock: bool,
+    tile: Geom,
     data: &[u8],
     is_key: bool,
     qp: u8,
     prev: Option<&Frame>,
-) -> Result<Frame, DecodeError> {
+) -> Result<(Frame, Census), DecodeError> {
     if !is_key && prev.is_none() {
         return Err(DecodeError::MissingReference);
     }
     let mut r = BitReader::new(data);
     let qs = qstep(qp);
-    let mut recon = Frame::black(width, height);
+    let mut recon = Frame::black(tile.width, tile.height);
+    let mut census = Census::default();
     for plane in Plane::ALL {
         let pw = recon.plane_width(plane) as usize;
         let ph = recon.plane_height(plane) as usize;
         let prev_plane = prev.map(|f| f.plane(plane));
         let recon_plane = recon.plane_mut(plane);
-        let mut y = 0;
-        while y < ph {
-            let mut x = 0;
-            while x < pw {
-                decode_block(&mut r, recon_plane, prev_plane, x, y, pw, ph, qs, is_key)?;
-                x += BLOCK;
+        let blocks = (pw / BLOCK) * (ph / BLOCK);
+        // v2: the SKIP blocks still ahead of the next coded block, once
+        // the run that counts them has been read.
+        let mut skips: Option<usize> = None;
+        for b in 0..blocks {
+            let (x, y) = (b % (pw / BLOCK) * BLOCK, b / (pw / BLOCK) * BLOCK);
+            let block = match (is_key, tile.skip_runs) {
+                (true, _) => Block::Intra,
+                (false, false) => match r.get_ue()? {
+                    0 => Block::Skip,
+                    1 => Block::Inter { zero: false },
+                    2 => Block::Intra,
+                    _ => return Err(DecodeError::InvalidSyntax("unknown block mode")),
+                },
+                (false, true) => {
+                    let ahead = match skips {
+                        Some(n) => n,
+                        None => {
+                            let run = r.get_ue()?;
+                            if run as u64 > (blocks - b) as u64 {
+                                return Err(DecodeError::InvalidSyntax(
+                                    "SKIP run past the plane's end",
+                                ));
+                            }
+                            run as usize
+                        }
+                    };
+                    if ahead > 0 {
+                        skips = Some(ahead - 1);
+                        Block::Skip
+                    } else {
+                        skips = None;
+                        match r.get_ue()? {
+                            0 => Block::Inter { zero: true },
+                            1 => Block::Inter { zero: false },
+                            2 => Block::Intra,
+                            _ => return Err(DecodeError::InvalidSyntax("unknown block mode")),
+                        }
+                    }
+                }
+            };
+            let kind = decode_block(&mut r, recon_plane, prev_plane, x, y, pw, ph, qs, block)?;
+            if !is_key {
+                census[kind] += 1;
             }
-            y += BLOCK;
         }
     }
-    if deblock {
+    if tile.deblock {
         deblock_frame(&mut recon, qs);
     }
-    Ok(recon)
+    Ok((recon, census))
 }
 
+/// Decodes one block and returns its [`Census`] slot.
 #[allow(clippy::too_many_arguments)]
 fn decode_block(
     r: &mut BitReader<'_>,
@@ -380,24 +445,22 @@ fn decode_block(
     pw: usize,
     ph: usize,
     qs: i32,
-    is_key: bool,
-) -> Result<(), DecodeError> {
+    block: Block,
+) -> Result<usize, DecodeError> {
     let stride = pw;
-    if is_key {
-        let pred = dc_predict(recon, stride, x, y);
-        let vals = read_residual(r, qs, |_| pred)?;
-        store_block(recon, stride, x, y, &vals);
-        return Ok(());
-    }
-    let prev = prev.ok_or(DecodeError::MissingReference)?;
-    match r.get_ue()? {
-        0 => {
+    match block {
+        Block::Skip => {
+            let prev = prev.ok_or(DecodeError::MissingReference)?;
             copy_block(recon, stride, x, y, prev, stride, x, y);
-            Ok(())
+            Ok(0)
         }
-        1 => {
-            let mvx = r.get_se()?;
-            let mvy = r.get_se()?;
+        Block::Inter { zero } => {
+            let prev = prev.ok_or(DecodeError::MissingReference)?;
+            let (mvx, mvy) = if zero {
+                (0, 0)
+            } else {
+                (r.get_se()?, r.get_se()?)
+            };
             // Overflow-free: the old decoder added in i32, where a vector
             // near the limits wrapped past this check.
             let rx = x as i64 + mvx as i64;
@@ -406,33 +469,40 @@ fn decode_block(
                 return Err(DecodeError::InvalidSyntax("motion vector outside tile"));
             }
             let (rx, ry) = (rx as usize, ry as usize);
-            let vals = read_residual(r, qs, |i| {
+            let (vals, coded) = read_residual(r, qs, !zero, |i| {
                 prev[(ry + i / BLOCK) * stride + rx + i % BLOCK] as i32
             })?;
             store_block(recon, stride, x, y, &vals);
-            Ok(())
+            Ok(match ((mvx, mvy) == (0, 0), coded) {
+                (true, false) => 1,
+                (true, true) => 2,
+                (false, _) => 3,
+            })
         }
-        2 => {
+        Block::Intra => {
             let pred = dc_predict(recon, stride, x, y);
-            let vals = read_residual(r, qs, |_| pred)?;
+            let (vals, _) = read_residual(r, qs, true, |_| pred)?;
             store_block(recon, stride, x, y, &vals);
-            Ok(())
+            Ok(4)
         }
-        _ => Err(DecodeError::InvalidSyntax("unknown block mode")),
     }
 }
 
+/// Reads a coded-block flag (when `flagged`; otherwise the block is coded)
+/// and the coefficients behind a set one, and returns the block's samples
+/// and whether a residual was coded.
 fn read_residual(
     r: &mut BitReader<'_>,
     qs: i32,
+    flagged: bool,
     pred_at: impl Fn(usize) -> i32,
-) -> Result<[i32; BLOCK_AREA], DecodeError> {
+) -> Result<([i32; BLOCK_AREA], bool), DecodeError> {
     let mut out = [0i32; BLOCK_AREA];
-    if !r.get_bit()? {
+    if flagged && !r.get_bit()? {
         for (i, o) in out.iter_mut().enumerate() {
             *o = pred_at(i);
         }
-        return Ok(out);
+        return Ok((out, false));
     }
     let nnz = r.get_ue()? as usize + 1;
     if nnz > BLOCK_AREA {
@@ -462,7 +532,7 @@ fn read_residual(
         // build panicked): only a corrupt level can overflow here.
         *o = pred_at(i).wrapping_add(res[i]);
     }
-    Ok(out)
+    Ok((out, true))
 }
 
 #[cfg(test)]
@@ -1222,30 +1292,111 @@ mod tests {
         }
     }
 
+    /// A `width`×`height` tile in the v2 block syntax, or (`skip_runs`
+    /// false) in v1's.
+    fn geom(width: u32, height: u32, deblock: bool, skip_runs: bool) -> Geom {
+        Geom {
+            width,
+            height,
+            deblock,
+            skip_runs,
+        }
+    }
+
+    /// The fast decoder of `tile`.
+    fn fast_decoder(tile: Geom) -> TileDecoder {
+        TileDecoder::new(tile.width, tile.height, tile.deblock).with_skip_runs(tile.skip_runs)
+    }
+
     /// Decodes `data` with the fast path and the reference and checks they
     /// agree: the same frame, or the same error.
     fn decode_both(
-        dec: &TileDecoder,
-        (w, h, deblock): (u32, u32, bool),
+        tile: Geom,
         data: &[u8],
         is_key: bool,
         qp: u8,
         prev: Option<&Frame>,
     ) -> Result<Frame, DecodeError> {
-        let fast = dec.decode_against(data, is_key, qp, prev, None);
-        let slow = decode_frame(w, h, deblock, data, is_key, qp, prev);
+        census_both(tile, data, is_key, qp, prev).map(|(frame, _)| frame)
+    }
+
+    /// [`decode_both`], and the reference's census of the frame's blocks.
+    fn census_both(
+        tile: Geom,
+        data: &[u8],
+        is_key: bool,
+        qp: u8,
+        prev: Option<&Frame>,
+    ) -> Result<(Frame, Census), DecodeError> {
+        let fast = fast_decoder(tile).decode_against(data, is_key, qp, prev, None);
+        let slow = decode_frame(tile, data, is_key, qp, prev);
+        let census = slow.as_ref().ok().map(|&(_, census)| census);
+        let slow = slow.map(|(frame, _)| frame);
         assert!(
             fast == slow,
             "fast path and reference disagree: {:?} vs {:?}",
             fast.as_ref().err(),
             slow.as_ref().err()
         );
-        fast
+        fast.map(|frame| (frame, census.expect("the reference decoded it too")))
+    }
+
+    /// Truncations, bit flips and a different QP of one frame, each decoded
+    /// by both decoders in `tile`'s syntax and, for a P-frame, in the other
+    /// one too: the same outcome, never a panic. Then garbage, as a
+    /// keyframe and as a P-frame against `good`. Adds to `(errors,
+    /// survivors)`.
+    #[allow(clippy::too_many_arguments)]
+    fn corrupt_both(
+        rng: &mut Rng,
+        tile: Geom,
+        data: &[u8],
+        is_key: bool,
+        qp: u8,
+        prev: Option<&Frame>,
+        good: &Frame,
+        tally: &mut (u32, u32),
+    ) {
+        let other = Geom {
+            skip_runs: !tile.skip_runs,
+            ..tile
+        };
+        for _ in 0..12 {
+            let mut bad = data.to_vec();
+            let qp = match rng.u32(0..4) {
+                0 => {
+                    bad.truncate(rng.usize(0..bad.len() + 1));
+                    qp
+                }
+                1 => rng.u32(0..52) as u8,
+                _ => {
+                    for _ in 0..rng.u32(1..4) {
+                        let at = rng.usize(0..bad.len());
+                        bad[at] ^= 1 << rng.u32(0..8);
+                    }
+                    qp
+                }
+            };
+            match decode_both(tile, &bad, is_key, qp, prev) {
+                Ok(_) => tally.1 += 1,
+                Err(_) => tally.0 += 1,
+            }
+            if !is_key {
+                let _ = decode_both(other, &bad, is_key, qp, prev);
+            }
+        }
+        let garbage: Vec<u8> = (0..rng.usize(0..200))
+            .map(|_| rng.u32(0..256) as u8)
+            .collect();
+        for tile in [tile, other] {
+            let _ = decode_both(tile, &garbage, true, qp, None);
+            let _ = decode_both(tile, &garbage, false, qp, Some(good));
+        }
     }
 
     #[test]
     fn frame_decode_matches_reference_on_valid_and_corrupt_streams() {
-        let (mut errors, mut survivors) = (0u32, 0u32);
+        let mut tally = (0u32, 0u32);
         for_cases(40, "frame-decode", |rng| {
             let w = rng.u32(1..5) * 16;
             let h = rng.u32(1..4) * 16;
@@ -1253,15 +1404,16 @@ mod tests {
             let frames = rng.u32(2..8);
             let clip = arb_clip(rng, w, h, frames);
             let mut enc = TileEncoder::new(cfg, Rect::new(0, 0, w, h));
-            let dec = TileDecoder::new(w, h, cfg.deblock);
-            let geom = (w, h, cfg.deblock);
+            let tile = geom(w, h, cfg.deblock, true);
             let mut prev: Option<Frame> = None;
             for src in &clip {
                 let ef = enc.encode_next(src);
-                let good = decode_both(&dec, geom, &ef.data, ef.is_key, ef.qp, prev.as_ref())
+                let (good, census) = census_both(tile, &ef.data, ef.is_key, ef.qp, prev.as_ref())
                     .expect("encoder output decodes");
+                // A zero-vector block with nothing coded is written as a SKIP.
+                assert_eq!(census[1], 0, "{census:?}");
                 // Recycling a spent buffer changes nothing.
-                let recycled = dec
+                let recycled = fast_decoder(tile)
                     .decode_against(
                         &ef.data,
                         ef.is_key,
@@ -1271,139 +1423,288 @@ mod tests {
                     )
                     .unwrap();
                 assert!(recycled == good, "recycling a buffer changed the frame");
-
-                // Truncations, bit flips and a different QP: same outcome
-                // from both decoders, never a panic.
-                for _ in 0..12 {
-                    let mut bad = ef.data.to_vec();
-                    let qp = match rng.u32(0..4) {
-                        0 => {
-                            bad.truncate(rng.usize(0..bad.len() + 1));
-                            ef.qp
-                        }
-                        1 => rng.u32(0..52) as u8,
-                        _ => {
-                            for _ in 0..rng.u32(1..4) {
-                                let at = rng.usize(0..bad.len());
-                                bad[at] ^= 1 << rng.u32(0..8);
-                            }
-                            ef.qp
-                        }
-                    };
-                    match decode_both(&dec, geom, &bad, ef.is_key, qp, prev.as_ref()) {
-                        Ok(_) => survivors += 1,
-                        Err(_) => errors += 1,
-                    }
-                }
-                // Garbage, as a keyframe and as a P-frame.
-                let garbage: Vec<u8> = (0..rng.usize(0..200))
-                    .map(|_| rng.u32(0..256) as u8)
-                    .collect();
-                let _ = decode_both(&dec, geom, &garbage, true, ef.qp, None);
-                let _ = decode_both(&dec, geom, &garbage, false, ef.qp, Some(&good));
+                let (data, qp) = (&ef.data, ef.qp);
+                corrupt_both(
+                    rng,
+                    tile,
+                    data,
+                    ef.is_key,
+                    qp,
+                    prev.as_ref(),
+                    &good,
+                    &mut tally,
+                );
                 assert_eq!(
-                    decode_both(&dec, geom, &ef.data, false, ef.qp, None),
+                    decode_both(tile, &ef.data, false, ef.qp, None),
                     Err(DecodeError::MissingReference)
                 );
                 prev = Some(good);
             }
         });
+        let (errors, survivors) = tally;
         assert!(errors > 100 && survivors > 100, "{errors} / {survivors}");
     }
 
-    /// Hand-built streams for the corrupt values random flips rarely reach.
+    /// A tile in the v1 block syntax, as the encoder wrote them before SKIP
+    /// runs (`tests/golden.rs` pins its planes).
+    const TILE_V1: &[u8] = include_bytes!("../testdata/tile_v1.tvf");
+
+    /// The v1 fixture holds every kind of P-frame block, and it and its
+    /// corruptions decode alike on both decoders, in its own syntax and in
+    /// v2's.
+    #[test]
+    fn a_v1_tile_and_its_corruptions_match_reference() {
+        let v1 = crate::TileVideo::from_bytes(TILE_V1.to_vec()).unwrap();
+        let tile = geom(v1.width(), v1.height(), v1.deblock(), v1.skip_runs());
+        assert!(!tile.skip_runs);
+        let mut tally = (0u32, 0u32);
+        let mut total = Census::default();
+        for_cases(4, "tile-v1", |rng| {
+            let mut prev: Option<Frame> = None;
+            total = Census::default();
+            for i in 0..v1.frame_count() {
+                let ef = v1.frame(i).unwrap();
+                let (good, census) = census_both(tile, ef.data, ef.is_key, ef.qp, prev.as_ref())
+                    .expect("the fixture decodes");
+                for (sum, n) in total.iter_mut().zip(census) {
+                    *sum += n;
+                }
+                corrupt_both(
+                    rng,
+                    tile,
+                    ef.data,
+                    ef.is_key,
+                    ef.qp,
+                    prev.as_ref(),
+                    &good,
+                    &mut tally,
+                );
+                prev = Some(good);
+            }
+        });
+        // SKIP, zero vector without and with a residual, moved, intra.
+        assert_eq!(total, [740, 43, 59, 83, 35]);
+        let (errors, survivors) = tally;
+        assert!(errors > 50 && survivors > 20, "{errors} / {survivors}");
+    }
+
+    /// Hand-built streams for the corrupt values random flips rarely reach,
+    /// in both block syntaxes. A v2 P-frame block is v1's behind a SKIP run
+    /// of zero (`put_ue(0)`) where the mode numbers agree (1 and 2).
     #[test]
     fn extreme_syntax_values_are_typed_errors_or_exact() {
-        let dec = TileDecoder::new(16, 16, true);
-        let geom = (16, 16, true);
         let reference = Frame::filled(16, 16, 100, 128, 128);
-        // A motion vector at the i32 limits: outside the tile, not wrapped
-        // into it.
-        for mv in [i32::MAX, i32::MIN + 1, i32::MAX - 3, -9, 9] {
-            let mut w = BitWriter::new();
-            w.put_ue(1);
-            w.put_se(mv);
-            w.put_se(0);
-            let data = w.finish();
-            assert_eq!(
-                decode_both(&dec, geom, &data, false, 28, Some(&reference)),
-                Err(DecodeError::InvalidSyntax("motion vector outside tile"))
-            );
-        }
-        // Levels at the i32 limits saturate through the dequantizer and
-        // wrap in the final sum: pixels still agree, nothing panics.
-        for level in [i32::MAX, i32::MIN + 1, 1 << 30, -(1 << 30)] {
-            for qp in [0u8, 28, 51] {
-                let mut w = BitWriter::new();
-                for block in 0..6 {
-                    w.put_bit(true);
-                    w.put_ue(1); // two coefficients
-                    w.put_ue(block % 3);
-                    w.put_se(level);
-                    w.put_ue(block);
-                    w.put_se(-level);
+        for skip_runs in [false, true] {
+            let tile = geom(16, 16, true, skip_runs);
+            let run = |w: &mut BitWriter| {
+                if skip_runs {
+                    w.put_ue(0);
                 }
+            };
+            // A motion vector at the i32 limits: outside the tile, not
+            // wrapped into it.
+            for mv in [i32::MAX, i32::MIN + 1, i32::MAX - 3, -9, 9] {
+                let mut w = BitWriter::new();
+                run(&mut w);
+                w.put_ue(1);
+                w.put_se(mv);
+                w.put_se(0);
                 let data = w.finish();
-                decode_both(&dec, geom, &data, true, qp, None).expect("a valid keyframe");
+                assert_eq!(
+                    decode_both(tile, &data, false, 28, Some(&reference)),
+                    Err(DecodeError::InvalidSyntax("motion vector outside tile"))
+                );
+            }
+            // Levels at the i32 limits saturate through the dequantizer and
+            // wrap in the final sum: pixels still agree, nothing panics.
+            for level in [i32::MAX, i32::MIN + 1, 1 << 30, -(1 << 30)] {
+                for qp in [0u8, 28, 51] {
+                    let mut w = BitWriter::new();
+                    for block in 0..6 {
+                        w.put_bit(true);
+                        w.put_ue(1); // two coefficients
+                        w.put_ue(block % 3);
+                        w.put_se(level);
+                        w.put_ue(block);
+                        w.put_se(-level);
+                    }
+                    let data = w.finish();
+                    decode_both(tile, &data, true, qp, None).expect("a valid keyframe");
+                }
+            }
+            // Unknown modes, overlong coefficient count, run past the
+            // block, a zero level, a 32-zero prefix.
+            type Build<'a> = &'a dyn Fn(&mut BitWriter);
+            let cases: [(Build<'_>, DecodeError); 6] = [
+                (
+                    &|w| w.put_ue(3),
+                    DecodeError::InvalidSyntax("unknown block mode"),
+                ),
+                (
+                    &|w| w.put_ue(1000),
+                    DecodeError::InvalidSyntax("unknown block mode"),
+                ),
+                (
+                    &|w| {
+                        w.put_ue(2);
+                        w.put_bit(true);
+                        w.put_ue(64);
+                    },
+                    DecodeError::InvalidSyntax("too many coefficients"),
+                ),
+                (
+                    &|w| {
+                        w.put_ue(2);
+                        w.put_bit(true);
+                        w.put_ue(0);
+                        w.put_ue(64);
+                    },
+                    DecodeError::InvalidSyntax("coefficient run overflows block"),
+                ),
+                (
+                    &|w| {
+                        w.put_ue(2);
+                        w.put_bit(true);
+                        w.put_ue(0);
+                        w.put_ue(0);
+                        w.put_se(0);
+                    },
+                    DecodeError::InvalidSyntax("zero level coded as nonzero"),
+                ),
+                (
+                    &|w| {
+                        w.put_bits(0, 32);
+                        w.put_bits(0, 32);
+                        w.put_bits(u32::MAX, 32);
+                    },
+                    DecodeError::Bitstream(BitstreamError::CodeTooLong),
+                ),
+            ];
+            for (build, want) in cases {
+                let mut w = BitWriter::new();
+                run(&mut w);
+                build(&mut w);
+                // Padding, so the window path (not the tail path) sees the
+                // code.
+                w.put_bits(u32::MAX, 32);
+                w.put_bits(u32::MAX, 32);
+                w.put_bits(u32::MAX, 32);
+                let data = w.finish();
+                assert_eq!(
+                    decode_both(tile, &data, false, 28, Some(&reference)),
+                    Err(want)
+                );
             }
         }
-        // Unknown mode, overlong coefficient count, run past the block, a
-        // zero level, a 32-zero prefix.
+    }
+
+    /// The v2 prefix's own edges: SKIP runs past the plane's end (by one,
+    /// and near `u32::MAX`, which must not wrap into range), a stream cut
+    /// inside a run, a zero-vector block cut before its residual, and runs
+    /// that reach each plane's end exactly.
+    #[test]
+    fn skip_runs_at_their_edges_are_typed_errors_or_exact() {
+        // 16×16: four luma blocks, one in each chroma plane.
+        let tile = geom(16, 16, true, true);
+        let reference = Frame::filled(16, 16, 100, 128, 128);
+        let past_end = DecodeError::InvalidSyntax("SKIP run past the plane's end");
+        let eof = DecodeError::Bitstream(BitstreamError::UnexpectedEof);
         type Build<'a> = &'a dyn Fn(&mut BitWriter);
-        let cases: [(Build<'_>, DecodeError); 5] = [
-            (
-                &|w| w.put_ue(3),
-                DecodeError::InvalidSyntax("unknown block mode"),
-            ),
+        let cases: [(Build<'_>, Result<(), DecodeError>); 9] = [
+            (&|w| w.put_ue(5), Err(past_end.clone())),
+            (&|w| w.put_ue(u32::MAX - 1), Err(past_end.clone())),
             (
                 &|w| {
-                    w.put_ue(2);
-                    w.put_bit(true);
-                    w.put_ue(64);
+                    w.put_ue(3); // to the last luma block, coded
+                    w.put_ue(1);
+                    w.put_se(-8);
+                    w.put_se(0);
+                    w.put_bit(false);
+                    w.put_ue(2); // one past the end of U
                 },
-                DecodeError::InvalidSyntax("too many coefficients"),
+                Err(past_end.clone()),
             ),
+            (&|w| w.put_bits(0, 8), Err(eof.clone())),
             (
                 &|w| {
-                    w.put_ue(2);
-                    w.put_bit(true);
                     w.put_ue(0);
-                    w.put_ue(64);
+                    w.put_ue(0); // zero vector, residual implied but cut off
                 },
-                DecodeError::InvalidSyntax("coefficient run overflows block"),
+                Err(eof.clone()),
             ),
             (
                 &|w| {
-                    w.put_ue(2);
-                    w.put_bit(true);
+                    w.put_ue(1);
                     w.put_ue(0);
+                    w.put_ue(0); // one coefficient
                     w.put_ue(0);
                     w.put_se(0);
                 },
-                DecodeError::InvalidSyntax("zero level coded as nonzero"),
+                Err(DecodeError::InvalidSyntax("zero level coded as nonzero")),
             ),
+            // Every block SKIP: one run per plane.
             (
                 &|w| {
-                    w.put_bits(0, 32);
-                    w.put_bits(0, 32);
-                    w.put_bits(u32::MAX, 32);
+                    w.put_ue(4);
+                    w.put_ue(1);
+                    w.put_ue(1);
                 },
-                DecodeError::Bitstream(BitstreamError::CodeTooLong),
+                Ok(()),
+            ),
+            // The last block of each plane coded, so no run ends the plane.
+            (
+                &|w| {
+                    w.put_ue(3);
+                    w.put_ue(2);
+                    w.put_bit(false);
+                    for _ in 0..2 {
+                        w.put_ue(0);
+                        w.put_ue(0);
+                        w.put_ue(0);
+                        w.put_ue(0);
+                        w.put_se(3);
+                    }
+                },
+                Ok(()),
+            ),
+            // A moved block with nothing coded, and a zero-vector one sent
+            // as mode 1: legal, if the encoder writes neither.
+            (
+                &|w| {
+                    w.put_ue(1);
+                    w.put_ue(1);
+                    w.put_se(-8);
+                    w.put_se(0);
+                    w.put_bit(false);
+                    w.put_ue(0);
+                    w.put_ue(1);
+                    w.put_se(0);
+                    w.put_se(0);
+                    w.put_bit(false);
+                    w.put_ue(1);
+                    w.put_ue(1);
+                    w.put_ue(1);
+                },
+                Ok(()),
             ),
         ];
-        for (build, want) in cases {
+        for (i, (build, want)) in cases.iter().enumerate() {
             let mut w = BitWriter::new();
             build(&mut w);
-            // Padding, so the window path (not the tail path) sees the code.
-            w.put_bits(u32::MAX, 32);
-            w.put_bits(u32::MAX, 32);
-            w.put_bits(u32::MAX, 32);
-            let data = w.finish();
-            assert_eq!(
-                decode_both(&dec, geom, &data, false, 28, Some(&reference)),
-                Err(want)
-            );
+            let bare = w.finish();
+            let got = decode_both(tile, &bare, false, 28, Some(&reference));
+            assert_eq!(got.map(|_| ()), *want, "case {i}");
         }
+        // A run cut off inside its code, and whole.
+        let mut w = BitWriter::new();
+        w.put_ue(300);
+        let data = w.finish();
+        for cut in 1..data.len() {
+            let got = decode_both(tile, &data[..cut], false, 28, Some(&reference));
+            assert_eq!(got, Err(eof.clone()), "cut at {cut}");
+        }
+        let got = decode_both(tile, &data, false, 28, Some(&reference));
+        assert_eq!(got, Err(past_end));
     }
 
     /// Writes one coded residual: the flag, the count as coded (`nnz - 1`)
@@ -1421,8 +1722,7 @@ mod tests {
     /// each with padding behind it and again as the last bits of the stream.
     #[test]
     fn constructed_residual_blocks_are_typed_errors_or_exact() {
-        let dec = TileDecoder::new(16, 16, true);
-        let geom = (16, 16, true);
+        let tile = geom(16, 16, true, true);
         let zero_level = DecodeError::InvalidSyntax("zero level coded as nonzero");
         let overflow = DecodeError::InvalidSyntax("coefficient run overflows block");
         let eof = DecodeError::Bitstream(BitstreamError::UnexpectedEof);
@@ -1463,9 +1763,7 @@ mod tests {
             put_residual(&mut w, nnz_code, pairs);
             let bare = w.finish();
             assert_eq!(
-                decode_both(&dec, geom, &bare, true, 28, None)
-                    .as_ref()
-                    .err(),
+                decode_both(tile, &bare, true, 28, None).as_ref().err(),
                 Some(at_end),
                 "{pairs:?} at the end of the stream"
             );
@@ -1475,7 +1773,7 @@ mod tests {
             w.put_bits(0, 32);
             let padded_data = w.finish();
             assert_eq!(
-                decode_both(&dec, geom, &padded_data, true, 28, None)
+                decode_both(tile, &padded_data, true, 28, None)
                     .as_ref()
                     .err(),
                 padded,
@@ -1490,55 +1788,63 @@ mod tests {
             w.put_ue(run);
             let data = w.finish();
             assert_eq!(
-                decode_both(&dec, geom, &data, true, 28, None),
+                decode_both(tile, &data, true, 28, None),
                 Err(overflow.clone()),
                 "run {run}"
             );
         }
     }
 
-    /// Blocks of mixed short and long pairs behind 0..64 SKIP bits, so pairs
-    /// start at every bit offset of the reader's window and some straddle
-    /// each refill; whole, and cut after every byte.
+    /// Blocks of mixed short and long pairs behind 0..64 SKIP blocks, so
+    /// pairs start at many bit offsets of the reader's window (at every one
+    /// in v1, where a SKIP is one bit) and some straddle each refill; whole,
+    /// and cut after every byte.
     #[test]
     fn residuals_at_every_window_offset_match_reference() {
         let (w, h) = (128u32, 64u32);
-        let dec = TileDecoder::new(w, h, false);
-        let geom = (w, h, false);
         let reference = Frame::filled(w, h, 90, 120, 140);
-        for_cases(2, "window-offsets", |rng| {
-            for lead in 0..64u32 {
-                let mut bits = BitWriter::new();
-                for _ in 0..lead {
-                    bits.put_ue(0);
+        for skip_runs in [false, true] {
+            let tile = geom(w, h, false, skip_runs);
+            // `n` SKIP blocks, in the tile's syntax.
+            let skips = |bits: &mut BitWriter, n: u32| match skip_runs {
+                true => bits.put_ue(n),
+                false => (0..n).for_each(|_| bits.put_ue(0)),
+            };
+            for_cases(2, "window-offsets", |rng| {
+                for lead in 0..64u32 {
+                    let mut bits = BitWriter::new();
+                    skips(&mut bits, lead);
+                    for block in 0..6 {
+                        if block > 0 && skip_runs {
+                            bits.put_ue(0);
+                        }
+                        bits.put_ue(2); // INTRA
+                        let big = 37 + rng.u32(0..200) as i32;
+                        let mut small = || [-3, -2, -1, 1, 2, 3][rng.usize(0..6)];
+                        let pairs = [
+                            (0, small() * 3),
+                            (1, small()),
+                            (37, big),
+                            (0, -big),
+                            (2, small()),
+                            (0, small()),
+                            (5, -37),
+                            (0, small()),
+                        ];
+                        put_residual(&mut bits, pairs.len() as u32 - 1, &pairs);
+                    }
+                    // SKIP to the end of the frame: 128 luma blocks and 32
+                    // in each chroma plane.
+                    for n in [128 - lead - 6, 32, 32] {
+                        skips(&mut bits, n);
+                    }
+                    let data = bits.finish();
+                    decode_both(tile, &data, false, 28, Some(&reference)).expect("a valid P-frame");
+                    for cut in 0..data.len() {
+                        let _ = decode_both(tile, &data[..cut], false, 28, Some(&reference));
+                    }
                 }
-                for _ in 0..6 {
-                    bits.put_ue(2); // INTRA
-                    let big = 37 + rng.u32(0..200) as i32;
-                    let mut small = || [-3, -2, -1, 1, 2, 3][rng.usize(0..6)];
-                    let pairs = [
-                        (0, small() * 3),
-                        (1, small()),
-                        (37, big),
-                        (0, -big),
-                        (2, small()),
-                        (0, small()),
-                        (5, -37),
-                        (0, small()),
-                    ];
-                    put_residual(&mut bits, pairs.len() as u32 - 1, &pairs);
-                }
-                // SKIP to the end of the frame: 192 blocks in all.
-                for _ in lead + 6..192 {
-                    bits.put_ue(0);
-                }
-                let data = bits.finish();
-                decode_both(&dec, geom, &data, false, 28, Some(&reference))
-                    .expect("a valid P-frame");
-                for cut in 0..data.len() {
-                    let _ = decode_both(&dec, geom, &data[..cut], false, 28, Some(&reference));
-                }
-            }
-        });
+            });
+        }
     }
 }

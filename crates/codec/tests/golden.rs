@@ -180,19 +180,20 @@ const GOLDEN_PLANES: &[(&str, u64)] = &[
     ("2x2/rate-0.6bpp", 0x5a8c2faf5d9a690f),
 ];
 
-/// (case, container-bytes digest): what the encoder writes.
+/// (case, container-bytes digest): what the encoder writes, P-frames with
+/// SKIP runs.
 const GOLDEN_BYTES: &[(&str, u64)] = &[
-    ("untiled/qp4/no-deblock", 0xb0f1da304342493e),
-    ("untiled/qp4/deblock", 0xf0cc2c681963499a),
-    ("untiled/qp28/no-deblock", 0x5d422ed405d9d9af),
-    ("untiled/qp28/deblock", 0x443a28de04a7cd95),
-    ("untiled/qp40/no-deblock", 0x8c90f91efcae69cf),
-    ("untiled/qp40/deblock", 0x12c261f27c95bb90),
-    ("2x2/qp4/deblock", 0x2d91950289a96166),
-    ("2x2/qp28/deblock", 0x6e74f40c6450ddc7),
-    ("2x2/qp40/no-deblock", 0xec26a877a3590141),
-    ("untiled/rate-0.15bpp", 0x8104e490bae170ee),
-    ("2x2/rate-0.6bpp", 0x2348b9aaf5436d47),
+    ("untiled/qp4/no-deblock", 0xdadc6d937f28afb2),
+    ("untiled/qp4/deblock", 0xa12c42509cbb9d6c),
+    ("untiled/qp28/no-deblock", 0x1c7130d2b839da94),
+    ("untiled/qp28/deblock", 0x9b1f85fb00b7f483),
+    ("untiled/qp40/no-deblock", 0xc689b0deaa688bf9),
+    ("untiled/qp40/deblock", 0x8be929783793ea58),
+    ("2x2/qp4/deblock", 0x68abbdb532d3ef1f),
+    ("2x2/qp28/deblock", 0xbf45f15a7ea829fc),
+    ("2x2/qp40/no-deblock", 0x7168d5843c9def43),
+    ("untiled/rate-0.15bpp", 0xeb944d12c5149dff),
+    ("2x2/rate-0.6bpp", 0x54f6019fa18aad76),
 ];
 
 /// Every case's digest as `pick` takes it from [`run`]'s pair, checked
@@ -233,9 +234,15 @@ const TILE_V1: &[u8] = include_bytes!("../testdata/tile_v1.tvf");
 fn a_v1_tile_decodes_to_its_pinned_planes() {
     assert_eq!(fnv1a(FNV_SEED, TILE_V1), 0x12c261f27c95bb90);
     let tile = TileVideo::from_bytes(TILE_V1.to_vec()).unwrap();
+    assert!(!tile.skip_runs());
     let (all, _) = tile.decode_all().unwrap();
     assert_eq!(all.len(), FRAMES as usize);
     assert_eq!(digest_frames(FNV_SEED, &all), 0x5ebad71bf94cdee7);
+    // This build's encode of the same case: the same planes, fewer bytes.
+    let (now, _) = encode_video(&clip(), &TileLayout::untiled(W, H), &cfg(40, true)).unwrap();
+    assert!(now[0].skip_runs());
+    assert!(now[0].size_bytes() < tile.size_bytes());
+    assert_eq!(now[0].decode_all().unwrap().0, all);
     let (ranged, _) = tile.decode_range(GOP + 3..FRAMES).unwrap();
     assert_eq!(&all[(GOP + 3) as usize..], &ranged[..]);
     let from = GOP + 2;
@@ -421,8 +428,8 @@ const GOLDEN_CODECS: &[(&str, u64, u64)] = &[
     ("pred/moving/2x2", 0xb180bb6bfa77083f, 0xe484997ccd0748bd),
     ("pred/moving/uneven", 0x1a5a32156a076cb1, 0x5c4b671ad4ff7675),
     ("pred/split/2cols", 0x6ac8a0709163c96a, 0xdb8d02fc8484736c),
-    ("dct/moving/uneven", 0x02618c175f17f4d7, 0xadb3dae31c8e3ad2),
-    ("dct/moving/3x4", 0x17d46b6aec058fc9, 0x961064d725306db9),
+    ("dct/moving/uneven", 0x1cfbf91909d3907f, 0xadb3dae31c8e3ad2),
+    ("dct/moving/3x4", 0x493db3f1166fa7a1, 0x961064d725306db9),
     ("pred/moving/3x4", 0x3b2704d4a4391e67, 0x0fa1e86d24ac2ec9),
 ];
 

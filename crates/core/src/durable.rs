@@ -36,6 +36,7 @@ use std::sync::{Arc, Mutex};
 use crate::pack::{check_tile, parse_pack_name, PackReader, PACK_SUFFIX};
 use crate::storage::{PackId, StoreError, VideoManifest, VideoStore};
 use crate::tasm::{Tasm, TasmError};
+use tasm_codec::TileCodec;
 pub use tasm_index::io::{RealIo, StorageIo};
 use tasm_obs::sync;
 
@@ -550,6 +551,11 @@ pub struct FsckReport {
     pub videos_checked: u32,
     /// Tiles whose containers were validated.
     pub tiles_checked: u64,
+    /// Of those, DCT tiles whose P-frames are still in the v1 block
+    /// syntax, one mode symbol per SKIP block
+    /// ([`tasm_codec::TileVideo::skip_runs`] false): what a migration to
+    /// today's syntax would rewrite.
+    pub v1_tiles: u64,
     /// Everything found wrong, in discovery order.
     pub issues: Vec<FsckIssue>,
 }
@@ -781,6 +787,8 @@ impl VideoStore {
                 match pack.parse(tile) {
                     Ok(parsed) => {
                         report.tiles_checked += 1;
+                        let v1 = parsed.codec() == TileCodec::Dct && !parsed.skip_runs();
+                        report.v1_tiles += u64::from(v1);
                         let mismatch = |detail| FsckIssue::TileMismatch {
                             video: video.clone(),
                             sot_start,

@@ -186,15 +186,18 @@ fn garbage_input_is_rejected() {
 
 // --- The decode fast path's early-outs -------------------------------------
 //
-// Each shortcut the DCT decoder takes (recycled/pre-copied frames, SKIP runs
-// consumed as runs of one bits, the windowed exp-Golomb reader, the sparse
-// inverse transform) has a boundary where it hands over to the general path
-// or refuses the input. One hand-built container per boundary: a typed
-// error or exactly the expected pixels, never a panic.
+// Each shortcut the DCT decoder takes (recycled/pre-copied frames, SKIP
+// blocks coded as runs or, in v1 tiles, consumed as runs of one bits, the
+// windowed exp-Golomb reader, the sparse inverse transform) has a boundary
+// where it hands over to the general path or refuses the input. One
+// hand-built container per boundary: a typed error or exactly the expected
+// pixels, never a panic.
 
 /// A DCT container of `w`×`h` tiles at QP 28 (step 16) around hand-written
-/// frame payloads; the first is the keyframe.
-fn handmade(w: u32, h: u32, deblock: bool, payloads: Vec<BitWriter>) -> TileVideo {
+/// frame payloads; the first is the keyframe. P-frames are in the v2 block
+/// syntax if `skip_runs`, else in v1's (the header's flag clear, as in the
+/// tiles of earlier builds).
+fn handmade(w: u32, h: u32, deblock: bool, skip_runs: bool, payloads: Vec<BitWriter>) -> TileVideo {
     let cfg = EncoderConfig {
         gop_len: payloads.len() as u32,
         qp: 28,
@@ -208,7 +211,15 @@ fn handmade(w: u32, h: u32, deblock: bool, payloads: Vec<BitWriter>) -> TileVide
             data: payload.finish(),
         })
         .collect();
-    TileVideo::from_frames(TileCodec::Dct, w, h, &cfg, &frames)
+    let tile = TileVideo::from_frames(TileCodec::Dct, w, h, &cfg, &frames);
+    if skip_runs {
+        return tile;
+    }
+    let mut bytes = tile.into_bytes();
+    bytes[18] &= !2; // the flags byte of a DCT header
+    let v1 = TileVideo::from_bytes(bytes).unwrap();
+    assert!(!v1.skip_runs());
+    v1
 }
 
 /// A 16×16 keyframe (4 luma + 1 + 1 chroma blocks) of DC-only blocks.
@@ -240,7 +251,7 @@ fn misaligned_tile_dimensions_are_a_typed_error() {
     // tile grid; the decoder's block loops do. Such a header (a corrupt one:
     // no encoder writes it) must be refused, not decoded past a plane's end.
     for (w, h) in [(24, 16), (16, 24), (8, 8), (18, 16), (30, 30)] {
-        let v = handmade(w, h, true, vec![flat_keyframe([0; 6])]);
+        let v = handmade(w, h, true, true, vec![flat_keyframe([0; 6])]);
         let back =
             TileVideo::from_bytes(v.into_bytes()).expect("the container itself is well-formed");
         assert_eq!(
@@ -256,7 +267,13 @@ fn dc_only_blocks_decode_to_flat_samples() {
     // The sparse inverse transform's DC-only case: level L at step 16 is
     // residual round(16 L / 8) = 2 L on every sample, over DC prediction
     // 128 for the first block of each plane and the neighbours' mean after.
-    let v = handmade(16, 16, false, vec![flat_keyframe([10, 0, -5, 0, 3, -3])]);
+    let v = handmade(
+        16,
+        16,
+        false,
+        true,
+        vec![flat_keyframe([10, 0, -5, 0, 3, -3])],
+    );
     let (frames, stats) = v.decode_all().unwrap();
     assert_eq!(stats.frames_decoded, 1);
     let y = frames[0].plane(Plane::Y);
@@ -273,66 +290,107 @@ fn dc_only_blocks_decode_to_flat_samples() {
     assert_eq!(frames[0].plane(Plane::V), &[122; 64][..]); // 128 - 6
 }
 
+/// `n` SKIP blocks, one to a plane of `planes` each, in the block syntax
+/// `skip_runs` names: one `ue` run per plane, or (v1) one `1` bit a block.
+fn skips(skip_runs: bool, planes: [u32; 3]) -> BitWriter {
+    let mut w = BitWriter::new();
+    for n in planes {
+        if skip_runs {
+            w.put_ue(n);
+        } else {
+            (0..n).for_each(|_| w.put_bit(true));
+        }
+    }
+    w
+}
+
 #[test]
 fn skip_runs_end_exactly_or_with_a_typed_error() {
-    let key = || flat_keyframe([10, 0, -5, 0, 3, -3]);
-    // Six SKIP blocks are six one bits: the P-frame is its reference.
-    let mut w = BitWriter::new();
-    w.put_bits(0b111111, 6);
-    let v = handmade(16, 16, true, vec![key(), w]);
-    let (frames, _) = v.decode_all().unwrap();
-    // (deblocking is applied to the P-frame again, as the encoder does)
-    let mut again = frames[0].clone();
-    tasm_codec::deblock::deblock_frame(&mut again, tasm_codec::quant::qstep(28));
-    assert_eq!(frames[1], again);
+    let eof = DecodeError::Bitstream(BitstreamError::UnexpectedEof);
+    for skip_runs in [false, true] {
+        let key = || flat_keyframe([10, 0, -5, 0, 3, -3]);
+        // Six SKIP blocks: the P-frame is its reference.
+        let v = handmade(
+            16,
+            16,
+            true,
+            skip_runs,
+            vec![key(), skips(skip_runs, [4, 1, 1])],
+        );
+        let (frames, _) = v.decode_all().unwrap();
+        // (deblocking is applied to the P-frame again, as the encoder does)
+        let mut again = frames[0].clone();
+        tasm_codec::deblock::deblock_frame(&mut again, tasm_codec::quant::qstep(28));
+        assert_eq!(frames[1], again);
 
-    // An empty payload ends inside the run.
-    let v = handmade(16, 16, true, vec![key(), BitWriter::new()]);
-    assert_eq!(
-        decode_error(&v),
-        DecodeError::Bitstream(BitstreamError::UnexpectedEof)
-    );
+        // An empty payload ends inside the run.
+        let v = handmade(16, 16, true, skip_runs, vec![key(), BitWriter::new()]);
+        assert_eq!(decode_error(&v), eof);
 
-    // A long run in a larger tile, ending one block short of the frame:
-    // 64×64 has 96 blocks; 95 ones and then the padding's zero bits, which
-    // read as the start of an exp-Golomb prefix that never completes.
-    let big_key = || {
-        let mut w = BitWriter::new();
-        for _ in 0..96 {
-            w.put_bit(false);
-        }
-        w
-    };
-    let mut w = BitWriter::new();
-    for _ in 0..95 {
-        w.put_bit(true);
+        // A long run in a larger tile, ending one block short of the frame:
+        // 64×64 has 96 blocks; then the padding's zero bits, which read as
+        // the start of an exp-Golomb prefix that never completes.
+        let big_key = || {
+            let mut w = BitWriter::new();
+            for _ in 0..96 {
+                w.put_bit(false);
+            }
+            w
+        };
+        let short = skips(skip_runs, [64, 16, 15]);
+        let v = handmade(64, 64, true, skip_runs, vec![big_key(), short]);
+        assert_eq!(decode_error(&v), eof, "v2: {skip_runs}");
+        // With the 96th, it decodes — to the (flat) reference.
+        let whole = skips(skip_runs, [64, 16, 16]);
+        let v = handmade(64, 64, true, skip_runs, vec![big_key(), whole]);
+        let (frames, stats) = v.decode_all().unwrap();
+        assert_eq!(frames[1], frames[0]);
+        assert_eq!(stats.blocks_decoded, 2 * 96);
     }
-    let v = handmade(64, 64, true, vec![big_key(), w]);
-    assert_eq!(
-        decode_error(&v),
-        DecodeError::Bitstream(BitstreamError::UnexpectedEof)
-    );
-    // With the 96th, it decodes — to the (flat) reference.
-    let mut w = BitWriter::new();
-    for _ in 0..96 {
-        w.put_bit(true);
+    // A v2 run past its plane's end, in each plane.
+    for planes in [[65, 16, 16], [64, 17, 16], [64, 16, 17]] {
+        let mut key = BitWriter::new();
+        (0..96).for_each(|_| key.put_bit(false));
+        let v = handmade(64, 64, true, true, vec![key, skips(true, planes)]);
+        assert_eq!(
+            decode_error(&v),
+            DecodeError::InvalidSyntax("SKIP run past the plane's end"),
+            "{planes:?}"
+        );
     }
-    let v = handmade(64, 64, true, vec![big_key(), w]);
-    let (frames, stats) = v.decode_all().unwrap();
-    assert_eq!(frames[1], frames[0]);
-    assert_eq!(stats.blocks_decoded, 2 * 96);
 }
 
 #[test]
 fn corrupt_syntax_beyond_the_fast_paths_is_a_typed_error() {
+    for skip_runs in [false, true] {
+        corrupt_syntax_is_a_typed_error(skip_runs);
+    }
+    // In v2 the longest legal code as a block's SKIP run is past the end.
+    let mut w = BitWriter::new();
+    w.put_bits(0, 31);
+    w.put_bits(1, 1);
+    w.put_bits(12345, 31);
+    let v = handmade(16, 16, true, true, vec![flat_keyframe([0; 6]), w]);
+    assert_eq!(
+        decode_error(&v),
+        DecodeError::InvalidSyntax("SKIP run past the plane's end")
+    );
+}
+
+/// [`corrupt_syntax_beyond_the_fast_paths_is_a_typed_error`] in one block
+/// syntax: a v2 P-frame's first block is v1's behind a SKIP run of zero.
+fn corrupt_syntax_is_a_typed_error(skip_runs: bool) {
     let p_frame = |build: &dyn Fn(&mut BitWriter)| {
         let mut w = BitWriter::new();
+        if skip_runs {
+            w.put_ue(0);
+        }
         build(&mut w);
         // Enough trailing bytes that the reader's 64-bit window is full.
         for _ in 0..4 {
             w.put_bits(u32::MAX, 32);
         }
-        handmade(16, 16, true, vec![flat_keyframe([0; 6]), w])
+        handmade(16, 16, true, skip_runs, vec![flat_keyframe([0; 6]), w])
     };
     // A motion vector at the i32 limits is outside the tile; it must not
     // wrap around into it.
@@ -380,7 +438,7 @@ fn corrupt_syntax_beyond_the_fast_paths_is_a_typed_error() {
         w.put_ue(7);
         w.put_se(-level);
     }
-    let v = handmade(16, 16, true, vec![w]);
+    let v = handmade(16, 16, true, skip_runs, vec![w]);
     let (frames, _) = v.decode_all().unwrap();
     assert_eq!(frames.len(), 1);
 }

@@ -649,19 +649,19 @@ fn every_region_is_the_crop_of_its_frame_stitched_from_whole_tile_decodes() {
     }
     let want = [
         Counts {
-            decode: [1797, 7340544, 1797, 255576, 114696],
+            decode: [1797, 7340544, 1797, 245309, 114696],
             cache: [0, 0, 0, 0],
             shared: [376, 0],
             plan: [129, 49, 376, 87, 496],
         },
         Counts {
-            decode: [1321, 5746944, 1321, 187489, 89796],
+            decode: [1321, 5746944, 1321, 178837, 89796],
             cache: [86, 290, 476, 1593600],
             shared: [290, 0],
             plan: [129, 49, 376, 87, 496],
         },
         Counts {
-            decode: [305, 1336320, 305, 45230, 20880],
+            decode: [305, 1336320, 305, 43301, 20880],
             cache: [315, 61, 1492, 6004224],
             shared: [61, 0],
             plan: [129, 49, 376, 87, 496],

@@ -309,7 +309,7 @@ fn more_and_kqko_decisions_after_a_fixed_sequence_are_pinned() {
                 6913416674475766314,
                 6361625537437144389
             ],
-            184162
+            175426
         ),
         "incremental-more: per-SOT epochs, tile digests, bytes encoded"
     );
@@ -333,7 +333,7 @@ fn more_and_kqko_decisions_after_a_fixed_sequence_are_pinned() {
                 6913416674475766314,
                 6361625537437144389
             ],
-            91999
+            87725
         ),
         "KQKO: per-SOT epochs, tile digests, bytes encoded"
     );

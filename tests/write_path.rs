@@ -169,11 +169,11 @@ fn ingest_and_retile(tag: &str, cfg: StorageConfig) -> Vec<(u64, Vec<Vec<u8>>)> 
 type Step = (u64, [&'static [u8]; 2]);
 
 const PINNED: [Step; 4] = [
-    (0xe74194d7c99f7f66, [&[0], &[0, 0]]),
-    (0xe177af8be8cfe0d6, [&[0, 0], &[0, 0]]),
-    (0x49e5fa56c516011b, [&[0, 0, 0, 0, 0, 0], &[0, 0]]),
+    (0xe26f64ff9b898341, [&[0], &[0, 0]]),
+    (0x9d98f96f92a759f8, [&[0, 0], &[0, 0]]),
+    (0xbf00eca3a6e12347, [&[0, 0, 0, 0, 0, 0], &[0, 0]]),
     (
-        0x43af06948f8003b3,
+        0x05d22c56395db8cb,
         [&[0, 0, 0, 0, 0, 0], &[0, 0, 0, 0, 0, 0]],
     ),
 ];
@@ -283,11 +283,11 @@ fn digest_planes(store: &VideoStore, manifest: &VideoManifest) -> u64 {
 /// that kept one file per tile; how tiles are filed on disk must never move
 /// them.
 const TILES_PINNED: [u64; 5] = [
-    0xed3d921ce2bda0e2,
-    0xa696ed0b9b04e7ab,
-    0x2aaca36b3c1b7d71,
-    0xe6fabd5aa440d1a3,
-    0x502e88b79a147254,
+    0x046f1c24a4277156,
+    0xb15a9e51a836b854,
+    0xbd4bca469c40745d,
+    0xb2af8c89c5354af6,
+    0x449863478dd8a9a6,
 ];
 
 /// [`digest_planes`] at the same five steps (the first four are
@@ -381,10 +381,10 @@ fn retile_counts(s: &RetileStats) -> [u64; 8] {
 /// [`tiles_served_after_ingest_retile_and_replica_install_are_pinned`]:
 /// SOT 0 untiled→2 cols→uneven, SOT 1 2 cols→uneven→2 cols.
 const RETILE_COUNTS_PINNED: [[u64; 8]; 4] = [
-    [6, 884736, 6, 35369, 13824, 12, 884736, 35700],
-    [12, 884736, 12, 35582, 13824, 36, 884736, 36378],
-    [12, 884736, 12, 35078, 13824, 36, 884736, 35894],
-    [36, 884736, 36, 35540, 13824, 12, 884736, 35935],
+    [6, 884736, 6, 33993, 13824, 12, 884736, 34238],
+    [12, 884736, 12, 34120, 13824, 36, 884736, 35008],
+    [12, 884736, 12, 33593, 13824, 36, 884736, 34501],
+    [36, 884736, 36, 34147, 13824, 12, 884736, 34499],
 ];
 
 /// A re-tile's accounting is part of its contract: the cost model and the
@@ -455,7 +455,7 @@ fn older_peer_video(tag: &str) -> (VideoManifest, Vec<Vec<Vec<u8>>>) {
 /// [`digest_tiles`] of the older peer's video once SOT 1 is re-tiled to
 /// [`uneven`]. Computed first on the last build that had the `Auto` size
 /// trial, re-tiling the same store with its DCT-only setting.
-const PRED_RETILED_PINNED: u64 = 0x288bc71187f1dde4;
+const PRED_RETILED_PINNED: u64 = 0x97fb9955bfc872d9;
 
 /// Asserts that ROI, stride and whole-video queries over both labels of
 /// [`pred_tiles_from_an_older_peer_are_served_and_retile_to_dct`] answer,
@@ -1364,9 +1364,9 @@ const SMALL_ANSWER_PINNED: [u64; 2] = [0xe78d11f93c937980, 0xec5efa1e7a36c944];
 
 /// `testdata/store_v1` is what [`write_small_store`] wrote on the last
 /// build before P-frames coded SKIP blocks as runs. A copy of it opens,
-/// `fsck`s clean, and answers `car` queries with the pinned pixels, the
-/// pixels a store this build writes from the same clip answers with, and
-/// the reference's.
+/// `fsck`s clean with its six tiles counted as v1, and answers `car`
+/// queries with the pinned pixels, the pixels a store this build writes
+/// from the same clip answers with, and the reference's.
 #[test]
 fn a_store_written_by_an_earlier_build_reads_the_same_pixels() {
     let (old, fresh) = (temp_dir("store-v1"), temp_dir("store-v1-fresh"));
@@ -1384,12 +1384,13 @@ fn a_store_written_by_an_earlier_build_reads_the_same_pixels() {
     assert_eq!(tasm.attach_stored().unwrap(), ["cam"]);
     let report = tasm.fsck().unwrap();
     assert!(report.is_clean(), "{:?}", report.issues);
-    assert_eq!(report.tiles_checked, 6);
+    assert_eq!((report.tiles_checked, report.v1_tiles), (6, 6));
     let now = write_small_store(fresh.path());
+    assert_eq!(now.fsck().unwrap().v1_tiles, 0);
     let car = Query::new(LabelPredicate::label("car")).frames(0..FRAMES);
     let mut reference = Reference::new(&tasm);
     let mut answers = Vec::new();
-    for q in [car.clone(), car.stride(3)] {
+    for q in [car.clone(), car.clone().stride(3)] {
         let got = tasm.query("cam", &q).unwrap();
         reference.check("cam", &q, &got, "a store of an earlier build");
         assert_eq!(got.regions.len() as u32, FRAMES.div_ceil(q.stride_len()));
@@ -1402,5 +1403,19 @@ fn a_store_written_by_an_earlier_build_reads_the_same_pixels() {
     assert!(
         answers == SMALL_ANSWER_PINNED,
         "answers moved; this build produces:\n{answers:#018x?}"
+    );
+    // A re-tile rewrites its SOT's tiles in today's syntax, from the same
+    // pixels as the fresh store's.
+    for t in [&tasm, &now] {
+        t.retile("cam", 1, TileLayout::untiled(SMALL.0, SMALL.1))
+            .unwrap();
+    }
+    let report = tasm.fsck().unwrap();
+    assert_eq!((report.tiles_checked, report.v1_tiles), (5, 4));
+    let got = tasm.query("cam", &car).unwrap();
+    reference.check("cam", &car, &got, "re-tiled");
+    assert_eq!(
+        digest_answer(&got),
+        digest_answer(&now.query("cam", &car).unwrap())
     );
 }
