@@ -39,7 +39,8 @@ fn header(scale: f64, walls: &[(&str, Duration)], total: Duration) -> String {
          are the prices the layout policy decides with, so one scale gives the same tables \
          byte for byte; no column is a wall time.\n\
          - **Stale prices.** β = {:.1} ns/sample, γ = {:.1} µs/tile chunk and encode \
-         {:.1} ns/sample, the defaults of `TasmConfig`, fitted on an earlier codec; the \
+         {:.1} ns/sample, `CostModel::CALIBRATED` and `EncodeModel::CALIBRATED`, fitted on an \
+         earlier codec; the \
          `fit_cost_model` harness measures today's. Re-pricing them is a diff against this \
          file.\n\
          - **Stores.** No decoded-GOP cache (a cache hit is decode work not counted); \

@@ -154,9 +154,8 @@ pub struct TileVideo {
 impl TileVideo {
     /// The tile of `frames` (display order), `width`×`height` luma pixels
     /// coded with `codec` under `cfg`'s GOP length, QP and deblocking: its
-    /// container is serialized once and parsed as any stored one is. DCT
-    /// frames are taken to be in the block syntax the encoder writes, with
-    /// SKIP runs.
+    /// container is serialized once and parsed as any stored one is (DCT
+    /// frames in the block syntax with SKIP runs).
     ///
     /// # Panics
     /// Panics if that container does not parse: a zero dimension or GOP
@@ -329,9 +328,8 @@ impl TileVideo {
         self.deblock
     }
 
-    /// Whether DCT P-frames code SKIP blocks as runs (the block syntax
-    /// every encode writes). False for a `Pred` tile and for a DCT tile
-    /// written before SKIP runs, which [`TileVideo::cursor_at`] still reads.
+    /// Whether DCT P-frames code SKIP blocks as runs, as every encode
+    /// does; false for `Pred` tiles and DCT tiles written before them.
     pub fn skip_runs(&self) -> bool {
         self.skip_runs
     }
@@ -749,6 +747,53 @@ mod tests {
                 Err(ContainerError::InvalidHeader(why))
             );
         }
+    }
+
+    /// The bytes of `FORMAT.md`'s `hex` block `name`: whitespace-separated
+    /// bytes, `#` to the end of a line a comment.
+    fn format_md_block(name: &str) -> Vec<u8> {
+        let doc = include_str!("../../../FORMAT.md");
+        let open = format!("```hex {name}\n");
+        let start = doc.find(&open).unwrap_or_else(|| panic!("no block {name}")) + open.len();
+        let body = &doc[start..start + doc[start..].find("```").unwrap()];
+        body.lines()
+            .flat_map(|l| l.split('#').next().unwrap().split_whitespace())
+            .map(|b| u8::from_str_radix(b, 16).unwrap())
+            .collect()
+    }
+
+    /// `FORMAT.md`'s example clip: 16×16 at luma 100 and chroma 128, but
+    /// luma block 1 (top right) at 160 in frame 0 and 166 in frame 1, and
+    /// block 2 (bottom left) at 40 in frame 1.
+    fn format_md_clip() -> [Frame; 2] {
+        let mut frames = [160, 166].map(|top_right| {
+            let mut f = Frame::filled(16, 16, 100, 128, 128);
+            f.fill_rect(Rect::new(8, 0, 8, 8), top_right, 128, 128);
+            f
+        });
+        frames[1].fill_rect(Rect::new(0, 8, 8, 8), 40, 128, 128);
+        frames
+    }
+
+    /// The v2 example is what the encoder writes for the example clip at
+    /// QP 28 with deblocking; the v1 example, the same clip as the encoder
+    /// wrote it before SKIP runs, decodes to the same frames.
+    #[test]
+    fn format_md_examples_of_the_tvf_container_decode_and_match_the_encoder() {
+        let cfg = EncoderConfig {
+            gop_len: 2,
+            ..Default::default()
+        };
+        let mut enc = TileEncoder::new(cfg, Rect::new(0, 0, 16, 16));
+        let frames: Vec<EncodedFrame> = format_md_clip()
+            .iter()
+            .map(|f| enc.encode_next(f))
+            .collect();
+        let v2 = TileVideo::from_frames(TileCodec::Dct, 16, 16, &cfg, &frames);
+        assert_eq!(v2.as_bytes(), format_md_block("tvf-v2"));
+        let v1 = TileVideo::from_bytes(format_md_block("tvf-v1")).unwrap();
+        assert!(v2.skip_runs() && !v1.skip_runs());
+        assert_eq!(v1.decode_all().unwrap().0, v2.decode_all().unwrap().0);
     }
 
     #[test]

@@ -1,4 +1,10 @@
 //! The tile decoder, mirroring [`crate::encoder`] bit-exactly.
+//!
+//! In the P-frame block syntax every encode writes (v2), each coded block
+//! follows a `ue` run of SKIP blocks and its `ue(mode)` is 0 for INTER at
+//! the zero vector with a residual, 1 for INTER with a vector, 2 for INTRA.
+//! In v1, which older tiles hold, every block has a mode, 0 being SKIP.
+//! `FORMAT.md` gives both, byte by byte.
 
 use crate::bitstream::{BitReader, BitstreamError};
 use crate::blockops::{
@@ -49,8 +55,7 @@ pub struct TileDecoder {
     width: u32,
     height: u32,
     deblock: bool,
-    /// P-frames code SKIP blocks as runs: the block syntax the encoder
-    /// writes, unless [`TileDecoder::with_skip_runs`] says otherwise.
+    /// P-frames code SKIP blocks as runs, as the encoder writes them.
     skip_runs: bool,
     recon_prev: Option<Frame>,
 }
@@ -200,21 +205,12 @@ fn decode_key_plane(
     Ok(())
 }
 
-/// A coded P-frame block, as its mode symbol names it.
-enum Coded {
-    /// Motion-compensated. `zero`: at the zero vector with a residual, so
-    /// neither a vector nor a coded-block flag is sent (v2's mode 0).
-    Inter { zero: bool },
-    /// DC intra prediction plus an optional residual.
-    Intra,
-}
-
 /// Decodes one `pw`×`ph` plane of a P-frame. `recon` arrives holding the
 /// reference's samples, which is already every SKIP block's outcome, so a
-/// SKIP costs only its parse. The two block syntaxes
-/// differ only in the prefix that finds the next coded block and names its
-/// mode: with `skip_runs` (v2), a `ue` count of the SKIP blocks before it;
-/// in v1, one `1` bit (`ue(0)`) per SKIP block, taken a window at a time.
+/// SKIP costs only its parse. The two block syntaxes differ in the prefix
+/// that finds the next coded block: with `skip_runs` (v2), a `ue` count of
+/// the SKIP blocks before it; in v1, one `1` bit (`ue(0)`) per SKIP block,
+/// taken a window at a time. Their modes agree but for 0.
 fn decode_inter_plane(
     r: &mut BitReader<'_>,
     block: &mut Inverse,
@@ -228,45 +224,33 @@ fn decode_inter_plane(
     let blocks = blocks_x * (ph / BLOCK);
     let mut b = 0;
     while b < blocks {
-        let mode = if skip_runs {
+        b += if skip_runs {
             let run = r.get_ue()? as usize;
             if run > blocks - b {
                 return Err(DecodeError::InvalidSyntax("SKIP run past the plane's end"));
             }
-            b += run;
-            if b == blocks {
-                break;
-            }
-            match r.get_ue()? {
-                0 => Coded::Inter { zero: true },
-                1 => Coded::Inter { zero: false },
-                2 => Coded::Intra,
-                _ => return Err(DecodeError::InvalidSyntax("unknown block mode")),
-            }
+            run
         } else {
-            b += r.take_ones(blocks - b);
-            if b == blocks {
-                break;
-            }
-            match r.get_ue()? {
-                // SKIP: `take_ones` leaves none behind, but the symbol is legal.
-                0 => {
-                    b += 1;
-                    continue;
-                }
-                1 => Coded::Inter { zero: false },
-                2 => Coded::Intra,
-                _ => return Err(DecodeError::InvalidSyntax("unknown block mode")),
-            }
+            r.take_ones(blocks - b)
         };
+        if b == blocks {
+            break;
+        }
+        let mode = r.get_ue()?;
+        if mode == 0 && !skip_runs {
+            // A v1 SKIP: `take_ones` leaves none behind, but it is legal.
+            b += 1;
+            continue;
+        }
         let x = b % blocks_x * BLOCK;
         let y = b / blocks_x * BLOCK;
         match mode {
-            Coded::Inter { zero } => {
-                let (mvx, mvy) = if zero {
-                    (0, 0)
-                } else {
-                    (r.get_se()?, r.get_se()?)
+            // INTER: at the zero vector with a residual (v2's mode 0, whose
+            // coded-block flag is implied), or a vector and a residual.
+            0 | 1 => {
+                let (mvx, mvy) = match mode {
+                    0 => (0, 0),
+                    _ => (r.get_se()?, r.get_se()?),
                 };
                 // In i64: a corrupt vector near the i32 limits must fail
                 // the range check, not wrap into range.
@@ -280,20 +264,20 @@ fn decode_inter_plane(
                     return Err(DecodeError::InvalidSyntax("motion vector outside tile"));
                 }
                 let (rx, ry) = (rx as usize, ry as usize);
-                let residual = if zero {
-                    read_levels(r, block, qs)?;
-                    true
-                } else {
-                    read_residual(r, block, qs)?
+                let coded = match mode {
+                    0 => read_levels(r, block, qs).map(|()| true)?,
+                    _ => read_residual(r, block, qs)?,
                 };
-                if residual {
+                if coded {
                     reconstruct_inter(recon, pw, x, y, prev, rx, ry, block);
                 } else if (rx, ry) != (x, y) {
                     // At the zero vector the block already holds the copy.
                     copy_block(recon, pw, x, y, prev, pw, rx, ry);
                 }
             }
-            Coded::Intra => decode_intra_block(r, block, recon, pw, x, y, qs)?,
+            // INTRA fallback inside a P-frame.
+            2 => decode_intra_block(r, block, recon, pw, x, y, qs)?,
+            _ => return Err(DecodeError::InvalidSyntax("unknown block mode")),
         }
         b += 1;
     }

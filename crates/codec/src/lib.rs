@@ -20,7 +20,8 @@
 //! The pipeline is a classic block codec: 8×8 integer DCT, scalar
 //! quantization (QP with the HEVC step-doubling rule), DC intra prediction,
 //! three-step motion search, zigzag run-level coding with exp-Golomb codes,
-//! and an H.264-style weak deblocking filter.
+//! SKIP blocks coded as runs (H.264's `mb_skip_run`), and an H.264-style
+//! weak deblocking filter. The block syntax is in [`decoder`].
 
 #![forbid(unsafe_code)]
 

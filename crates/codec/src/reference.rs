@@ -4,7 +4,8 @@
 //! a bit-at-a-time exp-Golomb reader, a dense inverse DCT, a column-major
 //! deblocking filter with a branch per sample, and a frame decoder that
 //! starts from a black frame, copies every SKIP block and clones its
-//! reference per frame; and the encoder's coded-block path as it was: a
+//! reference per frame, in both P-frame block syntaxes (a mode symbol per
+//! block, or SKIP runs); and the encoder's coded-block path as it was: a
 //! bit-at-a-time writer, the 1024-multiply forward DCT, and a block coded by
 //! quantizing all 64 coefficients, walking the zigzag, and dequantizing and
 //! inverse transforming them all again. The product code must agree with it
@@ -332,38 +333,20 @@ fn store_block(plane: &mut [u8], stride: usize, x: usize, y: usize, values: &[i3
     }
 }
 
-/// A tile as the frame decoder needs it: its size (16-aligned), whether
-/// the deblocking filter is on, and whether P-frames code SKIP blocks as
-/// runs (v2) or one symbol each (v1).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Geom {
-    pub(crate) width: u32,
-    pub(crate) height: u32,
-    pub(crate) deblock: bool,
-    pub(crate) skip_runs: bool,
-}
-
 /// How many P-frame blocks of each kind a frame held: SKIP, the zero
 /// vector with no residual, the zero vector with one, a nonzero vector,
 /// and intra.
 pub(crate) type Census = [u32; 5];
 
-/// One block as its header names it.
-#[derive(Debug, Clone, Copy)]
-enum Block {
-    Skip,
-    /// Motion-compensated. `zero`: the zero vector with a residual, sent
-    /// with neither a vector nor a coded-block flag (v2's mode 0).
-    Inter {
-        zero: bool,
-    },
-    Intra,
-}
-
-/// Decodes one frame from a black frame, block by block, and counts the
-/// P-frame blocks of each kind.
+/// Decodes one frame of a `width`×`height` tile (16-aligned) from a black
+/// frame, block by block, with P-frames in the v2 block syntax if
+/// `skip_runs` and in v1's if not; and counts the P-frame's blocks.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn decode_frame(
-    tile: Geom,
+    width: u32,
+    height: u32,
+    deblock: bool,
+    skip_runs: bool,
     data: &[u8],
     is_key: bool,
     qp: u8,
@@ -374,7 +357,7 @@ pub(crate) fn decode_frame(
     }
     let mut r = BitReader::new(data);
     let qs = qstep(qp);
-    let mut recon = Frame::black(tile.width, tile.height);
+    let mut recon = Frame::black(width, height);
     let mut census = Census::default();
     for plane in Plane::ALL {
         let pw = recon.plane_width(plane) as usize;
@@ -382,59 +365,45 @@ pub(crate) fn decode_frame(
         let prev_plane = prev.map(|f| f.plane(plane));
         let recon_plane = recon.plane_mut(plane);
         let blocks = (pw / BLOCK) * (ph / BLOCK);
-        // v2: the SKIP blocks still ahead of the next coded block, once
-        // the run that counts them has been read.
-        let mut skips: Option<usize> = None;
+        // v2: the SKIP blocks still ahead of the next coded block, once the
+        // run that counts them is read.
+        let mut ahead: Option<u64> = None;
         for b in 0..blocks {
             let (x, y) = (b % (pw / BLOCK) * BLOCK, b / (pw / BLOCK) * BLOCK);
-            let block = match (is_key, tile.skip_runs) {
-                (true, _) => Block::Intra,
-                (false, false) => match r.get_ue()? {
-                    0 => Block::Skip,
-                    1 => Block::Inter { zero: false },
-                    2 => Block::Intra,
-                    _ => return Err(DecodeError::InvalidSyntax("unknown block mode")),
-                },
-                (false, true) => {
-                    let ahead = match skips {
-                        Some(n) => n,
-                        None => {
-                            let run = r.get_ue()?;
-                            if run as u64 > (blocks - b) as u64 {
-                                return Err(DecodeError::InvalidSyntax(
-                                    "SKIP run past the plane's end",
-                                ));
-                            }
-                            run as usize
-                        }
-                    };
-                    if ahead > 0 {
-                        skips = Some(ahead - 1);
-                        Block::Skip
-                    } else {
-                        skips = None;
-                        match r.get_ue()? {
-                            0 => Block::Inter { zero: true },
-                            1 => Block::Inter { zero: false },
-                            2 => Block::Intra,
-                            _ => return Err(DecodeError::InvalidSyntax("unknown block mode")),
-                        }
-                    }
+            // The block's mode, `None` for a SKIP.
+            let mode = if is_key {
+                Some(2)
+            } else if !skip_runs {
+                Some(r.get_ue()?).filter(|&m| m != 0)
+            } else {
+                let skips = match ahead {
+                    Some(n) => n,
+                    None => u64::from(r.get_ue()?),
+                };
+                if skips > (blocks - b) as u64 {
+                    return Err(DecodeError::InvalidSyntax("SKIP run past the plane's end"));
+                }
+                ahead = skips.checked_sub(1);
+                match skips {
+                    0 => Some(r.get_ue()?),
+                    _ => None,
                 }
             };
-            let kind = decode_block(&mut r, recon_plane, prev_plane, x, y, pw, ph, qs, block)?;
+            let kind = decode_block(&mut r, recon_plane, prev_plane, x, y, pw, ph, qs, mode)?;
             if !is_key {
                 census[kind] += 1;
             }
         }
     }
-    if tile.deblock {
+    if deblock {
         deblock_frame(&mut recon, qs);
     }
     Ok((recon, census))
 }
 
-/// Decodes one block and returns its [`Census`] slot.
+/// Decodes one block in mode `mode` (`None` for a SKIP; v2's numbers, where
+/// 0 is INTER at the zero vector with a residual) and returns its
+/// [`Census`] slot.
 #[allow(clippy::too_many_arguments)]
 fn decode_block(
     r: &mut BitReader<'_>,
@@ -445,21 +414,20 @@ fn decode_block(
     pw: usize,
     ph: usize,
     qs: i32,
-    block: Block,
+    mode: Option<u32>,
 ) -> Result<usize, DecodeError> {
     let stride = pw;
-    match block {
-        Block::Skip => {
+    let Some(mode) = mode else {
+        let prev = prev.ok_or(DecodeError::MissingReference)?;
+        copy_block(recon, stride, x, y, prev, stride, x, y);
+        return Ok(0);
+    };
+    match mode {
+        0 | 1 => {
             let prev = prev.ok_or(DecodeError::MissingReference)?;
-            copy_block(recon, stride, x, y, prev, stride, x, y);
-            Ok(0)
-        }
-        Block::Inter { zero } => {
-            let prev = prev.ok_or(DecodeError::MissingReference)?;
-            let (mvx, mvy) = if zero {
-                (0, 0)
-            } else {
-                (r.get_se()?, r.get_se()?)
+            let (mvx, mvy) = match mode {
+                0 => (0, 0),
+                _ => (r.get_se()?, r.get_se()?),
             };
             // Overflow-free: the old decoder added in i32, where a vector
             // near the limits wrapped past this check.
@@ -469,22 +437,23 @@ fn decode_block(
                 return Err(DecodeError::InvalidSyntax("motion vector outside tile"));
             }
             let (rx, ry) = (rx as usize, ry as usize);
-            let (vals, coded) = read_residual(r, qs, !zero, |i| {
+            let (vals, coded) = read_residual(r, qs, mode == 1, |i| {
                 prev[(ry + i / BLOCK) * stride + rx + i % BLOCK] as i32
             })?;
             store_block(recon, stride, x, y, &vals);
-            Ok(match ((mvx, mvy) == (0, 0), coded) {
-                (true, false) => 1,
-                (true, true) => 2,
-                (false, _) => 3,
+            Ok(if (mvx, mvy) != (0, 0) {
+                3
+            } else {
+                1 + coded as usize
             })
         }
-        Block::Intra => {
+        2 => {
             let pred = dc_predict(recon, stride, x, y);
             let (vals, _) = read_residual(r, qs, true, |_| pred)?;
             store_block(recon, stride, x, y, &vals);
             Ok(4)
         }
+        _ => Err(DecodeError::InvalidSyntax("unknown block mode")),
     }
 }
 
@@ -1292,8 +1261,16 @@ mod tests {
         }
     }
 
-    /// A `width`×`height` tile in the v2 block syntax, or (`skip_runs`
-    /// false) in v1's.
+    /// A tile as both decoders take it: its size, whether the deblocking
+    /// filter is on, and whether its P-frames are in the v2 block syntax.
+    #[derive(Debug, Clone, Copy)]
+    struct Geom {
+        width: u32,
+        height: u32,
+        deblock: bool,
+        skip_runs: bool,
+    }
+
     fn geom(width: u32, height: u32, deblock: bool, skip_runs: bool) -> Geom {
         Geom {
             width,
@@ -1329,7 +1306,13 @@ mod tests {
         prev: Option<&Frame>,
     ) -> Result<(Frame, Census), DecodeError> {
         let fast = fast_decoder(tile).decode_against(data, is_key, qp, prev, None);
-        let slow = decode_frame(tile, data, is_key, qp, prev);
+        let Geom {
+            width,
+            height,
+            deblock,
+            skip_runs,
+        } = tile;
+        let slow = decode_frame(width, height, deblock, skip_runs, data, is_key, qp, prev);
         let census = slow.as_ref().ok().map(|&(_, census)| census);
         let slow = slow.map(|(frame, _)| frame);
         assert!(

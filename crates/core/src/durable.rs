@@ -551,10 +551,8 @@ pub struct FsckReport {
     pub videos_checked: u32,
     /// Tiles whose containers were validated.
     pub tiles_checked: u64,
-    /// Of those, DCT tiles whose P-frames are still in the v1 block
-    /// syntax, one mode symbol per SKIP block
-    /// ([`tasm_codec::TileVideo::skip_runs`] false): what a migration to
-    /// today's syntax would rewrite.
+    /// Of those, DCT tiles still in the v1 block syntax (no SKIP runs):
+    /// what a migration to today's syntax would rewrite.
     pub v1_tiles: u64,
     /// Everything found wrong, in discovery order.
     pub issues: Vec<FsckIssue>,

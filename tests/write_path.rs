@@ -4,7 +4,9 @@
 //!
 //! Every tile digest below was computed on the per-tile encode loop (one
 //! `frame(i)` per tile per frame, decoded SOTs composited into fresh frames)
-//! and on a store that kept one file per tile. The tree digests are
+//! and on a store that kept one file per tile, and re-pinned once when
+//! P-frames started coding SKIP blocks as runs; the decoded planes of every
+//! tile ([`PLANES_PINNED`]) held through that. The tree digests are
 //! FNV-1a-64 over each pack's store-relative path and bytes, in path order:
 //! they pin the pack format and the files' names on top of the tiles.
 
@@ -454,7 +456,8 @@ fn older_peer_video(tag: &str) -> (VideoManifest, Vec<Vec<Vec<u8>>>) {
 
 /// [`digest_tiles`] of the older peer's video once SOT 1 is re-tiled to
 /// [`uneven`]. Computed first on the last build that had the `Auto` size
-/// trial, re-tiling the same store with its DCT-only setting.
+/// trial, re-tiling the same store with its DCT-only setting, and re-pinned
+/// when P-frames started coding SKIP blocks as runs.
 const PRED_RETILED_PINNED: u64 = 0x97fb9955bfc872d9;
 
 /// Asserts that ROI, stride and whole-video queries over both labels of
