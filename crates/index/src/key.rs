@@ -11,6 +11,7 @@
 //! for the signed difference from a previous value. `FORMAT.md` at the
 //! repository root lays out the files built from them.
 
+use crate::index::TreeError;
 use tasm_video::Rect;
 
 /// Byte length of an encoded key.
@@ -163,6 +164,70 @@ pub fn get_value_varint(data: &[u8], pos: &mut usize) -> Option<Rect> {
     }
     *pos = start;
     Some(Rect::new(v[0], v[1], v[2], v[3]))
+}
+
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Reads a run's or a WAL frame's fields front to back; a read past the
+/// end of its bytes is [`TreeError::Corrupt`].
+pub(crate) struct Cursor<'a> {
+    data: &'a [u8],
+    pub(crate) pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(data: &'a [u8]) -> Self {
+        Cursor { data, pos: 0 }
+    }
+
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], TreeError> {
+        if self.data.len() - self.pos < n {
+            return Err(TreeError::Corrupt("run region truncated"));
+        }
+        let s = &self.data[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    pub(crate) fn u16(&mut self) -> Result<u16, TreeError> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32, TreeError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, TreeError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    pub(crate) fn varint(&mut self) -> Result<u64, TreeError> {
+        get_varint(self.data, &mut self.pos).ok_or(TreeError::Corrupt("varint cut off or overlong"))
+    }
+
+    /// A value coded as a [`put_delta`] from `prev`.
+    pub(crate) fn delta(&mut self, prev: u64) -> Result<u64, TreeError> {
+        get_delta(self.data, &mut self.pos, prev)
+            .ok_or(TreeError::Corrupt("varint cut off or overlong"))
+    }
+
+    /// A `u32` coded as a [`put_delta`] from `prev`.
+    pub(crate) fn delta_u32(&mut self, prev: u32) -> Result<u32, TreeError> {
+        u32::try_from(self.delta(u64::from(prev))?)
+            .map_err(|_| TreeError::Corrupt("varint delta out of range"))
+    }
+
+    pub(crate) fn value(&mut self) -> Result<Rect, TreeError> {
+        get_value_varint(self.data, &mut self.pos).ok_or(TreeError::Corrupt(
+            "varint box cut off, overlong or out of range",
+        ))
+    }
 }
 
 #[cfg(test)]

@@ -36,28 +36,26 @@
 //! the directory as an owning open would, repairs included, so a server
 //! that started beside a short-lived reader still writes.
 //!
-//! WAL records code their numbers as zigzag varint deltas from the
-//! record before them in the same frame. `FORMAT.md` at the repository
-//! root gives both files byte by byte, in the layout this build writes
-//! (`TSR2` runs, WAL tags 2 and 3) beside the one it still reads (`TSR1`
-//! runs, WAL tags 0 and 1, fixed-width fields).
+//! The run file and the WAL are `run.rs` and `wal.rs`, and the checksum
+//! both use is `crc.rs`. `FORMAT.md` at the repository root gives both
+//! files byte by byte, in the layout this build writes (`TSR2` runs, WAL
+//! tags 2 and 3) beside the one it still reads (`TSR1` runs, WAL tags 0
+//! and 1, fixed-width fields).
 //!
 //! [`flush`]: SemanticIndex::flush
 
+pub use crate::crc::crc32;
 use crate::index::{check_label, Detection, IndexResult, SemanticIndex, TreeError};
 use crate::io::{read_exact_range, RealIo, StorageIo, TMP_SUFFIX};
-use crate::key::{
-    decode_value, get_delta, get_value_varint, get_varint, put_delta, put_value_varint, put_varint,
-    RecordKey, FIRST_LABEL, KEY_LEN, MAX_LABEL_LEN, PROCESSED_LABEL, VALUE_LEN,
-};
+use crate::key::{RecordKey, FIRST_LABEL, KEY_LEN, PROCESSED_LABEL, VALUE_LEN};
+pub use crate::run::RESTART_INTERVAL;
+use crate::run::{encode_run, parse_run_name, run_file_name, Run};
+use crate::wal::{encode_wal_frame, parse_wal, WalRecord};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tasm_video::Rect;
-
-/// Entries between full-key restart points in a run's data region.
-pub const RESTART_INTERVAL: usize = 16;
 
 /// Memtable entries that trigger a flush to a sorted run.
 pub const DEFAULT_MEMTABLE_LIMIT: usize = 32_768;
@@ -69,659 +67,11 @@ pub const MAX_RUNS: usize = 4;
 /// Runs merged per compaction.
 pub const COMPACTION_FANIN: usize = 4;
 
-/// Magic at the head of a run file this build writes: each entry's box
-/// is four varints.
-const RUN_MAGIC: [u8; 4] = *b"TSR2";
-
-/// Magic of a run whose boxes are 16 fixed bytes. Still read; the
-/// compaction that merges it writes [`RUN_MAGIC`].
-const RUN_MAGIC_V1: [u8; 4] = *b"TSR1";
-
-/// Magic at the tail of a run footer.
-const FOOTER_MAGIC: [u8; 4] = *b"TSRF";
-
-/// Fixed footer length: 8 × u64 + crc32 + magic.
-const FOOTER_LEN: usize = 8 * 8 + 4 + 4;
-
 /// The write-ahead log file name.
 const WAL_NAME: &str = "wal.log";
 
 /// The lock file whose holder owns the directory.
 const LOCK_NAME: &str = "index.lock";
-
-// ---------------------------------------------------------------------
-// CRC32 (IEEE), table built at compile time
-// ---------------------------------------------------------------------
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-const CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC-32 (IEEE, reflected polynomial `0xEDB88320`): the checksum of WAL
-/// records and run footers here, and of `cluster.json` in `tasm-cluster`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-// ---------------------------------------------------------------------
-// Run files
-// ---------------------------------------------------------------------
-
-/// Resident per-`(video, label)` summary: frame bounds and entry count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RangeFilter {
-    video: u32,
-    label: u32,
-    min_frame: u32,
-    max_frame: u32,
-    count: u64,
-}
-
-/// The resident part of one immutable sorted run: everything needed to
-/// decide whether a lookup must read the file, plus the restart index that
-/// turns a read into a bounded scan. The prefix-compressed data region
-/// itself stays on disk.
-struct Run {
-    id: u64,
-    path: PathBuf,
-    /// A `TSR1` run: fixed 16-byte boxes.
-    v1: bool,
-    file_len: u64,
-    data_len: u64,
-    entry_count: u64,
-    max_opseq: u64,
-    detections_cum: u64,
-    restarts: Vec<(RecordKey, u32)>,
-    /// Sorted by `(video, label)`, one entry per pair.
-    ranges: Vec<RangeFilter>,
-    /// Run ids this run was compacted from (roll-forward deletes them).
-    inputs: Vec<u64>,
-    /// Cumulative label-dictionary snapshot at flush time, in id order.
-    dict: Vec<String>,
-}
-
-fn run_file_name(id: u64) -> String {
-    format!("run_{id:08}.sst")
-}
-
-fn parse_run_name(name: &str) -> Option<u64> {
-    let body = name.strip_prefix("run_")?.strip_suffix(".sst")?;
-    if body.len() != 8 {
-        return None;
-    }
-    body.parse().ok()
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Cursor { data, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TreeError> {
-        if self.data.len() - self.pos < n {
-            return Err(TreeError::Corrupt("run region truncated"));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u16(&mut self) -> Result<u16, TreeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, TreeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, TreeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn varint(&mut self) -> Result<u64, TreeError> {
-        get_varint(self.data, &mut self.pos).ok_or(TreeError::Corrupt("varint cut off or overlong"))
-    }
-
-    /// A value coded as a [`put_delta`] from `prev`.
-    fn delta(&mut self, prev: u64) -> Result<u64, TreeError> {
-        get_delta(self.data, &mut self.pos, prev)
-            .ok_or(TreeError::Corrupt("varint cut off or overlong"))
-    }
-
-    /// A `u32` coded as a [`put_delta`] from `prev`.
-    fn delta_u32(&mut self, prev: u32) -> Result<u32, TreeError> {
-        u32::try_from(self.delta(u64::from(prev))?)
-            .map_err(|_| TreeError::Corrupt("varint delta out of range"))
-    }
-
-    fn value(&mut self) -> Result<Rect, TreeError> {
-        get_value_varint(self.data, &mut self.pos).ok_or(TreeError::Corrupt(
-            "varint box cut off, overlong or out of range",
-        ))
-    }
-}
-
-/// Serializes a sorted set of records into run-file bytes.
-#[allow(clippy::too_many_arguments)]
-fn encode_run(
-    entries: &BTreeMap<RecordKey, Rect>,
-    max_opseq: u64,
-    detections_cum: u64,
-    inputs: &[u64],
-    dict: &[String],
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&RUN_MAGIC);
-
-    // Data region: prefix-compressed keys, varint boxes.
-    let data_start = out.len();
-    let mut restarts: Vec<([u8; KEY_LEN], u32)> = Vec::new();
-    let mut prev = [0u8; KEY_LEN];
-    for (i, (key, rect)) in entries.iter().enumerate() {
-        let enc = key.encode();
-        let offset = (out.len() - data_start) as u32;
-        let shared = if i % RESTART_INTERVAL == 0 {
-            restarts.push((enc, offset));
-            0
-        } else {
-            enc.iter()
-                .zip(prev.iter())
-                .take_while(|(a, b)| a == b)
-                .count()
-        };
-        out.push(shared as u8);
-        out.push((KEY_LEN - shared) as u8);
-        out.extend_from_slice(&enc[shared..]);
-        put_value_varint(&mut out, rect);
-        prev = enc;
-    }
-    let data_len = (out.len() - data_start) as u64;
-
-    // Restart index.
-    let index_off = out.len() as u64;
-    put_u32(&mut out, restarts.len() as u32);
-    for (key, offset) in &restarts {
-        out.extend_from_slice(key);
-        put_u32(&mut out, *offset);
-    }
-
-    // Filter: the range table, one entry per (video, label), in key order.
-    let filter_off = out.len() as u64;
-    let mut ranges: Vec<RangeFilter> = Vec::new();
-    for (key, _) in entries.iter() {
-        match ranges.last_mut() {
-            Some(r) if r.video == key.video && r.label == key.label => {
-                r.min_frame = r.min_frame.min(key.frame);
-                r.max_frame = r.max_frame.max(key.frame);
-                r.count += 1;
-            }
-            _ => ranges.push(RangeFilter {
-                video: key.video,
-                label: key.label,
-                min_frame: key.frame,
-                max_frame: key.frame,
-                count: 1,
-            }),
-        }
-    }
-    put_u32(&mut out, ranges.len() as u32);
-    for r in &ranges {
-        put_u32(&mut out, r.video);
-        put_u32(&mut out, r.label);
-        put_u32(&mut out, r.min_frame);
-        put_u32(&mut out, r.max_frame);
-        put_u64(&mut out, r.count);
-    }
-
-    // Cumulative label dictionary snapshot.
-    let dict_off = out.len() as u64;
-    put_u32(&mut out, dict.len() as u32);
-    for name in dict {
-        let bytes = name.as_bytes();
-        out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-        out.extend_from_slice(bytes);
-    }
-
-    // Compaction provenance.
-    let inputs_off = out.len() as u64;
-    put_u32(&mut out, inputs.len() as u32);
-    for &id in inputs {
-        put_u64(&mut out, id);
-    }
-
-    // Footer.
-    put_u64(&mut out, data_len);
-    put_u64(&mut out, index_off);
-    put_u64(&mut out, filter_off);
-    put_u64(&mut out, dict_off);
-    put_u64(&mut out, inputs_off);
-    put_u64(&mut out, entries.len() as u64);
-    put_u64(&mut out, max_opseq);
-    put_u64(&mut out, detections_cum);
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out.extend_from_slice(&FOOTER_MAGIC);
-    out
-}
-
-impl Run {
-    /// Parses a run file's resident metadata (restart index, filters, dict,
-    /// footer) — everything except the data region, which is re-read on
-    /// demand by lookups that pass the filters.
-    fn parse(id: u64, path: PathBuf, bytes: &[u8]) -> Result<Run, TreeError> {
-        let magic = bytes.get(0..4).filter(|_| bytes.len() >= 4 + FOOTER_LEN);
-        let v1 = match magic {
-            Some(m) if *m == RUN_MAGIC => false,
-            Some(m) if *m == RUN_MAGIC_V1 => true,
-            _ => return Err(TreeError::Corrupt("run file too short or bad magic")),
-        };
-        if bytes[bytes.len() - 4..] != FOOTER_MAGIC {
-            return Err(TreeError::Corrupt("run footer magic missing"));
-        }
-        let crc_field = bytes.len() - FOOTER_LEN + 8 * 8;
-        let declared = u32::from_le_bytes(bytes[crc_field..crc_field + 4].try_into().unwrap());
-        if crc32(&bytes[..crc_field]) != declared {
-            return Err(TreeError::Corrupt("run checksum mismatch"));
-        }
-        let mut f = Cursor::new(&bytes[bytes.len() - FOOTER_LEN..crc_field]);
-        let data_len = f.u64()?;
-        let index_off = f.u64()? as usize;
-        let filter_off = f.u64()? as usize;
-        let dict_off = f.u64()? as usize;
-        let inputs_off = f.u64()? as usize;
-        let entry_count = f.u64()?;
-        let max_opseq = f.u64()?;
-        let detections_cum = f.u64()?;
-        if data_len as usize != index_off - 4
-            || index_off > filter_off
-            || filter_off > dict_off
-            || dict_off > inputs_off
-            || inputs_off > bytes.len() - FOOTER_LEN
-        {
-            return Err(TreeError::Corrupt("run regions out of order"));
-        }
-
-        let mut c = Cursor::new(&bytes[index_off..filter_off]);
-        let n = c.u32()? as usize;
-        let mut restarts = Vec::with_capacity(n);
-        for _ in 0..n {
-            let key = RecordKey::decode(c.take(KEY_LEN)?);
-            let off = c.u32()?;
-            if off as u64 >= data_len.max(1) {
-                return Err(TreeError::Corrupt("restart offset out of range"));
-            }
-            restarts.push((key, off));
-        }
-        // A lookup reads from one restart to a later one.
-        if restarts
-            .windows(2)
-            .any(|w| w[0].0 >= w[1].0 || w[0].1 >= w[1].1)
-        {
-            return Err(TreeError::Corrupt("run restart index out of order"));
-        }
-
-        let mut c = Cursor::new(&bytes[filter_off..dict_off]);
-        let n = c.u32()? as usize;
-        let mut ranges = Vec::with_capacity(n);
-        for _ in 0..n {
-            ranges.push(RangeFilter {
-                video: c.u32()?,
-                label: c.u32()?,
-                min_frame: c.u32()?,
-                max_frame: c.u32()?,
-                count: c.u64()?,
-            });
-        }
-        if ranges
-            .windows(2)
-            .any(|w| (w[0].video, w[0].label) >= (w[1].video, w[1].label))
-        {
-            return Err(TreeError::Corrupt("run range table out of order"));
-        }
-        // What follows the table is not read: the Bloom filter of a run
-        // written before the table stood alone (the file CRC covers it).
-
-        let mut c = Cursor::new(&bytes[dict_off..inputs_off]);
-        let n = c.u32()? as usize;
-        let mut dict = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = c.u16()? as usize;
-            let name = std::str::from_utf8(c.take(len)?)
-                .map_err(|_| TreeError::Corrupt("run dict name not UTF-8"))?;
-            dict.push(name.to_string());
-        }
-
-        let mut c = Cursor::new(&bytes[inputs_off..bytes.len() - FOOTER_LEN]);
-        let n = c.u32()? as usize;
-        let mut inputs = Vec::with_capacity(n);
-        for _ in 0..n {
-            inputs.push(c.u64()?);
-        }
-
-        Ok(Run {
-            id,
-            path,
-            v1,
-            file_len: bytes.len() as u64,
-            data_len,
-            entry_count,
-            max_opseq,
-            detections_cum,
-            restarts,
-            ranges,
-            inputs,
-            dict,
-        })
-    }
-
-    /// Whether a lookup for `(video, label)` over `frames` must read this
-    /// run: the range table holds the pair, with frames in `frames`.
-    fn may_overlap(&self, video: u32, label: u32, frames: &Range<u32>) -> bool {
-        self.ranges
-            .binary_search_by_key(&(video, label), |r| (r.video, r.label))
-            .is_ok_and(|i| {
-                let r = &self.ranges[i];
-                r.min_frame < frames.end && r.max_frame >= frames.start
-            })
-    }
-
-    /// Bytes this run keeps resident (restart index + filters + dict).
-    fn resident_bytes(&self) -> u64 {
-        (self.restarts.len() * (KEY_LEN + 4)) as u64
-            + (self.ranges.len() * 24) as u64
-            + self.dict.iter().map(|s| s.len() as u64 + 2).sum::<u64>()
-    }
-
-    /// The bytes of the file a lookup for keys in `[lo, hi)` reads: the
-    /// data region from the last restart at or below `lo` up to the first
-    /// restart at or past `hi`, which holds no key below `hi`.
-    fn slice(&self, lo: &RecordKey, hi: &RecordKey) -> Range<u64> {
-        let offset = |i: usize| {
-            self.restarts
-                .get(i)
-                .map_or(self.data_len, |r| u64::from(r.1))
-        };
-        let start = match self.restarts.partition_point(|(k, _)| k <= lo) {
-            0 => 0,
-            n => offset(n - 1),
-        };
-        let end = offset(self.restarts.partition_point(|(k, _)| k < hi));
-        4 + start..4 + end
-    }
-
-    /// Decodes `region`, whole entries of the data region starting at a
-    /// restart point, appending those with keys in `[lo, hi)` (`hi = None`
-    /// means unbounded) to `out` in key order.
-    fn scan(
-        &self,
-        region: &[u8],
-        lo: &RecordKey,
-        hi: Option<&RecordKey>,
-        out: &mut Vec<(RecordKey, Rect)>,
-    ) -> Result<(), TreeError> {
-        let mut c = Cursor::new(region);
-        let mut cur = [0u8; KEY_LEN];
-        let mut first = true;
-        while c.pos < region.len() {
-            let head = c.take(2)?;
-            let (shared, unshared) = (head[0] as usize, head[1] as usize);
-            if shared + unshared != KEY_LEN || (first && shared != 0) {
-                return Err(TreeError::Corrupt("run entry key lengths invalid"));
-            }
-            cur[shared..].copy_from_slice(c.take(unshared)?);
-            let value = if self.v1 {
-                decode_value(c.take(VALUE_LEN)?)
-            } else {
-                c.value()?
-            };
-            let key = RecordKey::decode(&cur);
-            if hi.is_some_and(|hi| key >= *hi) {
-                break;
-            }
-            if key >= *lo {
-                out.push((key, value));
-            }
-            first = false;
-        }
-        Ok(())
-    }
-
-    /// Decodes every entry of the data region (compaction, verification);
-    /// `data` is the whole file.
-    fn scan_all(&self, data: &[u8]) -> Result<Vec<(RecordKey, Rect)>, TreeError> {
-        let region = data
-            .get(4..4 + self.data_len as usize)
-            .ok_or(TreeError::Corrupt("run data region truncated"))?;
-        let mut out = Vec::new();
-        self.scan(region, &RecordKey::new(0, 0, 0, 0), None, &mut out)?;
-        if out.len() as u64 != self.entry_count {
-            return Err(TreeError::Corrupt("run entry count disagrees with footer"));
-        }
-        Ok(out)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Write-ahead log
-// ---------------------------------------------------------------------
-
-/// A record with fixed-width fields: tag, u64 opseq, 16-byte key, 16-byte
-/// box. Still replayed; this build writes [`WAL_TAG_INSERT`].
-const WAL_TAG_INSERT_V1: u8 = 0;
-/// A label record with fixed-width fields: tag, u64 opseq, u32 id, u16
-/// name length, name. Still replayed; this build writes [`WAL_TAG_LABEL`].
-const WAL_TAG_LABEL_V1: u8 = 1;
-/// An insert coded against the record before it in the frame: zigzag
-/// varint deltas of opseq, video, label and frame, seq as a delta from
-/// the low 32 bits of its own opseq, then the box as four varints.
-const WAL_TAG_INSERT: u8 = 2;
-/// A label record: opseq as a zigzag varint delta, then varint id,
-/// varint name length, name.
-const WAL_TAG_LABEL: u8 = 3;
-
-/// One logical WAL record, buffered until the next durable append.
-#[derive(Debug, Clone, PartialEq)]
-enum WalRecord {
-    Insert {
-        opseq: u64,
-        key: RecordKey,
-        value: Rect,
-    },
-    Label {
-        opseq: u64,
-        id: u32,
-        name: String,
-    },
-}
-
-impl WalRecord {
-    fn opseq(&self) -> u64 {
-        match self {
-            WalRecord::Insert { opseq, .. } | WalRecord::Label { opseq, .. } => *opseq,
-        }
-    }
-}
-
-/// What a record's deltas are taken from: the previous record of its
-/// frame (its opseq, and the key of the last insert), zero at a frame's
-/// head, so every frame decodes on its own.
-struct Prev {
-    opseq: u64,
-    key: RecordKey,
-}
-
-impl Prev {
-    fn start() -> Self {
-        Prev {
-            opseq: 0,
-            key: RecordKey::new(0, 0, 0, 0),
-        }
-    }
-
-    fn advance(&mut self, r: &WalRecord) {
-        self.opseq = r.opseq();
-        if let WalRecord::Insert { key, .. } = r {
-            self.key = *key;
-        }
-    }
-}
-
-fn encode_wal_frame(records: &[WalRecord]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    let mut prev = Prev::start();
-    for r in records {
-        match r {
-            WalRecord::Insert { opseq, key, value } => {
-                payload.push(WAL_TAG_INSERT);
-                put_delta(&mut payload, prev.opseq, *opseq);
-                let seq_base = *opseq as u32;
-                for (was, is) in [
-                    (prev.key.video, key.video),
-                    (prev.key.label, key.label),
-                    (prev.key.frame, key.frame),
-                    (seq_base, key.seq),
-                ] {
-                    put_delta(&mut payload, u64::from(was), u64::from(is));
-                }
-                put_value_varint(&mut payload, value);
-            }
-            WalRecord::Label { opseq, id, name } => {
-                payload.push(WAL_TAG_LABEL);
-                put_delta(&mut payload, prev.opseq, *opseq);
-                put_varint(&mut payload, u64::from(*id));
-                put_varint(&mut payload, name.len() as u64);
-                payload.extend_from_slice(name.as_bytes());
-            }
-        }
-        prev.advance(r);
-    }
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    put_u32(&mut frame, payload.len() as u32);
-    put_u32(&mut frame, crc32(&payload));
-    frame.extend_from_slice(&payload);
-    frame
-}
-
-/// Parses WAL bytes into frames of records, returning the records and the
-/// byte length of the valid prefix. A torn or corrupt tail (the expected
-/// residue of a crash mid-append) simply ends the log there, and so does
-/// a frame whose checksum holds but whose records do not decode.
-fn parse_wal(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while bytes.len() - pos >= 8 {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        if bytes.len() - pos - 8 < len {
-            break; // torn frame
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        if crc32(payload) != crc {
-            break; // corrupt frame
-        }
-        let Ok(frame_records) = parse_wal_payload(payload) else {
-            break;
-        };
-        records.extend(frame_records);
-        pos += 8 + len;
-    }
-    (records, pos)
-}
-
-fn parse_wal_payload(payload: &[u8]) -> Result<Vec<WalRecord>, TreeError> {
-    let mut out = Vec::new();
-    let mut c = Cursor::new(payload);
-    let mut prev = Prev::start();
-    let label_name = |c: &mut Cursor, len: usize| -> Result<String, TreeError> {
-        if len > MAX_LABEL_LEN {
-            return Err(TreeError::Corrupt("WAL label name too long"));
-        }
-        let name = std::str::from_utf8(c.take(len)?)
-            .map_err(|_| TreeError::Corrupt("WAL label name not UTF-8"))?;
-        Ok(name.to_string())
-    };
-    while c.pos < payload.len() {
-        let record = match c.take(1)?[0] {
-            WAL_TAG_INSERT_V1 => WalRecord::Insert {
-                opseq: c.u64()?,
-                key: RecordKey::decode(c.take(KEY_LEN)?),
-                value: decode_value(c.take(VALUE_LEN)?),
-            },
-            WAL_TAG_LABEL_V1 => {
-                let opseq = c.u64()?;
-                let id = c.u32()?;
-                let len = c.u16()? as usize;
-                let name = label_name(&mut c, len)?;
-                WalRecord::Label { opseq, id, name }
-            }
-            WAL_TAG_INSERT => {
-                let opseq = c.delta(prev.opseq)?;
-                let key = RecordKey::new(
-                    c.delta_u32(prev.key.video)?,
-                    c.delta_u32(prev.key.label)?,
-                    c.delta_u32(prev.key.frame)?,
-                    c.delta_u32(opseq as u32)?,
-                );
-                let value = c.value()?;
-                WalRecord::Insert { opseq, key, value }
-            }
-            WAL_TAG_LABEL => {
-                let opseq = c.delta(prev.opseq)?;
-                let id = u32::try_from(c.varint()?)
-                    .map_err(|_| TreeError::Corrupt("WAL label id out of range"))?;
-                let len = usize::try_from(c.varint()?).unwrap_or(usize::MAX);
-                let name = label_name(&mut c, len)?;
-                WalRecord::Label { opseq, id, name }
-            }
-            _ => return Err(TreeError::Corrupt("unknown WAL record tag")),
-        };
-        if matches!(record, WalRecord::Label { id, .. } if id < FIRST_LABEL) {
-            return Err(TreeError::Corrupt("WAL label id below the first label"));
-        }
-        prev.advance(&record);
-        out.push(record);
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------
-// The tiered index
-// ---------------------------------------------------------------------
 
 /// Counters and sizes the `tasm stats --storage` report and benches read.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -1279,11 +629,7 @@ impl SemanticIndex for TieredIndex {
         // Label presence is resident: run range tables + a memtable scan.
         let mut ids: Vec<u32> = Vec::new();
         for run in &self.runs {
-            for r in &run.ranges {
-                if r.video == video && r.label != PROCESSED_LABEL {
-                    ids.push(r.label);
-                }
-            }
+            ids.extend(run.labels(video));
         }
         let lo = RecordKey::new(video, 0, 0, 0);
         let hi = RecordKey::new(video.saturating_add(1), 0, 0, 0);
@@ -1338,6 +684,11 @@ impl SemanticIndex for TieredIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::{put_u32, put_varint};
+
+    /// The tags of `FORMAT.md`'s v2 WAL insert and label records.
+    const WAL_TAG_INSERT: u8 = 2;
+    const WAL_TAG_LABEL: u8 = 3;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1351,51 +702,6 @@ mod tests {
 
     fn bbox(n: u32) -> Rect {
         Rect::new(n * 10, n * 7, 32, 32)
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // The canonical check value for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn run_roundtrip_and_scan() {
-        let mut entries = BTreeMap::new();
-        for f in 0..1000u32 {
-            entries.insert(RecordKey::new(1, 2, f, f), bbox(f));
-        }
-        let dict = vec!["car".to_string()];
-        let bytes = encode_run(&entries, 42, 1000, &[], &dict);
-        let run = Run::parse(0, PathBuf::from("run_00000000.sst"), &bytes).unwrap();
-        assert_eq!(run.entry_count, 1000);
-        assert_eq!(run.max_opseq, 42);
-        assert_eq!(run.detections_cum, 1000);
-        assert_eq!(run.dict, dict);
-        assert_eq!(run.ranges.len(), 1);
-        assert_eq!(run.ranges[0].min_frame, 0);
-        assert_eq!(run.ranges[0].max_frame, 999);
-        // Prefix compression must beat the raw encoding substantially.
-        assert!(
-            (bytes.len() as u64) < 1000 * (KEY_LEN + VALUE_LEN) as u64,
-            "run not compressed: {} bytes",
-            bytes.len()
-        );
-        let (lo, hi) = (
-            RecordKey::range_start(1, 2, 100),
-            RecordKey::range_start(1, 2, 200),
-        );
-        // A lookup reads the restart intervals around its range only.
-        let slice = run.slice(&lo, &hi);
-        assert!(slice.end - slice.start < run.data_len / 8, "{slice:?}");
-        let mut out = Vec::new();
-        let region = &bytes[slice.start as usize..slice.end as usize];
-        run.scan(region, &lo, Some(&hi), &mut out).unwrap();
-        assert_eq!(out.len(), 100);
-        assert_eq!(out[0], (RecordKey::new(1, 2, 100, 100), bbox(100)));
-        let all: Vec<_> = entries.into_iter().collect();
-        assert_eq!(run.scan_all(&bytes).unwrap(), all);
     }
 
     /// A run file as the encoder wrote it while runs carried a Bloom filter
@@ -1432,78 +738,6 @@ mod tests {
         assert!(idx.query(7, "car", 14..100).unwrap().is_empty());
         assert_eq!(idx.stats().filter_skips, 2);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The bytes of `FORMAT.md`'s `hex` block `name`: whitespace-separated
-    /// bytes, `#` to the end of a line a comment.
-    fn format_md_block(name: &str) -> Vec<u8> {
-        let doc = include_str!("../../../FORMAT.md");
-        let open = format!("```hex {name}\n");
-        let start = doc.find(&open).unwrap_or_else(|| panic!("no block {name}")) + open.len();
-        let body = &doc[start..start + doc[start..].find("```").unwrap()];
-        body.lines()
-            .flat_map(|l| l.split('#').next().unwrap().split_whitespace())
-            .map(|b| u8::from_str_radix(b, 16).unwrap())
-            .collect()
-    }
-
-    /// The key and box of the `car` boxes `FORMAT.md`'s examples hold.
-    fn format_md_cars() -> [(RecordKey, Rect); 2] {
-        [
-            (RecordKey::new(7, 1, 10, 2), Rect::new(110, 50, 24, 16)),
-            (RecordKey::new(7, 1, 11, 4), Rect::new(112, 50, 24, 16)),
-        ]
-    }
-
-    #[test]
-    fn format_md_examples_of_the_wal_decode_and_match_the_encoder() {
-        let [(k1, b1), (k2, b2)] = format_md_cars();
-        let records = vec![
-            WalRecord::Label {
-                opseq: 1,
-                id: 1,
-                name: "car".to_string(),
-            },
-            WalRecord::Insert {
-                opseq: 2,
-                key: k1,
-                value: b1,
-            },
-            WalRecord::Insert {
-                opseq: 3,
-                key: RecordKey::new(7, PROCESSED_LABEL, 10, 0),
-                value: Rect::new(0, 0, 0, 0),
-            },
-            WalRecord::Insert {
-                opseq: 4,
-                key: k2,
-                value: b2,
-            },
-        ];
-        let v2 = format_md_block("wal-v2");
-        assert_eq!(encode_wal_frame(&records), v2);
-        for bytes in [format_md_block("wal-v1"), v2] {
-            assert_eq!(parse_wal(&bytes), (records.clone(), bytes.len()));
-        }
-    }
-
-    #[test]
-    fn format_md_examples_of_runs_decode_and_match_the_encoder() {
-        let mut entries = BTreeMap::from(format_md_cars());
-        entries.insert(
-            RecordKey::new(7, PROCESSED_LABEL, 10, 0),
-            Rect::new(0, 0, 0, 0),
-        );
-        let dict = vec!["car".to_string()];
-        let v2 = format_md_block("run-v2");
-        assert_eq!(encode_run(&entries, 4, 2, &[], &dict), v2);
-        let all: Vec<_> = entries.into_iter().collect();
-        for (bytes, v1) in [(format_md_block("run-v1"), true), (v2, false)] {
-            let run = Run::parse(0, PathBuf::new(), &bytes).unwrap();
-            assert_eq!((run.v1, run.max_opseq, run.detections_cum), (v1, 4, 2));
-            assert_eq!((run.dict.as_slice(), run.ranges.len()), (&dict[..], 2));
-            assert_eq!(run.scan_all(&bytes).unwrap(), all);
-        }
     }
 
     /// A directory holding `files`, as a store's index directory.
@@ -1608,9 +842,7 @@ mod tests {
         for path in idx.io.list_dir(&dir).unwrap() {
             let head = std::fs::read(&path).unwrap();
             assert!(
-                path.ends_with(WAL_NAME)
-                    || path.ends_with(LOCK_NAME)
-                    || head.starts_with(&RUN_MAGIC),
+                path.ends_with(WAL_NAME) || path.ends_with(LOCK_NAME) || head.starts_with(b"TSR2"),
                 "{path:?}"
             );
         }
@@ -1696,65 +928,6 @@ mod tests {
             Err(TreeError::Corrupt("WAL label id out of sequence"))
         ));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn run_rejects_corruption() {
-        let mut entries = BTreeMap::new();
-        for f in 0..100u32 {
-            entries.insert(RecordKey::new(0, 1, f, f), bbox(f));
-        }
-        let bytes = encode_run(&entries, 1, 100, &[], &[]);
-        for cut in [0, 3, 10, bytes.len() - 1] {
-            assert!(Run::parse(0, PathBuf::new(), &bytes[..cut]).is_err());
-        }
-        let mut bad = bytes.clone();
-        bad[10] ^= 0xFF;
-        assert!(matches!(
-            Run::parse(0, PathBuf::new(), &bad),
-            Err(TreeError::Corrupt(_))
-        ));
-    }
-
-    /// Lookups binary-search the range table, so a table out of key order
-    /// (with a valid CRC) is corrupt, not a run that skips what it holds.
-    #[test]
-    fn run_with_an_unsorted_range_table_is_corrupt() {
-        let entries = BTreeMap::from([
-            (RecordKey::new(1, 2, 0, 0), bbox(0)),
-            (RecordKey::new(1, 3, 0, 0), bbox(1)),
-        ]);
-        let mut bytes = encode_run(&entries, 1, 2, &[], &[]);
-        let footer = bytes.len() - FOOTER_LEN;
-        let filter_off = u64::from_le_bytes(bytes[footer + 16..footer + 24].try_into().unwrap());
-        let table = filter_off as usize + 4;
-        let (first, second) = bytes[table..table + 48].split_at_mut(24);
-        first.swap_with_slice(second);
-        let crc = crc32(&bytes[..footer + 64]);
-        bytes[footer + 64..footer + 68].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            Run::parse(0, PathBuf::new(), &bytes),
-            Err(TreeError::Corrupt("run range table out of order"))
-        ));
-    }
-
-    #[test]
-    fn filters_skip_non_overlapping_runs() {
-        let mut entries = BTreeMap::new();
-        for f in 500..600u32 {
-            entries.insert(RecordKey::new(3, 1, f, f), bbox(f));
-        }
-        let bytes = encode_run(&entries, 1, 100, &[], &[]);
-        let run = Run::parse(0, PathBuf::new(), &bytes).unwrap();
-        assert!(run.may_overlap(3, 1, &(550..560)));
-        assert!(run.may_overlap(3, 1, &(0..501)));
-        assert!(!run.may_overlap(3, 1, &(0..500)), "range filter must skip");
-        assert!(!run.may_overlap(3, 1, &(600..700)));
-        assert!(
-            !run.may_overlap(4, 1, &(550..560)),
-            "an absent pair must skip"
-        );
-        assert!(!run.may_overlap(3, 2, &(550..560)));
     }
 
     #[test]
@@ -2095,60 +1268,6 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Any records round-trip through a v2 WAL frame, whatever their
-        /// order: deltas of either sign, and every field's full range.
-        #[test]
-        fn prop_wal_frames_roundtrip(
-            raw in proptest::collection::vec((any::<bool>(), any::<u64>(), any::<[u32; 4]>(), any::<[u32; 4]>()), 0..40),
-        ) {
-            let records: Vec<WalRecord> = raw
-                .into_iter()
-                .map(|(label, opseq, k, b)| match label {
-                    true => WalRecord::Label {
-                        opseq,
-                        id: k[1].max(FIRST_LABEL),
-                        name: "x".repeat(k[0] as usize % 200),
-                    },
-                    false => WalRecord::Insert {
-                        opseq,
-                        key: RecordKey::new(k[0], k[1], k[2], k[3]),
-                        value: Rect::new(b[0], b[1], b[2], b[3]),
-                    },
-                })
-                .collect();
-            let bytes = encode_wal_frame(&records);
-            prop_assert_eq!(parse_wal(&bytes), (records, bytes.len()));
-        }
-
-        /// Any entries round-trip through a `TSR2` run, and a lookup's
-        /// restart-bounded slice answers a key range as the whole map does.
-        #[test]
-        fn prop_runs_roundtrip(
-            raw in proptest::collection::vec((any::<[u32; 4]>(), any::<[u32; 4]>()), 1..80),
-            bounds in any::<[u32; 4]>(),
-        ) {
-            let entries: BTreeMap<RecordKey, Rect> = raw
-                .into_iter()
-                .map(|(k, b)| {
-                    // Few distinct videos and labels, so prefixes share.
-                    let key = RecordKey::new(k[0] % 3, k[1] % 3, k[2], k[3]);
-                    (key, Rect::new(b[0], b[1], b[2], b[3]))
-                })
-                .collect();
-            let bytes = encode_run(&entries, 9, 9, &[], &[]);
-            let run = Run::parse(0, PathBuf::new(), &bytes).unwrap();
-            let all: Vec<_> = entries.iter().map(|(k, v)| (*k, *v)).collect();
-            prop_assert_eq!(run.scan_all(&bytes).unwrap(), all);
-            let lo = RecordKey::range_start(bounds[0] % 3, bounds[1] % 3, bounds[2]);
-            let hi = RecordKey::range_start(lo.video, lo.label, bounds[3].max(lo.frame));
-            let slice = run.slice(&lo, &hi);
-            let mut out = Vec::new();
-            run.scan(&bytes[slice.start as usize..slice.end as usize], &lo, Some(&hi), &mut out)
-                .unwrap();
-            let want: Vec<_> = entries.range(lo..hi).map(|(k, v)| (*k, *v)).collect();
-            prop_assert_eq!(out, want);
-        }
 
         /// Edge values survive every path a record takes: v2 WAL frames
         /// whose videos and frames go down as well as up, a reopen's
