@@ -459,12 +459,14 @@ impl TieredIndex {
             let dict = dict.to_vec();
             let bytes = encode_run(&merged, max_opseq, detections_cum, &inputs, &dict);
             let run = self.publish_run(&bytes)?;
-            // Delete superseded inputs (recovery redoes this if we crash).
-            for i in victims.iter().rev() {
-                let victim = self.runs.remove(*i);
+            // The merged run answers for its inputs before any is deleted,
+            // so a failed delete loses no record from this handle; the
+            // input it leaves is superseded, and recovery deletes it.
+            let gone: Vec<Run> = victims.iter().rev().map(|&i| self.runs.remove(i)).collect();
+            self.runs.push(run);
+            for victim in gone {
                 self.io.remove_file(&victim.path)?;
             }
-            self.runs.push(run);
         }
         Ok(())
     }

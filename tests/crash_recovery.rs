@@ -1176,6 +1176,53 @@ fn a_crash_sweep_over_the_index_keeps_every_acknowledged_operation() {
     assert!(idx.stats().run_count >= 2, "several runs");
 }
 
+/// A compaction publishes its merged run and then deletes the runs it
+/// merged. When one of those deletions fails, the index returns the error,
+/// but the live handle must still answer for every acknowledged detection,
+/// as a reopen does: each mutating operation of twelve flushed adds, a run
+/// each, fails in turn.
+#[test]
+fn a_failed_deletion_in_a_compaction_hides_no_acknowledged_detection() {
+    const ADDS: u32 = 12;
+    let run = |dir: &Path, io: Arc<FaultIo>| {
+        let mut idx = TieredIndex::open_with_io(dir, io).ok()?;
+        idx.set_memtable_limit(1);
+        let mut acknowledged = Vec::new();
+        for f in 0..ADDS {
+            let bbox = Rect::new(f, 0, 8, 8);
+            if idx.add_metadata(0, "car", f, bbox).is_ok() && idx.flush().is_ok() {
+                acknowledged.push(f);
+            }
+        }
+        Some((idx, acknowledged))
+    };
+    let missing = |idx: &mut TieredIndex, acknowledged: &[u32]| {
+        let live = idx.query(0, "car", 0..ADDS).expect("query");
+        let live: Vec<u32> = live.iter().map(|d| d.frame).collect();
+        acknowledged.iter().filter(|f| !live.contains(f)).count()
+    };
+    let clean = FaultIo::new();
+    let dir = temp_dir("compact-delete");
+    let (idx, _) = run(dir.path(), clean.clone()).expect("open");
+    assert!(idx.stats().run_count < ADDS as usize, "the runs compacted");
+    for at in 1..=clean.mutating_ops() {
+        let dir = temp_dir("compact-delete");
+        let io = FaultIo::new();
+        io.arm(at, FaultKind::Error);
+        let Some((mut idx, acknowledged)) = run(dir.path(), io) else {
+            continue; // the open failed: nothing was acknowledged
+        };
+        assert_eq!(missing(&mut idx, &acknowledged), 0, "live, op {at} failed");
+        drop(idx);
+        let mut reopened = TieredIndex::open(dir.path()).expect("reopen");
+        assert_eq!(
+            missing(&mut reopened, &acknowledged),
+            0,
+            "reopened, op {at} failed"
+        );
+    }
+}
+
 /// Two `cluster.json` saves, an old map then a new one. A map has no
 /// recovery to crash: `load` only reads.
 struct MapSaves([ShardMap; 2]);
