@@ -195,6 +195,16 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    /// A `u32` count of items at least `min_len` bytes each, refused
+    /// when the rest of the bytes cannot hold that many.
+    pub(crate) fn count(&mut self, min_len: usize) -> Result<usize, TreeError> {
+        let n = self.u32()? as usize;
+        if n > (self.data.len() - self.pos) / min_len {
+            return Err(TreeError::Corrupt("run count exceeds its region"));
+        }
+        Ok(n)
+    }
+
     pub(crate) fn u16(&mut self) -> Result<u16, TreeError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }

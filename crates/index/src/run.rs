@@ -78,7 +78,6 @@ pub(crate) fn parse_run_name(name: &str) -> Option<u64> {
 }
 
 /// Serializes a sorted set of records into run-file bytes.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn encode_run(
     entries: &BTreeMap<RecordKey, Rect>,
     max_opseq: u64,
@@ -208,7 +207,7 @@ impl Run {
         let entry_count = f.u64()?;
         let max_opseq = f.u64()?;
         let detections_cum = f.u64()?;
-        if data_len as usize != index_off - 4
+        if index_off.checked_sub(4) != Some(data_len as usize)
             || index_off > filter_off
             || filter_off > dict_off
             || dict_off > inputs_off
@@ -218,7 +217,7 @@ impl Run {
         }
 
         let mut c = Cursor::new(&bytes[index_off..filter_off]);
-        let n = c.u32()? as usize;
+        let n = c.count(KEY_LEN + 4)?;
         let mut restarts = Vec::with_capacity(n);
         for _ in 0..n {
             let key = RecordKey::decode(c.take(KEY_LEN)?);
@@ -237,7 +236,7 @@ impl Run {
         }
 
         let mut c = Cursor::new(&bytes[filter_off..dict_off]);
-        let n = c.u32()? as usize;
+        let n = c.count(24)?;
         let mut ranges = Vec::with_capacity(n);
         for _ in 0..n {
             ranges.push(RangeFilter {
@@ -258,7 +257,7 @@ impl Run {
         // written before the table stood alone (the file CRC covers it).
 
         let mut c = Cursor::new(&bytes[dict_off..inputs_off]);
-        let n = c.u32()? as usize;
+        let n = c.count(2)?;
         let mut dict = Vec::with_capacity(n);
         for _ in 0..n {
             let len = c.u16()? as usize;
@@ -268,7 +267,7 @@ impl Run {
         }
 
         let mut c = Cursor::new(&bytes[inputs_off..bytes.len() - FOOTER_LEN]);
-        let n = c.u32()? as usize;
+        let n = c.count(8)?;
         let mut inputs = Vec::with_capacity(n);
         for _ in 0..n {
             inputs.push(c.u64()?);
@@ -491,6 +490,53 @@ mod tests {
             Run::parse(0, PathBuf::new(), &bytes),
             Err(TreeError::Corrupt("run range table out of order"))
         ));
+    }
+
+    /// A count field its region cannot hold, or an `index_off` below the
+    /// magic, is corrupt, with the checksum made to hold: not an allocation
+    /// that aborts the process, nor an overflow that panics. So is a
+    /// directory that holds such a run, to `TieredIndex::open`.
+    #[test]
+    fn a_hostile_count_or_index_offset_is_corrupt() {
+        let entries = BTreeMap::from([(RecordKey::new(1, 2, 0, 0), bbox(0))]);
+        let bytes = encode_run(&entries, 1, 1, &[3], &["car".to_string()]);
+        let footer = bytes.len() - FOOTER_LEN;
+        let field = |i: usize| footer + 8 * i..footer + 8 * i + 8;
+        let resealed = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut b = bytes.clone();
+            edit(&mut b);
+            let crc = crc32(&b[..footer + 64]);
+            b[footer + 64..footer + 68].copy_from_slice(&crc.to_le_bytes());
+            b
+        };
+        let mut hostile = Vec::new();
+        // The counts heading the restart index, range table, dictionary
+        // and inputs, whose offsets are footer fields 1–4.
+        for i in 1..=4 {
+            let off = u64::from_le_bytes(bytes[field(i)].try_into().unwrap()) as usize;
+            let count = resealed(&|b| b[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes()));
+            hostile.push((count, "run count exceeds its region"));
+        }
+        for index_off in 0..4u64 {
+            let off = resealed(&|b| b[field(1)].copy_from_slice(&index_off.to_le_bytes()));
+            hostile.push((off, "run regions out of order"));
+        }
+        let dir = std::env::temp_dir().join(format!(
+            "tasm-run-hostile-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (bytes, what) in &hostile {
+            let parsed = Run::parse(0, PathBuf::new(), bytes);
+            assert!(
+                matches!(parsed, Err(TreeError::Corrupt(w)) if w == *what),
+                "{what}"
+            );
+            std::fs::write(dir.join(run_file_name(0)), bytes).unwrap();
+            assert!(crate::TieredIndex::open(&dir).is_err(), "{what}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
