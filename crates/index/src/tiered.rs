@@ -461,7 +461,7 @@ impl TieredIndex {
             let run = self.publish_run(&bytes)?;
             // The merged run answers for its inputs before any is deleted,
             // so a failed delete loses no record from this handle; the
-            // input it leaves is superseded, and recovery deletes it.
+            // merged run's footer lists what is left for recovery.
             let gone: Vec<Run> = victims.iter().rev().map(|&i| self.runs.remove(i)).collect();
             self.runs.push(run);
             for victim in gone {
